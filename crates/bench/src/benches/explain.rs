@@ -2,7 +2,7 @@
 //!
 //! The engine only runs on buggy cells, so its cost is dominated by
 //! delta-debugging: every ddmin probe is a crash-state materialization
-//! plus a recover-and-mount check. Three questions matter:
+//! plus a recover-and-mount check. Two questions matter:
 //!
 //! * **disabled cost** — a full check with `explain = false` (the
 //!   production default). The `explain-overhead` verify gate asserts
@@ -10,17 +10,12 @@
 //!   baseline sample;
 //! * **prefix-shared shrink** — explain on, probes materialized in
 //!   batches through the snapshot engine's prefix-sharing replay, so
-//!   probes that share an op prefix share COW nodes;
-//! * **per-probe shrink** — the reference engine: every probe replays
-//!   from the baseline on its own. The gap between the last two is the
-//!   prefix-sharing win on shrink workloads (same shape as Figure 10's
-//!   replay-engine gap, but over ddmin's probe sets instead of the
-//!   exhaustive state list).
+//!   probes that share an op prefix share COW nodes.
 //!
 //! The cell is ARVR on BeeGFS — two REPRODUCED bugs, so every sample
 //! includes two full shrink runs.
 
-use paracrash::{check_stack, CheckConfig, ReplayEngine};
+use paracrash::{check_stack, CheckConfig};
 use pc_rt::bench::{black_box, Bench};
 use workloads::{FsKind, Params, Program};
 
@@ -41,14 +36,7 @@ pub fn register(b: &mut Bench) {
 
     let prefix = CheckConfig {
         explain: true,
-        explain_engine: ReplayEngine::PrefixShared,
         ..CheckConfig::paper_default()
     };
     b.bench("explain/shrink/prefix-shared", || run(&prefix));
-
-    let per_probe = CheckConfig {
-        explain_engine: ReplayEngine::PerProbe,
-        ..prefix.clone()
-    };
-    b.bench("explain/shrink/per-probe", || run(&per_probe));
 }

@@ -47,9 +47,9 @@ pub fn register(b: &mut Bench) {
         });
     }
     // Snapshot-engine comparison over an exhaustive (k = 1) crash-state
-    // enumeration — exactly the two code paths `check_stack` switches
-    // between on `PC_NAIVE_SNAPSHOTS` (tests/snapshot_equivalence.rs
-    // asserts they produce bit-identical reports). Two levels per cell:
+    // enumeration — exactly where `check_stack` and `check_reference`
+    // differ (tests/differential.rs asserts they produce bit-identical
+    // reports). Two levels per cell:
     //
     // * `materialize`: produce every crash state's pre-recovery server
     //   snapshot. This is the work the engine replaced — a shared prefix

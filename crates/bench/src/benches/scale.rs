@@ -10,8 +10,8 @@
 //!   O(1) COW forks materializes every state, and recovery runs once
 //!   per *subtree representative* (states with identical storage
 //!   sequences share their recovered view, `SnapshotPlan::rep`).
-//! * `engine-oracle` — the pre-refactor composition
-//!   (`PC_NAIVE_SNAPSHOTS=1` + `PC_NAIVE_BATCH=1`): every state deep-
+//! * `engine-oracle` — the pre-refactor composition (what
+//!   `paracrash::check_reference` does per state): every state deep-
 //!   clones the baseline, replays its full persisted prefix, and runs
 //!   its own recovery.
 //!

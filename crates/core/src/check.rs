@@ -16,14 +16,16 @@
 
 use crate::classify::{classify, BugSignature};
 use crate::config::CheckConfig;
-use crate::emulate::crash_states;
+use crate::emulate::{crash_states, CrashState};
+use crate::explain::BugExplanation;
 use crate::explore::{
-    is_data_chunk, server_fingerprints, tsp_order, CostModel, ExploreStats, Pruner, ReplayCache,
+    is_data_chunk, server_fingerprints, tsp_order, CacheStats, CostModel, ExploreStats, Pruner,
+    ReplayCache,
 };
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
 use crate::report::op_detail;
-use crate::snapshot::{naive_batch, naive_snapshots, prepare_states, SnapshotPlan};
+use crate::snapshot::{prepare_states, SnapshotPlan};
 use crate::stack::{replay_h5, replay_pfs, Stack, StackFactory};
 use h5sim::{check as h5check, check_lenient, h5clear, H5Logical};
 use pfs::{recover_and_mount, PfsCall, PfsView};
@@ -80,13 +82,13 @@ pub struct CheckOutcome {
     /// Presentation-plane output: never part of
     /// [`CheckOutcome::canonical_report`], so explain on/off runs stay
     /// byte-identical there.
-    pub explanations: Vec<crate::explain::BugExplanation>,
+    pub explanations: Vec<BugExplanation>,
     /// Digests of the distinct *representative* pre-recovery crash
     /// states (sorted, deduplicated) — the Pathfinder-style state
     /// identities the campaign corpus dedups on. Filled only when
-    /// `cfg.collect_rep_digests` is set; engine-invariant (prefix-tree
-    /// and `PC_NAIVE_SNAPSHOTS=1` agree). Like `explanations`, never
-    /// part of [`CheckOutcome::canonical_report`].
+    /// `cfg.collect_rep_digests` is set; checker-invariant
+    /// ([`check_stack`] and [`check_reference`] agree). Like
+    /// `explanations`, never part of [`CheckOutcome::canonical_report`].
     pub rep_digests: Vec<u64>,
 }
 
@@ -198,12 +200,7 @@ fn layer_candidates(
 }
 
 /// PFS-layer ops committed by an `fsync` call inside the candidate set.
-fn pfs_committed(
-    rec: &Recorder,
-    graph: &CausalityGraph,
-    stack: &Stack,
-    candidates: &[EventId],
-) -> Vec<EventId> {
+fn pfs_committed(graph: &CausalityGraph, stack: &Stack, candidates: &[EventId]) -> Vec<EventId> {
     let mut out = Vec::new();
     for &(ev, _, ref call) in stack.calls.entries() {
         if !candidates.contains(&ev) {
@@ -221,449 +218,664 @@ fn pfs_committed(
             }
         }
     }
-    let _ = rec;
     out
 }
 
 /// Shared legal golden states for one cut: `(PFS views, H5 logicals)`.
 type LegalStates = (Arc<Vec<PfsView>>, Arc<Vec<H5Logical>>);
 
-/// Run the full ParaCrash check for one traced program.
-pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> CheckOutcome {
-    let started = Instant::now();
-    let check_span = pc_rt::obs::span_cat("check_stack", "check");
-    let tl_mark = pc_rt::obs::mark();
-    let rec = &stack.rec;
-    let stage = pc_rt::obs::span_cat("check.analyze", "check");
-    let graph = CausalityGraph::build(rec);
-    let pa = PersistAnalysis::build(rec, &graph, |s| stack.journal_of(s));
-    drop(stage);
-    let topo = stack.pfs.topology().clone();
-    let n_servers = topo.server_count();
+/// Figure 6's verdict for one crash state: `None` when consistent,
+/// otherwise the responsible layer and the weakest violated model.
+type Verdict = Option<(LayerVerdict, Model)>;
 
+/// Aggregated bugs keyed by cause and layer, each with the index of its
+/// first (witness) crash state — kept beside the `Inconsistency` rather
+/// than in it, so the canonical report stays exactly what the checker
+/// decided.
+type Bugs = BTreeMap<(BugSignature, LayerVerdict), (Inconsistency, usize)>;
+
+// The checker is a chain of stages; each takes the outputs of the stages
+// before it, so the order lives in the signatures:
+//
+//   analyze → enumerate → materialize → legal_and_verdicts
+//           → prune_and_classify → cost → explain
+//
+// `check_stack` is that chain. `check_reference` shares every stage
+// except materialize / legal_and_verdicts — how a crash state becomes a
+// recovered view — which it replaces with the obvious per-state loop.
+
+/// Stage 1 output: everything derived from the traced run alone.
+struct Analysis<'a> {
+    stack: &'a Stack,
+    cfg: &'a CheckConfig,
+    graph: CausalityGraph,
+    pa: PersistAnalysis,
+    topo: simnet::ClusterTopology,
+    pfs_ops: Vec<EventId>,
+    h5_ops: Vec<EventId>,
+    /// Pre-crash I/O-library state, for the baseline model's
+    /// unmodified-dataset rule.
+    baseline_h5: Option<H5Logical>,
+    modified_keys: BTreeSet<String>,
+}
+
+/// Stage 2 output: Algorithm 1's crash states and their checking order.
+struct Enumerated {
+    states: Vec<CrashState>,
+    /// Minimal-damage states first, so classification sees the
+    /// single-fault witnesses before the compound ones and the §5.2
+    /// aggregation can absorb the latter. (Reconstruction *cost* is
+    /// charged separately, over the mode's own visiting order.)
+    order: Vec<usize>,
+}
+
+/// Stage 3 output: every crash state as a COW fork off the shared
+/// prefix tree, plus the representative-state identities.
+struct Materialized {
+    plan: SnapshotPlan,
+    rep_digests: Vec<u64>,
+}
+
+/// Stage 4 output, by state index. A panicking model or recovery tool
+/// poisons only its own crash state (`Err(message)`), which stage 5
+/// turns into a diagnostic entry instead of aborting the run.
+#[derive(Default)]
+struct Verdicts {
+    legal: Vec<Result<LegalStates, String>>,
+    verdicts: Vec<Result<Verdict, String>>,
+    /// Golden-state replay-cache traffic (how the stage ran, not what
+    /// it found).
+    pfs_cache: CacheStats,
+    h5_cache: CacheStats,
+}
+
+/// Stage 5 output: what the checker decided.
+#[derive(Default)]
+struct Classified {
+    bugs: Bugs,
+    raw_inconsistent: usize,
+    h5_bad_pfs_ok: usize,
+    /// States reconstructed and checked, in checking order.
+    checked: Vec<usize>,
+    pruned: usize,
+    diagnostics: Vec<String>,
+}
+
+fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig) -> Analysis<'a> {
+    let stage = pc_rt::obs::span_cat("check.analyze", "check");
+    let graph = CausalityGraph::build(&stack.rec);
+    let pa = PersistAnalysis::build(&stack.rec, &graph, |s| stack.journal_of(s));
+    drop(stage);
+    Analysis {
+        stack,
+        cfg,
+        graph,
+        pa,
+        topo: stack.pfs.topology().clone(),
+        pfs_ops: stack.calls.event_ids(),
+        h5_ops: stack.h5.event_ids(),
+        baseline_h5: stack.h5_path.as_ref().and_then(|p| {
+            let view = stack.pfs.client_view(stack.pfs.baseline());
+            view.read(p).and_then(|b| h5check(b).ok())
+        }),
+        modified_keys: modified_dataset_keys(stack),
+    }
+}
+
+fn enumerate(a: &Analysis) -> Enumerated {
+    let rec = &a.stack.rec;
     // Semantic victim pruning (§5.3) only in the pruning modes, only for
     // I/O-library programs (the object map comes from h5inspect).
-    let semantic = cfg.mode.prunes() && stack.h5_path.is_some();
+    let semantic = a.cfg.mode.prunes() && a.stack.h5_path.is_some();
     let filter = |e: EventId| !(semantic && is_data_chunk(rec, e));
     let stage = pc_rt::obs::span_cat("check.enumerate", "check");
-    let states = crash_states(rec, &graph, &pa, cfg.k, Some(&filter));
+    let states = crash_states(rec, &a.graph, &a.pa, a.cfg.k, Some(&filter));
     drop(stage);
     pc_rt::obs::count("check.crash_states", states.len() as u64);
-
-    // Checking order: minimal-damage states first, so classification
-    // sees the single-fault witnesses before the compound ones and the
-    // §5.2 aggregation can absorb the latter. (Reconstruction *cost* is
-    // charged separately below, over the mode's own visiting order.)
     let mut order: Vec<usize> = (0..states.len()).collect();
     order.sort_by_key(|&i| {
         let s = &states[i];
         (s.victims.len(), std::cmp::Reverse(s.cut.count()))
     });
+    Enumerated { states, order }
+}
 
-    // Baseline (pre-crash) I/O-library state, for the baseline model's
-    // unmodified-dataset rule.
-    let baseline_h5: Option<H5Logical> = stack.h5_path.as_ref().and_then(|p| {
-        let view = stack.pfs.client_view(stack.pfs.baseline());
-        view.read(p).and_then(|b| h5check(b).ok())
-    });
-    let modified_keys = modified_dataset_keys(stack);
-
-    let pfs_ops = stack.calls.event_ids();
-    let h5_ops = stack.h5.event_ids();
-
-    let mut stats = ExploreStats {
-        states_total: states.len(),
-        ..Default::default()
-    };
-    let mut pruner = Pruner::new();
-    // Legal-state sets are shared, not cloned, across states: the heavy
-    // HDF5 cells hold multi-megabyte views and hundreds of crash states.
-    let mut pfs_cache: ReplayCache<Arc<Vec<PfsView>>> = ReplayCache::with_cap(cfg.replay_cache_cap);
-    let mut h5_cache: ReplayCache<Arc<Vec<H5Logical>>> =
-        ReplayCache::with_cap(cfg.replay_cache_cap);
-    let mut bugs: BTreeMap<(BugSignature, LayerVerdict), Inconsistency> = BTreeMap::new();
-    // Index of each bug's first (witness) crash state, for the explain
-    // pass; side table rather than an `Inconsistency` field so the
-    // canonical report stays exactly what the checker decided.
-    let mut witness_state: BTreeMap<(BugSignature, LayerVerdict), usize> = BTreeMap::new();
-    let mut raw_inconsistent = 0usize;
-    let mut h5_bad_pfs_ok = 0usize;
-    let mut checked_indices: Vec<usize> = Vec::new();
-
-    // Legal golden states per distinct candidate set, filled up front so
-    // the verdict pass can run data-parallel (states are independent:
-    // each materializes its own snapshot).
-    let evaluate = |state: &crate::emulate::CrashState,
-                    pfs_cache: &mut ReplayCache<Arc<Vec<PfsView>>>,
-                    h5_cache: &mut ReplayCache<Arc<Vec<H5Logical>>>|
-     -> LegalStates {
-        let pfs_candidates = layer_candidates(rec, &graph, Layer::PfsClient, &pfs_ops, &state.cut);
-        let committed = pfs_committed(rec, &graph, stack, &pfs_candidates);
-        let legal_views = pfs_cache.get_or(pfs_candidates.clone(), || {
-            Arc::new(legal_pfs_views(
-                stack,
-                factory,
-                cfg.pfs_model,
-                &graph,
-                &pfs_candidates,
-                &committed,
-            ))
-        });
-        let legal_h5 = if stack.h5_path.is_some() {
-            let h5_candidates = layer_candidates(rec, &graph, Layer::IoLib, &h5_ops, &state.cut);
-            h5_cache.get_or(h5_candidates.clone(), || {
-                Arc::new(legal_h5_logicals(
-                    stack,
-                    factory,
-                    cfg.h5_model,
-                    &graph,
-                    &h5_candidates,
-                ))
-            })
-        } else {
-            Arc::new(Vec::new())
-        };
-        (legal_views, legal_h5)
-    };
-
-    // Crash-state materialization engine. The default (COW) engine
-    // pre-materializes every state as an O(1) fork off a shared prefix
-    // tree of persisted-event sequences; the `PC_NAIVE_SNAPSHOTS=1`
-    // oracle instead deep-clones the baseline and replays each state's
-    // full prefix, reproducing the historical clone-everything engine.
-    // Both apply the exact same events in the exact same order, so the
-    // materialized states — and every verdict derived from them — are
-    // bit-identical (asserted by `tests/snapshot_equivalence.rs`).
+fn materialize(a: &Analysis, e: &Enumerated) -> Materialized {
     let stage = pc_rt::obs::span_cat("check.materialize", "check");
-    let plan: Option<SnapshotPlan> = if naive_snapshots() {
-        None
-    } else {
-        Some(prepare_states(rec, stack.pfs.baseline(), &states))
-    };
+    let plan = prepare_states(&a.stack.rec, a.stack.pfs.baseline(), &e.states);
     drop(stage);
-
     // Representative-state identities for the campaign corpus: one
     // digest per distinct storage-event sequence, of the materialized
-    // (pre-recovery, pre-widening) snapshot. The prefix-tree engine
-    // reads them straight off its terminals (`rep[i] == i`); the naive
-    // oracle materializes each distinct sequence once — identical
-    // digests by the same equivalence argument as the snapshots
-    // themselves.
-    let rep_digests: Vec<u64> = if cfg.collect_rep_digests {
+    // (pre-recovery, pre-widening) snapshot — read straight off the
+    // prefix tree's terminals (`rep[i] == i`).
+    let mut rep_digests = Vec::new();
+    if a.cfg.collect_rep_digests {
         let _stage = pc_rt::obs::span_cat("check.rep_digests", "check");
-        let mut digests: Vec<u64> = match &plan {
-            Some(plan) => plan
-                .rep
-                .iter()
-                .enumerate()
-                .filter(|&(i, &rep)| rep == i)
-                .map(|(i, _)| plan.prepared[i].digest())
-                .collect(),
-            None => {
-                let mut seen: std::collections::BTreeSet<Vec<tracer::EventId>> =
-                    std::collections::BTreeSet::new();
-                let mut digests = Vec::new();
-                for state in &states {
-                    let seq = crate::snapshot::storage_seq(rec, state);
-                    if seen.insert(seq.clone()) {
-                        let mut st = stack.pfs.baseline().deep_clone();
-                        st.apply_events(rec, seq);
-                        digests.push(st.digest());
-                    }
-                }
-                digests
-            }
-        };
-        digests.sort_unstable();
-        digests.dedup();
-        pc_rt::obs::count("check.rep_digests", digests.len() as u64);
-        digests
-    } else {
-        Vec::new()
-    };
+        rep_digests = (0..e.states.len())
+            .filter(|&i| plan.rep[i] == i)
+            .map(|i| plan.prepared[i].digest())
+            .collect();
+        rep_digests.sort_unstable();
+        rep_digests.dedup();
+        pc_rt::obs::count("check.rep_digests", rep_digests.len() as u64);
+    }
+    Materialized { plan, rep_digests }
+}
 
-    // The per-state verdict, shared by the sequential and parallel paths.
-    // Torn-write widening (when `cfg.faults.torn_writes`) draws from an
-    // RNG seeded by (fault seed, state index) so the same crash state
-    // tears the same way on every run and thread count.
-    let torn = cfg.faults.torn_writes;
-    let torn_rng = |i: usize| -> pc_rt::rng::Rng {
-        pc_rt::rng::Rng::new(
-            cfg.faults
-                .seed
-                .wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        )
-    };
-    // Subtree-batched recovery: crash states whose storage-event
-    // sequences land on the same prefix-tree terminal have *identical*
-    // prepared snapshots, so recovery and mounting — the dominant
-    // per-state cost — runs once per representative and the recovered
-    // view is shared. A state stays on the per-state path when fault
-    // widening can make its on-disk image unique (torn writes with live
-    // victims), when the naive snapshot engine is active (no plan), or
-    // under the `PC_NAIVE_BATCH=1` oracle. Recovery is deterministic on
-    // the store state, so both paths produce bit-identical views
-    // (asserted by `tests/snapshot_equivalence.rs`).
-    let per_state_recovery = naive_batch();
-    let shared_views: Vec<OnceLock<PfsView>> = (0..states.len()).map(|_| OnceLock::new()).collect();
-    let verdict_of = |i: usize,
-                      legal_views: &[PfsView],
-                      legal_h5: &[H5Logical]|
-     -> (bool, Option<(LayerVerdict, Model)>) {
-        let state = &states[i];
-        let owned: PfsView;
-        let view: &PfsView = match &plan {
-            Some(plan) if !per_state_recovery && (!torn || state.victims.is_empty()) => {
-                let rep = plan.rep[i];
-                if rep != i {
-                    pc_rt::obs::count("check.views_shared", 1);
-                }
-                shared_views[rep].get_or_init(|| {
-                    let mut st = plan.prepared[rep].fork();
-                    let (_, view) = recover_and_mount(stack.pfs.as_ref(), &mut st);
-                    view
-                })
-            }
-            _ => {
-                let mut st = match &plan {
-                    Some(plan) => plan.prepared[i].fork(),
-                    None => {
-                        let mut st = stack.pfs.baseline().deep_clone();
-                        st.apply_events(rec, state.persisted.iter());
-                        st
-                    }
-                };
-                if torn {
-                    st.apply_torn_victims(rec, state.victims.iter().copied(), &mut torn_rng(i));
-                }
-                let (_, view) = recover_and_mount(stack.pfs.as_ref(), &mut st);
-                owned = view;
-                &owned
-            }
-        };
-        let pfs_ok = legal_views.contains(view);
-        let verdict = if let Some(path) = &stack.h5_path {
-            h5_verdict(
-                cfg,
-                path,
-                view,
-                legal_h5,
-                baseline_h5.as_ref(),
-                &modified_keys,
-            )
-            .map(|violated| {
-                if pfs_ok {
-                    (LayerVerdict::IoLibBug, violated)
-                } else {
-                    (LayerVerdict::PfsBug, violated)
-                }
-            })
-        } else if pfs_ok {
-            None
+/// Torn-write widening draws from an RNG seeded by (fault seed, state
+/// index) so the same crash state tears the same way on every run,
+/// thread count and checker.
+fn torn_rng(cfg: &CheckConfig, state_index: usize) -> pc_rt::rng::Rng {
+    pc_rt::rng::Rng::new(
+        cfg.faults
+            .seed
+            .wrapping_add((state_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+    )
+}
+
+/// Run `f`, turning a panic into its message: a panicking model or
+/// recovery tool poisons only the crash state it ran for.
+fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|p| pc_rt::pool::panic_message(p.as_ref()))
+}
+
+/// The model `view` violates at the layer the run checks top-down
+/// (`None` = consistent): the I/O library's when the program uses it,
+/// otherwise the PFS's.
+fn violated_model(
+    a: &Analysis,
+    view: &PfsView,
+    (legal_views, legal_h5): &LegalStates,
+) -> Option<Model> {
+    match &a.stack.h5_path {
+        Some(path) => h5_verdict(
+            a.cfg,
+            path,
+            view,
+            legal_h5,
+            a.baseline_h5.as_ref(),
+            &a.modified_keys,
+        ),
+        None => (!legal_views.contains(view)).then_some(a.cfg.pfs_model),
+    }
+}
+
+/// Figure 6 for one recovered view: a legal PFS state under an illegal
+/// I/O-library state blames the library, anything else the PFS.
+fn layer_verdict(a: &Analysis, view: &PfsView, legal: &LegalStates) -> Verdict {
+    violated_model(a, view, legal).map(|violated| {
+        let layer = if a.stack.h5_path.is_some() && legal.0.contains(view) {
+            LayerVerdict::IoLibBug
         } else {
-            Some((LayerVerdict::PfsBug, cfg.pfs_model))
+            LayerVerdict::PfsBug
         };
-        (pfs_ok, verdict)
-    };
+        (layer, violated)
+    })
+}
 
-    // Legal-state replays and per-state verdicts are *pipelined*: the
-    // sequential producer (it owns the `&mut` replay caches) walks the
-    // checking order, fills each state's legal-state slot, and
-    // immediately spawns that state's verdict task on the work-stealing
-    // scope — verdict workers run concurrently with the producer
-    // instead of waiting behind a stage barrier. Results are joined by
-    // state index, so the output is byte-identical to the old
-    // two-stage fan-out on every `PC_THREADS` setting (1 = spawn runs
-    // inline: the deterministic sequential reference).
-    // Both the golden-state replays and the per-state verdicts run under
-    // catch_unwind: a panicking model or recovery tool poisons only its
-    // own crash state, which the prune pass below turns into a
-    // diagnostic entry instead of aborting the run.
-    let legal_of: Vec<OnceLock<Result<LegalStates, String>>> =
-        (0..states.len()).map(|_| OnceLock::new()).collect();
+/// Stage 4's per-state task: recover and mount crash state `i`, then
+/// judge it. Crash states whose storage-event sequences land on the
+/// same prefix-tree terminal have *identical* prepared snapshots, so
+/// recovery and mounting — the dominant per-state cost — runs once per
+/// representative into `shared_views`. Only a state whose on-disk image
+/// fault widening can make unique (torn writes with live victims)
+/// recovers on its own. Recovery is deterministic on the store state, so
+/// both paths produce bit-identical views.
+fn verdict_of(
+    a: &Analysis,
+    e: &Enumerated,
+    m: &Materialized,
+    shared_views: &[OnceLock<PfsView>],
+    i: usize,
+    legal: &LegalStates,
+) -> Verdict {
+    let (stack, state) = (a.stack, &e.states[i]);
+    let owned: PfsView;
+    let view = if a.cfg.faults.torn_writes && !state.victims.is_empty() {
+        let mut st = m.plan.prepared[i].fork();
+        st.apply_torn_victims(
+            &stack.rec,
+            state.victims.iter().copied(),
+            &mut torn_rng(a.cfg, i),
+        );
+        owned = recover_and_mount(stack.pfs.as_ref(), &mut st).1;
+        &owned
+    } else {
+        let rep = m.plan.rep[i];
+        if rep != i {
+            pc_rt::obs::count("check.views_shared", 1);
+        }
+        shared_views[rep].get_or_init(|| {
+            let mut st = m.plan.prepared[rep].fork();
+            recover_and_mount(stack.pfs.as_ref(), &mut st).1
+        })
+    };
+    layer_verdict(a, view, legal)
+}
+
+/// Golden-state replay caches, one per layer. Legal-state sets are
+/// shared, not cloned, across states: the heavy HDF5 cells hold
+/// multi-megabyte views and hundreds of crash states.
+struct ReplayCaches {
+    pfs: ReplayCache<Arc<Vec<PfsView>>>,
+    h5: ReplayCache<Arc<Vec<H5Logical>>>,
+}
+
+/// Legal golden states of one crash state, replayed once per distinct
+/// candidate set.
+fn legal_states(
+    a: &Analysis,
+    factory: &StackFactory,
+    state: &CrashState,
+    caches: &mut ReplayCaches,
+) -> LegalStates {
+    let pfs_candidates = pfs_candidates(a, state);
+    let legal_views = caches.pfs.get_or(pfs_candidates.clone(), || {
+        Arc::new(legal_pfs_views(a, factory, &pfs_candidates))
+    });
+    let legal_h5 = match h5_candidates(a, state) {
+        Some(h5_candidates) => caches.h5.get_or(h5_candidates.clone(), || {
+            Arc::new(legal_h5_logicals(a, factory, &h5_candidates))
+        }),
+        None => Arc::new(Vec::new()),
+    };
+    (legal_views, legal_h5)
+}
+
+/// Stage 4. Legal-state replays and per-state verdicts are *pipelined*:
+/// the sequential producer (it owns the `&mut` replay caches) walks the
+/// checking order, fills each state's legal-state slot, and immediately
+/// spawns that state's verdict task on the work-stealing scope — verdict
+/// workers run concurrently with the producer instead of waiting behind
+/// a stage barrier. Results are joined by state index, so the output is
+/// byte-identical on every `PC_THREADS` setting (1 = spawn runs inline:
+/// the deterministic sequential path).
+fn legal_and_verdicts(
+    a: &Analysis,
+    factory: &StackFactory,
+    e: &Enumerated,
+    m: &Materialized,
+) -> Verdicts {
+    let n = e.states.len();
+    let mut caches = ReplayCaches {
+        pfs: ReplayCache::with_cap(a.cfg.replay_cache_cap),
+        h5: ReplayCache::with_cap(a.cfg.replay_cache_cap),
+    };
+    let shared_views: Vec<OnceLock<PfsView>> = (0..n).map(|_| OnceLock::new()).collect();
+    let legal: Vec<OnceLock<Result<LegalStates, String>>> =
+        (0..n).map(|_| OnceLock::new()).collect();
     let stage_legal = pc_rt::obs::span_cat("check.legal_states", "check");
     let stage_verdicts = pc_rt::obs::span_cat("check.verdicts", "check");
-    let computed: Vec<Result<(bool, Option<(LayerVerdict, Model)>), String>> =
-        pc_rt::pool::scope(|scope| {
-            let mut handles = Vec::with_capacity(order.len());
-            for &idx in &order {
-                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    evaluate(&states[idx], &mut pfs_cache, &mut h5_cache)
-                }))
-                .map_err(|p| pc_rt::pool::panic_message(p.as_ref()));
-                let _ = legal_of[idx].set(got);
-                let legal_of = &legal_of;
-                let verdict_of = &verdict_of;
-                handles.push((
-                    idx,
-                    scope.spawn(move || {
-                        match legal_of[idx].get().expect("producer fills before spawn") {
-                            Ok((legal_views, legal_h5)) => verdict_of(idx, legal_views, legal_h5),
-                            // Funnel replay failures through the same caught path.
-                            Err(e) => panic!("legal-state replay failed: {e}"),
-                        }
-                    }),
-                ));
-            }
-            let mut out: Vec<Option<Result<_, String>>> = (0..states.len()).map(|_| None).collect();
-            for (idx, handle) in handles {
-                out[idx] = Some(handle.join());
-            }
-            out.into_iter()
-                .map(|r| r.expect("order is a permutation of all states"))
-                .collect()
-        });
+    let verdicts = pc_rt::pool::scope(|scope| {
+        let mut handles = Vec::with_capacity(n);
+        for &idx in &e.order {
+            let got = caught(|| legal_states(a, factory, &e.states[idx], &mut caches));
+            let slot = &legal[idx];
+            let _ = slot.set(got);
+            let shared_views = &shared_views;
+            handles.push((
+                idx,
+                scope.spawn(
+                    move || match slot.get().expect("producer fills before spawn") {
+                        Ok(legal) => verdict_of(a, e, m, shared_views, idx, legal),
+                        // Funnel replay failures through the same caught path.
+                        Err(e) => panic!("legal-state replay failed: {e}"),
+                    },
+                ),
+            ));
+        }
+        let mut out: Vec<Option<Result<Verdict, String>>> = (0..n).map(|_| None).collect();
+        for (idx, handle) in handles {
+            out[idx] = Some(handle.join());
+        }
+        out.into_iter()
+            .map(|r| r.expect("order is a permutation of all states"))
+            .collect()
+    });
     drop(stage_verdicts);
     drop(stage_legal);
-    let stage = pc_rt::obs::span_cat("check.prune", "check");
-    let mut diagnostics: Vec<String> = Vec::new();
-    for &idx in &order {
-        let state = &states[idx];
-        if cfg.mode.prunes() && pruner_skips(&pruner, rec, &topo, &pa, state) {
-            stats.states_pruned += 1;
+    Verdicts {
+        legal: legal
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("order is a permutation"))
+            .collect(),
+        verdicts,
+        pfs_cache: caches.pfs.stats(),
+        h5_cache: caches.h5.stats(),
+    }
+}
+
+/// Stage 5: walk the checking order; skip states the §5.3 pruner has
+/// learned are redundant, turn poisoned states into diagnostics, and
+/// aggregate or classify the inconsistent ones.
+fn prune_and_classify(a: &Analysis, e: &Enumerated, v: &Verdicts) -> Classified {
+    let _stage = pc_rt::obs::span_cat("check.prune", "check");
+    let rec = &a.stack.rec;
+    let mut c = Classified::default();
+    let mut pruner = Pruner::new();
+    fn diagnose(c: &mut Classified, line: String) {
+        pc_rt::obs::count("recover.diagnostic", 1);
+        c.diagnostics.push(line);
+    }
+    for &idx in &e.order {
+        if a.cfg.mode.prunes() && pruner.redundant(rec, &a.topo, &a.pa, &e.states[idx]) {
+            c.pruned += 1;
             continue;
         }
-        stats.states_checked += 1;
-        checked_indices.push(idx);
-        let v = match &computed[idx] {
-            Ok(v) => *v,
+        c.checked.push(idx);
+        let verdict = match &v.verdicts[idx] {
+            Ok(verdict) => *verdict,
             Err(msg) => {
-                stats.states_diagnostic += 1;
-                pc_rt::obs::count("recover.diagnostic", 1);
-                diagnostics.push(format!("crash state {idx}: {msg}"));
-                if cfg.fail_fast {
+                diagnose(&mut c, format!("crash state {idx}: {msg}"));
+                if a.cfg.fail_fast {
                     break;
                 }
                 continue;
             }
         };
-        if let (_, Some((layer, violated_model))) = v {
-            raw_inconsistent += 1;
-            if layer == LayerVerdict::IoLibBug {
-                h5_bad_pfs_ok += 1;
-            }
-            let (legal_views, legal_h5) = match legal_of[idx].get().expect("prefilled") {
-                Ok(ls) => ls,
-                Err(_) => unreachable!("verdict computed implies legal states exist"),
-            };
-            // The classifier's flip oracle re-runs recovery on probe
-            // states; a panic there poisons only this state.
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                aggregate_or_classify(
-                    stack,
-                    rec,
-                    &topo,
-                    &pa,
-                    cfg,
-                    state,
-                    idx,
-                    layer,
-                    violated_model,
-                    legal_views,
-                    legal_h5,
-                    baseline_h5.as_ref(),
-                    &modified_keys,
-                    &mut bugs,
-                    &mut witness_state,
-                    &mut pruner,
-                    cfg.mode.prunes(),
-                )
-            }));
-            if let Err(p) = caught {
-                stats.states_diagnostic += 1;
-                pc_rt::obs::count("recover.diagnostic", 1);
-                diagnostics.push(format!(
-                    "crash state {idx}: classification failed: {}",
-                    pc_rt::pool::panic_message(p.as_ref())
-                ));
-            }
-            if cfg.fail_fast {
+        let Some(inconsistency) = verdict else {
+            continue;
+        };
+        c.raw_inconsistent += 1;
+        if inconsistency.0 == LayerVerdict::IoLibBug {
+            c.h5_bad_pfs_ok += 1;
+        }
+        let Ok(legal) = &v.legal[idx] else {
+            unreachable!("verdict computed implies legal states exist")
+        };
+        // The classifier's flip oracle re-runs recovery on probe
+        // states; a panic there poisons only this state.
+        if let Err(msg) = caught(|| {
+            aggregate_or_classify(a, e, idx, inconsistency, legal, &mut c.bugs, &mut pruner)
+        }) {
+            diagnose(
+                &mut c,
+                format!("crash state {idx}: classification failed: {msg}"),
+            );
+        }
+        if a.cfg.fail_fast {
+            break;
+        }
+    }
+    c
+}
+
+/// §5.2 aggregation + Table 1 classification for one inconsistent state:
+/// count it against an already-reported cause if its damage pattern
+/// matches, otherwise classify it and (in the pruning modes) teach the
+/// exploration pruner the new pattern.
+fn aggregate_or_classify(
+    a: &Analysis,
+    e: &Enumerated,
+    state_index: usize,
+    (layer, violated): (LayerVerdict, Model),
+    legal: &LegalStates,
+    bugs: &mut Bugs,
+    pruner: &mut Pruner,
+) {
+    let (stack, rec, topo, pa) = (a.stack, &a.stack.rec, &a.topo, &a.pa);
+    let state = &e.states[state_index];
+    let mut reported = Pruner::new();
+    for (sig, _) in bugs.keys() {
+        reported.learn(sig);
+    }
+    if reported.redundant(rec, topo, pa, state) {
+        for ((sig, _), (bug, _)) in bugs.iter_mut() {
+            let mut single = Pruner::new();
+            single.learn(sig);
+            if single.redundant(rec, topo, pa, state) {
+                bug.occurrences += 1;
                 break;
             }
         }
+        return;
     }
-    drop(stage);
-
-    // Reconstruction cost over the mode's visiting order: the optimized
-    // mode rebuilds incrementally along a greedy-TSP route; the others
-    // restart per state.
-    let stage = pc_rt::obs::span_cat("check.cost_model", "check");
-    let fingerprints: Vec<Vec<u64>> = states
-        .iter()
-        .map(|s| server_fingerprints(rec, n_servers, s))
-        .collect();
-    let cost = CostModel::for_restart(stack.pfs.restart_cost_secs());
-    let visit: Vec<usize> = if cfg.mode.incremental() {
-        let checked_fps: Vec<Vec<u64>> = checked_indices
-            .iter()
-            .map(|&i| fingerprints[i].clone())
-            .collect();
-        tsp_order(&checked_fps)
-            .into_iter()
-            .map(|j| checked_indices[j])
-            .collect()
-    } else {
-        checked_indices.clone()
+    let mut oracle = |persisted: &BitSet| -> bool {
+        violated_model(a, &recovered_view(stack, persisted), legal).is_none()
     };
-    let mut prev_fp: Option<&[u64]> = None;
-    for &idx in &visit {
-        let (secs, rebuilds) = cost.state_cost(
-            cfg.mode.incremental(),
-            prev_fp,
-            &fingerprints[idx],
-            states[idx].persisted.count(),
-        );
-        stats.sim_seconds += secs;
-        stats.server_rebuilds += rebuilds;
-        prev_fp = Some(&fingerprints[idx]);
+    let signature = {
+        let _s = pc_rt::obs::span_cat("check.classify", "check");
+        classify(rec, topo, pa, state, &mut oracle)
+    };
+    if a.cfg.mode.prunes() {
+        pruner.learn(&signature);
     }
-    drop(stage);
+    bugs.entry((signature.clone(), layer))
+        .and_modify(|(b, _)| b.occurrences += 1)
+        .or_insert_with(|| {
+            // Witness ops in event-id (trace) order — the order they
+            // were issued — not lexicographic string order. Built only
+            // for the first state that exposes the bug.
+            let mut witness_events: Vec<EventId> = state.unpersisted(pa);
+            witness_events.extend(state.victims.iter().copied());
+            witness_events.sort_unstable();
+            witness_events.dedup();
+            let witness: Vec<String> = witness_events
+                .iter()
+                .map(|&e| op_detail(rec, topo, e))
+                .collect();
+            let bug = Inconsistency {
+                signature,
+                layer,
+                violated_model: violated,
+                witness,
+                occurrences: 1,
+            };
+            (bug, state_index)
+        });
+}
 
-    // Provenance pass: build an explain bundle per aggregated bug. Runs
-    // after aggregation so bundles carry final occurrence counts. The
-    // pass is presentation-plane: a panic inside it is a warning, never
-    // a diagnostic, so canonical_report() is identical with explain on
-    // or off.
-    let mut explanations: Vec<crate::explain::BugExplanation> = Vec::new();
-    if (cfg.explain || pc_rt::obs::summary_enabled()) && !bugs.is_empty() {
-        let stage = pc_rt::obs::span_cat("check.explain", "check");
-        for ((sig, layer), bug) in bugs.iter() {
-            let Some(&widx) = witness_state.get(&(sig.clone(), *layer)) else {
-                continue;
-            };
-            let Some(Ok((legal_views, legal_h5))) = legal_of[widx].get() else {
-                continue;
-            };
-            let ctx = crate::explain::ExplainCtx {
-                stack,
-                graph: &graph,
-                pa: &pa,
-                topo: &topo,
-                cfg,
-                legal_views: legal_views.as_slice(),
-                legal_h5: legal_h5.as_slice(),
-                baseline_h5: baseline_h5.as_ref(),
-                modified_keys: &modified_keys,
-            };
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                crate::explain::explain_bug(&ctx, bug, &states[widx], widx)
-            }));
-            match caught {
-                Ok(e) => explanations.push(e),
-                Err(p) => pc_rt::pc_warn!(
-                    "explain failed for {sig}: {}",
-                    pc_rt::pool::panic_message(p.as_ref())
-                ),
+/// Materialize a persisted set on a COW fork of the baseline snapshot,
+/// recover, mount. Used by the classifier's flip oracle, whose probe
+/// sets are not prefix-structured — `check_stack` and `check_reference`
+/// share this path, which keeps their signatures identical by
+/// construction.
+fn recovered_view(stack: &Stack, persisted: &BitSet) -> PfsView {
+    let mut states = stack.pfs.baseline().fork();
+    states.apply_events(&stack.rec, persisted.iter());
+    recover_and_mount(stack.pfs.as_ref(), &mut states).1
+}
+
+/// PFS-layer calls a crash state's cut may have preserved.
+fn pfs_candidates(a: &Analysis, state: &CrashState) -> Vec<EventId> {
+    let rec = &a.stack.rec;
+    layer_candidates(rec, &a.graph, Layer::PfsClient, &a.pfs_ops, &state.cut)
+}
+
+/// I/O-library calls a crash state's cut may have preserved (`None`
+/// for programs that do not use the library).
+fn h5_candidates(a: &Analysis, state: &CrashState) -> Option<Vec<EventId>> {
+    a.stack.h5_path.as_ref()?;
+    let rec = &a.stack.rec;
+    Some(layer_candidates(
+        rec,
+        &a.graph,
+        Layer::IoLib,
+        &a.h5_ops,
+        &state.cut,
+    ))
+}
+
+/// All legal PFS views for a candidate op set under `cfg.pfs_model`.
+fn legal_pfs_views(a: &Analysis, factory: &StackFactory, candidates: &[EventId]) -> Vec<PfsView> {
+    let stack = a.stack;
+    let committed = pfs_committed(&a.graph, stack, candidates);
+    let mut seen = BTreeSet::new();
+    let mut out = Vec::new();
+    let model = a.cfg.pfs_model;
+    for set in model.preserved_sets(&a.graph, candidates, &committed) {
+        let subset: Vec<(Process, PfsCall)> = stack.calls.subset(&set);
+        if let Some(view) = replay_pfs(factory, &stack.pre_calls, &subset) {
+            if seen.insert(view.digest()) {
+                out.push(view);
             }
         }
-        pc_rt::obs::count("explain.bugs", explanations.len() as u64);
-        drop(stage);
     }
+    out
+}
 
-    stats.pfs_cache = pfs_cache.stats();
-    stats.h5_cache = h5_cache.stats();
-    stats.legal_replays = stats.pfs_cache.misses + stats.h5_cache.misses;
-    stats.wall_seconds = started.elapsed().as_secs_f64();
+/// All legal I/O-library logical states for a candidate op set.
+fn legal_h5_logicals(
+    a: &Analysis,
+    factory: &StackFactory,
+    candidates: &[EventId],
+) -> Vec<H5Logical> {
+    let stack = a.stack;
+    let path = stack.h5_path.as_deref().expect("h5 program");
+    let mut seen = BTreeSet::new();
+    let mut out = Vec::new();
+    // The baseline model's golden comparison is dataset-granular rather
+    // than whole-state, but its legal *full* states still come from the
+    // causal sets (a weaker model only adds legal states — handled in
+    // `h5_verdict`).
+    let enum_model = match a.cfg.h5_model {
+        Model::Baseline => Model::Causal,
+        model => model,
+    };
+    for set in enum_model.preserved_sets(&a.graph, candidates, &[]) {
+        let subset: Vec<(u32, h5sim::H5Call)> = stack.h5.subset(&set);
+        if let Some(logical) = replay_h5(
+            factory,
+            path,
+            &stack.h5_ranks,
+            &stack.pre_h5,
+            &subset,
+            stack.h5_spec,
+        ) {
+            if seen.insert(logical.digest()) {
+                out.push(logical);
+            }
+        }
+    }
+    out
+}
+
+/// Stage 6: reconstruction cost over the mode's visiting order — the
+/// optimized mode rebuilds incrementally along a greedy-TSP route, the
+/// others restart per state. Returns `(sim_seconds, server_rebuilds)`.
+fn cost(a: &Analysis, e: &Enumerated, c: &Classified) -> (f64, usize) {
+    let _stage = pc_rt::obs::span_cat("check.cost_model", "check");
+    let n_servers = a.topo.server_count();
+    let fingerprints: Vec<Vec<u64>> = e
+        .states
+        .iter()
+        .map(|s| server_fingerprints(&a.stack.rec, n_servers, s))
+        .collect();
+    let model = CostModel::for_restart(a.stack.pfs.restart_cost_secs());
+    let incremental = a.cfg.mode.incremental();
+    let visit: Vec<usize> = if incremental {
+        let checked_fps: Vec<Vec<u64>> =
+            c.checked.iter().map(|&i| fingerprints[i].clone()).collect();
+        tsp_order(&checked_fps)
+            .into_iter()
+            .map(|j| c.checked[j])
+            .collect()
+    } else {
+        c.checked.clone()
+    };
+    let (mut sim_seconds, mut server_rebuilds) = (0.0, 0);
+    let mut prev_fp: Option<&[u64]> = None;
+    for &idx in &visit {
+        let persisted = e.states[idx].persisted.count();
+        let (secs, rebuilds) =
+            model.state_cost(incremental, prev_fp, &fingerprints[idx], persisted);
+        sim_seconds += secs;
+        server_rebuilds += rebuilds;
+        prev_fp = Some(&fingerprints[idx]);
+    }
+    (sim_seconds, server_rebuilds)
+}
+
+/// Stage 7, the provenance pass: one explain bundle per aggregated bug,
+/// built after aggregation so bundles carry final occurrence counts.
+/// Presentation-plane: a panic inside it is a warning, never a
+/// diagnostic, so `canonical_report()` is identical with explain on or
+/// off.
+fn explain(a: &Analysis, e: &Enumerated, v: &Verdicts, c: &Classified) -> Vec<BugExplanation> {
+    let mut explanations = Vec::new();
+    if !(a.cfg.explain || pc_rt::obs::summary_enabled()) || c.bugs.is_empty() {
+        return explanations;
+    }
+    let _stage = pc_rt::obs::span_cat("check.explain", "check");
+    for ((sig, _), (bug, widx)) in &c.bugs {
+        let Ok(legal) = &v.legal[*widx] else {
+            continue;
+        };
+        let ctx = crate::explain::ExplainCtx {
+            stack: a.stack,
+            graph: &a.graph,
+            pa: &a.pa,
+            topo: &a.topo,
+            legal_views: &legal.0,
+            fails: &|view| violated_model(a, view, legal).is_some(),
+        };
+        match caught(|| crate::explain::explain_bug(&ctx, bug, &e.states[*widx], *widx)) {
+            Ok(e) => explanations.push(e),
+            Err(msg) => pc_rt::pc_warn!("explain failed for {sig}: {msg}"),
+        }
+    }
+    pc_rt::obs::count("explain.bugs", explanations.len() as u64);
+    explanations
+}
+
+/// Assemble what the stages decided into the public outcome.
+fn outcome(
+    a: &Analysis,
+    e: &Enumerated,
+    v: &Verdicts,
+    c: Classified,
+    (sim_seconds, server_rebuilds): (f64, usize),
+    rep_digests: Vec<u64>,
+) -> CheckOutcome {
+    CheckOutcome {
+        pfs_name: a.stack.pfs.name().to_string(),
+        bugs: c.bugs.into_values().map(|(bug, _)| bug).collect(),
+        raw_inconsistent_states: c.raw_inconsistent,
+        h5_bad_pfs_ok_states: c.h5_bad_pfs_ok,
+        stats: ExploreStats {
+            states_total: e.states.len(),
+            states_checked: c.checked.len(),
+            states_pruned: c.pruned,
+            states_diagnostic: c.diagnostics.len(),
+            server_rebuilds,
+            sim_seconds,
+            wall_seconds: 0.0,
+            legal_replays: v.pfs_cache.misses + v.h5_cache.misses,
+            pfs_cache: v.pfs_cache,
+            h5_cache: v.h5_cache,
+        },
+        diagnostics: c.diagnostics,
+        explanations: Vec::new(),
+        rep_digests,
+    }
+}
+
+/// Run the full ParaCrash check for one traced program.
+pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> CheckOutcome {
+    let started = Instant::now();
+    let check_span = pc_rt::obs::span_cat("check_stack", "check");
+    let tl_mark = pc_rt::obs::mark();
+
+    let a = analyze(stack, cfg);
+    let e = enumerate(&a);
+    let m = materialize(&a, &e);
+    let v = legal_and_verdicts(&a, factory, &e, &m);
+    let c = prune_and_classify(&a, &e, &v);
+    let cost = cost(&a, &e, &c);
+    let explanations = explain(&a, &e, &v, &c);
+
+    let mut out = outcome(&a, &e, &v, c, cost, m.rep_digests);
+    out.explanations = explanations;
+    out.stats.wall_seconds = started.elapsed().as_secs_f64();
+    publish(&out, check_span, &tl_mark);
+    out
+}
+
+/// Counters, the stream snapshot event and the `PC_TRACE=summary` table
+/// for one finished check.
+fn publish(out: &CheckOutcome, check_span: pc_rt::obs::Span, tl_mark: &pc_rt::obs::Mark) {
+    let stats = &out.stats;
     pc_rt::obs::count("cache.pfs.hits", stats.pfs_cache.hits as u64);
     pc_rt::obs::count("cache.pfs.misses", stats.pfs_cache.misses as u64);
     pc_rt::obs::count("cache.pfs.evictions", stats.pfs_cache.evictions as u64);
@@ -680,193 +892,72 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
             stats.states_checked as u64,
             &format!(
                 "pfs={} states={} inconsistent={} bugs={}",
-                stack.pfs.name(),
+                out.pfs_name,
                 stats.states_checked,
-                raw_inconsistent,
-                bugs.len(),
+                out.raw_inconsistent_states,
+                out.bugs.len(),
             ),
         );
     }
     if pc_rt::obs::summary_enabled() {
         eprintln!(
             "{}",
-            pc_rt::obs::render_summary(&tl_mark, &format!("check_stack/{}", stack.pfs.name()))
+            pc_rt::obs::render_summary(tl_mark, &format!("check_stack/{}", out.pfs_name))
         );
-        for e in &explanations {
+        for e in &out.explanations {
             eprintln!("  pinpoint: {}", e.pinpoint());
         }
     }
-    CheckOutcome {
-        pfs_name: stack.pfs.name().to_string(),
-        bugs: bugs.into_values().collect(),
-        raw_inconsistent_states: raw_inconsistent,
-        h5_bad_pfs_ok_states: h5_bad_pfs_ok,
-        stats,
-        diagnostics,
-        explanations,
-        rep_digests,
-    }
 }
 
-/// §5.3 exploration pruning test (extracted for readability).
-fn pruner_skips(
-    pruner: &Pruner,
-    rec: &Recorder,
-    topo: &simnet::ClusterTopology,
-    pa: &PersistAnalysis,
-    state: &crate::emulate::CrashState,
-) -> bool {
-    pruner.redundant(rec, topo, pa, state)
-}
-
-/// §5.2 aggregation + Table 1 classification for one inconsistent state:
-/// count it against an already-reported cause if its damage pattern
-/// matches, otherwise classify it and (in the pruning modes) teach the
-/// exploration pruner the new pattern.
-#[allow(clippy::too_many_arguments)] // orchestration seam, intentionally explicit
-fn aggregate_or_classify(
-    stack: &Stack,
-    rec: &Recorder,
-    topo: &simnet::ClusterTopology,
-    pa: &PersistAnalysis,
-    cfg: &CheckConfig,
-    state: &crate::emulate::CrashState,
-    state_index: usize,
-    layer: LayerVerdict,
-    violated_model: Model,
-    legal_views: &[PfsView],
-    legal_h5: &[H5Logical],
-    baseline_h5: Option<&H5Logical>,
-    modified_keys: &BTreeSet<String>,
-    bugs: &mut BTreeMap<(BugSignature, LayerVerdict), Inconsistency>,
-    witness_state: &mut BTreeMap<(BugSignature, LayerVerdict), usize>,
-    pruner: &mut Pruner,
-    learn: bool,
-) {
-    let mut reported = Pruner::new();
-    for (sig, _) in bugs.keys() {
-        reported.learn(sig);
-    }
-    if reported.redundant(rec, topo, pa, state) {
-        for ((sig, _), bug) in bugs.iter_mut() {
-            let mut single = Pruner::new();
-            single.learn(sig);
-            if single.redundant(rec, topo, pa, state) {
-                bug.occurrences += 1;
-                break;
-            }
+/// The reference checker: the same analysis, enumeration, legal-state
+/// sets, Figure 6 verdict, classification and cost model as
+/// [`check_stack`], but each crash state becomes a recovered view the
+/// obvious way — deep-clone the baseline, apply the persisted events,
+/// tear the victims, recover, mount — one state at a time, with no
+/// prefix tree, no shared views, no replay cache and no thread pool.
+/// `tests/differential.rs` holds `check_stack` to it: everything a
+/// checker *decides* (the canonical report, `rep_digests`, state counts,
+/// the cost model) must match byte for byte; cache traffic, wall time
+/// and explanations describe how a checker ran and stay at their
+/// defaults here.
+#[doc(hidden)]
+pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> CheckOutcome {
+    let a = analyze(stack, cfg);
+    let e = enumerate(&a);
+    let rec = &stack.rec;
+    let mut v = Verdicts::default();
+    // Every state's pre-recovery digest: the same set as one digest per
+    // distinct storage-event sequence.
+    let mut rep_digests = BTreeSet::new();
+    for (i, state) in e.states.iter().enumerate() {
+        let mut st = stack.pfs.baseline().deep_clone();
+        st.apply_events(rec, state.persisted.iter());
+        if cfg.collect_rep_digests {
+            rep_digests.insert(st.digest());
         }
-        return;
-    }
-    let mut oracle = |persisted: &BitSet| -> bool {
-        let v = recovered_view(stack, persisted);
-        if let Some(path) = &stack.h5_path {
-            h5_verdict(cfg, path, &v, legal_h5, baseline_h5, modified_keys).is_none()
-        } else {
-            legal_views.contains(&v)
-        }
-    };
-    let signature = {
-        let _s = pc_rt::obs::span_cat("check.classify", "check");
-        classify(rec, topo, pa, state, &mut oracle)
-    };
-    if learn {
-        pruner.learn(&signature);
-    }
-    bugs.entry((signature.clone(), layer))
-        .and_modify(|b| b.occurrences += 1)
-        .or_insert_with(|| {
-            witness_state.insert((signature.clone(), layer), state_index);
-            // Witness ops in event-id (trace) order — the order they
-            // were issued — not lexicographic string order. Built only
-            // for the first state that exposes the bug.
-            let mut witness_events: Vec<EventId> = state.unpersisted(pa);
-            witness_events.extend(state.victims.iter().copied());
-            witness_events.sort_unstable();
-            witness_events.dedup();
-            let witness: Vec<String> = witness_events
-                .iter()
-                .map(|&e| op_detail(rec, topo, e))
-                .collect();
-            Inconsistency {
-                signature,
-                layer,
-                violated_model,
-                witness,
-                occurrences: 1,
-            }
+        let legal = caught(|| -> LegalStates {
+            let views = legal_pfs_views(&a, factory, &pfs_candidates(&a, state));
+            let h5 = h5_candidates(&a, state).map(|c| legal_h5_logicals(&a, factory, &c));
+            (Arc::new(views), Arc::new(h5.unwrap_or_default()))
         });
-}
-
-/// Materialize a persisted set on a COW fork of the baseline snapshot,
-/// recover, mount. Used by the classifier's flip oracle, whose probe
-/// sets are not prefix-structured — both engines share this path, which
-/// keeps their verdicts identical by construction.
-fn recovered_view(stack: &Stack, persisted: &BitSet) -> PfsView {
-    let mut states = stack.pfs.baseline().fork();
-    states.apply_events(&stack.rec, persisted.iter());
-    let (_, view) = recover_and_mount(stack.pfs.as_ref(), &mut states);
-    view
-}
-
-/// All legal PFS views for a candidate op set under `model`.
-fn legal_pfs_views(
-    stack: &Stack,
-    factory: &StackFactory,
-    model: Model,
-    graph: &CausalityGraph,
-    candidates: &[EventId],
-    committed: &[EventId],
-) -> Vec<PfsView> {
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    for set in model.preserved_sets(graph, candidates, committed) {
-        let subset: Vec<(Process, PfsCall)> = stack.calls.subset(&set);
-        if let Some(view) = replay_pfs(factory, &stack.pre_calls, &subset) {
-            if seen.insert(view.digest()) {
-                out.push(view);
-            }
-        }
+        let verdict = match &legal {
+            Ok(legal) => caught(|| {
+                if cfg.faults.torn_writes {
+                    let victims = state.victims.iter().copied();
+                    st.apply_torn_victims(rec, victims, &mut torn_rng(cfg, i));
+                }
+                let view = recover_and_mount(stack.pfs.as_ref(), &mut st).1;
+                layer_verdict(&a, &view, legal)
+            }),
+            Err(e) => Err(format!("legal-state replay failed: {e}")),
+        };
+        v.legal.push(legal);
+        v.verdicts.push(verdict);
     }
-    out
-}
-
-/// All legal I/O-library logical states for a candidate op set.
-fn legal_h5_logicals(
-    stack: &Stack,
-    factory: &StackFactory,
-    model: Model,
-    graph: &CausalityGraph,
-    candidates: &[EventId],
-) -> Vec<H5Logical> {
-    let path = stack.h5_path.as_deref().expect("h5 program");
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    // The baseline model's golden comparison is dataset-granular rather
-    // than whole-state, but its legal *full* states still come from the
-    // causal sets (a weaker model only adds legal states — handled in
-    // `h5_verdict`).
-    let enum_model = if model == Model::Baseline {
-        Model::Causal
-    } else {
-        model
-    };
-    for set in enum_model.preserved_sets(graph, candidates, &[]) {
-        let subset: Vec<(u32, h5sim::H5Call)> = stack.h5.subset(&set);
-        if let Some(logical) = replay_h5(
-            factory,
-            path,
-            &stack.h5_ranks,
-            &stack.pre_h5,
-            &subset,
-            stack.h5_spec,
-        ) {
-            if seen.insert(logical.digest()) {
-                out.push(logical);
-            }
-        }
-    }
-    out
+    let c = prune_and_classify(&a, &e, &v);
+    let cost = cost(&a, &e, &c);
+    outcome(&a, &e, &v, c, cost, rep_digests.into_iter().collect())
 }
 
 /// Dataset keys the test program modifies.
@@ -900,7 +991,7 @@ fn modified_dataset_keys(stack: &Stack) -> BTreeSet<String> {
 /// I/O-library-layer verdict for one recovered view: `None` if
 /// consistent under `cfg.h5_model`, otherwise the weakest violated model
 /// (baseline < causal).
-pub(crate) fn h5_verdict(
+fn h5_verdict(
     cfg: &CheckConfig,
     path: &str,
     view: &PfsView,

@@ -7,7 +7,6 @@
 //! [`CheckConfig::parse`] reads the same key-value format, and
 //! [`paper_default`](CheckConfig::paper_default) mirrors Table 2.
 
-use crate::explain::ReplayEngine;
 use crate::explore::ExploreMode;
 use crate::model::Model;
 use h5sim::ClearOpts;
@@ -52,10 +51,6 @@ pub struct CheckConfig {
     /// state diff. Off by default — the explain pass re-runs recovery
     /// on shrinking probes, which costs real time on buggy cells.
     pub explain: bool,
-    /// How witness-shrinking probes are materialized (prefix-shared COW
-    /// batches by default; `per-probe` is the reference engine the
-    /// explain bench compares against).
-    pub explain_engine: ReplayEngine,
     /// Collect the digests of the distinct *representative* crash
     /// states into [`crate::check::CheckOutcome::rep_digests`]
     /// (Pathfinder-style state identity for the campaign corpus). Off
@@ -90,7 +85,6 @@ impl CheckConfig {
             faults: FaultConfig::disabled(),
             fail_fast: false,
             explain: false,
-            explain_engine: ReplayEngine::PrefixShared,
             collect_rep_digests: false,
         }
     }
@@ -100,9 +94,8 @@ impl CheckConfig {
     /// Recognized keys: `pfs_model`, `h5_model`, `k`, `mode`,
     /// `h5clear_increase_eof`, `stripe_size`, `meta_servers`,
     /// `storage_servers`, `clients`, `replay_cache_cap`, `faults`
-    /// (a [`FaultConfig::parse_spec`] string), `fail_fast`, `explain`
-    /// and `explain_engine` (`prefix-shared` | `per-probe`). Unknown
-    /// keys are rejected.
+    /// (a [`FaultConfig::parse_spec`] string), `fail_fast` and
+    /// `explain`. Unknown keys are rejected.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut cfg = Self::paper_default();
         for (lineno, line) in text.lines().enumerate() {
@@ -136,9 +129,6 @@ impl CheckConfig {
                 }
                 "fail_fast" => cfg.fail_fast = value.parse().map_err(|_| bad("bool"))?,
                 "explain" => cfg.explain = value.parse().map_err(|_| bad("bool"))?,
-                "explain_engine" => {
-                    cfg.explain_engine = ReplayEngine::parse(value).ok_or_else(|| bad("engine"))?
-                }
                 other => return Err(format!("line {}: unknown key {other}", lineno + 1)),
             }
         }
@@ -152,7 +142,7 @@ impl CheckConfig {
              h5clear_increase_eof = {}\nstripe_size = {}\n\
              meta_servers = {}\nstorage_servers = {}\nclients = {}\n\
              replay_cache_cap = {}\nfaults = {}\nfail_fast = {}\n\
-             explain = {}\nexplain_engine = {}\n",
+             explain = {}\n",
             self.pfs_model.as_str(),
             self.h5_model.as_str(),
             self.k,
@@ -166,7 +156,6 @@ impl CheckConfig {
             self.faults.render_spec(),
             self.fail_fast,
             self.explain,
-            self.explain_engine.as_str(),
         )
     }
 }
@@ -213,15 +202,12 @@ fail_fast = true
     }
 
     #[test]
-    fn parse_explain_knobs() {
-        let cfg = CheckConfig::parse("explain = true\nexplain_engine = per-probe\n").unwrap();
+    fn parse_explain_knob() {
+        let cfg = CheckConfig::parse("explain = true\n").unwrap();
         assert!(cfg.explain);
-        assert_eq!(cfg.explain_engine, ReplayEngine::PerProbe);
-        let rt = CheckConfig::parse(&cfg.render()).unwrap();
-        assert!(rt.explain);
-        assert_eq!(rt.explain_engine, ReplayEngine::PerProbe);
+        assert!(CheckConfig::parse(&cfg.render()).unwrap().explain);
         assert!(!CheckConfig::paper_default().explain);
-        assert!(CheckConfig::parse("explain_engine = wat").is_err());
+        assert!(CheckConfig::parse("explain = wat").is_err());
     }
 
     #[test]

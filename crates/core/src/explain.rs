@@ -31,9 +31,8 @@
 //! explanation degrades to a warning, not a diagnostic — determinism
 //! tests compare byte-identical reports with explain on and off.
 
-use crate::check::{h5_verdict, Inconsistency, LayerVerdict};
+use crate::check::{Inconsistency, LayerVerdict};
 use crate::classify::{extended_universe, BugSignature};
-use crate::config::CheckConfig;
 use crate::emulate::CrashState;
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
@@ -41,45 +40,12 @@ use crate::report::{op_detail, op_sig};
 use crate::snapshot::prepare_states;
 use crate::stack::Stack;
 use h5sim::json::Json;
-use h5sim::H5Logical;
-use pfs::{recover_and_mount, PfsView, ServerStates};
+use pfs::{recover_and_mount, PfsView};
 use simfs::FsState;
 use simnet::{ClusterTopology, VectorClock};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use tracer::{BitSet, CausalityGraph, EventId, Process, Recorder};
-
-/// How witness-shrinking probes are materialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayEngine {
-    /// Batch each ddmin round through the prefix-sharing snapshot plan:
-    /// probes sharing a persisted prefix share its materialization
-    /// (the default; same engine as crash-state checking).
-    PrefixShared,
-    /// Fork the baseline and replay each probe's full persisted set
-    /// independently — the reference engine the `bench -- explain`
-    /// suite compares against.
-    PerProbe,
-}
-
-impl ReplayEngine {
-    /// Config-file spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ReplayEngine::PrefixShared => "prefix-shared",
-            ReplayEngine::PerProbe => "per-probe",
-        }
-    }
-
-    /// Parse the config-file spelling.
-    pub fn parse(s: &str) -> Option<ReplayEngine> {
-        match s {
-            "prefix-shared" => Some(ReplayEngine::PrefixShared),
-            "per-probe" => Some(ReplayEngine::PerProbe),
-            _ => None,
-        }
-    }
-}
 
 /// One operation of a minimal witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,8 +119,6 @@ pub struct GraphEdge {
 /// Cost accounting for one witness-shrinking run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShrinkStats {
-    /// Engine the probes ran on.
-    pub engine: ReplayEngine,
     /// Recovery-and-compare probes executed.
     pub probes: usize,
     /// ddmin rounds.
@@ -235,32 +199,11 @@ pub(crate) struct ExplainCtx<'a> {
     pub graph: &'a CausalityGraph,
     pub pa: &'a PersistAnalysis,
     pub topo: &'a ClusterTopology,
-    pub cfg: &'a CheckConfig,
     pub legal_views: &'a [PfsView],
-    pub legal_h5: &'a [H5Logical],
-    pub baseline_h5: Option<&'a H5Logical>,
-    pub modified_keys: &'a BTreeSet<String>,
-}
-
-impl ExplainCtx<'_> {
     /// The same consistency oracle the classifier probes with, inverted:
-    /// `true` if the recovered view fails the golden-master comparison
-    /// at the layer the run checks top-down.
-    fn fails(&self, view: &PfsView) -> bool {
-        if let Some(path) = &self.stack.h5_path {
-            h5_verdict(
-                self.cfg,
-                path,
-                view,
-                self.legal_h5,
-                self.baseline_h5,
-                self.modified_keys,
-            )
-            .is_some()
-        } else {
-            !self.legal_views.contains(view)
-        }
-    }
+    /// `true` if a recovered view fails the golden-master comparison at
+    /// the layer the run checks top-down.
+    pub fails: &'a dyn Fn(&PfsView) -> bool,
 }
 
 /// Build the provenance bundle for one bug from its witness crash state.
@@ -343,11 +286,9 @@ fn shrink_witness(
     universe: &BitSet,
     d0: &[EventId],
 ) -> (Vec<EventId>, BitSet, ShrinkStats) {
-    let engine = ctx.cfg.explain_engine;
     let rec = &ctx.stack.rec;
     let baseline = ctx.stack.pfs.baseline();
     let mut stats = ShrinkStats {
-        engine,
         probes: 0,
         rounds: 0,
         original_ops: d0.len(),
@@ -367,41 +308,28 @@ fn shrink_witness(
         p
     };
     let probe_batch = |cands: &[Vec<EventId>], stats: &mut ShrinkStats| -> Vec<bool> {
-        let sets: Vec<BitSet> = cands.iter().map(|c| persisted_for(c)).collect();
-        stats.probes += sets.len();
-        let prepared: Vec<ServerStates> = match engine {
-            ReplayEngine::PrefixShared => {
-                let synth: Vec<CrashState> = sets
-                    .iter()
-                    .map(|p| CrashState {
-                        cut: p.clone(),
-                        victims: Vec::new(),
-                        persisted: p.clone(),
-                    })
-                    .collect();
-                let plan = prepare_states(rec, baseline, &synth);
-                stats.forks += plan.stats.forks;
-                stats.ops_replayed += plan.stats.ops_replayed;
-                plan.prepared
-            }
-            ReplayEngine::PerProbe => sets
-                .iter()
-                .map(|p| {
-                    stats.forks += 1;
-                    stats.ops_replayed += p.count();
-                    let mut st = baseline.fork();
-                    st.apply_events(rec, p.iter());
-                    st
-                })
-                .collect(),
-        };
-        prepared
+        stats.probes += cands.len();
+        let synth: Vec<CrashState> = cands
+            .iter()
+            .map(|c| {
+                let persisted = persisted_for(c);
+                CrashState {
+                    cut: persisted.clone(),
+                    victims: Vec::new(),
+                    persisted,
+                }
+            })
+            .collect();
+        let plan = prepare_states(rec, baseline, &synth);
+        stats.forks += plan.stats.forks;
+        stats.ops_replayed += plan.stats.ops_replayed;
+        plan.prepared
             .into_iter()
             .map(|st| {
                 // Recovery mutates; fork so shared prefixes stay intact.
                 let mut st = st.fork();
                 let (_, view) = recover_and_mount(ctx.stack.pfs.as_ref(), &mut st);
-                ctx.fails(&view)
+                (ctx.fails)(&view)
             })
             .collect()
     };
@@ -836,10 +764,6 @@ impl BugExplanation {
             (
                 "shrink".into(),
                 Json::Obj(vec![
-                    (
-                        "engine".into(),
-                        Json::Str(self.shrink.engine.as_str().into()),
-                    ),
                     ("probes".into(), Json::Int(self.shrink.probes as u64)),
                     ("rounds".into(), Json::Int(self.shrink.rounds as u64)),
                     (
@@ -877,12 +801,11 @@ impl BugExplanation {
         let _ = writeln!(out, "- **Witness crash state:** #{}", self.state_index);
         let _ = writeln!(
             out,
-            "- **Minimal witness:** {} of {} dropped ops ({} rounds, {} probes, engine {}{})\n",
+            "- **Minimal witness:** {} of {} dropped ops ({} rounds, {} probes{})\n",
             self.shrink.minimal_ops,
             self.shrink.original_ops,
             self.shrink.rounds,
             self.shrink.probes,
-            self.shrink.engine.as_str(),
             if self.shrink.reproduced {
                 ""
             } else {
@@ -1018,7 +941,6 @@ mod tests {
                 tree: vec!["server 2: /chunks/f0.0: lost in crash".into()],
             },
             shrink: ShrinkStats {
-                engine: ReplayEngine::PrefixShared,
                 probes: 6,
                 rounds: 2,
                 original_ops: 3,
@@ -1028,14 +950,6 @@ mod tests {
                 reproduced: true,
             },
         }
-    }
-
-    #[test]
-    fn replay_engine_round_trips() {
-        for e in [ReplayEngine::PrefixShared, ReplayEngine::PerProbe] {
-            assert_eq!(ReplayEngine::parse(e.as_str()), Some(e));
-        }
-        assert_eq!(ReplayEngine::parse("wat"), None);
     }
 
     #[test]

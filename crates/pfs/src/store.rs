@@ -129,7 +129,7 @@ impl Store {
         }
     }
 
-    /// Structurally independent copy (the `PC_NAIVE_SNAPSHOTS=1` oracle's
+    /// Structurally independent copy (the reference checker's
     /// clone-everything cost model).
     pub fn deep_clone(&self) -> Store {
         match self {
@@ -302,8 +302,8 @@ impl ServerStates {
         }
     }
 
-    /// Structurally independent copy of every server (the
-    /// `PC_NAIVE_SNAPSHOTS=1` oracle's clone-everything cost model).
+    /// Structurally independent copy of every server (the reference
+    /// checker's clone-everything cost model).
     pub fn deep_clone(&self) -> ServerStates {
         ServerStates {
             stores: self.stores.iter().map(Store::deep_clone).collect(),

@@ -25,9 +25,9 @@
 //!   implementation detail — sort by [`Sym::as_str`] at the boundary.
 //!
 //! The string-keyed digest/comparison algorithms that interning replaced
-//! are kept as a cross-check oracle behind `PC_NAIVE_SYMS=1` (see
-//! [`naive_syms`]); the equivalence suite asserts byte-identical reports
-//! either way.
+//! are kept as directly callable reference functions next to their fast
+//! paths (`simfs::FsState::{digest_reference, same_tree_reference}`);
+//! `tests/intern_equivalence.rs` asserts the two agree on the same state.
 //!
 //! # Example
 //!
@@ -42,17 +42,6 @@
 
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
-
-/// Environment variable selecting the string-keyed oracle algorithms.
-pub const NAIVE_SYMS_ENV: &str = "PC_NAIVE_SYMS";
-
-/// True when `PC_NAIVE_SYMS=1`: consumers should run their historical
-/// string-keyed algorithm (walk-based digests, string comparisons)
-/// instead of the interned fast path. Presentation output must be
-/// byte-identical either way — that is the point of the oracle.
-pub fn naive_syms() -> bool {
-    std::env::var(NAIVE_SYMS_ENV).is_ok_and(|v| v == "1")
-}
 
 /// An append-only string table assigning dense ids in insertion order.
 ///
@@ -284,14 +273,5 @@ mod tests {
         }
         assert!(last.id() >= start + CHUNK as u32);
         assert_eq!(last.as_str(), format!("chunk-test/{}", CHUNK + 8));
-    }
-
-    #[test]
-    fn naive_syms_reads_env() {
-        // Do not set the var here (env is process-global across tests);
-        // just pin the default.
-        if std::env::var(NAIVE_SYMS_ENV).is_err() {
-            assert!(!naive_syms());
-        }
     }
 }

@@ -8,16 +8,14 @@
 //! alone, the four pieces of infrastructure the framework previously
 //! pulled from crates.io:
 //!
-//! * [`pool`] — a scoped worker pool with `par_map` / `par_chunks`
-//!   plus a work-stealing task scheduler (`Pool::scope`) for pipelined
-//!   stages (replaces `rayon` on the crash-state verdict fan-out of
-//!   Algorithm 1's exploration loop). Thread count comes from the
+//! * [`pool`] — a scoped worker pool: a work-stealing task scheduler
+//!   (`Pool::scope`) for pipelined stages (replaces `rayon` on the
+//!   crash-state verdict fan-out of Algorithm 1's exploration loop). Thread count comes from the
 //!   `PC_THREADS` environment variable, defaulting to the machine's
 //!   available parallelism.
 //! * [`intern`] — process-global symbol interning (`Sym`, a 4-byte id)
 //!   for the path components and structure labels the simulation layers
-//!   key their maps by; `PC_NAIVE_SYMS=1` selects the string-keyed
-//!   oracle algorithms for equivalence checking.
+//!   key their maps by.
 //! * [`rng`] — a deterministic SplitMix64-seeded xoshiro256\*\* PRNG
 //!   (replaces `rand`). Same seed, same stream, on every platform.
 //! * [`proptest`] — a seeded property-testing harness with
@@ -57,9 +55,9 @@
 //! let mut b = Rng::new(42);
 //! assert_eq!(a.next_u64(), b.next_u64());
 //!
-//! // Data-parallel map preserving input order.
-//! let squares = pool::par_map(&[1u64, 2, 3, 4], |&x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
+//! // Scoped tasks join by handle, whatever order workers finish in.
+//! let square = pool::scope(|sc| sc.spawn(|| 4u64 * 4).join());
+//! assert_eq!(square, Ok(16));
 //! ```
 
 pub mod bench;

@@ -851,13 +851,13 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
 
     // Derived: pool utilization = busy time / (span wall × workers).
     // Under `PC_THREADS=1` the pool takes the inline reference path —
-    // work runs on the caller with no `pool.par_map` span to divide by,
+    // work runs on the caller with no worker threads to divide by,
     // so utilization is meaningless there, not 0%.
     let workers = reg.gauges.get("pool.workers").copied().unwrap_or(0);
     if let Some(busy) = get("pool.busy_ns") {
         let wall: u64 = agg
             .iter()
-            .filter(|(n, ..)| *n == "pool.par_map" || *n == "pool.scope")
+            .filter(|(n, ..)| *n == "pool.scope")
             .map(|&(_, _, total, _)| total)
             .sum();
         if workers > 1 && wall > 0 {

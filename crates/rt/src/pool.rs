@@ -1,35 +1,24 @@
-//! Scoped worker pool: data-parallel `par_map` / `par_chunks` on
-//! borrowed data plus a work-stealing task scheduler ([`Pool::scope`]),
-//! built on [`std::thread::scope`].
+//! Scoped worker pool: a work-stealing task scheduler
+//! ([`Pool::scope`]) on borrowed data, built on [`std::thread::scope`].
 //!
-//! This is the fan-out engine for Algorithm 1's exploration loop, in
-//! two shapes:
+//! This is the fan-out engine for Algorithm 1's exploration loop:
+//! tasks are submitted *while earlier ones run*, each returning a
+//! [`TaskHandle`]. Workers own per-worker deques and steal from each
+//! other when their own runs dry (`pool.steals` counter), so a
+//! sequential producer (e.g. the legal-state replay loop, which needs
+//! `&mut` caches) overlaps with parallel consumers (per-state verdicts)
+//! instead of the stages joining at a barrier.
 //!
-//! - **Uniform maps** ([`par_map`] / [`par_map_indices`]): a fixed set
-//!   of n independent tasks. Workers pull indices from a shared atomic
-//!   counter — dynamic scheduling, so a few expensive states (large
-//!   persisted sets, deep recovery) don't stall a statically
-//!   partitioned worker.
-//! - **Pipelined stages** ([`Pool::scope`]): tasks submitted *while
-//!   earlier ones run*, each returning a [`TaskHandle`]. Workers own
-//!   per-worker deques and steal from each other when their own runs
-//!   dry (`pool.steals` counter), so a sequential producer (e.g. the
-//!   legal-state replay loop, which needs `&mut` caches) overlaps with
-//!   parallel consumers (per-state verdicts) instead of the stages
-//!   joining at a barrier.
-//!
-//! Results always come back **in input order** (maps) or **by handle**
-//! (scope) whatever order workers finish in, and a panic in any map
-//! task propagates to the caller once all workers have stopped — the
-//! same contract `rayon`'s `par_iter().map()` provided, so call sites
-//! swap over mechanically. Scope tasks catch panics into
-//! `Err(message)` on their handle instead.
+//! Results come back **by handle**, whatever order workers finish in,
+//! and a panicking task yields `Err(message)` on its own handle instead
+//! of aborting its siblings.
 //!
 //! The worker count is decided per [`Pool`]: explicitly via
 //! [`Pool::with_threads`], or from the environment via [`Pool::new`]
 //! (the `PC_THREADS` variable, else [`std::thread::available_parallelism`]).
-//! `PC_THREADS=1` degenerates to a sequential loop on the calling
-//! thread, which is the reference behaviour for determinism tests.
+//! `PC_THREADS=1` degenerates to running every task inline on the
+//! calling thread, which is the reference behaviour for determinism
+//! tests.
 //!
 //! # Example
 //!
@@ -37,12 +26,15 @@
 //! use pc_rt::pool::{self, Pool};
 //!
 //! // Free function: pool sized from PC_THREADS / the machine.
-//! let doubled = pool::par_map(&[1, 2, 3], |&x| x * 2);
+//! let doubled: Vec<i32> = pool::scope(|sc| {
+//!     let handles: Vec<_> = [1, 2, 3].map(|x| sc.spawn(move || x * 2)).into();
+//!     handles.into_iter().map(|h| h.join().unwrap()).collect()
+//! });
 //! assert_eq!(doubled, vec![2, 4, 6]);
 //!
 //! // Explicit pool: deterministic single-threaded reference run.
-//! let seq = Pool::with_threads(1).par_map(&[1, 2, 3], |&x| x * 2);
-//! assert_eq!(seq, doubled);
+//! let seq = Pool::with_threads(1).scope(|sc| sc.spawn(|| 21 * 2).join());
+//! assert_eq!(seq, Ok(42));
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,12 +60,8 @@ pub fn default_threads() -> usize {
 
 /// A worker-pool configuration.
 ///
-/// Threads are not kept alive between calls: each `par_*` call spawns
-/// scoped workers and joins them before returning. The tasks this pool
-/// exists for (crash-state reconstruction, legal-state replay) cost
-/// milliseconds to seconds each, so thread spawn overhead (~10 µs) is
-/// noise; what matters is the dynamic index queue keeping all cores
-/// busy on skewed workloads.
+/// Threads are not kept alive between calls: each [`Pool::scope`] call
+/// spawns scoped workers and joins them before returning.
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     threads: usize,
@@ -101,137 +89,6 @@ impl Pool {
     /// The worker count this pool will use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Apply `f` to every element of `items`, in parallel, returning
-    /// results in input order.
-    pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        self.par_map_indices(items.len(), |i| f(&items[i]))
-    }
-
-    /// Apply `f` to every index in `0..n`, in parallel, returning
-    /// results in index order. This is the primitive the other `par_*`
-    /// entry points reduce to; call it directly when the task needs the
-    /// index itself (e.g. to address several parallel slices at once).
-    pub fn par_map_indices<U, F>(&self, n: usize, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        let workers = self.threads.min(n.max(1));
-        // Telemetry (off by default: one relaxed atomic load). The
-        // sequential fast path records the *same* counters as the
-        // parallel one, so totals are deterministic across PC_THREADS.
-        let t_on = crate::obs::enabled();
-        let _span = t_on.then(|| crate::obs::span_cat("pool.par_map", "pool"));
-        if t_on {
-            crate::obs::count("pool.par_calls", 1);
-            crate::obs::count("pool.tasks_queued", n as u64);
-            crate::obs::gauge_max("pool.workers", workers as u64);
-            crate::obs::gauge_max("pool.max_queue_depth", n as u64);
-        }
-        let run_one = |i: usize| -> U {
-            if t_on {
-                let t = Instant::now();
-                let out = f(i);
-                let ns = t.elapsed().as_nanos() as u64;
-                crate::obs::count("pool.tasks_executed", 1);
-                crate::obs::count("pool.busy_ns", ns);
-                crate::obs::observe_ns("pool.task_ns", ns);
-                out
-            } else {
-                f(i)
-            }
-        };
-        if workers <= 1 || n <= 1 {
-            return (0..n).map(run_one).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let slots = Mutex::new(&mut slots);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    crate::obs::prof::register_thread();
-                    // Batch completed results locally; take the shared
-                    // lock once per batch, not once per item.
-                    let mut done: Vec<(usize, U)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        done.push((i, run_one(i)));
-                        if done.len() >= 32 {
-                            let mut guard = slots.lock().unwrap();
-                            for (j, v) in done.drain(..) {
-                                guard[j] = Some(v);
-                            }
-                        }
-                    }
-                    let mut guard = slots.lock().unwrap();
-                    for (j, v) in done {
-                        guard[j] = Some(v);
-                    }
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .unwrap()
-            .drain(..)
-            .map(|v| v.expect("every index produced"))
-            .collect()
-    }
-
-    /// Like [`Pool::par_map_indices`], but a panicking task yields
-    /// `Err(panic message)` for its own index instead of propagating and
-    /// aborting the whole map — the harness-survives-hostile-states
-    /// primitive the checker's verdict fan-out runs on (one poisoned
-    /// crash state becomes a diagnostic entry, not a dead run).
-    ///
-    /// The caught panic still goes through the process's panic hook
-    /// (its message may print to stderr); only the unwind is contained.
-    pub fn par_map_indices_caught<U, F>(&self, n: usize, f: F) -> Vec<Result<U, String>>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        self.par_map_indices(n, |i| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
-                .map_err(|e| panic_message(e.as_ref()))
-        })
-    }
-
-    /// Apply `f` to consecutive chunks of `items` (each of length
-    /// `chunk` except possibly the last), in parallel, returning the
-    /// per-chunk results in chunk order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`.
-    pub fn par_chunks<T, U, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&[T]) -> U + Sync,
-    {
-        assert!(chunk > 0, "par_chunks with chunk size 0");
-        // Schedule by chunk *index* — no up-front Vec of slices, so a
-        // huge `items` with a small `chunk` costs O(workers) setup, not
-        // O(items / chunk) allocation before any work starts.
-        let n_chunks = items.len().div_ceil(chunk);
-        self.par_map_indices(n_chunks, |i| {
-            let start = i * chunk;
-            let end = (start + chunk).min(items.len());
-            f(&items[start..end])
-        })
     }
 
     /// Run `body` with a work-stealing [`TaskScope`]: tasks spawned via
@@ -315,7 +172,9 @@ impl<'env> Sched<'env> {
 
     fn push(&self, job: Job<'env>) {
         let w = self.next.fetch_add(1, Ordering::Relaxed) % self.deques.len();
-        self.deques[w].lock().unwrap().push_back(job);
+        // Count before publish: once the job is in a deque a worker may
+        // claim it and decrement the count at any moment, so the
+        // increment has to be visible first (the other order underflows).
         let mut st = self.state.lock().unwrap();
         st.0 += 1;
         if self.telemetry {
@@ -323,6 +182,7 @@ impl<'env> Sched<'env> {
             crate::obs::gauge_max("pool.max_queue_depth", st.0 as u64);
         }
         drop(st);
+        self.deques[w].lock().unwrap().push_back(job);
         self.wake.notify_one();
     }
 
@@ -376,8 +236,8 @@ impl<'env> Sched<'env> {
                 // sleep until a push or finish wakes us.
                 drop(self.wake.wait(st).unwrap());
             }
-            // st.0 > 0: a job appeared between claim() and the lock —
-            // loop and try to claim it.
+            // st.0 > 0: a job was counted (and is published right after)
+            // between claim() and the lock — loop and try to claim it.
         }
     }
 }
@@ -465,34 +325,6 @@ impl<'env> TaskScope<'_, 'env> {
     }
 }
 
-/// [`Pool::par_map`] on a default-configured pool.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    Pool::new().par_map(items, f)
-}
-
-/// [`Pool::par_map_indices`] on a default-configured pool.
-pub fn par_map_indices<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    Pool::new().par_map_indices(n, f)
-}
-
-/// [`Pool::par_map_indices_caught`] on a default-configured pool.
-pub fn par_map_indices_caught<U, F>(n: usize, f: F) -> Vec<Result<U, String>>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    Pool::new().par_map_indices_caught(n, f)
-}
-
 /// [`Pool::scope`] on a default-configured pool.
 pub fn scope<'env, R>(body: impl FnOnce(&TaskScope<'_, 'env>) -> R) -> R {
     Pool::new().scope(body)
@@ -509,129 +341,13 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`Pool::par_chunks`] on a default-configured pool.
-pub fn par_chunks<T, U, F>(items: &[T], chunk: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T]) -> U + Sync,
-{
-    Pool::new().par_chunks(items, chunk, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn par_map_preserves_input_order() {
-        for threads in [1, 2, 4, 8] {
-            let pool = Pool::with_threads(threads);
-            let items: Vec<usize> = (0..257).collect();
-            let out = pool.par_map(&items, |&x| x * 3);
-            assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    /// The single-threaded pool and multi-threaded pools must agree on
-    /// every output — the determinism contract check.rs relies on.
-    #[test]
-    fn single_vs_multi_thread_results_are_identical() {
-        let items: Vec<u64> = (0..1000).collect();
-        let f = |&x: &u64| x.wrapping_mul(0x9E37_79B9).rotate_left(13) ^ x;
-        let seq = Pool::with_threads(1).par_map(&items, f);
-        for threads in [2, 3, 7] {
-            let par = Pool::with_threads(threads).par_map(&items, f);
-            assert_eq!(seq, par, "{threads} threads diverged");
-        }
-    }
-
-    #[test]
-    fn all_tasks_run_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let out = Pool::with_threads(4).par_map_indices(123, |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 123);
-        assert_eq!(out, (0..123).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn multiple_workers_actually_participate() {
-        use std::sync::Mutex;
-        // With heavy-ish tasks and 4 workers, more than one OS thread
-        // must execute tasks (guards against a silently sequential pool).
-        let ids: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
-        Pool::with_threads(4).par_map_indices(64, |_| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            let id = std::thread::current().id();
-            let mut guard = ids.lock().unwrap();
-            if !guard.contains(&id) {
-                guard.push(id);
-            }
-        });
-        assert!(ids.lock().unwrap().len() > 1);
-    }
-
-    #[test]
-    fn par_chunks_covers_everything_including_ragged_tail() {
-        let items: Vec<u32> = (0..103).collect();
-        let sums = Pool::with_threads(3).par_chunks(&items, 10, |c| c.iter().sum::<u32>());
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums.iter().sum::<u32>(), items.iter().sum::<u32>());
-        assert_eq!(sums[10], (100..103).sum::<u32>());
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(Pool::new().par_map(&empty, |&x| x).is_empty());
-        assert_eq!(Pool::new().par_map(&[9], |&x: &u8| x + 1), vec![10]);
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            Pool::with_threads(4).par_map_indices(50, |i| {
-                if i == 17 {
-                    panic!("boom");
-                }
-                i
-            })
-        });
-        assert!(result.is_err());
-    }
 
     #[test]
     fn with_threads_zero_means_one() {
         assert_eq!(Pool::with_threads(0).threads(), 1);
-    }
-
-    #[test]
-    fn caught_map_turns_panics_into_errors_and_keeps_the_rest() {
-        // Quiet hook: the panics below are intentional.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        for threads in [1, 4] {
-            let out = Pool::with_threads(threads).par_map_indices_caught(20, |i| {
-                if i % 7 == 3 {
-                    panic!("poisoned state {i}");
-                }
-                i * 2
-            });
-            assert_eq!(out.len(), 20);
-            for (i, r) in out.iter().enumerate() {
-                if i % 7 == 3 {
-                    let msg = r.as_ref().unwrap_err();
-                    assert!(msg.contains(&format!("poisoned state {i}")), "{msg}");
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i * 2);
-                }
-            }
-        }
-        std::panic::set_hook(prev);
     }
 
     #[test]
@@ -736,28 +452,32 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_does_not_materialize_chunk_list() {
-        // Behavioural pin for the index-scheduled rewrite: a large item
-        // count with chunk size 1 must still cover everything (the old
-        // implementation allocated one slice per chunk up front).
-        let items: Vec<u32> = (0..10_000).collect();
-        let sums = Pool::with_threads(4).par_chunks(&items, 1, |c| c.iter().sum::<u32>());
-        assert_eq!(sums.len(), 10_000);
-        assert_eq!(sums.iter().sum::<u32>(), items.iter().sum::<u32>());
-    }
-
-    #[test]
-    fn caught_map_handles_non_string_panics() {
+    fn scope_reports_non_string_panics() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = Pool::with_threads(2).par_map_indices_caught(3, |i| {
-            if i == 1 {
-                std::panic::panic_any(42usize);
-            }
-            i
+        let out = Pool::with_threads(2).scope(|sc| {
+            let bad = sc.spawn(|| std::panic::panic_any(42usize));
+            let good = sc.spawn(|| 7usize);
+            (bad.join(), good.join())
         });
-        assert!(out[1].as_ref().unwrap_err().contains("non-string"));
-        assert_eq!(*out[0].as_ref().unwrap(), 0);
         std::panic::set_hook(prev);
+        assert!(out.0.unwrap_err().contains("non-string"));
+        assert_eq!(out.1, Ok(7));
+    }
+
+    /// ROADMAP item 0: `push` used to publish a job before counting it,
+    /// so a fast worker could decrement the outstanding count below zero
+    /// (debug: overflow panic + poisoned lock; release: idle workers
+    /// spin). Trivial tasks on more workers than cores make the window
+    /// wide; 64 rounds of 1 000 spawns failed every time at the old order.
+    #[test]
+    fn scope_spawn_storm_keeps_the_outstanding_count_consistent() {
+        for round in 0..64u64 {
+            let sum: u64 = Pool::with_threads(8).scope(|sc| {
+                let handles: Vec<_> = (0..1000u64).map(|i| sc.spawn(move || i ^ round)).collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            assert_eq!(sum, (0..1000u64).map(|i| i ^ round).sum::<u64>());
+        }
     }
 }

@@ -229,7 +229,7 @@ impl BlockDev {
     }
 
     /// A structurally independent copy sharing no blocks with `self`
-    /// (the `PC_NAIVE_SNAPSHOTS=1` oracle's clone-everything cost model).
+    /// (the reference checker's clone-everything cost model).
     pub fn deep_clone(&self) -> BlockDev {
         BlockDev {
             blocks: Arc::new(

@@ -8,7 +8,7 @@
 
 use crate::error::{FsError, FsResult};
 use crate::ops::FsOp;
-use pc_rt::intern::{naive_syms, Sym};
+use pc_rt::intern::Sym;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -140,8 +140,9 @@ impl FsState {
     }
 
     /// A structurally independent copy sharing no nodes with `self`. Only
-    /// the `PC_NAIVE_SNAPSHOTS=1` oracle uses this — it reproduces the
-    /// historical clone-everything cost model.
+    /// the reference checker (`paracrash::check_reference`) and tests
+    /// that need true isolation use this — it reproduces the historical
+    /// clone-everything cost model.
     pub fn deep_clone(&self) -> FsState {
         FsState {
             inodes: Arc::new(
@@ -578,20 +579,12 @@ impl FsState {
     /// structural comparison. Memoized: repeated digests of an unmutated
     /// state (and of its unmutated forks) are O(1).
     ///
-    /// The digest *value* is identical in both sym modes: the fast path
-    /// collects the tree in one DFS while the `PC_NAIVE_SYMS=1` oracle
-    /// re-resolves every walked path (the historical algorithm), but
-    /// both hash the same resolved-string stream. Digest-derived
-    /// orderings (state dedup, cost-model fingerprints) therefore can't
-    /// diverge between modes.
+    /// One DFS collects the tree; [`Self::digest_reference`] is the
+    /// historical string-keyed algorithm and hashes the same
+    /// resolved-string stream, so digest-derived orderings (state
+    /// dedup, cost-model fingerprints) are the same under either.
     pub fn digest(&self) -> u64 {
-        *self.digest_memo.get_or_init(|| {
-            if naive_syms() {
-                self.compute_digest_naive()
-            } else {
-                self.compute_digest()
-            }
-        })
+        *self.digest_memo.get_or_init(|| self.compute_digest())
     }
 
     /// Hash xattrs exactly as the historical `BTreeMap<String, Vec<u8>>`
@@ -648,9 +641,11 @@ impl FsState {
     }
 
     /// The historical string-keyed digest: walk the sorted path list,
-    /// re-resolve each path, hash. Kept verbatim as the `PC_NAIVE_SYMS`
-    /// oracle; must produce the same value as [`Self::compute_digest`].
-    fn compute_digest_naive(&self) -> u64 {
+    /// re-resolve each path, hash. Kept verbatim as the reference
+    /// `tests/intern_equivalence.rs` compares [`Self::digest`] against;
+    /// unmemoized.
+    #[doc(hidden)]
+    pub fn digest_reference(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for path in self.walk() {
             path.hash(&mut h);
@@ -665,14 +660,11 @@ impl FsState {
     /// xattrs), ignoring inode numbering. This is the comparison the
     /// golden-master check uses.
     ///
-    /// Fast path: structural recursion comparing interned name sets —
-    /// O(1) per component, no path strings built. `PC_NAIVE_SYMS=1`
-    /// runs the historical walk-both-trees comparison instead; the two
-    /// agree because sym↔string is a bijection.
+    /// Structural recursion comparing interned name sets — O(1) per
+    /// component, no path strings built. [`Self::same_tree_reference`]
+    /// is the historical walk-both-trees comparison; the two agree
+    /// because sym↔string is a bijection.
     pub fn same_tree(&self, other: &FsState) -> bool {
-        if naive_syms() {
-            return self.same_tree_naive(other);
-        }
         self.same_subtree(ROOT_INO, other, ROOT_INO)
     }
 
@@ -709,7 +701,12 @@ impl FsState {
         }
     }
 
-    fn same_tree_naive(&self, other: &FsState) -> bool {
+    /// The historical string-keyed comparison: walk both trees, resolve
+    /// every path in each, compare node by node. Kept verbatim as the
+    /// reference `tests/intern_equivalence.rs` compares
+    /// [`Self::same_tree`] against.
+    #[doc(hidden)]
+    pub fn same_tree_reference(&self, other: &FsState) -> bool {
         let a = self.walk();
         if a != other.walk() {
             return false;
@@ -985,7 +982,7 @@ mod tests {
     fn fast_digest_matches_naive_digest_value() {
         // The interned DFS digest and the historical walk+resolve digest
         // must agree on the exact value (not just equality classes), so
-        // digest-derived orderings can't diverge between sym modes.
+        // digest-derived orderings can't depend on which one ran.
         let mut fs = FsState::new();
         fs.mkdir_all("/a/b").unwrap();
         fs.creat("/a/b/f").unwrap();
@@ -995,8 +992,8 @@ mod tests {
         fs.creat("/a!edge").unwrap(); // '!' < '/': DFS order != sorted-path order
         fs.mkdir("/a!edge-dir").unwrap();
         fs.link("/a/b/f", "/a/hard").unwrap();
-        assert_eq!(fs.compute_digest(), fs.compute_digest_naive());
-        assert!(fs.same_tree_naive(&fs.fork()));
+        assert_eq!(fs.digest(), fs.digest_reference());
+        assert!(fs.same_tree_reference(&fs.fork()));
         assert!(fs.same_tree(&fs.fork()));
     }
 

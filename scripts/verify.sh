@@ -6,14 +6,15 @@
 #      an in-tree `path` crate (or a `*.workspace = true` reference to
 #      one). Any registry dependency (a `version = "..."` requirement)
 #      fails the build *before* cargo runs, with a pointed message.
-#   2. Tier-1 — `cargo build --release` and `cargo test -q`, both fully
-#      offline (CARGO_NET_OFFLINE=true + --offline), so a cold, empty
+#   2. Tier-1 — `cargo build --release` and `cargo test -q --workspace`
+#      (root suite plus every crate's unit tests), both fully offline
+#      (CARGO_NET_OFFLINE=true + --offline), so a cold, empty
 #      ~/.cargo/registry is sufficient.
 #   3. Hygiene — `cargo fmt --check` and a warning-free build
 #      (RUSTFLAGS="-D warnings").
-#   4. Engine equivalence — the COW replay engine and the
-#      `PC_NAIVE_SNAPSHOTS=1` oracle must report identically, checked
-#      once sequentially (PC_THREADS=1) and once with the thread pool.
+#   4. Differential — `check_stack` and the straight-line
+#      `check_reference` must decide identically, checked once
+#      sequentially (PC_THREADS=1) and once with the thread pool.
 #   5. Telemetry — `paracrash --telemetry-out` must emit files that
 #      re-parse with the vendored JSON reader (both plain and Chrome
 #      trace-event formats, validated by `telemetry-check`), and the
@@ -43,13 +44,11 @@
 #  10. Flag drift — every `--flag` printed by `paracrash --help` must
 #      appear in README.md's flag table.
 #  11. Extreme scale — a 64-server cell must report byte-identically
-#      sequential vs parallel and under both hot-path oracles
-#      (`PC_NAIVE_SYMS=1` string-keyed maps, `PC_NAIVE_BATCH=1`
-#      per-state recovery); the zero-fault matrix must stay 15/15
-#      under both oracles combined; and `scale-check --live` must
-#      validate the committed BENCH_scale.json invariants (batched
-#      >= 2x oracle states/sec, sub-linear per-check growth 64->256
-#      servers) with a live run inside a generous 2x band.
+#      sequential vs parallel (gate 4 holds the same cell to
+#      `check_reference`), and `scale-check --live` must validate the
+#      committed BENCH_scale.json invariants (batched >= 2x oracle
+#      states/sec, sub-linear per-check growth 64->256 servers) with a
+#      live run inside a generous 2x band.
 #  12. Live observability — a PR-tier fuzz run with --events-out must
 #      still print the pinned canonical report, its event stream must
 #      re-parse (`events-check`) and project identically sequential vs
@@ -109,15 +108,15 @@ echo "ok: all dependencies are in-tree path crates"
 echo "== gate 2: tier-1 build + tests, offline =="
 export CARGO_NET_OFFLINE=true
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 echo "== gate 3: formatting + warning-free build =="
 cargo fmt --check
 RUSTFLAGS="-D warnings" cargo build --offline --workspace
 
-echo "== gate 4: snapshot-engine equivalence, sequential and parallel =="
-PC_THREADS=1 cargo test -q --offline --test snapshot_equivalence
-cargo test -q --offline --test snapshot_equivalence
+echo "== gate 4: check_stack vs check_reference, sequential and parallel =="
+PC_THREADS=1 cargo test -q --offline --test differential
+cargo test -q --offline --test differential
 
 echo "== gate 5: telemetry emission + disabled-overhead budget =="
 cargo build --release --offline -p pc-bench
@@ -218,9 +217,8 @@ done
 
 echo "== gate 11: extreme-scale smoke + committed scale benchmarks =="
 # 64-server BeeGFS cell (4x the paper's largest configuration): the
-# report must not depend on the thread count or on which hot-path
-# implementation produced it. BeeGFS/ARVR finds bugs, so the cells
-# exit 1 by design.
+# report must not depend on the thread count. BeeGFS/ARVR finds bugs,
+# so the cells exit 1 by design.
 cat > "$tmp/scale.conf" <<'EOF'
 meta_servers = 32
 storage_servers = 32
@@ -231,21 +229,6 @@ target/release/paracrash $scale_cell > "$tmp/scale-par.txt" || [ $? -eq 1 ]
 # shellcheck disable=SC2086
 PC_THREADS=1 target/release/paracrash $scale_cell > "$tmp/scale-seq.txt" || [ $? -eq 1 ]
 diff "$tmp/scale-par.txt" "$tmp/scale-seq.txt"
-# shellcheck disable=SC2086
-PC_NAIVE_SYMS=1 target/release/paracrash $scale_cell > "$tmp/scale-syms.txt" || [ $? -eq 1 ]
-diff "$tmp/scale-par.txt" "$tmp/scale-syms.txt"
-# shellcheck disable=SC2086
-PC_NAIVE_BATCH=1 target/release/paracrash $scale_cell > "$tmp/scale-batch.txt" || [ $? -eq 1 ]
-diff "$tmp/scale-par.txt" "$tmp/scale-batch.txt"
-# The zero-fault matrix must still find exactly the fifteen Table 3
-# bugs with every fast path swapped for its oracle at once.
-PC_NAIVE_SYMS=1 PC_NAIVE_BATCH=1 target/release/table3 > "$tmp/table3-naive.txt"
-naive_reproduced=$(grep -c "REPRODUCED" "$tmp/table3-naive.txt")
-if [ "$naive_reproduced" -ne 15 ] || grep -q "missing" "$tmp/table3-naive.txt"; then
-    echo "FAIL: oracle-mode matrix does not reproduce the 15 Table 3 bugs"
-    grep -E "REPRODUCED|missing" "$tmp/table3-naive.txt"
-    exit 1
-fi
 # Committed scale numbers: static invariants plus a live re-measurement
 # of the batched engine within a generous 2x regression band.
 target/release/scale-check BENCH_scale.json --live

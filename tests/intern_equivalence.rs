@@ -1,10 +1,11 @@
 //! Symbol interning must be invisible to every observer: the interned
 //! fast paths (id-keyed directory and xattr maps, structural
 //! `same_tree`, DFS digest) and the historical string-keyed algorithms
-//! kept behind `PC_NAIVE_SYMS=1` have to agree on arbitrary operation
-//! sequences — same digests, same fsck verdicts, same tree comparisons,
-//! same listings. Interning is a bijection, so any divergence is a bug
-//! in one of the two implementations.
+//! kept beside them as reference functions (`FsState::digest_reference`,
+//! `FsState::same_tree_reference`) have to agree on arbitrary operation
+//! sequences — same digests, same tree comparisons, clean fsck,
+//! lexicographic listings. Interning is a bijection, so any divergence
+//! is a bug in one of the two implementations.
 //!
 //! Also pins the determinism contract of the id assignment itself:
 //! dense first-intern order, reproducible across tables, and stable
@@ -63,14 +64,10 @@ fn fsck_report(fs: &FsState) -> Vec<String> {
     Fsck::check(fs).iter().map(|i| i.to_string()).collect()
 }
 
-/// Replay the same random sequence into two fresh states, one digested
-/// and compared under the interned fast path, the other under the
-/// `PC_NAIVE_SYMS=1` string oracle. Digests are memoized on first use,
-/// so each state's first `digest()` call happens under its own mode —
-/// equality across the two states IS the cross-mode equality.
-///
-/// A single `#[test]` because `PC_NAIVE_SYMS` is process-global and the
-/// harness runs tests on threads.
+/// Replay a random sequence and ask the fast and the reference
+/// algorithms about the *same* state; a second replay of the sequence
+/// (fresh inode numbering, same tree) and a diverged fork give
+/// `same_tree` a positive and a negative to agree on.
 #[test]
 fn interned_state_matches_string_oracle_on_random_ops() {
     run(
@@ -78,37 +75,30 @@ fn interned_state_matches_string_oracle_on_random_ops() {
         &Config::with_cases(192),
         arb_ops,
         |ops| {
-            std::env::remove_var("PC_NAIVE_SYMS");
-            let mut fast = FsState::new();
-            let fast_failures = fast.apply_lenient(ops.iter()).len();
-            let fast_digest = fast.digest();
-            let fast_fsck = fsck_report(&fast);
-            let fast_walk = fast.walk();
+            let mut fs = FsState::new();
+            let failures = fs.apply_lenient(ops.iter()).len();
+            let mut twin = FsState::new();
+            prop_assert_eq!(twin.apply_lenient(ops.iter()).len(), failures);
+            let mut other = fs.fork();
+            other.creat("/diverged").expect("fresh path");
 
-            std::env::set_var("PC_NAIVE_SYMS", "1");
-            let mut naive = FsState::new();
-            let naive_failures = naive.apply_lenient(ops.iter()).len();
-            let naive_digest = naive.digest();
-            let naive_fsck = fsck_report(&naive);
-            let naive_walk = naive.walk();
-            // Compare the trees under the oracle's walk-based algorithm…
-            let same_naive = fast.same_tree(&naive) && naive.same_tree(&fast);
-            std::env::remove_var("PC_NAIVE_SYMS");
-            // …and under the interned structural recursion.
-            let same_fast = fast.same_tree(&naive) && naive.same_tree(&fast);
-
-            prop_assert_eq!(fast_failures, naive_failures);
-            prop_assert_eq!(fast_digest, naive_digest);
-            prop_assert_eq!(&fast_fsck, &naive_fsck);
-            prop_assert_eq!(&fast_walk, &naive_walk);
-            prop_assert!(same_fast);
-            prop_assert!(same_naive);
-            prop_assert!(fast_fsck.is_empty(), "replay must keep the FS clean");
+            prop_assert_eq!(fs.digest(), fs.digest_reference());
+            prop_assert_eq!(fs.digest(), twin.digest_reference());
+            prop_assert_eq!(other.digest(), other.digest_reference());
+            for (a, b, same) in [(&fs, &twin, true), (&fs, &other, false)] {
+                prop_assert_eq!(a.same_tree(b), same);
+                prop_assert_eq!(b.same_tree(a), same);
+                prop_assert_eq!(a.same_tree_reference(b), same);
+                prop_assert_eq!(b.same_tree_reference(a), same);
+            }
+            prop_assert!(fsck_report(&fs).is_empty(), "replay must keep the FS clean");
             // Listings resolve through interned entry maps; readdir's
-            // contract is lexicographic output either way.
-            for path in &fast_walk {
-                if fast.is_dir(path) {
-                    prop_assert_eq!(fast.readdir(path).unwrap(), naive.readdir(path).unwrap());
+            // contract is lexicographic output.
+            for path in &fs.walk() {
+                if fs.is_dir(path) {
+                    let listing = fs.readdir(path).unwrap();
+                    prop_assert!(listing.windows(2).all(|w| w[0] < w[1]));
+                    prop_assert_eq!(listing, twin.readdir(path).unwrap());
                 }
             }
             Ok(())

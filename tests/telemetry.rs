@@ -57,8 +57,10 @@ fn pool_counters_are_deterministic_across_widths() {
     const TASKS: usize = 100;
     let run = |threads: usize| {
         let ((), snap) = with_telemetry(|| {
-            let pool = pc_rt::pool::Pool::with_threads(threads);
-            let out = pool.par_map_indices(TASKS, |i| i as u64 * 3);
+            let out: Vec<u64> = pc_rt::pool::Pool::with_threads(threads).scope(|sc| {
+                let handles: Vec<_> = (0..TASKS).map(|i| sc.spawn(move || i as u64 * 3)).collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
             assert_eq!(out.len(), TASKS);
         });
         snap
@@ -68,7 +70,7 @@ fn pool_counters_are_deterministic_across_widths() {
     for snap in [&seq, &par] {
         assert_eq!(counter(snap, "pool.tasks_queued"), TASKS as u64);
         assert_eq!(counter(snap, "pool.tasks_executed"), TASKS as u64);
-        assert_eq!(counter(snap, "pool.par_calls"), 1);
+        assert_eq!(counter(snap, "pool.scope_calls"), 1);
     }
     // Totals must agree bit-for-bit regardless of worker count.
     assert_eq!(
