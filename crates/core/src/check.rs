@@ -32,7 +32,7 @@ use pfs::{recover_and_mount, PfsCall, PfsView};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use tracer::{BitSet, CausalityGraph, EventId, Layer, Process, Recorder};
+use tracer::{BitSet, CausalityGraph, EventId, Layer, Recorder};
 
 /// Which layer a bug is attributed to (Figure 6's final verdict).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -222,7 +222,14 @@ fn pfs_committed(graph: &CausalityGraph, stack: &Stack, candidates: &[EventId]) 
 }
 
 /// Shared legal golden states for one cut: `(PFS views, H5 logicals)`.
-type LegalStates = (Arc<Vec<PfsView>>, Arc<Vec<H5Logical>>);
+/// The lists are shared by every crash state with the same candidate
+/// set, each state in them by every list whose candidates admit the
+/// preserved set it was replayed from.
+type LegalStates = (Arc<Vec<Arc<PfsView>>>, Arc<Vec<Arc<H5Logical>>>);
+
+/// One golden replay: the digest of the state a preserved set denotes
+/// and the state, `None` when the set is not executable.
+type Replayed<T> = Option<(u64, Arc<T>)>;
 
 /// Figure 6's verdict for one crash state: `None` when consistent,
 /// otherwise the responsible layer and the weakest violated model.
@@ -283,10 +290,13 @@ struct Materialized {
 struct Verdicts {
     legal: Vec<Result<LegalStates, String>>,
     verdicts: Vec<Result<Verdict, String>>,
-    /// Golden-state replay-cache traffic (how the stage ran, not what
-    /// it found).
+    /// Candidate-set cache traffic (how the stage ran, not what it
+    /// found).
     pfs_cache: CacheStats,
     h5_cache: CacheStats,
+    /// Preserved-set traffic over both layers: `(replays executed,
+    /// replays a shared view answered)`.
+    replays: (usize, usize),
 }
 
 /// Stage 5 output: what the checker decided.
@@ -397,15 +407,20 @@ fn violated_model(
             a.baseline_h5.as_ref(),
             &a.modified_keys,
         ),
-        None => (!legal_views.contains(view)).then_some(a.cfg.pfs_model),
+        None => (!is_legal(legal_views, view)).then_some(a.cfg.pfs_model),
     }
+}
+
+/// `true` if `state` equals one of the shared legal states.
+fn is_legal<T: PartialEq>(legal: &[Arc<T>], state: &T) -> bool {
+    legal.iter().any(|l| **l == *state)
 }
 
 /// Figure 6 for one recovered view: a legal PFS state under an illegal
 /// I/O-library state blames the library, anything else the PFS.
 fn layer_verdict(a: &Analysis, view: &PfsView, legal: &LegalStates) -> Verdict {
     violated_model(a, view, legal).map(|violated| {
-        let layer = if a.stack.h5_path.is_some() && legal.0.contains(view) {
+        let layer = if a.stack.h5_path.is_some() && is_legal(&legal.0, view) {
             LayerVerdict::IoLibBug
         } else {
             LayerVerdict::PfsBug
@@ -454,31 +469,44 @@ fn verdict_of(
     layer_verdict(a, view, legal)
 }
 
-/// Golden-state replay caches, one per layer. Legal-state sets are
-/// shared, not cloned, across states: the heavy HDF5 cells hold
-/// multi-megabyte views and hundreds of crash states.
+/// Golden-state replay caches, two per layer. Everything is shared,
+/// never copied, across states: the heavy HDF5 cells hold large views,
+/// hundreds of crash states, and candidate sets that are nested
+/// prefixes of each other — so most preserved sets recur in most lists.
 struct ReplayCaches {
-    pfs: ReplayCache<Arc<Vec<PfsView>>>,
-    h5: ReplayCache<Arc<Vec<H5Logical>>>,
+    /// Keyed by *candidate* set: the legal-state list of a cut (the
+    /// traffic `ExploreStats` reports).
+    pfs: ReplayCache<Arc<Vec<Arc<PfsView>>>>,
+    h5: ReplayCache<Arc<Vec<Arc<H5Logical>>>>,
+    /// Keyed by *preserved* set: the one replay every list that admits
+    /// the set shares.
+    pfs_sets: ReplayCache<Replayed<PfsView>>,
+    h5_sets: ReplayCache<Replayed<H5Logical>>,
 }
 
-/// Legal golden states of one crash state, replayed once per distinct
-/// candidate set.
+/// Legal golden states of one crash state: the list is assembled once
+/// per distinct candidate set, each member replayed once per distinct
+/// preserved set.
 fn legal_states(
     a: &Analysis,
     factory: &StackFactory,
     state: &CrashState,
     caches: &mut ReplayCaches,
 ) -> LegalStates {
-    let pfs_candidates = pfs_candidates(a, state);
-    let legal_views = caches.pfs.get_or(pfs_candidates.clone(), || {
-        Arc::new(legal_pfs_views(a, factory, &pfs_candidates))
+    let ReplayCaches {
+        pfs,
+        h5,
+        pfs_sets,
+        h5_sets,
+    } = caches;
+    let legal_views = pfs.get_or(pfs_candidates(a, state), |candidates| {
+        Arc::new(legal_pfs_views(a, factory, candidates, pfs_sets))
     });
     let legal_h5 = match h5_candidates(a, state) {
-        Some(h5_candidates) => caches.h5.get_or(h5_candidates.clone(), || {
-            Arc::new(legal_h5_logicals(a, factory, &h5_candidates))
+        Some(candidates) => h5.get_or(candidates, |candidates| {
+            Arc::new(legal_h5_logicals(a, factory, candidates, h5_sets))
         }),
-        None => Arc::new(Vec::new()),
+        None => Arc::default(),
     };
     (legal_views, legal_h5)
 }
@@ -498,9 +526,12 @@ fn legal_and_verdicts(
     m: &Materialized,
 ) -> Verdicts {
     let n = e.states.len();
+    let cap = a.cfg.replay_cache_cap;
     let mut caches = ReplayCaches {
-        pfs: ReplayCache::with_cap(a.cfg.replay_cache_cap),
-        h5: ReplayCache::with_cap(a.cfg.replay_cache_cap),
+        pfs: ReplayCache::with_cap(cap),
+        h5: ReplayCache::with_cap(cap),
+        pfs_sets: ReplayCache::with_cap(cap),
+        h5_sets: ReplayCache::with_cap(cap),
     };
     let shared_views: Vec<OnceLock<PfsView>> = (0..n).map(|_| OnceLock::new()).collect();
     let legal: Vec<OnceLock<Result<LegalStates, String>>> =
@@ -535,6 +566,7 @@ fn legal_and_verdicts(
     });
     drop(stage_verdicts);
     drop(stage_legal);
+    let (pfs_sets, h5_sets) = (caches.pfs_sets.stats(), caches.h5_sets.stats());
     Verdicts {
         legal: legal
             .into_iter()
@@ -543,6 +575,10 @@ fn legal_and_verdicts(
         verdicts,
         pfs_cache: caches.pfs.stats(),
         h5_cache: caches.h5.stats(),
+        replays: (
+            pfs_sets.misses + h5_sets.misses,
+            pfs_sets.hits + h5_sets.hits,
+        ),
     }
 }
 
@@ -697,22 +733,47 @@ fn h5_candidates(a: &Analysis, state: &CrashState) -> Option<Vec<EventId>> {
     ))
 }
 
-/// All legal PFS views for a candidate op set under `cfg.pfs_model`.
-fn legal_pfs_views(a: &Analysis, factory: &StackFactory, candidates: &[EventId]) -> Vec<PfsView> {
-    let stack = a.stack;
-    let committed = pfs_committed(&a.graph, stack, candidates);
+/// The distinct states `sets` denote, each replayed through `replays`:
+/// a preserved set is a pure function's whole input (same stack, same
+/// factory), so one executed replay serves every candidate set that
+/// admits it. One `check.legal_replay` span per replay executed.
+fn distinct_replays<T>(
+    sets: Vec<Vec<EventId>>,
+    replays: &mut ReplayCache<Replayed<T>>,
+    replay: impl Fn(&[EventId]) -> Option<T>,
+    digest: impl Fn(&T) -> u64,
+) -> Vec<Arc<T>> {
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
-    let model = a.cfg.pfs_model;
-    for set in model.preserved_sets(&a.graph, candidates, &committed) {
-        let subset: Vec<(Process, PfsCall)> = stack.calls.subset(&set);
-        if let Some(view) = replay_pfs(factory, &stack.pre_calls, &subset) {
-            if seen.insert(view.digest()) {
-                out.push(view);
+    for set in sets {
+        let replayed = replays.get_or(set, |set| {
+            let _replay = pc_rt::obs::span_cat("check.legal_replay", "check");
+            replay(set).map(|state| (digest(&state), Arc::new(state)))
+        });
+        if let Some((digest, state)) = replayed {
+            if seen.insert(digest) {
+                out.push(state);
             }
         }
     }
     out
+}
+
+/// All legal PFS views for a candidate op set under `cfg.pfs_model`.
+fn legal_pfs_views(
+    a: &Analysis,
+    factory: &StackFactory,
+    candidates: &[EventId],
+    replays: &mut ReplayCache<Replayed<PfsView>>,
+) -> Vec<Arc<PfsView>> {
+    let stack = a.stack;
+    let committed = pfs_committed(&a.graph, stack, candidates);
+    let sets = a
+        .cfg
+        .pfs_model
+        .preserved_sets(&a.graph, candidates, &committed);
+    let replay = |set: &[EventId]| replay_pfs(factory, &stack.pre_calls, &stack.calls.subset(set));
+    distinct_replays(sets, replays, replay, PfsView::digest)
 }
 
 /// All legal I/O-library logical states for a candidate op set.
@@ -720,11 +781,10 @@ fn legal_h5_logicals(
     a: &Analysis,
     factory: &StackFactory,
     candidates: &[EventId],
-) -> Vec<H5Logical> {
+    replays: &mut ReplayCache<Replayed<H5Logical>>,
+) -> Vec<Arc<H5Logical>> {
     let stack = a.stack;
     let path = stack.h5_path.as_deref().expect("h5 program");
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
     // The baseline model's golden comparison is dataset-granular rather
     // than whole-state, but its legal *full* states still come from the
     // causal sets (a weaker model only adds legal states — handled in
@@ -733,22 +793,18 @@ fn legal_h5_logicals(
         Model::Baseline => Model::Causal,
         model => model,
     };
-    for set in enum_model.preserved_sets(&a.graph, candidates, &[]) {
-        let subset: Vec<(u32, h5sim::H5Call)> = stack.h5.subset(&set);
-        if let Some(logical) = replay_h5(
+    let sets = enum_model.preserved_sets(&a.graph, candidates, &[]);
+    let replay = |set: &[EventId]| {
+        replay_h5(
             factory,
             path,
             &stack.h5_ranks,
             &stack.pre_h5,
-            &subset,
+            &stack.h5.subset(set),
             stack.h5_spec,
-        ) {
-            if seen.insert(logical.digest()) {
-                out.push(logical);
-            }
-        }
-    }
-    out
+        )
+    };
+    distinct_replays(sets, replays, replay, H5Logical::digest)
 }
 
 /// Stage 6: reconstruction cost over the mode's visiting order — the
@@ -868,13 +924,18 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
     let mut out = outcome(&a, &e, &v, c, cost, m.rep_digests);
     out.explanations = explanations;
     out.stats.wall_seconds = started.elapsed().as_secs_f64();
-    publish(&out, check_span, &tl_mark);
+    publish(&out, v.replays, check_span, &tl_mark);
     out
 }
 
 /// Counters, the stream snapshot event and the `PC_TRACE=summary` table
 /// for one finished check.
-fn publish(out: &CheckOutcome, check_span: pc_rt::obs::Span, tl_mark: &pc_rt::obs::Mark) {
+fn publish(
+    out: &CheckOutcome,
+    (replays_executed, replays_shared): (usize, usize),
+    check_span: pc_rt::obs::Span,
+    tl_mark: &pc_rt::obs::Mark,
+) {
     let stats = &out.stats;
     pc_rt::obs::count("cache.pfs.hits", stats.pfs_cache.hits as u64);
     pc_rt::obs::count("cache.pfs.misses", stats.pfs_cache.misses as u64);
@@ -882,6 +943,8 @@ fn publish(out: &CheckOutcome, check_span: pc_rt::obs::Span, tl_mark: &pc_rt::ob
     pc_rt::obs::count("cache.h5.hits", stats.h5_cache.hits as u64);
     pc_rt::obs::count("cache.h5.misses", stats.h5_cache.misses as u64);
     pc_rt::obs::count("cache.h5.evictions", stats.h5_cache.evictions as u64);
+    pc_rt::obs::count("replay.executed", replays_executed as u64);
+    pc_rt::obs::count("replay.shared", replays_shared as u64);
     pc_rt::obs::count("check.states_checked", stats.states_checked as u64);
     pc_rt::obs::count("check.states_pruned", stats.states_pruned as u64);
     drop(check_span);
@@ -936,9 +999,13 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
         if cfg.collect_rep_digests {
             rep_digests.insert(st.digest());
         }
+        // Cap 0 never stores: every preserved set of every state is
+        // replayed afresh, whatever `cfg.replay_cache_cap` says.
         let legal = caught(|| -> LegalStates {
-            let views = legal_pfs_views(&a, factory, &pfs_candidates(&a, state));
-            let h5 = h5_candidates(&a, state).map(|c| legal_h5_logicals(&a, factory, &c));
+            let candidates = pfs_candidates(&a, state);
+            let views = legal_pfs_views(&a, factory, &candidates, &mut ReplayCache::with_cap(0));
+            let h5 = h5_candidates(&a, state)
+                .map(|c| legal_h5_logicals(&a, factory, &c, &mut ReplayCache::with_cap(0)));
             (Arc::new(views), Arc::new(h5.unwrap_or_default()))
         });
         let verdict = match &legal {
@@ -995,7 +1062,7 @@ fn h5_verdict(
     cfg: &CheckConfig,
     path: &str,
     view: &PfsView,
-    legal: &[H5Logical],
+    legal: &[Arc<H5Logical>],
     baseline: Option<&H5Logical>,
     modified: &BTreeSet<String>,
 ) -> Option<Model> {
@@ -1014,7 +1081,7 @@ fn h5_verdict(
     // Fast path: a state that parses cleanly and matches a causal golden
     // state is consistent under every model — no need for the
     // dataset-granular baseline walk (most crash states are legal).
-    if strict.as_ref().is_some_and(|l| legal.contains(l)) {
+    if strict.as_ref().is_some_and(|l| is_legal(legal, l)) {
         return None;
     }
     // Baseline: every dataset that was closed before the crash (i.e. not
@@ -1045,7 +1112,7 @@ fn h5_verdict(
             false
         }
     };
-    let violates_causal = violates_baseline || strict.map(|l| !legal.contains(&l)).unwrap_or(true);
+    let violates_causal = violates_baseline || strict.map(|l| !is_legal(legal, &l)).unwrap_or(true);
 
     let violated = match cfg.h5_model {
         Model::Baseline => violates_baseline,
@@ -1166,6 +1233,39 @@ mod tests {
         let outcome = check_stack(&stack, &factory, &cfg);
         assert_eq!(outcome.raw_inconsistent_states, 0, "{:?}", outcome.bugs);
         assert!(outcome.bugs.is_empty());
+    }
+
+    /// A sequential program's candidate sets are the prefixes of its
+    /// calls, and so are their preserved sets: `n + 1` distinct ones
+    /// behind `(n + 1)(n + 2) / 2` lookups. Executed replays must grow
+    /// with the former.
+    #[test]
+    fn golden_replays_grow_linearly_on_a_sequential_trace() {
+        let factory = ext4_factory();
+        let cfg = CheckConfig {
+            mode: ExploreMode::BruteForce,
+            ..CheckConfig::paper_default()
+        };
+        for n in [4, 8, 16] {
+            let mut stack = Stack::new(factory());
+            stack.seal_preamble();
+            for i in 0..n {
+                let path = format!("/f{i}");
+                stack.posix(0, PfsCall::Creat { path });
+            }
+            let a = analyze(&stack, &cfg);
+            let e = enumerate(&a);
+            let m = materialize(&a, &e);
+            let v = legal_and_verdicts(&a, &factory, &e, &m);
+            assert_eq!(v.pfs_cache.misses, n + 1, "candidate sets, n = {n}");
+            let (executed, shared) = v.replays;
+            assert_eq!(executed, n + 1, "replays executed, n = {n}");
+            assert_eq!(
+                executed + shared,
+                (n + 1) * (n + 2) / 2,
+                "preserved sets looked up, n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::persist::PersistAnalysis;
 use crate::report;
 use simfs::FsOp;
 use simnet::ClusterTopology;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use tracer::{BitSet, EventId, Payload, Recorder};
 
@@ -110,17 +110,30 @@ pub(crate) fn extended_universe(
 
 /// Classify one inconsistent crash state.
 ///
-/// `consistent` evaluates a hypothetical persisted set through the full
-/// recover-and-compare pipeline; it is the expensive oracle, so
-/// combinations are probed lazily.
+/// `oracle` evaluates a hypothetical persisted set through the full
+/// recover-and-compare pipeline; it is the expensive part, so
+/// combinations are probed lazily, and — the oracle being a pure
+/// function of the persisted set within one call — each distinct set is
+/// probed once.
 pub fn classify(
     rec: &Recorder,
     topo: &ClusterTopology,
     pa: &PersistAnalysis,
     state: &CrashState,
-    consistent: &mut dyn FnMut(&BitSet) -> bool,
+    oracle: &mut dyn FnMut(&BitSet) -> bool,
 ) -> BugSignature {
     let universe = extended_universe(rec, pa, state);
+    let mut probed: HashMap<BitSet, bool> = HashMap::new();
+    let mut consistent = |p: &BitSet| -> bool {
+        if let Some(&ok) = probed.get(p) {
+            pc_rt::obs::count("classify.probes_shared", 1);
+            return ok;
+        }
+        pc_rt::obs::count("classify.probes", 1);
+        let ok = oracle(p);
+        probed.insert(p.clone(), ok);
+        ok
+    };
 
     let drop = |victims: &[EventId]| -> BitSet {
         let mut p = universe.clone();
@@ -142,7 +155,14 @@ pub fn classify(
         .filter(|&u| state.persisted.contains(u))
         .collect();
 
-    let sig = |e: EventId| report::op_sig(rec, topo, e);
+    // One signature per event of the probe universe, not two per pair.
+    let sigs: HashMap<EventId, String> = pa
+        .updates()
+        .iter()
+        .filter(|&&u| universe.contains(u) || state.persisted.contains(u))
+        .map(|&u| (u, report::op_sig(rec, topo, u)))
+        .collect();
+    let sig = |e: EventId| sigs[&e].clone();
     // Attribute-update events are auxiliary; they never anchor a pair.
     let meaningful = |e: EventId| {
         !matches!(
@@ -160,12 +180,15 @@ pub fn classify(
         // op closest to the damage) and B from the latest persisted op
         // backwards: the tightest pair gives the canonical signature.
         for &a in unpersisted.iter().rev() {
+            // `drop(&[a])` does not depend on `b`: built on the first `b`
+            // that survives the cheap filters, probed once.
+            let mut without_a: Option<BitSet> = None;
             for &b in persisted.iter().rev() {
-                if pa.persists_before(a, b) || sig(a) == sig(b) || !meaningful(b) {
+                if pa.persists_before(a, b) || sigs[&a] == sigs[&b] || !meaningful(b) {
                     continue;
                 }
-                let s_a0_b1 = drop(&[a]);
-                if !s_a0_b1.contains(b) || consistent(&s_a0_b1) {
+                let s_a0_b1 = without_a.get_or_insert_with(|| drop(&[a]));
+                if !s_a0_b1.contains(b) || consistent(s_a0_b1) {
                     continue;
                 }
                 let s_a1_b0 = drop(&[b]);
@@ -438,6 +461,191 @@ mod tests {
         assert_eq!(sig.kind, BugKind::Reordering);
         assert_eq!(sig.members[0], "write(symbol table node)");
         assert_eq!(sig.members[1], "write(local heap)");
+    }
+
+    /// The pair loop as it was before `classify` hoisted and memoised
+    /// it, kept straight-line as the reference: `drop(&[a])`, both
+    /// signatures and every probe are recomputed per pair. `None` when
+    /// no pair explains the state (where `classify` falls back).
+    fn pair_signature_reference(
+        rec: &Recorder,
+        topo: &ClusterTopology,
+        pa: &PersistAnalysis,
+        state: &CrashState,
+        consistent: &mut dyn FnMut(&BitSet) -> bool,
+    ) -> Option<BugSignature> {
+        let universe = extended_universe(rec, pa, state);
+        let drop = |victims: &[EventId]| -> BitSet {
+            let mut p = universe.clone();
+            for &v in victims {
+                p.subtract(&pa.depends_on(v, &universe));
+            }
+            p
+        };
+        let updates = pa.updates().iter().copied();
+        let unpersisted: Vec<EventId> = updates
+            .clone()
+            .filter(|&u| universe.contains(u) && !state.persisted.contains(u))
+            .collect();
+        let persisted: Vec<EventId> = updates.filter(|&u| state.persisted.contains(u)).collect();
+        let sig = |e: EventId| report::op_sig(rec, topo, e);
+        let meaningful = |e: EventId| {
+            !matches!(
+                &rec.event(e).payload,
+                Payload::Fs {
+                    op: FsOp::SetXattr { .. },
+                    ..
+                }
+            )
+        };
+        if !consistent(&universe) {
+            return None;
+        }
+        for &a in unpersisted.iter().rev() {
+            for &b in persisted.iter().rev() {
+                if pa.persists_before(a, b) || sig(a) == sig(b) || !meaningful(b) {
+                    continue;
+                }
+                let s_a0_b1 = drop(&[a]);
+                if !s_a0_b1.contains(b) || consistent(&s_a0_b1) {
+                    continue;
+                }
+                let s_a1_b0 = drop(&[b]);
+                let s_a0_b0 = drop(&[a, b]);
+                let ok_10 = consistent(&s_a1_b0);
+                let ok_00 = consistent(&s_a0_b0);
+                if ok_10 && ok_00 {
+                    return Some(BugSignature {
+                        kind: BugKind::Reordering,
+                        members: vec![sig(a), sig(b)],
+                    });
+                }
+                if !ok_10 && ok_00 {
+                    let mut members = vec![sig(a), sig(b)];
+                    members.sort();
+                    members.dedup();
+                    return Some(BugSignature {
+                        kind: BugKind::Atomicity,
+                        members,
+                    });
+                }
+            }
+        }
+        None
+    }
+
+    /// One client, one storage op per call, each call causally after
+    /// the previous op: three chunk appends on the storage servers (the
+    /// unpersisted side), then ten namespace ops alternating over the
+    /// metadata servers (the persisted side), every third an auxiliary
+    /// xattr update.
+    fn thirteen_ops() -> (Recorder, Vec<EventId>, Vec<EventId>) {
+        let mut rec = Recorder::new();
+        let mut prev: Option<EventId> = None;
+        let mut op = |rec: &mut Recorder, server: u32, op: FsOp| {
+            let call = rec.record(
+                Layer::PfsClient,
+                Process::Client(0),
+                Payload::Call {
+                    name: "op".into(),
+                    args: vec![],
+                },
+                None,
+            );
+            if let Some(p) = prev {
+                rec.add_edge(p, call);
+            }
+            let e = rec.record(
+                Layer::LocalFs,
+                Process::Server(server),
+                Payload::Fs { server, op },
+                Some(call),
+            );
+            prev = Some(e);
+            e
+        };
+        let appends = (0..3)
+            .map(|i| {
+                let path = format!("/chunks/f{i}.0");
+                op(
+                    &mut rec,
+                    2 + i % 2,
+                    FsOp::Append {
+                        path,
+                        data: vec![1],
+                    },
+                )
+            })
+            .collect();
+        let namespace = (0..10)
+            .map(|i| {
+                let path = format!("/dentries/root/f{i}");
+                let fs_op = match i % 3 {
+                    0 => FsOp::Creat { path },
+                    1 => FsOp::Rename {
+                        src: path,
+                        dst: format!("/dentries/root/g{i}"),
+                    },
+                    _ => FsOp::SetXattr {
+                        path,
+                        key: "user.k".into(),
+                        value: vec![1],
+                    },
+                };
+                op(&mut rec, i % 2, fs_op)
+            })
+            .collect();
+        (rec, appends, namespace)
+    }
+
+    #[test]
+    fn each_distinct_persisted_set_is_probed_once() {
+        let (rec, appends, namespace) = thirteen_ops();
+        let topo = ClusterTopology::dedicated(2, 2, 1);
+        let g = CausalityGraph::build(&rec);
+        let pa = PersistAnalysis::build(&rec, &g, |_| Some(JournalMode::Data));
+        let state = state_for(&rec, &pa, &namespace);
+        let universe = extended_universe(&rec, &pa, &state);
+        let (a0, b0) = (appends[0], namespace[0]);
+        // Pure functions of the persisted set, as the flip oracle is. The
+        // first two put the explaining pair last in scan order, so every
+        // other pair is probed before it; the third admits no pair.
+        type Pure = Box<dyn Fn(&BitSet) -> bool>;
+        let oracles: [(&str, Pure); 3] = [
+            (
+                "reordering",
+                Box::new(move |p| !p.contains(b0) || p.contains(a0)),
+            ),
+            (
+                "atomicity",
+                Box::new(move |p| p.contains(a0) == p.contains(b0)),
+            ),
+            ("no pair", Box::new(move |p| *p == universe)),
+        ];
+        for (name, pure) in &oracles {
+            let mut probes: Vec<BitSet> = Vec::new();
+            let sig = classify(&rec, &topo, &pa, &state, &mut |p| {
+                probes.push(p.clone());
+                pure(p)
+            });
+            let distinct: std::collections::HashSet<&BitSet> = probes.iter().collect();
+            assert_eq!(distinct.len(), probes.len(), "{name}: a set probed twice");
+
+            let mut reference_probes = 0;
+            let reference = pair_signature_reference(&rec, &topo, &pa, &state, &mut |p| {
+                reference_probes += 1;
+                pure(p)
+            });
+            match *name {
+                "no pair" => assert_eq!(reference, None),
+                _ => assert_eq!(reference, Some(sig), "{name}"),
+            }
+            assert!(
+                probes.len() < reference_probes,
+                "{name}: {} probes, the per-pair loop made {reference_probes}",
+                probes.len(),
+            );
+        }
     }
 
     #[test]

@@ -199,7 +199,7 @@ pub(crate) struct ExplainCtx<'a> {
     pub graph: &'a CausalityGraph,
     pub pa: &'a PersistAnalysis,
     pub topo: &'a ClusterTopology,
-    pub legal_views: &'a [PfsView],
+    pub legal_views: &'a [std::sync::Arc<PfsView>],
     /// The same consistency oracle the classifier probes with, inverted:
     /// `true` if a recovered view fails the golden-master comparison at
     /// the layer the run checks top-down.

@@ -94,7 +94,7 @@ impl Stack {
 /// Validate that a PFS call sequence is executable (the models may
 /// propose subsets whose prerequisites were dropped — those denote no
 /// legal state). Mirrors the namespace effects of each call.
-fn executable(calls: &[(Process, PfsCall)]) -> bool {
+fn executable<'a>(calls: impl IntoIterator<Item = &'a (Process, PfsCall)>) -> bool {
     let mut dirs: BTreeSet<String> = BTreeSet::new();
     dirs.insert("/".into());
     let mut files: BTreeSet<String> = BTreeSet::new();
@@ -177,13 +177,15 @@ pub fn replay_pfs(
     pre: &[(Process, PfsCall)],
     subset: &[(Process, PfsCall)],
 ) -> Option<PfsView> {
-    let all: Vec<(Process, PfsCall)> = pre.iter().chain(subset.iter()).cloned().collect();
-    if !executable(&all) {
+    // Borrowed, not concatenated: a copy would clone every preamble
+    // `Pwrite` payload once per replay.
+    let all = || pre.iter().chain(subset);
+    if !executable(all()) {
         return None;
     }
     let mut pfs = factory();
     let mut rec = Recorder::new();
-    for (client, call) in &all {
+    for (client, call) in all() {
         // A model may reject a subset `executable` admits (its own
         // namespace bookkeeping is stricter); that subset denotes no
         // legal state either.
@@ -204,9 +206,8 @@ pub fn replay_h5(
     subset: &[(u32, H5Call)],
     spec: h5sim::H5Spec,
 ) -> Option<h5sim::H5Logical> {
-    let all: Vec<(u32, H5Call)> = pre.iter().chain(subset.iter()).cloned().collect();
     let mut pfs = factory();
-    h5sim::h5replay_with(pfs.as_mut(), path, ranks, &all, spec).ok()
+    h5sim::h5replay_with(pfs.as_mut(), path, ranks, pre.iter().chain(subset), spec).ok()
 }
 
 #[cfg(test)]

@@ -307,12 +307,14 @@ pub fn h5replay(
 }
 
 /// [`h5replay`] with an explicit library configuration — the replay must
-/// use the same allocation geometry as the traced run.
-pub fn h5replay_with(
+/// use the same allocation geometry as the traced run. `calls` is any
+/// borrowed sequence (a slice, or a preamble chained to a preserved
+/// subset), so callers never copy calls to concatenate them.
+pub fn h5replay_with<'a>(
     pfs: &mut dyn Pfs,
     path: &str,
     ranks: &[u32],
-    calls: &[(u32, H5Call)],
+    calls: impl IntoIterator<Item = &'a (u32, H5Call)>,
     spec: H5Spec,
 ) -> Result<H5Logical, ReplayError> {
     let mut rec = Recorder::new();

@@ -849,6 +849,27 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
         }
     }
 
+    // Derived: oracle work executed against work a shared answer saved —
+    // golden replays per distinct preserved set, classifier probes per
+    // distinct persisted set.
+    for (label, executed, shared) in [
+        ("golden replays", "replay.executed", "replay.shared"),
+        (
+            "classifier probes",
+            "classify.probes",
+            "classify.probes_shared",
+        ),
+    ] {
+        let (executed, shared) = (get(executed).unwrap_or(0), get(shared).unwrap_or(0));
+        if executed + shared > 0 {
+            let _ = writeln!(
+                out,
+                "  {:<34} {executed:>8}  executed ({shared} more answered by a shared result)",
+                label,
+            );
+        }
+    }
+
     // Derived: pool utilization = busy time / (span wall × workers).
     // Under `PC_THREADS=1` the pool takes the inline reference path —
     // work runs on the caller with no worker threads to divide by,

@@ -14,7 +14,10 @@
 #      (RUSTFLAGS="-D warnings").
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` must decide identically, checked once
-#      sequentially (PC_THREADS=1) and once with the thread pool.
+#      sequentially (PC_THREADS=1) and once with the thread pool; and
+#      `benchmark/run.sh --smoke` must build against `crates/*` and
+#      reproduce its pinned outputs (`benchmark/` is not a workspace
+#      member, so no other gate compiles it).
 #   5. Telemetry — `paracrash --telemetry-out` must emit files that
 #      re-parse with the vendored JSON reader (both plain and Chrome
 #      trace-event formats, validated by `telemetry-check`), and the
@@ -114,9 +117,12 @@ echo "== gate 3: formatting + warning-free build =="
 cargo fmt --check
 RUSTFLAGS="-D warnings" cargo build --offline --workspace
 
-echo "== gate 4: check_stack vs check_reference, sequential and parallel =="
+echo "== gate 4: check_stack vs check_reference, sequential and parallel; benchmark smoke =="
 PC_THREADS=1 cargo test -q --offline --test differential
 cargo test -q --offline --test differential
+# An API change that breaks the benchmark's build, or a decision change
+# that breaks one of its pins, fails here and not in the perf pipeline.
+benchmark/run.sh --smoke > /dev/null
 
 echo "== gate 5: telemetry emission + disabled-overhead budget =="
 cargo build --release --offline -p pc-bench

@@ -100,6 +100,38 @@ fn engines_report_identical_outcomes() {
     }
 }
 
+/// H5-resize at the bug-14 split dims on BeeGFS: eighty-one nested
+/// candidate sets whose preserved sets are each other's prefixes, so
+/// nearly every legal state `check_stack` compares against is a view
+/// shared with an earlier candidate set. The reference replays every
+/// preserved set of every crash state afresh (thousands of replays here);
+/// `k = 0` keeps that affordable in a debug build and leaves the
+/// candidate sets — and so the sharing — exactly as they are at `k = 1`.
+#[test]
+fn shared_golden_views_match_per_state_replays() {
+    let quick = Params::quick();
+    let params = quick.clone().with_dims(quick.split_dims());
+    let cfg = CheckConfig {
+        k: 0,
+        ..CheckConfig::paper_default()
+    };
+    differ_program(Program::H5Resize, FsKind::BeeGfs, &params, &cfg);
+}
+
+/// The replay caches bounded to one entry (every lookup evicts) and
+/// switched off (`replay_cache_cap = 0`): eviction and the cache-off
+/// path decide what the unbounded default and the reference decide.
+#[test]
+fn bounded_and_disabled_replay_caches_match_the_reference() {
+    for replay_cache_cap in [0, 1] {
+        let cfg = CheckConfig {
+            replay_cache_cap,
+            ..CheckConfig::paper_default()
+        };
+        differ_program(Program::CdfCreate, FsKind::Lustre, &Params::quick(), &cfg);
+    }
+}
+
 /// `check_stack` shares one recovery across each snapshot-plan subtree;
 /// the reference recovers every state individually. Identical across
 /// all five PFS models × all journal modes.
