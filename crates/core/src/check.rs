@@ -24,7 +24,7 @@ use crate::explore::{
 };
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
-use crate::report::op_detail;
+use crate::report::{op_detail, OpSigs};
 use crate::snapshot::{prepare_states, SnapshotPlan};
 use crate::stack::{replay_h5, replay_pfs, Stack, StackFactory};
 use h5sim::{check as h5check, check_lenient, h5clear, H5Logical};
@@ -258,6 +258,9 @@ struct Analysis<'a> {
     graph: CausalityGraph,
     pa: PersistAnalysis,
     topo: simnet::ClusterTopology,
+    /// Aggregation signature of every update, for the pruner, the
+    /// classifier and the witness renderer.
+    sigs: OpSigs,
     pfs_ops: Vec<EventId>,
     h5_ops: Vec<EventId>,
     /// Pre-crash I/O-library state, for the baseline model's
@@ -266,9 +269,18 @@ struct Analysis<'a> {
     modified_keys: BTreeSet<String>,
 }
 
+/// The layer calls one cut may have preserved: PFS-client calls, and
+/// I/O-library calls (`None` for programs that do not use the library).
+type Candidates = (Vec<EventId>, Option<Vec<EventId>>);
+
 /// Stage 2 output: Algorithm 1's crash states and their checking order.
 struct Enumerated {
     states: Vec<CrashState>,
+    /// The candidate calls of each distinct cut — a function of the cut
+    /// alone, shared by every state dropped from it — and, per state,
+    /// which entry is its cut's.
+    candidates: Vec<Candidates>,
+    cut_of: Vec<usize>,
     /// Minimal-damage states first, so classification sees the
     /// single-fault witnesses before the compound ones and the §5.2
     /// aggregation can absorb the latter. (Reconstruction *cost* is
@@ -315,13 +327,16 @@ fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig) -> Analysis<'a> {
     let stage = pc_rt::obs::span_cat("check.analyze", "check");
     let graph = CausalityGraph::build(&stack.rec);
     let pa = PersistAnalysis::build(&stack.rec, &graph, |s| stack.journal_of(s));
+    let topo = stack.pfs.topology().clone();
+    let sigs = OpSigs::build(&stack.rec, &topo, pa.updates());
     drop(stage);
     Analysis {
         stack,
         cfg,
         graph,
         pa,
-        topo: stack.pfs.topology().clone(),
+        topo,
+        sigs,
         pfs_ops: stack.calls.event_ids(),
         h5_ops: stack.h5.event_ids(),
         baseline_h5: stack.h5_path.as_ref().and_then(|p| {
@@ -342,12 +357,30 @@ fn enumerate(a: &Analysis) -> Enumerated {
     let states = crash_states(rec, &a.graph, &a.pa, a.cfg.k, Some(&filter));
     drop(stage);
     pc_rt::obs::count("check.crash_states", states.len() as u64);
+    // Algorithm 1 emits a cut's states together, so comparing each cut
+    // with the one before finds the distinct ones (a cut met again
+    // later would only be computed again).
+    let stage = pc_rt::obs::span_cat("check.candidates", "check");
+    let mut candidates: Vec<Candidates> = Vec::new();
+    let mut cut_of = Vec::with_capacity(states.len());
+    for (i, s) in states.iter().enumerate() {
+        if i == 0 || s.cut != states[i - 1].cut {
+            candidates.push((pfs_candidates(a, &s.cut), h5_candidates(a, &s.cut)));
+        }
+        cut_of.push(candidates.len() - 1);
+    }
+    drop(stage);
     let mut order: Vec<usize> = (0..states.len()).collect();
     order.sort_by_key(|&i| {
         let s = &states[i];
         (s.victims.len(), std::cmp::Reverse(s.cut.count()))
     });
-    Enumerated { states, order }
+    Enumerated {
+        states,
+        candidates,
+        cut_of,
+        order,
+    }
 }
 
 fn materialize(a: &Analysis, e: &Enumerated) -> Materialized {
@@ -490,7 +523,7 @@ struct ReplayCaches {
 fn legal_states(
     a: &Analysis,
     factory: &StackFactory,
-    state: &CrashState,
+    (pfs_candidates, h5_candidates): &Candidates,
     caches: &mut ReplayCaches,
 ) -> LegalStates {
     let ReplayCaches {
@@ -499,11 +532,11 @@ fn legal_states(
         pfs_sets,
         h5_sets,
     } = caches;
-    let legal_views = pfs.get_or(pfs_candidates(a, state), |candidates| {
+    let legal_views = pfs.get_or(pfs_candidates.clone(), |candidates| {
         Arc::new(legal_pfs_views(a, factory, candidates, pfs_sets))
     });
-    let legal_h5 = match h5_candidates(a, state) {
-        Some(candidates) => h5.get_or(candidates, |candidates| {
+    let legal_h5 = match h5_candidates {
+        Some(candidates) => h5.get_or(candidates.clone(), |candidates| {
             Arc::new(legal_h5_logicals(a, factory, candidates, h5_sets))
         }),
         None => Arc::default(),
@@ -541,7 +574,8 @@ fn legal_and_verdicts(
     let verdicts = pc_rt::pool::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for &idx in &e.order {
-            let got = caught(|| legal_states(a, factory, &e.states[idx], &mut caches));
+            let candidates = &e.candidates[e.cut_of[idx]];
+            let got = caught(|| legal_states(a, factory, candidates, &mut caches));
             let slot = &legal[idx];
             let _ = slot.set(got);
             let shared_views = &shared_views;
@@ -557,9 +591,13 @@ fn legal_and_verdicts(
             ));
         }
         let mut out: Vec<Option<Result<Verdict, String>>> = (0..n).map(|_| None).collect();
+        // The producer is done; what is left of the stage is waiting
+        // for the verdict tasks still queued or running.
+        let join_wait = pc_rt::obs::span_cat("check.join_wait", "check");
         for (idx, handle) in handles {
             out[idx] = Some(handle.join());
         }
+        drop(join_wait);
         out.into_iter()
             .map(|r| r.expect("order is a permutation of all states"))
             .collect()
@@ -587,7 +625,6 @@ fn legal_and_verdicts(
 /// aggregate or classify the inconsistent ones.
 fn prune_and_classify(a: &Analysis, e: &Enumerated, v: &Verdicts) -> Classified {
     let _stage = pc_rt::obs::span_cat("check.prune", "check");
-    let rec = &a.stack.rec;
     let mut c = Classified::default();
     let mut pruner = Pruner::new();
     fn diagnose(c: &mut Classified, line: String) {
@@ -595,7 +632,7 @@ fn prune_and_classify(a: &Analysis, e: &Enumerated, v: &Verdicts) -> Classified 
         c.diagnostics.push(line);
     }
     for &idx in &e.order {
-        if a.cfg.mode.prunes() && pruner.redundant(rec, &a.topo, &a.pa, &e.states[idx]) {
+        if a.cfg.mode.prunes() && pruner.redundant(&a.sigs, &a.pa, &e.states[idx]) {
             c.pruned += 1;
             continue;
         }
@@ -650,17 +687,17 @@ fn aggregate_or_classify(
     bugs: &mut Bugs,
     pruner: &mut Pruner,
 ) {
-    let (stack, rec, topo, pa) = (a.stack, &a.stack.rec, &a.topo, &a.pa);
+    let (stack, rec, topo, sigs, pa) = (a.stack, &a.stack.rec, &a.topo, &a.sigs, &a.pa);
     let state = &e.states[state_index];
     let mut reported = Pruner::new();
     for (sig, _) in bugs.keys() {
         reported.learn(sig);
     }
-    if reported.redundant(rec, topo, pa, state) {
+    if reported.redundant(sigs, pa, state) {
         for ((sig, _), (bug, _)) in bugs.iter_mut() {
             let mut single = Pruner::new();
             single.learn(sig);
-            if single.redundant(rec, topo, pa, state) {
+            if single.redundant(sigs, pa, state) {
                 bug.occurrences += 1;
                 break;
             }
@@ -672,7 +709,7 @@ fn aggregate_or_classify(
     };
     let signature = {
         let _s = pc_rt::obs::span_cat("check.classify", "check");
-        classify(rec, topo, pa, state, &mut oracle)
+        classify(rec, sigs, pa, state, &mut oracle)
     };
     if a.cfg.mode.prunes() {
         pruner.learn(&signature);
@@ -713,15 +750,15 @@ fn recovered_view(stack: &Stack, persisted: &BitSet) -> PfsView {
     recover_and_mount(stack.pfs.as_ref(), &mut states).1
 }
 
-/// PFS-layer calls a crash state's cut may have preserved.
-fn pfs_candidates(a: &Analysis, state: &CrashState) -> Vec<EventId> {
+/// PFS-layer calls a cut may have preserved.
+fn pfs_candidates(a: &Analysis, cut: &BitSet) -> Vec<EventId> {
     let rec = &a.stack.rec;
-    layer_candidates(rec, &a.graph, Layer::PfsClient, &a.pfs_ops, &state.cut)
+    layer_candidates(rec, &a.graph, Layer::PfsClient, &a.pfs_ops, cut)
 }
 
-/// I/O-library calls a crash state's cut may have preserved (`None`
-/// for programs that do not use the library).
-fn h5_candidates(a: &Analysis, state: &CrashState) -> Option<Vec<EventId>> {
+/// I/O-library calls a cut may have preserved (`None` for programs that
+/// do not use the library).
+fn h5_candidates(a: &Analysis, cut: &BitSet) -> Option<Vec<EventId>> {
     a.stack.h5_path.as_ref()?;
     let rec = &a.stack.rec;
     Some(layer_candidates(
@@ -729,7 +766,7 @@ fn h5_candidates(a: &Analysis, state: &CrashState) -> Option<Vec<EventId>> {
         &a.graph,
         Layer::IoLib,
         &a.h5_ops,
-        &state.cut,
+        cut,
     ))
 }
 
@@ -816,7 +853,7 @@ fn cost(a: &Analysis, e: &Enumerated, c: &Classified) -> (f64, usize) {
     let fingerprints: Vec<Vec<u64>> = e
         .states
         .iter()
-        .map(|s| server_fingerprints(&a.stack.rec, n_servers, s))
+        .map(|s| server_fingerprints(&a.pa, n_servers, s))
         .collect();
     let model = CostModel::for_restart(a.stack.pfs.restart_cost_secs());
     let incremental = a.cfg.mode.incremental();
@@ -863,6 +900,7 @@ fn explain(a: &Analysis, e: &Enumerated, v: &Verdicts, c: &Classified) -> Vec<Bu
             graph: &a.graph,
             pa: &a.pa,
             topo: &a.topo,
+            sigs: &a.sigs,
             legal_views: &legal.0,
             fails: &|view| violated_model(a, view, legal).is_some(),
         };
@@ -924,7 +962,7 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
     let mut out = outcome(&a, &e, &v, c, cost, m.rep_digests);
     out.explanations = explanations;
     out.stats.wall_seconds = started.elapsed().as_secs_f64();
-    publish(&out, v.replays, check_span, &tl_mark);
+    publish(&out, v.replays, a.pa.closures_taken(), check_span, &tl_mark);
     out
 }
 
@@ -933,6 +971,7 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
 fn publish(
     out: &CheckOutcome,
     (replays_executed, replays_shared): (usize, usize),
+    closures: u64,
     check_span: pc_rt::obs::Span,
     tl_mark: &pc_rt::obs::Mark,
 ) {
@@ -945,6 +984,7 @@ fn publish(
     pc_rt::obs::count("cache.h5.evictions", stats.h5_cache.evictions as u64);
     pc_rt::obs::count("replay.executed", replays_executed as u64);
     pc_rt::obs::count("replay.shared", replays_shared as u64);
+    pc_rt::obs::count("persist.closures", closures);
     pc_rt::obs::count("check.states_checked", stats.states_checked as u64);
     pc_rt::obs::count("check.states_pruned", stats.states_pruned as u64);
     drop(check_span);
@@ -1002,10 +1042,11 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
         // Cap 0 never stores: every preserved set of every state is
         // replayed afresh, whatever `cfg.replay_cache_cap` says.
         let legal = caught(|| -> LegalStates {
-            let candidates = pfs_candidates(&a, state);
-            let views = legal_pfs_views(&a, factory, &candidates, &mut ReplayCache::with_cap(0));
-            let h5 = h5_candidates(&a, state)
-                .map(|c| legal_h5_logicals(&a, factory, &c, &mut ReplayCache::with_cap(0)));
+            let (pfs, h5) = &e.candidates[e.cut_of[i]];
+            let views = legal_pfs_views(&a, factory, pfs, &mut ReplayCache::with_cap(0));
+            let h5 = h5
+                .as_ref()
+                .map(|c| legal_h5_logicals(&a, factory, c, &mut ReplayCache::with_cap(0)));
             (Arc::new(views), Arc::new(h5.unwrap_or_default()))
         });
         let verdict = match &legal {

@@ -23,9 +23,8 @@
 
 use crate::emulate::CrashState;
 use crate::persist::PersistAnalysis;
-use crate::report;
+use crate::report::OpSigs;
 use simfs::FsOp;
-use simnet::ClusterTopology;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use tracer::{BitSet, EventId, Payload, Recorder};
@@ -117,7 +116,7 @@ pub(crate) fn extended_universe(
 /// probed once.
 pub fn classify(
     rec: &Recorder,
-    topo: &ClusterTopology,
+    sigs: &OpSigs,
     pa: &PersistAnalysis,
     state: &CrashState,
     oracle: &mut dyn FnMut(&BitSet) -> bool,
@@ -135,10 +134,16 @@ pub fn classify(
         ok
     };
 
-    let drop = |victims: &[EventId]| -> BitSet {
+    // A victim's closure does not depend on what it is dropped with:
+    // taken once per victim within this call.
+    let mut closures: HashMap<EventId, BitSet> = HashMap::new();
+    let mut drop = |victims: &[EventId]| -> BitSet {
         let mut p = universe.clone();
         for &v in victims {
-            p.subtract(&pa.depends_on(v, &universe));
+            let closure = closures
+                .entry(v)
+                .or_insert_with(|| pa.depends_on(v, &universe));
+            p.subtract(closure);
         }
         p
     };
@@ -155,14 +160,7 @@ pub fn classify(
         .filter(|&u| state.persisted.contains(u))
         .collect();
 
-    // One signature per event of the probe universe, not two per pair.
-    let sigs: HashMap<EventId, String> = pa
-        .updates()
-        .iter()
-        .filter(|&&u| universe.contains(u) || state.persisted.contains(u))
-        .map(|&u| (u, report::op_sig(rec, topo, u)))
-        .collect();
-    let sig = |e: EventId| sigs[&e].clone();
+    let sig = |e: EventId| sigs.get(e).to_string();
     // Attribute-update events are auxiliary; they never anchor a pair.
     let meaningful = |e: EventId| {
         !matches!(
@@ -184,7 +182,7 @@ pub fn classify(
             // that survives the cheap filters, probed once.
             let mut without_a: Option<BitSet> = None;
             for &b in persisted.iter().rev() {
-                if pa.persists_before(a, b) || sigs[&a] == sigs[&b] || !meaningful(b) {
+                if pa.persists_before(a, b) || sigs.get(a) == sigs.get(b) || !meaningful(b) {
                     continue;
                 }
                 let s_a0_b1 = without_a.get_or_insert_with(|| drop(&[a]));
@@ -245,12 +243,12 @@ pub fn classify(
         let partner = persisted
             .iter()
             .copied()
-            .find(|&b| b > a && meaningful(b) && sig(b) != sig(a))
+            .find(|&b| b > a && meaningful(b) && sigs.get(b) != sigs.get(a))
             .or_else(|| {
                 persisted
                     .iter()
                     .copied()
-                    .find(|&b| b > a && sig(b) != sig(a))
+                    .find(|&b| b > a && sigs.get(b) != sigs.get(a))
             });
         if let Some(b) = partner {
             return BugSignature {
@@ -300,7 +298,9 @@ pub fn classify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report;
     use simfs::JournalMode;
+    use simnet::ClusterTopology;
     use tracer::{CausalityGraph, Layer, Process};
 
     /// Synthetic two-op trace: storage append then metadata rename,
@@ -377,7 +377,8 @@ mod tests {
         #[allow(clippy::nonminimal_bool)] // "not (b without a)" reads as intended
         let mut oracle = |p: &BitSet| !(p.contains(b) && !p.contains(a));
         let state = state_for(&rec, &pa, &[b]);
-        let sig = classify(&rec, &topo, &pa, &state, &mut oracle);
+        let sigs = OpSigs::build(&rec, &topo, pa.updates());
+        let sig = classify(&rec, &sigs, &pa, &state, &mut oracle);
         assert_eq!(sig.kind, BugKind::Reordering);
         assert_eq!(sig.members[0], "append(file chunk)@storage");
         assert_eq!(sig.members[1], "rename(d_entry)@metadata");
@@ -396,7 +397,8 @@ mod tests {
         // Oracle: broken whenever exactly one of {a, b} persisted.
         let mut oracle = |p: &BitSet| p.contains(a) == p.contains(b);
         let state = state_for(&rec, &pa, &[b]);
-        let sig = classify(&rec, &topo, &pa, &state, &mut oracle);
+        let sigs = OpSigs::build(&rec, &topo, pa.updates());
+        let sig = classify(&rec, &sigs, &pa, &state, &mut oracle);
         assert_eq!(sig.kind, BugKind::Atomicity);
         assert_eq!(sig.members.len(), 2);
         assert!(sig.to_string().starts_with('['));
@@ -457,7 +459,8 @@ mod tests {
         // table write.
         #[allow(clippy::nonminimal_bool)] // "not (first without second)" reads as intended
         let mut oracle = |p: &BitSet| !(p.contains(first) && !p.contains(second));
-        let sig = classify(&rec, &topo, &pa, &state, &mut oracle);
+        let sigs = OpSigs::build(&rec, &topo, pa.updates());
+        let sig = classify(&rec, &sigs, &pa, &state, &mut oracle);
         assert_eq!(sig.kind, BugKind::Reordering);
         assert_eq!(sig.members[0], "write(symbol table node)");
         assert_eq!(sig.members[1], "write(local heap)");
@@ -604,6 +607,7 @@ mod tests {
         let topo = ClusterTopology::dedicated(2, 2, 1);
         let g = CausalityGraph::build(&rec);
         let pa = PersistAnalysis::build(&rec, &g, |_| Some(JournalMode::Data));
+        let sigs = OpSigs::build(&rec, &topo, pa.updates());
         let state = state_for(&rec, &pa, &namespace);
         let universe = extended_universe(&rec, &pa, &state);
         let (a0, b0) = (appends[0], namespace[0]);
@@ -624,7 +628,7 @@ mod tests {
         ];
         for (name, pure) in &oracles {
             let mut probes: Vec<BitSet> = Vec::new();
-            let sig = classify(&rec, &topo, &pa, &state, &mut |p| {
+            let sig = classify(&rec, &sigs, &pa, &state, &mut |p| {
                 probes.push(p.clone());
                 pure(p)
             });

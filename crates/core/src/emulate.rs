@@ -9,6 +9,7 @@
 //! a sync operation inside the cut are pinned and cannot be victims.
 
 use crate::persist::PersistAnalysis;
+use std::collections::HashSet;
 use tracer::{BitSet, CausalityGraph, EventId, Recorder};
 
 /// One crash state: which lowermost updates reached persistent storage.
@@ -31,14 +32,6 @@ impl CrashState {
             .filter(|&u| self.cut.contains(u) && !self.persisted.contains(u))
             .collect()
     }
-
-    /// Stable key for deduplication.
-    pub fn key(&self) -> Vec<u64> {
-        let mut k: Vec<u64> = self.persisted.iter().map(|i| i as u64).collect();
-        k.push(u64::MAX); // separator: distinguish cut-boundary effects
-        k.extend(self.cut.iter().map(|i| i as u64));
-        k
-    }
 }
 
 /// Victim-selection filter used by the pruning modes (§5.3). Returns
@@ -51,6 +44,14 @@ pub type VictimFilter<'f> = dyn Fn(EventId) -> bool + 'f;
 /// values exposed no new bugs, which our tests assert). `victim_filter`
 /// lets the semantic pruning skip victim candidates (e.g. dataset data
 /// chunks).
+///
+/// Per cut, each victim's dependency closure is taken once and a state
+/// is the cut's updates minus its victims' closures. A victim whose
+/// closure includes a pinned update is contradictory — the pinned update
+/// is durable, so that crash cannot happen. No accepted closure holds a
+/// pinned update, so the pinned updates all stay persisted whatever was
+/// dropped before, and whether a victim is contradictory does not depend
+/// on the victims chosen with it: it leaves the cut's candidates once.
 pub fn crash_states(
     rec: &Recorder,
     graph: &CausalityGraph,
@@ -59,71 +60,71 @@ pub fn crash_states(
     victim_filter: Option<&VictimFilter>,
 ) -> Vec<CrashState> {
     assert!(k <= 3, "victim counts beyond 3 are not supported");
-    let lowermost = rec.lowermost_events();
-    let cuts = graph.consistent_cuts(&lowermost);
+    let n = rec.len();
+    let cuts = graph.consistent_cuts(&rec.lowermost_events());
+    let update_set = BitSet::from_iter(n, pa.updates().iter().copied());
     let mut out: Vec<CrashState> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    // Cuts are distinct, so two states can only coincide within one cut:
+    // there they are the same state iff the same updates persisted.
+    let mut seen: HashSet<BitSet> = HashSet::new();
+    // `closures[i]` is the closure of `victims[i]`; the sets are reused
+    // from cut to cut.
+    let mut victims: Vec<EventId> = Vec::new();
+    let mut closures: Vec<BitSet> = Vec::new();
 
     for cut in cuts {
-        // Updates available as victims in this cut.
-        let cut_updates: Vec<EventId> = pa
-            .updates()
-            .iter()
-            .copied()
-            .filter(|&u| cut.contains(u))
-            .collect();
-        let universe = BitSet::from_iter(rec.len(), cut_updates.iter().copied());
-        let candidates: Vec<EventId> = cut_updates
-            .iter()
-            .copied()
-            .filter(|&u| !pa.pinned(rec, graph, u, &cut))
-            .filter(|&u| victim_filter.map(|f| f(u)).unwrap_or(true))
-            .collect();
-
-        // n = 0 (the normal state itself) … k victims.
-        let mut push = |victims: Vec<EventId>, out: &mut Vec<CrashState>| {
-            let mut persisted = universe.clone();
-            for &v in &victims {
-                let deps = pa.depends_on(v, &universe);
-                // A victim whose dependency closure includes a pinned
-                // update is contradictory: the pinned update is durable,
-                // so this crash cannot happen.
-                if deps
-                    .iter()
-                    .any(|d| d != v && pa.pinned(rec, graph, d, &cut) && persisted.contains(d))
-                {
-                    return;
-                }
-                persisted.subtract(&deps);
-            }
-            let state = CrashState {
-                cut: cut.clone(),
-                victims,
-                persisted,
-            };
-            if seen.insert(state.key()) {
-                out.push(state);
-            }
-        };
-
-        push(Vec::new(), &mut out);
+        let mut universe = cut.clone();
+        universe.intersect_with(&update_set);
+        let pinned = BitSet::from_iter(n, universe.iter().filter(|&u| pa.pinned(u, &cut)));
+        victims.clear();
         if k >= 1 {
-            for &v in &candidates {
-                push(vec![v], &mut out);
+            for u in universe.iter() {
+                if pinned.contains(u) || !victim_filter.is_none_or(|f| f(u)) {
+                    continue;
+                }
+                if closures.len() == victims.len() {
+                    closures.push(BitSet::new(n));
+                }
+                let deps = &mut closures[victims.len()];
+                pa.depends_on_into(u, &universe, deps);
+                if !deps.intersects(&pinned) {
+                    victims.push(u);
+                }
             }
         }
+
+        seen.clear();
+        // n = 0 (the normal state itself) … k victims.
+        let mut push = |chosen: &[usize]| {
+            let mut persisted = universe.clone();
+            for &i in chosen {
+                persisted.subtract(&closures[i]);
+            }
+            if seen.insert(persisted.clone()) {
+                out.push(CrashState {
+                    cut: cut.clone(),
+                    victims: chosen.iter().map(|&i| victims[i]).collect(),
+                    persisted,
+                });
+            }
+        };
+        let m = victims.len();
+        push(&[]);
+        for v1 in 0..m {
+            push(&[v1]);
+        }
         if k >= 2 {
-            for (i, &v1) in candidates.iter().enumerate() {
-                for &v2 in &candidates[i + 1..] {
-                    push(vec![v1, v2], &mut out);
+            for v1 in 0..m {
+                for v2 in v1 + 1..m {
+                    push(&[v1, v2]);
                 }
             }
         }
         if k >= 3 {
-            for (i, &v1) in candidates.iter().enumerate() {
-                for (j, &v2) in candidates.iter().enumerate().skip(i + 1) {
-                    for &v3 in &candidates[j + 1..] {
-                        push(vec![v1, v2, v3], &mut out);
+            for v1 in 0..m {
+                for v2 in v1 + 1..m {
+                    for v3 in v2 + 1..m {
+                        push(&[v1, v2, v3]);
                     }
                 }
             }
@@ -303,8 +304,9 @@ mod tests {
         let k1 = crash_states(&rec, &g, &pa, 1, None);
         let k2 = crash_states(&rec, &g, &pa, 2, None);
         assert!(k2.len() >= k1.len());
-        let keys1: std::collections::HashSet<_> = k1.iter().map(|s| s.key()).collect();
-        let keys2: std::collections::HashSet<_> = k2.iter().map(|s| s.key()).collect();
+        let key = |s: &CrashState| (s.persisted.clone(), s.cut.clone());
+        let keys1: HashSet<_> = k1.iter().map(key).collect();
+        let keys2: HashSet<_> = k2.iter().map(key).collect();
         assert!(keys1.is_subset(&keys2));
     }
 }

@@ -36,7 +36,7 @@ use crate::classify::{extended_universe, BugSignature};
 use crate::emulate::CrashState;
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
-use crate::report::{op_detail, op_sig};
+use crate::report::{op_detail, OpSigs};
 use crate::snapshot::prepare_states;
 use crate::stack::Stack;
 use h5sim::json::Json;
@@ -199,6 +199,7 @@ pub(crate) struct ExplainCtx<'a> {
     pub graph: &'a CausalityGraph,
     pub pa: &'a PersistAnalysis,
     pub topo: &'a ClusterTopology,
+    pub sigs: &'a OpSigs,
     pub legal_views: &'a [std::sync::Arc<PfsView>],
     /// The same consistency oracle the classifier probes with, inverted:
     /// `true` if a recovered view fails the golden-master comparison at
@@ -257,7 +258,7 @@ pub(crate) fn explain_bug(
         .map(|&e| ExplainOp {
             event: e,
             label: op_detail(rec, ctx.topo, e),
-            sig: op_sig(rec, ctx.topo, e),
+            sig: ctx.sigs.get(e).to_string(),
             clock: clocks[e].components().to_vec(),
         })
         .collect();
@@ -396,7 +397,6 @@ fn violated_edges(
     persisted: &BitSet,
     signature: &BugSignature,
 ) -> Vec<GraphEdge> {
-    let rec = &ctx.stack.rec;
     let mut out: Vec<GraphEdge> = Vec::new();
     for &a in minimal {
         for b in persisted.iter() {
@@ -411,13 +411,13 @@ fn violated_edges(
     }
     if out.is_empty() {
         for &a in minimal {
-            let sa = op_sig(rec, ctx.topo, a);
-            if !signature.members.contains(&sa) {
+            let sa = ctx.sigs.get(a);
+            if !signature.members.iter().any(|m| m == sa) {
                 continue;
             }
             for b in persisted.iter() {
-                let sb = op_sig(rec, ctx.topo, b);
-                if signature.members.contains(&sb) && sb != sa {
+                let sb = ctx.sigs.get(b);
+                if signature.members.iter().any(|m| m == sb) && sb != sa {
                     out.push(GraphEdge {
                         from: a,
                         to: b,
@@ -429,9 +429,9 @@ fn violated_edges(
     }
     // Deterministic order, edges matching the signature pair first.
     let matches_sig = |e: &GraphEdge| {
-        let sa = op_sig(rec, ctx.topo, e.from);
-        let sb = op_sig(rec, ctx.topo, e.to);
-        !(signature.members.first() == Some(&sa) && signature.members.get(1) == Some(&sb))
+        let (sa, sb) = (ctx.sigs.get(e.from), ctx.sigs.get(e.to));
+        let member = |i: usize| signature.members.get(i).map(String::as_str);
+        !(member(0) == Some(sa) && member(1) == Some(sb))
     };
     out.sort_by_key(|e| (matches_sig(e), e.from, e.to));
     out.dedup();
@@ -479,7 +479,7 @@ fn build_graph(
         .map(|&e| GraphNode {
             event: e,
             label: op_detail(rec, ctx.topo, e),
-            sig: op_sig(rec, ctx.topo, e),
+            sig: ctx.sigs.get(e).to_string(),
             clock: clocks[e].components().to_vec(),
             persisted: persisted.contains(e),
             minimal: minimal.contains(&e),

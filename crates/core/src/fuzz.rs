@@ -111,7 +111,14 @@ pub fn sample_indices(n: usize, k: usize, seed: u64) -> Vec<usize> {
 /// classes. (Not `DefaultHasher`, whose algorithm is unspecified across
 /// toolchains — corpus digests must never move under a compiler bump.)
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET_BASIS, bytes)
+}
+
+/// The FNV-1a digest of no bytes.
+pub(crate) const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the running FNV-1a digest `h`.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

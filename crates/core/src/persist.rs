@@ -15,10 +15,20 @@
 //!   after `a` and before `b` makes `a` durable first (the `else`
 //!   branch of Algorithm 2).
 //!
-//! The full matrix is memoized (the paper decorates the function with
-//! `@lru_cache`); traces are small so we precompute it densely.
+//! The paper memoises the function (`@lru_cache`) because Algorithm 1
+//! asks it the same question for every (cut, victim) pair. Here
+//! everything that is a function of the trace alone is a table built
+//! once, in `check_stack`'s first stage: the relation as a bit matrix
+//! (one row per update, one bit per event) behind a dense event-id → row
+//! index, so [`PersistAnalysis::persists_before`] is one load and one bit
+//! test; each update's committing syncs as a list, so
+//! [`PersistAnalysis::pinned`] is a bit test of the cut per such sync;
+//! each update's server. Algorithm 1's per-(cut, victim) question —
+//! [`PersistAnalysis::depends_on`] — is then word-parallel algebra over
+//! those rows.
 
 use simfs::{journal, BlockOp, FsOp, JournalMode};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tracer::{BitSet, CausalityGraph, EventId, Payload, Recorder};
 
 /// Which server and operation family a lowermost event belongs to.
@@ -28,16 +38,37 @@ enum OpSite {
     Block(u32),
 }
 
+impl OpSite {
+    fn server(self) -> u32 {
+        match self {
+            OpSite::Fs(s) | OpSite::Block(s) => s,
+        }
+    }
+}
+
+/// `row_of` entry of an event that is not a storage update.
+const NO_ROW: u32 = u32::MAX;
+
 /// Precomputed persists-before relation over a trace.
 pub struct PersistAnalysis {
     /// Lowermost *update* events (the replayable ops of Algorithm 1).
     updates: Vec<EventId>,
     /// Lowermost sync events.
     syncs: Vec<EventId>,
-    /// Dense relation rows: `before[i]` = set of update events that
-    /// event `updates[i]` persists before.
+    /// Event id → index into `updates` and the per-update tables below
+    /// (`NO_ROW` for every other event).
+    row_of: Vec<u32>,
+    /// Relation rows: `before[i]` = the updates `updates[i]` persists
+    /// before.
     before: Vec<BitSet>,
+    /// `committing[i]` = the sync events that commit `updates[i]` and
+    /// happen after it (a handful per update: a list, not a row).
+    committing: Vec<Vec<EventId>>,
+    /// `servers[i]` = the server `updates[i]` executed on.
+    servers: Vec<u32>,
     n_events: usize,
+    /// Closures taken (`persist.closures` in the telemetry summary).
+    closures: AtomicU64,
 }
 
 impl PersistAnalysis {
@@ -61,22 +92,59 @@ impl PersistAnalysis {
             .map(|e| e.id)
             .collect();
         let n = rec.len();
-        let mut before: Vec<BitSet> = updates.iter().map(|_| BitSet::new(n)).collect();
-        for (i, &a) in updates.iter().enumerate() {
-            for &b in &updates {
-                if a == b {
-                    continue;
-                }
-                if Self::pb(rec, graph, &syncs, &journal_of, a, b) {
-                    before[i].insert(b);
-                }
-            }
+        let mut row_of = vec![NO_ROW; n];
+        for (i, &u) in updates.iter().enumerate() {
+            row_of[u] = u32::try_from(i).expect("fewer than 2^32 updates");
         }
+        let update_set = BitSet::from_iter(n, updates.iter().copied());
+        let sites: Vec<OpSite> = updates.iter().map(|&u| Self::site(rec, u)).collect();
+        let committing: Vec<Vec<EventId>> = updates
+            .iter()
+            .map(|&a| {
+                let commits_a =
+                    |s: &EventId| Self::commits(rec, a, *s) && graph.happens_before(a, *s);
+                syncs.iter().copied().filter(commits_a).collect()
+            })
+            .collect();
+        let before: Vec<BitSet> = updates
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                // Commit rule (works across servers): a → sync(a) → b.
+                let mut row = BitSet::new(n);
+                for &s in &committing[i] {
+                    row.union_with(graph.reachable(s));
+                }
+                row.intersect_with(&update_set);
+                // Same-file-system rule. Block writes on one device are
+                // unordered without a barrier, which the commit rule
+                // already covered.
+                if let OpSite::Fs(server) = sites[i] {
+                    let mode = journal_of(server).unwrap_or(JournalMode::Data);
+                    let op_a = Self::fs_op(rec, a).expect("an Fs site holds an Fs op");
+                    for (j, &b) in updates.iter().enumerate() {
+                        if sites[j] != sites[i] {
+                            continue;
+                        }
+                        let op_b = Self::fs_op(rec, b).expect("an Fs site holds an Fs op");
+                        let hb = graph.happens_before(a, b);
+                        if journal::same_fs_persists_before(mode, op_a, op_b, hb) {
+                            row.insert(b);
+                        }
+                    }
+                }
+                row
+            })
+            .collect();
         PersistAnalysis {
+            servers: sites.iter().map(|s| s.server()).collect(),
             updates,
             syncs,
+            row_of,
             before,
+            committing,
             n_events: n,
+            closures: AtomicU64::new(0),
         }
     }
 
@@ -124,34 +192,6 @@ impl PersistAnalysis {
         }
     }
 
-    fn pb(
-        rec: &Recorder,
-        graph: &CausalityGraph,
-        syncs: &[EventId],
-        journal_of: &impl Fn(u32) -> Option<JournalMode>,
-        a: EventId,
-        b: EventId,
-    ) -> bool {
-        // Commit rule (works across servers): a → sync(a) → b.
-        let committed = syncs.iter().any(|&s| {
-            Self::commits(rec, a, s) && graph.happens_before(a, s) && graph.happens_before(s, b)
-        });
-        if committed {
-            return true;
-        }
-        // Same-site rules.
-        match (Self::site(rec, a), Self::site(rec, b)) {
-            (OpSite::Fs(sa), OpSite::Fs(sb)) if sa == sb => {
-                let mode = journal_of(sa).unwrap_or(JournalMode::Data);
-                let (oa, ob) = (Self::fs_op(rec, a).unwrap(), Self::fs_op(rec, b).unwrap());
-                journal::same_fs_persists_before(mode, oa, ob, graph.happens_before(a, b))
-            }
-            // Block writes on one device are unordered without a barrier
-            // (the commit rule above already handled barriers).
-            _ => false,
-        }
-    }
-
     /// The lowermost update events, in trace order.
     pub fn updates(&self) -> &[EventId] {
         &self.updates
@@ -162,13 +202,22 @@ impl PersistAnalysis {
         &self.syncs
     }
 
+    /// Index of update `e` in the per-update tables.
+    fn row(&self, e: EventId) -> Option<usize> {
+        match self.row_of.get(e) {
+            Some(&r) if r != NO_ROW => Some(r as usize),
+            _ => None,
+        }
+    }
+
+    /// The server update `e` executed on (`None` for any other event).
+    pub fn server_of(&self, e: EventId) -> Option<u32> {
+        self.row(e).map(|r| self.servers[r])
+    }
+
     /// `true` iff update `a` is guaranteed durable no later than `b`.
     pub fn persists_before(&self, a: EventId, b: EventId) -> bool {
-        self.updates
-            .iter()
-            .position(|&u| u == a)
-            .map(|i| self.before[i].contains(b))
-            .unwrap_or(false)
+        self.row(a).is_some_and(|r| self.before[r].contains(b))
     }
 
     /// Algorithm 1's `depends_on`: every update that cannot be persisted
@@ -176,27 +225,42 @@ impl PersistAnalysis {
     /// within `universe`. Includes the victim.
     pub fn depends_on(&self, victim: EventId, universe: &BitSet) -> BitSet {
         let mut deps = BitSet::new(self.n_events);
-        deps.insert(victim);
-        // Events are id-ordered and persists-before implies
-        // happens-before implies id order, so one ascending pass closes
-        // the set.
-        for &op in &self.updates {
-            if op == victim || !universe.contains(op) {
-                continue;
-            }
-            if deps.iter().any(|d| self.persists_before(d, op)) {
-                deps.insert(op);
-            }
-        }
+        self.depends_on_into(victim, universe, &mut deps);
         deps
+    }
+
+    /// [`PersistAnalysis::depends_on`] into a caller-owned set (cleared
+    /// first), so taking many closures allocates nothing.
+    ///
+    /// Persists-before implies happens-before implies id order (events
+    /// are recorded chronologically and every causal edge goes forward),
+    /// so a member's row only holds later events: one ascending pass
+    /// over the growing set closes it, each member ORing `row ∩ universe`
+    /// into the words from its own on. `O(|closure| · n / 64)` word
+    /// operations for `n` trace events.
+    pub fn depends_on_into(&self, victim: EventId, universe: &BitSet, deps: &mut BitSet) {
+        self.closures.fetch_add(1, Ordering::Relaxed);
+        deps.clear();
+        deps.insert(victim);
+        let mut member = Some(victim);
+        while let Some(m) = member {
+            if let Some(r) = self.row(m) {
+                deps.union_with_intersection_from(&self.before[r], universe, m);
+            }
+            member = deps.next_after(m);
+        }
+    }
+
+    /// Closures taken since the analysis was built.
+    pub fn closures_taken(&self) -> u64 {
+        self.closures.load(Ordering::Relaxed)
     }
 
     /// Is `v` pinned durable within `cut` — i.e. does some sync event in
     /// the cut commit it? Pinned updates cannot be crash victims.
-    pub fn pinned(&self, rec: &Recorder, graph: &CausalityGraph, v: EventId, cut: &BitSet) -> bool {
-        self.syncs
-            .iter()
-            .any(|&s| cut.contains(s) && Self::commits(rec, v, s) && graph.happens_before(v, s))
+    pub fn pinned(&self, v: EventId, cut: &BitSet) -> bool {
+        self.row(v)
+            .is_some_and(|r| self.committing[r].iter().any(|&s| cut.contains(s)))
     }
 }
 
@@ -262,6 +326,10 @@ mod tests {
         assert!(g.happens_before(a, b) || g.concurrent(a, b));
         assert!(!pa.persists_before(a, b));
         assert!(!pa.persists_before(b, a));
+        assert_eq!(
+            [pa.server_of(a), pa.server_of(b), pa.server_of(calls[0])],
+            [Some(0), Some(1), None]
+        );
     }
 
     #[test]
@@ -307,9 +375,9 @@ mod tests {
         for e in [a, s, b] {
             cut.insert(e);
         }
-        assert!(pa.pinned(&rec, &g, a, &cut));
+        assert!(pa.pinned(a, &cut));
         cut.remove(s);
-        assert!(!pa.pinned(&rec, &g, a, &cut));
+        assert!(!pa.pinned(a, &cut));
     }
 
     #[test]

@@ -77,6 +77,32 @@ pub fn op_sig(rec: &Recorder, topo: &ClusterTopology, e: EventId) -> String {
     }
 }
 
+/// [`op_sig`] of every storage update of a trace, rendered once per
+/// check: the pruner, the classifier and the witness renderer compare
+/// the same few signatures for every crash state.
+pub struct OpSigs {
+    /// Indexed by event id; empty for events that are not updates.
+    by_event: Vec<String>,
+}
+
+impl OpSigs {
+    /// Render the signature of each of `updates`.
+    pub fn build(rec: &Recorder, topo: &ClusterTopology, updates: &[EventId]) -> Self {
+        let mut by_event = vec![String::new(); rec.len()];
+        for &u in updates {
+            by_event[u] = op_sig(rec, topo, u);
+        }
+        OpSigs { by_event }
+    }
+
+    /// The signature of update `e`.
+    pub fn get(&self, e: EventId) -> &str {
+        let sig = &self.by_event[e];
+        debug_assert!(!sig.is_empty(), "event {e} is not a storage update");
+        sig
+    }
+}
+
 /// A fully-described event for bug reports (includes the concrete path /
 /// LBA and server id, like the paper's `append(file chunk of tmp)@storage`).
 pub fn op_detail(rec: &Recorder, topo: &ClusterTopology, e: EventId) -> String {

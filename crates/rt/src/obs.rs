@@ -717,8 +717,8 @@ pub fn mark() -> Mark {
 /// Render the human-readable summary table of everything recorded since
 /// `mark`: per-span-name call counts and timings, counter deltas, gauges,
 /// histograms, plus derived lines — a hit rate for every `X.hits` /
-/// `X.misses` counter pair and pool utilization when the pool gauges are
-/// present.
+/// `X.misses` counter pair, the verdict stage's join wait, and pool
+/// utilization when the pool gauges are present.
 pub fn render_summary(mark: &Mark, title: &str) -> String {
     use std::fmt::Write as _;
     let reg = REGISTRY.lock().unwrap();
@@ -870,17 +870,34 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
         }
     }
 
+    // Derived: how much of the verdict scope its producer spent blocked
+    // in `join` after it had spawned the last task — time in which only
+    // the workers (`PC_THREADS − 1` of them) made progress.
+    let span_total = |name: &str| -> u64 {
+        agg.iter()
+            .filter(|(n, ..)| *n == name)
+            .map(|&(_, _, total, _)| total)
+            .sum()
+    };
+    let (join_wait, verdicts) = (span_total("check.join_wait"), span_total("check.verdicts"));
+    if join_wait > 0 && verdicts > 0 {
+        let _ = writeln!(
+            out,
+            "  {:<34} {:>7.1}%  (producer blocked {} of the {} verdict stage)",
+            "verdict join wait",
+            100.0 * join_wait as f64 / verdicts as f64,
+            fmt_ns(join_wait as f64),
+            fmt_ns(verdicts as f64),
+        );
+    }
+
     // Derived: pool utilization = busy time / (span wall × workers).
     // Under `PC_THREADS=1` the pool takes the inline reference path —
     // work runs on the caller with no worker threads to divide by,
     // so utilization is meaningless there, not 0%.
     let workers = reg.gauges.get("pool.workers").copied().unwrap_or(0);
     if let Some(busy) = get("pool.busy_ns") {
-        let wall: u64 = agg
-            .iter()
-            .filter(|(n, ..)| *n == "pool.scope")
-            .map(|&(_, _, total, _)| total)
-            .sum();
+        let wall = span_total("pool.scope");
         if workers > 1 && wall > 0 {
             let _ = writeln!(
                 out,
@@ -1031,6 +1048,20 @@ mod tests {
             assert!(text.contains("obs.test.cache hit rate"), "{text}");
             assert!(text.contains("75.0%"), "{text}");
             assert!(text.contains("(3 hits / 1 misses / 0 evictions)"), "{text}");
+        });
+    }
+
+    #[test]
+    fn summary_derives_the_verdict_join_wait() {
+        with_telemetry(|| {
+            let m = mark();
+            {
+                let _verdicts = span("check.verdicts");
+                let _wait = span("check.join_wait");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let text = render_summary(&m, "unit");
+            assert!(text.contains("verdict join wait"), "{text}");
         });
     }
 

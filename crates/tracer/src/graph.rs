@@ -4,9 +4,12 @@
 //! (single-threaded clients and servers, as in the paper), (b)
 //! caller–callee links across layers, and (c) explicit sender–receiver /
 //! synchronization edges. `happens_before` is reachability, computed once
-//! as a transitive closure over bitsets — traces are small (tens to a few
-//! hundred events per test program), so the dense closure is both simple
-//! and fast.
+//! as a transitive closure over bitsets: one row of `n` bits per event, so
+//! a query is one bit test and a row is word-parallel set algebra. The
+//! paper's test programs trace a few hundred events; the heavy HDF5 cells
+//! and the 256-server stacks here run to a few thousand, where a row is
+//! tens of words — which is why [`BitSet`]'s iteration and binary
+//! operations work a word at a time, never a bit at a time.
 
 use crate::event::{EventId, Recorder};
 
@@ -51,25 +54,57 @@ impl BitSet {
 
     /// Union-assign.
     pub fn union_with(&mut self, other: &BitSet) {
+        debug_assert_eq!(self.len, other.len);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
     }
 
+    /// `self |= a & b`, over the words from element `from`'s on: the
+    /// step of a closure that only ever grows upwards.
+    pub fn union_with_intersection_from(&mut self, a: &BitSet, b: &BitSet, from: usize) {
+        debug_assert_eq!(self.len, a.len);
+        debug_assert_eq!(self.len, b.len);
+        let w = (from / 64).min(self.words.len());
+        for ((d, a), b) in self.words[w..]
+            .iter_mut()
+            .zip(&a.words[w..])
+            .zip(&b.words[w..])
+        {
+            *d |= a & b;
+        }
+    }
+
     /// Difference-assign.
     pub fn subtract(&mut self, other: &BitSet) {
+        debug_assert_eq!(self.len, other.len);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
         }
     }
 
+    /// Intersection-assign.
+    pub fn intersect_with(&mut self, other: &BitSet) {
+        debug_assert_eq!(self.len, other.len);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= b;
+        }
+    }
+
     /// `true` if `self` and `other` share no element.
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
+        debug_assert_eq!(self.len, other.len);
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+    }
+
+    /// `true` if `self` and `other` share an element.
+    pub fn intersects(&self, other: &BitSet) -> bool {
+        !self.is_disjoint(other)
     }
 
     /// `true` if every element of `self` is in `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
+        debug_assert_eq!(self.len, other.len);
         self.words
             .iter()
             .zip(&other.words)
@@ -81,9 +116,36 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterate over members in ascending order.
+    /// Remove every element.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The smallest member greater than `i`, if any.
+    pub fn next_after(&self, i: usize) -> Option<usize> {
+        let start = i + 1;
+        let mut w = start / 64;
+        let mut word = *self.words.get(w)? & (!0u64 << (start % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.words.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
+    /// Iterate over members in ascending order, a word at a time: empty
+    /// words cost one test, a member one `trailing_zeros`.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| self.contains(i))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 
     /// Build from an iterator of members.
@@ -162,6 +224,11 @@ impl CausalityGraph {
     /// The happens-before partial order: `true` iff `a` precedes `b`.
     pub fn happens_before(&self, a: EventId, b: EventId) -> bool {
         self.reach[a].contains(b)
+    }
+
+    /// Every event `a` happens before (excluding `a`): its closure row.
+    pub fn reachable(&self, a: EventId) -> &BitSet {
+        &self.reach[a]
     }
 
     /// `true` if neither happens before the other.
@@ -373,6 +440,37 @@ mod tests {
         assert_eq!(c.count(), 3);
         c.subtract(&b);
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![5]);
+    }
+
+    /// Mixed capacities used to `zip`-truncate silently: a longer set
+    /// was a "subset" of a shorter one, a union dropped the tail.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic]
+    fn binary_ops_reject_mixed_capacities() {
+        let long = BitSet::from_iter(130, [129]);
+        let _ = long.is_subset(&BitSet::new(64));
+    }
+
+    #[test]
+    fn word_skipping_iteration_and_in_place_algebra() {
+        let a = BitSet::from_iter(200, [0, 63, 64, 127, 128, 199]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), [0, 63, 64, 127, 128, 199]);
+        assert_eq!(a.next_after(0), Some(63));
+        assert_eq!(a.next_after(63), Some(64));
+        assert_eq!(a.next_after(128), Some(199));
+        assert_eq!(a.next_after(199), None);
+        let b = BitSet::from_iter(200, [63, 64, 100, 199]);
+        assert!(a.intersects(&b));
+        let mut i = a.clone();
+        i.intersect_with(&b);
+        assert_eq!(i.iter().collect::<Vec<_>>(), [63, 64, 199]);
+        // From element 70 on: word 1 upwards, word 0 untouched.
+        let mut d = BitSet::new(200);
+        d.union_with_intersection_from(&a, &b, 70);
+        assert_eq!(d.iter().collect::<Vec<_>>(), [64, 199]);
+        d.clear();
+        assert_eq!(d.count(), 0);
     }
 
     #[test]

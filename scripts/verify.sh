@@ -14,7 +14,10 @@
 #      (RUSTFLAGS="-D warnings").
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` must decide identically, checked once
-#      sequentially (PC_THREADS=1) and once with the thread pool; and
+#      sequentially (PC_THREADS=1) and once with the thread pool; the
+#      property suite (closure, pinning and enumerator references
+#      included) runs again in release with a wider case sweep than
+#      gate 2's default, where release speed makes it cheap; and
 #      `benchmark/run.sh --smoke` must build against `crates/*` and
 #      reproduce its pinned outputs (`benchmark/` is not a workspace
 #      member, so no other gate compiles it).
@@ -117,9 +120,10 @@ echo "== gate 3: formatting + warning-free build =="
 cargo fmt --check
 RUSTFLAGS="-D warnings" cargo build --offline --workspace
 
-echo "== gate 4: check_stack vs check_reference, sequential and parallel; benchmark smoke =="
+echo "== gate 4: check_stack vs check_reference, sequential and parallel; wide property sweep; benchmark smoke =="
 PC_THREADS=1 cargo test -q --offline --test differential
 cargo test -q --offline --test differential
+PC_PROPTEST_CASES=2048 cargo test -q --offline --release --test properties
 # An API change that breaks the benchmark's build, or a decision change
 # that breaks one of its pins, fails here and not in the perf pipeline.
 benchmark/run.sh --smoke > /dev/null

@@ -2,11 +2,12 @@
 //! randomly generated multi-process traces (hosted on the vendored
 //! `pc-rt` property harness; `PC_PROPTEST_SEED` reproduces failures).
 
+use paracrash::{crash_states, PersistAnalysis};
 use pc_rt::proptest::{gen_vec, run, Config};
 use pc_rt::rng::Rng;
 use pc_rt::{prop_assert, prop_assert_eq, prop_assume};
-use simfs::{FsOp, JournalMode};
-use tracer::{BitSet, CausalityGraph, Layer, Payload, Process, Recorder};
+use simfs::{BlockOp, FsOp, JournalMode};
+use tracer::{BitSet, CausalityGraph, EventId, Layer, Payload, Process, Recorder};
 
 /// A randomly generated trace: up to ~11 lowermost ops spread over
 /// 1–3 servers and chained/crossed by random message edges. The `size`
@@ -57,6 +58,193 @@ fn arb_trace(rng: &mut Rng, size: usize) -> (Recorder, Vec<usize>) {
         }
     }
     (rec, ids)
+}
+
+/// [`arb_trace`] at the width of a real trace: `2..=max_ops` lowermost
+/// ops, each behind a run of client-side events as an RPC stack records
+/// them, so event ids — and with them every bitset — run past one and
+/// two words while the op count (and the number of cuts) stays small.
+/// Adds the device-wide and data-only syncs to the op mix.
+fn arb_wide_trace(rng: &mut Rng, size: usize, max_ops: usize) -> (Recorder, Vec<usize>) {
+    let n = 2 + rng.gen_range(0..=size.min(max_ops - 2) as u64) as usize;
+    let servers = rng.gen_range(1u32..4) as u32;
+    let edges = gen_vec(rng, size.min(7), |r| {
+        (r.next_u32() as usize, r.next_u32() as usize)
+    });
+    let mut rec = Recorder::new();
+    let mut ids = Vec::new();
+    for i in 0..n {
+        let server = (i as u32) % servers;
+        let file = |back: usize| format!("/f{}", i.saturating_sub(back));
+        let op = match i % 7 {
+            0 => FsOp::Creat { path: file(0) },
+            1 => FsOp::Append {
+                path: file(1),
+                data: vec![i as u8],
+            },
+            2 => FsOp::SetXattr {
+                path: file(2),
+                key: "user.k".into(),
+                value: vec![i as u8],
+            },
+            3 => FsOp::Fsync { path: file(3) },
+            4 => FsOp::Unlink { path: file(4) },
+            5 => FsOp::Fdatasync { path: file(4) },
+            _ => FsOp::SyncFs,
+        };
+        let mut parent = None;
+        for _ in 0..rng.gen_range(0..=size.min(30) as u64) {
+            let call = Payload::Call {
+                name: "rpc".into(),
+                args: vec![],
+            };
+            parent = Some(rec.record(Layer::PfsClient, Process::Client(0), call, None));
+        }
+        ids.push(rec.record(
+            Layer::LocalFs,
+            Process::Server(server),
+            Payload::Fs { server, op },
+            parent,
+        ));
+    }
+    for (a, b) in edges {
+        let (a, b) = (a % n, b % n);
+        if a < b {
+            rec.add_edge(ids[a], ids[b]);
+        }
+    }
+    (rec, ids)
+}
+
+const JOURNAL_MODES: [JournalMode; 4] = [
+    JournalMode::Data,
+    JournalMode::Ordered,
+    JournalMode::Writeback,
+    JournalMode::None,
+];
+
+/// A random subset of `of`, as a set over `len` elements.
+fn arb_subset(rng: &mut Rng, len: usize, of: &[EventId]) -> BitSet {
+    BitSet::from_iter(len, of.iter().copied().filter(|_| rng.gen_index(4) != 0))
+}
+
+/// `depends_on` as a fixpoint, straight from its definition: keep adding
+/// the universe's updates that some member persists before. Rests on
+/// nothing — not on id order, not on the row layout.
+fn closure_reference(pa: &PersistAnalysis, victim: EventId, universe: &BitSet) -> BitSet {
+    let mut deps = BitSet::new(universe.capacity());
+    deps.insert(victim);
+    loop {
+        let grown: Vec<EventId> = pa
+            .updates()
+            .iter()
+            .copied()
+            .filter(|&op| universe.contains(op) && !deps.contains(op))
+            .filter(|&op| deps.iter().any(|d| pa.persists_before(d, op)))
+            .collect();
+        if grown.is_empty() {
+            return deps;
+        }
+        for op in grown {
+            deps.insert(op);
+        }
+    }
+}
+
+/// `PersistAnalysis::pinned` as it was before the committing-sync
+/// table: scan the syncs of the cut for one that commits `v` after it.
+fn pinned_reference(
+    rec: &Recorder,
+    g: &CausalityGraph,
+    syncs: &[EventId],
+    v: EventId,
+    cut: &BitSet,
+) -> bool {
+    let commits = |s: EventId| match (&rec.event(v).payload, &rec.event(s).payload) {
+        (
+            Payload::Fs { server: sa, op },
+            Payload::Fs {
+                server: ss,
+                op: sync,
+            },
+        ) => {
+            sa == ss
+                && match sync {
+                    FsOp::SyncFs => true,
+                    FsOp::Fsync { path } | FsOp::Fdatasync { path } => {
+                        op.paths().contains(&path.as_str())
+                    }
+                    _ => false,
+                }
+        }
+        (Payload::Block { server: sa, .. }, Payload::Block { server: ss, op }) => {
+            sa == ss && matches!(op, BlockOp::SyncCache)
+        }
+        _ => false,
+    };
+    syncs
+        .iter()
+        .any(|&s| cut.contains(s) && commits(s) && g.happens_before(v, s))
+}
+
+/// Algorithm 1 as `crash_states` enumerated it before closures were
+/// taken once per cut: every victim list rebuilds each closure, checks
+/// it against the pinned updates still persisted, and states dedup on
+/// the listed members of `(persisted, cut)`. Frozen here, over the two
+/// references above. Yields `(cut, victims, persisted)` in output order.
+fn crash_states_frozen(
+    rec: &Recorder,
+    g: &CausalityGraph,
+    pa: &PersistAnalysis,
+    k: usize,
+    victim_filter: &dyn Fn(EventId) -> bool,
+) -> Vec<(BitSet, Vec<EventId>, BitSet)> {
+    let pinned = |v, cut: &BitSet| pinned_reference(rec, g, pa.syncs(), v, cut);
+    let mut out = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    for cut in g.consistent_cuts(&rec.lowermost_events()) {
+        let in_cut = |&u: &EventId| cut.contains(u);
+        let cut_updates: Vec<EventId> = pa.updates().iter().copied().filter(in_cut).collect();
+        let universe = BitSet::from_iter(rec.len(), cut_updates.iter().copied());
+        let candidates: Vec<EventId> = cut_updates
+            .iter()
+            .copied()
+            .filter(|&u| !pinned(u, &cut) && victim_filter(u))
+            .collect();
+        let mut push = |victims: Vec<EventId>| {
+            let mut persisted = universe.clone();
+            for &v in &victims {
+                let deps = closure_reference(pa, v, &universe);
+                if deps
+                    .iter()
+                    .any(|d| d != v && pinned(d, &cut) && persisted.contains(d))
+                {
+                    return;
+                }
+                persisted.subtract(&deps);
+            }
+            let mut key: Vec<u64> = persisted.iter().map(|i| i as u64).collect();
+            key.push(u64::MAX);
+            key.extend(cut.iter().map(|i| i as u64));
+            if seen.insert(key) {
+                out.push((cut.clone(), victims, persisted));
+            }
+        };
+        push(Vec::new());
+        if k >= 1 {
+            for &v in &candidates {
+                push(vec![v]);
+            }
+        }
+        if k >= 2 {
+            for (i, &v1) in candidates.iter().enumerate() {
+                for &v2 in &candidates[i + 1..] {
+                    push(vec![v1, v2]);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Every enumerated consistent cut is downward-closed under
@@ -155,7 +343,7 @@ fn synced_updates_survive_every_crash() {
             let states = paracrash::crash_states(rec, &g, &pa, 2, None);
             for st in &states {
                 for &u in pa.updates() {
-                    if st.cut.contains(u) && pa.pinned(rec, &g, u, &st.cut) {
+                    if st.cut.contains(u) && pa.pinned(u, &st.cut) {
                         prop_assert!(st.persisted.contains(u), "pinned update {u} dropped");
                     }
                 }
@@ -163,6 +351,152 @@ fn synced_updates_survive_every_crash() {
             Ok(())
         },
     );
+}
+
+/// The one-pass row-OR closure equals the fixpoint definition, on traces
+/// whose rows span several words, over universes that are *not*
+/// downward-closed (the classifier's extended universe is one), with a
+/// victim in or out of the universe, under every journaling mode.
+#[test]
+fn closure_matches_its_definition() {
+    run(
+        "closure_matches_its_definition",
+        &Config::with_cases(48).max_size(160),
+        |rng, size| {
+            let (rec, ids) = arb_wide_trace(rng, size, 150);
+            (rec, ids, rng.next_u64())
+        },
+        |(rec, _ids, seed)| {
+            let g = CausalityGraph::build(rec);
+            let mut rng = Rng::new(*seed);
+            for mode in JOURNAL_MODES {
+                let pa = PersistAnalysis::build(rec, &g, |_| Some(mode));
+                let updates = pa.updates();
+                prop_assume!(!updates.is_empty());
+                let universe = arb_subset(&mut rng, rec.len(), updates);
+                for _ in 0..6 {
+                    let victim = updates[rng.gen_index(updates.len())];
+                    let deps = pa.depends_on(victim, &universe);
+                    let expected = closure_reference(&pa, victim, &universe);
+                    prop_assert!(
+                        deps == expected,
+                        "{mode:?} victim {victim}: {:?}, by definition {:?}",
+                        deps.iter().collect::<Vec<_>>(),
+                        expected.iter().collect::<Vec<_>>()
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// `pinned` read off the committing-sync table equals the scan over the
+/// cut's syncs it replaced, on any set of events as the cut.
+#[test]
+fn pinned_matches_the_sync_scan() {
+    run(
+        "pinned_matches_the_sync_scan",
+        &Config::with_cases(64),
+        |rng, size| {
+            let (rec, ids) = arb_wide_trace(rng, size, 40);
+            (rec, ids, rng.next_u64())
+        },
+        |(rec, ids, seed)| {
+            let g = CausalityGraph::build(rec);
+            let pa = PersistAnalysis::build(rec, &g, |_| Some(JournalMode::Writeback));
+            let mut rng = Rng::new(*seed);
+            for _ in 0..4 {
+                let cut = arb_subset(&mut rng, rec.len(), ids);
+                for &u in pa.updates() {
+                    prop_assert_eq!(
+                        pa.pinned(u, &cut),
+                        pinned_reference(rec, &g, pa.syncs(), u, &cut)
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// `crash_states` emits exactly the states, in exactly the order, of
+/// the frozen per-victim-list enumerator — narrow traces and wide ones,
+/// with and without a victim filter, for k = 0..2.
+#[test]
+fn crash_states_match_the_frozen_enumerator() {
+    run(
+        "crash_states_match_the_frozen_enumerator",
+        &Config::with_cases(48),
+        |rng, size| {
+            let (rec, _) = match rng.next_u32() % 2 {
+                0 => arb_trace(rng, size),
+                _ => arb_wide_trace(rng, size, 12),
+            };
+            (
+                rec,
+                rng.next_u32() % 2 == 0,
+                rng.gen_index(JOURNAL_MODES.len()),
+            )
+        },
+        |(rec, filtered, mode)| {
+            let g = CausalityGraph::build(rec);
+            let pa = PersistAnalysis::build(rec, &g, |_| Some(JOURNAL_MODES[*mode]));
+            let filter = |e: EventId| !(*filtered && e.is_multiple_of(3));
+            for k in 0..=2 {
+                let states = crash_states(rec, &g, &pa, k, Some(&filter));
+                let frozen = crash_states_frozen(rec, &g, &pa, k, &filter);
+                prop_assert_eq!(states.len(), frozen.len());
+                for (st, (cut, victims, persisted)) in states.iter().zip(&frozen) {
+                    prop_assert!(
+                        st.cut == *cut && st.victims == *victims && st.persisted == *persisted,
+                        "k = {k}: state {:?} / {:?} / {:?}, frozen {:?} / {:?} / {:?}",
+                        st.cut.iter().collect::<Vec<_>>(),
+                        st.victims,
+                        st.persisted.iter().collect::<Vec<_>>(),
+                        cut.iter().collect::<Vec<_>>(),
+                        victims,
+                        persisted.iter().collect::<Vec<_>>()
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Every closure of a 1 500-update data-journal chain on one server —
+/// each the whole tail, 1.1 million members in all. A closure that
+/// searched for a member's row, or asked per (member, op) pair, would
+/// take ~10¹² steps here; as row ORs it is a few million word
+/// operations.
+#[test]
+fn closures_of_a_long_chain_are_row_ors() {
+    const N: usize = 1500;
+    let mut rec = Recorder::new();
+    let ids: Vec<EventId> = (0..N)
+        .map(|i| {
+            let op = FsOp::Creat {
+                path: format!("/f{i}"),
+            };
+            rec.record(
+                Layer::LocalFs,
+                Process::Server(0),
+                Payload::Fs { server: 0, op },
+                None,
+            )
+        })
+        .collect();
+    let g = CausalityGraph::build(&rec);
+    let pa = PersistAnalysis::build(&rec, &g, |_| Some(JournalMode::Data));
+    let universe = BitSet::from_iter(rec.len(), ids.iter().copied());
+    let mut deps = BitSet::new(rec.len());
+    for (i, &v) in ids.iter().enumerate() {
+        pa.depends_on_into(v, &universe, &mut deps);
+        assert_eq!(deps.count(), N - i, "closure of update {i}");
+        assert!(!deps.contains(v.wrapping_sub(1)), "closure of update {i}");
+    }
+    assert_eq!(pa.closures_taken(), N as u64);
 }
 
 /// Model lattice: every causal preserved set is also a legal commit
@@ -261,7 +595,31 @@ fn bitset_algebra() {
             d.subtract(&b);
             prop_assert_eq!(d.count(), xs.difference(ys).count());
             prop_assert_eq!(a.is_disjoint(&b), xs.is_disjoint(ys));
+            prop_assert_eq!(a.intersects(&b), !xs.is_disjoint(ys));
             prop_assert_eq!(a.is_subset(&u), true);
+            let mut i = a.clone();
+            i.intersect_with(&b);
+            prop_assert_eq!(
+                i.iter().collect::<Vec<_>>(),
+                xs.intersection(ys).copied().collect::<Vec<_>>()
+            );
+            // Word-skipping iteration against the bit-by-bit filter.
+            let bit_by_bit: Vec<usize> = (0..200).filter(|&e| a.contains(e)).collect();
+            prop_assert_eq!(a.iter().collect::<Vec<_>>(), bit_by_bit);
+            for e in 0..200 {
+                prop_assert_eq!(a.next_after(e), xs.range(e + 1..).next().copied());
+            }
+            // `d |= a & b` from element `from` on leaves the words below
+            // alone and equals the plain algebra above them.
+            let from = xs.first().copied().unwrap_or(0);
+            let mut d = BitSet::new(200);
+            d.union_with_intersection_from(&a, &b, from);
+            let expected: Vec<usize> = xs
+                .intersection(ys)
+                .copied()
+                .filter(|&e| e / 64 >= from / 64)
+                .collect();
+            prop_assert_eq!(d.iter().collect::<Vec<_>>(), expected);
             Ok(())
         },
     );

@@ -168,15 +168,19 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
         "check_stack",
         "check.analyze",
         "check.enumerate",
+        "check.candidates",
         "check.materialize",
         "check.legal_states",
         "check.verdicts",
+        "check.join_wait",
         "snapshot.materialize",
         "pfs.mount",
         "recover/BeeGFS",
     ] {
         assert!(names.contains(&stage), "missing span {stage}");
     }
+    // One closure per (cut, victim candidate), at least one victim.
+    assert!(counter(&snap, "persist.closures") > 0);
     // Stage spans nest under the check_stack root.
     let root = snap.spans.iter().find(|s| s.name == "check_stack").unwrap();
     let enumerate = snap
