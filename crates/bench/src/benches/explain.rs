@@ -5,7 +5,7 @@
 //! plus a recover-and-mount check. Two questions matter:
 //!
 //! * **disabled cost** — a full check with `explain = false` (the
-//!   production default). The `explain-overhead` verify gate asserts
+//!   production default). The `selftest explain` verify gate asserts
 //!   this stays within 3% of the pre-explain checker; here it is the
 //!   baseline sample;
 //! * **prefix-shared shrink** — explain on, probes materialized in

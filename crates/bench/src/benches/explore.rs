@@ -1,7 +1,7 @@
 //! Benches for Figure 10: real wall-clock exploration time of the
 //! three crash-state exploration strategies.
 //!
-//! The figure harness (`--bin fig10`) reports the calibrated simulated
+//! The figure harness (`paracrash fig10`) reports the calibrated simulated
 //! seconds; these benches measure what this reproduction actually costs,
 //! so regressions in the framework itself are visible.
 

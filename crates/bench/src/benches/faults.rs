@@ -3,7 +3,7 @@
 //! The number that matters is the *disabled* cost: after PR 4 every PFS
 //! model routes its RPC traffic through [`simnet::RpcNet::faulty`] with
 //! an inactive [`simnet::FaultPlane`], so the per-message price of the
-//! plane check is paid by every fault-free run. The `faults-overhead`
+//! plane check is paid by every fault-free run. The `selftest faults`
 //! binary (verify gate) asserts that price stays under 3% of a traced
 //! workload run; these benches are the per-operation view committed as
 //! `BENCH_faults.json`.

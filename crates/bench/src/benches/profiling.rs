@@ -3,7 +3,7 @@
 //! per-stage allocation accounting at 16 and 64 servers.
 //!
 //! The throughput pair brackets the *enabled* sampler's cost (the
-//! disabled path is a separate contract, gated by `prof-overhead`):
+//! disabled path is a separate contract, gated by `selftest prof`):
 //!
 //! * `profiling/sampler-off/16-servers` — the batched verdict engine
 //!   with telemetry on but no sampler thread;

@@ -28,7 +28,7 @@
 //!
 //! The throughput pair drives the ≥2× regression gate and the
 //! 64→256-server points drive the sub-linear per-check growth gate —
-//! both enforced by `scale-check` against the committed JSON
+//! both enforced by `selftest scale` against the committed JSON
 //! (`scripts/verify.sh` gate 11, methodology in `EXPERIMENTS.md`).
 
 use paracrash::{crash_states, prepare_states, ExploreMode, PersistAnalysis};

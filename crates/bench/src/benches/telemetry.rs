@@ -9,7 +9,7 @@
 //!   This bounds how much a `--telemetry-out` run distorts the
 //!   timings it reports.
 //!
-//! The `telemetry-overhead` binary (the `scripts/verify.sh` gate)
+//! `paracrash selftest telemetry` (the `scripts/verify.sh` gate)
 //! additionally asserts the end-to-end disabled overhead on the
 //! snapshot-engine microbench stays under 3%; these benches are the
 //! per-operation view committed as `BENCH_telemetry.json`.

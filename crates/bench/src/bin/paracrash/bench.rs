@@ -1,12 +1,13 @@
-//! The wall-clock benchmark driver (replaces `cargo bench`'s criterion
-//! targets with a plain binary on the vendored `pc-rt` harness):
+//! `paracrash bench [FILTER] [--json [PATH]]` — the wall-clock
+//! benchmark driver (a plain subcommand on the vendored `pc-rt` harness
+//! instead of `cargo bench`'s criterion targets):
 //!
 //! ```sh
-//! cargo run --release -p pc-bench --bin bench                  # all suites
-//! cargo run --release -p pc-bench --bin bench -- fig10         # name filter
-//! cargo run --release -p pc-bench --bin bench -- --json        # per-group BENCH_*.json
-//! cargo run --release -p pc-bench --bin bench -- --json out.json
-//! PC_BENCH_TIME_MS=200 PC_THREADS=4 cargo run --release -p pc-bench --bin bench
+//! paracrash bench                  # all suites
+//! paracrash bench fig10            # name filter
+//! paracrash bench --json           # per-group BENCH_*.json
+//! paracrash bench --json out.json
+//! PC_BENCH_TIME_MS=200 PC_THREADS=4 paracrash bench
 //! ```
 //!
 //! Suites: `fig10-explore` / `trace-generation` / `snapshot-engine`
@@ -43,11 +44,11 @@ const SUITES: [(&str, fn(&mut Bench)); 10] = [
     ("profiling", benches::profiling::register),
 ];
 
-fn main() {
+/// The `bench` subcommand.
+pub fn run(args: &[String]) -> ! {
     // Parse `[FILTER] [--json [PATH]]` ourselves so a `--json` value is
     // never mistaken for the name filter. A bare `--json` (end of args
     // or followed by another flag) selects per-group output.
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut filter: Option<String> = None;
     let mut json_combined: Option<String> = None;
     let mut json_per_group = false;
@@ -62,7 +63,9 @@ fn main() {
                 _ => json_per_group = true,
             },
             flag if flag.starts_with('-') => {
-                pc_rt::pc_error!("unknown flag {flag} (usage: bench [FILTER] [--json [PATH]])");
+                pc_rt::pc_error!(
+                    "unknown flag {flag} (usage: paracrash bench [FILTER] [--json [PATH]])"
+                );
                 std::process::exit(2);
             }
             name => {
@@ -112,4 +115,5 @@ fn main() {
             pc_rt::pc_info!("wrote BENCH_{name}.json");
         }
     }
+    std::process::exit(0);
 }

@@ -57,6 +57,16 @@
 //!           --bench BENCH_fuzz.json --out report.html
 //! ```
 //!
+//! The harnesses that used to be separate binaries are subcommands too
+//! (their code lives in this binary's private modules):
+//!
+//! ```sh
+//! paracrash table3 [--paper]                 # Table 3, 15/15 REPRODUCED
+//! paracrash fig8|fig9|fig10|fig11 [--paper]  # the evaluation figures
+//! paracrash bench [FILTER] [--json [PATH]]   # wall-clock suites
+//! paracrash selftest <plane> [args]          # the verify gates' helpers
+//! ```
+//!
 //! Self-profiling: `--profile-out FILE` (or `PC_PROFILE=FILE`) arms the
 //! cooperative sampling profiler — worker threads publish their span
 //! stacks through a seqlock shadow, a sampler thread folds them at
@@ -72,36 +82,26 @@
 //! paracrash report --events events.jsonl --profile fuzz.folded
 //! ```
 
-use h5sim::json::Json;
 use paracrash::dashboard::render_dashboard;
 use paracrash::history;
 use paracrash::telemetry::{chrome_trace, telemetry_json};
 use paracrash::CheckConfig;
-use pc_bench::campaign::{run_campaign, CampaignOptions};
-use pc_bench::fuzz_driver::{fuzz_campaign, parse_modes, FuzzOptions};
-use pc_bench::{render_bug, run_program_swept};
+use pc_bench::campaign::{parse_modes, run_campaign, CampaignOptions, FuzzOptions};
+use pc_bench::{render_bug, run_program_swept, sanitize};
+use pc_rt::json::Json;
 use simnet::FaultConfig;
 use std::time::Duration;
 use workloads::{FsKind, Params, Program};
+
+mod bench;
+mod figures;
+mod overhead;
+mod selftest;
 
 /// One-line diagnostic, then the usage-error exit code (2).
 fn die(msg: std::fmt::Arguments<'_>) -> ! {
     pc_rt::pc_error!("{msg}");
     std::process::exit(2);
-}
-
-/// Filesystem-safe bundle-name component: lowercase, non-alphanumerics
-/// collapsed to `-` (e.g. `"H5-create"` → `"h5-create"`).
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect()
 }
 
 /// What an output-path flag names on disk.
@@ -189,23 +189,33 @@ fn usage() -> ! {
          \x20                [--telemetry-out <file>] [--telemetry-format <json|chrome>]\n\
          \x20                [--explain-out <dir>] [--events-out <file>]\n\
          \x20                [--profile-out <file>] [--history-dir <dir>]\n\
-         \x20      paracrash fuzz [--bound <n>] [--seed <n>] [--sample <n>]\n\
+         \x20      paracrash fuzz|campaign [--bound <n>] [--seed <n>] [--sample <n>]\n\
          \x20                [--fs <list|all>] [--modes <data,ordered,writeback,none|all>]\n\
          \x20                [--findings-out <dir>] [--events-out <file>] [--paper]\n\
          \x20                [--profile-out <file>] [--history-dir <dir>]\n\
-         \x20      paracrash campaign [fuzz flags] [--state-dir <dir>] [--resume]\n\
          \x20                [--cell-timeout <secs>] [--max-retries <n>]\n\
-         \x20                [--checkpoint-every <n>]\n\
+         \x20                [--state-dir <dir>] [--resume] [--checkpoint-every <n>]\n\
          \x20      paracrash report --events <file> [--telemetry <file>]\n\
          \x20                [--bench <file>]... [--profile <file>] [--out <file>]\n\
          \x20      paracrash history <show|diff|regressions>\n\
-         \x20                [--history-dir <dir>] [--band <ratio>]\n\n\
-         `campaign` is the crash-safe resumable sweep: every cell commits\n\
-         to an append-only CRC-checked log under `--state-dir`, checkpoints\n\
-         land atomically, and `--resume` replays the log to continue a\n\
-         killed run with a byte-identical final report. Cells that hang\n\
-         past `--cell-timeout` or panic through `--max-retries` retries\n\
-         are quarantined, not fatal.\n\n\
+         \x20                [--history-dir <dir>] [--band <ratio>]\n\
+         \x20      paracrash table3|fig8|fig9|fig10|fig11 [--paper]\n\
+         \x20      paracrash bench [<filter>] [--json [<file>]]\n\
+         \x20      paracrash selftest <{}> [args]\n\n\
+         `fuzz` and `campaign` are one sweep driver; `campaign` defaults\n\
+         `--state-dir` to campaign-state. With a state dir the sweep is\n\
+         crash-safe and resumable: every cell commits to an append-only\n\
+         CRC-checked log under it, checkpoints land atomically, and\n\
+         `--resume` replays the log to continue a killed run with a\n\
+         byte-identical final report. Either way, cells that hang past\n\
+         `--cell-timeout` or panic through `--max-retries` retries are\n\
+         quarantined, not fatal.\n\n\
+         `selftest <plane>` with no further argument asserts the plane's\n\
+         disabled-overhead budget (<3%); with an artifact it validates it:\n\
+         `telemetry <file>`, `explain <dir> [<min-bundles>]`, `events <file>`\n\
+         | `events --canonical-diff <a> <b>` | `events --html <report>`,\n\
+         `prof <file.folded>` | `prof --bench <BENCH.json>`,\n\
+         `scale <BENCH_scale.json> [--live]`, `durable [<seed>] [<cases>]`.\n\n\
          `--events-out` streams flight-recorder events (cells, findings,\n\
          spans, campaign snapshots) as JSON lines while the run is live;\n\
          `report` renders them (plus optional telemetry JSON, BENCH_*.json\n\
@@ -223,14 +233,15 @@ fn usage() -> ! {
          PC_CHAOS_SEED / PC_FAULT_RATE environment variables arm the same\n\
          plane when the flag is absent.\n\n\
          The configuration file uses `key = value` lines:\n{}",
+        selftest::PLANES,
         CheckConfig::paper_default().render()
     );
     std::process::exit(2);
 }
 
-/// Parse one flag shared between the `fuzz` and `campaign` subcommands
-/// into `opts`; returns `false` when the flag is not a fuzz flag so the
-/// caller can try its own set. Every output path goes through
+/// Parse one flag describing the sweep itself (as opposed to how the
+/// driver runs it) into `opts`; returns `false` when the flag is not
+/// one of those so the caller can try the driver's set. Every output path goes through
 /// [`prepare_out`] so an unwritable target fails at launch with exit 2
 /// instead of hours in: `--events-out` attaches the stream sink
 /// immediately, `--profile-out` arms the sampling profiler, and
@@ -316,65 +327,16 @@ fn parse_fuzz_flag(
     true
 }
 
-/// The `fuzz` subcommand: bounded black-box campaign over the
-/// generated-workload corpus. Stdout carries exactly the canonical
-/// report so CI can diff runs; everything else goes to stderr.
-fn run_fuzz(args: &[String]) -> ! {
-    let mut opts = FuzzOptions::pr_tier();
-    let mut paper = false;
-    let mut prof_opts = ProfOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(format_args!("{what} needs a value")))
-        };
-        if parse_fuzz_flag(&mut opts, &mut paper, &mut prof_opts, a, &mut value) {
-            continue;
-        }
-        match a.as_str() {
-            "--help" | "-h" => usage(),
-            other => {
-                pc_rt::pc_error!("unknown fuzz argument: {other}");
-                usage();
-            }
-        }
-    }
-    if paper {
-        opts.params = Params::paper();
-    }
-    let start = std::time::Instant::now();
-    let report = fuzz_campaign(&opts).unwrap_or_else(|e| die(format_args!("{e}")));
-    let wall = start.elapsed();
-    let secs = wall.as_secs_f64();
-    pc_rt::obs::stream::close();
-    finish_profile_and_history(
-        &prof_opts,
-        "fuzz",
-        &format!("bound={} seed={}", opts.bound, opts.seed),
-        report.corpus.cells as u64,
-        wall,
-    );
-    print!("{}", report.corpus.canonical_report());
-    pc_rt::pc_info!(
-        "fuzz: {} workloads, {} cells in {:.1}s ({:.1} workloads/s), {} findings, {} bundles",
-        report.workloads,
-        report.corpus.cells,
-        secs,
-        report.workloads as f64 / secs.max(1e-9),
-        report.corpus.finding_count(),
-        report.bundles,
-    );
-    std::process::exit(0);
-}
-
-/// The `campaign` subcommand: the crash-safe resumable sweep. Same
-/// surface as `fuzz` plus the durability knobs; stdout is still exactly
-/// the canonical report (resume/retry accounting goes to stderr, so a
-/// resumed run diffs clean against an uninterrupted one).
-fn run_campaign_cli(args: &[String]) -> ! {
-    let mut opts = CampaignOptions::new(FuzzOptions::pr_tier(), "campaign-state");
+/// The `fuzz` / `campaign` subcommands: one bounded black-box sweep
+/// over the generated-workload corpus, crash-safe and resumable when it
+/// has a state dir (`campaign` defaults one, `fuzz` does not — the only
+/// difference between the two spellings). Stdout carries exactly the
+/// canonical report so CI can diff runs (resume/retry accounting goes
+/// to stderr with everything else, so a resumed run diffs clean against
+/// an uninterrupted one).
+fn run_sweep(kind: &str, args: &[String]) -> ! {
+    let default_state_dir = (kind == "campaign").then_some("campaign-state");
+    let mut opts = CampaignOptions::new(FuzzOptions::pr_tier(), default_state_dir);
     let mut paper = false;
     let mut prof_opts = ProfOpts::default();
     let mut it = args.iter();
@@ -388,7 +350,7 @@ fn run_campaign_cli(args: &[String]) -> ! {
             continue;
         }
         match a.as_str() {
-            "--state-dir" => opts.state_dir = value("--state-dir"),
+            "--state-dir" => opts.state_dir = Some(value("--state-dir")),
             "--resume" => opts.resume = true,
             "--cell-timeout" => {
                 let secs: f64 = value("--cell-timeout")
@@ -414,7 +376,7 @@ fn run_campaign_cli(args: &[String]) -> ! {
             }
             "--help" | "-h" => usage(),
             other => {
-                pc_rt::pc_error!("unknown campaign argument: {other}");
+                pc_rt::pc_error!("unknown {kind} argument: {other}");
                 usage();
             }
         }
@@ -429,23 +391,26 @@ fn run_campaign_cli(args: &[String]) -> ! {
     pc_rt::obs::stream::close();
     finish_profile_and_history(
         &prof_opts,
-        "campaign",
+        kind,
         &format!("bound={} seed={}", opts.fuzz.bound, opts.fuzz.seed),
         report.corpus.cells as u64,
         wall,
     );
     print!("{}", report.corpus.canonical_report());
     pc_rt::pc_info!(
-        "campaign: {}/{} cells this run ({} resumed, {} retries, {} quarantined) \
-         in {:.1}s, {} findings, state in {}",
+        "{kind}: {} workloads, {}/{} cells this run ({} resumed, {} retries, {} quarantined) \
+         in {:.1}s ({:.1} cells/s), {} findings, {} bundles, state dir: {}",
+        report.workloads,
         report.cells_run,
         report.total_cells,
         report.resumed_cells,
         report.retries,
         report.quarantined,
         secs,
+        report.cells_run as f64 / secs.max(1e-9),
         report.corpus.finding_count(),
-        opts.state_dir,
+        report.bundles,
+        opts.state_dir.as_deref().unwrap_or("none"),
     );
     std::process::exit(0);
 }
@@ -586,17 +551,18 @@ fn run_history(args: &[String]) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("fuzz") {
-        run_fuzz(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("campaign") {
-        run_campaign_cli(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        run_report(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("history") {
-        run_history(&args[1..]);
+    if let Some((sub, rest)) = args.split_first() {
+        match sub.as_str() {
+            "fuzz" | "campaign" => run_sweep(sub, rest),
+            "report" => run_report(rest),
+            "history" => run_history(rest),
+            "bench" => bench::run(rest),
+            "selftest" => selftest::run(rest),
+            _ => {}
+        }
+        if let Some((name, figure)) = figures::FIGURES.iter().find(|(name, _)| name == sub) {
+            figures::run(*figure, name, rest);
+        }
     }
     let mut fs_arg = None;
     let mut program_arg = None;

@@ -1,0 +1,704 @@
+//! `paracrash selftest <plane> [args]` — the tool checking itself: the
+//! gate helpers `scripts/verify.sh` drives.
+//!
+//! ```sh
+//! paracrash selftest telemetry|faults|explain|stream|prof
+//!                                  # the plane's disabled-overhead budget
+//! paracrash selftest telemetry trace.json        # --telemetry-out file
+//! paracrash selftest explain reports/ [MIN]      # --explain-out bundles
+//! paracrash selftest events events.jsonl         # --events-out stream
+//! paracrash selftest events --canonical-diff a.jsonl b.jsonl
+//! paracrash selftest events --html report.html   # dashboard lint
+//! paracrash selftest prof run.folded             # --profile-out profile
+//! paracrash selftest prof --bench BENCH_profiling.json
+//! paracrash selftest scale BENCH_scale.json [--live]
+//! paracrash selftest durable [SEED] [CASES]      # torn-tail recovery fuzz
+//! ```
+//!
+//! A plane with no artifact argument asserts its disabled-overhead
+//! budget ([`super::overhead`]); with one it validates the artifact.
+//! Every validator exits 0 when the artifact is valid and 1 with a
+//! one-line diagnostic otherwise; a malformed command line exits 2.
+
+use super::overhead;
+use paracrash::telemetry::{canonical_event_lines, parse_event_stream};
+use paracrash::{crash_states, prepare_states, PersistAnalysis};
+use pc_rt::durable::{RecordLog, MAGIC, RECORD_HEADER};
+use pc_rt::json::Json;
+use pc_rt::obs::prof;
+use pc_rt::obs::stream::SCHEMA_VERSION;
+use pc_rt::rng::Rng;
+use pfs::{recover_and_mount, PfsView};
+use std::fmt::Display;
+use tracer::CausalityGraph;
+use workloads::{FsKind, Params, Program};
+
+/// The planes, as `usage()` and the unknown-plane error print them.
+pub const PLANES: &str = "telemetry|faults|explain|stream|prof|durable|scale|events";
+
+/// The verdict of every selftest. Deliberately `eprintln!`, not
+/// `pc_error!`: it is this tool's user-facing output and must print
+/// regardless of `PC_LOG`.
+pub fn fail(msg: impl Display) -> ! {
+    eprintln!("selftest: FAIL: {msg}");
+    std::process::exit(1);
+}
+
+fn bad_usage(msg: impl Display) -> ! {
+    eprintln!("selftest: {msg}\nusage: paracrash selftest <{PLANES}> [args]");
+    std::process::exit(2);
+}
+
+// --- shared readers and JSON accessors --------------------------------------
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(format_args!("cannot read {path}: {e}")))
+}
+
+fn read_json(path: &str) -> Json {
+    Json::parse(&read(path)).unwrap_or_else(|e| fail(format_args!("{path} is not JSON: {e}")))
+}
+
+/// Integer field `key` of `obj`; `what` names `obj` in the diagnostic.
+fn int(obj: &Json, key: &str, what: impl Display) -> u64 {
+    obj.get(key)
+        .and_then(Json::as_int)
+        .unwrap_or_else(|| fail(format_args!("{what} has no {key}")))
+}
+
+/// Array field `key` of `obj`.
+fn arr<'a>(obj: &'a Json, key: &str, what: impl Display) -> &'a [Json] {
+    obj.get(key)
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| fail(format_args!("{what}: {key} is not an array")))
+}
+
+/// Fail unless `obj` carries every one of `keys`.
+fn require(obj: &Json, keys: &[&str], what: impl Display) {
+    for key in keys {
+        if obj.get(key).is_none() {
+            fail(format_args!("{what}: missing {key}"));
+        }
+    }
+}
+
+/// Numeric `field` of the sample named `name` in a `BENCH_*.json`.
+fn sample_int(doc: &Json, name: &str, field: &str) -> u64 {
+    let Some(samples) = doc.as_arr() else {
+        fail("bench JSON is not an array of samples");
+    };
+    let Some(sample) = samples
+        .iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
+    else {
+        fail(format_args!("bench JSON has no sample named {name}"));
+    };
+    int(sample, field, name)
+}
+
+// --- telemetry: `--telemetry-out` files -------------------------------------
+
+/// Chrome trace-event files (`--telemetry-format chrome`) are checked
+/// for the Perfetto-required event fields and a nondecreasing `ts`
+/// order; plain files for the `spans`/`counters`/`ops` document keys.
+/// Both dialects must carry a `schema_version` this tool understands —
+/// an unknown or missing version fails, so downstream consumers can
+/// trust that a passing file matches the documented shape.
+fn check_telemetry(path: &str) {
+    let doc = read_json(path);
+    match doc.get("schema_version").and_then(Json::as_int) {
+        Some(v) if v == SCHEMA_VERSION => {}
+        Some(v) => fail(format_args!(
+            "unknown schema_version {v} (this tool understands {SCHEMA_VERSION})"
+        )),
+        None => fail("missing schema_version"),
+    }
+    if doc.get("traceEvents").is_some() {
+        let events = arr(&doc, "traceEvents", path);
+        if events.is_empty() {
+            fail("traceEvents is empty — no spans were recorded");
+        }
+        let mut prev_ts = 0u64;
+        for (idx, ev) in events.iter().enumerate() {
+            let what = format!("traceEvents[{idx}]");
+            if ev
+                .get("name")
+                .and_then(Json::as_str)
+                .is_none_or(str::is_empty)
+            {
+                fail(format_args!("{what} has no name"));
+            }
+            if ev.get("ph").and_then(Json::as_str) != Some("X") {
+                fail(format_args!("{what} is not a complete (ph=X) event"));
+            }
+            for key in ["pid", "tid", "dur"] {
+                int(ev, key, &what);
+            }
+            let ts = int(ev, "ts", &what);
+            if ts < prev_ts {
+                fail(format_args!(
+                    "{what} ts {ts} goes backwards (prev {prev_ts})"
+                ));
+            }
+            prev_ts = ts;
+        }
+        require(&doc, &["otherData"], path);
+        println!(
+            "selftest telemetry: OK — {path}: chrome trace, {} events, ts monotonic",
+            events.len()
+        );
+    } else {
+        // Plain `paracrash::telemetry::telemetry_json` format.
+        let spans = arr(&doc, "spans", path);
+        require(
+            &doc,
+            &["counters", "gauges", "histograms", "dropped_spans", "ops"],
+            path,
+        );
+        for (idx, span) in spans.iter().enumerate() {
+            require(
+                span,
+                &["name", "cat", "tid", "depth", "start_ns", "dur_ns"],
+                format_args!("spans[{idx}]"),
+            );
+        }
+        println!(
+            "selftest telemetry: OK — {path}: plain telemetry, {} spans",
+            spans.len()
+        );
+    }
+}
+
+// --- events: `--events-out` streams and rendered dashboards -----------------
+
+fn check_events(path: &str) {
+    let events =
+        parse_event_stream(&read(path)).unwrap_or_else(|e| fail(format_args!("{path}: {e}")));
+    if events.is_empty() {
+        fail(format_args!("{path}: stream carries no events"));
+    }
+    let cells = events
+        .iter()
+        .filter(|e| e.get("kind").and_then(Json::as_str) == Some("cell"))
+        .count();
+    println!(
+        "selftest events: OK — {path}: {} events ({cells} cells), schema v{SCHEMA_VERSION}, \
+         seq monotonic",
+        events.len(),
+    );
+}
+
+/// Compare the deterministic projection
+/// (`paracrash::telemetry::canonical_event_lines`) of two streams — the
+/// check the determinism contract rests on: a sequential and a parallel
+/// run of the same sweep must project identically even though their
+/// timestamps, span events and interleavings differ.
+fn check_canonical_diff(a_path: &str, b_path: &str) {
+    let project = |path: &str| {
+        canonical_event_lines(&read(path)).unwrap_or_else(|e| fail(format_args!("{path}: {e}")))
+    };
+    let (a, b) = (project(a_path), project(b_path));
+    if a.len() != b.len() {
+        fail(format_args!(
+            "canonical projections differ in length: {a_path} has {} lines, {b_path} has {}",
+            a.len(),
+            b.len()
+        ));
+    }
+    for (i, (la, lb)) in a.iter().zip(&b).enumerate() {
+        if la != lb {
+            fail(format_args!(
+                "canonical projections diverge at line {i}:\n  {a_path}: {la}\n  {b_path}: {lb}"
+            ));
+        }
+    }
+    println!(
+        "selftest events: OK — canonical projections equal ({} lines): {a_path} == {b_path}",
+        a.len()
+    );
+}
+
+/// Every metric element the dashboard documents; a rendered report must
+/// carry all of them.
+const REQUIRED_METRICS: &[&str] = &[
+    "cells",
+    "findings",
+    "behaviors",
+    "saturation",
+    "throughput",
+    "coverage-curve",
+    "stage-breakdown",
+    "heatmap",
+];
+
+/// Lint a rendered dashboard: inline SVG present and non-empty, every
+/// documented metric element present (a "green" report cannot silently
+/// drop a panel), no scripts or external fetches.
+fn check_html(path: &str) {
+    let html = read(path);
+    let Some(svg_at) = html.find("<svg") else {
+        fail(format_args!("{path}: no inline <svg> element"));
+    };
+    let svg_end = html[svg_at..]
+        .find("</svg>")
+        .unwrap_or_else(|| fail(format_args!("{path}: unterminated <svg> element")));
+    let svg_body = &html[svg_at..svg_at + svg_end];
+    if !svg_body.contains("<polyline") && !svg_body.contains("<rect") {
+        fail(format_args!("{path}: first <svg> draws no marks"));
+    }
+    for metric in REQUIRED_METRICS {
+        if !html.contains(&format!("data-metric=\"{metric}\"")) {
+            fail(format_args!("{path}: missing data-metric=\"{metric}\""));
+        }
+    }
+    if html.contains("<script") {
+        fail(format_args!("{path}: dashboard must not contain scripts"));
+    }
+    if html.contains("http://") || html.contains("https://") {
+        fail(format_args!("{path}: dashboard must be self-contained"));
+    }
+    println!(
+        "selftest events: OK — {path}: dashboard carries all {} metric panels, inline SVG",
+        REQUIRED_METRICS.len()
+    );
+}
+
+// --- explain: `--explain-out` bundle directories ----------------------------
+
+/// `eN` with a purely numeric suffix — the node-id shape `to_dot` emits.
+fn is_node_id(s: &str) -> bool {
+    s.strip_prefix('e')
+        .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// Structural lint of one `.dot` file: balanced braces, and every edge
+/// endpoint (`eN -> eM`) is declared as a node (`eN [...]`).
+fn lint_dot(name: &str, dot: &str) {
+    if dot.matches('{').count() != dot.matches('}').count() {
+        fail(format_args!("{name}: unbalanced braces"));
+    }
+    if !dot.trim_start().starts_with("digraph") {
+        fail(format_args!("{name}: not a digraph"));
+    }
+    for line in dot.lines() {
+        let Some((from, rest)) = line.trim().split_once(" -> ") else {
+            continue;
+        };
+        if !is_node_id(from) {
+            continue; // the graph label carries the signature's "->"
+        }
+        let to = rest.split([' ', ';']).next().unwrap_or("");
+        for id in [from, to] {
+            if !is_node_id(id) || !dot.contains(&format!("{id} [")) {
+                fail(format_args!(
+                    "{name}: edge endpoint {id} not declared as a node"
+                ));
+            }
+        }
+    }
+}
+
+/// Shape check of one `.json` bundle: the documented keys, every
+/// `violated_edges`/`edges` endpoint a declared `nodes` entry, and
+/// every `minimal_witness` op among the nodes flagged `minimal`.
+fn check_bundle_json(name: &str, doc: &Json) {
+    require(
+        doc,
+        &[
+            "signature",
+            "layer",
+            "violated_model",
+            "occurrences",
+            "state_index",
+            "minimal_witness",
+            "violated_edges",
+            "frontier",
+            "nodes",
+            "edges",
+            "diff",
+            "shrink",
+        ],
+        name,
+    );
+    let nodes = arr(doc, "nodes", name);
+    let declared: Vec<u64> = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, n)| int(n, "event", format_args!("{name}: nodes[{i}]")))
+        .collect();
+    for section in ["edges", "violated_edges"] {
+        for (i, edge) in arr(doc, section, name).iter().enumerate() {
+            for end in ["from", "to"] {
+                let ev = int(edge, end, format_args!("{name}: {section}[{i}]"));
+                if !declared.contains(&ev) {
+                    fail(format_args!(
+                        "{name}: {section}[{i}].{end} = {ev} is not a declared node"
+                    ));
+                }
+            }
+        }
+    }
+    let minimal: Vec<u64> = nodes
+        .iter()
+        .filter(|n| matches!(n.get("minimal"), Some(Json::Bool(true))))
+        .filter_map(|n| n.get("event").and_then(Json::as_int))
+        .collect();
+    for (i, op) in arr(doc, "minimal_witness", name).iter().enumerate() {
+        let ev = int(op, "event", format_args!("{name}: minimal_witness[{i}]"));
+        if !minimal.contains(&ev) {
+            fail(format_args!(
+                "{name}: minimal_witness[{i}] (event {ev}) not flagged minimal in nodes"
+            ));
+        }
+    }
+    let shrink = doc.get("shrink").expect("required above");
+    let orig = shrink.get("original_ops").and_then(Json::as_int);
+    let min = shrink.get("minimal_ops").and_then(Json::as_int);
+    if min > orig {
+        fail(format_args!(
+            "{name}: minimal_ops {min:?} > original_ops {orig:?}"
+        ));
+    }
+}
+
+/// Per bundle stem: the `.md`, `.dot` and `.json` siblings all exist
+/// (equal counts), the `.json` re-parses and has the documented shape,
+/// the `.dot` is structurally sound. `min_bundles` guards against a
+/// silently empty run.
+fn check_explain(dir: &str, min_bundles: usize) {
+    let mut stems: Vec<String> = Vec::new();
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| fail(format_args!("cannot read {dir}: {e}")));
+    let (mut md, mut dot) = (0usize, 0usize);
+    for entry in entries {
+        let path = entry
+            .unwrap_or_else(|e| fail(format_args!("{dir}: {e}")))
+            .path();
+        let (Some(stem), Some(ext)) = (
+            path.file_stem().and_then(|s| s.to_str()),
+            path.extension().and_then(|s| s.to_str()),
+        ) else {
+            continue;
+        };
+        match ext {
+            "md" => md += 1,
+            "dot" => dot += 1,
+            "json" => stems.push(stem.to_string()),
+            _ => {}
+        }
+    }
+    let json = stems.len();
+    if md != dot || dot != json {
+        fail(format_args!(
+            "bundle siblings out of step: {md} .md, {dot} .dot, {json} .json"
+        ));
+    }
+    if json < min_bundles {
+        fail(format_args!(
+            "only {json} bundles found, expected >= {min_bundles}"
+        ));
+    }
+    stems.sort_unstable();
+    for stem in &stems {
+        let sibling = |ext: &str| format!("{dir}/{stem}.{ext}");
+        check_bundle_json(&format!("{stem}.json"), &read_json(&sibling("json")));
+        lint_dot(&format!("{stem}.dot"), &read(&sibling("dot")));
+        if !read(&sibling("md")).starts_with("# Bug: ") {
+            fail(format_args!("{stem}.md does not open with the bug heading"));
+        }
+    }
+    println!(
+        "selftest explain: OK — {dir}: {} bundles, JSON re-parsed, DOT lint clean",
+        stems.len()
+    );
+}
+
+// --- prof: `.folded` profiles and the committed BENCH_profiling.json --------
+
+/// Re-parse an emitted profile with the parser the dashboard flame view
+/// uses and assert the canonical shape: at least one stack, every count
+/// positive, lines unique and sorted (the deterministic render order CI
+/// can diff).
+fn check_folded(path: &str) {
+    let text = read(path);
+    let rows = prof::parse_folded(&text)
+        .unwrap_or_else(|e| fail(format_args!("bad .folded profile {path}: {e}")));
+    if rows.is_empty() {
+        fail(format_args!("{path}: profile has no stacks"));
+    }
+    let mut total = 0u64;
+    for (stack, count) in &rows {
+        if *count == 0 {
+            fail(format_args!(
+                "{path}: stack {} has count 0",
+                stack.join(";")
+            ));
+        }
+        total += count;
+    }
+    let lines: Vec<&str> = text.lines().collect();
+    let mut sorted = lines.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    if sorted != lines {
+        fail(format_args!(
+            "{path}: stacks are not unique and sorted (non-canonical render)"
+        ));
+    }
+    println!(
+        "selftest prof: OK — {path}: {} stacks, {total} samples, canonical order",
+        rows.len()
+    );
+}
+
+/// The committed `BENCH_profiling.json` pins: both sampler samples
+/// measured real throughput, and the allocation samples carry a
+/// positive `tracer` per-event allocation baseline.
+fn check_prof_bench(path: &str) {
+    let doc = read_json(path);
+    let positive = |name: &str, key: &str| {
+        let v = sample_int(&doc, name, key);
+        if v == 0 {
+            fail(format_args!("sample {name}: {key} must be positive"));
+        }
+        v
+    };
+    let off = positive("profiling/sampler-off/16-servers", "states_per_sec");
+    let on = positive("profiling/sampler-on/16-servers", "states_per_sec");
+    for servers in ["16", "64"] {
+        let name = format!("profiling/alloc/{servers}-servers");
+        for key in [
+            "alloc_bytes",
+            "alloc_peak_bytes",
+            "trace_events",
+            "trace_bytes_per_event",
+        ] {
+            positive(&name, key);
+        }
+    }
+    println!(
+        "selftest prof: OK — {path}: sampler off {off} / on {on} states/sec, \
+         alloc baselines pinned at 16 and 64 servers"
+    );
+}
+
+// --- scale: the committed BENCH_scale.json ----------------------------------
+
+/// One live pass of the batched engine over the same 16-server cell the
+/// suite benches, returning measured states/sec (best of `reps` runs —
+/// min is the right statistic against CI noise).
+fn live_states_per_sec(reps: u32) -> f64 {
+    let params = Params::quick().with_servers(8, 8).with_stripe(256);
+    let stack = Program::Arvr.run(FsKind::BeeGfs, &params);
+    let graph = CausalityGraph::build(&stack.rec);
+    let pa = PersistAnalysis::build(&stack.rec, &graph, |s| stack.journal_of(s));
+    let states = crash_states(&stack.rec, &graph, &pa, 1, None);
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = std::time::Instant::now();
+        let plan = prepare_states(&stack.rec, stack.pfs.baseline(), &states);
+        let mut views: Vec<Option<PfsView>> = (0..states.len()).map(|_| None).collect();
+        let mut digest = 0u64;
+        for &rep in &plan.rep {
+            if views[rep].is_none() {
+                let mut st = plan.prepared[rep].fork();
+                let (_, view) = recover_and_mount(stack.pfs.as_ref(), &mut st);
+                views[rep] = Some(view);
+            }
+            digest ^= views[rep].as_ref().expect("recovered above").digest();
+        }
+        std::hint::black_box(digest);
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    states.len() as f64 / best
+}
+
+/// The scale suite's invariants: the batched verdict engine sustains at
+/// least 2× the pre-refactor oracle's states/sec at 16 servers, and
+/// per-check cost grows sub-linearly (256 servers under 2× the
+/// 64-server point while the cluster grows 4×). With `live`,
+/// additionally re-run the 16-server batched engine in process and
+/// require the measured throughput to stay within a generous 2× band of
+/// the committed number (catching engine regressions without being
+/// flaky on loaded CI machines).
+fn check_scale(path: &str, live: bool) {
+    let doc = read_json(path);
+    let metric = |name: &str, field: &str| sample_int(&doc, name, field) as f64;
+    let batched = metric("scale/engine-batched/16-servers", "states_per_sec");
+    let oracle = metric("scale/engine-oracle/16-servers", "states_per_sec");
+    if batched < 2.0 * oracle {
+        fail(format_args!(
+            "batched engine is only {:.2}x the oracle ({batched:.0} vs {oracle:.0} states/sec; \
+             need >= 2x)",
+            batched / oracle
+        ));
+    }
+    let pc64 = metric("scale/fig11/64-servers", "per_check_ns");
+    let pc256 = metric("scale/fig11/256-servers", "per_check_ns");
+    if pc256 >= 2.0 * pc64 {
+        fail(format_args!(
+            "per-check cost doubles 64->256 servers ({pc64:.0} -> {pc256:.0} ns; \
+             need sub-linear growth)"
+        ));
+    }
+    let mut live_note = String::new();
+    if live {
+        let measured = live_states_per_sec(5);
+        if measured < batched / 2.0 {
+            fail(format_args!(
+                "live batched throughput {measured:.0} states/sec fell below half the \
+                 committed {batched:.0}"
+            ));
+        }
+        live_note = format!(", live {measured:.0} states/sec within band");
+    }
+    println!(
+        "selftest scale: OK — batched {:.2}x oracle, per-check growth 64->256 {:.2}x{live_note}",
+        batched / oracle,
+        pc256 / pc64,
+    );
+}
+
+// --- durable: seeded fuzz of the record log's torn-tail recovery ------------
+
+/// One case: write a fresh record log with random records, maul the
+/// file the way a crash can — truncate at an arbitrary byte, or corrupt
+/// a byte somewhere after the header — and assert the recovery
+/// contract: reopening recovers **exactly** the committed prefix (every
+/// record wholly before the damage, byte-for-byte, nothing at or after
+/// it), and the reopened log is appendable, a further reopen seeing the
+/// recovered prefix plus the new record.
+fn durable_case(seed: u64, case: u64) {
+    let mut rng = Rng::new(seed ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    let dir = std::env::temp_dir().join(format!("pc-durable-check-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| fail(format_args!("mkdir {dir:?}: {e}")));
+    let path = dir.join("fuzz.log");
+
+    // Write 1..=12 random records and remember each record's payload
+    // and the file offset one past its on-disk end.
+    let (mut log, initial) =
+        RecordLog::open(&path).unwrap_or_else(|e| fail(format_args!("open: {e}")));
+    if !initial.is_empty() {
+        fail("fresh log reported records");
+    }
+    let n = 1 + rng.gen_range(0u64..12) as usize;
+    let mut payloads: Vec<Vec<u8>> = Vec::new();
+    let mut ends: Vec<u64> = Vec::new();
+    let mut offset = MAGIC.len() as u64;
+    for _ in 0..n {
+        let len = rng.gen_range(0u64..200) as usize;
+        let payload: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+        log.append(&payload)
+            .unwrap_or_else(|e| fail(format_args!("append: {e}")));
+        offset += (RECORD_HEADER + len) as u64;
+        payloads.push(payload);
+        ends.push(offset);
+    }
+    drop(log);
+    let file_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    if file_len != offset {
+        fail(format_args!("file is {file_len} bytes, expected {offset}"));
+    }
+
+    // Maul the file: truncate anywhere, or flip one byte after the
+    // header (the header itself is covered by the refuse-foreign-file
+    // contract, not torn-tail recovery).
+    let truncate = rng.next_u32() % 2 == 0;
+    let damage_at = if truncate {
+        let at = rng.gen_range(MAGIC.len() as u64..=file_len);
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap_or_else(|e| fail(format_args!("reopen for truncate: {e}")));
+        f.set_len(at)
+            .unwrap_or_else(|e| fail(format_args!("truncate: {e}")));
+        at
+    } else {
+        let at = rng.gen_range(MAGIC.len() as u64..file_len);
+        let mut bytes = std::fs::read(&path).unwrap_or_else(|e| fail(format_args!("read: {e}")));
+        bytes[at as usize] ^= 1 << (rng.next_u32() % 8);
+        std::fs::write(&path, &bytes).unwrap_or_else(|e| fail(format_args!("write: {e}")));
+        at
+    };
+    // Oracle: exactly the records wholly before the damage survive —
+    // for both damage modes. A truncation at a record boundary keeps
+    // that record; a byte flip at a boundary damages the *next* one
+    // (the flipped byte is the next record's first header byte).
+    let survivors = ends.iter().filter(|&&e| e <= damage_at).count();
+
+    let (mut log, recovered) =
+        RecordLog::open(&path).unwrap_or_else(|e| fail(format_args!("reopen after damage: {e}")));
+    if recovered.len() != survivors {
+        fail(format_args!(
+            "case {case}: recovered {} records, expected {survivors} \
+             ({n} written, {} at {damage_at} of {file_len})",
+            recovered.len(),
+            if truncate { "truncated" } else { "bit flipped" },
+        ));
+    }
+    for (i, (got, want)) in recovered.iter().zip(&payloads).enumerate() {
+        if got != want {
+            fail(format_args!(
+                "case {case}: record {i} corrupted after recovery"
+            ));
+        }
+    }
+
+    // The recovered log must stay appendable, and the append must land
+    // cleanly after the recovered prefix.
+    log.append(b"post-recovery")
+        .unwrap_or_else(|e| fail(format_args!("append after recovery: {e}")));
+    drop(log);
+    let (_, after) =
+        RecordLog::open(&path).unwrap_or_else(|e| fail(format_args!("final open: {e}")));
+    if after.len() != survivors + 1 || after.last().map(Vec::as_slice) != Some(b"post-recovery") {
+        fail(format_args!(
+            "case {case}: post-recovery append not readable"
+        ));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn check_durable(seed: u64, cases: u64) {
+    for case in 0..cases {
+        durable_case(seed, case);
+    }
+    println!("selftest durable: OK — {cases} torn-tail recovery cases (seed {seed:#x})");
+}
+
+// --- dispatch ---------------------------------------------------------------
+
+fn number<T: std::str::FromStr>(what: &str, s: &str) -> T {
+    s.parse()
+        .unwrap_or_else(|_| bad_usage(format_args!("bad {what} {s}")))
+}
+
+/// The `selftest` subcommand.
+pub fn run(args: &[String]) -> ! {
+    let Some((plane, rest)) = args.split_first() else {
+        bad_usage("selftest needs a plane");
+    };
+    let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
+    match (plane.as_str(), rest.as_slice()) {
+        (plane, []) if overhead::has_budget(plane) => overhead::disabled_overhead(plane),
+        ("telemetry", [file]) => check_telemetry(file),
+        ("explain", [dir]) => check_explain(dir, 15),
+        ("explain", [dir, min]) => check_explain(dir, number("min-bundles", min)),
+        ("events", ["--html", file]) => check_html(file),
+        ("events", ["--canonical-diff", a, b]) => check_canonical_diff(a, b),
+        ("events", [file]) if !file.starts_with('-') => check_events(file),
+        ("prof", ["--bench", file]) => check_prof_bench(file),
+        ("prof", [file]) if !file.starts_with('-') => check_folded(file),
+        ("scale", [file]) => check_scale(file, false),
+        ("scale", [file, "--live"]) => check_scale(file, true),
+        ("durable", []) => check_durable(0xD15C, 64),
+        ("durable", [seed]) => check_durable(number("seed", seed), 64),
+        ("durable", [seed, cases]) => check_durable(number("seed", seed), number("cases", cases)),
+        _ => bad_usage(format_args!(
+            "no selftest matches `{plane} {}`",
+            rest.join(" ")
+        )),
+    }
+    std::process::exit(0);
+}

@@ -1,9 +1,48 @@
-//! The crash-safe, resumable campaign driver (`paracrash campaign`).
+//! The one sweep driver (`paracrash fuzz` / `paracrash campaign`):
+//! generated corpus × (file system × journaling mode) through
+//! `check_stack`, folded into a [`FuzzCorpus`], with automatic triage of
+//! novel findings — crash-safe and resumable when given a state dir.
 //!
-//! A representative-testing sweep at campaign scale runs long enough to
-//! be killed, OOM-ed or power-cycled mid-run, so this driver applies
-//! the discipline the checker demands of the systems it tests to its
-//! own state:
+//! Cells run **sequentially** on purpose: `check_stack` already
+//! parallelizes internally over crash states, and its
+//! `canonical_report` is `PC_THREADS`-invariant — so running the cell
+//! loop in-order makes the whole sweep's report byte-identical whatever
+//! the thread count, which is exactly the determinism contract the CI
+//! crash gate diffs (`paracrash::fuzz` module docs).
+//!
+//! Triage: [`FuzzCorpus::record_cell`] returns the keys a cell *newly*
+//! contributed. Only those cells are re-run with the explain engine
+//! enabled (the provenance pass costs real time on buggy cells), and
+//! each novel finding gets a self-contained bundle under
+//! `findings_out`: Markdown report, Graphviz causal graph, JSON
+//! (minimal witness + violated edges + state diff), plus a `.repro`
+//! file with the exact workload label and re-run command line.
+//!
+//! Live observability rides along without touching the fold: each cell
+//! gets a fresh causal trace id, its wall time feeds the
+//! [`crate::progress::CampaignMeter`] (PC_PROGRESS lines, stall and
+//! throughput-regression warnings), and — when the event stream is on —
+//! the driver publishes a `cell` event per completed cell, a `finding`
+//! event per novel finding, and a `snapshot` event with the Good–Turing
+//! saturation estimate every [`SNAPSHOT_EVERY`] cells, flushing the
+//! flight recorder to the sink after every cell so a killed sweep
+//! leaves a readable stream behind.
+//!
+//! **Per-cell fault tolerance** (every run) — each cell runs on a
+//! watchdog thread. A panic is retried with exponential backoff up to
+//! [`CampaignOptions::max_retries`] times; a cell that exceeds
+//! [`CampaignOptions::cell_timeout`] or exhausts its retries is
+//! **quarantined**: the sweep records a `quarantined:` diagnostic
+//! (part of the canonical report — a ledger, not a silent skip) and
+//! moves on. A hung cell's thread is deliberately leaked; only the
+//! watchdog returns.
+//!
+//! **Persistence is an attribute of the run, not a second tool.** A
+//! sweep at campaign scale runs long enough to be killed, OOM-ed or
+//! power-cycled mid-run, so with [`CampaignOptions::state_dir`] set the
+//! driver applies the discipline the checker demands of the systems it
+//! tests to its own state (without one it skips exactly these two and is
+//! otherwise the same loop):
 //!
 //! * **Persistent corpus** — every finished cell appends one record to
 //!   an append-only, CRC-checked [`pc_rt::durable::RecordLog`]
@@ -23,14 +62,6 @@
 //!   [`FuzzCorpus::canonical_report`] is byte-identical to an
 //!   uninterrupted one (pinned by `tests/campaign_resume.rs` and
 //!   verify gate 13).
-//! * **Per-cell fault tolerance** — each cell runs on a watchdog
-//!   thread. A panic is retried with exponential backoff up to
-//!   [`CampaignOptions::max_retries`] times; a cell that exceeds
-//!   [`CampaignOptions::cell_timeout`] or exhausts its retries is
-//!   **quarantined**: the sweep records a `quarantined:` diagnostic
-//!   (part of the canonical report — a ledger, not a silent skip) and
-//!   moves on. A hung cell's thread is deliberately leaked; only the
-//!   watchdog returns.
 //!
 //! Robustness counters (`campaign.resumed_cells`, `campaign.retries`,
 //! `campaign.quarantined`) flow through [`pc_rt::obs::count`] into the
@@ -45,36 +76,113 @@
 //! `--resume`. `PC_CAMPAIGN_POISON=<label-substr>:<panic|panic-once|hang>`
 //! poisons matching cells to exercise the watchdog plane.
 
-use h5sim::json::Json;
+use paracrash::fuzz::FindingKey;
 use paracrash::{
-    check_stack, BugKind, BugSignature, CheckOutcome, FuzzCorpus, Inconsistency, LayerVerdict,
-    Model,
+    check_stack, BugKind, BugSignature, CheckConfig, CheckOutcome, FuzzCorpus, Inconsistency,
+    LayerVerdict, Model,
 };
 use pc_rt::durable::{write_atomic, RecordLog};
+use pc_rt::json::Json;
 use pc_rt::obs::stream;
 use pc_rt::pc_warn;
-use std::path::{Path, PathBuf};
+use simfs::JournalMode;
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::Duration;
 use workloads::generated::{self, GeneratedWorkload};
-use workloads::FsKind;
+use workloads::{FsKind, Params};
 
-use crate::fuzz_driver::{mode_label, triage, FuzzOptions, SNAPSHOT_EVERY};
 use crate::progress::CampaignMeter;
-use simfs::JournalMode;
+use crate::sanitize;
+
+/// Emit a `snapshot` delta event (and flush) every this many cells.
+pub const SNAPSHOT_EVERY: usize = 32;
+
+/// Short journaling-mode label used in reports, bundle names and the
+/// CLI (`--modes data,ordered,…`).
+pub fn mode_label(mode: JournalMode) -> &'static str {
+    match mode {
+        JournalMode::Data => "data",
+        JournalMode::Ordered => "ordered",
+        JournalMode::Writeback => "writeback",
+        JournalMode::None => "none",
+    }
+}
+
+/// Parse a `--modes` list: comma-separated short labels or `all`.
+pub fn parse_modes(spec: &str) -> Option<Vec<JournalMode>> {
+    if spec.eq_ignore_ascii_case("all") {
+        return Some(vec![
+            JournalMode::Data,
+            JournalMode::Ordered,
+            JournalMode::Writeback,
+            JournalMode::None,
+        ]);
+    }
+    spec.split(',').map(JournalMode::parse).collect()
+}
+
+/// The sweep itself: which cells, checked how.
+pub struct FuzzOptions {
+    /// Maximum POSIX sequence length (HDF5/MPI-IO sequences are one op
+    /// shorter — `workloads::generated` module docs).
+    pub bound: usize,
+    /// Seed for the sampling mode (ignored when `sample` is `None`, but
+    /// still recorded in `.repro` files so a finding names its run).
+    pub seed: u64,
+    /// `Some(n)`: check a seeded deterministic sample of `n` workloads
+    /// instead of the exhaustive corpus (the nightly tier).
+    pub sample: Option<usize>,
+    /// File systems under test.
+    pub file_systems: Vec<FsKind>,
+    /// Journaling modes of the servers' local stores (the sweep axis
+    /// GPFS ignores — it journals at the block layer).
+    pub modes: Vec<JournalMode>,
+    /// Directory for per-finding triage bundles; `None` skips triage.
+    pub findings_out: Option<String>,
+    /// Workload parameters (quick or paper scale).
+    pub params: Params,
+    /// Checker configuration (explain is forced on only for the triage
+    /// re-runs, never for the sweep itself).
+    pub cfg: CheckConfig,
+}
+
+impl FuzzOptions {
+    /// The PR-tier defaults: exhaustive bound-2 corpus, BeeGFS +
+    /// OrangeFS, data journaling, quick parameters, no triage output.
+    /// Representative-state digests are collected so the corpus (and
+    /// its pinned report) counts distinct crash states, not just
+    /// verdict classes.
+    pub fn pr_tier() -> FuzzOptions {
+        let mut cfg = CheckConfig::paper_default();
+        cfg.collect_rep_digests = true;
+        FuzzOptions {
+            bound: 2,
+            seed: 42,
+            sample: None,
+            file_systems: vec![FsKind::BeeGfs, FsKind::OrangeFs],
+            modes: vec![JournalMode::Data],
+            findings_out: None,
+            params: Params::quick(),
+            cfg,
+        }
+    }
+}
 
 /// Environment variable poisoning matching cells (watchdog testing):
 /// `<label-substring>:<panic|panic-once|hang>`.
 pub const POISON_ENV: &str = "PC_CAMPAIGN_POISON";
 
-/// Everything one resumable campaign needs on top of the fuzz sweep.
+/// Everything one run of the driver needs on top of the sweep.
 pub struct CampaignOptions {
     /// The underlying sweep: corpus bound/seed/sample, file systems,
     /// journal modes, triage output, params, checker config.
     pub fuzz: FuzzOptions,
-    /// Directory holding `corpus.log` and `checkpoint.json`.
-    pub state_dir: String,
-    /// Continue from existing state instead of refusing to clobber it.
+    /// Directory holding `corpus.log` and `checkpoint.json`; `None`
+    /// runs the same sweep without the record log and checkpoints.
+    pub state_dir: Option<String>,
+    /// Continue from existing state instead of refusing to clobber it
+    /// (needs a state dir).
     pub resume: bool,
     /// Per-cell watchdog deadline; `None` waits forever (no watchdog
     /// timeout, panics still retried).
@@ -88,12 +196,12 @@ pub struct CampaignOptions {
 }
 
 impl CampaignOptions {
-    /// Defaults on top of a fuzz sweep: no resume, no deadline, two
-    /// retries, checkpoint every 16 cells.
-    pub fn new(fuzz: FuzzOptions, state_dir: &str) -> CampaignOptions {
+    /// Defaults on top of a sweep: no resume, no deadline, two retries,
+    /// checkpoint every 16 cells.
+    pub fn new(fuzz: FuzzOptions, state_dir: Option<&str>) -> CampaignOptions {
         CampaignOptions {
             fuzz,
-            state_dir: state_dir.to_string(),
+            state_dir: state_dir.map(str::to_string),
             resume: false,
             cell_timeout: None,
             max_retries: 2,
@@ -102,7 +210,7 @@ impl CampaignOptions {
     }
 }
 
-/// What one campaign run (or resume) produced.
+/// What one run (or resume) of the driver produced.
 #[derive(Debug)]
 pub struct CampaignReport {
     /// The corpus, including everything recovered from prior runs.
@@ -162,8 +270,8 @@ fn poison_hook(label: &str, attempt: usize) {
 fn run_cell_attempt(
     w: &GeneratedWorkload,
     fs: FsKind,
-    params: &workloads::Params,
-    cfg: &paracrash::CheckConfig,
+    params: &Params,
+    cfg: &CheckConfig,
     label: &str,
     attempt: usize,
     timeout: Option<Duration>,
@@ -201,8 +309,8 @@ fn run_cell_attempt(
 fn run_cell_guarded(
     w: &GeneratedWorkload,
     fs: FsKind,
-    params: &workloads::Params,
-    cfg: &paracrash::CheckConfig,
+    params: &Params,
+    cfg: &CheckConfig,
     label: &str,
     max_retries: usize,
     timeout: Option<Duration>,
@@ -455,25 +563,90 @@ fn fold_quarantine(corpus: &mut FuzzCorpus, workload: &str, fs: &str, journal: &
 }
 
 // ---------------------------------------------------------------------------
-// Recovery.
+// The durable half: `<state-dir>/corpus.log` + `checkpoint.json`.
 // ---------------------------------------------------------------------------
 
-/// State recovered from `<state-dir>`: the rebuilt corpus and the index
-/// of the first cell that still needs checking.
-struct Recovered {
-    corpus: FuzzCorpus,
-    cursor: usize,
+/// An open state dir.
+struct Durable {
+    log: RecordLog,
+    ckpt_path: PathBuf,
+}
+
+impl Durable {
+    /// Open (or create) the state dir and rebuild what it recorded: the
+    /// corpus so far and the index of the first cell that still needs
+    /// checking.
+    fn open(opts: &CampaignOptions, dir: &str) -> Result<(Durable, FuzzCorpus, usize), String> {
+        let state_dir = PathBuf::from(dir);
+        let log_path = state_dir.join("corpus.log");
+        let ckpt_path = state_dir.join("checkpoint.json");
+        if !opts.resume && log_path.exists() {
+            return Err(format!(
+                "campaign state already exists at {}; pass --resume to continue it \
+                 or remove the directory to start over",
+                state_dir.display()
+            ));
+        }
+        let (mut log, raw_records) = RecordLog::open(&log_path)
+            .map_err(|e| format!("cannot open campaign log {}: {e}", log_path.display()))?;
+        let checkpoint_text = if opts.resume {
+            std::fs::read_to_string(&ckpt_path).ok()
+        } else {
+            None
+        };
+        let checkpoint = match &checkpoint_text {
+            Some(text) => match Json::parse(text) {
+                Ok(j) => Some(j),
+                Err(e) => {
+                    pc_warn!("campaign: unreadable checkpoint ({e}); replaying full log");
+                    None
+                }
+            },
+            None => None,
+        };
+        let (corpus, cursor) = recover(&opts.fuzz, &raw_records, checkpoint.as_ref())?;
+        if raw_records.is_empty() {
+            let mut text = meta_record(&opts.fuzz).pretty();
+            text.push('\n');
+            log.append(text.as_bytes())
+                .map_err(|e| format!("cannot append campaign meta record: {e}"))?;
+        }
+        Ok((Durable { log, ckpt_path }, corpus, cursor))
+    }
+
+    /// The cell's commit point.
+    fn append(&mut self, idx: usize, record: &Json) -> Result<(), String> {
+        let mut text = record.pretty();
+        text.push('\n');
+        self.log
+            .append(text.as_bytes())
+            .map_err(|e| format!("cannot append campaign record {idx}: {e}"))
+    }
+
+    fn checkpoint(&self, cursor: usize, corpus: &FuzzCorpus) -> Result<(), String> {
+        let ckpt = Json::Obj(vec![
+            ("kind".into(), Json::Str("checkpoint".into())),
+            ("cursor".into(), Json::Int(cursor as u64)),
+            ("records".into(), Json::Int(cursor as u64 + 1)),
+            ("corpus".into(), corpus.to_json()),
+        ]);
+        let mut text = ckpt.pretty();
+        text.push('\n');
+        write_atomic(&self.ckpt_path, text.as_bytes())
+            .map_err(|e| format!("cannot write checkpoint {}: {e}", self.ckpt_path.display()))
+    }
 }
 
 /// Replay `records` (already CRC-validated by [`RecordLog::open`])
 /// through the corpus fold, optionally fast-forwarding from a
-/// checkpoint. Record `idx` fields must be contiguous from the cursor —
-/// anything else means the state dir was tampered with or mixes runs.
+/// checkpoint; returns the rebuilt corpus and the cursor. Record `idx`
+/// fields must be contiguous from the cursor — anything else means the
+/// state dir was tampered with or mixes runs.
 fn recover(
-    opts: &CampaignOptions,
+    fuzz: &FuzzOptions,
     records: &[Vec<u8>],
     checkpoint: Option<&Json>,
-) -> Result<Recovered, String> {
+) -> Result<(FuzzCorpus, usize), String> {
     let parsed: Vec<Json> = records
         .iter()
         .enumerate()
@@ -484,7 +657,7 @@ fn recover(
         })
         .collect::<Result<_, _>>()?;
     if let Some(first) = parsed.first() {
-        check_meta(first, &opts.fuzz)?;
+        check_meta(first, fuzz)?;
     }
     let mut corpus = FuzzCorpus::new();
     let mut cursor = 0usize;
@@ -531,7 +704,7 @@ fn recover(
         }
         cursor += 1;
     }
-    Ok(Recovered { corpus, cursor })
+    Ok((corpus, cursor))
 }
 
 /// Validate and unpack a checkpoint against the replayed log length.
@@ -561,34 +734,23 @@ fn checkpoint_state(ckpt: &Json, log_records: usize) -> Result<(usize, usize, Fu
     Ok((cursor, consumed, corpus))
 }
 
-fn write_checkpoint(path: &Path, cursor: usize, corpus: &FuzzCorpus) -> Result<(), String> {
-    let ckpt = Json::Obj(vec![
-        ("kind".into(), Json::Str("checkpoint".into())),
-        ("cursor".into(), Json::Int(cursor as u64)),
-        ("records".into(), Json::Int(cursor as u64 + 1)),
-        ("corpus".into(), corpus.to_json()),
-    ]);
-    let mut text = ckpt.pretty();
-    text.push('\n');
-    write_atomic(path, text.as_bytes())
-        .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))
-}
-
 // ---------------------------------------------------------------------------
 // The driver.
 // ---------------------------------------------------------------------------
 
-/// Run (or resume) one campaign. See the module docs for the crash-
-/// safety contract; stdout formatting is the caller's job — the report
+/// Run (or resume) one sweep: every generated workload through every
+/// `(fs, mode)` cell, deduplicating into a [`FuzzCorpus`] and writing
+/// triage bundles for novel findings. See the module docs for what a
+/// state dir adds; stdout formatting is the caller's job — the report
 /// carries the corpus.
 pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
     let workloads = match opts.fuzz.sample {
         Some(n) => generated::sample(opts.fuzz.bound, opts.fuzz.seed, n),
         None => generated::corpus(opts.fuzz.bound),
     };
-    // Flat, deterministic cell enumeration — the same nesting order as
-    // the fuzzer (workload outer, fs, then mode), so cursor N always
-    // names the same cell for a given meta record.
+    // Flat, deterministic cell enumeration (workload outer, fs, then
+    // mode), so cursor N always names the same cell for a given meta
+    // record.
     let cells: Vec<(usize, FsKind, JournalMode)> = workloads
         .iter()
         .enumerate()
@@ -601,46 +763,18 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
         .collect();
     let total_cells = cells.len();
 
-    let state_dir = PathBuf::from(&opts.state_dir);
-    let log_path = state_dir.join("corpus.log");
-    let ckpt_path = state_dir.join("checkpoint.json");
-    if !opts.resume && log_path.exists() {
-        return Err(format!(
-            "campaign state already exists at {}; pass --resume to continue it \
-             or remove the directory to start over",
-            state_dir.display()
-        ));
-    }
-    let (mut log, raw_records) = RecordLog::open(&log_path)
-        .map_err(|e| format!("cannot open campaign log {}: {e}", log_path.display()))?;
-    let checkpoint_text = if opts.resume {
-        std::fs::read_to_string(&ckpt_path).ok()
-    } else {
-        None
+    let (mut durable, mut corpus, start_cursor) = match &opts.state_dir {
+        Some(dir) => {
+            let (durable, corpus, cursor) = Durable::open(opts, dir)?;
+            (Some(durable), corpus, cursor)
+        }
+        None if opts.resume => return Err("--resume needs a --state-dir to resume from".into()),
+        None => (None, FuzzCorpus::new(), 0),
     };
-    let checkpoint = match &checkpoint_text {
-        Some(text) => match Json::parse(text) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                pc_warn!("campaign: unreadable checkpoint ({e}); replaying full log");
-                None
-            }
-        },
-        None => None,
-    };
-    let recovered = recover(opts, &raw_records, checkpoint.as_ref())?;
-    let mut corpus = recovered.corpus;
-    let start_cursor = recovered.cursor;
     if start_cursor > total_cells {
         return Err(format!(
             "campaign log holds {start_cursor} cells but the sweep only has {total_cells}"
         ));
-    }
-    if raw_records.is_empty() {
-        let mut text = meta_record(&opts.fuzz).pretty();
-        text.push('\n');
-        log.append(text.as_bytes())
-            .map_err(|e| format!("cannot append campaign meta record: {e}"))?;
     }
     if start_cursor > 0 {
         pc_rt::obs::count("campaign.resumed_cells", start_cursor as u64);
@@ -663,6 +797,9 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
         let label = w.label();
         let journal = mode_label(mode);
         let cell_label = format!("{label}@{}/{journal}", fs.name());
+        // Fresh causal trace id: every span this cell opens — replay,
+        // checker stages, simnet RPC on pool workers — tags it, giving
+        // Chrome-trace one flow per check.
         pc_rt::obs::set_trace_id(pc_rt::obs::next_trace_id());
         let started = std::time::Instant::now();
         let guarded = run_cell_guarded(
@@ -676,9 +813,9 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
             &mut report.retries,
         );
         let wall_ns = started.elapsed().as_nanos() as u64;
-        let record = match guarded {
+        match &guarded {
             Ok(outcome) => {
-                let novel = corpus.record_cell(&label, fs.name(), journal, &outcome);
+                let novel = corpus.record_cell(&label, fs.name(), journal, outcome);
                 if stream::enabled() {
                     for (key_fs, key_journal, signature, layer) in &novel {
                         stream::emit(
@@ -700,30 +837,30 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
                         ),
                     );
                 }
-                // Bundles first, then the commit-point append: a crash
-                // between them re-runs the cell and rewrites identical
-                // bundles, never the reverse (a record without bundles).
                 if !novel.is_empty() {
                     if let Some(dir) = &opts.fuzz.findings_out {
-                        report.bundles +=
-                            triage(dir, w, fs, &params, &opts.fuzz.cfg, &novel, &opts.fuzz)?;
+                        report.bundles += triage(dir, w, fs, &params, &novel, &opts.fuzz)?;
                     }
                 }
-                cell_record(idx, &label, fs.name(), journal, &outcome)
             }
             Err(reason) => {
                 report.quarantined += 1;
                 pc_rt::obs::count("campaign.quarantined", 1);
                 pc_warn!("campaign: quarantined {cell_label}: {reason}");
-                fold_quarantine(&mut corpus, &label, fs.name(), journal, &reason);
-                quarantine_record(idx, &label, fs.name(), journal, &reason)
+                fold_quarantine(&mut corpus, &label, fs.name(), journal, reason);
             }
-        };
+        }
         pc_rt::obs::set_trace_id(0);
-        let mut text = record.pretty();
-        text.push('\n');
-        log.append(text.as_bytes())
-            .map_err(|e| format!("cannot append campaign record {idx}: {e}"))?;
+        // Bundles first (above), then the commit-point append: a crash
+        // between them re-runs the cell and rewrites identical bundles,
+        // never the reverse (a record without bundles).
+        if let Some(durable) = &mut durable {
+            let record = match &guarded {
+                Ok(outcome) => cell_record(idx, &label, fs.name(), journal, outcome),
+                Err(reason) => quarantine_record(idx, &label, fs.name(), journal, reason),
+            };
+            durable.append(idx, &record)?;
+        }
         report.cells_run += 1;
         for warning in meter.note_cell(&cell_label, wall_ns) {
             pc_warn!("{warning}");
@@ -750,13 +887,19 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
                     ),
                 );
             }
+            // Per-cell drain: a killed or wedged sweep still leaves
+            // everything up to its last finished cell.
             stream::flush();
         }
-        if report.cells_run % opts.checkpoint_every == 0 {
-            write_checkpoint(&ckpt_path, idx + 1, &corpus)?;
+        if let Some(durable) = &durable {
+            if report.cells_run % opts.checkpoint_every == 0 {
+                durable.checkpoint(idx + 1, &corpus)?;
+            }
         }
     }
-    write_checkpoint(&ckpt_path, total_cells, &corpus)?;
+    if let Some(durable) = &durable {
+        durable.checkpoint(total_cells, &corpus)?;
+    }
     if pc_rt::obs::summary_enabled() {
         eprintln!(
             "campaign: campaign.resumed_cells = {}  campaign.retries = {}  \
@@ -768,10 +911,78 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
     Ok(report)
 }
 
+/// Re-run one novel cell through the explain engine and write one
+/// bundle per novel finding key. Returns the number of bundles written.
+fn triage(
+    dir: &str,
+    w: &GeneratedWorkload,
+    fs: FsKind,
+    params: &Params,
+    novel: &[FindingKey],
+    opts: &FuzzOptions,
+) -> Result<usize, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+    let mut explain_cfg = opts.cfg.clone();
+    explain_cfg.explain = true;
+    let stack = w.run(fs, params);
+    let factory = fs.factory(params);
+    let outcome = check_stack(&stack, &factory, &explain_cfg);
+    let mut written = 0usize;
+    for (i, key) in novel.iter().enumerate() {
+        let (_, journal, signature, layer) = key;
+        let stem = format!(
+            "{}-{}-{}",
+            sanitize(fs.name()),
+            sanitize(journal),
+            sanitize(&format!("{}-{:02}", w.label(), i + 1)),
+        );
+        let write = |ext: &str, text: String| -> Result<(), String> {
+            let path = format!("{dir}/{stem}.{ext}");
+            std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))
+        };
+        let context = format!("{} on {} ({journal})", w.label(), fs.name());
+        if let Some(e) = outcome
+            .explanations
+            .iter()
+            .find(|e| e.signature.to_string() == *signature && e.layer == *layer)
+        {
+            write("md", e.to_markdown(&context))?;
+            write("dot", e.to_dot())?;
+            let mut json = e.to_json().pretty();
+            json.push('\n');
+            write("json", json)?;
+        }
+        let sample_arg = match opts.sample {
+            Some(n) => format!(" --sample {n}"),
+            None => String::new(),
+        };
+        write(
+            "repro",
+            format!(
+                "workload: {}\nfs: {}\njournal: {}\nsignature: {}\nlayer: {:?}\n\
+                 repro: paracrash fuzz --bound {} --seed {}{} --fs {} --modes {}\n",
+                w.label(),
+                fs.name(),
+                journal,
+                signature,
+                layer,
+                opts.bound,
+                opts.seed,
+                sample_arg,
+                fs.name(),
+                journal,
+            ),
+        )?;
+        written += 1;
+    }
+    Ok(written)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pc_rt::durable::{arm_crash, disarm_crash, reset_points, CrashMode, CrashSpec};
+    use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex, MutexGuard};
 
@@ -803,28 +1014,79 @@ mod tests {
             file_systems: vec![FsKind::BeeGfs],
             ..FuzzOptions::pr_tier()
         };
-        let mut opts = CampaignOptions::new(fuzz, dir.to_str().unwrap());
+        let mut opts = CampaignOptions::new(fuzz, dir.to_str());
         opts.checkpoint_every = 2;
         opts
     }
 
+    /// The same sweep with no state dir.
+    fn stateless_opts() -> CampaignOptions {
+        CampaignOptions {
+            state_dir: None,
+            ..tiny_opts(Path::new(""))
+        }
+    }
+
+    fn dir_listing(dir: &Path) -> Vec<PathBuf> {
+        let mut names: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn campaign_matches_fuzz_and_refuses_clobber() {
+    fn mode_parsing_roundtrips() {
+        assert_eq!(parse_modes("all").unwrap().len(), 4);
+        assert_eq!(
+            parse_modes("data,none").unwrap(),
+            vec![JournalMode::Data, JournalMode::None]
+        );
+        assert!(parse_modes("data,wat").is_none());
+        for m in parse_modes("all").unwrap() {
+            assert_eq!(parse_modes(mode_label(m)).unwrap(), vec![m]);
+        }
+    }
+
+    #[test]
+    fn state_dir_adds_only_durability_and_refuses_clobber() {
         let _g = lock_tests();
         disarm_crash();
         let dir = scratch_dir("basic");
         let opts = tiny_opts(&dir);
         let report = run_campaign(&opts).unwrap();
+        assert_eq!(report.workloads, 5);
         assert_eq!(report.total_cells, 5);
         assert_eq!(report.cells_run, 5);
         assert_eq!(report.resumed_cells, 0);
-        // Same sweep through the plain fuzzer: identical corpus.
-        let fuzz_report = crate::fuzz_driver::fuzz_campaign(&opts.fuzz).unwrap();
+        assert_eq!(report.corpus.cells, 5);
+        // Same sweep without a state dir: identical corpus, twice (same
+        // seed + bound reproduce byte-identically), and no file created
+        // anywhere the driver could default to.
+        let cwd = std::env::current_dir().unwrap();
+        let (cwd_before, state_before) = (dir_listing(&cwd), dir_listing(&dir));
+        let stateless = run_campaign(&stateless_opts()).unwrap();
+        let again = run_campaign(&stateless_opts()).unwrap();
+        assert_eq!(dir_listing(&cwd), cwd_before, "stateless run wrote to cwd");
+        assert_eq!(dir_listing(&dir), state_before);
         assert_eq!(
             report.corpus.canonical_report(),
-            fuzz_report.corpus.canonical_report(),
-            "campaign and fuzz folds must agree cell-for-cell"
+            stateless.corpus.canonical_report(),
+            "with and without a state dir the folds must agree cell-for-cell"
         );
+        assert_eq!(
+            stateless.corpus.canonical_report(),
+            again.corpus.canonical_report()
+        );
+        assert_eq!((stateless.cells_run, stateless.resumed_cells), (5, 0));
+        // --resume has nothing to resume from without a state dir.
+        let err = run_campaign(&CampaignOptions {
+            resume: true,
+            ..stateless_opts()
+        })
+        .unwrap_err();
+        assert!(err.contains("--state-dir"), "got: {err}");
         assert!(report.corpus.rep_state_count() > 0, "digests collected");
         // Re-running without --resume must refuse, not clobber.
         let err = run_campaign(&opts).unwrap_err();
@@ -920,10 +1182,11 @@ mod tests {
             "a retried transient failure must not change the corpus"
         );
 
-        // persistent panic: retries exhaust, the cell is quarantined.
-        let q_dir = scratch_dir("poison-quarantine");
+        // persistent panic: retries exhaust, the cell is quarantined —
+        // the watchdog is the driver's, not the state dir's, so a
+        // stateless sweep survives it too.
         std::env::set_var(POISON_ENV, format!("{victim}:panic"));
-        let quarantined = run_campaign(&tiny_opts(&q_dir));
+        let quarantined = run_campaign(&stateless_opts());
         std::env::remove_var(POISON_ENV);
         let quarantined = quarantined.unwrap();
         assert_eq!(quarantined.quarantined, 1);
@@ -961,7 +1224,7 @@ mod tests {
             .canonical_report()
             .contains("quarantined: cell deadline"));
 
-        for d in [&clean_dir, &retry_dir, &q_dir, &h_dir] {
+        for d in [&clean_dir, &retry_dir, &h_dir] {
             std::fs::remove_dir_all(d).unwrap();
         }
     }

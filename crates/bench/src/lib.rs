@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
 
-//! Shared harness machinery for the figure/table regeneration binaries
-//! and the wall-clock benches.
+//! Shared harness machinery for the `paracrash` binary's figure/table
+//! regeneration subcommands, the sweep driver, and the wall-clock
+//! benches.
 //!
 //! Every evaluation artifact of the paper reduces to running a set of
 //! `(program, file system, placement, parameters)` cells through
@@ -13,16 +14,15 @@
 //! * Figure 11 — exploration time as the server count grows.
 //!
 //! The wall-clock benches (formerly criterion bench targets) live in
-//! [`benches`] and run on `pc-rt`'s harness through the `bench` binary:
-//! `cargo run --release -p pc-bench --bin bench -- [filter] [--json PATH]`.
+//! [`benches`] and run on `pc-rt`'s harness through `paracrash bench`:
+//! `cargo run --release -p pc-bench -- bench [filter] [--json PATH]`.
 
-use h5sim::json::Json;
 use paracrash::{check_stack, CheckConfig, CheckOutcome, ExploreMode, Inconsistency, LayerVerdict};
 use pc_rt::bench::Sample;
+use pc_rt::json::Json;
 use workloads::{FsKind, Params, Program};
 
 pub mod campaign;
-pub mod fuzz_driver;
 pub mod progress;
 
 pub use pc_rt::bench::fmt_ns;
@@ -233,38 +233,18 @@ pub fn run_program_swept(
     merged.expect("at least one dims variant")
 }
 
-/// Run the full matrix.
-pub fn run_matrix(
-    programs: &[Program],
-    file_systems: &[FsKind],
-    params: &Params,
-    cfg: &CheckConfig,
-) -> Vec<MatrixCell> {
-    let mut cells = Vec::new();
-    for &program in programs {
-        for &fs in file_systems {
-            // POSIX programs run on every FS including the ext4 control;
-            // I/O-library programs only make sense on the PFSs + ext4.
-            cells.push(run_program(program, fs, params, cfg));
-        }
-    }
-    cells
-}
-
-/// Scale selector for the harness binaries: `--paper` runs the full
-/// Table 2 configuration, the default runs the scaled-down configuration
-/// with identical cross-server structure.
-pub fn params_from_args() -> Params {
-    if std::env::args().any(|a| a == "--paper") {
-        Params::paper()
-    } else {
-        Params::quick()
-    }
-}
-
-/// Default checker configuration for the harnesses.
-pub fn default_config() -> CheckConfig {
-    CheckConfig::paper_default()
+/// Filesystem-safe bundle-name component: lowercase, non-alphanumerics
+/// collapsed to `-` (e.g. `"H5-create"` → `"h5-create"`).
+pub fn sanitize(name: &str) -> String {
+    name.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '-'
+            }
+        })
+        .collect()
 }
 
 /// Render one inconsistency like a Table 3 row body.
@@ -296,8 +276,8 @@ pub fn run_with_mode(
     run_program(program, fs, params, &cfg).outcome
 }
 
-/// Serialize bench results as JSON (via `h5sim`'s vendored writer —
-/// the same one `h5inspect` uses, keeping the workspace registry-free).
+/// Serialize bench results as JSON (via the vendored `pc_rt::json`
+/// writer, keeping the workspace registry-free).
 pub fn bench_samples_json(samples: &[Sample]) -> Json {
     Json::Arr(
         samples
@@ -338,7 +318,7 @@ mod tests {
         // WAL has two placement variants; the merged cell must account
         // for both explorations.
         let params = Params::quick();
-        let cfg = default_config();
+        let cfg = CheckConfig::paper_default();
         let merged = run_program(Program::Wal, FsKind::GlusterFs, &params, &cfg);
         let single = run_cell(Program::Wal, FsKind::GlusterFs, "default", &params, &cfg);
         assert!(merged.outcome.stats.states_total > single.outcome.stats.states_total);

@@ -1,9 +1,9 @@
 //! Campaign-level live metrics: throughput, ETA, and anomaly detection
-//! for the fuzz driver's cell loop.
+//! for the sweep driver's cell loop.
 //!
 //! A multi-hour campaign must be legible while it runs. This module
 //! owns the three live views the driver threads through
-//! [`crate::fuzz_driver::fuzz_campaign`]:
+//! [`crate::campaign::run_campaign`]:
 //!
 //! * **progress lines** — `PC_PROGRESS=1` prints a one-line meter to
 //!   stderr (cells done, throughput, ETA, behavior classes, findings,

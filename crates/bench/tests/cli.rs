@@ -1,0 +1,127 @@
+//! The folded subcommands, driven through the one binary: exit codes
+//! and the verdicts `scripts/verify.sh` greps for.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn paracrash(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_paracrash"))
+        .args(args)
+        .output()
+        .expect("paracrash runs")
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pc-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn selftest_durable_passes_and_unknown_planes_are_usage_errors() {
+    let ok = paracrash(&["selftest", "durable"]);
+    assert!(ok.status.success(), "{ok:?}");
+    assert!(String::from_utf8_lossy(&ok.stdout).contains("64 torn-tail recovery cases"));
+
+    let bad = paracrash(&["selftest", "nonsense"]);
+    assert_eq!(bad.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&bad.stderr);
+    assert!(
+        err.contains("telemetry|faults|explain|stream|prof|durable|scale|events"),
+        "plane list missing from: {err}"
+    );
+}
+
+#[test]
+fn table3_reproduces_all_fifteen() {
+    let out = paracrash(&["table3"]);
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(text.matches("REPRODUCED").count(), 15, "{text}");
+    assert!(!text.contains("missing"));
+}
+
+/// Each file validator accepts the artifact the tool writes and rejects
+/// the same artifact cut in half with exit 1 (a verdict, not a usage
+/// error or a panic).
+#[test]
+fn file_validators_reject_truncated_artifacts() {
+    let dir = scratch("artifacts");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+    // One small sweep and one single-cell check write every artifact
+    // kind (BeeGFS/ARVR finds bugs, so that cell exits 1 by design).
+    let sweep = paracrash(&[
+        "fuzz",
+        "--sample",
+        "6",
+        "--fs",
+        "BeeGFS",
+        "--events-out",
+        &path("events.jsonl"),
+    ]);
+    assert!(sweep.status.success(), "{sweep:?}");
+    let cell = paracrash(&[
+        "--fs",
+        "BeeGFS",
+        "--program",
+        "ARVR",
+        "--telemetry-out",
+        &path("telemetry.json"),
+        "--explain-out",
+        &path("explain"),
+    ]);
+    assert_eq!(cell.status.code(), Some(1), "{cell:?}");
+    // A `.folded` profile is whatever the sampler caught; a run this
+    // short may catch nothing, so the accepted artifact is written here.
+    std::fs::write(path("run.folded"), "cli.run;check.verdicts 3\n").unwrap();
+
+    // Cut near the middle, but never at a line boundary: a file that
+    // ends after a whole line is a shorter valid artifact, not a torn one.
+    let halve = |from: &str, to: &str| {
+        let bytes = std::fs::read(from).unwrap();
+        let mut cut = bytes.len() / 2;
+        while bytes[cut] == b'\n' || bytes[cut - 1] == b'\n' {
+            cut -= 1;
+        }
+        std::fs::write(to, &bytes[..cut]).unwrap();
+    };
+    let cases: [(&[&str], String); 5] = [
+        (&["telemetry"], path("telemetry.json")),
+        (&["events"], path("events.jsonl")),
+        (&["prof"], path("run.folded")),
+        (&["scale"], format!("{root}/BENCH_scale.json")),
+        (&["prof", "--bench"], format!("{root}/BENCH_profiling.json")),
+    ];
+    for (plane, good) in &cases {
+        let run = |file: &str| paracrash(&[&["selftest"], *plane, &[file]].concat());
+        let ok = run(good);
+        assert!(ok.status.success(), "selftest {plane:?} {good}: {ok:?}");
+        let cut = path("cut");
+        halve(good, &cut);
+        let bad = run(&cut);
+        assert_eq!(
+            bad.status.code(),
+            Some(1),
+            "selftest {plane:?} {cut}: {bad:?}"
+        );
+        assert!(String::from_utf8_lossy(&bad.stderr).contains("selftest: FAIL"));
+    }
+
+    // explain validates a directory: truncate one bundle's JSON in place.
+    let explain = path("explain");
+    let ok = paracrash(&["selftest", "explain", &explain, "1"]);
+    assert!(ok.status.success(), "{ok:?}");
+    let bundle = std::fs::read_dir(&explain)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "json"))
+        .expect("a bundle was written");
+    halve(bundle.to_str().unwrap(), bundle.to_str().unwrap());
+    let bad = paracrash(&["selftest", "explain", &explain, "1"]);
+    assert_eq!(bad.status.code(), Some(1), "{bad:?}");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -3,24 +3,25 @@
 //! projection must itself be deterministic.
 //!
 //! These live in `pc-bench` (not the root test package) because they
-//! drive [`fuzz_campaign`]; the recorder is process-global, so the
+//! drive [`run_campaign`]; the recorder is process-global, so the
 //! tests serialize on a lock and restore the disabled default.
 
-use h5sim::json::Json;
 use paracrash::telemetry::{canonical_event_lines, parse_event_stream};
-use pc_bench::fuzz_driver::{fuzz_campaign, FuzzOptions};
+use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
+use pc_rt::json::Json;
 use pc_rt::obs::stream;
 use std::sync::Mutex;
 use workloads::FsKind;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-fn small_opts() -> FuzzOptions {
-    FuzzOptions {
+fn small_opts() -> CampaignOptions {
+    let fuzz = FuzzOptions {
         sample: Some(8),
         file_systems: vec![FsKind::BeeGfs],
         ..FuzzOptions::pr_tier()
-    }
+    };
+    CampaignOptions::new(fuzz, None)
 }
 
 /// Run a small campaign with the stream sinking to `path`; returns the
@@ -29,7 +30,7 @@ fn run_streamed(path: &std::path::Path) -> (String, String) {
     let path_str = path.to_str().unwrap();
     stream::set_capacity(4096);
     stream::set_sink(path_str).expect("sink opens");
-    let report = fuzz_campaign(&small_opts())
+    let report = run_campaign(&small_opts())
         .expect("campaign runs")
         .corpus
         .canonical_report();
@@ -47,7 +48,7 @@ fn streamed_campaign_reports_identically_and_projects_deterministically() {
     let _guard = TEST_LOCK.lock().unwrap();
 
     // Baseline: no stream.
-    let plain = fuzz_campaign(&small_opts())
+    let plain = run_campaign(&small_opts())
         .expect("campaign runs")
         .corpus
         .canonical_report();
@@ -77,7 +78,7 @@ fn stream_carries_one_cell_event_per_campaign_cell() {
     let dir = std::env::temp_dir();
     let (_, text) = run_streamed(&dir.join("pc-fuzz-events-cells.jsonl"));
     let events = parse_event_stream(&text).expect("stream re-parses");
-    let opts = small_opts();
+    let opts = small_opts().fuzz;
     let expected_cells = 8 * opts.file_systems.len() * opts.modes.len();
     let cells = events
         .iter()

@@ -1,14 +1,14 @@
 //! The pinned-corpus regression test behind the PR-tier crash gate.
 //!
 //! `expected_fuzz_pr_tier.txt` is the canonical report of the PR-tier
-//! campaign ([`FuzzOptions::pr_tier`]): exhaustive bound-2 corpus on
+//! sweep ([`FuzzOptions::pr_tier`]): exhaustive bound-2 corpus on
 //! BeeGFS + OrangeFS under data journaling. The report is byte-stable
 //! by contract (RNG-free enumeration, `PC_THREADS`-invariant checking,
 //! sequential cell order), so any drift here is a *behavior change* in
 //! the stack — intended changes must regenerate the file:
 //!
 //! ```sh
-//! cargo run --release -p pc-bench --bin paracrash -- fuzz \
+//! cargo run --release -p pc-bench -- fuzz 2>/dev/null \
 //!     > crates/bench/tests/expected_fuzz_pr_tier.txt
 //! ```
 //!
@@ -16,14 +16,14 @@
 //! diffs `PC_THREADS=1` against the default pool); this test keeps the
 //! gate active under a plain `cargo test` too.
 
-use pc_bench::fuzz_driver::{fuzz_campaign, FuzzOptions};
+use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
 
 const EXPECTED: &str = include_str!("expected_fuzz_pr_tier.txt");
 
 #[test]
 fn pr_tier_finding_set_is_pinned() {
-    let report = fuzz_campaign(&FuzzOptions::pr_tier())
-        .expect("campaign runs")
+    let report = run_campaign(&CampaignOptions::new(FuzzOptions::pr_tier(), None))
+        .expect("sweep runs")
         .corpus
         .canonical_report();
     assert_eq!(
@@ -39,12 +39,13 @@ fn sampled_runs_are_byte_identical() {
     // Determinism on the sampling path (the exhaustive path is already
     // pinned above; verify.sh additionally diffs PC_THREADS=1 vs the
     // default pool through the CLI).
-    let opts = FuzzOptions {
+    let fuzz = FuzzOptions {
         sample: Some(60),
         ..FuzzOptions::pr_tier()
     };
-    let a = fuzz_campaign(&opts).expect("run a");
-    let b = fuzz_campaign(&opts).expect("run b");
+    let opts = CampaignOptions::new(fuzz, None);
+    let a = run_campaign(&opts).expect("run a");
+    let b = run_campaign(&opts).expect("run b");
     assert_eq!(
         a.corpus.canonical_report(),
         b.corpus.canonical_report(),

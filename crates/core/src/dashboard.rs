@@ -4,7 +4,7 @@
 //! the artifacts a run leaves behind — a `--events-out` JSON-lines
 //! stream, an optional `--telemetry-out` snapshot, any committed
 //! `BENCH_*.json` suites — parses them with the vendored
-//! `h5sim::json` reader (zero dependencies, like everything else in the
+//! `pc_rt::json` reader (zero dependencies, like everything else in the
 //! workspace), and emits **one** HTML file with inline CSS and inline
 //! SVG: no scripts, no external fonts, no network. Open it from disk,
 //! attach it to a bug report, archive it next to the corpus.
@@ -36,7 +36,7 @@
 //! gate 12 lints the rendered file for the full set plus a non-empty
 //! SVG, so a dashboard that silently lost a section fails CI.
 
-use h5sim::json::Json;
+use pc_rt::json::Json;
 
 use crate::telemetry::parse_event_stream;
 

@@ -39,7 +39,7 @@ use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
 use crate::snapshot::prepare_states;
 use crate::stack::Stack;
-use h5sim::json::Json;
+use pc_rt::json::Json;
 use pfs::{recover_and_mount, PfsView};
 use simfs::FsState;
 use simnet::{ClusterTopology, VectorClock};
@@ -681,7 +681,7 @@ impl BugExplanation {
         out
     }
 
-    /// JSON rendering (via `h5sim::json`) of the full bundle — the
+    /// JSON rendering (via `pc_rt::json`) of the full bundle — the
     /// machine-readable counterpart of the Markdown report.
     pub fn to_json(&self) -> Json {
         let op_json = |o: &ExplainOp| {

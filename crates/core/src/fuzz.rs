@@ -39,7 +39,8 @@
 //! already `PC_THREADS`-invariant (chaos-suite pinned).
 
 use crate::check::{CheckOutcome, LayerVerdict};
-use h5sim::json::Json;
+use pc_rt::hash::fnv1a;
+use pc_rt::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -105,25 +106,6 @@ pub fn sample_indices(n: usize, k: usize, seed: u64) -> Vec<usize> {
     idx.truncate(k);
     idx.sort_unstable();
     idx
-}
-
-/// FNV-1a over bytes: a stable, dependency-free digest for behavior
-/// classes. (Not `DefaultHasher`, whose algorithm is unspecified across
-/// toolchains — corpus digests must never move under a compiler bump.)
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET_BASIS, bytes)
-}
-
-/// The FNV-1a digest of no bytes.
-pub(crate) const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `bytes` into the running FNV-1a digest `h`.
-pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One deduplicated fuzzing finding: a bug signature first exposed by

@@ -12,7 +12,7 @@
 //! * `history diff` — last two runs, per-metric ratios, exit 1 when a
 //!   normalized metric regressed past `--band` (default 1.5×);
 //! * `history regressions` — every consecutive pair, the ratchet a CI
-//!   job can run after `scale-check --live`.
+//!   job can run after `selftest scale --live`.
 //!
 //! Records serialize as JSON payloads inside the record log, so the
 //! format is self-describing and old logs keep parsing as fields grow
@@ -21,9 +21,9 @@
 use std::io;
 use std::path::Path;
 
-use h5sim::json::Json;
 use pc_rt::bench::fmt_ns;
 use pc_rt::durable::RecordLog;
+use pc_rt::json::Json;
 use pc_rt::obs::prof::fmt_bytes;
 use pc_rt::obs::TelemetrySnapshot;
 

@@ -2,7 +2,7 @@
 //! JSON, in two dialects.
 //!
 //! * [`telemetry_json`] — a plain structured dump (`spans`, `counters`,
-//!   `gauges`, `histograms`), same `h5sim::json` writer and style as the
+//!   `gauges`, `histograms`), same `pc_rt::json` writer and style as the
 //!   `BENCH_*.json` files `pc-bench --json` commits;
 //! * [`chrome_trace`] — the Chrome trace-event format (the JSON Array
 //!   Format with `traceEvents`), loadable in Perfetto / `chrome://tracing`
@@ -11,10 +11,10 @@
 //!   histogram summaries ride along under `otherData`.
 //!
 //! Both serialize with the vendored writer and round-trip through
-//! [`Json::parse`] — the `telemetry-check` gate in `scripts/verify.sh`
+//! [`Json::parse`] — the `selftest telemetry` gate in `scripts/verify.sh`
 //! relies on that. Both carry a top-level `schema_version`
 //! ([`pc_rt::obs::stream::SCHEMA_VERSION`], shared with the events
-//! stream); `telemetry-check` rejects any other version instead of
+//! stream); `selftest telemetry` rejects any other version instead of
 //! silently re-parsing an incompatible dump.
 //!
 //! [`canonical_event_lines`] is the third consumer-side piece: it
@@ -22,7 +22,7 @@
 //! fields (kind/name/detail of `finding` and `cell` events, sorted) so
 //! sequential and parallel campaign runs can be diffed byte-for-byte.
 
-use h5sim::json::Json;
+use pc_rt::json::Json;
 use pc_rt::obs::stream::SCHEMA_VERSION;
 use pc_rt::obs::TelemetrySnapshot;
 

@@ -35,7 +35,6 @@
 pub mod call;
 pub mod file;
 pub mod format;
-pub mod json;
 pub mod netcdf;
 pub mod tools;
 

@@ -14,8 +14,8 @@
 use crate::call::{H5Call, H5Trace};
 use crate::file::{H5File, H5Spec};
 use crate::format::{self, check, H5Error, H5Logical};
-use crate::json::Json;
 use mpiio::MpiIo;
+use pc_rt::json::Json;
 use pfs::{ClientTrace, Pfs};
 use std::collections::BTreeSet;
 use tracer::Recorder;

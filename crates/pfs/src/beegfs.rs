@@ -1053,12 +1053,6 @@ impl Pfs for BeeGfs {
 
     fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
         let _span = pc_rt::obs::span_cat("recover/BeeGFS", "pfs");
-        if std::env::var_os("PC_TEST_POISON_RECOVER").is_some() {
-            // Test-only hook: a deliberately broken recovery tool, used to
-            // prove a panicking model yields a diagnostic entry instead of
-            // aborting the whole checking run.
-            panic!("poisoned recover (PC_TEST_POISON_RECOVER)");
-        }
         let mut report = RecoveryReport::clean("beegfs-fsck");
         // Pass 1: dentries pointing at idfiles with no attributes, or
         // directories with no dentries object → report; drop directory

@@ -8,6 +8,7 @@
 //! distribution patterns" (§6.2). [`Placement`] makes that pattern an
 //! explicit, overridable input.
 
+use pc_rt::hash::{fnv1a_fold, FNV_OFFSET_BASIS};
 use pc_rt::intern::Sym;
 use std::collections::BTreeMap;
 
@@ -56,15 +57,14 @@ impl Placement {
         self.dir_overrides.get(&Sym::new(dir)).copied()
     }
 
-    /// Stable FNV-1a hash — placement must be identical across runs and
-    /// across the fresh replays used for golden-state generation.
+    /// Stable FNV-1a-shaped hash — placement must be identical across
+    /// runs and across the fresh replays used for golden-state
+    /// generation. The multiplier is one hex digit longer than
+    /// `FNV_PRIME`; every placement index so far was computed with it
+    /// (it only agrees with the real prime for power-of-two server
+    /// counts), so it stays.
     fn fnv(s: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in s.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        fnv1a_fold(FNV_OFFSET_BASIS, s.as_bytes(), 0x1000_0000_01b3)
     }
 
     /// Index (into the metadata-server list) owning directory `dir`.

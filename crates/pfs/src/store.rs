@@ -1,5 +1,6 @@
 //! Per-server persistent stores and crash-state materialization.
 
+use pc_rt::hash::{fnv1a_extend, FNV_OFFSET_BASIS};
 use simfs::{BlockDev, BlockOp, FsOp, FsState, JournalMode};
 use tracer::{EventId, Payload, Recorder};
 
@@ -194,14 +195,9 @@ impl ServerStates {
     /// hash equal whatever engine materialized them — the key the
     /// campaign's representative-state corpus dedups on.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for store in &self.stores {
-            for byte in store.digest().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        self.stores.iter().fold(FNV_OFFSET_BASIS, |h, store| {
+            fnv1a_extend(h, &store.digest().to_le_bytes())
+        })
     }
 
     /// Apply a *subset* of recorded lowermost-level events (a crash

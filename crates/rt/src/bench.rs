@@ -130,18 +130,6 @@ impl Bench {
         }
     }
 
-    /// Start a run configured from the environment and an optional
-    /// name-filter taken from the first non-flag CLI argument (the
-    /// interface `cargo run -p pc-bench --bin bench -- <filter>`
-    /// exposes).
-    pub fn from_env_and_args() -> Bench {
-        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        Bench::new(Config {
-            filter,
-            ..Config::default()
-        })
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &Config {
         &self.cfg

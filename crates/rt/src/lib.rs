@@ -62,7 +62,9 @@
 
 pub mod bench;
 pub mod durable;
+pub mod hash;
 pub mod intern;
+pub mod json;
 pub mod obs;
 pub mod pool;
 pub mod proptest;

@@ -35,7 +35,7 @@
 //! Telemetry is **off by default**. Every entry point starts with one
 //! relaxed atomic load ([`enabled`]) and returns immediately when the
 //! layer is disabled — no allocation, no lock, no clock read. The
-//! committed `telemetry-overhead` bench (pc-bench) measures that
+//! `paracrash selftest telemetry` budget (pc-bench) measures that
 //! early-return cost and asserts the instrumentation adds < 3% to the
 //! snapshot-engine microbench. When enabled, events funnel through one
 //! `Mutex<Registry>`; the instrumented operations (crash-state

@@ -26,7 +26,7 @@
 //! Both planes are **off by default** behind one bitmask
 //! ([`sampling_enabled`] / [`alloc_tracking_enabled`]): the disabled
 //! path in the span hooks and in the allocator is a single relaxed
-//! atomic load, enforced by the `prof-overhead` bench under the same
+//! atomic load, enforced by `paracrash selftest prof` under the same
 //! <3% budget as the telemetry plane.
 //!
 //! # Seqlock protocol (DESIGN.md §15)
@@ -807,7 +807,11 @@ mod tests {
         on_span_close(tok);
         set_alloc_tracking(false);
         drop(v);
-        let (rows, total) = alloc_snapshot();
+        // Only this test's own slot: the process-wide totals move under
+        // every other test thread that allocates or frees meanwhile (a
+        // free of memory allocated before tracking began drives the
+        // total's live count, and so its peak, below this span's).
+        let (rows, _total) = alloc_snapshot();
         let mine = rows
             .iter()
             .find(|(n, _)| n == "prof.test.alloc.span")
@@ -816,8 +820,6 @@ mod tests {
         assert!(mine.count >= 1);
         assert!(mine.bytes >= 64 * 1024, "bytes = {}", mine.bytes);
         assert!(mine.peak_bytes >= 64 * 1024);
-        assert!(total.bytes >= mine.bytes);
-        assert!(total.peak_bytes >= mine.peak_bytes.min(total.bytes));
         reset();
     }
 

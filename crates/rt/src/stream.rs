@@ -17,7 +17,7 @@
 //! * **JSON-lines sink** — `PC_EVENTS=path` (or the CLI's
 //!   `--events-out`) attaches a file sink; [`flush`] drains every event
 //!   published since the previous flush as one compact JSON object per
-//!   line (the `h5sim::json` subset: unsigned integers, escaped
+//!   line (the [`crate::json`] subset: unsigned integers, escaped
 //!   strings). The first line is a header carrying
 //!   [`SCHEMA_VERSION`]; [`close`] appends a trailer with drop
 //!   statistics.
@@ -31,7 +31,7 @@
 //! Like the registry, the stream is **off by default** and every
 //! [`emit`] entry point returns after one relaxed atomic load when
 //! disabled — no allocation, no clock read, no lock. The committed
-//! `stream-overhead` bench asserts the disabled taps add < 3% to the
+//! `paracrash selftest stream` asserts the disabled taps add < 3% to the
 //! snapshot-engine microbench.
 //!
 //! # Determinism contract
@@ -146,7 +146,7 @@ pub struct Event {
 }
 
 impl Event {
-    /// Serialize as one compact JSON object (the `h5sim::json` subset).
+    /// Serialize as one compact JSON object (the [`crate::json`] subset).
     pub fn to_json_line(&self, seq: u64) -> String {
         format!(
             "{{\"seq\":{},\"ts_ns\":{},\"kind\":\"{}\",\"name\":\"{}\",\"value\":{},\"detail\":\"{}\",\"trace_id\":{}}}",
@@ -162,7 +162,7 @@ impl Event {
 }
 
 /// Escape a string for a JSON string literal, staying inside the subset
-/// `h5sim::json::Json::parse` round-trips (`\" \\ \n \r \t`, other
+/// [`crate::json::Json::parse`] round-trips (`\" \\ \n \r \t`, other
 /// control characters as `\u00XX`).
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

@@ -22,6 +22,7 @@
 //! `paracrash` crate, which owns the full causality graph.
 
 use crate::ops::{FsOp, OpClass};
+use pc_rt::hash::{fnv1a_fold, FNV_OFFSET_BASIS};
 
 /// Journaling mode of one local file system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -110,14 +111,11 @@ pub struct CommitRecord {
     pub checksum: u64,
 }
 
-/// FNV-1a, the cheap stable digest used for commit records.
+/// The cheap stable FNV-1a-shaped digest used for commit records. The
+/// multiplier is two hex digits longer than `FNV_PRIME`; it is the one
+/// every commit-record checksum was written with, so it stays.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01B3);
-    }
-    h
+    fnv1a_fold(FNV_OFFSET_BASIS, bytes, 0x1_0000_0000_01B3)
 }
 
 impl CommitRecord {

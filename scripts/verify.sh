@@ -23,20 +23,20 @@
 #      member, so no other gate compiles it).
 #   5. Telemetry — `paracrash --telemetry-out` must emit files that
 #      re-parse with the vendored JSON reader (both plain and Chrome
-#      trace-event formats, validated by `telemetry-check`), and the
-#      *disabled* telemetry overhead on the snapshot-engine microbench
-#      must stay under 3% (`telemetry-overhead`).
+#      trace-event formats, validated by `selftest telemetry FILE`),
+#      and the *disabled* telemetry overhead on the snapshot-engine
+#      microbench must stay under 3% (`selftest telemetry`).
 #   6. Fault plane — the seeded chaos suite must pass sequentially and
 #      parallel, the CLI must produce bit-identical reports for the
 #      same chaos seed across thread counts, a zero-fault full-matrix
 #      run must reproduce exactly the paper's fifteen Table 3 bugs,
 #      and the fault plane's *disabled* per-message overhead must stay
-#      under 3% of a traced run (`faults-overhead`).
+#      under 3% of a traced run (`selftest faults`).
 #   7. Provenance — a full-matrix `--explain-out` run must emit one
 #      bundle per Table 3 bug; every `.json` must re-parse with the
 #      vendored reader and every `.dot` must pass a structural lint
-#      (`explain-check`), and the engine's *disabled* overhead on a
-#      full check must stay under 3% (`explain-overhead`).
+#      (`selftest explain DIR`), and the engine's *disabled* overhead
+#      on a full check must stay under 3% (`selftest explain`).
 #   8. Fuzz crash gate — the PR-tier generated-workload sweep
 #      (`paracrash fuzz`, exhaustive bound 2) must be byte-identical
 #      across thread counts AND match the pinned corpus in
@@ -47,22 +47,22 @@
 #   9. Rustdoc — `cargo doc --no-deps` must build warning-free
 #      (RUSTDOCFLAGS="-D warnings"), keeping every public item
 #      documented.
-#  10. Flag drift — every `--flag` printed by `paracrash --help` must
-#      appear in README.md's flag table.
+#  10. Flag drift — every `--flag` printed by `paracrash --help` and
+#      every `PC_*` variable the sources read must appear in README.md.
 #  11. Extreme scale — a 64-server cell must report byte-identically
 #      sequential vs parallel (gate 4 holds the same cell to
-#      `check_reference`), and `scale-check --live` must validate the
+#      `check_reference`), and `selftest scale --live` must validate the
 #      committed BENCH_scale.json invariants (batched >= 2x oracle
 #      states/sec, sub-linear per-check growth 64->256 servers) with a
 #      live run inside a generous 2x band.
 #  12. Live observability — a PR-tier fuzz run with --events-out must
 #      still print the pinned canonical report, its event stream must
-#      re-parse (`events-check`) and project identically sequential vs
-#      parallel (`--canonical-diff`), `paracrash report` must render a
-#      dashboard that passes the HTML lint (`events-check --html`), and
-#      the *disabled* flight-recorder overhead must stay under 3%
-#      (`stream-overhead`).
-#  13. Crash-safe campaign — `durable-check` fuzzes the record log's
+#      re-parse (`selftest events`) and project identically sequential
+#      vs parallel (`--canonical-diff`), `paracrash report` must render
+#      a dashboard that passes the HTML lint (`selftest events --html`),
+#      and the *disabled* flight-recorder overhead must stay under 3%
+#      (`selftest stream`).
+#  13. Crash-safe campaign — `selftest durable` fuzzes the record log's
 #      torn-tail recovery; a `paracrash campaign` killed by injected
 #      crashes (`PC_DURABLE_CRASH`, exit mode, rc 137) mid-append, with
 #      a torn partial record, and mid-checkpoint (before the atomic
@@ -72,9 +72,9 @@
 #      `--resume`.
 #  14. Self-profiling plane — the *disabled* profiling overhead (span
 #      hooks + the counting global allocator's fast path) must stay
-#      under 3% (`prof-overhead`); a `--profile-out` fuzz run must
+#      under 3% (`selftest prof`); a `--profile-out` fuzz run must
 #      still print the pinned report and emit a canonical `.folded`
-#      profile (`prof-check`) whose frames cover the engine's hot
+#      profile (`selftest prof FILE`) whose frames cover the engine's hot
 #      stages; two `--history-dir` runs must round-trip through
 #      `history show|diff|regressions`; the committed
 #      BENCH_profiling.json invariants must hold; and `report
@@ -136,11 +136,11 @@ trap 'rm -rf "$tmp"' EXIT
 target/release/paracrash --fs BeeGFS --program ARVR \
     --telemetry-out "$tmp/telemetry.json" --telemetry-format chrome \
     > /dev/null || [ $? -eq 1 ]
-target/release/telemetry-check "$tmp/telemetry.json"
+target/release/paracrash selftest telemetry "$tmp/telemetry.json"
 target/release/paracrash --fs ext4 --program ARVR \
     --telemetry-out "$tmp/telemetry-plain.json" > /dev/null
-target/release/telemetry-check "$tmp/telemetry-plain.json"
-target/release/telemetry-overhead
+target/release/paracrash selftest telemetry "$tmp/telemetry-plain.json"
+target/release/paracrash selftest telemetry
 
 echo "== gate 6: fault-plane determinism + zero-fault fidelity =="
 spec="seed=7,drop=0.2,dup=0.1,delay=0.1,retries=3"
@@ -160,21 +160,21 @@ PC_CHAOS_SEED=7 PC_THREADS=1 target/release/paracrash --fs BeeGFS --program ARVR
     > "$tmp/env-seq.txt" || [ $? -eq 1 ]
 diff "$tmp/env-par.txt" "$tmp/env-seq.txt"
 # Zero-fault runs must still find exactly the paper's fifteen bugs.
-target/release/table3 > "$tmp/table3.txt"
+target/release/paracrash table3 > "$tmp/table3.txt"
 reproduced=$(grep -c "REPRODUCED" "$tmp/table3.txt")
 if [ "$reproduced" -ne 15 ] || grep -q "missing" "$tmp/table3.txt"; then
     echo "FAIL: zero-fault matrix does not reproduce the 15 Table 3 bugs"
     grep -E "REPRODUCED|missing" "$tmp/table3.txt"
     exit 1
 fi
-target/release/faults-overhead
+target/release/paracrash selftest faults
 
 echo "== gate 7: explain bundles + disabled-overhead budget =="
 # Full matrix: multi-cell runs always exit 0; bugs land as bundles.
 target/release/paracrash --fs all --program all \
     --explain-out "$tmp/explain" > /dev/null
-target/release/explain-check "$tmp/explain" 15
-target/release/explain-overhead
+target/release/paracrash selftest explain "$tmp/explain" 15
+target/release/paracrash selftest explain
 cargo test -q --offline --test explain
 
 echo "== gate 8: fuzz crash gate (PR tier; PC_FUZZ_NIGHTLY=1 widens) =="
@@ -208,7 +208,7 @@ fi
 echo "== gate 9: rustdoc builds warning-free =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace > /dev/null
 
-echo "== gate 10: every CLI flag is documented in README.md =="
+echo "== gate 10: every CLI flag and PC_* variable is documented in README.md =="
 # usage() prints to stderr and exits 2; that's the source of truth.
 target/release/paracrash --help 2> "$tmp/help.txt" || true
 for flag in $(grep -oE -- '--[a-z-]+' "$tmp/help.txt" | sort -u); do
@@ -217,8 +217,8 @@ for flag in $(grep -oE -- '--[a-z-]+' "$tmp/help.txt" | sort -u); do
         exit 1
     fi
 done
-# The profiling env knobs ride the same contract as the flags.
-for env_var in PC_PROFILE PC_PROF_HZ; do
+# Same contract for the environment: every PC_* name the sources read.
+for env_var in $(grep -rhoE '"PC_[A-Z_]+"' crates/*/src | tr -d '"' | sort -u); do
     if ! grep -q -- "$env_var" README.md; then
         echo "FAIL: env var $env_var is missing from README.md"
         exit 1
@@ -241,7 +241,7 @@ PC_THREADS=1 target/release/paracrash $scale_cell > "$tmp/scale-seq.txt" || [ $?
 diff "$tmp/scale-par.txt" "$tmp/scale-seq.txt"
 # Committed scale numbers: static invariants plus a live re-measurement
 # of the batched engine within a generous 2x regression band.
-target/release/scale-check BENCH_scale.json --live
+target/release/paracrash selftest scale BENCH_scale.json --live
 
 echo "== gate 12: event stream + campaign dashboard =="
 # The streamed PR-tier run must print the same pinned report (the
@@ -250,12 +250,12 @@ echo "== gate 12: event stream + campaign dashboard =="
 target/release/paracrash fuzz --events-out "$tmp/events-par.jsonl" \
     > "$tmp/fuzz-ev-par.txt" 2> /dev/null
 diff "$tmp/fuzz-ev-par.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
-target/release/events-check "$tmp/events-par.jsonl"
+target/release/paracrash selftest events "$tmp/events-par.jsonl"
 # Sequential vs parallel: raw streams differ (timestamps, interleaving);
 # the canonical projection must not.
 PC_THREADS=1 target/release/paracrash fuzz --events-out "$tmp/events-seq.jsonl" \
     > /dev/null 2> /dev/null
-target/release/events-check --canonical-diff \
+target/release/paracrash selftest events --canonical-diff \
     "$tmp/events-par.jsonl" "$tmp/events-seq.jsonl"
 # Render the dashboard from the stream plus a telemetry snapshot and the
 # committed bench suites, then lint it.
@@ -265,12 +265,12 @@ target/release/paracrash report --events "$tmp/events-par.jsonl" \
     --telemetry "$tmp/report-telemetry.json" \
     --bench BENCH_fuzz.json --bench BENCH_scale.json \
     --out "$tmp/report.html"
-target/release/events-check --html "$tmp/report.html"
-target/release/stream-overhead
+target/release/paracrash selftest events --html "$tmp/report.html"
+target/release/paracrash selftest stream
 
 echo "== gate 13: crash-safe resumable campaign =="
 # Torn-tail recovery fuzz on the durable record log itself.
-target/release/durable-check
+target/release/paracrash selftest durable
 # Reference: one uninterrupted small campaign.
 camp="campaign --sample 25 --fs BeeGFS --checkpoint-every 8"
 # shellcheck disable=SC2086
@@ -324,12 +324,12 @@ diff "$tmp/camp-ref.txt" "$tmp/camp-kill.txt"
 target/release/paracrash $camp --state-dir "$tmp/camp-ev" \
     --events-out "$tmp/nested/dirs/camp-events.jsonl" \
     > /dev/null 2> /dev/null
-target/release/events-check "$tmp/nested/dirs/camp-events.jsonl"
+target/release/paracrash selftest events "$tmp/nested/dirs/camp-events.jsonl"
 
 echo "== gate 14: self-profiling plane =="
 # Disabled-path budget: every profiling site must reduce to one
 # relaxed atomic load (span hooks and the counting allocator alike).
-target/release/prof-overhead
+target/release/paracrash selftest prof
 # A profiled PR-tier fuzz run must still print the pinned report (the
 # profiler is strictly presentation-plane) and emit a canonical
 # .folded profile whose frames cover the engine's hot stages. The
@@ -338,7 +338,7 @@ PC_PROF_HZ=997 target/release/paracrash fuzz \
     --profile-out "$tmp/prof/fuzz.folded" \
     > "$tmp/fuzz-prof.txt" 2> /dev/null
 diff "$tmp/fuzz-prof.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
-target/release/prof-check "$tmp/prof/fuzz.folded"
+target/release/paracrash selftest prof "$tmp/prof/fuzz.folded"
 for frame in "snapshot.materialize" "recover/"; do
     if ! grep -q -- "$frame" "$tmp/prof/fuzz.folded"; then
         echo "FAIL: profile has no $frame frames"
@@ -359,7 +359,7 @@ fi
 target/release/paracrash history diff --history-dir "$tmp/hist" --band 4
 target/release/paracrash history regressions --history-dir "$tmp/hist" --band 4
 # Committed profiling benchmarks re-validate.
-target/release/prof-check --bench BENCH_profiling.json
+target/release/paracrash selftest prof --bench BENCH_profiling.json
 # The dashboard folds the profile in: flame + alloc sections render
 # and the HTML lint still passes (gate 12's stream + telemetry
 # snapshot are re-used).
@@ -367,7 +367,7 @@ target/release/paracrash report --events "$tmp/events-par.jsonl" \
     --telemetry "$tmp/report-telemetry.json" \
     --profile "$tmp/prof/fuzz.folded" \
     --out "$tmp/report-prof.html"
-target/release/events-check --html "$tmp/report-prof.html"
+target/release/paracrash selftest events --html "$tmp/report-prof.html"
 for metric in "flame" "flame-table" "alloc-table"; do
     if ! grep -q "data-metric=\"$metric\"" "$tmp/report-prof.html"; then
         echo "FAIL: dashboard missing $metric section"

@@ -13,8 +13,7 @@
 //! parallel pool, so the in-process shortcut here is cross-checked
 //! end to end.
 
-use pc_bench::campaign::{run_campaign, CampaignOptions};
-use pc_bench::fuzz_driver::FuzzOptions;
+use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
 use pc_rt::durable::{arm_crash, disarm_crash, points_seen, reset_points, CrashMode, CrashSpec};
 use pc_rt::prop_assert;
 use pc_rt::proptest::{run, Config};
@@ -44,7 +43,7 @@ fn opts(dir: &Path) -> CampaignOptions {
         file_systems: vec![FsKind::BeeGfs],
         ..FuzzOptions::pr_tier()
     };
-    let mut o = CampaignOptions::new(fuzz, dir.to_str().unwrap());
+    let mut o = CampaignOptions::new(fuzz, dir.to_str());
     o.checkpoint_every = 3;
     o
 }

@@ -1,27 +1,75 @@
 //! A panicking PFS model must not abort the checking run: each crash
 //! state's work runs under `catch_unwind`, and a poisoned state becomes
 //! a diagnostic entry while the rest of the run completes.
-//!
-//! This lives in its own test binary because the poison hook is a
-//! process-global environment variable.
 
-use paracrash_suite::{check_with, paracrash::CheckConfig};
+use paracrash_suite::paracrash::{check_stack, CheckConfig};
+use pfs::{Pfs, PfsCall, PfsResult, PfsView, RecoveryReport, ServerStates};
+use simnet::{ClusterTopology, FaultConfig};
+use tracer::{EventId, Process, Recorder};
 use workloads::{FsKind, Params, Program};
+
+/// A PFS whose recovery tool is deliberately broken: everything
+/// delegates to the wrapped model except `recover`, which panics.
+struct PoisonedRecover(Box<dyn Pfs>);
+
+impl Pfs for PoisonedRecover {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn topology(&self) -> &ClusterTopology {
+        self.0.topology()
+    }
+    fn stripe_size(&self) -> u64 {
+        self.0.stripe_size()
+    }
+    fn dispatch(
+        &mut self,
+        rec: &mut Recorder,
+        client: Process,
+        call: &PfsCall,
+        parent: Option<EventId>,
+    ) -> PfsResult<EventId> {
+        self.0.dispatch(rec, client, call, parent)
+    }
+    fn install_faults(&mut self, cfg: FaultConfig) {
+        self.0.install_faults(cfg)
+    }
+    fn seal_baseline(&mut self) {
+        self.0.seal_baseline()
+    }
+    fn baseline(&self) -> &ServerStates {
+        self.0.baseline()
+    }
+    fn live(&self) -> &ServerStates {
+        self.0.live()
+    }
+    fn recover(&self, _states: &mut ServerStates) -> RecoveryReport {
+        panic!("poisoned recover");
+    }
+    fn client_view(&self, states: &ServerStates) -> PfsView {
+        self.0.client_view(states)
+    }
+    fn restart_cost_secs(&self) -> f64 {
+        self.0.restart_cost_secs()
+    }
+}
 
 #[test]
 fn poisoned_recover_yields_diagnostics_not_an_abort() {
-    std::env::set_var("PC_TEST_POISON_RECOVER", "1");
-    let outcome = check_with(
-        Program::Arvr,
-        FsKind::BeeGfs,
-        &Params::quick(),
-        &CheckConfig::paper_default(),
-    );
-    std::env::remove_var("PC_TEST_POISON_RECOVER");
+    let params = Params::quick();
+    let cfg = CheckConfig::paper_default();
+    let factory = FsKind::BeeGfs.factory(&params);
+    let mut stack = Program::Arvr.run(FsKind::BeeGfs, &params);
+    let clean = check_stack(&stack, &factory, &cfg);
+    assert!(clean.diagnostics.is_empty());
+    assert!(!clean.bugs.is_empty(), "the seeded ARVR bugs are there");
 
-    // Every crash state hit the poisoned tool, so every one must have
-    // been turned into a diagnostic rather than a verdict — and the run
-    // still returned an outcome instead of unwinding.
+    // The same traced run with the recovery tool poisoned: every crash
+    // state hits it, so every one must have been turned into a
+    // diagnostic rather than a verdict — and the run still returned an
+    // outcome instead of unwinding.
+    stack.pfs = Box::new(PoisonedRecover(stack.pfs));
+    let outcome = check_stack(&stack, &factory, &cfg);
     assert!(!outcome.diagnostics.is_empty());
     assert_eq!(outcome.stats.states_diagnostic, outcome.diagnostics.len());
     assert!(outcome
@@ -30,14 +78,4 @@ fn poisoned_recover_yields_diagnostics_not_an_abort() {
         .all(|d| d.contains("poisoned recover")));
     // Diagnostics surface in the canonical report too.
     assert!(outcome.canonical_report().contains("diagnostic:"));
-
-    // The hook is gone: a rerun is clean again.
-    let clean = check_with(
-        Program::Arvr,
-        FsKind::BeeGfs,
-        &Params::quick(),
-        &CheckConfig::paper_default(),
-    );
-    assert!(clean.diagnostics.is_empty());
-    assert!(!clean.bugs.is_empty(), "the seeded ARVR bugs are back");
 }

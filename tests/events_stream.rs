@@ -7,8 +7,8 @@
 //! sink), so every test here serializes on a lock and restores the
 //! disabled default before releasing it.
 
-use h5sim::json::Json;
 use paracrash::{check_stack, CheckConfig, FuzzCorpus};
+use pc_rt::json::Json;
 use pc_rt::obs::stream;
 use std::sync::Mutex;
 use workloads::{FsKind, Params, Program};

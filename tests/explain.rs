@@ -97,7 +97,7 @@ fn bug1_reordering_gets_a_strictly_smaller_witness() {
     );
     assert!(e.diff.servers_skipped > 0, "COW digests skip clean servers");
     lint_dot(&e.to_dot());
-    h5sim::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
+    pc_rt::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
 }
 
 #[test]
@@ -138,7 +138,7 @@ fn bug12_multi_structure_atomicity_is_explained() {
     assert!(pin.contains("violated"), "{pin}");
     assert!(!e.nodes.is_empty());
     lint_dot(&e.to_dot());
-    h5sim::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
+    pc_rt::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
 }
 
 #[test]
@@ -163,7 +163,7 @@ fn bug3_partially_persisted_journal_group_is_explained() {
     );
     for e in &outcome.explanations {
         lint_dot(&e.to_dot());
-        h5sim::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
+        pc_rt::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
     }
 }
 

@@ -14,7 +14,7 @@
 //!   stays quiet outside it.
 
 use paracrash::history;
-use pc_bench::fuzz_driver::{fuzz_campaign, FuzzOptions};
+use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
 use pc_rt::obs::prof;
 use std::sync::Mutex;
 use workloads::FsKind;
@@ -22,12 +22,13 @@ use workloads::FsKind;
 /// All tests toggle process-global profiling/telemetry state.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn tiny_opts() -> FuzzOptions {
-    FuzzOptions {
+fn tiny_opts() -> CampaignOptions {
+    let fuzz = FuzzOptions {
         sample: Some(6),
         file_systems: vec![FsKind::BeeGfs],
         ..FuzzOptions::pr_tier()
-    }
+    };
+    CampaignOptions::new(fuzz, None)
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -46,7 +47,7 @@ fn disabled_planes_record_nothing() {
     assert!(!prof::alloc_tracking_enabled());
     let before = prof::samples_total();
     // Real work through the instrumented stack with every plane off.
-    fuzz_campaign(&tiny_opts()).unwrap();
+    run_campaign(&tiny_opts()).unwrap();
     let big = vec![0u8; 1 << 20];
     std::hint::black_box(&big);
     assert_eq!(prof::samples_total(), before, "sampler ran while off");
@@ -88,16 +89,16 @@ fn canonical_report_is_identical_with_profiling_on_off_and_across_threads() {
     std::env::set_var("PC_THREADS", "1");
     pc_rt::obs::set_enabled(false);
     pc_rt::obs::reset();
-    let plain = fuzz_campaign(&opts).unwrap().corpus.canonical_report();
+    let plain = run_campaign(&opts).unwrap().corpus.canonical_report();
 
     // Profiled, single-threaded: sampler + allocation accounting on.
     pc_rt::obs::set_enabled(true);
     prof::enable_sampling(2_000);
-    let profiled_seq = fuzz_campaign(&opts).unwrap().corpus.canonical_report();
+    let profiled_seq = run_campaign(&opts).unwrap().corpus.canonical_report();
 
     // Profiled, parallel pool.
     std::env::set_var("PC_THREADS", "4");
-    let profiled_par = fuzz_campaign(&opts).unwrap().corpus.canonical_report();
+    let profiled_par = run_campaign(&opts).unwrap().corpus.canonical_report();
 
     prof::disable_sampling();
     pc_rt::obs::set_enabled(false);

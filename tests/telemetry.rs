@@ -3,9 +3,9 @@
 //! aggregation across pool widths, the Chrome-trace serialization
 //! round-trip, and cache-stats surfacing in `ExploreStats`.
 
-use h5sim::json::Json;
 use paracrash::telemetry::{chrome_trace, telemetry_json};
 use paracrash::{check_stack, CheckConfig};
+use pc_rt::json::Json;
 use std::sync::Mutex;
 use workloads::{FsKind, Params, Program};
 
