@@ -42,6 +42,19 @@ fn table3_reproduces_all_fifteen() {
     assert!(!text.contains("missing"));
 }
 
+/// The committed Figure 9 traces are what the models emit today, line
+/// for line (RPC labels, server ids, LBAs, event order).
+#[test]
+fn fig9_matches_the_committed_traces() {
+    let out = paracrash(&["fig9"]);
+    assert!(out.status.success(), "{out:?}");
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/fig9.txt");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        std::fs::read_to_string(committed).unwrap()
+    );
+}
+
 /// Each file validator accepts the artifact the tool writes and rejects
 /// the same artifact cut in half with exit 1 (a verdict, not a usage
 /// error or a panic).
