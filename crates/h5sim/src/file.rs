@@ -13,17 +13,17 @@
 use crate::call::{H5Call, H5Trace};
 use crate::format::{encode, sizes, superblock};
 use mpiio::MpiIo;
+use pc_rt::hash::{fnv1a_fold, FNV_OFFSET_BASIS, LONG_PRIME};
 use std::collections::BTreeMap;
 use tracer::{EventId, Layer, Payload, Process};
 
-/// Deterministic fill pattern for dataset content.
-fn fill_byte(name: &str, i: u64) -> u8 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h ^ i.wrapping_mul(2654435761)) as u8
+/// Deterministic fill pattern for bytes `first..first + len` of the
+/// dataset `name`'s content.
+fn fill_bytes(name: &str, first: u64, len: u64) -> Vec<u8> {
+    let h = fnv1a_fold(FNV_OFFSET_BASIS, name.as_bytes(), LONG_PRIME);
+    (first..first + len)
+        .map(|i| (h ^ i.wrapping_mul(2654435761)) as u8)
+        .collect()
 }
 
 /// Library tuning knobs (kept explicit so ablation benches can vary
@@ -318,9 +318,7 @@ impl H5File {
             let len = self.spec.seg.min(total - written);
             let addr = self.alloc(len);
             segs.push((addr, len));
-            let bytes: Vec<u8> = (0..len)
-                .map(|i| fill_byte(name, idx * self.spec.seg + i))
-                .collect();
+            let bytes = fill_bytes(name, idx * self.spec.seg, len);
             seg_payloads.push((addr, bytes));
             written += len;
             idx += 1;
@@ -664,9 +662,7 @@ impl H5File {
         while written < total {
             let len = self.spec.seg.min(total - written);
             let addr = self.alloc(len);
-            let bytes: Vec<u8> = (0..len)
-                .map(|i| fill_byte(&key, idx * self.spec.seg + i))
-                .collect();
+            let bytes = fill_bytes(&key, idx * self.spec.seg, len);
             new_payloads.push((addr, bytes));
             self.datasets.get_mut(&key).unwrap().segs.push((addr, len));
             written += len;

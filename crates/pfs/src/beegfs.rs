@@ -24,6 +24,10 @@
 //! storage server:   /chunks/<id>.<stripe>       one chunk file per stripe
 //! ```
 
+use crate::base::{
+    attr, attr_num, child_path, lookup, lookup_mut, name_of, parent_of, read_striped, rekey,
+    stripe_segments, ModelBase,
+};
 use crate::call::PfsCall;
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
@@ -31,9 +35,9 @@ use crate::store::ServerStates;
 use crate::view::{PfsView, RecoveryReport};
 use crate::Pfs;
 use simfs::{FsOp, FsState, JournalMode};
-use simnet::{ClusterTopology, FaultConfig, FaultPlane, RpcNet};
+use simnet::ClusterTopology;
 use std::collections::BTreeMap;
-use tracer::{EventId, Layer, Payload, Process, Recorder};
+use tracer::{EventId, Process, Recorder};
 
 /// Runtime info for a directory.
 #[derive(Debug, Clone)]
@@ -56,16 +60,33 @@ struct FileInfo {
 
 /// The BeeGFS model. See the module docs for the layout.
 pub struct BeeGfs {
-    topo: ClusterTopology,
-    placement: Placement,
-    stripe: u64,
-    journal: JournalMode,
-    live: ServerStates,
-    baseline: ServerStates,
+    base: ModelBase,
     dirs: BTreeMap<String, DirInfo>,
     files: BTreeMap<String, FileInfo>,
     next_id: u64,
-    faults: FaultPlane,
+}
+
+fn dentry_path(dirkey: &str, name: &str) -> String {
+    format!("/dentries/{dirkey}/{name}")
+}
+
+fn idfile_path(id: &str) -> String {
+    format!("/idfiles/{id}")
+}
+
+fn inode_path(dirkey: &str) -> String {
+    format!("/inodes/{dirkey}")
+}
+
+fn chunk_path(id: &str, stripe: u64) -> String {
+    format!("/chunks/{id}.{stripe}")
+}
+
+/// A `user.dirkey` xattr: `<key>:<owner index>`.
+fn parse_dirkey(raw: &[u8]) -> (String, usize) {
+    let spec = String::from_utf8_lossy(raw);
+    let (key, owner) = spec.split_once(':').unwrap_or(("?", "0"));
+    (key.to_string(), owner.parse().unwrap_or(0))
 }
 
 impl BeeGfs {
@@ -84,48 +105,28 @@ impl BeeGfs {
         stripe: u64,
         journal: JournalMode,
     ) -> Self {
-        let mut live = ServerStates::all_fs(topo.server_count(), journal);
-        // mkfs: base directories on every server.
-        for &m in &topo.metadata_servers() {
-            let fs = live.server_mut(m).as_fs_mut();
+        let mut base = ModelBase::fs(topo, placement, stripe, journal);
+        for m in base.topo.metadata_servers() {
+            let fs = base.mkfs(m).as_fs_mut();
             fs.mkdir_all("/dentries").unwrap();
             fs.mkdir_all("/idfiles").unwrap();
             fs.mkdir_all("/inodes").unwrap();
         }
-        for &s in &topo.storage_servers() {
-            live.server_mut(s).as_fs_mut().mkdir_all("/chunks").unwrap();
+        for s in base.topo.storage_servers() {
+            base.mkfs(s).as_fs_mut().mkdir_all("/chunks").unwrap();
         }
-        let mut dirs = BTreeMap::new();
-        let root_owner = placement.dir_index("/", topo.metadata_servers().len());
-        dirs.insert(
-            "/".to_string(),
-            DirInfo {
-                key: "root".into(),
-                owner: root_owner,
-            },
-        );
-        let root_meta = topo.metadata_servers()[root_owner];
-        let fs = live.server_mut(root_meta).as_fs_mut();
+        let owner = base.placement.dir_index("/", base.n_meta());
+        let fs = base.mkfs(base.meta_server(owner)).as_fs_mut();
         fs.mkdir_all("/dentries/root").unwrap();
         fs.creat("/inodes/root").unwrap();
-        let baseline = live.fork();
+        base.seal();
+        let key = "root".to_string();
         BeeGfs {
-            topo,
-            placement,
-            stripe,
-            journal,
-            live,
-            baseline,
-            dirs,
+            base,
+            dirs: BTreeMap::from([("/".to_string(), DirInfo { key, owner })]),
             files: BTreeMap::new(),
             next_id: 0,
-            faults: FaultPlane::disabled(),
         }
-    }
-
-    /// The journaling mode of the servers' local file systems.
-    pub fn journal_mode(&self) -> JournalMode {
-        self.journal
     }
 
     /// The paper's default configuration.
@@ -137,84 +138,24 @@ impl BeeGfs {
         )
     }
 
-    fn meta_server(&self, idx: usize) -> u32 {
-        self.topo.metadata_servers()[idx]
-    }
-
-    fn storage_server(&self, idx: usize) -> u32 {
-        self.topo.storage_servers()[idx]
-    }
-
-    fn n_meta(&self) -> usize {
-        self.topo.metadata_servers().len()
-    }
-
-    fn n_storage(&self) -> usize {
-        self.topo.storage_servers().len()
-    }
-
-    fn parent_of(path: &str) -> String {
-        match path.rfind('/') {
-            Some(0) => "/".to_string(),
-            Some(i) => path[..i].to_string(),
-            None => "/".to_string(),
-        }
-    }
-
-    fn name_of(path: &str) -> &str {
-        path.rsplit('/').next().unwrap_or(path)
-    }
-
-    /// Apply a lowermost op to the live state and record it.
-    fn emit(
+    /// `setxattr(path, key, value)` on `server`.
+    fn set_xattr(
         &mut self,
         rec: &mut Recorder,
         server: u32,
-        op: FsOp,
-        parent: Option<EventId>,
+        path: String,
+        key: &str,
+        value: impl Into<Vec<u8>>,
+        parent: EventId,
     ) -> EventId {
-        self.live.server_mut(server).apply_fs(&op);
-        rec.record(
-            Layer::LocalFs,
-            Process::Server(server),
-            Payload::Fs { server, op },
-            parent,
-        )
+        let (key, value) = (key.into(), value.into());
+        self.base
+            .emit_fs(rec, server, FsOp::SetXattr { path, key, value }, parent)
     }
 
-    fn dentry_path(&self, dirkey: &str, name: &str) -> String {
-        format!("/dentries/{dirkey}/{name}")
-    }
-
-    fn idfile_path(id: &str) -> String {
-        format!("/idfiles/{id}")
-    }
-
-    fn chunk_path(id: &str, stripe: u64) -> String {
-        format!("/chunks/{id}.{stripe}")
-    }
-
-    fn dir_info(&self, path: &str) -> PfsResult<&DirInfo> {
-        self.dirs
-            .get(path)
-            .ok_or_else(|| PfsError::UnknownPath(path.to_string()))
-    }
-
-    fn file_info(&self, path: &str) -> PfsResult<&FileInfo> {
-        self.files
-            .get(path)
-            .ok_or_else(|| PfsError::UnknownPath(path.to_string()))
-    }
-
-    fn file_mut(&mut self, path: &str) -> &mut FileInfo {
-        self.files
-            .get_mut(path)
-            .expect("invariant: file checked present earlier in this call")
-    }
-
-    /// RPC net routed through this instance's fault plane.
-    fn net<'a>(&'a mut self, rec: &'a mut Recorder) -> RpcNet<'a> {
-        RpcNet::faulty(rec, &mut self.faults)
+    /// The directory-inode `mtime` bump every namespace change ends with.
+    fn touch_dir(&mut self, rec: &mut Recorder, meta: u32, dirkey: &str, recv: EventId) -> EventId {
+        self.set_xattr(rec, meta, inode_path(dirkey), "user.mtime", "t", recv)
     }
 
     fn do_creat(
@@ -224,66 +165,35 @@ impl BeeGfs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let parent_dir = Self::parent_of(path);
-        let name = Self::name_of(path).to_string();
-        let pinfo = self.dir_info(&parent_dir)?.clone();
-        let meta = self.meta_server(pinfo.owner);
+        let pinfo = lookup(&self.dirs, &parent_of(path))?.clone();
+        let meta = self.base.meta_server(pinfo.owner);
         let id = format!("f{}", self.next_id);
         self.next_id += 1;
-        let first = self.placement.file_index(path, self.n_storage());
+        let first = self.base.placement.file_index(path, self.base.n_storage());
 
         // Figure 2: creat(idfile); link(idfile, dentries/<name>);
         // setxattr(dir_inode) on the metadata server, driven by an RPC
         // from the client.
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(meta),
-            &format!("CREAT {path}"),
-            Some(cev),
-        );
-        let idf = Self::idfile_path(&id);
-        let e1 = self.emit(rec, meta, FsOp::Creat { path: idf.clone() }, Some(recv));
-        self.emit(
-            rec,
-            meta,
-            FsOp::SetXattr {
-                path: idf.clone(),
-                key: "user.info".into(),
-                value: format!("id={id};first={first}").into_bytes(),
-            },
-            Some(e1),
-        );
-        self.emit(
-            rec,
-            meta,
-            FsOp::Link {
-                src: idf,
-                dst: self.dentry_path(&pinfo.key, &name),
-            },
-            Some(recv),
-        );
-        let w = self.emit(
-            rec,
-            meta,
-            FsOp::SetXattr {
-                path: format!("/inodes/{}", pinfo.key),
-                key: "user.mtime".into(),
-                value: b"t".to_vec(),
-            },
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(meta), client, "OK", Some(w));
+        let msg = format!("CREAT {path}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let idf = idfile_path(&id);
+        let op = FsOp::Creat { path: idf.clone() };
+        let e1 = self.base.emit_fs(rec, meta, op, recv);
+        let info = format!("id={id};first={first}");
+        self.set_xattr(rec, meta, idf.clone(), "user.info", info, e1);
+        let dst = dentry_path(&pinfo.key, name_of(path));
+        let op = FsOp::Link { src: idf, dst };
+        self.base.emit_fs(rec, meta, op, recv);
+        let w = self.touch_dir(rec, meta, &pinfo.key, recv);
+        self.base.reply(rec, meta, client, "OK", w);
 
-        self.files.insert(
-            path.to_string(),
-            FileInfo {
-                id,
-                first,
-                size: 0,
-                chunks: BTreeMap::new(),
-            },
-        );
+        let info = FileInfo {
+            id,
+            first,
+            size: 0,
+            chunks: BTreeMap::new(),
+        };
+        self.files.insert(path.to_string(), info);
         Ok(())
     }
 
@@ -294,79 +204,38 @@ impl BeeGfs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let parent_dir = Self::parent_of(path);
-        let name = Self::name_of(path).to_string();
-        let pinfo = self.dir_info(&parent_dir)?.clone();
+        let pinfo = lookup(&self.dirs, &parent_of(path))?.clone();
         let key = format!("d{}", self.next_id);
         self.next_id += 1;
-        let owner = self.placement.dir_index(path, self.n_meta());
-        let pmeta = self.meta_server(pinfo.owner);
-        let ometa = self.meta_server(owner);
+        let owner = self.base.placement.dir_index(path, self.base.n_meta());
+        let pmeta = self.base.meta_server(pinfo.owner);
+        let ometa = self.base.meta_server(owner);
 
         // Dentry on the parent's owner.
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(pmeta),
-            &format!("MKDIR {path}"),
-            Some(cev),
-        );
-        let dentry = self.dentry_path(&pinfo.key, &name);
-        let e = self.emit(
-            rec,
-            pmeta,
-            FsOp::Creat {
-                path: dentry.clone(),
-            },
-            Some(recv),
-        );
-        self.emit(
-            rec,
-            pmeta,
-            FsOp::SetXattr {
-                path: dentry,
-                key: "user.dirkey".into(),
-                value: format!("{key}:{owner}").into_bytes(),
-            },
-            Some(e),
-        );
-        let w = self.emit(
-            rec,
-            pmeta,
-            FsOp::SetXattr {
-                path: format!("/inodes/{}", pinfo.key),
-                key: "user.mtime".into(),
-                value: b"t".to_vec(),
-            },
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(pmeta), client, "OK", Some(w));
+        let msg = format!("MKDIR {path}");
+        let recv = self.base.request(rec, client, pmeta, &msg, cev);
+        let dentry = dentry_path(&pinfo.key, name_of(path));
+        let creat = FsOp::Creat {
+            path: dentry.clone(),
+        };
+        let e = self.base.emit_fs(rec, pmeta, creat, recv);
+        let dirkey = format!("{key}:{owner}");
+        self.set_xattr(rec, pmeta, dentry, "user.dirkey", dirkey, e);
+        let w = self.touch_dir(rec, pmeta, &pinfo.key, recv);
+        self.base.reply(rec, pmeta, client, "OK", w);
 
         // Dentries dir + inode on the new directory's owner.
-        let (_, recv2) = self.net(rec).request(
-            client,
-            Process::Server(ometa),
-            &format!("MKDIR-OBJ {key}"),
-            Some(cev),
-        );
-        self.emit(
-            rec,
-            ometa,
-            FsOp::Mkdir {
-                path: format!("/dentries/{key}"),
-            },
-            Some(recv2),
-        );
-        let w2 = self.emit(
-            rec,
-            ometa,
-            FsOp::Creat {
-                path: format!("/inodes/{key}"),
-            },
-            Some(recv2),
-        );
-        self.net(rec)
-            .reply(Process::Server(ometa), client, "OK", Some(w2));
+        let msg = format!("MKDIR-OBJ {key}");
+        let recv2 = self.base.request(rec, client, ometa, &msg, cev);
+        let mkdir = FsOp::Mkdir {
+            path: format!("/dentries/{key}"),
+        };
+        self.base.emit_fs(rec, ometa, mkdir, recv2);
+        let creat = FsOp::Creat {
+            path: inode_path(&key),
+        };
+        let w2 = self.base.emit_fs(rec, ometa, creat, recv2);
+        self.base.reply(rec, ometa, client, "OK", w2);
 
         self.dirs.insert(path.to_string(), DirInfo { key, owner });
         Ok(())
@@ -381,122 +250,37 @@ impl BeeGfs {
         data: &[u8],
         cev: EventId,
     ) -> PfsResult<()> {
-        let info = self.file_info(path)?.clone();
-        let n_storage = self.n_storage();
-        let parent_dir = Self::parent_of(path);
-        let meta_owner = self.dir_info(&parent_dir)?.owner;
-        let meta = self.meta_server(meta_owner);
+        let f = lookup_mut(&mut self.files, path)?;
+        let owner = lookup(&self.dirs, &parent_of(path))?.owner;
+        let meta = self.base.meta_server(owner);
+        let n = self.base.n_storage();
 
-        let mut segs = Vec::new();
-        {
-            // Round-robin from the file's recorded first stripe target.
-            let mut off = offset;
-            let end = offset + data.len() as u64;
-            while off < end {
-                let stripe = off / self.stripe;
-                let stripe_end = (stripe + 1) * self.stripe;
-                let len = stripe_end.min(end) - off;
-                let sidx = (info.first + stripe as usize) % n_storage;
-                segs.push((sidx, stripe, off, len));
-                off += len;
-            }
-        }
-
-        let mut touched_servers = Vec::new();
-        for (sidx, stripe, off, len) in segs {
-            let storage = self.storage_server(sidx);
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(storage),
-                &format!("WRITE {path} stripe {stripe}"),
-                Some(cev),
-            );
-            let chunk = Self::chunk_path(&info.id, stripe);
-            let chunk_off = off - stripe * self.stripe;
-            let cur_len = self
-                .files
-                .get(path)
-                .and_then(|f| f.chunks.get(&stripe))
-                .copied();
-            if cur_len.is_none() {
-                self.emit(
-                    rec,
-                    storage,
-                    FsOp::Creat {
-                        path: chunk.clone(),
-                    },
-                    Some(recv),
-                );
-                self.file_mut(path).chunks.insert(stripe, 0);
-            }
-            let cur_len = self.file_mut(path).chunks[&stripe];
-            let buf = data[(off - offset) as usize..(off - offset + len) as usize].to_vec();
-            let op = if chunk_off == cur_len {
-                FsOp::Append {
-                    path: chunk.clone(),
-                    data: buf,
-                }
-            } else {
-                FsOp::Pwrite {
-                    path: chunk.clone(),
-                    offset: chunk_off,
-                    data: buf,
-                }
-            };
-            let w = self.emit(rec, storage, op, Some(recv));
-            let f = self.file_mut(path);
-            let new_len = (chunk_off + len).max(cur_len);
-            f.chunks.insert(stripe, new_len);
+        // Round-robin from the file's recorded first stripe target.
+        let (base, mut last) = (&mut self.base, None);
+        for seg in stripe_segments(f.first, offset, data.len(), base.stripe, n) {
+            let storage = base.storage_server(seg.target);
+            let msg = format!("WRITE {path} stripe {}", seg.stripe);
+            let recv = base.request(rec, client, storage, &msg, cev);
+            let chunk = chunk_path(&f.id, seg.stripe);
+            let w = base.write_chunk(rec, storage, chunk, &mut f.chunks, &seg, data, recv);
             // Ack to the client: the write call returns before the next
             // client operation runs.
-            self.net(rec)
-                .reply(Process::Server(storage), client, "OK", Some(w));
-            touched_servers.push(storage);
+            base.reply(rec, storage, client, "OK", w);
+            last = Some(storage);
         }
 
         // Size update on the metadata server, sent by the storage side
         // (Figure 2: storage `sendto(meta-node)`, meta `setxattr(idfile)`,
         // acknowledged before the write call returns).
-        let f = self.file_mut(path);
         f.size = f.size.max(offset + data.len() as u64);
-        let new_size = f.size;
-        let idf = Self::idfile_path(&info.id);
-        if let Some(&storage) = touched_servers.last() {
-            let (_, recv) = self.net(rec).message(
-                Process::Server(storage),
-                Process::Server(meta),
-                &format!("SIZE {path}"),
-                Some(cev),
-            );
-            let w = self.emit(
-                rec,
-                meta,
-                FsOp::SetXattr {
-                    path: idf,
-                    key: "user.size".into(),
-                    value: new_size.to_string().into_bytes(),
-                },
-                Some(recv),
-            );
-            self.net(rec)
-                .reply(Process::Server(meta), client, "SIZE-OK", Some(w));
+        let (idf, size) = (idfile_path(&f.id), f.size.to_string());
+        if let Some(storage) = last {
+            let msg = format!("SIZE {path}");
+            let recv = self.base.notify(rec, storage, meta, &msg, Some(cev));
+            let w = self.set_xattr(rec, meta, idf, "user.size", size, recv);
+            self.base.reply(rec, meta, client, "SIZE-OK", w);
         }
         Ok(())
-    }
-
-    fn do_rename(
-        &mut self,
-        rec: &mut Recorder,
-        client: Process,
-        src: &str,
-        dst: &str,
-        cev: EventId,
-    ) -> PfsResult<()> {
-        if self.dirs.contains_key(src) {
-            self.rename_dir(rec, client, src, dst, cev)
-        } else {
-            self.rename_file(rec, client, src, dst, cev)
-        }
     }
 
     fn rename_dir(
@@ -507,70 +291,26 @@ impl BeeGfs {
         dst: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let sparent = Self::parent_of(src);
-        let dparent = Self::parent_of(dst);
-        let spinfo = self.dir_info(&sparent)?.clone();
-        let dpinfo = self.dir_info(&dparent)?.clone();
+        let spinfo = lookup(&self.dirs, &parent_of(src))?.clone();
+        let dpinfo = lookup(&self.dirs, &parent_of(dst))?.clone();
         if spinfo.key != dpinfo.key {
             // The model only traces directory renames within one parent.
             return Err(PfsError::BadCall(format!(
                 "directory rename across parents: {src} -> {dst}"
             )));
         }
-        let meta = self.meta_server(spinfo.owner);
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(meta),
-            &format!("RENAME {src} {dst}"),
-            Some(cev),
-        );
-        self.emit(
-            rec,
-            meta,
-            FsOp::Rename {
-                src: self.dentry_path(&spinfo.key, Self::name_of(src)),
-                dst: self.dentry_path(&dpinfo.key, Self::name_of(dst)),
-            },
-            Some(recv),
-        );
-        let w = self.emit(
-            rec,
-            meta,
-            FsOp::SetXattr {
-                path: format!("/inodes/{}", spinfo.key),
-                key: "user.mtime".into(),
-                value: b"t".to_vec(),
-            },
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(meta), client, "OK", Some(w));
-
-        // Runtime rebookkeeping: every path under src moves to dst.
-        let rewrite = |map_keys: Vec<String>| -> Vec<(String, String)> {
-            map_keys
-                .into_iter()
-                .filter(|k| k == src || k.starts_with(&format!("{src}/")))
-                .map(|k| {
-                    let new = format!("{dst}{}", &k[src.len()..]);
-                    (k, new)
-                })
-                .collect()
+        let meta = self.base.meta_server(spinfo.owner);
+        let msg = format!("RENAME {src} {dst}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let rename = FsOp::Rename {
+            src: dentry_path(&spinfo.key, name_of(src)),
+            dst: dentry_path(&dpinfo.key, name_of(dst)),
         };
-        for (old, new) in rewrite(self.dirs.keys().cloned().collect()) {
-            let v = self
-                .dirs
-                .remove(&old)
-                .expect("invariant: key came from this map");
-            self.dirs.insert(new, v);
-        }
-        for (old, new) in rewrite(self.files.keys().cloned().collect()) {
-            let v = self
-                .files
-                .remove(&old)
-                .expect("invariant: key came from this map");
-            self.files.insert(new, v);
-        }
+        self.base.emit_fs(rec, meta, rename, recv);
+        let w = self.touch_dir(rec, meta, &spinfo.key, recv);
+        self.base.reply(rec, meta, client, "OK", w);
+        rekey(&mut self.dirs, src, dst);
+        rekey(&mut self.files, src, dst);
         Ok(())
     }
 
@@ -582,165 +322,75 @@ impl BeeGfs {
         dst: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let sparent = Self::parent_of(src);
-        let dparent = Self::parent_of(dst);
-        let spinfo = self.dir_info(&sparent)?.clone();
-        let dpinfo = self.dir_info(&dparent)?.clone();
-        let sinfo = self.file_info(src)?.clone();
+        let spinfo = lookup(&self.dirs, &parent_of(src))?.clone();
+        let dpinfo = lookup(&self.dirs, &parent_of(dst))?.clone();
+        let sinfo = lookup(&self.files, src)?.clone();
         let overwritten = self.files.get(dst).cloned();
+        let sdentry = dentry_path(&spinfo.key, name_of(src));
+        let ddentry = dentry_path(&dpinfo.key, name_of(dst));
 
-        let smeta = self.meta_server(spinfo.owner);
+        let smeta = self.base.meta_server(spinfo.owner);
         if spinfo.owner == dpinfo.owner {
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(smeta),
-                &format!("RENAME {src} {dst}"),
-                Some(cev),
-            );
+            let msg = format!("RENAME {src} {dst}");
+            let recv = self.base.request(rec, client, smeta, &msg, cev);
             if spinfo.key == dpinfo.key {
                 // Same directory: one atomic local rename
                 // (Figure 2: rename(dentries/tmp, dentries/file)).
-                self.emit(
-                    rec,
-                    smeta,
-                    FsOp::Rename {
-                        src: self.dentry_path(&spinfo.key, Self::name_of(src)),
-                        dst: self.dentry_path(&dpinfo.key, Self::name_of(dst)),
-                    },
-                    Some(recv),
-                );
+                let (src, dst) = (sdentry, ddentry);
+                self.base
+                    .emit_fs(rec, smeta, FsOp::Rename { src, dst }, recv);
             } else {
                 // Cross-directory: BeeGFS dentries are hard links, so the
                 // move decomposes into link(new) + unlink(old) — the
                 // non-atomic pair behind Table 3 bug 4.
-                self.emit(
-                    rec,
-                    smeta,
-                    FsOp::Link {
-                        src: self.dentry_path(&spinfo.key, Self::name_of(src)),
-                        dst: self.dentry_path(&dpinfo.key, Self::name_of(dst)),
-                    },
-                    Some(recv),
-                );
-                self.emit(
-                    rec,
-                    smeta,
-                    FsOp::Unlink {
-                        path: self.dentry_path(&spinfo.key, Self::name_of(src)),
-                    },
-                    Some(recv),
-                );
+                let (src, dst) = (sdentry.clone(), ddentry);
+                self.base.emit_fs(rec, smeta, FsOp::Link { src, dst }, recv);
+                self.base
+                    .emit_fs(rec, smeta, FsOp::Unlink { path: sdentry }, recv);
             }
-            self.emit(
-                rec,
-                smeta,
-                FsOp::SetXattr {
-                    path: format!("/inodes/{}", dpinfo.key),
-                    key: "user.mtime".into(),
-                    value: b"t".to_vec(),
-                },
-                Some(recv),
-            );
+            self.touch_dir(rec, smeta, &dpinfo.key, recv);
             if let Some(old) = &overwritten {
                 // Figure 2: unlink(old-idfile) on the metadata server.
-                self.emit(
-                    rec,
-                    smeta,
-                    FsOp::Unlink {
-                        path: Self::idfile_path(&old.id),
-                    },
-                    Some(recv),
-                );
+                let path = idfile_path(&old.id);
+                self.base.emit_fs(rec, smeta, FsOp::Unlink { path }, recv);
             }
-            let w = self.emit(
-                rec,
-                smeta,
-                FsOp::SetXattr {
-                    path: Self::idfile_path(&sinfo.id),
-                    key: "user.ctime".into(),
-                    value: b"t".to_vec(),
-                },
-                Some(recv),
-            );
-            let reply_parent = recv;
-            self.net(rec)
-                .reply(Process::Server(smeta), client, "OK", Some(w));
+            let idf = idfile_path(&sinfo.id);
+            let w = self.set_xattr(rec, smeta, idf, "user.ctime", "t", recv);
+            self.base.reply(rec, smeta, client, "OK", w);
 
             // Asynchronous chunk cleanup of the overwritten file
             // (Figure 2: meta `sendto(storage)`, storage
             // `unlink(old-chunk)` — no ack).
             if let Some(old) = &overwritten {
-                self.unlink_chunks(rec, smeta, old, Some(reply_parent));
+                self.unlink_chunks(rec, smeta, old, Some(recv));
             }
         } else {
             // Cross-metadata-server move: new idfile + dentry on the
             // destination owner, removal on the source owner.
-            let dmeta = self.meta_server(dpinfo.owner);
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(dmeta),
-                &format!("RENAME-IN {dst}"),
-                Some(cev),
-            );
-            let idf = Self::idfile_path(&sinfo.id);
-            let e = self.emit(rec, dmeta, FsOp::Creat { path: idf.clone() }, Some(recv));
-            self.emit(
-                rec,
-                dmeta,
-                FsOp::SetXattr {
-                    path: idf.clone(),
-                    key: "user.info".into(),
-                    value: format!("id={};first={}", sinfo.id, sinfo.first).into_bytes(),
-                },
-                Some(e),
-            );
-            self.emit(
-                rec,
-                dmeta,
-                FsOp::SetXattr {
-                    path: idf.clone(),
-                    key: "user.size".into(),
-                    value: sinfo.size.to_string().into_bytes(),
-                },
-                Some(e),
-            );
-            let link_dst = self.dentry_path(&dpinfo.key, Self::name_of(dst));
-            let w = self.emit(
-                rec,
-                dmeta,
-                FsOp::Link {
-                    src: idf,
-                    dst: link_dst,
-                },
-                Some(recv),
-            );
-            self.net(rec)
-                .reply(Process::Server(dmeta), client, "OK", Some(w));
+            let dmeta = self.base.meta_server(dpinfo.owner);
+            let msg = format!("RENAME-IN {dst}");
+            let recv = self.base.request(rec, client, dmeta, &msg, cev);
+            let idf = idfile_path(&sinfo.id);
+            let op = FsOp::Creat { path: idf.clone() };
+            let e = self.base.emit_fs(rec, dmeta, op, recv);
+            let info = format!("id={};first={}", sinfo.id, sinfo.first);
+            self.set_xattr(rec, dmeta, idf.clone(), "user.info", info, e);
+            let size = sinfo.size.to_string();
+            self.set_xattr(rec, dmeta, idf.clone(), "user.size", size, e);
+            let link = FsOp::Link {
+                src: idf.clone(),
+                dst: ddentry,
+            };
+            let w = self.base.emit_fs(rec, dmeta, link, recv);
+            self.base.reply(rec, dmeta, client, "OK", w);
 
-            let (_, recv2) = self.net(rec).request(
-                client,
-                Process::Server(smeta),
-                &format!("RENAME-OUT {src}"),
-                Some(cev),
-            );
-            self.emit(
-                rec,
-                smeta,
-                FsOp::Unlink {
-                    path: self.dentry_path(&spinfo.key, Self::name_of(src)),
-                },
-                Some(recv2),
-            );
-            let w2 = self.emit(
-                rec,
-                smeta,
-                FsOp::Unlink {
-                    path: Self::idfile_path(&sinfo.id),
-                },
-                Some(recv2),
-            );
-            self.net(rec)
-                .reply(Process::Server(smeta), client, "OK", Some(w2));
+            let msg = format!("RENAME-OUT {src}");
+            let recv2 = self.base.request(rec, client, smeta, &msg, cev);
+            let unlink = FsOp::Unlink { path: sdentry };
+            self.base.emit_fs(rec, smeta, unlink, recv2);
+            let unlink = FsOp::Unlink { path: idf };
+            let w2 = self.base.emit_fs(rec, smeta, unlink, recv2);
+            self.base.reply(rec, smeta, client, "OK", w2);
 
             if let Some(old) = &overwritten {
                 self.unlink_chunks(rec, dmeta, old, None);
@@ -760,26 +410,12 @@ impl BeeGfs {
         info: &FileInfo,
         parent: Option<EventId>,
     ) {
-        let stripes: Vec<u64> = info.chunks.keys().copied().collect();
-        let n_storage = self.n_storage();
-        for stripe in stripes {
-            let sidx = (info.first + stripe as usize) % n_storage;
-            let storage = self.storage_server(sidx);
-            let (send, recv) = self.net(rec).message(
-                Process::Server(meta),
-                Process::Server(storage),
-                &format!("UNLINK-CHUNK {}.{stripe}", info.id),
-                parent,
-            );
-            let _ = send;
-            self.emit(
-                rec,
-                storage,
-                FsOp::Unlink {
-                    path: Self::chunk_path(&info.id, stripe),
-                },
-                Some(recv),
-            );
+        for &stripe in info.chunks.keys() {
+            let storage = self.base.stripe_server(info.first, stripe);
+            let msg = format!("UNLINK-CHUNK {}.{stripe}", info.id);
+            let recv = self.base.notify(rec, meta, storage, &msg, parent);
+            let path = chunk_path(&info.id, stripe);
+            self.base.emit_fs(rec, storage, FsOp::Unlink { path }, recv);
         }
     }
 
@@ -790,50 +426,48 @@ impl BeeGfs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let parent_dir = Self::parent_of(path);
-        let pinfo = self.dir_info(&parent_dir)?.clone();
-        let info = self.file_info(path)?.clone();
-        let meta = self.meta_server(pinfo.owner);
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(meta),
-            &format!("UNLINK {path}"),
-            Some(cev),
-        );
-        self.emit(
-            rec,
-            meta,
-            FsOp::Unlink {
-                path: self.dentry_path(&pinfo.key, Self::name_of(path)),
-            },
-            Some(recv),
-        );
-        self.emit(
-            rec,
-            meta,
-            FsOp::Unlink {
-                path: Self::idfile_path(&info.id),
-            },
-            Some(recv),
-        );
-        let w = self.emit(
-            rec,
-            meta,
-            FsOp::SetXattr {
-                path: format!("/inodes/{}", pinfo.key),
-                key: "user.mtime".into(),
-                value: b"t".to_vec(),
-            },
-            Some(recv),
-        );
-        let reply_parent = recv;
-        self.net(rec)
-            .reply(Process::Server(meta), client, "OK", Some(w));
-        self.unlink_chunks(rec, meta, &info, Some(reply_parent));
+        let pinfo = lookup(&self.dirs, &parent_of(path))?.clone();
+        let info = lookup(&self.files, path)?.clone();
+        let meta = self.base.meta_server(pinfo.owner);
+        let msg = format!("UNLINK {path}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        for path in [
+            dentry_path(&pinfo.key, name_of(path)),
+            idfile_path(&info.id),
+        ] {
+            self.base.emit_fs(rec, meta, FsOp::Unlink { path }, recv);
+        }
+        let w = self.touch_dir(rec, meta, &pinfo.key, recv);
+        self.base.reply(rec, meta, client, "OK", w);
+        self.unlink_chunks(rec, meta, &info, Some(recv));
         self.files.remove(path);
         Ok(())
     }
 
+    /// Dentry removal on the parent's owner; object cleanup is lazy (not
+    /// modelled — none of the test programs need it).
+    fn do_rmdir(
+        &mut self,
+        rec: &mut Recorder,
+        client: Process,
+        path: &str,
+        cev: EventId,
+    ) -> PfsResult<()> {
+        let pinfo = lookup(&self.dirs, &parent_of(path))?.clone();
+        let meta = self.base.meta_server(pinfo.owner);
+        let msg = format!("RMDIR {path}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let op = FsOp::Unlink {
+            path: dentry_path(&pinfo.key, name_of(path)),
+        };
+        let w = self.base.emit_fs(rec, meta, op, recv);
+        self.base.reply(rec, meta, client, "OK", w);
+        self.dirs.remove(path);
+        Ok(())
+    }
+
+    /// tuneRemoteFSync: the client fsync is forwarded to every server
+    /// holding a piece of the file.
     fn do_fsync(
         &mut self,
         rec: &mut Recorder,
@@ -841,49 +475,24 @@ impl BeeGfs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        // tuneRemoteFSync: the client fsync is forwarded to every server
-        // holding a piece of the file.
         let Some(info) = self.files.get(path).cloned() else {
             return Ok(());
         };
-        let n_storage = self.n_storage();
         for &stripe in info.chunks.keys() {
-            let storage = self.storage_server((info.first + stripe as usize) % n_storage);
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(storage),
-                &format!("FSYNC {path} stripe {stripe}"),
-                Some(cev),
-            );
-            let w = self.emit(
-                rec,
-                storage,
-                FsOp::Fsync {
-                    path: Self::chunk_path(&info.id, stripe),
-                },
-                Some(recv),
-            );
-            self.net(rec)
-                .reply(Process::Server(storage), client, "OK", Some(w));
+            let storage = self.base.stripe_server(info.first, stripe);
+            let msg = format!("FSYNC {path} stripe {stripe}");
+            let recv = self.base.request(rec, client, storage, &msg, cev);
+            let path = chunk_path(&info.id, stripe);
+            let w = self.base.emit_fs(rec, storage, FsOp::Fsync { path }, recv);
+            self.base.reply(rec, storage, client, "OK", w);
         }
-        let parent_dir = Self::parent_of(path);
-        let meta = self.meta_server(self.dir_info(&parent_dir)?.owner);
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(meta),
-            &format!("FSYNC-META {path}"),
-            Some(cev),
-        );
-        let w = self.emit(
-            rec,
-            meta,
-            FsOp::Fsync {
-                path: Self::idfile_path(&info.id),
-            },
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(meta), client, "OK", Some(w));
+        let owner = lookup(&self.dirs, &parent_of(path))?.owner;
+        let meta = self.base.meta_server(owner);
+        let msg = format!("FSYNC-META {path}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let path = idfile_path(&info.id);
+        let w = self.base.emit_fs(rec, meta, FsOp::Fsync { path }, recv);
+        self.base.reply(rec, meta, client, "OK", w);
         Ok(())
     }
 
@@ -896,29 +505,21 @@ impl BeeGfs {
         vpath: &str,
         view: &mut PfsView,
     ) {
-        let meta = self.meta_server(owner);
-        let fs = states.server(meta).as_fs();
+        let fs = states.server(self.base.meta_server(owner)).as_fs();
         let dent_dir = format!("/dentries/{key}");
         let Ok(names) = fs.readdir(&dent_dir) else {
             return;
         };
         for name in names {
             let dentry = format!("{dent_dir}/{name}");
-            let child_vpath = if vpath == "/" {
-                format!("/{name}")
-            } else {
-                format!("{vpath}/{name}")
-            };
+            let child = child_path(vpath, &name);
             if let Ok(dk) = fs.getxattr(&dentry, "user.dirkey") {
-                // Subdirectory.
-                let spec = String::from_utf8_lossy(dk);
-                let (ckey, cowner) = spec.split_once(':').unwrap_or(("?", "0"));
-                let cowner: usize = cowner.parse().unwrap_or(0);
-                view.add_dir(child_vpath.clone());
-                self.walk_dir(states, ckey, cowner, &child_vpath, view);
+                let (ckey, cowner) = parse_dirkey(dk);
+                view.add_dir(child.clone());
+                self.walk_dir(states, &ckey, cowner, &child, view);
             } else {
                 // Regular file: the dentry is a hard link to the idfile.
-                self.read_file(states, fs, &dentry, &child_vpath, view);
+                self.read_file(states, fs, &dentry, &child, view);
             }
         }
     }
@@ -937,31 +538,14 @@ impl BeeGfs {
             view.add_damaged_file(vpath);
             return;
         };
-        let info = String::from_utf8_lossy(info).to_string();
-        let mut id = String::new();
-        let mut first = 0usize;
-        for part in info.split(';') {
-            if let Some(v) = part.strip_prefix("id=") {
-                id = v.to_string();
-            } else if let Some(v) = part.strip_prefix("first=") {
-                first = v.parse().unwrap_or(0);
-            }
-        }
-        // File content is whatever the chunk files hold, concatenated in
-        // stripe order until the first gap (the stripe count is implied
-        // by the chunks themselves; a never-written file reads as empty,
-        // a file whose chunks were lost reads short or empty — exactly
-        // what the application would observe).
-        let n_storage = self.n_storage();
-        let mut content = Vec::new();
-        for stripe in 0.. {
-            let storage = self.storage_server((first + stripe as usize) % n_storage);
-            let chunk = Self::chunk_path(&id, stripe);
-            match states.server(storage).as_fs().read(&chunk) {
-                Ok(data) => content.extend_from_slice(data),
-                Err(_) => break,
-            }
-        }
+        let info = String::from_utf8_lossy(info);
+        let id = attr(&info, "id").unwrap_or("");
+        let first: usize = attr_num(&info, "first");
+        // The stripe count is implied by the chunk files themselves.
+        let content = read_striped(states, |stripe| {
+            let storage = self.base.stripe_server(first, stripe);
+            (storage, chunk_path(id, stripe))
+        });
         view.add_file(vpath, content);
     }
 }
@@ -971,84 +555,37 @@ impl Pfs for BeeGfs {
         "BeeGFS"
     }
 
-    fn topology(&self) -> &ClusterTopology {
-        &self.topo
+    fn base(&self) -> &ModelBase {
+        &self.base
     }
 
-    fn stripe_size(&self) -> u64 {
-        self.stripe
+    fn base_mut(&mut self) -> &mut ModelBase {
+        &mut self.base
     }
 
-    fn dispatch(
+    fn handle(
         &mut self,
         rec: &mut Recorder,
         client: Process,
         call: &PfsCall,
-        parent: Option<EventId>,
-    ) -> PfsResult<EventId> {
-        let cev = rec.record(
-            Layer::PfsClient,
-            client,
-            Payload::Call {
-                name: call.name().into(),
-                args: call.args(),
-            },
-            parent,
-        );
+        cev: EventId,
+    ) -> PfsResult<()> {
         match call {
-            PfsCall::Creat { path } => self.do_creat(rec, client, path, cev)?,
-            PfsCall::Mkdir { path } => self.do_mkdir(rec, client, path, cev)?,
+            PfsCall::Creat { path } => self.do_creat(rec, client, path, cev),
+            PfsCall::Mkdir { path } => self.do_mkdir(rec, client, path, cev),
             PfsCall::Pwrite { path, offset, data } => {
-                self.do_pwrite(rec, client, path, *offset, data, cev)?
+                self.do_pwrite(rec, client, path, *offset, data, cev)
             }
-            PfsCall::Rename { src, dst } => self.do_rename(rec, client, src, dst, cev)?,
-            PfsCall::Unlink { path } => self.do_unlink(rec, client, path, cev)?,
-            PfsCall::Rmdir { path } => {
-                // Dentry removal on the parent's owner; object cleanup is
-                // lazy (not modelled — none of the test programs need it).
-                let parent_dir = Self::parent_of(path);
-                let pinfo = self.dir_info(&parent_dir)?.clone();
-                let meta = self.meta_server(pinfo.owner);
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(meta),
-                    &format!("RMDIR {path}"),
-                    Some(cev),
-                );
-                let w = self.emit(
-                    rec,
-                    meta,
-                    FsOp::Unlink {
-                        path: self.dentry_path(&pinfo.key, Self::name_of(path)),
-                    },
-                    Some(recv),
-                );
-                self.net(rec)
-                    .reply(Process::Server(meta), client, "OK", Some(w));
-                self.dirs.remove(path);
+            PfsCall::Rename { src, dst } if self.dirs.contains_key(src) => {
+                self.rename_dir(rec, client, src, dst, cev)
             }
-            PfsCall::Close { .. } => {
-                // Client-side handle release only; BeeGFS flushes nothing.
-            }
-            PfsCall::Fsync { path } => self.do_fsync(rec, client, path, cev)?,
+            PfsCall::Rename { src, dst } => self.rename_file(rec, client, src, dst, cev),
+            PfsCall::Unlink { path } => self.do_unlink(rec, client, path, cev),
+            PfsCall::Rmdir { path } => self.do_rmdir(rec, client, path, cev),
+            // Client-side handle release only; BeeGFS flushes nothing.
+            PfsCall::Close { .. } => Ok(()),
+            PfsCall::Fsync { path } => self.do_fsync(rec, client, path, cev),
         }
-        Ok(cev)
-    }
-
-    fn seal_baseline(&mut self) {
-        self.baseline = self.live.fork();
-    }
-
-    fn baseline(&self) -> &ServerStates {
-        &self.baseline
-    }
-
-    fn live(&self) -> &ServerStates {
-        &self.live
-    }
-
-    fn install_faults(&mut self, cfg: FaultConfig) {
-        self.faults = FaultPlane::new(cfg);
     }
 
     fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
@@ -1057,7 +594,7 @@ impl Pfs for BeeGfs {
         // Pass 1: dentries pointing at idfiles with no attributes, or
         // directories with no dentries object → report; drop directory
         // dentries whose object is missing.
-        let metas = self.topo.metadata_servers();
+        let metas = self.base.topo.metadata_servers();
         for &m in &metas {
             let fs = states.server(m).as_fs().fork();
             let Ok(dirkeys) = fs.readdir("/dentries") else {
@@ -1071,10 +608,8 @@ impl Pfs for BeeGfs {
                 for name in names {
                     let dentry = format!("{dent_dir}/{name}");
                     if let Ok(spec) = fs.getxattr(&dentry, "user.dirkey") {
-                        let spec = String::from_utf8_lossy(spec).to_string();
-                        let (ckey, cowner) = spec.split_once(':').unwrap_or(("?", "0"));
-                        let cowner: usize = cowner.parse().unwrap_or(0);
-                        let cmeta = self.meta_server(cowner);
+                        let (ckey, cowner) = parse_dirkey(spec);
+                        let cmeta = self.base.meta_server(cowner);
                         if !states
                             .server(cmeta)
                             .as_fs()
@@ -1146,7 +681,7 @@ impl Pfs for BeeGfs {
                 live_ids.extend(ids);
             }
         }
-        for &s in &self.topo.storage_servers() {
+        for &s in &self.base.topo.storage_servers() {
             let fs = states.server(s).as_fs().fork();
             let Ok(chunks) = fs.readdir("/chunks") else {
                 continue;
@@ -1168,7 +703,7 @@ impl Pfs for BeeGfs {
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
         let mut view = PfsView::new();
-        let root_owner = self.placement.dir_index("/", self.n_meta());
+        let root_owner = self.base.placement.dir_index("/", self.base.n_meta());
         self.walk_dir(states, "root", root_owner, "/", &mut view);
         view
     }
@@ -1182,88 +717,19 @@ impl Pfs for BeeGfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::testkit::*;
     use crate::recover_and_mount;
+    use tracer::Payload;
 
-    fn arvr_setup() -> (BeeGfs, Recorder, Vec<EventId>) {
+    fn arvr_setup() -> (BeeGfs, Recorder) {
         let mut fs = BeeGfs::paper_default();
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        // Preamble: file with old content.
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/file".into(),
-                offset: 0,
-                data: b"old".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.seal_baseline();
-        let mut rec = Recorder::new();
-        // Test program: ARVR.
-        let mut evs = vec![fs
-            .dispatch(
-                &mut rec,
-                c,
-                &PfsCall::Creat {
-                    path: "/tmp".into(),
-                },
-                None,
-            )
-            .unwrap()];
-        evs.push(
-            fs.dispatch(
-                &mut rec,
-                c,
-                &PfsCall::Pwrite {
-                    path: "/tmp".into(),
-                    offset: 0,
-                    data: b"new".to_vec(),
-                },
-                None,
-            )
-            .unwrap(),
-        );
-        evs.push(
-            fs.dispatch(
-                &mut rec,
-                c,
-                &PfsCall::Close {
-                    path: "/tmp".into(),
-                },
-                None,
-            )
-            .unwrap(),
-        );
-        evs.push(
-            fs.dispatch(
-                &mut rec,
-                c,
-                &PfsCall::Rename {
-                    src: "/tmp".into(),
-                    dst: "/file".into(),
-                },
-                None,
-            )
-            .unwrap(),
-        );
-        (fs, rec, evs)
+        let (rec, _) = run_arvr(&mut fs);
+        (fs, rec)
     }
 
     #[test]
     fn live_view_after_arvr_shows_new_content() {
-        let (fs, _rec, _) = arvr_setup();
+        let (fs, _rec) = arvr_setup();
         let view = fs.client_view(fs.live());
         assert_eq!(view.read("/file"), Some(&b"new"[..]));
         assert!(!view.exists("/tmp"));
@@ -1271,14 +737,14 @@ mod tests {
 
     #[test]
     fn baseline_view_shows_old_content() {
-        let (fs, _rec, _) = arvr_setup();
+        let (fs, _rec) = arvr_setup();
         let view = fs.client_view(fs.baseline());
         assert_eq!(view.read("/file"), Some(&b"old"[..]));
     }
 
     #[test]
     fn full_replay_on_baseline_matches_live() {
-        let (fs, rec, _) = arvr_setup();
+        let (fs, rec) = arvr_setup();
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, rec.lowermost_events());
         assert_eq!(fs.client_view(&states), fs.client_view(fs.live()));
@@ -1289,7 +755,7 @@ mod tests {
         // Persist everything except the storage-side append of /tmp's
         // chunk: after the rename the file points at an empty chunk —
         // both versions lost (Figure 2 case ①).
-        let (fs, rec, _) = arvr_setup();
+        let (fs, rec) = arvr_setup();
         let dropped: Vec<EventId> = rec
             .lowermost_events()
             .into_iter()
@@ -1305,7 +771,7 @@ mod tests {
             .collect();
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, dropped);
-        let (report, view) = recover_and_mount(&fs, &mut states);
+        let (_, view) = recover_and_mount(&fs, &mut states);
         // The file exists but its content is neither old nor new.
         let got = view.read("/file");
         assert!(
@@ -1313,7 +779,6 @@ mod tests {
             "{view}"
         );
         assert!(!view.exists("/tmp"));
-        let _ = report;
     }
 
     #[test]
@@ -1321,7 +786,7 @@ mod tests {
         // Persist the storage-side unlink of the old chunk but none of
         // the rename's metadata ops: `file` still points at the (gone)
         // old chunk — data loss (Figure 2 case ②).
-        let (fs, rec, _) = arvr_setup();
+        let (fs, rec) = arvr_setup();
         let keep: Vec<EventId> = rec
             .lowermost_events()
             .into_iter()
@@ -1340,7 +805,7 @@ mod tests {
             .collect();
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, keep);
-        let (report, view) = recover_and_mount(&fs, &mut states);
+        let (_, view) = recover_and_mount(&fs, &mut states);
         // tmp holds the new data; file lost its content (chunk gone).
         assert_eq!(view.read("/tmp"), Some(&b"new"[..]));
         assert!(view.exists("/file"));
@@ -1349,36 +814,13 @@ mod tests {
             file != Some(&b"old"[..]) && file != Some(&b"new"[..]),
             "{view}"
         );
-        let _ = report;
     }
 
     #[test]
     fn mkdir_and_nested_files() {
         let mut fs = BeeGfs::paper_default();
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Mkdir { path: "/A".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/A/foo".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/A/foo".into(),
-                offset: 0,
-                data: b"x".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
+        let calls = [mkdir("/A"), creat("/A/foo"), pwrite("/A/foo", 0, b"x")];
+        drive(&mut fs, &mut Recorder::new(), &calls);
         let view = fs.client_view(fs.live());
         assert!(view.has_dir("/A"));
         assert_eq!(view.read("/A/foo"), Some(&b"x"[..]));
@@ -1388,50 +830,20 @@ mod tests {
     fn cross_directory_rename_decomposes_into_link_unlink() {
         let mut fs = BeeGfs::paper_default();
         let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Mkdir { path: "/A".into() }, None)
-            .unwrap();
-        fs.dispatch(&mut rec, c, &PfsCall::Mkdir { path: "/B".into() }, None)
-            .unwrap();
-        fs.dispatch(
+        drive(
+            &mut fs,
             &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/A/foo".into(),
-            },
-            None,
-        )
-        .unwrap();
+            &[mkdir("/A"), mkdir("/B"), creat("/A/foo")],
+        );
         let before = rec.len();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Rename {
-                src: "/A/foo".into(),
-                dst: "/B/foo".into(),
-            },
-            None,
-        )
-        .unwrap();
-        let has_link = rec.events()[before..].iter().any(|e| {
-            matches!(
-                &e.payload,
-                Payload::Fs {
-                    op: FsOp::Link { .. },
-                    ..
-                }
-            )
-        });
-        let has_unlink = rec.events()[before..].iter().any(|e| {
-            matches!(
-                &e.payload,
-                Payload::Fs {
-                    op: FsOp::Unlink { .. },
-                    ..
-                }
-            )
-        });
-        assert!(has_link && has_unlink);
+        drive(&mut fs, &mut rec, &[rename("/A/foo", "/B/foo")]);
+        let emitted = |want: fn(&FsOp) -> bool| {
+            rec.events()[before..]
+                .iter()
+                .any(|e| matches!(&e.payload, Payload::Fs { op, .. } if want(op)))
+        };
+        assert!(emitted(|op| matches!(op, FsOp::Link { .. })));
+        assert!(emitted(|op| matches!(op, FsOp::Unlink { .. })));
         let view = fs.client_view(fs.live());
         assert!(view.exists("/B/foo"));
         assert!(!view.exists("/A/foo"));
@@ -1444,28 +856,8 @@ mod tests {
             Placement::new().pin_file("/big", 0),
             4, // tiny stripe to force splitting
         );
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/big".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/big".into(),
-                offset: 0,
-                data: b"0123456789".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
+        let calls = [creat("/big"), pwrite("/big", 0, b"0123456789")];
+        drive(&mut fs, &mut Recorder::new(), &calls);
         let view = fs.client_view(fs.live());
         assert_eq!(view.read("/big"), Some(&b"0123456789"[..]));
         // Both storage servers hold chunks.
@@ -1476,7 +868,7 @@ mod tests {
 
     #[test]
     fn fsck_collects_orphan_chunks() {
-        let (fs, rec, _) = arvr_setup();
+        let (fs, rec) = arvr_setup();
         // Persist only the storage-side ops of the tmp write: chunks with
         // no metadata.
         let keep: Vec<EventId> = rec
@@ -1484,7 +876,7 @@ mod tests {
             .into_iter()
             .filter(|&id| match &rec.event(id).payload {
                 Payload::Fs { server, op } => {
-                    fs.topo.storage_servers().contains(server)
+                    fs.base.topo.storage_servers().contains(server)
                         && matches!(op, FsOp::Creat { .. } | FsOp::Append { .. })
                 }
                 _ => false,
@@ -1502,22 +894,8 @@ mod tests {
     fn fsync_emits_server_side_syncs() {
         let mut fs = BeeGfs::paper_default();
         let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Creat { path: "/f".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/f".into(),
-                offset: 0,
-                data: b"d".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(&mut rec, c, &PfsCall::Fsync { path: "/f".into() }, None)
-            .unwrap();
+        let calls = [creat("/f"), pwrite("/f", 0, b"d"), fsync("/f")];
+        drive(&mut fs, &mut rec, &calls);
         let syncs = rec
             .events()
             .iter()

@@ -7,63 +7,34 @@
 //! operation POSIX promises — exactly why the PFSs (which decompose it
 //! across servers) are the ones that break.
 
+use crate::base::ModelBase;
 use crate::call::PfsCall;
 use crate::error::PfsResult;
+use crate::placement::Placement;
 use crate::store::ServerStates;
 use crate::view::{PfsView, RecoveryReport};
 use crate::Pfs;
 use simfs::{FsOp, Fsck, JournalMode};
 use simnet::ClusterTopology;
-use tracer::{EventId, Layer, Payload, Process, Recorder};
+use tracer::{EventId, Process, Recorder};
 
 /// A single local ext4 file system mounted directly.
 pub struct Ext4Direct {
-    topo: ClusterTopology,
-    journal: JournalMode,
-    live: ServerStates,
-    baseline: ServerStates,
+    base: ModelBase,
 }
 
 impl Ext4Direct {
-    /// ext4 with the given journaling mode on one "server".
+    /// ext4 with the given journaling mode on one "server" (no striping).
     pub fn new(journal: JournalMode) -> Self {
-        let live = ServerStates::all_fs(1, journal);
+        let topo = ClusterTopology::combined(1, 2);
         Ext4Direct {
-            topo: ClusterTopology::combined(1, 2),
-            journal,
-            baseline: live.fork(),
-            live,
+            base: ModelBase::fs(topo, Placement::new(), u64::MAX, journal),
         }
     }
 
     /// The paper's safest mode: data journaling.
     pub fn paper_default() -> Self {
         Self::new(JournalMode::Data)
-    }
-
-    /// The journaling mode in effect.
-    pub fn journal_mode(&self) -> JournalMode {
-        self.journal
-    }
-
-    fn emit(&mut self, rec: &mut Recorder, op: FsOp, parent: Option<EventId>) -> EventId {
-        self.live.server_mut(0).apply_fs(&op);
-        rec.record(
-            Layer::LocalFs,
-            Process::Server(0),
-            Payload::Fs { server: 0, op },
-            parent,
-        )
-    }
-
-    fn walk(fs: &simfs::FsState, view: &mut PfsView) {
-        for path in fs.walk() {
-            if fs.is_dir(&path) {
-                view.add_dir(path);
-            } else if let Ok(data) = fs.read(&path) {
-                view.add_file(path, data.to_vec());
-            }
-        }
     }
 }
 
@@ -72,82 +43,41 @@ impl Pfs for Ext4Direct {
         "ext4"
     }
 
-    fn topology(&self) -> &ClusterTopology {
-        &self.topo
+    fn base(&self) -> &ModelBase {
+        &self.base
     }
 
-    fn stripe_size(&self) -> u64 {
-        u64::MAX // no striping
+    fn base_mut(&mut self) -> &mut ModelBase {
+        &mut self.base
     }
 
-    fn dispatch(
+    fn handle(
         &mut self,
         rec: &mut Recorder,
-        client: Process,
+        _client: Process,
         call: &PfsCall,
-        parent: Option<EventId>,
-    ) -> PfsResult<EventId> {
-        let cev = rec.record(
-            Layer::PfsClient,
-            client,
-            Payload::Call {
-                name: call.name().into(),
-                args: call.args(),
+        cev: EventId,
+    ) -> PfsResult<()> {
+        let path = call.primary_path().to_string();
+        let op = match call {
+            PfsCall::Creat { .. } => FsOp::Creat { path },
+            PfsCall::Mkdir { .. } => FsOp::Mkdir { path },
+            PfsCall::Pwrite { offset, data, .. } => FsOp::Pwrite {
+                path,
+                offset: *offset,
+                data: data.clone(),
             },
-            parent,
-        );
-        match call {
-            PfsCall::Creat { path } => {
-                self.emit(rec, FsOp::Creat { path: path.clone() }, Some(cev));
-            }
-            PfsCall::Mkdir { path } => {
-                self.emit(rec, FsOp::Mkdir { path: path.clone() }, Some(cev));
-            }
-            PfsCall::Pwrite { path, offset, data } => {
-                self.emit(
-                    rec,
-                    FsOp::Pwrite {
-                        path: path.clone(),
-                        offset: *offset,
-                        data: data.clone(),
-                    },
-                    Some(cev),
-                );
-            }
-            PfsCall::Rename { src, dst } => {
-                self.emit(
-                    rec,
-                    FsOp::Rename {
-                        src: src.clone(),
-                        dst: dst.clone(),
-                    },
-                    Some(cev),
-                );
-            }
-            PfsCall::Unlink { path } => {
-                self.emit(rec, FsOp::Unlink { path: path.clone() }, Some(cev));
-            }
-            PfsCall::Rmdir { path } => {
-                self.emit(rec, FsOp::Rmdir { path: path.clone() }, Some(cev));
-            }
-            PfsCall::Close { .. } => {}
-            PfsCall::Fsync { path } => {
-                self.emit(rec, FsOp::Fsync { path: path.clone() }, Some(cev));
-            }
-        }
-        Ok(cev)
-    }
-
-    fn seal_baseline(&mut self) {
-        self.baseline = self.live.fork();
-    }
-
-    fn baseline(&self) -> &ServerStates {
-        &self.baseline
-    }
-
-    fn live(&self) -> &ServerStates {
-        &self.live
+            PfsCall::Rename { dst, .. } => FsOp::Rename {
+                src: path,
+                dst: dst.clone(),
+            },
+            PfsCall::Unlink { .. } => FsOp::Unlink { path },
+            PfsCall::Rmdir { .. } => FsOp::Rmdir { path },
+            PfsCall::Fsync { .. } => FsOp::Fsync { path },
+            PfsCall::Close { .. } => return Ok(()),
+        };
+        self.base.emit_fs(rec, 0, op, cev);
+        Ok(())
     }
 
     fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
@@ -161,7 +91,14 @@ impl Pfs for Ext4Direct {
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
         let mut view = PfsView::new();
-        Self::walk(states.server(0).as_fs(), &mut view);
+        let fs = states.server(0).as_fs();
+        for path in fs.walk() {
+            if fs.is_dir(&path) {
+                view.add_dir(path);
+            } else if let Ok(data) = fs.read(&path) {
+                view.add_file(path, data.to_vec());
+            }
+        }
         view
     }
 
@@ -173,64 +110,12 @@ impl Pfs for Ext4Direct {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::testkit::*;
 
     #[test]
     fn arvr_on_ext4_rename_is_atomic() {
         let mut fs = Ext4Direct::paper_default();
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/file".into(),
-                offset: 0,
-                data: b"old".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.seal_baseline();
-        let mut rec = Recorder::new();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/tmp".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/tmp".into(),
-                offset: 0,
-                data: b"new".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Rename {
-                src: "/tmp".into(),
-                dst: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
+        let (rec, _) = run_arvr(&mut fs);
         // Every prefix of the lowermost ops yields a legal intermediate
         // view under data journaling.
         let low = rec.lowermost_events();
@@ -250,25 +135,13 @@ mod tests {
     fn journal_mode_is_configurable() {
         let fs = Ext4Direct::new(JournalMode::Writeback);
         assert_eq!(fs.live().server(0).journal(), Some(JournalMode::Writeback));
-        assert_eq!(fs.journal, JournalMode::Writeback);
+        assert_eq!(fs.base().journal, Some(JournalMode::Writeback));
     }
 
     #[test]
     fn view_walks_directories() {
         let mut fs = Ext4Direct::paper_default();
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Mkdir { path: "/A".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/A/f".into(),
-            },
-            None,
-        )
-        .unwrap();
+        drive(&mut fs, &mut Recorder::new(), &[mkdir("/A"), creat("/A/f")]);
         let view = fs.client_view(fs.live());
         assert!(view.has_dir("/A"));
         assert!(view.exists("/A/f"));

@@ -24,42 +24,86 @@
 //! file-distribution sensitivity of Table 3 is expressed through
 //! [`Placement`] pins.
 
+use crate::base::{
+    attr, attr_num, lookup, lookup_mut, parent_of, read_striped, rekey, stripe_segments,
+    stripe_target, ModelBase,
+};
 use crate::call::PfsCall;
-use crate::error::{PfsError, PfsResult};
+use crate::error::PfsResult;
 use crate::placement::Placement;
 use crate::store::ServerStates;
 use crate::view::{PfsView, RecoveryReport};
 use crate::Pfs;
 use simfs::{FsOp, JournalMode};
-use simnet::{ClusterTopology, FaultConfig, FaultPlane, RpcNet};
+use simnet::ClusterTopology;
 use std::collections::BTreeMap;
-use tracer::{EventId, Layer, Payload, Process, Recorder};
+use tracer::{EventId, Process, Recorder};
 
 #[derive(Debug, Clone)]
 struct FileInfo {
     gfid: String,
     /// Primary brick index (holds the entry + stripe 0).
     primary: usize,
-    /// Monotonic generation used by heal to resolve duplicate entries
-    /// (persisted in the `user.meta` xattr; kept here for debugging).
-    #[allow(dead_code)]
-    gen: u64,
     size: u64,
     /// stripe → current length.
     chunks: BTreeMap<u64, u64>,
 }
 
-/// The GlusterFS striped-volume model.
+/// The GlusterFS striped-volume model. Bricks are the topology's
+/// (combined) servers, so a brick index is a server id.
 pub struct GlusterFs {
-    topo: ClusterTopology,
-    placement: Placement,
-    stripe: u64,
-    live: ServerStates,
-    baseline: ServerStates,
+    base: ModelBase,
     files: BTreeMap<String, FileInfo>,
     dirs: Vec<String>,
     next_id: u64,
-    faults: FaultPlane,
+}
+
+fn data_path(path: &str) -> String {
+    format!("/data{path}")
+}
+
+fn chunk_path(gfid: &str, stripe: u64) -> String {
+    format!("/chunks/{gfid}.{stripe}")
+}
+
+/// Where stripe `stripe` of the file at `path` lives on its brick:
+/// stripe 0 is the entry itself, the others are chunk files.
+fn stripe_path(path: &str, gfid: &str, stripe: u64) -> String {
+    if stripe == 0 {
+        data_path(path)
+    } else {
+        chunk_path(gfid, stripe)
+    }
+}
+
+/// A parsed `user.meta` xattr: `(gfid, first brick, generation)`. The
+/// generation is monotonic; heal and lookup resolve duplicate entries
+/// of one path by it.
+type Meta = (String, usize, u64);
+
+/// Every file entry with a `user.meta` xattr, brick by brick:
+/// `(brick, mount path, meta)`. Entries without the xattr are in-flight
+/// creates: lookups fail, the file is not visible yet.
+fn entries(states: &ServerStates) -> Vec<(u32, String, Meta)> {
+    let mut out = Vec::new();
+    for (brick, store) in states.iter() {
+        let fs = store.as_fs();
+        for p in fs.walk() {
+            let Some(vpath) = p.strip_prefix("/data") else {
+                continue;
+            };
+            if fs.is_dir(&p) {
+                continue;
+            }
+            if let Ok(raw) = fs.getxattr(&p, "user.meta") {
+                let s = String::from_utf8_lossy(raw);
+                let gfid = attr(&s, "gfid").unwrap_or("").to_string();
+                let meta = (gfid, attr_num(&s, "first"), attr_num(&s, "gen"));
+                out.push((brick, vpath.to_string(), meta));
+            }
+        }
+    }
+    out
 }
 
 impl GlusterFs {
@@ -77,22 +121,18 @@ impl GlusterFs {
         stripe: u64,
         journal: JournalMode,
     ) -> Self {
-        let mut live = ServerStates::all_fs(topo.server_count(), journal);
-        for (id, _) in live.clone().iter() {
-            let fs = live.server_mut(id).as_fs_mut();
+        let mut base = ModelBase::fs(topo, placement, stripe, journal);
+        for brick in 0..base.topo.server_count() {
+            let fs = base.mkfs(brick).as_fs_mut();
             fs.mkdir_all("/data").unwrap();
             fs.mkdir_all("/chunks").unwrap();
         }
+        base.seal();
         GlusterFs {
-            topo,
-            placement,
-            stripe,
-            baseline: live.fork(),
-            live,
+            base,
             files: BTreeMap::new(),
             dirs: vec!["/".to_string()],
             next_id: 0,
-            faults: FaultPlane::disabled(),
         }
     }
 
@@ -106,157 +146,71 @@ impl GlusterFs {
     }
 
     fn n_bricks(&self) -> usize {
-        self.topo.server_count() as usize
+        self.base.topo.server_count() as usize
     }
 
-    fn parent_of(path: &str) -> String {
-        match path.rfind('/') {
-            Some(0) => "/".to_string(),
-            Some(i) => path[..i].to_string(),
-            None => "/".to_string(),
-        }
-    }
-
-    /// Primary brick of a file: explicit pin, else parent-directory hash.
+    /// Primary brick of a file: explicit pin, else parent-directory hash
+    /// — files created together live together (ARVR safety).
     fn primary_of(&self, path: &str) -> usize {
-        // `pin_file` takes precedence; the default hashes the parent so
-        // files created together live together (ARVR safety).
-        match self.placement.file_pin(path) {
-            Some(idx) => idx % self.n_bricks(),
-            None => self
-                .placement
-                .dir_index(&Self::parent_of(path), self.n_bricks()),
+        let n = self.n_bricks();
+        match self.base.placement.file_pin(path) {
+            Some(idx) => idx % n,
+            None => self.base.placement.dir_index(&parent_of(path), n),
         }
     }
 
-    fn emit(
-        &mut self,
-        rec: &mut Recorder,
-        server: u32,
-        op: FsOp,
-        parent: Option<EventId>,
-    ) -> EventId {
-        self.live.server_mut(server).apply_fs(&op);
-        rec.record(
-            Layer::LocalFs,
-            Process::Server(server),
-            Payload::Fs { server, op },
-            parent,
-        )
-    }
-
-    fn data_path(path: &str) -> String {
-        format!("/data{path}")
-    }
-
-    fn file_info(&self, path: &str) -> PfsResult<&FileInfo> {
-        self.files
-            .get(path)
-            .ok_or_else(|| PfsError::UnknownPath(path.to_string()))
-    }
-
-    fn file_mut(&mut self, path: &str) -> &mut FileInfo {
-        self.files
-            .get_mut(path)
-            .expect("invariant: file checked present earlier in this call")
-    }
-
-    /// RPC net routed through this instance's fault plane.
-    fn net<'a>(&'a mut self, rec: &'a mut Recorder) -> RpcNet<'a> {
-        RpcNet::faulty(rec, &mut self.faults)
-    }
-
-    fn chunk_path(gfid: &str, stripe: u64) -> String {
-        format!("/chunks/{gfid}.{stripe}")
-    }
-
-    fn do_creat(
+    /// One request / local op / reply round trip on every brick
+    /// (directories are replicated on all of them).
+    fn on_every_brick(
         &mut self,
         rec: &mut Recorder,
         client: Process,
-        path: &str,
+        msg: &str,
+        op: FsOp,
         cev: EventId,
-    ) -> PfsResult<()> {
+    ) {
+        for brick in 0..self.n_bricks() as u32 {
+            let recv = self.base.request(rec, client, brick, msg, cev);
+            let w = self.base.emit_fs(rec, brick, op.clone(), recv);
+            self.base.reply(rec, brick, client, "OK", w);
+        }
+    }
+
+    fn do_creat(&mut self, rec: &mut Recorder, client: Process, path: &str, cev: EventId) {
         let primary = self.primary_of(path);
         let gfid = format!("g{}", self.next_id);
         let gen = self.next_id;
         self.next_id += 1;
         let brick = primary as u32;
         let overwritten = self.files.get(path).cloned();
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(brick),
-            &format!("CREATE {path}"),
-            Some(cev),
-        );
+        let msg = format!("CREATE {path}");
+        let recv = self.base.request(rec, client, brick, &msg, cev);
         // Figure 9(c): creat(tmp); lsetxattr(tmp); link(tmp, new chunk).
-        let dp = Self::data_path(path);
-        let e = self.emit(rec, brick, FsOp::Creat { path: dp.clone() }, Some(recv));
-        self.emit(
-            rec,
-            brick,
-            FsOp::SetXattr {
-                path: dp.clone(),
-                key: "user.meta".into(),
-                value: format!("gfid={gfid};first={primary};gen={gen}").into_bytes(),
-            },
-            Some(e),
-        );
-        let w = self.emit(
-            rec,
-            brick,
-            FsOp::Link {
-                src: dp,
-                dst: Self::chunk_path(&gfid, 0),
-            },
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(brick), client, "OK", Some(w));
+        let dp = data_path(path);
+        let op = FsOp::Creat { path: dp.clone() };
+        let e = self.base.emit_fs(rec, brick, op, recv);
+        let meta = FsOp::SetXattr {
+            path: dp.clone(),
+            key: "user.meta".into(),
+            value: format!("gfid={gfid};first={primary};gen={gen}").into_bytes(),
+        };
+        self.base.emit_fs(rec, brick, meta, e);
+        let link = FsOp::Link {
+            src: dp,
+            dst: chunk_path(&gfid, 0),
+        };
+        let w = self.base.emit_fs(rec, brick, link, recv);
+        self.base.reply(rec, brick, client, "OK", w);
         if let Some(old) = overwritten {
             self.cleanup_chunks(rec, &old, recv);
         }
-        self.files.insert(
-            path.to_string(),
-            FileInfo {
-                gfid,
-                primary,
-                gen,
-                size: 0,
-                chunks: BTreeMap::from([(0, 0)]),
-            },
-        );
-        Ok(())
-    }
-
-    fn do_mkdir(
-        &mut self,
-        rec: &mut Recorder,
-        client: Process,
-        path: &str,
-        cev: EventId,
-    ) -> PfsResult<()> {
-        // Directories are replicated on every brick.
-        for brick in 0..self.n_bricks() as u32 {
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(brick),
-                &format!("MKDIR {path}"),
-                Some(cev),
-            );
-            let w = self.emit(
-                rec,
-                brick,
-                FsOp::Mkdir {
-                    path: Self::data_path(path),
-                },
-                Some(recv),
-            );
-            self.net(rec)
-                .reply(Process::Server(brick), client, "OK", Some(w));
-        }
-        self.dirs.push(path.to_string());
-        Ok(())
+        let info = FileInfo {
+            gfid,
+            primary,
+            size: 0,
+            chunks: BTreeMap::from([(0, 0)]),
+        };
+        self.files.insert(path.to_string(), info);
     }
 
     fn do_pwrite(
@@ -268,88 +222,29 @@ impl GlusterFs {
         data: &[u8],
         cev: EventId,
     ) -> PfsResult<()> {
-        let info = self.file_info(path)?.clone();
         let n = self.n_bricks();
-        let mut off = offset;
-        let end = offset + data.len() as u64;
-        while off < end {
-            let stripe = off / self.stripe;
-            let stripe_end = (stripe + 1) * self.stripe;
-            let len = stripe_end.min(end) - off;
-            let brick = ((info.primary + stripe as usize) % n) as u32;
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(brick),
-                &format!("WRITE {path} stripe {stripe}"),
-                Some(cev),
-            );
-            // Stripe 0 lives in the entry itself; others in chunk files.
-            let target = if stripe == 0 {
-                Self::data_path(path)
-            } else {
-                Self::chunk_path(&info.gfid, stripe)
-            };
-            let cur = self
-                .files
-                .get(path)
-                .and_then(|f| f.chunks.get(&stripe))
-                .copied();
-            if cur.is_none() {
-                self.emit(
-                    rec,
-                    brick,
-                    FsOp::Creat {
-                        path: target.clone(),
-                    },
-                    Some(recv),
-                );
-                self.file_mut(path).chunks.insert(stripe, 0);
-            }
-            let cur = self.file_mut(path).chunks[&stripe];
-            let local_off = off - stripe * self.stripe;
-            let buf = data[(off - offset) as usize..(off - offset + len) as usize].to_vec();
-            let op = if local_off == cur {
-                FsOp::Append {
-                    path: target.clone(),
-                    data: buf,
-                }
-            } else {
-                FsOp::Pwrite {
-                    path: target,
-                    offset: local_off,
-                    data: buf,
-                }
-            };
-            let w = self.emit(rec, brick, op, Some(recv));
-            let f = self.file_mut(path);
-            f.chunks.insert(stripe, (local_off + len).max(cur));
-            self.net(rec)
-                .reply(Process::Server(brick), client, "OK", Some(w));
-            off += len;
+        let f = lookup_mut(&mut self.files, path)?;
+        let base = &mut self.base;
+        for seg in stripe_segments(f.primary, offset, data.len(), base.stripe, n) {
+            let brick = seg.target as u32;
+            let msg = format!("WRITE {path} stripe {}", seg.stripe);
+            let recv = base.request(rec, client, brick, &msg, cev);
+            let target = stripe_path(path, &f.gfid, seg.stripe);
+            let w = base.write_chunk(rec, brick, target, &mut f.chunks, &seg, data, recv);
+            base.reply(rec, brick, client, "OK", w);
         }
         // Size update on the primary brick.
-        let f = self.file_mut(path);
-        f.size = f.size.max(end);
-        let size = f.size;
+        f.size = f.size.max(offset + data.len() as u64);
         let primary = f.primary as u32;
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(primary),
-            &format!("SETSIZE {path}"),
-            Some(cev),
-        );
-        let w = self.emit(
-            rec,
-            primary,
-            FsOp::SetXattr {
-                path: Self::data_path(path),
-                key: "user.size".into(),
-                value: size.to_string().into_bytes(),
-            },
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(primary), client, "OK", Some(w));
+        let size = FsOp::SetXattr {
+            path: data_path(path),
+            key: "user.size".into(),
+            value: f.size.to_string().into_bytes(),
+        };
+        let msg = format!("SETSIZE {path}");
+        let recv = self.base.request(rec, client, primary, &msg, cev);
+        let w = self.base.emit_fs(rec, primary, size, recv);
+        self.base.reply(rec, primary, client, "OK", w);
         Ok(())
     }
 
@@ -358,19 +253,37 @@ impl GlusterFs {
     fn cleanup_chunks(&mut self, rec: &mut Recorder, info: &FileInfo, parent: EventId) {
         let n = self.n_bricks();
         for &stripe in info.chunks.keys() {
-            let brick = ((info.primary + stripe as usize) % n) as u32;
-            self.emit(
-                rec,
-                brick,
-                FsOp::Unlink {
-                    path: Self::chunk_path(&info.gfid, stripe),
-                },
-                Some(parent),
-            );
+            let brick = stripe_target(info.primary, stripe, n) as u32;
+            let path = chunk_path(&info.gfid, stripe);
+            self.base.emit_fs(rec, brick, FsOp::Unlink { path }, parent);
         }
     }
 
-    fn do_rename(
+    /// Directory rename: replicated like mkdir, one local rename per
+    /// brick.
+    fn rename_dir(
+        &mut self,
+        rec: &mut Recorder,
+        client: Process,
+        src: &str,
+        dst: &str,
+        cev: EventId,
+    ) {
+        let rename = FsOp::Rename {
+            src: data_path(src),
+            dst: data_path(dst),
+        };
+        self.on_every_brick(rec, client, &format!("RENAME-DIR {src} {dst}"), rename, cev);
+        let under = format!("{src}/");
+        for d in &mut self.dirs {
+            if d == src || d.starts_with(&under) {
+                *d = format!("{dst}{}", &d[src.len()..]);
+            }
+        }
+        rekey(&mut self.files, src, dst);
+    }
+
+    fn rename_file(
         &mut self,
         rec: &mut Recorder,
         client: Process,
@@ -378,88 +291,29 @@ impl GlusterFs {
         dst: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        if self.dirs.contains(&src.to_string()) {
-            // Directory rename: replicated like mkdir, one local rename
-            // per brick.
-            for brick in 0..self.n_bricks() as u32 {
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(brick),
-                    &format!("RENAME-DIR {src} {dst}"),
-                    Some(cev),
-                );
-                let w = self.emit(
-                    rec,
-                    brick,
-                    FsOp::Rename {
-                        src: Self::data_path(src),
-                        dst: Self::data_path(dst),
-                    },
-                    Some(recv),
-                );
-                self.net(rec)
-                    .reply(Process::Server(brick), client, "OK", Some(w));
-            }
-            let moved: Vec<(String, String)> = self
-                .dirs
-                .iter()
-                .chain(self.files.keys())
-                .filter(|k| *k == src || k.starts_with(&format!("{src}/")))
-                .map(|k| (k.clone(), format!("{dst}{}", &k[src.len()..])))
-                .collect();
-            for (old, new) in moved {
-                if let Some(pos) = self.dirs.iter().position(|d| *d == old) {
-                    self.dirs[pos] = new.clone();
-                }
-                if let Some(v) = self.files.remove(&old) {
-                    self.files.insert(new, v);
-                }
-            }
-            return Ok(());
-        }
-        let info = self.file_info(src)?.clone();
+        let info = lookup(&self.files, src)?.clone();
         let overwritten = self.files.get(dst).cloned();
         let brick = info.primary as u32;
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(brick),
-            &format!("RENAME {src} {dst}"),
-            Some(cev),
-        );
-        let w = self.emit(
-            rec,
-            brick,
-            FsOp::Rename {
-                src: Self::data_path(src),
-                dst: Self::data_path(dst),
-            },
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(brick), client, "OK", Some(w));
+        let msg = format!("RENAME {src} {dst}");
+        let recv = self.base.request(rec, client, brick, &msg, cev);
+        let rename = FsOp::Rename {
+            src: data_path(src),
+            dst: data_path(dst),
+        };
+        let w = self.base.emit_fs(rec, brick, rename, recv);
+        self.base.reply(rec, brick, client, "OK", w);
         if let Some(old) = overwritten {
             if old.primary != info.primary {
                 // The overwritten file lived on another brick: its entry
                 // must be unlinked there (cross-brick, unordered —
                 // the distribution-sensitive hazard).
                 let ob = old.primary as u32;
-                let (_, recv2) = self.net(rec).request(
-                    client,
-                    Process::Server(ob),
-                    &format!("UNLINK-OLD {dst}"),
-                    Some(cev),
-                );
-                let w2 = self.emit(
-                    rec,
-                    ob,
-                    FsOp::Unlink {
-                        path: Self::data_path(dst),
-                    },
-                    Some(recv2),
-                );
+                let msg = format!("UNLINK-OLD {dst}");
+                let recv2 = self.base.request(rec, client, ob, &msg, cev);
+                let path = data_path(dst);
+                let w2 = self.base.emit_fs(rec, ob, FsOp::Unlink { path }, recv2);
                 self.cleanup_chunks(rec, &old, recv2);
-                self.net(rec)
-                    .reply(Process::Server(ob), client, "OK", Some(w2));
+                self.base.reply(rec, ob, client, "OK", w2);
             } else {
                 // Same brick: the rename already replaced the entry;
                 // clean up the old chunk hard links.
@@ -478,74 +332,33 @@ impl GlusterFs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let info = self.file_info(path)?.clone();
+        let info = lookup(&self.files, path)?.clone();
         let brick = info.primary as u32;
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(brick),
-            &format!("UNLINK {path}"),
-            Some(cev),
-        );
-        let w = self.emit(
-            rec,
-            brick,
-            FsOp::Unlink {
-                path: Self::data_path(path),
-            },
-            Some(recv),
-        );
+        let msg = format!("UNLINK {path}");
+        let recv = self.base.request(rec, client, brick, &msg, cev);
+        let entry = data_path(path);
+        let op = FsOp::Unlink { path: entry };
+        let w = self.base.emit_fs(rec, brick, op, recv);
         self.cleanup_chunks(rec, &info, recv);
-        self.net(rec)
-            .reply(Process::Server(brick), client, "OK", Some(w));
+        self.base.reply(rec, brick, client, "OK", w);
         self.files.remove(path);
         Ok(())
     }
 
-    fn do_fsync(
-        &mut self,
-        rec: &mut Recorder,
-        client: Process,
-        path: &str,
-        cev: EventId,
-    ) -> PfsResult<()> {
+    fn do_fsync(&mut self, rec: &mut Recorder, client: Process, path: &str, cev: EventId) {
         let Some(info) = self.files.get(path).cloned() else {
-            return Ok(());
+            return;
         };
         let n = self.n_bricks();
         for &stripe in info.chunks.keys() {
-            let brick = ((info.primary + stripe as usize) % n) as u32;
-            let target = if stripe == 0 {
-                Self::data_path(path)
-            } else {
-                Self::chunk_path(&info.gfid, stripe)
-            };
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(brick),
-                &format!("FSYNC {path} stripe {stripe}"),
-                Some(cev),
-            );
-            let w = self.emit(rec, brick, FsOp::Fsync { path: target }, Some(recv));
-            self.net(rec)
-                .reply(Process::Server(brick), client, "OK", Some(w));
+            let brick = stripe_target(info.primary, stripe, n) as u32;
+            let msg = format!("FSYNC {path} stripe {stripe}");
+            let recv = self.base.request(rec, client, brick, &msg, cev);
+            let target = stripe_path(path, &info.gfid, stripe);
+            let op = FsOp::Fsync { path: target };
+            let w = self.base.emit_fs(rec, brick, op, recv);
+            self.base.reply(rec, brick, client, "OK", w);
         }
-        Ok(())
-    }
-
-    /// Parse a `user.meta` xattr.
-    fn parse_meta(raw: &[u8]) -> (String, usize, u64) {
-        let s = String::from_utf8_lossy(raw);
-        let (mut gfid, mut first, mut gen) = (String::new(), 0usize, 0u64);
-        for part in s.split(';') {
-            if let Some(v) = part.strip_prefix("gfid=") {
-                gfid = v.to_string();
-            } else if let Some(v) = part.strip_prefix("first=") {
-                first = v.parse().unwrap_or(0);
-            } else if let Some(v) = part.strip_prefix("gen=") {
-                gen = v.parse().unwrap_or(0);
-            }
-        }
-        (gfid, first, gen)
     }
 }
 
@@ -554,79 +367,49 @@ impl Pfs for GlusterFs {
         "GlusterFS"
     }
 
-    fn topology(&self) -> &ClusterTopology {
-        &self.topo
+    fn base(&self) -> &ModelBase {
+        &self.base
     }
 
-    fn stripe_size(&self) -> u64 {
-        self.stripe
+    fn base_mut(&mut self) -> &mut ModelBase {
+        &mut self.base
     }
 
-    fn dispatch(
+    fn handle(
         &mut self,
         rec: &mut Recorder,
         client: Process,
         call: &PfsCall,
-        parent: Option<EventId>,
-    ) -> PfsResult<EventId> {
-        let cev = rec.record(
-            Layer::PfsClient,
-            client,
-            Payload::Call {
-                name: call.name().into(),
-                args: call.args(),
-            },
-            parent,
-        );
+        cev: EventId,
+    ) -> PfsResult<()> {
         match call {
-            PfsCall::Creat { path } => self.do_creat(rec, client, path, cev)?,
-            PfsCall::Mkdir { path } => self.do_mkdir(rec, client, path, cev)?,
+            PfsCall::Creat { path } => self.do_creat(rec, client, path, cev),
+            PfsCall::Mkdir { path } => {
+                let mkdir = FsOp::Mkdir {
+                    path: data_path(path),
+                };
+                self.on_every_brick(rec, client, &format!("MKDIR {path}"), mkdir, cev);
+                self.dirs.push(path.to_string());
+            }
             PfsCall::Pwrite { path, offset, data } => {
                 self.do_pwrite(rec, client, path, *offset, data, cev)?
             }
-            PfsCall::Rename { src, dst } => self.do_rename(rec, client, src, dst, cev)?,
+            PfsCall::Rename { src, dst } if self.dirs.contains(src) => {
+                self.rename_dir(rec, client, src, dst, cev)
+            }
+            PfsCall::Rename { src, dst } => self.rename_file(rec, client, src, dst, cev)?,
             PfsCall::Unlink { path } => self.do_unlink(rec, client, path, cev)?,
             PfsCall::Rmdir { path } => {
-                for brick in 0..self.n_bricks() as u32 {
-                    let (_, recv) = self.net(rec).request(
-                        client,
-                        Process::Server(brick),
-                        &format!("RMDIR {path}"),
-                        Some(cev),
-                    );
-                    let w = self.emit(
-                        rec,
-                        brick,
-                        FsOp::Rmdir {
-                            path: Self::data_path(path),
-                        },
-                        Some(recv),
-                    );
-                    self.net(rec)
-                        .reply(Process::Server(brick), client, "OK", Some(w));
-                }
+                let rmdir = FsOp::Rmdir {
+                    path: data_path(path),
+                };
+                self.on_every_brick(rec, client, &format!("RMDIR {path}"), rmdir, cev);
                 self.dirs.retain(|d| d != path);
             }
             PfsCall::Close { .. } => {}
-            PfsCall::Fsync { path } => self.do_fsync(rec, client, path, cev)?,
+            PfsCall::Fsync { path } => self.do_fsync(rec, client, path, cev),
         }
-        Ok(cev)
-    }
-
-    fn seal_baseline(&mut self) {
-        self.baseline = self.live.fork();
-    }
-
-    fn baseline(&self) -> &ServerStates {
-        &self.baseline
-    }
-
-    fn live(&self) -> &ServerStates {
-        &self.live
-    }
-
-    fn install_faults(&mut self, cfg: FaultConfig) {
-        self.faults = FaultPlane::new(cfg);
+        Ok(())
     }
 
     fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
@@ -635,21 +418,8 @@ impl Pfs for GlusterFs {
         // Duplicate entries for one path across bricks → keep the highest
         // generation (self-heal), drop the rest.
         let mut by_path: BTreeMap<String, Vec<(u32, u64)>> = BTreeMap::new();
-        for (id, store) in states.iter() {
-            let fs = store.as_fs();
-            for p in fs.walk() {
-                if let Some(vpath) = p.strip_prefix("/data") {
-                    if !fs.is_dir(&p) {
-                        if let Ok(meta) = fs.getxattr(&p, "user.meta") {
-                            let (_, _, gen) = Self::parse_meta(meta);
-                            by_path
-                                .entry(vpath.to_string())
-                                .or_default()
-                                .push((id, gen));
-                        }
-                    }
-                }
-            }
+        for (brick, vpath, (_, _, gen)) in entries(states) {
+            by_path.entry(vpath).or_default().push((brick, gen));
         }
         for (vpath, mut holders) in by_path {
             if holders.len() > 1 {
@@ -662,7 +432,7 @@ impl Pfs for GlusterFs {
                     let _ = states
                         .server_mut(brick)
                         .as_fs_mut()
-                        .unlink(&Self::data_path(&vpath));
+                        .unlink(&data_path(&vpath));
                     report.repair(format!("dropped stale {vpath} replica on brick#{brick}"));
                 }
             }
@@ -676,58 +446,31 @@ impl Pfs for GlusterFs {
         // namespace (DHT lookups consult the hashed subvolume first), so
         // a directory rename that persisted on only some bricks resolves
         // deterministically instead of showing both names.
-        {
-            let fs = states.server(0).as_fs();
-            for p in fs.walk() {
-                if let Some(vpath) = p.strip_prefix("/data") {
-                    if !vpath.is_empty() && fs.is_dir(&p) {
-                        view.add_dir(vpath.to_string());
-                    }
+        let fs = states.server(0).as_fs();
+        for p in fs.walk() {
+            if let Some(vpath) = p.strip_prefix("/data") {
+                if !vpath.is_empty() && fs.is_dir(&p) {
+                    view.add_dir(vpath);
                 }
             }
         }
         // Files: entry with the highest generation wins (lookup + heal).
-        let mut best: BTreeMap<String, (u64, u32, String, usize)> = BTreeMap::new();
-        for (id, store) in states.iter() {
-            let fs = store.as_fs();
-            for p in fs.walk() {
-                if let Some(vpath) = p.strip_prefix("/data") {
-                    if !fs.is_dir(&p) {
-                        if let Ok(meta) = fs.getxattr(&p, "user.meta") {
-                            let (gfid, first, gen) = Self::parse_meta(meta);
-                            let e = best.entry(vpath.to_string()).or_insert((
-                                gen,
-                                id,
-                                gfid.clone(),
-                                first,
-                            ));
-                            if gen > e.0 {
-                                *e = (gen, id, gfid, first);
-                            }
-                        }
-                        // Entries without the user.meta xattr are
-                        // in-flight creates: lookups fail, the file is
-                        // not visible yet.
-                    }
+        let mut best: BTreeMap<String, Meta> = BTreeMap::new();
+        for (_, vpath, meta) in entries(states) {
+            match best.get_mut(&vpath) {
+                Some(e) if meta.2 > e.2 => *e = meta,
+                Some(_) => {}
+                None => {
+                    best.insert(vpath, meta);
                 }
             }
         }
-        for (vpath, (_, _, gfid, first)) in best {
-            // Content is whatever the stripes hold, in order, until the
-            // first gap (stripe 0 lives in the entry itself).
-            let mut content = Vec::new();
-            for stripe in 0.. {
-                let b = ((first + stripe as usize) % self.n_bricks()) as u32;
-                let target = if stripe == 0 {
-                    Self::data_path(&vpath)
-                } else {
-                    Self::chunk_path(&gfid, stripe)
-                };
-                match states.server(b).as_fs().read(&target) {
-                    Ok(data) => content.extend_from_slice(data),
-                    Err(_) => break,
-                }
-            }
+        let n = self.n_bricks();
+        for (vpath, (gfid, first, _)) in best {
+            let content = read_striped(states, |stripe| {
+                let brick = stripe_target(first, stripe, n) as u32;
+                (brick, stripe_path(&vpath, &gfid, stripe))
+            });
             view.add_file(vpath, content);
         }
         view
@@ -741,89 +484,28 @@ impl Pfs for GlusterFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::testkit::*;
+    use std::collections::BTreeSet;
+    use tracer::Payload;
 
-    fn run_arvr(fs: &mut GlusterFs) -> Recorder {
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/file".into(),
-                offset: 0,
-                data: b"old".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.seal_baseline();
-        let mut rec = Recorder::new();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/tmp".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/tmp".into(),
-                offset: 0,
-                data: b"new".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Close {
-                path: "/tmp".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Rename {
-                src: "/tmp".into(),
-                dst: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
-        rec
-    }
-
-    #[test]
-    fn arvr_lands_on_one_brick() {
-        let mut fs = GlusterFs::paper_default();
-        let rec = run_arvr(&mut fs);
-        // Files of one directory colocate: every lowermost op targets the
-        // same brick (the paper's ARVR-safety argument).
-        let servers: std::collections::BTreeSet<u32> = rec
-            .lowermost_events()
+    /// The servers the lowermost events of `rec` touch.
+    fn touched(rec: &Recorder) -> BTreeSet<u32> {
+        rec.lowermost_events()
             .into_iter()
             .filter_map(|id| match &rec.event(id).payload {
                 Payload::Fs { server, .. } => Some(*server),
                 _ => None,
             })
-            .collect();
-        assert_eq!(servers.len(), 1);
+            .collect()
+    }
+
+    #[test]
+    fn arvr_lands_on_one_brick() {
+        let mut fs = GlusterFs::paper_default();
+        let (rec, _) = run_arvr(&mut fs);
+        // Files of one directory colocate: every lowermost op targets the
+        // same brick (the paper's ARVR-safety argument).
+        assert_eq!(touched(&rec).len(), 1);
         let view = fs.client_view(fs.live());
         assert_eq!(view.read("/file"), Some(&b"new"[..]));
         assert!(!view.exists("/tmp"));
@@ -832,7 +514,7 @@ mod tests {
     #[test]
     fn arvr_every_prefix_is_legal() {
         let mut fs = GlusterFs::paper_default();
-        let rec = run_arvr(&mut fs);
+        let (rec, _) = run_arvr(&mut fs);
         let low = rec.lowermost_events();
         for k in 0..=low.len() {
             let mut states = fs.baseline().clone();
@@ -856,26 +538,11 @@ mod tests {
             placement,
             128 * 1024,
         );
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/log".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/foo".into(),
-            },
-            None,
-        )
-        .unwrap();
+        drive(
+            &mut fs,
+            &mut Recorder::new(),
+            &[creat("/log"), creat("/foo")],
+        );
         assert_eq!(fs.files["/log"].primary, 0);
         assert_eq!(fs.files["/foo"].primary, 1);
     }
@@ -888,38 +555,11 @@ mod tests {
             4,
         );
         let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/big".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/big".into(),
-                offset: 0,
-                data: b"abcdefghij".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
+        let calls = [creat("/big"), pwrite("/big", 0, b"abcdefghij")];
+        drive(&mut fs, &mut rec, &calls);
         let view = fs.client_view(fs.live());
         assert_eq!(view.read("/big"), Some(&b"abcdefghij"[..]));
-        let touched: std::collections::BTreeSet<u32> = rec
-            .lowermost_events()
-            .into_iter()
-            .filter_map(|id| match &rec.event(id).payload {
-                Payload::Fs { server, .. } => Some(*server),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(touched.len(), 2);
+        assert_eq!(touched(&rec).len(), 2);
     }
 
     #[test]
@@ -932,46 +572,12 @@ mod tests {
             placement,
             128 * 1024,
         );
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Creat { path: "/b".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/b".into(),
-                offset: 0,
-                data: b"OLD".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
+        let preamble = [creat("/b"), pwrite("/b", 0, b"OLD")];
+        drive(&mut fs, &mut Recorder::new(), &preamble);
         fs.seal_baseline();
         let mut rec = Recorder::new();
-        fs.dispatch(&mut rec, c, &PfsCall::Creat { path: "/a".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/a".into(),
-                offset: 0,
-                data: b"NEW".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Rename {
-                src: "/a".into(),
-                dst: "/b".into(),
-            },
-            None,
-        )
-        .unwrap();
+        let test = [creat("/a"), pwrite("/a", 0, b"NEW"), rename("/a", "/b")];
+        drive(&mut fs, &mut rec, &test);
         // Crash state: everything except the cross-brick unlink of the
         // old /b entry.
         let keep: Vec<EventId> = rec

@@ -21,24 +21,34 @@
 //! * `FileContent(<id>.<stripe>)` — data chunks;
 //! * `LogFile`, `AllocMap` — journal and allocation map blocks.
 
+use crate::base::{
+    child_path, lookup, lookup_mut, name_of, parent_of, rekey, stripe_segments, stripe_target,
+    ModelBase,
+};
 use crate::call::PfsCall;
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
 use crate::store::ServerStates;
 use crate::view::{PfsView, RecoveryReport};
 use crate::Pfs;
+use pc_rt::hash::{fnv1a_fold, FNV_OFFSET_BASIS, LONG_PRIME};
 use simfs::{BlockOp, StructTag};
-use simnet::{ClusterTopology, FaultConfig, FaultPlane, RpcNet};
-use std::collections::BTreeMap;
-use tracer::{EventId, Layer, Payload, Process, Recorder};
+use simnet::ClusterTopology;
+use std::collections::{BTreeMap, BTreeSet};
+use tracer::{EventId, Process, Recorder};
 
-/// Parsed block structures: (directory entries by dirid, inode payloads
-/// by id, content bytes by "id.stripe").
-type CollectedBlocks = (
-    BTreeMap<String, BTreeMap<String, String>>,
-    BTreeMap<String, String>,
-    BTreeMap<String, Vec<u8>>,
-);
+/// A directory's entry map: name → record (`F:<id>` / `D:<dirid>`).
+type DirEntries = BTreeMap<String, String>;
+
+/// Parsed block structures.
+struct Blocks {
+    /// Directory entries by directory identity.
+    dirs: BTreeMap<String, DirEntries>,
+    /// Inode payloads by id.
+    inodes: BTreeMap<String, String>,
+    /// Content bytes by `<id>.<stripe>`.
+    contents: BTreeMap<String, Vec<u8>>,
+}
 
 #[derive(Debug, Clone)]
 struct FileInfo {
@@ -49,83 +59,84 @@ struct FileInfo {
     chunks: BTreeMap<u64, Vec<u8>>,
 }
 
-/// The GPFS model over raw block devices.
+/// The GPFS model over raw block devices. NSD servers are the
+/// topology's (combined) servers, so a server index is a server id.
 pub struct Gpfs {
-    topo: ClusterTopology,
-    placement: Placement,
-    stripe: u64,
-    live: ServerStates,
-    baseline: ServerStates,
+    base: ModelBase,
     files: BTreeMap<String, FileInfo>,
-    /// directory identity → name → entry record (`F:<id>` / `D:<dirid>`).
-    /// Directories are identity-keyed (like inode numbers): a rename
-    /// changes the parent's entry, never the directory's own block.
-    dirents: BTreeMap<String, BTreeMap<String, String>>,
+    /// Entry maps by directory identity. Directories are identity-keyed
+    /// (like inode numbers): a rename changes the parent's entry, never
+    /// the directory's own block.
+    dirents: BTreeMap<String, DirEntries>,
     /// path → directory identity (runtime bookkeeping only).
     dirpaths: BTreeMap<String, String>,
     /// Servers with unflushed data blocks, per client (GPFS's token
     /// protocol forces data to disk before metadata transitions).
-    dirty: BTreeMap<Process, std::collections::BTreeSet<u32>>,
+    dirty: BTreeMap<Process, BTreeSet<u32>>,
     next_id: u64,
     next_group: u32,
-    faults: FaultPlane,
+}
+
+/// Deterministic LBA for a structure name.
+fn lba(name: &str) -> u64 {
+    // Kept small so figures stay readable, as in the paper's traces.
+    fnv1a_fold(FNV_OFFSET_BASIS, name.as_bytes(), LONG_PRIME) % 4_000_000
+}
+
+fn serialize_dir(entries: &DirEntries) -> Vec<u8> {
+    let mut s = String::new();
+    for (name, rec) in entries {
+        s.push_str(name);
+        s.push('=');
+        s.push_str(rec);
+        s.push('\n');
+    }
+    s.into_bytes()
+}
+
+fn parse_dir(raw: &[u8]) -> DirEntries {
+    String::from_utf8_lossy(raw)
+        .lines()
+        .filter_map(|line| line.split_once('='))
+        .map(|(name, rec)| (name.to_string(), rec.to_string()))
+        .collect()
+}
+
+/// The (whole) entry block of the directory `dirid`.
+fn dirent_block(dirid: &str, entries: &DirEntries, group: Option<u32>) -> BlockOp {
+    let tag = StructTag::DirEntry(dirid.to_string());
+    BlockOp::Write {
+        lba: lba(&format!("dir:{dirid}")),
+        tag,
+        payload: serialize_dir(entries),
+        atomic_group: group,
+    }
 }
 
 impl Gpfs {
     /// A formatted GPFS instance over `topo.server_count()` NSD servers.
     pub fn new(topo: ClusterTopology, placement: Placement, stripe: u64) -> Self {
-        let mut live = ServerStates::all_block(topo.server_count());
-        let mut dirents = BTreeMap::new();
-        dirents.insert("root".to_string(), BTreeMap::new());
-        let mut dirpaths = BTreeMap::new();
-        dirpaths.insert("/".to_string(), "root".to_string());
+        let mut base = ModelBase::block(topo, placement, stripe);
         // mkfs: superblock + empty root directory block.
-        let root_server = placement.dir_index("root", topo.server_count() as usize) as u32;
-        live.server_mut(root_server)
-            .as_block_mut()
-            .apply(&BlockOp::write(
-                Self::lba("super"),
-                StructTag::Superblock,
-                b"gpfs".to_vec(),
-            ));
-        live.server_mut(root_server)
-            .as_block_mut()
-            .apply(&BlockOp::write(
-                Self::lba("dir:root"),
-                StructTag::DirEntry("root".into()),
-                Vec::new(),
-            ));
+        let n = base.topo.server_count() as usize;
+        let dev = base
+            .mkfs(base.placement.dir_index("root", n) as u32)
+            .as_block_mut();
+        dev.apply(&BlockOp::write(
+            lba("super"),
+            StructTag::Superblock,
+            b"gpfs".to_vec(),
+        ));
+        dev.apply(&dirent_block("root", &DirEntries::new(), None));
+        base.seal();
         Gpfs {
-            topo,
-            placement,
-            stripe,
-            baseline: live.fork(),
-            live,
+            base,
             files: BTreeMap::new(),
-            dirents,
-            dirpaths,
+            dirents: BTreeMap::from([("root".to_string(), DirEntries::new())]),
+            dirpaths: BTreeMap::from([("/".to_string(), "root".to_string())]),
             dirty: BTreeMap::new(),
             next_id: 0,
             next_group: 0,
-            faults: FaultPlane::disabled(),
-        }
-    }
-
-    /// Flush the client's dirty data with cache barriers before a
-    /// namespace transition (like Lustre, GPFS "aggregates intermediate
-    /// changes" — this is why the paper's Table 3 lists no GPFS rows
-    /// pairing file *content* against metadata).
-    fn flush_dirty(&mut self, rec: &mut Recorder, client: Process, cev: EventId) {
-        let Some(servers) = self.dirty.remove(&client) else {
-            return;
-        };
-        for server in servers {
-            let (_, recv) =
-                self.net(rec)
-                    .request(client, Process::Server(server), "FLUSH-DATA", Some(cev));
-            let w = self.emit(rec, server, BlockOp::SyncCache, Some(recv));
-            self.net(rec)
-                .reply(Process::Server(server), client, "OK", Some(w));
         }
     }
 
@@ -139,107 +150,83 @@ impl Gpfs {
     }
 
     fn n(&self) -> usize {
-        self.topo.server_count() as usize
-    }
-
-    /// Deterministic LBA for a structure name.
-    fn lba(name: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h % 4_000_000 // keep figures readable, as in the paper's traces
-    }
-
-    fn parent_of(path: &str) -> String {
-        match path.rfind('/') {
-            Some(0) => "/".to_string(),
-            Some(i) => path[..i].to_string(),
-            None => "/".to_string(),
-        }
-    }
-
-    fn name_of(path: &str) -> &str {
-        path.rsplit('/').next().unwrap_or(path)
+        self.base.topo.server_count() as usize
     }
 
     /// Server owning a directory's entry block (by directory identity,
     /// stable across renames).
     fn dir_server(&self, dirid: &str) -> u32 {
-        self.placement.dir_index(dirid, self.n()) as u32
+        self.base.placement.dir_index(dirid, self.n()) as u32
     }
 
-    /// Directory identity for a path (runtime lookup).
-    fn dir_id(&self, path: &str) -> PfsResult<String> {
-        self.dirpaths
-            .get(path)
-            .cloned()
-            .ok_or_else(|| PfsError::UnknownPath(path.to_string()))
+    /// Server owning the inode `id`.
+    fn id_server(&self, id: &str) -> u32 {
+        (lba(id) % self.n() as u64) as u32
     }
 
-    fn file_info(&self, path: &str) -> PfsResult<&FileInfo> {
-        self.files
-            .get(path)
-            .ok_or_else(|| PfsError::UnknownPath(path.to_string()))
+    /// Directory identity of the parent of `path` (runtime lookup).
+    fn parent_id(&self, path: &str) -> PfsResult<String> {
+        lookup(&self.dirpaths, &parent_of(path)).cloned()
     }
 
-    fn file_mut(&mut self, path: &str) -> &mut FileInfo {
-        self.files
-            .get_mut(path)
-            .expect("invariant: file checked present earlier in this call")
-    }
-
-    fn dirents_mut(&mut self, dirid: &str) -> &mut BTreeMap<String, String> {
+    fn dirents_mut(&mut self, dirid: &str) -> &mut DirEntries {
         self.dirents
             .get_mut(dirid)
             .expect("invariant: resolved directory identity has an entry map")
     }
 
-    /// RPC net routed through this instance's fault plane.
-    fn net<'a>(&'a mut self, rec: &'a mut Recorder) -> RpcNet<'a> {
-        RpcNet::faulty(rec, &mut self.faults)
+    fn next_group(&mut self) -> u32 {
+        self.next_group += 1;
+        self.next_group - 1
     }
 
-    fn id_server(&self, id: &str) -> u32 {
-        (Self::lba(id) % self.n() as u64) as u32
+    /// Flush the client's dirty data with cache barriers before a
+    /// namespace transition (like Lustre, GPFS "aggregates intermediate
+    /// changes" — this is why the paper's Table 3 lists no GPFS rows
+    /// pairing file *content* against metadata).
+    fn flush_dirty(&mut self, rec: &mut Recorder, client: Process, cev: EventId) {
+        for server in self.dirty.remove(&client).unwrap_or_default() {
+            self.sync_cache(rec, client, server, "FLUSH-DATA", cev);
+        }
     }
 
-    fn emit(
+    /// One `SYNCHRONIZE CACHE` round trip.
+    fn sync_cache(
         &mut self,
         rec: &mut Recorder,
+        client: Process,
         server: u32,
-        op: BlockOp,
-        parent: Option<EventId>,
+        msg: &str,
+        cev: EventId,
+    ) {
+        let recv = self.base.request(rec, client, server, msg, cev);
+        let w = self.base.emit_block(rec, server, BlockOp::SyncCache, recv);
+        self.base.reply(rec, server, client, "OK", w);
+    }
+
+    /// Open the atomic group `group` of one namespace operation on the
+    /// server coordinating it: the request `rpc` (`"RENAME /a /b"`), then
+    /// the log record (`"log: rename /a /b"`). Returns the receive event
+    /// the group's writes hang off.
+    fn begin(
+        &mut self,
+        rec: &mut Recorder,
+        client: Process,
+        server: u32,
+        group: u32,
+        rpc: &str,
+        cev: EventId,
     ) -> EventId {
-        self.live.server_mut(server).apply_block(&op);
-        rec.record(
-            Layer::Block,
-            Process::Server(server),
-            Payload::Block { server, op },
-            parent,
-        )
-    }
-
-    fn serialize_dir(entries: &BTreeMap<String, String>) -> Vec<u8> {
-        let mut s = String::new();
-        for (name, rec) in entries {
-            s.push_str(name);
-            s.push('=');
-            s.push_str(rec);
-            s.push('\n');
-        }
-        s.into_bytes()
-    }
-
-    fn parse_dir(raw: &[u8]) -> BTreeMap<String, String> {
-        let mut out = BTreeMap::new();
-        for line in String::from_utf8_lossy(raw).lines() {
-            if let Some((name, rec)) = line.split_once('=') {
-                out.insert(name.to_string(), rec.to_string());
-            }
-        }
-        out
+        let recv = self.base.request(rec, client, server, rpc, cev);
+        let (verb, args) = rpc.split_once(' ').unwrap_or((rpc, ""));
+        let log = BlockOp::write_in_group(
+            lba(&format!("log@{server}")),
+            StructTag::LogFile,
+            format!("log: {} {args}", verb.to_lowercase()).into_bytes(),
+            group,
+        );
+        self.base.emit_block(rec, server, log, recv);
+        recv
     }
 
     /// Write the (whole) current entry block of the directory `dirid`.
@@ -248,67 +235,27 @@ impl Gpfs {
         rec: &mut Recorder,
         dirid: &str,
         group: u32,
-        parent: Option<EventId>,
+        recv: EventId,
     ) -> EventId {
-        let server = self.dir_server(dirid);
-        let payload = Self::serialize_dir(&self.dirents[dirid]);
-        self.emit(
-            rec,
-            server,
-            BlockOp::write_in_group(
-                Self::lba(&format!("dir:{dirid}")),
-                StructTag::DirEntry(dirid.to_string()),
-                payload,
-                group,
-            ),
-            parent,
-        )
-    }
-
-    fn write_log(
-        &mut self,
-        rec: &mut Recorder,
-        server: u32,
-        what: &str,
-        group: u32,
-        parent: Option<EventId>,
-    ) -> EventId {
-        self.emit(
-            rec,
-            server,
-            BlockOp::write_in_group(
-                Self::lba(&format!("log@{server}")),
-                StructTag::LogFile,
-                format!("log: {what}").into_bytes(),
-                group,
-            ),
-            parent,
-        )
+        let op = dirent_block(dirid, &self.dirents[dirid], Some(group));
+        self.base.emit_block(rec, self.dir_server(dirid), op, recv)
     }
 
     fn write_inode(
         &mut self,
         rec: &mut Recorder,
         id: &str,
-        payload: String,
+        payload: &str,
         group: Option<u32>,
-        parent: Option<EventId>,
+        recv: EventId,
     ) -> EventId {
-        let server = self.id_server(id);
-        let op = match group {
-            Some(g) => BlockOp::write_in_group(
-                Self::lba(&format!("inode:{id}")),
-                StructTag::Inode(id.to_string()),
-                payload.into_bytes(),
-                g,
-            ),
-            None => BlockOp::write(
-                Self::lba(&format!("inode:{id}")),
-                StructTag::Inode(id.to_string()),
-                payload.into_bytes(),
-            ),
+        let op = BlockOp::Write {
+            lba: lba(&format!("inode:{id}")),
+            tag: StructTag::Inode(id.to_string()),
+            payload: payload.as_bytes().to_vec(),
+            atomic_group: group,
         };
-        self.emit(rec, server, op, parent)
+        self.base.emit_block(rec, self.id_server(id), op, recv)
     }
 
     fn write_allocmap(
@@ -316,19 +263,15 @@ impl Gpfs {
         rec: &mut Recorder,
         server: u32,
         group: u32,
-        parent: Option<EventId>,
+        recv: EventId,
     ) -> EventId {
-        self.emit(
-            rec,
-            server,
-            BlockOp::write_in_group(
-                Self::lba(&format!("alloc@{server}")),
-                StructTag::AllocMap,
-                b"bitmap".to_vec(),
-                group,
-            ),
-            parent,
-        )
+        let op = BlockOp::write_in_group(
+            lba(&format!("alloc@{server}")),
+            StructTag::AllocMap,
+            b"bitmap".to_vec(),
+            group,
+        );
+        self.base.emit_block(rec, server, op, recv)
     }
 
     fn do_creat(
@@ -338,46 +281,29 @@ impl Gpfs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let pid = self.dir_id(&Self::parent_of(path))?;
+        let pid = self.parent_id(path)?;
         let id = format!("i{}", self.next_id);
         self.next_id += 1;
-        let group = self.next_group;
-        self.next_group += 1;
-        let first = self.placement.file_index(path, self.n());
+        let group = self.next_group();
+        let first = self.base.placement.file_index(path, self.n());
         let dsrv = self.dir_server(&pid);
-
         self.dirents_mut(&pid)
-            .insert(Self::name_of(path).to_string(), format!("F:{id}"));
+            .insert(name_of(path).to_string(), format!("F:{id}"));
 
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(dsrv),
-            &format!("CREATE {path}"),
-            Some(cev),
-        );
-        self.write_log(rec, dsrv, &format!("create {path}"), group, Some(recv));
-        self.write_dirent_block(rec, &pid, group, Some(recv));
-        self.write_inode(
-            rec,
-            &id,
-            format!("size=0;first={first}"),
-            Some(group),
-            Some(recv),
-        );
-        let isrv = self.id_server(&id);
-        let w = self.write_allocmap(rec, isrv, group, Some(recv));
-        self.net(rec)
-            .reply(Process::Server(dsrv), client, "OK", Some(w));
+        let recv = self.begin(rec, client, dsrv, group, &format!("CREATE {path}"), cev);
+        self.write_dirent_block(rec, &pid, group, recv);
+        let inode = format!("size=0;first={first}");
+        self.write_inode(rec, &id, &inode, Some(group), recv);
+        let w = self.write_allocmap(rec, self.id_server(&id), group, recv);
+        self.base.reply(rec, dsrv, client, "OK", w);
 
-        self.files.insert(
-            path.to_string(),
-            FileInfo {
-                id,
-                first,
-                size: 0,
-                chunks: BTreeMap::new(),
-            },
-        );
+        let info = FileInfo {
+            id,
+            first,
+            size: 0,
+            chunks: BTreeMap::new(),
+        };
+        self.files.insert(path.to_string(), info);
         Ok(())
     }
 
@@ -388,34 +314,20 @@ impl Gpfs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let pid = self.dir_id(&Self::parent_of(path))?;
+        let pid = self.parent_id(path)?;
         let did = format!("d{}", self.next_id);
         self.next_id += 1;
-        let group = self.next_group;
-        self.next_group += 1;
+        let group = self.next_group();
         let dsrv = self.dir_server(&pid);
         self.dirents_mut(&pid)
-            .insert(Self::name_of(path).to_string(), format!("D:{did}"));
-        self.dirents.insert(did.clone(), BTreeMap::new());
+            .insert(name_of(path).to_string(), format!("D:{did}"));
+        self.dirents.insert(did.clone(), DirEntries::new());
         self.dirpaths.insert(path.to_string(), did.clone());
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(dsrv),
-            &format!("MKDIR {path}"),
-            Some(cev),
-        );
-        self.write_log(rec, dsrv, &format!("mkdir {path}"), group, Some(recv));
-        self.write_dirent_block(rec, &pid, group, Some(recv));
-        self.write_dirent_block(rec, &did, group, Some(recv));
-        let w = self.write_inode(
-            rec,
-            &format!("dir:{did}"),
-            "dir".into(),
-            Some(group),
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(dsrv), client, "OK", Some(w));
+        let recv = self.begin(rec, client, dsrv, group, &format!("MKDIR {path}"), cev);
+        self.write_dirent_block(rec, &pid, group, recv);
+        self.write_dirent_block(rec, &did, group, recv);
+        let w = self.write_inode(rec, &format!("dir:{did}"), "dir", Some(group), recv);
+        self.base.reply(rec, dsrv, client, "OK", w);
         Ok(())
     }
 
@@ -428,68 +340,37 @@ impl Gpfs {
         data: &[u8],
         cev: EventId,
     ) -> PfsResult<()> {
-        let info = self.file_info(path)?.clone();
         let n = self.n();
-        let mut off = offset;
-        let end = offset + data.len() as u64;
-        while off < end {
-            let stripe = off / self.stripe;
-            let stripe_end = (stripe + 1) * self.stripe;
-            let len = stripe_end.min(end) - off;
-            let server = ((info.first + stripe as usize) % n) as u32;
+        let f = lookup_mut(&mut self.files, path)?;
+        for seg in stripe_segments(f.first, offset, data.len(), self.base.stripe, n) {
+            let server = seg.target as u32;
             // Compose the whole chunk payload (block writes replace the
             // entire block).
-            let stripe_sz = self.stripe;
-            let f = self.file_mut(path);
-            let chunk = f.chunks.entry(stripe).or_default();
-            let local = (off - stripe * stripe_sz) as usize;
-            if chunk.len() < local + len as usize {
-                chunk.resize(local + len as usize, 0);
+            let chunk = f.chunks.entry(seg.stripe).or_default();
+            let local = seg.local as usize..seg.local as usize + seg.data.len();
+            if chunk.len() < local.end {
+                chunk.resize(local.end, 0);
             }
-            chunk[local..local + len as usize]
-                .copy_from_slice(&data[(off - offset) as usize..(off - offset + len) as usize]);
-            let payload = chunk.clone();
-            let id = f.id.clone();
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(server),
-                &format!("WRITE {path} stripe {stripe}"),
-                Some(cev),
+            chunk[local].copy_from_slice(&data[seg.data.clone()]);
+            let content = format!("{}.{}", f.id, seg.stripe);
+            let write = BlockOp::write(
+                lba(&format!("content:{content}")),
+                StructTag::FileContent(content),
+                chunk.clone(),
             );
-            let w = self.emit(
-                rec,
-                server,
-                BlockOp::write(
-                    Self::lba(&format!("content:{id}.{stripe}")),
-                    StructTag::FileContent(format!("{id}.{stripe}")),
-                    payload,
-                ),
-                Some(recv),
-            );
-            self.net(rec)
-                .reply(Process::Server(server), client, "OK", Some(w));
+            let msg = format!("WRITE {path} stripe {}", seg.stripe);
+            let recv = self.base.request(rec, client, server, &msg, cev);
+            let w = self.base.emit_block(rec, server, write, recv);
+            self.base.reply(rec, server, client, "OK", w);
             self.dirty.entry(client).or_default().insert(server);
-            off += len;
         }
-        let f = self.file_mut(path);
-        f.size = f.size.max(end);
-        let (id, first, size) = (f.id.clone(), f.first, f.size);
+        f.size = f.size.max(offset + data.len() as u64);
+        let (id, inode) = (f.id.clone(), format!("size={};first={}", f.size, f.first));
         let isrv = self.id_server(&id);
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(isrv),
-            &format!("SETATTR {path}"),
-            Some(cev),
-        );
-        let w = self.write_inode(
-            rec,
-            &id,
-            format!("size={size};first={first}"),
-            None,
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(isrv), client, "OK", Some(w));
+        let msg = format!("SETATTR {path}");
+        let recv = self.base.request(rec, client, isrv, &msg, cev);
+        let w = self.write_inode(rec, &id, &inode, None, recv);
+        self.base.reply(rec, isrv, client, "OK", w);
         Ok(())
     }
 
@@ -501,104 +382,53 @@ impl Gpfs {
         dst: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let spid = self.dir_id(&Self::parent_of(src))?;
-        let dpid = self.dir_id(&Self::parent_of(dst))?;
-        let group = self.next_group;
-        self.next_group += 1;
+        let spid = self.parent_id(src)?;
+        let dpid = self.parent_id(dst)?;
+        let group = self.next_group();
+        let rpc = format!("RENAME {src} {dst}");
 
         if self.dirpaths.contains_key(src) {
             // Directory rename: only the parent's entry block changes —
             // the directory's own (identity-keyed) block does not.
             let rec_entry = self
                 .dirents_mut(&spid)
-                .remove(Self::name_of(src))
+                .remove(name_of(src))
                 .ok_or_else(|| PfsError::UnknownPath(src.to_string()))?;
             self.dirents_mut(&dpid)
-                .insert(Self::name_of(dst).to_string(), rec_entry);
-            let moved: Vec<(String, String)> = self
-                .dirpaths
-                .keys()
-                .chain(self.files.keys())
-                .filter(|k| *k == src || k.starts_with(&format!("{src}/")))
-                .map(|k| (k.clone(), format!("{dst}{}", &k[src.len()..])))
-                .collect();
-            for (old, new) in moved {
-                if let Some(v) = self.dirpaths.remove(&old) {
-                    self.dirpaths.insert(new.clone(), v);
-                }
-                if let Some(v) = self.files.remove(&old) {
-                    self.files.insert(new, v);
-                }
-            }
+                .insert(name_of(dst).to_string(), rec_entry);
+            rekey(&mut self.dirpaths, src, dst);
+            rekey(&mut self.files, src, dst);
             let dsrv = self.dir_server(&spid);
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(dsrv),
-                &format!("RENAME {src} {dst}"),
-                Some(cev),
-            );
-            self.write_log(rec, dsrv, &format!("rename {src} {dst}"), group, Some(recv));
-            self.write_dirent_block(rec, &spid, group, Some(recv));
-            let w = self.write_inode(
-                rec,
-                &format!("dir:{spid}"),
-                "dir".into(),
-                Some(group),
-                Some(recv),
-            );
-            self.net(rec)
-                .reply(Process::Server(dsrv), client, "OK", Some(w));
+            let recv = self.begin(rec, client, dsrv, group, &rpc, cev);
+            self.write_dirent_block(rec, &spid, group, recv);
+            let w = self.write_inode(rec, &format!("dir:{spid}"), "dir", Some(group), recv);
+            self.base.reply(rec, dsrv, client, "OK", w);
             return Ok(());
         }
 
-        let info = self.file_info(src)?.clone();
+        let info = lookup(&self.files, src)?.clone();
         let overwritten = self.files.get(dst).cloned();
-        let entry = self.dirents_mut(&spid).remove(Self::name_of(src));
+        let entry = self.dirents_mut(&spid).remove(name_of(src));
         let entry = entry.unwrap_or(format!("F:{}", info.id));
         self.dirents_mut(&dpid)
-            .insert(Self::name_of(dst).to_string(), entry);
+            .insert(name_of(dst).to_string(), entry);
 
         // Figure 9(d) / bug 3: the atomic group of the ARVR rename —
         // log + parent dir block (+ source dir block if different) on the
         // coordinating server, inode of the overwritten file elsewhere,
         // parent dir inode.
         let dsrv = self.dir_server(&dpid);
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(dsrv),
-            &format!("RENAME {src} {dst}"),
-            Some(cev),
-        );
-        self.write_log(rec, dsrv, &format!("rename {src} {dst}"), group, Some(recv));
-        self.write_dirent_block(rec, &dpid, group, Some(recv));
+        let recv = self.begin(rec, client, dsrv, group, &rpc, cev);
+        self.write_dirent_block(rec, &dpid, group, recv);
         if spid != dpid {
-            self.write_dirent_block(rec, &spid, group, Some(recv));
-            self.write_inode(
-                rec,
-                &format!("dir:{spid}"),
-                "dir".into(),
-                Some(group),
-                Some(recv),
-            );
+            self.write_dirent_block(rec, &spid, group, recv);
+            self.write_inode(rec, &format!("dir:{spid}"), "dir", Some(group), recv);
         }
         if let Some(old) = &overwritten {
-            self.write_inode(
-                rec,
-                &old.id.clone(),
-                "deleted".into(),
-                Some(group),
-                Some(recv),
-            );
+            self.write_inode(rec, &old.id, "deleted", Some(group), recv);
         }
-        let w = self.write_inode(
-            rec,
-            &format!("dir:{dpid}"),
-            "dir".into(),
-            Some(group),
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(dsrv), client, "OK", Some(w));
+        let w = self.write_inode(rec, &format!("dir:{dpid}"), "dir", Some(group), recv);
+        self.base.reply(rec, dsrv, client, "OK", w);
 
         self.files.remove(src);
         self.files.insert(dst.to_string(), info);
@@ -612,120 +442,96 @@ impl Gpfs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let pid = self.dir_id(&Self::parent_of(path))?;
-        let info = self.file_info(path)?.clone();
-        let group = self.next_group;
-        self.next_group += 1;
-        self.dirents_mut(&pid).remove(Self::name_of(path));
+        let pid = self.parent_id(path)?;
+        let info = lookup(&self.files, path)?.clone();
+        let group = self.next_group();
+        self.dirents_mut(&pid).remove(name_of(path));
         let dsrv = self.dir_server(&pid);
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(dsrv),
-            &format!("UNLINK {path}"),
-            Some(cev),
-        );
-        self.write_log(rec, dsrv, &format!("unlink {path}"), group, Some(recv));
-        self.write_dirent_block(rec, &pid, group, Some(recv));
-        self.write_inode(
-            rec,
-            &info.id.clone(),
-            "deleted".into(),
-            Some(group),
-            Some(recv),
-        );
-        let isrv = self.id_server(&info.id);
-        let w = self.write_allocmap(rec, isrv, group, Some(recv));
-        self.net(rec)
-            .reply(Process::Server(dsrv), client, "OK", Some(w));
+        let recv = self.begin(rec, client, dsrv, group, &format!("UNLINK {path}"), cev);
+        self.write_dirent_block(rec, &pid, group, recv);
+        self.write_inode(rec, &info.id, "deleted", Some(group), recv);
+        let w = self.write_allocmap(rec, self.id_server(&info.id), group, recv);
+        self.base.reply(rec, dsrv, client, "OK", w);
         self.files.remove(path);
         Ok(())
     }
 
-    fn do_fsync(
+    fn do_rmdir(
         &mut self,
         rec: &mut Recorder,
         client: Process,
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let Some(info) = self.files.get(path).cloned() else {
-            return Ok(());
-        };
-        // Barrier on every device holding a piece of the file.
-        let n = self.n();
-        let mut servers: Vec<u32> = info
-            .chunks
-            .keys()
-            .map(|&s| ((info.first + s as usize) % n) as u32)
-            .collect();
-        servers.push(self.id_server(&info.id));
-        servers.sort_unstable();
-        servers.dedup();
-        for server in servers {
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(server),
-                &format!("SYNC {path}"),
-                Some(cev),
-            );
-            let w = self.emit(rec, server, BlockOp::SyncCache, Some(recv));
-            self.net(rec)
-                .reply(Process::Server(server), client, "OK", Some(w));
+        let pid = self.parent_id(path)?;
+        let group = self.next_group();
+        self.dirents_mut(&pid).remove(name_of(path));
+        if let Some(did) = self.dirpaths.remove(path) {
+            self.dirents.remove(&did);
         }
+        let dsrv = self.dir_server(&pid);
+        let recv = self.begin(rec, client, dsrv, group, &format!("RMDIR {path}"), cev);
+        let w = self.write_dirent_block(rec, &pid, group, recv);
+        self.base.reply(rec, dsrv, client, "OK", w);
         Ok(())
     }
 
+    /// Barrier on every device holding a piece of the file.
+    fn do_fsync(&mut self, rec: &mut Recorder, client: Process, path: &str, cev: EventId) {
+        let Some(info) = self.files.get(path) else {
+            return;
+        };
+        let n = self.n();
+        let mut servers: BTreeSet<u32> = info
+            .chunks
+            .keys()
+            .map(|&s| stripe_target(info.first, s, n) as u32)
+            .collect();
+        servers.insert(self.id_server(&info.id));
+        let msg = format!("SYNC {path}");
+        for server in servers {
+            self.sync_cache(rec, client, server, &msg, cev);
+        }
+    }
+
     /// Collect all blocks by tag across servers.
-    fn collect(&self, states: &ServerStates) -> CollectedBlocks {
-        let mut dirs = BTreeMap::new();
-        let mut inodes = BTreeMap::new();
-        let mut contents = BTreeMap::new();
+    fn collect(states: &ServerStates) -> Blocks {
+        let mut blocks = Blocks {
+            dirs: BTreeMap::new(),
+            inodes: BTreeMap::new(),
+            contents: BTreeMap::new(),
+        };
         for (_, store) in states.iter() {
             for (_, tag, data) in store.as_block().iter() {
                 match tag {
                     StructTag::DirEntry(d) => {
-                        dirs.insert(d.clone(), Self::parse_dir(data));
+                        blocks.dirs.insert(d.clone(), parse_dir(data));
                     }
                     StructTag::Inode(i) => {
-                        inodes.insert(i.clone(), String::from_utf8_lossy(data).to_string());
+                        let payload = String::from_utf8_lossy(data).to_string();
+                        blocks.inodes.insert(i.clone(), payload);
                     }
                     StructTag::FileContent(c) => {
-                        contents.insert(c.clone(), data.to_vec());
+                        blocks.contents.insert(c.clone(), data.to_vec());
                     }
                     _ => {}
                 }
             }
         }
-        (dirs, inodes, contents)
+        blocks
     }
 
-    fn walk(
-        &self,
-        dirid: &str,
-        vpath: &str,
-        dirs: &BTreeMap<String, BTreeMap<String, String>>,
-        inodes: &BTreeMap<String, String>,
-        contents: &BTreeMap<String, Vec<u8>>,
-        view: &mut PfsView,
-    ) {
-        let Some(entries) = dirs.get(dirid) else {
+    fn walk(blocks: &Blocks, dirid: &str, vpath: &str, view: &mut PfsView) {
+        let Some(entries) = blocks.dirs.get(dirid) else {
             return;
         };
         for (name, record) in entries {
-            let child = if vpath == "/" {
-                format!("/{name}")
-            } else {
-                format!("{vpath}/{name}")
-            };
+            let child = child_path(vpath, name);
             if let Some(did) = record.strip_prefix("D:") {
                 view.add_dir(child.clone());
-                self.walk(did, &child, dirs, inodes, contents, view);
+                Self::walk(blocks, did, &child, view);
             } else if let Some(id) = record.strip_prefix("F:") {
-                let Some(ipayload) = inodes.get(id) else {
-                    view.add_damaged_file(child);
-                    continue;
-                };
-                if ipayload == "deleted" {
+                if blocks.inodes.get(id).is_none_or(|p| p == "deleted") {
                     view.add_damaged_file(child);
                     continue;
                 }
@@ -733,7 +539,7 @@ impl Gpfs {
                 // the first gap.
                 let mut buf = Vec::new();
                 for stripe in 0.. {
-                    match contents.get(&format!("{id}.{stripe}")) {
+                    match blocks.contents.get(&format!("{id}.{stripe}")) {
                         Some(d) => buf.extend_from_slice(d),
                         None => break,
                     }
@@ -749,81 +555,39 @@ impl Pfs for Gpfs {
         "GPFS"
     }
 
-    fn topology(&self) -> &ClusterTopology {
-        &self.topo
+    fn base(&self) -> &ModelBase {
+        &self.base
     }
 
-    fn stripe_size(&self) -> u64 {
-        self.stripe
+    fn base_mut(&mut self) -> &mut ModelBase {
+        &mut self.base
     }
 
-    fn dispatch(
+    fn handle(
         &mut self,
         rec: &mut Recorder,
         client: Process,
         call: &PfsCall,
-        parent: Option<EventId>,
-    ) -> PfsResult<EventId> {
-        let cev = rec.record(
-            Layer::PfsClient,
-            client,
-            Payload::Call {
-                name: call.name().into(),
-                args: call.args(),
-            },
-            parent,
-        );
+        cev: EventId,
+    ) -> PfsResult<()> {
         if call.is_namespace_op() {
             self.flush_dirty(rec, client, cev);
         }
         match call {
-            PfsCall::Creat { path } => self.do_creat(rec, client, path, cev)?,
-            PfsCall::Mkdir { path } => self.do_mkdir(rec, client, path, cev)?,
+            PfsCall::Creat { path } => self.do_creat(rec, client, path, cev),
+            PfsCall::Mkdir { path } => self.do_mkdir(rec, client, path, cev),
             PfsCall::Pwrite { path, offset, data } => {
-                self.do_pwrite(rec, client, path, *offset, data, cev)?
+                self.do_pwrite(rec, client, path, *offset, data, cev)
             }
-            PfsCall::Rename { src, dst } => self.do_rename(rec, client, src, dst, cev)?,
-            PfsCall::Unlink { path } => self.do_unlink(rec, client, path, cev)?,
-            PfsCall::Rmdir { path } => {
-                let pid = self.dir_id(&Self::parent_of(path))?;
-                let group = self.next_group;
-                self.next_group += 1;
-                self.dirents_mut(&pid).remove(Self::name_of(path));
-                if let Some(did) = self.dirpaths.remove(path) {
-                    self.dirents.remove(&did);
-                }
-                let dsrv = self.dir_server(&pid);
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(dsrv),
-                    &format!("RMDIR {path}"),
-                    Some(cev),
-                );
-                self.write_log(rec, dsrv, &format!("rmdir {path}"), group, Some(recv));
-                let w = self.write_dirent_block(rec, &pid, group, Some(recv));
-                self.net(rec)
-                    .reply(Process::Server(dsrv), client, "OK", Some(w));
+            PfsCall::Rename { src, dst } => self.do_rename(rec, client, src, dst, cev),
+            PfsCall::Unlink { path } => self.do_unlink(rec, client, path, cev),
+            PfsCall::Rmdir { path } => self.do_rmdir(rec, client, path, cev),
+            PfsCall::Close { .. } => Ok(()),
+            PfsCall::Fsync { path } => {
+                self.do_fsync(rec, client, path, cev);
+                Ok(())
             }
-            PfsCall::Close { .. } => {}
-            PfsCall::Fsync { path } => self.do_fsync(rec, client, path, cev)?,
         }
-        Ok(cev)
-    }
-
-    fn seal_baseline(&mut self) {
-        self.baseline = self.live.fork();
-    }
-
-    fn baseline(&self) -> &ServerStates {
-        &self.baseline
-    }
-
-    fn live(&self) -> &ServerStates {
-        &self.live
-    }
-
-    fn install_faults(&mut self, cfg: FaultConfig) {
-        self.faults = FaultPlane::new(cfg);
     }
 
     fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
@@ -833,53 +597,37 @@ impl Pfs for Gpfs {
         // consequence).
         let _span = pc_rt::obs::span_cat("recover/GPFS", "pfs");
         let mut report = RecoveryReport::clean("mmfsck");
-        let (dirs, inodes, _contents) = self.collect(states);
-        let mut fixed_dirs: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
-        for (dir, entries) in &dirs {
+        let blocks = Self::collect(states);
+        for (dir, entries) in &blocks.dirs {
             let mut fixed = entries.clone();
             for (name, record) in entries {
-                if let Some(id) = record.strip_prefix("F:") {
-                    match inodes.get(id) {
-                        None => {
-                            report.finding(format!("entry {dir}/{name}: inode {id} block missing"));
-                            fixed.remove(name);
-                            report.repair(format!("removed entry {dir}/{name}"));
-                            report.unrecovered_damage = true;
-                        }
-                        Some(p) if p == "deleted" => {
-                            report
-                                .finding(format!("entry {dir}/{name}: inode {id} marked deleted"));
-                            fixed.remove(name);
-                            report.repair(format!("removed entry {dir}/{name}"));
-                            report.unrecovered_damage = true;
-                        }
-                        _ => {}
-                    }
-                }
+                let Some(id) = record.strip_prefix("F:") else {
+                    continue;
+                };
+                let why = match blocks.inodes.get(id) {
+                    None => "block missing",
+                    Some(p) if p == "deleted" => "marked deleted",
+                    _ => continue,
+                };
+                report.finding(format!("entry {dir}/{name}: inode {id} {why}"));
+                fixed.remove(name);
+                report.repair(format!("removed entry {dir}/{name}"));
+                report.unrecovered_damage = true;
             }
             if &fixed != entries {
-                fixed_dirs.insert(dir.clone(), fixed);
+                // Write the repaired directory block back.
+                states
+                    .server_mut(self.dir_server(dir))
+                    .as_block_mut()
+                    .apply(&dirent_block(dir, &fixed, None));
             }
-        }
-        // Write repaired directory blocks back.
-        for (dir, entries) in fixed_dirs {
-            let server = self.dir_server(&dir);
-            states
-                .server_mut(server)
-                .as_block_mut()
-                .apply(&BlockOp::write(
-                    Self::lba(&format!("dir:{dir}")),
-                    StructTag::DirEntry(dir.clone()),
-                    Self::serialize_dir(&entries),
-                ));
         }
         report
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
-        let (dirs, inodes, contents) = self.collect(states);
         let mut view = PfsView::new();
-        self.walk("root", "/", &dirs, &inodes, &contents, &mut view);
+        Self::walk(&Self::collect(states), "root", "/", &mut view);
         view
     }
 
@@ -891,70 +639,28 @@ impl Pfs for Gpfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::testkit::*;
     use crate::recover_and_mount;
+    use tracer::Payload;
 
-    fn run_arvr(fs: &mut Gpfs) -> Recorder {
-        let c = Process::Client(0);
-        let mut rec = Recorder::new();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/file".into(),
-                offset: 0,
-                data: b"old".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.seal_baseline();
-        let mut rec = Recorder::new();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/tmp".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/tmp".into(),
-                offset: 0,
-                data: b"new".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Rename {
-                src: "/tmp".into(),
-                dst: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
-        rec
+    /// The ARVR trace minus the lowermost block ops `drop` selects.
+    fn arvr_without(drop: fn(&BlockOp) -> bool) -> (Gpfs, ServerStates) {
+        let mut fs = Gpfs::paper_default();
+        let (rec, _) = run_arvr(&mut fs);
+        let keep: Vec<EventId> = rec
+            .lowermost_events()
+            .into_iter()
+            .filter(|&id| !matches!(&rec.event(id).payload, Payload::Block { op, .. } if drop(op)))
+            .collect();
+        let mut states = fs.baseline().clone();
+        states.apply_events(&rec, keep);
+        (fs, states)
     }
 
     #[test]
     fn rename_emits_an_atomic_group() {
         let mut fs = Gpfs::paper_default();
-        let rec = run_arvr(&mut fs);
+        let (rec, _) = run_arvr(&mut fs);
         // The rename's block writes share one atomic group with ≥ 3
         // members including the log (Figure 9(d)).
         let mut groups: BTreeMap<u32, usize> = BTreeMap::new();
@@ -988,19 +694,9 @@ mod tests {
         // on the old inode: foo points at tmp's inode; the old inode
         // leaks (Table 3 bug 3, "metadata loss if inode entry not
         // deleted").
-        let mut fs = Gpfs::paper_default();
-        let rec = run_arvr(&mut fs);
-        let keep: Vec<EventId> = rec
-            .lowermost_events()
-            .into_iter()
-            .filter(|&id| {
-                !matches!(&rec.event(id).payload,
-                    Payload::Block { op, .. }
-                        if matches!(op, BlockOp::Write { payload, .. } if payload == b"deleted"))
-            })
-            .collect();
-        let mut states = fs.baseline().clone();
-        states.apply_events(&rec, keep);
+        let (fs, mut states) = arvr_without(
+            |op| matches!(op, BlockOp::Write { payload, .. } if payload == b"deleted"),
+        );
         let (_, view) = recover_and_mount(&fs, &mut states);
         assert_eq!(view.read("/file"), Some(&b"new"[..]));
     }
@@ -1011,22 +707,11 @@ mod tests {
         // foo's entry still names the old inode, which is deleted —
         // mmfsck removes the entry, the file is gone (bug 3, "data loss
         // accept all mmfsck fixes").
-        let mut fs = Gpfs::paper_default();
-        let rec = run_arvr(&mut fs);
-        let keep: Vec<EventId> = rec
-            .lowermost_events()
-            .into_iter()
-            .filter(|&id| {
-                !matches!(&rec.event(id).payload,
-                    Payload::Block { op, .. }
-                        if matches!(op.tag(), Some(StructTag::DirEntry(_)))
-                            && op.atomic_group().is_some()
-                            // only drop the rename-group dirent write
-                            && op.atomic_group() >= Some(2))
-            })
-            .collect();
-        let mut states = fs.baseline().clone();
-        states.apply_events(&rec, keep);
+        let (fs, mut states) = arvr_without(|op| {
+            matches!(op.tag(), Some(StructTag::DirEntry(_)))
+                // only drop the rename-group dirent write
+                && op.atomic_group() >= Some(2)
+        });
         let (report, view) = recover_and_mount(&fs, &mut states);
         assert!(report.unrecovered_damage);
         assert!(!view.exists("/file"), "{view}");
@@ -1036,22 +721,8 @@ mod tests {
     fn fsync_issues_synchronize_cache() {
         let mut fs = Gpfs::paper_default();
         let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Creat { path: "/f".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/f".into(),
-                offset: 0,
-                data: b"d".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(&mut rec, c, &PfsCall::Fsync { path: "/f".into() }, None)
-            .unwrap();
+        let calls = [creat("/f"), pwrite("/f", 0, b"d"), fsync("/f")];
+        drive(&mut fs, &mut rec, &calls);
         assert!(rec.events().iter().any(|e| matches!(
             &e.payload,
             Payload::Block {
@@ -1064,30 +735,8 @@ mod tests {
     #[test]
     fn directories_nest() {
         let mut fs = Gpfs::paper_default();
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Mkdir { path: "/A".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/A/x".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/A/x".into(),
-                offset: 0,
-                data: b"1".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
+        let calls = [mkdir("/A"), creat("/A/x"), pwrite("/A/x", 0, b"1")];
+        drive(&mut fs, &mut Recorder::new(), &calls);
         let view = fs.client_view(fs.live());
         assert!(view.has_dir("/A"));
         assert_eq!(view.read("/A/x"), Some(&b"1"[..]));

@@ -23,7 +23,30 @@
 //! | [`gpfs::Gpfs`] | shared-disk block FS, logged block writes in atomic groups | partially-persisted log groups → bugs 3,4,5 |
 //! | [`lustre::Lustre`] | aggregated updates + accurate barriers on namespace ops | no POSIX-level bugs; open-file data writes still reorder (HDF5 bugs) |
 //! | [`ext4::Ext4Direct`] | single local FS in data-journaling mode | the paper's clean baseline (Figure 8: zero bugs) |
+//!
+//! ## The base owns lifecycle, emission and RPC; a model is placement + dispatch + recover
+//!
+//! Everything the models have in common is one embedded [`ModelBase`]
+//! (module [`base`]): the per-server stores and their `live → sealed →
+//! forked` lifecycle, `emit_fs` / `emit_block` (apply to the live store,
+//! record the lowermost event), the `request` / `reply` / `notify` RPC
+//! legs through the fault plane, and the path / striping / attribute
+//! helpers. The [`Pfs`] trait provides `dispatch`, `topology`,
+//! `stripe_size`, `install_faults`, `seal_baseline`, `baseline` and
+//! `live` over it.
+//!
+//! To add a model, embed a `ModelBase` (format the servers through
+//! `base.mkfs(..)`, end the constructor with `base.seal()`), return it
+//! from `base` / `base_mut`, and write five methods:
+//!
+//! 1. `name` — the paper's name for the file system;
+//! 2. `handle` — each [`PfsCall`] as `base.request`, `base.emit_*`,
+//!    `base.reply` in the order the real system issues them;
+//! 3. `recover` — the fsck tool over crashed [`ServerStates`];
+//! 4. `client_view` — mount: the file tree from persistent state only;
+//! 5. `restart_cost_secs` — the Figure 10/11 cost-model constant.
 
+pub mod base;
 pub mod beegfs;
 pub mod call;
 pub mod error;
@@ -37,6 +60,7 @@ pub mod placement;
 pub mod store;
 pub mod view;
 
+pub use base::ModelBase;
 pub use call::{ClientTrace, PfsCall};
 pub use error::{PfsError, PfsResult};
 pub use placement::Placement;
@@ -44,61 +68,45 @@ pub use store::{ServerStates, Store};
 pub use view::{PfsView, RecoveryReport};
 
 use simnet::{ClusterTopology, FaultConfig};
-use tracer::{EventId, Process, Recorder};
+use tracer::{EventId, Layer, Payload, Process, Recorder};
 
-/// A parallel file system model.
+/// A parallel file system model: a [`ModelBase`] plus the five things
+/// that differ between file systems (see the crate docs).
 ///
-/// Implementations keep a *live* (in-memory, pre-crash) copy of every
-/// server's persistent store, updated as calls are dispatched — that is
-/// the state the running system sees. Crash emulation never touches the
-/// live state: it replays subsets of the recorded lowermost operations
-/// onto the sealed *baseline* snapshot.
+/// The base keeps a *live* (in-memory, pre-crash) copy of every server's
+/// persistent store, updated as calls are dispatched — the state the
+/// running system sees — and the sealed *baseline* snapshot. Crash
+/// emulation never touches the live state: it replays subsets of the
+/// recorded lowermost operations onto forks of the baseline.
 ///
 /// Models are `Send + Sync`: crash-state checking reads them from many
-/// threads (the live/baseline stores are only mutated during dispatch).
+/// threads (the stores are only mutated during dispatch).
 pub trait Pfs: Send + Sync {
     /// Short name as used in the paper's tables ("BeeGFS", …).
     fn name(&self) -> &'static str;
 
-    /// The cluster shape this instance runs on.
-    fn topology(&self) -> &ClusterTopology;
+    /// The embedded base.
+    fn base(&self) -> &ModelBase;
 
-    /// Stripe size in bytes (Table 2 default: 128 KiB).
-    fn stripe_size(&self) -> u64;
+    /// The embedded base, mutably.
+    fn base_mut(&mut self) -> &mut ModelBase;
 
-    /// Execute one client call: update live server state, record the
-    /// client-level trace event plus every RPC and lowermost-level server
-    /// event (with causal links). Returns the id of the client-call event,
-    /// or a [`PfsError`] when the call references paths outside the
-    /// model's live namespace (malformed workload/trace input).
-    fn dispatch(
+    /// The model's translation of one client call — already recorded as
+    /// the call event `cev` — into RPCs and lowermost server operations,
+    /// all emitted through the base. A [`PfsError`] reports a call that
+    /// references paths outside the model's live namespace (malformed
+    /// workload/trace input).
+    fn handle(
         &mut self,
         rec: &mut Recorder,
         client: Process,
         call: &PfsCall,
-        parent: Option<EventId>,
-    ) -> PfsResult<EventId>;
-
-    /// Arm the model's RPC fault plane. Models that simulate client↔server
-    /// messaging route every RPC through it; the default is a no-op for
-    /// models with no network (e.g. the ext4 baseline).
-    fn install_faults(&mut self, _cfg: FaultConfig) {}
-
-    /// Snapshot the current live state as the pre-test baseline. Crash
-    /// states are materialized on clones of this snapshot (the paper's
-    /// "snapshot of the initial local file system or the image of the
-    /// block device", §4.3).
-    fn seal_baseline(&mut self);
-
-    /// The sealed baseline snapshot.
-    fn baseline(&self) -> &ServerStates;
-
-    /// The live (fully-executed) server states.
-    fn live(&self) -> &ServerStates;
+        cev: EventId,
+    ) -> PfsResult<()>;
 
     /// Run the PFS's recovery tool (`beegfs-fsck`, `pvfs2-fsck`, `mmfsck`,
-    /// …) over crashed server states, mutating them in place, then
-    /// remount. Returns what the tool did.
+    /// …) over crashed server states, mutating them in place. Returns
+    /// what the tool did.
     fn recover(&self, states: &mut ServerStates) -> RecoveryReport;
 
     /// Mount: derive the client-visible file tree purely from persistent
@@ -109,6 +117,56 @@ pub trait Pfs: Send + Sync {
     /// Simulated PFS restart cost in seconds — drives the Figure 10/11
     /// cost model (the paper: BeeGFS restart takes up to 7.8 s).
     fn restart_cost_secs(&self) -> f64;
+
+    /// The cluster shape this instance runs on.
+    fn topology(&self) -> &ClusterTopology {
+        &self.base().topo
+    }
+
+    /// Stripe size in bytes (Table 2 default: 128 KiB).
+    fn stripe_size(&self) -> u64 {
+        self.base().stripe
+    }
+
+    /// Execute one client call: record the client-level trace event,
+    /// then let the model [`handle`](Pfs::handle) it. Returns the id of
+    /// the client-call event.
+    fn dispatch(
+        &mut self,
+        rec: &mut Recorder,
+        client: Process,
+        call: &PfsCall,
+        parent: Option<EventId>,
+    ) -> PfsResult<EventId> {
+        let payload = Payload::Call {
+            name: call.name().into(),
+            args: call.args(),
+        };
+        let cev = rec.record(Layer::PfsClient, client, payload, parent);
+        self.handle(rec, client, call, cev)?;
+        Ok(cev)
+    }
+
+    /// Arm the RPC fault plane (inert for models with no network, e.g.
+    /// the ext4 baseline).
+    fn install_faults(&mut self, cfg: FaultConfig) {
+        self.base_mut().install_faults(cfg)
+    }
+
+    /// Snapshot the current live state as the pre-test baseline.
+    fn seal_baseline(&mut self) {
+        self.base_mut().seal()
+    }
+
+    /// The sealed baseline snapshot.
+    fn baseline(&self) -> &ServerStates {
+        self.base().baseline()
+    }
+
+    /// The live (fully-executed) server states.
+    fn live(&self) -> &ServerStates {
+        self.base().live()
+    }
 }
 
 /// Convenience: run the recovery tool and return the recovered view in
@@ -120,8 +178,3 @@ pub fn recover_and_mount(pfs: &dyn Pfs, states: &mut ServerStates) -> (RecoveryR
     drop(mount);
     (report, view)
 }
-
-/// Factory that builds a fresh, empty instance of a PFS configuration.
-/// The consistency checker uses it to replay legal preserved sets on a
-/// pristine stack (golden-master generation, §4.4.3).
-pub type PfsFactory = Box<dyn Fn() -> Box<dyn Pfs>>;

@@ -24,16 +24,17 @@
 //! OST (storage servers):      /objects/<id>.<stripe>
 //! ```
 
+use crate::base::{attr, attr_num, lookup, lookup_mut, read_striped, stripe_segments, ModelBase};
 use crate::call::PfsCall;
-use crate::error::{PfsError, PfsResult};
+use crate::error::PfsResult;
 use crate::placement::Placement;
 use crate::store::ServerStates;
 use crate::view::{PfsView, RecoveryReport};
 use crate::Pfs;
 use simfs::{FsOp, JournalMode};
-use simnet::{ClusterTopology, FaultConfig, FaultPlane, RpcNet};
+use simnet::ClusterTopology;
 use std::collections::{BTreeMap, BTreeSet};
-use tracer::{EventId, Layer, Payload, Process, Recorder};
+use tracer::{EventId, Process, Recorder};
 
 #[derive(Debug, Clone)]
 struct FileInfo {
@@ -43,18 +44,28 @@ struct FileInfo {
     chunks: BTreeMap<u64, u64>,
 }
 
+impl FileInfo {
+    /// The MDT entry file's content.
+    fn entry(&self) -> Vec<u8> {
+        format!("obj={};size={};first={}", self.obj, self.size, self.first).into_bytes()
+    }
+}
+
 /// The Lustre model.
 pub struct Lustre {
-    topo: ClusterTopology,
-    placement: Placement,
-    stripe: u64,
-    live: ServerStates,
-    baseline: ServerStates,
+    base: ModelBase,
     files: BTreeMap<String, FileInfo>,
     /// Files with unflushed OST data, per client.
     dirty: BTreeMap<Process, BTreeSet<String>>,
     next_id: u64,
-    faults: FaultPlane,
+}
+
+fn mdt_path(path: &str) -> String {
+    format!("/mdt{path}")
+}
+
+fn obj_path(obj: &str, stripe: u64) -> String {
+    format!("/objects/{obj}.{stripe}")
 }
 
 impl Lustre {
@@ -72,26 +83,19 @@ impl Lustre {
         stripe: u64,
         journal: JournalMode,
     ) -> Self {
-        let mut live = ServerStates::all_fs(topo.server_count(), journal);
-        for &m in &topo.metadata_servers() {
-            live.server_mut(m).as_fs_mut().mkdir_all("/mdt").unwrap();
+        let mut base = ModelBase::fs(topo, placement, stripe, journal);
+        for m in base.topo.metadata_servers() {
+            base.mkfs(m).as_fs_mut().mkdir_all("/mdt").unwrap();
         }
-        for &s in &topo.storage_servers() {
-            live.server_mut(s)
-                .as_fs_mut()
-                .mkdir_all("/objects")
-                .unwrap();
+        for s in base.topo.storage_servers() {
+            base.mkfs(s).as_fs_mut().mkdir_all("/objects").unwrap();
         }
+        base.seal();
         Lustre {
-            topo,
-            placement,
-            stripe,
-            baseline: live.fork(),
-            live,
+            base,
             files: BTreeMap::new(),
             dirty: BTreeMap::new(),
             next_id: 0,
-            faults: FaultPlane::disabled(),
         }
     }
 
@@ -105,121 +109,129 @@ impl Lustre {
     }
 
     fn mdt(&self) -> u32 {
-        self.topo.metadata_servers()[0]
-    }
-
-    fn ost(&self, idx: usize) -> u32 {
-        self.topo.storage_servers()[idx]
-    }
-
-    fn n_ost(&self) -> usize {
-        self.topo.storage_servers().len()
-    }
-
-    fn emit(
-        &mut self,
-        rec: &mut Recorder,
-        server: u32,
-        op: FsOp,
-        parent: Option<EventId>,
-    ) -> EventId {
-        self.live.server_mut(server).apply_fs(&op);
-        rec.record(
-            Layer::LocalFs,
-            Process::Server(server),
-            Payload::Fs { server, op },
-            parent,
-        )
-    }
-
-    fn file_info(&self, path: &str) -> PfsResult<&FileInfo> {
-        self.files
-            .get(path)
-            .ok_or_else(|| PfsError::UnknownPath(path.to_string()))
-    }
-
-    fn file_mut(&mut self, path: &str) -> &mut FileInfo {
-        self.files
-            .get_mut(path)
-            .expect("invariant: file checked present earlier in this call")
-    }
-
-    /// RPC net routed through this instance's fault plane.
-    fn net<'a>(&'a mut self, rec: &'a mut Recorder) -> RpcNet<'a> {
-        RpcNet::faulty(rec, &mut self.faults)
-    }
-
-    fn mdt_path(path: &str) -> String {
-        format!("/mdt{path}")
-    }
-
-    fn obj_path(obj: &str, stripe: u64) -> String {
-        format!("/objects/{obj}.{stripe}")
+        self.base.meta_server(0)
     }
 
     /// Flush every dirty object of `client` with explicit OST commits —
     /// the "aggregates intermediate changes … accurate disk barriers"
     /// behaviour that precedes any namespace update.
     fn flush_dirty(&mut self, rec: &mut Recorder, client: Process, cev: EventId) {
-        let dirty: Vec<String> = self
-            .dirty
-            .get(&client)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        for path in dirty {
+        for path in self.dirty.remove(&client).unwrap_or_default() {
             let Some(info) = self.files.get(&path).cloned() else {
                 continue;
             };
-            let n = self.n_ost();
             for &stripe in info.chunks.keys() {
-                let ost = self.ost((info.first + stripe as usize) % n);
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(ost),
-                    &format!("OST-COMMIT {path} stripe {stripe}"),
-                    Some(cev),
-                );
-                let w = self.emit(
-                    rec,
-                    ost,
-                    FsOp::Fsync {
-                        path: Self::obj_path(&info.obj, stripe),
-                    },
-                    Some(recv),
-                );
-                self.net(rec)
-                    .reply(Process::Server(ost), client, "COMMITTED", Some(w));
+                let ost = self.base.stripe_server(info.first, stripe);
+                let msg = format!("OST-COMMIT {path} stripe {stripe}");
+                let recv = self.base.request(rec, client, ost, &msg, cev);
+                let path = obj_path(&info.obj, stripe);
+                let w = self.base.emit_fs(rec, ost, FsOp::Fsync { path }, recv);
+                self.base.reply(rec, ost, client, "COMMITTED", w);
             }
         }
-        self.dirty.remove(&client);
     }
 
-    /// Commit the MDT journal (device-wide barrier) after a namespace
-    /// update.
-    fn mdt_commit(&mut self, rec: &mut Recorder, parent: EventId) {
+    /// One namespace update on the MDT: request, the local op, the MDT
+    /// journal commit (a device-wide barrier), reply. Returns the
+    /// server's reply-send event.
+    fn mdt_update(
+        &mut self,
+        rec: &mut Recorder,
+        client: Process,
+        msg: &str,
+        op: FsOp,
+        cev: EventId,
+    ) -> EventId {
         let mdt = self.mdt();
-        self.emit(rec, mdt, FsOp::SyncFs, Some(parent));
+        let recv = self.base.request(rec, client, mdt, msg, cev);
+        let e = self.base.emit_fs(rec, mdt, op, recv);
+        self.base.emit_fs(rec, mdt, FsOp::SyncFs, e);
+        self.base.reply(rec, mdt, client, "OK", e)
     }
 
+    /// Rewrite the MDT entry of `path`.
     fn update_entry(
         &mut self,
         rec: &mut Recorder,
         path: &str,
-        info: &FileInfo,
+        data: Vec<u8>,
         parent: EventId,
     ) -> EventId {
+        let (path, offset) = (mdt_path(path), 0);
+        let op = FsOp::Pwrite { path, offset, data };
+        self.base.emit_fs(rec, self.mdt(), op, parent)
+    }
+
+    /// Destroy a dead file's objects, after the committed MDT update
+    /// `reply` acknowledged (so never "before" it on disk).
+    fn destroy_objects(&mut self, rec: &mut Recorder, info: &FileInfo, reply: EventId) {
         let mdt = self.mdt();
-        self.emit(
-            rec,
-            mdt,
-            FsOp::Pwrite {
-                path: Self::mdt_path(path),
-                offset: 0,
-                data: format!("obj={};size={};first={}", info.obj, info.size, info.first)
-                    .into_bytes(),
-            },
-            Some(parent),
-        )
+        for &stripe in info.chunks.keys() {
+            let ost = self.base.stripe_server(info.first, stripe);
+            let msg = format!("OST-DESTROY {}.{stripe}", info.obj);
+            let recv = self.base.notify(rec, mdt, ost, &msg, Some(reply));
+            let path = obj_path(&info.obj, stripe);
+            self.base.emit_fs(rec, ost, FsOp::Unlink { path }, recv);
+        }
+    }
+
+    fn do_creat(&mut self, rec: &mut Recorder, client: Process, path: &str, cev: EventId) {
+        let obj = format!("o{}", self.next_id);
+        self.next_id += 1;
+        let first = self.base.placement.file_index(path, self.base.n_storage());
+        let info = FileInfo {
+            obj,
+            first,
+            size: 0,
+            chunks: BTreeMap::new(),
+        };
+        let mdt = self.mdt();
+        let msg = format!("MDS-CREATE {path}");
+        let recv = self.base.request(rec, client, mdt, &msg, cev);
+        let creat = FsOp::Creat {
+            path: mdt_path(path),
+        };
+        let e = self.base.emit_fs(rec, mdt, creat, recv);
+        let e2 = self.update_entry(rec, path, info.entry(), e);
+        self.base.emit_fs(rec, mdt, FsOp::SyncFs, e2);
+        self.base.reply(rec, mdt, client, "OK", e2);
+        self.files.insert(path.to_string(), info);
+    }
+
+    fn do_pwrite(
+        &mut self,
+        rec: &mut Recorder,
+        client: Process,
+        path: &str,
+        offset: u64,
+        data: &[u8],
+        cev: EventId,
+    ) -> PfsResult<()> {
+        let n = self.base.n_storage();
+        let f = lookup_mut(&mut self.files, path)?;
+        let base = &mut self.base;
+        for seg in stripe_segments(f.first, offset, data.len(), base.stripe, n) {
+            let ost = base.storage_server(seg.target);
+            let msg = format!("OST-WRITE {path} stripe {}", seg.stripe);
+            let recv = base.request(rec, client, ost, &msg, cev);
+            let target = obj_path(&f.obj, seg.stripe);
+            let w = base.write_chunk(rec, ost, target, &mut f.chunks, &seg, data, recv);
+            base.reply(rec, ost, client, "OK", w);
+        }
+        // Size update on the MDT (journal-committed lazily with the next
+        // namespace op; size here is piggybacked).
+        f.size = f.size.max(offset + data.len() as u64);
+        let entry = f.entry();
+        let mdt = self.mdt();
+        let msg = format!("MDS-SETATTR {path}");
+        let recv = self.base.request(rec, client, mdt, &msg, cev);
+        let w = self.update_entry(rec, path, entry, recv);
+        self.base.reply(rec, mdt, client, "OK", w);
+        self.dirty
+            .entry(client)
+            .or_default()
+            .insert(path.to_string());
+        Ok(())
     }
 }
 
@@ -228,304 +240,80 @@ impl Pfs for Lustre {
         "Lustre"
     }
 
-    fn topology(&self) -> &ClusterTopology {
-        &self.topo
+    fn base(&self) -> &ModelBase {
+        &self.base
     }
 
-    fn stripe_size(&self) -> u64 {
-        self.stripe
+    fn base_mut(&mut self) -> &mut ModelBase {
+        &mut self.base
     }
 
-    fn dispatch(
+    fn handle(
         &mut self,
         rec: &mut Recorder,
         client: Process,
         call: &PfsCall,
-        parent: Option<EventId>,
-    ) -> PfsResult<EventId> {
-        let cev = rec.record(
-            Layer::PfsClient,
-            client,
-            Payload::Call {
-                name: call.name().into(),
-                args: call.args(),
-            },
-            parent,
-        );
-        // Any namespace-visible operation first drains the client's dirty
-        // data with OST commits.
+        cev: EventId,
+    ) -> PfsResult<()> {
+        // Any namespace-visible operation (close included) first drains
+        // the client's dirty data with OST commits.
         if call.is_namespace_op() {
             self.flush_dirty(rec, client, cev);
         }
         match call {
-            PfsCall::Creat { path } => {
-                let obj = format!("o{}", self.next_id);
-                self.next_id += 1;
-                let first = self.placement.file_index(path, self.n_ost());
-                let info = FileInfo {
-                    obj,
-                    first,
-                    size: 0,
-                    chunks: BTreeMap::new(),
-                };
-                let mdt = self.mdt();
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(mdt),
-                    &format!("MDS-CREATE {path}"),
-                    Some(cev),
-                );
-                let e = self.emit(
-                    rec,
-                    mdt,
-                    FsOp::Creat {
-                        path: Self::mdt_path(path),
-                    },
-                    Some(recv),
-                );
-                let e2 = self.update_entry(rec, path, &info, e);
-                self.mdt_commit(rec, e2);
-                self.net(rec)
-                    .reply(Process::Server(mdt), client, "OK", Some(e2));
-                self.files.insert(path.to_string(), info);
-            }
+            PfsCall::Creat { path } => self.do_creat(rec, client, path, cev),
             PfsCall::Mkdir { path } => {
-                let mdt = self.mdt();
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(mdt),
-                    &format!("MDS-MKDIR {path}"),
-                    Some(cev),
-                );
-                let e = self.emit(
-                    rec,
-                    mdt,
-                    FsOp::Mkdir {
-                        path: Self::mdt_path(path),
-                    },
-                    Some(recv),
-                );
-                self.mdt_commit(rec, e);
-                self.net(rec)
-                    .reply(Process::Server(mdt), client, "OK", Some(e));
+                let mkdir = FsOp::Mkdir {
+                    path: mdt_path(path),
+                };
+                self.mdt_update(rec, client, &format!("MDS-MKDIR {path}"), mkdir, cev);
             }
             PfsCall::Pwrite { path, offset, data } => {
-                let info = self.file_info(path)?.clone();
-                let n = self.n_ost();
-                let mut off = *offset;
-                let end = offset + data.len() as u64;
-                while off < end {
-                    let stripe = off / self.stripe;
-                    let stripe_end = (stripe + 1) * self.stripe;
-                    let len = stripe_end.min(end) - off;
-                    let ost = self.ost((info.first + stripe as usize) % n);
-                    let (_, recv) = self.net(rec).request(
-                        client,
-                        Process::Server(ost),
-                        &format!("OST-WRITE {path} stripe {stripe}"),
-                        Some(cev),
-                    );
-                    let target = Self::obj_path(&info.obj, stripe);
-                    let cur = self
-                        .files
-                        .get(path)
-                        .and_then(|f| f.chunks.get(&stripe))
-                        .copied();
-                    if cur.is_none() {
-                        self.emit(
-                            rec,
-                            ost,
-                            FsOp::Creat {
-                                path: target.clone(),
-                            },
-                            Some(recv),
-                        );
-                        self.file_mut(path).chunks.insert(stripe, 0);
-                    }
-                    let cur = self.file_info(path)?.chunks[&stripe];
-                    let local = off - stripe * self.stripe;
-                    let buf = data[(off - offset) as usize..(off - offset + len) as usize].to_vec();
-                    let op = if local == cur {
-                        FsOp::Append {
-                            path: target,
-                            data: buf,
-                        }
-                    } else {
-                        FsOp::Pwrite {
-                            path: target,
-                            offset: local,
-                            data: buf,
-                        }
-                    };
-                    let w = self.emit(rec, ost, op, Some(recv));
-                    self.file_mut(path)
-                        .chunks
-                        .insert(stripe, (local + len).max(cur));
-                    self.net(rec)
-                        .reply(Process::Server(ost), client, "OK", Some(w));
-                    off += len;
-                }
-                // Size update on the MDT (journal-committed lazily with
-                // the next namespace op; size here is piggybacked).
-                let f = self.file_mut(path);
-                f.size = f.size.max(end);
-                let info = f.clone();
-                let mdt = self.mdt();
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(mdt),
-                    &format!("MDS-SETATTR {path}"),
-                    Some(cev),
-                );
-                let w = self.update_entry(rec, path, &info, recv);
-                self.net(rec)
-                    .reply(Process::Server(mdt), client, "OK", Some(w));
-                self.dirty.entry(client).or_default().insert(path.clone());
+                self.do_pwrite(rec, client, path, *offset, data, cev)?
             }
             PfsCall::Rename { src, dst } => {
                 let overwritten = self.files.get(dst).cloned();
-                let mdt = self.mdt();
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(mdt),
-                    &format!("MDS-RENAME {src} {dst}"),
-                    Some(cev),
-                );
-                let e = self.emit(
-                    rec,
-                    mdt,
-                    FsOp::Rename {
-                        src: Self::mdt_path(src),
-                        dst: Self::mdt_path(dst),
-                    },
-                    Some(recv),
-                );
-                self.mdt_commit(rec, e);
-                let reply = self
-                    .net(rec)
-                    .reply(Process::Server(mdt), client, "OK", Some(e))
-                    .0;
-                // Destroy the overwritten file's objects (after the
-                // committed rename, so never "before" it on disk).
+                let rename = FsOp::Rename {
+                    src: mdt_path(src),
+                    dst: mdt_path(dst),
+                };
+                let msg = format!("MDS-RENAME {src} {dst}");
+                let reply = self.mdt_update(rec, client, &msg, rename, cev);
                 if let Some(old) = overwritten {
-                    let n = self.n_ost();
-                    for &stripe in old.chunks.keys() {
-                        let ost = self.ost((old.first + stripe as usize) % n);
-                        let (_, r2) = self.net(rec).message(
-                            Process::Server(mdt),
-                            Process::Server(ost),
-                            &format!("OST-DESTROY {}.{stripe}", old.obj),
-                            Some(reply),
-                        );
-                        self.emit(
-                            rec,
-                            ost,
-                            FsOp::Unlink {
-                                path: Self::obj_path(&old.obj, stripe),
-                            },
-                            Some(r2),
-                        );
-                    }
+                    self.destroy_objects(rec, &old, reply);
                 }
                 if let Some(info) = self.files.remove(src) {
                     self.files.insert(dst.clone(), info);
                 }
-                let dirty_keys: Vec<Process> = self.dirty.keys().copied().collect();
-                for k in dirty_keys {
-                    let set = self.dirty.get_mut(&k).unwrap();
+                for set in self.dirty.values_mut() {
                     if set.remove(src) {
                         set.insert(dst.clone());
                     }
                 }
             }
             PfsCall::Unlink { path } => {
-                let info = self.file_info(path)?.clone();
-                let mdt = self.mdt();
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(mdt),
-                    &format!("MDS-UNLINK {path}"),
-                    Some(cev),
-                );
-                let e = self.emit(
-                    rec,
-                    mdt,
-                    FsOp::Unlink {
-                        path: Self::mdt_path(path),
-                    },
-                    Some(recv),
-                );
-                self.mdt_commit(rec, e);
-                let reply = self
-                    .net(rec)
-                    .reply(Process::Server(mdt), client, "OK", Some(e))
-                    .0;
-                let n = self.n_ost();
-                for &stripe in info.chunks.keys() {
-                    let ost = self.ost((info.first + stripe as usize) % n);
-                    let (_, r2) = self.net(rec).message(
-                        Process::Server(mdt),
-                        Process::Server(ost),
-                        &format!("OST-DESTROY {}.{stripe}", info.obj),
-                        Some(reply),
-                    );
-                    self.emit(
-                        rec,
-                        ost,
-                        FsOp::Unlink {
-                            path: Self::obj_path(&info.obj, stripe),
-                        },
-                        Some(r2),
-                    );
-                }
+                let info = lookup(&self.files, path)?.clone();
+                let unlink = FsOp::Unlink {
+                    path: mdt_path(path),
+                };
+                let msg = format!("MDS-UNLINK {path}");
+                let reply = self.mdt_update(rec, client, &msg, unlink, cev);
+                self.destroy_objects(rec, &info, reply);
                 self.files.remove(path);
             }
             PfsCall::Rmdir { path } => {
-                let mdt = self.mdt();
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(mdt),
-                    &format!("MDS-RMDIR {path}"),
-                    Some(cev),
-                );
-                let e = self.emit(
-                    rec,
-                    mdt,
-                    FsOp::Rmdir {
-                        path: Self::mdt_path(path),
-                    },
-                    Some(recv),
-                );
-                self.mdt_commit(rec, e);
-                self.net(rec)
-                    .reply(Process::Server(mdt), client, "OK", Some(e));
+                let rmdir = FsOp::Rmdir {
+                    path: mdt_path(path),
+                };
+                self.mdt_update(rec, client, &format!("MDS-RMDIR {path}"), rmdir, cev);
             }
-            PfsCall::Close { .. } => {
-                // flush_dirty already ran (close is a namespace op here).
-            }
+            PfsCall::Close { .. } => {}
             PfsCall::Fsync { path } => {
-                let p = path.clone();
-                self.dirty.entry(client).or_default().insert(p);
+                self.dirty.entry(client).or_default().insert(path.clone());
                 self.flush_dirty(rec, client, cev);
             }
         }
-        Ok(cev)
-    }
-
-    fn install_faults(&mut self, cfg: FaultConfig) {
-        self.faults = FaultPlane::new(cfg);
-    }
-
-    fn seal_baseline(&mut self) {
-        self.baseline = self.live.fork();
-    }
-
-    fn baseline(&self) -> &ServerStates {
-        &self.baseline
-    }
-
-    fn live(&self) -> &ServerStates {
-        &self.live
+        Ok(())
     }
 
     fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
@@ -537,15 +325,17 @@ impl Pfs for Lustre {
         for p in mdt_fs.walk() {
             if !mdt_fs.is_dir(&p) {
                 if let Ok(raw) = mdt_fs.read(&p) {
-                    for part in String::from_utf8_lossy(raw).split(';') {
-                        if let Some(o) = part.strip_prefix("obj=") {
-                            live_objs.push(o.to_string());
-                        }
-                    }
+                    let entry = String::from_utf8_lossy(raw);
+                    live_objs.extend(
+                        entry
+                            .split(';')
+                            .filter_map(|part| part.strip_prefix("obj="))
+                            .map(str::to_string),
+                    );
                 }
             }
         }
-        for &s in &self.topo.storage_servers() {
+        for s in self.base.topo.storage_servers() {
             let fs = states.server(s).as_fs().fork();
             let Ok(objs) = fs.readdir("/objects") else {
                 continue;
@@ -569,48 +359,32 @@ impl Pfs for Lustre {
         let mut view = PfsView::new();
         let mdt_fs = states.server(self.mdt()).as_fs();
         for p in mdt_fs.walk() {
-            let Some(vpath) = p.strip_prefix("/mdt") else {
+            let Some(vpath) = p.strip_prefix("/mdt").filter(|v| !v.is_empty()) else {
                 continue;
             };
-            if vpath.is_empty() {
-                continue;
-            }
             if mdt_fs.is_dir(&p) {
-                view.add_dir(vpath.to_string());
+                view.add_dir(vpath);
                 continue;
             }
             let Ok(raw) = mdt_fs.read(&p) else {
-                view.add_damaged_file(vpath.to_string());
+                view.add_damaged_file(vpath);
                 continue;
             };
-            let s = String::from_utf8_lossy(raw);
-            let (mut obj, mut first) = (String::new(), 0usize);
-            for part in s.split(';') {
-                if let Some(v) = part.strip_prefix("obj=") {
-                    obj = v.to_string();
-                } else if let Some(v) = part.strip_prefix("first=") {
-                    first = v.parse().unwrap_or(0);
-                }
-            }
+            let entry = String::from_utf8_lossy(raw);
+            let obj = attr(&entry, "obj").unwrap_or("");
             if obj.is_empty() {
                 // Entry created but never assigned an object: an
                 // in-flight create — not visible to lookups.
                 continue;
             }
-            // Content = the OST objects, concatenated until the first gap.
-            let mut content = Vec::new();
-            for stripe in 0.. {
-                let ost = self.ost((first + stripe as usize) % self.n_ost());
-                match states
-                    .server(ost)
-                    .as_fs()
-                    .read(&Self::obj_path(&obj, stripe))
-                {
-                    Ok(d) => content.extend_from_slice(d),
-                    Err(_) => break,
-                }
-            }
-            view.add_file(vpath.to_string(), content);
+            let first: usize = attr_num(&entry, "first");
+            let content = read_striped(states, |stripe| {
+                (
+                    self.base.stripe_server(first, stripe),
+                    obj_path(obj, stripe),
+                )
+            });
+            view.add_file(vpath, content);
         }
         view
     }
@@ -623,87 +397,13 @@ impl Pfs for Lustre {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn run_arvr(fs: &mut Lustre) -> Recorder {
-        let c = Process::Client(0);
-        let mut rec = Recorder::new();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/file".into(),
-                offset: 0,
-                data: b"old".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Close {
-                path: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.seal_baseline();
-        let mut rec = Recorder::new();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/tmp".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/tmp".into(),
-                offset: 0,
-                data: b"new".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Close {
-                path: "/tmp".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Rename {
-                src: "/tmp".into(),
-                dst: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
-        rec
-    }
+    use crate::base::testkit::*;
+    use tracer::Payload;
 
     #[test]
     fn namespace_ops_flush_dirty_data_first() {
         let mut fs = Lustre::paper_default();
-        let rec = run_arvr(&mut fs);
+        let (rec, _) = run_arvr(&mut fs);
         // Find the OST append of "new" and the MDT rename; there must be
         // an OST fsync between them in trace order.
         let events = rec.events();
@@ -739,13 +439,7 @@ mod tests {
     fn mdt_commits_with_syncfs() {
         let mut fs = Lustre::paper_default();
         let mut rec = Recorder::new();
-        fs.dispatch(
-            &mut rec,
-            Process::Client(0),
-            &PfsCall::Creat { path: "/f".into() },
-            None,
-        )
-        .unwrap();
+        drive(&mut fs, &mut rec, &[creat("/f")]);
         assert!(rec.events().iter().any(|e| matches!(
             &e.payload,
             Payload::Fs {
@@ -758,7 +452,7 @@ mod tests {
     #[test]
     fn live_view_and_full_replay_agree() {
         let mut fs = Lustre::paper_default();
-        let rec = run_arvr(&mut fs);
+        let (rec, _) = run_arvr(&mut fs);
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, rec.lowermost_events());
         assert_eq!(fs.client_view(&states), fs.client_view(fs.live()));
@@ -773,39 +467,10 @@ mod tests {
         // before the crash — must leave unsynced OST data.
         let mut fs = Lustre::paper_default();
         let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/d.h5".into(),
-            },
-            None,
-        )
-        .unwrap();
+        drive(&mut fs, &mut rec, &[creat("/d.h5")]);
         let start = rec.len();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/d.h5".into(),
-                offset: 0,
-                data: vec![1; 8],
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/d.h5".into(),
-                offset: 8,
-                data: vec![2; 8],
-            },
-            None,
-        )
-        .unwrap();
+        let writes = [pwrite("/d.h5", 0, &[1; 8]), pwrite("/d.h5", 8, &[2; 8])];
+        drive(&mut fs, &mut rec, &writes);
         let syncs = rec.events()[start..]
             .iter()
             .filter(|e| e.payload.is_storage_sync())
@@ -816,25 +481,11 @@ mod tests {
     #[test]
     fn lfsck_destroys_orphan_objects() {
         let mut fs = Lustre::paper_default();
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Creat { path: "/f".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/f".into(),
-                offset: 0,
-                data: b"data".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
+        let preamble = [creat("/f"), pwrite("/f", 0, b"data")];
+        drive(&mut fs, &mut Recorder::new(), &preamble);
         fs.seal_baseline();
         let mut rec2 = Recorder::new();
-        fs.dispatch(&mut rec2, c, &PfsCall::Unlink { path: "/f".into() }, None)
-            .unwrap();
+        drive(&mut fs, &mut rec2, &[unlink("/f")]);
         // Crash: MDT unlink persisted, OST destroy not.
         let keep: Vec<EventId> = rec2
             .lowermost_events()

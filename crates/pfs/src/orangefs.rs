@@ -27,16 +27,20 @@
 //! `D <dirkey> <name>` in `keyval.db`;
 //! `A <handle> size=<n>;first=<idx>` / `R <handle>` in `attrs.db`.
 
+use crate::base::{
+    attr_num, child_path, lookup, lookup_mut, name_of, parent_of, read_striped, rekey,
+    stripe_segments, ModelBase,
+};
 use crate::call::PfsCall;
-use crate::error::{PfsError, PfsResult};
+use crate::error::PfsResult;
 use crate::placement::Placement;
 use crate::store::ServerStates;
 use crate::view::{PfsView, RecoveryReport};
 use crate::Pfs;
 use simfs::{FsOp, FsState, JournalMode};
-use simnet::{ClusterTopology, FaultConfig, FaultPlane, RpcNet};
+use simnet::ClusterTopology;
 use std::collections::BTreeMap;
-use tracer::{EventId, Layer, Payload, Process, Recorder};
+use tracer::{EventId, Process, Recorder};
 
 #[derive(Debug, Clone)]
 struct DirInfo {
@@ -54,15 +58,14 @@ struct FileInfo {
 
 /// The OrangeFS model.
 pub struct OrangeFs {
-    topo: ClusterTopology,
-    placement: Placement,
-    stripe: u64,
-    live: ServerStates,
-    baseline: ServerStates,
+    base: ModelBase,
     dirs: BTreeMap<String, DirInfo>,
     files: BTreeMap<String, FileInfo>,
     next_id: u64,
-    faults: FaultPlane,
+}
+
+fn bstream_path(handle: &str, stripe: u64) -> String {
+    format!("/bstreams/{handle}.{stripe}")
 }
 
 impl OrangeFs {
@@ -80,38 +83,24 @@ impl OrangeFs {
         stripe: u64,
         journal: JournalMode,
     ) -> Self {
-        let mut live = ServerStates::all_fs(topo.server_count(), journal);
-        for &m in &topo.metadata_servers() {
-            let fs = live.server_mut(m).as_fs_mut();
+        let mut base = ModelBase::fs(topo, placement, stripe, journal);
+        for m in base.topo.metadata_servers() {
+            let fs = base.mkfs(m).as_fs_mut();
             fs.mkdir_all("/db").unwrap();
             fs.creat("/db/keyval.db").unwrap();
             fs.creat("/db/attrs.db").unwrap();
         }
-        for &s in &topo.storage_servers() {
-            live.server_mut(s)
-                .as_fs_mut()
-                .mkdir_all("/bstreams")
-                .unwrap();
+        for s in base.topo.storage_servers() {
+            base.mkfs(s).as_fs_mut().mkdir_all("/bstreams").unwrap();
         }
-        let root_owner = placement.dir_index("/", topo.metadata_servers().len());
-        let mut dirs = BTreeMap::new();
-        dirs.insert(
-            "/".to_string(),
-            DirInfo {
-                key: "root".into(),
-                owner: root_owner,
-            },
-        );
+        base.seal();
+        let owner = base.placement.dir_index("/", base.n_meta());
+        let key = "root".to_string();
         OrangeFs {
-            topo,
-            placement,
-            stripe,
-            baseline: live.fork(),
-            live,
-            dirs,
+            base,
+            dirs: BTreeMap::from([("/".to_string(), DirInfo { key, owner })]),
             files: BTreeMap::new(),
             next_id: 0,
-            faults: FaultPlane::disabled(),
         }
     }
 
@@ -124,95 +113,24 @@ impl OrangeFs {
         )
     }
 
-    fn meta_server(&self, idx: usize) -> u32 {
-        self.topo.metadata_servers()[idx]
-    }
-
-    fn storage_server(&self, idx: usize) -> u32 {
-        self.topo.storage_servers()[idx]
-    }
-
-    fn n_storage(&self) -> usize {
-        self.topo.storage_servers().len()
-    }
-
-    fn parent_of(path: &str) -> String {
-        match path.rfind('/') {
-            Some(0) => "/".to_string(),
-            Some(i) => path[..i].to_string(),
-            None => "/".to_string(),
-        }
-    }
-
-    fn name_of(path: &str) -> &str {
-        path.rsplit('/').next().unwrap_or(path)
-    }
-
-    fn emit(
-        &mut self,
-        rec: &mut Recorder,
-        server: u32,
-        op: FsOp,
-        parent: Option<EventId>,
-    ) -> EventId {
-        self.live.server_mut(server).apply_fs(&op);
-        rec.record(
-            Layer::LocalFs,
-            Process::Server(server),
-            Payload::Fs { server, op },
-            parent,
-        )
-    }
-
     /// One durable DB update: append the record, then `fdatasync` —
-    /// exactly the Figure 9(b) pattern.
+    /// exactly the Figure 9(b) pattern. Returns the append.
     fn db_update(
         &mut self,
         rec: &mut Recorder,
         meta: u32,
         db: &str,
         record: String,
-        parent: Option<EventId>,
+        recv: EventId,
     ) -> EventId {
         let path = format!("/db/{db}");
-        let w = self.emit(
-            rec,
-            meta,
-            FsOp::Append {
-                path: path.clone(),
-                data: format!("{record}\n").into_bytes(),
-            },
-            parent,
-        );
-        self.emit(rec, meta, FsOp::Fdatasync { path }, Some(w));
+        let append = FsOp::Append {
+            path: path.clone(),
+            data: format!("{record}\n").into_bytes(),
+        };
+        let w = self.base.emit_fs(rec, meta, append, recv);
+        self.base.emit_fs(rec, meta, FsOp::Fdatasync { path }, w);
         w
-    }
-
-    fn bstream_path(handle: &str, stripe: u64) -> String {
-        format!("/bstreams/{handle}.{stripe}")
-    }
-
-    fn dir_info(&self, path: &str) -> PfsResult<&DirInfo> {
-        self.dirs
-            .get(path)
-            .ok_or_else(|| PfsError::UnknownPath(path.to_string()))
-    }
-
-    fn file_info(&self, path: &str) -> PfsResult<&FileInfo> {
-        self.files
-            .get(path)
-            .ok_or_else(|| PfsError::UnknownPath(path.to_string()))
-    }
-
-    fn file_mut(&mut self, path: &str) -> &mut FileInfo {
-        self.files
-            .get_mut(path)
-            .expect("invariant: file checked present earlier in this call")
-    }
-
-    /// RPC net routed through this instance's fault plane.
-    fn net<'a>(&'a mut self, rec: &'a mut Recorder) -> RpcNet<'a> {
-        RpcNet::faulty(rec, &mut self.faults)
     }
 
     fn do_creat(
@@ -222,42 +140,25 @@ impl OrangeFs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let pinfo = self.dir_info(&Self::parent_of(path))?.clone();
-        let meta = self.meta_server(pinfo.owner);
+        let pinfo = lookup(&self.dirs, &parent_of(path))?.clone();
+        let meta = self.base.meta_server(pinfo.owner);
         let handle = format!("h{}", self.next_id);
         self.next_id += 1;
-        let first = self.placement.file_index(path, self.n_storage());
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(meta),
-            &format!("CREATE {path}"),
-            Some(cev),
-        );
-        self.db_update(
-            rec,
-            meta,
-            "keyval.db",
-            format!("I {} {} F {handle}", pinfo.key, Self::name_of(path)),
-            Some(recv),
-        );
-        let w = self.db_update(
-            rec,
-            meta,
-            "attrs.db",
-            format!("A {handle} size=0;first={first}"),
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(meta), client, "OK", Some(w));
-        self.files.insert(
-            path.to_string(),
-            FileInfo {
-                handle,
-                first,
-                size: 0,
-                chunks: BTreeMap::new(),
-            },
-        );
+        let first = self.base.placement.file_index(path, self.base.n_storage());
+        let msg = format!("CREATE {path}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let dentry = format!("I {} {} F {handle}", pinfo.key, name_of(path));
+        self.db_update(rec, meta, "keyval.db", dentry, recv);
+        let attrs = format!("A {handle} size=0;first={first}");
+        let w = self.db_update(rec, meta, "attrs.db", attrs, recv);
+        self.base.reply(rec, meta, client, "OK", w);
+        let info = FileInfo {
+            handle,
+            first,
+            size: 0,
+            chunks: BTreeMap::new(),
+        };
+        self.files.insert(path.to_string(), info);
         Ok(())
     }
 
@@ -268,28 +169,16 @@ impl OrangeFs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let pinfo = self.dir_info(&Self::parent_of(path))?.clone();
+        let pinfo = lookup(&self.dirs, &parent_of(path))?.clone();
         let key = format!("d{}", self.next_id);
         self.next_id += 1;
-        let owner = self
-            .placement
-            .dir_index(path, self.topo.metadata_servers().len());
-        let meta = self.meta_server(pinfo.owner);
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(meta),
-            &format!("MKDIR {path}"),
-            Some(cev),
-        );
-        let w = self.db_update(
-            rec,
-            meta,
-            "keyval.db",
-            format!("I {} {} D {key}:{owner}", pinfo.key, Self::name_of(path)),
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(meta), client, "OK", Some(w));
+        let owner = self.base.placement.dir_index(path, self.base.n_meta());
+        let meta = self.base.meta_server(pinfo.owner);
+        let msg = format!("MKDIR {path}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let dentry = format!("I {} {} D {key}:{owner}", pinfo.key, name_of(path));
+        let w = self.db_update(rec, meta, "keyval.db", dentry, recv);
+        self.base.reply(rec, meta, client, "OK", w);
         self.dirs.insert(path.to_string(), DirInfo { key, owner });
         Ok(())
     }
@@ -303,82 +192,35 @@ impl OrangeFs {
         data: &[u8],
         cev: EventId,
     ) -> PfsResult<()> {
-        let info = self.file_info(path)?.clone();
-        let n = self.n_storage();
-        let mut off = offset;
-        let end = offset + data.len() as u64;
-        while off < end {
-            let stripe = off / self.stripe;
-            let stripe_end = (stripe + 1) * self.stripe;
-            let len = stripe_end.min(end) - off;
-            let storage = self.storage_server((info.first + stripe as usize) % n);
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(storage),
-                &format!("WRITE {path} stripe {stripe}"),
-                Some(cev),
-            );
-            let bs = Self::bstream_path(&info.handle, stripe);
-            let cur = self
-                .files
-                .get(path)
-                .and_then(|f| f.chunks.get(&stripe))
-                .copied();
-            if cur.is_none() {
-                self.emit(rec, storage, FsOp::Creat { path: bs.clone() }, Some(recv));
-                self.file_mut(path).chunks.insert(stripe, 0);
-            }
-            let cur = self.file_mut(path).chunks[&stripe];
-            let local = off - stripe * self.stripe;
-            let buf = data[(off - offset) as usize..(off - offset + len) as usize].to_vec();
+        let f = lookup_mut(&mut self.files, path)?;
+        let n = self.base.n_storage();
+        let base = &mut self.base;
+        for seg in stripe_segments(f.first, offset, data.len(), base.stripe, n) {
+            let storage = base.storage_server(seg.target);
+            let msg = format!("WRITE {path} stripe {}", seg.stripe);
+            let recv = base.request(rec, client, storage, &msg, cev);
             // bstream writes are NOT followed by fdatasync: only the
             // metadata side of OrangeFS is durable-by-construction
             // (this asymmetry is Table 3 bug 1).
-            let op = if local == cur {
-                FsOp::Append {
-                    path: bs,
-                    data: buf,
-                }
-            } else {
-                FsOp::Pwrite {
-                    path: bs,
-                    offset: local,
-                    data: buf,
-                }
-            };
-            let w = self.emit(rec, storage, op, Some(recv));
-            self.file_mut(path)
-                .chunks
-                .insert(stripe, (local + len).max(cur));
-            self.net(rec)
-                .reply(Process::Server(storage), client, "OK", Some(w));
-            off += len;
+            let bs = bstream_path(&f.handle, seg.stripe);
+            let w = base.write_chunk(rec, storage, bs, &mut f.chunks, &seg, data, recv);
+            base.reply(rec, storage, client, "OK", w);
         }
         // Durable size update in attrs.db on the metadata server.
-        let f = self.file_mut(path);
-        f.size = f.size.max(end);
-        let (handle, first, size) = (f.handle.clone(), f.first, f.size);
-        let pinfo = self.dir_info(&Self::parent_of(path))?.clone();
-        let meta = self.meta_server(pinfo.owner);
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(meta),
-            &format!("SETATTR {path}"),
-            Some(cev),
-        );
-        let w = self.db_update(
-            rec,
-            meta,
-            "attrs.db",
-            format!("A {handle} size={size};first={first}"),
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(meta), client, "OK", Some(w));
+        f.size = f.size.max(offset + data.len() as u64);
+        let attrs = format!("A {} size={};first={}", f.handle, f.size, f.first);
+        let owner = lookup(&self.dirs, &parent_of(path))?.owner;
+        let meta = self.base.meta_server(owner);
+        let msg = format!("SETATTR {path}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let w = self.db_update(rec, meta, "attrs.db", attrs, recv);
+        self.base.reply(rec, meta, client, "OK", w);
         Ok(())
     }
 
-    fn do_rename(
+    /// Directory rename within one parent: a single keyval record (one
+    /// atomic DB page update).
+    fn rename_dir(
         &mut self,
         rec: &mut Recorder,
         client: Process,
@@ -386,54 +228,32 @@ impl OrangeFs {
         dst: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        if self.dirs.contains_key(src) {
-            // Directory rename within one parent: a single keyval record
-            // (one atomic DB page update).
-            let pinfo = self.dir_info(&Self::parent_of(src))?.clone();
-            let meta = self.meta_server(pinfo.owner);
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(meta),
-                &format!("RENAME {src} {dst}"),
-                Some(cev),
-            );
-            let w = self.db_update(
-                rec,
-                meta,
-                "keyval.db",
-                format!(
-                    "M {} {} {}",
-                    pinfo.key,
-                    Self::name_of(src),
-                    Self::name_of(dst)
-                ),
-                Some(recv),
-            );
-            self.net(rec)
-                .reply(Process::Server(meta), client, "OK", Some(w));
-            let moved: Vec<(String, String)> = self
-                .dirs
-                .keys()
-                .chain(self.files.keys())
-                .filter(|k| *k == src || k.starts_with(&format!("{src}/")))
-                .map(|k| (k.clone(), format!("{dst}{}", &k[src.len()..])))
-                .collect();
-            for (old, new) in moved {
-                if let Some(v) = self.dirs.remove(&old) {
-                    self.dirs.insert(new.clone(), v);
-                }
-                if let Some(v) = self.files.remove(&old) {
-                    self.files.insert(new, v);
-                }
-            }
-            return Ok(());
-        }
-        let info = self.file_info(src)?.clone();
+        let pinfo = lookup(&self.dirs, &parent_of(src))?.clone();
+        let meta = self.base.meta_server(pinfo.owner);
+        let msg = format!("RENAME {src} {dst}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let moved = format!("M {} {} {}", pinfo.key, name_of(src), name_of(dst));
+        let w = self.db_update(rec, meta, "keyval.db", moved, recv);
+        self.base.reply(rec, meta, client, "OK", w);
+        rekey(&mut self.dirs, src, dst);
+        rekey(&mut self.files, src, dst);
+        Ok(())
+    }
+
+    fn rename_file(
+        &mut self,
+        rec: &mut Recorder,
+        client: Process,
+        src: &str,
+        dst: &str,
+        cev: EventId,
+    ) -> PfsResult<()> {
+        let info = lookup(&self.files, src)?.clone();
         let overwritten = self.files.get(dst).cloned();
-        let spinfo = self.dir_info(&Self::parent_of(src))?.clone();
-        let dpinfo = self.dir_info(&Self::parent_of(dst))?.clone();
-        let smeta = self.meta_server(spinfo.owner);
-        let dmeta = self.meta_server(dpinfo.owner);
+        let spinfo = lookup(&self.dirs, &parent_of(src))?.clone();
+        let dpinfo = lookup(&self.dirs, &parent_of(dst))?.clone();
+        let smeta = self.base.meta_server(spinfo.owner);
+        let dmeta = self.base.meta_server(dpinfo.owner);
 
         // Same-directory rename: a single keyval record (one DB page
         // update — Figure 9(b) traces exactly one `pwrite(keyval.db);
@@ -442,61 +262,26 @@ impl OrangeFs {
         // *insert before the delete* — the "updates … not issued in the
         // correct order" of §6.3.1 — leaving a durable window in which
         // the file exists in both directories (bug 4).
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(dmeta),
-            &format!("RENAME {src} {dst}"),
-            Some(cev),
-        );
+        let msg = format!("RENAME {src} {dst}");
+        let recv = self.base.request(rec, client, dmeta, &msg, cev);
         let mut last_meta_work;
         if spinfo.key == dpinfo.key {
-            last_meta_work = self.db_update(
-                rec,
-                smeta,
-                "keyval.db",
-                format!(
-                    "M {} {} {}",
-                    spinfo.key,
-                    Self::name_of(src),
-                    Self::name_of(dst)
-                ),
-                Some(recv),
-            );
+            let moved = format!("M {} {} {}", spinfo.key, name_of(src), name_of(dst));
+            last_meta_work = self.db_update(rec, smeta, "keyval.db", moved, recv);
         } else {
-            last_meta_work = self.db_update(
-                rec,
-                dmeta,
-                "keyval.db",
-                format!("I {} {} F {}", dpinfo.key, Self::name_of(dst), info.handle),
-                Some(recv),
-            );
-            let (_, recv2) = self.net(rec).request(
-                client,
-                Process::Server(smeta),
-                &format!("RENAME-OUT {src}"),
-                Some(cev),
-            );
-            let w = self.db_update(
-                rec,
-                smeta,
-                "keyval.db",
-                format!("D {} {}", spinfo.key, Self::name_of(src)),
-                Some(recv2),
-            );
-            self.net(rec)
-                .reply(Process::Server(smeta), client, "OK", Some(w));
+            let insert = format!("I {} {} F {}", dpinfo.key, name_of(dst), info.handle);
+            last_meta_work = self.db_update(rec, dmeta, "keyval.db", insert, recv);
+            let msg = format!("RENAME-OUT {src}");
+            let recv2 = self.base.request(rec, client, smeta, &msg, cev);
+            let delete = format!("D {} {}", spinfo.key, name_of(src));
+            let w = self.db_update(rec, smeta, "keyval.db", delete, recv2);
+            self.base.reply(rec, smeta, client, "OK", w);
         }
         if let Some(old) = &overwritten {
-            last_meta_work = self.db_update(
-                rec,
-                dmeta,
-                "attrs.db",
-                format!("R {}", old.handle),
-                Some(recv),
-            );
+            let remove = format!("R {}", old.handle);
+            last_meta_work = self.db_update(rec, dmeta, "attrs.db", remove, recv);
         }
-        self.net(rec)
-            .reply(Process::Server(dmeta), client, "OK", Some(last_meta_work));
+        self.base.reply(rec, dmeta, client, "OK", last_meta_work);
 
         // Storage-side cleanup of the overwritten file's bstreams:
         // rename to `stranded`, then unlink (Figure 9(b)).
@@ -509,27 +294,18 @@ impl OrangeFs {
     }
 
     fn strand_bstreams(&mut self, rec: &mut Recorder, meta: u32, info: &FileInfo) {
-        let n = self.n_storage();
         for &stripe in info.chunks.keys() {
-            let storage = self.storage_server((info.first + stripe as usize) % n);
-            let (_, recv) = self.net(rec).message(
-                Process::Server(meta),
-                Process::Server(storage),
-                &format!("REMOVE-BSTREAM {}.{stripe}", info.handle),
-                None,
-            );
-            let bs = Self::bstream_path(&info.handle, stripe);
+            let storage = self.base.stripe_server(info.first, stripe);
+            let msg = format!("REMOVE-BSTREAM {}.{stripe}", info.handle);
+            let recv = self.base.notify(rec, meta, storage, &msg, None);
             let stranded = format!("/bstreams/stranded-{}.{stripe}", info.handle);
-            let r = self.emit(
-                rec,
-                storage,
-                FsOp::Rename {
-                    src: bs,
-                    dst: stranded.clone(),
-                },
-                Some(recv),
-            );
-            self.emit(rec, storage, FsOp::Unlink { path: stranded }, Some(r));
+            let rename = FsOp::Rename {
+                src: bstream_path(&info.handle, stripe),
+                dst: stranded.clone(),
+            };
+            let r = self.base.emit_fs(rec, storage, rename, recv);
+            let op = FsOp::Unlink { path: stranded };
+            self.base.emit_fs(rec, storage, op, r);
         }
     }
 
@@ -540,67 +316,52 @@ impl OrangeFs {
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let info = self.file_info(path)?.clone();
-        let pinfo = self.dir_info(&Self::parent_of(path))?.clone();
-        let meta = self.meta_server(pinfo.owner);
-        let (_, recv) = self.net(rec).request(
-            client,
-            Process::Server(meta),
-            &format!("UNLINK {path}"),
-            Some(cev),
-        );
-        self.db_update(
-            rec,
-            meta,
-            "keyval.db",
-            format!("D {} {}", pinfo.key, Self::name_of(path)),
-            Some(recv),
-        );
-        let w = self.db_update(
-            rec,
-            meta,
-            "attrs.db",
-            format!("R {}", info.handle),
-            Some(recv),
-        );
-        self.net(rec)
-            .reply(Process::Server(meta), client, "OK", Some(w));
+        let info = lookup(&self.files, path)?.clone();
+        let pinfo = lookup(&self.dirs, &parent_of(path))?.clone();
+        let meta = self.base.meta_server(pinfo.owner);
+        let msg = format!("UNLINK {path}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let delete = format!("D {} {}", pinfo.key, name_of(path));
+        self.db_update(rec, meta, "keyval.db", delete, recv);
+        let remove = format!("R {}", info.handle);
+        let w = self.db_update(rec, meta, "attrs.db", remove, recv);
+        self.base.reply(rec, meta, client, "OK", w);
         self.strand_bstreams(rec, meta, &info);
         self.files.remove(path);
         Ok(())
     }
 
-    fn do_fsync(
+    fn do_rmdir(
         &mut self,
         rec: &mut Recorder,
         client: Process,
         path: &str,
         cev: EventId,
     ) -> PfsResult<()> {
-        let Some(info) = self.files.get(path).cloned() else {
-            return Ok(());
-        };
-        let n = self.n_storage();
-        for &stripe in info.chunks.keys() {
-            let storage = self.storage_server((info.first + stripe as usize) % n);
-            let (_, recv) = self.net(rec).request(
-                client,
-                Process::Server(storage),
-                &format!("FLUSH {path} stripe {stripe}"),
-                Some(cev),
-            );
-            let w = self.emit(
-                rec,
-                storage,
-                FsOp::Fdatasync {
-                    path: Self::bstream_path(&info.handle, stripe),
-                },
-                Some(recv),
-            );
-            self.net(rec)
-                .reply(Process::Server(storage), client, "OK", Some(w));
-        }
+        let pinfo = lookup(&self.dirs, &parent_of(path))?.clone();
+        let meta = self.base.meta_server(pinfo.owner);
+        let msg = format!("RMDIR {path}");
+        let recv = self.base.request(rec, client, meta, &msg, cev);
+        let delete = format!("D {} {}", pinfo.key, name_of(path));
+        let w = self.db_update(rec, meta, "keyval.db", delete, recv);
+        self.base.reply(rec, meta, client, "OK", w);
+        self.dirs.remove(path);
         Ok(())
+    }
+
+    fn do_fsync(&mut self, rec: &mut Recorder, client: Process, path: &str, cev: EventId) {
+        let Some(info) = self.files.get(path).cloned() else {
+            return;
+        };
+        for &stripe in info.chunks.keys() {
+            let storage = self.base.stripe_server(info.first, stripe);
+            let msg = format!("FLUSH {path} stripe {stripe}");
+            let recv = self.base.request(rec, client, storage, &msg, cev);
+            let path = bstream_path(&info.handle, stripe);
+            let op = FsOp::Fdatasync { path };
+            let w = self.base.emit_fs(rec, storage, op, recv);
+            self.base.reply(rec, storage, client, "OK", w);
+        }
     }
 
     /// Replay a keyval.db file into `dirkey → name → record` maps.
@@ -663,25 +424,20 @@ impl OrangeFs {
         vpath: &str,
         view: &mut PfsView,
     ) {
-        let meta = self.meta_server(owner);
-        let fs = states.server(meta).as_fs();
+        let fs = states.server(self.base.meta_server(owner)).as_fs();
         let keyval = Self::parse_keyval(fs);
         // Attributes live on the metadata server that created the handle
         // — not necessarily the directory's owner — so resolve against
         // the union of all attrs databases.
         let mut attrs = BTreeMap::new();
-        for &m in &self.topo.metadata_servers() {
+        for m in self.base.topo.metadata_servers() {
             attrs.extend(Self::parse_attrs(states.server(m).as_fs()));
         }
         let Some(entries) = keyval.get(key) else {
             return;
         };
         for (name, record) in entries {
-            let child = if vpath == "/" {
-                format!("/{name}")
-            } else {
-                format!("{vpath}/{name}")
-            };
+            let child = child_path(vpath, name);
             let parts: Vec<&str> = record.split_whitespace().collect();
             match parts.as_slice() {
                 ["D", spec] => {
@@ -696,27 +452,11 @@ impl OrangeFs {
                         // simply not visible.
                         continue;
                     };
-                    let mut first = 0usize;
-                    for p in a.split(';') {
-                        if let Some(v) = p.strip_prefix("first=") {
-                            first = v.parse().unwrap_or(0);
-                        }
-                    }
-                    // Content = the bstreams, concatenated until the
-                    // first gap.
-                    let mut content = Vec::new();
-                    for stripe in 0.. {
-                        let storage =
-                            self.storage_server((first + stripe as usize) % self.n_storage());
-                        match states
-                            .server(storage)
-                            .as_fs()
-                            .read(&Self::bstream_path(handle, stripe))
-                        {
-                            Ok(d) => content.extend_from_slice(d),
-                            Err(_) => break,
-                        }
-                    }
+                    let first: usize = attr_num(a, "first");
+                    let content = read_striped(states, |stripe| {
+                        let storage = self.base.stripe_server(first, stripe);
+                        (storage, bstream_path(handle, stripe))
+                    });
                     view.add_file(child, content);
                 }
                 _ => {}
@@ -730,78 +470,39 @@ impl Pfs for OrangeFs {
         "OrangeFS"
     }
 
-    fn topology(&self) -> &ClusterTopology {
-        &self.topo
+    fn base(&self) -> &ModelBase {
+        &self.base
     }
 
-    fn stripe_size(&self) -> u64 {
-        self.stripe
+    fn base_mut(&mut self) -> &mut ModelBase {
+        &mut self.base
     }
 
-    fn dispatch(
+    fn handle(
         &mut self,
         rec: &mut Recorder,
         client: Process,
         call: &PfsCall,
-        parent: Option<EventId>,
-    ) -> PfsResult<EventId> {
-        let cev = rec.record(
-            Layer::PfsClient,
-            client,
-            Payload::Call {
-                name: call.name().into(),
-                args: call.args(),
-            },
-            parent,
-        );
+        cev: EventId,
+    ) -> PfsResult<()> {
         match call {
-            PfsCall::Creat { path } => self.do_creat(rec, client, path, cev)?,
-            PfsCall::Mkdir { path } => self.do_mkdir(rec, client, path, cev)?,
+            PfsCall::Creat { path } => self.do_creat(rec, client, path, cev),
+            PfsCall::Mkdir { path } => self.do_mkdir(rec, client, path, cev),
             PfsCall::Pwrite { path, offset, data } => {
-                self.do_pwrite(rec, client, path, *offset, data, cev)?
+                self.do_pwrite(rec, client, path, *offset, data, cev)
             }
-            PfsCall::Rename { src, dst } => self.do_rename(rec, client, src, dst, cev)?,
-            PfsCall::Unlink { path } => self.do_unlink(rec, client, path, cev)?,
-            PfsCall::Rmdir { path } => {
-                let pinfo = self.dir_info(&Self::parent_of(path))?.clone();
-                let meta = self.meta_server(pinfo.owner);
-                let (_, recv) = self.net(rec).request(
-                    client,
-                    Process::Server(meta),
-                    &format!("RMDIR {path}"),
-                    Some(cev),
-                );
-                let w = self.db_update(
-                    rec,
-                    meta,
-                    "keyval.db",
-                    format!("D {} {}", pinfo.key, Self::name_of(path)),
-                    Some(recv),
-                );
-                self.net(rec)
-                    .reply(Process::Server(meta), client, "OK", Some(w));
-                self.dirs.remove(path);
+            PfsCall::Rename { src, dst } if self.dirs.contains_key(src) => {
+                self.rename_dir(rec, client, src, dst, cev)
             }
-            PfsCall::Close { .. } => {}
-            PfsCall::Fsync { path } => self.do_fsync(rec, client, path, cev)?,
+            PfsCall::Rename { src, dst } => self.rename_file(rec, client, src, dst, cev),
+            PfsCall::Unlink { path } => self.do_unlink(rec, client, path, cev),
+            PfsCall::Rmdir { path } => self.do_rmdir(rec, client, path, cev),
+            PfsCall::Close { .. } => Ok(()),
+            PfsCall::Fsync { path } => {
+                self.do_fsync(rec, client, path, cev);
+                Ok(())
+            }
         }
-        Ok(cev)
-    }
-
-    fn seal_baseline(&mut self) {
-        self.baseline = self.live.fork();
-    }
-
-    fn baseline(&self) -> &ServerStates {
-        &self.baseline
-    }
-
-    fn live(&self) -> &ServerStates {
-        &self.live
-    }
-
-    fn install_faults(&mut self, cfg: FaultConfig) {
-        self.faults = FaultPlane::new(cfg);
     }
 
     fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
@@ -810,7 +511,7 @@ impl Pfs for OrangeFs {
         let _span = pc_rt::obs::span_cat("recover/OrangeFS", "pfs");
         let mut report = RecoveryReport::clean("pvfs2-fsck");
         let mut live_handles: Vec<String> = Vec::new();
-        for &m in &self.topo.metadata_servers() {
+        for m in self.base.topo.metadata_servers() {
             let fs = states.server(m).as_fs();
             live_handles.extend(Self::parse_attrs(fs).keys().cloned());
             for (dirkey, entries) in Self::parse_keyval(fs) {
@@ -826,7 +527,7 @@ impl Pfs for OrangeFs {
                 }
             }
         }
-        for &s in &self.topo.storage_servers() {
+        for s in self.base.topo.storage_servers() {
             let fs = states.server(s).as_fs().fork();
             let Ok(names) = fs.readdir("/bstreams") else {
                 continue;
@@ -854,9 +555,7 @@ impl Pfs for OrangeFs {
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
         let mut view = PfsView::new();
-        let root_owner = self
-            .placement
-            .dir_index("/", self.topo.metadata_servers().len());
+        let root_owner = self.base.placement.dir_index("/", self.base.n_meta());
         self.walk_dir(states, "root", root_owner, "/", &mut view);
         view
     }
@@ -869,21 +568,14 @@ impl Pfs for OrangeFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::testkit::*;
+    use tracer::Payload;
 
     #[test]
     fn db_updates_are_each_followed_by_fdatasync() {
         let mut fs = OrangeFs::paper_default();
         let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/foo".into(),
-            },
-            None,
-        )
-        .unwrap();
+        drive(&mut fs, &mut rec, &[creat("/foo")]);
         let ops: Vec<&FsOp> = rec
             .lowermost_events()
             .into_iter()
@@ -908,30 +600,8 @@ mod tests {
     #[test]
     fn view_reconstructs_files_from_db_and_bstreams() {
         let mut fs = OrangeFs::paper_default();
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Mkdir { path: "/A".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/A/foo".into(),
-            },
-            None,
-        )
-        .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/A/foo".into(),
-                offset: 0,
-                data: b"orange".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
+        let calls = [mkdir("/A"), creat("/A/foo"), pwrite("/A/foo", 0, b"orange")];
+        drive(&mut fs, &mut Recorder::new(), &calls);
         let view = fs.client_view(fs.live());
         assert!(view.has_dir("/A"));
         assert_eq!(view.read("/A/foo"), Some(&b"orange"[..]));
@@ -941,27 +611,9 @@ mod tests {
     fn same_dir_rename_is_one_atomic_record() {
         let mut fs = OrangeFs::paper_default();
         let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/tmp".into(),
-            },
-            None,
-        )
-        .unwrap();
+        drive(&mut fs, &mut rec, &[creat("/tmp")]);
         let before = rec.len();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Rename {
-                src: "/tmp".into(),
-                dst: "/file".into(),
-            },
-            None,
-        )
-        .unwrap();
+        drive(&mut fs, &mut rec, &[rename("/tmp", "/file")]);
         let records: Vec<String> = rec.events()[before..]
             .iter()
             .filter_map(|e| match &e.payload {
@@ -981,33 +633,11 @@ mod tests {
     #[test]
     fn cross_dir_rename_is_insert_then_delete_bug4_window() {
         let mut fs = OrangeFs::paper_default();
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Mkdir { path: "/A".into() }, None)
-            .unwrap();
-        fs.dispatch(&mut rec, c, &PfsCall::Mkdir { path: "/B".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Creat {
-                path: "/A/foo".into(),
-            },
-            None,
-        )
-        .unwrap();
+        let preamble = [mkdir("/A"), mkdir("/B"), creat("/A/foo")];
+        drive(&mut fs, &mut Recorder::new(), &preamble);
         fs.seal_baseline();
         let mut rec = Recorder::new();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Rename {
-                src: "/A/foo".into(),
-                dst: "/B/foo".into(),
-            },
-            None,
-        )
-        .unwrap();
+        drive(&mut fs, &mut rec, &[rename("/A/foo", "/B/foo")]);
         // Crash after the insert but before the delete: foo in BOTH dirs.
         let low = rec.lowermost_events();
         // Insert record + its fdatasync are the first two lowermost ops.
@@ -1025,25 +655,11 @@ mod tests {
     #[test]
     fn fsck_collects_stranded_bstreams() {
         let mut fs = OrangeFs::paper_default();
-        let mut rec = Recorder::new();
-        let c = Process::Client(0);
-        fs.dispatch(&mut rec, c, &PfsCall::Creat { path: "/f".into() }, None)
-            .unwrap();
-        fs.dispatch(
-            &mut rec,
-            c,
-            &PfsCall::Pwrite {
-                path: "/f".into(),
-                offset: 0,
-                data: b"x".to_vec(),
-            },
-            None,
-        )
-        .unwrap();
+        let preamble = [creat("/f"), pwrite("/f", 0, b"x")];
+        drive(&mut fs, &mut Recorder::new(), &preamble);
         fs.seal_baseline();
         let mut rec = Recorder::new();
-        fs.dispatch(&mut rec, c, &PfsCall::Unlink { path: "/f".into() }, None)
-            .unwrap();
+        drive(&mut fs, &mut rec, &[unlink("/f")]);
         // Crash state: rename-to-stranded persisted, final unlink not.
         let keep: Vec<EventId> = rec
             .lowermost_events()

@@ -8,7 +8,7 @@
 //! distribution patterns" (§6.2). [`Placement`] makes that pattern an
 //! explicit, overridable input.
 
-use pc_rt::hash::{fnv1a_fold, FNV_OFFSET_BASIS};
+use pc_rt::hash::{fnv1a_fold, FNV_OFFSET_BASIS, LONG_PRIME};
 use pc_rt::intern::Sym;
 use std::collections::BTreeMap;
 
@@ -57,14 +57,11 @@ impl Placement {
         self.dir_overrides.get(&Sym::new(dir)).copied()
     }
 
-    /// Stable FNV-1a-shaped hash — placement must be identical across
-    /// runs and across the fresh replays used for golden-state
-    /// generation. The multiplier is one hex digit longer than
-    /// `FNV_PRIME`; every placement index so far was computed with it
-    /// (it only agrees with the real prime for power-of-two server
-    /// counts), so it stays.
+    /// Stable hash — placement must be identical across runs and across
+    /// the fresh replays used for golden-state generation. Every index
+    /// so far was computed with [`LONG_PRIME`], so it stays.
     fn fnv(s: &str) -> u64 {
-        fnv1a_fold(FNV_OFFSET_BASIS, s.as_bytes(), 0x1000_0000_01b3)
+        fnv1a_fold(FNV_OFFSET_BASIS, s.as_bytes(), LONG_PRIME)
     }
 
     /// Index (into the metadata-server list) owning directory `dir`.
@@ -82,49 +79,6 @@ impl Placement {
         self.file_pin(file)
             .unwrap_or_else(|| (Self::fnv(file) as usize) % n_storage)
             % n_storage
-    }
-
-    /// The storage-server index for byte `offset` of `file` under
-    /// round-robin striping with the given stripe size (Table 2: chunks
-    /// "stored across data servers in a round-robin manner").
-    pub fn stripe_index(
-        &self,
-        file: &str,
-        offset: u64,
-        stripe_size: u64,
-        n_storage: usize,
-    ) -> usize {
-        let first = self.file_index(file, n_storage);
-        let stripe = (offset / stripe_size) as usize;
-        (first + stripe) % n_storage
-    }
-
-    /// Split a byte range into per-stripe segments:
-    /// `(storage_index, stripe_number, offset_within_file, len)`.
-    pub fn split_extent(
-        &self,
-        file: &str,
-        offset: u64,
-        len: u64,
-        stripe_size: u64,
-        n_storage: usize,
-    ) -> Vec<(usize, u64, u64, u64)> {
-        let mut out = Vec::new();
-        let mut off = offset;
-        let end = offset + len;
-        while off < end {
-            let stripe = off / stripe_size;
-            let stripe_end = (stripe + 1) * stripe_size;
-            let seg_len = stripe_end.min(end) - off;
-            out.push((
-                self.stripe_index(file, off, stripe_size, n_storage),
-                stripe,
-                off,
-                seg_len,
-            ));
-            off += seg_len;
-        }
-        out
     }
 }
 
@@ -146,36 +100,5 @@ mod tests {
         assert_eq!(p.file_index("/foo", 4), 3);
         // Overrides are taken modulo the server count.
         assert_eq!(p.file_index("/foo", 2), 1);
-    }
-
-    #[test]
-    fn striping_is_round_robin_from_first() {
-        let p = Placement::new().pin_file("/big", 1);
-        let ss = 128 * 1024;
-        assert_eq!(p.stripe_index("/big", 0, ss, 4), 1);
-        assert_eq!(p.stripe_index("/big", ss, ss, 4), 2);
-        assert_eq!(p.stripe_index("/big", 3 * ss, ss, 4), 0);
-    }
-
-    #[test]
-    fn extent_split_covers_range_exactly() {
-        let p = Placement::new().pin_file("/f", 0);
-        let segs = p.split_extent("/f", 100, 300, 128, 2);
-        let total: u64 = segs.iter().map(|s| s.3).sum();
-        assert_eq!(total, 300);
-        // First segment ends at the stripe boundary.
-        assert_eq!(segs[0], (0, 0, 100, 28));
-        assert_eq!(segs[1].0, 1); // next stripe on next server
-                                  // Offsets are contiguous.
-        for w in segs.windows(2) {
-            assert_eq!(w[0].2 + w[0].3, w[1].2);
-        }
-    }
-
-    #[test]
-    fn small_write_stays_on_one_server() {
-        let p = Placement::new();
-        let segs = p.split_extent("/small", 0, 64, 128 * 1024, 4);
-        assert_eq!(segs.len(), 1);
     }
 }

@@ -4,17 +4,24 @@
 //! toolchains — corpus digests, behavior classes, placement indices and
 //! commit-record checksums must never move under a compiler bump.
 //!
-//! Two historical call sites (`pfs::placement`, `simfs::journal`) fold
-//! with a multiplier that is *not* [`FNV_PRIME`] (one and two hex digits
-//! longer); every placement index and commit-record checksum the pinned
-//! outputs rest on was computed with them, so they keep their constant
-//! and share the loop through [`fnv1a_fold`].
+//! Some historical call sites fold with a multiplier that is *not*
+//! [`FNV_PRIME`]: [`LONG_PRIME`] (one hex digit longer; placement
+//! indices, GPFS LBAs, HDF5 fill bytes) and `simfs::journal`'s own (two
+//! digits longer; commit-record checksums). Every pinned output rests
+//! on the values they produce, so they keep their constants and share
+//! the loop through [`fnv1a_fold`].
 
 /// The FNV-1a digest of no bytes.
 pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The 64-bit FNV prime, 2^40 + 2^8 + 0xb3.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 2^44 + 2^8 + 0xb3 — [`FNV_PRIME`] with one hex digit too many, so
+/// digests agree with real FNV-1a only modulo 2^40. Kept because
+/// `pfs::placement` indices, `pfs::gpfs` LBAs and `h5sim` dataset fill
+/// bytes were all first computed with it.
+pub const LONG_PRIME: u64 = 0x1000_0000_01b3;
 
 /// Fold `bytes` into the running digest `h`, xor-then-multiply by
 /// `prime`. [`fnv1a_extend`] is this with [`FNV_PRIME`].

@@ -119,6 +119,9 @@ cargo test -q --offline --workspace
 echo "== gate 3: formatting + warning-free build =="
 cargo fmt --check
 RUSTFLAGS="-D warnings" cargo build --offline --workspace
+# The plumbing pfs::ModelBase owns must not grow back into a model file.
+grep -nE 'fn (emit|net|parent_of|name_of|seal_baseline|baseline|live|install_faults)\b' \
+    crates/pfs/src/{beegfs,orangefs,glusterfs,gpfs,lustre,ext4}.rs && { echo "FAIL: model redefines base plumbing"; exit 1; } || true
 
 echo "== gate 4: check_stack vs check_reference, sequential and parallel; wide property sweep; benchmark smoke =="
 PC_THREADS=1 cargo test -q --offline --test differential

@@ -3,8 +3,7 @@
 //! a diagnostic entry while the rest of the run completes.
 
 use paracrash_suite::paracrash::{check_stack, CheckConfig};
-use pfs::{Pfs, PfsCall, PfsResult, PfsView, RecoveryReport, ServerStates};
-use simnet::{ClusterTopology, FaultConfig};
+use pfs::{ModelBase, Pfs, PfsCall, PfsResult, PfsView, RecoveryReport, ServerStates};
 use tracer::{EventId, Process, Recorder};
 use workloads::{FsKind, Params, Program};
 
@@ -16,32 +15,20 @@ impl Pfs for PoisonedRecover {
     fn name(&self) -> &'static str {
         self.0.name()
     }
-    fn topology(&self) -> &ClusterTopology {
-        self.0.topology()
+    fn base(&self) -> &ModelBase {
+        self.0.base()
     }
-    fn stripe_size(&self) -> u64 {
-        self.0.stripe_size()
+    fn base_mut(&mut self) -> &mut ModelBase {
+        self.0.base_mut()
     }
-    fn dispatch(
+    fn handle(
         &mut self,
         rec: &mut Recorder,
         client: Process,
         call: &PfsCall,
-        parent: Option<EventId>,
-    ) -> PfsResult<EventId> {
-        self.0.dispatch(rec, client, call, parent)
-    }
-    fn install_faults(&mut self, cfg: FaultConfig) {
-        self.0.install_faults(cfg)
-    }
-    fn seal_baseline(&mut self) {
-        self.0.seal_baseline()
-    }
-    fn baseline(&self) -> &ServerStates {
-        self.0.baseline()
-    }
-    fn live(&self) -> &ServerStates {
-        self.0.live()
+        cev: EventId,
+    ) -> PfsResult<()> {
+        self.0.handle(rec, client, call, cev)
     }
     fn recover(&self, _states: &mut ServerStates) -> RecoveryReport {
         panic!("poisoned recover");
