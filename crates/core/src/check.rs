@@ -28,9 +28,10 @@ use crate::report::{op_detail, OpSigs};
 use crate::snapshot::{prepare_states, SnapshotPlan};
 use crate::stack::{replay_h5, replay_pfs, Stack, StackFactory};
 use h5sim::{check as h5check, check_lenient, h5clear, H5Logical};
-use pfs::{recover_and_mount, PfsCall, PfsView};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use pc_rt::pool::lock;
+use pfs::{recover_and_mount, PfsCall, PfsView, ServerStates};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tracer::{BitSet, CausalityGraph, EventId, Layer, Recorder};
 
@@ -250,6 +251,12 @@ type Bugs = BTreeMap<(BugSignature, LayerVerdict), (Inconsistency, usize)>;
 // `check_stack` is that chain. `check_reference` shares every stage
 // except materialize / legal_and_verdicts — how a crash state becomes a
 // recovered view — which it replaces with the obvious per-state loop.
+//
+// Three stages turn on-disk images into recovered views: the verdict
+// tasks (one image per prefix-tree representative), the classifier's
+// flip oracle in prune_and_classify (hypothetical persisted sets) and
+// explain's ddmin probes. All three ask the analysis' `RecoveryMemo`,
+// so within one check an image is recovered once, whoever asks first.
 
 /// Stage 1 output: everything derived from the traced run alone.
 struct Analysis<'a> {
@@ -267,6 +274,123 @@ struct Analysis<'a> {
     /// unmodified-dataset rule.
     baseline_h5: Option<H5Logical>,
     modified_keys: BTreeSet<String>,
+    memo: RecoveryMemo,
+}
+
+/// One crash state after the PFS's recovery tool and a remount, plus
+/// the I/O-library facts that are a function of the view alone — parsed
+/// on first use, then shared by every verdict taken on this view.
+pub(crate) struct Recovered {
+    pub(crate) view: PfsView,
+    /// `h5check` of the library file, `h5clear`ed first if it must be.
+    strict: OnceLock<Option<H5Logical>>,
+    /// Whether the view breaks the baseline model's unmodified-dataset
+    /// rule.
+    violates_baseline: OnceLock<bool>,
+}
+
+impl Recovered {
+    /// Run the recovery tool on a fork of `image` and mount the result.
+    fn of(pfs: &dyn pfs::Pfs, image: &ServerStates) -> Recovered {
+        pc_rt::obs::count("recover.executed", 1);
+        Recovered::mounted(recover_and_mount(pfs, &mut image.fork()).1)
+    }
+
+    fn mounted(view: PfsView) -> Recovered {
+        Recovered {
+            view,
+            strict: OnceLock::new(),
+            violates_baseline: OnceLock::new(),
+        }
+    }
+}
+
+type Slot = Arc<OnceLock<Arc<Recovered>>>;
+
+/// The per-check recovery memo: `persisted set → pre-recovery digest →
+/// Arc<Recovered>`.
+///
+/// Level 2 is the key that matters. Recovery and mounting read nothing
+/// but the server stores, `ServerStates::digest()` hashes the stores'
+/// whole logical content (every path, byte and xattr; memoised per COW
+/// store), so two images with one digest recover to one view however
+/// they were produced — by the prefix tree, by a classifier probe or by
+/// a ddmin round. It is the identity `rep_digests` and `distinct_replays`
+/// already rest on. Level 1 only spares a repeated classifier probe the
+/// fork + `apply_events` + digest it takes to reach level 2.
+///
+/// A slot is handed out under the map lock and filled outside it, so a
+/// digest is recovered once on any `PC_THREADS`; a panicking recovery
+/// tool leaves the slot empty and every state that asks for it gets the
+/// panic, as if it had recovered on its own. Bounded by states + probes
+/// per check. States that torn-write widening makes unique never come
+/// here, and `check_reference` runs with [`RecoveryMemo::never`]: it is
+/// this memo's oracle, so it recovers every request afresh.
+struct RecoveryMemo(Option<Mutex<MemoMaps>>);
+
+#[derive(Default)]
+struct MemoMaps {
+    by_set: HashMap<BitSet, Slot>,
+    by_digest: HashMap<u64, Slot>,
+}
+
+impl RecoveryMemo {
+    fn new() -> RecoveryMemo {
+        RecoveryMemo(Some(Mutex::default()))
+    }
+
+    /// The memo that stores nothing.
+    fn never() -> RecoveryMemo {
+        RecoveryMemo(None)
+    }
+
+    /// The recovered view of a materialized pre-recovery `image`.
+    fn of_image(&self, pfs: &dyn pfs::Pfs, image: &ServerStates) -> Arc<Recovered> {
+        self.fill(pfs, image, None)
+    }
+
+    /// The recovered view of the baseline with `persisted` applied.
+    fn of_set(&self, stack: &Stack, persisted: &BitSet) -> Arc<Recovered> {
+        if let Some(maps) = &self.0 {
+            let slot = lock(maps).by_set.get(persisted).cloned();
+            if let Some(recovered) = slot.as_ref().and_then(|slot| slot.get()) {
+                pc_rt::obs::count("recover.shared_set", 1);
+                return recovered.clone();
+            }
+        }
+        let mut image = stack.pfs.baseline().fork();
+        image.apply_events(&stack.rec, persisted.iter());
+        self.fill(stack.pfs.as_ref(), &image, Some(persisted))
+    }
+
+    fn fill(
+        &self,
+        pfs: &dyn pfs::Pfs,
+        image: &ServerStates,
+        set: Option<&BitSet>,
+    ) -> Arc<Recovered> {
+        let Some(maps) = &self.0 else {
+            return Arc::new(Recovered::of(pfs, image));
+        };
+        let digest = image.digest();
+        let slot = {
+            let mut maps = lock(maps);
+            let slot = maps.by_digest.entry(digest).or_default().clone();
+            if let Some(set) = set {
+                maps.by_set.insert(set.clone(), slot.clone());
+            }
+            slot
+        };
+        let mut executed = false;
+        let recovered = slot.get_or_init(|| {
+            executed = true;
+            Arc::new(Recovered::of(pfs, image))
+        });
+        if !executed {
+            pc_rt::obs::count("recover.shared_digest", 1);
+        }
+        recovered.clone()
+    }
 }
 
 /// The layer calls one cut may have preserved: PFS-client calls, and
@@ -323,7 +447,7 @@ struct Classified {
     diagnostics: Vec<String>,
 }
 
-fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig) -> Analysis<'a> {
+fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig, memo: RecoveryMemo) -> Analysis<'a> {
     let stage = pc_rt::obs::span_cat("check.analyze", "check");
     let graph = CausalityGraph::build(&stack.rec);
     let pa = PersistAnalysis::build(&stack.rec, &graph, |s| stack.journal_of(s));
@@ -344,6 +468,7 @@ fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig) -> Analysis<'a> {
             view.read(p).and_then(|b| h5check(b).ok())
         }),
         modified_keys: modified_dataset_keys(stack),
+        memo,
     }
 }
 
@@ -423,24 +548,17 @@ fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
         .map_err(|p| pc_rt::pool::panic_message(p.as_ref()))
 }
 
-/// The model `view` violates at the layer the run checks top-down
+/// The model `recovered` violates at the layer the run checks top-down
 /// (`None` = consistent): the I/O library's when the program uses it,
 /// otherwise the PFS's.
 fn violated_model(
     a: &Analysis,
-    view: &PfsView,
+    recovered: &Recovered,
     (legal_views, legal_h5): &LegalStates,
 ) -> Option<Model> {
     match &a.stack.h5_path {
-        Some(path) => h5_verdict(
-            a.cfg,
-            path,
-            view,
-            legal_h5,
-            a.baseline_h5.as_ref(),
-            &a.modified_keys,
-        ),
-        None => (!is_legal(legal_views, view)).then_some(a.cfg.pfs_model),
+        Some(path) => h5_verdict(a, path, recovered, legal_h5),
+        None => (!is_legal(legal_views, &recovered.view)).then_some(a.cfg.pfs_model),
     }
 }
 
@@ -451,9 +569,9 @@ fn is_legal<T: PartialEq>(legal: &[Arc<T>], state: &T) -> bool {
 
 /// Figure 6 for one recovered view: a legal PFS state under an illegal
 /// I/O-library state blames the library, anything else the PFS.
-fn layer_verdict(a: &Analysis, view: &PfsView, legal: &LegalStates) -> Verdict {
-    violated_model(a, view, legal).map(|violated| {
-        let layer = if a.stack.h5_path.is_some() && is_legal(&legal.0, view) {
+fn layer_verdict(a: &Analysis, recovered: &Recovered, legal: &LegalStates) -> Verdict {
+    violated_model(a, recovered, legal).map(|violated| {
+        let layer = if a.stack.h5_path.is_some() && is_legal(&legal.0, &recovered.view) {
             LayerVerdict::IoLibBug
         } else {
             LayerVerdict::PfsBug
@@ -464,42 +582,35 @@ fn layer_verdict(a: &Analysis, view: &PfsView, legal: &LegalStates) -> Verdict {
 
 /// Stage 4's per-state task: recover and mount crash state `i`, then
 /// judge it. Crash states whose storage-event sequences land on the
-/// same prefix-tree terminal have *identical* prepared snapshots, so
-/// recovery and mounting — the dominant per-state cost — runs once per
-/// representative into `shared_views`. Only a state whose on-disk image
+/// same prefix-tree terminal have *identical* prepared snapshots, so the
+/// memo is asked for the representative's image (one digest per
+/// representative, not per state). Only a state whose on-disk image
 /// fault widening can make unique (torn writes with live victims)
-/// recovers on its own. Recovery is deterministic on the store state, so
-/// both paths produce bit-identical views.
+/// recovers on its own, past the memo. Recovery is deterministic on the
+/// store state, so both paths produce bit-identical views.
 fn verdict_of(
     a: &Analysis,
     e: &Enumerated,
     m: &Materialized,
-    shared_views: &[OnceLock<PfsView>],
     i: usize,
     legal: &LegalStates,
 ) -> Verdict {
     let (stack, state) = (a.stack, &e.states[i]);
-    let owned: PfsView;
-    let view = if a.cfg.faults.torn_writes && !state.victims.is_empty() {
+    let recovered = if a.cfg.faults.torn_writes && !state.victims.is_empty() {
         let mut st = m.plan.prepared[i].fork();
         st.apply_torn_victims(
             &stack.rec,
             state.victims.iter().copied(),
             &mut torn_rng(a.cfg, i),
         );
-        owned = recover_and_mount(stack.pfs.as_ref(), &mut st).1;
-        &owned
+        Arc::new(Recovered::mounted(
+            recover_and_mount(stack.pfs.as_ref(), &mut st).1,
+        ))
     } else {
-        let rep = m.plan.rep[i];
-        if rep != i {
-            pc_rt::obs::count("check.views_shared", 1);
-        }
-        shared_views[rep].get_or_init(|| {
-            let mut st = m.plan.prepared[rep].fork();
-            recover_and_mount(stack.pfs.as_ref(), &mut st).1
-        })
+        a.memo
+            .of_image(stack.pfs.as_ref(), &m.plan.prepared[m.plan.rep[i]])
     };
-    layer_verdict(a, view, legal)
+    layer_verdict(a, &recovered, legal)
 }
 
 /// Golden-state replay caches, two per layer. Everything is shared,
@@ -566,30 +677,31 @@ fn legal_and_verdicts(
         pfs_sets: ReplayCache::with_cap(cap),
         h5_sets: ReplayCache::with_cap(cap),
     };
-    let shared_views: Vec<OnceLock<PfsView>> = (0..n).map(|_| OnceLock::new()).collect();
     let legal: Vec<OnceLock<Result<LegalStates, String>>> =
         (0..n).map(|_| OnceLock::new()).collect();
-    let stage_legal = pc_rt::obs::span_cat("check.legal_states", "check");
     let stage_verdicts = pc_rt::obs::span_cat("check.verdicts", "check");
     let verdicts = pc_rt::pool::scope(|scope| {
+        // Producer time and join wait partition the verdict stage (the
+        // span opens here so that spans close innermost first).
+        let stage_legal = pc_rt::obs::span_cat("check.legal_states", "check");
         let mut handles = Vec::with_capacity(n);
         for &idx in &e.order {
             let candidates = &e.candidates[e.cut_of[idx]];
             let got = caught(|| legal_states(a, factory, candidates, &mut caches));
             let slot = &legal[idx];
             let _ = slot.set(got);
-            let shared_views = &shared_views;
             handles.push((
                 idx,
                 scope.spawn(
                     move || match slot.get().expect("producer fills before spawn") {
-                        Ok(legal) => verdict_of(a, e, m, shared_views, idx, legal),
+                        Ok(legal) => verdict_of(a, e, m, idx, legal),
                         // Funnel replay failures through the same caught path.
                         Err(e) => panic!("legal-state replay failed: {e}"),
                     },
                 ),
             ));
         }
+        drop(stage_legal);
         let mut out: Vec<Option<Result<Verdict, String>>> = (0..n).map(|_| None).collect();
         // The producer is done; what is left of the stage is waiting
         // for the verdict tasks still queued or running.
@@ -603,7 +715,6 @@ fn legal_and_verdicts(
             .collect()
     });
     drop(stage_verdicts);
-    drop(stage_legal);
     let (pfs_sets, h5_sets) = (caches.pfs_sets.stats(), caches.h5_sets.stats());
     Verdicts {
         legal: legal
@@ -705,7 +816,7 @@ fn aggregate_or_classify(
         return;
     }
     let mut oracle = |persisted: &BitSet| -> bool {
-        violated_model(a, &recovered_view(stack, persisted), legal).is_none()
+        violated_model(a, &a.memo.of_set(stack, persisted), legal).is_none()
     };
     let signature = {
         let _s = pc_rt::obs::span_cat("check.classify", "check");
@@ -737,17 +848,6 @@ fn aggregate_or_classify(
             };
             (bug, state_index)
         });
-}
-
-/// Materialize a persisted set on a COW fork of the baseline snapshot,
-/// recover, mount. Used by the classifier's flip oracle, whose probe
-/// sets are not prefix-structured — `check_stack` and `check_reference`
-/// share this path, which keeps their signatures identical by
-/// construction.
-fn recovered_view(stack: &Stack, persisted: &BitSet) -> PfsView {
-    let mut states = stack.pfs.baseline().fork();
-    states.apply_events(&stack.rec, persisted.iter());
-    recover_and_mount(stack.pfs.as_ref(), &mut states).1
 }
 
 /// PFS-layer calls a cut may have preserved.
@@ -902,7 +1002,8 @@ fn explain(a: &Analysis, e: &Enumerated, v: &Verdicts, c: &Classified) -> Vec<Bu
             topo: &a.topo,
             sigs: &a.sigs,
             legal_views: &legal.0,
-            fails: &|view| violated_model(a, view, legal).is_some(),
+            recover: &|image| a.memo.of_image(a.stack.pfs.as_ref(), image),
+            fails: &|recovered| violated_model(a, recovered, legal).is_some(),
         };
         match caught(|| crate::explain::explain_bug(&ctx, bug, &e.states[*widx], *widx)) {
             Ok(e) => explanations.push(e),
@@ -951,7 +1052,7 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
     let check_span = pc_rt::obs::span_cat("check_stack", "check");
     let tl_mark = pc_rt::obs::mark();
 
-    let a = analyze(stack, cfg);
+    let a = analyze(stack, cfg, RecoveryMemo::new());
     let e = enumerate(&a);
     let m = materialize(&a, &e);
     let v = legal_and_verdicts(&a, factory, &e, &m);
@@ -1026,7 +1127,7 @@ fn publish(
 /// defaults here.
 #[doc(hidden)]
 pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> CheckOutcome {
-    let a = analyze(stack, cfg);
+    let a = analyze(stack, cfg, RecoveryMemo::never());
     let e = enumerate(&a);
     let rec = &stack.rec;
     let mut v = Verdicts::default();
@@ -1056,7 +1157,7 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
                     st.apply_torn_victims(rec, victims, &mut torn_rng(cfg, i));
                 }
                 let view = recover_and_mount(stack.pfs.as_ref(), &mut st).1;
-                layer_verdict(&a, &view, legal)
+                layer_verdict(&a, &Recovered::mounted(view), legal)
             }),
             Err(e) => Err(format!("legal-state replay failed: {e}")),
         };
@@ -1098,74 +1199,67 @@ fn modified_dataset_keys(stack: &Stack) -> BTreeSet<String> {
 
 /// I/O-library-layer verdict for one recovered view: `None` if
 /// consistent under `cfg.h5_model`, otherwise the weakest violated model
-/// (baseline < causal).
+/// (baseline < causal). What depends on the view alone — the parses —
+/// is taken once per [`Recovered`]; what depends on the crash state is
+/// the membership test against its `legal` list.
 fn h5_verdict(
-    cfg: &CheckConfig,
+    a: &Analysis,
     path: &str,
-    view: &PfsView,
+    recovered: &Recovered,
     legal: &[Arc<H5Logical>],
-    baseline: Option<&H5Logical>,
-    modified: &BTreeSet<String>,
 ) -> Option<Model> {
-    let Some(bytes) = view.read(path) else {
+    let Some(bytes) = recovered.view.read(path) else {
         // The file itself is gone or unreadable through the PFS.
         return Some(Model::Baseline);
     };
     // h5check; on failure let h5clear try to repair (§4.4.3).
-    let strict = match h5check(bytes) {
-        Ok(l) => Some(l),
-        Err(_) => {
-            let cleared = h5clear(bytes, cfg.clear_opts);
-            h5check(&cleared).ok()
-        }
-    };
-    // Fast path: a state that parses cleanly and matches a causal golden
-    // state is consistent under every model — no need for the
-    // dataset-granular baseline walk (most crash states are legal).
+    let strict = recovered.strict.get_or_init(|| {
+        pc_rt::obs::count("h5.view_parses", 1);
+        h5check(bytes)
+            .or_else(|_| h5check(&h5clear(bytes, a.cfg.clear_opts)))
+            .ok()
+    });
+    // A state that parses cleanly and matches a causal golden state is
+    // consistent under every model — no need for the dataset-granular
+    // baseline walk (most crash states are legal).
     if strict.as_ref().is_some_and(|l| is_legal(legal, l)) {
         return None;
     }
-    // Baseline: every dataset that was closed before the crash (i.e. not
-    // modified by the test program) must still be readable and intact.
-    let violates_baseline = {
-        let cleared = h5clear(bytes, cfg.clear_opts);
-        let lenient = {
-            let first = check_lenient(bytes);
-            if first.open_error.is_some()
-                || first.datasets.values().any(|d| d.is_err())
-                || !first.group_errors.is_empty()
-            {
-                check_lenient(&cleared)
-            } else {
-                first
-            }
-        };
-        if lenient.open_error.is_some() {
-            true
-        } else if let Some(base) = baseline {
-            base.datasets.iter().any(|(key, expected)| {
-                if modified.contains(key) {
-                    return false;
-                }
-                !matches!(lenient.datasets.get(key), Some(Ok(v)) if v == expected)
-            })
-        } else {
-            false
-        }
-    };
-    let violates_causal = violates_baseline || strict.map(|l| !is_legal(legal, &l)).unwrap_or(true);
-
-    let violated = match cfg.h5_model {
-        Model::Baseline => violates_baseline,
-        _ => violates_causal,
-    };
-    if !violated {
-        None
-    } else if violates_baseline {
+    // From here on the causal model is violated; a weaker model only
+    // adds legal states, so what is left to decide is the baseline.
+    let violates_baseline = *recovered
+        .violates_baseline
+        .get_or_init(|| h5_violates_baseline(a, bytes));
+    if violates_baseline {
         Some(Model::Baseline)
     } else {
-        Some(Model::Causal)
+        (a.cfg.h5_model != Model::Baseline).then_some(Model::Causal)
     }
+}
+
+/// Baseline: every dataset that was closed before the crash (i.e. not
+/// modified by the test program) must still be readable and intact.
+fn h5_violates_baseline(a: &Analysis, bytes: &[u8]) -> bool {
+    let lenient = {
+        let first = check_lenient(bytes);
+        if first.open_error.is_some()
+            || first.datasets.values().any(|d| d.is_err())
+            || !first.group_errors.is_empty()
+        {
+            check_lenient(&h5clear(bytes, a.cfg.clear_opts))
+        } else {
+            first
+        }
+    };
+    if lenient.open_error.is_some() {
+        return true;
+    }
+    a.baseline_h5.as_ref().is_some_and(|base| {
+        base.datasets.iter().any(|(key, expected)| {
+            !a.modified_keys.contains(key)
+                && !matches!(lenient.datasets.get(key), Some(Ok(v)) if v == expected)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1294,7 +1388,7 @@ mod tests {
                 let path = format!("/f{i}");
                 stack.posix(0, PfsCall::Creat { path });
             }
-            let a = analyze(&stack, &cfg);
+            let a = analyze(&stack, &cfg, RecoveryMemo::new());
             let e = enumerate(&a);
             let m = materialize(&a, &e);
             let v = legal_and_verdicts(&a, &factory, &e, &m);
@@ -1306,6 +1400,333 @@ mod tests {
                 (n + 1) * (n + 2) / 2,
                 "preserved sets looked up, n = {n}"
             );
+        }
+    }
+
+    /// A PFS that counts its recovery tool's runs, or panics in it;
+    /// everything else delegates to the wrapped model.
+    struct InstrumentedRecover {
+        inner: Box<dyn pfs::Pfs>,
+        runs: Arc<std::sync::atomic::AtomicUsize>,
+        poisoned: bool,
+    }
+
+    impl pfs::Pfs for InstrumentedRecover {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn base(&self) -> &pfs::ModelBase {
+            self.inner.base()
+        }
+        fn base_mut(&mut self) -> &mut pfs::ModelBase {
+            self.inner.base_mut()
+        }
+        fn handle(
+            &mut self,
+            rec: &mut Recorder,
+            client: tracer::Process,
+            call: &PfsCall,
+            cev: EventId,
+        ) -> pfs::PfsResult<()> {
+            self.inner.handle(rec, client, call, cev)
+        }
+        fn recover(&self, states: &mut ServerStates) -> pfs::RecoveryReport {
+            self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.poisoned {
+                panic!("poisoned recover");
+            }
+            self.inner.recover(states)
+        }
+        fn client_view(&self, states: &ServerStates) -> PfsView {
+            self.inner.client_view(states)
+        }
+        fn restart_cost_secs(&self) -> f64 {
+            self.inner.restart_cost_secs()
+        }
+    }
+
+    /// The ARVR/BeeGFS fixture with an instrumented recovery tool.
+    fn instrumented_arvr(poisoned: bool) -> (Stack, Arc<std::sync::atomic::AtomicUsize>) {
+        let mut stack = run_arvr(&beegfs_factory());
+        let runs = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        stack.pfs = Box::new(InstrumentedRecover {
+            inner: stack.pfs,
+            runs: runs.clone(),
+            poisoned,
+        });
+        (stack, runs)
+    }
+
+    fn memo_slots(a: &Analysis) -> Vec<Slot> {
+        let maps = a.memo.0.as_ref().expect("check_stack's memo stores");
+        assert!(!maps.is_poisoned());
+        lock(maps).by_digest.values().cloned().collect()
+    }
+
+    /// Every distinct pre-recovery digest is recovered exactly once,
+    /// however many states and probes share it and however many threads
+    /// ask for it at the same moment.
+    #[test]
+    fn each_distinct_digest_is_recovered_exactly_once() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let factory = beegfs_factory();
+        let cfg = CheckConfig::paper_default();
+        let (stack, runs) = instrumented_arvr(false);
+
+        // The memo alone, every state asking at once.
+        for threads in [1, 4] {
+            let a = analyze(&stack, &cfg, RecoveryMemo::new());
+            let e = enumerate(&a);
+            let m = materialize(&a, &e);
+            let distinct: BTreeSet<u64> = m.plan.prepared.iter().map(|s| s.digest()).collect();
+            assert!(distinct.len() < e.states.len(), "the fixture shares images");
+            runs.store(0, Relaxed);
+            let views: Vec<Arc<Recovered>> = pc_rt::pool::Pool::with_threads(threads).scope(|sc| {
+                let handles: Vec<_> = (m.plan.prepared.iter())
+                    .map(|image| sc.spawn(|| a.memo.of_image(stack.pfs.as_ref(), image)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(runs.load(Relaxed), distinct.len(), "{threads} threads");
+            for (image, recovered) in m.plan.prepared.iter().zip(&views) {
+                let alone = recover_and_mount(stack.pfs.as_ref(), &mut image.fork()).1;
+                assert!(recovered.view == alone);
+            }
+        }
+
+        // The whole pipeline: crash states, then classifier probes.
+        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let e = enumerate(&a);
+        let m = materialize(&a, &e);
+        runs.store(0, Relaxed);
+        let v = legal_and_verdicts(&a, &factory, &e, &m);
+        let distinct: BTreeSet<u64> = m.plan.prepared.iter().map(|s| s.digest()).collect();
+        assert_eq!(runs.load(Relaxed), distinct.len());
+        let c = prune_and_classify(&a, &e, &v);
+        assert!(!c.bugs.is_empty(), "the classifier probed");
+        let slots = memo_slots(&a);
+        assert!(slots.iter().all(|slot| slot.get().is_some()));
+        assert_eq!(runs.load(Relaxed), slots.len());
+        assert!(slots.len() >= distinct.len());
+    }
+
+    /// Torn-write widening happens after materialization, so the digest
+    /// of a prepared image says nothing about a state with live victims:
+    /// each recovers on its own and neither reads nor fills the memo.
+    #[test]
+    fn torn_states_never_touch_the_memo() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let factory = beegfs_factory();
+        let mut cfg = CheckConfig::paper_default();
+        cfg.faults.torn_writes = true;
+        let (stack, runs) = instrumented_arvr(false);
+        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let e = enumerate(&a);
+        let m = materialize(&a, &e);
+        let torn = e.states.iter().filter(|s| !s.victims.is_empty()).count();
+        let untorn: BTreeSet<u64> = (e.states.iter().zip(&m.plan.prepared))
+            .filter(|(state, _)| state.victims.is_empty())
+            .map(|(_, image)| image.digest())
+            .collect();
+        assert!(torn > 0 && !untorn.is_empty());
+        legal_and_verdicts(&a, &factory, &e, &m);
+        assert_eq!(runs.load(Relaxed), torn + untorn.len());
+        let maps = lock(a.memo.0.as_ref().unwrap());
+        let filled: BTreeSet<u64> = maps.by_digest.keys().copied().collect();
+        assert_eq!(filled, untorn);
+    }
+
+    /// A panicking recovery tool poisons exactly the states that ask
+    /// for it — one diagnostic per crash state, in checking order, as
+    /// when every state recovered on its own — and no lock.
+    #[test]
+    fn poisoned_recover_poisons_states_not_the_memo() {
+        let factory = beegfs_factory();
+        let cfg = CheckConfig::paper_default();
+        let (stack, runs) = instrumented_arvr(true);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let e = enumerate(&a);
+        let m = materialize(&a, &e);
+        let v = legal_and_verdicts(&a, &factory, &e, &m);
+        let c = prune_and_classify(&a, &e, &v);
+        std::panic::set_hook(prev);
+        let expected: Vec<String> = (e.order.iter())
+            .map(|idx| format!("crash state {idx}: poisoned recover"))
+            .collect();
+        assert_eq!(c.diagnostics, expected);
+        // Each state tried for itself; the slots stayed empty.
+        assert_eq!(
+            runs.load(std::sync::atomic::Ordering::Relaxed),
+            e.states.len()
+        );
+        assert!(memo_slots(&a).iter().all(|slot| slot.get().is_none()));
+        let outcome = check_stack(&stack, &factory, &cfg);
+        assert_eq!(outcome.diagnostics, expected);
+    }
+
+    /// H5-create (or H5-delete) on a striped 2+2 BeeGFS, the quick
+    /// profile's shape.
+    fn run_h5(delete: bool) -> (Stack, StackFactory) {
+        use h5sim::{H5File, H5Spec};
+        let factory: StackFactory = Box::new(|| {
+            Box::new(BeeGfs::new(
+                simnet::ClusterTopology::dedicated(2, 2, 2),
+                pfs::Placement::new(),
+                2048,
+            ))
+        });
+        let mut stack = Stack::new(factory());
+        let (ranks, spec) = (vec![0, 1], H5Spec { elem: 8, seg: 1024 });
+        stack.h5_path = Some("/file.h5".into());
+        stack.h5_ranks = ranks.clone();
+        stack.h5_spec = spec;
+        let mut file = {
+            let mut mpi = mpiio::MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
+            let mut f = H5File::create(&mut mpi, &mut stack.h5, &ranks, "/file.h5", spec);
+            f.create_group(&mut mpi, &mut stack.h5, 0, "g1");
+            f.create_group(&mut mpi, &mut stack.h5, 0, "g2");
+            for name in ["d1", "d2"] {
+                f.create_dataset(&mut mpi, &mut stack.h5, 0, "g1", name, 24, 24);
+            }
+            f.close(&mut mpi, &mut stack.h5, &ranks);
+            f
+        };
+        stack.seal_preamble();
+        let mut mpi = mpiio::MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
+        file.open(&mut mpi, &ranks);
+        if delete {
+            file.delete_dataset(&mut mpi, &mut stack.h5, 0, "g1", "d2");
+        } else {
+            file.create_dataset(&mut mpi, &mut stack.h5, 0, "g1", "d3", 24, 24);
+        }
+        (stack, factory)
+    }
+
+    /// The single-function verdict [`h5_verdict`] was split from, re-parsing
+    /// on every call: the reference `check::tests` holds the split to.
+    fn h5_verdict_reference(
+        cfg: &CheckConfig,
+        path: &str,
+        view: &PfsView,
+        legal: &[Arc<H5Logical>],
+        baseline: Option<&H5Logical>,
+        modified: &BTreeSet<String>,
+    ) -> Option<Model> {
+        let Some(bytes) = view.read(path) else {
+            // The file itself is gone or unreadable through the PFS.
+            return Some(Model::Baseline);
+        };
+        // h5check; on failure let h5clear try to repair (§4.4.3).
+        let strict = match h5check(bytes) {
+            Ok(l) => Some(l),
+            Err(_) => {
+                let cleared = h5clear(bytes, cfg.clear_opts);
+                h5check(&cleared).ok()
+            }
+        };
+        // Fast path: a state that parses cleanly and matches a causal golden
+        // state is consistent under every model — no need for the
+        // dataset-granular baseline walk (most crash states are legal).
+        if strict.as_ref().is_some_and(|l| is_legal(legal, l)) {
+            return None;
+        }
+        // Baseline: every dataset that was closed before the crash (i.e. not
+        // modified by the test program) must still be readable and intact.
+        let violates_baseline = {
+            let cleared = h5clear(bytes, cfg.clear_opts);
+            let lenient = {
+                let first = check_lenient(bytes);
+                if first.open_error.is_some()
+                    || first.datasets.values().any(|d| d.is_err())
+                    || !first.group_errors.is_empty()
+                {
+                    check_lenient(&cleared)
+                } else {
+                    first
+                }
+            };
+            if lenient.open_error.is_some() {
+                true
+            } else if let Some(base) = baseline {
+                base.datasets.iter().any(|(key, expected)| {
+                    if modified.contains(key) {
+                        return false;
+                    }
+                    !matches!(lenient.datasets.get(key), Some(Ok(v)) if v == expected)
+                })
+            } else {
+                false
+            }
+        };
+        let violates_causal =
+            violates_baseline || strict.map(|l| !is_legal(legal, &l)).unwrap_or(true);
+
+        let violated = match cfg.h5_model {
+            Model::Baseline => violates_baseline,
+            _ => violates_causal,
+        };
+        if !violated {
+            None
+        } else if violates_baseline {
+            Some(Model::Baseline)
+        } else {
+            Some(Model::Causal)
+        }
+    }
+
+    /// The split verdict — parses taken once per shared view — decides
+    /// what the single function it was split from decides, on every
+    /// crash state of H5-create/BeeGFS (causal violations only) and of
+    /// H5-delete/BeeGFS (baseline violations too), under both library
+    /// models.
+    #[test]
+    fn split_h5_verdict_agrees_with_the_single_function() {
+        let mut seen = BTreeSet::new();
+        for (delete, h5_model) in [
+            (false, Model::Causal),
+            (false, Model::Baseline),
+            (true, Model::Causal),
+            (true, Model::Baseline),
+        ] {
+            let (stack, factory) = run_h5(delete);
+            let path = stack.h5_path.as_deref().unwrap();
+            let cfg = CheckConfig {
+                h5_model,
+                ..CheckConfig::paper_default()
+            };
+            let a = analyze(&stack, &cfg, RecoveryMemo::new());
+            let e = enumerate(&a);
+            let m = materialize(&a, &e);
+            let v = legal_and_verdicts(&a, &factory, &e, &m);
+            for (i, legal) in v.legal.iter().enumerate() {
+                let legal = legal.as_ref().expect("replays succeed");
+                let shared = a.memo.of_image(stack.pfs.as_ref(), &m.plan.prepared[i]);
+                let got = h5_verdict(&a, path, &shared, &legal.1);
+                let want = h5_verdict_reference(
+                    &cfg,
+                    path,
+                    &shared.view,
+                    &legal.1,
+                    a.baseline_h5.as_ref(),
+                    &a.modified_keys,
+                );
+                assert_eq!(got, want, "state {i} under {}", h5_model.as_str());
+                assert_eq!(v.verdicts[i].as_ref().unwrap().map(|(_, m)| m), want);
+                seen.insert((h5_model.as_str(), want.map(|m| m.as_str())));
+            }
+        }
+        // Every outcome the function has was met: consistent, the causal
+        // model violated, the baseline violated under either model.
+        for outcome in [
+            ("causal", None),
+            ("causal", Some("causal")),
+            ("causal", Some("baseline")),
+            ("baseline", None),
+            ("baseline", Some("baseline")),
+        ] {
+            assert!(seen.contains(&outcome), "{outcome:?} not in {seen:?}");
         }
     }
 

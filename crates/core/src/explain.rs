@@ -31,7 +31,7 @@
 //! explanation degrades to a warning, not a diagnostic — determinism
 //! tests compare byte-identical reports with explain on and off.
 
-use crate::check::{Inconsistency, LayerVerdict};
+use crate::check::{Inconsistency, LayerVerdict, Recovered};
 use crate::classify::{extended_universe, BugSignature};
 use crate::emulate::CrashState;
 use crate::model::Model;
@@ -40,7 +40,7 @@ use crate::report::{op_detail, OpSigs};
 use crate::snapshot::prepare_states;
 use crate::stack::Stack;
 use pc_rt::json::Json;
-use pfs::{recover_and_mount, PfsView};
+use pfs::{PfsView, ServerStates};
 use simfs::FsState;
 use simnet::{ClusterTopology, VectorClock};
 use std::collections::BTreeSet;
@@ -201,10 +201,14 @@ pub(crate) struct ExplainCtx<'a> {
     pub topo: &'a ClusterTopology,
     pub sigs: &'a OpSigs,
     pub legal_views: &'a [std::sync::Arc<PfsView>],
+    /// Recover and mount a materialized pre-recovery image through the
+    /// check's recovery memo: an image some crash state or classifier
+    /// probe already recovered is not recovered again.
+    pub recover: &'a dyn Fn(&ServerStates) -> std::sync::Arc<Recovered>,
     /// The same consistency oracle the classifier probes with, inverted:
     /// `true` if a recovered view fails the golden-master comparison at
     /// the layer the run checks top-down.
-    pub fails: &'a dyn Fn(&PfsView) -> bool,
+    pub fails: &'a dyn Fn(&Recovered) -> bool,
 }
 
 /// Build the provenance bundle for one bug from its witness crash state.
@@ -325,13 +329,8 @@ fn shrink_witness(
         stats.forks += plan.stats.forks;
         stats.ops_replayed += plan.stats.ops_replayed;
         plan.prepared
-            .into_iter()
-            .map(|st| {
-                // Recovery mutates; fork so shared prefixes stay intact.
-                let mut st = st.fork();
-                let (_, view) = recover_and_mount(ctx.stack.pfs.as_ref(), &mut st);
-                (ctx.fails)(&view)
-            })
+            .iter()
+            .map(|image| (ctx.fails)(&(ctx.recover)(image)))
             .collect()
     };
     if d0.is_empty() {
@@ -557,12 +556,11 @@ fn state_diff(ctx: &ExplainCtx, universe: &BitSet, persisted_min: &BitSet) -> St
         tree.truncate(DIFF_CAP);
         tree.push(format!("... ({extra} more entries)"));
     }
-    let mut to_recover = crashed.fork();
-    let (_, view) = recover_and_mount(ctx.stack.pfs.as_ref(), &mut to_recover);
+    let recovered = (ctx.recover)(&crashed);
     let nearest_legal = ctx
         .legal_views
         .iter()
-        .map(|lv| view.diff(lv))
+        .map(|lv| recovered.view.diff(lv))
         .min_by_key(|d| d.len())
         .unwrap_or_default();
     StateDiff {

@@ -851,16 +851,23 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
 
     // Derived: oracle work executed against work a shared answer saved —
     // golden replays per distinct preserved set, classifier probes per
-    // distinct persisted set.
+    // distinct persisted set, recoveries per distinct pre-recovery image
+    // (crash states, classifier probes and explain probes together).
     for (label, executed, shared) in [
-        ("golden replays", "replay.executed", "replay.shared"),
+        ("golden replays", "replay.executed", &["replay.shared"][..]),
         (
             "classifier probes",
             "classify.probes",
-            "classify.probes_shared",
+            &["classify.probes_shared"],
+        ),
+        (
+            "recoveries",
+            "recover.executed",
+            &["recover.shared_set", "recover.shared_digest"],
         ),
     ] {
-        let (executed, shared) = (get(executed).unwrap_or(0), get(shared).unwrap_or(0));
+        let executed = get(executed).unwrap_or(0);
+        let shared: u64 = shared.iter().filter_map(|name| get(name)).sum();
         if executed + shared > 0 {
             let _ = writeln!(
                 out,
@@ -1048,6 +1055,25 @@ mod tests {
             assert!(text.contains("obs.test.cache hit rate"), "{text}");
             assert!(text.contains("75.0%"), "{text}");
             assert!(text.contains("(3 hits / 1 misses / 0 evictions)"), "{text}");
+        });
+    }
+
+    #[test]
+    fn summary_derives_recoveries_executed_and_shared() {
+        with_telemetry(|| {
+            count("recover.executed", 100);
+            let m = mark();
+            count("recover.executed", 5);
+            count("recover.shared_set", 2);
+            count("recover.shared_digest", 4);
+            let text = render_summary(&m, "unit");
+            let line = text.lines().find(|l| l.contains("recoveries")).unwrap();
+            assert!(line.trim_start().starts_with("recoveries  "), "{line}");
+            assert!(line.contains(" 5  executed"), "{line}");
+            assert!(line.contains("(6 more answered by a shared result)"));
+            // Nothing recovered in the window: no line.
+            let text = render_summary(&mark(), "unit");
+            assert!(!text.contains("recoveries"), "{text}");
         });
     }
 

@@ -38,7 +38,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Environment variable overriding the default worker count.
@@ -139,6 +139,15 @@ impl Pool {
     }
 }
 
+/// Take `m`'s guard whether or not a thread panicked while holding it.
+/// For mutexes whose every update leaves the data valid at each step
+/// (a counter bump, a queue push, a map insert): there a poisoned flag
+/// carries no information, and honouring it turns one panicking task —
+/// which is a diagnostic — into a panic in every task that locks next.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Upper bound on scope workers — deques are scanned linearly when
 /// stealing, so keep the fan-in sane even on very wide machines.
 const MAX_SCOPE_WORKERS: usize = 64;
@@ -175,33 +184,33 @@ impl<'env> Sched<'env> {
         // Count before publish: once the job is in a deque a worker may
         // claim it and decrement the count at any moment, so the
         // increment has to be visible first (the other order underflows).
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         st.0 += 1;
         if self.telemetry {
             crate::obs::count("pool.tasks_queued", 1);
             crate::obs::gauge_max("pool.max_queue_depth", st.0 as u64);
         }
         drop(st);
-        self.deques[w].lock().unwrap().push_back(job);
+        lock(&self.deques[w]).push_back(job);
         self.wake.notify_one();
     }
 
     /// Mark the producer done and wake everyone so idle workers can
     /// observe termination.
     fn finish(&self) {
-        self.state.lock().unwrap().1 = true;
+        lock(&self.state).1 = true;
         self.wake.notify_all();
     }
 
     /// Claim one job: own deque from the back (LIFO, cache-warm), then
     /// steal from siblings from the front (FIFO, oldest first).
     fn claim(&self, me: usize) -> Option<Job<'env>> {
-        if let Some(job) = self.deques[me].lock().unwrap().pop_back() {
+        if let Some(job) = lock(&self.deques[me]).pop_back() {
             return Some(job);
         }
         for off in 1..self.deques.len() {
             let victim = (me + off) % self.deques.len();
-            if let Some(job) = self.deques[victim].lock().unwrap().pop_front() {
+            if let Some(job) = lock(&self.deques[victim]).pop_front() {
                 if self.telemetry {
                     crate::obs::count("pool.steals", 1);
                 }
@@ -214,7 +223,7 @@ impl<'env> Sched<'env> {
     fn worker_loop(&self, me: usize) {
         loop {
             if let Some(job) = self.claim(me) {
-                self.state.lock().unwrap().0 -= 1;
+                lock(&self.state).0 -= 1;
                 if self.telemetry {
                     let t = Instant::now();
                     job();
@@ -227,14 +236,14 @@ impl<'env> Sched<'env> {
                 }
                 continue;
             }
-            let st = self.state.lock().unwrap();
+            let st = lock(&self.state);
             if st.0 == 0 && st.1 {
                 return;
             }
             if st.0 == 0 {
                 // Nothing queued and the producer is still running:
                 // sleep until a push or finish wakes us.
-                drop(self.wake.wait(st).unwrap());
+                drop(self.wake.wait(st).unwrap_or_else(PoisonError::into_inner));
             }
             // st.0 > 0: a job was counted (and is published right after)
             // between claim() and the lock — loop and try to claim it.
@@ -258,19 +267,19 @@ impl<T> TaskHandle<T> {
 
     fn fill(&self, value: Result<T, String>) {
         let (slot, cv) = &*self.cell;
-        *slot.lock().unwrap() = Some(value);
+        *lock(slot) = Some(value);
         cv.notify_all();
     }
 
     /// Wait for the task and take its result.
     pub fn join(self) -> Result<T, String> {
         let (slot, cv) = &*self.cell;
-        let mut guard = slot.lock().unwrap();
+        let mut guard = lock(slot);
         loop {
             if let Some(v) = guard.take() {
                 return v;
             }
-            guard = cv.wait(guard).unwrap();
+            guard = cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -412,6 +421,44 @@ mod tests {
         std::panic::set_hook(prev);
     }
 
+    /// One panicking task is one `Err` on its handle: the same pool
+    /// then runs a healthy scope, and a mutex the task died holding
+    /// still opens through [`lock`] with every completed update in it.
+    #[test]
+    fn a_panicking_task_is_followed_by_a_healthy_scope() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        for threads in [1, 3] {
+            let pool = Pool::with_threads(threads);
+            let seen: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+            let died = pool.scope(|sc| {
+                sc.spawn(|| {
+                    let mut guard = lock(&seen);
+                    guard.push(0);
+                    panic!("task died holding the lock");
+                })
+                .join()
+            });
+            assert!(died.unwrap_err().contains("holding the lock"));
+            assert!(seen.is_poisoned());
+            let sum: u64 = pool.scope(|sc| {
+                let handles: Vec<_> = (1..=20u64)
+                    .map(|i| {
+                        let seen = &seen;
+                        sc.spawn(move || {
+                            lock(seen).push(i);
+                            i
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            assert_eq!(sum, 210);
+            assert_eq!(lock(&seen).len(), 21);
+        }
+        std::panic::set_hook(prev);
+    }
+
     #[test]
     fn scope_multiple_workers_participate_and_steal() {
         use std::sync::Mutex;
@@ -422,7 +469,7 @@ mod tests {
                     sc.spawn(|| {
                         std::thread::sleep(std::time::Duration::from_millis(2));
                         let id = std::thread::current().id();
-                        let mut guard = ids.lock().unwrap();
+                        let mut guard = lock(&ids);
                         if !guard.contains(&id) {
                             guard.push(id);
                         }
@@ -433,7 +480,7 @@ mod tests {
                 h.join().unwrap();
             }
         });
-        assert!(ids.lock().unwrap().len() > 1, "only one worker ran tasks");
+        assert!(lock(&ids).len() > 1, "only one worker ran tasks");
     }
 
     #[test]

@@ -14,8 +14,10 @@
 #      (RUSTFLAGS="-D warnings").
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` must decide identically, checked once
-#      sequentially (PC_THREADS=1) and once with the thread pool; the
-#      property suite (closure, pinning and enumerator references
+#      sequentially (PC_THREADS=1) and once with the thread pool (the
+#      recovery memo's cells a second time in release, and
+#      `paracrash --fs GPFS --program H5-resize` diffed across thread
+#      counts); the property suite (closure, pinning and enumerator references
 #      included) runs again in release with a wider case sweep than
 #      gate 2's default, where release speed makes it cheap; and
 #      `benchmark/run.sh --smoke` must build against `crates/*` and
@@ -126,15 +128,27 @@ grep -nE 'fn (emit|net|parent_of|name_of|seal_baseline|baseline|live|install_fau
 echo "== gate 4: check_stack vs check_reference, sequential and parallel; wide property sweep; benchmark smoke =="
 PC_THREADS=1 cargo test -q --offline --test differential
 cargo test -q --offline --test differential
+# The recovery memo's cells again as the code ships: a release build
+# races the verdict tasks for a memo slot the way a debug build does not.
+PC_THREADS=1 cargo test -q --offline --release --test differential -- digest_shared torn_states
+cargo test -q --offline --release --test differential -- digest_shared torn_states
 PC_PROPTEST_CASES=2048 cargo test -q --offline --release --test properties
+# The cell whose images collapse most, through the CLI: who fills a memo
+# slot first depends on the schedule, what the checker decides must not.
+# H5-resize on GPFS finds bugs, so the cell exits 1 by design.
+cargo build --release --offline -p pc-bench
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+target/release/paracrash --fs GPFS --program H5-resize \
+    > "$tmp/resize-par.txt" || [ $? -eq 1 ]
+PC_THREADS=1 target/release/paracrash --fs GPFS --program H5-resize \
+    > "$tmp/resize-seq.txt" || [ $? -eq 1 ]
+diff "$tmp/resize-par.txt" "$tmp/resize-seq.txt"
 # An API change that breaks the benchmark's build, or a decision change
 # that breaks one of its pins, fails here and not in the perf pipeline.
 benchmark/run.sh --smoke > /dev/null
 
 echo "== gate 5: telemetry emission + disabled-overhead budget =="
-cargo build --release --offline -p pc-bench
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 # BeeGFS/ARVR finds bugs, so the single-cell run exits 1 by design.
 target/release/paracrash --fs BeeGFS --program ARVR \
     --telemetry-out "$tmp/telemetry.json" --telemetry-format chrome \

@@ -167,6 +167,50 @@ fn torn_and_chaos_cells_match_the_reference() {
     }
 }
 
+/// H5-resize at the split dims on GPFS, the cell where pre-recovery
+/// images collapse most: `check_stack` answers most of its crash states
+/// and nearly all of its classifier probes from a view some other
+/// state or probe already recovered, keyed by the image's digest. The
+/// reference has no recovery memo — it recovers every state and every
+/// probe afresh, and parses the library file on every verdict — so it
+/// is the oracle for the key's soundness. `k = 0` as above.
+#[test]
+fn digest_shared_recoveries_match_per_request_recoveries() {
+    let quick = Params::quick();
+    let params = quick.clone().with_dims(quick.split_dims());
+    let cfg = CheckConfig {
+        k: 0,
+        ..CheckConfig::paper_default()
+    };
+    differ_program(Program::H5Resize, FsKind::Gpfs, &params, &cfg);
+}
+
+/// Torn writes on an I/O-library program: a state with live victims is
+/// torn *after* materialization, so the digest of its prepared image
+/// says nothing about what recovery will see. If such a state read the
+/// recovery memo it would be judged on an untorn view, and if it filled
+/// the memo the victim-free state with the same prepared image would be
+/// judged on a torn one (and on the torn view's cached parses) — either
+/// way the reference, which tears and recovers every state on its own,
+/// decides differently.
+#[test]
+fn torn_states_recover_past_the_memo() {
+    let faults = FaultConfig {
+        seed: 0x70_12_4D,
+        torn_writes: true,
+        ..FaultConfig::disabled()
+    };
+    let params = Params::quick().with_faults(faults.clone());
+    let cfg = CheckConfig {
+        faults,
+        ..CheckConfig::paper_default()
+    };
+    for fs in [FsKind::BeeGfs, FsKind::Gpfs] {
+        differ_program(Program::H5Create, fs, &params, &cfg);
+        differ_program(Program::Wal, fs, &params, &cfg);
+    }
+}
+
 /// 64-server BeeGFS (4× the paper's largest configuration): the cell
 /// `scripts/verify.sh` gate 11 diffs sequential vs parallel through the
 /// CLI.

@@ -624,3 +624,134 @@ fn bitset_algebra() {
         },
     );
 }
+
+/// Logical equality of two crash-state images: every local file system
+/// holds the same tree (inode numbering aside — it is not on disk in
+/// any way recovery or mounting reads), every block device the same
+/// blocks.
+fn same_image(a: &pfs::ServerStates, b: &pfs::ServerStates) -> bool {
+    a.len() == b.len()
+        && (0..a.len() as u32).all(|s| match (a.server(s), b.server(s)) {
+            (pfs::Store::Fs { state: x, .. }, pfs::Store::Fs { state: y, .. }) => x.same_tree(y),
+            (x, y) => x == y,
+        })
+}
+
+/// The soundness of the recovery memo's key on `fs`: images are random
+/// subsequences of the storage ops (`FsOp`s or `BlockOp`s) real
+/// programs emit, applied to the sealed baseline in different
+/// cross-server interleavings.
+///
+/// * Interleaving does not matter: per-server order kept, the stores
+///   are `==` and digest alike however the servers' ops interleave.
+/// * `ServerStates::digest()` is equal exactly when the images are —
+///   a digest that skipped a store, a block tag or an xattr would call
+///   different images one.
+/// * Equal images recover and mount to equal `PfsView`s: nothing but
+///   the stores feeds recovery.
+fn digest_is_a_sound_recovery_key(name: &str, fs: workloads::FsKind) {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use workloads::{Params, Program};
+    let params = Params::quick();
+    let stacks: Vec<paracrash::Stack> = [Program::Arvr, Program::Wal, Program::H5Create]
+        .iter()
+        .map(|p| p.run(fs, &params))
+        .collect();
+    let storage_ops = |stack: &paracrash::Stack| -> Vec<EventId> {
+        (stack.rec.events().iter())
+            .filter(|e| matches!(e.payload, Payload::Fs { .. } | Payload::Block { .. }))
+            .map(|e| e.id)
+            .collect()
+    };
+    let (equal_pairs, distinct_pairs) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    run(
+        name,
+        &Config::with_cases(192),
+        |rng, size| {
+            let which = rng.gen_range(0..stacks.len() as u64) as usize;
+            let n = storage_ops(&stacks[which]).len();
+            let keep: Vec<bool> = (0..n).map(|_| rng.next_u32() % 8 != 0).collect();
+            let flips = gen_vec(rng, size.min(3), |r| r.gen_range(0..n as u64) as usize);
+            (which, keep, flips)
+        },
+        |(which, keep, flips)| {
+            let stack = &stacks[*which];
+            let ops = storage_ops(stack);
+            let server_of = |id: EventId| match stack.rec.event(id).payload {
+                Payload::Fs { server, .. } | Payload::Block { server, .. } => server,
+                _ => unreachable!("storage ops only"),
+            };
+            let apply = |order: &[EventId]| {
+                let mut image = stack.pfs.baseline().fork();
+                for &id in order {
+                    match &stack.rec.event(id).payload {
+                        Payload::Fs { server, op } => image.server_mut(*server).apply_fs(op),
+                        Payload::Block { server, op } => image.server_mut(*server).apply_block(op),
+                        _ => unreachable!("storage ops only"),
+                    }
+                }
+                image
+            };
+            let kept = |keep: &[bool]| -> Vec<EventId> {
+                (ops.iter().zip(keep))
+                    .filter_map(|(&id, &k)| k.then_some(id))
+                    .collect()
+            };
+            let recovered = |image: &pfs::ServerStates| {
+                pfs::recover_and_mount(stack.pfs.as_ref(), &mut image.fork()).1
+            };
+
+            // One subsequence, trace order against server-by-server.
+            let in_trace_order = kept(keep);
+            let mut by_server = in_trace_order.clone();
+            by_server.sort_by_key(|&id| (server_of(id), id));
+            let (a, a2) = (apply(&in_trace_order), apply(&by_server));
+            prop_assert!(a == a2, "interleaving changed the stores");
+            prop_assert_eq!(a.digest(), a2.digest());
+
+            // A nearby subsequence: the digests agree exactly when the
+            // images do, and equal images recover alike.
+            let mut keep_b = keep.clone();
+            for &f in flips {
+                keep_b[f] = !keep_b[f];
+            }
+            let b = apply(&kept(&keep_b));
+            let same = same_image(&a, &b);
+            prop_assert_eq!(a.digest() == b.digest(), same);
+            if same {
+                let (va, vb) = (recovered(&a), recovered(&b));
+                prop_assert!(va == vb, "equal images, different views");
+                prop_assert_eq!(va.digest(), vb.digest());
+            }
+            let tally = if same && keep_b != *keep {
+                &equal_pairs
+            } else {
+                &distinct_pairs
+            };
+            tally.fetch_add(1, Relaxed);
+            Ok(())
+        },
+    );
+    // Both sides of the equivalence were exercised.
+    assert!(
+        equal_pairs.load(Relaxed) > 0,
+        "no two subsequences coincided"
+    );
+    assert!(distinct_pairs.load(Relaxed) > 0);
+}
+
+#[test]
+fn digest_is_a_sound_recovery_key_on_beegfs() {
+    digest_is_a_sound_recovery_key(
+        "digest_is_a_sound_recovery_key_on_beegfs",
+        workloads::FsKind::BeeGfs,
+    );
+}
+
+#[test]
+fn digest_is_a_sound_recovery_key_on_gpfs() {
+    digest_is_a_sound_recovery_key(
+        "digest_is_a_sound_recovery_key_on_gpfs",
+        workloads::FsKind::Gpfs,
+    );
+}

@@ -150,7 +150,11 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
     let stack = Program::Arvr.run(FsKind::BeeGfs, &params);
     let factory = FsKind::BeeGfs.factory(&params);
     let cfg = CheckConfig::paper_default();
-    let (outcome, snap) = with_telemetry(|| check_stack(&stack, &factory, &cfg));
+    let ((outcome, summary), snap) = with_telemetry(|| {
+        let mark = pc_rt::obs::mark();
+        let outcome = check_stack(&stack, &factory, &cfg);
+        (outcome, pc_rt::obs::render_summary(&mark, "test"))
+    });
 
     // Satellite #2: the cache asymmetry fix — hits AND misses surface.
     let pfs = outcome.stats.pfs_cache;
@@ -181,6 +185,31 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
     }
     // One closure per (cut, victim candidate), at least one victim.
     assert!(counter(&snap, "persist.closures") > 0);
+    // The recovery memo: every recovery tool run filled a slot, every
+    // crash state and classifier probe asked it once, and some were
+    // answered by a view another had recovered.
+    let executed = counter(&snap, "recover.executed");
+    let shared = counter(&snap, "recover.shared_set") + counter(&snap, "recover.shared_digest");
+    let tool_runs = names.iter().filter(|n| **n == "recover/BeeGFS").count();
+    assert_eq!(executed, tool_runs as u64);
+    assert!(shared > 0);
+    assert_eq!(
+        executed + shared,
+        outcome.stats.states_total as u64 + counter(&snap, "classify.probes"),
+    );
+    let line = summary.lines().find(|l| l.contains("recoveries "));
+    let line = line.unwrap_or_else(|| panic!("no recoveries line in:\n{summary}"));
+    assert!(line.contains(&format!("{executed}  executed ({shared} more")));
+    // Producer time and join wait partition the verdict stage.
+    let span = |name: &str| snap.spans.iter().find(|s| s.name == name).unwrap();
+    let (legal, wait, verdicts) = (
+        span("check.legal_states"),
+        span("check.join_wait"),
+        span("check.verdicts"),
+    );
+    assert!(verdicts.start_ns <= legal.start_ns);
+    assert!(legal.start_ns + legal.dur_ns <= wait.start_ns);
+    assert!(wait.start_ns + wait.dur_ns <= verdicts.start_ns + verdicts.dur_ns);
     // Stage spans nest under the check_stack root.
     let root = snap.spans.iter().find(|s| s.name == "check_stack").unwrap();
     let enumerate = snap
