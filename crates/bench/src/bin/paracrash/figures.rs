@@ -5,8 +5,8 @@
 
 use paracrash::model::Model;
 use paracrash::stack::replay_pfs;
-use paracrash::{CheckConfig, ExploreMode, LayerVerdict};
-use pc_bench::{render_bug, run_program, run_program_swept, run_with_mode};
+use paracrash::{CheckConfig, CheckOutcome, ExploreMode, LayerVerdict};
+use pc_bench::{render_bug, run_program, run_program_swept};
 use std::collections::BTreeSet;
 use tracer::CausalityGraph;
 use workloads::ground_truth::BugLayer;
@@ -186,6 +186,16 @@ fn fig9(params: Params) {
     }
 }
 
+/// One cell under the paper's default configuration with an explicit
+/// exploration mode.
+fn run_with_mode(program: Program, fs: FsKind, params: &Params, mode: ExploreMode) -> CheckOutcome {
+    let cfg = CheckConfig {
+        mode,
+        ..CheckConfig::paper_default()
+    };
+    run_program(program, fs, params, &cfg).outcome
+}
+
 /// Figure 10: exploration time per test program under the three
 /// crash-state exploration strategies (brute-force, pruning,
 /// optimized), for BeeGFS, OrangeFS and GlusterFS. Times are the cost
@@ -234,6 +244,15 @@ fn fig10(params: Params) {
     );
 }
 
+/// The Figure 11 cluster at `servers` servers: half metadata, half
+/// storage, the stripe shrinking as servers grow, as in the paper.
+pub fn fig11_params(base: &Params, servers: u32) -> Params {
+    let stripe = (base.stripe * 4 / u64::from(servers)).max(256);
+    base.clone()
+        .with_servers(servers / 2, servers - servers / 2)
+        .with_stripe(stripe)
+}
+
 /// Figure 11: scalability — exploration time for the HDF5 test programs
 /// as the number of metadata+storage servers grows from 4 to 32, with
 /// the stripe size shrinking proportionally (the paper: 128 KiB at 4
@@ -256,19 +275,14 @@ fn fig11(base: Params) {
     for fs in [FsKind::BeeGfs, FsKind::GlusterFs, FsKind::OrangeFs] {
         for program in programs {
             for n in [4u32, 6, 8, 16, 32] {
-                // Stripe shrinks as servers grow, as in the paper.
-                let stripe = (base.stripe * 4 / u64::from(n)).max(256);
-                let params = base
-                    .clone()
-                    .with_servers(n / 2, n - n / 2)
-                    .with_stripe(stripe);
+                let params = fig11_params(&base, n);
                 let outcome = run_with_mode(program, fs, &params, ExploreMode::Optimized);
                 println!(
                     "{:<12} {:<20} {:>8} {:>10} {:>12.1} {:>12}",
                     fs.name(),
                     program.name(),
                     n,
-                    stripe,
+                    params.stripe,
                     outcome.stats.sim_seconds,
                     outcome.stats.states_total,
                 );

@@ -54,7 +54,7 @@
 //! paracrash fuzz --bound 2 --events-out events.jsonl
 //! paracrash report --events events.jsonl --out report.html
 //! paracrash report --events events.jsonl --telemetry trace.json \
-//!           --bench BENCH_fuzz.json --out report.html
+//!           --out report.html
 //! ```
 //!
 //! The harnesses that used to be separate binaries are subcommands too
@@ -63,7 +63,6 @@
 //! ```sh
 //! paracrash table3 [--paper]                 # Table 3, 15/15 REPRODUCED
 //! paracrash fig8|fig9|fig10|fig11 [--paper]  # the evaluation figures
-//! paracrash bench [FILTER] [--json [PATH]]   # wall-clock suites
 //! paracrash selftest <plane> [args]          # the verify gates' helpers
 //! ```
 //!
@@ -93,7 +92,6 @@ use simnet::FaultConfig;
 use std::time::Duration;
 use workloads::{FsKind, Params, Program};
 
-mod bench;
 mod figures;
 mod overhead;
 mod selftest;
@@ -196,11 +194,10 @@ fn usage() -> ! {
          \x20                [--cell-timeout <secs>] [--max-retries <n>]\n\
          \x20                [--state-dir <dir>] [--resume] [--checkpoint-every <n>]\n\
          \x20      paracrash report --events <file> [--telemetry <file>]\n\
-         \x20                [--bench <file>]... [--profile <file>] [--out <file>]\n\
+         \x20                [--profile <file>] [--out <file>]\n\
          \x20      paracrash history <show|diff|regressions>\n\
          \x20                [--history-dir <dir>] [--band <ratio>]\n\
          \x20      paracrash table3|fig8|fig9|fig10|fig11 [--paper]\n\
-         \x20      paracrash bench [<filter>] [--json [<file>]]\n\
          \x20      paracrash selftest <{}> [args]\n\n\
          `fuzz` and `campaign` are one sweep driver; `campaign` defaults\n\
          `--state-dir` to campaign-state. With a state dir the sweep is\n\
@@ -214,13 +211,14 @@ fn usage() -> ! {
          disabled-overhead budget (<3%); with an artifact it validates it:\n\
          `telemetry <file>`, `explain <dir> [<min-bundles>]`, `events <file>`\n\
          | `events --canonical-diff <a> <b>` | `events --html <report>`,\n\
-         `prof <file.folded>` | `prof --bench <BENCH.json>`,\n\
-         `scale <BENCH_scale.json> [--live]`, `durable [<seed>] [<cases>]`.\n\n\
+         `prof <file.folded>`, `durable [<seed>] [<cases>]`. `selftest scale`\n\
+         takes no argument: it times the batched engine against the per-state\n\
+         loop and the 64- against the 256-server check, in process.\n\n\
          `--events-out` streams flight-recorder events (cells, findings,\n\
          spans, campaign snapshots) as JSON lines while the run is live;\n\
-         `report` renders them (plus optional telemetry JSON, BENCH_*.json\n\
-         suites, and a `--profile` .folded aggregate as an SVG flame view)\n\
-         into one self-contained HTML dashboard.\n\n\
+         `report` renders them (plus optional telemetry JSON and a\n\
+         `--profile` .folded aggregate as an SVG flame view) into one\n\
+         self-contained HTML dashboard.\n\n\
          `--profile-out` arms the cooperative sampling profiler (rate from\n\
          PC_PROF_HZ, default 97 Hz) and writes a flamegraph-compatible\n\
          .folded stack aggregate on exit; PC_PROFILE=FILE is the env-var\n\
@@ -416,12 +414,11 @@ fn run_sweep(kind: &str, args: &[String]) -> ! {
 }
 
 /// The `report` subcommand: fold a run's artifacts — the `--events-out`
-/// stream, an optional `--telemetry-out` snapshot, any `BENCH_*.json`
-/// suites — into one self-contained HTML dashboard.
+/// stream, an optional `--telemetry-out` snapshot, an optional
+/// `--profile-out` profile — into one self-contained HTML dashboard.
 fn run_report(args: &[String]) -> ! {
     let mut events_path: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
-    let mut bench_paths: Vec<String> = Vec::new();
     let mut profile_path: Option<String> = None;
     let mut out_path = "paracrash-report.html".to_string();
     let mut it = args.iter();
@@ -434,7 +431,6 @@ fn run_report(args: &[String]) -> ! {
         match a.as_str() {
             "--events" => events_path = Some(value("--events")),
             "--telemetry" => telemetry_path = Some(value("--telemetry")),
-            "--bench" => bench_paths.push(value("--bench")),
             "--profile" => profile_path = Some(value("--profile")),
             "--out" => out_path = value("--out"),
             "--help" | "-h" => usage(),
@@ -456,22 +452,9 @@ fn run_report(args: &[String]) -> ! {
     let telemetry = telemetry_path.as_deref().map(|p| {
         Json::parse(&read(p)).unwrap_or_else(|e| die(format_args!("bad telemetry {p}: {e}")))
     });
-    let benches: Vec<(String, Json)> = bench_paths
-        .iter()
-        .map(|p| {
-            let j = Json::parse(&read(p))
-                .unwrap_or_else(|e| die(format_args!("bad bench json {p}: {e}")));
-            (p.clone(), j)
-        })
-        .collect();
     let profile_text = profile_path.as_deref().map(read);
-    let html = render_dashboard(
-        &events_text,
-        telemetry.as_ref(),
-        &benches,
-        profile_text.as_deref(),
-    )
-    .unwrap_or_else(|e| die(format_args!("bad report input ({events_path}): {e}")));
+    let html = render_dashboard(&events_text, telemetry.as_ref(), profile_text.as_deref())
+        .unwrap_or_else(|e| die(format_args!("bad report input ({events_path}): {e}")));
     std::fs::write(&out_path, &html)
         .unwrap_or_else(|e| die(format_args!("cannot write {out_path}: {e}")));
     println!(
@@ -556,7 +539,6 @@ fn main() {
             "fuzz" | "campaign" => run_sweep(sub, rest),
             "report" => run_report(rest),
             "history" => run_history(rest),
-            "bench" => bench::run(rest),
             "selftest" => selftest::run(rest),
             _ => {}
         }

@@ -33,20 +33,19 @@ use workloads::{FsKind, Params, Program};
 /// Maximum tolerated disabled-plane share of the workload runtime.
 const BUDGET: f64 = 0.03;
 
-/// What the probes and workloads share: one traced ARVR/BeeGFS run and
-/// its crash states.
-struct Fixture {
-    params: Params,
-    stack: Stack,
-    factory: StackFactory,
-    cfg: CheckConfig,
-    states: Vec<CrashState>,
+/// What the probes and workloads share: one traced run on BeeGFS (the
+/// budgets use ARVR at quick scale) and its crash states.
+pub struct Fixture {
+    pub params: Params,
+    pub stack: Stack,
+    pub factory: StackFactory,
+    pub cfg: CheckConfig,
+    pub states: Vec<CrashState>,
 }
 
 impl Fixture {
-    fn new() -> Fixture {
-        let params = Params::quick();
-        let stack = Program::Arvr.run(FsKind::BeeGfs, &params);
+    pub fn new(program: Program, params: Params) -> Fixture {
+        let stack = program.run(FsKind::BeeGfs, &params);
         let factory = FsKind::BeeGfs.factory(&params);
         let graph = CausalityGraph::build(&stack.rec);
         let pa = PersistAnalysis::build(&stack.rec, &graph, |s| stack.journal_of(s));
@@ -295,7 +294,7 @@ pub fn disabled_overhead(plane: &str) {
         .find(|p| p.name == plane)
         .expect("caller checked has_budget");
     pc_rt::obs::set_enabled(false);
-    let fx = Fixture::new();
+    let fx = Fixture::new(Program::Arvr, Params::quick());
     let per_site_ns = (p.probe)(&fx);
     let t_off_ns = median_ns(9, || (p.workload)(&fx));
     let sites = (p.sites)(&fx, p.workload);

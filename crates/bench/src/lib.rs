@@ -1,8 +1,7 @@
 #![warn(missing_docs)]
 
 //! Shared harness machinery for the `paracrash` binary's figure/table
-//! regeneration subcommands, the sweep driver, and the wall-clock
-//! benches.
+//! regeneration subcommands and the sweep driver.
 //!
 //! Every evaluation artifact of the paper reduces to running a set of
 //! `(program, file system, placement, parameters)` cells through
@@ -13,33 +12,15 @@
 //! * Figure 10 — exploration time per cell under the three modes;
 //! * Figure 11 — exploration time as the server count grows.
 //!
-//! The wall-clock benches (formerly criterion bench targets) live in
-//! [`benches`] and run on `pc-rt`'s harness through `paracrash bench`:
-//! `cargo run --release -p pc-bench -- bench [filter] [--json PATH]`.
+//! Wall-clock performance is measured by the standalone `benchmark/`
+//! crate (see `benchmark/README.md`), which drives [`run_program`],
+//! [`run_program_swept`] and [`dims_variants`] from here.
 
-use paracrash::{check_stack, CheckConfig, CheckOutcome, ExploreMode, Inconsistency, LayerVerdict};
-use pc_rt::bench::Sample;
-use pc_rt::json::Json;
+use paracrash::{check_stack, CheckConfig, CheckOutcome, Inconsistency, LayerVerdict};
 use workloads::{FsKind, Params, Program};
 
 pub mod campaign;
 pub mod progress;
-
-pub use pc_rt::bench::fmt_ns;
-
-/// The wall-clock benchmark suites (ported from the criterion benches).
-pub mod benches {
-    pub mod ablation;
-    pub mod explain;
-    pub mod explore;
-    pub mod faults;
-    pub mod fuzz;
-    pub mod profiling;
-    pub mod scalability;
-    pub mod scale;
-    pub mod substrate;
-    pub mod telemetry;
-}
 
 /// One evaluated cell of the matrix.
 #[derive(Debug, Clone)]
@@ -259,44 +240,6 @@ pub fn render_bug(bug: &Inconsistency) -> String {
         bug.violated_model.as_str(),
         bug.signature,
         bug.occurrences
-    )
-}
-
-/// Bench-friendly single-cell runner with explicit mode.
-pub fn run_with_mode(
-    program: Program,
-    fs: FsKind,
-    params: &Params,
-    mode: ExploreMode,
-) -> CheckOutcome {
-    let cfg = CheckConfig {
-        mode,
-        ..CheckConfig::paper_default()
-    };
-    run_program(program, fs, params, &cfg).outcome
-}
-
-/// Serialize bench results as JSON (via the vendored `pc_rt::json`
-/// writer, keeping the workspace registry-free).
-pub fn bench_samples_json(samples: &[Sample]) -> Json {
-    Json::Arr(
-        samples
-            .iter()
-            .map(|s| {
-                let mut fields = vec![
-                    ("name".into(), Json::Str(s.name.clone())),
-                    ("iters".into(), Json::Int(u64::from(s.iters))),
-                    ("min_ns".into(), Json::Int(s.min_ns.round() as u64)),
-                    ("mean_ns".into(), Json::Int(s.mean_ns.round() as u64)),
-                    ("median_ns".into(), Json::Int(s.median_ns.round() as u64)),
-                    ("p95_ns".into(), Json::Int(s.p95_ns.round() as u64)),
-                ];
-                for (k, v) in &s.extra {
-                    fields.push((k.clone(), Json::Int(v.round() as u64)));
-                }
-                Json::Obj(fields)
-            })
-            .collect(),
     )
 }
 

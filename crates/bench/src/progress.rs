@@ -25,6 +25,7 @@
 //! thresholds are deliberately coarse: the goal is "a human notices
 //! within seconds", not statistics.
 
+use pc_rt::obs::fmt_ns;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -120,9 +121,9 @@ impl CampaignMeter {
             if self.ewma_ns > 0.0 && (wall_ns as f64) > bar {
                 warnings.push(format!(
                     "fuzz: stalled cell {label}: {} ({:.1}x the {} rolling mean)",
-                    crate::fmt_ns(wall_ns as f64),
+                    fmt_ns(wall_ns as f64),
                     wall_ns as f64 / self.ewma_ns,
-                    crate::fmt_ns(self.ewma_ns),
+                    fmt_ns(self.ewma_ns),
                 ));
             }
         }
@@ -156,9 +157,9 @@ impl CampaignMeter {
                 warnings.push(format!(
                     "fuzz: throughput regression: last {WINDOW} cells took {} \
                      ({:.1}x the best window); slowest cell {slowest} at {}",
-                    crate::fmt_ns(total as f64),
+                    fmt_ns(total as f64),
                     total as f64 / *best as f64,
-                    crate::fmt_ns(slow_ns as f64),
+                    fmt_ns(slow_ns as f64),
                 ));
                 self.regression_cooldown = WINDOW;
             }

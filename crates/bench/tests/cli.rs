@@ -42,6 +42,28 @@ fn table3_reproduces_all_fifteen() {
     assert!(!text.contains("missing"));
 }
 
+/// The legacy perf path is gone, not ignored: its subcommand, its
+/// `report` flag and the file argument of `selftest scale` are usage
+/// errors, and the usage text no longer offers them.
+#[test]
+fn removed_bench_surfaces_are_usage_errors() {
+    for args in [
+        &["bench"][..],
+        &["report", "--bench", "x.json"],
+        &["selftest", "scale", "some.json"],
+    ] {
+        let out = paracrash(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: paracrash"), "{args:?}: {err}");
+    }
+    let help = paracrash(&["--help"]);
+    assert_eq!(help.status.code(), Some(2));
+    let text = String::from_utf8_lossy(&help.stderr);
+    assert!(text.contains("usage: paracrash"), "{text}");
+    assert!(!text.contains("bench"), "{text}");
+}
+
 /// The committed Figure 9 traces are what the models emit today, line
 /// for line (RPC labels, server ids, LBAs, event order).
 #[test]
@@ -62,7 +84,6 @@ fn fig9_matches_the_committed_traces() {
 fn file_validators_reject_truncated_artifacts() {
     let dir = scratch("artifacts");
     let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
     // One small sweep and one single-cell check write every artifact
     // kind (BeeGFS/ARVR finds bugs, so that cell exits 1 by design).
@@ -101,24 +122,22 @@ fn file_validators_reject_truncated_artifacts() {
         }
         std::fs::write(to, &bytes[..cut]).unwrap();
     };
-    let cases: [(&[&str], String); 5] = [
-        (&["telemetry"], path("telemetry.json")),
-        (&["events"], path("events.jsonl")),
-        (&["prof"], path("run.folded")),
-        (&["scale"], format!("{root}/BENCH_scale.json")),
-        (&["prof", "--bench"], format!("{root}/BENCH_profiling.json")),
+    let cases = [
+        ("telemetry", path("telemetry.json")),
+        ("events", path("events.jsonl")),
+        ("prof", path("run.folded")),
     ];
     for (plane, good) in &cases {
-        let run = |file: &str| paracrash(&[&["selftest"], *plane, &[file]].concat());
+        let run = |file: &str| paracrash(&["selftest", plane, file]);
         let ok = run(good);
-        assert!(ok.status.success(), "selftest {plane:?} {good}: {ok:?}");
+        assert!(ok.status.success(), "selftest {plane} {good}: {ok:?}");
         let cut = path("cut");
         halve(good, &cut);
         let bad = run(&cut);
         assert_eq!(
             bad.status.code(),
             Some(1),
-            "selftest {plane:?} {cut}: {bad:?}"
+            "selftest {plane} {cut}: {bad:?}"
         );
         assert!(String::from_utf8_lossy(&bad.stderr).contains("selftest: FAIL"));
     }

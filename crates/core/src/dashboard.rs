@@ -2,8 +2,8 @@
 //!
 //! The renderer is the read side of the observability plane: it takes
 //! the artifacts a run leaves behind — a `--events-out` JSON-lines
-//! stream, an optional `--telemetry-out` snapshot, any committed
-//! `BENCH_*.json` suites — parses them with the vendored
+//! stream, an optional `--telemetry-out` snapshot, an optional
+//! `--profile-out` profile — parses them with the vendored
 //! `pc_rt::json` reader (zero dependencies, like everything else in the
 //! workspace), and emits **one** HTML file with inline CSS and inline
 //! SVG: no scripts, no external fonts, no network. Open it from disk,
@@ -28,15 +28,14 @@
 //!   misleading one-bar graphic;
 //! * **allocation attribution** — per-span alloc count / bytes / peak
 //!   tiles and table from the counting allocator, when the telemetry
-//!   snapshot carries an `alloc` object;
-//! * **bench suites** — median-latency rows for any `BENCH_*.json`
-//!   passed in.
+//!   snapshot carries an `alloc` object.
 //!
 //! Every metric element carries a `data-metric` attribute; verify
 //! gate 12 lints the rendered file for the full set plus a non-empty
 //! SVG, so a dashboard that silently lost a section fails CI.
 
 use pc_rt::json::Json;
+use pc_rt::obs::fmt_ns;
 
 use crate::telemetry::parse_event_stream;
 
@@ -71,29 +70,15 @@ fn html_escape(s: &str) -> String {
     out
 }
 
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.2} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2} µs", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
-}
-
 /// Render the dashboard. `events_text` is the raw `--events-out`
 /// JSON-lines stream (validated here; a bad stream is an error, not an
 /// empty chart). `telemetry` is a parsed `--telemetry-out` plain-JSON
-/// snapshot, if one exists. `benches` are `(file name, parsed JSON)`
-/// pairs for any `BENCH_*.json` suites to tabulate. `profile` is the
-/// text of a `--profile-out` `.folded` file for the flame view (a
-/// malformed profile is an error, matching the stream).
+/// snapshot, if one exists. `profile` is the text of a `--profile-out`
+/// `.folded` file for the flame view (a malformed profile is an error,
+/// matching the stream).
 pub fn render_dashboard(
     events_text: &str,
     telemetry: Option<&Json>,
-    benches: &[(String, Json)],
     profile: Option<&str>,
 ) -> Result<String, String> {
     let events = parse_event_stream(events_text)?;
@@ -227,7 +212,6 @@ pub fn render_dashboard(
         render_flame(&mut b, folded)?;
     }
     render_alloc(&mut b, telemetry);
-    render_benches(&mut b, benches);
 
     b.push_str("</main>\n</body>\n</html>\n");
     Ok(b)
@@ -666,33 +650,6 @@ fn render_alloc(b: &mut String, telemetry: Option<&Json>) {
     b.push_str("</section>\n");
 }
 
-/// Bench suites: median latency per bench, one table per file.
-fn render_benches(b: &mut String, benches: &[(String, Json)]) {
-    if benches.is_empty() {
-        return;
-    }
-    b.push_str("<section data-metric=\"benches\">\n<h2>Bench suites</h2>\n");
-    for (file, j) in benches {
-        b.push_str(&format!("<h3>{}</h3>\n", html_escape(file)));
-        let Some(rows) = j.as_arr() else {
-            b.push_str("<p class=\"sub\">not a bench array</p>\n");
-            continue;
-        };
-        b.push_str("<table><tr><th>bench</th><th>iters</th><th>median</th><th>p95</th></tr>\n");
-        for r in rows {
-            b.push_str(&format!(
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-                html_escape(r.get("name").and_then(Json::as_str).unwrap_or("?")),
-                r.get("iters").and_then(Json::as_int).unwrap_or(0),
-                fmt_ns(r.get("median_ns").and_then(Json::as_int).unwrap_or(0) as f64),
-                fmt_ns(r.get("p95_ns").and_then(Json::as_int).unwrap_or(0) as f64),
-            ));
-        }
-        b.push_str("</table>\n");
-    }
-    b.push_str("</section>\n");
-}
-
 /// Document head: inline CSS only. Light/dark palettes are the
 /// validated reference palette (series 1 blue, series 2 orange, a
 /// single-hue sequential blue ramp for the heatmap); dark mode is its
@@ -832,7 +789,7 @@ mod tests {
 
     #[test]
     fn dashboard_renders_all_sections() {
-        let html = render_dashboard(&stream(), None, &[], None).unwrap();
+        let html = render_dashboard(&stream(), None, None).unwrap();
         for metric in [
             "cells",
             "findings",
@@ -860,7 +817,7 @@ mod tests {
     #[test]
     fn campaign_counters_render_their_own_tiles() {
         // Plain fuzz stream: no campaign section at all.
-        let html = render_dashboard(&stream(), None, &[], None).unwrap();
+        let html = render_dashboard(&stream(), None, None).unwrap();
         assert!(!html.contains("campaign-robustness"));
         // Campaign stream: counter deltas sum into the robustness tiles.
         let mut s = stream();
@@ -875,7 +832,7 @@ mod tests {
                  \"value\":{value},\"detail\":\"\",\"trace_id\":0}}\n",
             ));
         }
-        let html = render_dashboard(&s, None, &[], None).unwrap();
+        let html = render_dashboard(&s, None, None).unwrap();
         assert!(html.contains("data-metric=\"campaign-robustness\""));
         for metric in ["resumed-cells", "retries", "quarantined"] {
             assert!(
@@ -888,32 +845,20 @@ mod tests {
 
     #[test]
     fn dashboard_rejects_bad_stream_and_escapes_names() {
-        assert!(render_dashboard("{\"schema_version\":9}\n", None, &[], None).is_err());
+        assert!(render_dashboard("{\"schema_version\":9}\n", None, None).is_err());
         let s = stream().replace("wl0@", "a<b>&\\\"c@");
-        let html = render_dashboard(&s, None, &[], None).unwrap();
+        let html = render_dashboard(&s, None, None).unwrap();
         assert!(html.contains("a&lt;b&gt;&amp;&quot;c@"));
         assert!(!html.contains("a<b>&\"c@"));
     }
 
     #[test]
-    fn dashboard_tabulates_benches_and_prefers_snapshot_spans() {
-        let bench = Json::parse(
-            "[{\"name\":\"fuzz/check/cell\",\"iters\":10,\"min_ns\":1,\"mean_ns\":3,\"median_ns\":2,\"p95_ns\":4}]",
-        )
-        .unwrap();
+    fn dashboard_prefers_snapshot_spans() {
         let telemetry = Json::parse(
             "{\"schema_version\":1,\"spans\":[{\"name\":\"check_stack\",\"cat\":\"check\",\"tid\":1,\"depth\":0,\"start_ns\":0,\"dur_ns\":5000,\"trace_id\":1}]}",
         )
         .unwrap();
-        let html = render_dashboard(
-            &stream(),
-            Some(&telemetry),
-            &[("BENCH_fuzz.json".into(), bench)],
-            None,
-        )
-        .unwrap();
-        assert!(html.contains("data-metric=\"benches\""));
-        assert!(html.contains("fuzz/check/cell"));
+        let html = render_dashboard(&stream(), Some(&telemetry), None).unwrap();
         // Snapshot spans replace the stream-derived stage times.
         assert!(html.contains("check_stack"));
         assert!(!html.contains("check.verdicts"));
@@ -923,7 +868,7 @@ mod tests {
     fn flame_view_renders_and_degrades_below_two_samples() {
         // A real profile: nested stacks, icicle SVG plus the table.
         let folded = "cli.run;snapshot.materialize 6\ncli.run;recover/BeeGFS 3\ncli.run 1\n";
-        let html = render_dashboard(&stream(), None, &[], Some(folded)).unwrap();
+        let html = render_dashboard(&stream(), None, Some(folded)).unwrap();
         assert!(html.contains("data-metric=\"flame\""));
         assert!(html.contains("class=\"flame flame-d0\""), "{html}");
         assert!(html.contains("class=\"flame flame-d1\""));
@@ -934,17 +879,17 @@ mod tests {
             "root weight sums children"
         );
         // <2 samples: no flame rects, the stack table carries the section.
-        let html = render_dashboard(&stream(), None, &[], Some("cli.run 1\n")).unwrap();
+        let html = render_dashboard(&stream(), None, Some("cli.run 1\n")).unwrap();
         assert!(html.contains("data-metric=\"flame\""));
         assert!(!html.contains("class=\"flame flame-d0\""));
         assert!(html.contains("data-metric=\"flame-table\""));
         assert!(html.contains("too few for a flame graph"));
         // Empty and absent profiles degrade gracefully; garbage errors.
-        let html = render_dashboard(&stream(), None, &[], Some("")).unwrap();
+        let html = render_dashboard(&stream(), None, Some("")).unwrap();
         assert!(html.contains("no samples in the profile"));
-        let html = render_dashboard(&stream(), None, &[], None).unwrap();
+        let html = render_dashboard(&stream(), None, None).unwrap();
         assert!(!html.contains("data-metric=\"flame\""));
-        assert!(render_dashboard(&stream(), None, &[], Some("bad profile")).is_err());
+        assert!(render_dashboard(&stream(), None, Some("bad profile")).is_err());
     }
 
     #[test]
@@ -953,7 +898,7 @@ mod tests {
             "{\"schema_version\":1,\"spans\":[],\"alloc\":{\"total\":{\"count\":52,\"bytes\":13096,\"peak_bytes\":7048},\"spans\":{\"check.enumerate\":{\"count\":12,\"bytes\":4096,\"peak_bytes\":2048}}}}",
         )
         .unwrap();
-        let html = render_dashboard(&stream(), Some(&telemetry), &[], None).unwrap();
+        let html = render_dashboard(&stream(), Some(&telemetry), None).unwrap();
         assert!(html.contains("data-metric=\"alloc\""));
         for metric in ["alloc-count", "alloc-bytes", "alloc-peak", "alloc-table"] {
             assert!(
@@ -964,17 +909,17 @@ mod tests {
         assert!(html.contains("check.enumerate"));
         // No alloc object (old snapshots), or an empty one: no section.
         let bare = Json::parse("{\"schema_version\":1,\"spans\":[]}").unwrap();
-        let html = render_dashboard(&stream(), Some(&bare), &[], None).unwrap();
+        let html = render_dashboard(&stream(), Some(&bare), None).unwrap();
         assert!(!html.contains("data-metric=\"alloc\""));
         let zero = Json::parse(
             "{\"schema_version\":1,\"spans\":[],\"alloc\":{\"total\":{\"count\":0,\"bytes\":0,\"peak_bytes\":0},\"spans\":{}}}",
         )
         .unwrap();
-        let html = render_dashboard(&stream(), Some(&zero), &[], None).unwrap();
+        let html = render_dashboard(&stream(), Some(&zero), None).unwrap();
         assert!(!html.contains("data-metric=\"alloc\""));
         // Dark-mode styling: the flame palette is defined in both the
         // light block and the dark block, like the heat ramp.
-        let html = render_dashboard(&stream(), None, &[], None).unwrap();
+        let html = render_dashboard(&stream(), None, None).unwrap();
         assert_eq!(html.matches("--flame-1:").count(), 2, "light + dark");
         assert_eq!(html.matches("--flame-4:").count(), 2);
         assert_eq!(html.matches("prefers-color-scheme: dark").count(), 1);

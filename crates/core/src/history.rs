@@ -1,7 +1,7 @@
 //! `history` — the durable run-to-run performance history.
 //!
-//! The committed `BENCH_*.json` files are one-shot snapshots; a
-//! long-lived checkout accumulates no trend. This module gives every
+//! The `benchmark/` ledger compares two commits; it keeps no log of a
+//! user's own runs on their own machine. This module gives every
 //! profiled run a durable perf record: `--history-dir DIR` appends one
 //! [`RunRecord`] per run to a crash-safe [`RecordLog`]
 //! (`DIR/history.log` — CRC-checked, fsynced, torn-tail-recovering, the
@@ -12,7 +12,7 @@
 //! * `history diff` — last two runs, per-metric ratios, exit 1 when a
 //!   normalized metric regressed past `--band` (default 1.5×);
 //! * `history regressions` — every consecutive pair, the ratchet a CI
-//!   job can run after `selftest scale --live`.
+//!   job can run after `selftest scale`.
 //!
 //! Records serialize as JSON payloads inside the record log, so the
 //! format is self-describing and old logs keep parsing as fields grow
@@ -21,11 +21,10 @@
 use std::io;
 use std::path::Path;
 
-use pc_rt::bench::fmt_ns;
 use pc_rt::durable::RecordLog;
 use pc_rt::json::Json;
 use pc_rt::obs::prof::fmt_bytes;
-use pc_rt::obs::TelemetrySnapshot;
+use pc_rt::obs::{fmt_ns, TelemetrySnapshot};
 
 /// File name of the record log inside `--history-dir`.
 pub const HISTORY_LOG: &str = "history.log";

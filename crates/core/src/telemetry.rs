@@ -2,8 +2,7 @@
 //! JSON, in two dialects.
 //!
 //! * [`telemetry_json`] — a plain structured dump (`spans`, `counters`,
-//!   `gauges`, `histograms`), same `pc_rt::json` writer and style as the
-//!   `BENCH_*.json` files `pc-bench --json` commits;
+//!   `gauges`, `histograms`) through the `pc_rt::json` writer;
 //! * [`chrome_trace`] — the Chrome trace-event format (the JSON Array
 //!   Format with `traceEvents`), loadable in Perfetto / `chrome://tracing`
 //!   for a flamegraph-style timeline of a full bug-finding run. Every
@@ -26,7 +25,7 @@ use pc_rt::json::Json;
 use pc_rt::obs::stream::SCHEMA_VERSION;
 use pc_rt::obs::TelemetrySnapshot;
 
-/// Serialize a snapshot as plain structured JSON (`BENCH_*.json` style).
+/// Serialize a snapshot as plain structured JSON.
 pub fn telemetry_json(snap: &TelemetrySnapshot) -> Json {
     let spans = snap
         .spans

@@ -21,9 +21,6 @@
 //! * [`proptest`] — a seeded property-testing harness with
 //!   shrinking-by-halving and failure-seed reporting (replaces the
 //!   `proptest` crate for the suite's property tests).
-//! * [`mod@bench`] — a wall-clock microbenchmark harness with warmup,
-//!   median/p95 reporting and machine-readable results (replaces
-//!   `criterion` for `pc-bench`'s benches).
 //! * [`durable`] — crash-safe on-disk primitives (an append-only
 //!   CRC-checked record log with torn-tail recovery, atomic-rename
 //!   checkpoints, and the `PC_DURABLE_CRASH` self-crash-testing hook)
@@ -60,7 +57,6 @@
 //! assert_eq!(square, Ok(16));
 //! ```
 
-pub mod bench;
 pub mod durable;
 pub mod hash;
 pub mod intern;

@@ -73,8 +73,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
-use crate::bench::fmt_ns;
-
 #[path = "stream.rs"]
 pub mod stream;
 
@@ -98,7 +96,7 @@ pub enum Level {
     Warn = 1,
     /// Progress notes ("wrote file X").
     Info = 2,
-    /// Per-event chatter (RPC deliveries, bench progress).
+    /// Per-event chatter (RPC deliveries).
     Debug = 3,
 }
 
@@ -714,6 +712,19 @@ pub fn mark() -> Mark {
     }
 }
 
+/// Format nanoseconds human-readably (`412 ns`, `3.10 µs`, `2.40 ms`, …).
+pub fn fmt_ns(ns: f64) -> String {
+    if ns < 1_000.0 {
+        format!("{ns:.0} ns")
+    } else if ns < 1_000_000.0 {
+        format!("{:.2} µs", ns / 1_000.0)
+    } else if ns < 1_000_000_000.0 {
+        format!("{:.2} ms", ns / 1_000_000.0)
+    } else {
+        format!("{:.3} s", ns / 1_000_000_000.0)
+    }
+}
+
 /// Render the human-readable summary table of everything recorded since
 /// `mark`: per-span-name call counts and timings, counter deltas, gauges,
 /// histograms, plus derived lines — a hit rate for every `X.hits` /
@@ -1118,5 +1129,13 @@ mod tests {
         set_log_level(None);
         assert!(!log_enabled(Level::Error));
         set_log_level(Some(Level::Error));
+    }
+
+    #[test]
+    fn fmt_ns_units() {
+        assert_eq!(fmt_ns(412.0), "412 ns");
+        assert_eq!(fmt_ns(3_100.0), "3.10 µs");
+        assert_eq!(fmt_ns(2_400_000.0), "2.40 ms");
+        assert_eq!(fmt_ns(2_000_000_000.0), "2.000 s");
     }
 }
