@@ -41,8 +41,8 @@
 //! across `PC_THREADS` — the CI crash gate diffs it); progress and
 //! timing go to stderr.
 //!
-//! Live observability: `--events-out FILE` (or `PC_EVENTS=FILE`)
-//! attaches the `pc_rt::obs::stream` flight recorder's JSON-lines sink
+//! Live observability: `--events-out FILE` attaches the
+//! `pc_rt::obs::stream` flight recorder's JSON-lines sink
 //! — structured events (cells, findings, spans, counters, periodic
 //! campaign snapshots) stream to `FILE` while the run is still going,
 //! and a panic flushes the ring so a wedged run stays diagnosable.
@@ -51,7 +51,7 @@
 //! HTML dashboard (inline SVG, no scripts, no network):
 //!
 //! ```sh
-//! paracrash fuzz --bound 2 --events-out events.jsonl
+//! paracrash fuzz --bound 2 --events-out events.jsonl --telemetry-out trace.json
 //! paracrash report --events events.jsonl --out report.html
 //! paracrash report --events events.jsonl --telemetry trace.json \
 //!           --out report.html
@@ -66,28 +66,22 @@
 //! paracrash selftest <plane> [args]          # the verify gates' helpers
 //! ```
 //!
-//! Self-profiling: `--profile-out FILE` (or `PC_PROFILE=FILE`) arms the
-//! cooperative sampling profiler — worker threads publish their span
-//! stacks through a seqlock shadow, a sampler thread folds them at
-//! `PC_PROF_HZ` — and writes an inferno-compatible `.folded` aggregate
-//! on exit; `report --profile FILE` renders it as a no-script SVG flame
-//! view. `--history-dir DIR` appends one perf record per run (states/s,
-//! per-stage ns, allocation bytes, peak RSS) to a durable CRC-checked
-//! log that the `history` subcommand reads back:
-//!
-//! ```sh
-//! paracrash fuzz --bound 2 --profile-out fuzz.folded --history-dir perf-history
-//! paracrash history diff --history-dir perf-history --band 1.5
-//! paracrash report --events events.jsonl --profile fuzz.folded
-//! ```
+//! Self-profiling: `--profile-out FILE` arms the cooperative sampling
+//! profiler — worker threads publish their span stacks through a seqlock
+//! shadow, a sampler thread folds them at `PC_PROF_HZ` — and writes an
+//! inferno-compatible `.folded` aggregate on exit; `report --profile
+//! FILE` renders it as a no-script SVG flame view. The four
+//! observability flags (`--telemetry-out`, `--telemetry-format`,
+//! `--events-out`, `--profile-out`) mean the same on a single check and
+//! on a sweep.
 
 use paracrash::dashboard::render_dashboard;
-use paracrash::history;
 use paracrash::telemetry::{chrome_trace, telemetry_json};
 use paracrash::CheckConfig;
 use pc_bench::campaign::{parse_modes, run_campaign, CampaignOptions, FuzzOptions};
 use pc_bench::{render_bug, run_program_swept, sanitize};
 use pc_rt::json::Json;
+use pc_rt::obs::prof;
 use simnet::FaultConfig;
 use std::time::Duration;
 use workloads::{FsKind, Params, Program};
@@ -124,61 +118,95 @@ fn prepare_out(target: OutTarget, flag: &str, path: String) -> String {
     path
 }
 
-/// Arm the self-profiling plane for a `--profile-out` run: telemetry
-/// on (spans must exist to be sampled), sampler thread running at
-/// `PC_PROF_HZ`, and the `.folded` output path armed for
-/// [`finish_profile_and_history`] to flush.
-fn arm_profile(path: String) {
-    pc_rt::obs::set_enabled(true);
-    pc_rt::obs::prof::enable_sampling(pc_rt::obs::prof::hz_from_env());
-    pc_rt::obs::prof::arm_output(path);
-}
-
-/// Output options that need carrying to the end of the run (the
-/// profiler arms process-global state instead).
-#[derive(Default)]
-struct ProfOpts {
-    /// `--history-dir`: append one perf record to this durable log.
-    history_dir: Option<String>,
-}
-
-/// Flush the self-profiling plane at the end of a run: write the armed
-/// `.folded` profile (if any) and append one perf record to the
-/// `--history-dir` log. Failures are I/O errors on explicitly
-/// requested output paths, so they exit 1 like the other end-of-run
-/// writers.
-fn finish_profile_and_history(
-    prof_opts: &ProfOpts,
-    kind: &str,
-    label: &str,
-    work: u64,
-    wall: Duration,
-) {
-    match pc_rt::obs::prof::finish() {
-        Ok(Some(path)) => pc_rt::pc_info!(
-            "profile written to {} ({} samples)",
-            path.display(),
-            pc_rt::obs::prof::samples_total()
-        ),
-        Ok(None) => {}
-        Err(e) => {
-            pc_rt::pc_error!("cannot write profile: {e}");
-            std::process::exit(1);
-        }
-    }
-    let Some(dir) = &prof_opts.history_dir else {
-        return;
-    };
-    let snap = pc_rt::obs::snapshot();
-    let rec = history::RunRecord::from_run(kind, label, work, wall.as_nanos() as u64, &snap);
-    if let Err(e) = history::append(std::path::Path::new(dir), &rec) {
-        pc_rt::pc_error!("cannot append history record to {dir}: {e}");
+/// Write an output file the command line asked for; an I/O error on it
+/// exits 1 like any other failed run.
+fn write_out(path: &str, text: String) {
+    std::fs::write(path, text).unwrap_or_else(|e| {
+        pc_rt::pc_error!("cannot write {path}: {e}");
         std::process::exit(1);
+    });
+}
+
+/// The observability outputs that are written when the run ends (the
+/// stream sink and the sampler are process-global and start at once).
+#[derive(Default)]
+struct ObsOpts {
+    /// `--telemetry-out`: write the registry snapshot here.
+    telemetry_out: Option<String>,
+    /// `--telemetry-format chrome` (default: plain JSON).
+    chrome: bool,
+    /// `--profile-out`: write the `.folded` profile here.
+    profile_out: Option<String>,
+}
+
+/// Parse one observability flag — the same four on a single check and
+/// on a sweep; returns `false` when `a` is not one of them. Every path
+/// goes through [`prepare_out`], so an unwritable target fails at launch
+/// with exit 2 instead of hours in; `--events-out` attaches the stream
+/// sink and `--profile-out` arms the sampler immediately.
+fn parse_obs_flag(obs: &mut ObsOpts, a: &str, value: &mut dyn FnMut(&str) -> String) -> bool {
+    match a {
+        "--events-out" => {
+            let path = prepare_out(OutTarget::File, a, value(a));
+            pc_rt::obs::stream::set_sink(&path)
+                .unwrap_or_else(|e| die(format_args!("cannot open {path}: {e}")));
+        }
+        "--profile-out" => {
+            obs.profile_out = Some(prepare_out(OutTarget::File, a, value(a)));
+            prof::arm_profile();
+        }
+        "--telemetry-out" => {
+            pc_rt::obs::set_enabled(true);
+            obs.telemetry_out = Some(prepare_out(OutTarget::File, a, value(a)));
+        }
+        "--telemetry-format" => {
+            obs.chrome = match value(a).as_str() {
+                "json" => false,
+                "chrome" => true,
+                other => {
+                    pc_rt::pc_error!("unknown telemetry format: {other}");
+                    usage();
+                }
+            }
+        }
+        _ => return false,
     }
-    pc_rt::pc_info!("history record appended to {dir}/{}", history::HISTORY_LOG);
+    true
+}
+
+/// End of run: close the event stream, write the `.folded` profile and
+/// the `--telemetry-out` snapshot.
+fn finish_obs(obs: &ObsOpts) {
+    pc_rt::obs::stream::close();
+    if let Some(path) = &obs.profile_out {
+        prof::disable_sampling();
+        write_out(path, prof::render_folded());
+        pc_rt::pc_info!(
+            "profile written to {path} ({} samples)",
+            prof::samples_total()
+        );
+    }
+    if let Some(path) = &obs.telemetry_out {
+        let snap = pc_rt::obs::snapshot();
+        let (format, json) = if obs.chrome {
+            ("chrome", chrome_trace(&snap))
+        } else {
+            ("json", telemetry_json(&snap))
+        };
+        write_out(path, json.pretty() + "\n");
+        pc_rt::pc_info!(
+            "telemetry ({format}) written to {path}: {} spans, {} counters",
+            snap.spans.len(),
+            snap.counters.len()
+        );
+    }
 }
 
 fn usage() -> ! {
+    let env_table: String = pc_rt::env::VARS
+        .iter()
+        .map(|(name, meaning)| format!("  {name:<20} {meaning}\n"))
+        .collect();
     eprintln!(
         "usage: paracrash --fs <BeeGFS|OrangeFS|GlusterFS|GPFS|Lustre|ext4|all>\n\
          \x20                --program <ARVR|CR|RC|WAL|H5-create|...|all>\n\
@@ -186,17 +214,16 @@ fn usage() -> ! {
          \x20                [--faults <spec>|chaos] [--fail-fast]\n\
          \x20                [--telemetry-out <file>] [--telemetry-format <json|chrome>]\n\
          \x20                [--explain-out <dir>] [--events-out <file>]\n\
-         \x20                [--profile-out <file>] [--history-dir <dir>]\n\
+         \x20                [--profile-out <file>]\n\
          \x20      paracrash fuzz|campaign [--bound <n>] [--seed <n>] [--sample <n>]\n\
          \x20                [--fs <list|all>] [--modes <data,ordered,writeback,none|all>]\n\
-         \x20                [--findings-out <dir>] [--events-out <file>] [--paper]\n\
-         \x20                [--profile-out <file>] [--history-dir <dir>]\n\
+         \x20                [--findings-out <dir>] [--paper]\n\
+         \x20                [--telemetry-out <file>] [--telemetry-format <json|chrome>]\n\
+         \x20                [--events-out <file>] [--profile-out <file>]\n\
          \x20                [--cell-timeout <secs>] [--max-retries <n>]\n\
          \x20                [--state-dir <dir>] [--resume] [--checkpoint-every <n>]\n\
          \x20      paracrash report --events <file> [--telemetry <file>]\n\
          \x20                [--profile <file>] [--out <file>]\n\
-         \x20      paracrash history <show|diff|regressions>\n\
-         \x20                [--history-dir <dir>] [--band <ratio>]\n\
          \x20      paracrash table3|fig8|fig9|fig10|fig11 [--paper]\n\
          \x20      paracrash selftest <{}> [args]\n\n\
          `fuzz` and `campaign` are one sweep driver; `campaign` defaults\n\
@@ -207,8 +234,8 @@ fn usage() -> ! {
          byte-identical final report. Either way, cells that hang past\n\
          `--cell-timeout` or panic through `--max-retries` retries are\n\
          quarantined, not fatal.\n\n\
-         `selftest <plane>` with no further argument asserts the plane's\n\
-         disabled-overhead budget (<3%); with an artifact it validates it:\n\
+         `selftest obs|faults|explain` asserts the plane's disabled-overhead\n\
+         budget (<3%); the other forms validate an artifact:\n\
          `telemetry <file>`, `explain <dir> [<min-bundles>]`, `events <file>`\n\
          | `events --canonical-diff <a> <b>` | `events --html <report>`,\n\
          `prof <file.folded>`, `durable [<seed>] [<cases>]`. `selftest scale`\n\
@@ -219,19 +246,14 @@ fn usage() -> ! {
          `report` renders them (plus optional telemetry JSON and a\n\
          `--profile` .folded aggregate as an SVG flame view) into one\n\
          self-contained HTML dashboard.\n\n\
-         `--profile-out` arms the cooperative sampling profiler (rate from\n\
-         PC_PROF_HZ, default 97 Hz) and writes a flamegraph-compatible\n\
-         .folded stack aggregate on exit; PC_PROFILE=FILE is the env-var\n\
-         spelling. `--history-dir` appends one perf record per run to a\n\
-         durable CRC-checked log; `history show|diff|regressions` renders,\n\
-         compares (last two runs), or scans it, flagging any metric that\n\
-         slowed by more than `--band` (default 1.5x) with exit 1.\n\n\
+         `--profile-out` arms the cooperative sampling profiler and writes\n\
+         a flamegraph-compatible .folded stack aggregate on exit.\n\n\
          `--faults` takes a comma-separated spec (seed=N,drop=R,dup=R,delay=R,\n\
-         retries=N,partition=S[:H],torn=BOOL) or the word `chaos`; the\n\
-         PC_CHAOS_SEED / PC_FAULT_RATE environment variables arm the same\n\
-         plane when the flag is absent.\n\n\
+         retries=N,partition=S[:H],torn=BOOL) or the word `chaos`.\n\n\
+         Environment:\n{}\n\
          The configuration file uses `key = value` lines:\n{}",
         selftest::PLANES,
+        env_table,
         CheckConfig::paper_default().render()
     );
     std::process::exit(2);
@@ -239,15 +261,10 @@ fn usage() -> ! {
 
 /// Parse one flag describing the sweep itself (as opposed to how the
 /// driver runs it) into `opts`; returns `false` when the flag is not
-/// one of those so the caller can try the driver's set. Every output path goes through
-/// [`prepare_out`] so an unwritable target fails at launch with exit 2
-/// instead of hours in: `--events-out` attaches the stream sink
-/// immediately, `--profile-out` arms the sampling profiler, and
-/// `--history-dir` is carried in `prof_opts` for the end-of-run append.
+/// one of those so the caller can try the driver's set.
 fn parse_fuzz_flag(
     opts: &mut FuzzOptions,
     paper: &mut bool,
-    prof_opts: &mut ProfOpts,
     a: &str,
     value: &mut dyn FnMut(&str) -> String,
 ) -> bool {
@@ -299,26 +316,6 @@ fn parse_fuzz_flag(
                 value("--findings-out"),
             ));
         }
-        "--events-out" => {
-            let path = prepare_out(OutTarget::File, "--events-out", value("--events-out"));
-            pc_rt::obs::stream::set_sink(&path)
-                .unwrap_or_else(|e| die(format_args!("cannot open {path}: {e}")));
-        }
-        "--profile-out" => {
-            arm_profile(prepare_out(
-                OutTarget::File,
-                "--profile-out",
-                value("--profile-out"),
-            ));
-        }
-        "--history-dir" => {
-            pc_rt::obs::set_enabled(true);
-            prof_opts.history_dir = Some(prepare_out(
-                OutTarget::Dir,
-                "--history-dir",
-                value("--history-dir"),
-            ));
-        }
         "--paper" => *paper = true,
         _ => return false,
     }
@@ -336,7 +333,7 @@ fn run_sweep(kind: &str, args: &[String]) -> ! {
     let default_state_dir = (kind == "campaign").then_some("campaign-state");
     let mut opts = CampaignOptions::new(FuzzOptions::pr_tier(), default_state_dir);
     let mut paper = false;
-    let mut prof_opts = ProfOpts::default();
+    let mut obs = ObsOpts::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |what: &str| {
@@ -344,7 +341,9 @@ fn run_sweep(kind: &str, args: &[String]) -> ! {
                 .cloned()
                 .unwrap_or_else(|| die(format_args!("{what} needs a value")))
         };
-        if parse_fuzz_flag(&mut opts.fuzz, &mut paper, &mut prof_opts, a, &mut value) {
+        if parse_fuzz_flag(&mut opts.fuzz, &mut paper, a, &mut value)
+            || parse_obs_flag(&mut obs, a, &mut value)
+        {
             continue;
         }
         match a.as_str() {
@@ -384,16 +383,8 @@ fn run_sweep(kind: &str, args: &[String]) -> ! {
     }
     let start = std::time::Instant::now();
     let report = run_campaign(&opts).unwrap_or_else(|e| die(format_args!("{e}")));
-    let wall = start.elapsed();
-    let secs = wall.as_secs_f64();
-    pc_rt::obs::stream::close();
-    finish_profile_and_history(
-        &prof_opts,
-        kind,
-        &format!("bound={} seed={}", opts.fuzz.bound, opts.fuzz.seed),
-        report.corpus.cells as u64,
-        wall,
-    );
+    let secs = start.elapsed().as_secs_f64();
+    finish_obs(&obs);
     print!("{}", report.corpus.canonical_report());
     pc_rt::pc_info!(
         "{kind}: {} workloads, {}/{} cells this run ({} resumed, {} retries, {} quarantined) \
@@ -464,81 +455,12 @@ fn run_report(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// The `history` subcommand: render, compare, or scan the durable
-/// perf-history log that `--history-dir` runs append to. `diff`
-/// compares the last two records and `regressions` walks every
-/// consecutive pair; both exit 1 when a headline metric slowed by
-/// `--band` or more, so CI can gate on run-to-run drift.
-fn run_history(args: &[String]) -> ! {
-    let mut dir = "perf-history".to_string();
-    let mut band = history::DEFAULT_BAND;
-    let mut action: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(format_args!("{what} needs a value")))
-        };
-        match a.as_str() {
-            "--history-dir" => dir = value("--history-dir"),
-            "--band" => {
-                band = value("--band")
-                    .parse()
-                    .unwrap_or_else(|_| die(format_args!("--band must be a ratio")));
-                if !band.is_finite() || band <= 1.0 {
-                    die(format_args!("--band must be a finite ratio above 1.0"));
-                }
-            }
-            "show" | "diff" | "regressions" if action.is_none() => action = Some(a.clone()),
-            "--help" | "-h" => usage(),
-            other => {
-                pc_rt::pc_error!("unknown history argument: {other}");
-                usage();
-            }
-        }
-    }
-    let Some(action) = action else {
-        pc_rt::pc_error!("history needs an action: show, diff, or regressions");
-        usage();
-    };
-    let records = history::load(std::path::Path::new(&dir))
-        .unwrap_or_else(|e| die(format_args!("cannot load history from {dir}: {e}")));
-    match action.as_str() {
-        "show" => {
-            print!("{}", history::render_show(&records));
-            std::process::exit(0);
-        }
-        "diff" => {
-            if records.len() < 2 {
-                die(format_args!(
-                    "history diff needs at least two recorded runs in {dir} (found {})",
-                    records.len()
-                ));
-            }
-            let (text, flagged) = history::diff(
-                &records[records.len() - 2],
-                &records[records.len() - 1],
-                band,
-            );
-            print!("{text}");
-            std::process::exit(i32::from(flagged));
-        }
-        _ => {
-            let (text, flagged) = history::regressions(&records, band);
-            print!("{text}");
-            std::process::exit(i32::from(flagged));
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some((sub, rest)) = args.split_first() {
         match sub.as_str() {
             "fuzz" | "campaign" => run_sweep(sub, rest),
             "report" => run_report(rest),
-            "history" => run_history(rest),
             "selftest" => selftest::run(rest),
             _ => {}
         }
@@ -551,13 +473,10 @@ fn main() {
     let mut config_path = None;
     let mut dump_trace = None;
     let mut paper = false;
-    let mut telemetry_out = None;
-    let mut telemetry_format = "json".to_string();
     let mut faults_arg: Option<String> = None;
     let mut fail_fast = false;
     let mut explain_out: Option<String> = None;
-    let mut events_out: Option<String> = None;
-    let mut prof_opts = ProfOpts::default();
+    let mut obs = ObsOpts::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |what: &str| {
@@ -565,29 +484,10 @@ fn main() {
                 .cloned()
                 .unwrap_or_else(|| die(format_args!("{what} needs a value")))
         };
+        if parse_obs_flag(&mut obs, a, &mut value) {
+            continue;
+        }
         match a.as_str() {
-            "--events-out" => {
-                events_out = Some(prepare_out(
-                    OutTarget::File,
-                    "--events-out",
-                    value("--events-out"),
-                ));
-            }
-            "--profile-out" => {
-                arm_profile(prepare_out(
-                    OutTarget::File,
-                    "--profile-out",
-                    value("--profile-out"),
-                ));
-            }
-            "--history-dir" => {
-                pc_rt::obs::set_enabled(true);
-                prof_opts.history_dir = Some(prepare_out(
-                    OutTarget::Dir,
-                    "--history-dir",
-                    value("--history-dir"),
-                ));
-            }
             "--fs" => fs_arg = it.next().cloned(),
             "--program" => program_arg = it.next().cloned(),
             "--config" => config_path = it.next().cloned(),
@@ -596,14 +496,6 @@ fn main() {
             "--faults" => faults_arg = it.next().cloned(),
             "--fail-fast" => fail_fast = true,
             "--explain-out" => explain_out = it.next().cloned(),
-            "--telemetry-out" => telemetry_out = it.next().cloned(),
-            "--telemetry-format" => {
-                telemetry_format = it.next().cloned().unwrap_or_default();
-                if !matches!(telemetry_format.as_str(), "json" | "chrome") {
-                    pc_rt::pc_error!("unknown telemetry format: {telemetry_format}");
-                    usage();
-                }
-            }
             "--help" | "-h" => usage(),
             other => {
                 pc_rt::pc_error!("unknown argument: {other}");
@@ -614,16 +506,8 @@ fn main() {
     let (Some(fs_arg), Some(program_arg)) = (fs_arg, program_arg) else {
         usage();
     };
-    if telemetry_out.is_some() {
-        pc_rt::obs::set_enabled(true);
-    }
-    if let Some(path) = &events_out {
-        pc_rt::obs::stream::set_sink(path)
-            .unwrap_or_else(|e| die(format_args!("cannot open {path}: {e}")));
-    }
     // Outermost span: everything from configuration to the last verdict
     // lands under it, so the emitted timeline covers the full run.
-    let start = std::time::Instant::now();
     let cli_span = pc_rt::obs::span_cat("cli.run", "cli");
 
     let mut cfg = CheckConfig::paper_default();
@@ -639,18 +523,10 @@ fn main() {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| die(format_args!("cannot create {dir}: {e}")));
     }
-    // `--faults` wins over the config file; the environment is the
-    // fallback when neither names a plane.
-    match &faults_arg {
-        Some(spec) => {
-            cfg.faults = FaultConfig::parse_spec(spec)
-                .unwrap_or_else(|e| die(format_args!("bad --faults spec: {e}")));
-        }
-        None => {
-            if let Some(env_cfg) = FaultConfig::from_env() {
-                cfg.faults = env_cfg;
-            }
-        }
+    // `--faults` wins over the config file.
+    if let Some(spec) = &faults_arg {
+        cfg.faults = FaultConfig::parse_spec(spec)
+            .unwrap_or_else(|e| die(format_args!("bad --faults spec: {e}")));
     }
     let mut params = if paper {
         Params::paper()
@@ -698,10 +574,7 @@ fn main() {
         // Trace-only mode companion: record the first (program, fs) cell
         // and write its per-process trace files next to `path`.
         let stack = programs[0].run(systems[0], &params);
-        std::fs::write(path, tracer::save_trace(&stack.rec)).unwrap_or_else(|e| {
-            pc_rt::pc_error!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_out(path, tracer::save_trace(&stack.rec));
         println!(
             "trace of {} on {} written to {path} ({} events)",
             programs[0].name(),
@@ -712,11 +585,9 @@ fn main() {
 
     let mut total_bugs = 0usize;
     let mut total_bundles = 0usize;
-    let mut total_states_checked = 0u64;
     for &program in &programs {
         for &fs in &systems {
             let cell = run_program_swept(program, fs, &params, &cfg);
-            total_states_checked += cell.outcome.stats.states_checked as u64;
             println!(
                 "== {} on {} ==  ({} crash states, {} checked, {} pruned, {:.1}s simulated)",
                 program.name(),
@@ -748,18 +619,10 @@ fn main() {
                         sanitize(fs.name()),
                         i + 1
                     );
-                    let write = |ext: &str, text: String| {
-                        let path = format!("{dir}/{stem}.{ext}");
-                        std::fs::write(&path, text).unwrap_or_else(|err| {
-                            pc_rt::pc_error!("cannot write {path}: {err}");
-                            std::process::exit(1);
-                        });
-                    };
+                    let write = |ext: &str, text| write_out(&format!("{dir}/{stem}.{ext}"), text);
                     write("md", e.to_markdown(&context));
                     write("dot", e.to_dot());
-                    let mut json = e.to_json().pretty();
-                    json.push('\n');
-                    write("json", json);
+                    write("json", e.to_json().pretty() + "\n");
                     total_bundles += 1;
                 }
             }
@@ -770,33 +633,7 @@ fn main() {
         println!("{total_bundles} explain bundle(s) written to {dir}/ (.md + .dot + .json each).");
     }
     drop(cli_span);
-    pc_rt::obs::stream::close();
-    finish_profile_and_history(
-        &prof_opts,
-        "check",
-        &format!("{program_arg} on {fs_arg}"),
-        total_states_checked,
-        start.elapsed(),
-    );
-    if let Some(path) = &telemetry_out {
-        let snap = pc_rt::obs::snapshot();
-        let json = if telemetry_format == "chrome" {
-            chrome_trace(&snap)
-        } else {
-            telemetry_json(&snap)
-        };
-        let mut text = json.pretty();
-        text.push('\n');
-        std::fs::write(path, text).unwrap_or_else(|e| {
-            pc_rt::pc_error!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        pc_rt::pc_info!(
-            "telemetry ({telemetry_format}) written to {path}: {} spans, {} counters",
-            snap.spans.len(),
-            snap.counters.len()
-        );
-    }
+    finish_obs(&obs);
     let exit = i32::from(
         programs.len() == 1
             && systems.len() == 1

@@ -1,5 +1,5 @@
-//! `paracrash selftest <telemetry|faults|explain|stream|prof>` with no
-//! artifact argument: assert the plane's *disabled* overhead budget.
+//! `paracrash selftest <obs|faults|explain>` with no artifact argument:
+//! assert the plane's *disabled* overhead budget.
 //!
 //! Every plane is off by default and its disabled path is one cheap
 //! check per site (a relaxed atomic load, an inactive-plane branch, a
@@ -19,8 +19,8 @@
 //! Exits 0 when the bound holds, 1 with a diagnostic when it does not.
 
 use paracrash::{
-    check_stack, crash_states, prepare_states, CheckConfig, CrashState, Inconsistency,
-    PersistAnalysis, Stack, StackFactory,
+    check_stack, crash_states, CheckConfig, CrashState, Inconsistency, PersistAnalysis, Stack,
+    StackFactory,
 };
 use pc_rt::obs::{prof, stream};
 use simnet::{FaultPlane, RpcNet};
@@ -90,11 +90,6 @@ struct Plane {
 
 // --- workloads --------------------------------------------------------------
 
-/// The snapshot-engine materialization microbench.
-fn materialize(fx: &Fixture) {
-    black_box(prepare_states(&fx.stack.rec, fx.stack.pfs.baseline(), &fx.states).prepared);
-}
-
 /// The traced run alone.
 fn traced_run(fx: &Fixture) {
     black_box(Program::Arvr.run(FsKind::BeeGfs, &fx.params).rec.len());
@@ -111,39 +106,58 @@ fn cell(fx: &Fixture) {
     black_box(check_stack(&stack, &fx.factory, &fx.cfg).bugs.len());
 }
 
-// --- site counters ----------------------------------------------------------
-
-/// Run `workload` once with telemetry (and with it allocation
-/// accounting) on; returns (span + counter operations, allocations).
-fn telemetry_ops(fx: &Fixture, workload: fn(&Fixture)) -> (u64, u64) {
-    pc_rt::obs::reset();
-    pc_rt::obs::set_enabled(true);
-    workload(fx);
-    let snap = pc_rt::obs::snapshot();
-    pc_rt::obs::set_enabled(false);
-    pc_rt::obs::reset();
-    (snap.ops + snap.dropped_spans, snap.alloc_total.count)
-}
-
 // --- the table --------------------------------------------------------------
 
-const PLANES: [Plane; 5] = [
+const PLANES: [Plane; 3] = [
     Plane {
-        name: "telemetry",
-        unit: "span/counter ops",
-        workload_name: "materialization",
-        // A disabled span + counter site, amortized over pairs.
+        name: "obs",
+        unit: "span/counter ops + events + allocations",
+        workload_name: "cell",
+        // One disabled site of each kind: a span, a counter, a stream
+        // event and the two profiler checks. All five are one relaxed
+        // load of the same mask; `emit` must bail on it before touching
+        // name/detail formatting or the ring.
         probe: |_| {
-            const PAIRS: u64 = 500_000;
+            const ROUNDS: u64 = 500_000;
+            let before = stream::published();
             let t = Instant::now();
-            for i in 0..PAIRS {
+            for i in 0..ROUNDS {
                 let _s = black_box(pc_rt::obs::span("overhead.span"));
                 pc_rt::obs::count("overhead.ctr", black_box(i & 1));
+                stream::emit(
+                    stream::EventKind::Counter,
+                    black_box("overhead.ctr"),
+                    black_box(i & 1),
+                    "",
+                );
+                black_box(prof::sampling_enabled());
+                black_box(prof::alloc_tracking_enabled());
             }
-            t.elapsed().as_nanos() as f64 / (PAIRS * 2) as f64
+            let per_site = t.elapsed().as_nanos() as f64 / (ROUNDS * 5) as f64;
+            assert_eq!(
+                stream::published(),
+                before,
+                "disabled emit must publish nothing"
+            );
+            per_site
         },
-        workload: materialize,
-        sites: |fx, w| telemetry_ops(fx, w).0,
+        workload: cell,
+        // Everything on (ring only, no sink): registry operations,
+        // published events and allocations of one run.
+        sites: |fx, workload| {
+            pc_rt::obs::reset();
+            stream::set_enabled(true);
+            pc_rt::obs::set_enabled(true);
+            let before = stream::published();
+            workload(fx);
+            let events = stream::published() - before;
+            let snap = pc_rt::obs::snapshot();
+            stream::set_enabled(false);
+            pc_rt::obs::set_enabled(false);
+            pc_rt::obs::reset();
+            assert!(events > 0, "an enabled cell must publish events");
+            snap.ops + snap.dropped_spans + events + snap.alloc_total.count
+        },
     },
     Plane {
         name: "faults",
@@ -208,63 +222,6 @@ const PLANES: [Plane; 5] = [
         },
         workload: check,
         sites: |fx, _| fx.bugs().len() as u64,
-    },
-    Plane {
-        name: "stream",
-        unit: "events",
-        workload_name: "cell",
-        // The stream was never enabled in this process, so `emit` must
-        // bail on the relaxed load before touching name/detail
-        // formatting or the ring.
-        probe: |_| {
-            const CALLS: u64 = 1_000_000;
-            let t = Instant::now();
-            for i in 0..CALLS {
-                stream::emit(
-                    stream::EventKind::Counter,
-                    black_box("overhead.ctr"),
-                    black_box(i & 1),
-                    "",
-                );
-            }
-            assert_eq!(stream::published(), 0, "disabled emit must publish nothing");
-            t.elapsed().as_nanos() as f64 / CALLS as f64
-        },
-        workload: cell,
-        // Ring only, no sink: the publication count, not file I/O.
-        sites: |fx, workload| {
-            stream::set_enabled(true);
-            pc_rt::obs::set_enabled(true);
-            let before = stream::published();
-            workload(fx);
-            let events = stream::published() - before;
-            stream::set_enabled(false);
-            pc_rt::obs::set_enabled(false);
-            assert!(events > 0, "an enabled cell must publish events");
-            events
-        },
-    },
-    Plane {
-        name: "prof",
-        unit: "span + alloc sites",
-        workload_name: "materialization",
-        // Both plane checks are one relaxed load of the same atomic,
-        // exactly what the span hooks and the counting allocator's fast
-        // path execute.
-        probe: |_| {
-            const CALLS: u64 = 1_000_000;
-            let t = Instant::now();
-            for _ in 0..CALLS {
-                black_box(prof::sampling_enabled());
-                black_box(prof::alloc_tracking_enabled());
-            }
-            t.elapsed().as_nanos() as f64 / (CALLS * 2) as f64
-        },
-        workload: materialize,
-        sites: |fx, w| {
-            let (spans, allocs) = telemetry_ops(fx, w);
-            spans + allocs
-        },
     },
 ];
 

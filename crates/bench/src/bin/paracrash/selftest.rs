@@ -2,8 +2,7 @@
 //! gate helpers `scripts/verify.sh` drives.
 //!
 //! ```sh
-//! paracrash selftest telemetry|faults|explain|stream|prof
-//!                                  # the plane's disabled-overhead budget
+//! paracrash selftest obs|faults|explain  # the plane's disabled-overhead budget
 //! paracrash selftest telemetry trace.json        # --telemetry-out file
 //! paracrash selftest explain reports/ [MIN]      # --explain-out bundles
 //! paracrash selftest events events.jsonl         # --events-out stream
@@ -14,9 +13,10 @@
 //! paracrash selftest durable [SEED] [CASES]      # torn-tail recovery fuzz
 //! ```
 //!
-//! A plane with no artifact argument asserts its disabled-overhead
-//! budget ([`super::overhead`]); with one it validates the artifact.
-//! `scale` and `durable` read no artifact: they measure and fuzz live.
+//! `obs`, `faults` and `explain` assert a disabled-overhead budget
+//! ([`super::overhead`]); `telemetry`, `events`, `prof` and `explain
+//! DIR` validate an artifact. `scale` and `durable` read no artifact:
+//! they measure and fuzz live.
 //! Every validator exits 0 when the artifact is valid and 1 with a
 //! one-line diagnostic otherwise; a malformed command line exits 2.
 
@@ -36,7 +36,7 @@ use std::time::Instant;
 use workloads::{Params, Program};
 
 /// The planes, as `usage()` and the unknown-plane error print them.
-pub const PLANES: &str = "telemetry|faults|explain|stream|prof|durable|scale|events";
+pub const PLANES: &str = "obs|faults|explain|telemetry|events|prof|durable|scale";
 
 /// The verdict of every selftest. Deliberately `eprintln!`, not
 /// `pc_error!`: it is this tool's user-facing output and must print
@@ -160,8 +160,9 @@ fn check_telemetry(path: &str) {
 // --- events: `--events-out` streams and rendered dashboards -----------------
 
 fn check_events(path: &str) {
-    let events =
-        parse_event_stream(&read(path)).unwrap_or_else(|e| fail(format_args!("{path}: {e}")));
+    let events = parse_event_stream(&read(path))
+        .unwrap_or_else(|e| fail(format_args!("{path}: {e}")))
+        .events;
     if events.is_empty() {
         fail(format_args!("{path}: stream carries no events"));
     }
@@ -214,6 +215,7 @@ const REQUIRED_METRICS: &[&str] = &[
     "behaviors",
     "saturation",
     "throughput",
+    "dropped",
     "coverage-curve",
     "stage-breakdown",
     "heatmap",

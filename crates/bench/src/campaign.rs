@@ -61,7 +61,7 @@
 //!   the first unrecorded cell — so a resumed campaign's final
 //!   [`FuzzCorpus::canonical_report`] is byte-identical to an
 //!   uninterrupted one (pinned by `tests/campaign_resume.rs` and
-//!   verify gate 13).
+//!   verify gate 12).
 //!
 //! Robustness counters (`campaign.resumed_cells`, `campaign.retries`,
 //! `campaign.quarantined`) flow through [`pc_rt::obs::count`] into the
@@ -82,6 +82,7 @@ use paracrash::{
     LayerVerdict, Model,
 };
 use pc_rt::durable::{write_atomic, RecordLog};
+use pc_rt::env::CAMPAIGN_POISON;
 use pc_rt::json::Json;
 use pc_rt::obs::stream;
 use pc_rt::pc_warn;
@@ -169,10 +170,6 @@ impl FuzzOptions {
     }
 }
 
-/// Environment variable poisoning matching cells (watchdog testing):
-/// `<label-substring>:<panic|panic-once|hang>`.
-pub const POISON_ENV: &str = "PC_CAMPAIGN_POISON";
-
 /// Everything one run of the driver needs on top of the sweep.
 pub struct CampaignOptions {
     /// The underlying sweep: corpus bound/seed/sample, file systems,
@@ -240,10 +237,12 @@ enum CellFailure {
     Panic(String),
 }
 
-/// Test hook: poison matching cells (see [`POISON_ENV`]). Runs on the
-/// cell thread, inside its `catch_unwind`, before the check.
+/// Test hook: `PC_CAMPAIGN_POISON=<label-substring>:<panic|panic-once|hang>`
+/// poisons matching cells (watchdog testing). Runs on the cell thread,
+/// inside its `catch_unwind`, before the check; read per cell, so a
+/// test can set it at run time.
 fn poison_hook(label: &str, attempt: usize) {
-    let Ok(spec) = std::env::var(POISON_ENV) else {
+    let Some(spec) = pc_rt::env::get(CAMPAIGN_POISON) else {
         return;
     };
     let Some((substr, mode)) = spec.rsplit_once(':') else {
@@ -991,10 +990,7 @@ mod tests {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn lock_tests() -> MutexGuard<'static, ()> {
-        match TEST_LOCK.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+        pc_rt::lock(&TEST_LOCK)
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -1170,9 +1166,9 @@ mod tests {
 
         // panic-once: the retry succeeds, so the corpus is unaffected.
         let retry_dir = scratch_dir("poison-retry");
-        std::env::set_var(POISON_ENV, format!("{victim}:panic-once"));
+        std::env::set_var(CAMPAIGN_POISON, format!("{victim}:panic-once"));
         let retried = run_campaign(&tiny_opts(&retry_dir));
-        std::env::remove_var(POISON_ENV);
+        std::env::remove_var(CAMPAIGN_POISON);
         let retried = retried.unwrap();
         assert_eq!(retried.retries, 1);
         assert_eq!(retried.quarantined, 0);
@@ -1185,9 +1181,9 @@ mod tests {
         // persistent panic: retries exhaust, the cell is quarantined —
         // the watchdog is the driver's, not the state dir's, so a
         // stateless sweep survives it too.
-        std::env::set_var(POISON_ENV, format!("{victim}:panic"));
+        std::env::set_var(CAMPAIGN_POISON, format!("{victim}:panic"));
         let quarantined = run_campaign(&stateless_opts());
-        std::env::remove_var(POISON_ENV);
+        std::env::remove_var(CAMPAIGN_POISON);
         let quarantined = quarantined.unwrap();
         assert_eq!(quarantined.quarantined, 1);
         assert!(quarantined.retries >= 2, "bounded retries happened first");
@@ -1202,9 +1198,9 @@ mod tests {
         let h_dir = scratch_dir("poison-hang");
         let mut hang_opts = tiny_opts(&h_dir);
         hang_opts.cell_timeout = Some(Duration::from_millis(800));
-        std::env::set_var(POISON_ENV, format!("{victim}:hang"));
+        std::env::set_var(CAMPAIGN_POISON, format!("{victim}:hang"));
         let hung = run_campaign(&hang_opts);
-        std::env::remove_var(POISON_ENV);
+        std::env::remove_var(CAMPAIGN_POISON);
         let hung = hung.unwrap();
         assert_eq!(hung.quarantined, 1);
         assert!(hung

@@ -29,10 +29,6 @@ use pc_rt::obs::fmt_ns;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// `PC_PROGRESS` environment variable: any truthy value turns on the
-/// stderr progress meter.
-pub const PROGRESS_ENV: &str = "PC_PROGRESS";
-
 /// A cell this many times slower than the rolling mean is a stall.
 pub const STALL_FACTOR: f64 = 8.0;
 
@@ -48,15 +44,6 @@ pub const REGRESSION_FACTOR: f64 = 4.0;
 
 /// Minimum seconds between progress lines.
 const PROGRESS_INTERVAL_SECS: f64 = 0.5;
-
-fn env_truthy(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| {
-        !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "off" | "false"
-        )
-    })
-}
 
 /// Live campaign bookkeeping: throughput, ETA, stall and regression
 /// detection. One instance per campaign, fed once per completed cell.
@@ -80,7 +67,7 @@ impl CampaignMeter {
     /// A meter for a campaign of `total_cells` cells. Reads
     /// `PC_PROGRESS` once.
     pub fn new(total_cells: usize) -> CampaignMeter {
-        CampaignMeter::with_progress(total_cells, env_truthy(PROGRESS_ENV))
+        CampaignMeter::with_progress(total_cells, pc_rt::env::truthy(pc_rt::env::PROGRESS))
     }
 
     /// Like [`CampaignMeter::new`] with the progress switch explicit

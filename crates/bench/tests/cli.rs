@@ -28,7 +28,7 @@ fn selftest_durable_passes_and_unknown_planes_are_usage_errors() {
     assert_eq!(bad.status.code(), Some(2));
     let err = String::from_utf8_lossy(&bad.stderr);
     assert!(
-        err.contains("telemetry|faults|explain|stream|prof|durable|scale|events"),
+        err.contains("obs|faults|explain|telemetry|events|prof|durable|scale"),
         "plane list missing from: {err}"
     );
 }
@@ -42,15 +42,23 @@ fn table3_reproduces_all_fifteen() {
     assert!(!text.contains("missing"));
 }
 
-/// The legacy perf path is gone, not ignored: its subcommand, its
-/// `report` flag and the file argument of `selftest scale` are usage
-/// errors, and the usage text no longer offers them.
+/// The legacy perf path and the run-history ledger are gone, not
+/// ignored: their subcommands and flags, the file argument of `selftest
+/// scale` and the bare spellings of the folded overhead budgets are
+/// usage errors, and the usage text no longer offers them.
 #[test]
 fn removed_bench_surfaces_are_usage_errors() {
     for args in [
         &["bench"][..],
         &["report", "--bench", "x.json"],
         &["selftest", "scale", "some.json"],
+        &["history", "show"],
+        &["--fs", "ext4", "--program", "ARVR", "--history-dir", "d"],
+        &["fuzz", "--history-dir", "d"],
+        &["fuzz", "--band", "2"],
+        &["selftest", "telemetry"],
+        &["selftest", "stream"],
+        &["selftest", "prof"],
     ] {
         let out = paracrash(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -62,6 +70,30 @@ fn removed_bench_surfaces_are_usage_errors() {
     let text = String::from_utf8_lossy(&help.stderr);
     assert!(text.contains("usage: paracrash"), "{text}");
     assert!(!text.contains("bench"), "{text}");
+    assert!(!text.contains("history"), "{text}");
+    for (name, _) in pc_rt::env::VARS {
+        assert!(text.contains(name), "{name} missing from: {text}");
+    }
+}
+
+/// `PC_TRACE` is read by the first `enabled()` check, not by the
+/// counting allocator: the process allocates (its arguments, at least)
+/// long before that, and an allocator that ran the bootstrap — which
+/// itself allocates — would recurse. The run completes, and the
+/// bootstrap it did run switched on the registry, the summary tables and
+/// allocation accounting.
+#[test]
+fn allocating_before_the_first_telemetry_check_is_safe_under_pc_trace() {
+    let out = Command::new(env!("CARGO_BIN_EXE_paracrash"))
+        .args(["--fs", "ext4", "--program", "ARVR"])
+        .env("PC_TRACE", "summary")
+        .output()
+        .expect("paracrash runs");
+    assert!(out.status.success(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("telemetry summary"), "{err}");
+    assert!(err.contains("check_stack"), "{err}");
+    assert!(err.contains("alloc total"), "{err}");
 }
 
 /// The committed Figure 9 traces are what the models emit today, line

@@ -77,7 +77,7 @@ fn stream_carries_one_cell_event_per_campaign_cell() {
     let _guard = TEST_LOCK.lock().unwrap();
     let dir = std::env::temp_dir();
     let (_, text) = run_streamed(&dir.join("pc-fuzz-events-cells.jsonl"));
-    let events = parse_event_stream(&text).expect("stream re-parses");
+    let events = parse_event_stream(&text).expect("stream re-parses").events;
     let opts = small_opts().fuzz;
     let expected_cells = 8 * opts.file_systems.len() * opts.modes.len();
     let cells = events

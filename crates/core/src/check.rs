@@ -28,7 +28,7 @@ use crate::report::{op_detail, OpSigs};
 use crate::snapshot::{prepare_states, SnapshotPlan};
 use crate::stack::{replay_h5, replay_pfs, Stack, StackFactory};
 use h5sim::{check as h5check, check_lenient, h5clear, H5Logical};
-use pc_rt::pool::lock;
+use pc_rt::lock;
 use pfs::{recover_and_mount, PfsCall, PfsView, ServerStates};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};

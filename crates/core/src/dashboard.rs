@@ -12,14 +12,16 @@
 //! Sections, in reading order:
 //!
 //! * **stat tiles** — cells checked, distinct findings, behavior
-//!   classes, coverage saturation, throughput;
+//!   classes, coverage saturation, throughput, and how many events the
+//!   bounded ring dropped before they reached the stream;
 //! * **coverage curve** — behavior classes and findings discovered as a
 //!   function of cells checked (the "is discovery still growing?"
 //!   picture both Pathfinder-style dedup and B3-style bounded fuzzing
 //!   steer by), with a plain-table fallback view;
 //! * **stage-time breakdown** — total wall time per telemetry span
 //!   name, from the snapshot when given, else re-aggregated from the
-//!   stream's `span_close` events;
+//!   stream's `span_close` events (and marked partial when the stream
+//!   dropped any);
 //! * **finding heatmap** — findings per file system × journal mode, a
 //!   table shaded on a single-hue sequential ramp;
 //! * **flame view** — a no-script SVG icicle of a `--profile-out`
@@ -30,12 +32,13 @@
 //!   tiles and table from the counting allocator, when the telemetry
 //!   snapshot carries an `alloc` object.
 //!
-//! Every metric element carries a `data-metric` attribute; verify
-//! gate 12 lints the rendered file for the full set plus a non-empty
-//! SVG, so a dashboard that silently lost a section fails CI.
+//! Every metric element carries a `data-metric` attribute;
+//! `selftest events --html` lints the rendered file for the full set
+//! plus a non-empty SVG, so a dashboard that silently lost a section
+//! fails CI.
 
 use pc_rt::json::Json;
-use pc_rt::obs::fmt_ns;
+use pc_rt::obs::{fmt_ns, span_totals, SpanTotal};
 
 use crate::telemetry::parse_event_stream;
 
@@ -70,6 +73,18 @@ fn html_escape(s: &str) -> String {
     out
 }
 
+/// One row of stat tiles in a `tag` element: `(data-metric, label,
+/// value)` each.
+fn render_tiles(b: &mut String, tag: &str, tiles: &[(&str, &str, String)]) {
+    b.push_str(&format!("<{tag} class=\"tiles\">\n"));
+    for (metric, label, value) in tiles {
+        b.push_str(&format!(
+            "<div class=\"tile\" data-metric=\"{metric}\"><div class=\"tile-value\">{value}</div><div class=\"tile-label\">{label}</div></div>\n",
+        ));
+    }
+    b.push_str(&format!("</{tag}>\n"));
+}
+
 /// Render the dashboard. `events_text` is the raw `--events-out`
 /// JSON-lines stream (validated here; a bad stream is an error, not an
 /// empty chart). `telemetry` is a parsed `--telemetry-out` plain-JSON
@@ -81,16 +96,16 @@ pub fn render_dashboard(
     telemetry: Option<&Json>,
     profile: Option<&str>,
 ) -> Result<String, String> {
-    let events = parse_event_stream(events_text)?;
+    let stream = parse_event_stream(events_text)?;
+    let events = &stream.events;
 
     // -- Aggregate the stream -------------------------------------------------
     let mut cells: Vec<(String, CellPoint)> = Vec::new();
     let mut heat: Vec<(String, String, u64)> = Vec::new(); // fs, journal, findings
     let mut first_ts = u64::MAX;
     let mut last_ts = 0u64;
-    let mut span_totals: Vec<(String, u64, u64)> = Vec::new(); // name, total, calls
     let mut campaign_counters: Vec<(String, u64)> = Vec::new(); // campaign.* sums
-    for e in &events {
+    for e in events {
         let kind = e.get("kind").and_then(Json::as_str).unwrap_or("");
         let name = e.get("name").and_then(Json::as_str).unwrap_or("");
         let detail = e.get("detail").and_then(Json::as_str).unwrap_or("");
@@ -114,13 +129,6 @@ pub fn render_dashboard(
                     None => heat.push((fs.to_string(), journal.to_string(), 1)),
                 }
             }
-            "span_close" => match span_totals.iter_mut().find(|(n, ..)| n == name) {
-                Some((_, total, calls)) => {
-                    *total += value;
-                    *calls += 1;
-                }
-                None => span_totals.push((name.to_string(), value, 1)),
-            },
             // Campaign robustness counters (resumed cells, retries,
             // quarantines) are deltas: sum them per name.
             "counter" if name.starts_with("campaign.") => {
@@ -134,26 +142,32 @@ pub fn render_dashboard(
     }
 
     // Prefer the exit snapshot for stage times: it sees every span, not
-    // just the window the bounded ring kept.
-    if let Some(spans) = telemetry
+    // just those the bounded ring kept until a flush.
+    let snapshot_spans = telemetry
         .and_then(|t| t.get("spans"))
-        .and_then(Json::as_arr)
-    {
-        span_totals.clear();
-        for s in spans {
-            let name = s.get("name").and_then(Json::as_str).unwrap_or("");
-            let dur = s.get("dur_ns").and_then(Json::as_int).unwrap_or(0);
-            match span_totals.iter_mut().find(|(n, ..)| n == name) {
-                Some((_, total, calls)) => {
-                    *total += dur;
-                    *calls += 1;
-                }
-                None => span_totals.push((name.to_string(), dur, 1)),
-            }
-        }
-    }
-    span_totals.sort_by_key(|&(_, total, _)| std::cmp::Reverse(total));
-    span_totals.truncate(12);
+        .and_then(Json::as_arr);
+    let mut stages = match snapshot_spans {
+        Some(spans) => span_totals(spans.iter().map(|s| {
+            (
+                s.get("name").and_then(Json::as_str).unwrap_or(""),
+                s.get("dur_ns").and_then(Json::as_int).unwrap_or(0),
+            )
+        })),
+        None => span_totals(
+            events
+                .iter()
+                .filter(|e| e.get("kind").and_then(Json::as_str) == Some("span_close"))
+                .map(|e| {
+                    (
+                        e.get("name").and_then(Json::as_str).unwrap_or(""),
+                        e.get("value").and_then(Json::as_int).unwrap_or(0),
+                    )
+                }),
+        ),
+    };
+    stages.truncate(12);
+    let dropped = stream.trailer.map(|(_, dropped)| dropped);
+    let stages_lost = dropped.filter(|&n| n > 0 && snapshot_spans.is_none());
 
     let n_cells = cells.len();
     let behaviors = cells.last().map_or(0, |(_, c)| c.behaviors);
@@ -188,25 +202,30 @@ pub fn render_dashboard(
         fmt_ns(wall_ns as f64),
     ));
 
-    // Stat tiles.
-    b.push_str("<section class=\"tiles\">\n");
-    let sat_text = saturation.map_or("–".to_string(), |s| format!("{s}%"));
-    for (metric, label, value) in [
-        ("cells", "cells checked", n_cells.to_string()),
-        ("findings", "distinct findings", findings.to_string()),
-        ("behaviors", "behavior classes", behaviors.to_string()),
-        ("saturation", "coverage saturation", sat_text),
-        ("throughput", "cells / s", format!("{throughput:.1}")),
-    ] {
-        b.push_str(&format!(
-            "<div class=\"tile\" data-metric=\"{metric}\"><div class=\"tile-value\">{value}</div><div class=\"tile-label\">{label}</div></div>\n",
-        ));
-    }
-    b.push_str("</section>\n");
+    render_tiles(
+        &mut b,
+        "section",
+        &[
+            ("cells", "cells checked", n_cells.to_string()),
+            ("findings", "distinct findings", findings.to_string()),
+            ("behaviors", "behavior classes", behaviors.to_string()),
+            (
+                "saturation",
+                "coverage saturation",
+                saturation.map_or("–".to_string(), |s| format!("{s}%")),
+            ),
+            ("throughput", "cells / s", format!("{throughput:.1}")),
+            (
+                "dropped",
+                "events dropped by the ring",
+                dropped.map_or("–".to_string(), |n| n.to_string()),
+            ),
+        ],
+    );
 
     render_campaign_robustness(&mut b, &campaign_counters);
     render_coverage_curve(&mut b, &cells);
-    render_stage_breakdown(&mut b, &span_totals);
+    render_stage_breakdown(&mut b, &stages, stages_lost);
     render_heatmap(&mut b, &heat);
     if let Some(folded) = profile {
         render_flame(&mut b, folded)?;
@@ -225,32 +244,29 @@ fn render_campaign_robustness(b: &mut String, counters: &[(String, u64)]) {
     if counters.is_empty() {
         return;
     }
-    let sum = |name: &str| -> u64 {
-        counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |&(_, v)| v)
+    let tile = |name: &str| -> String {
+        let sum = counters.iter().find(|(n, _)| n == name);
+        sum.map_or(0, |&(_, v)| v).to_string()
     };
     b.push_str("<section data-metric=\"campaign-robustness\">\n<h2>Campaign robustness</h2>\n");
-    b.push_str("<div class=\"tiles\">\n");
-    for (metric, label, value) in [
-        (
-            "resumed-cells",
-            "cells resumed from log",
-            sum("campaign.resumed_cells"),
-        ),
-        ("retries", "watchdog retries", sum("campaign.retries")),
-        (
-            "quarantined",
-            "quarantined cells",
-            sum("campaign.quarantined"),
-        ),
-    ] {
-        b.push_str(&format!(
-            "<div class=\"tile\" data-metric=\"{metric}\"><div class=\"tile-value\">{value}</div><div class=\"tile-label\">{label}</div></div>\n",
-        ));
-    }
-    b.push_str("</div>\n</section>\n");
+    render_tiles(
+        b,
+        "div",
+        &[
+            (
+                "resumed-cells",
+                "cells resumed from log",
+                tile("campaign.resumed_cells"),
+            ),
+            ("retries", "watchdog retries", tile("campaign.retries")),
+            (
+                "quarantined",
+                "quarantined cells",
+                tile("campaign.quarantined"),
+            ),
+        ],
+    );
+    b.push_str("</section>\n");
 }
 
 /// Coverage curve: behavior classes (series 1) and findings (series 2)
@@ -363,29 +379,32 @@ fn render_coverage_curve(b: &mut String, cells: &[(String, CellPoint)]) {
     b.push_str("</table></details>\n</section>\n");
 }
 
-/// Stage-time breakdown: horizontal bars, one per span name.
-fn render_stage_breakdown(b: &mut String, span_totals: &[(String, u64, u64)]) {
+/// Stage-time breakdown: horizontal bars, one per span name. `lost` is
+/// the number of events the stream dropped when the bars were folded
+/// from its surviving `span_close` events alone.
+fn render_stage_breakdown(b: &mut String, stages: &[SpanTotal<&str>], lost: Option<u64>) {
     b.push_str("<section data-metric=\"stage-breakdown\">\n<h2>Stage time</h2>\n");
-    if span_totals.is_empty() {
+    if let Some(n) = lost {
+        b.push_str(&format!(
+            "<p class=\"sub\" data-metric=\"stage-partial\">partial (stream dropped {n} events)</p>\n"
+        ));
+    }
+    if stages.is_empty() {
         b.push_str("<p class=\"sub\">no span data (run with PC_TRACE=1 or --telemetry-out)</p>\n</section>\n");
         return;
     }
     const W: f64 = 640.0;
     const ROW: f64 = 24.0;
     const ML: f64 = 190.0;
-    let h = ROW * span_totals.len() as f64 + 8.0;
-    let max = span_totals
-        .iter()
-        .map(|&(_, t, _)| t)
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let h = ROW * stages.len() as f64 + 8.0;
+    let max = stages.iter().map(|t| t.total_ns).max().unwrap_or(1).max(1);
     b.push_str(&format!(
         "<svg viewBox=\"0 0 {W} {h:.0}\" role=\"img\" aria-label=\"total wall time per stage\">\n"
     ));
-    for (i, (name, total, calls)) in span_totals.iter().enumerate() {
+    for (i, stage) in stages.iter().enumerate() {
+        let (name, total, calls) = (stage.name, stage.total_ns, stage.calls);
         let yy = 4.0 + ROW * i as f64;
-        let ww = (W - ML - 110.0) * (*total as f64 / max as f64);
+        let ww = (W - ML - 110.0) * (total as f64 / max as f64);
         b.push_str(&format!(
             "<text class=\"lbl\" x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"end\">{}</text>\n",
             ML - 8.0,
@@ -395,14 +414,14 @@ fn render_stage_breakdown(b: &mut String, span_totals: &[(String, u64, u64)]) {
         b.push_str(&format!(
             "<rect class=\"bar\" x=\"{ML}\" y=\"{yy:.1}\" width=\"{:.1}\" height=\"16\" rx=\"4\"><title>{} over {} calls</title></rect>\n",
             ww.max(1.5),
-            fmt_ns(*total as f64),
+            fmt_ns(total as f64),
             calls
         ));
         b.push_str(&format!(
             "<text class=\"lbl\" x=\"{:.1}\" y=\"{:.1}\">{} · {} calls</text>\n",
             ML + ww.max(1.5) + 8.0,
             yy + 15.0,
-            fmt_ns(*total as f64),
+            fmt_ns(total as f64),
             calls
         ));
     }
@@ -600,29 +619,27 @@ fn render_alloc(b: &mut String, telemetry: Option<&Json>) {
     }
     let fmt_b = |v: u64| pc_rt::obs::prof::fmt_bytes(v as f64);
     b.push_str("<section data-metric=\"alloc\">\n<h2>Allocation attribution</h2>\n");
-    b.push_str("<div class=\"tiles\">\n");
-    for (metric, label, value) in [
-        (
-            "alloc-count",
-            "allocations",
-            stat(total, "count").to_string(),
-        ),
-        (
-            "alloc-bytes",
-            "bytes allocated",
-            fmt_b(stat(total, "bytes")),
-        ),
-        (
-            "alloc-peak",
-            "peak live bytes",
-            fmt_b(stat(total, "peak_bytes")),
-        ),
-    ] {
-        b.push_str(&format!(
-            "<div class=\"tile\" data-metric=\"{metric}\"><div class=\"tile-value\">{value}</div><div class=\"tile-label\">{label}</div></div>\n",
-        ));
-    }
-    b.push_str("</div>\n");
+    render_tiles(
+        b,
+        "div",
+        &[
+            (
+                "alloc-count",
+                "allocations",
+                stat(total, "count").to_string(),
+            ),
+            (
+                "alloc-bytes",
+                "bytes allocated",
+                fmt_b(stat(total, "bytes")),
+            ),
+            (
+                "alloc-peak",
+                "peak live bytes",
+                fmt_b(stat(total, "peak_bytes")),
+            ),
+        ],
+    );
     if let Some(Json::Obj(spans)) = alloc.get("spans") {
         if !spans.is_empty() {
             let mut rows: Vec<(&String, &Json)> = spans.iter().map(|(k, v)| (k, v)).collect();
@@ -796,6 +813,7 @@ mod tests {
             "behaviors",
             "saturation",
             "throughput",
+            "dropped",
             "coverage-curve",
             "stage-breakdown",
             "heatmap",
@@ -850,6 +868,35 @@ mod tests {
         let html = render_dashboard(&s, None, None).unwrap();
         assert!(html.contains("a&lt;b&gt;&amp;&quot;c@"));
         assert!(!html.contains("a<b>&\"c@"));
+    }
+
+    #[test]
+    fn stream_loss_is_shown_and_marks_stream_folded_stages_partial() {
+        let trailer = |dropped: u64| {
+            format!("{{\"schema_version\":1,\"published\":500,\"dropped\":{dropped}}}\n")
+        };
+        let tile = |n: &str| format!("data-metric=\"dropped\"><div class=\"tile-value\">{n}</div>");
+        // No trailer (a crash dump): the loss is unknown, not zero.
+        let html = render_dashboard(&stream(), None, None).unwrap();
+        assert!(html.contains(&tile("–")), "{html}");
+        assert!(!html.contains("stage-partial"));
+        // A lossless stream: zero, and the stage bars are whole.
+        let html = render_dashboard(&(stream() + &trailer(0)), None, None).unwrap();
+        assert!(html.contains(&tile("0")));
+        assert!(!html.contains("stage-partial"));
+        // Drops: the tile counts them and the stream-folded bars say so…
+        let lossy = stream() + &trailer(83);
+        let html = render_dashboard(&lossy, None, None).unwrap();
+        assert!(html.contains(&tile("83")));
+        assert!(
+            html.contains("partial (stream dropped 83 events)"),
+            "{html}"
+        );
+        // …unless a snapshot, which saw every span, supplied the bars.
+        let telemetry = Json::parse("{\"schema_version\":1,\"spans\":[]}").unwrap();
+        let html = render_dashboard(&lossy, Some(&telemetry), None).unwrap();
+        assert!(html.contains(&tile("83")));
+        assert!(!html.contains("stage-partial"));
     }
 
     #[test]

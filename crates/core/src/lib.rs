@@ -42,7 +42,6 @@ pub mod emulate;
 pub mod explain;
 pub mod explore;
 pub mod fuzz;
-pub mod history;
 pub mod model;
 pub mod persist;
 pub mod report;

@@ -135,14 +135,25 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> Json {
     ])
 }
 
+/// A validated `--events-out` stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventStream {
+    /// The event objects, in stream order.
+    pub events: Vec<Json>,
+    /// `(published, dropped)` from the trailer [`pc_rt::obs::stream::close`]
+    /// writes: how many events the run published and how many of them
+    /// the ring overwrote before a flush. `None` for a stream that was
+    /// never closed (a crash dump).
+    pub trailer: Option<(u64, u64)>,
+}
+
 /// Parse and validate a `--events-out` JSON-lines stream.
 ///
 /// The first line must be the stream header carrying a known
 /// `schema_version`; event lines must have the full field set with a
 /// strictly increasing `seq` and a known `kind`; meta lines (the
-/// trailer, the panic marker) are allowed after the header and are not
-/// returned. On success, returns the event objects in stream order.
-pub fn parse_event_stream(text: &str) -> Result<Vec<Json>, String> {
+/// trailer, the panic marker) are allowed after the header.
+pub fn parse_event_stream(text: &str) -> Result<EventStream, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or("empty event stream")?;
     let header = Json::parse(header).map_err(|e| format!("header: {e}"))?;
@@ -156,11 +167,14 @@ pub fn parse_event_stream(text: &str) -> Result<Vec<Json>, String> {
         None => return Err("header missing schema_version".into()),
     }
     let mut events = Vec::new();
+    let mut trailer = None;
     let mut last_seq: Option<u64> = None;
     for (i, line) in lines.enumerate() {
         let obj = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
         if obj.get("schema_version").is_some() && obj.get("kind").is_none() {
-            // Trailer / panic-marker meta line.
+            // Meta line: the trailer, or the panic marker (no totals).
+            let total = |key| obj.get(key).and_then(Json::as_int);
+            trailer = total("published").zip(total("dropped")).or(trailer);
             continue;
         }
         let seq = obj
@@ -192,7 +206,7 @@ pub fn parse_event_stream(text: &str) -> Result<Vec<Json>, String> {
         }
         events.push(obj);
     }
-    Ok(events)
+    Ok(EventStream { events, trailer })
 }
 
 /// Project an event stream onto its deterministic content for seq ≡ par
@@ -201,10 +215,10 @@ pub fn parse_event_stream(text: &str) -> Result<Vec<Json>, String> {
 /// wall-clock and scheduling noise (timestamps, durations, span and
 /// counter interleavings), and sort. Two campaign runs of the same
 /// matrix — sequential or parallel, any `PC_THREADS` — must produce
-/// identical projections; verify gate 12 diffs them.
+/// identical projections; the observability verify gate diffs them.
 pub fn canonical_event_lines(text: &str) -> Result<Vec<String>, String> {
-    let events = parse_event_stream(text)?;
-    let mut out: Vec<String> = events
+    let mut out: Vec<String> = parse_event_stream(text)?
+        .events
         .iter()
         .filter(|e| {
             matches!(
@@ -429,8 +443,15 @@ mod tests {
             event_line(0, "cell", "wl@OrangeFS/ordered", "findings=0"),
             event_line(5, "finding", "BeeGFS/writeback", "sig [Pfs]"),
         );
-        let events = parse_event_stream(&good).unwrap();
-        assert_eq!(events.len(), 2);
+        let stream = parse_event_stream(&good).unwrap();
+        assert_eq!(stream.events.len(), 2);
+        assert_eq!(stream.trailer, Some((2, 0)));
+        // A crash dump ends in a panic marker, not a trailer.
+        let dump = good.replace(
+            "\"published\":2,\"dropped\":0",
+            "\"meta\":\"panic\",\"flushed\":2",
+        );
+        assert_eq!(parse_event_stream(&dump).unwrap().trailer, None);
 
         let bad_version = good.replace(
             "\"schema_version\":1,\"stream\"",

@@ -48,9 +48,6 @@ pub const MAGIC: [u8; 16] = *b"pc-durable-log1\n";
 /// Per-record header: `[len: u32 LE][crc32: u32 LE]`.
 pub const RECORD_HEADER: usize = 8;
 
-/// Environment variable holding the crash-injection spec.
-pub const CRASH_ENV: &str = "PC_DURABLE_CRASH";
-
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE, reflected) — table-driven, std-only.
 // ---------------------------------------------------------------------------
@@ -156,8 +153,7 @@ struct CrashState {
 fn crash_state() -> &'static Mutex<CrashState> {
     static STATE: OnceLock<Mutex<CrashState>> = OnceLock::new();
     STATE.get_or_init(|| {
-        let armed = std::env::var(CRASH_ENV)
-            .ok()
+        let armed = crate::env::get(crate::env::DURABLE_CRASH)
             .filter(|s| !s.is_empty())
             .and_then(|s| CrashSpec::parse(&s));
         Mutex::new(CrashState { armed, seen: 0 })
@@ -167,10 +163,7 @@ fn crash_state() -> &'static Mutex<CrashState> {
 fn lock_state() -> std::sync::MutexGuard<'static, CrashState> {
     // A panic-mode injection never panics while holding the lock, but
     // recover from poisoning anyway: the state stays meaningful.
-    match crash_state().lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
+    crate::lock(crash_state())
 }
 
 /// Arm a crash programmatically (overrides any `PC_DURABLE_CRASH` env
@@ -399,10 +392,7 @@ mod tests {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn lock_tests() -> std::sync::MutexGuard<'static, ()> {
-        match TEST_LOCK.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+        crate::lock(&TEST_LOCK)
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {

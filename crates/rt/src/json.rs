@@ -284,7 +284,10 @@ impl Json {
         }
     }
 
-    fn write_str(out: &mut String, s: &str) {
+    /// Append `s` as a JSON string literal, quotes included: `\" \\ \n
+    /// \r \t` escaped, other control characters as `\u00XX` — the subset
+    /// [`Json::parse`] round-trips.
+    pub fn write_str(out: &mut String, s: &str) {
         out.push('"');
         for c in s.chars() {
             match c {

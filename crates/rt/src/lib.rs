@@ -27,13 +27,15 @@
 //!   backing the resumable campaign engine.
 //! * [`obs`] — structured telemetry (spans, counters, gauges,
 //!   histograms, a leveled logger) for the checker pipeline itself
-//!   (replaces `tracing`). Off by default; `PC_TRACE` / `PC_LOG`
-//!   or the `paracrash --telemetry-out` flag turn it on.
-//! * [`obs::prof`] — the self-profiling plane: a seqlock shadow-stack
-//!   sampling profiler (`.folded` flamegraph export via `PC_PROFILE` /
-//!   `--profile-out`) and a counting `#[global_allocator]` attributing
-//!   alloc count/bytes/peak to the innermost open span (replaces
-//!   `pprof` + `dhat`). Off by default behind one relaxed atomic load.
+//!   (replaces `tracing`), with the [`obs::stream`] flight recorder and
+//!   the [`obs::prof`] self-profiling plane (a seqlock shadow-stack
+//!   sampling profiler with `.folded` export, and a counting
+//!   `#[global_allocator]` attributing alloc count/bytes/peak to the
+//!   innermost open span; replaces `pprof` + `dhat`) behind it. All off
+//!   by default behind one enable mask: every disabled check is one
+//!   relaxed atomic load.
+//! * [`mod@env`] — the table of every `PC_*` variable and the only
+//!   `std::env::var` calls in the workspace.
 //!
 //! Owning the runtime is not only an offline-build workaround: the
 //! exploration hot path (thousands of independent crash-state
@@ -58,6 +60,7 @@
 //! ```
 
 pub mod durable;
+pub mod env;
 pub mod hash;
 pub mod intern;
 pub mod json;
@@ -65,3 +68,12 @@ pub mod obs;
 pub mod pool;
 pub mod proptest;
 pub mod rng;
+
+/// Take `m`'s guard whether or not a thread panicked while holding it.
+/// For mutexes whose every update leaves the data valid at each step
+/// (a counter bump, a queue push, a map insert): there a poisoned flag
+/// carries no information, and honouring it turns one panicking task —
+/// which is a diagnostic — into a panic in every task that locks next.
+pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

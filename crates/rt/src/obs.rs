@@ -22,33 +22,43 @@
 //!   the default threshold is `error`, so everything below stays silent;
 //! * **a streaming plane** — [`stream`] is a bounded flight recorder of
 //!   structured events (span open/close, counter deltas, findings, cell
-//!   completions) with a JSON-lines sink (`PC_EVENTS=path`) and a
+//!   completions) with a JSON-lines sink (`--events-out`) and a
 //!   panic-flush crash-dump hook, for watching a campaign live instead
 //!   of waiting for the exit snapshot;
+//! * **a self-profiling plane** — [`prof`] samples the open-span stacks
+//!   and attributes allocations to the innermost open span;
 //! * **causal trace ids** — [`set_trace_id`] / [`current_trace_id`]
 //!   carry one ambient workload-cell id that every span and stream
 //!   event records, so Chrome-trace export can group one cross-layer
 //!   flow (workload → checker → `simnet` RPC) per check.
 //!
-//! # Overhead contract
+//! # Planes and the mask
 //!
-//! Telemetry is **off by default**. Every entry point starts with one
-//! relaxed atomic load ([`enabled`]) and returns immediately when the
-//! layer is disabled — no allocation, no lock, no clock read. The
-//! `paracrash selftest telemetry` budget (pc-bench) measures that
-//! early-return cost and asserts the instrumentation adds < 3% to the
-//! snapshot-engine microbench. When enabled, events funnel through one
-//! `Mutex<Registry>`; the instrumented operations (crash-state
-//! reconstruction, golden-state replay, recovery) cost micro- to
-//! milliseconds each, so a ~20 ns lock per event is noise.
-//!
-//! # Enabling
+//! Everything here is **off by default** behind one `AtomicU8` of plane
+//! bits — registry, summary tables, stream, sampling, allocation
+//! accounting — that [`enabled`], [`summary_enabled`],
+//! [`stream::enabled`], [`prof::sampling_enabled`] and
+//! [`prof::alloc_tracking_enabled`] are bit tests of. Every entry point
+//! starts with one relaxed load of it and returns immediately when its
+//! plane is off — no allocation, no lock, no clock read;
+//! `paracrash selftest obs` (pc-bench) measures that early return and
+//! asserts the disabled sites add < 3% to a checked cell. The first
+//! load finds an `UNINIT` bit and runs the one bootstrap, which reads
+//! the environment:
 //!
 //! * `PC_TRACE=1` (or any other truthy value) — collect telemetry;
 //! * `PC_TRACE=summary` — collect *and* print a per-check summary table
 //!   (stage timings, counters, cache hit rates, pool utilization);
-//! * [`set_enabled`] — programmatic switch, used by
-//!   `paracrash --telemetry-out PATH [--telemetry-format chrome]`.
+//! * `PC_LOG` — the log threshold.
+//!
+//! Programmatic switches are one `fetch_or` / `fetch_and` each:
+//! [`set_enabled`] (`--telemetry-out`), [`stream::set_sink`]
+//! (`--events-out`), [`prof::arm_profile`] (`--profile-out`). Turning
+//! the registry on turns allocation accounting on with it. When
+//! enabled, events funnel through one `Mutex<Registry>`; the
+//! instrumented operations (crash-state reconstruction, golden-state
+//! replay, recovery) cost micro- to milliseconds each, so a ~20 ns lock
+//! per event is noise.
 //!
 //! # Example
 //!
@@ -67,10 +77,11 @@
 //! obs::set_enabled(false);
 //! ```
 
+use crate::{env, lock};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 #[path = "stream.rs"]
@@ -123,31 +134,20 @@ impl Level {
     }
 }
 
-/// `PC_LOG` environment variable: log threshold (`warn|info|debug`,
-/// default `error`; `off` silences everything).
-pub const LOG_ENV: &str = "PC_LOG";
-
 /// Threshold encoding: 0..=3 map to [`Level`], 4 = fully off,
-/// `u8::MAX` = not yet initialized from the environment.
-static LOG_THRESHOLD: AtomicU8 = AtomicU8::new(u8::MAX);
+/// `LOG_UNINIT` = the bootstrap has not read `PC_LOG` yet.
+static LOG_THRESHOLD: AtomicU8 = AtomicU8::new(LOG_UNINIT);
 const LOG_OFF: u8 = 4;
+const LOG_UNINIT: u8 = u8::MAX;
 
 fn log_threshold() -> u8 {
-    let v = LOG_THRESHOLD.load(Ordering::Relaxed);
-    if v != u8::MAX {
-        return v;
+    match LOG_THRESHOLD.load(Ordering::Relaxed) {
+        LOG_UNINIT => {
+            bootstrap();
+            LOG_THRESHOLD.load(Ordering::Relaxed)
+        }
+        v => v,
     }
-    let initial = match std::env::var(LOG_ENV) {
-        Ok(s) => match Level::parse(&s) {
-            Some(l) => l as u8,
-            None if s.trim().eq_ignore_ascii_case("off") => LOG_OFF,
-            None => Level::Error as u8,
-        },
-        Err(_) => Level::Error as u8,
-    };
-    // A concurrent initializer computes the same value; the race is benign.
-    LOG_THRESHOLD.store(initial, Ordering::Relaxed);
-    initial
 }
 
 /// Override the log threshold (`None` silences everything).
@@ -205,64 +205,111 @@ macro_rules! pc_debug {
 }
 
 // ---------------------------------------------------------------------------
-// Enable / disable
+// Planes and the mask
 // ---------------------------------------------------------------------------
 
-/// `PC_TRACE` environment variable: `summary` collects and prints a
-/// per-check table, any other truthy value collects silently.
-pub const TRACE_ENV: &str = "PC_TRACE";
-
-static TELEMETRY_ON: AtomicBool = AtomicBool::new(false);
-static SUMMARY_ON: AtomicBool = AtomicBool::new(false);
-static TRACE_INIT: Once = Once::new();
-
-fn init_from_env() {
-    TRACE_INIT.call_once(|| {
-        if let Ok(v) = std::env::var(TRACE_ENV) {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "" | "0" | "off" | "false" => {}
-                "summary" => {
-                    TELEMETRY_ON.store(true, Ordering::Relaxed);
-                    SUMMARY_ON.store(true, Ordering::Relaxed);
-                }
-                _ => TELEMETRY_ON.store(true, Ordering::Relaxed),
-            }
-        }
-        // `PC_EVENTS=path` alone turns on both planes: the stream's
-        // bootstrap attaches its sink, which re-enables the registry.
-        stream::init_from_env();
-        // `PC_PROFILE` bootstraps the self-profiling plane; and any
-        // env-enabled telemetry gets allocation accounting for free
-        // (so `PC_TRACE=summary` shows per-stage alloc bytes).
-        prof::init_from_env();
-        if TELEMETRY_ON.load(Ordering::Relaxed) {
-            prof::set_alloc_tracking(true);
-        }
-    });
+/// The plane bits of the enable mask.
+mod plane {
+    /// Spans, counters, gauges and histograms land in the registry.
+    pub const REGISTRY: u8 = 1 << 0;
+    /// `PC_TRACE=summary`: print a table per check.
+    pub const SUMMARY: u8 = 1 << 1;
+    /// `stream::emit` publishes into the flight recorder.
+    pub const STREAM: u8 = 1 << 2;
+    /// Spans push onto the sampled shadow stacks.
+    pub const SAMPLING: u8 = 1 << 3;
+    /// The counting allocator attributes to the innermost open span.
+    pub const ALLOC: u8 = 1 << 4;
+    /// The environment has not been read yet.
+    pub const UNINIT: u8 = 1 << 7;
 }
 
-/// `true` when telemetry collection is on. This is the fast path every
-/// instrumentation site takes: after the one-time `PC_TRACE` parse it is
-/// a single relaxed atomic load.
+/// The one enable mask. `Relaxed` throughout: it publishes no data —
+/// the registry, ring, sink and sampler each sit behind their own lock.
+static PLANES: AtomicU8 = AtomicU8::new(plane::UNINIT);
+
+/// The plane bits. The fast path every instrumentation site takes: one
+/// relaxed load and a branch once the first caller has bootstrapped.
+#[inline]
+fn planes() -> u8 {
+    let m = PLANES.load(Ordering::Relaxed);
+    if m & plane::UNINIT == 0 {
+        m
+    } else {
+        bootstrap()
+    }
+}
+
+/// Plane bits a `PC_TRACE` value asks for. The registry brings
+/// allocation accounting with it, so `PC_TRACE=summary` shows bytes per
+/// stage.
+fn trace_planes(value: Option<&str>) -> u8 {
+    match value.map(|v| v.trim().to_ascii_lowercase()) {
+        Some(v) if v == "summary" => plane::REGISTRY | plane::ALLOC | plane::SUMMARY,
+        Some(v) if env::is_truthy(&v) => plane::REGISTRY | plane::ALLOC,
+        _ => 0,
+    }
+}
+
+/// The one place the observability environment is read (with
+/// [`sample_hz`] below it, asked once when a profile is armed):
+/// `PC_TRACE` into the mask, `PC_LOG` into the log threshold. Runs on
+/// the first touch of either; a concurrent first touch computes the same
+/// values and only one of them clears `UNINIT`, so bits set
+/// programmatically since are never overwritten. Returns the
+/// bootstrapped mask.
+#[cold]
+fn bootstrap() -> u8 {
+    let level = match env::get(env::LOG) {
+        Some(s) if s.trim().eq_ignore_ascii_case("off") => LOG_OFF,
+        Some(s) => Level::parse(&s).unwrap_or(Level::Error) as u8,
+        None => Level::Error as u8,
+    };
+    let _ = LOG_THRESHOLD.compare_exchange(LOG_UNINIT, level, Ordering::Relaxed, Ordering::Relaxed);
+    let bits = trace_planes(env::get(env::TRACE).as_deref());
+    let first = |m: u8| (m & plane::UNINIT != 0).then_some((m & !plane::UNINIT) | bits);
+    match PLANES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, first) {
+        Ok(prev) => (prev & !plane::UNINIT) | bits,
+        Err(current) => current,
+    }
+}
+
+/// `--profile-out` sampling rate: `PC_PROF_HZ`, default 97 Hz (a prime
+/// avoids lockstep with periodic work), clamped to 1..=10000.
+fn sample_hz() -> u32 {
+    env::get(env::PROF_HZ)
+        .and_then(|v| v.trim().parse::<u32>().ok())
+        .map_or(97, |hz| hz.clamp(1, 10_000))
+}
+
+/// Switch `bits` on or off (after the bootstrap, so the environment
+/// cannot re-enable what a caller turned off).
+fn set_planes(bits: u8, on: bool) {
+    planes();
+    if on {
+        PLANES.fetch_or(bits, Ordering::Relaxed);
+    } else {
+        PLANES.fetch_and(!bits, Ordering::Relaxed);
+    }
+}
+
+/// `true` when telemetry collection is on.
 #[inline]
 pub fn enabled() -> bool {
-    init_from_env();
-    TELEMETRY_ON.load(Ordering::Relaxed)
+    planes() & plane::REGISTRY != 0
 }
 
 /// Turn collection on or off programmatically (overrides `PC_TRACE`).
 /// Allocation accounting rides along: enabled telemetry implies
 /// span-attributed alloc counters (still lock-free in the allocator).
 pub fn set_enabled(on: bool) {
-    init_from_env();
-    TELEMETRY_ON.store(on, Ordering::Relaxed);
-    prof::set_alloc_tracking(on);
+    set_planes(plane::REGISTRY | plane::ALLOC, on);
 }
 
 /// `true` when `PC_TRACE=summary` asked for per-check summary tables.
 pub fn summary_enabled() -> bool {
-    init_from_env();
-    SUMMARY_ON.load(Ordering::Relaxed) && TELEMETRY_ON.load(Ordering::Relaxed)
+    let both = plane::REGISTRY | plane::SUMMARY;
+    planes() & both == both
 }
 
 // ---------------------------------------------------------------------------
@@ -502,7 +549,8 @@ pub fn span(name: &'static str) -> Span {
 /// Open a span with an explicit category (Chrome trace `cat`).
 #[inline]
 pub fn span_cat(name: &'static str, cat: &'static str) -> Span {
-    if !enabled() {
+    let planes = planes();
+    if planes & plane::REGISTRY == 0 {
         return Span { open: None };
     }
     let depth = DEPTH.with(|d| {
@@ -510,9 +558,7 @@ pub fn span_cat(name: &'static str, cat: &'static str) -> Span {
         d.set(v + 1);
         v
     });
-    if stream::enabled() {
-        stream::emit(stream::EventKind::SpanOpen, name, 0, cat);
-    }
+    stream::emit(stream::EventKind::SpanOpen, name, 0, cat);
     Span {
         open: Some(OpenSpan {
             name,
@@ -520,7 +566,7 @@ pub fn span_cat(name: &'static str, cat: &'static str) -> Span {
             start_ns: now_ns(),
             depth,
             trace_id: current_trace_id(),
-            prof: prof::on_span_open(name),
+            prof: prof::on_span_open(name, planes),
         }),
     }
 }
@@ -543,7 +589,7 @@ impl Drop for Span {
             trace_id: open.trace_id,
         };
         {
-            let mut reg = REGISTRY.lock().unwrap();
+            let mut reg = lock(&REGISTRY);
             reg.ops += 1;
             if reg.spans.len() < SPAN_CAP {
                 reg.spans.push(rec);
@@ -551,9 +597,7 @@ impl Drop for Span {
                 reg.dropped_spans += 1;
             }
         }
-        if stream::enabled() {
-            stream::emit(stream::EventKind::SpanClose, open.name, dur_ns, open.cat);
-        }
+        stream::emit(stream::EventKind::SpanClose, open.name, dur_ns, open.cat);
     }
 }
 
@@ -568,13 +612,11 @@ pub fn count(name: &'static str, delta: u64) {
         return;
     }
     {
-        let mut reg = REGISTRY.lock().unwrap();
+        let mut reg = lock(&REGISTRY);
         reg.ops += 1;
         *reg.counters.entry(name).or_insert(0) += delta;
     }
-    if stream::enabled() {
-        stream::emit(stream::EventKind::Counter, name, delta, "");
-    }
+    stream::emit(stream::EventKind::Counter, name, delta, "");
 }
 
 /// Raise a named high-water-mark gauge to at least `value`.
@@ -583,7 +625,7 @@ pub fn gauge_max(name: &'static str, value: u64) {
     if !enabled() {
         return;
     }
-    let mut reg = REGISTRY.lock().unwrap();
+    let mut reg = lock(&REGISTRY);
     reg.ops += 1;
     let g = reg.gauges.entry(name).or_insert(0);
     *g = (*g).max(value);
@@ -595,7 +637,7 @@ pub fn observe_ns(name: &'static str, ns: u64) {
     if !enabled() {
         return;
     }
-    let mut reg = REGISTRY.lock().unwrap();
+    let mut reg = lock(&REGISTRY);
     reg.ops += 1;
     reg.hists.entry(name).or_default().record(ns);
 }
@@ -632,7 +674,7 @@ pub struct TelemetrySnapshot {
 /// Export the registry. Spans come back sorted by `start_ns`.
 pub fn snapshot() -> TelemetrySnapshot {
     let (allocs, alloc_total) = prof::alloc_snapshot();
-    let reg = REGISTRY.lock().unwrap();
+    let reg = lock(&REGISTRY);
     let mut spans = reg.spans.clone();
     spans.sort_by_key(|s| (s.start_ns, s.tid, s.depth));
     TelemetrySnapshot {
@@ -677,7 +719,7 @@ pub fn snapshot() -> TelemetrySnapshot {
 /// Clear the registry (tests and benches; production runs accumulate).
 pub fn reset() {
     {
-        let mut reg = REGISTRY.lock().unwrap();
+        let mut reg = lock(&REGISTRY);
         reg.spans.clear();
         reg.dropped_spans = 0;
         reg.counters.clear();
@@ -705,7 +747,7 @@ pub fn mark() -> Mark {
     if !enabled() {
         return Mark::default();
     }
-    let reg = REGISTRY.lock().unwrap();
+    let reg = lock(&REGISTRY);
     Mark {
         span_idx: reg.spans.len(),
         counters: reg.counters.clone(),
@@ -725,6 +767,43 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// What [`span_totals`] knows about one span name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanTotal<N> {
+    /// The span name.
+    pub name: N,
+    /// How many spans carried it.
+    pub calls: u64,
+    /// Their summed duration.
+    pub total_ns: u64,
+    /// The longest of them.
+    pub max_ns: u64,
+}
+
+/// Fold `(name, duration)` pairs by name, largest total first
+/// (first-seen order among equals) — the one aggregation behind the
+/// summary table and both stage-time sources of the dashboard.
+pub fn span_totals<N: PartialEq>(spans: impl IntoIterator<Item = (N, u64)>) -> Vec<SpanTotal<N>> {
+    let mut agg: Vec<SpanTotal<N>> = Vec::new();
+    for (name, dur_ns) in spans {
+        match agg.iter_mut().find(|t| t.name == name) {
+            Some(t) => {
+                t.calls += 1;
+                t.total_ns += dur_ns;
+                t.max_ns = t.max_ns.max(dur_ns);
+            }
+            None => agg.push(SpanTotal {
+                name,
+                calls: 1,
+                total_ns: dur_ns,
+                max_ns: dur_ns,
+            }),
+        }
+    }
+    agg.sort_by_key(|t| std::cmp::Reverse(t.total_ns));
+    agg
+}
+
 /// Render the human-readable summary table of everything recorded since
 /// `mark`: per-span-name call counts and timings, counter deltas, gauges,
 /// histograms, plus derived lines — a hit rate for every `X.hits` /
@@ -732,38 +811,31 @@ pub fn fmt_ns(ns: f64) -> String {
 /// utilization when the pool gauges are present.
 pub fn render_summary(mark: &Mark, title: &str) -> String {
     use std::fmt::Write as _;
-    let reg = REGISTRY.lock().unwrap();
+    let reg = lock(&REGISTRY);
     let mut out = String::new();
     let _ = writeln!(out, "── telemetry summary: {title} ──");
 
-    // Spans since the mark, aggregated by name in first-seen order.
-    let mut agg: Vec<(&'static str, u64, u64, u64)> = Vec::new(); // name, calls, total, max
-    for s in reg.spans.iter().skip(mark.span_idx.min(reg.spans.len())) {
-        match agg.iter_mut().find(|(n, ..)| *n == s.name) {
-            Some((_, calls, total, max)) => {
-                *calls += 1;
-                *total += s.dur_ns;
-                *max = (*max).max(s.dur_ns);
-            }
-            None => agg.push((s.name, 1, s.dur_ns, s.dur_ns)),
-        }
-    }
-    agg.sort_by_key(|&(_, _, total, _)| std::cmp::Reverse(total));
+    let agg = span_totals(
+        reg.spans
+            .iter()
+            .skip(mark.span_idx.min(reg.spans.len()))
+            .map(|s| (s.name, s.dur_ns)),
+    );
     if !agg.is_empty() {
         let _ = writeln!(
             out,
             "  {:<34} {:>8} {:>12} {:>12} {:>12}",
             "span", "calls", "total", "mean", "max"
         );
-        for (name, calls, total, max) in &agg {
+        for t in &agg {
             let _ = writeln!(
                 out,
                 "  {:<34} {:>8} {:>12} {:>12} {:>12}",
-                name,
-                calls,
-                fmt_ns(*total as f64),
-                fmt_ns(*total as f64 / *calls as f64),
-                fmt_ns(*max as f64),
+                t.name,
+                t.calls,
+                fmt_ns(t.total_ns as f64),
+                fmt_ns(t.total_ns as f64 / t.calls as f64),
+                fmt_ns(t.max_ns as f64),
             );
         }
     }
@@ -893,9 +965,8 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
     // the workers (`PC_THREADS − 1` of them) made progress.
     let span_total = |name: &str| -> u64 {
         agg.iter()
-            .filter(|(n, ..)| *n == name)
-            .map(|&(_, _, total, _)| total)
-            .sum()
+            .find(|t| t.name == name)
+            .map_or(0, |t| t.total_ns)
     };
     let (join_wait, verdicts) = (span_total("check.join_wait"), span_total("check.verdicts"));
     if join_wait > 0 && verdicts > 0 {
@@ -964,7 +1035,7 @@ mod tests {
     use super::*;
 
     fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = lock(&TEST_LOCK);
         set_enabled(true);
         reset();
         let r = f();
@@ -975,7 +1046,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = lock(&TEST_LOCK);
         set_enabled(false);
         reset();
         {
@@ -990,6 +1061,136 @@ mod tests {
         assert!(snap.gauges.is_empty());
         assert!(snap.hists.is_empty());
         assert_eq!(snap.ops, 0);
+    }
+
+    /// Run `f` as the first observability touch of a process would see
+    /// it: the mask re-armed to `UNINIT` plus `preset`, every plane
+    /// otherwise off. Returns the mask afterwards and restores "off".
+    fn first_touch(preset: u8, f: fn() -> bool) -> u8 {
+        PLANES.store(plane::UNINIT | preset, Ordering::Relaxed);
+        f();
+        PLANES.swap(0, Ordering::Relaxed)
+    }
+
+    #[test]
+    fn every_entry_point_runs_the_same_bootstrap() {
+        let _guard = lock(&TEST_LOCK);
+        let from_env = trace_planes(env::get(env::TRACE).as_deref());
+        let touches: [fn() -> bool; 5] = [
+            enabled,
+            summary_enabled,
+            stream::enabled,
+            prof::sampling_enabled,
+            prof::alloc_tracking_enabled,
+        ];
+        for touch in touches {
+            assert_eq!(first_touch(0, touch), from_env);
+            // A bit set before the first touch survives the bootstrap.
+            assert_eq!(
+                first_touch(plane::SAMPLING, touch),
+                from_env | plane::SAMPLING
+            );
+        }
+        reset();
+    }
+
+    #[test]
+    fn trace_values_map_to_planes() {
+        assert_eq!(trace_planes(None), 0);
+        for off in ["", "0", "off", "False"] {
+            assert_eq!(trace_planes(Some(off)), 0, "{off:?}");
+        }
+        assert_eq!(trace_planes(Some("1")), plane::REGISTRY | plane::ALLOC);
+        assert_eq!(
+            trace_planes(Some(" Summary ")),
+            plane::REGISTRY | plane::ALLOC | plane::SUMMARY
+        );
+    }
+
+    #[test]
+    fn a_sink_sets_three_planes_and_disabling_telemetry_leaves_the_sampler() {
+        let _guard = lock(&TEST_LOCK);
+        set_enabled(false);
+        let path = std::env::temp_dir().join(format!("pc-obs-mask-{}.jsonl", std::process::id()));
+        stream::set_sink(path.to_str().unwrap()).unwrap();
+        let sink_planes = plane::REGISTRY | plane::STREAM | plane::ALLOC;
+        assert_eq!(planes() & sink_planes, sink_planes);
+        stream::close();
+        std::fs::remove_file(&path).ok();
+        prof::arm_profile();
+        assert_eq!(planes(), sink_planes | plane::SAMPLING);
+        set_enabled(false);
+        assert_eq!(planes(), plane::STREAM | plane::SAMPLING);
+        stream::set_enabled(false);
+        prof::disable_sampling();
+        assert_eq!(planes(), 0);
+        reset();
+    }
+
+    #[test]
+    fn alloc_tracking_alone_counts_totals_and_records_no_span() {
+        let _guard = lock(&TEST_LOCK);
+        set_enabled(false);
+        reset();
+        prof::set_alloc_tracking(true);
+        assert_eq!(planes(), plane::ALLOC);
+        {
+            let _s = span("obs.test.alloc_only");
+            std::hint::black_box(Vec::<u8>::with_capacity(4096));
+        }
+        prof::set_alloc_tracking(false);
+        let snap = snapshot();
+        assert!(snap.spans.is_empty() && snap.ops == 0, "{snap:?}");
+        assert!(snap.alloc_total.count >= 1 && snap.alloc_total.bytes >= 4096);
+        // No span opened, so nothing is attributed to one.
+        assert!(snap.allocs.iter().all(|(name, _)| name == "(untracked)"));
+        reset();
+    }
+
+    #[test]
+    fn a_panic_under_the_registry_lock_does_not_cascade() {
+        with_telemetry(|| {
+            let task = crate::pool::scope(|sc| {
+                sc.spawn(|| {
+                    // Dropped in reverse order: the guard poisons the
+                    // registry, then the span's drop locks it again.
+                    let _s = span("obs.test.poisoned");
+                    let _held = lock(&REGISTRY);
+                    panic!("poison the registry");
+                })
+                .join()
+            });
+            assert!(task.is_err());
+            assert!(REGISTRY.is_poisoned());
+            count("obs.test.after_poison", 1);
+            let snap = snapshot();
+            assert!(snap.spans.iter().any(|s| s.name == "obs.test.poisoned"));
+            assert!(snap
+                .counters
+                .iter()
+                .any(|(n, _)| n == "obs.test.after_poison"));
+            REGISTRY.clear_poison();
+        });
+    }
+
+    #[test]
+    fn span_totals_fold_by_name_largest_first() {
+        let totals = span_totals([("a", 5), ("b", 30), ("a", 7), ("c", 12), ("d", 12)]);
+        let row = |name, calls, total_ns, max_ns| SpanTotal {
+            name,
+            calls,
+            total_ns,
+            max_ns,
+        };
+        assert_eq!(
+            totals,
+            vec![
+                row("b", 1, 30, 30),
+                row("a", 2, 12, 7),
+                row("c", 1, 12, 12),
+                row("d", 1, 12, 12)
+            ]
+        );
     }
 
     #[test]
@@ -1121,7 +1322,7 @@ mod tests {
         assert_eq!(Level::parse("warn"), Some(Level::Warn));
         assert_eq!(Level::parse("DEBUG"), Some(Level::Debug));
         assert_eq!(Level::parse("nope"), None);
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = lock(&TEST_LOCK);
         set_log_level(Some(Level::Warn));
         assert!(log_enabled(Level::Error));
         assert!(log_enabled(Level::Warn));

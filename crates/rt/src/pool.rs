@@ -37,18 +37,19 @@
 //! assert_eq!(seq, Ok(42));
 //! ```
 
+use crate::lock;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Environment variable overriding the default worker count.
-pub const THREADS_ENV: &str = "PC_THREADS";
+pub const THREADS_ENV: &str = crate::env::THREADS;
 
 /// Number of workers a default-configured pool will use: `PC_THREADS`
 /// if set to a positive integer, otherwise the machine's available
 /// parallelism (1 if that cannot be determined).
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var(THREADS_ENV) {
+    if let Some(v) = crate::env::get(THREADS_ENV) {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
                 return n;
@@ -137,15 +138,6 @@ impl Pool {
             out
         })
     }
-}
-
-/// Take `m`'s guard whether or not a thread panicked while holding it.
-/// For mutexes whose every update leaves the data valid at each step
-/// (a counter bump, a queue push, a map insert): there a poisoned flag
-/// carries no information, and honouring it turns one panicking task —
-/// which is a diagnostic — into a panic in every task that locks next.
-pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Upper bound on scope workers — deques are scanned linearly when

@@ -12,8 +12,8 @@
 //!   open/close, and a background sampler thread reads without stopping
 //!   anyone. Samples fold into stack → count aggregates and export as
 //!   inferno-compatible `.folded` text ([`render_folded`]) via
-//!   `--profile-out` / `PC_PROFILE`, and as the no-script flame view in
-//!   the `paracrash report` dashboard.
+//!   [`arm_profile`] (`--profile-out`), and as the no-script flame view
+//!   in the `paracrash report` dashboard.
 //! * **Allocation accounting** — [`CountingAlloc`] wraps the system
 //!   allocator (installed as the workspace `#[global_allocator]` here)
 //!   and attributes allocation count / bytes / peak to the innermost
@@ -23,11 +23,12 @@
 //!
 //! # Overhead contract
 //!
-//! Both planes are **off by default** behind one bitmask
-//! ([`sampling_enabled`] / [`alloc_tracking_enabled`]): the disabled
-//! path in the span hooks and in the allocator is a single relaxed
-//! atomic load, enforced by `paracrash selftest prof` under the same
-//! <3% budget as the telemetry plane.
+//! Both planes are **off by default**, two bits of the [`super`] plane
+//! mask ([`sampling_enabled`] / [`alloc_tracking_enabled`]): the
+//! disabled path in the span hooks and in the allocator is a single
+//! relaxed atomic load, held under the 3% budget by
+//! `paracrash selftest obs`. The allocator tests its bit on the raw
+//! mask and never runs the environment bootstrap (which allocates).
 //!
 //! # Seqlock protocol (DESIGN.md §15)
 //!
@@ -45,68 +46,32 @@
 //! the span that allocated — per-span `peak_bytes` is therefore a
 //! peak-of-net approximation. Totals (count / bytes) are exact.
 
+use super::plane;
+use crate::lock;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-// ---------------------------------------------------------------------------
-// Plane bitmask — the one-load disabled path
-// ---------------------------------------------------------------------------
-
-const PLANE_SAMPLING: u8 = 1;
-const PLANE_ALLOC: u8 = 2;
-
-static PLANES: AtomicU8 = AtomicU8::new(0);
-
-#[inline]
-fn planes() -> u8 {
-    PLANES.load(Ordering::Relaxed)
-}
-
-/// `PC_PROFILE` environment variable: any truthy value enables the
-/// profiling planes; a value that is not `1|on|true` is treated as the
-/// `.folded` output path (equivalent to `--profile-out PATH`).
-pub const PROFILE_ENV: &str = "PC_PROFILE";
-
-/// `PC_PROF_HZ` environment variable: sampler frequency in Hz
-/// (default 97, clamped to 1..=10000). A prime default avoids lockstep
-/// with periodic work.
-pub const HZ_ENV: &str = "PC_PROF_HZ";
 
 /// `true` while the sampling profiler is collecting (one relaxed load).
 #[inline]
 pub fn sampling_enabled() -> bool {
-    planes() & PLANE_SAMPLING != 0
+    super::planes() & plane::SAMPLING != 0
 }
 
 /// `true` while the counting allocator is attributing (one relaxed load).
 #[inline]
 pub fn alloc_tracking_enabled() -> bool {
-    planes() & PLANE_ALLOC != 0
+    super::planes() & plane::ALLOC != 0
 }
 
 /// Turn span-attributed allocation accounting on or off. Rides
 /// [`super::set_enabled`]: enabling telemetry enables accounting, so
 /// `PC_TRACE=summary` and `--telemetry-out` get alloc columns for free.
 pub fn set_alloc_tracking(on: bool) {
-    if on {
-        PLANES.fetch_or(PLANE_ALLOC, Ordering::Relaxed);
-    } else {
-        PLANES.fetch_and(!PLANE_ALLOC, Ordering::Relaxed);
-    }
-}
-
-/// Sampler frequency from `PC_PROF_HZ` (default 97 Hz, clamped).
-pub fn hz_from_env() -> u32 {
-    std::env::var(HZ_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .map(|h| h.clamp(1, 10_000))
-        .unwrap_or(97)
+    super::set_planes(plane::ALLOC, on);
 }
 
 // ---------------------------------------------------------------------------
@@ -128,7 +93,7 @@ static NAMES: Mutex<Names> = Mutex::new(Names {
 const UNTRACKED: &str = "(untracked)";
 
 fn intern(name: &'static str) -> u32 {
-    let mut n = NAMES.lock().unwrap_or_else(|e| e.into_inner());
+    let mut n = lock(&NAMES);
     if n.list.is_empty() {
         n.list.push(UNTRACKED);
     }
@@ -142,7 +107,7 @@ fn intern(name: &'static str) -> u32 {
 }
 
 fn resolve(ids: &[u32]) -> Vec<&'static str> {
-    let n = NAMES.lock().unwrap_or_else(|e| e.into_inner());
+    let n = lock(&NAMES);
     ids.iter()
         .map(|&id| n.list.get(id as usize).copied().unwrap_or("(?)"))
         .collect()
@@ -242,7 +207,7 @@ impl Drop for SlotGuard {
     fn drop(&mut self) {
         if let Some(s) = self.slot.borrow_mut().take() {
             s.clear();
-            FREE.lock().unwrap_or_else(|e| e.into_inner()).push(s);
+            lock(&FREE).push(s);
         }
     }
 }
@@ -256,15 +221,12 @@ thread_local! {
 }
 
 fn acquire_slot() -> Arc<ShadowSlot> {
-    let recycled = FREE.lock().unwrap_or_else(|e| e.into_inner()).pop();
+    let recycled = lock(&FREE).pop();
     match recycled {
         Some(s) => s,
         None => {
             let s = Arc::new(ShadowSlot::new());
-            SLOTS
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(s.clone());
+            lock(&SLOTS).push(s.clone());
             s
         }
     }
@@ -319,8 +281,9 @@ thread_local! {
     static CUR_SPAN: Cell<u32> = const { Cell::new(0) };
 }
 
-pub(crate) fn on_span_open(name: &'static str) -> SpanToken {
-    let p = planes();
+/// `planes` is the mask the opening span already loaded.
+pub(crate) fn on_span_open(name: &'static str, planes: u8) -> SpanToken {
+    let p = planes & (plane::SAMPLING | plane::ALLOC);
     if p == 0 {
         return SpanToken::INERT;
     }
@@ -330,7 +293,7 @@ pub(crate) fn on_span_open(name: &'static str) -> SpanToken {
         prev_span: 0,
         pushed: false,
     };
-    if p & PLANE_ALLOC != 0 {
+    if p & plane::ALLOC != 0 {
         tok.prev_span = CUR_SPAN
             .try_with(|c| {
                 let prev = c.get();
@@ -339,7 +302,7 @@ pub(crate) fn on_span_open(name: &'static str) -> SpanToken {
             })
             .unwrap_or(0);
     }
-    if p & PLANE_SAMPLING != 0 {
+    if p & plane::SAMPLING != 0 {
         tok.pushed = with_slot(|s| s.push(id)).unwrap_or(false);
     }
     tok
@@ -349,7 +312,7 @@ pub(crate) fn on_span_close(tok: SpanToken) {
     if tok.pushed {
         let _ = with_slot(|s| s.pop());
     }
-    if tok.planes & PLANE_ALLOC != 0 {
+    if tok.planes & plane::ALLOC != 0 {
         let _ = CUR_SPAN.try_with(|c| c.set(tok.prev_span));
     }
 }
@@ -371,8 +334,8 @@ static AGG: Mutex<Agg> = Mutex::new(Agg {
 });
 
 fn sample_once() {
-    let slots: Vec<Arc<ShadowSlot>> = SLOTS.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    let mut agg = AGG.lock().unwrap_or_else(|e| e.into_inner());
+    let slots: Vec<Arc<ShadowSlot>> = lock(&SLOTS).clone();
+    let mut agg = lock(&AGG);
     for slot in &slots {
         if let Some(stack) = slot.read() {
             *agg.stacks.entry(stack).or_insert(0) += 1;
@@ -391,8 +354,21 @@ static SAMPLER: Mutex<Option<Sampler>> = Mutex::new(None);
 /// Start the sampling profiler at `hz` samples/sec (clamped to
 /// 1..=10000). Idempotent: a second call while running is a no-op.
 pub fn enable_sampling(hz: u32) {
-    PLANES.fetch_or(PLANE_SAMPLING, Ordering::Relaxed);
-    let mut guard = SAMPLER.lock().unwrap_or_else(|e| e.into_inner());
+    start_sampler(plane::SAMPLING, hz);
+}
+
+/// Arm the plane for a `--profile-out` run: telemetry on (spans must
+/// exist to be sampled) and the sampler running at `PC_PROF_HZ`. The
+/// caller writes [`render_folded`] out after [`disable_sampling`].
+pub fn arm_profile() {
+    let planes = plane::REGISTRY | plane::ALLOC | plane::SAMPLING;
+    start_sampler(planes, super::sample_hz());
+}
+
+/// Switch `planes` (`SAMPLING` among them) on and start the thread.
+fn start_sampler(planes: u8, hz: u32) {
+    super::set_planes(planes, true);
+    let mut guard = lock(&SAMPLER);
     if guard.is_some() {
         return;
     }
@@ -415,8 +391,8 @@ pub fn enable_sampling(hz: u32) {
 /// Stop the sampler and join its thread. Collected samples stay in the
 /// aggregate until [`reset`].
 pub fn disable_sampling() {
-    PLANES.fetch_and(!PLANE_SAMPLING, Ordering::Relaxed);
-    let sampler = SAMPLER.lock().unwrap_or_else(|e| e.into_inner()).take();
+    super::set_planes(plane::SAMPLING, false);
+    let sampler = lock(&SAMPLER).take();
     if let Some(s) = sampler {
         s.stop.store(true, Ordering::Relaxed);
         let _ = s.handle.join();
@@ -425,7 +401,7 @@ pub fn disable_sampling() {
 
 /// Total samples folded so far (torn reads excluded).
 pub fn samples_total() -> u64 {
-    AGG.lock().unwrap_or_else(|e| e.into_inner()).total
+    lock(&AGG).total
 }
 
 /// Fold a synthetic stack directly into the aggregate — the test hook
@@ -435,7 +411,7 @@ pub fn record_synthetic(stack: &[&'static str], count: u64) {
     if ids.is_empty() {
         return;
     }
-    let mut agg = AGG.lock().unwrap_or_else(|e| e.into_inner());
+    let mut agg = lock(&AGG);
     *agg.stacks.entry(ids).or_insert(0) += count;
     agg.total += count;
 }
@@ -445,7 +421,7 @@ pub fn record_synthetic(stack: &[&'static str], count: u64) {
 /// lexicographically, trailing newline (empty string when no samples).
 pub fn render_folded() -> String {
     let stacks: Vec<(Vec<u32>, u64)> = {
-        let agg = AGG.lock().unwrap_or_else(|e| e.into_inner());
+        let agg = lock(&AGG);
         agg.stacks.iter().map(|(k, v)| (k.clone(), *v)).collect()
     };
     let mut lines: Vec<String> = stacks
@@ -461,7 +437,7 @@ pub fn render_folded() -> String {
 }
 
 /// Parse `.folded` text back into `(stack frames, count)` rows — the
-/// re-parse lint behind verify gate 14 and the dashboard flame view.
+/// re-parse lint behind `selftest prof FILE` and the dashboard flame view.
 pub fn parse_folded(text: &str) -> Result<Vec<(Vec<String>, u64)>, String> {
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -482,30 +458,6 @@ pub fn parse_folded(text: &str) -> Result<Vec<(Vec<String>, u64)>, String> {
         rows.push((frames, count));
     }
     Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-// Output arming — `--profile-out` / `PC_PROFILE=path`
-// ---------------------------------------------------------------------------
-
-static ARMED: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Arm a `.folded` output path for [`finish`] to write at exit.
-pub fn arm_output(path: impl Into<PathBuf>) {
-    *ARMED.lock().unwrap_or_else(|e| e.into_inner()) = Some(path.into());
-}
-
-/// Stop sampling and, if an output path is armed, write the folded
-/// profile (creating the parent directory). Returns the path written.
-pub fn finish() -> std::io::Result<Option<PathBuf>> {
-    disable_sampling();
-    let path = ARMED.lock().unwrap_or_else(|e| e.into_inner()).take();
-    let Some(path) = path else {
-        return Ok(None);
-    };
-    crate::durable::ensure_parent_dir(Path::new(&path))?;
-    std::fs::write(&path, render_folded())?;
-    Ok(Some(path))
 }
 
 // ---------------------------------------------------------------------------
@@ -582,6 +534,14 @@ fn record_dealloc(size: usize) {
     TOTAL_CUR.fetch_sub(size as i64, Ordering::Relaxed);
 }
 
+/// The allocator's own test of its bit: the raw mask, never
+/// [`super::planes`] — the bootstrap that would run allocates. Before the
+/// bootstrap only `UNINIT` (or a programmatic bit) is set.
+#[inline]
+fn tracking() -> bool {
+    super::PLANES.load(Ordering::Relaxed) & plane::ALLOC != 0
+}
+
 /// The counting allocator. Delegates every operation to [`System`];
 /// when accounting is enabled ([`set_alloc_tracking`]) it additionally
 /// updates the fixed atomic attribution table — no lock, no allocation,
@@ -594,7 +554,7 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
-        if !p.is_null() && planes() & PLANE_ALLOC != 0 {
+        if !p.is_null() && tracking() {
             record_alloc(layout.size());
         }
         p
@@ -602,7 +562,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc_zeroed(layout) };
-        if !p.is_null() && planes() & PLANE_ALLOC != 0 {
+        if !p.is_null() && tracking() {
             record_alloc(layout.size());
         }
         p
@@ -610,14 +570,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        if planes() & PLANE_ALLOC != 0 {
+        if tracking() {
             record_dealloc(layout.size());
         }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() && planes() & PLANE_ALLOC != 0 {
+        if !p.is_null() && tracking() {
             record_dealloc(layout.size());
             record_alloc(new_size);
         }
@@ -635,7 +595,7 @@ static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
 /// allocated; slot 0 is `"(untracked)"`), sorted by span name, plus the
 /// process-wide total.
 pub fn alloc_snapshot() -> (Vec<(String, AllocStat)>, AllocStat) {
-    let names = NAMES.lock().unwrap_or_else(|e| e.into_inner());
+    let names = lock(&NAMES);
     let mut rows: Vec<(String, AllocStat)> = Vec::new();
     for (idx, slot) in ALLOC_TABLE.iter().enumerate() {
         let count = slot.count.load(Ordering::Relaxed);
@@ -681,14 +641,14 @@ pub fn fmt_bytes(b: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Reset / env bootstrap
+// Reset
 // ---------------------------------------------------------------------------
 
 /// Clear the sample aggregate and zero the allocation table (tests and
 /// benches; production runs accumulate).
 pub fn reset() {
     {
-        let mut agg = AGG.lock().unwrap_or_else(|e| e.into_inner());
+        let mut agg = lock(&AGG);
         agg.stacks.clear();
         agg.total = 0;
     }
@@ -702,26 +662,6 @@ pub fn reset() {
     TOTAL_BYTES.store(0, Ordering::Relaxed);
     TOTAL_CUR.store(0, Ordering::Relaxed);
     TOTAL_PEAK.store(0, Ordering::Relaxed);
-}
-
-/// `PC_PROFILE` bootstrap. Called from inside `obs::init_from_env`'s
-/// `Once` closure, so it stores `TELEMETRY_ON` directly — calling
-/// `set_enabled` here would re-enter the `Once` and deadlock.
-pub(crate) fn init_from_env() {
-    let Ok(v) = std::env::var(PROFILE_ENV) else {
-        return;
-    };
-    let v = v.trim().to_string();
-    let lower = v.to_ascii_lowercase();
-    if matches!(lower.as_str(), "" | "0" | "off" | "false") {
-        return;
-    }
-    super::TELEMETRY_ON.store(true, Ordering::Relaxed);
-    PLANES.fetch_or(PLANE_ALLOC, Ordering::Relaxed);
-    if !matches!(lower.as_str(), "1" | "on" | "true") {
-        arm_output(PathBuf::from(v));
-    }
-    enable_sampling(hz_from_env());
 }
 
 #[cfg(test)]
@@ -765,9 +705,7 @@ mod tests {
 
     #[test]
     fn folded_render_parse_round_trip() {
-        let _guard = crate::obs::TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _guard = lock(&crate::obs::TEST_LOCK);
         reset();
         record_synthetic(&["prof.test.root", "prof.test.mid", "prof.test.leaf"], 4);
         record_synthetic(&["prof.test.root", "prof.test.mid"], 2);
@@ -792,9 +730,7 @@ mod tests {
 
     #[test]
     fn alloc_accounting_attributes_to_innermost_span() {
-        let _guard = crate::obs::TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _guard = lock(&crate::obs::TEST_LOCK);
         reset();
         let id = intern("prof.test.alloc.span");
         assert!(
@@ -802,7 +738,7 @@ mod tests {
             "test span must land in its own slot"
         );
         set_alloc_tracking(true);
-        let tok = on_span_open("prof.test.alloc.span");
+        let tok = on_span_open("prof.test.alloc.span", super::super::planes());
         let v: Vec<u8> = Vec::with_capacity(64 * 1024);
         on_span_close(tok);
         set_alloc_tracking(false);
@@ -825,13 +761,11 @@ mod tests {
 
     #[test]
     fn disabled_planes_record_nothing() {
-        let _guard = crate::obs::TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _guard = lock(&crate::obs::TEST_LOCK);
         disable_sampling();
         set_alloc_tracking(false);
         reset();
-        let tok = on_span_open("prof.test.disabled.span");
+        let tok = on_span_open("prof.test.disabled.span", super::super::planes());
         let _v: Vec<u8> = Vec::with_capacity(4096);
         on_span_close(tok);
         assert_eq!(samples_total(), 0);
@@ -842,12 +776,10 @@ mod tests {
 
     #[test]
     fn sampler_collects_from_a_registered_thread() {
-        let _guard = crate::obs::TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _guard = lock(&crate::obs::TEST_LOCK);
         reset();
         enable_sampling(2000);
-        let tok = on_span_open("prof.test.sampled.span");
+        let tok = on_span_open("prof.test.sampled.span", super::super::planes());
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while samples_total() == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -865,14 +797,5 @@ mod tests {
         assert_eq!(fmt_bytes(1_500.0), "1.5 kB");
         assert_eq!(fmt_bytes(2_500_000.0), "2.50 MB");
         assert_eq!(fmt_bytes(3_000_000_000.0), "3.00 GB");
-    }
-
-    #[test]
-    fn hz_clamps_and_defaults() {
-        // No env manipulation (tests run in parallel); exercise the
-        // clamp arithmetic the parser applies.
-        assert_eq!(5u32.clamp(1, 10_000), 5);
-        assert_eq!(0u32.clamp(1, 10_000), 1);
-        assert_eq!(1_000_000u32.clamp(1, 10_000), 10_000);
     }
 }

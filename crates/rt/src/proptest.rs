@@ -47,13 +47,9 @@
 //! );
 //! ```
 
+use crate::env::{PROPTEST_CASES, PROPTEST_SEED};
 use crate::rng::{Rng, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Environment variable overriding the run seed (decimal or `0x` hex).
-pub const SEED_ENV: &str = "PC_PROPTEST_SEED";
-/// Environment variable overriding the number of cases per run.
-pub const CASES_ENV: &str = "PC_PROPTEST_CASES";
 
 /// Default run seed: reproducible CI without any environment setup.
 pub const DEFAULT_SEED: u64 = 0x5EED_CAFE_F00D_0001;
@@ -73,12 +69,10 @@ impl Config {
     /// A config running `cases` cases with the default (or
     /// environment-overridden) seed and a size ramp up to 64.
     pub fn with_cases(cases: u32) -> Config {
-        let seed = std::env::var(SEED_ENV)
-            .ok()
+        let seed = crate::env::get(PROPTEST_SEED)
             .and_then(|v| parse_u64(&v))
             .unwrap_or(DEFAULT_SEED);
-        let cases = std::env::var(CASES_ENV)
-            .ok()
+        let cases = crate::env::get(PROPTEST_CASES)
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or(cases);
         Config {
@@ -205,7 +199,7 @@ where
                      \x20 minimal input: {min_input}\n\
                      \x20 failure: {min_msg}",
                     seed = cfg.seed,
-                    env = SEED_ENV,
+                    env = PROPTEST_SEED,
                     cases = cfg.cases,
                 );
             }

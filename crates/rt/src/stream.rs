@@ -14,8 +14,8 @@
 //!   workers never serialize on a global mutex. When the ring wraps, the
 //!   *oldest* events are overwritten — the newest history survives,
 //!   which is exactly what a post-mortem wants.
-//! * **JSON-lines sink** — `PC_EVENTS=path` (or the CLI's
-//!   `--events-out`) attaches a file sink; [`flush`] drains every event
+//! * **JSON-lines sink** — [`set_sink`] (the CLI's `--events-out`)
+//!   attaches a file sink; [`flush`] drains every event
 //!   published since the previous flush as one compact JSON object per
 //!   line (the [`crate::json`] subset: unsigned integers, escaped
 //!   strings). The first line is a header carrying
@@ -28,18 +28,17 @@
 //!
 //! # Overhead contract
 //!
-//! Like the registry, the stream is **off by default** and every
-//! [`emit`] entry point returns after one relaxed atomic load when
-//! disabled — no allocation, no clock read, no lock. The committed
-//! `paracrash selftest stream` asserts the disabled taps add < 3% to the
-//! snapshot-engine microbench.
+//! The stream is one bit of the [`super`] plane mask: **off by
+//! default**, and every [`emit`] returns after one relaxed atomic load
+//! when disabled — no allocation, no clock read, no lock
+//! (`paracrash selftest obs` holds the disabled sites under 3%).
 //!
 //! # Determinism contract
 //!
 //! The stream is strictly **presentation-plane**: publishing an event
 //! never feeds back into checking, so `canonical_report()` is
 //! byte-identical with the stream enabled or disabled, sequential or
-//! parallel (enforced by tests and verify gate 12). Timestamps and
+//! parallel (enforced by tests and the observability verify gate). Timestamps and
 //! durations are wall-clock and therefore nondeterministic;
 //! `paracrash::telemetry::canonical_event_lines` projects a stream onto
 //! its deterministic fields for seq ≡ par comparison.
@@ -56,24 +55,19 @@
 //! stream::set_enabled(false);
 //! ```
 
+use super::plane;
+use crate::json::Json;
+use crate::lock;
+use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock, RwLock};
-
-/// `PC_EVENTS` environment variable: path of the JSON-lines event sink.
-/// Setting it enables both the stream and the underlying telemetry
-/// registry (events carry span/counter taps).
-pub const EVENTS_ENV: &str = "PC_EVENTS";
-
-/// `PC_EVENTS_CAP` environment variable: flight-recorder ring capacity
-/// in events (default [`DEFAULT_CAP`]).
-pub const EVENTS_CAP_ENV: &str = "PC_EVENTS_CAP";
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, Once, OnceLock, RwLock, RwLockReadGuard};
 
 /// Version stamp written into the stream header (and into the telemetry
 /// JSON exporters); consumers reject streams with any other value.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Default flight-recorder capacity: large enough to hold several fuzz
+/// Flight-recorder capacity: large enough to hold several fuzz
 /// cells of span/counter traffic between per-cell flushes, small enough
 /// (~1 MB of `Event`s) to stay a rounding error next to the span store.
 pub const DEFAULT_CAP: usize = 8192;
@@ -99,30 +93,25 @@ pub enum EventKind {
     Snapshot,
 }
 
+/// Every kind with its wire spelling.
+const KINDS: [(EventKind, &str); 6] = [
+    (EventKind::SpanOpen, "span_open"),
+    (EventKind::SpanClose, "span_close"),
+    (EventKind::Counter, "counter"),
+    (EventKind::Finding, "finding"),
+    (EventKind::Cell, "cell"),
+    (EventKind::Snapshot, "snapshot"),
+];
+
 impl EventKind {
     /// Wire spelling used in the JSON-lines stream.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            EventKind::SpanOpen => "span_open",
-            EventKind::SpanClose => "span_close",
-            EventKind::Counter => "counter",
-            EventKind::Finding => "finding",
-            EventKind::Cell => "cell",
-            EventKind::Snapshot => "snapshot",
-        }
+        KINDS[*self as usize].1
     }
 
     /// Parse the wire spelling back; `None` for unknown kinds.
     pub fn parse(s: &str) -> Option<EventKind> {
-        match s {
-            "span_open" => Some(EventKind::SpanOpen),
-            "span_close" => Some(EventKind::SpanClose),
-            "counter" => Some(EventKind::Counter),
-            "finding" => Some(EventKind::Finding),
-            "cell" => Some(EventKind::Cell),
-            "snapshot" => Some(EventKind::Snapshot),
-            _ => None,
-        }
+        KINDS.iter().find(|(_, name)| *name == s).map(|(k, _)| *k)
     }
 }
 
@@ -148,85 +137,38 @@ pub struct Event {
 impl Event {
     /// Serialize as one compact JSON object (the [`crate::json`] subset).
     pub fn to_json_line(&self, seq: u64) -> String {
-        format!(
-            "{{\"seq\":{},\"ts_ns\":{},\"kind\":\"{}\",\"name\":\"{}\",\"value\":{},\"detail\":\"{}\",\"trace_id\":{}}}",
-            seq,
+        let mut out = String::with_capacity(96 + self.name.len() + self.detail.len());
+        let _ = write!(
+            out,
+            "{{\"seq\":{seq},\"ts_ns\":{},\"kind\":\"{}\",\"name\":",
             self.ts_ns,
             self.kind.as_str(),
-            json_escape(&self.name),
-            self.value,
-            json_escape(&self.detail),
-            self.trace_id,
-        )
+        );
+        Json::write_str(&mut out, &self.name);
+        let _ = write!(out, ",\"value\":{},\"detail\":", self.value);
+        Json::write_str(&mut out, &self.detail);
+        let _ = write!(out, ",\"trace_id\":{}}}", self.trace_id);
+        out
     }
-}
-
-/// Escape a string for a JSON string literal, staying inside the subset
-/// [`crate::json::Json::parse`] round-trips (`\" \\ \n \r \t`, other
-/// control characters as `\u00XX`).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
 // Enable / disable
 // ---------------------------------------------------------------------------
 
-static STREAM_ON: AtomicBool = AtomicBool::new(false);
-static STREAM_INIT: Once = Once::new();
-
-/// One-time `PC_EVENTS` / `PC_EVENTS_CAP` bootstrap, run from the first
-/// [`enabled`] check. Called from `obs::init_from_env` as well so that
-/// setting only `PC_EVENTS` turns on both planes.
-pub(super) fn init_from_env() {
-    STREAM_INIT.call_once(|| {
-        if let Ok(cap) = std::env::var(EVENTS_CAP_ENV) {
-            if let Ok(cap) = cap.trim().parse::<usize>() {
-                if cap > 0 {
-                    set_capacity(cap);
-                }
-            }
-        }
-        if let Ok(path) = std::env::var(EVENTS_ENV) {
-            let path = path.trim().to_string();
-            if !path.is_empty() {
-                if let Err(e) = set_sink(&path) {
-                    crate::pc_error!("obs::stream: cannot open {EVENTS_ENV}={path}: {e}");
-                }
-            }
-        }
-    });
-}
-
-/// `true` when the event stream is on. The fast path every tap takes:
-/// after the one-time env parse it is a single relaxed atomic load.
+/// `true` when the event stream is on: one relaxed load of the plane
+/// mask.
 #[inline]
 pub fn enabled() -> bool {
-    init_from_env();
-    STREAM_ON.load(Ordering::Relaxed)
+    super::planes() & plane::STREAM != 0
 }
 
-/// Turn the stream on or off programmatically (overrides `PC_EVENTS`).
-/// Enabling the stream does not by itself enable the telemetry
-/// registry; callers that want span/counter events must also call
-/// [`super::set_enabled`] (attaching a sink via [`set_sink`] does both).
+/// Turn the stream on or off programmatically. Enabling the stream does
+/// not by itself enable the telemetry registry; callers that want
+/// span/counter events must also call [`super::set_enabled`] (attaching
+/// a sink via [`set_sink`] does both).
 pub fn set_enabled(on: bool) {
-    init_from_env();
-    STREAM_ON.store(on, Ordering::Relaxed);
+    super::set_planes(plane::STREAM, on);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,20 +194,21 @@ impl Ring {
 static RING: OnceLock<RwLock<Ring>> = OnceLock::new();
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn ring() -> &'static RwLock<Ring> {
+fn ring_lock() -> &'static RwLock<Ring> {
     RING.get_or_init(|| RwLock::new(Ring::with_cap(DEFAULT_CAP)))
 }
 
-fn lock_slot(slot: &Slot) -> std::sync::MutexGuard<'_, Option<(u64, Event)>> {
-    slot.lock().unwrap_or_else(|e| e.into_inner())
+/// The ring, for publishing or reading slots (poison-tolerant like
+/// [`lock`]: a slot write is one assignment).
+fn ring() -> RwLockReadGuard<'static, Ring> {
+    ring_lock().read().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Replace the ring with a fresh one of `cap` slots (tests and the
-/// `PC_EVENTS_CAP` bootstrap). Events currently buffered are discarded;
-/// the sequence counter keeps running.
+/// Replace the ring with a fresh one of `cap` slots (tests; every run
+/// uses [`DEFAULT_CAP`]). Events currently buffered are discarded; the
+/// sequence counter keeps running.
 pub fn set_capacity(cap: usize) {
-    let mut r = ring().write().unwrap_or_else(|e| e.into_inner());
-    *r = Ring::with_cap(cap);
+    *ring_lock().write().unwrap_or_else(|e| e.into_inner()) = Ring::with_cap(cap);
 }
 
 /// Total events published since process start (including any that were
@@ -294,9 +237,9 @@ pub fn emit(kind: EventKind, name: &str, value: u64, detail: &str) {
 
 fn publish(ev: Event) {
     let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
-    let r = ring().read().unwrap_or_else(|e| e.into_inner());
+    let r = ring();
     let idx = (seq % r.slots.len() as u64) as usize;
-    let mut slot = lock_slot(&r.slots[idx]);
+    let mut slot = lock(&r.slots[idx]);
     let newer = match &*slot {
         Some((existing, _)) => *existing < seq,
         None => true,
@@ -309,11 +252,10 @@ fn publish(ev: Event) {
 /// Read the ring's current contents in sequence order (oldest surviving
 /// event first) without consuming them. Test / debug hook.
 pub fn collect() -> Vec<(u64, Event)> {
-    let r = ring().read().unwrap_or_else(|e| e.into_inner());
-    let mut out: Vec<(u64, Event)> = r
+    let mut out: Vec<(u64, Event)> = ring()
         .slots
         .iter()
-        .filter_map(|s| lock_slot(s).clone())
+        .filter_map(|s| lock(s).clone())
         .collect();
     out.sort_by_key(|&(seq, _)| seq);
     out
@@ -334,10 +276,6 @@ struct Sink {
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 static PANIC_HOOK: Once = Once::new();
 
-fn lock_sink() -> std::sync::MutexGuard<'static, Option<Sink>> {
-    SINK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Attach a JSON-lines sink at `path` (truncating), write the
 /// schema-version header line, enable the stream *and* the telemetry
 /// registry, and install the panic-flush hook. Everything still live in
@@ -348,25 +286,18 @@ pub fn set_sink(path: &str) -> std::io::Result<()> {
     crate::durable::ensure_parent_dir(std::path::Path::new(path))?;
     let file = std::fs::File::create(path)?;
     let mut out = std::io::BufWriter::new(file);
-    let cap = ring().read().unwrap_or_else(|e| e.into_inner()).slots.len();
+    let cap = ring().slots.len();
     writeln!(
         out,
         "{{\"schema_version\":{SCHEMA_VERSION},\"stream\":\"paracrash-events\",\"cap\":{cap}}}"
     )?;
     out.flush()?;
-    {
-        let mut sink = lock_sink();
-        *sink = Some(Sink {
-            out,
-            flushed_seq: 0,
-            dropped: 0,
-        });
-    }
-    STREAM_ON.store(true, Ordering::Relaxed);
-    // Store the parent flag directly: this can run inside the parent's
-    // env-bootstrap `Once`, so calling `super::set_enabled` (which
-    // re-enters that `Once`) would deadlock.
-    super::TELEMETRY_ON.store(true, Ordering::Relaxed);
+    *lock(&SINK) = Some(Sink {
+        out,
+        flushed_seq: 0,
+        dropped: 0,
+    });
+    super::set_planes(plane::REGISTRY | plane::STREAM | plane::ALLOC, true);
     PANIC_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -381,16 +312,14 @@ pub fn set_sink(path: &str) -> std::io::Result<()> {
 /// Events the ring overwrote in the meantime are counted as dropped.
 /// No-op without a sink.
 pub fn flush() {
-    let mut guard = lock_sink();
-    let Some(sink) = guard.as_mut() else {
-        return;
-    };
-    flush_into(sink);
+    if let Some(sink) = lock(&SINK).as_mut() {
+        flush_into(sink);
+    }
 }
 
 fn flush_into(sink: &mut Sink) {
     let head = NEXT_SEQ.load(Ordering::Relaxed);
-    let r = ring().read().unwrap_or_else(|e| e.into_inner());
+    let r = ring();
     let cap = r.slots.len() as u64;
     let mut from = sink.flushed_seq;
     if head.saturating_sub(from) > cap {
@@ -398,7 +327,7 @@ fn flush_into(sink: &mut Sink) {
         from = head - cap;
     }
     for seq in from..head {
-        let slot = lock_slot(&r.slots[(seq % cap) as usize]);
+        let slot = lock(&r.slots[(seq % cap) as usize]);
         match &*slot {
             Some((s, ev)) if *s == seq => {
                 let _ = writeln!(sink.out, "{}", ev.to_json_line(seq));
@@ -410,35 +339,63 @@ fn flush_into(sink: &mut Sink) {
     let _ = sink.out.flush();
 }
 
+/// Drain the ring into `sink` and stamp a closing meta line.
+fn flush_with(sink: &mut Sink, meta: impl FnOnce(&Sink) -> String) {
+    flush_into(sink);
+    let line = meta(sink);
+    let _ = writeln!(sink.out, "{{\"schema_version\":{SCHEMA_VERSION},{line}}}");
+    let _ = sink.out.flush();
+}
+
 /// Flush and detach the sink, appending a trailer line with publish /
 /// drop totals. No-op without a sink.
 pub fn close() {
-    let mut guard = lock_sink();
-    let Some(mut sink) = guard.take() else {
-        return;
-    };
-    flush_into(&mut sink);
-    let _ = writeln!(
-        sink.out,
-        "{{\"schema_version\":{SCHEMA_VERSION},\"published\":{},\"dropped\":{}}}",
-        sink.flushed_seq, sink.dropped,
-    );
-    let _ = sink.out.flush();
+    if let Some(mut sink) = lock(&SINK).take() {
+        flush_with(&mut sink, |s| {
+            format!("\"published\":{},\"dropped\":{}", s.flushed_seq, s.dropped)
+        });
+    }
 }
 
 /// The crash-dump path: drain the ring and stamp a panic marker so a
 /// post-mortem reader can see where the stream ends. Runs inside the
 /// panic hook; every lock acquisition recovers from poisoning.
 fn panic_flush() {
-    let mut guard = lock_sink();
-    let Some(sink) = guard.as_mut() else {
-        return;
-    };
-    flush_into(sink);
-    let _ = writeln!(
-        sink.out,
-        "{{\"schema_version\":{SCHEMA_VERSION},\"meta\":\"panic\",\"flushed\":{}}}",
-        sink.flushed_seq,
-    );
-    let _ = sink.out.flush();
+    if let Some(sink) = lock(&SINK).as_mut() {
+        flush_with(sink, |s| {
+            format!("\"meta\":\"panic\",\"flushed\":{}", s.flushed_seq)
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The line format is a file format: these are the bytes the
+    /// private escaper this module used to carry produced.
+    #[test]
+    fn kinds_table_is_in_enum_order() {
+        for (kind, name) in KINDS {
+            assert_eq!(kind.as_str(), name);
+            assert_eq!(EventKind::parse(name), Some(kind));
+        }
+        assert_eq!(EventKind::parse("mystery"), None);
+    }
+
+    #[test]
+    fn json_line_bytes_are_pinned() {
+        let ev = Event {
+            ts_ns: 12,
+            kind: EventKind::Cell,
+            name: "a\"b\\c".into(),
+            value: 7,
+            detail: "l1\nl2\u{1}\t\rµ".into(),
+            trace_id: 3,
+        };
+        assert_eq!(
+            ev.to_json_line(5),
+            r#"{"seq":5,"ts_ns":12,"kind":"cell","name":"a\"b\\c","value":7,"detail":"l1\nl2\u0001\t\rµ","trace_id":3}"#
+        );
+    }
 }

@@ -35,11 +35,6 @@
 
 use pc_rt::rng::Rng;
 
-/// Environment variable carrying the chaos seed (enables the plane).
-pub const CHAOS_SEED_ENV: &str = "PC_CHAOS_SEED";
-/// Environment variable carrying the default per-message fault rate.
-pub const FAULT_RATE_ENV: &str = "PC_FAULT_RATE";
-
 /// Every knob of the cross-layer fault plane.
 ///
 /// The default ([`FaultConfig::disabled`]) injects nothing and consumes
@@ -115,24 +110,6 @@ impl FaultConfig {
             || self.delay_rate > 0.0
             || self.partition.is_some()
             || self.torn_writes
-    }
-
-    /// Read the plane from the environment: `PC_CHAOS_SEED=<u64>`
-    /// enables the [`chaos`](FaultConfig::chaos) profile with that seed;
-    /// `PC_FAULT_RATE=<f64>` overrides the drop/dup/delay rates.
-    /// Returns `None` when `PC_CHAOS_SEED` is unset or unparsable.
-    pub fn from_env() -> Option<FaultConfig> {
-        let seed: u64 = std::env::var(CHAOS_SEED_ENV).ok()?.trim().parse().ok()?;
-        let mut cfg = FaultConfig::chaos(seed);
-        if let Ok(rate) = std::env::var(FAULT_RATE_ENV) {
-            if let Ok(r) = rate.trim().parse::<f64>() {
-                let r = r.clamp(0.0, 1.0);
-                cfg.drop_rate = r;
-                cfg.dup_rate = r / 2.0;
-                cfg.delay_rate = r / 2.0;
-            }
-        }
-        Some(cfg)
     }
 
     /// Parse a `--faults` spec: comma-separated `key=value` pairs with

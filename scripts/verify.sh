@@ -1,87 +1,93 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the hermetic, zero-registry-dependency build.
 #
-# Fourteen gates:
-#   1. Dependency policy — every dependency in every Cargo.toml must be
-#      an in-tree `path` crate (or a `*.workspace = true` reference to
-#      one). Any registry dependency (a `version = "..."` requirement)
-#      fails the build *before* cargo runs, with a pointed message.
+# Twelve gates:
+#   1. Dependency policy — every dependency in every Cargo.toml is an
+#      in-tree `path` crate (or a `*.workspace = true` reference to
+#      one); a registry dependency fails *before* cargo runs.
 #   2. Tier-1 — `cargo build --release` and `cargo test -q --workspace`
-#      (root suite plus every crate's unit tests), both fully offline
-#      (CARGO_NET_OFFLINE=true + --offline), so a cold, empty
-#      ~/.cargo/registry is sufficient.
-#   3. Hygiene — `cargo fmt --check`, a warning-free build
-#      (RUSTFLAGS="-D warnings"), and no second perf ledger: no
+#      (root suite plus every crate's unit tests), fully offline, so a
+#      cold, empty ~/.cargo/registry is sufficient.
+#   3. Hygiene — `cargo fmt --check`, a warning-free build, no PFS model
+#      re-defining `ModelBase` plumbing, and no second perf ledger: no
 #      `BENCH_*.json` at the root, no `PC_BENCH`-prefixed variable.
 #   4. Differential — `check_stack` and the straight-line
-#      `check_reference` must decide identically, checked once
-#      sequentially (PC_THREADS=1) and once with the thread pool (the
-#      recovery memo's cells a second time in release, and
-#      `paracrash --fs GPFS --program H5-resize` diffed across thread
-#      counts); the property suite (closure, pinning and enumerator references
-#      included) runs again in release with a wider case sweep than
-#      gate 2's default, where release speed makes it cheap; and
-#      `benchmark/run.sh --smoke` must build against `crates/*` and
-#      reproduce its pinned outputs (`benchmark/` is not a workspace
-#      member, so no other gate compiles it).
-#   5. Telemetry — `paracrash --telemetry-out` must emit files that
-#      re-parse with the vendored JSON reader (both plain and Chrome
-#      trace-event formats, validated by `selftest telemetry FILE`),
-#      and the *disabled* telemetry overhead on the snapshot-engine
-#      microbench must stay under 3% (`selftest telemetry`).
-#   6. Fault plane — the seeded chaos suite must pass sequentially and
-#      parallel, the CLI must produce bit-identical reports for the
-#      same chaos seed across thread counts, a zero-fault full-matrix
-#      run must reproduce exactly the paper's fifteen Table 3 bugs,
-#      and the fault plane's *disabled* per-message overhead must stay
-#      under 3% of a traced run (`selftest faults`).
-#   7. Provenance — a full-matrix `--explain-out` run must emit one
-#      bundle per Table 3 bug; every `.json` must re-parse with the
-#      vendored reader and every `.dot` must pass a structural lint
-#      (`selftest explain DIR`), and the engine's *disabled* overhead
-#      on a full check must stay under 3% (`selftest explain`).
-#   8. Fuzz crash gate — the PR-tier generated-workload sweep
-#      (`paracrash fuzz`, exhaustive bound 2) must be byte-identical
-#      across thread counts AND match the pinned corpus in
+#      `check_reference` decide identically at PC_THREADS=1 and with the
+#      pool (the recovery memo's cells again in release, GPFS/H5-resize
+#      through the CLI across thread counts); the property suite runs
+#      again in release with a wider case sweep; `benchmark/run.sh
+#      --smoke` builds against `crates/*` and reproduces its pins
+#      (`benchmark/` is not a workspace member: no other gate compiles it).
+#   5. Observability — one PR-tier fuzz run with all three sinks
+#      attached (--events-out, --telemetry-out, --profile-out) still
+#      prints the pinned report, at the default pool and at
+#      PC_THREADS=1; its telemetry (both dialects), event stream and
+#      `.folded` profile pass their `selftest` validators, the streams
+#      project identically sequential vs parallel (`--canonical-diff`),
+#      the profile covers the engine's hot stages, `paracrash report`
+#      renders all of it into a dashboard that passes the HTML lint,
+#      and the planes' *disabled* sites — spans, counters, events,
+#      profiler hooks, the counting allocator — cost a checked cell
+#      under 3% (`selftest obs`).
+#   6. Fault plane — the seeded chaos suite passes sequentially and
+#      parallel, one chaos seed gives bit-identical CLI reports across
+#      thread counts, a zero-fault full matrix reproduces exactly the
+#      fifteen Table 3 bugs, and the *disabled* plane costs a traced run
+#      under 3% (`selftest faults`).
+#   7. Provenance — a full-matrix `--explain-out` run emits one bundle
+#      per Table 3 bug, each re-parsed and linted (`selftest explain
+#      DIR`); the *disabled* engine costs a check under 3% (`selftest
+#      explain`).
+#   8. Fuzz crash gate — the PR-tier sweep (`paracrash fuzz`, exhaustive
+#      bound 2) is byte-identical across thread counts AND matches
 #      crates/bench/tests/expected_fuzz_pr_tier.txt; triage bundles
-#      must materialize. PC_FUZZ_NIGHTLY=1 additionally runs the
-#      large-bound sampled sweep (bound 3, all FSs, all journaling
-#      modes) twice and diffs the runs.
-#   9. Rustdoc — `cargo doc --no-deps` must build warning-free
-#      (RUSTDOCFLAGS="-D warnings"), keeping every public item
-#      documented.
-#  10. Flag drift — every `--flag` printed by `paracrash --help` and
-#      every `PC_*` variable the sources read must appear in README.md.
-#  11. Extreme scale — a 64-server cell must report byte-identically
-#      sequential vs parallel (gate 4 holds the same cell to
-#      `check_reference`), and `selftest scale` must measure, in one
+#      materialize. PC_FUZZ_NIGHTLY=1 adds the bound-3 all-FS all-mode
+#      sampled sweep, run twice and diffed.
+#   9. Rustdoc — `cargo doc --no-deps` builds with -D warnings.
+#  10. Flag drift — every `--flag` and every `PC_*` variable printed by
+#      `paracrash --help` (the latter from the `pc_rt::env` table every
+#      read goes through) is in README.md, which names no other `PC_*`.
+#  11. Extreme scale — a 64-server cell reports byte-identically
+#      sequential vs parallel, and `selftest scale` measures, in one
 #      process, the batched engine at >= 2x the per-state loop and
 #      sub-linear per-check growth from 64 to 256 servers.
-#  12. Live observability — a PR-tier fuzz run with --events-out must
-#      still print the pinned canonical report, its event stream must
-#      re-parse (`selftest events`) and project identically sequential
-#      vs parallel (`--canonical-diff`), `paracrash report` must render
-#      a dashboard that passes the HTML lint (`selftest events --html`),
-#      and the *disabled* flight-recorder overhead must stay under 3%
-#      (`selftest stream`).
-#  13. Crash-safe campaign — `selftest durable` fuzzes the record log's
+#  12. Crash-safe campaign — `selftest durable` fuzzes the record log's
 #      torn-tail recovery; a `paracrash campaign` killed by injected
-#      crashes (`PC_DURABLE_CRASH`, exit mode, rc 137) mid-append, with
-#      a torn partial record, and mid-checkpoint (before the atomic
-#      rename), and by a real mid-sweep SIGKILL, must `--resume` to a
-#      report byte-identical to an uninterrupted run — sequential and
-#      parallel — and refuse to clobber existing state without
-#      `--resume`.
-#  14. Self-profiling plane — the *disabled* profiling overhead (span
-#      hooks + the counting global allocator's fast path) must stay
-#      under 3% (`selftest prof`); a `--profile-out` fuzz run must
-#      still print the pinned report and emit a canonical `.folded`
-#      profile (`selftest prof FILE`) whose frames cover the engine's hot
-#      stages; two `--history-dir` runs must round-trip through
-#      `history show|diff|regressions`; and `report --profile` must
-#      render flame + alloc sections that pass the HTML lint.
+#      crashes (`PC_DURABLE_CRASH`: mid-append with a torn record,
+#      mid-checkpoint) and by a real SIGKILL `--resume`s to a report
+#      byte-identical to an uninterrupted run, sequential and parallel,
+#      and refuses to clobber existing state without `--resume`.
+#
+# Gate 5 stands where three gates stood (telemetry, event stream,
+# profiling). What each removed line group checked, and what does now:
+#   - single-cell `--telemetry-out` json / chrome + `selftest telemetry
+#     FILE`: gate 5's two runs write one dialect each (cli.rs validates
+#     a single cell's json, tests/telemetry.rs the chrome round trip);
+#   - `fuzz --events-out` and `fuzz --profile-out` vs the pins, the
+#     PC_THREADS=1 twin, `selftest events`, `--canonical-diff`,
+#     `selftest prof FILE`, hot-stage frames, nested output directory:
+#     the same two runs;
+#   - the ext4/ARVR `--telemetry-out` run that fed `report`, and the two
+#     `report` + lint calls: one call on the sweep's own stream,
+#     snapshot and profile, linted once (the lint requires the `dropped`
+#     tile) and grepped for the flame and alloc panels;
+#   - `selftest telemetry|stream|prof`: `selftest obs`, one probe over
+#     the same sites, summed;
+#   - two recorded `fuzz` runs + the run ledger's show / diff /
+#     regressions: gone with that ledger — gate 3 keeps a second one
+#     out, gate 12 covers the record log it sat on;
+#   - gate 6's environment-seeded chaos pair: gone with the variable,
+#     the `--faults` pair is the same diff;
+#   - gate 10's grep of `"PC_*"` literals: `--help` prints the table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Fail unless FILE contains every pattern on stdin (one a line).
+require_in() {
+    while read -r pattern; do
+        grep -q -- "$pattern" "$1" || { echo "FAIL: $1 has no $pattern"; exit 1; }
+    done
+}
 
 echo "== gate 1: no registry dependencies =="
 fail=0
@@ -148,38 +154,51 @@ diff "$tmp/resize-par.txt" "$tmp/resize-seq.txt"
 # that breaks one of its pins, fails here and not in the perf pipeline.
 benchmark/run.sh --smoke > /dev/null
 
-echo "== gate 5: telemetry emission + disabled-overhead budget =="
-# BeeGFS/ARVR finds bugs, so the single-cell run exits 1 by design.
-target/release/paracrash --fs BeeGFS --program ARVR \
-    --telemetry-out "$tmp/telemetry.json" --telemetry-format chrome \
-    > /dev/null || [ $? -eq 1 ]
-target/release/paracrash selftest telemetry "$tmp/telemetry.json"
-target/release/paracrash --fs ext4 --program ARVR \
-    --telemetry-out "$tmp/telemetry-plain.json" > /dev/null
-target/release/paracrash selftest telemetry "$tmp/telemetry-plain.json"
-target/release/paracrash selftest telemetry
+echo "== gate 5: observability — telemetry + event stream + profile from one sweep =="
+# The planes observe the fold, never perturb it: stdout is still the
+# pinned report. The nested path exercises --profile-out's parent creation.
+obs="$tmp/obs"
+PC_PROF_HZ=997 target/release/paracrash fuzz \
+    --events-out "$obs/events-par.jsonl" --telemetry-out "$obs/telemetry.json" \
+    --profile-out "$obs/prof/fuzz.folded" > "$obs-par.txt" 2> /dev/null
+diff "$obs-par.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
+# The sequential twin writes the other telemetry dialect.
+PC_THREADS=1 target/release/paracrash fuzz \
+    --events-out "$obs/events-seq.jsonl" --profile-out "$obs/seq.folded" \
+    --telemetry-out "$obs/telemetry-chrome.json" --telemetry-format chrome \
+    > "$obs-seq.txt" 2> /dev/null
+diff "$obs-seq.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
+target/release/paracrash selftest telemetry "$obs/telemetry.json"
+target/release/paracrash selftest telemetry "$obs/telemetry-chrome.json"
+target/release/paracrash selftest events "$obs/events-par.jsonl"
+# Raw streams differ (timestamps, interleaving); the canonical
+# projection must not.
+target/release/paracrash selftest events --canonical-diff \
+    "$obs/events-par.jsonl" "$obs/events-seq.jsonl"
+target/release/paracrash selftest prof "$obs/prof/fuzz.folded"
+printf '%s\n' snapshot.materialize recover/ | require_in "$obs/prof/fuzz.folded"
+# The dashboard of that sweep, from its own stream, snapshot and profile.
+target/release/paracrash report --events "$obs/events-par.jsonl" \
+    --telemetry "$obs/telemetry.json" --profile "$obs/prof/fuzz.folded" \
+    --out "$obs/report.html"
+target/release/paracrash selftest events --html "$obs/report.html"
+printf 'data-metric="%s"\n' flame flame-table alloc-table | require_in "$obs/report.html"
+target/release/paracrash selftest obs
 
 echo "== gate 6: fault-plane determinism + zero-fault fidelity =="
 spec="seed=7,drop=0.2,dup=0.1,delay=0.1,retries=3"
 PC_THREADS=1 cargo test -q --offline --test chaos
 cargo test -q --offline --test chaos --test torn_writes --test diagnostics
 # Same chaos seed => bit-identical CLI report, regardless of thread
-# count, via both the --faults flag and the PC_CHAOS_SEED fallback.
-# BeeGFS/ARVR finds bugs, so the cells exit 1 by design.
+# count. BeeGFS/ARVR finds bugs, so the cells exit 1 by design.
 target/release/paracrash --fs BeeGFS --program ARVR --faults "$spec" \
     > "$tmp/chaos-par.txt" || [ $? -eq 1 ]
 PC_THREADS=1 target/release/paracrash --fs BeeGFS --program ARVR --faults "$spec" \
     > "$tmp/chaos-seq.txt" || [ $? -eq 1 ]
 diff "$tmp/chaos-par.txt" "$tmp/chaos-seq.txt"
-PC_CHAOS_SEED=7 target/release/paracrash --fs BeeGFS --program ARVR \
-    > "$tmp/env-par.txt" || [ $? -eq 1 ]
-PC_CHAOS_SEED=7 PC_THREADS=1 target/release/paracrash --fs BeeGFS --program ARVR \
-    > "$tmp/env-seq.txt" || [ $? -eq 1 ]
-diff "$tmp/env-par.txt" "$tmp/env-seq.txt"
 # Zero-fault runs must still find exactly the paper's fifteen bugs.
 target/release/paracrash table3 > "$tmp/table3.txt"
-reproduced=$(grep -c "REPRODUCED" "$tmp/table3.txt")
-if [ "$reproduced" -ne 15 ] || grep -q "missing" "$tmp/table3.txt"; then
+if [ "$(grep -c REPRODUCED "$tmp/table3.txt")" -ne 15 ] || grep -q missing "$tmp/table3.txt"; then
     echo "FAIL: zero-fault matrix does not reproduce the 15 Table 3 bugs"
     grep -E "REPRODUCED|missing" "$tmp/table3.txt"
     exit 1
@@ -188,8 +207,7 @@ target/release/paracrash selftest faults
 
 echo "== gate 7: explain bundles + disabled-overhead budget =="
 # Full matrix: multi-cell runs always exit 0; bugs land as bundles.
-target/release/paracrash --fs all --program all \
-    --explain-out "$tmp/explain" > /dev/null
+target/release/paracrash --fs all --program all --explain-out "$tmp/explain" > /dev/null
 target/release/paracrash selftest explain "$tmp/explain" 15
 target/release/paracrash selftest explain
 cargo test -q --offline --test explain
@@ -208,10 +226,7 @@ fi
 # Triage smoke: a sampled run with --findings-out must produce bundles.
 target/release/paracrash fuzz --sample 25 --fs BeeGFS \
     --findings-out "$tmp/fuzz-findings" > /dev/null 2>&1
-if ! ls "$tmp/fuzz-findings"/*.repro > /dev/null 2>&1; then
-    echo "FAIL: fuzz --findings-out produced no .repro bundles"
-    exit 1
-fi
+ls "$tmp/fuzz-findings"/*.repro > /dev/null || { echo "FAIL: fuzz --findings-out produced no .repro bundles"; exit 1; }
 if [ "${PC_FUZZ_NIGHTLY:-0}" = "1" ]; then
     echo "-- nightly tier: bound-3 sampled sweep, all FSs, all modes --"
     nightly="--bound 3 --sample 400 --seed 42 --fs all --modes all"
@@ -226,21 +241,13 @@ echo "== gate 9: rustdoc builds warning-free =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace > /dev/null
 
 echo "== gate 10: every CLI flag and PC_* variable is documented in README.md =="
-# usage() prints to stderr and exits 2; that's the source of truth.
+# usage() prints to stderr and exits 2; that's the source of truth, for
+# the flags and (from the pc_rt::env table) the variables alike.
 target/release/paracrash --help 2> "$tmp/help.txt" || true
-for flag in $(grep -oE -- '--[a-z-]+' "$tmp/help.txt" | sort -u); do
-    if ! grep -q -- "$flag" README.md; then
-        echo "FAIL: CLI flag $flag is missing from README.md's flag table"
-        exit 1
-    fi
-done
-# Same contract for the environment: every PC_* name the sources read.
-for env_var in $(grep -rhoE '"PC_[A-Z_]+"' crates/*/src | tr -d '"' | sort -u); do
-    if ! grep -q -- "$env_var" README.md; then
-        echo "FAIL: env var $env_var is missing from README.md"
-        exit 1
-    fi
-done
+grep -oE -- '--[a-z-]+|PC_[A-Z_]+' "$tmp/help.txt" | sort -u | require_in README.md
+# And back: README.md documents no variable the tool does not read
+# (PC_FUZZ_NIGHTLY is this script's own).
+grep -oE 'PC_[A-Z_]+' README.md | sort -u | grep -v PC_FUZZ_NIGHTLY | require_in "$tmp/help.txt"
 
 echo "== gate 11: extreme-scale smoke + live scale ratios =="
 # 64-server BeeGFS cell (4x the paper's largest configuration): the
@@ -260,31 +267,7 @@ diff "$tmp/scale-par.txt" "$tmp/scale-seq.txt"
 # at 16 servers, per-check cost at 256 vs 64 servers.
 target/release/paracrash selftest scale
 
-echo "== gate 12: event stream + campaign dashboard =="
-# The streamed PR-tier run must print the same pinned report (the
-# recorder observes the fold, never perturbs it) and leave a parseable
-# JSON-lines stream behind.
-target/release/paracrash fuzz --events-out "$tmp/events-par.jsonl" \
-    > "$tmp/fuzz-ev-par.txt" 2> /dev/null
-diff "$tmp/fuzz-ev-par.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
-target/release/paracrash selftest events "$tmp/events-par.jsonl"
-# Sequential vs parallel: raw streams differ (timestamps, interleaving);
-# the canonical projection must not.
-PC_THREADS=1 target/release/paracrash fuzz --events-out "$tmp/events-seq.jsonl" \
-    > /dev/null 2> /dev/null
-target/release/paracrash selftest events --canonical-diff \
-    "$tmp/events-par.jsonl" "$tmp/events-seq.jsonl"
-# Render the dashboard from the stream plus a telemetry snapshot, then
-# lint it.
-target/release/paracrash --fs ext4 --program ARVR \
-    --telemetry-out "$tmp/report-telemetry.json" > /dev/null
-target/release/paracrash report --events "$tmp/events-par.jsonl" \
-    --telemetry "$tmp/report-telemetry.json" \
-    --out "$tmp/report.html"
-target/release/paracrash selftest events --html "$tmp/report.html"
-target/release/paracrash selftest stream
-
-echo "== gate 13: crash-safe resumable campaign =="
+echo "== gate 12: crash-safe resumable campaign =="
 # Torn-tail recovery fuzz on the durable record log itself.
 target/release/paracrash selftest durable
 # Reference: one uninterrupted small campaign.
@@ -341,52 +324,5 @@ target/release/paracrash $camp --state-dir "$tmp/camp-ev" \
     --events-out "$tmp/nested/dirs/camp-events.jsonl" \
     > /dev/null 2> /dev/null
 target/release/paracrash selftest events "$tmp/nested/dirs/camp-events.jsonl"
-
-echo "== gate 14: self-profiling plane =="
-# Disabled-path budget: every profiling site must reduce to one
-# relaxed atomic load (span hooks and the counting allocator alike).
-target/release/paracrash selftest prof
-# A profiled PR-tier fuzz run must still print the pinned report (the
-# profiler is strictly presentation-plane) and emit a canonical
-# .folded profile whose frames cover the engine's hot stages. The
-# nested output path also exercises --profile-out's parent creation.
-PC_PROF_HZ=997 target/release/paracrash fuzz \
-    --profile-out "$tmp/prof/fuzz.folded" \
-    > "$tmp/fuzz-prof.txt" 2> /dev/null
-diff "$tmp/fuzz-prof.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
-target/release/paracrash selftest prof "$tmp/prof/fuzz.folded"
-for frame in "snapshot.materialize" "recover/"; do
-    if ! grep -q -- "$frame" "$tmp/prof/fuzz.folded"; then
-        echo "FAIL: profile has no $frame frames"
-        exit 1
-    fi
-done
-# Durable run history: two recorded runs round-trip through
-# show / diff / regressions (the generous band only flags a genuine
-# catastrophe, not machine noise).
-target/release/paracrash fuzz --history-dir "$tmp/hist" > /dev/null 2>&1
-target/release/paracrash fuzz --history-dir "$tmp/hist" > /dev/null 2>&1
-runs=$(target/release/paracrash history show --history-dir "$tmp/hist" \
-    | grep -c "fuzz")
-if [ "$runs" -ne 2 ]; then
-    echo "FAIL: history show lists $runs run(s), expected 2"
-    exit 1
-fi
-target/release/paracrash history diff --history-dir "$tmp/hist" --band 4
-target/release/paracrash history regressions --history-dir "$tmp/hist" --band 4
-# The dashboard folds the profile in: flame + alloc sections render
-# and the HTML lint still passes (gate 12's stream + telemetry
-# snapshot are re-used).
-target/release/paracrash report --events "$tmp/events-par.jsonl" \
-    --telemetry "$tmp/report-telemetry.json" \
-    --profile "$tmp/prof/fuzz.folded" \
-    --out "$tmp/report-prof.html"
-target/release/paracrash selftest events --html "$tmp/report-prof.html"
-for metric in "flame" "flame-table" "alloc-table"; do
-    if ! grep -q "data-metric=\"$metric\"" "$tmp/report-prof.html"; then
-        echo "FAIL: dashboard missing $metric section"
-        exit 1
-    fi
-done
 
 echo "verify: OK"
