@@ -221,7 +221,7 @@ fn usage() -> ! {
          \x20                [--telemetry-out <file>] [--telemetry-format <json|chrome>]\n\
          \x20                [--events-out <file>] [--profile-out <file>]\n\
          \x20                [--cell-timeout <secs>] [--max-retries <n>]\n\
-         \x20                [--state-dir <dir>] [--resume] [--checkpoint-every <n>]\n\
+         \x20                [--state-dir <dir>] [--resume]\n\
          \x20      paracrash report --events <file> [--telemetry <file>]\n\
          \x20                [--profile <file>] [--out <file>]\n\
          \x20      paracrash table3|fig8|fig9|fig10|fig11 [--paper]\n\
@@ -229,9 +229,9 @@ fn usage() -> ! {
          `fuzz` and `campaign` are one sweep driver; `campaign` defaults\n\
          `--state-dir` to campaign-state. With a state dir the sweep is\n\
          crash-safe and resumable: every cell commits to an append-only\n\
-         CRC-checked log under it, checkpoints land atomically, and\n\
-         `--resume` replays the log to continue a killed run with a\n\
-         byte-identical final report. Either way, cells that hang past\n\
+         CRC-checked log under it, and `--resume` replays the log to\n\
+         continue a killed run with a byte-identical final report.\n\
+         Either way, cells that hang past\n\
          `--cell-timeout` or panic through `--max-retries` retries are\n\
          quarantined, not fatal.\n\n\
          `selftest obs|faults|explain` asserts the plane's disabled-overhead\n\
@@ -362,14 +362,6 @@ fn run_sweep(kind: &str, args: &[String]) -> ! {
                 opts.max_retries = value("--max-retries")
                     .parse()
                     .unwrap_or_else(|_| die(format_args!("--max-retries must be a number")));
-            }
-            "--checkpoint-every" => {
-                opts.checkpoint_every = value("--checkpoint-every")
-                    .parse()
-                    .unwrap_or_else(|_| die(format_args!("--checkpoint-every must be a number")));
-                if opts.checkpoint_every == 0 {
-                    die(format_args!("--checkpoint-every must be at least 1"));
-                }
             }
             "--help" | "-h" => usage(),
             other => {

@@ -41,7 +41,7 @@
 //! sweep at campaign scale runs long enough to be killed, OOM-ed or
 //! power-cycled mid-run, so with [`CampaignOptions::state_dir`] set the
 //! driver applies the discipline the checker demands of the systems it
-//! tests to its own state (without one it skips exactly these two and is
+//! tests to its own state (without one it skips exactly this and is
 //! otherwise the same loop):
 //!
 //! * **Persistent corpus** — every finished cell appends one record to
@@ -51,17 +51,15 @@
 //!   JSON. The append is the cell's *commit point* — triage bundles are
 //!   written before it, so a crash between them merely re-runs the cell
 //!   and rewrites identical bundles.
-//! * **Checkpoint/resume** — every [`CampaignOptions::checkpoint_every`]
-//!   cells (and at the end) the driver publishes
-//!   `<state-dir>/checkpoint.json` via [`pc_rt::durable::write_atomic`]:
-//!   cursor, consumed-record count, and the full
-//!   [`FuzzCorpus::to_json`] serialization. On `--resume` the driver
-//!   loads the checkpoint, replays only the log tail through the *same*
-//!   [`FuzzCorpus::record_cell`] fold as a live run, and continues at
+//! * **Resume is one log replay** — the log is the whole durable state.
+//!   On `--resume` the driver replays every record through the *same*
+//!   [`FuzzCorpus::record_cell`] fold as a live run and continues at
 //!   the first unrecorded cell — so a resumed campaign's final
 //!   [`FuzzCorpus::canonical_report`] is byte-identical to an
 //!   uninterrupted one (pinned by `tests/campaign_resume.rs` and
-//!   verify gate 12).
+//!   verify gate 12). Opening the log already reads, CRC-checks and
+//!   parses every record; folding them is the cheap part (9 ms for the
+//!   426-cell PR tier).
 //!
 //! Robustness counters (`campaign.resumed_cells`, `campaign.retries`,
 //! `campaign.quarantined`) flow through [`pc_rt::obs::count`] into the
@@ -72,7 +70,7 @@
 //!
 //! Self-crash-testing: arm `PC_DURABLE_CRASH=at=N[,tear=K][,mode=..]`
 //! (see [`pc_rt::durable`]) to kill the campaign at its N-th durability
-//! point — mid-append, torn, or mid-checkpoint — then resume with
+//! point — mid-append or torn — then resume with
 //! `--resume`. `PC_CAMPAIGN_POISON=<label-substr>:<panic|panic-once|hang>`
 //! poisons matching cells to exercise the watchdog plane.
 
@@ -81,7 +79,7 @@ use paracrash::{
     check_stack, BugKind, BugSignature, CheckConfig, CheckOutcome, FuzzCorpus, Inconsistency,
     LayerVerdict, Model,
 };
-use pc_rt::durable::{write_atomic, RecordLog};
+use pc_rt::durable::RecordLog;
 use pc_rt::env::CAMPAIGN_POISON;
 use pc_rt::json::Json;
 use pc_rt::obs::stream;
@@ -175,8 +173,8 @@ pub struct CampaignOptions {
     /// The underlying sweep: corpus bound/seed/sample, file systems,
     /// journal modes, triage output, params, checker config.
     pub fuzz: FuzzOptions,
-    /// Directory holding `corpus.log` and `checkpoint.json`; `None`
-    /// runs the same sweep without the record log and checkpoints.
+    /// Directory holding `corpus.log`; `None` runs the same sweep
+    /// without the record log.
     pub state_dir: Option<String>,
     /// Continue from existing state instead of refusing to clobber it
     /// (needs a state dir).
@@ -187,14 +185,10 @@ pub struct CampaignOptions {
     /// Retries (with exponential backoff) before a panicking cell is
     /// quarantined.
     pub max_retries: usize,
-    /// Checkpoint cadence in cells (a final checkpoint is always
-    /// written).
-    pub checkpoint_every: usize,
 }
 
 impl CampaignOptions {
-    /// Defaults on top of a sweep: no resume, no deadline, two retries,
-    /// checkpoint every 16 cells.
+    /// Defaults on top of a sweep: no resume, no deadline, two retries.
     pub fn new(fuzz: FuzzOptions, state_dir: Option<&str>) -> CampaignOptions {
         CampaignOptions {
             fuzz,
@@ -202,7 +196,6 @@ impl CampaignOptions {
             resume: false,
             cell_timeout: None,
             max_retries: 2,
-            checkpoint_every: 16,
         }
     }
 }
@@ -216,7 +209,7 @@ pub struct CampaignReport {
     pub workloads: usize,
     /// Total cells in the sweep (workloads × fs × modes).
     pub total_cells: usize,
-    /// Cells recovered from the log/checkpoint instead of re-checked.
+    /// Cells recovered from the log instead of re-checked.
     pub resumed_cells: usize,
     /// Cells actually checked by this process.
     pub cells_run: usize,
@@ -562,13 +555,12 @@ fn fold_quarantine(corpus: &mut FuzzCorpus, workload: &str, fs: &str, journal: &
 }
 
 // ---------------------------------------------------------------------------
-// The durable half: `<state-dir>/corpus.log` + `checkpoint.json`.
+// The durable half: `<state-dir>/corpus.log`.
 // ---------------------------------------------------------------------------
 
 /// An open state dir.
 struct Durable {
     log: RecordLog,
-    ckpt_path: PathBuf,
 }
 
 impl Durable {
@@ -578,7 +570,6 @@ impl Durable {
     fn open(opts: &CampaignOptions, dir: &str) -> Result<(Durable, FuzzCorpus, usize), String> {
         let state_dir = PathBuf::from(dir);
         let log_path = state_dir.join("corpus.log");
-        let ckpt_path = state_dir.join("checkpoint.json");
         if !opts.resume && log_path.exists() {
             return Err(format!(
                 "campaign state already exists at {}; pass --resume to continue it \
@@ -588,29 +579,14 @@ impl Durable {
         }
         let (mut log, raw_records) = RecordLog::open(&log_path)
             .map_err(|e| format!("cannot open campaign log {}: {e}", log_path.display()))?;
-        let checkpoint_text = if opts.resume {
-            std::fs::read_to_string(&ckpt_path).ok()
-        } else {
-            None
-        };
-        let checkpoint = match &checkpoint_text {
-            Some(text) => match Json::parse(text) {
-                Ok(j) => Some(j),
-                Err(e) => {
-                    pc_warn!("campaign: unreadable checkpoint ({e}); replaying full log");
-                    None
-                }
-            },
-            None => None,
-        };
-        let (corpus, cursor) = recover(&opts.fuzz, &raw_records, checkpoint.as_ref())?;
+        let (corpus, cursor) = recover(&opts.fuzz, &raw_records)?;
         if raw_records.is_empty() {
             let mut text = meta_record(&opts.fuzz).pretty();
             text.push('\n');
             log.append(text.as_bytes())
                 .map_err(|e| format!("cannot append campaign meta record: {e}"))?;
         }
-        Ok((Durable { log, ckpt_path }, corpus, cursor))
+        Ok((Durable { log }, corpus, cursor))
     }
 
     /// The cell's commit point.
@@ -621,31 +597,13 @@ impl Durable {
             .append(text.as_bytes())
             .map_err(|e| format!("cannot append campaign record {idx}: {e}"))
     }
-
-    fn checkpoint(&self, cursor: usize, corpus: &FuzzCorpus) -> Result<(), String> {
-        let ckpt = Json::Obj(vec![
-            ("kind".into(), Json::Str("checkpoint".into())),
-            ("cursor".into(), Json::Int(cursor as u64)),
-            ("records".into(), Json::Int(cursor as u64 + 1)),
-            ("corpus".into(), corpus.to_json()),
-        ]);
-        let mut text = ckpt.pretty();
-        text.push('\n');
-        write_atomic(&self.ckpt_path, text.as_bytes())
-            .map_err(|e| format!("cannot write checkpoint {}: {e}", self.ckpt_path.display()))
-    }
 }
 
 /// Replay `records` (already CRC-validated by [`RecordLog::open`])
-/// through the corpus fold, optionally fast-forwarding from a
-/// checkpoint; returns the rebuilt corpus and the cursor. Record `idx`
-/// fields must be contiguous from the cursor — anything else means the
-/// state dir was tampered with or mixes runs.
-fn recover(
-    fuzz: &FuzzOptions,
-    records: &[Vec<u8>],
-    checkpoint: Option<&Json>,
-) -> Result<(FuzzCorpus, usize), String> {
+/// through the corpus fold; returns the rebuilt corpus and the cursor.
+/// Record `idx` fields must be contiguous from zero — anything else
+/// means the state dir was tampered with or mixes runs.
+fn recover(fuzz: &FuzzOptions, records: &[Vec<u8>]) -> Result<(FuzzCorpus, usize), String> {
     let parsed: Vec<Json> = records
         .iter()
         .enumerate()
@@ -660,21 +618,8 @@ fn recover(
     }
     let mut corpus = FuzzCorpus::new();
     let mut cursor = 0usize;
-    let mut consumed = parsed.len().min(1); // the meta record
-    if let Some(ckpt) = checkpoint {
-        // A checkpoint fast-forwards the replay; a stale or foreign one
-        // is ignored (the log alone is sufficient), never trusted past
-        // what the log can corroborate.
-        match checkpoint_state(ckpt, parsed.len()) {
-            Ok((c, n, recovered_corpus)) => {
-                corpus = recovered_corpus;
-                cursor = c;
-                consumed = n;
-            }
-            Err(why) => pc_warn!("campaign: ignoring checkpoint ({why}); replaying full log"),
-        }
-    }
-    for rec in &parsed[consumed..] {
+    // Everything after the meta record is one cell each.
+    for rec in parsed.iter().skip(1) {
         let idx = get_int(rec, "idx")? as usize;
         if idx != cursor {
             return Err(format!(
@@ -704,33 +649,6 @@ fn recover(
         cursor += 1;
     }
     Ok((corpus, cursor))
-}
-
-/// Validate and unpack a checkpoint against the replayed log length.
-fn checkpoint_state(ckpt: &Json, log_records: usize) -> Result<(usize, usize, FuzzCorpus), String> {
-    if get_str(ckpt, "kind")? != "checkpoint" {
-        return Err("not a campaign checkpoint".into());
-    }
-    let cursor = get_int(ckpt, "cursor")? as usize;
-    let consumed = get_int(ckpt, "records")? as usize;
-    if consumed > log_records {
-        // The checkpoint claims records the (truncated) log no longer
-        // has — possible only if the log was damaged *behind* its tail.
-        return Err(format!(
-            "checkpoint covers {consumed} records but the log holds {log_records}"
-        ));
-    }
-    if consumed != cursor + 1 {
-        return Err(format!(
-            "checkpoint cursor {cursor} inconsistent with {consumed} records"
-        ));
-    }
-    let corpus = ckpt
-        .get("corpus")
-        .ok_or("checkpoint missing corpus")
-        .and_then(|c| FuzzCorpus::from_json(c).map_err(|_| "unreadable corpus"))
-        .map_err(String::from)?;
-    Ok((cursor, consumed, corpus))
 }
 
 // ---------------------------------------------------------------------------
@@ -890,14 +808,6 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
             // everything up to its last finished cell.
             stream::flush();
         }
-        if let Some(durable) = &durable {
-            if report.cells_run % opts.checkpoint_every == 0 {
-                durable.checkpoint(idx + 1, &corpus)?;
-            }
-        }
-    }
-    if let Some(durable) = &durable {
-        durable.checkpoint(total_cells, &corpus)?;
     }
     if pc_rt::obs::summary_enabled() {
         eprintln!(
@@ -1010,9 +920,7 @@ mod tests {
             file_systems: vec![FsKind::BeeGfs],
             ..FuzzOptions::pr_tier()
         };
-        let mut opts = CampaignOptions::new(fuzz, dir.to_str());
-        opts.checkpoint_every = 2;
-        opts
+        CampaignOptions::new(fuzz, dir.to_str())
     }
 
     /// The same sweep with no state dir.

@@ -83,12 +83,11 @@ pub fn run_cell(
     }
 }
 
-/// Sum one replay cache's traffic into an accumulator (placement /
+/// Sum one legal-list table's traffic into an accumulator (placement /
 /// dims-sweep merging).
 fn merge_cache(acc: &mut paracrash::explore::CacheStats, cell: &paracrash::explore::CacheStats) {
     acc.hits += cell.hits;
     acc.misses += cell.misses;
-    acc.evictions += cell.evictions;
 }
 
 /// Merge explain bundles into an accumulator, one per `(signature,

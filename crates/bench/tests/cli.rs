@@ -56,6 +56,8 @@ fn removed_bench_surfaces_are_usage_errors() {
         &["--fs", "ext4", "--program", "ARVR", "--history-dir", "d"],
         &["fuzz", "--history-dir", "d"],
         &["fuzz", "--band", "2"],
+        &["fuzz", "--checkpoint-every", "4"],
+        &["campaign", "--checkpoint-every", "4"],
         &["selftest", "telemetry"],
         &["selftest", "stream"],
         &["selftest", "prof"],
@@ -71,6 +73,7 @@ fn removed_bench_surfaces_are_usage_errors() {
     assert!(text.contains("usage: paracrash"), "{text}");
     assert!(!text.contains("bench"), "{text}");
     assert!(!text.contains("history"), "{text}");
+    assert!(!text.contains("checkpoint"), "{text}");
     for (name, _) in pc_rt::env::VARS {
         assert!(text.contains(name), "{name} missing from: {text}");
     }

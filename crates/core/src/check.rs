@@ -20,7 +20,6 @@ use crate::emulate::{crash_states, CrashState};
 use crate::explain::BugExplanation;
 use crate::explore::{
     is_data_chunk, server_fingerprints, tsp_order, CacheStats, CostModel, ExploreStats, Pruner,
-    ReplayCache,
 };
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
@@ -222,15 +221,34 @@ fn pfs_committed(graph: &CausalityGraph, stack: &Stack, candidates: &[EventId]) 
     out
 }
 
-/// Shared legal golden states for one cut: `(PFS views, H5 logicals)`.
-/// The lists are shared by every crash state with the same candidate
-/// set, each state in them by every list whose candidates admit the
-/// preserved set it was replayed from.
-type LegalStates = (Arc<Vec<Arc<PfsView>>>, Arc<Vec<Arc<H5Logical>>>);
+/// The legal golden states of one candidate set at one layer. The list
+/// is shared by every crash state with that candidate set, each state in
+/// it by every list whose candidates admit the preserved set it was
+/// replayed from.
+type LegalList<T> = Arc<Vec<Arc<T>>>;
+
+/// Legal golden states for one cut: `(PFS views, H5 logicals)`.
+type LegalStates = (LegalList<PfsView>, LegalList<H5Logical>);
 
 /// One golden replay: the digest of the state a preserved set denotes
 /// and the state, `None` when the set is not executable.
 type Replayed<T> = Option<(u64, Arc<T>)>;
+
+/// The golden replays of one layer in one check: one per distinct
+/// preserved set, and how many lookups an earlier one answered.
+struct Replays<T> {
+    by_set: HashMap<Vec<EventId>, Replayed<T>>,
+    shared: usize,
+}
+
+impl<T> Replays<T> {
+    fn new() -> Replays<T> {
+        Replays {
+            by_set: HashMap::new(),
+            shared: 0,
+        }
+    }
+}
 
 /// Figure 6's verdict for one crash state: `None` when consistent,
 /// otherwise the responsible layer and the weakest violated model.
@@ -393,18 +411,32 @@ impl RecoveryMemo {
     }
 }
 
-/// The layer calls one cut may have preserved: PFS-client calls, and
-/// I/O-library calls (`None` for programs that do not use the library).
-type Candidates = (Vec<EventId>, Option<Vec<EventId>>);
+/// `set`'s index among the distinct candidate sets of its layer seen so
+/// far, in first-seen order.
+fn intern(ids: &mut HashMap<Vec<EventId>, usize>, set: Vec<EventId>) -> usize {
+    let next = ids.len();
+    *ids.entry(set).or_insert(next)
+}
+
+/// The interned sets, by index.
+fn by_index(ids: HashMap<Vec<EventId>, usize>) -> Vec<Vec<EventId>> {
+    let mut sets = vec![Vec::new(); ids.len()];
+    for (set, id) in ids {
+        sets[id] = set;
+    }
+    sets
+}
 
 /// Stage 2 output: Algorithm 1's crash states and their checking order.
 struct Enumerated {
     states: Vec<CrashState>,
-    /// The candidate calls of each distinct cut — a function of the cut
-    /// alone, shared by every state dropped from it — and, per state,
-    /// which entry is its cut's.
-    candidates: Vec<Candidates>,
-    cut_of: Vec<usize>,
+    /// The layer calls a cut may have preserved, interned per layer
+    /// (cuts that differ in lowermost events mostly agree in layer
+    /// calls), and per state the `(PFS, I/O-library)` entries of its cut
+    /// — `None` for programs that do not use the library.
+    pfs_sets: Vec<Vec<EventId>>,
+    h5_sets: Vec<Vec<EventId>>,
+    sets_of: Vec<(usize, Option<usize>)>,
     /// Minimal-damage states first, so classification sees the
     /// single-fault witnesses before the compound ones and the §5.2
     /// aggregation can absorb the latter. (Reconstruction *cost* is
@@ -426,8 +458,8 @@ struct Materialized {
 struct Verdicts {
     legal: Vec<Result<LegalStates, String>>,
     verdicts: Vec<Result<Verdict, String>>,
-    /// Candidate-set cache traffic (how the stage ran, not what it
-    /// found).
+    /// Legal-list table traffic per layer (how the stage ran, not what
+    /// it found).
     pfs_cache: CacheStats,
     h5_cache: CacheStats,
     /// Preserved-set traffic over both layers: `(replays executed,
@@ -486,13 +518,17 @@ fn enumerate(a: &Analysis) -> Enumerated {
     // with the one before finds the distinct ones (a cut met again
     // later would only be computed again).
     let stage = pc_rt::obs::span_cat("check.candidates", "check");
-    let mut candidates: Vec<Candidates> = Vec::new();
-    let mut cut_of = Vec::with_capacity(states.len());
+    let (mut pfs_sets, mut h5_sets) = (HashMap::new(), HashMap::new());
+    let mut sets_of: Vec<(usize, Option<usize>)> = Vec::with_capacity(states.len());
     for (i, s) in states.iter().enumerate() {
-        if i == 0 || s.cut != states[i - 1].cut {
-            candidates.push((pfs_candidates(a, &s.cut), h5_candidates(a, &s.cut)));
+        if i > 0 && s.cut == states[i - 1].cut {
+            sets_of.push(sets_of[i - 1]);
+        } else {
+            sets_of.push((
+                intern(&mut pfs_sets, pfs_candidates(a, &s.cut)),
+                h5_candidates(a, &s.cut).map(|set| intern(&mut h5_sets, set)),
+            ));
         }
-        cut_of.push(candidates.len() - 1);
     }
     drop(stage);
     let mut order: Vec<usize> = (0..states.len()).collect();
@@ -502,8 +538,9 @@ fn enumerate(a: &Analysis) -> Enumerated {
     });
     Enumerated {
         states,
-        candidates,
-        cut_of,
+        pfs_sets: by_index(pfs_sets),
+        h5_sets: by_index(h5_sets),
+        sets_of,
         order,
     }
 }
@@ -613,56 +650,36 @@ fn verdict_of(
     layer_verdict(a, &recovered, legal)
 }
 
-/// Golden-state replay caches, two per layer. Everything is shared,
-/// never copied, across states: the heavy HDF5 cells hold large views,
-/// hundreds of crash states, and candidate sets that are nested
-/// prefixes of each other — so most preserved sets recur in most lists.
-struct ReplayCaches {
-    /// Keyed by *candidate* set: the legal-state list of a cut (the
-    /// traffic `ExploreStats` reports).
-    pfs: ReplayCache<Arc<Vec<Arc<PfsView>>>>,
-    h5: ReplayCache<Arc<Vec<Arc<H5Logical>>>>,
-    /// Keyed by *preserved* set: the one replay every list that admits
-    /// the set shares.
-    pfs_sets: ReplayCache<Replayed<PfsView>>,
-    h5_sets: ReplayCache<Replayed<H5Logical>>,
+/// The legal list of candidate set `id`, assembled the first time a
+/// state asks for it. A panicking replay is stored as its message, so
+/// every state of the set reports it.
+fn legal_list<T>(
+    lists: &mut [Option<Result<LegalList<T>, String>>],
+    stats: &mut CacheStats,
+    id: usize,
+    assemble: impl FnOnce() -> Vec<Arc<T>>,
+) -> Result<LegalList<T>, String> {
+    if let Some(list) = &lists[id] {
+        stats.hits += 1;
+        return list.clone();
+    }
+    stats.misses += 1;
+    let list = caught(assemble).map(Arc::new);
+    lists[id] = Some(list.clone());
+    list
 }
 
-/// Legal golden states of one crash state: the list is assembled once
-/// per distinct candidate set, each member replayed once per distinct
-/// preserved set.
-fn legal_states(
-    a: &Analysis,
-    factory: &StackFactory,
-    (pfs_candidates, h5_candidates): &Candidates,
-    caches: &mut ReplayCaches,
-) -> LegalStates {
-    let ReplayCaches {
-        pfs,
-        h5,
-        pfs_sets,
-        h5_sets,
-    } = caches;
-    let legal_views = pfs.get_or(pfs_candidates.clone(), |candidates| {
-        Arc::new(legal_pfs_views(a, factory, candidates, pfs_sets))
-    });
-    let legal_h5 = match h5_candidates {
-        Some(candidates) => h5.get_or(candidates.clone(), |candidates| {
-            Arc::new(legal_h5_logicals(a, factory, candidates, h5_sets))
-        }),
-        None => Arc::default(),
-    };
-    (legal_views, legal_h5)
-}
-
-/// Stage 4. Legal-state replays and per-state verdicts are *pipelined*:
-/// the sequential producer (it owns the `&mut` replay caches) walks the
-/// checking order, fills each state's legal-state slot, and immediately
-/// spawns that state's verdict task on the work-stealing scope — verdict
-/// workers run concurrently with the producer instead of waiting behind
-/// a stage barrier. Results are joined by state index, so the output is
-/// byte-identical on every `PC_THREADS` setting (1 = spawn runs inline:
-/// the deterministic sequential path).
+/// Stage 4. The golden states of a check are two tables per layer, both
+/// local to the sequential producer: one legal list per distinct
+/// candidate set (`Enumerated` interned them, so a list is an index
+/// away) and one replay per distinct preserved set. Replays and
+/// per-state verdicts are *pipelined*: the producer walks the checking
+/// order, fills the lists a state names if it is the first to name them,
+/// and immediately spawns that state's verdict task with its own handles
+/// to the two lists — verdict workers run concurrently with the producer
+/// instead of waiting behind a stage barrier. Results are joined by
+/// state index, so the output is byte-identical on every `PC_THREADS`
+/// setting (1 = spawn runs inline: the deterministic sequential path).
 fn legal_and_verdicts(
     a: &Analysis,
     factory: &StackFactory,
@@ -670,15 +687,11 @@ fn legal_and_verdicts(
     m: &Materialized,
 ) -> Verdicts {
     let n = e.states.len();
-    let cap = a.cfg.replay_cache_cap;
-    let mut caches = ReplayCaches {
-        pfs: ReplayCache::with_cap(cap),
-        h5: ReplayCache::with_cap(cap),
-        pfs_sets: ReplayCache::with_cap(cap),
-        h5_sets: ReplayCache::with_cap(cap),
-    };
-    let legal: Vec<OnceLock<Result<LegalStates, String>>> =
-        (0..n).map(|_| OnceLock::new()).collect();
+    let mut views = vec![None; e.pfs_sets.len()];
+    let mut logicals = vec![None; e.h5_sets.len()];
+    let (mut pfs_replays, mut h5_replays) = (Replays::new(), Replays::new());
+    let (mut pfs_cache, mut h5_cache) = (CacheStats::default(), CacheStats::default());
+    let mut legal: Vec<Option<Result<LegalStates, String>>> = vec![None; n];
     let stage_verdicts = pc_rt::obs::span_cat("check.verdicts", "check");
     let verdicts = pc_rt::pool::scope(|scope| {
         // Producer time and join wait partition the verdict stage (the
@@ -686,19 +699,28 @@ fn legal_and_verdicts(
         let stage_legal = pc_rt::obs::span_cat("check.legal_states", "check");
         let mut handles = Vec::with_capacity(n);
         for &idx in &e.order {
-            let candidates = &e.candidates[e.cut_of[idx]];
-            let got = caught(|| legal_states(a, factory, candidates, &mut caches));
-            let slot = &legal[idx];
-            let _ = slot.set(got);
+            let (pfs_id, h5_id) = e.sets_of[idx];
+            let got = legal_list(&mut views, &mut pfs_cache, pfs_id, || {
+                legal_pfs_views(a, factory, &e.pfs_sets[pfs_id], Some(&mut pfs_replays))
+            })
+            .and_then(|views| {
+                let logicals = match h5_id {
+                    Some(id) => legal_list(&mut logicals, &mut h5_cache, id, || {
+                        let candidates = &e.h5_sets[id];
+                        legal_h5_logicals(a, factory, candidates, Some(&mut h5_replays))
+                    })?,
+                    None => Arc::default(),
+                };
+                Ok((views, logicals))
+            });
+            legal[idx] = Some(got.clone());
             handles.push((
                 idx,
-                scope.spawn(
-                    move || match slot.get().expect("producer fills before spawn") {
-                        Ok(legal) => verdict_of(a, e, m, idx, legal),
-                        // Funnel replay failures through the same caught path.
-                        Err(e) => panic!("legal-state replay failed: {e}"),
-                    },
-                ),
+                scope.spawn(move || match got {
+                    Ok(legal) => verdict_of(a, e, m, idx, &legal),
+                    // Funnel replay failures through the same caught path.
+                    Err(e) => panic!("legal-state replay failed: {e}"),
+                }),
             ));
         }
         drop(stage_legal);
@@ -715,18 +737,17 @@ fn legal_and_verdicts(
             .collect()
     });
     drop(stage_verdicts);
-    let (pfs_sets, h5_sets) = (caches.pfs_sets.stats(), caches.h5_sets.stats());
     Verdicts {
         legal: legal
             .into_iter()
-            .map(|slot| slot.into_inner().expect("order is a permutation"))
+            .map(|l| l.expect("order is a permutation of all states"))
             .collect(),
         verdicts,
-        pfs_cache: caches.pfs.stats(),
-        h5_cache: caches.h5.stats(),
+        pfs_cache,
+        h5_cache,
         replays: (
-            pfs_sets.misses + h5_sets.misses,
-            pfs_sets.hits + h5_sets.hits,
+            pfs_replays.by_set.len() + h5_replays.by_set.len(),
+            pfs_replays.shared + h5_replays.shared,
         ),
     }
 }
@@ -873,20 +894,35 @@ fn h5_candidates(a: &Analysis, cut: &BitSet) -> Option<Vec<EventId>> {
 /// The distinct states `sets` denote, each replayed through `replays`:
 /// a preserved set is a pure function's whole input (same stack, same
 /// factory), so one executed replay serves every candidate set that
-/// admits it. One `check.legal_replay` span per replay executed.
+/// admits it. Without a table (`check_reference`) every set is replayed
+/// afresh. One `check.legal_replay` span per replay executed.
 fn distinct_replays<T>(
     sets: Vec<Vec<EventId>>,
-    replays: &mut ReplayCache<Replayed<T>>,
+    mut replays: Option<&mut Replays<T>>,
     replay: impl Fn(&[EventId]) -> Option<T>,
     digest: impl Fn(&T) -> u64,
 ) -> Vec<Arc<T>> {
+    let execute = |set: &[EventId]| -> Replayed<T> {
+        let _replay = pc_rt::obs::span_cat("check.legal_replay", "check");
+        replay(set).map(|state| (digest(&state), Arc::new(state)))
+    };
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
     for set in sets {
-        let replayed = replays.get_or(set, |set| {
-            let _replay = pc_rt::obs::span_cat("check.legal_replay", "check");
-            replay(set).map(|state| (digest(&state), Arc::new(state)))
-        });
+        let replayed = match replays.as_deref_mut() {
+            None => execute(&set),
+            Some(Replays { by_set, shared }) => match by_set.get(&set) {
+                Some(replayed) => {
+                    *shared += 1;
+                    replayed.clone()
+                }
+                None => {
+                    let replayed = execute(&set);
+                    by_set.insert(set, replayed.clone());
+                    replayed
+                }
+            },
+        };
         if let Some((digest, state)) = replayed {
             if seen.insert(digest) {
                 out.push(state);
@@ -901,7 +937,7 @@ fn legal_pfs_views(
     a: &Analysis,
     factory: &StackFactory,
     candidates: &[EventId],
-    replays: &mut ReplayCache<Replayed<PfsView>>,
+    replays: Option<&mut Replays<PfsView>>,
 ) -> Vec<Arc<PfsView>> {
     let stack = a.stack;
     let committed = pfs_committed(&a.graph, stack, candidates);
@@ -918,7 +954,7 @@ fn legal_h5_logicals(
     a: &Analysis,
     factory: &StackFactory,
     candidates: &[EventId],
-    replays: &mut ReplayCache<Replayed<H5Logical>>,
+    replays: Option<&mut Replays<H5Logical>>,
 ) -> Vec<Arc<H5Logical>> {
     let stack = a.stack;
     let path = stack.h5_path.as_deref().expect("h5 program");
@@ -1079,10 +1115,8 @@ fn publish(
     let stats = &out.stats;
     pc_rt::obs::count("cache.pfs.hits", stats.pfs_cache.hits as u64);
     pc_rt::obs::count("cache.pfs.misses", stats.pfs_cache.misses as u64);
-    pc_rt::obs::count("cache.pfs.evictions", stats.pfs_cache.evictions as u64);
     pc_rt::obs::count("cache.h5.hits", stats.h5_cache.hits as u64);
     pc_rt::obs::count("cache.h5.misses", stats.h5_cache.misses as u64);
-    pc_rt::obs::count("cache.h5.evictions", stats.h5_cache.evictions as u64);
     pc_rt::obs::count("replay.executed", replays_executed as u64);
     pc_rt::obs::count("replay.shared", replays_shared as u64);
     pc_rt::obs::count("persist.closures", closures);
@@ -1119,7 +1153,7 @@ fn publish(
 /// [`check_stack`], but each crash state becomes a recovered view the
 /// obvious way — deep-clone the baseline, apply the persisted events,
 /// tear the victims, recover, mount — one state at a time, with no
-/// prefix tree, no shared views, no replay cache and no thread pool.
+/// prefix tree, no shared views, no replay table and no thread pool.
 /// `tests/differential.rs` holds `check_stack` to it: everything a
 /// checker *decides* (the canonical report, `rep_digests`, state counts,
 /// the cost model) must match byte for byte; cache traffic, wall time
@@ -1140,14 +1174,12 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
         if cfg.collect_rep_digests {
             rep_digests.insert(st.digest());
         }
-        // Cap 0 never stores: every preserved set of every state is
-        // replayed afresh, whatever `cfg.replay_cache_cap` says.
+        // No table: every preserved set of every state is replayed
+        // afresh.
         let legal = caught(|| -> LegalStates {
-            let (pfs, h5) = &e.candidates[e.cut_of[i]];
-            let views = legal_pfs_views(&a, factory, pfs, &mut ReplayCache::with_cap(0));
-            let h5 = h5
-                .as_ref()
-                .map(|c| legal_h5_logicals(&a, factory, c, &mut ReplayCache::with_cap(0)));
+            let (pfs, h5) = e.sets_of[i];
+            let views = legal_pfs_views(&a, factory, &e.pfs_sets[pfs], None);
+            let h5 = h5.map(|h5| legal_h5_logicals(&a, factory, &e.h5_sets[h5], None));
             (Arc::new(views), Arc::new(h5.unwrap_or_default()))
         });
         let verdict = match &legal {
@@ -1401,6 +1433,56 @@ mod tests {
                 "preserved sets looked up, n = {n}"
             );
         }
+    }
+
+    /// Crash states with equal candidates at a layer compare against one
+    /// list, not equal copies: the table holds one per distinct set.
+    #[test]
+    fn states_of_one_candidate_set_share_one_list() {
+        let (stack, factory) = run_h5(false);
+        let cfg = CheckConfig::paper_default();
+        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let e = enumerate(&a);
+        let m = materialize(&a, &e);
+        let v = legal_and_verdicts(&a, &factory, &e, &m);
+        let legal = |i: usize| v.legal[i].as_ref().expect("replays succeed");
+        let (mut pfs_pairs, mut h5_pairs) = (0, 0);
+        for i in 0..e.states.len() {
+            for j in 0..i {
+                let (same_pfs, same_h5) = (
+                    e.sets_of[i].0 == e.sets_of[j].0,
+                    e.sets_of[i].1 == e.sets_of[j].1,
+                );
+                assert_eq!(same_pfs, Arc::ptr_eq(&legal(i).0, &legal(j).0), "{i} {j}");
+                assert_eq!(same_h5, Arc::ptr_eq(&legal(i).1, &legal(j).1), "{i} {j}");
+                pfs_pairs += usize::from(same_pfs && e.states[i].cut != e.states[j].cut);
+                h5_pairs += usize::from(same_h5 && !same_pfs);
+            }
+        }
+        // Sharing reaches past one cut, and further at the library layer.
+        assert!(pfs_pairs > 0 && h5_pairs > 0, "{pfs_pairs} {h5_pairs}");
+    }
+
+    /// `ExploreStats`' cache fields are the sizes of the per-check
+    /// tables: one miss per distinct candidate set, a hit for every
+    /// other state. The literals were read from the LRU-cache checker
+    /// this one replaced.
+    #[test]
+    fn explore_stats_are_table_sizes() {
+        let stats = |hits, misses| CacheStats { hits, misses };
+        let cfg = CheckConfig::paper_default();
+        let (stack, factory) = run_h5(false);
+        let h5_create = check_stack(&stack, &factory, &cfg).stats;
+        assert_eq!(h5_create.states_total, 165);
+        assert_eq!(h5_create.pfs_cache, stats(153, 12));
+        assert_eq!(h5_create.h5_cache, stats(163, 2));
+        assert_eq!(h5_create.legal_replays, 14);
+        let factory = beegfs_factory();
+        let arvr = check_stack(&run_arvr(&factory), &factory, &cfg).stats;
+        assert_eq!(arvr.states_total, 91);
+        assert_eq!(arvr.pfs_cache, stats(87, 4));
+        assert_eq!(arvr.h5_cache, stats(0, 0));
+        assert_eq!(arvr.legal_replays, 4);
     }
 
     /// A PFS that counts its recovery tool's runs, or panics in it;

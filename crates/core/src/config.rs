@@ -35,10 +35,6 @@ pub struct CheckConfig {
     pub servers: (u32, u32),
     /// Number of application clients.
     pub clients: u32,
-    /// Maximum entries held by each golden-state replay cache before
-    /// LRU eviction (0 disables caching). Large enough that the paper's
-    /// workloads never evict; a bound, not a tuning knob.
-    pub replay_cache_cap: usize,
     /// Seeded fault plane for the run: RPC delivery faults during the
     /// traced workload plus torn-write widening of crash states. The
     /// default injects nothing and leaves every code path untouched.
@@ -81,7 +77,6 @@ impl CheckConfig {
             stripe_size: 128 * 1024,
             servers: (2, 2),
             clients: 2,
-            replay_cache_cap: 4096,
             faults: FaultConfig::disabled(),
             fail_fast: false,
             explain: false,
@@ -93,7 +88,7 @@ impl CheckConfig {
     ///
     /// Recognized keys: `pfs_model`, `h5_model`, `k`, `mode`,
     /// `h5clear_increase_eof`, `stripe_size`, `meta_servers`,
-    /// `storage_servers`, `clients`, `replay_cache_cap`, `faults`
+    /// `storage_servers`, `clients`, `faults`
     /// (a [`FaultConfig::parse_spec`] string), `fail_fast` and
     /// `explain`. Unknown keys are rejected.
     pub fn parse(text: &str) -> Result<Self, String> {
@@ -120,9 +115,6 @@ impl CheckConfig {
                 "meta_servers" => cfg.servers.0 = value.parse().map_err(|_| bad("count"))?,
                 "storage_servers" => cfg.servers.1 = value.parse().map_err(|_| bad("count"))?,
                 "clients" => cfg.clients = value.parse().map_err(|_| bad("count"))?,
-                "replay_cache_cap" => {
-                    cfg.replay_cache_cap = value.parse().map_err(|_| bad("count"))?
-                }
                 "faults" => {
                     cfg.faults = FaultConfig::parse_spec(value)
                         .map_err(|e| format!("line {}: {e}", lineno + 1))?
@@ -141,8 +133,7 @@ impl CheckConfig {
             "pfs_model = {}\nh5_model = {}\nk = {}\nmode = {}\n\
              h5clear_increase_eof = {}\nstripe_size = {}\n\
              meta_servers = {}\nstorage_servers = {}\nclients = {}\n\
-             replay_cache_cap = {}\nfaults = {}\nfail_fast = {}\n\
-             explain = {}\n",
+             faults = {}\nfail_fast = {}\nexplain = {}\n",
             self.pfs_model.as_str(),
             self.h5_model.as_str(),
             self.k,
@@ -152,7 +143,6 @@ impl CheckConfig {
             self.servers.0,
             self.servers.1,
             self.clients,
-            self.replay_cache_cap,
             self.faults.render_spec(),
             self.fail_fast,
             self.explain,
@@ -181,7 +171,6 @@ mod tests {
         assert_eq!(parsed.pfs_model, cfg.pfs_model);
         assert_eq!(parsed.stripe_size, cfg.stripe_size);
         assert_eq!(parsed.mode, cfg.mode);
-        assert_eq!(parsed.replay_cache_cap, cfg.replay_cache_cap);
     }
 
     #[test]
@@ -211,13 +200,6 @@ fail_fast = true
     }
 
     #[test]
-    fn parse_replay_cache_cap() {
-        let cfg = CheckConfig::parse("replay_cache_cap = 16\n").unwrap();
-        assert_eq!(cfg.replay_cache_cap, 16);
-        assert!(CheckConfig::parse("replay_cache_cap = lots").is_err());
-    }
-
-    #[test]
     fn parse_overrides_and_comments() {
         let cfg = CheckConfig::parse(
             "# test config\npfs_model = commit\nk = 2\nmode = brute-force\nh5clear_increase_eof = true\n",
@@ -233,6 +215,9 @@ fail_fast = true
     fn parse_rejects_garbage() {
         assert!(CheckConfig::parse("pfs_model = wat").is_err());
         assert!(CheckConfig::parse("unknown_key = 1").is_err());
+        // The golden tables are sized by the check itself: no cap to set.
+        let err = CheckConfig::parse("replay_cache_cap = 16").unwrap_err();
+        assert!(err.contains("unknown key replay_cache_cap"), "{err}");
         assert!(CheckConfig::parse("no equals sign").is_err());
     }
 }

@@ -40,7 +40,6 @@
 
 use crate::check::{CheckOutcome, LayerVerdict};
 use pc_rt::hash::fnv1a;
-use pc_rt::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -328,144 +327,6 @@ impl FuzzCorpus {
         }
         out
     }
-
-    /// Serialize the whole corpus for a campaign checkpoint. Everything
-    /// [`FuzzCorpus::canonical_report`] renders — plus the dedup
-    /// indexes behind it — round-trips through
-    /// [`FuzzCorpus::from_json`] byte-identically.
-    pub fn to_json(&self) -> Json {
-        let layer_str = |l: LayerVerdict| {
-            Json::Str(
-                match l {
-                    LayerVerdict::IoLibBug => "iolib",
-                    LayerVerdict::PfsBug => "pfs",
-                }
-                .to_string(),
-            )
-        };
-        let findings = self
-            .findings
-            .values()
-            .map(|f| {
-                Json::Obj(vec![
-                    ("workload".into(), Json::Str(f.workload.clone())),
-                    ("fs".into(), Json::Str(f.fs.clone())),
-                    ("journal".into(), Json::Str(f.journal.clone())),
-                    ("signature".into(), Json::Str(f.signature.clone())),
-                    ("layer".into(), layer_str(f.layer)),
-                    ("violated_model".into(), Json::Str(f.violated_model.clone())),
-                    (
-                        "witness".into(),
-                        Json::Arr(f.witness.iter().cloned().map(Json::Str).collect()),
-                    ),
-                    ("occurrences".into(), Json::Int(f.occurrences as u64)),
-                    ("duplicates".into(), Json::Int(f.duplicates as u64)),
-                ])
-            })
-            .collect();
-        let behaviors = self
-            .behaviors
-            .iter()
-            .map(|(&class, (workload, pop))| {
-                Json::Obj(vec![
-                    ("class".into(), Json::Int(class)),
-                    ("workload".into(), Json::Str(workload.clone())),
-                    ("population".into(), Json::Int(*pop as u64)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("cells".into(), Json::Int(self.cells as u64)),
-            ("buggy_cells".into(), Json::Int(self.buggy_cells as u64)),
-            (
-                "rep_states".into(),
-                Json::Arr(self.rep_states.iter().map(|&d| Json::Int(d)).collect()),
-            ),
-            (
-                "diagnostics".into(),
-                Json::Arr(self.diagnostics.iter().cloned().map(Json::Str).collect()),
-            ),
-            ("behaviors".into(), Json::Arr(behaviors)),
-            ("findings".into(), Json::Arr(findings)),
-        ])
-    }
-
-    /// Reconstruct a corpus from a [`FuzzCorpus::to_json`] checkpoint.
-    pub fn from_json(json: &Json) -> Result<FuzzCorpus, String> {
-        let int = |j: &Json, key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_int)
-                .ok_or_else(|| format!("corpus checkpoint: missing int {key}"))
-        };
-        let str_of = |j: &Json, key: &str| -> Result<String, String> {
-            Ok(j.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("corpus checkpoint: missing string {key}"))?
-                .to_string())
-        };
-        let arr = |j: &Json, key: &str| -> Result<Vec<Json>, String> {
-            Ok(j.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("corpus checkpoint: missing array {key}"))?
-                .to_vec())
-        };
-        let mut corpus = FuzzCorpus::new();
-        corpus.cells = int(json, "cells")? as usize;
-        corpus.buggy_cells = int(json, "buggy_cells")? as usize;
-        for d in arr(json, "rep_states")? {
-            corpus.rep_states.insert(
-                d.as_int()
-                    .ok_or("corpus checkpoint: non-int rep state digest")?,
-            );
-        }
-        for d in arr(json, "diagnostics")? {
-            corpus.diagnostics.push(
-                d.as_str()
-                    .ok_or("corpus checkpoint: non-string diagnostic")?
-                    .to_string(),
-            );
-        }
-        for b in arr(json, "behaviors")? {
-            corpus.behaviors.insert(
-                int(&b, "class")?,
-                (str_of(&b, "workload")?, int(&b, "population")? as usize),
-            );
-        }
-        for f in arr(json, "findings")? {
-            let layer = match str_of(&f, "layer")?.as_str() {
-                "iolib" => LayerVerdict::IoLibBug,
-                "pfs" => LayerVerdict::PfsBug,
-                other => return Err(format!("corpus checkpoint: unknown layer {other}")),
-            };
-            let mut witness = Vec::new();
-            for w in arr(&f, "witness")? {
-                witness.push(
-                    w.as_str()
-                        .ok_or("corpus checkpoint: non-string witness op")?
-                        .to_string(),
-                );
-            }
-            let finding = FuzzFinding {
-                workload: str_of(&f, "workload")?,
-                fs: str_of(&f, "fs")?,
-                journal: str_of(&f, "journal")?,
-                signature: str_of(&f, "signature")?,
-                layer,
-                violated_model: str_of(&f, "violated_model")?,
-                witness,
-                occurrences: int(&f, "occurrences")? as usize,
-                duplicates: int(&f, "duplicates")? as usize,
-            };
-            let key: FindingKey = (
-                finding.fs.clone(),
-                finding.journal.clone(),
-                finding.signature.clone(),
-                finding.layer,
-            );
-            corpus.findings.insert(key, finding);
-        }
-        Ok(corpus)
-    }
 }
 
 #[cfg(test)]
@@ -586,43 +447,5 @@ mod tests {
         one.record_cell("w", "BeeGFS", "data", &CheckOutcome::default());
         assert!(one.saturation().is_finite());
         assert_eq!(one.saturation(), 0.0, "a lone singleton class");
-    }
-
-    #[test]
-    fn corpus_json_roundtrips_byte_identically() {
-        use crate::classify::{BugKind, BugSignature};
-        use crate::model::Model;
-        let bug = crate::check::Inconsistency {
-            signature: BugSignature {
-                kind: BugKind::Atomicity,
-                members: vec!["a@x".into(), "b@y".into()],
-            },
-            layer: LayerVerdict::IoLibBug,
-            violated_model: Model::Baseline,
-            witness: vec!["setsize f 4096".into()],
-            occurrences: 2,
-        };
-        let buggy = CheckOutcome {
-            pfs_name: "OrangeFS".into(),
-            bugs: vec![bug],
-            raw_inconsistent_states: 2,
-            diagnostics: vec!["recovery panicked: oops".into()],
-            rep_digests: vec![11, 22],
-            ..Default::default()
-        };
-        let mut corpus = FuzzCorpus::new();
-        corpus.record_cell("w1", "OrangeFS", "ordered", &buggy);
-        corpus.record_cell("w2", "OrangeFS", "ordered", &buggy);
-        corpus.record_cell("w3", "OrangeFS", "ordered", &CheckOutcome::default());
-        let json = corpus.to_json().pretty();
-        let restored = FuzzCorpus::from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(restored.canonical_report(), corpus.canonical_report());
-        assert_eq!(restored.rep_state_count(), corpus.rep_state_count());
-        assert_eq!(restored.singleton_behaviors(), corpus.singleton_behaviors());
-        // And a second hop is stable too (no lossy field).
-        let again =
-            FuzzCorpus::from_json(&Json::parse(&restored.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(again.canonical_report(), corpus.canonical_report());
-        assert!(FuzzCorpus::from_json(&Json::parse("{}").unwrap()).is_err());
     }
 }

@@ -2,21 +2,18 @@
 //!
 //! The checker spends its life proving that *other* software survives a
 //! crash at any point; this module applies the same discipline to the
-//! checker's own state. Two primitives:
-//!
-//! * [`RecordLog`] — an append-only, checksummed, length-prefixed
-//!   record log. Every record is `[len: u32 LE][crc32: u32 LE][payload]`
-//!   behind a 16-byte magic header, fsynced per append. [`RecordLog::open`]
-//!   validates the file sequentially and **truncates the torn tail**: the
-//!   first short or CRC-corrupt record and everything after it is cut,
-//!   exactly the recovery a crash mid-append requires.
-//! * [`write_atomic`] — checkpoint publication via the classic
-//!   write-temp + fsync + atomic-rename + directory-fsync sequence, so a
-//!   reader sees either the old checkpoint or the new one, never a tear.
+//! checker's own state, with one primitive: [`RecordLog`], an
+//! append-only, checksummed, length-prefixed record log. Every record is
+//! `[len: u32 LE][crc32: u32 LE][payload]` behind a 16-byte magic header,
+//! fsynced per append. [`RecordLog::open`] validates the file
+//! sequentially and **truncates the torn tail**: the first short or
+//! CRC-corrupt record and everything after it is cut, exactly the
+//! recovery a crash mid-append requires. The log is the whole durable
+//! state of a campaign: a resume is a replay of it.
 //!
 //! # Self-crash-testing (`PC_DURABLE_CRASH`)
 //!
-//! Both primitives thread every write through *durability points* — the
+//! The log threads every write through *durability points* — the
 //! instants where a real power cut would bite. The `PC_DURABLE_CRASH`
 //! environment variable (or [`arm_crash`] programmatically) injects a
 //! crash at the N-th point of the process:
@@ -229,14 +226,6 @@ fn write_with_tear_point(file: &mut File, bytes: &[u8], what: &str) -> io::Resul
     file.sync_data()
 }
 
-/// A plain (non-tearing) durability point, e.g. just before or just
-/// after a rename.
-fn plain_point(what: &str) {
-    if let Some(spec) = fire_check() {
-        crash_now(spec, what);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Filesystem helpers.
 // ---------------------------------------------------------------------------
@@ -260,27 +249,6 @@ fn fsync_parent(path: &Path) -> io::Result<()> {
     File::open(parent)?.sync_all()
 }
 
-/// Publish `bytes` at `path` atomically: write `path.tmp`, fsync it,
-/// rename over `path`, fsync the directory. A crash at any point leaves
-/// either the old file or the new one — never a tear. Three durability
-/// points: the temp-file write (tearable), just before the rename, and
-/// just after it.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    ensure_parent_dir(path)?;
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut file = File::create(&tmp)?;
-    write_with_tear_point(&mut file, bytes, "checkpoint temp write")?;
-    file.sync_all()?;
-    drop(file);
-    plain_point("before checkpoint rename");
-    fs::rename(&tmp, path)?;
-    fsync_parent(path)?;
-    plain_point("after checkpoint rename");
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // The record log.
 // ---------------------------------------------------------------------------
@@ -301,6 +269,12 @@ impl RecordLog {
     /// A file that exists but does not start with [`MAGIC`] (beyond a
     /// torn prefix of it, which a crash during creation can leave) is
     /// refused with `InvalidData` rather than silently clobbered.
+    ///
+    /// Creating the log fsyncs its directory after the header, so the
+    /// file — and every record later `sync_data`-ed into it — survives
+    /// a power loss (creat without a directory fsync is the paper's own
+    /// CR/ARVR pattern). No test holds this: a lost directory entry is
+    /// not observable in-process, and it adds no durability point.
     pub fn open(path: &Path) -> io::Result<(RecordLog, Vec<Vec<u8>>)> {
         ensure_parent_dir(path)?;
         let mut file = OpenOptions::new()
@@ -320,6 +294,7 @@ impl RecordLog {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             write_with_tear_point(&mut file, &MAGIC, "log header write")?;
+            fsync_parent(path)?;
             let log = RecordLog {
                 file,
                 path: path.to_path_buf(),
@@ -527,20 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn write_atomic_replaces_whole_file() {
-        let _g = lock_tests();
-        disarm_crash();
-        let dir = scratch_dir("atomic");
-        let path = dir.join("nested/deeper/checkpoint.json");
-        write_atomic(&path, b"v1").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"v1");
-        write_atomic(&path, b"version two, longer").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"version two, longer");
-        assert!(!path.with_extension("json.tmp").exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn injected_tear_crash_recovers_to_prefix() {
         let _g = lock_tests();
         let dir = scratch_dir("inject");
@@ -576,31 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_crash_before_rename_keeps_old_checkpoint() {
-        let _g = lock_tests();
-        let dir = scratch_dir("ckpt-crash");
-        let path = dir.join("checkpoint.json");
-        disarm_crash();
-        write_atomic(&path, b"old").unwrap();
-        // write_atomic = 3 points; crash at point 2 = before the rename.
-        reset_points();
-        arm_crash(CrashSpec {
-            at: 2,
-            tear: None,
-            mode: CrashMode::Panic,
-        });
-        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            write_atomic(&path, b"new").unwrap();
-        }));
-        disarm_crash();
-        assert!(crashed.is_err());
-        assert_eq!(fs::read(&path).unwrap(), b"old", "rename never happened");
-        write_atomic(&path, b"new").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"new");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn points_are_counted_while_disarmed() {
         let _g = lock_tests();
         disarm_crash();
@@ -610,8 +546,9 @@ mod tests {
         let (mut log, _) = RecordLog::open(&path).unwrap(); // header write: 1 point
         log.append(b"a").unwrap(); // 2
         log.append(b"b").unwrap(); // 3
-        write_atomic(&dir.join("c.json"), b"c").unwrap(); // 4, 5, 6
-        assert_eq!(points_seen(), 6);
+        drop(log);
+        RecordLog::open(&path).unwrap(); // a reopen is not a point
+        assert_eq!(points_seen(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

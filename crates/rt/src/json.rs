@@ -1,6 +1,6 @@
 //! A minimal JSON writer and reader — the one codec every artifact of
 //! the workspace goes through (`h5inspect` object maps, telemetry and
-//! explain bundles, campaign records and checkpoints).
+//! explain bundles, campaign records).
 //!
 //! `h5inspect` emits its object map as JSON, as the paper's tool does
 //! (§5.2: "generates a JSON file to record its object mapping

@@ -8,7 +8,7 @@
 //! alone, the four pieces of infrastructure the framework previously
 //! pulled from crates.io:
 //!
-//! * [`pool`] — a scoped worker pool: a work-stealing task scheduler
+//! * [`pool`] — a scoped worker pool: a task scheduler
 //!   (`Pool::scope`) for pipelined stages (replaces `rayon` on the
 //!   crash-state verdict fan-out of Algorithm 1's exploration loop). Thread count comes from the
 //!   `PC_THREADS` environment variable, defaulting to the machine's
@@ -22,8 +22,8 @@
 //!   shrinking-by-halving and failure-seed reporting (replaces the
 //!   `proptest` crate for the suite's property tests).
 //! * [`durable`] — crash-safe on-disk primitives (an append-only
-//!   CRC-checked record log with torn-tail recovery, atomic-rename
-//!   checkpoints, and the `PC_DURABLE_CRASH` self-crash-testing hook)
+//!   CRC-checked record log with torn-tail recovery, and the
+//!   `PC_DURABLE_CRASH` self-crash-testing hook)
 //!   backing the resumable campaign engine.
 //! * [`obs`] — structured telemetry (spans, counters, gauges,
 //!   histograms, a leveled logger) for the checker pipeline itself
@@ -41,7 +41,7 @@
 //! exploration hot path (thousands of independent crash-state
 //! reconstructions per trace) is exactly the loop later performance work
 //! wants to schedule deliberately — batching states that share server
-//! fingerprints, pinning replay caches per worker — which a black-box
+//! fingerprints, choosing which queued task runs next — which a black-box
 //! `rayon` would not let us do.
 //!
 //! # Example

@@ -921,11 +921,10 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
     for p in prefixes {
         let hits = get(&format!("{p}.hits")).unwrap_or(0);
         let misses = get(&format!("{p}.misses")).unwrap_or(0);
-        let evictions = get(&format!("{p}.evictions")).unwrap_or(0);
         if hits + misses > 0 {
             let _ = writeln!(
                 out,
-                "  {:<34} {:>7.1}%  ({hits} hits / {misses} misses / {evictions} evictions)",
+                "  {:<34} {:>7.1}%  ({hits} hits / {misses} misses)",
                 format!("{p} hit rate"),
                 100.0 * hits as f64 / (hits + misses) as f64,
             );
@@ -1007,18 +1006,17 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
         }
     }
 
-    // Derived: work-stealing scheduler activity, when `Pool::scope` ran.
-    // The inline path has no deques to steal from, so the steal columns
-    // would be noise under `PC_THREADS=1` — skip them entirely.
+    // Derived: scheduler traffic, when `Pool::scope` ran with workers.
+    // The inline path queues nothing, so there is no peak to report
+    // under `PC_THREADS=1` — skip the row entirely.
     if workers > 1 {
         if let Some(scopes) = get("pool.scope_calls") {
-            let steals = get("pool.steals").unwrap_or(0);
             let queued = get("pool.tasks_queued").unwrap_or(0);
             let peak = reg.gauges.get("pool.max_queue_depth").copied().unwrap_or(0);
             let _ = writeln!(
                 out,
-                "  {:<34} {steals:>8}  ({queued} tasks over {scopes} scope runs, peak queue {peak})",
-                "pool steals",
+                "  {:<34} {queued:>8}  (over {scopes} scope runs, peak queue {peak})",
+                "pool tasks",
             );
         }
     }
@@ -1266,7 +1264,7 @@ mod tests {
             // Only the delta since the mark: 3 hits, not 12.
             assert!(text.contains("obs.test.cache hit rate"), "{text}");
             assert!(text.contains("75.0%"), "{text}");
-            assert!(text.contains("(3 hits / 1 misses / 0 evictions)"), "{text}");
+            assert!(text.contains("(3 hits / 1 misses)"), "{text}");
         });
     }
 

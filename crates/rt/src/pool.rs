@@ -1,12 +1,11 @@
-//! Scoped worker pool: a work-stealing task scheduler
-//! ([`Pool::scope`]) on borrowed data, built on [`std::thread::scope`].
+//! Scoped worker pool: a task scheduler ([`Pool::scope`]) on borrowed
+//! data, built on [`std::thread::scope`].
 //!
 //! This is the fan-out engine for Algorithm 1's exploration loop:
 //! tasks are submitted *while earlier ones run*, each returning a
-//! [`TaskHandle`]. Workers own per-worker deques and steal from each
-//! other when their own runs dry (`pool.steals` counter), so a
-//! sequential producer (e.g. the legal-state replay loop, which needs
-//! `&mut` caches) overlaps with parallel consumers (per-state verdicts)
+//! [`TaskHandle`]. Workers share one locked queue, so a sequential
+//! producer (e.g. the legal-state replay loop, which owns the golden
+//! tables) overlaps with parallel consumers (per-state verdicts)
 //! instead of the stages joining at a barrier.
 //!
 //! Results come back **by handle**, whatever order workers finish in,
@@ -38,7 +37,7 @@
 //! ```
 
 use crate::lock;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -92,15 +91,14 @@ impl Pool {
         self.threads
     }
 
-    /// Run `body` with a work-stealing [`TaskScope`]: tasks spawned via
+    /// Run `body` with a [`TaskScope`]: tasks spawned via
     /// [`TaskScope::spawn`] execute on this pool's workers while `body`
     /// keeps running, and each returns a [`TaskHandle`] to join on.
     ///
     /// This is the pipelining primitive: a sequential producer (holding
     /// `&mut` state) spawns each consumer task as soon as its input is
     /// ready, instead of finishing the whole producer stage and then
-    /// fanning out behind a barrier. Workers pop their own deque and
-    /// steal from siblings when idle (`pool.steals` counter).
+    /// fanning out behind a barrier.
     ///
     /// With one worker (`PC_THREADS=1`), spawned tasks run **inline**
     /// inside `spawn` — the deterministic sequential reference: the
@@ -118,127 +116,119 @@ impl Pool {
             crate::obs::count("pool.scope_calls", 1);
             crate::obs::gauge_max("pool.workers", self.threads.max(1) as u64);
         }
+        let sched = Sched {
+            queue: Mutex::new((VecDeque::new(), false)),
+            wake: Condvar::new(),
+            inline: workers == 0,
+            telemetry: t_on,
+        };
         if workers == 0 {
-            let sched = Sched::new(0, t_on);
             let scope = TaskScope { sched: &sched };
             return body(&scope);
         }
-        let sched = Sched::new(workers, t_on);
         std::thread::scope(|ts| {
-            for w in 0..workers {
-                let sched = &sched;
-                ts.spawn(move || {
-                    crate::obs::prof::register_thread();
-                    sched.worker_loop(w)
-                });
-            }
+            let threads: Vec<_> = (0..workers)
+                .map(|_| {
+                    ts.spawn(|| {
+                        crate::obs::prof::register_thread();
+                        sched.worker_loop()
+                    })
+                })
+                .collect();
             let scope = TaskScope { sched: &sched };
             let out = body(&scope);
             sched.finish();
+            // Join the threads, not only their closures (all `thread::scope`
+            // waits for): a worker still exiting when the next scope spawns
+            // holds its malloc arena, that spawn opens another, and the
+            // process's peak RSS is whatever the race made it.
+            threads.into_iter().for_each(|t| drop(t.join()));
             out
         })
     }
 }
 
-/// Upper bound on scope workers — deques are scanned linearly when
-/// stealing, so keep the fan-in sane even on very wide machines.
+/// Upper bound on scope workers: every worker contends for the one
+/// queue lock, so keep the fan-in sane even on very wide machines.
 const MAX_SCOPE_WORKERS: usize = 64;
 
 type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
-/// Shared scheduler state for one [`Pool::scope`] call: per-worker
-/// deques plus a condvar-guarded account of outstanding work.
+/// Shared scheduler state for one [`Pool::scope`] call: the queued jobs
+/// and "the producer finished", under one lock, so a job is counted and
+/// published in the same critical section and a worker that finds the
+/// queue empty cannot miss the push that follows.
+///
+/// Jobs are pushed at the back and popped at the back — newest first.
+/// `check_stack` joins its handles in spawn order, each on its own
+/// condvar: when the oldest task runs first the producer is woken once
+/// per task (join 0 returns, join 1 blocks, …); when it runs last the
+/// producer sleeps through the drain and every later join finds its
+/// result ready. Measured on the 2-core box, `fuzz_pr_tier` `pass_ms`:
+/// 553–586 oldest-first vs 461–487 newest-first (+19 % on medians). A
+/// `join` that runs queued tasks itself would make the order free to
+/// choose.
 struct Sched<'env> {
-    deques: Vec<Mutex<std::collections::VecDeque<Job<'env>>>>,
-    /// (queued-but-unclaimed tasks, producer finished).
-    state: Mutex<(usize, bool)>,
+    queue: Mutex<(VecDeque<Job<'env>>, bool)>,
     wake: Condvar,
-    /// Round-robin cursor for spawn placement.
-    next: AtomicUsize,
+    /// No workers (`PC_THREADS=1`): `spawn` runs the task itself.
+    inline: bool,
     telemetry: bool,
 }
 
 impl<'env> Sched<'env> {
-    fn new(workers: usize, telemetry: bool) -> Sched<'env> {
-        Sched {
-            deques: (0..workers)
-                .map(|_| Mutex::new(std::collections::VecDeque::new()))
-                .collect(),
-            state: Mutex::new((0, false)),
-            wake: Condvar::new(),
-            next: AtomicUsize::new(0),
-            telemetry,
-        }
-    }
-
     fn push(&self, job: Job<'env>) {
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.deques.len();
-        // Count before publish: once the job is in a deque a worker may
-        // claim it and decrement the count at any moment, so the
-        // increment has to be visible first (the other order underflows).
-        let mut st = lock(&self.state);
-        st.0 += 1;
+        let depth = {
+            let mut queue = lock(&self.queue);
+            queue.0.push_back(job);
+            queue.0.len()
+        };
+        self.wake.notify_one();
         if self.telemetry {
             crate::obs::count("pool.tasks_queued", 1);
-            crate::obs::gauge_max("pool.max_queue_depth", st.0 as u64);
+            crate::obs::gauge_max("pool.max_queue_depth", depth as u64);
         }
-        drop(st);
-        lock(&self.deques[w]).push_back(job);
-        self.wake.notify_one();
     }
 
     /// Mark the producer done and wake everyone so idle workers can
     /// observe termination.
     fn finish(&self) {
-        lock(&self.state).1 = true;
+        lock(&self.queue).1 = true;
         self.wake.notify_all();
     }
 
-    /// Claim one job: own deque from the back (LIFO, cache-warm), then
-    /// steal from siblings from the front (FIFO, oldest first).
-    fn claim(&self, me: usize) -> Option<Job<'env>> {
-        if let Some(job) = lock(&self.deques[me]).pop_back() {
-            return Some(job);
-        }
-        for off in 1..self.deques.len() {
-            let victim = (me + off) % self.deques.len();
-            if let Some(job) = lock(&self.deques[victim]).pop_front() {
-                if self.telemetry {
-                    crate::obs::count("pool.steals", 1);
-                }
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn worker_loop(&self, me: usize) {
+    fn worker_loop(&self) {
+        let mut queue = lock(&self.queue);
         loop {
-            if let Some(job) = self.claim(me) {
-                lock(&self.state).0 -= 1;
-                if self.telemetry {
-                    let t = Instant::now();
-                    job();
-                    let ns = t.elapsed().as_nanos() as u64;
-                    crate::obs::count("pool.tasks_executed", 1);
-                    crate::obs::count("pool.busy_ns", ns);
-                    crate::obs::observe_ns("pool.task_ns", ns);
-                } else {
-                    job();
-                }
-                continue;
-            }
-            let st = lock(&self.state);
-            if st.0 == 0 && st.1 {
+            if let Some(job) = queue.0.pop_back() {
+                drop(queue);
+                self.run(job);
+                queue = lock(&self.queue);
+            } else if queue.1 {
                 return;
-            }
-            if st.0 == 0 {
+            } else {
                 // Nothing queued and the producer is still running:
                 // sleep until a push or finish wakes us.
-                drop(self.wake.wait(st).unwrap_or_else(PoisonError::into_inner));
+                queue = self
+                    .wake
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
-            // st.0 > 0: a job was counted (and is published right after)
-            // between claim() and the lock — loop and try to claim it.
+        }
+    }
+
+    /// Run one task, with the counters that keep task totals identical
+    /// across `PC_THREADS` widths (the inline path runs through here too).
+    fn run(&self, job: impl FnOnce()) {
+        if self.telemetry {
+            let t = Instant::now();
+            job();
+            let ns = t.elapsed().as_nanos() as u64;
+            crate::obs::count("pool.tasks_executed", 1);
+            crate::obs::count("pool.busy_ns", ns);
+            crate::obs::observe_ns("pool.task_ns", ns);
+        } else {
+            job();
         }
     }
 }
@@ -304,21 +294,11 @@ impl<'env> TaskScope<'_, 'env> {
                 .map_err(|e| panic_message(e.as_ref()));
             result_cell.fill(out);
         };
-        if self.sched.deques.is_empty() {
-            // Inline (single-threaded) path: record the same counters
-            // the worker loop would, so task totals stay deterministic
-            // across PC_THREADS widths.
+        if self.sched.inline {
             if self.sched.telemetry {
                 crate::obs::count("pool.tasks_queued", 1);
-                let t = Instant::now();
-                run();
-                let ns = t.elapsed().as_nanos() as u64;
-                crate::obs::count("pool.tasks_executed", 1);
-                crate::obs::count("pool.busy_ns", ns);
-                crate::obs::observe_ns("pool.task_ns", ns);
-            } else {
-                run();
             }
+            self.sched.run(run);
         } else {
             self.sched.push(Box::new(run));
         }
@@ -452,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn scope_multiple_workers_participate_and_steal() {
+    fn scope_multiple_workers_participate() {
         use std::sync::Mutex;
         let ids: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
         Pool::with_threads(5).scope(|sc| {
@@ -473,6 +453,40 @@ mod tests {
             }
         });
         assert!(lock(&ids).len() > 1, "only one worker ran tasks");
+    }
+
+    /// The queue is popped newest-first, on purpose: `check.rs` joins its
+    /// handles in spawn order, so under the other order the producer is
+    /// woken once per task (+19 % `fuzz_pr_tier` `pass_ms` measured with
+    /// an oldest-first queue). A caller-helps `join` (ROADMAP 1(a)) is
+    /// what would make the order free to choose.
+    #[test]
+    fn one_worker_runs_the_newest_queued_task_first() {
+        use std::sync::mpsc::channel;
+        let n = 8u32;
+        let (parked_tx, parked_rx) = channel::<()>();
+        let (gate_tx, gate_rx) = channel::<()>();
+        let ran: Mutex<Vec<u32>> = Mutex::new(Vec::new());
+        Pool::with_threads(2).scope(|sc| {
+            // Park the one worker on a gate task, so 1..=n queue up.
+            let gate = sc.spawn(move || {
+                parked_tx.send(()).unwrap();
+                gate_rx.recv().unwrap();
+            });
+            parked_rx.recv().unwrap();
+            let handles: Vec<_> = (1..=n)
+                .map(|i| {
+                    let ran = &ran;
+                    sc.spawn(move || lock(ran).push(i))
+                })
+                .collect();
+            gate_tx.send(()).unwrap();
+            gate.join().unwrap();
+            for h in handles {
+                h.join().unwrap();
+            }
+        });
+        assert_eq!(*lock(&ran), (1..=n).rev().collect::<Vec<_>>());
     }
 
     #[test]

@@ -52,33 +52,11 @@
 #      process, the batched engine at >= 2x the per-state loop and
 #      sub-linear per-check growth from 64 to 256 servers.
 #  12. Crash-safe campaign — `selftest durable` fuzzes the record log's
-#      torn-tail recovery; a `paracrash campaign` killed by injected
-#      crashes (`PC_DURABLE_CRASH`: mid-append with a torn record,
-#      mid-checkpoint) and by a real SIGKILL `--resume`s to a report
-#      byte-identical to an uninterrupted run, sequential and parallel,
+#      torn-tail recovery; a `paracrash campaign` killed by an injected
+#      crash (`PC_DURABLE_CRASH`: mid-append with a torn record, resumed
+#      sequentially) and by a real SIGKILL (resumed on the pool)
+#      `--resume`s to a report byte-identical to an uninterrupted run,
 #      and refuses to clobber existing state without `--resume`.
-#
-# Gate 5 stands where three gates stood (telemetry, event stream,
-# profiling). What each removed line group checked, and what does now:
-#   - single-cell `--telemetry-out` json / chrome + `selftest telemetry
-#     FILE`: gate 5's two runs write one dialect each (cli.rs validates
-#     a single cell's json, tests/telemetry.rs the chrome round trip);
-#   - `fuzz --events-out` and `fuzz --profile-out` vs the pins, the
-#     PC_THREADS=1 twin, `selftest events`, `--canonical-diff`,
-#     `selftest prof FILE`, hot-stage frames, nested output directory:
-#     the same two runs;
-#   - the ext4/ARVR `--telemetry-out` run that fed `report`, and the two
-#     `report` + lint calls: one call on the sweep's own stream,
-#     snapshot and profile, linted once (the lint requires the `dropped`
-#     tile) and grepped for the flame and alloc panels;
-#   - `selftest telemetry|stream|prof`: `selftest obs`, one probe over
-#     the same sites, summed;
-#   - two recorded `fuzz` runs + the run ledger's show / diff /
-#     regressions: gone with that ledger — gate 3 keeps a second one
-#     out, gate 12 covers the record log it sat on;
-#   - gate 6's environment-seeded chaos pair: gone with the variable,
-#     the `--faults` pair is the same diff;
-#   - gate 10's grep of `"PC_*"` literals: `--help` prints the table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -271,56 +249,38 @@ echo "== gate 12: crash-safe resumable campaign =="
 # Torn-tail recovery fuzz on the durable record log itself.
 target/release/paracrash selftest durable
 # Reference: one uninterrupted small campaign.
-camp="campaign --sample 25 --fs BeeGFS --checkpoint-every 8"
-# shellcheck disable=SC2086
-target/release/paracrash $camp --state-dir "$tmp/camp-ref" \
+camp=(campaign --sample 25 --fs BeeGFS)
+target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ref" \
     > "$tmp/camp-ref.txt" 2> /dev/null
 # Existing state without --resume must refuse with exit 2, not clobber.
-# shellcheck disable=SC2086
-if target/release/paracrash $camp --state-dir "$tmp/camp-ref" \
+if target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ref" \
     > /dev/null 2>&1; then
     echo "FAIL: campaign clobbered existing state without --resume"
     exit 1
 fi
 # Injected kill mid-append with a torn partial record (exit mode looks
 # like SIGKILL: rc 137), then resume; the report must be byte-identical.
-# shellcheck disable=SC2086
-PC_DURABLE_CRASH=at=7,tear=5 target/release/paracrash $camp \
+# Resumed sequentially: the log replay + the re-checked tail must also
+# be thread-count invariant (the reference ran on the pool).
+PC_DURABLE_CRASH=at=7,tear=5 target/release/paracrash "${camp[@]}" \
     --state-dir "$tmp/camp-torn" > /dev/null 2>&1 && {
     echo "FAIL: injected crash did not kill the campaign"; exit 1; }
-# shellcheck disable=SC2086
-target/release/paracrash $camp --state-dir "$tmp/camp-torn" --resume \
-    > "$tmp/camp-torn.txt" 2> /dev/null
+PC_THREADS=1 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-torn" \
+    --resume > "$tmp/camp-torn.txt" 2> /dev/null
 diff "$tmp/camp-ref.txt" "$tmp/camp-torn.txt"
-# Injected kill mid-checkpoint: point 12 is the first checkpoint's
-# pre-rename window (tmp fully written, rename never happened — the
-# old checkpoint must win).
-# shellcheck disable=SC2086
-PC_DURABLE_CRASH=at=12 target/release/paracrash $camp \
-    --state-dir "$tmp/camp-ckpt" > /dev/null 2>&1 && {
-    echo "FAIL: mid-checkpoint crash did not kill the campaign"; exit 1; }
-# Resume sequentially: recovery + the re-checked tail must also be
-# thread-count invariant.
-# shellcheck disable=SC2086
-PC_THREADS=1 target/release/paracrash $camp --state-dir "$tmp/camp-ckpt" \
-    --resume > "$tmp/camp-ckpt.txt" 2> /dev/null
-diff "$tmp/camp-ref.txt" "$tmp/camp-ckpt.txt"
 # A real SIGKILL mid-sweep (no injection). If the campaign wins the
 # race and finishes, resume degrades to a pure replay — still diffed.
-# shellcheck disable=SC2086
-target/release/paracrash $camp --state-dir "$tmp/camp-kill" \
+target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-kill" \
     > /dev/null 2>&1 & camp_pid=$!
 sleep 0.4
 kill -9 "$camp_pid" 2> /dev/null || true
 wait "$camp_pid" 2> /dev/null || true
-# shellcheck disable=SC2086
-target/release/paracrash $camp --state-dir "$tmp/camp-kill" --resume \
+target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-kill" --resume \
     > "$tmp/camp-kill.txt" 2> /dev/null
 diff "$tmp/camp-ref.txt" "$tmp/camp-kill.txt"
 # Satellite: --events-out under a campaign creates missing parent dirs
 # and the stream re-parses (campaign.* counters ride the same stream).
-# shellcheck disable=SC2086
-target/release/paracrash $camp --state-dir "$tmp/camp-ev" \
+target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ev" \
     --events-out "$tmp/nested/dirs/camp-events.jsonl" \
     > /dev/null 2> /dev/null
 target/release/paracrash selftest events "$tmp/nested/dirs/camp-events.jsonl"

@@ -1,17 +1,17 @@
 //! Kill-resume equivalence for the crash-safe campaign driver: a
-//! campaign killed at *any* durability point — mid-append, with a torn
-//! partial record, before or after a checkpoint's atomic rename — and
-//! then resumed must produce a `canonical_report()` byte-identical to
-//! an uninterrupted run.
+//! campaign killed at *any* durability point — creating the log,
+//! mid-append, with a torn partial record — and then resumed must
+//! produce a `canonical_report()` byte-identical to an uninterrupted
+//! run, from the record log alone.
 //!
 //! The kill is injected through `pc_rt::durable`'s `PC_DURABLE_CRASH`
 //! machinery in panic mode (so one process can die and "restart"
-//! hundreds of times), at a property-tested random durability point
-//! with a random tear length. `scripts/verify.sh` gate 13 repeats the
-//! experiment across process boundaries — exit-mode injection (rc 137)
-//! and a real mid-sweep SIGKILL — and across `PC_THREADS=1` vs the
-//! parallel pool, so the in-process shortcut here is cross-checked
-//! end to end.
+//! hundreds of times), at every durability point of the sweep with a
+//! property-tested random tear length. `scripts/verify.sh` gate 12
+//! repeats the experiment across process boundaries — exit-mode
+//! injection (rc 137) and a real mid-sweep SIGKILL — and across
+//! `PC_THREADS=1` vs the parallel pool, so the in-process shortcut here
+//! is cross-checked end to end.
 
 use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
 use pc_rt::durable::{arm_crash, disarm_crash, points_seen, reset_points, CrashMode, CrashSpec};
@@ -33,19 +33,37 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A small but non-trivial sweep: 8 cells, checkpoint every 3, so a
-/// random durability point can land before the first checkpoint, between
-/// checkpoints, inside `write_atomic`'s three points, or on the final
-/// checkpoint.
+/// A small but non-trivial sweep: 8 cells, so 10 durability points.
 fn opts(dir: &Path) -> CampaignOptions {
     let fuzz = FuzzOptions {
         sample: Some(8),
         file_systems: vec![FsKind::BeeGfs],
         ..FuzzOptions::pr_tier()
     };
-    let mut o = CampaignOptions::new(fuzz, dir.to_str());
-    o.checkpoint_every = 3;
-    o
+    CampaignOptions::new(fuzz, dir.to_str())
+}
+
+/// Run the sweep in `dir` with a crash armed at point `at`, then resume
+/// it; the resumed canonical report.
+fn kill_and_resume(dir: &Path, at: u64, tear: usize) -> Result<String, String> {
+    reset_points();
+    arm_crash(CrashSpec {
+        at,
+        tear: Some(tear),
+        mode: CrashMode::Panic,
+    });
+    let crashed = catch_unwind(AssertUnwindSafe(|| run_campaign(&opts(dir))));
+    disarm_crash();
+    prop_assert!(
+        crashed.is_err(),
+        "crash at point {at} must interrupt the campaign"
+    );
+    let resumed = run_campaign(&CampaignOptions {
+        resume: true,
+        ..opts(dir)
+    })
+    .map_err(|e| format!("resume after kill at {at}: {e}"))?;
+    Ok(resumed.corpus.canonical_report())
 }
 
 /// One `#[test]` because the crash-injection state is process-global.
@@ -59,49 +77,44 @@ fn killed_campaign_resumes_byte_identically() {
         .corpus
         .canonical_report();
     // Every durability point the uninterrupted run passed through is a
-    // legal kill site: log-open header write, each record append, and
-    // each checkpoint's write-tmp / pre-rename / post-rename points.
+    // legal kill site: the log-open header write, the meta record and
+    // one append per cell. The sweep stays at 8 cells, so the schedule
+    // is exactly these ten and every one of them is killed, each case
+    // with its own random tears.
     let total_points = points_seen();
-    assert!(
-        total_points > 10,
-        "expected a rich point schedule, got {total_points}"
-    );
+    assert_eq!(total_points, 10, "header + meta record + 8 cell appends");
     std::fs::remove_dir_all(&ref_dir).unwrap();
 
     run(
         "killed_campaign_resumes_byte_identically",
-        &Config::with_cases(10),
-        |rng, _size| {
-            (
-                rng.gen_range(1..=total_points),
-                rng.gen_range(0u64..64) as usize,
-            )
+        &Config::with_cases(2),
+        |rng, _size| -> Vec<usize> {
+            (0..total_points)
+                .map(|_| rng.gen_range(0u64..64) as usize)
+                .collect()
         },
-        |&(at, tear)| {
-            let dir = scratch_dir("kill");
-            reset_points();
-            arm_crash(CrashSpec {
-                at,
-                tear: Some(tear),
-                mode: CrashMode::Panic,
-            });
-            let crashed = catch_unwind(AssertUnwindSafe(|| run_campaign(&opts(&dir))));
-            disarm_crash();
-            prop_assert!(
-                crashed.is_err(),
-                "crash at point {at} must interrupt the campaign"
-            );
-            let resumed = run_campaign(&CampaignOptions {
-                resume: true,
-                ..opts(&dir)
-            })
-            .map_err(|e| format!("resume after kill at {at}: {e}"))?;
-            prop_assert!(
-                resumed.corpus.canonical_report() == reference,
-                "kill at point {at} (tear {tear}) diverged after resume"
-            );
-            std::fs::remove_dir_all(&dir).unwrap();
+        |tears| {
+            for (at, &tear) in (1..=total_points).zip(tears) {
+                let dir = scratch_dir("kill");
+                prop_assert!(
+                    kill_and_resume(&dir, at, tear)? == reference,
+                    "kill at point {at} (tear {tear}) diverged after resume"
+                );
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
             Ok(())
         },
     );
+
+    // A `checkpoint.json` an older binary left behind — well-formed, a
+    // cursor the log corroborates, the wrong corpus under it — is never
+    // read: the log alone decides what a resume rebuilds.
+    let dir = scratch_dir("stale-checkpoint");
+    let stale = dir.join("checkpoint.json");
+    let text = r#"{"kind": "checkpoint", "cursor": 2, "records": 3, "corpus": {"cells": 2,
+        "buggy_cells": 0, "rep_states": [], "diagnostics": [], "behaviors": [], "findings": []}}"#;
+    std::fs::write(&stale, text).unwrap();
+    assert_eq!(kill_and_resume(&dir, 6, 5).unwrap(), reference);
+    assert_eq!(std::fs::read_to_string(&stale).unwrap(), text);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

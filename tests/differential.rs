@@ -118,20 +118,6 @@ fn shared_golden_views_match_per_state_replays() {
     differ_program(Program::H5Resize, FsKind::BeeGfs, &params, &cfg);
 }
 
-/// The replay caches bounded to one entry (every lookup evicts) and
-/// switched off (`replay_cache_cap = 0`): eviction and the cache-off
-/// path decide what the unbounded default and the reference decide.
-#[test]
-fn bounded_and_disabled_replay_caches_match_the_reference() {
-    for replay_cache_cap in [0, 1] {
-        let cfg = CheckConfig {
-            replay_cache_cap,
-            ..CheckConfig::paper_default()
-        };
-        differ_program(Program::CdfCreate, FsKind::Lustre, &Params::quick(), &cfg);
-    }
-}
-
 /// `check_stack` shares one recovery across each snapshot-plan subtree;
 /// the reference recovers every state individually. Identical across
 /// all five PFS models × all journal modes.
