@@ -5,8 +5,8 @@
 //!
 //! 1. If the program uses the I/O library, check the recovered HDF5 /
 //!    NetCDF state against the legal golden states of the I/O-library
-//!    layer (preserved sets of H5 calls, replayed with `h5replay` on a
-//!    fresh stack; `h5clear` is given a chance to repair first).
+//!    layer (preserved sets of H5 calls, replayed by [`crate::golden`];
+//!    `h5clear` is given a chance to repair first).
 //! 2. If the I/O-library state is inconsistent, check the PFS layer the
 //!    same way (preserved sets of PFS client calls). A valid PFS state
 //!    under an invalid I/O-library state attributes the bug to the I/O
@@ -21,14 +21,15 @@ use crate::explain::BugExplanation;
 use crate::explore::{
     is_data_chunk, server_fingerprints, tsp_order, CacheStats, CostModel, ExploreStats, Pruner,
 };
+use crate::golden::{self, caught, LegalStates};
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
 use crate::snapshot::{prepare_states, SnapshotPlan};
-use crate::stack::{replay_h5, replay_pfs, Stack, StackFactory};
+use crate::stack::{Stack, StackFactory};
 use h5sim::{check as h5check, check_lenient, h5clear, H5Logical};
 use pc_rt::lock;
-use pfs::{recover_and_mount, PfsCall, PfsView, ServerStates};
+use pfs::{recover_and_mount, PfsView, ServerStates};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -199,57 +200,6 @@ fn layer_candidates(
     out.into_iter().collect()
 }
 
-/// PFS-layer ops committed by an `fsync` call inside the candidate set.
-fn pfs_committed(graph: &CausalityGraph, stack: &Stack, candidates: &[EventId]) -> Vec<EventId> {
-    let mut out = Vec::new();
-    for &(ev, _, ref call) in stack.calls.entries() {
-        if !candidates.contains(&ev) {
-            continue;
-        }
-        for &(fev, _, ref fcall) in stack.calls.entries() {
-            if let PfsCall::Fsync { path } = fcall {
-                if candidates.contains(&fev)
-                    && path == call.primary_path()
-                    && graph.happens_before(ev, fev)
-                {
-                    out.push(ev);
-                    break;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The legal golden states of one candidate set at one layer. The list
-/// is shared by every crash state with that candidate set, each state in
-/// it by every list whose candidates admit the preserved set it was
-/// replayed from.
-type LegalList<T> = Arc<Vec<Arc<T>>>;
-
-/// Legal golden states for one cut: `(PFS views, H5 logicals)`.
-type LegalStates = (LegalList<PfsView>, LegalList<H5Logical>);
-
-/// One golden replay: the digest of the state a preserved set denotes
-/// and the state, `None` when the set is not executable.
-type Replayed<T> = Option<(u64, Arc<T>)>;
-
-/// The golden replays of one layer in one check: one per distinct
-/// preserved set, and how many lookups an earlier one answered.
-struct Replays<T> {
-    by_set: HashMap<Vec<EventId>, Replayed<T>>,
-    shared: usize,
-}
-
-impl<T> Replays<T> {
-    fn new() -> Replays<T> {
-        Replays {
-            by_set: HashMap::new(),
-            shared: 0,
-        }
-    }
-}
-
 /// Figure 6's verdict for one crash state: `None` when consistent,
 /// otherwise the responsible layer and the weakest violated model.
 type Verdict = Option<(LayerVerdict, Model)>;
@@ -269,6 +219,12 @@ type Bugs = BTreeMap<(BugSignature, LayerVerdict), (Inconsistency, usize)>;
 // `check_stack` is that chain. `check_reference` shares every stage
 // except materialize / legal_and_verdicts — how a crash state becomes a
 // recovered view — which it replaces with the obvious per-state loop.
+//
+// Golden states — what a recovered view is compared against — come from
+// `golden::legal_lists`: in `check_stack` one walk per layer over the
+// preserved sets of every candidate set `enumerate` interned, run by
+// `legal_and_verdicts` before it spawns a verdict task; in
+// `check_reference` one full replay per preserved set per state.
 //
 // Three stages turn on-disk images into recovered views: the verdict
 // tasks (one image per prefix-tree representative), the classifier's
@@ -465,6 +421,8 @@ struct Verdicts {
     /// Preserved-set traffic over both layers: `(replays executed,
     /// replays a shared view answered)`.
     replays: (usize, usize),
+    /// What the golden walks cost: `(calls dispatched, instances forked)`.
+    walked: (usize, usize),
 }
 
 /// Stage 5 output: what the checker decided.
@@ -578,13 +536,6 @@ fn torn_rng(cfg: &CheckConfig, state_index: usize) -> pc_rt::rng::Rng {
     )
 }
 
-/// Run `f`, turning a panic into its message: a panicking model or
-/// recovery tool poisons only the crash state it ran for.
-fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .map_err(|p| pc_rt::pool::panic_message(p.as_ref()))
-}
-
 /// The model `recovered` violates at the layer the run checks top-down
 /// (`None` = consistent): the I/O library's when the program uses it,
 /// otherwise the PFS's.
@@ -650,36 +601,13 @@ fn verdict_of(
     layer_verdict(a, &recovered, legal)
 }
 
-/// The legal list of candidate set `id`, assembled the first time a
-/// state asks for it. A panicking replay is stored as its message, so
-/// every state of the set reports it.
-fn legal_list<T>(
-    lists: &mut [Option<Result<LegalList<T>, String>>],
-    stats: &mut CacheStats,
-    id: usize,
-    assemble: impl FnOnce() -> Vec<Arc<T>>,
-) -> Result<LegalList<T>, String> {
-    if let Some(list) = &lists[id] {
-        stats.hits += 1;
-        return list.clone();
-    }
-    stats.misses += 1;
-    let list = caught(assemble).map(Arc::new);
-    lists[id] = Some(list.clone());
-    list
-}
-
-/// Stage 4. The golden states of a check are two tables per layer, both
-/// local to the sequential producer: one legal list per distinct
-/// candidate set (`Enumerated` interned them, so a list is an index
-/// away) and one replay per distinct preserved set. Replays and
-/// per-state verdicts are *pipelined*: the producer walks the checking
-/// order, fills the lists a state names if it is the first to name them,
-/// and immediately spawns that state's verdict task with its own handles
-/// to the two lists — verdict workers run concurrently with the producer
-/// instead of waiting behind a stage barrier. Results are joined by
-/// state index, so the output is byte-identical on every `PC_THREADS`
-/// setting (1 = spawn runs inline: the deterministic sequential path).
+/// Stage 4. The golden walks run first, on the producer: they leave one
+/// legal list per distinct candidate set (`Enumerated` interned them, so
+/// a list is an index away). The producer then walks the checking order
+/// and spawns each state's verdict task with its own handles to the two
+/// lists it names. Results are joined by state index, so the output is
+/// byte-identical on every `PC_THREADS` setting (1 = spawn runs inline:
+/// the deterministic sequential path).
 fn legal_and_verdicts(
     a: &Analysis,
     factory: &StackFactory,
@@ -687,32 +615,20 @@ fn legal_and_verdicts(
     m: &Materialized,
 ) -> Verdicts {
     let n = e.states.len();
-    let mut views = vec![None; e.pfs_sets.len()];
-    let mut logicals = vec![None; e.h5_sets.len()];
-    let (mut pfs_replays, mut h5_replays) = (Replays::new(), Replays::new());
-    let (mut pfs_cache, mut h5_cache) = (CacheStats::default(), CacheStats::default());
+    let mut walk = golden::WalkStats::default();
     let mut legal: Vec<Option<Result<LegalStates, String>>> = vec![None; n];
     let stage_verdicts = pc_rt::obs::span_cat("check.verdicts", "check");
-    let verdicts = pc_rt::pool::scope(|scope| {
+    let (verdicts, lists) = pc_rt::pool::scope(|scope| {
         // Producer time and join wait partition the verdict stage (the
         // span opens here so that spans close innermost first).
         let stage_legal = pc_rt::obs::span_cat("check.legal_states", "check");
+        let sets = (&e.pfs_sets[..], &e.h5_sets[..]);
+        let mut lists =
+            golden::legal_lists(a.stack, a.cfg, &a.graph, factory, sets, Some(&mut walk));
         let mut handles = Vec::with_capacity(n);
         for &idx in &e.order {
             let (pfs_id, h5_id) = e.sets_of[idx];
-            let got = legal_list(&mut views, &mut pfs_cache, pfs_id, || {
-                legal_pfs_views(a, factory, &e.pfs_sets[pfs_id], Some(&mut pfs_replays))
-            })
-            .and_then(|views| {
-                let logicals = match h5_id {
-                    Some(id) => legal_list(&mut logicals, &mut h5_cache, id, || {
-                        let candidates = &e.h5_sets[id];
-                        legal_h5_logicals(a, factory, candidates, Some(&mut h5_replays))
-                    })?,
-                    None => Arc::default(),
-                };
-                Ok((views, logicals))
-            });
+            let got = lists.of(pfs_id, h5_id);
             legal[idx] = Some(got.clone());
             handles.push((
                 idx,
@@ -732,9 +648,11 @@ fn legal_and_verdicts(
             out[idx] = Some(handle.join());
         }
         drop(join_wait);
-        out.into_iter()
+        let verdicts = out
+            .into_iter()
             .map(|r| r.expect("order is a permutation of all states"))
-            .collect()
+            .collect();
+        (verdicts, lists)
     });
     drop(stage_verdicts);
     Verdicts {
@@ -743,12 +661,10 @@ fn legal_and_verdicts(
             .map(|l| l.expect("order is a permutation of all states"))
             .collect(),
         verdicts,
-        pfs_cache,
-        h5_cache,
-        replays: (
-            pfs_replays.by_set.len() + h5_replays.by_set.len(),
-            pfs_replays.shared + h5_replays.shared,
-        ),
+        pfs_cache: lists.views.stats,
+        h5_cache: lists.logicals.stats,
+        replays: (walk.executed, walk.shared),
+        walked: (walk.dispatched, walk.forks),
     }
 }
 
@@ -891,95 +807,6 @@ fn h5_candidates(a: &Analysis, cut: &BitSet) -> Option<Vec<EventId>> {
     ))
 }
 
-/// The distinct states `sets` denote, each replayed through `replays`:
-/// a preserved set is a pure function's whole input (same stack, same
-/// factory), so one executed replay serves every candidate set that
-/// admits it. Without a table (`check_reference`) every set is replayed
-/// afresh. One `check.legal_replay` span per replay executed.
-fn distinct_replays<T>(
-    sets: Vec<Vec<EventId>>,
-    mut replays: Option<&mut Replays<T>>,
-    replay: impl Fn(&[EventId]) -> Option<T>,
-    digest: impl Fn(&T) -> u64,
-) -> Vec<Arc<T>> {
-    let execute = |set: &[EventId]| -> Replayed<T> {
-        let _replay = pc_rt::obs::span_cat("check.legal_replay", "check");
-        replay(set).map(|state| (digest(&state), Arc::new(state)))
-    };
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    for set in sets {
-        let replayed = match replays.as_deref_mut() {
-            None => execute(&set),
-            Some(Replays { by_set, shared }) => match by_set.get(&set) {
-                Some(replayed) => {
-                    *shared += 1;
-                    replayed.clone()
-                }
-                None => {
-                    let replayed = execute(&set);
-                    by_set.insert(set, replayed.clone());
-                    replayed
-                }
-            },
-        };
-        if let Some((digest, state)) = replayed {
-            if seen.insert(digest) {
-                out.push(state);
-            }
-        }
-    }
-    out
-}
-
-/// All legal PFS views for a candidate op set under `cfg.pfs_model`.
-fn legal_pfs_views(
-    a: &Analysis,
-    factory: &StackFactory,
-    candidates: &[EventId],
-    replays: Option<&mut Replays<PfsView>>,
-) -> Vec<Arc<PfsView>> {
-    let stack = a.stack;
-    let committed = pfs_committed(&a.graph, stack, candidates);
-    let sets = a
-        .cfg
-        .pfs_model
-        .preserved_sets(&a.graph, candidates, &committed);
-    let replay = |set: &[EventId]| replay_pfs(factory, &stack.pre_calls, &stack.calls.subset(set));
-    distinct_replays(sets, replays, replay, PfsView::digest)
-}
-
-/// All legal I/O-library logical states for a candidate op set.
-fn legal_h5_logicals(
-    a: &Analysis,
-    factory: &StackFactory,
-    candidates: &[EventId],
-    replays: Option<&mut Replays<H5Logical>>,
-) -> Vec<Arc<H5Logical>> {
-    let stack = a.stack;
-    let path = stack.h5_path.as_deref().expect("h5 program");
-    // The baseline model's golden comparison is dataset-granular rather
-    // than whole-state, but its legal *full* states still come from the
-    // causal sets (a weaker model only adds legal states — handled in
-    // `h5_verdict`).
-    let enum_model = match a.cfg.h5_model {
-        Model::Baseline => Model::Causal,
-        model => model,
-    };
-    let sets = enum_model.preserved_sets(&a.graph, candidates, &[]);
-    let replay = |set: &[EventId]| {
-        replay_h5(
-            factory,
-            path,
-            &stack.h5_ranks,
-            &stack.pre_h5,
-            &stack.h5.subset(set),
-            stack.h5_spec,
-        )
-    };
-    distinct_replays(sets, replays, replay, H5Logical::digest)
-}
-
 /// Stage 6: reconstruction cost over the mode's visiting order — the
 /// optimized mode rebuilds incrementally along a greedy-TSP route, the
 /// others restart per state. Returns `(sim_seconds, server_rebuilds)`.
@@ -1099,7 +926,7 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
     let mut out = outcome(&a, &e, &v, c, cost, m.rep_digests);
     out.explanations = explanations;
     out.stats.wall_seconds = started.elapsed().as_secs_f64();
-    publish(&out, v.replays, a.pa.closures_taken(), check_span, &tl_mark);
+    publish(&out, &v, a.pa.closures_taken(), check_span, &tl_mark);
     out
 }
 
@@ -1107,7 +934,7 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
 /// for one finished check.
 fn publish(
     out: &CheckOutcome,
-    (replays_executed, replays_shared): (usize, usize),
+    v: &Verdicts,
     closures: u64,
     check_span: pc_rt::obs::Span,
     tl_mark: &pc_rt::obs::Mark,
@@ -1117,8 +944,10 @@ fn publish(
     pc_rt::obs::count("cache.pfs.misses", stats.pfs_cache.misses as u64);
     pc_rt::obs::count("cache.h5.hits", stats.h5_cache.hits as u64);
     pc_rt::obs::count("cache.h5.misses", stats.h5_cache.misses as u64);
-    pc_rt::obs::count("replay.executed", replays_executed as u64);
-    pc_rt::obs::count("replay.shared", replays_shared as u64);
+    pc_rt::obs::count("replay.executed", v.replays.0 as u64);
+    pc_rt::obs::count("replay.shared", v.replays.1 as u64);
+    pc_rt::obs::count("replay.dispatched", v.walked.0 as u64);
+    pc_rt::obs::count("replay.forks", v.walked.1 as u64);
     pc_rt::obs::count("persist.closures", closures);
     pc_rt::obs::count("check.states_checked", stats.states_checked as u64);
     pc_rt::obs::count("check.states_pruned", stats.states_pruned as u64);
@@ -1176,12 +1005,11 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
         }
         // No table: every preserved set of every state is replayed
         // afresh.
-        let legal = caught(|| -> LegalStates {
-            let (pfs, h5) = e.sets_of[i];
-            let views = legal_pfs_views(&a, factory, &e.pfs_sets[pfs], None);
-            let h5 = h5.map(|h5| legal_h5_logicals(&a, factory, &e.h5_sets[h5], None));
-            (Arc::new(views), Arc::new(h5.unwrap_or_default()))
-        });
+        let (pfs, h5) = e.sets_of[i];
+        let pfs = std::slice::from_ref(&e.pfs_sets[pfs]);
+        let h5 = h5.map_or(&[][..], |h5| std::slice::from_ref(&e.h5_sets[h5]));
+        let legal = golden::legal_lists(stack, cfg, &a.graph, factory, (pfs, h5), None)
+            .of(0, h5.first().map(|_| 0));
         let verdict = match &legal {
             Ok(legal) => caught(|| {
                 if cfg.faults.torn_writes {
@@ -1300,6 +1128,7 @@ mod tests {
     use crate::explore::ExploreMode;
     use pfs::beegfs::BeeGfs;
     use pfs::ext4::Ext4Direct;
+    use pfs::PfsCall;
 
     fn beegfs_factory() -> StackFactory {
         Box::new(|| Box::new(BeeGfs::paper_default()))
@@ -1487,6 +1316,7 @@ mod tests {
 
     /// A PFS that counts its recovery tool's runs, or panics in it;
     /// everything else delegates to the wrapped model.
+    #[derive(Clone)]
     struct InstrumentedRecover {
         inner: Box<dyn pfs::Pfs>,
         runs: Arc<std::sync::atomic::AtomicUsize>,

@@ -42,6 +42,7 @@ pub mod emulate;
 pub mod explain;
 pub mod explore;
 pub mod fuzz;
+pub mod golden;
 pub mod model;
 pub mod persist;
 pub mod report;

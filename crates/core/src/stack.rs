@@ -2,10 +2,12 @@
 //!
 //! A [`Stack`] bundles a live PFS instance with the recorders for both
 //! phases of a ParaCrash run (§5: a *preamble* program initializes the
-//! storage system, then the *test* program runs and is traced). The
-//! consistency checker replays preserved subsets of the recorded calls
-//! on fresh instances built by the [`StackFactory`] to produce legal
-//! golden states.
+//! storage system, then the *test* program runs and is traced). A legal
+//! golden state is what a preserved subset of the recorded calls leaves
+//! behind when replayed after the preamble: [`replay_pfs`] / [`replay_h5`]
+//! do exactly that, one subset on one fresh [`StackFactory`] instance —
+//! the oracle. `check_stack` gets the same states from one walk over all
+//! subsets of a check (`golden`).
 
 use h5sim::{H5Call, H5Trace};
 use pfs::{ClientTrace, Pfs, PfsCall, PfsView};
@@ -91,21 +93,29 @@ impl Stack {
     }
 }
 
-/// Validate that a PFS call sequence is executable (the models may
-/// propose subsets whose prerequisites were dropped — those denote no
-/// legal state). Mirrors the namespace effects of each call.
-fn executable<'a>(calls: impl IntoIterator<Item = &'a (Process, PfsCall)>) -> bool {
-    let mut dirs: BTreeSet<String> = BTreeSet::new();
-    dirs.insert("/".into());
-    let mut files: BTreeSet<String> = BTreeSet::new();
-    let parent = |p: &str| -> String {
-        match p.rfind('/') {
-            Some(0) => "/".into(),
-            Some(i) => p[..i].to_string(),
-            None => "/".into(),
+/// The namespace a PFS call sequence has built so far, mirrored without
+/// a PFS: the models may propose subsets whose prerequisites were
+/// dropped — those denote no legal state, and this is what tells.
+#[derive(Debug, Clone)]
+pub(crate) struct Namespace {
+    dirs: BTreeSet<String>,
+    files: BTreeSet<String>,
+}
+
+impl Namespace {
+    /// The empty mount: `/` and nothing else.
+    pub(crate) fn new() -> Namespace {
+        Namespace {
+            dirs: BTreeSet::from(["/".to_string()]),
+            files: BTreeSet::new(),
         }
-    };
-    for (_, call) in calls {
+    }
+
+    /// Mirror the namespace effect of `call`; `false` when the sequence
+    /// so far does not let it execute.
+    pub(crate) fn admits(&mut self, call: &PfsCall) -> bool {
+        let Namespace { dirs, files } = self;
+        let parent = pfs::base::parent_of;
         match call {
             PfsCall::Creat { path } => {
                 if !dirs.contains(&parent(path)) || dirs.contains(path) {
@@ -165,8 +175,14 @@ fn executable<'a>(calls: impl IntoIterator<Item = &'a (Process, PfsCall)>) -> bo
                 }
             }
         }
+        true
     }
-    true
+}
+
+/// Validate that a whole PFS call sequence is executable.
+fn executable<'a>(calls: impl IntoIterator<Item = &'a (Process, PfsCall)>) -> bool {
+    let mut ns = Namespace::new();
+    calls.into_iter().all(|(_, call)| ns.admits(call))
 }
 
 /// Replay the preamble plus a preserved subset of test calls on a fresh

@@ -6,8 +6,6 @@
 //! executed call to its trace event so the checker can project preserved
 //! sets out of the causality graph.
 
-use tracer::EventId;
-
 /// One I/O-library call.
 ///
 /// Variant fields mirror the HDF5 API arguments (`group`, `name`,
@@ -135,52 +133,8 @@ impl H5Call {
     }
 }
 
-/// The I/O-library-level trace of a run.
-#[derive(Debug, Clone, Default)]
-pub struct H5Trace {
-    entries: Vec<(EventId, u32, H5Call)>,
-}
-
-impl H5Trace {
-    /// Empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one executed call (`event` is the IoLib trace event).
-    pub fn push(&mut self, event: EventId, rank: u32, call: H5Call) {
-        self.entries.push((event, rank, call));
-    }
-
-    /// All entries in execution order.
-    pub fn entries(&self) -> &[(EventId, u32, H5Call)] {
-        &self.entries
-    }
-
-    /// Number of calls.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Event ids of all calls.
-    pub fn event_ids(&self) -> Vec<EventId> {
-        self.entries.iter().map(|(e, _, _)| *e).collect()
-    }
-
-    /// The calls whose event ids are in `ids`, in execution order.
-    pub fn subset(&self, ids: &[EventId]) -> Vec<(u32, H5Call)> {
-        self.entries
-            .iter()
-            .filter(|(e, _, _)| ids.contains(e))
-            .map(|(_, r, c)| (*r, c.clone()))
-            .collect()
-    }
-}
+/// The I/O-library-level trace of a run: ranks and their [`H5Call`]s.
+pub type H5Trace = pfs::CallTrace<u32, H5Call>;
 
 #[cfg(test)]
 mod tests {
@@ -207,6 +161,9 @@ mod tests {
         assert_eq!(t.len(), 2);
         let sub = t.subset(&[9]);
         assert_eq!(sub, vec![(0, H5Call::CloseFile)]);
+        assert_eq!(t.subset(&[9, 7, 5, 5]).len(), 2);
+        assert_eq!(t.get(5), Some((0, &H5Call::CreateFile)));
+        assert_eq!(t.get(7), None);
         assert_eq!(t.event_ids(), vec![5, 9]);
     }
 }

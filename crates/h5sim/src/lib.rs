@@ -43,6 +43,6 @@ pub use file::{H5File, H5Spec};
 pub use format::{check, check_lenient, H5Error, H5Logical, LenientReport};
 pub use netcdf::{nc_check, NcError, NcFile};
 pub use tools::{
-    h5clear, h5inspect, h5replay, h5replay_with, render_replay_program, ClearOpts, ObjectRange,
-    ReplayError,
+    h5clear, h5inspect, h5replay, h5replay_with, render_replay_program, ClearOpts, H5Replay,
+    ObjectRange, ReplayError,
 };

@@ -317,137 +317,148 @@ pub fn h5replay_with<'a>(
     calls: impl IntoIterator<Item = &'a (u32, H5Call)>,
     spec: H5Spec,
 ) -> Result<H5Logical, ReplayError> {
-    let mut rec = Recorder::new();
-    let mut ct = ClientTrace::new();
-    let mut h5t = H5Trace::new();
-    let mut file: Option<H5File> = None;
-    let mut groups: BTreeSet<String> = BTreeSet::new();
-    let mut datasets: BTreeSet<String> = BTreeSet::new();
+    let mut replay = H5Replay::new(path, ranks, spec);
     for (rank, call) in calls {
-        let mut mpi = MpiIo::new(pfs, &mut rec, &mut ct);
-        match call {
-            H5Call::CreateFile => {
-                if file.is_some() {
-                    return Err(ReplayError::Invalid("file created twice".into()));
-                }
-                let f = H5File::create(&mut mpi, &mut h5t, ranks, path, spec);
-                groups.insert("/".into());
-                file = Some(f);
-            }
-            other => {
-                let f = file
-                    .as_mut()
-                    .ok_or_else(|| ReplayError::Invalid("no file".into()))?;
-                match other {
-                    H5Call::CreateGroup { group } => {
-                        if !groups.insert(group.clone()) {
-                            return Err(ReplayError::Invalid(format!("group {group} exists")));
-                        }
-                        f.create_group(&mut mpi, &mut h5t, *rank, group);
-                    }
-                    H5Call::CreateDataset {
-                        group,
-                        name,
-                        rows,
-                        cols,
-                    } => {
-                        let key = format::dataset_key(group, name);
-                        if !groups.contains(group) || !datasets.insert(key) {
-                            return Err(ReplayError::Invalid(format!(
-                                "cannot create {group}/{name}"
-                            )));
-                        }
-                        f.create_dataset(&mut mpi, &mut h5t, *rank, group, name, *rows, *cols);
-                    }
-                    H5Call::CreateDatasetParallel {
-                        group,
-                        name,
-                        rows,
-                        cols,
-                        nranks,
-                    } => {
-                        let key = format::dataset_key(group, name);
-                        if !groups.contains(group) || !datasets.insert(key) {
-                            return Err(ReplayError::Invalid(format!(
-                                "cannot create {group}/{name}"
-                            )));
-                        }
-                        let use_ranks: Vec<u32> =
-                            ranks.iter().copied().take(*nranks as usize).collect();
-                        f.create_dataset_parallel(
-                            &mut mpi, &mut h5t, &use_ranks, group, name, *rows, *cols,
-                        );
-                    }
-                    H5Call::ResizeDataset {
-                        group,
-                        name,
-                        rows,
-                        cols,
-                    } => {
-                        if !datasets.contains(&format::dataset_key(group, name)) {
-                            return Err(ReplayError::Invalid(format!(
-                                "resize of missing {group}/{name}"
-                            )));
-                        }
-                        f.resize_dataset(&mut mpi, &mut h5t, *rank, group, name, *rows, *cols);
-                    }
-                    H5Call::ResizeDatasetParallel {
-                        group,
-                        name,
-                        rows,
-                        cols,
-                        nranks,
-                    } => {
-                        if !datasets.contains(&format::dataset_key(group, name)) {
-                            return Err(ReplayError::Invalid(format!(
-                                "resize of missing {group}/{name}"
-                            )));
-                        }
-                        let use_ranks: Vec<u32> =
-                            ranks.iter().copied().take(*nranks as usize).collect();
-                        f.resize_dataset_parallel(
-                            &mut mpi, &mut h5t, &use_ranks, group, name, *rows, *cols,
-                        );
-                    }
-                    H5Call::DeleteDataset { group, name } => {
-                        if !datasets.remove(&format::dataset_key(group, name)) {
-                            return Err(ReplayError::Invalid(format!(
-                                "delete of missing {group}/{name}"
-                            )));
-                        }
-                        f.delete_dataset(&mut mpi, &mut h5t, *rank, group, name);
-                    }
-                    H5Call::RenameDataset {
-                        src_group,
-                        src_name,
-                        dst_group,
-                        dst_name,
-                    } => {
-                        let src = format::dataset_key(src_group, src_name);
-                        let dst = format::dataset_key(dst_group, dst_name);
-                        if !datasets.remove(&src)
-                            || !groups.contains(dst_group)
-                            || !datasets.insert(dst)
-                        {
-                            return Err(ReplayError::Invalid(format!(
-                                "rename of missing {src_group}/{src_name}"
-                            )));
-                        }
-                        f.rename_dataset(
-                            &mut mpi, &mut h5t, *rank, src_group, src_name, dst_group, dst_name,
-                        );
-                    }
-                    H5Call::CloseFile => {
-                        f.close(&mut mpi, &mut h5t, ranks);
-                    }
-                    H5Call::CreateFile => unreachable!(),
-                }
-            }
+        replay.step(pfs, *rank, call)?;
+    }
+    replay.finish(pfs)
+}
+
+/// `h5replay`, resumable: the library-side state of a replay in
+/// progress — the open [`H5File`] and the names that exist — kept apart
+/// from the PFS it runs on, so a caller that forks the PFS clones this
+/// next to it and continues either copy ([`h5replay_with`] is the loop
+/// over one). Every call is traced into throw-away recorders: a golden
+/// state needs no causality graph.
+#[derive(Debug, Clone)]
+pub struct H5Replay {
+    path: String,
+    ranks: Vec<u32>,
+    spec: H5Spec,
+    file: Option<H5File>,
+    groups: BTreeSet<String>,
+    datasets: BTreeSet<String>,
+}
+
+impl H5Replay {
+    /// A replay that has executed nothing yet.
+    pub fn new(path: &str, ranks: &[u32], spec: H5Spec) -> H5Replay {
+        H5Replay {
+            path: path.to_string(),
+            ranks: ranks.to_vec(),
+            spec,
+            file: None,
+            groups: BTreeSet::new(),
+            datasets: BTreeSet::new(),
         }
     }
-    let view = pfs.client_view(pfs.live());
-    let bytes = view.read(path).ok_or(ReplayError::NoFile)?;
-    check(bytes).map_err(ReplayError::Check)
+
+    /// Execute one call on `pfs`. [`ReplayError::Invalid`] when its
+    /// prerequisite is missing: the sequence so far denotes no legal
+    /// state, and neither does any continuation of it.
+    pub fn step(&mut self, pfs: &mut dyn Pfs, rank: u32, call: &H5Call) -> Result<(), ReplayError> {
+        let (mut rec, mut ct, mut h5t) = (Recorder::new(), ClientTrace::new(), H5Trace::new());
+        let (mpi, h5t) = (&mut MpiIo::new(pfs, &mut rec, &mut ct), &mut h5t);
+        let (ranks, groups, datasets) = (&self.ranks, &mut self.groups, &mut self.datasets);
+        let invalid = |what: String| Err(ReplayError::Invalid(what));
+        if let H5Call::CreateFile = call {
+            if self.file.is_some() {
+                return invalid("file created twice".into());
+            }
+            self.file = Some(H5File::create(mpi, h5t, ranks, &self.path, self.spec));
+            groups.insert("/".into());
+            return Ok(());
+        }
+        let Some(f) = self.file.as_mut() else {
+            return invalid("no file".into());
+        };
+        match call {
+            H5Call::CreateFile => unreachable!(),
+            H5Call::CreateGroup { group } => {
+                if !groups.insert(group.clone()) {
+                    return invalid(format!("group {group} exists"));
+                }
+                f.create_group(mpi, h5t, rank, group);
+            }
+            H5Call::CreateDataset {
+                group,
+                name,
+                rows,
+                cols,
+            } => {
+                if !groups.contains(group) || !datasets.insert(format::dataset_key(group, name)) {
+                    return invalid(format!("cannot create {group}/{name}"));
+                }
+                f.create_dataset(mpi, h5t, rank, group, name, *rows, *cols);
+            }
+            H5Call::CreateDatasetParallel {
+                group,
+                name,
+                rows,
+                cols,
+                nranks,
+            } => {
+                if !groups.contains(group) || !datasets.insert(format::dataset_key(group, name)) {
+                    return invalid(format!("cannot create {group}/{name}"));
+                }
+                let use_ranks = &ranks[..ranks.len().min(*nranks as usize)];
+                f.create_dataset_parallel(mpi, h5t, use_ranks, group, name, *rows, *cols);
+            }
+            H5Call::ResizeDataset {
+                group,
+                name,
+                rows,
+                cols,
+            } => {
+                if !datasets.contains(&format::dataset_key(group, name)) {
+                    return invalid(format!("resize of missing {group}/{name}"));
+                }
+                f.resize_dataset(mpi, h5t, rank, group, name, *rows, *cols);
+            }
+            H5Call::ResizeDatasetParallel {
+                group,
+                name,
+                rows,
+                cols,
+                nranks,
+            } => {
+                if !datasets.contains(&format::dataset_key(group, name)) {
+                    return invalid(format!("resize of missing {group}/{name}"));
+                }
+                let use_ranks = &ranks[..ranks.len().min(*nranks as usize)];
+                f.resize_dataset_parallel(mpi, h5t, use_ranks, group, name, *rows, *cols);
+            }
+            H5Call::DeleteDataset { group, name } => {
+                if !datasets.remove(&format::dataset_key(group, name)) {
+                    return invalid(format!("delete of missing {group}/{name}"));
+                }
+                f.delete_dataset(mpi, h5t, rank, group, name);
+            }
+            H5Call::RenameDataset {
+                src_group,
+                src_name,
+                dst_group,
+                dst_name,
+            } => {
+                let src = format::dataset_key(src_group, src_name);
+                let dst = format::dataset_key(dst_group, dst_name);
+                if !datasets.remove(&src) || !groups.contains(dst_group) || !datasets.insert(dst) {
+                    return invalid(format!("rename of missing {src_group}/{src_name}"));
+                }
+                f.rename_dataset(mpi, h5t, rank, src_group, src_name, dst_group, dst_name);
+            }
+            H5Call::CloseFile => f.close(mpi, h5t, ranks),
+        }
+        Ok(())
+    }
+
+    /// The logical state of the file as `pfs` holds it now: mount the
+    /// live stores, read the file, `h5check` it.
+    pub fn finish(&self, pfs: &dyn Pfs) -> Result<H5Logical, ReplayError> {
+        let view = pfs.client_view(pfs.live());
+        let bytes = view.read(&self.path).ok_or(ReplayError::NoFile)?;
+        check(bytes).map_err(ReplayError::Check)
+    }
 }
 
 #[cfg(test)]
@@ -480,22 +491,119 @@ mod tests {
         assert!(logical.groups.contains_key("g2"));
     }
 
+    fn dataset(group: &str, name: &str) -> H5Call {
+        let (group, name) = (group.into(), name.into());
+        H5Call::CreateDataset {
+            group,
+            name,
+            rows: 20,
+            cols: 20,
+        }
+    }
+
+    /// One sequence per `ReplayError::Invalid` the replay can return.
+    fn invalid_sequences() -> Vec<Vec<(u32, H5Call)>> {
+        let (group, name) = (String::from("g1"), String::from("d1"));
+        let (rows, cols, nranks) = (40, 40, 2);
+        let resize = H5Call::ResizeDataset {
+            group: group.clone(),
+            name: name.clone(),
+            rows,
+            cols,
+        };
+        let after_preamble = |call: H5Call| {
+            let mut calls = preamble();
+            calls.push((0, call));
+            calls
+        };
+        vec![
+            vec![(0, resize.clone())],
+            after_preamble(H5Call::CreateFile),
+            after_preamble(H5Call::CreateGroup { group: "g2".into() }),
+            after_preamble(dataset("g1", "d1")),
+            after_preamble(dataset("g9", "d1")),
+            after_preamble(H5Call::CreateDatasetParallel {
+                group: "g9".into(),
+                name: name.clone(),
+                rows,
+                cols,
+                nranks,
+            }),
+            vec![(0, H5Call::CreateFile), (0, resize)],
+            after_preamble(H5Call::ResizeDatasetParallel {
+                group: group.clone(),
+                name: "d9".into(),
+                rows,
+                cols,
+                nranks,
+            }),
+            after_preamble(H5Call::DeleteDataset {
+                group: group.clone(),
+                name: "d9".into(),
+            }),
+            after_preamble(H5Call::RenameDataset {
+                src_group: group.clone(),
+                src_name: "d9".into(),
+                dst_group: group.clone(),
+                dst_name: "dx".into(),
+            }),
+            after_preamble(H5Call::RenameDataset {
+                src_group: group.clone(),
+                src_name: name,
+                dst_group: "g9".into(),
+                dst_name: "dx".into(),
+            }),
+        ]
+    }
+
     #[test]
     fn replay_rejects_invalid_subsets() {
-        let mut pfs = Ext4Direct::paper_default();
-        let calls = vec![(
-            0,
-            H5Call::ResizeDataset {
-                group: "g1".into(),
-                name: "d1".into(),
-                rows: 40,
-                cols: 40,
-            },
-        )];
-        assert!(matches!(
-            h5replay(&mut pfs, "/f.h5", &[0], &calls),
-            Err(ReplayError::Invalid(_))
-        ));
+        for calls in invalid_sequences() {
+            let mut pfs = Ext4Direct::paper_default();
+            assert!(
+                matches!(
+                    h5replay(&mut pfs, "/f.h5", &[0, 1], &calls),
+                    Err(ReplayError::Invalid(_))
+                ),
+                "{calls:?}"
+            );
+        }
+    }
+
+    /// `H5Replay` stepped call by call — forked before every call, the
+    /// fork carrying on while the origin stops — is `h5replay` of the
+    /// same sequence: the state after every prefix, and the error of
+    /// every invalid sequence at the call that raises it.
+    #[test]
+    fn stepped_and_forked_replay_equals_the_loop() {
+        let valid = {
+            let mut calls = preamble();
+            calls.push((0, dataset("g2", "d2")));
+            calls.push((0, H5Call::CloseFile));
+            calls
+        };
+        for calls in invalid_sequences().into_iter().chain([valid]) {
+            let mut pfs: Box<dyn Pfs> = Box::new(Ext4Direct::paper_default());
+            let mut replay = H5Replay::new("/f.h5", &[0, 1], H5Spec::default());
+            for (n, (rank, call)) in calls.iter().enumerate() {
+                let (stopped, stopped_pfs) = (replay.clone(), pfs.fork());
+                let stepped = replay.step(pfs.as_mut(), *rank, call);
+                let mut fresh = Ext4Direct::paper_default();
+                let looped = h5replay(&mut fresh, "/f.h5", &[0, 1], &calls[..=n]);
+                match stepped {
+                    Ok(()) => assert_eq!(replay.finish(pfs.as_ref()), looped, "{calls:?} @ {n}"),
+                    Err(e) => assert_eq!(Err(e), looped, "{calls:?} @ {n}"),
+                }
+                // The origin of the fork saw nothing of the step.
+                let mut fresh = Ext4Direct::paper_default();
+                let before = h5replay(&mut fresh, "/f.h5", &[0, 1], &calls[..n]);
+                assert_eq!(
+                    stopped.finish(stopped_pfs.as_ref()),
+                    before,
+                    "{calls:?} @ {n}"
+                );
+            }
+        }
     }
 
     #[test]

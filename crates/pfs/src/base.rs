@@ -10,8 +10,14 @@
 //! fs()/block() → mkfs() → seal()          constructor (untraced format)
 //! emit_fs()/emit_block()                   dispatch mutates `live` only
 //! seal()                                   end of preamble: baseline = live.fork()
-//! baseline().fork() + apply_events → recover → client_view   (checker)
+//! baseline().fork() + apply_events → recover → client_view   (crash states)
+//! clone() = Pfs::fork → dispatch → client_view(live)         (golden walk)
 //! ```
+//!
+//! The last line is how the checker gets legal states: it replays a
+//! preamble once on a factory-built instance and forks the *model* —
+//! this base, stores shared copy-on-write, plus the model's own
+//! bookkeeping — wherever two preserved sets diverge.
 
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
@@ -22,7 +28,10 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use tracer::{EventId, Layer, Payload, Process, Recorder};
 
-/// The state and plumbing embedded in every PFS model.
+/// The state and plumbing embedded in every PFS model. `Clone` is the
+/// fork: both store sets are copy-on-write, so a clone shares every
+/// node with its origin until one side dispatches.
+#[derive(Clone)]
 pub struct ModelBase {
     /// The cluster shape this instance runs on.
     pub topo: ClusterTopology,
@@ -363,15 +372,17 @@ pub fn stripe_segments(
 /// until the first gap. A never-written file reads as empty, a file
 /// whose chunks were lost reads short: what the application would see.
 pub fn read_striped(states: &ServerStates, chunk_of: impl Fn(u64) -> (u32, String)) -> Vec<u8> {
-    let mut content = Vec::new();
+    // Gather the chunks first: `concat` then sizes the content buffer
+    // once instead of doubling it across every stripe of the file.
+    let mut chunks: Vec<&[u8]> = Vec::new();
     for stripe in 0.. {
         let (server, path) = chunk_of(stripe);
         match states.server(server).as_fs().read(&path) {
-            Ok(data) => content.extend_from_slice(data),
+            Ok(data) => chunks.push(data),
             Err(_) => break,
         }
     }
-    content
+    chunks.concat()
 }
 
 #[cfg(test)]

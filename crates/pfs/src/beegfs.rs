@@ -59,6 +59,7 @@ struct FileInfo {
 }
 
 /// The BeeGFS model. See the module docs for the layout.
+#[derive(Clone)]
 pub struct BeeGfs {
     base: ModelBase,
     dirs: BTreeMap<String, DirInfo>,

@@ -97,27 +97,42 @@ impl PfsCall {
     }
 }
 
-/// The PFS-level trace of a test program run: which client issued which
-/// call, and the trace event id of the call. The consistency checker
-/// projects preserved sets out of this.
-#[derive(Debug, Clone, Default)]
-pub struct ClientTrace {
-    entries: Vec<(EventId, Process, PfsCall)>,
+/// The layer-level trace of a test program run: who issued which call
+/// (`W`: the client process, or the rank at the I/O-library layer), and
+/// the trace event id of the call. The consistency checker projects
+/// preserved sets out of this. Calls are recorded as they are issued,
+/// so entries are in ascending event-id order — what [`get`](Self::get)
+/// and [`subset`](Self::subset) search by.
+#[derive(Debug, Clone)]
+pub struct CallTrace<W, C> {
+    entries: Vec<(EventId, W, C)>,
 }
 
-impl ClientTrace {
+/// The PFS-level trace: client processes and their [`PfsCall`]s.
+pub type ClientTrace = CallTrace<Process, PfsCall>;
+
+impl<W, C> Default for CallTrace<W, C> {
+    fn default() -> Self {
+        CallTrace {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<W: Copy, C: Clone> CallTrace<W, C> {
     /// Empty trace.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Record one dispatched call.
-    pub fn push(&mut self, event: EventId, client: Process, call: PfsCall) {
-        self.entries.push((event, client, call));
+    /// Record one issued call (`event` is its trace event).
+    pub fn push(&mut self, event: EventId, who: W, call: C) {
+        debug_assert!(self.entries.last().is_none_or(|(last, _, _)| *last < event));
+        self.entries.push((event, who, call));
     }
 
-    /// All entries in dispatch order.
-    pub fn entries(&self) -> &[(EventId, Process, PfsCall)] {
+    /// All entries in issue order.
+    pub fn entries(&self) -> &[(EventId, W, C)] {
         &self.entries
     }
 
@@ -131,13 +146,31 @@ impl ClientTrace {
         self.entries.is_empty()
     }
 
-    /// The calls whose event ids are in `ids`, in dispatch order.
-    pub fn subset(&self, ids: &[EventId]) -> Vec<(Process, PfsCall)> {
-        self.entries
-            .iter()
-            .filter(|(e, _, _)| ids.contains(e))
-            .map(|(_, p, c)| (*p, c.clone()))
-            .collect()
+    /// The call recorded as event `id`, borrowed (a `Pwrite` keeps its
+    /// payload where it is).
+    pub fn get(&self, id: EventId) -> Option<(W, &C)> {
+        let at = self
+            .entries
+            .binary_search_by_key(&id, |(e, _, _)| *e)
+            .ok()?;
+        let (_, who, call) = &self.entries[at];
+        Some((*who, call))
+    }
+
+    /// The calls whose event ids are in `ids`, in issue order: one merge
+    /// over the two id-sorted sequences.
+    pub fn subset(&self, ids: &[EventId]) -> Vec<(W, C)> {
+        let mut ids = ids.to_vec();
+        ids.sort_unstable();
+        let mut ids = ids.into_iter().peekable();
+        let mut out = Vec::new();
+        for (e, who, call) in &self.entries {
+            while ids.next_if(|id| id < e).is_some() {}
+            if ids.peek() == Some(e) {
+                out.push((*who, call.clone()));
+            }
+        }
+        out
     }
 
     /// Event ids of all calls.
@@ -184,5 +217,9 @@ mod tests {
         assert_eq!(sub[0].1, PfsCall::Creat { path: "/a".into() });
         assert_eq!(sub[1].1, PfsCall::Unlink { path: "/a".into() });
         assert_eq!(t.event_ids(), vec![10, 20, 30]);
+        // Ids the trace never recorded, and repeated ones, select nothing more.
+        assert_eq!(t.subset(&[5, 20, 20, 25, 99]).len(), 1);
+        assert_eq!(t.get(20).unwrap().1, &PfsCall::Creat { path: "/b".into() });
+        assert!(t.get(25).is_none());
     }
 }

@@ -19,6 +19,7 @@ use simnet::ClusterTopology;
 use tracer::{EventId, Process, Recorder};
 
 /// A single local ext4 file system mounted directly.
+#[derive(Clone)]
 pub struct Ext4Direct {
     base: ModelBase,
 }

@@ -51,6 +51,7 @@ struct FileInfo {
 
 /// The GlusterFS striped-volume model. Bricks are the topology's
 /// (combined) servers, so a brick index is a server id.
+#[derive(Clone)]
 pub struct GlusterFs {
     base: ModelBase,
     files: BTreeMap<String, FileInfo>,

@@ -61,6 +61,7 @@ struct FileInfo {
 
 /// The GPFS model over raw block devices. NSD servers are the
 /// topology's (combined) servers, so a server index is a server id.
+#[derive(Clone)]
 pub struct Gpfs {
     base: ModelBase,
     files: BTreeMap<String, FileInfo>,

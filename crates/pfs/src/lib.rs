@@ -33,11 +33,12 @@
 //! legs through the fault plane, and the path / striping / attribute
 //! helpers. The [`Pfs`] trait provides `dispatch`, `topology`,
 //! `stripe_size`, `install_faults`, `seal_baseline`, `baseline` and
-//! `live` over it.
+//! `live` over it, and [`Fork`] provides `fork` for every `Clone` model.
 //!
 //! To add a model, embed a `ModelBase` (format the servers through
-//! `base.mkfs(..)`, end the constructor with `base.seal()`), return it
-//! from `base` / `base_mut`, and write five methods:
+//! `base.mkfs(..)`, end the constructor with `base.seal()`), derive
+//! `Clone`, return the base from `base` / `base_mut`, and write five
+//! methods:
 //!
 //! 1. `name` — the paper's name for the file system;
 //! 2. `handle` — each [`PfsCall`] as `base.request`, `base.emit_*`,
@@ -61,7 +62,7 @@ pub mod store;
 pub mod view;
 
 pub use base::ModelBase;
-pub use call::{ClientTrace, PfsCall};
+pub use call::{CallTrace, ClientTrace, PfsCall};
 pub use error::{PfsError, PfsResult};
 pub use placement::Placement;
 pub use store::{ServerStates, Store};
@@ -77,11 +78,15 @@ use tracer::{EventId, Layer, Payload, Process, Recorder};
 /// persistent store, updated as calls are dispatched — the state the
 /// running system sees — and the sealed *baseline* snapshot. Crash
 /// emulation never touches the live state: it replays subsets of the
-/// recorded lowermost operations onto forks of the baseline.
+/// recorded lowermost operations onto forks of the baseline. Legal
+/// states come from the other direction: subsets of the recorded
+/// *calls* dispatched onto forks of a whole instance.
 ///
 /// Models are `Send + Sync`: crash-state checking reads them from many
-/// threads (the stores are only mutated during dispatch).
-pub trait Pfs: Send + Sync {
+/// threads (the stores are only mutated during dispatch). They are also
+/// [`Fork`]: a model is its base plus a few `BTreeMap`s of runtime
+/// bookkeeping, all `Clone`, and that is all `fork` needs.
+pub trait Pfs: Fork + Send + Sync {
     /// Short name as used in the paper's tables ("BeeGFS", …).
     fn name(&self) -> &'static str;
 
@@ -169,6 +174,29 @@ pub trait Pfs: Send + Sync {
     }
 }
 
+/// [`Pfs::fork`](Fork::fork), provided for every `Clone` model — and so
+/// for a test double that wraps a `Box<dyn Pfs>` and derives `Clone`.
+pub trait Fork {
+    /// An independent instance in the same state: the stores are shared
+    /// copy-on-write (O(servers), no bytes copied), the bookkeeping is
+    /// cloned. Dispatching on either side never shows on the other —
+    /// the golden walk replays a preamble once and forks where preserved
+    /// sets diverge.
+    fn fork(&self) -> Box<dyn Pfs>;
+}
+
+impl<T: Pfs + Clone + 'static> Fork for T {
+    fn fork(&self) -> Box<dyn Pfs> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Pfs> {
+    fn clone(&self) -> Self {
+        (**self).fork()
+    }
+}
+
 /// Convenience: run the recovery tool and return the recovered view in
 /// one step, as the checking workflow of Figure 6 does.
 pub fn recover_and_mount(pfs: &dyn Pfs, states: &mut ServerStates) -> (RecoveryReport, PfsView) {
@@ -177,4 +205,60 @@ pub fn recover_and_mount(pfs: &dyn Pfs, states: &mut ServerStates) -> (RecoveryR
     let view = pfs.client_view(states);
     drop(mount);
     (report, view)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::base::testkit::{close, creat, drive, pwrite, rename};
+    use super::*;
+
+    fn models() -> Vec<Box<dyn Pfs>> {
+        vec![
+            Box::new(beegfs::BeeGfs::paper_default()),
+            Box::new(orangefs::OrangeFs::paper_default()),
+            Box::new(glusterfs::GlusterFs::paper_default()),
+            Box::new(gpfs::Gpfs::paper_default()),
+            Box::new(lustre::Lustre::paper_default()),
+            Box::new(ext4::Ext4Direct::paper_default()),
+        ]
+    }
+
+    /// The ARVR sequence, cut at every call: dispatching on a fork never
+    /// shows on its origin, and a fork that carries on from call `n` ends
+    /// where one uninterrupted replay on a fresh instance ends.
+    #[test]
+    fn fork_is_independent_and_continues_like_a_fresh_replay() {
+        let calls = [
+            creat("/file"),
+            pwrite("/file", 0, b"old"),
+            close("/file"),
+            creat("/tmp"),
+            pwrite("/tmp", 0, b"new"),
+            close("/tmp"),
+            rename("/tmp", "/file"),
+        ];
+        for (fresh, mut origin) in models().into_iter().zip(models()) {
+            let mut uninterrupted = fresh.fork();
+            drive(uninterrupted.as_mut(), &mut Recorder::new(), &calls);
+            let end = uninterrupted.client_view(uninterrupted.live());
+            for n in 0..calls.len() {
+                if n == 3 {
+                    origin.seal_baseline();
+                }
+                let digests = (origin.live().digest(), origin.baseline().digest());
+                let view = origin.client_view(origin.live());
+                let mut fork = origin.fork();
+                drive(fork.as_mut(), &mut Recorder::new(), &calls[n..]);
+                let name = origin.name();
+                assert_eq!(fork.client_view(fork.live()), end, "{name} @ {n}");
+                assert_eq!(
+                    (origin.live().digest(), origin.baseline().digest()),
+                    digests,
+                    "{name} @ {n}"
+                );
+                assert_eq!(origin.client_view(origin.live()), view, "{name} @ {n}");
+                drive(origin.as_mut(), &mut Recorder::new(), &calls[n..=n]);
+            }
+        }
+    }
 }

@@ -52,6 +52,7 @@ impl FileInfo {
 }
 
 /// The Lustre model.
+#[derive(Clone)]
 pub struct Lustre {
     base: ModelBase,
     files: BTreeMap<String, FileInfo>,

@@ -57,6 +57,7 @@ struct FileInfo {
 }
 
 /// The OrangeFS model.
+#[derive(Clone)]
 pub struct OrangeFs {
     base: ModelBase,
     dirs: BTreeMap<String, DirInfo>,

@@ -932,20 +932,33 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
     }
 
     // Derived: oracle work executed against work a shared answer saved —
-    // golden replays per distinct preserved set, classifier probes per
-    // distinct persisted set, recoveries per distinct pre-recovery image
-    // (crash states, classifier probes and explain probes together).
-    for (label, executed, shared) in [
-        ("golden replays", "replay.executed", &["replay.shared"][..]),
+    // golden replays per distinct preserved set (and what the walks that
+    // produced them dispatched), classifier probes per distinct persisted
+    // set, recoveries per distinct pre-recovery image (crash states,
+    // classifier probes and explain probes together).
+    let walked = format!(
+        " ({} calls dispatched, {} forks)",
+        get("replay.dispatched").unwrap_or(0),
+        get("replay.forks").unwrap_or(0),
+    );
+    for (label, executed, shared, cost) in [
+        (
+            "golden replays",
+            "replay.executed",
+            &["replay.shared"][..],
+            walked.as_str(),
+        ),
         (
             "classifier probes",
             "classify.probes",
             &["classify.probes_shared"],
+            "",
         ),
         (
             "recoveries",
             "recover.executed",
             &["recover.shared_set", "recover.shared_digest"],
+            "",
         ),
     ] {
         let executed = get(executed).unwrap_or(0);
@@ -953,7 +966,7 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
         if executed + shared > 0 {
             let _ = writeln!(
                 out,
-                "  {:<34} {executed:>8}  executed ({shared} more answered by a shared result)",
+                "  {:<34} {executed:>8}  executed ({shared} more answered by a shared result){cost}",
                 label,
             );
         }
@@ -1276,11 +1289,18 @@ mod tests {
             count("recover.executed", 5);
             count("recover.shared_set", 2);
             count("recover.shared_digest", 4);
+            count("replay.executed", 3);
+            count("replay.dispatched", 17);
             let text = render_summary(&m, "unit");
             let line = text.lines().find(|l| l.contains("recoveries")).unwrap();
             assert!(line.trim_start().starts_with("recoveries  "), "{line}");
             assert!(line.contains(" 5  executed"), "{line}");
-            assert!(line.contains("(6 more answered by a shared result)"));
+            assert!(line.ends_with("(6 more answered by a shared result)"));
+            let line = text.lines().find(|l| l.contains("golden replays")).unwrap();
+            assert!(
+                line.ends_with("result) (17 calls dispatched, 0 forks)"),
+                "{line}"
+            );
             // Nothing recovered in the window: no line.
             let text = render_summary(&mark(), "unit");
             assert!(!text.contains("recoveries"), "{text}");

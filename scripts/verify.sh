@@ -9,15 +9,15 @@
 #      (root suite plus every crate's unit tests), fully offline, so a
 #      cold, empty ~/.cargo/registry is sufficient.
 #   3. Hygiene — `cargo fmt --check`, a warning-free build, no PFS model
-#      re-defining `ModelBase` plumbing, and no second perf ledger: no
+#      re-defining `ModelBase` plumbing or `fork`, no second perf ledger: no
 #      `BENCH_*.json` at the root, no `PC_BENCH`-prefixed variable.
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` decide identically at PC_THREADS=1 and with the
-#      pool (the recovery memo's cells again in release, GPFS/H5-resize
-#      through the CLI across thread counts); the property suite runs
-#      again in release with a wider case sweep; `benchmark/run.sh
-#      --smoke` builds against `crates/*` and reproduces its pins
-#      (`benchmark/` is not a workspace member: no other gate compiles it).
+#      pool (the recovery memo's cells, the golden walk and the pfs fork
+#      again in release, GPFS/H5-resize through the CLI across thread
+#      counts); the property suite runs again in release with a wider
+#      case sweep; `benchmark/run.sh --smoke` builds against `crates/*`
+#      and reproduces its pins (no other gate compiles `benchmark/`).
 #   5. Observability — one PR-tier fuzz run with all three sinks
 #      attached (--events-out, --telemetry-out, --profile-out) still
 #      prints the pinned report, at the default pool and at
@@ -103,8 +103,9 @@ cargo test -q --offline --workspace
 echo "== gate 3: formatting + warning-free build =="
 cargo fmt --check
 RUSTFLAGS="-D warnings" cargo build --offline --workspace
-# The plumbing pfs::ModelBase owns must not grow back into a model file.
-grep -nE 'fn (emit|net|parent_of|name_of|seal_baseline|baseline|live|install_faults)\b' \
+# The plumbing pfs::ModelBase owns must not grow back into a model file,
+# nor a hand-written fork (`Clone` is the fork: pfs::Fork's blanket impl).
+grep -nE 'fn (emit|net|parent_of|name_of|seal_baseline|baseline|live|install_faults|fork)\b' \
     crates/pfs/src/{beegfs,orangefs,glusterfs,gpfs,lustre,ext4}.rs && { echo "FAIL: model redefines base plumbing"; exit 1; } || true
 # benchmark/ is the one perf ledger ([_]: this line must not match itself).
 { ls BENCH_*.json 2> /dev/null || grep -rn 'PC_BENCH[_]' crates scripts README.md; } && { echo "FAIL: second perf ledger"; exit 1; } || true
@@ -116,6 +117,9 @@ cargo test -q --offline --test differential
 # races the verdict tasks for a memo slot the way a debug build does not.
 PC_THREADS=1 cargo test -q --offline --release --test differential -- digest_shared torn_states
 cargo test -q --offline --release --test differential -- digest_shared torn_states
+# Likewise the golden walk's unit tests and the six models' fork.
+PC_THREADS=1 cargo test -q --offline --release -p paracrash -p pfs -- golden fork
+cargo test -q --offline --release -p paracrash -p pfs -- golden fork
 PC_PROPTEST_CASES=2048 cargo test -q --offline --release --test properties
 # The cell whose images collapse most, through the CLI: who fills a memo
 # slot first depends on the schedule, what the checker decides must not.

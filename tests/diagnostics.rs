@@ -9,6 +9,7 @@ use workloads::{FsKind, Params, Program};
 
 /// A PFS whose recovery tool is deliberately broken: everything
 /// delegates to the wrapped model except `recover`, which panics.
+#[derive(Clone)]
 struct PoisonedRecover(Box<dyn Pfs>);
 
 impl Pfs for PoisonedRecover {

@@ -755,3 +755,52 @@ fn digest_is_a_sound_recovery_key_on_gpfs() {
         workloads::FsKind::Gpfs,
     );
 }
+
+/// The golden walk is `replay_pfs`, set by set: for a random bound-3
+/// POSIX workload on a random file system and a random family of
+/// subsequences of its calls — duplicates and non-executable ones (a
+/// dropped `creat` under a later write) included — the table one walk
+/// fills holds, per set, what one full replay on a fresh instance
+/// returns, `None`s included. (No model rejects a bound-3 subsequence
+/// the namespace mirror admits; `golden::tests` covers that path and the
+/// panicking one with a faulty double.)
+#[test]
+fn golden_walk_equals_full_replays_on_random_families() {
+    use paracrash::stack::replay_pfs;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use workloads::{generated, FsKind, Params};
+    let workloads = generated::posix_sequences(3);
+    let params = Params::quick();
+    let (legal, illegal) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    run(
+        "golden_walk_equals_full_replays_on_random_families",
+        &Config::with_cases(128),
+        |rng, size| {
+            let workload = rng.gen_range(0..workloads.len() as u64) as usize;
+            let fs = rng.gen_range(0..FsKind::all().len() as u64) as usize;
+            let masks = gen_vec(rng, 1 + size.min(11), |r| r.next_u32() % 8);
+            (workload, fs, masks)
+        },
+        |(workload, fs, masks)| {
+            let fs = FsKind::all()[*fs];
+            let stack = workloads[*workload].run(fs, &params);
+            let factory = fs.factory(&params);
+            let ids = stack.calls.event_ids();
+            let sets: Vec<Vec<EventId>> = (masks.iter())
+                .map(|mask| {
+                    let kept = ids.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1);
+                    kept.map(|(_, &id)| id).collect()
+                })
+                .collect();
+            let walked = paracrash::golden::walk_pfs(&stack, &factory, &sets);
+            for (set, walked) in sets.iter().zip(walked) {
+                let replayed = replay_pfs(&factory, &stack.pre_calls, &stack.calls.subset(set));
+                let tally = if replayed.is_some() { &legal } else { &illegal };
+                tally.fetch_add(1, Relaxed);
+                prop_assert!(walked == Ok(replayed), "{fs:?} {set:?} of {ids:?}");
+            }
+            Ok(())
+        },
+    );
+    assert!(legal.load(Relaxed) > 0 && illegal.load(Relaxed) > 0);
+}

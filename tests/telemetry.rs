@@ -219,3 +219,37 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
         .unwrap();
     assert!(enumerate.depth > root.depth);
 }
+
+/// H5-resize at the split dims is one 80-call chain under the resize:
+/// its 81 PFS-layer preserved sets are the chain's prefixes (the 2
+/// library-layer ones: with and without the resize), so the two golden
+/// walks dispatch each layer's preamble once and one call per trie
+/// edge, fork nothing, and open one `check.legal_replay` span each —
+/// where 83 full replays dispatched 10 206 calls.
+#[test]
+fn golden_walk_counters_are_edge_counts() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let quick = Params::quick();
+    let params = quick.clone().with_dims(quick.split_dims());
+    let stack = Program::H5Resize.run(FsKind::Ext4, &params);
+    let factory = FsKind::Ext4.factory(&params);
+    let cfg = CheckConfig::paper_default();
+    let (summary, snap) = with_telemetry(|| {
+        let mark = pc_rt::obs::mark();
+        check_stack(&stack, &factory, &cfg);
+        pc_rt::obs::render_summary(&mark, "test")
+    });
+    assert_eq!(counter(&snap, "replay.executed"), 81 + 2);
+    let preambles = (stack.pre_calls.len() + stack.pre_h5.len()) as u64;
+    let dispatched = counter(&snap, "replay.dispatched");
+    assert_eq!(dispatched, preambles + 80 + 1);
+    assert_eq!(counter(&snap, "replay.forks"), 0);
+    let walks = (snap.spans.iter())
+        .filter(|s| s.name == "check.legal_replay")
+        .count();
+    assert_eq!(walks, 2);
+    let line = summary.lines().find(|l| l.contains("golden replays "));
+    let line = line.unwrap_or_else(|| panic!("no golden replays line in:\n{summary}"));
+    assert!(line.contains(" 83  executed ("), "{line}");
+    assert!(line.ends_with(&format!("({dispatched} calls dispatched, 0 forks)")));
+}
