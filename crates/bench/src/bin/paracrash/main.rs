@@ -11,16 +11,14 @@
 //! paracrash --fs BeeGFS --program ARVR [--config paracrash.conf] [--paper]
 //! paracrash --fs all --program all          # the full evaluation matrix
 //! paracrash --fs GPFS --program WAL --dump-trace wal.trace
-//! paracrash --fs BeeGFS --program ARVR --telemetry-out trace.json \
-//!           --telemetry-format chrome      # Perfetto-loadable timeline
+//! paracrash --fs BeeGFS --program ARVR --telemetry-out trace.json  # Perfetto-loadable
 //! paracrash --fs BeeGFS --program ARVR --explain-out reports/
 //! ```
 //!
 //! `--telemetry-out` enables the `pc_rt::obs` layer for the run and
-//! writes the collected spans/counters to the given path on exit —
-//! plain structured JSON by default, Chrome trace-event format with
-//! `--telemetry-format chrome`. `PC_TRACE=summary` additionally prints
-//! a per-check stage table to stderr.
+//! writes the collected spans/counters to the given path on exit in
+//! Chrome trace-event format. `PC_TRACE=summary` additionally prints a
+//! per-check stage table to stderr.
 //!
 //! `--explain-out DIR` turns on the provenance engine and writes one
 //! self-contained bundle per bug into `DIR`: a Markdown report, a
@@ -42,10 +40,10 @@
 //! timing go to stderr.
 //!
 //! Live observability: `--events-out FILE` attaches the
-//! `pc_rt::obs::stream` flight recorder's JSON-lines sink
-//! — structured events (cells, findings, spans, counters, periodic
-//! campaign snapshots) stream to `FILE` while the run is still going,
-//! and a panic flushes the ring so a wedged run stays diagnosable.
+//! `pc_rt::obs::stream` JSON-lines sink — structured events (cells,
+//! findings, periodic campaign snapshots) stream to `FILE` while the run
+//! is still going, flushed per cell, and a panic stamps a marker so a
+//! wedged run stays diagnosable.
 //! `PC_PROGRESS=1` adds a throughput/ETA meter on stderr. Afterwards,
 //! the `report` subcommand folds the artifacts into one self-contained
 //! HTML dashboard (inline SVG, no scripts, no network):
@@ -66,17 +64,15 @@
 //! paracrash selftest <plane> [args]          # the verify gates' helpers
 //! ```
 //!
-//! Self-profiling: `--profile-out FILE` arms the cooperative sampling
-//! profiler — worker threads publish their span stacks through a seqlock
-//! shadow, a sampler thread folds them at `PC_PROF_HZ` — and writes an
-//! inferno-compatible `.folded` aggregate on exit; `report --profile
-//! FILE` renders it as a no-script SVG flame view. The four
-//! observability flags (`--telemetry-out`, `--telemetry-format`,
-//! `--events-out`, `--profile-out`) mean the same on a single check and
-//! on a sweep.
+//! Self-profiling: `--profile-out FILE` switches span collection on and
+//! writes the registry's exact self time per span stack as an
+//! inferno-compatible `.folded` file on exit (weights are nanoseconds);
+//! `report --profile FILE` renders it as a no-script SVG flame view. The
+//! three observability flags (`--telemetry-out`, `--events-out`,
+//! `--profile-out`) mean the same on a single check and on a sweep.
 
 use paracrash::dashboard::render_dashboard;
-use paracrash::telemetry::{chrome_trace, telemetry_json};
+use paracrash::telemetry::chrome_trace;
 use paracrash::CheckConfig;
 use pc_bench::campaign::{parse_modes, run_campaign, CampaignOptions, FuzzOptions};
 use pc_bench::{render_bug, run_program_swept, sanitize};
@@ -128,22 +124,20 @@ fn write_out(path: &str, text: String) {
 }
 
 /// The observability outputs that are written when the run ends (the
-/// stream sink and the sampler are process-global and start at once).
+/// stream sink is process-global and starts at once).
 #[derive(Default)]
 struct ObsOpts {
     /// `--telemetry-out`: write the registry snapshot here.
     telemetry_out: Option<String>,
-    /// `--telemetry-format chrome` (default: plain JSON).
-    chrome: bool,
     /// `--profile-out`: write the `.folded` profile here.
     profile_out: Option<String>,
 }
 
-/// Parse one observability flag — the same four on a single check and
+/// Parse one observability flag — the same three on a single check and
 /// on a sweep; returns `false` when `a` is not one of them. Every path
 /// goes through [`prepare_out`], so an unwritable target fails at launch
 /// with exit 2 instead of hours in; `--events-out` attaches the stream
-/// sink and `--profile-out` arms the sampler immediately.
+/// sink immediately.
 fn parse_obs_flag(obs: &mut ObsOpts, a: &str, value: &mut dyn FnMut(&str) -> String) -> bool {
     match a {
         "--events-out" => {
@@ -152,22 +146,12 @@ fn parse_obs_flag(obs: &mut ObsOpts, a: &str, value: &mut dyn FnMut(&str) -> Str
                 .unwrap_or_else(|e| die(format_args!("cannot open {path}: {e}")));
         }
         "--profile-out" => {
+            pc_rt::obs::set_enabled(true);
             obs.profile_out = Some(prepare_out(OutTarget::File, a, value(a)));
-            prof::arm_profile();
         }
         "--telemetry-out" => {
             pc_rt::obs::set_enabled(true);
             obs.telemetry_out = Some(prepare_out(OutTarget::File, a, value(a)));
-        }
-        "--telemetry-format" => {
-            obs.chrome = match value(a).as_str() {
-                "json" => false,
-                "chrome" => true,
-                other => {
-                    pc_rt::pc_error!("unknown telemetry format: {other}");
-                    usage();
-                }
-            }
         }
         _ => return false,
     }
@@ -178,24 +162,21 @@ fn parse_obs_flag(obs: &mut ObsOpts, a: &str, value: &mut dyn FnMut(&str) -> Str
 /// the `--telemetry-out` snapshot.
 fn finish_obs(obs: &ObsOpts) {
     pc_rt::obs::stream::close();
+    if obs.profile_out.is_none() && obs.telemetry_out.is_none() {
+        return;
+    }
+    let snap = pc_rt::obs::snapshot();
     if let Some(path) = &obs.profile_out {
-        prof::disable_sampling();
-        write_out(path, prof::render_folded());
+        write_out(path, prof::render_folded(&snap));
         pc_rt::pc_info!(
-            "profile written to {path} ({} samples)",
-            prof::samples_total()
+            "profile written to {path} ({} stacks)",
+            snap.self_times.len()
         );
     }
     if let Some(path) = &obs.telemetry_out {
-        let snap = pc_rt::obs::snapshot();
-        let (format, json) = if obs.chrome {
-            ("chrome", chrome_trace(&snap))
-        } else {
-            ("json", telemetry_json(&snap))
-        };
-        write_out(path, json.pretty() + "\n");
+        write_out(path, chrome_trace(&snap).pretty() + "\n");
         pc_rt::pc_info!(
-            "telemetry ({format}) written to {path}: {} spans, {} counters",
+            "telemetry written to {path}: {} spans, {} counters",
             snap.spans.len(),
             snap.counters.len()
         );
@@ -212,14 +193,13 @@ fn usage() -> ! {
          \x20                --program <ARVR|CR|RC|WAL|H5-create|...|all>\n\
          \x20                [--config <file>] [--dump-trace <file>] [--paper]\n\
          \x20                [--faults <spec>|chaos] [--fail-fast]\n\
-         \x20                [--telemetry-out <file>] [--telemetry-format <json|chrome>]\n\
-         \x20                [--explain-out <dir>] [--events-out <file>]\n\
-         \x20                [--profile-out <file>]\n\
+         \x20                [--telemetry-out <file>] [--explain-out <dir>]\n\
+         \x20                [--events-out <file>] [--profile-out <file>]\n\
          \x20      paracrash fuzz|campaign [--bound <n>] [--seed <n>] [--sample <n>]\n\
          \x20                [--fs <list|all>] [--modes <data,ordered,writeback,none|all>]\n\
          \x20                [--findings-out <dir>] [--paper]\n\
-         \x20                [--telemetry-out <file>] [--telemetry-format <json|chrome>]\n\
-         \x20                [--events-out <file>] [--profile-out <file>]\n\
+         \x20                [--telemetry-out <file>] [--events-out <file>]\n\
+         \x20                [--profile-out <file>]\n\
          \x20                [--cell-timeout <secs>] [--max-retries <n>]\n\
          \x20                [--state-dir <dir>] [--resume]\n\
          \x20      paracrash report --events <file> [--telemetry <file>]\n\
@@ -241,13 +221,13 @@ fn usage() -> ! {
          `prof <file.folded>`, `durable [<seed>] [<cases>]`. `selftest scale`\n\
          takes no argument: it times the batched engine against the per-state\n\
          loop and the 64- against the 256-server check, in process.\n\n\
-         `--events-out` streams flight-recorder events (cells, findings,\n\
-         spans, campaign snapshots) as JSON lines while the run is live;\n\
-         `report` renders them (plus optional telemetry JSON and a\n\
-         `--profile` .folded aggregate as an SVG flame view) into one\n\
-         self-contained HTML dashboard.\n\n\
-         `--profile-out` arms the cooperative sampling profiler and writes\n\
-         a flamegraph-compatible .folded stack aggregate on exit.\n\n\
+         `--events-out` streams events (cells, findings, campaign\n\
+         snapshots) as JSON lines while the run is live; `report` renders\n\
+         them (plus an optional --telemetry-out file and a `--profile`\n\
+         .folded file as an SVG flame view) into one self-contained HTML\n\
+         dashboard.\n\n\
+         `--profile-out` writes the exact self time of every span stack as\n\
+         a flamegraph-compatible .folded file on exit (weights in ns).\n\n\
          `--faults` takes a comma-separated spec (seed=N,drop=R,dup=R,delay=R,\n\
          retries=N,partition=S[:H],torn=BOOL) or the word `chaos`.\n\n\
          Environment:\n{}\n\
@@ -436,8 +416,13 @@ fn run_report(args: &[String]) -> ! {
         Json::parse(&read(p)).unwrap_or_else(|e| die(format_args!("bad telemetry {p}: {e}")))
     });
     let profile_text = profile_path.as_deref().map(read);
+    // An artifact that is not what this tool writes is a failed run
+    // (exit 1), not a usage error.
     let html = render_dashboard(&events_text, telemetry.as_ref(), profile_text.as_deref())
-        .unwrap_or_else(|e| die(format_args!("bad report input ({events_path}): {e}")));
+        .unwrap_or_else(|e| {
+            pc_rt::pc_error!("bad report input ({events_path}): {e}");
+            std::process::exit(1);
+        });
     std::fs::write(&out_path, &html)
         .unwrap_or_else(|e| die(format_args!("cannot write {out_path}: {e}")));
     println!(

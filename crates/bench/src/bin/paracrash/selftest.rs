@@ -22,7 +22,7 @@
 
 use super::figures::fig11_params;
 use super::overhead::{self, Fixture};
-use paracrash::telemetry::{canonical_event_lines, parse_event_stream};
+use paracrash::telemetry::{canonical_event_lines, parse_event_stream, trace_spans};
 use paracrash::{check_stack, prepare_states};
 use pc_rt::durable::{RecordLog, MAGIC, RECORD_HEADER};
 use pc_rt::json::Json;
@@ -86,85 +86,80 @@ fn require(obj: &Json, keys: &[&str], what: impl Display) {
 
 // --- telemetry: `--telemetry-out` files -------------------------------------
 
-/// Chrome trace-event files (`--telemetry-format chrome`) are checked
-/// for the Perfetto-required event fields and a nondecreasing `ts`
-/// order; plain files for the `spans`/`counters`/`ops` document keys.
-/// Both dialects must carry a `schema_version` this tool understands —
-/// an unknown or missing version fails, so downstream consumers can
-/// trust that a passing file matches the documented shape.
+/// A Chrome trace-event file is checked for the `schema_version` this
+/// tool understands (an unknown or missing one fails, so downstream
+/// consumers can trust that a passing file matches the documented
+/// shape), the Perfetto-required event fields, a nondecreasing `ts`
+/// order, and the `otherData` members `paracrash report` reads.
 fn check_telemetry(path: &str) {
     let doc = read_json(path);
-    match doc.get("schema_version").and_then(Json::as_int) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => fail(format_args!(
-            "unknown schema_version {v} (this tool understands {SCHEMA_VERSION})"
-        )),
-        None => fail("missing schema_version"),
+    if let Err(e) = trace_spans(&doc) {
+        fail(format_args!("{path}: {e}"));
     }
-    if doc.get("traceEvents").is_some() {
-        let events = arr(&doc, "traceEvents", path);
-        if events.is_empty() {
-            fail("traceEvents is empty — no spans were recorded");
-        }
-        let mut prev_ts = 0u64;
-        for (idx, ev) in events.iter().enumerate() {
-            let what = format!("traceEvents[{idx}]");
-            if ev
-                .get("name")
-                .and_then(Json::as_str)
-                .is_none_or(str::is_empty)
-            {
-                fail(format_args!("{what} has no name"));
-            }
-            if ev.get("ph").and_then(Json::as_str) != Some("X") {
-                fail(format_args!("{what} is not a complete (ph=X) event"));
-            }
-            for key in ["pid", "tid", "dur"] {
-                int(ev, key, &what);
-            }
-            let ts = int(ev, "ts", &what);
-            if ts < prev_ts {
-                fail(format_args!(
-                    "{what} ts {ts} goes backwards (prev {prev_ts})"
-                ));
-            }
-            prev_ts = ts;
-        }
-        require(&doc, &["otherData"], path);
-        println!(
-            "selftest telemetry: OK — {path}: chrome trace, {} events, ts monotonic",
-            events.len()
-        );
-    } else {
-        // Plain `paracrash::telemetry::telemetry_json` format.
-        let spans = arr(&doc, "spans", path);
-        require(
-            &doc,
-            &["counters", "gauges", "histograms", "dropped_spans", "ops"],
-            path,
-        );
-        for (idx, span) in spans.iter().enumerate() {
-            require(
-                span,
-                &["name", "cat", "tid", "depth", "start_ns", "dur_ns"],
-                format_args!("spans[{idx}]"),
-            );
-        }
-        println!(
-            "selftest telemetry: OK — {path}: plain telemetry, {} spans",
-            spans.len()
-        );
+    let events = arr(&doc, "traceEvents", path);
+    if events.is_empty() {
+        fail("traceEvents is empty — no spans were recorded");
     }
+    let mut prev_ts = 0u64;
+    for (idx, ev) in events.iter().enumerate() {
+        let what = format!("traceEvents[{idx}]");
+        if ev
+            .get("name")
+            .and_then(Json::as_str)
+            .is_none_or(str::is_empty)
+        {
+            fail(format_args!("{what} has no name"));
+        }
+        if ev.get("ph").and_then(Json::as_str) != Some("X") {
+            fail(format_args!("{what} is not a complete (ph=X) event"));
+        }
+        for key in ["pid", "tid", "dur"] {
+            int(ev, key, &what);
+        }
+        int(ev.get("args").unwrap_or(&Json::Null), "dur_ns", &what);
+        let ts = int(ev, "ts", &what);
+        if ts < prev_ts {
+            fail(format_args!(
+                "{what} ts {ts} goes backwards (prev {prev_ts})"
+            ));
+        }
+        prev_ts = ts;
+    }
+    let other = doc.get("otherData").unwrap_or(&Json::Null);
+    require(
+        other,
+        &[
+            "counters",
+            "gauges",
+            "histograms",
+            "dropped_spans",
+            "ops",
+            "alloc",
+        ],
+        format_args!("{path}: otherData"),
+    );
+    println!(
+        "selftest telemetry: OK — {path}: chrome trace, {} events, ts monotonic",
+        events.len()
+    );
 }
 
 // --- events: `--events-out` streams and rendered dashboards -----------------
 
 fn check_events(path: &str) {
-    let events = parse_event_stream(&read(path))
-        .unwrap_or_else(|e| fail(format_args!("{path}: {e}")))
-        .events;
+    let stream =
+        parse_event_stream(&read(path)).unwrap_or_else(|e| fail(format_args!("{path}: {e}")));
+    let events = stream.events;
     if events.is_empty() {
         fail(format_args!("{path}: stream carries no events"));
+    }
+    // Nothing buffers, so a closed stream holds every event it counted.
+    if stream.published.is_some_and(|n| n != events.len() as u64) {
+        fail(format_args!(
+            "{path}: trailer counts {:?} events, the file holds {}",
+            stream.published,
+            events.len()
+        ));
     }
     let cells = events
         .iter()
@@ -181,7 +176,7 @@ fn check_events(path: &str) {
 /// (`paracrash::telemetry::canonical_event_lines`) of two streams — the
 /// check the determinism contract rests on: a sequential and a parallel
 /// run of the same sweep must project identically even though their
-/// timestamps, span events and interleavings differ.
+/// timestamps and sequence numbers differ.
 fn check_canonical_diff(a_path: &str, b_path: &str) {
     let project = |path: &str| {
         canonical_event_lines(&read(path)).unwrap_or_else(|e| fail(format_args!("{path}: {e}")))
@@ -215,7 +210,6 @@ const REQUIRED_METRICS: &[&str] = &[
     "behaviors",
     "saturation",
     "throughput",
-    "dropped",
     "coverage-curve",
     "stage-breakdown",
     "heatmap",
@@ -406,9 +400,9 @@ fn check_explain(dir: &str, min_bundles: usize) {
 // --- prof: `.folded` profiles -----------------------------------------------
 
 /// Re-parse an emitted profile with the parser the dashboard flame view
-/// uses and assert the canonical shape: at least one stack, every count
-/// positive, lines unique and sorted (the deterministic render order CI
-/// can diff).
+/// uses and assert the canonical shape: at least one stack, every
+/// weight positive, lines unique and sorted (the deterministic render
+/// order CI can diff).
 fn check_folded(path: &str) {
     let text = read(path);
     let rows = prof::parse_folded(&text)
@@ -436,7 +430,7 @@ fn check_folded(path: &str) {
         ));
     }
     println!(
-        "selftest prof: OK — {path}: {} stacks, {total} samples, canonical order",
+        "selftest prof: OK — {path}: {} stacks, {total} ns self time, canonical order",
         rows.len()
     );
 }

@@ -63,10 +63,12 @@
 //!
 //! Robustness counters (`campaign.resumed_cells`, `campaign.retries`,
 //! `campaign.quarantined`) flow through [`pc_rt::obs::count`] into the
-//! telemetry registry, the event stream, and the `paracrash report`
-//! dashboard; they are deliberately *not* part of the canonical report,
-//! which must stay byte-identical between a clean run and a
-//! crash-and-resume run.
+//! telemetry registry, and their running totals ride the periodic
+//! `snapshot` event (`resumed= retries= quarantined=`) into the
+//! `paracrash report` dashboard; they are deliberately *not* part of
+//! the canonical report — nor of the `cell` events, which the stream's
+//! canonical projection keeps — which must stay byte-identical between
+//! a clean run and a crash-and-resume run (retries depend on timing).
 //!
 //! Self-crash-testing: arm `PC_DURABLE_CRASH=at=N[,tear=K][,mode=..]`
 //! (see [`pc_rt::durable`]) to kill the campaign at its N-th durability
@@ -796,15 +798,19 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
                     done as u64,
                     &format!(
                         "cells={done}/{total_cells} behaviors={} findings={} \
-                         rep_states={} saturation_pct={:.0}",
+                         rep_states={} saturation_pct={:.0} resumed={} retries={} \
+                         quarantined={}",
                         corpus.behavior_count(),
                         corpus.finding_count(),
                         corpus.rep_state_count(),
                         corpus.saturation() * 100.0,
+                        report.resumed_cells,
+                        report.retries,
+                        report.quarantined,
                     ),
                 );
             }
-            // Per-cell drain: a killed or wedged sweep still leaves
+            // Per-cell flush: a killed or wedged sweep still leaves
             // everything up to its last finished cell.
             stream::flush();
         }

@@ -114,7 +114,7 @@ fn fig9_matches_the_committed_traces() {
 
 /// Each file validator accepts the artifact the tool writes and rejects
 /// the same artifact cut in half with exit 1 (a verdict, not a usage
-/// error or a panic).
+/// error or a panic); so does `report` with a foreign `--telemetry`.
 #[test]
 fn file_validators_reject_truncated_artifacts() {
     let dir = scratch("artifacts");
@@ -139,13 +139,12 @@ fn file_validators_reject_truncated_artifacts() {
         "ARVR",
         "--telemetry-out",
         &path("telemetry.json"),
+        "--profile-out",
+        &path("run.folded"),
         "--explain-out",
         &path("explain"),
     ]);
     assert_eq!(cell.status.code(), Some(1), "{cell:?}");
-    // A `.folded` profile is whatever the sampler caught; a run this
-    // short may catch nothing, so the accepted artifact is written here.
-    std::fs::write(path("run.folded"), "cli.run;check.verdicts 3\n").unwrap();
 
     // Cut near the middle, but never at a line boundary: a file that
     // ends after a whole line is a shorter valid artifact, not a torn one.
@@ -189,6 +188,37 @@ fn file_validators_reject_truncated_artifacts() {
     halve(bundle.to_str().unwrap(), bundle.to_str().unwrap());
     let bad = paracrash(&["selftest", "explain", &explain, "1"]);
     assert_eq!(bad.status.code(), Some(1), "{bad:?}");
+
+    // `report` renders the three artifacts, and turns away a
+    // `--telemetry` file that is not a trace-event file with exit 1
+    // instead of rendering empty stage and allocation panels.
+    let report = |telemetry: &str| {
+        paracrash(&[
+            "report",
+            "--events",
+            &path("events.jsonl"),
+            "--telemetry",
+            telemetry,
+            "--profile",
+            &path("run.folded"),
+            "--out",
+            &path("report.html"),
+        ])
+    };
+    let ok = report(&path("telemetry.json"));
+    assert!(ok.status.success(), "{ok:?}");
+    let html = std::fs::read_to_string(path("report.html")).unwrap();
+    for metric in ["stage-breakdown", "flame-table", "alloc-table"] {
+        assert!(
+            html.contains(&format!("data-metric=\"{metric}\"")),
+            "{metric}"
+        );
+    }
+    std::fs::write(path("plain.json"), "{\"schema_version\":2,\"spans\":[]}\n").unwrap();
+    let bad = report(&path("plain.json"));
+    assert_eq!(bad.status.code(), Some(1), "{bad:?}");
+    let err = String::from_utf8_lossy(&bad.stderr);
+    assert!(err.contains("no traceEvents"), "{err}");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

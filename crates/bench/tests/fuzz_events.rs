@@ -1,13 +1,15 @@
-//! Campaign-level event-stream tests: enabling the flight recorder must
-//! not perturb the deterministic fold, and the stream's canonical
-//! projection must itself be deterministic.
+//! Campaign-level event-stream tests: enabling the stream must not
+//! perturb the deterministic fold, the stream's canonical projection
+//! must itself be deterministic, and the file holds the drivers' events
+//! and nothing else.
 //!
 //! These live in `pc-bench` (not the root test package) because they
-//! drive [`run_campaign`]; the recorder is process-global, so the
-//! tests serialize on a lock and restore the disabled default.
+//! drive [`run_campaign`]; the stream is process-global, so the tests
+//! serialize on a lock and restore the disabled default.
 
+use paracrash::dashboard::render_dashboard;
 use paracrash::telemetry::{canonical_event_lines, parse_event_stream};
-use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
+use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions, SNAPSHOT_EVERY};
 use pc_rt::json::Json;
 use pc_rt::obs::stream;
 use std::sync::Mutex;
@@ -28,7 +30,6 @@ fn small_opts() -> CampaignOptions {
 /// canonical report and the sink file's text.
 fn run_streamed(path: &std::path::Path) -> (String, String) {
     let path_str = path.to_str().unwrap();
-    stream::set_capacity(4096);
     stream::set_sink(path_str).expect("sink opens");
     let report = run_campaign(&small_opts())
         .expect("campaign runs")
@@ -57,7 +58,7 @@ fn streamed_campaign_reports_identically_and_projects_deterministically() {
     let (report_a, stream_a) = run_streamed(&dir.join("pc-fuzz-events-a.jsonl"));
     let (report_b, stream_b) = run_streamed(&dir.join("pc-fuzz-events-b.jsonl"));
 
-    // The recorder observes the fold; it must never change it.
+    // The stream observes the fold; it must never change it.
     assert_eq!(plain, report_a, "events sink must not perturb the report");
     assert_eq!(report_a, report_b);
 
@@ -72,35 +73,90 @@ fn streamed_campaign_reports_identically_and_projects_deterministically() {
     );
 }
 
+/// The events of `kind` in a parsed stream.
+fn of_kind<'a>(events: &'a [Json], kind: &str) -> Vec<&'a Json> {
+    let is_kind = |e: &&Json| e.get("kind").and_then(Json::as_str) == Some(kind);
+    events.iter().filter(is_kind).collect()
+}
+
 #[test]
 fn stream_carries_one_cell_event_per_campaign_cell() {
     let _guard = TEST_LOCK.lock().unwrap();
     let dir = std::env::temp_dir();
-    let (_, text) = run_streamed(&dir.join("pc-fuzz-events-cells.jsonl"));
-    let events = parse_event_stream(&text).expect("stream re-parses").events;
+    let (report, text) = run_streamed(&dir.join("pc-fuzz-events-cells.jsonl"));
+    let stream = parse_event_stream(&text).expect("stream re-parses");
+    let events = &stream.events;
     let opts = small_opts().fuzz;
     let expected_cells = 8 * opts.file_systems.len() * opts.modes.len();
-    let cells = events
-        .iter()
-        .filter(|e| e.get("kind").and_then(Json::as_str) == Some("cell"))
-        .count();
-    assert_eq!(cells, expected_cells, "one cell event per campaign cell");
+    let cells = of_kind(events, "cell");
+    assert_eq!(
+        cells.len(),
+        expected_cells,
+        "one cell event per campaign cell"
+    );
     // Every cell event carries a nonzero causal trace id, and ids are
     // distinct across cells (one flow per check).
-    let mut ids: Vec<u64> = events
+    let mut ids: Vec<u64> = cells
         .iter()
-        .filter(|e| e.get("kind").and_then(Json::as_str) == Some("cell"))
         .map(|e| e.get("trace_id").and_then(Json::as_int).unwrap())
         .collect();
     assert!(ids.iter().all(|&id| id > 0), "cells must be trace-tagged");
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), expected_cells, "trace ids are per-cell unique");
-    // The driver stamped at least one Good–Turing snapshot.
+    // One finding event per finding of the report, one snapshot per
+    // `SNAPSHOT_EVERY` cells plus the closing one — and nothing else:
+    // no span, no counter, no per-check line.
+    let findings = report.lines().find_map(|l| {
+        let (_, rest) = l.split_once("findings=")?;
+        rest.split_whitespace().next()?.parse::<usize>().ok()
+    });
+    assert_eq!(Some(of_kind(events, "finding").len()), findings, "{report}");
+    let snapshots = expected_cells.div_ceil(SNAPSHOT_EVERY);
+    assert_eq!(of_kind(events, "snapshot").len(), snapshots);
+    assert_eq!(
+        events.len(),
+        expected_cells + findings.unwrap() + snapshots,
+        "a kind other than cell/finding/snapshot is in the stream"
+    );
+    assert_eq!(stream.published, Some(events.len() as u64));
+}
+
+/// One injected transient panic: the retry shows in the last snapshot's
+/// running totals and in the dashboard's robustness tiles, and nowhere
+/// in the canonical projection (retries depend on timing).
+#[test]
+fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let dir = std::env::temp_dir();
+    let (_, clean) = run_streamed(&dir.join("pc-fuzz-events-clean.jsonl"));
+    let events = parse_event_stream(&clean).unwrap().events;
+    let victim = of_kind(&events, "cell")[0]
+        .get("name")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    let clean_html = render_dashboard(&clean, None, None).unwrap();
+    assert!(!clean_html.contains("campaign-robustness"));
+
+    std::env::set_var(pc_rt::env::CAMPAIGN_POISON, format!("{victim}:panic-once"));
+    let (_, retried) = run_streamed(&dir.join("pc-fuzz-events-retried.jsonl"));
+    std::env::remove_var(pc_rt::env::CAMPAIGN_POISON);
+
+    let events = parse_event_stream(&retried).unwrap().events;
+    let last = of_kind(&events, "snapshot")
+        .pop()
+        .expect("a closing snapshot");
+    let detail = last.get("detail").and_then(Json::as_str).unwrap();
     assert!(
-        events
-            .iter()
-            .any(|e| e.get("kind").and_then(Json::as_str) == Some("snapshot")),
-        "campaign end emits a saturation snapshot"
+        detail.ends_with("resumed=0 retries=1 quarantined=0"),
+        "{detail}"
+    );
+    let html = render_dashboard(&retried, None, None).unwrap();
+    assert!(html.contains("data-metric=\"retries\"><div class=\"tile-value\">1<"));
+    assert!(html.contains("data-metric=\"quarantined\"><div class=\"tile-value\">0<"));
+    assert_eq!(
+        canonical_event_lines(&clean).unwrap(),
+        canonical_event_lines(&retried).unwrap()
     );
 }

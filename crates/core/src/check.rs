@@ -930,8 +930,7 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
     out
 }
 
-/// Counters, the stream snapshot event and the `PC_TRACE=summary` table
-/// for one finished check.
+/// Counters and the `PC_TRACE=summary` table for one finished check.
 fn publish(
     out: &CheckOutcome,
     v: &Verdicts,
@@ -952,20 +951,6 @@ fn publish(
     pc_rt::obs::count("check.states_checked", stats.states_checked as u64);
     pc_rt::obs::count("check.states_pruned", stats.states_pruned as u64);
     drop(check_span);
-    if pc_rt::obs::stream::enabled() {
-        pc_rt::obs::stream::emit(
-            pc_rt::obs::stream::EventKind::Snapshot,
-            "check_stack",
-            stats.states_checked as u64,
-            &format!(
-                "pfs={} states={} inconsistent={} bugs={}",
-                out.pfs_name,
-                stats.states_checked,
-                out.raw_inconsistent_states,
-                out.bugs.len(),
-            ),
-        );
-    }
     if pc_rt::obs::summary_enabled() {
         eprintln!(
             "{}",

@@ -12,25 +12,22 @@
 //! Sections, in reading order:
 //!
 //! * **stat tiles** — cells checked, distinct findings, behavior
-//!   classes, coverage saturation, throughput, and how many events the
-//!   bounded ring dropped before they reached the stream;
+//!   classes, coverage saturation, throughput;
 //! * **coverage curve** — behavior classes and findings discovered as a
 //!   function of cells checked (the "is discovery still growing?"
 //!   picture both Pathfinder-style dedup and B3-style bounded fuzzing
 //!   steer by), with a plain-table fallback view;
 //! * **stage-time breakdown** — total wall time per telemetry span
-//!   name, from the snapshot when given, else re-aggregated from the
-//!   stream's `span_close` events (and marked partial when the stream
-//!   dropped any);
+//!   name, from the `--telemetry` snapshot (the stream carries no
+//!   spans; without a snapshot the section says so);
 //! * **finding heatmap** — findings per file system × journal mode, a
 //!   table shaded on a single-hue sequential ramp;
 //! * **flame view** — a no-script SVG icicle of a `--profile-out`
-//!   `.folded` profile (self-time by span stack); runs with fewer than
-//!   two samples degrade to a sorted stack table instead of a
-//!   misleading one-bar graphic;
+//!   `.folded` profile (exact self time by span stack) over its sorted
+//!   stack table;
 //! * **allocation attribution** — per-span alloc count / bytes / peak
 //!   tiles and table from the counting allocator, when the telemetry
-//!   snapshot carries an `alloc` object.
+//!   snapshot's `otherData` carries an `alloc` object.
 //!
 //! Every metric element carries a `data-metric` attribute;
 //! `selftest events --html` lints the rendered file for the full set
@@ -40,7 +37,7 @@
 use pc_rt::json::Json;
 use pc_rt::obs::{fmt_ns, span_totals, SpanTotal};
 
-use crate::telemetry::parse_event_stream;
+use crate::telemetry::{parse_event_stream, trace_other, trace_spans};
 
 /// One parsed `cell` event: the campaign's per-cell fold state.
 struct CellPoint {
@@ -87,10 +84,11 @@ fn render_tiles(b: &mut String, tag: &str, tiles: &[(&str, &str, String)]) {
 
 /// Render the dashboard. `events_text` is the raw `--events-out`
 /// JSON-lines stream (validated here; a bad stream is an error, not an
-/// empty chart). `telemetry` is a parsed `--telemetry-out` plain-JSON
-/// snapshot, if one exists. `profile` is the text of a `--profile-out`
-/// `.folded` file for the flame view (a malformed profile is an error,
-/// matching the stream).
+/// empty chart). `telemetry` is a parsed `--telemetry-out` trace-event
+/// file, if one exists (one without `traceEvents` is an error too, not
+/// an empty panel). `profile` is the text of a `--profile-out` `.folded`
+/// file for the flame view (a malformed profile is an error, matching
+/// the stream).
 pub fn render_dashboard(
     events_text: &str,
     telemetry: Option<&Json>,
@@ -104,7 +102,6 @@ pub fn render_dashboard(
     let mut heat: Vec<(String, String, u64)> = Vec::new(); // fs, journal, findings
     let mut first_ts = u64::MAX;
     let mut last_ts = 0u64;
-    let mut campaign_counters: Vec<(String, u64)> = Vec::new(); // campaign.* sums
     for e in events {
         let kind = e.get("kind").and_then(Json::as_str).unwrap_or("");
         let name = e.get("name").and_then(Json::as_str).unwrap_or("");
@@ -129,61 +126,33 @@ pub fn render_dashboard(
                     None => heat.push((fs.to_string(), journal.to_string(), 1)),
                 }
             }
-            // Campaign robustness counters (resumed cells, retries,
-            // quarantines) are deltas: sum them per name.
-            "counter" if name.starts_with("campaign.") => {
-                match campaign_counters.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, total)) => *total += value,
-                    None => campaign_counters.push((name.to_string(), value)),
-                }
-            }
             _ => {}
         }
     }
 
-    // Prefer the exit snapshot for stage times: it sees every span, not
-    // just those the bounded ring kept until a flush.
-    let snapshot_spans = telemetry
-        .and_then(|t| t.get("spans"))
-        .and_then(Json::as_arr);
-    let mut stages = match snapshot_spans {
-        Some(spans) => span_totals(spans.iter().map(|s| {
-            (
-                s.get("name").and_then(Json::as_str).unwrap_or(""),
-                s.get("dur_ns").and_then(Json::as_int).unwrap_or(0),
-            )
-        })),
-        None => span_totals(
-            events
-                .iter()
-                .filter(|e| e.get("kind").and_then(Json::as_str) == Some("span_close"))
-                .map(|e| {
-                    (
-                        e.get("name").and_then(Json::as_str).unwrap_or(""),
-                        e.get("value").and_then(Json::as_int).unwrap_or(0),
-                    )
-                }),
-        ),
+    // Stage times come from the exit snapshot: it holds every span.
+    let mut stages = match telemetry {
+        Some(doc) => span_totals(trace_spans(doc).map_err(|e| format!("telemetry: {e}"))?),
+        None => Vec::new(),
     };
     stages.truncate(12);
-    let dropped = stream.trailer.map(|(_, dropped)| dropped);
-    let stages_lost = dropped.filter(|&n| n > 0 && snapshot_spans.is_none());
+    let dropped_spans = telemetry
+        .and_then(|doc| trace_other(doc, "dropped_spans"))
+        .and_then(Json::as_int)
+        .unwrap_or(0);
 
     let n_cells = cells.len();
     let behaviors = cells.last().map_or(0, |(_, c)| c.behaviors);
     let findings = cells.last().map_or(0, |(_, c)| c.findings);
-    // Saturation from the last snapshot event when present (the driver
-    // computes Good–Turing over the whole corpus), else from the curve.
-    let saturation = events
+    // The driver's last snapshot carries what only it knows: Good–Turing
+    // saturation over the whole corpus and the robustness totals.
+    let last_snapshot = events
         .iter()
         .rev()
         .find(|e| e.get("kind").and_then(Json::as_str) == Some("snapshot"))
-        .and_then(|e| {
-            detail_field(
-                e.get("detail").and_then(Json::as_str).unwrap_or(""),
-                "saturation_pct",
-            )
-        });
+        .and_then(|e| e.get("detail").and_then(Json::as_str))
+        .unwrap_or("");
+    let saturation = detail_field(last_snapshot, "saturation_pct");
     let wall_ns = last_ts.saturating_sub(if first_ts == u64::MAX { 0 } else { first_ts });
     let throughput = if wall_ns > 0 && n_cells > 0 {
         n_cells as f64 / (wall_ns as f64 / 1e9)
@@ -215,17 +184,12 @@ pub fn render_dashboard(
                 saturation.map_or("–".to_string(), |s| format!("{s}%")),
             ),
             ("throughput", "cells / s", format!("{throughput:.1}")),
-            (
-                "dropped",
-                "events dropped by the ring",
-                dropped.map_or("–".to_string(), |n| n.to_string()),
-            ),
         ],
     );
 
-    render_campaign_robustness(&mut b, &campaign_counters);
+    render_campaign_robustness(&mut b, last_snapshot);
     render_coverage_curve(&mut b, &cells);
-    render_stage_breakdown(&mut b, &stages, stages_lost);
+    render_stage_breakdown(&mut b, &stages, dropped_spans);
     render_heatmap(&mut b, &heat);
     if let Some(folded) = profile {
         render_flame(&mut b, folded)?;
@@ -236,18 +200,17 @@ pub fn render_dashboard(
     Ok(b)
 }
 
-/// Campaign robustness tiles — rendered only when the stream carries
-/// `campaign.*` counters (a `paracrash campaign` run): cells recovered
-/// from the durable log, watchdog retries, and quarantined cells. A
-/// plain `fuzz` run has none, and the section is omitted entirely.
-fn render_campaign_robustness(b: &mut String, counters: &[(String, u64)]) {
-    if counters.is_empty() {
+/// Campaign robustness tiles — cells recovered from the durable log,
+/// watchdog retries, quarantined cells — from the totals the sweep
+/// driver writes into its snapshots. Rendered only when one of them is
+/// nonzero: an uneventful sweep omits the section entirely.
+fn render_campaign_robustness(b: &mut String, snapshot_detail: &str) {
+    let total = |key| detail_field(snapshot_detail, key).unwrap_or(0);
+    let (resumed, retries, quarantined) =
+        (total("resumed"), total("retries"), total("quarantined"));
+    if resumed + retries + quarantined == 0 {
         return;
     }
-    let tile = |name: &str| -> String {
-        let sum = counters.iter().find(|(n, _)| n == name);
-        sum.map_or(0, |&(_, v)| v).to_string()
-    };
     b.push_str("<section data-metric=\"campaign-robustness\">\n<h2>Campaign robustness</h2>\n");
     render_tiles(
         b,
@@ -256,14 +219,10 @@ fn render_campaign_robustness(b: &mut String, counters: &[(String, u64)]) {
             (
                 "resumed-cells",
                 "cells resumed from log",
-                tile("campaign.resumed_cells"),
+                resumed.to_string(),
             ),
-            ("retries", "watchdog retries", tile("campaign.retries")),
-            (
-                "quarantined",
-                "quarantined cells",
-                tile("campaign.quarantined"),
-            ),
+            ("retries", "watchdog retries", retries.to_string()),
+            ("quarantined", "quarantined cells", quarantined.to_string()),
         ],
     );
     b.push_str("</section>\n");
@@ -379,18 +338,18 @@ fn render_coverage_curve(b: &mut String, cells: &[(String, CellPoint)]) {
     b.push_str("</table></details>\n</section>\n");
 }
 
-/// Stage-time breakdown: horizontal bars, one per span name. `lost` is
-/// the number of events the stream dropped when the bars were folded
-/// from its surviving `span_close` events alone.
-fn render_stage_breakdown(b: &mut String, stages: &[SpanTotal<&str>], lost: Option<u64>) {
+/// Stage-time breakdown: horizontal bars, one per span name.
+/// `dropped_spans` is how many spans the registry counted past its
+/// storage cap: their time is missing from the bars.
+fn render_stage_breakdown(b: &mut String, stages: &[SpanTotal<&str>], dropped_spans: u64) {
     b.push_str("<section data-metric=\"stage-breakdown\">\n<h2>Stage time</h2>\n");
-    if let Some(n) = lost {
+    if dropped_spans > 0 {
         b.push_str(&format!(
-            "<p class=\"sub\" data-metric=\"stage-partial\">partial (stream dropped {n} events)</p>\n"
+            "<p class=\"sub\">incomplete: {dropped_spans} spans past the registry's cap were not stored</p>\n"
         ));
     }
     if stages.is_empty() {
-        b.push_str("<p class=\"sub\">no span data (run with PC_TRACE=1 or --telemetry-out)</p>\n</section>\n");
+        b.push_str("<p class=\"sub\">no span data (pass the run's --telemetry-out file as --telemetry)</p>\n</section>\n");
         return;
     }
     const W: f64 = 640.0;
@@ -473,7 +432,7 @@ fn render_heatmap(b: &mut String, heat: &[(String, String, u64)]) {
 }
 
 /// One node of the flame tree built from folded stacks: inclusive
-/// sample weight, children keyed (and sorted) by frame name.
+/// nanoseconds, children keyed (and sorted) by frame name.
 struct FlameNode {
     name: String,
     count: u64,
@@ -513,13 +472,12 @@ impl FlameNode {
 
 /// Flame view of a `--profile-out` `.folded` profile: a no-script SVG
 /// icicle (root at the top, children sorted by name so the layout is
-/// deterministic). With fewer than two samples a one-bar icicle is
-/// noise, so the section degrades to the sorted stack table alone.
+/// deterministic) over the sorted stack table, the copy-pasteable form.
 fn render_flame(b: &mut String, folded: &str) -> Result<(), String> {
     let rows = pc_rt::obs::prof::parse_folded(folded)?;
-    b.push_str("<section data-metric=\"flame\">\n<h2>Span-stack profile</h2>\n");
+    b.push_str("<section data-metric=\"flame\">\n<h2>Span-stack profile (self time)</h2>\n");
     if rows.is_empty() {
-        b.push_str("<p class=\"sub\">no samples in the profile</p>\n</section>\n");
+        b.push_str("<p class=\"sub\">no stacks in the profile</p>\n</section>\n");
         return Ok(());
     }
     let total: u64 = rows.iter().map(|(_, c)| c).sum();
@@ -536,65 +494,58 @@ fn render_flame(b: &mut String, folded: &str) -> Result<(), String> {
         }
     }
 
-    if total >= 2 {
-        const W: f64 = 640.0;
-        const ROW: f64 = 22.0;
-        let h = ROW * (root.depth() - 1).max(1) as f64 + 4.0;
+    const W: f64 = 640.0;
+    const ROW: f64 = 22.0;
+    let h = ROW * (root.depth() - 1).max(1) as f64 + 4.0;
+    b.push_str(&format!(
+        "<svg viewBox=\"0 0 {W} {h:.0}\" role=\"img\" aria-label=\"span stacks, width proportional to time\">\n"
+    ));
+    // Iterative pre-order walk carrying (node index path) is more
+    // code than it saves; span stacks are ≤32 deep, so recurse.
+    fn emit(b: &mut String, node: &FlameNode, x: f64, w: f64, depth: usize, total: u64) {
+        let yy = 2.0 + 22.0 * depth as f64;
+        let pct = 100.0 * node.count as f64 / total.max(1) as f64;
         b.push_str(&format!(
-            "<svg viewBox=\"0 0 {W} {h:.0}\" role=\"img\" aria-label=\"sampled span stacks, width proportional to samples\">\n"
+            "<rect class=\"flame flame-d{}\" x=\"{x:.1}\" y=\"{yy:.1}\" width=\"{:.1}\" height=\"20\" rx=\"2\"><title>{}: {} ({pct:.1}%)</title></rect>\n",
+            depth % 4,
+            w.max(1.0),
+            html_escape(&node.name),
+            fmt_ns(node.count as f64),
         ));
-        // Iterative pre-order walk carrying (node index path) is more
-        // code than it saves; span stacks are ≤32 deep, so recurse.
-        fn emit(b: &mut String, node: &FlameNode, x: f64, w: f64, depth: usize, total: u64) {
-            let yy = 2.0 + 22.0 * depth as f64;
-            let pct = 100.0 * node.count as f64 / total.max(1) as f64;
+        if w >= 60.0 {
             b.push_str(&format!(
-                "<rect class=\"flame flame-d{}\" x=\"{x:.1}\" y=\"{yy:.1}\" width=\"{:.1}\" height=\"20\" rx=\"2\"><title>{}: {} samples ({pct:.1}%)</title></rect>\n",
-                depth % 4,
-                w.max(1.0),
+                "<text class=\"lbl flame-lbl\" x=\"{:.1}\" y=\"{:.1}\">{}</text>\n",
+                x + 4.0,
+                yy + 14.0,
                 html_escape(&node.name),
-                node.count,
             ));
-            if w >= 60.0 {
-                b.push_str(&format!(
-                    "<text class=\"lbl flame-lbl\" x=\"{:.1}\" y=\"{:.1}\">{}</text>\n",
-                    x + 4.0,
-                    yy + 14.0,
-                    html_escape(&node.name),
-                ));
-            }
-            let mut cx = x;
-            for c in &node.children {
-                let cw = w * c.count as f64 / node.count.max(1) as f64;
-                emit(b, c, cx, cw, depth + 1, total);
-                cx += cw;
-            }
         }
-        let mut cx = 0.0;
-        for c in &root.children {
-            let cw = W * c.count as f64 / total.max(1) as f64;
-            emit(b, c, cx, cw, 0, total);
+        let mut cx = x;
+        for c in &node.children {
+            let cw = w * c.count as f64 / node.count.max(1) as f64;
+            emit(b, c, cx, cw, depth + 1, total);
             cx += cw;
         }
-        b.push_str("</svg>\n");
-    } else {
-        b.push_str(&format!(
-            "<p class=\"sub\">{total} sample(s) — too few for a flame graph; stacks listed instead</p>\n"
-        ));
     }
+    let mut cx = 0.0;
+    for c in &root.children {
+        let cw = W * c.count as f64 / total.max(1) as f64;
+        emit(b, c, cx, cw, 0, total);
+        cx += cw;
+    }
+    b.push_str("</svg>\n");
 
-    // The table view renders always: it is the degraded form for
-    // near-empty profiles and the copy-pasteable form for full ones.
     let mut sorted: Vec<&(Vec<String>, u64)> = rows.iter().collect();
     sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     b.push_str(
         "<details><summary>stack table</summary><table data-metric=\"flame-table\">\
-         <tr><th>stack</th><th>samples</th><th>share</th></tr>\n",
+         <tr><th>stack</th><th>self time</th><th>share</th></tr>\n",
     );
     for (frames, count) in sorted.iter().take(40) {
         b.push_str(&format!(
-            "<tr><td>{}</td><td>{count}</td><td>{:.1}%</td></tr>\n",
+            "<tr><td>{}</td><td>{}</td><td>{:.1}%</td></tr>\n",
             html_escape(&frames.join(";")),
+            fmt_ns(*count as f64),
             100.0 * *count as f64 / total.max(1) as f64,
         ));
     }
@@ -602,12 +553,12 @@ fn render_flame(b: &mut String, folded: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Allocation attribution from the telemetry snapshot's `alloc` object:
+/// Allocation attribution from the telemetry file's `otherData.alloc`:
 /// total tiles plus a per-span table, bytes-descending. Omitted
 /// entirely (like campaign robustness) when the snapshot is absent or
 /// accounting never recorded anything.
 fn render_alloc(b: &mut String, telemetry: Option<&Json>) {
-    let Some(alloc) = telemetry.and_then(|t| t.get("alloc")) else {
+    let Some(alloc) = telemetry.and_then(|doc| trace_other(doc, "alloc")) else {
         return;
     };
     let stat = |j: &Json, k: &str| j.get(k).and_then(Json::as_int).unwrap_or(0);
@@ -779,8 +730,7 @@ mod tests {
     use super::*;
 
     fn stream() -> String {
-        let mut s =
-            String::from("{\"schema_version\":1,\"stream\":\"paracrash-events\",\"cap\":8192}\n");
+        let mut s = String::from("{\"schema_version\":2,\"stream\":\"paracrash-events\"}\n");
         for i in 0..6u64 {
             s.push_str(&format!(
                 "{{\"seq\":{},\"ts_ns\":{},\"kind\":\"cell\",\"name\":\"wl{}@OrangeFS/ordered\",\"value\":1500,\"detail\":\"behaviors={} findings={} buggy=0\",\"trace_id\":{}}}\n",
@@ -796,12 +746,25 @@ mod tests {
             "{\"seq\":100,\"ts_ns\":9000,\"kind\":\"finding\",\"name\":\"BeeGFS/writeback\",\"value\":1,\"detail\":\"sig [Pfs]\",\"trace_id\":7}\n",
         );
         s.push_str(
-            "{\"seq\":101,\"ts_ns\":9100,\"kind\":\"span_close\",\"name\":\"check.verdicts\",\"value\":120000,\"detail\":\"check\",\"trace_id\":7}\n",
-        );
-        s.push_str(
-            "{\"seq\":102,\"ts_ns\":9200,\"kind\":\"snapshot\",\"name\":\"campaign\",\"value\":6,\"detail\":\"cells=6 saturation_pct=66\",\"trace_id\":0}\n",
+            "{\"seq\":102,\"ts_ns\":9200,\"kind\":\"snapshot\",\"name\":\"campaign\",\"value\":6,\"detail\":\"cells=6 saturation_pct=66 resumed=0 retries=0 quarantined=0\",\"trace_id\":0}\n",
         );
         s
+    }
+
+    /// A `--telemetry-out` file holding `spans` (`(name, dur_ns)`) and
+    /// the given `otherData` members.
+    fn telemetry(spans: &[(&str, u64)], other: &str) -> Json {
+        let events: Vec<String> = spans
+            .iter()
+            .map(|(name, dur_ns)| {
+                format!("{{\"name\":\"{name}\",\"args\":{{\"dur_ns\":{dur_ns}}}}}")
+            })
+            .collect();
+        Json::parse(&format!(
+            "{{\"schema_version\":2,\"traceEvents\":[{}],\"otherData\":{{{other}}}}}",
+            events.join(",")
+        ))
+        .unwrap()
     }
 
     #[test]
@@ -813,7 +776,6 @@ mod tests {
             "behaviors",
             "saturation",
             "throughput",
-            "dropped",
             "coverage-curve",
             "stage-breakdown",
             "heatmap",
@@ -833,32 +795,26 @@ mod tests {
     }
 
     #[test]
-    fn campaign_counters_render_their_own_tiles() {
-        // Plain fuzz stream: no campaign section at all.
+    fn robustness_totals_of_the_last_snapshot_render_their_own_tiles() {
+        // An uneventful sweep: no campaign section at all.
         let html = render_dashboard(&stream(), None, None).unwrap();
         assert!(!html.contains("campaign-robustness"));
-        // Campaign stream: counter deltas sum into the robustness tiles.
-        let mut s = stream();
-        for (seq, name, value) in [
-            (103, "campaign.resumed_cells", 4),
-            (104, "campaign.retries", 2),
-            (105, "campaign.retries", 1),
-            (106, "campaign.quarantined", 1),
-        ] {
-            s.push_str(&format!(
-                "{{\"seq\":{seq},\"ts_ns\":9300,\"kind\":\"counter\",\"name\":\"{name}\",\
-                 \"value\":{value},\"detail\":\"\",\"trace_id\":0}}\n",
-            ));
-        }
+        // The last snapshot's totals are the tiles (not a sum over
+        // snapshots: each one carries the running total).
+        let s = stream().replace(
+            "resumed=0 retries=0 quarantined=0",
+            "resumed=4 retries=3 quarantined=1",
+        ) + "{\"seq\":103,\"ts_ns\":9300,\"kind\":\"snapshot\",\"name\":\"campaign\",\"value\":6,\"detail\":\"cells=6 saturation_pct=66 resumed=4 retries=5 quarantined=1\",\"trace_id\":0}\n";
         let html = render_dashboard(&s, None, None).unwrap();
         assert!(html.contains("data-metric=\"campaign-robustness\""));
-        for metric in ["resumed-cells", "retries", "quarantined"] {
+        for (metric, value) in [("resumed-cells", 4), ("retries", 5), ("quarantined", 1)] {
             assert!(
-                html.contains(&format!("data-metric=\"{metric}\"")),
+                html.contains(&format!(
+                    "data-metric=\"{metric}\"><div class=\"tile-value\">{value}<"
+                )),
                 "{metric}"
             );
         }
-        assert!(html.contains(">4<") && html.contains(">3<") && html.contains(">1<"));
     }
 
     #[test]
@@ -871,50 +827,33 @@ mod tests {
     }
 
     #[test]
-    fn stream_loss_is_shown_and_marks_stream_folded_stages_partial() {
-        let trailer = |dropped: u64| {
-            format!("{{\"schema_version\":1,\"published\":500,\"dropped\":{dropped}}}\n")
-        };
-        let tile = |n: &str| format!("data-metric=\"dropped\"><div class=\"tile-value\">{n}</div>");
-        // No trailer (a crash dump): the loss is unknown, not zero.
+    fn stage_bars_come_from_the_telemetry_file_or_say_there_is_none() {
         let html = render_dashboard(&stream(), None, None).unwrap();
-        assert!(html.contains(&tile("–")), "{html}");
-        assert!(!html.contains("stage-partial"));
-        // A lossless stream: zero, and the stage bars are whole.
-        let html = render_dashboard(&(stream() + &trailer(0)), None, None).unwrap();
-        assert!(html.contains(&tile("0")));
-        assert!(!html.contains("stage-partial"));
-        // Drops: the tile counts them and the stream-folded bars say so…
-        let lossy = stream() + &trailer(83);
-        let html = render_dashboard(&lossy, None, None).unwrap();
-        assert!(html.contains(&tile("83")));
-        assert!(
-            html.contains("partial (stream dropped 83 events)"),
-            "{html}"
-        );
-        // …unless a snapshot, which saw every span, supplied the bars.
-        let telemetry = Json::parse("{\"schema_version\":1,\"spans\":[]}").unwrap();
-        let html = render_dashboard(&lossy, Some(&telemetry), None).unwrap();
-        assert!(html.contains(&tile("83")));
-        assert!(!html.contains("stage-partial"));
+        assert!(html.contains("no span data"), "{html}");
+        let doc = telemetry(&[("check_stack", 5000), ("check_stack", 1000)], "");
+        let html = render_dashboard(&stream(), Some(&doc), None).unwrap();
+        assert!(html.contains("check_stack") && html.contains("2 calls"));
+        assert!(!html.contains("no span data") && !html.contains("incomplete"));
+        // Spans the registry counted but could not store are named.
+        let doc = telemetry(&[("check_stack", 5000)], "\"dropped_spans\":83");
+        let html = render_dashboard(&stream(), Some(&doc), None).unwrap();
+        assert!(html.contains("incomplete: 83 spans"), "{html}");
+        // Not a file this tool wrote: an error, not an empty panel.
+        for foreign in [
+            "{\"schema_version\":2,\"spans\":[]}",
+            "{\"schema_version\":1,\"traceEvents\":[]}",
+        ] {
+            let doc = Json::parse(foreign).unwrap();
+            let err = render_dashboard(&stream(), Some(&doc), None).unwrap_err();
+            assert!(err.starts_with("telemetry: "), "{err}");
+        }
     }
 
     #[test]
-    fn dashboard_prefers_snapshot_spans() {
-        let telemetry = Json::parse(
-            "{\"schema_version\":1,\"spans\":[{\"name\":\"check_stack\",\"cat\":\"check\",\"tid\":1,\"depth\":0,\"start_ns\":0,\"dur_ns\":5000,\"trace_id\":1}]}",
-        )
-        .unwrap();
-        let html = render_dashboard(&stream(), Some(&telemetry), None).unwrap();
-        // Snapshot spans replace the stream-derived stage times.
-        assert!(html.contains("check_stack"));
-        assert!(!html.contains("check.verdicts"));
-    }
-
-    #[test]
-    fn flame_view_renders_and_degrades_below_two_samples() {
-        // A real profile: nested stacks, icicle SVG plus the table.
-        let folded = "cli.run;snapshot.materialize 6\ncli.run;recover/BeeGFS 3\ncli.run 1\n";
+    fn flame_view_renders_self_time() {
+        // Nested stacks: icicle SVG plus the table, weights in ns.
+        let folded =
+            "cli.run;snapshot.materialize 6000\ncli.run;recover/BeeGFS 3000\ncli.run 1000\n";
         let html = render_dashboard(&stream(), None, Some(folded)).unwrap();
         assert!(html.contains("data-metric=\"flame\""));
         assert!(html.contains("class=\"flame flame-d0\""), "{html}");
@@ -922,18 +861,12 @@ mod tests {
         assert!(html.contains("data-metric=\"flame-table\""));
         assert!(html.contains("snapshot.materialize"));
         assert!(
-            html.contains("10 samples (100.0%)"),
+            html.contains("cli.run: 10.00 µs (100.0%)"),
             "root weight sums children"
         );
-        // <2 samples: no flame rects, the stack table carries the section.
-        let html = render_dashboard(&stream(), None, Some("cli.run 1\n")).unwrap();
-        assert!(html.contains("data-metric=\"flame\""));
-        assert!(!html.contains("class=\"flame flame-d0\""));
-        assert!(html.contains("data-metric=\"flame-table\""));
-        assert!(html.contains("too few for a flame graph"));
         // Empty and absent profiles degrade gracefully; garbage errors.
         let html = render_dashboard(&stream(), None, Some("")).unwrap();
-        assert!(html.contains("no samples in the profile"));
+        assert!(html.contains("no stacks in the profile"));
         let html = render_dashboard(&stream(), None, None).unwrap();
         assert!(!html.contains("data-metric=\"flame\""));
         assert!(render_dashboard(&stream(), None, Some("bad profile")).is_err());
@@ -941,11 +874,11 @@ mod tests {
 
     #[test]
     fn alloc_tiles_render_from_snapshot_and_respect_dark_mode() {
-        let telemetry = Json::parse(
-            "{\"schema_version\":1,\"spans\":[],\"alloc\":{\"total\":{\"count\":52,\"bytes\":13096,\"peak_bytes\":7048},\"spans\":{\"check.enumerate\":{\"count\":12,\"bytes\":4096,\"peak_bytes\":2048}}}}",
-        )
-        .unwrap();
-        let html = render_dashboard(&stream(), Some(&telemetry), None).unwrap();
+        let doc = telemetry(
+            &[],
+            "\"alloc\":{\"total\":{\"count\":52,\"bytes\":13096,\"peak_bytes\":7048},\"spans\":{\"check.enumerate\":{\"count\":12,\"bytes\":4096,\"peak_bytes\":2048}}}",
+        );
+        let html = render_dashboard(&stream(), Some(&doc), None).unwrap();
         assert!(html.contains("data-metric=\"alloc\""));
         for metric in ["alloc-count", "alloc-bytes", "alloc-peak", "alloc-table"] {
             assert!(
@@ -954,14 +887,13 @@ mod tests {
             );
         }
         assert!(html.contains("check.enumerate"));
-        // No alloc object (old snapshots), or an empty one: no section.
-        let bare = Json::parse("{\"schema_version\":1,\"spans\":[]}").unwrap();
-        let html = render_dashboard(&stream(), Some(&bare), None).unwrap();
+        // No alloc object, or an empty one: no section.
+        let html = render_dashboard(&stream(), Some(&telemetry(&[], "")), None).unwrap();
         assert!(!html.contains("data-metric=\"alloc\""));
-        let zero = Json::parse(
-            "{\"schema_version\":1,\"spans\":[],\"alloc\":{\"total\":{\"count\":0,\"bytes\":0,\"peak_bytes\":0},\"spans\":{}}}",
-        )
-        .unwrap();
+        let zero = telemetry(
+            &[],
+            "\"alloc\":{\"total\":{\"count\":0,\"bytes\":0,\"peak_bytes\":0},\"spans\":{}}",
+        );
         let html = render_dashboard(&stream(), Some(&zero), None).unwrap();
         assert!(!html.contains("data-metric=\"alloc\""));
         // Dark-mode styling: the flame palette is defined in both the

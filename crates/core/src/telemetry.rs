@@ -1,60 +1,32 @@
-//! Telemetry serialization: `pc_rt::obs` snapshots as machine-readable
-//! JSON, in two dialects.
+//! Telemetry serialization: a `pc_rt::obs` snapshot as machine-readable
+//! JSON, and the read side of the `--events-out` stream.
 //!
-//! * [`telemetry_json`] — a plain structured dump (`spans`, `counters`,
-//!   `gauges`, `histograms`) through the `pc_rt::json` writer;
-//! * [`chrome_trace`] — the Chrome trace-event format (the JSON Array
-//!   Format with `traceEvents`), loadable in Perfetto / `chrome://tracing`
-//!   for a flamegraph-style timeline of a full bug-finding run. Every
-//!   span becomes a complete (`"ph": "X"`) event; counters, gauges and
-//!   histogram summaries ride along under `otherData`.
-//!
-//! Both serialize with the vendored writer and round-trip through
-//! [`Json::parse`] — the `selftest telemetry` gate in `scripts/verify.sh`
-//! relies on that. Both carry a top-level `schema_version`
-//! ([`pc_rt::obs::stream::SCHEMA_VERSION`], shared with the events
-//! stream); `selftest telemetry` rejects any other version instead of
-//! silently re-parsing an incompatible dump.
-//!
-//! [`canonical_event_lines`] is the third consumer-side piece: it
-//! projects a `--events-out` JSON-lines stream onto its deterministic
-//! fields (kind/name/detail of `finding` and `cell` events, sorted) so
-//! sequential and parallel campaign runs can be diffed byte-for-byte.
+//! * [`chrome_trace`] — what `--telemetry-out` writes: the Chrome
+//!   trace-event format (the JSON Array Format with `traceEvents`),
+//!   loadable in Perfetto / `chrome://tracing` for a flamegraph-style
+//!   timeline of a full bug-finding run. Every span becomes a complete
+//!   (`"ph": "X"`) event with its exact nanoseconds under `args`;
+//!   counters, gauges, histogram summaries and allocation attribution
+//!   ride along under `otherData`. It serializes with the vendored
+//!   writer and round-trips through [`Json::parse`] — the `selftest
+//!   telemetry` gate in `scripts/verify.sh` relies on that — and carries
+//!   a top-level `schema_version`
+//!   ([`pc_rt::obs::stream::SCHEMA_VERSION`], shared with the events
+//!   stream); `selftest telemetry` and `paracrash report` reject any
+//!   other version instead of silently re-parsing an incompatible dump.
+//! * [`trace_spans`] / [`trace_other`] — the two accessors every reader
+//!   of such a file goes through.
+//! * [`parse_event_stream`] validates a `--events-out` JSON-lines
+//!   stream; [`canonical_event_lines`] projects it onto its
+//!   deterministic fields (kind/name/detail of `finding` and `cell`
+//!   events, sorted) so sequential and parallel campaign runs can be
+//!   diffed byte-for-byte.
 
 use pc_rt::json::Json;
 use pc_rt::obs::stream::SCHEMA_VERSION;
 use pc_rt::obs::TelemetrySnapshot;
 
-/// Serialize a snapshot as plain structured JSON.
-pub fn telemetry_json(snap: &TelemetrySnapshot) -> Json {
-    let spans = snap
-        .spans
-        .iter()
-        .map(|s| {
-            Json::Obj(vec![
-                ("name".into(), Json::Str(s.name.into())),
-                ("cat".into(), Json::Str(s.cat.into())),
-                ("tid".into(), Json::Int(s.tid.into())),
-                ("depth".into(), Json::Int(s.depth.into())),
-                ("start_ns".into(), Json::Int(s.start_ns)),
-                ("dur_ns".into(), Json::Int(s.dur_ns)),
-                ("trace_id".into(), Json::Int(s.trace_id)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("schema_version".into(), Json::Int(SCHEMA_VERSION)),
-        ("spans".into(), Json::Arr(spans)),
-        ("counters".into(), named_ints(&snap.counters)),
-        ("gauges".into(), named_ints(&snap.gauges)),
-        ("histograms".into(), hists(snap)),
-        ("dropped_spans".into(), Json::Int(snap.dropped_spans)),
-        ("ops".into(), Json::Int(snap.ops)),
-        ("alloc".into(), alloc_json(snap)),
-    ])
-}
-
-/// The `alloc` object both dialects carry: whole-process totals plus
+/// The `otherData.alloc` object: whole-process totals plus
 /// per-span attribution from the counting allocator (empty when
 /// accounting never ran).
 fn alloc_json(snap: &TelemetrySnapshot) -> Json {
@@ -129,10 +101,47 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> Json {
                 ("gauges".into(), named_ints(&snap.gauges)),
                 ("histograms".into(), hists(snap)),
                 ("dropped_spans".into(), Json::Int(snap.dropped_spans)),
+                ("ops".into(), Json::Int(snap.ops)),
                 ("alloc".into(), alloc_json(snap)),
             ]),
         ),
     ])
+}
+
+/// The spans of a parsed `--telemetry-out` file as `(name, dur_ns)`
+/// pairs. A document without `traceEvents`, or with a `schema_version`
+/// other than [`SCHEMA_VERSION`], is an error: it is not a file this
+/// tool wrote.
+pub fn trace_spans(doc: &Json) -> Result<impl Iterator<Item = (&str, u64)>, String> {
+    check_version(doc)?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("no traceEvents array (not a --telemetry-out file)")?;
+    Ok(events.iter().map(|e| {
+        let dur_ns = e.get("args").and_then(|a| a.get("dur_ns"));
+        (
+            e.get("name").and_then(Json::as_str).unwrap_or(""),
+            dur_ns.and_then(Json::as_int).unwrap_or(0),
+        )
+    }))
+}
+
+/// The one version gate of both artifacts: `doc` (a telemetry file, a
+/// stream header) must carry this tool's [`SCHEMA_VERSION`].
+fn check_version(doc: &Json) -> Result<(), String> {
+    match doc.get("schema_version").and_then(Json::as_int) {
+        Some(v) if v == SCHEMA_VERSION => Ok(()),
+        Some(v) => Err(format!(
+            "unknown schema_version {v} (expected {SCHEMA_VERSION})"
+        )),
+        None => Err("missing schema_version".into()),
+    }
+}
+
+/// Field `key` of a parsed `--telemetry-out` file's `otherData`.
+pub fn trace_other<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
+    doc.get("otherData").and_then(|o| o.get(key))
 }
 
 /// A validated `--events-out` stream.
@@ -140,11 +149,9 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> Json {
 pub struct EventStream {
     /// The event objects, in stream order.
     pub events: Vec<Json>,
-    /// `(published, dropped)` from the trailer [`pc_rt::obs::stream::close`]
-    /// writes: how many events the run published and how many of them
-    /// the ring overwrote before a flush. `None` for a stream that was
-    /// never closed (a crash dump).
-    pub trailer: Option<(u64, u64)>,
+    /// The event count from the trailer [`pc_rt::obs::stream::close`]
+    /// writes. `None` for a stream that was never closed (a crash dump).
+    pub published: Option<u64>,
 }
 
 /// Parse and validate a `--events-out` JSON-lines stream.
@@ -157,24 +164,15 @@ pub fn parse_event_stream(text: &str) -> Result<EventStream, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or("empty event stream")?;
     let header = Json::parse(header).map_err(|e| format!("header: {e}"))?;
-    match header.get("schema_version").and_then(Json::as_int) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => {
-            return Err(format!(
-                "unknown schema_version {v} (expected {SCHEMA_VERSION})"
-            ))
-        }
-        None => return Err("header missing schema_version".into()),
-    }
+    check_version(&header).map_err(|e| format!("header: {e}"))?;
     let mut events = Vec::new();
-    let mut trailer = None;
+    let mut published = None;
     let mut last_seq: Option<u64> = None;
     for (i, line) in lines.enumerate() {
         let obj = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
         if obj.get("schema_version").is_some() && obj.get("kind").is_none() {
-            // Meta line: the trailer, or the panic marker (no totals).
-            let total = |key| obj.get(key).and_then(Json::as_int);
-            trailer = total("published").zip(total("dropped")).or(trailer);
+            // Meta line: the trailer, or the panic marker (no total).
+            published = obj.get("published").and_then(Json::as_int).or(published);
             continue;
         }
         let seq = obj
@@ -206,14 +204,14 @@ pub fn parse_event_stream(text: &str) -> Result<EventStream, String> {
         }
         events.push(obj);
     }
-    Ok(EventStream { events, trailer })
+    Ok(EventStream { events, published })
 }
 
 /// Project an event stream onto its deterministic content for seq ≡ par
 /// comparison: keep `finding` and `cell` events (whose name/detail are
 /// pure functions of the campaign's deterministic fold), drop the
-/// wall-clock and scheduling noise (timestamps, durations, span and
-/// counter interleavings), and sort. Two campaign runs of the same
+/// wall-clock noise (timestamps, durations, sequence numbers) and the
+/// periodic snapshots, and sort. Two campaign runs of the same
 /// matrix — sequential or parallel, any `PC_THREADS` — must produce
 /// identical projections; the observability verify gate diffs them.
 pub fn canonical_event_lines(text: &str) -> Result<Vec<String>, String> {
@@ -316,6 +314,7 @@ mod tests {
                 },
             )],
             dropped_spans: 0,
+            self_times: Vec::new(),
             ops: 7,
             allocs: vec![
                 (
@@ -344,46 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_json_round_trips() {
-        let j = telemetry_json(&sample_snapshot());
-        let parsed = Json::parse(&j.pretty()).unwrap();
-        assert_eq!(parsed, j);
-        assert_eq!(parsed.get("spans").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(
-            parsed
-                .get("counters")
-                .and_then(|c| c.get("cache.pfs.hits"))
-                .and_then(Json::as_int),
-            Some(12)
-        );
-        assert_eq!(parsed.get("ops").and_then(Json::as_int), Some(7));
-        assert_eq!(
-            parsed
-                .get("histograms")
-                .and_then(|h| h.get("pool.task_ns"))
-                .and_then(|h| h.get("p99_ns"))
-                .and_then(Json::as_int),
-            Some(300)
-        );
-        let alloc = parsed.get("alloc").unwrap();
-        assert_eq!(
-            alloc
-                .get("total")
-                .and_then(|t| t.get("bytes"))
-                .and_then(Json::as_int),
-            Some(13_096)
-        );
-        assert_eq!(
-            alloc
-                .get("spans")
-                .and_then(|s| s.get("check.enumerate"))
-                .and_then(|s| s.get("peak_bytes"))
-                .and_then(Json::as_int),
-            Some(2_048)
-        );
-    }
-
-    #[test]
     fn chrome_trace_shape() {
         let j = chrome_trace(&sample_snapshot());
         let parsed = Json::parse(&j.pretty()).unwrap();
@@ -402,32 +361,50 @@ mod tests {
         // zero-width.
         assert_eq!(events[0].get("dur").and_then(Json::as_int), Some(9));
         assert_eq!(events[1].get("dur").and_then(Json::as_int), Some(2));
-        assert!(parsed.get("otherData").unwrap().get("counters").is_some());
+        assert_eq!(
+            trace_other(&parsed, "counters")
+                .and_then(|c| c.get("cache.pfs.hits"))
+                .and_then(Json::as_int),
+            Some(12)
+        );
+        assert_eq!(trace_other(&parsed, "ops").and_then(Json::as_int), Some(7));
+        let alloc = trace_other(&parsed, "alloc").unwrap();
+        assert_eq!(
+            alloc
+                .get("spans")
+                .and_then(|s| s.get("check.enumerate"))
+                .and_then(|s| s.get("peak_bytes"))
+                .and_then(Json::as_int),
+            Some(2_048)
+        );
+        // The exact nanoseconds survive the microsecond rounding.
+        let spans: Vec<_> = trace_spans(&parsed).unwrap().collect();
+        assert_eq!(spans, [("check_stack", 9_000), ("check.enumerate", 2_000)]);
     }
 
     #[test]
-    fn both_dialects_carry_schema_version_and_p999() {
-        for j in [
-            telemetry_json(&sample_snapshot()),
-            chrome_trace(&sample_snapshot()),
-        ] {
-            assert_eq!(
-                j.get("schema_version").and_then(Json::as_int),
-                Some(SCHEMA_VERSION)
-            );
-        }
-        let j = telemetry_json(&sample_snapshot());
+    fn trace_carries_schema_version_and_p999_and_readers_reject_others() {
+        let j = chrome_trace(&sample_snapshot());
         assert_eq!(
-            j.get("histograms")
+            j.get("schema_version").and_then(Json::as_int),
+            Some(SCHEMA_VERSION)
+        );
+        assert_eq!(
+            trace_other(&j, "histograms")
                 .and_then(|h| h.get("pool.task_ns"))
                 .and_then(|h| h.get("p999_ns"))
                 .and_then(Json::as_int),
             Some(300)
         );
+        let v1_plain = Json::parse("{\"schema_version\":1,\"spans\":[]}").unwrap();
+        let err = trace_spans(&v1_plain).err().unwrap();
+        assert!(err.contains("schema_version 1"), "{err}");
+        let no_events = Json::parse("{\"schema_version\":2,\"spans\":[]}").unwrap();
+        let err = trace_spans(&no_events).err().unwrap();
+        assert!(err.contains("traceEvents"), "{err}");
     }
 
-    const STREAM_HEADER: &str =
-        "{\"schema_version\":1,\"stream\":\"paracrash-events\",\"cap\":8192}";
+    const STREAM_HEADER: &str = "{\"schema_version\":2,\"stream\":\"paracrash-events\"}";
 
     fn event_line(seq: u64, kind: &str, name: &str, detail: &str) -> String {
         format!(
@@ -439,26 +416,25 @@ mod tests {
     #[test]
     fn event_stream_parses_and_rejects_bad_versions() {
         let good = format!(
-            "{STREAM_HEADER}\n{}\n{}\n{{\"schema_version\":1,\"published\":2,\"dropped\":0}}\n",
+            "{STREAM_HEADER}\n{}\n{}\n{{\"schema_version\":2,\"published\":2}}\n",
             event_line(0, "cell", "wl@OrangeFS/ordered", "findings=0"),
             event_line(5, "finding", "BeeGFS/writeback", "sig [Pfs]"),
         );
         let stream = parse_event_stream(&good).unwrap();
         assert_eq!(stream.events.len(), 2);
-        assert_eq!(stream.trailer, Some((2, 0)));
+        assert_eq!(stream.published, Some(2));
         // A crash dump ends in a panic marker, not a trailer.
-        let dump = good.replace(
-            "\"published\":2,\"dropped\":0",
-            "\"meta\":\"panic\",\"flushed\":2",
-        );
-        assert_eq!(parse_event_stream(&dump).unwrap().trailer, None);
+        let dump = good.replace("\"published\":2", "\"meta\":\"panic\",\"flushed\":2");
+        assert_eq!(parse_event_stream(&dump).unwrap().published, None);
 
-        let bad_version = good.replace(
+        // A v1 stream is turned away at the header, before its
+        // `span_close` lines could read as "unknown kind".
+        let v1 = good.replace(
+            "\"schema_version\":2,\"stream\"",
             "\"schema_version\":1,\"stream\"",
-            "\"schema_version\":9,\"stream\"",
         );
-        let err = parse_event_stream(&bad_version).unwrap_err();
-        assert!(err.contains("schema_version 9"), "{err}");
+        let err = parse_event_stream(&v1).unwrap_err();
+        assert!(err.contains("schema_version 1"), "{err}");
 
         let no_version = "{\"stream\":\"paracrash-events\"}\n";
         assert!(parse_event_stream(no_version).is_err());
@@ -470,7 +446,7 @@ mod tests {
         );
         assert!(parse_event_stream(&bad_seq).unwrap_err().contains("seq"));
 
-        let bad_kind = format!("{STREAM_HEADER}\n{}\n", event_line(0, "mystery", "a", ""));
+        let bad_kind = format!("{STREAM_HEADER}\n{}\n", event_line(0, "counter", "a", ""));
         assert!(parse_event_stream(&bad_kind).unwrap_err().contains("kind"));
     }
 
@@ -478,16 +454,16 @@ mod tests {
     fn canonical_projection_is_order_and_noise_invariant() {
         let a = format!(
             "{STREAM_HEADER}\n{}\n{}\n{}\n",
-            event_line(0, "span_close", "check.verdicts", "check"),
+            event_line(0, "snapshot", "campaign", "cells=1/2"),
             event_line(1, "cell", "wl@OrangeFS/ordered", "findings=0"),
             event_line(2, "finding", "BeeGFS/writeback", "sig [Pfs]"),
         );
         // Same deterministic content: different seqs, timestamps,
-        // ordering, and span/counter noise.
+        // ordering, and snapshot cadence.
         let b = format!(
             "{STREAM_HEADER}\n{}\n{}\n{}\n",
             event_line(10, "finding", "BeeGFS/writeback", "sig [Pfs]"),
-            event_line(90, "counter", "rpc.messages", ""),
+            event_line(90, "snapshot", "campaign", "cells=2/2"),
             event_line(800, "cell", "wl@OrangeFS/ordered", "findings=0"),
         );
         assert_eq!(

@@ -14,8 +14,6 @@ pub const TRACE: &str = "PC_TRACE";
 pub const LOG: &str = "PC_LOG";
 /// Sweep progress meter on stderr.
 pub const PROGRESS: &str = "PC_PROGRESS";
-/// Sampling rate of `--profile-out`.
-pub const PROF_HZ: &str = "PC_PROF_HZ";
 /// Property-test run seed.
 pub const PROPTEST_SEED: &str = "PC_PROPTEST_SEED";
 /// Property-test case count.
@@ -26,7 +24,7 @@ pub const DURABLE_CRASH: &str = "PC_DURABLE_CRASH";
 pub const CAMPAIGN_POISON: &str = "PC_CAMPAIGN_POISON";
 
 /// Every variable the workspace reads, with its one-line meaning.
-pub const VARS: [(&str, &str); 9] = [
+pub const VARS: [(&str, &str); 8] = [
     (THREADS, "worker threads (default: available parallelism)"),
     (
         TRACE,
@@ -40,7 +38,6 @@ pub const VARS: [(&str, &str); 9] = [
         PROGRESS,
         "1 prints sweep throughput/ETA and stall warnings to stderr",
     ),
-    (PROF_HZ, "--profile-out sampling rate in Hz (default 97)"),
     (
         PROPTEST_SEED,
         "replay a property-test run from its printed seed",

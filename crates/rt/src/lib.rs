@@ -27,9 +27,9 @@
 //!   backing the resumable campaign engine.
 //! * [`obs`] — structured telemetry (spans, counters, gauges,
 //!   histograms, a leveled logger) for the checker pipeline itself
-//!   (replaces `tracing`), with the [`obs::stream`] flight recorder and
-//!   the [`obs::prof`] self-profiling plane (a seqlock shadow-stack
-//!   sampling profiler with `.folded` export, and a counting
+//!   (replaces `tracing`), with the [`obs::stream`] event stream and
+//!   the [`obs::prof`] self-profiling plane (an exact per-stack
+//!   self-time fold with `.folded` export, and a counting
 //!   `#[global_allocator]` attributing alloc count/bytes/peak to the
 //!   innermost open span; replaces `pprof` + `dhat`) behind it. All off
 //!   by default behind one enable mask: every disabled check is one

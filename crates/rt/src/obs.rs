@@ -14,19 +14,21 @@
 //!   `Registry`; [`mark`] + [`render_summary`] slice out a window (one
 //!   `check_stack` call) for the human-readable `PC_TRACE=summary` table,
 //!   [`snapshot`] exports the whole run for the machine-readable writers
-//!   (`paracrash::telemetry` serializes it as plain JSON and as Chrome
-//!   trace-event JSON loadable in Perfetto);
+//!   (`paracrash::telemetry` serializes it as Chrome trace-event JSON
+//!   loadable in Perfetto);
 //! * **a leveled logger** — the [`crate::pc_error!`], [`crate::pc_warn!`],
 //!   [`crate::pc_info!`] and [`crate::pc_debug!`] macros replace the
 //!   scattered `eprintln!`s. `PC_LOG=warn|info|debug` raises verbosity;
 //!   the default threshold is `error`, so everything below stays silent;
-//! * **a streaming plane** — [`stream`] is a bounded flight recorder of
-//!   structured events (span open/close, counter deltas, findings, cell
-//!   completions) with a JSON-lines sink (`--events-out`) and a
-//!   panic-flush crash-dump hook, for watching a campaign live instead
-//!   of waiting for the exit snapshot;
-//! * **a self-profiling plane** — [`prof`] samples the open-span stacks
-//!   and attributes allocations to the innermost open span;
+//! * **a streaming plane** — [`stream`] writes the drivers' events
+//!   (findings, cell completions, campaign snapshots) to a JSON-lines
+//!   sink (`--events-out`) as they happen, with a panic-hook marker, for
+//!   watching a campaign live instead of waiting for the exit snapshot;
+//! * **a self-time profile** — every closing span files `dur − Σ direct
+//!   children` under its open-span path, so the registry holds an exact
+//!   per-stack fold ([`TelemetrySnapshot::self_times`]) that
+//!   [`prof::render_folded`] writes as a `.folded` profile; [`prof`]
+//!   also attributes allocations to the innermost open span;
 //! * **causal trace ids** — [`set_trace_id`] / [`current_trace_id`]
 //!   carry one ambient workload-cell id that every span and stream
 //!   event records, so Chrome-trace export can group one cross-layer
@@ -35,9 +37,8 @@
 //! # Planes and the mask
 //!
 //! Everything here is **off by default** behind one `AtomicU8` of plane
-//! bits — registry, summary tables, stream, sampling, allocation
-//! accounting — that [`enabled`], [`summary_enabled`],
-//! [`stream::enabled`], [`prof::sampling_enabled`] and
+//! bits — registry, summary tables, stream, allocation accounting —
+//! that [`enabled`], [`summary_enabled`], [`stream::enabled`] and
 //! [`prof::alloc_tracking_enabled`] are bit tests of. Every entry point
 //! starts with one relaxed load of it and returns immediately when its
 //! plane is off — no allocation, no lock, no clock read;
@@ -52,13 +53,12 @@
 //! * `PC_LOG` — the log threshold.
 //!
 //! Programmatic switches are one `fetch_or` / `fetch_and` each:
-//! [`set_enabled`] (`--telemetry-out`), [`stream::set_sink`]
-//! (`--events-out`), [`prof::arm_profile`] (`--profile-out`). Turning
-//! the registry on turns allocation accounting on with it. When
-//! enabled, events funnel through one `Mutex<Registry>`; the
-//! instrumented operations (crash-state reconstruction, golden-state
-//! replay, recovery) cost micro- to milliseconds each, so a ~20 ns lock
-//! per event is noise.
+//! [`set_enabled`] (`--telemetry-out`, `--profile-out`),
+//! [`stream::set_sink`] (`--events-out`). Turning the registry on turns
+//! allocation accounting on with it. When enabled, events funnel through
+//! one `Mutex<Registry>`; the instrumented operations (crash-state
+//! reconstruction, golden-state replay, recovery) cost micro- to
+//! milliseconds each, so a ~20 ns lock per event is noise.
 //!
 //! # Example
 //!
@@ -78,7 +78,7 @@
 //! ```
 
 use crate::{env, lock};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -214,18 +214,16 @@ mod plane {
     pub const REGISTRY: u8 = 1 << 0;
     /// `PC_TRACE=summary`: print a table per check.
     pub const SUMMARY: u8 = 1 << 1;
-    /// `stream::emit` publishes into the flight recorder.
+    /// `stream::emit` writes to the sink.
     pub const STREAM: u8 = 1 << 2;
-    /// Spans push onto the sampled shadow stacks.
-    pub const SAMPLING: u8 = 1 << 3;
     /// The counting allocator attributes to the innermost open span.
-    pub const ALLOC: u8 = 1 << 4;
+    pub const ALLOC: u8 = 1 << 3;
     /// The environment has not been read yet.
     pub const UNINIT: u8 = 1 << 7;
 }
 
 /// The one enable mask. `Relaxed` throughout: it publishes no data —
-/// the registry, ring, sink and sampler each sit behind their own lock.
+/// the registry and the sink each sit behind their own lock.
 static PLANES: AtomicU8 = AtomicU8::new(plane::UNINIT);
 
 /// The plane bits. The fast path every instrumentation site takes: one
@@ -251,13 +249,11 @@ fn trace_planes(value: Option<&str>) -> u8 {
     }
 }
 
-/// The one place the observability environment is read (with
-/// [`sample_hz`] below it, asked once when a profile is armed):
-/// `PC_TRACE` into the mask, `PC_LOG` into the log threshold. Runs on
-/// the first touch of either; a concurrent first touch computes the same
-/// values and only one of them clears `UNINIT`, so bits set
-/// programmatically since are never overwritten. Returns the
-/// bootstrapped mask.
+/// The one place the observability environment is read: `PC_TRACE` into
+/// the mask, `PC_LOG` into the log threshold. Runs on the first touch of
+/// either; a concurrent first touch computes the same values and only
+/// one of them clears `UNINIT`, so bits set programmatically since are
+/// never overwritten. Returns the bootstrapped mask.
 #[cold]
 fn bootstrap() -> u8 {
     let level = match env::get(env::LOG) {
@@ -272,14 +268,6 @@ fn bootstrap() -> u8 {
         Ok(prev) => (prev & !plane::UNINIT) | bits,
         Err(current) => current,
     }
-}
-
-/// `--profile-out` sampling rate: `PC_PROF_HZ`, default 97 Hz (a prime
-/// avoids lockstep with periodic work), clamped to 1..=10000.
-fn sample_hz() -> u32 {
-    env::get(env::PROF_HZ)
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .map_or(97, |hz| hz.clamp(1, 10_000))
 }
 
 /// Switch `bits` on or off (after the bootstrap, so the environment
@@ -467,6 +455,11 @@ pub struct HistSummary {
 struct Registry {
     spans: Vec<SpanRec>,
     dropped_spans: u64,
+    /// Self time by open-span path (outermost first): what every span
+    /// that closed at the end of that path took, less its direct
+    /// children. Bounded by the distinct stacks of a run, not its length,
+    /// so it keeps folding past [`SPAN_CAP`].
+    self_ns: BTreeMap<Vec<&'static str>, u64>,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Hist>,
@@ -480,6 +473,7 @@ impl Registry {
         Registry {
             spans: Vec::new(),
             dropped_spans: 0,
+            self_ns: BTreeMap::new(),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
@@ -491,8 +485,9 @@ impl Registry {
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
 
 /// Backstop against unbounded memory on very long enabled runs; past the
-/// cap, spans are counted in `dropped_spans` instead of stored.
-const SPAN_CAP: usize = 1 << 20;
+/// cap, spans are counted in `dropped_spans` instead of stored (lowered
+/// under test so a unit test can reach it).
+const SPAN_CAP: usize = if cfg!(test) { 256 } else { 1 << 20 };
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -502,9 +497,23 @@ fn now_ns() -> u64 {
 
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
+/// One thread's open spans, outermost first.
+struct OpenStack {
+    /// Their names — the path a closing span's self time is filed under.
+    names: Vec<&'static str>,
+    /// In step with `names`: the span's allocation-table id, and the
+    /// nanoseconds its already-closed direct children took.
+    frames: Vec<(u32, u64)>,
+}
+
 thread_local! {
     static TID: Cell<u32> = const { Cell::new(0) };
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
+    static OPEN: RefCell<OpenStack> = const {
+        RefCell::new(OpenStack {
+            names: Vec::new(),
+            frames: Vec::new(),
+        })
+    };
 }
 
 fn tid() -> u32 {
@@ -537,7 +546,6 @@ struct OpenSpan {
     start_ns: u64,
     depth: u32,
     trace_id: u64,
-    prof: prof::SpanToken,
 }
 
 /// Open a span in the default category.
@@ -549,16 +557,16 @@ pub fn span(name: &'static str) -> Span {
 /// Open a span with an explicit category (Chrome trace `cat`).
 #[inline]
 pub fn span_cat(name: &'static str, cat: &'static str) -> Span {
-    let planes = planes();
-    if planes & plane::REGISTRY == 0 {
+    if !enabled() {
         return Span { open: None };
     }
-    let depth = DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v + 1);
-        v
+    let id = prof::enter(name);
+    let depth = OPEN.with(|open| {
+        let mut open = open.borrow_mut();
+        open.names.push(name);
+        open.frames.push((id, 0));
+        open.names.len() as u32 - 1
     });
-    stream::emit(stream::EventKind::SpanOpen, name, 0, cat);
     Span {
         open: Some(OpenSpan {
             name,
@@ -566,7 +574,6 @@ pub fn span_cat(name: &'static str, cat: &'static str) -> Span {
             start_ns: now_ns(),
             depth,
             trace_id: current_trace_id(),
-            prof: prof::on_span_open(name, planes),
         }),
     }
 }
@@ -577,8 +584,6 @@ impl Drop for Span {
             return;
         };
         let dur_ns = now_ns().saturating_sub(open.start_ns);
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        prof::on_span_close(open.prof);
         let rec = SpanRec {
             name: open.name,
             cat: open.cat,
@@ -588,16 +593,32 @@ impl Drop for Span {
             dur_ns,
             trace_id: open.trace_id,
         };
-        {
-            let mut reg = lock(&REGISTRY);
-            reg.ops += 1;
-            if reg.spans.len() < SPAN_CAP {
-                reg.spans.push(rec);
-            } else {
-                reg.dropped_spans += 1;
+        OPEN.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            // Spans are scope guards: the closing one is the innermost.
+            let (_, children_ns) = stack.frames.pop().unwrap_or_default();
+            {
+                let mut reg = lock(&REGISTRY);
+                reg.ops += 1;
+                // Looked up by slice: only a first-seen stack allocates.
+                let self_ns = dur_ns.saturating_sub(children_ns);
+                match reg.self_ns.get_mut(stack.names.as_slice()) {
+                    Some(total) => *total += self_ns,
+                    None => drop(reg.self_ns.insert(stack.names.clone(), self_ns)),
+                }
+                if reg.spans.len() < SPAN_CAP {
+                    reg.spans.push(rec);
+                } else {
+                    reg.dropped_spans += 1;
+                }
             }
-        }
-        stream::emit(stream::EventKind::SpanClose, open.name, dur_ns, open.cat);
+            stack.names.pop();
+            let parent = stack.frames.last_mut().map_or(0, |(id, children_ns)| {
+                *children_ns += dur_ns;
+                *id
+            });
+            prof::set_current(parent);
+        });
     }
 }
 
@@ -611,12 +632,9 @@ pub fn count(name: &'static str, delta: u64) {
     if !enabled() {
         return;
     }
-    {
-        let mut reg = lock(&REGISTRY);
-        reg.ops += 1;
-        *reg.counters.entry(name).or_insert(0) += delta;
-    }
-    stream::emit(stream::EventKind::Counter, name, delta, "");
+    let mut reg = lock(&REGISTRY);
+    reg.ops += 1;
+    *reg.counters.entry(name).or_insert(0) += delta;
 }
 
 /// Raise a named high-water-mark gauge to at least `value`.
@@ -660,6 +678,11 @@ pub struct TelemetrySnapshot {
     pub hists: Vec<(String, HistSummary)>,
     /// Spans lost to the memory backstop.
     pub dropped_spans: u64,
+    /// Self time in nanoseconds per open-span path (outermost first),
+    /// sorted by path: every closed span's duration less its direct
+    /// children's, so the values sum to the summed duration of the
+    /// depth-0 spans. Unaffected by `dropped_spans`.
+    pub self_times: Vec<(Vec<&'static str>, u64)>,
     /// Telemetry operations recorded while enabled (spans + counter /
     /// gauge / histogram updates) — the instrumentation-site count the
     /// overhead bench scales by.
@@ -710,6 +733,7 @@ pub fn snapshot() -> TelemetrySnapshot {
             })
             .collect(),
         dropped_spans: reg.dropped_spans,
+        self_times: reg.self_ns.iter().map(|(k, v)| (k.clone(), *v)).collect(),
         ops: reg.ops,
         allocs,
         alloc_total,
@@ -722,6 +746,7 @@ pub fn reset() {
         let mut reg = lock(&REGISTRY);
         reg.spans.clear();
         reg.dropped_spans = 0;
+        reg.self_ns.clear();
         reg.counters.clear();
         reg.gauges.clear();
         reg.hists.clear();
@@ -838,6 +863,13 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
                 fmt_ns(t.max_ns as f64),
             );
         }
+    }
+    if reg.dropped_spans > 0 {
+        let _ = writeln!(
+            out,
+            "  span table incomplete: {} spans past the {SPAN_CAP}-span cap were not stored",
+            reg.dropped_spans,
+        );
     }
 
     // Counter deltas since the mark.
@@ -1087,20 +1119,16 @@ mod tests {
     fn every_entry_point_runs_the_same_bootstrap() {
         let _guard = lock(&TEST_LOCK);
         let from_env = trace_planes(env::get(env::TRACE).as_deref());
-        let touches: [fn() -> bool; 5] = [
+        let touches: [fn() -> bool; 4] = [
             enabled,
             summary_enabled,
             stream::enabled,
-            prof::sampling_enabled,
             prof::alloc_tracking_enabled,
         ];
         for touch in touches {
             assert_eq!(first_touch(0, touch), from_env);
             // A bit set before the first touch survives the bootstrap.
-            assert_eq!(
-                first_touch(plane::SAMPLING, touch),
-                from_env | plane::SAMPLING
-            );
+            assert_eq!(first_touch(plane::STREAM, touch), from_env | plane::STREAM);
         }
         reset();
     }
@@ -1119,21 +1147,17 @@ mod tests {
     }
 
     #[test]
-    fn a_sink_sets_three_planes_and_disabling_telemetry_leaves_the_sampler() {
+    fn a_sink_sets_three_planes_and_disabling_telemetry_leaves_the_stream() {
         let _guard = lock(&TEST_LOCK);
         set_enabled(false);
         let path = std::env::temp_dir().join(format!("pc-obs-mask-{}.jsonl", std::process::id()));
         stream::set_sink(path.to_str().unwrap()).unwrap();
-        let sink_planes = plane::REGISTRY | plane::STREAM | plane::ALLOC;
-        assert_eq!(planes() & sink_planes, sink_planes);
+        assert_eq!(planes(), plane::REGISTRY | plane::STREAM | plane::ALLOC);
         stream::close();
         std::fs::remove_file(&path).ok();
-        prof::arm_profile();
-        assert_eq!(planes(), sink_planes | plane::SAMPLING);
         set_enabled(false);
-        assert_eq!(planes(), plane::STREAM | plane::SAMPLING);
+        assert_eq!(planes(), plane::STREAM);
         stream::set_enabled(false);
-        prof::disable_sampling();
         assert_eq!(planes(), 0);
         reset();
     }
@@ -1231,6 +1255,127 @@ mod tests {
             assert!(inner.start_ns >= outer.start_ns);
             assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
             assert!(outer.dur_ns >= inner.dur_ns);
+        });
+    }
+
+    /// The spans and self-time stacks of `snap` whose (outermost) name
+    /// starts with `prefix`: the pool's own tests run beside these and
+    /// record a scope span whenever they find telemetry on.
+    fn named<'a>(
+        snap: &'a TelemetrySnapshot,
+        prefix: &str,
+    ) -> (Vec<&'a SpanRec>, Vec<(Vec<&'static str>, u64)>) {
+        let spans = snap.spans.iter().filter(|s| s.name.starts_with(prefix));
+        let stacks = snap.self_times.iter();
+        let stacks = stacks.filter(|(k, _)| k[0].starts_with(prefix));
+        (spans.collect(), stacks.cloned().collect())
+    }
+
+    /// Partition identity: for any tree of nested spans on one thread,
+    /// the per-stack self times sum to the depth-0 durations exactly,
+    /// are keyed by the open-span paths, and equal a fold recomputed
+    /// from the stored records alone.
+    #[test]
+    fn self_times_partition_the_root_spans() {
+        use crate::proptest::{gen_vec, run, Config};
+        use crate::{prop_assert, prop_assert_eq, prop_assume};
+        const NAMES: [&str; 4] = ["obs.prop.a", "obs.prop.b", "obs.prop.c", "obs.prop.d"];
+        // A program: `Some(i)` opens `NAMES[i]`, `None` closes the
+        // innermost open span; whatever is left open closes at the end.
+        let gen = |rng: &mut crate::rng::Rng, size: usize| {
+            gen_vec(rng, 2 * size.min(40), |r| {
+                (r.next_u32() % 5 != 0).then(|| r.next_u32() as usize % NAMES.len())
+            })
+        };
+        let cfg = Config::with_cases(64);
+        run("self_times_partition", &cfg, gen, |program| {
+            let (snap, paths) = with_telemetry(|| {
+                let mut open: Vec<Span> = Vec::new();
+                let mut path: Vec<&'static str> = Vec::new();
+                let mut paths = std::collections::BTreeSet::new();
+                for op in program {
+                    match op {
+                        Some(i) if open.len() < 8 => {
+                            open.push(span(NAMES[*i]));
+                            path.push(NAMES[*i]);
+                            paths.insert(path.clone());
+                        }
+                        _ => {
+                            open.pop();
+                            path.pop();
+                        }
+                    }
+                }
+                while open.pop().is_some() {}
+                (snapshot(), paths)
+            });
+            prop_assume!(snap.dropped_spans == 0);
+            let (spans, folded) = named(&snap, "obs.prop.");
+            let folded: BTreeMap<_, _> = folded.into_iter().collect();
+            let roots: u64 = spans
+                .iter()
+                .filter(|s| s.depth == 0)
+                .map(|s| s.dur_ns)
+                .sum();
+            prop_assert_eq!(folded.values().sum::<u64>(), roots);
+            prop_assert!(folded.keys().eq(paths.iter()), "{folded:?} vs {paths:?}");
+            // Reference: the snapshot is sorted by start, so a span's
+            // ancestors are the latest earlier spans of smaller depth.
+            let mut reference: BTreeMap<Vec<&'static str>, u64> = BTreeMap::new();
+            let mut ancestors: Vec<&SpanRec> = Vec::new();
+            for s in &spans {
+                ancestors.truncate(s.depth as usize);
+                let parent: Vec<&'static str> = ancestors.iter().map(|a| a.name).collect();
+                if !parent.is_empty() {
+                    *reference.get_mut(&parent).expect("parent came first") -= s.dur_ns;
+                }
+                ancestors.push(s);
+                let path: Vec<&'static str> = ancestors.iter().map(|a| a.name).collect();
+                *reference.entry(path).or_insert(0) += s.dur_ns;
+            }
+            prop_assert_eq!(folded, reference);
+            Ok(())
+        });
+    }
+
+    /// Every count here is of this test's spans, or a bound (see `named`).
+    #[test]
+    fn the_span_cap_is_reported_and_does_not_truncate_self_times() {
+        with_telemetry(|| {
+            assert!(!render_summary(&mark(), "unit").contains("incomplete"));
+            for _ in 0..SPAN_CAP {
+                let _s = span("obs.test.cap");
+            }
+            let full = snapshot();
+            assert_eq!(full.spans.len(), SPAN_CAP);
+            // Past the cap spans are counted, not stored …
+            let m = mark();
+            {
+                let _late = span("obs.test.cap.late");
+                let _s = span("obs.test.cap");
+            }
+            let snap = snapshot();
+            assert_eq!(snap.spans.len(), SPAN_CAP);
+            assert!(snap.dropped_spans >= full.dropped_spans + 2);
+            // … which the summary says instead of printing an empty table …
+            let text = render_summary(&m, "unit");
+            assert!(text.contains("span table incomplete: "), "{text}");
+            // … and the self-time table keeps folding, new stacks included.
+            let ((stored, before), (_, after)) =
+                (named(&full, "obs.test.cap"), named(&snap, "obs.test.cap"));
+            let stacks: Vec<_> = after.iter().map(|(k, _)| k.as_slice()).collect();
+            assert_eq!(
+                stacks,
+                [
+                    &["obs.test.cap"][..],
+                    &["obs.test.cap.late"],
+                    &["obs.test.cap.late", "obs.test.cap"],
+                ]
+            );
+            let stored: u64 = stored.iter().map(|s| s.dur_ns).sum();
+            assert!(before[0].1 >= stored);
+            assert!(full.dropped_spans > 0 || before[0].1 == stored);
+            assert_eq!(after[0], before[0]);
         });
     }
 

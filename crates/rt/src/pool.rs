@@ -128,12 +128,7 @@ impl Pool {
         }
         std::thread::scope(|ts| {
             let threads: Vec<_> = (0..workers)
-                .map(|_| {
-                    ts.spawn(|| {
-                        crate::obs::prof::register_thread();
-                        sched.worker_loop()
-                    })
-                })
+                .map(|_| ts.spawn(|| sched.worker_loop()))
                 .collect();
             let scope = TaskScope { sched: &sched };
             let out = body(&scope);

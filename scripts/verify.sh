@@ -21,14 +21,14 @@
 #   5. Observability — one PR-tier fuzz run with all three sinks
 #      attached (--events-out, --telemetry-out, --profile-out) still
 #      prints the pinned report, at the default pool and at
-#      PC_THREADS=1; its telemetry (both dialects), event stream and
-#      `.folded` profile pass their `selftest` validators, the streams
-#      project identically sequential vs parallel (`--canonical-diff`),
-#      the profile covers the engine's hot stages, `paracrash report`
-#      renders all of it into a dashboard that passes the HTML lint,
-#      and the planes' *disabled* sites — spans, counters, events,
-#      profiler hooks, the counting allocator — cost a checked cell
-#      under 3% (`selftest obs`).
+#      PC_THREADS=1; its telemetry, event stream and `.folded` profile
+#      pass their `selftest` validators, the stream holds no span or
+#      counter line and projects identically sequential vs parallel
+#      (`--canonical-diff`), the exact self-time profile names the
+#      engine's stages down to `rpc.message`, `paracrash report` renders
+#      all of it into a dashboard that passes the HTML lint, and the
+#      planes' *disabled* sites — spans, counters, events, the counting
+#      allocator — cost a checked cell under 3% (`selftest obs`).
 #   6. Fault plane — the seeded chaos suite passes sequentially and
 #      parallel, one chaos seed gives bit-identical CLI reports across
 #      thread counts, a zero-fault full matrix reproduces exactly the
@@ -140,25 +140,25 @@ echo "== gate 5: observability — telemetry + event stream + profile from one s
 # The planes observe the fold, never perturb it: stdout is still the
 # pinned report. The nested path exercises --profile-out's parent creation.
 obs="$tmp/obs"
-PC_PROF_HZ=997 target/release/paracrash fuzz \
+target/release/paracrash fuzz \
     --events-out "$obs/events-par.jsonl" --telemetry-out "$obs/telemetry.json" \
     --profile-out "$obs/prof/fuzz.folded" > "$obs-par.txt" 2> /dev/null
 diff "$obs-par.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
-# The sequential twin writes the other telemetry dialect.
 PC_THREADS=1 target/release/paracrash fuzz \
     --events-out "$obs/events-seq.jsonl" --profile-out "$obs/seq.folded" \
-    --telemetry-out "$obs/telemetry-chrome.json" --telemetry-format chrome \
-    > "$obs-seq.txt" 2> /dev/null
+    --telemetry-out "$obs/telemetry-seq.json" > "$obs-seq.txt" 2> /dev/null
 diff "$obs-seq.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
 target/release/paracrash selftest telemetry "$obs/telemetry.json"
-target/release/paracrash selftest telemetry "$obs/telemetry-chrome.json"
+target/release/paracrash selftest telemetry "$obs/telemetry-seq.json"
 target/release/paracrash selftest events "$obs/events-par.jsonl"
-# Raw streams differ (timestamps, interleaving); the canonical
-# projection must not.
+# ~1.2 events per cell, not the registry's spans and counters again.
+[ "$(wc -l < "$obs/events-par.jsonl")" -lt 1000 ] || { echo "FAIL: event stream over 1000 lines"; exit 1; }
+[ "$(grep -c '"kind":"span_\|"kind":"counter"' "$obs/events-par.jsonl")" -eq 0 ] || { echo "FAIL: span/counter events in the stream"; exit 1; }
+# Raw streams differ (timestamps); the canonical projection must not.
 target/release/paracrash selftest events --canonical-diff \
     "$obs/events-par.jsonl" "$obs/events-seq.jsonl"
 target/release/paracrash selftest prof "$obs/prof/fuzz.folded"
-printf '%s\n' snapshot.materialize recover/ | require_in "$obs/prof/fuzz.folded"
+printf '%s\n' snapshot.materialize recover/ check.enumerate rpc.message | require_in "$obs/prof/fuzz.folded"
 # The dashboard of that sweep, from its own stream, snapshot and profile.
 target/release/paracrash report --events "$obs/events-par.jsonl" \
     --telemetry "$obs/telemetry.json" --profile "$obs/prof/fuzz.folded" \
@@ -283,7 +283,7 @@ target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-kill" --resume \
     > "$tmp/camp-kill.txt" 2> /dev/null
 diff "$tmp/camp-ref.txt" "$tmp/camp-kill.txt"
 # Satellite: --events-out under a campaign creates missing parent dirs
-# and the stream re-parses (campaign.* counters ride the same stream).
+# and the stream re-parses (campaign.* totals ride its snapshots).
 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ev" \
     --events-out "$tmp/nested/dirs/camp-events.jsonl" \
     > /dev/null 2> /dev/null

@@ -1,11 +1,11 @@
-//! Integration tests for the `pc_rt::obs::stream` flight recorder: ring
-//! wraparound, the panic-flush crash dump, the disabled fast path, and
-//! the determinism contract (enabling the stream must not perturb the
-//! checker's canonical output).
+//! Integration tests for the `pc_rt::obs::stream` event stream: the
+//! panic-hook crash dump, the disabled fast path, and the determinism
+//! contract (enabling the stream must not perturb the checker's
+//! canonical output).
 //!
-//! The recorder is process-global (one ring, one sequence counter, one
-//! sink), so every test here serializes on a lock and restores the
-//! disabled default before releasing it.
+//! The stream is process-global (one sequence counter, one sink), so
+//! every test here serializes on a lock and restores the disabled
+//! default before releasing it.
 
 use paracrash::{check_stack, CheckConfig, FuzzCorpus};
 use pc_rt::json::Json;
@@ -15,40 +15,11 @@ use workloads::{FsKind, Params, Program};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `f` with the stream publishing to a fresh ring of `cap` slots;
-/// always restores the disabled default.
-fn with_stream<T>(cap: usize, f: impl FnOnce() -> T) -> T {
-    stream::set_capacity(cap);
-    stream::set_enabled(true);
-    let out = f();
-    stream::set_enabled(false);
-    out
-}
-
-#[test]
-fn ring_wraparound_keeps_the_newest_events() {
-    let _guard = TEST_LOCK.lock().unwrap();
-    let first_seq = stream::published();
-    with_stream(8, || {
-        for i in 0..20u64 {
-            stream::emit(stream::EventKind::Counter, &format!("ev{i}"), i, "");
-        }
-    });
-    let kept = stream::collect();
-    assert_eq!(kept.len(), 8, "an 8-slot ring holds exactly 8 events");
-    // The survivors are the 8 *newest* publications, in order.
-    for (offset, (seq, ev)) in kept.iter().enumerate() {
-        assert_eq!(*seq, first_seq + 12 + offset as u64);
-        assert_eq!(ev.name, format!("ev{}", 12 + offset));
-    }
-}
-
 #[test]
 fn panic_flush_leaves_a_valid_json_lines_crash_dump() {
     let _guard = TEST_LOCK.lock().unwrap();
     let path = std::env::temp_dir().join("pc-events-panic-test.jsonl");
     let path_str = path.to_str().unwrap().to_string();
-    stream::set_capacity(64);
     stream::set_sink(&path_str).expect("sink opens");
     stream::emit(stream::EventKind::Cell, "w0@BeeGFS/data", 42, "bugs=0");
     stream::emit(stream::EventKind::Finding, "BeeGFS/data", 1, "sig [PfsBug]");
@@ -94,7 +65,7 @@ fn disabled_stream_publishes_nothing() {
     stream::set_enabled(false);
     let before = stream::published();
     for i in 0..1000u64 {
-        stream::emit(stream::EventKind::Counter, "ghost", i, "never seen");
+        stream::emit(stream::EventKind::Cell, "ghost", i, "never seen");
     }
     assert_eq!(
         stream::published(),
@@ -111,7 +82,6 @@ fn canonical_report_is_identical_with_stream_on_and_off() {
     let run = |stream_on: bool| {
         let mut corpus = FuzzCorpus::new();
         if stream_on {
-            stream::set_capacity(1024);
             stream::set_enabled(true);
             pc_rt::obs::set_enabled(true);
         }

@@ -1,16 +1,18 @@
 //! The self-profiling plane's cross-crate contracts (the observability
 //! verify gate repeats the process-level versions):
 //!
-//! * the disabled path records nothing — no samples, no allocation
-//!   attribution — so an unprofiled run is untouched;
-//! * the `.folded` aggregate renders deterministically (same stacks →
-//!   same bytes), which is what lets CI diff emitted profiles;
+//! * the disabled path records nothing — no spans, no self time, no
+//!   allocation attribution — so an unprofiled run is untouched;
+//! * the `.folded` file renders deterministically (same stacks → same
+//!   bytes), which is what lets CI diff emitted profiles;
+//! * the profile is an exact partition of a real traced sweep: self
+//!   times sum to the depth-0 span durations, sequentially and on the
+//!   pool, and name every span of the run;
 //! * profiling is strictly presentation-plane: `canonical_report()` is
-//!   byte-identical with the profiler off, on, and on across
-//!   `PC_THREADS` widths.
+//!   byte-identical with it off, on, and on across `PC_THREADS` widths.
 
 use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
-use pc_rt::obs::prof;
+use pc_rt::obs::{prof, TelemetrySnapshot};
 use std::sync::Mutex;
 use workloads::FsKind;
 
@@ -26,75 +28,106 @@ fn tiny_opts() -> CampaignOptions {
     CampaignOptions::new(fuzz, None)
 }
 
+/// Run `f` with `PC_THREADS` set to `threads`, restoring it after.
+fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
+    let saved = std::env::var("PC_THREADS").ok();
+    std::env::set_var("PC_THREADS", threads);
+    let out = f();
+    match saved {
+        Some(v) => std::env::set_var("PC_THREADS", v),
+        None => std::env::remove_var("PC_THREADS"),
+    }
+    out
+}
+
 #[test]
 fn disabled_planes_record_nothing() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pc_rt::obs::set_enabled(false);
     pc_rt::obs::reset();
-    assert!(!prof::sampling_enabled());
     assert!(!prof::alloc_tracking_enabled());
-    let before = prof::samples_total();
     // Real work through the instrumented stack with every plane off.
     run_campaign(&tiny_opts()).unwrap();
     let big = vec![0u8; 1 << 20];
     std::hint::black_box(&big);
-    assert_eq!(prof::samples_total(), before, "sampler ran while off");
-    let (rows, total) = prof::alloc_snapshot();
-    assert!(rows.is_empty(), "alloc attribution while off: {rows:?}");
-    assert_eq!(total.count, 0);
-    assert_eq!(prof::render_folded(), "", "folded output while off");
+    let snap = pc_rt::obs::snapshot();
+    assert!(snap.spans.is_empty() && snap.self_times.is_empty());
+    assert!(snap.allocs.is_empty(), "alloc attribution while off");
+    assert_eq!(snap.alloc_total.count, 0);
+    assert_eq!(prof::render_folded(&snap), "", "folded output while off");
 }
 
 #[test]
 fn folded_render_is_deterministic() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    pc_rt::obs::reset();
-    let record = || {
-        prof::record_synthetic(&["suite.root", "suite.leaf"], 3);
-        prof::record_synthetic(&["suite.root"], 1);
-        prof::record_synthetic(&["suite.root", "suite.leaf"], 2);
+    let snap = TelemetrySnapshot {
+        self_times: vec![
+            (vec!["suite.root"], 1),
+            (vec!["suite.root", "suite.leaf"], 5),
+            (vec!["suite.root.b"], 2),
+        ],
+        ..Default::default()
     };
-    record();
-    let first = prof::render_folded();
-    assert_eq!(first, "suite.root 1\nsuite.root;suite.leaf 5\n");
-    assert_eq!(prof::render_folded(), first, "re-render changed bytes");
-    pc_rt::obs::reset();
-    record();
+    let first = prof::render_folded(&snap);
+    // Sorted as rendered lines, not as the table's paths.
     assert_eq!(
-        prof::render_folded(),
         first,
-        "same stacks after reset must render identically"
+        "suite.root 1\nsuite.root.b 2\nsuite.root;suite.leaf 5\n"
     );
-    pc_rt::obs::reset();
+    assert_eq!(prof::render_folded(&snap), first, "re-render changed bytes");
+    assert_eq!(prof::parse_folded(&first).unwrap().len(), 3);
+}
+
+/// Σ self time = Σ root durations on a real traced sweep, sequentially
+/// and on the pool (where each worker's outermost span is its own
+/// root), and the rendered profile names every span name of the run.
+#[test]
+fn folded_profile_partitions_a_real_check() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in ["1", "4"] {
+        pc_rt::obs::reset();
+        pc_rt::obs::set_enabled(true);
+        with_threads(threads, || run_campaign(&tiny_opts()).unwrap());
+        let snap = pc_rt::obs::snapshot();
+        pc_rt::obs::set_enabled(false);
+        pc_rt::obs::reset();
+
+        assert_eq!(snap.dropped_spans, 0);
+        let roots: Vec<_> = snap.spans.iter().filter(|s| s.depth == 0).collect();
+        let folded: u64 = snap.self_times.iter().map(|(_, ns)| ns).sum();
+        let root_ns: u64 = roots.iter().map(|s| s.dur_ns).sum();
+        assert_eq!(folded, root_ns, "PC_THREADS={threads}");
+        for (stack, _) in &snap.self_times {
+            assert!(roots.iter().any(|r| r.name == stack[0]), "{stack:?}");
+        }
+        // A verdict task's recovery nests under `check_stack` inline and
+        // roots its own stack on a pool worker.
+        let pooled = roots.iter().any(|r| r.name.starts_with("recover/"));
+        assert_eq!(pooled, threads == "4", "PC_THREADS={threads}");
+        let rows = prof::parse_folded(&prof::render_folded(&snap)).unwrap();
+        for s in &snap.spans {
+            let named = |(stack, _): &(Vec<String>, u64)| stack.iter().any(|f| f == s.name);
+            assert!(rows.iter().any(named), "{} not in profile", s.name);
+        }
+    }
 }
 
 #[test]
 fn canonical_report_is_identical_with_profiling_on_off_and_across_threads() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let saved = std::env::var("PC_THREADS").ok();
     let opts = tiny_opts();
+    let report = || run_campaign(&opts).unwrap().corpus.canonical_report();
 
-    std::env::set_var("PC_THREADS", "1");
     pc_rt::obs::set_enabled(false);
     pc_rt::obs::reset();
-    let plain = run_campaign(&opts).unwrap().corpus.canonical_report();
+    let plain = with_threads("1", report);
 
-    // Profiled, single-threaded: sampler + allocation accounting on.
+    // Profiled (span collection + allocation accounting on),
+    // single-threaded, then on the parallel pool.
     pc_rt::obs::set_enabled(true);
-    prof::enable_sampling(2_000);
-    let profiled_seq = run_campaign(&opts).unwrap().corpus.canonical_report();
-
-    // Profiled, parallel pool.
-    std::env::set_var("PC_THREADS", "4");
-    let profiled_par = run_campaign(&opts).unwrap().corpus.canonical_report();
-
-    prof::disable_sampling();
+    let profiled_seq = with_threads("1", report);
+    let profiled_par = with_threads("4", report);
     pc_rt::obs::set_enabled(false);
     pc_rt::obs::reset();
-    match saved {
-        Some(v) => std::env::set_var("PC_THREADS", v),
-        None => std::env::remove_var("PC_THREADS"),
-    }
 
     assert_eq!(plain, profiled_seq, "profiling changed the report");
     assert_eq!(plain, profiled_par, "profiling+threads changed the report");
