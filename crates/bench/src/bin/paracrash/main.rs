@@ -549,7 +549,7 @@ fn main() {
 
     if let Some(path) = &dump_trace {
         // Trace-only mode companion: record the first (program, fs) cell
-        // and write its per-process trace files next to `path`.
+        // and write its trace, one combined file, to `path`.
         let stack = programs[0].run(systems[0], &params);
         write_out(path, tracer::save_trace(&stack.rec));
         println!(

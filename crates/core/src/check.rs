@@ -465,7 +465,8 @@ fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig, memo: RecoveryMemo) -> An
 fn enumerate(a: &Analysis) -> Enumerated {
     let rec = &a.stack.rec;
     // Semantic victim pruning (§5.3) only in the pruning modes, only for
-    // I/O-library programs (the object map comes from h5inspect).
+    // I/O-library programs (whose events carry the library's object
+    // labels: `is_data_chunk`).
     let semantic = a.cfg.mode.prunes() && a.stack.h5_path.is_some();
     let filter = |e: EventId| !(semantic && is_data_chunk(rec, e));
     let stage = pc_rt::obs::span_cat("check.enumerate", "check");
@@ -618,13 +619,12 @@ fn legal_and_verdicts(
     let mut walk = golden::WalkStats::default();
     let mut legal: Vec<Option<Result<LegalStates, String>>> = vec![None; n];
     let stage_verdicts = pc_rt::obs::span_cat("check.verdicts", "check");
-    let (verdicts, lists) = pc_rt::pool::scope(|scope| {
+    let verdicts = pc_rt::pool::scope(|scope| {
         // Producer time and join wait partition the verdict stage (the
         // span opens here so that spans close innermost first).
         let stage_legal = pc_rt::obs::span_cat("check.legal_states", "check");
         let sets = (&e.pfs_sets[..], &e.h5_sets[..]);
-        let mut lists =
-            golden::legal_lists(a.stack, a.cfg, &a.graph, factory, sets, Some(&mut walk));
+        let lists = golden::legal_lists(a.stack, a.cfg, &a.graph, factory, sets, Some(&mut walk));
         let mut handles = Vec::with_capacity(n);
         for &idx in &e.order {
             let (pfs_id, h5_id) = e.sets_of[idx];
@@ -648,21 +648,27 @@ fn legal_and_verdicts(
             out[idx] = Some(handle.join());
         }
         drop(join_wait);
-        let verdicts = out
-            .into_iter()
+        out.into_iter()
             .map(|r| r.expect("order is a permutation of all states"))
-            .collect();
-        (verdicts, lists)
+            .collect()
     });
     drop(stage_verdicts);
+    // `enumerate` interned the candidate sets from the states, so each
+    // list is named by at least one: a miss the first time, a hit for
+    // every other state that looks it up.
+    let table = |sets: &[Vec<EventId>], lookups: usize| CacheStats {
+        hits: lookups - sets.len(),
+        misses: sets.len(),
+    };
+    let h5_lookups = e.sets_of.iter().filter(|(_, h5)| h5.is_some()).count();
     Verdicts {
         legal: legal
             .into_iter()
             .map(|l| l.expect("order is a permutation of all states"))
             .collect(),
         verdicts,
-        pfs_cache: lists.views.stats,
-        h5_cache: lists.logicals.stats,
+        pfs_cache: table(&e.pfs_sets, n),
+        h5_cache: table(&e.h5_sets, h5_lookups),
         replays: (walk.executed, walk.shared),
         walked: (walk.dispatched, walk.forks),
     }
@@ -723,9 +729,8 @@ fn prune_and_classify(a: &Analysis, e: &Enumerated, v: &Verdicts) -> Classified 
 }
 
 /// §5.2 aggregation + Table 1 classification for one inconsistent state:
-/// count it against an already-reported cause if its damage pattern
-/// matches, otherwise classify it and (in the pruning modes) teach the
-/// exploration pruner the new pattern.
+/// count it against the first already-reported cause its damage pattern
+/// matches, otherwise classify it and teach `pruner` the new pattern.
 fn aggregate_or_classify(
     a: &Analysis,
     e: &Enumerated,
@@ -737,19 +742,10 @@ fn aggregate_or_classify(
 ) {
     let (stack, rec, topo, sigs, pa) = (a.stack, &a.stack.rec, &a.topo, &a.sigs, &a.pa);
     let state = &e.states[state_index];
-    let mut reported = Pruner::new();
-    for (sig, _) in bugs.keys() {
-        reported.learn(sig);
-    }
-    if reported.redundant(sigs, pa, state) {
-        for ((sig, _), (bug, _)) in bugs.iter_mut() {
-            let mut single = Pruner::new();
-            single.learn(sig);
-            if single.redundant(sigs, pa, state) {
-                bug.occurrences += 1;
-                break;
-            }
-        }
+    if let Some(known) = pruner.matching(sigs, pa, state) {
+        let reported = bugs.iter_mut().find(|((sig, _), _)| sig == known);
+        let (_, (bug, _)) = reported.expect("every learned signature is a reported bug");
+        bug.occurrences += 1;
         return;
     }
     let mut oracle = |persisted: &BitSet| -> bool {
@@ -759,9 +755,7 @@ fn aggregate_or_classify(
         let _s = pc_rt::obs::span_cat("check.classify", "check");
         classify(rec, sigs, pa, state, &mut oracle)
     };
-    if a.cfg.mode.prunes() {
-        pruner.learn(&signature);
-    }
+    pruner.learn(&signature);
     bugs.entry((signature.clone(), layer))
         .and_modify(|(b, _)| b.occurrences += 1)
         .or_insert_with(|| {
@@ -1277,10 +1271,11 @@ mod tests {
         assert!(pfs_pairs > 0 && h5_pairs > 0, "{pfs_pairs} {h5_pairs}");
     }
 
-    /// `ExploreStats`' cache fields are the sizes of the per-check
-    /// tables: one miss per distinct candidate set, a hit for every
-    /// other state. The literals were read from the LRU-cache checker
-    /// this one replaced.
+    /// `ExploreStats`' cache fields are derived from the sizes of the
+    /// per-check tables: one miss per distinct candidate set, a hit for
+    /// every other state, one lookup per state and layer in use. The
+    /// literals are what the checker counted lookup by lookup before
+    /// the fields were derived.
     #[test]
     fn explore_stats_are_table_sizes() {
         let stats = |hits, misses| CacheStats { hits, misses };

@@ -39,8 +39,9 @@ pub struct CheckConfig {
     /// traced workload plus torn-write widening of crash states. The
     /// default injects nothing and leaves every code path untouched.
     pub faults: FaultConfig,
-    /// Stop exploring at the first inconsistent or diagnostic crash
-    /// state instead of checking the full enumeration.
+    /// Report only the first finding: every crash state's verdict task
+    /// still runs, classification stops after the first inconsistent or
+    /// diagnostic state in checking order.
     pub fail_fast: bool,
     /// Build a provenance bundle ([`crate::explain::BugExplanation`])
     /// for every reproduced bug: minimal witness, causal-graph export,

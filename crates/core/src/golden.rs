@@ -28,7 +28,6 @@
 //! deduplicated by state digest.
 
 use crate::config::CheckConfig;
-use crate::explore::CacheStats;
 use crate::model::Model;
 use crate::stack::{replay_h5, replay_pfs, Namespace, Stack, StackFactory};
 use h5sim::{H5Call, H5Logical, H5Replay};
@@ -73,38 +72,20 @@ pub(crate) struct WalkStats {
 
 /// The legal lists of one layer, by candidate-set index. A panicking
 /// replay is stored as its message, so every state of the set reports it.
-pub(crate) struct Lists<T> {
-    lists: Vec<Result<LegalList<T>, String>>,
-    named: Vec<bool>,
-    /// One miss per list the first time a state names it, a hit for
-    /// every other state.
-    pub stats: CacheStats,
-}
-
-impl<T> Lists<T> {
-    /// The list of candidate set `id`, for one more crash state.
-    fn get(&mut self, id: usize) -> Result<LegalList<T>, String> {
-        if std::mem::replace(&mut self.named[id], true) {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        self.lists[id].clone()
-    }
-}
+type Lists<T> = Vec<Result<LegalList<T>, String>>;
 
 /// The legal lists of both layers of one check.
 pub(crate) struct Golden {
-    pub views: Lists<PfsView>,
-    pub logicals: Lists<H5Logical>,
+    views: Lists<PfsView>,
+    logicals: Lists<H5Logical>,
 }
 
 impl Golden {
     /// What a crash state with candidate sets `(pfs, h5)` is judged
     /// against (`h5` is `None` for programs that do not use the library).
-    pub(crate) fn of(&mut self, pfs: usize, h5: Option<usize>) -> Result<LegalStates, String> {
-        let views = self.views.get(pfs)?;
-        let logicals = h5.map_or_else(|| Ok(Arc::default()), |h5| self.logicals.get(h5))?;
+    pub(crate) fn of(&self, pfs: usize, h5: Option<usize>) -> Result<LegalStates, String> {
+        let views = self.views[pfs].clone()?;
+        let logicals = h5.map_or_else(|| Ok(Arc::default()), |h5| self.logicals[h5].clone())?;
         Ok((views, logicals))
     }
 }
@@ -192,7 +173,7 @@ fn layer_lists<R: Replay>(
             None => caught(|| oracle(set).map(|state| (R::digest(&state), Arc::new(state)))),
         }
     };
-    let lists = preserved.iter().map(|sets| {
+    let list = |sets: &Result<Vec<Vec<EventId>>, String>| {
         let (mut seen, mut list) = (BTreeSet::new(), Vec::new());
         for set in sets.as_ref().map_err(String::clone)? {
             if let Some((digest, state)) = replayed(set)? {
@@ -202,12 +183,8 @@ fn layer_lists<R: Replay>(
             }
         }
         Ok(Arc::new(list))
-    });
-    Lists {
-        lists: lists.collect(),
-        named: vec![false; candidate_sets.len()],
-        stats: CacheStats::default(),
-    }
+    };
+    preserved.iter().map(list).collect()
 }
 
 /// PFS-layer ops committed by an `fsync` call inside the candidate set.
@@ -491,12 +468,12 @@ mod tests {
                 legal_lists(&stack, &cfg, &graph, &factory, sets, walk)
             };
             let mut stats = WalkStats::default();
-            let mut walked = lists(Some(&mut stats));
+            let walked = lists(Some(&mut stats));
             assert_eq!((stats.dispatched, stats.forks), (2 + n, 0), "n = {n}");
             assert_eq!(stats.executed, n + 1, "n = {n}");
             assert_eq!(stats.executed + stats.shared, (n + 1) * (n + 2) / 2);
             // The table the walk fills is the oracle's, list by list.
-            let mut replayed = lists(None);
+            let replayed = lists(None);
             for k in 0..=n {
                 let (walked, replayed) = (walked.of(k, None), replayed.of(k, None));
                 assert_eq!(walked.as_ref().unwrap().0.len(), k + 1);

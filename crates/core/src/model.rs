@@ -54,20 +54,6 @@ impl Model {
         }
     }
 
-    /// `true` if `self` admits every preserved set `other` admits
-    /// (weaker-or-equal). Strict ⊑ Causal ⊑ Commit ⊑ Baseline.
-    pub fn admits_at_least(&self, other: Model) -> bool {
-        fn rank(m: Model) -> u8 {
-            match m {
-                Model::Strict => 0,
-                Model::Causal => 1,
-                Model::Commit => 2,
-                Model::Baseline => 3,
-            }
-        }
-        rank(*self) >= rank(other)
-    }
-
     /// Enumerate the legal preserved sets of `ops` (layer-level operation
     /// event ids, all of which precede the crash).
     ///
@@ -206,14 +192,6 @@ mod tests {
         let sets = Model::Baseline.preserved_sets(&g, &[wa, wb, wc], &[]);
         assert_eq!(sets.len(), 8);
         assert!(sets.iter().any(|s| s.is_empty()));
-    }
-
-    #[test]
-    fn model_lattice() {
-        assert!(Model::Baseline.admits_at_least(Model::Strict));
-        assert!(Model::Causal.admits_at_least(Model::Strict));
-        assert!(Model::Commit.admits_at_least(Model::Causal));
-        assert!(!Model::Strict.admits_at_least(Model::Causal));
     }
 
     #[test]

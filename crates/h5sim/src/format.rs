@@ -416,31 +416,6 @@ pub struct LenientReport {
     pub group_errors: Vec<(String, H5Error)>,
 }
 
-impl LenientReport {
-    /// Collapse into the strict result: `Ok` only if everything parsed.
-    pub fn into_strict(self) -> Result<H5Logical, H5Error> {
-        if let Some(e) = self.open_error {
-            return Err(e);
-        }
-        if let Some((_, e)) = self.group_errors.into_iter().next() {
-            return Err(e);
-        }
-        let mut logical = H5Logical {
-            groups: self.groups,
-            datasets: BTreeMap::new(),
-        };
-        for (k, v) in self.datasets {
-            match v {
-                Ok(t) => {
-                    logical.datasets.insert(k, t);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(logical)
-    }
-}
-
 fn lenient_group(b: &[u8], gname: &str, oh: u64, eof: u64, out: &mut LenientReport) {
     if let Err(e) = expect_sig(b, oh, b"OHDR", "object header", eof) {
         out.group_errors.push((gname.to_string(), e));
@@ -844,11 +819,14 @@ mod tests {
     #[test]
     fn lenient_walk_agrees_with_strict_on_clean_and_broken_files() {
         let img = minimal_file();
-        // Clean file: the lenient walk collapses back to the strict
-        // result.
-        let lenient = check_lenient(&img);
-        assert!(lenient.open_error.is_none());
-        assert_eq!(lenient.clone().into_strict().unwrap(), check(&img).unwrap());
+        // Clean file: the lenient walk reaches what the strict one does.
+        let (lenient, strict) = (check_lenient(&img), check(&img).unwrap());
+        assert!(lenient.open_error.is_none() && lenient.group_errors.is_empty());
+        assert_eq!(lenient.groups, strict.groups);
+        let datasets: BTreeMap<_, _> = (lenient.datasets.into_iter())
+            .map(|(key, dataset)| (key, dataset.unwrap()))
+            .collect();
+        assert_eq!(datasets, strict.datasets);
         // Break the dataset's B-tree: strict fails, lenient isolates the
         // failure to that dataset.
         let mut broken = img.clone();
@@ -865,7 +843,6 @@ mod tests {
         let lenient = check_lenient(&broken);
         assert!(lenient.open_error.is_none());
         assert!(matches!(lenient.datasets.get("/d1"), Some(Err(_))));
-        assert!(lenient.into_strict().is_err());
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! * [`mod@format`] — the byte format, plus `check` (≈ `h5check`): parse and
 //!   validate a file image into an [`format::H5Logical`] state;
 //! * [`tools`] — `h5clear` (superblock repair, with the option knob of
-//!   Table 3 bug 13), `h5inspect` (object → byte-range map with JSON
-//!   output, used by the semantic pruning of §5.3), and `h5replay`
-//!   (replay a preserved set of H5 calls on a fresh stack, §5.1);
+//!   Table 3 bug 13), `h5inspect` (object → byte-range map, §5.2; the
+//!   semantic pruning of §5.3 reads the same object names off the event
+//!   labels [`file::H5File`] records), and `h5replay` (replay a
+//!   preserved set of H5 calls on a fresh stack, §5.1);
 //! * [`netcdf`] — a NetCDF-style wrapper (variables over datasets) in
 //!   HDF5 format, as in the paper's NetCDF 4.7 setup;
 //! * [`call::H5Call`] — the I/O-library-level operation vocabulary whose
@@ -43,6 +44,5 @@ pub use file::{H5File, H5Spec};
 pub use format::{check, check_lenient, H5Error, H5Logical, LenientReport};
 pub use netcdf::{nc_check, NcError, NcFile};
 pub use tools::{
-    h5clear, h5inspect, h5replay, h5replay_with, render_replay_program, ClearOpts, H5Replay,
-    ObjectRange, ReplayError,
+    h5clear, h5inspect, h5replay, h5replay_with, ClearOpts, H5Replay, ObjectRange, ReplayError,
 };

@@ -5,8 +5,9 @@
 //!   of Table 3 bug 13: with `--increase-eof` it can repair the
 //!   superblock-vs-B-tree "addr overflow" states; without it it cannot.
 //! * `h5inspect` — maps every internal object to its byte range in the
-//!   file and renders the map as JSON (§5.2); the object map feeds the
-//!   semantic pruning of §5.3.
+//!   file (§5.2). The semantic pruning of §5.3 does not read the map: it
+//!   reads the same object names off the labels the library records
+//!   with each flush.
 //! * `h5replay` — replays a preserved set of I/O-library calls on a
 //!   fresh stack to produce a legal golden state (§5.1; the original
 //!   generates and compiles a C program, we drive the library directly).
@@ -15,7 +16,6 @@ use crate::call::{H5Call, H5Trace};
 use crate::file::{H5File, H5Spec};
 use crate::format::{self, check, H5Error, H5Logical};
 use mpiio::MpiIo;
-use pc_rt::json::Json;
 use pfs::{ClientTrace, Pfs};
 use std::collections::BTreeSet;
 use tracer::Recorder;
@@ -167,118 +167,6 @@ fn inspect_dtree(b: &[u8], key: &str, addr: u64, out: &mut Vec<ObjectRange>) {
             inspect_dtree(b, key, a, out);
         }
     }
-}
-
-/// Render an object map as the JSON document `h5inspect` writes.
-pub fn inspect_to_json(map: &[ObjectRange]) -> String {
-    Json::Arr(
-        map.iter()
-            .map(|o| {
-                Json::Obj(vec![
-                    ("object".into(), Json::Str(o.name.clone())),
-                    ("addr".into(), Json::Int(o.addr)),
-                    ("len".into(), Json::Int(o.len)),
-                    ("is_data".into(), Json::Bool(o.is_data)),
-                ])
-            })
-            .collect(),
-    )
-    .pretty()
-}
-
-/// Render a preserved set of I/O-library calls as the C replay program
-/// the original `h5replay` generates and compiles (§5.1: "it creates a C
-/// program containing the HDF5 function calls and their dependent
-/// statements, and executes the generated program"). This reproduction
-/// drives the library directly, but emits the same artifact for
-/// inspection and documentation.
-pub fn render_replay_program(path: &str, calls: &[(u32, H5Call)]) -> String {
-    let mut c = String::new();
-    c.push_str("#include <hdf5.h>\n#include <mpi.h>\n\n");
-    c.push_str("int main(int argc, char **argv) {\n");
-    c.push_str("    MPI_Init(&argc, &argv);\n");
-    c.push_str("    hid_t fapl = H5Pcreate(H5P_FILE_ACCESS);\n");
-    c.push_str("    H5Pset_fapl_mpio(fapl, MPI_COMM_WORLD, MPI_INFO_NULL);\n");
-    let mut file_open = false;
-    for (i, (rank, call)) in calls.iter().enumerate() {
-        let _ = rank;
-        match call {
-            H5Call::CreateFile => {
-                c.push_str(&format!(
-                    "    hid_t file = H5Fcreate(\"{path}\", H5F_ACC_TRUNC, H5P_DEFAULT, fapl);\n"
-                ));
-                file_open = true;
-            }
-            H5Call::CreateGroup { group } => {
-                c.push_str(&format!(
-                    "    hid_t g{i} = H5Gcreate(file, \"{group}\", H5P_DEFAULT, H5P_DEFAULT, H5P_DEFAULT);\n"
-                ));
-            }
-            H5Call::CreateDataset {
-                group,
-                name,
-                rows,
-                cols,
-            }
-            | H5Call::CreateDatasetParallel {
-                group,
-                name,
-                rows,
-                cols,
-                ..
-            } => {
-                c.push_str(&format!(
-                    "    {{ hsize_t dims{i}[2] = {{{rows}, {cols}}};\n\
-                     \x20     hid_t sp{i} = H5Screate_simple(2, dims{i}, NULL);\n\
-                     \x20     hid_t d{i} = H5Dcreate(file, \"/{group}/{name}\", H5T_NATIVE_DOUBLE, sp{i}, H5P_DEFAULT, H5P_DEFAULT, H5P_DEFAULT);\n\
-                     \x20     H5Dclose(d{i}); H5Sclose(sp{i}); }}\n"
-                ));
-            }
-            H5Call::ResizeDataset {
-                group,
-                name,
-                rows,
-                cols,
-            }
-            | H5Call::ResizeDatasetParallel {
-                group,
-                name,
-                rows,
-                cols,
-                ..
-            } => {
-                c.push_str(&format!(
-                    "    {{ hsize_t ext{i}[2] = {{{rows}, {cols}}};\n\
-                     \x20     hid_t d{i} = H5Dopen(file, \"/{group}/{name}\", H5P_DEFAULT);\n\
-                     \x20     H5Dset_extent(d{i}, ext{i}); H5Dclose(d{i}); }}\n"
-                ));
-            }
-            H5Call::DeleteDataset { group, name } => {
-                c.push_str(&format!(
-                    "    H5Ldelete(file, \"/{group}/{name}\", H5P_DEFAULT);\n"
-                ));
-            }
-            H5Call::RenameDataset {
-                src_group,
-                src_name,
-                dst_group,
-                dst_name,
-            } => {
-                c.push_str(&format!(
-                    "    H5Lmove(file, \"/{src_group}/{src_name}\", file, \"/{dst_group}/{dst_name}\", H5P_DEFAULT, H5P_DEFAULT);\n"
-                ));
-            }
-            H5Call::CloseFile => {
-                c.push_str("    H5Fclose(file);\n");
-                file_open = false;
-            }
-        }
-    }
-    if file_open {
-        c.push_str("    H5Fclose(file);\n");
-    }
-    c.push_str("    H5Pclose(fapl);\n    MPI_Finalize();\n    return 0;\n}\n");
-    c
 }
 
 /// Why a replay could not run.
@@ -617,61 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_program_renders_every_call() {
-        let calls = vec![
-            (0, H5Call::CreateFile),
-            (0, H5Call::CreateGroup { group: "g1".into() }),
-            (
-                0,
-                H5Call::CreateDataset {
-                    group: "g1".into(),
-                    name: "d1".into(),
-                    rows: 200,
-                    cols: 200,
-                },
-            ),
-            (
-                0,
-                H5Call::ResizeDataset {
-                    group: "g1".into(),
-                    name: "d1".into(),
-                    rows: 400,
-                    cols: 400,
-                },
-            ),
-            (
-                0,
-                H5Call::RenameDataset {
-                    src_group: "g1".into(),
-                    src_name: "d1".into(),
-                    dst_group: "g1".into(),
-                    dst_name: "dx".into(),
-                },
-            ),
-            (
-                0,
-                H5Call::DeleteDataset {
-                    group: "g1".into(),
-                    name: "dx".into(),
-                },
-            ),
-        ];
-        let c = render_replay_program("/file.h5", &calls);
-        for needle in [
-            "H5Fcreate(\"/file.h5\"",
-            "H5Gcreate(file, \"g1\"",
-            "H5Dcreate(file, \"/g1/d1\"",
-            "H5Dset_extent",
-            "H5Lmove(file, \"/g1/d1\", file, \"/g1/dx\"",
-            "H5Ldelete(file, \"/g1/dx\"",
-            "MPI_Init",
-            "H5Fclose(file);",
-        ] {
-            assert!(c.contains(needle), "missing {needle} in:\n{c}");
-        }
-    }
-
-    #[test]
     fn h5clear_repairs_eof() {
         let mut pfs = Ext4Direct::paper_default();
         let _ = h5replay(&mut pfs, "/f.h5", &[0], &preamble()).unwrap();
@@ -695,8 +528,6 @@ mod tests {
         assert!(map.iter().any(|o| o.name == "superblock"));
         assert!(map.iter().any(|o| o.name.contains("local heap of g1")));
         assert!(map.iter().any(|o| o.is_data));
-        let json = inspect_to_json(&map);
-        assert!(json.contains("\"object\": \"superblock\""));
         // Ranges must not overlap.
         let mut prev_end = 0;
         for o in &map {

@@ -183,36 +183,6 @@ impl<'a> MpiIo<'a> {
         exits
     }
 
-    /// Point-to-point `MPI_Send` / `MPI_Recv` pair.
-    pub fn send_recv(
-        &mut self,
-        from: u32,
-        to: u32,
-        tag: &str,
-        parent: Option<EventId>,
-    ) -> (EventId, EventId) {
-        let s = self.rec.record(
-            Layer::MpiIo,
-            Process::Client(from),
-            Payload::Send {
-                to: Process::Client(to),
-                msg: tag.to_string(),
-            },
-            parent,
-        );
-        let r = self.rec.record(
-            Layer::MpiIo,
-            Process::Client(to),
-            Payload::Recv {
-                from: Process::Client(from),
-                msg: tag.to_string(),
-            },
-            None,
-        );
-        self.rec.add_edge(s, r);
-        (s, r)
-    }
-
     /// Collective synchronization: every listed event happens before a
     /// shared completion point (modelled as mutual edges).
     fn sync_edges(&mut self, events: &[EventId]) {
@@ -295,20 +265,6 @@ mod tests {
         let g = CausalityGraph::build(&rec);
         // Both causally follow the collective open, but not each other.
         assert!(g.concurrent(w0, w1));
-    }
-
-    #[test]
-    fn send_recv_orders_ranks() {
-        let mut fs = BeeGfs::paper_default();
-        let mut rec = Recorder::new();
-        let mut trace = ClientTrace::new();
-        let mut mpi = MpiIo::new(&mut fs, &mut rec, &mut trace);
-        mpi.file_open(&[0, 1], "/f", true, None);
-        let w0 = mpi.file_write_at(0, "/f", 0, b"a", None);
-        mpi.send_recv(0, 1, "token", None);
-        let w1 = mpi.file_write_at(1, "/f", 1, b"b", None);
-        let g = CausalityGraph::build(&rec);
-        assert!(g.happens_before(w0, w1));
     }
 
     #[test]

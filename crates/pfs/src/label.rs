@@ -29,9 +29,7 @@
 //! witnesses and explain bundles all render through them, and golden
 //! tests pin the exact strings — change them only with the goldens.
 
-use pc_rt::intern::Sym;
 use simfs::StructTag;
-use std::sync::OnceLock;
 
 /// Map a server-local path to the PFS structure kind it implements.
 pub fn structure_kind(path: &str) -> &'static str {
@@ -57,59 +55,6 @@ pub fn structure_kind(path: &str) -> &'static str {
         "brick entry"
     } else {
         "file"
-    }
-}
-
-/// The fixed label vocabulary, pre-interned once so hot paths can key
-/// aggregation maps by 4-byte [`Sym`] ids instead of label strings.
-/// Index order mirrors the `structure_kind` dispatch chain.
-fn label_syms() -> &'static [Sym; 11] {
-    static LABELS: OnceLock<[Sym; 11]> = OnceLock::new();
-    LABELS.get_or_init(|| {
-        [
-            Sym::new("file chunk"),
-            Sym::new("idfile"),
-            Sym::new("d_entry"),
-            Sym::new("dir_inode"),
-            Sym::new("keyval.db"),
-            Sym::new("attrs.db"),
-            Sym::new("bstream"),
-            Sym::new("object"),
-            Sym::new("mdt entry"),
-            Sym::new("brick entry"),
-            Sym::new("file"),
-        ]
-    })
-}
-
-/// Interned form of [`structure_kind`]: same classification, but the
-/// label comes back as a [`Sym`] from a pre-interned vocabulary, so
-/// per-event calls on the signature hot path never touch the global
-/// intern table's write lock.
-pub fn structure_kind_sym(path: &str) -> Sym {
-    let l = label_syms();
-    if path.starts_with("/chunks/") {
-        l[0]
-    } else if path.starts_with("/idfiles/") {
-        l[1]
-    } else if path.starts_with("/dentries/") {
-        l[2]
-    } else if path.starts_with("/inodes/") {
-        l[3]
-    } else if path.ends_with("keyval.db") {
-        l[4]
-    } else if path.ends_with("attrs.db") {
-        l[5]
-    } else if path.starts_with("/bstreams/") {
-        l[6]
-    } else if path.starts_with("/objects/") {
-        l[7]
-    } else if path.starts_with("/mdt") {
-        l[8]
-    } else if path.starts_with("/data") {
-        l[9]
-    } else {
-        l[10]
     }
 }
 
@@ -156,25 +101,6 @@ mod tests {
     fn fallback_is_plain_file() {
         assert_eq!(structure_kind("/whatever"), "file");
         assert_eq!(structure_kind("/scratch/tmp"), "file");
-    }
-
-    #[test]
-    fn interned_labels_match_string_labels() {
-        for p in [
-            "/chunks/f0.0",
-            "/idfiles/f0",
-            "/dentries/root/foo",
-            "/inodes/root",
-            "/db/keyval.db",
-            "/db/attrs.db",
-            "/bstreams/h0.0",
-            "/objects/o0.0",
-            "/mdt/foo",
-            "/data/foo",
-            "/whatever",
-        ] {
-            assert_eq!(structure_kind_sym(p).as_str(), structure_kind(p));
-        }
     }
 
     #[test]

@@ -277,18 +277,6 @@ impl ServerStates {
         self.stores.iter().map(|s| s.digest()).collect()
     }
 
-    /// Number of servers whose state differs from `other` — the TSP edge
-    /// weight of §5.3. Compares memoized per-store digests directly:
-    /// the visiting-order pass evaluates O(n²) edges, so this path must
-    /// not allocate per edge.
-    pub fn server_distance(&self, other: &ServerStates) -> usize {
-        self.stores
-            .iter()
-            .zip(&other.stores)
-            .filter(|(a, b)| a.digest() != b.digest())
-            .count()
-    }
-
     /// O(1) copy-on-write snapshot of the whole cluster: the simulation
     /// analogue of taking per-server LVM snapshots before crash emulation
     /// (§4.3), minus the copying.
@@ -354,16 +342,5 @@ mod tests {
         let mut partial = ServerStates::all_fs(2, JournalMode::Data);
         partial.apply_events(&rec, [write]); // creat dropped -> append skipped
         assert!(!partial.server(0).as_fs().exists("/f"));
-    }
-
-    #[test]
-    fn server_distance_counts_differing_servers() {
-        let mut a = ServerStates::all_fs(3, JournalMode::Data);
-        let b = a.clone();
-        assert_eq!(a.server_distance(&b), 0);
-        a.server_mut(1).as_fs_mut().creat("/x").unwrap();
-        assert_eq!(a.server_distance(&b), 1);
-        a.server_mut(2).as_fs_mut().creat("/y").unwrap();
-        assert_eq!(a.server_distance(&b), 2);
     }
 }

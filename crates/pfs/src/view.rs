@@ -69,11 +69,6 @@ impl PfsView {
         self.dirs.contains(&Sym::new(path))
     }
 
-    /// Number of files (readable or damaged) in the view.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Files in lexicographic path order: `(path, content)` where
     /// `None` content marks a damaged file.
     pub fn files_sorted(&self) -> Vec<(&'static str, Option<&[u8]>)> {

@@ -187,12 +187,6 @@ impl From<&str> for Sym {
     }
 }
 
-/// Sort `syms` by resolved string — the boundary helper every consumer
-/// with observable iteration order uses (see the determinism contract).
-pub fn sort_resolved(syms: &mut [Sym]) {
-    syms.sort_by_key(|s| s.as_str());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,22 +198,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.id(), b.id());
         assert_eq!(a.as_str(), "alpha/beta");
-    }
-
-    #[test]
-    fn sort_resolved_is_lexicographic_whatever_the_id_order() {
-        // Intern in reverse lexicographic order so id order disagrees
-        // with string order.
-        let mut v = vec![
-            Sym::new("ord-test/z"),
-            Sym::new("ord-test/m"),
-            Sym::new("ord-test/a"),
-        ];
-        sort_resolved(&mut v);
-        assert_eq!(
-            v.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-            vec!["ord-test/a", "ord-test/m", "ord-test/z"]
-        );
     }
 
     #[test]

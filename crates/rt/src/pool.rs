@@ -1,12 +1,11 @@
 //! Scoped worker pool: a task scheduler ([`Pool::scope`]) on borrowed
 //! data, built on [`std::thread::scope`].
 //!
-//! This is the fan-out engine for Algorithm 1's exploration loop:
-//! tasks are submitted *while earlier ones run*, each returning a
-//! [`TaskHandle`]. Workers share one locked queue, so a sequential
-//! producer (e.g. the legal-state replay loop, which owns the golden
-//! tables) overlaps with parallel consumers (per-state verdicts)
-//! instead of the stages joining at a barrier.
+//! This is the fan-out engine for Algorithm 1's exploration loop: the
+//! checker builds its legal-state tables, then spawns one verdict task
+//! per crash state, each returning a [`TaskHandle`]. Workers share one
+//! locked queue and take a task as soon as it is spawned, while the
+//! caller is still spawning the rest.
 //!
 //! Results come back **by handle**, whatever order workers finish in,
 //! and a panicking task yields `Err(message)` on its own handle instead
@@ -95,14 +94,9 @@ impl Pool {
     /// [`TaskScope::spawn`] execute on this pool's workers while `body`
     /// keeps running, and each returns a [`TaskHandle`] to join on.
     ///
-    /// This is the pipelining primitive: a sequential producer (holding
-    /// `&mut` state) spawns each consumer task as soon as its input is
-    /// ready, instead of finishing the whole producer stage and then
-    /// fanning out behind a barrier.
-    ///
     /// With one worker (`PC_THREADS=1`), spawned tasks run **inline**
     /// inside `spawn` — the deterministic sequential reference: the
-    /// interleaving is exactly "producer step i, then task i".
+    /// interleaving is exactly "spawn i, then task i".
     ///
     /// Panics inside a task are caught and surface as `Err(message)`
     /// from [`TaskHandle::join`], never aborting sibling tasks.
@@ -342,8 +336,7 @@ mod tests {
     fn scope_pipelines_producer_and_consumers() {
         // A sequential producer holding &mut state spawns a task per
         // step; tasks borrow the produced value. The &mut producer
-        // state and shared task captures coexist — the shape check.rs
-        // uses for legal-states → verdict overlap.
+        // state and shared task captures coexist.
         let inputs: Vec<std::sync::OnceLock<u64>> = (0..50).map(|_| Default::default()).collect();
         let mut produced = 0u64; // &mut state only the producer touches
         let total: u64 = Pool::with_threads(4).scope(|sc| {

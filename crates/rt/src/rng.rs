@@ -139,15 +139,6 @@ impl Rng {
         unit < p
     }
 
-    /// Uniformly pick a reference out of a slice (`None` when empty).
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.gen_index(xs.len())])
-        }
-    }
-
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

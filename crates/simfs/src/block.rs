@@ -182,14 +182,6 @@ impl fmt::Display for BlockOp {
     }
 }
 
-/// Block-level persistence rule: with write-back caching, two writes on the
-/// same device are ordered only if a cache-flush barrier was issued between
-/// them (`op1 → sync → op2` in happens-before order). The caller scans the
-/// trace for such a barrier and passes the result.
-pub fn block_persists_before(op1: &BlockOp, op2: &BlockOp, barrier_between: bool) -> bool {
-    op1.is_update() && op2.is_update() && barrier_between
-}
-
 /// An addressable block device, snapshot-able like [`crate::FsState`].
 ///
 /// Like `FsState`, the block table is persistent (copy-on-write):
@@ -260,11 +252,6 @@ impl BlockDev {
         self.blocks.get(&lba).map(|b| b.1.as_slice())
     }
 
-    /// Read the tag of the block at `lba`, if written.
-    pub fn tag_at(&self, lba: u64) -> Option<&StructTag> {
-        self.blocks.get(&lba).map(|b| &b.0)
-    }
-
     /// All written blocks in LBA order.
     pub fn iter(&self) -> impl Iterator<Item = (&u64, &StructTag, &[u8])> {
         self.blocks.iter().map(|(l, b)| (l, &b.0, b.1.as_slice()))
@@ -311,15 +298,6 @@ mod tests {
         dev.apply(&BlockOp::SyncCache);
         assert_eq!(dev.digest(), d0);
         assert!(dev.is_empty());
-    }
-
-    #[test]
-    fn barrier_rule() {
-        let w1 = BlockOp::write(0, StructTag::Superblock, vec![0]);
-        let w2 = BlockOp::write(1, StructTag::LogFile, vec![0]);
-        assert!(block_persists_before(&w1, &w2, true));
-        assert!(!block_persists_before(&w1, &w2, false));
-        assert!(!block_persists_before(&BlockOp::SyncCache, &w2, true));
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl ClusterTopology {
         self.servers.len() as u32
     }
 
-    /// Number of application clients.
-    pub fn client_count(&self) -> u32 {
-        self.clients
-    }
-
     /// Ids of servers that can hold metadata.
     pub fn metadata_servers(&self) -> Vec<u32> {
         self.servers
@@ -129,7 +124,6 @@ mod tests {
         assert_eq!(t.role(0), Some(ServerRole::Metadata));
         assert_eq!(t.role(3), Some(ServerRole::Storage));
         assert_eq!(t.role(9), None);
-        assert_eq!(t.client_count(), 2);
     }
 
     #[test]

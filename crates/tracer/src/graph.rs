@@ -162,8 +162,6 @@ impl BitSet {
 #[derive(Debug, Clone)]
 pub struct CausalityGraph {
     n: usize,
-    /// `succ[i]` = direct successors of event `i`.
-    succ: Vec<Vec<EventId>>,
     /// `reach[i]` = every event reachable from `i` (excluding `i`).
     reach: Vec<BitSet>,
 }
@@ -173,6 +171,7 @@ impl CausalityGraph {
     /// caller–callee edges, and the recorder's explicit extra edges.
     pub fn build(rec: &Recorder) -> Self {
         let n = rec.len();
+        // `succ[i]` = direct successors of event `i`.
         let mut succ: Vec<Vec<EventId>> = vec![Vec::new(); n];
         // Program order within each process.
         for (_, ids) in rec.per_process() {
@@ -208,7 +207,7 @@ impl CausalityGraph {
             }
             reach[i] = row;
         }
-        CausalityGraph { n, succ, reach }
+        CausalityGraph { n, reach }
     }
 
     /// Number of events.
@@ -234,22 +233,6 @@ impl CausalityGraph {
     /// `true` if neither happens before the other.
     pub fn concurrent(&self, a: EventId, b: EventId) -> bool {
         a != b && !self.happens_before(a, b) && !self.happens_before(b, a)
-    }
-
-    /// Direct successors of `a`.
-    pub fn successors(&self, a: EventId) -> &[EventId] {
-        &self.succ[a]
-    }
-
-    /// Every event that must precede `a` (its causal history).
-    pub fn history(&self, a: EventId) -> BitSet {
-        let mut h = BitSet::new(self.n);
-        for i in 0..self.n {
-            if self.happens_before(i, a) {
-                h.insert(i);
-            }
-        }
-        h
     }
 
     /// Check whether `set` is a *consistent cut* restricted to the given
@@ -381,15 +364,6 @@ mod tests {
         );
         let g = CausalityGraph::build(&r);
         assert!(g.happens_before(top, low));
-    }
-
-    #[test]
-    fn history_is_downward_closed() {
-        let (r, [wa, snd, _, rcv, wc, _]) = figure5();
-        let g = CausalityGraph::build(&r);
-        let h = g.history(wc);
-        assert!(h.contains(wa) && h.contains(snd) && h.contains(rcv));
-        assert!(!h.contains(wc));
     }
 
     #[test]

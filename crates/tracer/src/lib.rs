@@ -22,4 +22,4 @@ pub mod persist;
 
 pub use event::{Event, EventId, Layer, Payload, Process, Recorder};
 pub use graph::{BitSet, CausalityGraph};
-pub use persist::{load as load_trace, save as save_trace, save_per_process};
+pub use persist::{load as load_trace, save as save_trace};

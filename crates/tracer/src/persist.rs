@@ -3,8 +3,8 @@
 //! The original ParaCrash writes "a separate file … for each process with
 //! traces at each I/O layer" (§5.1) and re-reads them for the correlated
 //! analysis. This module gives the simulated stack the same workflow: a
-//! [`Recorder`] round-trips through a line-oriented text format, either
-//! as one combined file or split per process (the authors' layout).
+//! [`Recorder`] round-trips through a line-oriented text format, written
+//! as one combined file; lines load in any order.
 //!
 //! Format (one record per line, space-separated, strings percent-encoded):
 //!
@@ -461,44 +461,8 @@ pub fn save(rec: &Recorder) -> String {
     out
 }
 
-/// Serialize per process — the original system's one-file-per-process
-/// layout, plus a shared edges file. Keyed by process label (`c0`, `s1`).
-pub fn save_per_process(rec: &Recorder) -> Vec<(String, String)> {
-    let mut files: Vec<(String, String)> = rec
-        .per_process()
-        .into_iter()
-        .map(|(proc, ids)| {
-            let mut text = String::new();
-            for id in ids {
-                let e = rec.event(id);
-                let _ = write!(
-                    text,
-                    "E {} {} {} {} {}",
-                    e.id,
-                    layer_str(e.layer),
-                    proc_str(e.proc),
-                    e.parent.map_or("-".into(), |p| p.to_string()),
-                    e.object.as_deref().map_or("-".into(), enc),
-                );
-                for f in payload_fields(&e.payload) {
-                    let _ = write!(text, " {f}");
-                }
-                text.push('\n');
-            }
-            (proc_str(proc), text)
-        })
-        .collect();
-    let mut edges = String::new();
-    for &(from, to) in rec.extra_edges() {
-        let _ = writeln!(edges, "X {from} {to}");
-    }
-    files.push(("edges".to_string(), edges));
-    files
-}
-
-/// Parse a combined trace file (or the concatenation of per-process
-/// files) back into a [`Recorder`]. Events may appear in any order; ids
-/// must form a dense `0..n` range.
+/// Parse a combined trace file back into a [`Recorder`]. Events may
+/// appear in any order; ids must form a dense `0..n` range.
 pub fn load(text: &str) -> Result<Recorder, ParseError> {
     let mut events: Vec<Option<Event>> = Vec::new();
     let mut edges: Vec<(EventId, EventId)> = Vec::new();
@@ -656,16 +620,9 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(rec.extra_edges(), back.extra_edges());
-    }
-
-    #[test]
-    fn per_process_files_concatenate_back() {
-        let rec = sample();
-        let files = save_per_process(&rec);
-        assert!(files.iter().any(|(n, _)| n == "c0"));
-        assert!(files.iter().any(|(n, _)| n == "s1"));
-        let combined: String = files.into_iter().map(|(_, t)| t).collect();
-        let back = load(&combined).expect("parses");
+        // Lines load in any order.
+        let reversed: Vec<&str> = text.lines().rev().collect();
+        let back = load(&reversed.join("\n")).expect("parses");
         assert_eq!(rec.events(), back.events());
     }
 

@@ -8,7 +8,7 @@ use pfs::glusterfs::GlusterFs;
 use pfs::gpfs::Gpfs;
 use pfs::lustre::Lustre;
 use pfs::orangefs::OrangeFs;
-use pfs::{Pfs, Placement};
+use pfs::Pfs;
 use simnet::ClusterTopology;
 
 /// One row of Table 2's parallel-file-system list, plus the local-FS
@@ -79,12 +79,6 @@ impl FsKind {
         }
     }
 
-    /// Whether this FS runs dedicated metadata servers (BeeGFS /
-    /// OrangeFS / Lustre) or combined servers (GlusterFS / GPFS).
-    pub fn dedicated_metadata(&self) -> bool {
-        matches!(self, FsKind::BeeGfs | FsKind::OrangeFs | FsKind::Lustre)
-    }
-
     /// Build a fresh formatted instance for the given parameters. When
     /// [`Params::faults`] is set the instance's RPC fault plane is armed
     /// (the ext4 control has no network and ignores it).
@@ -149,12 +143,6 @@ impl FsKind {
             FsKind::Ext4 => 1,
             _ => params.meta + params.storage,
         }
-    }
-
-    /// Default placement adjustments per FS — GlusterFS/GPFS combined
-    /// servers need no metadata pins.
-    pub fn default_placement() -> Placement {
-        Placement::new()
     }
 }
 

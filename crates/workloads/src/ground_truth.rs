@@ -175,18 +175,6 @@ pub fn table3() -> Vec<PaperBug> {
     ]
 }
 
-/// Paper bug rows expected for a `(program, fs)` pair at the PFS layer.
-pub fn pfs_bugs_for(program: &str, fs: &str) -> Vec<PaperBug> {
-    table3()
-        .into_iter()
-        .filter(|b| {
-            b.layer == BugLayer::Pfs
-                && b.programs.contains(&program)
-                && b.file_systems.contains(&fs)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,15 +214,5 @@ mod tests {
                 assert!(!bug.file_systems.contains(&"Lustre"), "bug {}", bug.no);
             }
         }
-    }
-
-    #[test]
-    fn lookup_by_program_and_fs() {
-        let arvr_beegfs = pfs_bugs_for("ARVR", "BeeGFS");
-        assert_eq!(arvr_beegfs.len(), 2);
-        let arvr_gpfs = pfs_bugs_for("ARVR", "GPFS");
-        assert_eq!(arvr_gpfs.len(), 1);
-        assert_eq!(arvr_gpfs[0].no, 3);
-        assert!(pfs_bugs_for("ARVR", "Lustre").is_empty());
     }
 }

@@ -12,32 +12,28 @@
 #      re-defining `ModelBase` plumbing or `fork`, no second perf ledger: no
 #      `BENCH_*.json` at the root, no `PC_BENCH`-prefixed variable.
 #   4. Differential — `check_stack` and the straight-line
-#      `check_reference` decide identically at PC_THREADS=1 and with the
-#      pool (the recovery memo's cells, the golden walk and the pfs fork
-#      again in release, GPFS/H5-resize through the CLI across thread
-#      counts); the property suite runs again in release with a wider
-#      case sweep; `benchmark/run.sh --smoke` builds against `crates/*`
-#      and reproduces its pins (no other gate compiles `benchmark/`).
+#      `check_reference` decide identically in debug and in release, at
+#      PC_THREADS=1 and with the pool (with them the golden walk and the
+#      pfs fork in release, GPFS/H5-resize through the CLI); the property
+#      suite again in release, more cases; `benchmark/run.sh --smoke`
+#      builds `benchmark/` (no other gate does) and reproduces its pins.
 #   5. Observability — one PR-tier fuzz run with all three sinks
 #      attached (--events-out, --telemetry-out, --profile-out) still
-#      prints the pinned report, at the default pool and at
-#      PC_THREADS=1; its telemetry, event stream and `.folded` profile
-#      pass their `selftest` validators, the stream holds no span or
-#      counter line and projects identically sequential vs parallel
-#      (`--canonical-diff`), the exact self-time profile names the
-#      engine's stages down to `rpc.message`, `paracrash report` renders
-#      all of it into a dashboard that passes the HTML lint, and the
-#      planes' *disabled* sites — spans, counters, events, the counting
-#      allocator — cost a checked cell under 3% (`selftest obs`).
-#   6. Fault plane — the seeded chaos suite passes sequentially and
-#      parallel, one chaos seed gives bit-identical CLI reports across
+#      prints the pinned report, on the pool and at PC_THREADS=1; the
+#      three files pass their `selftest` validators, the stream holds no
+#      span or counter line and projects identically sequential vs
+#      parallel (`--canonical-diff`), the profile names the engine's
+#      stages down to `rpc.message`, `paracrash report` renders a
+#      dashboard that passes the HTML lint, and the planes' *disabled*
+#      sites cost a checked cell under 3% (`selftest obs`).
+#   6. Fault plane — the seeded chaos suite passes sequentially (gate 2:
+#      on the pool), one chaos seed gives bit-identical CLI reports across
 #      thread counts, a zero-fault full matrix reproduces exactly the
 #      fifteen Table 3 bugs, and the *disabled* plane costs a traced run
 #      under 3% (`selftest faults`).
 #   7. Provenance — a full-matrix `--explain-out` run emits one bundle
 #      per Table 3 bug, each re-parsed and linted (`selftest explain
-#      DIR`); the *disabled* engine costs a check under 3% (`selftest
-#      explain`).
+#      DIR`); the *disabled* engine costs a check under 3%.
 #   8. Fuzz crash gate — the PR-tier sweep (`paracrash fuzz`, exhaustive
 #      bound 2) is byte-identical across thread counts AND matches
 #      crates/bench/tests/expected_fuzz_pr_tier.txt; triage bundles
@@ -53,10 +49,9 @@
 #      sub-linear per-check growth from 64 to 256 servers.
 #  12. Crash-safe campaign — `selftest durable` fuzzes the record log's
 #      torn-tail recovery; a `paracrash campaign` killed by an injected
-#      crash (`PC_DURABLE_CRASH`: mid-append with a torn record, resumed
-#      sequentially) and by a real SIGKILL (resumed on the pool)
-#      `--resume`s to a report byte-identical to an uninterrupted run,
-#      and refuses to clobber existing state without `--resume`.
+#      crash (`PC_DURABLE_CRASH`: a torn record; resumed sequentially)
+#      and by a real SIGKILL (resumed on the pool) `--resume`s to the
+#      uninterrupted run's report, and never clobbers state without it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +60,14 @@ require_in() {
     while read -r pattern; do
         grep -q -- "$pattern" "$1" || { echo "FAIL: $1 has no $pattern"; exit 1; }
     done
+}
+
+# Fail unless the CLI cell ARGS prints the same report on the pool and
+# sequentially. The cells used find bugs, so they exit 1 by design.
+seq_eq_par() {
+    target/release/paracrash "$@" > "$tmp/par.txt" || [ $? -eq 1 ]
+    PC_THREADS=1 target/release/paracrash "$@" > "$tmp/seq.txt" || [ $? -eq 1 ]
+    diff "$tmp/par.txt" "$tmp/seq.txt"
 }
 
 echo "== gate 1: no registry dependencies =="
@@ -111,27 +114,21 @@ grep -nE 'fn (emit|net|parent_of|name_of|seal_baseline|baseline|live|install_fau
 { ls BENCH_*.json 2> /dev/null || grep -rn 'PC_BENCH[_]' crates scripts README.md; } && { echo "FAIL: second perf ledger"; exit 1; } || true
 
 echo "== gate 4: check_stack vs check_reference, sequential and parallel; wide property sweep; benchmark smoke =="
-PC_THREADS=1 cargo test -q --offline --test differential
-cargo test -q --offline --test differential
-# The recovery memo's cells again as the code ships: a release build
-# races the verdict tasks for a memo slot the way a debug build does not.
-PC_THREADS=1 cargo test -q --offline --release --test differential -- digest_shared torn_states
-cargo test -q --offline --release --test differential -- digest_shared torn_states
-# Likewise the golden walk's unit tests and the six models' fork.
-PC_THREADS=1 cargo test -q --offline --release -p paracrash -p pfs -- golden fork
-cargo test -q --offline --release -p paracrash -p pfs -- golden fork
+# Sequentially, then on the default pool (`-u`: unset). Again as the code
+# ships (a release build races the verdict tasks for a memo slot the way a
+# debug build does not), with the golden walk's tests and the models' fork.
+for pool in PC_THREADS=1 -uPC_THREADS; do
+    env "$pool" cargo test -q --offline --test differential
+    env "$pool" cargo test -q --offline --release --test differential
+    env "$pool" cargo test -q --offline --release -p paracrash -p pfs -- golden fork
+done
 PC_PROPTEST_CASES=2048 cargo test -q --offline --release --test properties
 # The cell whose images collapse most, through the CLI: who fills a memo
 # slot first depends on the schedule, what the checker decides must not.
-# H5-resize on GPFS finds bugs, so the cell exits 1 by design.
 cargo build --release --offline -p pc-bench
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-target/release/paracrash --fs GPFS --program H5-resize \
-    > "$tmp/resize-par.txt" || [ $? -eq 1 ]
-PC_THREADS=1 target/release/paracrash --fs GPFS --program H5-resize \
-    > "$tmp/resize-seq.txt" || [ $? -eq 1 ]
-diff "$tmp/resize-par.txt" "$tmp/resize-seq.txt"
+seq_eq_par --fs GPFS --program H5-resize
 # An API change that breaks the benchmark's build, or a decision change
 # that breaks one of its pins, fails here and not in the perf pipeline.
 benchmark/run.sh --smoke > /dev/null
@@ -169,15 +166,10 @@ target/release/paracrash selftest obs
 
 echo "== gate 6: fault-plane determinism + zero-fault fidelity =="
 spec="seed=7,drop=0.2,dup=0.1,delay=0.1,retries=3"
+# Sequentially: gate 2 ran it, torn_writes and diagnostics on the pool.
 PC_THREADS=1 cargo test -q --offline --test chaos
-cargo test -q --offline --test chaos --test torn_writes --test diagnostics
-# Same chaos seed => bit-identical CLI report, regardless of thread
-# count. BeeGFS/ARVR finds bugs, so the cells exit 1 by design.
-target/release/paracrash --fs BeeGFS --program ARVR --faults "$spec" \
-    > "$tmp/chaos-par.txt" || [ $? -eq 1 ]
-PC_THREADS=1 target/release/paracrash --fs BeeGFS --program ARVR --faults "$spec" \
-    > "$tmp/chaos-seq.txt" || [ $? -eq 1 ]
-diff "$tmp/chaos-par.txt" "$tmp/chaos-seq.txt"
+# Same chaos seed => bit-identical CLI report, regardless of thread count.
+seq_eq_par --fs BeeGFS --program ARVR --faults "$spec"
 # Zero-fault runs must still find exactly the paper's fifteen bugs.
 target/release/paracrash table3 > "$tmp/table3.txt"
 if [ "$(grep -c REPRODUCED "$tmp/table3.txt")" -ne 15 ] || grep -q missing "$tmp/table3.txt"; then
@@ -192,7 +184,6 @@ echo "== gate 7: explain bundles + disabled-overhead budget =="
 target/release/paracrash --fs all --program all --explain-out "$tmp/explain" > /dev/null
 target/release/paracrash selftest explain "$tmp/explain" 15
 target/release/paracrash selftest explain
-cargo test -q --offline --test explain
 
 echo "== gate 8: fuzz crash gate (PR tier; PC_FUZZ_NIGHTLY=1 widens) =="
 # Exhaustive bound-2 sweep: thread-count invariant and pinned.
@@ -211,11 +202,9 @@ target/release/paracrash fuzz --sample 25 --fs BeeGFS \
 ls "$tmp/fuzz-findings"/*.repro > /dev/null || { echo "FAIL: fuzz --findings-out produced no .repro bundles"; exit 1; }
 if [ "${PC_FUZZ_NIGHTLY:-0}" = "1" ]; then
     echo "-- nightly tier: bound-3 sampled sweep, all FSs, all modes --"
-    nightly="--bound 3 --sample 400 --seed 42 --fs all --modes all"
-    # shellcheck disable=SC2086
-    target/release/paracrash fuzz $nightly > "$tmp/fuzz-nightly-a.txt" 2> /dev/null
-    # shellcheck disable=SC2086
-    PC_THREADS=1 target/release/paracrash fuzz $nightly > "$tmp/fuzz-nightly-b.txt" 2> /dev/null
+    nightly=(fuzz --bound 3 --sample 400 --seed 42 --fs all --modes all)
+    target/release/paracrash "${nightly[@]}" > "$tmp/fuzz-nightly-a.txt" 2> /dev/null
+    PC_THREADS=1 target/release/paracrash "${nightly[@]}" > "$tmp/fuzz-nightly-b.txt" 2> /dev/null
     diff "$tmp/fuzz-nightly-a.txt" "$tmp/fuzz-nightly-b.txt"
 fi
 
@@ -233,18 +222,12 @@ grep -oE 'PC_[A-Z_]+' README.md | sort -u | grep -v PC_FUZZ_NIGHTLY | require_in
 
 echo "== gate 11: extreme-scale smoke + live scale ratios =="
 # 64-server BeeGFS cell (4x the paper's largest configuration): the
-# report must not depend on the thread count. BeeGFS/ARVR finds bugs,
-# so the cells exit 1 by design.
+# report must not depend on the thread count.
 cat > "$tmp/scale.conf" <<'EOF'
 meta_servers = 32
 storage_servers = 32
 EOF
-scale_cell="--fs BeeGFS --program ARVR --config $tmp/scale.conf"
-# shellcheck disable=SC2086
-target/release/paracrash $scale_cell > "$tmp/scale-par.txt" || [ $? -eq 1 ]
-# shellcheck disable=SC2086
-PC_THREADS=1 target/release/paracrash $scale_cell > "$tmp/scale-seq.txt" || [ $? -eq 1 ]
-diff "$tmp/scale-par.txt" "$tmp/scale-seq.txt"
+seq_eq_par --fs BeeGFS --program ARVR --config "$tmp/scale.conf"
 # Same-process ratios, no committed number: batched vs per-state engine
 # at 16 servers, per-check cost at 256 vs 64 servers.
 target/release/paracrash selftest scale

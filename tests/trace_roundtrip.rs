@@ -3,7 +3,7 @@
 //! paper's trace-then-analyze workflow (§5.1) end to end.
 
 use paracrash::{check_stack, CheckConfig};
-use tracer::{load_trace, save_per_process, save_trace, CausalityGraph};
+use tracer::{load_trace, save_trace, CausalityGraph};
 use workloads::{FsKind, Params, Program};
 
 #[test]
@@ -19,17 +19,6 @@ fn every_program_trace_roundtrips() {
             assert_eq!(stack.rec.extra_edges(), back.extra_edges());
         }
     }
-}
-
-#[test]
-fn per_process_files_reassemble() {
-    let stack = Program::Wal.run(FsKind::BeeGfs, &Params::quick());
-    let files = save_per_process(&stack.rec);
-    // One file per traced process plus the shared edges file.
-    assert!(files.len() >= 3, "client + servers + edges");
-    let combined: String = files.into_iter().map(|(_, t)| t).collect();
-    let back = load_trace(&combined).expect("parse");
-    assert_eq!(stack.rec.events(), back.events());
 }
 
 #[test]
