@@ -75,7 +75,7 @@ use paracrash::dashboard::render_dashboard;
 use paracrash::telemetry::chrome_trace;
 use paracrash::CheckConfig;
 use pc_bench::campaign::{parse_modes, run_campaign, CampaignOptions, FuzzOptions};
-use pc_bench::{render_bug, run_program_swept, sanitize};
+use pc_bench::{render_bug, run_program_swept, sanitize, write_bundle};
 use pc_rt::json::Json;
 use pc_rt::obs::prof;
 use simnet::FaultConfig;
@@ -494,13 +494,12 @@ fn main() {
         cfg = CheckConfig::parse(&text)
             .unwrap_or_else(|e| die(format_args!("bad configuration {path}: {e}")));
     }
-    cfg.fail_fast |= fail_fast;
+    cfg.fail_fast = fail_fast;
     if let Some(dir) = &explain_out {
         cfg.explain = true;
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| die(format_args!("cannot create {dir}: {e}")));
     }
-    // `--faults` wins over the config file.
     if let Some(spec) = &faults_arg {
         cfg.faults = FaultConfig::parse_spec(spec)
             .unwrap_or_else(|e| die(format_args!("bad --faults spec: {e}")));
@@ -596,10 +595,10 @@ fn main() {
                         sanitize(fs.name()),
                         i + 1
                     );
-                    let write = |ext: &str, text| write_out(&format!("{dir}/{stem}.{ext}"), text);
-                    write("md", e.to_markdown(&context));
-                    write("dot", e.to_dot());
-                    write("json", e.to_json().pretty() + "\n");
+                    write_bundle(dir, &stem, e, &context).unwrap_or_else(|e| {
+                        pc_rt::pc_error!("{e}");
+                        std::process::exit(1);
+                    });
                     total_bundles += 1;
                 }
             }

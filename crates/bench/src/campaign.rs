@@ -851,28 +851,21 @@ fn triage(
             sanitize(journal),
             sanitize(&format!("{}-{:02}", w.label(), i + 1)),
         );
-        let write = |ext: &str, text: String| -> Result<(), String> {
-            let path = format!("{dir}/{stem}.{ext}");
-            std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))
-        };
         let context = format!("{} on {} ({journal})", w.label(), fs.name());
         if let Some(e) = outcome
             .explanations
             .iter()
             .find(|e| e.signature.to_string() == *signature && e.layer == *layer)
         {
-            write("md", e.to_markdown(&context))?;
-            write("dot", e.to_dot())?;
-            let mut json = e.to_json().pretty();
-            json.push('\n');
-            write("json", json)?;
+            crate::write_bundle(dir, &stem, e, &context)?;
         }
         let sample_arg = match opts.sample {
             Some(n) => format!(" --sample {n}"),
             None => String::new(),
         };
-        write(
-            "repro",
+        let path = format!("{dir}/{stem}.repro");
+        std::fs::write(
+            &path,
             format!(
                 "workload: {}\nfs: {}\njournal: {}\nsignature: {}\nlayer: {:?}\n\
                  repro: paracrash fuzz --bound {} --seed {}{} --fs {} --modes {}\n",
@@ -887,7 +880,8 @@ fn triage(
                 fs.name(),
                 journal,
             ),
-        )?;
+        )
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
         written += 1;
     }
     Ok(written)

@@ -76,78 +76,21 @@ pub fn run_cell(
     }
 }
 
-/// Sum one legal-list table's traffic into an accumulator (placement /
-/// dims-sweep merging).
-fn merge_cache(acc: &mut paracrash::explore::CacheStats, cell: &paracrash::explore::CacheStats) {
-    acc.hits += cell.hits;
-    acc.misses += cell.misses;
-}
-
-/// Merge explain bundles into an accumulator, one per `(signature,
-/// layer)`, keeping the first variant's bundle (mirrors the bug-witness
-/// policy: the first state to expose a cause is its witness).
-fn merge_explanations(
-    acc: &mut Vec<paracrash::BugExplanation>,
-    from: Vec<paracrash::BugExplanation>,
-) {
-    for expl in from {
-        if !acc
-            .iter()
-            .any(|e| e.signature == expl.signature && e.layer == expl.layer)
-        {
-            acc.push(expl);
-        }
-    }
-}
-
 /// Run a program on a file system across its placement variants and
 /// merge the outcomes (union of bugs, summed state counts — the paper
 /// tests "different distribution patterns" and reports the union).
 pub fn run_program(program: Program, fs: FsKind, params: &Params, cfg: &CheckConfig) -> MatrixCell {
-    let mut merged: Option<MatrixCell> = None;
-    for (name, placement) in program.placements() {
+    let cells = program.placements().into_iter().map(|(name, placement)| {
         let cell_params = params.clone().with_placement(placement);
-        let cell = run_cell(program, fs, name, &cell_params, cfg);
-        merged = Some(match merged {
-            None => cell,
-            Some(mut acc) => {
-                acc.outcome.raw_inconsistent_states += cell.outcome.raw_inconsistent_states;
-                acc.outcome.h5_bad_pfs_ok_states += cell.outcome.h5_bad_pfs_ok_states;
-                acc.outcome.stats.states_total += cell.outcome.stats.states_total;
-                acc.outcome.stats.states_checked += cell.outcome.stats.states_checked;
-                acc.outcome.stats.states_pruned += cell.outcome.stats.states_pruned;
-                acc.outcome.stats.states_diagnostic += cell.outcome.stats.states_diagnostic;
-                acc.outcome.diagnostics.extend(cell.outcome.diagnostics);
-                acc.outcome.stats.sim_seconds += cell.outcome.stats.sim_seconds;
-                acc.outcome.stats.wall_seconds += cell.outcome.stats.wall_seconds;
-                acc.outcome.stats.server_rebuilds += cell.outcome.stats.server_rebuilds;
-                acc.outcome.stats.legal_replays += cell.outcome.stats.legal_replays;
-                merge_cache(
-                    &mut acc.outcome.stats.pfs_cache,
-                    &cell.outcome.stats.pfs_cache,
-                );
-                merge_cache(
-                    &mut acc.outcome.stats.h5_cache,
-                    &cell.outcome.stats.h5_cache,
-                );
-                merge_explanations(&mut acc.outcome.explanations, cell.outcome.explanations);
-                for bug in cell.outcome.bugs {
-                    if let Some(existing) = acc
-                        .outcome
-                        .bugs
-                        .iter_mut()
-                        .find(|b| b.signature == bug.signature && b.layer == bug.layer)
-                    {
-                        existing.occurrences += bug.occurrences;
-                    } else {
-                        acc.outcome.bugs.push(bug);
-                    }
-                }
-                acc
-            }
-        });
-    }
-    merged.expect("every program has at least one placement")
+        run_cell(program, fs, name, &cell_params, cfg)
+    });
+    cells
+        .reduce(|mut acc, cell| {
+            acc.outcome.absorb_counts(&cell.outcome);
+            acc.outcome.absorb_findings(cell.outcome);
+            acc
+        })
+        .expect("every program has at least one placement")
 }
 
 /// Dataset-dimension variants for I/O-library programs: §6.2 "we test
@@ -169,41 +112,42 @@ pub fn dims_variants(program: Program, params: &Params) -> Vec<Params> {
     }
 }
 
-/// [`run_program`] unioned over the paper's dataset-dimension sweep.
+/// [`run_program`] unioned over the paper's dataset-dimension sweep:
+/// the findings of every variant, the exploration accounting of the
+/// first.
 pub fn run_program_swept(
     program: Program,
     fs: FsKind,
     params: &Params,
     cfg: &CheckConfig,
 ) -> MatrixCell {
-    let mut merged: Option<MatrixCell> = None;
-    for v in dims_variants(program, params) {
-        let cell = run_program(program, fs, &v, cfg);
-        merged = Some(match merged {
-            None => cell,
-            Some(mut acc) => {
-                acc.outcome.raw_inconsistent_states += cell.outcome.raw_inconsistent_states;
-                acc.outcome.h5_bad_pfs_ok_states += cell.outcome.h5_bad_pfs_ok_states;
-                acc.outcome.stats.states_diagnostic += cell.outcome.stats.states_diagnostic;
-                acc.outcome.diagnostics.extend(cell.outcome.diagnostics);
-                merge_explanations(&mut acc.outcome.explanations, cell.outcome.explanations);
-                for bug in cell.outcome.bugs {
-                    if let Some(existing) = acc
-                        .outcome
-                        .bugs
-                        .iter_mut()
-                        .find(|b| b.signature == bug.signature && b.layer == bug.layer)
-                    {
-                        existing.occurrences += bug.occurrences;
-                    } else {
-                        acc.outcome.bugs.push(bug);
-                    }
-                }
-                acc
-            }
-        });
+    let cells = dims_variants(program, params).into_iter();
+    cells
+        .map(|variant| run_program(program, fs, &variant, cfg))
+        .reduce(|mut acc, cell| {
+            acc.outcome.absorb_findings(cell.outcome);
+            acc
+        })
+        .expect("at least one dims variant")
+}
+
+/// Write one explain bundle — `<dir>/<stem>.md`, `.dot` and `.json` —
+/// for a finding of `context` ("program on file system").
+pub fn write_bundle(
+    dir: &str,
+    stem: &str,
+    explanation: &paracrash::BugExplanation,
+    context: &str,
+) -> Result<(), String> {
+    for (ext, text) in [
+        ("md", explanation.to_markdown(context)),
+        ("dot", explanation.to_dot()),
+        ("json", explanation.to_json().pretty() + "\n"),
+    ] {
+        let path = format!("{dir}/{stem}.{ext}");
+        std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    merged.expect("at least one dims variant")
+    Ok(())
 }
 
 /// Filesystem-safe bundle-name component: lowercase, non-alphanumerics

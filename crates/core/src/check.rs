@@ -94,6 +94,48 @@ pub struct CheckOutcome {
 }
 
 impl CheckOutcome {
+    /// Union `other`'s findings into this outcome, as the paper reports
+    /// a program tested under several placements or dimensions: bugs by
+    /// `(signature, layer)` with occurrences summed, explain bundles by
+    /// the same key (the first variant to expose a cause is its
+    /// witness), diagnostics, and the per-state finding counts.
+    pub fn absorb_findings(&mut self, other: CheckOutcome) {
+        self.raw_inconsistent_states += other.raw_inconsistent_states;
+        self.h5_bad_pfs_ok_states += other.h5_bad_pfs_ok_states;
+        self.stats.states_diagnostic += other.stats.states_diagnostic;
+        self.diagnostics.extend(other.diagnostics);
+        for expl in other.explanations {
+            let known = |e: &BugExplanation| e.signature == expl.signature && e.layer == expl.layer;
+            if !self.explanations.iter().any(known) {
+                self.explanations.push(expl);
+            }
+        }
+        for bug in other.bugs {
+            let known =
+                |b: &&mut Inconsistency| b.signature == bug.signature && b.layer == bug.layer;
+            match self.bugs.iter_mut().find(known) {
+                Some(existing) => existing.occurrences += bug.occurrences,
+                None => self.bugs.push(bug),
+            }
+        }
+    }
+
+    /// Sum `other`'s exploration accounting into this outcome's.
+    pub fn absorb_counts(&mut self, other: &CheckOutcome) {
+        let (acc, stats) = (&mut self.stats, &other.stats);
+        acc.states_total += stats.states_total;
+        acc.states_checked += stats.states_checked;
+        acc.states_pruned += stats.states_pruned;
+        acc.server_rebuilds += stats.server_rebuilds;
+        acc.sim_seconds += stats.sim_seconds;
+        acc.wall_seconds += stats.wall_seconds;
+        acc.legal_replays += stats.legal_replays;
+        acc.pfs_cache.hits += stats.pfs_cache.hits;
+        acc.pfs_cache.misses += stats.pfs_cache.misses;
+        acc.h5_cache.hits += stats.h5_cache.hits;
+        acc.h5_cache.misses += stats.h5_cache.misses;
+    }
+
     /// Bugs attributed to the I/O library.
     pub fn iolib_bugs(&self) -> usize {
         self.bugs
@@ -256,11 +298,16 @@ struct Analysis<'a> {
 /// on first use, then shared by every verdict taken on this view.
 pub(crate) struct Recovered {
     pub(crate) view: PfsView,
-    /// `h5check` of the library file, `h5clear`ed first if it must be.
-    strict: OnceLock<Option<H5Logical>>,
+    h5: OnceLock<H5Parse>,
+}
+
+/// What [`h5_verdict`] reads of the library file of one view.
+struct H5Parse {
+    /// `h5check` of the file, `h5clear`ed first if it must be.
+    strict: Option<H5Logical>,
     /// Whether the view breaks the baseline model's unmodified-dataset
     /// rule.
-    violates_baseline: OnceLock<bool>,
+    violates_baseline: bool,
 }
 
 impl Recovered {
@@ -273,8 +320,7 @@ impl Recovered {
     fn mounted(view: PfsView) -> Recovered {
         Recovered {
             view,
-            strict: OnceLock::new(),
-            violates_baseline: OnceLock::new(),
+            h5: OnceLock::new(),
         }
     }
 }
@@ -1038,9 +1084,9 @@ fn modified_dataset_keys(stack: &Stack) -> BTreeSet<String> {
 
 /// I/O-library-layer verdict for one recovered view: `None` if
 /// consistent under `cfg.h5_model`, otherwise the weakest violated model
-/// (baseline < causal). What depends on the view alone — the parses —
-/// is taken once per [`Recovered`]; what depends on the crash state is
-/// the membership test against its `legal` list.
+/// (baseline < causal). What depends on the view alone — the parse — is
+/// taken once per [`Recovered`]; what depends on the crash state is the
+/// membership test against its `legal` list.
 fn h5_verdict(
     a: &Analysis,
     path: &str,
@@ -1051,54 +1097,49 @@ fn h5_verdict(
         // The file itself is gone or unreadable through the PFS.
         return Some(Model::Baseline);
     };
-    // h5check; on failure let h5clear try to repair (§4.4.3).
-    let strict = recovered.strict.get_or_init(|| {
-        pc_rt::obs::count("h5.view_parses", 1);
-        h5check(bytes)
-            .or_else(|_| h5check(&h5clear(bytes, a.cfg.clear_opts)))
-            .ok()
-    });
+    let parse = recovered.h5.get_or_init(|| h5_parse(a, bytes));
     // A state that parses cleanly and matches a causal golden state is
-    // consistent under every model — no need for the dataset-granular
-    // baseline walk (most crash states are legal).
-    if strict.as_ref().is_some_and(|l| is_legal(legal, l)) {
+    // consistent under every model (most crash states are legal).
+    if parse.strict.as_ref().is_some_and(|l| is_legal(legal, l)) {
         return None;
     }
     // From here on the causal model is violated; a weaker model only
     // adds legal states, so what is left to decide is the baseline.
-    let violates_baseline = *recovered
-        .violates_baseline
-        .get_or_init(|| h5_violates_baseline(a, bytes));
-    if violates_baseline {
+    if parse.violates_baseline {
         Some(Model::Baseline)
     } else {
         (a.cfg.h5_model != Model::Baseline).then_some(Model::Causal)
     }
 }
 
-/// Baseline: every dataset that was closed before the crash (i.e. not
-/// modified by the test program) must still be readable and intact.
-fn h5_violates_baseline(a: &Analysis, bytes: &[u8]) -> bool {
-    let lenient = {
-        let first = check_lenient(bytes);
-        if first.open_error.is_some()
-            || first.datasets.values().any(|d| d.is_err())
-            || !first.group_errors.is_empty()
-        {
-            check_lenient(&h5clear(bytes, a.cfg.clear_opts))
-        } else {
-            first
-        }
+/// Walk the image once; only if that walk met an error let `h5clear` try
+/// to repair a copy (§4.4.3) and walk that instead. Both answers come
+/// off the one report: the strict state is the report of a walk that
+/// met no error, and under the baseline model every dataset that was
+/// closed before the crash (i.e. not modified by the test program) must
+/// still be readable and intact.
+fn h5_parse(a: &Analysis, bytes: &[u8]) -> H5Parse {
+    let _span = pc_rt::obs::span_cat("h5.parse", "check");
+    pc_rt::obs::count("h5.view_parses", 1);
+    let walk = |image: &[u8]| {
+        pc_rt::obs::count("h5.walks", 1);
+        check_lenient(image)
     };
-    if lenient.open_error.is_some() {
-        return true;
+    let mut report = walk(bytes);
+    if !report.is_clean() {
+        report = walk(&h5clear(bytes, a.cfg.clear_opts));
     }
-    a.baseline_h5.as_ref().is_some_and(|base| {
-        base.datasets.iter().any(|(key, expected)| {
-            !a.modified_keys.contains(key)
-                && !matches!(lenient.datasets.get(key), Some(Ok(v)) if v == expected)
-        })
-    })
+    let violates_baseline = report.open_error.is_some()
+        || a.baseline_h5.as_ref().is_some_and(|base| {
+            base.datasets.iter().any(|(key, expected)| {
+                !a.modified_keys.contains(key)
+                    && !matches!(report.datasets.get(key), Some(Ok(v)) if v == expected)
+            })
+        });
+    H5Parse {
+        strict: report.into_logical(),
+        violates_baseline,
+    }
 }
 
 #[cfg(test)]

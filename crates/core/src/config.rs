@@ -89,9 +89,9 @@ impl CheckConfig {
     ///
     /// Recognized keys: `pfs_model`, `h5_model`, `k`, `mode`,
     /// `h5clear_increase_eof`, `stripe_size`, `meta_servers`,
-    /// `storage_servers`, `clients`, `faults`
-    /// (a [`FaultConfig::parse_spec`] string), `fail_fast` and
-    /// `explain`. Unknown keys are rejected.
+    /// `storage_servers`, `clients`. Unknown keys are rejected; the
+    /// fault plane, `fail_fast` and `explain` are per-run choices the
+    /// command line (or the embedding program) makes.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut cfg = Self::paper_default();
         for (lineno, line) in text.lines().enumerate() {
@@ -116,12 +116,6 @@ impl CheckConfig {
                 "meta_servers" => cfg.servers.0 = value.parse().map_err(|_| bad("count"))?,
                 "storage_servers" => cfg.servers.1 = value.parse().map_err(|_| bad("count"))?,
                 "clients" => cfg.clients = value.parse().map_err(|_| bad("count"))?,
-                "faults" => {
-                    cfg.faults = FaultConfig::parse_spec(value)
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?
-                }
-                "fail_fast" => cfg.fail_fast = value.parse().map_err(|_| bad("bool"))?,
-                "explain" => cfg.explain = value.parse().map_err(|_| bad("bool"))?,
                 other => return Err(format!("line {}: unknown key {other}", lineno + 1)),
             }
         }
@@ -133,8 +127,7 @@ impl CheckConfig {
         format!(
             "pfs_model = {}\nh5_model = {}\nk = {}\nmode = {}\n\
              h5clear_increase_eof = {}\nstripe_size = {}\n\
-             meta_servers = {}\nstorage_servers = {}\nclients = {}\n\
-             faults = {}\nfail_fast = {}\nexplain = {}\n",
+             meta_servers = {}\nstorage_servers = {}\nclients = {}\n",
             self.pfs_model.as_str(),
             self.h5_model.as_str(),
             self.k,
@@ -144,9 +137,6 @@ impl CheckConfig {
             self.servers.0,
             self.servers.1,
             self.clients,
-            self.faults.render_spec(),
-            self.fail_fast,
-            self.explain,
         )
     }
 }
@@ -175,32 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_faults_and_fail_fast() {
-        let cfg = CheckConfig::parse(
-            "faults = seed=7,drop=0.2,torn=true
-fail_fast = true
-",
-        )
-        .unwrap();
-        assert_eq!(cfg.faults.seed, 7);
-        assert!(cfg.faults.torn_writes && cfg.faults.enabled());
-        assert!(cfg.fail_fast);
-        let rt = CheckConfig::parse(&cfg.render()).unwrap();
-        assert_eq!(rt.faults, cfg.faults);
-        assert!(rt.fail_fast);
-        assert!(CheckConfig::parse("faults = drop=2.0").is_err());
-    }
-
-    #[test]
-    fn parse_explain_knob() {
-        let cfg = CheckConfig::parse("explain = true\n").unwrap();
-        assert!(cfg.explain);
-        assert!(CheckConfig::parse(&cfg.render()).unwrap().explain);
-        assert!(!CheckConfig::paper_default().explain);
-        assert!(CheckConfig::parse("explain = wat").is_err());
-    }
-
-    #[test]
     fn parse_overrides_and_comments() {
         let cfg = CheckConfig::parse(
             "# test config\npfs_model = commit\nk = 2\nmode = brute-force\nh5clear_increase_eof = true\n",
@@ -219,6 +183,10 @@ fail_fast = true
         // The golden tables are sized by the check itself: no cap to set.
         let err = CheckConfig::parse("replay_cache_cap = 16").unwrap_err();
         assert!(err.contains("unknown key replay_cache_cap"), "{err}");
+        // Per-run choices are flags, not configuration.
+        for key in ["faults = seed=7", "fail_fast = true", "explain = true"] {
+            assert!(CheckConfig::parse(key).is_err(), "{key}");
+        }
         assert!(CheckConfig::parse("no equals sign").is_err());
     }
 }

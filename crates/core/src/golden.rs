@@ -29,6 +29,7 @@
 
 use crate::config::CheckConfig;
 use crate::model::Model;
+use crate::snapshot::descend;
 use crate::stack::{replay_h5, replay_pfs, Namespace, Stack, StackFactory};
 use h5sim::{H5Call, H5Logical, H5Replay};
 use pfs::{CallTrace, Pfs, PfsCall, PfsView};
@@ -307,98 +308,69 @@ struct Node<R> {
     poison: Option<String>,
 }
 
-/// One layer's golden walk: `sets` sorted, so the sets below a trie node
-/// are one contiguous range and a node's own set (the shortest) leads it.
-struct Walk<'a, R: Replay> {
-    calls: &'a CallTrace<R::Who, R::Op>,
-    sets: Vec<&'a [EventId]>,
-    /// The replay of `sets[i]`; "no legal state" until the walk says
-    /// otherwise.
-    out: Vec<Replayed<R::State>>,
-    stats: &'a mut WalkStats,
+/// Dispatch one edge on `node`; `false` when nothing below it is legal.
+fn step<R: Replay>(dispatched: &mut usize, node: &mut Node<R>, who: R::Who, op: &R::Op) -> bool {
+    if !node.replay.admits(op) {
+        return false;
+    }
+    if node.poison.is_none() {
+        *dispatched += 1;
+        match caught(|| node.replay.apply(who, op)) {
+            Ok(alive) => return alive,
+            Err(message) => node.poison = Some(message),
+        }
+    }
+    true
 }
 
-/// Walk `sets` (sorted, distinct; each a subsequence of `calls`) from
-/// the base `fresh()` + `pre`, and return what each denotes.
+/// One layer's golden walk: what each of `sets` (sorted, distinct; each
+/// a subsequence of `calls`) denotes, replayed from the base `fresh()` +
+/// `pre` down the sets' prefix tree.
 fn walk_sets<'a, R: Replay>(
     fresh: impl FnOnce() -> R,
     pre: &[(R::Who, R::Op)],
-    calls: &'a CallTrace<R::Who, R::Op>,
+    calls: &CallTrace<R::Who, R::Op>,
     sets: Vec<&'a [EventId]>,
-    stats: &'a mut WalkStats,
+    stats: &mut WalkStats,
 ) -> HashMap<&'a [EventId], Replayed<R::State>> {
     debug_assert!(sets.iter().all(|set| set.is_sorted()), "program order");
-    let out = sets.iter().map(|_| Ok(None)).collect();
-    let mut walk = Walk {
-        calls,
-        sets,
-        out,
-        stats,
-    };
-    if !walk.sets.is_empty() {
+    // "No legal state" until the walk says otherwise.
+    let mut out: Vec<Replayed<R::State>> = sets.iter().map(|_| Ok(None)).collect();
+    if !sets.is_empty() {
         let _walk = pc_rt::obs::span_cat("check.legal_replay", "check");
         let mut base = Node {
             replay: fresh(),
             poison: None,
         };
-        if pre.iter().all(|(who, op)| walk.step(&mut base, *who, op)) {
-            walk.descend(base, 0, 0, walk.sets.len());
-        }
-    }
-    walk.sets.into_iter().zip(walk.out).collect()
-}
-
-impl<R: Replay> Walk<'_, R> {
-    /// Dispatch one edge; `false` when nothing below it is legal.
-    fn step(&mut self, node: &mut Node<R>, who: R::Who, op: &R::Op) -> bool {
-        if !node.replay.admits(op) {
-            return false;
-        }
-        if node.poison.is_none() {
-            self.stats.dispatched += 1;
-            match caught(|| node.replay.apply(who, op)) {
-                Ok(alive) => return alive,
-                Err(message) => node.poison = Some(message),
-            }
-        }
-        true
-    }
-
-    /// `sets[lo..hi]` share their first `depth` calls and `node` has
-    /// replayed them.
-    fn descend(&mut self, node: Node<R>, depth: usize, mut lo: usize, hi: usize) {
-        if self.sets[lo].len() == depth {
-            self.out[lo] = match &node.poison {
-                Some(message) => Err(message.clone()),
-                None => caught(|| {
-                    let state = node.replay.state()?;
-                    Some((R::digest(&state), Arc::new(state)))
-                }),
-            };
-            lo += 1;
-        }
-        let mut node = Some(node);
-        while lo < hi {
-            let id = self.sets[lo][depth];
-            let end = lo + self.sets[lo..hi].partition_point(|set| set[depth] == id);
-            // The last child takes the instance; its siblings fork it.
-            let mut child = if end == hi {
-                node.take().expect("taken by the last child only")
-            } else {
-                self.stats.forks += 1;
-                let node = node.as_ref().expect("taken by the last child only");
-                Node {
+        let dispatched = &mut stats.dispatched;
+        if pre
+            .iter()
+            .all(|(who, op)| step(dispatched, &mut base, *who, op))
+        {
+            stats.forks += descend(
+                &sets,
+                base,
+                |node| Node {
                     replay: node.replay.fork(),
                     poison: node.poison.clone(),
-                }
-            };
-            let (who, op) = (self.calls.get(id)).expect("preserved sets name traced calls");
-            if self.step(&mut child, who, op) {
-                self.descend(child, depth + 1, lo, end);
-            }
-            lo = end;
+                },
+                |node, id| {
+                    let (who, op) = calls.get(id).expect("preserved sets name traced calls");
+                    step(dispatched, node, who, op)
+                },
+                |node, at| {
+                    out[at] = match &node.poison {
+                        Some(message) => Err(message.clone()),
+                        None => caught(|| {
+                            let state = node.replay.state()?;
+                            Some((R::digest(&state), Arc::new(state)))
+                        }),
+                    }
+                },
+            );
         }
     }
+    sets.into_iter().zip(out).collect()
 }
 
 /// The PFS-layer golden walk alone: what each of `sets` (ascending call

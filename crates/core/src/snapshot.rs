@@ -11,12 +11,14 @@
 //!
 //! 1. every state's persisted set is projected to its storage-event
 //!    sequence (ascending event ids — the order replay applies them);
-//! 2. the sequences are inserted into a prefix tree, so states sharing
-//!    a replay prefix share the tree path that encodes it;
-//! 3. a DFS over the tree threads one working snapshot down each chain,
-//!    applying each event once per tree *edge* and forking only at
-//!    branch nodes and at terminals (where a crash state's materialized
-//!    snapshot is handed out).
+//! 2. the sequences are sorted, which lays their prefix tree out as
+//!    nested contiguous ranges: states sharing a replay prefix share
+//!    the tree path that encodes it;
+//! 3. a DFS over the tree (`descend`, which the golden walks of
+//!    `core::golden` share) threads one working snapshot down each
+//!    chain, applying each event once per tree *edge* and forking only
+//!    at branch nodes and at terminals (where a crash state's
+//!    materialized snapshot is handed out).
 //!
 //! Total replay work is the edge count of the prefix tree instead of the
 //! sum of sequence lengths, the fork count is linear in the tree size,
@@ -92,12 +94,47 @@ fn apply_one(states: &mut ServerStates, rec: &Recorder, id: EventId) {
     }
 }
 
-/// One node of the prefix tree: outgoing edges (storage event → child)
-/// in insertion order, plus the crash states whose sequence ends here.
-#[derive(Default)]
-struct TrieNode {
-    children: Vec<(EventId, usize)>,
-    terminals: Vec<usize>,
+/// Depth-first descent of the prefix tree of `seqs` — sorted, so the
+/// sequences below a tree node are one contiguous range led by those
+/// that end at it. One instance is threaded down each chain from
+/// `root`: `step` applies an edge's key to it (`false` = nothing below
+/// this edge is wanted), `leaf` sees it once per sequence that ends at
+/// the node (by index into `seqs`), and it is `fork`ed only where the
+/// tree branches, the last child taking the instance itself. Returns the
+/// forks taken.
+pub(crate) fn descend<K: Copy + PartialEq, N>(
+    seqs: &[&[K]],
+    root: N,
+    fork: impl Fn(&N) -> N,
+    mut step: impl FnMut(&mut N, K) -> bool,
+    mut leaf: impl FnMut(&N, usize),
+) -> usize {
+    let mut forks = 0;
+    // `(node, depth, lo, hi)`: `seqs[lo..hi]` share their first `depth`
+    // keys and `node` has stepped through them.
+    let mut stack = vec![(root, 0, 0, seqs.len())];
+    while let Some((node, depth, mut lo, hi)) = stack.pop() {
+        while lo < hi && seqs[lo].len() == depth {
+            leaf(&node, lo);
+            lo += 1;
+        }
+        let mut node = Some(node);
+        while lo < hi {
+            let key = seqs[lo][depth];
+            let end = lo + seqs[lo..hi].partition_point(|seq| seq[depth] == key);
+            let mut child = if end == hi {
+                node.take().expect("taken by the last child only")
+            } else {
+                forks += 1;
+                fork(node.as_ref().expect("taken by the last child only"))
+            };
+            if step(&mut child, key) {
+                stack.push((child, depth + 1, lo, end));
+            }
+            lo = end;
+        }
+    }
+    forks
 }
 
 /// Materialize every crash state as a COW fork off the shared prefix
@@ -110,67 +147,41 @@ pub fn prepare_states(
 ) -> SnapshotPlan {
     let _span = pc_rt::obs::span_cat("snapshot.materialize", "snapshot");
     let mut stats = SnapshotStats::default();
-    // States whose storage-event sequence lands on an already-terminal
-    // trie node share a fully-materialized snapshot with an earlier
-    // state; `rep` records that earlier state so the checker can batch
-    // per-snapshot work (the count is telemetry only — not part of the
-    // equivalence-checked [`SnapshotStats`]).
+    let seqs: Vec<Vec<EventId>> = states.iter().map(|s| storage_seq(rec, s)).collect();
+    stats.naive_ops = seqs.iter().map(Vec::len).sum();
+    // Equal sequences end on one tree node, in input order.
+    let mut order: Vec<usize> = (0..states.len()).collect();
+    order.sort_by_key(|&idx| &seqs[idx]);
+    let sorted: Vec<&[EventId]> = order.iter().map(|&idx| seqs[idx].as_slice()).collect();
+    // States whose sequence an earlier state has share that state's
+    // fully-materialized snapshot; `rep` records the earlier state so the
+    // checker can batch per-snapshot work (the count is telemetry only —
+    // not part of the equivalence-checked [`SnapshotStats`]).
     let mut states_shared = 0u64;
     let mut rep: Vec<usize> = (0..states.len()).collect();
-
-    // Build the prefix tree of the storage-event sequences. Node count
-    // is the number of distinct prefixes, i.e. exactly the replay work.
-    let mut nodes: Vec<TrieNode> = vec![TrieNode::default()];
-    for (idx, state) in states.iter().enumerate() {
-        let seq = storage_seq(rec, state);
-        stats.naive_ops += seq.len();
-        let mut cur = 0usize;
-        for id in seq {
-            cur = match nodes[cur].children.iter().find(|&&(e, _)| e == id) {
-                Some(&(_, child)) => child,
-                None => {
-                    nodes.push(TrieNode::default());
-                    let child = nodes.len() - 1;
-                    nodes[cur].children.push((id, child));
-                    child
-                }
-            };
-        }
-        if let Some(&first) = nodes[cur].terminals.first() {
-            states_shared += 1;
-            rep[idx] = first;
-        }
-        nodes[cur].terminals.push(idx);
-    }
-
-    // DFS, threading one working snapshot down each chain: an op is
-    // applied once per tree edge, and forks happen only at terminals and
-    // at nodes with more than one child — both linear in the tree size.
     let mut prepared: Vec<Option<ServerStates>> = states.iter().map(|_| None).collect();
-    let mut stack: Vec<(usize, ServerStates)> = vec![(0, baseline.fork())];
-    stats.forks += 1;
-    while let Some((n, state)) = stack.pop() {
-        for &t in &nodes[n].terminals {
-            prepared[t] = Some(state.fork());
-            stats.forks += 1;
-        }
-        let kids: Vec<(EventId, usize)> = nodes[n].children.clone();
-        // All but the first child fork the snapshot; the first inherits
-        // it, so pure chains (the common case) never copy anything.
-        for &(id, child) in kids.iter().skip(1) {
-            let mut st = state.fork();
-            stats.forks += 1;
-            apply_one(&mut st, rec, id);
+    // An op is applied once per tree edge; forks are the working copy,
+    // one per terminal and one per extra child of a branch node — linear
+    // in the tree size — so pure chains (the common case) never copy
+    // anything.
+    let branch_forks = descend(
+        &sorted,
+        baseline.fork(),
+        ServerStates::fork,
+        |image, id| {
+            apply_one(image, rec, id);
             stats.ops_replayed += 1;
-            stack.push((child, st));
-        }
-        if let Some(&(id, child)) = kids.first() {
-            let mut st = state;
-            apply_one(&mut st, rec, id);
-            stats.ops_replayed += 1;
-            stack.push((child, st));
-        }
-    }
+            true
+        },
+        |image, at| {
+            prepared[order[at]] = Some(image.fork());
+            if at > 0 && sorted[at - 1] == sorted[at] {
+                states_shared += 1;
+                rep[order[at]] = rep[order[at - 1]];
+            }
+        },
+    );
+    stats.forks = 1 + states.len() + branch_forks;
     pc_rt::obs::count("snapshot.states", states.len() as u64);
     pc_rt::obs::count("snapshot.states_shared", states_shared);
     pc_rt::obs::count("snapshot.forks", stats.forks as u64);

@@ -154,19 +154,33 @@ impl H5Logical {
     }
 }
 
+/// `len` bytes at `at`, if the image holds them.
+fn bytes_at(b: &[u8], at: u64, len: u64) -> Option<&[u8]> {
+    b.get(usize::try_from(at).ok()?..usize::try_from(at.checked_add(len)?).ok()?)
+}
+
+fn rd_u8(b: &[u8], at: u64) -> Option<u8> {
+    Some(bytes_at(b, at, 1)?[0])
+}
+
 fn rd_u16(b: &[u8], at: u64) -> Option<u16> {
-    let at = at as usize;
-    Some(u16::from_le_bytes(b.get(at..at + 2)?.try_into().ok()?))
+    Some(u16::from_le_bytes(bytes_at(b, at, 2)?.try_into().ok()?))
 }
 
 fn rd_u64(b: &[u8], at: u64) -> Option<u64> {
-    let at = at as usize;
-    Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?))
+    Some(u64::from_le_bytes(bytes_at(b, at, 8)?.try_into().ok()?))
 }
 
-fn sig(b: &[u8], at: u64) -> Option<[u8; 4]> {
-    let at = at as usize;
-    b.get(at..at + 4)?.try_into().ok()
+fn truncated(what: &'static str, addr: u64) -> H5Error {
+    H5Error::Truncated { what, addr }
+}
+
+fn bad_signature(what: &'static str, addr: u64, found: &[u8; 4]) -> H5Error {
+    H5Error::BadSignature {
+        what,
+        addr,
+        found: *found,
+    }
 }
 
 fn expect_sig(
@@ -183,20 +197,37 @@ fn expect_sig(
             eof,
         });
     }
-    let found = sig(b, at).ok_or(H5Error::Truncated { what, addr: at })?;
-    if &found != magic {
-        return Err(H5Error::BadSignature {
-            what,
-            addr: at,
-            found,
-        });
+    let found = bytes_at(b, at, 4).and_then(|sig| sig.try_into().ok());
+    let found: &[u8; 4] = found.ok_or(truncated(what, at))?;
+    if found != magic {
+        return Err(bad_signature(what, at, found));
     }
     Ok(())
 }
 
+/// The entry count of the `magic` node `what` at `addr` (a `u16` at
+/// `addr + at`), which holds at most `cap` entries.
+fn entry_count(
+    b: &[u8],
+    (addr, at, cap): (u64, u64, usize),
+    magic: &[u8; 4],
+    (what, over): (&'static str, &'static str),
+) -> Result<u64, H5Error> {
+    let n = rd_u16(b, addr + at).ok_or(truncated(what, addr))?;
+    if n as usize > cap {
+        return Err(bad_signature(over, addr, magic));
+    }
+    Ok(n as u64)
+}
+
+/// The two `u64`s of the 16-byte node entry at `ea`.
+fn entry(b: &[u8], ea: u64, what: &'static str) -> Result<(u64, u64), H5Error> {
+    let entry = rd_u64(b, ea).zip(rd_u64(b, ea + 8));
+    entry.ok_or(truncated(what, ea))
+}
+
 /// Read a heap-resident name: `len:u16` + bytes at `heap_addr + off`.
 fn heap_name(b: &[u8], heap_addr: u64, off: u64, group: &str) -> Result<String, H5Error> {
-    let at = heap_addr + off;
     let err = || H5Error::BadHeapName {
         group: group.to_string(),
         offset: off,
@@ -204,205 +235,305 @@ fn heap_name(b: &[u8], heap_addr: u64, off: u64, group: &str) -> Result<String, 
     if !(8..sizes::HEAP).contains(&off) {
         return Err(err());
     }
+    let at = heap_addr + off;
     let len = rd_u16(b, at).ok_or_else(err)? as u64;
     if len == 0 || len > 255 || at + 2 + len > heap_addr + sizes::HEAP {
         return Err(err());
     }
-    let raw = &b[(at + 2) as usize..(at + 2 + len) as usize];
+    let raw = bytes_at(b, at + 2, len).ok_or_else(err)?;
     let s = std::str::from_utf8(raw).map_err(|_| err())?;
-    if s.chars().any(|c| c.is_control()) || s.is_empty() {
+    if s.chars().any(|c| c.is_control()) {
         return Err(err());
     }
     Ok(s.to_string())
 }
 
-/// Walk a dataset chunk B-tree, collecting `(addr, len)` data segments.
-fn walk_dtree(
-    b: &[u8],
-    addr: u64,
+/// The data segments of one dataset, in file order, over the image that
+/// holds them.
+pub(crate) struct Segments<'a> {
+    image: &'a [u8],
+    parts: &'a [(u64, u64)],
+}
+
+impl Segments<'_> {
+    /// Content digest. Hashes the byte *stream*, not the slices:
+    /// `Hasher::write` calls concatenate (no length prefixes, unlike
+    /// `Hash for [u8]`), so two files storing the same data in different
+    /// segment layouts digest equally.
+    fn digest(&self) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for &(a, l) in self.parts {
+            h.write(&self.image[a as usize..(a + l) as usize]);
+        }
+        h.finish()
+    }
+}
+
+/// What [`walk`] reports of an image, in walk order. A fold implements
+/// the callbacks it reads; the walk never asks it anything.
+pub(crate) trait Visitor {
+    /// A validated structure of `len` bytes at `addr`, named `"{what}
+    /// {owner}"` by `h5inspect`; `is_data` for dataset data.
+    fn structure(&mut self, _what: &str, _owner: &str, _addr: u64, _len: u64, _is_data: bool) {}
+    /// A group whose B-tree and heap can be opened.
+    fn group(&mut self, _name: &str) {}
+    /// A symbol-table entry `name` of `group` (`key` is their
+    /// [`dataset_key`]) that is not a group the walk descends into:
+    /// `(rows, cols, data)` of a readable dataset, else why it is none.
+    fn dataset(&mut self, _group: &str, _name: &str, _key: String, _found: Found<'_>) {}
+    /// Part of `group`'s namespace is unreachable.
+    fn group_error(&mut self, _group: &str, _e: H5Error) {}
+}
+
+/// What the walk found behind a dataset's symbol-table entry.
+pub(crate) type Found<'a> = Result<(u64, u64, Segments<'a>), H5Error>;
+
+/// The one reader of the layout: superblock → root group → groups →
+/// datasets → segments, every signature, count and address checked
+/// against `eof` and the image's length. It does not stop at an error:
+/// it reports it, skips what the broken structure would have named and
+/// carries on — real HDF5 applications open one dataset at a time, so
+/// corruption of one dataset's structures does not make the others
+/// unreadable (the baseline model's granularity: "if a … dataset was
+/// closed before the crash, all updates to that dataset … were
+/// preserved"). Returns the first error met, as `h5check` words it.
+pub(crate) fn walk<V: Visitor>(bytes: &[u8], v: &mut V) -> Result<(), H5Error> {
+    let cannot_open = |reason: String| Err(H5Error::CannotOpen { reason });
+    if bytes.len() < sizes::SUPERBLOCK as usize {
+        return cannot_open("file shorter than superblock".into());
+    }
+    if &bytes[0..4] != b"H5SB" {
+        return cannot_open("superblock signature not found".into());
+    }
+    let (Some(root_oh), Some(eof)) = (rd_u64(bytes, 8), rd_u64(bytes, 16)) else {
+        return cannot_open("superblock truncated".into());
+    };
+    let mut walk = Walk {
+        b: bytes,
+        eof,
+        v,
+        first: None,
+    };
+    walk.group("/", root_oh, 0);
+    match walk.first {
+        None => Ok(()),
+        // A broken *root* object header means nothing in the file is
+        // reachable — the NetCDF-style "cannot open" failure.
+        Some(H5Error::BadSignature {
+            what: "object header",
+            addr,
+            ..
+        }) if addr == root_oh => cannot_open(format!("root object header unreadable at {addr:#x}")),
+        Some(H5Error::AddrOverflow {
+            what: "object header",
+            addr,
+            eof,
+        }) if addr == root_oh => cannot_open(format!(
+            "root object header at {addr:#x} beyond eof {eof:#x}"
+        )),
+        Some(e) => Err(e),
+    }
+}
+
+struct Walk<'a, V> {
+    b: &'a [u8],
     eof: u64,
-    depth: usize,
-    out: &mut Vec<(u64, u64)>,
-) -> Result<(), H5Error> {
-    if depth > 4 {
-        return Err(H5Error::BadSignature {
-            what: "dataset B-tree (cycle)",
-            addr,
-            found: *b"????",
-        });
+    v: &'a mut V,
+    first: Option<H5Error>,
+}
+
+impl<V: Visitor> Walk<'_, V> {
+    fn note(&mut self, e: &H5Error) {
+        if self.first.is_none() {
+            self.first = Some(e.clone());
+        }
     }
-    expect_sig(b, addr, b"DTRE", "dataset B-tree node", eof)?;
-    let leaf = b[(addr + 4) as usize];
-    let n = rd_u16(b, addr + 5).ok_or(H5Error::Truncated {
-        what: "dataset B-tree node",
-        addr,
-    })? as usize;
-    if n > sizes::DTRE_CAP {
-        return Err(H5Error::BadSignature {
-            what: "dataset B-tree node (entry count)",
-            addr,
-            found: *b"DTRE",
-        });
+
+    fn fail(&mut self, group: &str, e: H5Error) {
+        self.note(&e);
+        self.v.group_error(group, e);
     }
-    for i in 0..n {
-        let ea = addr + 8 + (i as u64) * 16;
-        let a = rd_u64(b, ea).ok_or(H5Error::Truncated {
-            what: "dataset B-tree entry",
-            addr: ea,
-        })?;
-        let l = rd_u64(b, ea + 8).ok_or(H5Error::Truncated {
-            what: "dataset B-tree entry",
-            addr: ea,
-        })?;
-        if leaf == 1 {
-            if a + l > eof {
+
+    /// The group whose object header is at `oh`, `depth` groups below
+    /// the root.
+    fn group(&mut self, gname: &str, oh: u64, depth: usize) {
+        let (b, eof) = (self.b, self.eof);
+        let header = (|| {
+            if depth > 4 {
+                return Err(bad_signature("group object header (cycle)", oh, b"????"));
+            }
+            expect_sig(b, oh, b"OHDR", "object header", eof)?;
+            if rd_u8(b, oh + 4).ok_or(truncated("object header", oh))? != KIND_GROUP {
+                return Err(bad_signature("group object header (kind)", oh, b"OHDR"));
+            }
+            let links = rd_u64(b, oh + 8).zip(rd_u64(b, oh + 16));
+            let (btree, heap) = links.ok_or(truncated("object header", oh))?;
+            expect_sig(b, btree, b"TREE", "group B-tree node", eof)?;
+            expect_sig(b, heap, b"HEAP", "local heap", eof)?;
+            Ok((btree, heap))
+        })();
+        let (btree, heap) = match header {
+            Ok(header) => header,
+            Err(e) => return self.fail(gname, e),
+        };
+        for (what, addr, len) in [
+            ("object header of", oh, sizes::OHDR),
+            ("B-tree node of", btree, sizes::TREE),
+            ("local heap of", heap, sizes::HEAP),
+        ] {
+            self.v.structure(what, gname, addr, len, false);
+        }
+        self.v.group(gname);
+        let whats = ("group B-tree node", "group B-tree node (fan-out)");
+        let nsnod = match entry_count(b, (btree, 4, sizes::TREE_CAP), b"TREE", whats) {
+            Ok(n) => n,
+            Err(e) => return self.fail(gname, e),
+        };
+        for s in 0..nsnod {
+            let node = rd_u64(b, btree + 8 + s * 8).ok_or(truncated("group B-tree entry", btree));
+            let node = node.and_then(|snod| {
+                expect_sig(b, snod, b"SNOD", "symbol table node", eof)?;
+                let whats = ("symbol table node", "symbol table node (entry count)");
+                Ok((
+                    snod,
+                    entry_count(b, (snod, 4, sizes::SNOD_CAP), b"SNOD", whats)?,
+                ))
+            });
+            let (snod, n) = match node {
+                Ok(node) => node,
+                Err(e) => {
+                    self.fail(gname, e);
+                    continue;
+                }
+            };
+            self.v
+                .structure("symbol table node of", gname, snod, sizes::SNOD, false);
+            // Pass 1: decode the symbol-table entries. A lookup scans the
+            // node sequentially, so one undecodable name record poisons
+            // every lookup through this node ("cannot open an unmodified
+            // dataset", Table 3 bugs 9-11).
+            let mut decoded: Vec<(String, u64)> = Vec::new();
+            let mut poison: Option<H5Error> = None;
+            for i in 0..n {
+                match entry(b, snod + 8 + i * 16, "symbol table entry") {
+                    Ok((name_off, child_oh)) => match heap_name(b, heap, name_off, gname) {
+                        Ok(name) => decoded.push((name, child_oh)),
+                        Err(e) => {
+                            poison = Some(e.clone());
+                            self.fail(gname, e);
+                        }
+                    },
+                    // The image ends here: so do the entries.
+                    Err(e) => {
+                        self.fail(gname, e);
+                        break;
+                    }
+                }
+            }
+            for (name, child_oh) in decoded {
+                let kind = expect_sig(b, child_oh, b"OHDR", "object header", eof).and_then(|()| {
+                    rd_u8(b, child_oh + 4).ok_or(truncated("object header", child_oh))
+                });
+                if poison.is_none() && kind == Ok(KIND_GROUP) {
+                    self.group(&name, child_oh, depth + 1);
+                    continue;
+                }
+                let key = dataset_key(gname, &name);
+                let mut parts = Vec::new();
+                let found = match &poison {
+                    Some(poison) => Err(poison.clone()),
+                    None => kind.and_then(|kind| self.dataset(&key, child_oh, kind, &mut parts)),
+                };
+                if let Err(e) = &found {
+                    self.note(e);
+                }
+                let data = Segments {
+                    image: b,
+                    parts: &parts,
+                };
+                let found = found.map(|(rows, cols)| (rows, cols, data));
+                self.v.dataset(gname, &name, key, found);
+            }
+        }
+    }
+
+    /// The dataset `key` whose object header (of `kind`) is at `oh`:
+    /// its dimensions, and its data segments into `parts`.
+    fn dataset(
+        &mut self,
+        key: &str,
+        oh: u64,
+        kind: u8,
+        parts: &mut Vec<(u64, u64)>,
+    ) -> Result<(u64, u64), H5Error> {
+        if kind != KIND_DATASET {
+            return Err(bad_signature("object header (kind)", oh, b"OHDR"));
+        }
+        let b = self.b;
+        let field = |at| rd_u64(b, oh + at).ok_or(truncated("dataset object header", oh));
+        let (rows, cols, dtree) = (field(8)?, field(16)?, field(24)?);
+        self.v
+            .structure("object header of dataset", key, oh, sizes::OHDR, false);
+        self.dtree(key, dtree, 0, parts)?;
+        let have: u64 = parts.iter().map(|part| part.1).sum();
+        if have < rows.saturating_mul(cols).saturating_mul(sizes::ELEM) {
+            return Err(truncated("dataset data", dtree));
+        }
+        Ok((rows, cols))
+    }
+
+    /// One node of a dataset chunk B-tree, collecting `(addr, len)` data
+    /// segments.
+    fn dtree(
+        &mut self,
+        key: &str,
+        addr: u64,
+        depth: usize,
+        parts: &mut Vec<(u64, u64)>,
+    ) -> Result<(), H5Error> {
+        let (b, eof) = (self.b, self.eof);
+        if depth > 4 {
+            return Err(bad_signature("dataset B-tree (cycle)", addr, b"????"));
+        }
+        expect_sig(b, addr, b"DTRE", "dataset B-tree node", eof)?;
+        let leaf = rd_u8(b, addr + 4).ok_or(truncated("dataset B-tree node", addr))?;
+        let whats = ("dataset B-tree node", "dataset B-tree node (entry count)");
+        let n = entry_count(b, (addr, 5, sizes::DTRE_CAP), b"DTRE", whats)?;
+        self.v
+            .structure("B-tree node of dataset", key, addr, sizes::DTRE, false);
+        for i in 0..n {
+            let (a, l) = entry(b, addr + 8 + i * 16, "dataset B-tree entry")?;
+            if leaf != 1 {
+                self.dtree(key, a, depth + 1, parts)?;
+                continue;
+            }
+            if a.saturating_add(l) > eof {
                 return Err(H5Error::AddrOverflow {
                     what: "data segment",
-                    addr: a + l,
+                    addr: a.saturating_add(l),
                     eof,
                 });
             }
-            if (a + l) as usize > b.len() {
-                return Err(H5Error::Truncated {
-                    what: "data segment",
-                    addr: a,
-                });
+            if bytes_at(b, a, l).is_none() {
+                return Err(truncated("data segment", a));
             }
-            out.push((a, l));
-        } else {
-            walk_dtree(b, a, eof, depth + 1, out)?;
+            self.v.structure("data chunks of", key, a, l, true);
+            parts.push((a, l));
         }
+        Ok(())
     }
-    Ok(())
 }
 
-fn digest_bytes(parts: &[(u64, u64)], b: &[u8]) -> u64 {
-    use std::hash::Hasher;
-    // Hash the byte *stream*, not the slices: `Hasher::write` calls
-    // concatenate (no length prefixes, unlike `Hash for [u8]`), so two
-    // files storing the same data in different segment layouts digest
-    // equally.
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &(a, l) in parts {
-        h.write(&b[a as usize..(a + l) as usize]);
-    }
-    h.finish()
+/// `h5check`: validate a file image and extract its logical state — the
+/// first error of the walk, else everything it reported.
+pub fn check(bytes: &[u8]) -> Result<H5Logical, H5Error> {
+    let mut report = LenientReport::default();
+    walk(bytes, &mut report)?;
+    Ok(report.into_logical().expect("no error met, none reported"))
 }
 
-/// Parse one group (object header at `oh`) into the logical state.
-fn check_group(
-    b: &[u8],
-    gname: &str,
-    oh: u64,
-    eof: u64,
-    logical: &mut H5Logical,
-) -> Result<(), H5Error> {
-    expect_sig(b, oh, b"OHDR", "object header", eof)?;
-    let kind = b[(oh + 4) as usize];
-    if kind != KIND_GROUP {
-        return Err(H5Error::BadSignature {
-            what: "group object header (kind)",
-            addr: oh,
-            found: *b"OHDR",
-        });
-    }
-    let btree = rd_u64(b, oh + 8).ok_or(H5Error::Truncated {
-        what: "object header",
-        addr: oh,
-    })?;
-    let heap = rd_u64(b, oh + 16).ok_or(H5Error::Truncated {
-        what: "object header",
-        addr: oh,
-    })?;
-    expect_sig(b, btree, b"TREE", "group B-tree node", eof)?;
-    expect_sig(b, heap, b"HEAP", "local heap", eof)?;
-    logical.groups.entry(gname.to_string()).or_default();
-    let nsnod = rd_u16(b, btree + 4).ok_or(H5Error::Truncated {
-        what: "group B-tree node",
-        addr: btree,
-    })? as usize;
-    if nsnod > sizes::TREE_CAP {
-        return Err(H5Error::BadSignature {
-            what: "group B-tree node (fan-out)",
-            addr: btree,
-            found: *b"TREE",
-        });
-    }
-    for s in 0..nsnod {
-        let snod = rd_u64(b, btree + 8 + (s as u64) * 8).ok_or(H5Error::Truncated {
-            what: "group B-tree entry",
-            addr: btree,
-        })?;
-        expect_sig(b, snod, b"SNOD", "symbol table node", eof)?;
-        let n = rd_u16(b, snod + 4).ok_or(H5Error::Truncated {
-            what: "symbol table node",
-            addr: snod,
-        })? as usize;
-        if n > sizes::SNOD_CAP {
-            return Err(H5Error::BadSignature {
-                what: "symbol table node (entry count)",
-                addr: snod,
-                found: *b"SNOD",
-            });
-        }
-        for i in 0..n {
-            let ea = snod + 8 + (i as u64) * 16;
-            let name_off = rd_u64(b, ea).ok_or(H5Error::Truncated {
-                what: "symbol table entry",
-                addr: ea,
-            })?;
-            let child_oh = rd_u64(b, ea + 8).ok_or(H5Error::Truncated {
-                what: "symbol table entry",
-                addr: ea,
-            })?;
-            let name = heap_name(b, heap, name_off, gname)?;
-            expect_sig(b, child_oh, b"OHDR", "object header", eof)?;
-            let ckind = b[(child_oh + 4) as usize];
-            if ckind == KIND_GROUP {
-                check_group(b, &name, child_oh, eof, logical)?;
-            } else if ckind == KIND_DATASET {
-                let rows = rd_u64(b, child_oh + 8).unwrap_or(0);
-                let cols = rd_u64(b, child_oh + 16).unwrap_or(0);
-                let dtree = rd_u64(b, child_oh + 24).ok_or(H5Error::Truncated {
-                    what: "dataset object header",
-                    addr: child_oh,
-                })?;
-                let mut segs = Vec::new();
-                walk_dtree(b, dtree, eof, 0, &mut segs)?;
-                let have: u64 = segs.iter().map(|s| s.1).sum();
-                if have < rows * cols * sizes::ELEM {
-                    return Err(H5Error::Truncated {
-                        what: "dataset data",
-                        addr: dtree,
-                    });
-                }
-                let digest = digest_bytes(&segs, b);
-                logical
-                    .groups
-                    .entry(gname.to_string())
-                    .or_default()
-                    .insert(name.clone());
-                logical
-                    .datasets
-                    .insert(dataset_key(gname, &name), (rows, cols, digest));
-            } else {
-                return Err(H5Error::BadSignature {
-                    what: "object header (kind)",
-                    addr: child_oh,
-                    found: *b"OHDR",
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Per-dataset results of a lenient walk: real HDF5 applications open
-/// one dataset at a time, so corruption of one dataset's structures does
-/// not necessarily make the others unreadable. The paper's baseline
-/// crash-consistency model needs exactly this granularity ("if a …
-/// dataset was closed before the crash, all updates to that dataset …
-/// were preserved").
+/// Per-dataset results of the walk: what it reported, errors included.
 #[derive(Debug, Clone, Default)]
 pub struct LenientReport {
     /// Fatal error opening the file at all (superblock / root group).
@@ -416,217 +547,65 @@ pub struct LenientReport {
     pub group_errors: Vec<(String, H5Error)>,
 }
 
-fn lenient_group(b: &[u8], gname: &str, oh: u64, eof: u64, out: &mut LenientReport) {
-    if let Err(e) = expect_sig(b, oh, b"OHDR", "object header", eof) {
-        out.group_errors.push((gname.to_string(), e));
-        return;
+impl LenientReport {
+    /// `true` if the walk met no error.
+    pub fn is_clean(&self) -> bool {
+        self.open_error.is_none()
+            && self.group_errors.is_empty()
+            && self.datasets.values().all(Result::is_ok)
     }
-    let kind = b[(oh + 4) as usize];
-    if kind != KIND_GROUP {
-        out.group_errors.push((
-            gname.to_string(),
-            H5Error::BadSignature {
-                what: "group object header (kind)",
-                addr: oh,
-                found: *b"OHDR",
-            },
-        ));
-        return;
-    }
-    let (Some(btree), Some(heap)) = (rd_u64(b, oh + 8), rd_u64(b, oh + 16)) else {
-        out.group_errors.push((
-            gname.to_string(),
-            H5Error::Truncated {
-                what: "object header",
-                addr: oh,
-            },
-        ));
-        return;
-    };
-    for (addr, magic, what) in [
-        (btree, b"TREE", "group B-tree node"),
-        (heap, b"HEAP", "local heap"),
-    ] {
-        if let Err(e) = expect_sig(b, addr, magic, what, eof) {
-            out.group_errors.push((gname.to_string(), e));
-            return;
-        }
-    }
-    out.groups.entry(gname.to_string()).or_default();
-    let nsnod = rd_u16(b, btree + 4).unwrap_or(u16::MAX) as usize;
-    if nsnod > sizes::TREE_CAP {
-        out.group_errors.push((
-            gname.to_string(),
-            H5Error::BadSignature {
-                what: "group B-tree node (fan-out)",
-                addr: btree,
-                found: *b"TREE",
-            },
-        ));
-        return;
-    }
-    for s in 0..nsnod {
-        let Some(snod) = rd_u64(b, btree + 8 + (s as u64) * 8) else {
-            continue;
-        };
-        if let Err(e) = expect_sig(b, snod, b"SNOD", "symbol table node", eof) {
-            out.group_errors.push((gname.to_string(), e));
-            continue;
-        }
-        let n = rd_u16(b, snod + 4).unwrap_or(u16::MAX) as usize;
-        if n > sizes::SNOD_CAP {
-            out.group_errors.push((
-                gname.to_string(),
-                H5Error::BadSignature {
-                    what: "symbol table node (entry count)",
-                    addr: snod,
-                    found: *b"SNOD",
-                },
-            ));
-            continue;
-        }
-        // Pass 1: decode the symbol-table entries. A lookup scans the
-        // node sequentially, so one undecodable name record poisons
-        // every lookup through this node ("cannot open an unmodified
-        // dataset", Table 3 bugs 9-11).
-        let mut decoded: Vec<(String, u64)> = Vec::new();
-        let mut poison: Option<H5Error> = None;
-        for i in 0..n {
-            let ea = snod + 8 + (i as u64) * 16;
-            let (Some(name_off), Some(child_oh)) = (rd_u64(b, ea), rd_u64(b, ea + 8)) else {
-                continue;
-            };
-            match heap_name(b, heap, name_off, gname) {
-                Ok(name) => decoded.push((name, child_oh)),
-                Err(e) => {
-                    out.group_errors.push((gname.to_string(), e.clone()));
-                    poison = Some(e);
-                }
-            }
-        }
-        for (name, child_oh) in decoded {
-            let kind_ok = expect_sig(b, child_oh, b"OHDR", "object header", eof);
-            let ckind = if kind_ok.is_ok() {
-                b[(child_oh + 4) as usize]
-            } else {
-                0
-            };
-            if ckind == KIND_GROUP && poison.is_none() {
-                lenient_group(b, &name, child_oh, eof, out);
-            } else {
-                let key = dataset_key(gname, &name);
-                out.groups
-                    .entry(gname.to_string())
-                    .or_default()
-                    .insert(name.clone());
-                let result = (|| -> Result<(u64, u64, u64), H5Error> {
-                    if let Some(p) = &poison {
-                        return Err(p.clone());
-                    }
-                    kind_ok?;
-                    if ckind != KIND_DATASET {
-                        return Err(H5Error::BadSignature {
-                            what: "object header (kind)",
-                            addr: child_oh,
-                            found: *b"OHDR",
-                        });
-                    }
-                    let rows = rd_u64(b, child_oh + 8).unwrap_or(0);
-                    let cols = rd_u64(b, child_oh + 16).unwrap_or(0);
-                    let dtree = rd_u64(b, child_oh + 24).ok_or(H5Error::Truncated {
-                        what: "dataset object header",
-                        addr: child_oh,
-                    })?;
-                    let mut segs = Vec::new();
-                    walk_dtree(b, dtree, eof, 0, &mut segs)?;
-                    let have: u64 = segs.iter().map(|s| s.1).sum();
-                    if have < rows * cols * sizes::ELEM {
-                        return Err(H5Error::Truncated {
-                            what: "dataset data",
-                            addr: dtree,
-                        });
-                    }
-                    Ok((rows, cols, digest_bytes(&segs, b)))
-                })();
-                out.datasets.insert(key, result);
-            }
-        }
+
+    /// What [`check`] returns for the same image: the logical state of
+    /// a clean report, else `None`.
+    pub fn into_logical(self) -> Option<H5Logical> {
+        self.is_clean().then(|| H5Logical {
+            groups: self.groups,
+            datasets: (self.datasets.into_iter())
+                .filter_map(|(key, found)| Some((key, found.ok()?)))
+                .collect(),
+        })
     }
 }
 
-/// Lenient walk: collect per-dataset outcomes instead of failing on the
-/// first corruption.
+impl Visitor for LenientReport {
+    fn group(&mut self, name: &str) {
+        self.groups.entry(name.to_string()).or_default();
+    }
+
+    fn dataset(&mut self, group: &str, name: &str, key: String, found: Found<'_>) {
+        let names = self.groups.entry(group.to_string()).or_default();
+        names.insert(name.to_string());
+        let found = found.map(|(rows, cols, data)| (rows, cols, data.digest()));
+        self.datasets.insert(key, found);
+    }
+
+    fn group_error(&mut self, group: &str, e: H5Error) {
+        self.group_errors.push((group.to_string(), e));
+    }
+}
+
+/// Lenient `h5check`: collect per-dataset outcomes instead of failing
+/// on the first corruption.
 pub fn check_lenient(bytes: &[u8]) -> LenientReport {
     let mut out = LenientReport::default();
-    if bytes.len() < sizes::SUPERBLOCK as usize || &bytes[0..4] != b"H5SB" {
-        out.open_error = Some(H5Error::CannotOpen {
-            reason: "superblock signature not found".into(),
-        });
-        return out;
-    }
-    let root_oh = rd_u64(bytes, 8).unwrap_or(0);
-    let eof = rd_u64(bytes, 16).unwrap_or(0);
-    let before = out.group_errors.len();
-    lenient_group(bytes, "/", root_oh, eof, &mut out);
-    // A broken root group means the file cannot be opened at all.
-    if out.group_errors.len() > before && out.groups.is_empty() {
-        let (_, e) = out.group_errors[before].clone();
-        out.open_error = Some(H5Error::CannotOpen {
-            reason: e.to_string(),
-        });
+    if let Err(e) = walk(bytes, &mut out) {
+        // No superblock, or a broken root group: the file cannot be
+        // opened at all.
+        if out.groups.is_empty() {
+            out.open_error = Some(match out.group_errors.first() {
+                Some((_, root)) => H5Error::CannotOpen {
+                    reason: root.to_string(),
+                },
+                None => e,
+            });
+        }
     }
     out
 }
 
-/// `h5check`: validate a file image and extract its logical state.
-pub fn check(bytes: &[u8]) -> Result<H5Logical, H5Error> {
-    if bytes.len() < sizes::SUPERBLOCK as usize {
-        return Err(H5Error::CannotOpen {
-            reason: "file shorter than superblock".into(),
-        });
-    }
-    if &bytes[0..4] != b"H5SB" {
-        return Err(H5Error::CannotOpen {
-            reason: "superblock signature not found".into(),
-        });
-    }
-    let root_oh = rd_u64(bytes, 8).ok_or(H5Error::CannotOpen {
-        reason: "superblock truncated".into(),
-    })?;
-    let eof = rd_u64(bytes, 16).ok_or(H5Error::CannotOpen {
-        reason: "superblock truncated".into(),
-    })?;
-    let mut logical = H5Logical::default();
-    match check_group(bytes, "/", root_oh, eof, &mut logical) {
-        Ok(()) => Ok(logical),
-        // A broken *root* object header means nothing in the file is
-        // reachable — the NetCDF-style "cannot open" failure.
-        Err(H5Error::BadSignature {
-            what: "object header",
-            addr,
-            ..
-        }) if addr == root_oh => Err(H5Error::CannotOpen {
-            reason: format!("root object header unreadable at {addr:#x}"),
-        }),
-        Err(H5Error::AddrOverflow {
-            what: "object header",
-            addr,
-            eof,
-        }) if addr == root_oh => Err(H5Error::CannotOpen {
-            reason: format!("root object header at {addr:#x} beyond eof {eof:#x}"),
-        }),
-        Err(e) => Err(e),
-    }
-}
-
-/// Superblock accessors used by `h5clear` and the library runtime.
+/// The superblock encoder (used by the library runtime).
 pub mod superblock {
     use super::sizes;
-
-    /// Read the EOF field.
-    pub fn eof(bytes: &[u8]) -> Option<u64> {
-        super::rd_u64(bytes, 16)
-    }
 
     /// Serialize a superblock.
     pub fn encode(root_oh: u64, eof: u64, status: u8) -> Vec<u8> {
@@ -816,20 +795,11 @@ mod tests {
         assert_ne!(l1.digest(), l2.digest());
     }
 
+    /// Break the dataset's B-tree: strict fails, lenient isolates the
+    /// failure to that dataset.
     #[test]
-    fn lenient_walk_agrees_with_strict_on_clean_and_broken_files() {
-        let img = minimal_file();
-        // Clean file: the lenient walk reaches what the strict one does.
-        let (lenient, strict) = (check_lenient(&img), check(&img).unwrap());
-        assert!(lenient.open_error.is_none() && lenient.group_errors.is_empty());
-        assert_eq!(lenient.groups, strict.groups);
-        let datasets: BTreeMap<_, _> = (lenient.datasets.into_iter())
-            .map(|(key, dataset)| (key, dataset.unwrap()))
-            .collect();
-        assert_eq!(datasets, strict.datasets);
-        // Break the dataset's B-tree: strict fails, lenient isolates the
-        // failure to that dataset.
-        let mut broken = img.clone();
+    fn lenient_walk_isolates_a_broken_dataset() {
+        let mut broken = minimal_file();
         let dtree = (sizes::SUPERBLOCK
             + sizes::OHDR
             + sizes::TREE

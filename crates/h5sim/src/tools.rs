@@ -58,114 +58,29 @@ pub struct ObjectRange {
     pub is_data: bool,
 }
 
-/// `h5inspect`: map internal objects to byte ranges.
+/// `h5inspect`: map internal objects to byte ranges. An image `h5check`
+/// rejects has no object map.
 pub fn h5inspect(bytes: &[u8]) -> Result<Vec<ObjectRange>, H5Error> {
-    use format::sizes;
-    // Validate first — an unreadable file has no object map.
-    let _ = check(bytes)?;
     let mut out = vec![ObjectRange {
         name: "superblock".into(),
         addr: 0,
-        len: sizes::SUPERBLOCK,
+        len: format::sizes::SUPERBLOCK,
         is_data: false,
     }];
-    let root_oh = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    inspect_group(bytes, "/", root_oh, &mut out);
+    format::walk(bytes, &mut out)?;
     out.sort_by_key(|o| o.addr);
     Ok(out)
 }
 
-fn rd_u64(b: &[u8], at: u64) -> u64 {
-    u64::from_le_bytes(b[at as usize..at as usize + 8].try_into().unwrap())
-}
-
-fn rd_u16(b: &[u8], at: u64) -> u16 {
-    u16::from_le_bytes(b[at as usize..at as usize + 2].try_into().unwrap())
-}
-
-fn inspect_group(b: &[u8], gname: &str, oh: u64, out: &mut Vec<ObjectRange>) {
-    use format::sizes;
-    out.push(ObjectRange {
-        name: format!("object header of {gname}"),
-        addr: oh,
-        len: sizes::OHDR,
-        is_data: false,
-    });
-    let btree = rd_u64(b, oh + 8);
-    let heap = rd_u64(b, oh + 16);
-    out.push(ObjectRange {
-        name: format!("B-tree node of {gname}"),
-        addr: btree,
-        len: sizes::TREE,
-        is_data: false,
-    });
-    out.push(ObjectRange {
-        name: format!("local heap of {gname}"),
-        addr: heap,
-        len: sizes::HEAP,
-        is_data: false,
-    });
-    let nsnod = rd_u16(b, btree + 4) as usize;
-    for s in 0..nsnod {
-        let snod = rd_u64(b, btree + 8 + (s as u64) * 8);
-        out.push(ObjectRange {
-            name: format!("symbol table node of {gname}"),
-            addr: snod,
-            len: sizes::SNOD,
-            is_data: false,
+impl format::Visitor for Vec<ObjectRange> {
+    fn structure(&mut self, what: &str, owner: &str, addr: u64, len: u64, is_data: bool) {
+        let name = format!("{what} {owner}");
+        self.push(ObjectRange {
+            name,
+            addr,
+            len,
+            is_data,
         });
-        let n = rd_u16(b, snod + 4) as usize;
-        for i in 0..n {
-            let ea = snod + 8 + (i as u64) * 16;
-            let name_off = rd_u64(b, ea);
-            let child_oh = rd_u64(b, ea + 8);
-            let nlen = rd_u16(b, heap + name_off) as u64;
-            let name = String::from_utf8_lossy(
-                &b[(heap + name_off + 2) as usize..(heap + name_off + 2 + nlen) as usize],
-            )
-            .to_string();
-            let kind = b[(child_oh + 4) as usize];
-            if kind == format::KIND_GROUP {
-                inspect_group(b, &name, child_oh, out);
-            } else {
-                let key = format::dataset_key(gname, &name);
-                out.push(ObjectRange {
-                    name: format!("object header of dataset {key}"),
-                    addr: child_oh,
-                    len: sizes::OHDR,
-                    is_data: false,
-                });
-                let dtree = rd_u64(b, child_oh + 24);
-                inspect_dtree(b, &key, dtree, out);
-            }
-        }
-    }
-}
-
-fn inspect_dtree(b: &[u8], key: &str, addr: u64, out: &mut Vec<ObjectRange>) {
-    use format::sizes;
-    out.push(ObjectRange {
-        name: format!("B-tree node of dataset {key}"),
-        addr,
-        len: sizes::DTRE,
-        is_data: false,
-    });
-    let leaf = b[(addr + 4) as usize];
-    let n = rd_u16(b, addr + 5) as usize;
-    for i in 0..n {
-        let ea = addr + 8 + (i as u64) * 16;
-        let a = rd_u64(b, ea);
-        let l = rd_u64(b, ea + 8);
-        if leaf == 1 {
-            out.push(ObjectRange {
-                name: format!("data chunks of {key}"),
-                addr: a,
-                len: l,
-                is_data: true,
-            });
-        } else {
-            inspect_dtree(b, key, a, out);
-        }
     }
 }
 

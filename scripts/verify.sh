@@ -9,8 +9,8 @@
 #      (root suite plus every crate's unit tests), fully offline, so a
 #      cold, empty ~/.cargo/registry is sufficient.
 #   3. Hygiene — `cargo fmt --check`, a warning-free build, no PFS model
-#      re-defining `ModelBase` plumbing or `fork`, no second perf ledger: no
-#      `BENCH_*.json` at the root, no `PC_BENCH`-prefixed variable.
+#      re-defining `ModelBase` plumbing or `fork`, no HDF5 signature outside
+#      `format.rs`, no `BENCH_*.json` or `PC_BENCH`-prefixed second ledger.
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` decide identically in debug and in release, at
 #      PC_THREADS=1 and with the pool (with them the golden walk and the
@@ -22,8 +22,8 @@
 #      prints the pinned report, on the pool and at PC_THREADS=1; the
 #      three files pass their `selftest` validators, the stream holds no
 #      span or counter line and projects identically sequential vs
-#      parallel (`--canonical-diff`), the profile names the engine's
-#      stages down to `rpc.message`, `paracrash report` renders a
+#      parallel (`--canonical-diff`), the profile names the engine's stages
+#      down to `rpc.message` and `h5.parse`, `paracrash report` renders a
 #      dashboard that passes the HTML lint, and the planes' *disabled*
 #      sites cost a checked cell under 3% (`selftest obs`).
 #   6. Fault plane — the seeded chaos suite passes sequentially (gate 2:
@@ -110,6 +110,8 @@ RUSTFLAGS="-D warnings" cargo build --offline --workspace
 # nor a hand-written fork (`Clone` is the fork: pfs::Fork's blanket impl).
 grep -nE 'fn (emit|net|parent_of|name_of|seal_baseline|baseline|live|install_faults|fork)\b' \
     crates/pfs/src/{beegfs,orangefs,glusterfs,gpfs,lustre,ext4}.rs && { echo "FAIL: model redefines base plumbing"; exit 1; } || true
+# The HDF5 layout has one reader: its signatures appear in format.rs only.
+grep -rnE 'b"(OHDR|TREE|HEAP|SNOD|DTRE)"' crates | grep -v '^crates/h5sim/src/format.rs:' && { echo "FAIL: a second reader of the HDF5 layout"; exit 1; } || true
 # benchmark/ is the one perf ledger ([_]: this line must not match itself).
 { ls BENCH_*.json 2> /dev/null || grep -rn 'PC_BENCH[_]' crates scripts README.md; } && { echo "FAIL: second perf ledger"; exit 1; } || true
 
@@ -155,7 +157,7 @@ target/release/paracrash selftest events "$obs/events-par.jsonl"
 target/release/paracrash selftest events --canonical-diff \
     "$obs/events-par.jsonl" "$obs/events-seq.jsonl"
 target/release/paracrash selftest prof "$obs/prof/fuzz.folded"
-printf '%s\n' snapshot.materialize recover/ check.enumerate rpc.message | require_in "$obs/prof/fuzz.folded"
+printf '%s\n' snapshot.materialize recover/ check.enumerate rpc.message h5.parse | require_in "$obs/prof/fuzz.folded"
 # The dashboard of that sweep, from its own stream, snapshot and profile.
 target/release/paracrash report --events "$obs/events-par.jsonl" \
     --telemetry "$obs/telemetry.json" --profile "$obs/prof/fuzz.folded" \
@@ -192,8 +194,7 @@ PC_THREADS=1 target/release/paracrash fuzz > "$tmp/fuzz-seq.txt" 2> /dev/null
 diff "$tmp/fuzz-par.txt" "$tmp/fuzz-seq.txt"
 if ! diff "$tmp/fuzz-par.txt" crates/bench/tests/expected_fuzz_pr_tier.txt; then
     echo "FAIL: PR-tier fuzz findings drifted from the pinned corpus."
-    echo "If intended: regenerate with"
-    echo "  target/release/paracrash fuzz 2>/dev/null > crates/bench/tests/expected_fuzz_pr_tier.txt"
+    echo "If intended: target/release/paracrash fuzz 2>/dev/null > crates/bench/tests/expected_fuzz_pr_tier.txt"
     exit 1
 fi
 # Triage smoke: a sampled run with --findings-out must produce bundles.
@@ -268,8 +269,7 @@ diff "$tmp/camp-ref.txt" "$tmp/camp-kill.txt"
 # Satellite: --events-out under a campaign creates missing parent dirs
 # and the stream re-parses (campaign.* totals ride its snapshots).
 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ev" \
-    --events-out "$tmp/nested/dirs/camp-events.jsonl" \
-    > /dev/null 2> /dev/null
+    --events-out "$tmp/nested/dirs/camp-events.jsonl" > /dev/null 2>&1
 target/release/paracrash selftest events "$tmp/nested/dirs/camp-events.jsonl"
 
 echo "verify: OK"

@@ -16,7 +16,7 @@ pub use simnet;
 pub use tracer;
 pub use workloads;
 
-use paracrash::{check_stack, CheckConfig, CheckOutcome};
+use paracrash::{CheckConfig, CheckOutcome};
 use workloads::{FsKind, Params, Program};
 
 /// Run one `(program, file system)` cell at the fast test scale with the
@@ -33,49 +33,7 @@ pub fn check_with(
     params: &Params,
     cfg: &CheckConfig,
 ) -> CheckOutcome {
-    let mut merged: Option<CheckOutcome> = None;
-    for (_, placement) in program.placements() {
-        let cell_params = params.clone().with_placement(placement);
-        let stack = program.run(fs, &cell_params);
-        let factory = fs.factory(&cell_params);
-        let outcome = check_stack(&stack, &factory, cfg);
-        merged = Some(match merged {
-            None => outcome,
-            Some(mut acc) => {
-                acc.raw_inconsistent_states += outcome.raw_inconsistent_states;
-                acc.h5_bad_pfs_ok_states += outcome.h5_bad_pfs_ok_states;
-                acc.stats.states_total += outcome.stats.states_total;
-                acc.stats.states_checked += outcome.stats.states_checked;
-                acc.stats.states_pruned += outcome.stats.states_pruned;
-                acc.stats.states_diagnostic += outcome.stats.states_diagnostic;
-                acc.diagnostics.extend(outcome.diagnostics);
-                for expl in outcome.explanations {
-                    // One bundle per (signature, layer); keep the first
-                    // placement's, matching the bug-witness policy.
-                    if !acc
-                        .explanations
-                        .iter()
-                        .any(|e| e.signature == expl.signature && e.layer == expl.layer)
-                    {
-                        acc.explanations.push(expl);
-                    }
-                }
-                for bug in outcome.bugs {
-                    if let Some(existing) = acc
-                        .bugs
-                        .iter_mut()
-                        .find(|b| b.signature == bug.signature && b.layer == bug.layer)
-                    {
-                        existing.occurrences += bug.occurrences;
-                    } else {
-                        acc.bugs.push(bug);
-                    }
-                }
-                acc
-            }
-        });
-    }
-    merged.expect("programs always have a placement")
+    pc_bench::run_program(program, fs, params, cfg).outcome
 }
 
 /// All bug signatures of an outcome, rendered.

@@ -3,7 +3,9 @@
 //! tile the file without overlap, and that replay deterministically.
 //! (Hosted on the vendored `pc-rt` property harness.)
 
-use h5sim::{check, h5clear, h5inspect, h5replay_with, ClearOpts, H5Call, H5Spec};
+use h5sim::format::{encode, sizes, superblock, H5Error};
+use h5sim::{check, check_lenient, h5clear, h5inspect, h5replay_with};
+use h5sim::{ClearOpts, H5Call, H5Spec, ObjectRange};
 use pc_rt::prop_assert;
 use pc_rt::prop_assert_eq;
 use pc_rt::proptest::{gen_vec, run, Config};
@@ -178,8 +180,50 @@ fn random_sequences_produce_valid_files() {
     );
 }
 
-/// The object map tiles the file without overlaps, and h5clear is
-/// idempotent on clean files.
+/// `h5check`, the per-dataset report and `h5inspect` are folds of one
+/// walk: they accept the same images, and an accepted image reads the
+/// same through the first two.
+fn folds_agree(image: &[u8]) -> Result<(), String> {
+    let (strict, lenient) = (check(image), check_lenient(image));
+    let clean = lenient.open_error.is_none()
+        && lenient.group_errors.is_empty()
+        && lenient.datasets.values().all(|found| found.is_ok());
+    prop_assert_eq!(strict.is_ok(), clean);
+    prop_assert_eq!(strict.is_ok(), h5inspect(image).is_ok());
+    if let Ok(logical) = strict {
+        prop_assert_eq!(&logical.groups, &lenient.groups);
+        let datasets = lenient.datasets.into_iter();
+        let datasets: Vec<_> = datasets.map(|(key, found)| (key, found.unwrap())).collect();
+        prop_assert_eq!(logical.datasets.into_iter().collect::<Vec<_>>(), datasets);
+    }
+    Ok(())
+}
+
+/// `image` broken at every structure of its object `map`: the signature
+/// zeroed, the file cut short inside it (its `eof` left stale), its
+/// second word pointed past any file — once under the real `eof`, once
+/// under one that admits every address.
+fn mutations(image: &[u8], map: &[ObjectRange]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for at in map.iter().map(|obj| obj.addr as usize) {
+        let mut zeroed = image.to_vec();
+        zeroed[at..at + 4].fill(0);
+        out.push(zeroed);
+        for cut in [2, 5, 12, 28] {
+            out.push(image[..(at + cut).min(image.len())].to_vec());
+        }
+        let mut wild = image.to_vec();
+        wild[at + 8..at + 16].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+        out.push(wild.clone());
+        wild[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        out.push(wild);
+    }
+    out
+}
+
+/// The object map tiles the file without overlaps, h5clear is
+/// idempotent on clean files, and the three readers agree on the file
+/// and on every way of breaking it.
 #[test]
 fn object_maps_never_overlap() {
     run(
@@ -204,6 +248,10 @@ fn object_maps_never_overlap() {
             prop_assert_eq!(check(&bytes).expect("ok"), check(&cleared).expect("ok"));
             let twice = h5clear(&cleared, ClearOpts { increase_eof: true });
             prop_assert!(check(&twice).is_ok());
+            folds_agree(&bytes)?;
+            for image in mutations(&bytes, &map) {
+                folds_agree(&image)?;
+            }
             Ok(())
         },
     );
@@ -229,4 +277,57 @@ fn replays_are_deterministic() {
             Ok(())
         },
     );
+}
+
+/// A file cut short under a stale `eof` can end inside a node: an entry
+/// count, a B-tree entry or a symbol-table entry that cannot be read is
+/// an error of the group in every fold, not an entry passed over. So is
+/// a group that names itself.
+#[test]
+fn unreadable_entries_are_errors_of_every_fold() {
+    // The heap ahead of the B-tree, so that a cut inside the B-tree
+    // node leaves the group's header readable.
+    let root_oh = sizes::SUPERBLOCK;
+    let heap = root_oh + sizes::OHDR;
+    let tree = heap + sizes::HEAP;
+    let snod = tree + sizes::TREE;
+    let ds_oh = snod + sizes::SNOD;
+    let dtree = ds_oh + sizes::OHDR;
+    let data = dtree + sizes::DTRE;
+    let dlen = 2 * 2 * sizes::ELEM;
+    let image = [
+        superblock::encode(root_oh, data + dlen, 0),
+        encode::group_ohdr(tree, heap),
+        encode::heap(&[(8, "d1".into())]),
+        encode::tree(&[snod]),
+        encode::snod(&[(8, ds_oh)]),
+        encode::dataset_ohdr(2, 2, dtree),
+        encode::dtree(true, &[(data, dlen)]),
+        vec![7u8; dlen as usize],
+    ]
+    .concat();
+    assert!(check(&image).is_ok());
+    for (cut, what) in [
+        (tree + 5, "group B-tree node"),
+        (tree + 8 + 4, "group B-tree entry"),
+        (snod + 5, "symbol table node"),
+        (snod + 8 + 4, "symbol table entry"),
+    ] {
+        let cut = &image[..cut as usize];
+        let expected = |e: &H5Error| matches!(e, H5Error::Truncated { what: w, .. } if *w == what);
+        assert!(check(cut).is_err_and(|e| expected(&e)), "{what}");
+        let lenient = check_lenient(cut);
+        assert!(lenient.open_error.is_none(), "{what}");
+        assert!(
+            (lenient.group_errors.iter()).any(|(group, e)| group == "/" && expected(e)),
+            "{what}: {:?}",
+            lenient.group_errors
+        );
+        folds_agree(cut).unwrap();
+    }
+    let mut cyclic = image.clone();
+    let entry = (snod + 8 + 8) as usize;
+    cyclic[entry..entry + 8].copy_from_slice(&root_oh.to_le_bytes());
+    assert!(check(&cyclic).is_err());
+    folds_agree(&cyclic).unwrap();
 }

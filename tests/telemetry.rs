@@ -248,3 +248,37 @@ fn golden_walk_counters_are_edge_counts() {
     assert!(line.contains(" 83  executed ("), "{line}");
     assert!(line.ends_with(&format!("({dispatched} calls dispatched, 0 forks)")));
 }
+
+/// The parse budget of a recovered view (DESIGN.md §7): its library file
+/// is walked once, and once more — through `h5clear` — only if that walk
+/// met an error; every parse is one `h5.parse` span. A cell without an
+/// inconsistent state walks each view exactly once.
+#[test]
+fn a_recovered_view_is_walked_at_most_twice() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let params = Params::quick();
+    let cfg = CheckConfig::paper_default();
+    let mut second_walks = 0;
+    for (program, fs) in [
+        (Program::H5Resize, FsKind::BeeGfs),
+        (Program::H5Resize, FsKind::Gpfs),
+        (Program::H5Create, FsKind::Ext4),
+    ] {
+        let stack = program.run(fs, &params);
+        let factory = fs.factory(&params);
+        let (outcome, snap) = with_telemetry(|| check_stack(&stack, &factory, &cfg));
+        let (parses, walks) = (counter(&snap, "h5.view_parses"), counter(&snap, "h5.walks"));
+        let label = format!("{} on {}", program.name(), fs.name());
+        assert!(
+            parses > 0 && parses <= walks && walks <= 2 * parses,
+            "{label}: {parses} / {walks}"
+        );
+        let spans = snap.spans.iter().filter(|s| s.name == "h5.parse").count();
+        assert_eq!(spans as u64, parses, "{label}");
+        if outcome.raw_inconsistent_states == 0 {
+            assert_eq!(walks, parses, "{label}");
+        }
+        second_walks += walks - parses;
+    }
+    assert!(second_walks > 0, "no view needed h5clear");
+}
