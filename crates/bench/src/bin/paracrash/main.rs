@@ -74,12 +74,11 @@
 use paracrash::dashboard::render_dashboard;
 use paracrash::telemetry::chrome_trace;
 use paracrash::CheckConfig;
-use pc_bench::campaign::{parse_modes, run_campaign, CampaignOptions, FuzzOptions};
+use pc_bench::campaign::{parse_modes, run_campaign, FuzzOptions};
 use pc_bench::{render_bug, run_program_swept, sanitize, write_bundle};
 use pc_rt::json::Json;
 use pc_rt::obs::prof;
 use simnet::FaultConfig;
-use std::time::Duration;
 use workloads::{FsKind, Params, Program};
 
 mod figures;
@@ -195,25 +194,20 @@ fn usage() -> ! {
          \x20                [--faults <spec>|chaos] [--fail-fast]\n\
          \x20                [--telemetry-out <file>] [--explain-out <dir>]\n\
          \x20                [--events-out <file>] [--profile-out <file>]\n\
-         \x20      paracrash fuzz|campaign [--bound <n>] [--seed <n>] [--sample <n>]\n\
+         \x20      paracrash fuzz [--bound <n>] [--seed <n>] [--sample <n>]\n\
          \x20                [--fs <list|all>] [--modes <data,ordered,writeback,none|all>]\n\
          \x20                [--findings-out <dir>] [--paper]\n\
          \x20                [--telemetry-out <file>] [--events-out <file>]\n\
-         \x20                [--profile-out <file>]\n\
-         \x20                [--cell-timeout <secs>] [--max-retries <n>]\n\
-         \x20                [--state-dir <dir>] [--resume]\n\
+         \x20                [--profile-out <file>] [--state-dir <dir>] [--resume]\n\
          \x20      paracrash report --events <file> [--telemetry <file>]\n\
          \x20                [--profile <file>] [--out <file>]\n\
          \x20      paracrash table3|fig8|fig9|fig10|fig11 [--paper]\n\
          \x20      paracrash selftest <{}> [args]\n\n\
-         `fuzz` and `campaign` are one sweep driver; `campaign` defaults\n\
-         `--state-dir` to campaign-state. With a state dir the sweep is\n\
-         crash-safe and resumable: every cell commits to an append-only\n\
-         CRC-checked log under it, and `--resume` replays the log to\n\
-         continue a killed run with a byte-identical final report.\n\
-         Either way, cells that hang past\n\
-         `--cell-timeout` or panic through `--max-retries` retries are\n\
-         quarantined, not fatal.\n\n\
+         With `--state-dir` a `fuzz` sweep is crash-safe and resumable:\n\
+         every cell commits to an append-only CRC-checked log under it,\n\
+         and `--resume` replays the log to continue a killed run with a\n\
+         byte-identical final report. Either way a cell whose check\n\
+         panics is quarantined, not fatal.\n\n\
          `selftest obs|faults|explain` asserts the plane's disabled-overhead\n\
          budget (<3%); the other forms validate an artifact:\n\
          `telemetry <file>`, `explain <dir> [<min-bundles>]`, `events <file>`\n\
@@ -221,7 +215,7 @@ fn usage() -> ! {
          `prof <file.folded>`, `durable [<seed>] [<cases>]`. `selftest scale`\n\
          takes no argument: it times the batched engine against the per-state\n\
          loop and the 64- against the 256-server check, in process.\n\n\
-         `--events-out` streams events (cells, findings, campaign\n\
+         `--events-out` streams events (cells, findings, sweep\n\
          snapshots) as JSON lines while the run is live; `report` renders\n\
          them (plus an optional --telemetry-out file and a `--profile`\n\
          .folded file as an SVG flame view) into one self-contained HTML\n\
@@ -239,15 +233,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Parse one flag describing the sweep itself (as opposed to how the
-/// driver runs it) into `opts`; returns `false` when the flag is not
-/// one of those so the caller can try the driver's set.
-fn parse_fuzz_flag(
-    opts: &mut FuzzOptions,
-    paper: &mut bool,
-    a: &str,
-    value: &mut dyn FnMut(&str) -> String,
-) -> bool {
+/// Parse one `fuzz` flag into `opts`; returns `false` when `a` is not
+/// one of them so the caller can try the observability set.
+fn parse_fuzz_flag(opts: &mut FuzzOptions, a: &str, value: &mut dyn FnMut(&str) -> String) -> bool {
     match a {
         "--bound" => {
             opts.bound = value("--bound")
@@ -296,23 +284,21 @@ fn parse_fuzz_flag(
                 value("--findings-out"),
             ));
         }
-        "--paper" => *paper = true,
+        "--paper" => opts.paper = true,
+        "--state-dir" => opts.state_dir = Some(value("--state-dir")),
+        "--resume" => opts.resume = true,
         _ => return false,
     }
     true
 }
 
-/// The `fuzz` / `campaign` subcommands: one bounded black-box sweep
-/// over the generated-workload corpus, crash-safe and resumable when it
-/// has a state dir (`campaign` defaults one, `fuzz` does not — the only
-/// difference between the two spellings). Stdout carries exactly the
-/// canonical report so CI can diff runs (resume/retry accounting goes
-/// to stderr with everything else, so a resumed run diffs clean against
-/// an uninterrupted one).
-fn run_sweep(kind: &str, args: &[String]) -> ! {
-    let default_state_dir = (kind == "campaign").then_some("campaign-state");
-    let mut opts = CampaignOptions::new(FuzzOptions::pr_tier(), default_state_dir);
-    let mut paper = false;
+/// The `fuzz` subcommand: one bounded black-box sweep over the
+/// generated-workload corpus, crash-safe and resumable when it has a
+/// state dir. Stdout carries exactly the canonical report so CI can
+/// diff runs (resume accounting goes to stderr with everything else, so
+/// a resumed run diffs clean against an uninterrupted one).
+fn run_sweep(args: &[String]) -> ! {
+    let mut opts = FuzzOptions::pr_tier();
     let mut obs = ObsOpts::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -321,37 +307,16 @@ fn run_sweep(kind: &str, args: &[String]) -> ! {
                 .cloned()
                 .unwrap_or_else(|| die(format_args!("{what} needs a value")))
         };
-        if parse_fuzz_flag(&mut opts.fuzz, &mut paper, a, &mut value)
-            || parse_obs_flag(&mut obs, a, &mut value)
-        {
+        if parse_fuzz_flag(&mut opts, a, &mut value) || parse_obs_flag(&mut obs, a, &mut value) {
             continue;
         }
         match a.as_str() {
-            "--state-dir" => opts.state_dir = Some(value("--state-dir")),
-            "--resume" => opts.resume = true,
-            "--cell-timeout" => {
-                let secs: f64 = value("--cell-timeout")
-                    .parse()
-                    .unwrap_or_else(|_| die(format_args!("--cell-timeout must be seconds")));
-                if !secs.is_finite() || secs <= 0.0 {
-                    die(format_args!("--cell-timeout must be positive"));
-                }
-                opts.cell_timeout = Some(Duration::from_secs_f64(secs));
-            }
-            "--max-retries" => {
-                opts.max_retries = value("--max-retries")
-                    .parse()
-                    .unwrap_or_else(|_| die(format_args!("--max-retries must be a number")));
-            }
             "--help" | "-h" => usage(),
             other => {
-                pc_rt::pc_error!("unknown {kind} argument: {other}");
+                pc_rt::pc_error!("unknown fuzz argument: {other}");
                 usage();
             }
         }
-    }
-    if paper {
-        opts.fuzz.params = Params::paper();
     }
     let start = std::time::Instant::now();
     let report = run_campaign(&opts).unwrap_or_else(|e| die(format_args!("{e}")));
@@ -359,13 +324,12 @@ fn run_sweep(kind: &str, args: &[String]) -> ! {
     finish_obs(&obs);
     print!("{}", report.corpus.canonical_report());
     pc_rt::pc_info!(
-        "{kind}: {} workloads, {}/{} cells this run ({} resumed, {} retries, {} quarantined) \
+        "fuzz: {} workloads, {}/{} cells this run ({} resumed, {} quarantined) \
          in {:.1}s ({:.1} cells/s), {} findings, {} bundles, state dir: {}",
         report.workloads,
         report.cells_run,
         report.total_cells,
         report.resumed_cells,
-        report.retries,
         report.quarantined,
         secs,
         report.cells_run as f64 / secs.max(1e-9),
@@ -436,7 +400,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some((sub, rest)) = args.split_first() {
         match sub.as_str() {
-            "fuzz" | "campaign" => run_sweep(sub, rest),
+            "fuzz" => run_sweep(rest),
             "report" => run_report(rest),
             "selftest" => selftest::run(rest),
             _ => {}
@@ -465,14 +429,14 @@ fn main() {
             continue;
         }
         match a.as_str() {
-            "--fs" => fs_arg = it.next().cloned(),
-            "--program" => program_arg = it.next().cloned(),
-            "--config" => config_path = it.next().cloned(),
-            "--dump-trace" => dump_trace = it.next().cloned(),
+            "--fs" => fs_arg = Some(value("--fs")),
+            "--program" => program_arg = Some(value("--program")),
+            "--config" => config_path = Some(value("--config")),
+            "--dump-trace" => dump_trace = Some(value("--dump-trace")),
             "--paper" => paper = true,
-            "--faults" => faults_arg = it.next().cloned(),
+            "--faults" => faults_arg = Some(value("--faults")),
             "--fail-fast" => fail_fast = true,
-            "--explain-out" => explain_out = it.next().cloned(),
+            "--explain-out" => explain_out = Some(value("--explain-out")),
             "--help" | "-h" => usage(),
             other => {
                 pc_rt::pc_error!("unknown argument: {other}");

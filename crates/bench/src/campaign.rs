@@ -1,7 +1,7 @@
-//! The one sweep driver (`paracrash fuzz` / `paracrash campaign`):
-//! generated corpus × (file system × journaling mode) through
-//! `check_stack`, folded into a [`FuzzCorpus`], with automatic triage of
-//! novel findings — crash-safe and resumable when given a state dir.
+//! The one sweep driver (`paracrash fuzz`): generated corpus × (file
+//! system × journaling mode) through `check_stack`, folded into a
+//! [`FuzzCorpus`], with automatic triage of novel findings — crash-safe
+//! and resumable when given a state dir.
 //!
 //! Cells run **sequentially** on purpose: `check_stack` already
 //! parallelizes internally over crash states, and its
@@ -19,27 +19,23 @@
 //! file with the exact workload label and re-run command line.
 //!
 //! Live observability rides along without touching the fold: each cell
-//! gets a fresh causal trace id, its wall time feeds the
-//! [`crate::progress::CampaignMeter`] (PC_PROGRESS lines, stall and
-//! throughput-regression warnings), and — when the event stream is on —
-//! the driver publishes a `cell` event per completed cell, a `finding`
-//! event per novel finding, and a `snapshot` event with the Good–Turing
+//! gets a fresh causal trace id, `PC_PROGRESS=1` prints a rate-limited
+//! throughput/ETA line, and — when the event stream is on — the driver
+//! publishes a `cell` event per completed cell, a `finding` event per
+//! novel finding, and a `snapshot` event with the Good–Turing
 //! saturation estimate every [`SNAPSHOT_EVERY`] cells, flushing the
 //! flight recorder to the sink after every cell so a killed sweep
 //! leaves a readable stream behind.
 //!
-//! **Per-cell fault tolerance** (every run) — each cell runs on a
-//! watchdog thread. A panic is retried with exponential backoff up to
-//! [`CampaignOptions::max_retries`] times; a cell that exceeds
-//! [`CampaignOptions::cell_timeout`] or exhausts its retries is
-//! **quarantined**: the sweep records a `quarantined:` diagnostic
-//! (part of the canonical report — a ledger, not a silent skip) and
-//! moves on. A hung cell's thread is deliberately leaked; only the
-//! watchdog returns.
+//! **A cell is one call** (every run): one `catch_unwind` around the
+//! check, on the sweep thread. The exploration is deterministic — the
+//! same cell panics again — so a panic **quarantines** the cell at once:
+//! the sweep records a `quarantined:` diagnostic (part of the canonical
+//! report — a ledger, not a silent skip) and moves on.
 //!
 //! **Persistence is an attribute of the run, not a second tool.** A
 //! sweep at campaign scale runs long enough to be killed, OOM-ed or
-//! power-cycled mid-run, so with [`CampaignOptions::state_dir`] set the
+//! power-cycled mid-run, so with [`FuzzOptions::state_dir`] set the
 //! driver applies the discipline the checker demands of the systems it
 //! tests to its own state (without one it skips exactly this and is
 //! otherwise the same loop):
@@ -61,20 +57,18 @@
 //!   parses every record; folding them is the cheap part (9 ms for the
 //!   426-cell PR tier).
 //!
-//! Robustness counters (`campaign.resumed_cells`, `campaign.retries`,
-//! `campaign.quarantined`) flow through [`pc_rt::obs::count`] into the
-//! telemetry registry, and their running totals ride the periodic
-//! `snapshot` event (`resumed= retries= quarantined=`) into the
-//! `paracrash report` dashboard; they are deliberately *not* part of
-//! the canonical report — nor of the `cell` events, which the stream's
-//! canonical projection keeps — which must stay byte-identical between
-//! a clean run and a crash-and-resume run (retries depend on timing).
+//! Robustness counters (`campaign.resumed_cells`, `campaign.quarantined`)
+//! flow through [`pc_rt::obs::count`] into the telemetry registry, and
+//! their running totals ride the periodic `snapshot` event (`resumed=
+//! quarantined=`) into the `paracrash report` dashboard; they are
+//! deliberately *not* part of the canonical report — nor of the `cell`
+//! events, which the stream's canonical projection keeps — which must
+//! stay byte-identical between a clean run and a crash-and-resume run.
 //!
 //! Self-crash-testing: arm `PC_DURABLE_CRASH=at=N[,tear=K][,mode=..]`
-//! (see [`pc_rt::durable`]) to kill the campaign at its N-th durability
-//! point — mid-append or torn — then resume with
-//! `--resume`. `PC_CAMPAIGN_POISON=<label-substr>:<panic|panic-once|hang>`
-//! poisons matching cells to exercise the watchdog plane.
+//! (see [`pc_rt::durable`]) to kill the sweep at its N-th durability
+//! point — mid-append or torn — then resume with `--resume`.
+//! `PC_CAMPAIGN_POISON=<label-substr>` panics the matching cells.
 
 use paracrash::fuzz::FindingKey;
 use paracrash::{
@@ -87,17 +81,19 @@ use pc_rt::json::Json;
 use pc_rt::obs::stream;
 use pc_rt::pc_warn;
 use simfs::JournalMode;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use workloads::generated::{self, GeneratedWorkload};
 use workloads::{FsKind, Params};
 
-use crate::progress::CampaignMeter;
 use crate::sanitize;
 
 /// Emit a `snapshot` delta event (and flush) every this many cells.
 pub const SNAPSHOT_EVERY: usize = 32;
+
+/// Minimum time between two `PC_PROGRESS` lines.
+const PROGRESS_EVERY: Duration = Duration::from_millis(500);
 
 /// Short journaling-mode label used in reports, bundle names and the
 /// CLI (`--modes data,ordered,…`).
@@ -123,7 +119,7 @@ pub fn parse_modes(spec: &str) -> Option<Vec<JournalMode>> {
     spec.split(',').map(JournalMode::parse).collect()
 }
 
-/// The sweep itself: which cells, checked how.
+/// One run of the driver: which cells, checked how, persisted where.
 pub struct FuzzOptions {
     /// Maximum POSIX sequence length (HDF5/MPI-IO sequences are one op
     /// shorter — `workloads::generated` module docs).
@@ -141,19 +137,25 @@ pub struct FuzzOptions {
     pub modes: Vec<JournalMode>,
     /// Directory for per-finding triage bundles; `None` skips triage.
     pub findings_out: Option<String>,
-    /// Workload parameters (quick or paper scale).
-    pub params: Params,
+    /// Paper-scale workload parameters instead of the quick ones.
+    pub paper: bool,
     /// Checker configuration (explain is forced on only for the triage
     /// re-runs, never for the sweep itself).
     pub cfg: CheckConfig,
+    /// Directory holding `corpus.log`; `None` runs the same sweep
+    /// without the record log.
+    pub state_dir: Option<String>,
+    /// Continue from existing state instead of refusing to clobber it
+    /// (needs a state dir).
+    pub resume: bool,
 }
 
 impl FuzzOptions {
     /// The PR-tier defaults: exhaustive bound-2 corpus, BeeGFS +
-    /// OrangeFS, data journaling, quick parameters, no triage output.
-    /// Representative-state digests are collected so the corpus (and
-    /// its pinned report) counts distinct crash states, not just
-    /// verdict classes.
+    /// OrangeFS, data journaling, quick parameters, no triage output,
+    /// no state dir. Representative-state digests are collected so the
+    /// corpus (and its pinned report) counts distinct crash states, not
+    /// just verdict classes.
     pub fn pr_tier() -> FuzzOptions {
         let mut cfg = CheckConfig::paper_default();
         cfg.collect_rep_digests = true;
@@ -164,40 +166,10 @@ impl FuzzOptions {
             file_systems: vec![FsKind::BeeGfs, FsKind::OrangeFs],
             modes: vec![JournalMode::Data],
             findings_out: None,
-            params: Params::quick(),
+            paper: false,
             cfg,
-        }
-    }
-}
-
-/// Everything one run of the driver needs on top of the sweep.
-pub struct CampaignOptions {
-    /// The underlying sweep: corpus bound/seed/sample, file systems,
-    /// journal modes, triage output, params, checker config.
-    pub fuzz: FuzzOptions,
-    /// Directory holding `corpus.log`; `None` runs the same sweep
-    /// without the record log.
-    pub state_dir: Option<String>,
-    /// Continue from existing state instead of refusing to clobber it
-    /// (needs a state dir).
-    pub resume: bool,
-    /// Per-cell watchdog deadline; `None` waits forever (no watchdog
-    /// timeout, panics still retried).
-    pub cell_timeout: Option<Duration>,
-    /// Retries (with exponential backoff) before a panicking cell is
-    /// quarantined.
-    pub max_retries: usize,
-}
-
-impl CampaignOptions {
-    /// Defaults on top of a sweep: no resume, no deadline, two retries.
-    pub fn new(fuzz: FuzzOptions, state_dir: Option<&str>) -> CampaignOptions {
-        CampaignOptions {
-            fuzz,
-            state_dir: state_dir.map(str::to_string),
+            state_dir: None,
             resume: false,
-            cell_timeout: None,
-            max_retries: 2,
         }
     }
 }
@@ -215,124 +187,57 @@ pub struct CampaignReport {
     pub resumed_cells: usize,
     /// Cells actually checked by this process.
     pub cells_run: usize,
-    /// Panicking cell attempts that were retried.
-    pub retries: usize,
-    /// Cells quarantined (hung past the deadline or panicked on every
-    /// attempt).
+    /// Cells quarantined because their check panicked.
     pub quarantined: usize,
     /// Triage bundles written by this process.
     pub bundles: usize,
 }
 
-/// Why a cell attempt did not return an outcome.
-enum CellFailure {
-    /// The watchdog deadline elapsed; the cell thread is leaked.
-    Timeout(Duration),
-    /// The cell panicked; message from the payload.
-    Panic(String),
-}
-
-/// Test hook: `PC_CAMPAIGN_POISON=<label-substring>:<panic|panic-once|hang>`
-/// poisons matching cells (watchdog testing). Runs on the cell thread,
-/// inside its `catch_unwind`, before the check; read per cell, so a
-/// test can set it at run time.
-fn poison_hook(label: &str, attempt: usize) {
-    let Some(spec) = pc_rt::env::get(CAMPAIGN_POISON) else {
-        return;
-    };
-    let Some((substr, mode)) = spec.rsplit_once(':') else {
-        return;
-    };
-    if substr.is_empty() || !label.contains(substr) {
-        return;
-    }
-    match mode {
-        "panic" => panic!("injected poison: {label}"),
-        "panic-once" if attempt == 0 => panic!("injected poison (first attempt): {label}"),
-        "hang" => loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        },
-        _ => {}
-    }
-}
-
-/// One watchdog-guarded attempt: the check runs on its own thread, the
-/// caller waits at most `timeout`. A timed-out thread is leaked — it
-/// may be wedged inside simulation code that cannot be cancelled, and
-/// killing threads is UB; the leak is the price of keeping the sweep
-/// alive, and the quarantine ledger records it.
-fn run_cell_attempt(
-    w: &GeneratedWorkload,
-    fs: FsKind,
-    params: &Params,
-    cfg: &CheckConfig,
-    label: &str,
-    attempt: usize,
-    timeout: Option<Duration>,
-) -> Result<CheckOutcome, CellFailure> {
-    let (tx, rx) = mpsc::channel();
-    let (w, params, cfg, label) = (w.clone(), params.clone(), cfg.clone(), label.to_string());
-    let handle = std::thread::Builder::new()
-        .name("pc-campaign-cell".into())
-        .spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                poison_hook(&label, attempt);
-                let stack = w.run(fs, &params);
-                let factory = fs.factory(&params);
-                check_stack(&stack, &factory, &cfg)
-            }))
-            .map_err(|p| pc_rt::pool::panic_message(p.as_ref()));
-            let _ = tx.send(result);
-        })
-        .expect("cannot spawn campaign cell thread");
-    let result = match timeout {
-        Some(t) => match rx.recv_timeout(t) {
-            Ok(r) => r,
-            Err(_) => return Err(CellFailure::Timeout(t)),
-        },
-        None => rx
-            .recv()
-            .unwrap_or_else(|_| Err("cell thread vanished".to_string())),
-    };
-    let _ = handle.join();
-    result.map_err(CellFailure::Panic)
-}
-
-/// Bounded retry with exponential backoff around [`run_cell_attempt`].
-/// `Err` means the cell must be quarantined.
-fn run_cell_guarded(
-    w: &GeneratedWorkload,
-    fs: FsKind,
-    params: &Params,
-    cfg: &CheckConfig,
-    label: &str,
-    max_retries: usize,
-    timeout: Option<Duration>,
-    retries: &mut usize,
-) -> Result<CheckOutcome, String> {
-    let mut attempt = 0usize;
-    loop {
-        match run_cell_attempt(w, fs, params, cfg, label, attempt, timeout) {
-            Ok(outcome) => return Ok(outcome),
-            Err(CellFailure::Timeout(t)) => {
-                return Err(format!(
-                    "cell deadline of {:.1}s exceeded (thread abandoned)",
-                    t.as_secs_f64()
-                ));
-            }
-            Err(CellFailure::Panic(msg)) => {
-                if attempt >= max_retries {
-                    return Err(format!("panicked on all {} attempts: {msg}", attempt + 1));
-                }
-                attempt += 1;
-                *retries += 1;
-                pc_rt::obs::count("campaign.retries", 1);
-                // Exponential backoff, capped: transient failures (a
-                // temporarily exhausted resource) get breathing room.
-                std::thread::sleep(Duration::from_millis(5u64 << attempt.min(6)));
-            }
+/// Test hook: `PC_CAMPAIGN_POISON=<label-substring>` panics matching
+/// cells. Runs inside the cell's `catch_unwind`, before the check; read
+/// per cell, so a test can set it at run time.
+fn poison_hook(label: &str) {
+    if let Some(substr) = pc_rt::env::get(CAMPAIGN_POISON) {
+        if !substr.is_empty() && label.contains(&substr) {
+            panic!("injected poison: {label}");
         }
     }
+}
+
+/// The `PC_PROGRESS=1` meter: one throughput/ETA line on stderr at most
+/// every [`PROGRESS_EVERY`], and always after the last cell.
+struct Meter {
+    started: Instant,
+    last_print: Instant,
+}
+
+impl Meter {
+    fn tick(&mut self, done: usize, total: usize, run: usize, corpus: &FuzzCorpus) {
+        if done < total && self.last_print.elapsed() < PROGRESS_EVERY {
+            return;
+        }
+        self.last_print = Instant::now();
+        let rate = run as f64 / self.started.elapsed().as_secs_f64().max(1e-9);
+        eprintln!("{}", progress_line(done, total, rate, corpus));
+    }
+}
+
+/// One meter line (`done <= total`); every field renders finite, an
+/// empty sweep included.
+fn progress_line(done: usize, total: usize, rate: f64, corpus: &FuzzCorpus) -> String {
+    let eta = if rate > 0.0 {
+        (total - done) as f64 / rate
+    } else {
+        0.0
+    };
+    format!(
+        "[fuzz] {done}/{total} cells ({}%) | {rate:.1} cells/s | eta {eta:.0}s | \
+         behaviors {} | findings {} | saturation {:.0}%",
+        (100 * done).checked_div(total).unwrap_or(100),
+        corpus.behavior_count(),
+        corpus.finding_count(),
+        corpus.saturation() * 100.0,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -395,6 +300,7 @@ fn meta_record(opts: &FuzzOptions) -> Json {
                     .collect(),
             ),
         ),
+        ("paper".into(), Json::Bool(opts.paper)),
     ])
 }
 
@@ -407,7 +313,7 @@ fn check_meta(meta: &Json, opts: &FuzzOptions) -> Result<(), String> {
         return Err(format!(
             "campaign state was written by a different sweep \
              (logged {} vs requested {}); remove the state dir or rerun \
-             with the original --bound/--seed/--sample/--fs/--modes",
+             with the original --bound/--seed/--sample/--fs/--modes/--paper",
             compact(meta),
             compact(&expected),
         ));
@@ -569,7 +475,7 @@ impl Durable {
     /// Open (or create) the state dir and rebuild what it recorded: the
     /// corpus so far and the index of the first cell that still needs
     /// checking.
-    fn open(opts: &CampaignOptions, dir: &str) -> Result<(Durable, FuzzCorpus, usize), String> {
+    fn open(opts: &FuzzOptions, dir: &str) -> Result<(Durable, FuzzCorpus, usize), String> {
         let state_dir = PathBuf::from(dir);
         let log_path = state_dir.join("corpus.log");
         if !opts.resume && log_path.exists() {
@@ -581,9 +487,9 @@ impl Durable {
         }
         let (mut log, raw_records) = RecordLog::open(&log_path)
             .map_err(|e| format!("cannot open campaign log {}: {e}", log_path.display()))?;
-        let (corpus, cursor) = recover(&opts.fuzz, &raw_records)?;
+        let (corpus, cursor) = recover(opts, &raw_records)?;
         if raw_records.is_empty() {
-            let mut text = meta_record(&opts.fuzz).pretty();
+            let mut text = meta_record(opts).pretty();
             text.push('\n');
             log.append(text.as_bytes())
                 .map_err(|e| format!("cannot append campaign meta record: {e}"))?;
@@ -662,10 +568,10 @@ fn recover(fuzz: &FuzzOptions, records: &[Vec<u8>]) -> Result<(FuzzCorpus, usize
 /// triage bundles for novel findings. See the module docs for what a
 /// state dir adds; stdout formatting is the caller's job — the report
 /// carries the corpus.
-pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
-    let workloads = match opts.fuzz.sample {
-        Some(n) => generated::sample(opts.fuzz.bound, opts.fuzz.seed, n),
-        None => generated::corpus(opts.fuzz.bound),
+pub fn run_campaign(opts: &FuzzOptions) -> Result<CampaignReport, String> {
+    let workloads = match opts.sample {
+        Some(n) => generated::sample(opts.bound, opts.seed, n),
+        None => generated::corpus(opts.bound),
     };
     // Flat, deterministic cell enumeration (workload outer, fs, then
     // mode), so cursor N always names the same cell for a given meta
@@ -674,10 +580,9 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
         .iter()
         .enumerate()
         .flat_map(|(wi, _)| {
-            opts.fuzz
-                .file_systems
+            opts.file_systems
                 .iter()
-                .flat_map(move |&fs| opts.fuzz.modes.iter().map(move |&mode| (wi, fs, mode)))
+                .flat_map(move |&fs| opts.modes.iter().map(move |&mode| (wi, fs, mode)))
         })
         .collect();
     let total_cells = cells.len();
@@ -705,14 +610,21 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
         total_cells,
         resumed_cells: start_cursor,
         cells_run: 0,
-        retries: 0,
         quarantined: 0,
         bundles: 0,
     };
-    let mut meter = CampaignMeter::new(total_cells);
+    let base_params = if opts.paper {
+        Params::paper()
+    } else {
+        Params::quick()
+    };
+    let mut meter = pc_rt::env::truthy(pc_rt::env::PROGRESS).then(|| Meter {
+        started: Instant::now(),
+        last_print: Instant::now(),
+    });
     for (idx, &(wi, fs, mode)) in cells.iter().enumerate().skip(start_cursor) {
         let w = &workloads[wi];
-        let params = opts.fuzz.params.clone().with_journal(mode);
+        let params = base_params.clone().with_journal(mode);
         let label = w.label();
         let journal = mode_label(mode);
         let cell_label = format!("{label}@{}/{journal}", fs.name());
@@ -720,19 +632,15 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
         // checker stages, simnet RPC on pool workers — tags it, giving
         // Chrome-trace one flow per check.
         pc_rt::obs::set_trace_id(pc_rt::obs::next_trace_id());
-        let started = std::time::Instant::now();
-        let guarded = run_cell_guarded(
-            w,
-            fs,
-            &params,
-            &opts.fuzz.cfg,
-            &cell_label,
-            opts.max_retries,
-            opts.cell_timeout,
-            &mut report.retries,
-        );
+        let started = Instant::now();
+        let checked = catch_unwind(AssertUnwindSafe(|| {
+            poison_hook(&cell_label);
+            let stack = w.run(fs, &params);
+            check_stack(&stack, &fs.factory(&params), &opts.cfg)
+        }))
+        .map_err(|p| format!("panicked: {}", pc_rt::pool::panic_message(p.as_ref())));
         let wall_ns = started.elapsed().as_nanos() as u64;
-        match &guarded {
+        match &checked {
             Ok(outcome) => {
                 let novel = corpus.record_cell(&label, fs.name(), journal, outcome);
                 if stream::enabled() {
@@ -757,8 +665,8 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
                     );
                 }
                 if !novel.is_empty() {
-                    if let Some(dir) = &opts.fuzz.findings_out {
-                        report.bundles += triage(dir, w, fs, &params, &novel, &opts.fuzz)?;
+                    if let Some(dir) = &opts.findings_out {
+                        report.bundles += triage(dir, w, fs, &params, &novel, opts)?;
                     }
                 }
             }
@@ -774,23 +682,18 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
         // between them re-runs the cell and rewrites identical bundles,
         // never the reverse (a record without bundles).
         if let Some(durable) = &mut durable {
-            let record = match &guarded {
+            let record = match &checked {
                 Ok(outcome) => cell_record(idx, &label, fs.name(), journal, outcome),
                 Err(reason) => quarantine_record(idx, &label, fs.name(), journal, reason),
             };
             durable.append(idx, &record)?;
         }
         report.cells_run += 1;
-        for warning in meter.note_cell(&cell_label, wall_ns) {
-            pc_warn!("{warning}");
+        let done = idx + 1;
+        if let Some(meter) = &mut meter {
+            meter.tick(done, total_cells, report.cells_run, &corpus);
         }
-        meter.maybe_print(
-            corpus.behavior_count(),
-            corpus.finding_count(),
-            corpus.saturation(),
-        );
         if stream::enabled() {
-            let done = idx + 1;
             if done % SNAPSHOT_EVERY == 0 || done == total_cells {
                 stream::emit(
                     stream::EventKind::Snapshot,
@@ -798,14 +701,12 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
                     done as u64,
                     &format!(
                         "cells={done}/{total_cells} behaviors={} findings={} \
-                         rep_states={} saturation_pct={:.0} resumed={} retries={} \
-                         quarantined={}",
+                         rep_states={} saturation_pct={:.0} resumed={} quarantined={}",
                         corpus.behavior_count(),
                         corpus.finding_count(),
                         corpus.rep_state_count(),
                         corpus.saturation() * 100.0,
                         report.resumed_cells,
-                        report.retries,
                         report.quarantined,
                     ),
                 );
@@ -817,9 +718,8 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
     }
     if pc_rt::obs::summary_enabled() {
         eprintln!(
-            "campaign: campaign.resumed_cells = {}  campaign.retries = {}  \
-             campaign.quarantined = {}",
-            report.resumed_cells, report.retries, report.quarantined,
+            "campaign: campaign.resumed_cells = {}  campaign.quarantined = {}",
+            report.resumed_cells, report.quarantined,
         );
     }
     report.corpus = corpus;
@@ -863,12 +763,13 @@ fn triage(
             Some(n) => format!(" --sample {n}"),
             None => String::new(),
         };
+        let paper_arg = if opts.paper { " --paper" } else { "" };
         let path = format!("{dir}/{stem}.repro");
         std::fs::write(
             &path,
             format!(
                 "workload: {}\nfs: {}\njournal: {}\nsignature: {}\nlayer: {:?}\n\
-                 repro: paracrash fuzz --bound {} --seed {}{} --fs {} --modes {}\n",
+                 repro: paracrash fuzz --bound {} --seed {}{} --fs {} --modes {}{}\n",
                 w.label(),
                 fs.name(),
                 journal,
@@ -879,6 +780,7 @@ fn triage(
                 sample_arg,
                 fs.name(),
                 journal,
+                paper_arg,
             ),
         )
         .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -914,18 +816,18 @@ mod tests {
         dir
     }
 
-    fn tiny_opts(dir: &Path) -> CampaignOptions {
-        let fuzz = FuzzOptions {
+    fn tiny_opts(dir: &Path) -> FuzzOptions {
+        FuzzOptions {
             sample: Some(5),
             file_systems: vec![FsKind::BeeGfs],
+            state_dir: dir.to_str().map(str::to_string),
             ..FuzzOptions::pr_tier()
-        };
-        CampaignOptions::new(fuzz, dir.to_str())
+        }
     }
 
     /// The same sweep with no state dir.
-    fn stateless_opts() -> CampaignOptions {
-        CampaignOptions {
+    fn stateless_opts() -> FuzzOptions {
+        FuzzOptions {
             state_dir: None,
             ..tiny_opts(Path::new(""))
         }
@@ -985,7 +887,7 @@ mod tests {
         );
         assert_eq!((stateless.cells_run, stateless.resumed_cells), (5, 0));
         // --resume has nothing to resume from without a state dir.
-        let err = run_campaign(&CampaignOptions {
+        let err = run_campaign(&FuzzOptions {
             resume: true,
             ..stateless_opts()
         })
@@ -996,7 +898,7 @@ mod tests {
         let err = run_campaign(&opts).unwrap_err();
         assert!(err.contains("--resume"), "got: {err}");
         // Resuming a *finished* campaign replays to the same report.
-        let resumed = run_campaign(&CampaignOptions {
+        let resumed = run_campaign(&FuzzOptions {
             resume: true,
             ..tiny_opts(&dir)
         })
@@ -1030,7 +932,7 @@ mod tests {
         }));
         disarm_crash();
         assert!(crashed.is_err(), "armed crash must fire mid-campaign");
-        let resumed = run_campaign(&CampaignOptions {
+        let resumed = run_campaign(&FuzzOptions {
             resume: true,
             ..tiny_opts(&dir)
         })
@@ -1054,82 +956,62 @@ mod tests {
         run_campaign(&tiny_opts(&dir)).unwrap();
         let mut other = tiny_opts(&dir);
         other.resume = true;
-        other.fuzz.seed = 7;
-        other.fuzz.sample = Some(4);
+        other.seed = 7;
+        other.sample = Some(4);
         let err = run_campaign(&other).unwrap_err();
         assert!(err.contains("different sweep"), "got: {err}");
+        // The scale is part of the sweep: a quick log never resumes a
+        // --paper run (nor the reverse).
+        let paper = FuzzOptions {
+            resume: true,
+            paper: true,
+            ..tiny_opts(&dir)
+        };
+        let err = run_campaign(&paper).unwrap_err();
+        assert!(err.contains("\"paper\": true"), "got: {err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn watchdog_retries_and_quarantines() {
+    fn panicking_cell_is_quarantined_at_once() {
         let _g = lock_tests();
         disarm_crash();
-        let clean_dir = scratch_dir("poison-clean");
-        let clean = run_campaign(&tiny_opts(&clean_dir)).unwrap();
-        let victim = {
-            let opts = tiny_opts(&clean_dir);
-            generated::sample(opts.fuzz.bound, opts.fuzz.seed, 5)[0].label()
-        };
-
-        // panic-once: the retry succeeds, so the corpus is unaffected.
-        let retry_dir = scratch_dir("poison-retry");
-        std::env::set_var(CAMPAIGN_POISON, format!("{victim}:panic-once"));
-        let retried = run_campaign(&tiny_opts(&retry_dir));
+        let victim = generated::sample(2, 42, 5)[0].label();
+        let dir = scratch_dir("poison");
+        std::env::set_var(CAMPAIGN_POISON, &victim);
+        let stateless = run_campaign(&stateless_opts());
+        let durable = run_campaign(&tiny_opts(&dir));
         std::env::remove_var(CAMPAIGN_POISON);
-        let retried = retried.unwrap();
-        assert_eq!(retried.retries, 1);
-        assert_eq!(retried.quarantined, 0);
-        assert_eq!(
-            retried.corpus.canonical_report(),
-            clean.corpus.canonical_report(),
-            "a retried transient failure must not change the corpus"
-        );
-
-        // persistent panic: retries exhaust, the cell is quarantined —
-        // the watchdog is the driver's, not the state dir's, so a
-        // stateless sweep survives it too.
-        std::env::set_var(CAMPAIGN_POISON, format!("{victim}:panic"));
-        let quarantined = run_campaign(&stateless_opts());
-        std::env::remove_var(CAMPAIGN_POISON);
-        let quarantined = quarantined.unwrap();
-        assert_eq!(quarantined.quarantined, 1);
-        assert!(quarantined.retries >= 2, "bounded retries happened first");
-        let report = quarantined.corpus.canonical_report();
-        assert!(
-            report.contains("quarantined: panicked"),
-            "ledger line missing from: {report}"
-        );
-
-        // hang: the watchdog deadline fires and the cell is quarantined
-        // without any retry (the thread is abandoned, not re-run).
-        let h_dir = scratch_dir("poison-hang");
-        let mut hang_opts = tiny_opts(&h_dir);
-        hang_opts.cell_timeout = Some(Duration::from_millis(800));
-        std::env::set_var(CAMPAIGN_POISON, format!("{victim}:hang"));
-        let hung = run_campaign(&hang_opts);
-        std::env::remove_var(CAMPAIGN_POISON);
-        let hung = hung.unwrap();
-        assert_eq!(hung.quarantined, 1);
-        assert!(hung
-            .corpus
-            .canonical_report()
-            .contains("quarantined: cell deadline"));
-
-        // Quarantine state also survives a resume: replay the hang
-        // dir's log without poison; the ledger line must persist.
-        let resumed = run_campaign(&CampaignOptions {
+        // One panic, one quarantine, and the sweep goes on — with and
+        // without a state dir.
+        let ledger = format!("quarantined: panicked: injected poison: {victim}@BeeGFS/data");
+        for run in [stateless.unwrap(), durable.unwrap()] {
+            assert_eq!((run.quarantined, run.cells_run), (1, 5));
+            assert_eq!(run.corpus.cells, 4, "the other cells were checked");
+            let report = run.corpus.canonical_report();
+            assert_eq!(report.matches(&ledger).count(), 1, "{report}");
+        }
+        // The durable `quarantine` record replays to the same ledger line.
+        let resumed = run_campaign(&FuzzOptions {
             resume: true,
-            ..tiny_opts(&h_dir)
+            ..tiny_opts(&dir)
         })
         .unwrap();
-        assert!(resumed
-            .corpus
-            .canonical_report()
-            .contains("quarantined: cell deadline"));
+        assert_eq!((resumed.resumed_cells, resumed.cells_run), (5, 0));
+        assert!(resumed.corpus.canonical_report().contains(&ledger));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
-        for d in [&clean_dir, &retry_dir, &h_dir] {
-            std::fs::remove_dir_all(d).unwrap();
-        }
+    #[test]
+    fn progress_line_counts_and_stays_finite() {
+        let corpus = FuzzCorpus::new();
+        let line = progress_line(4, 8, 2.0, &corpus);
+        assert!(line.contains("4/8 cells (50%)"), "{line}");
+        assert!(line.contains("2.0 cells/s | eta 2s"), "{line}");
+        assert!(line.contains("behaviors 0 | findings 0 | saturation 0%"));
+        // An empty sweep renders as complete, with no NaN or inf.
+        let line = progress_line(0, 0, 0.0, &corpus);
+        assert!(line.contains("0/0 cells (100%)"), "{line}");
+        assert!(!line.contains("NaN") && !line.contains("inf"), "{line}");
     }
 }

@@ -20,7 +20,6 @@ use paracrash::{check_stack, CheckConfig, CheckOutcome, Inconsistency, LayerVerd
 use workloads::{FsKind, Params, Program};
 
 pub mod campaign;
-pub mod progress;
 
 /// One evaluated cell of the matrix.
 #[derive(Debug, Clone)]

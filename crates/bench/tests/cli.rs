@@ -57,7 +57,10 @@ fn removed_bench_surfaces_are_usage_errors() {
         &["fuzz", "--history-dir", "d"],
         &["fuzz", "--band", "2"],
         &["fuzz", "--checkpoint-every", "4"],
-        &["campaign", "--checkpoint-every", "4"],
+        &["campaign"],
+        &["campaign", "--state-dir", "d"],
+        &["fuzz", "--cell-timeout", "1"],
+        &["fuzz", "--max-retries", "1"],
         &["selftest", "telemetry"],
         &["selftest", "stream"],
         &["selftest", "prof"],
@@ -74,9 +77,37 @@ fn removed_bench_surfaces_are_usage_errors() {
     assert!(!text.contains("bench"), "{text}");
     assert!(!text.contains("history"), "{text}");
     assert!(!text.contains("checkpoint"), "{text}");
+    assert!(!text.contains("campaign-state"), "{text}");
+    assert!(!text.contains("--cell-timeout") && !text.contains("--max-retries"));
     for (name, _) in pc_rt::env::VARS {
         assert!(text.contains(name), "{name} missing from: {text}");
     }
+}
+
+/// A value flag at the end of the line is a usage error naming the flag,
+/// not a run that silently drops the flag.
+#[test]
+fn a_missing_flag_value_is_a_usage_error() {
+    for flag in ["--explain-out", "--faults"] {
+        let out = paracrash(&["--fs", "BeeGFS", "--program", "ARVR", flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{flag} needs a value")), "{err}");
+    }
+}
+
+/// The PR-tier sweep is quiet at `PC_LOG=warn`: nothing it logs there is
+/// a false alarm about the corpus's own mix of cell sizes.
+#[test]
+fn pr_tier_fuzz_writes_no_warning() {
+    let out = Command::new(env!("CARGO_BIN_EXE_paracrash"))
+        .arg("fuzz")
+        .env("PC_LOG", "warn")
+        .output()
+        .expect("paracrash runs");
+    assert!(out.status.success(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("[warn]"), "{err}");
 }
 
 /// `PC_TRACE` is read by the first `enabled()` check, not by the

@@ -9,7 +9,7 @@
 
 use paracrash::dashboard::render_dashboard;
 use paracrash::telemetry::{canonical_event_lines, parse_event_stream};
-use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions, SNAPSHOT_EVERY};
+use pc_bench::campaign::{run_campaign, FuzzOptions, SNAPSHOT_EVERY};
 use pc_rt::json::Json;
 use pc_rt::obs::stream;
 use std::sync::Mutex;
@@ -17,13 +17,12 @@ use workloads::FsKind;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-fn small_opts() -> CampaignOptions {
-    let fuzz = FuzzOptions {
+fn small_opts() -> FuzzOptions {
+    FuzzOptions {
         sample: Some(8),
         file_systems: vec![FsKind::BeeGfs],
         ..FuzzOptions::pr_tier()
-    };
-    CampaignOptions::new(fuzz, None)
+    }
 }
 
 /// Run a small campaign with the stream sinking to `path`; returns the
@@ -86,7 +85,7 @@ fn stream_carries_one_cell_event_per_campaign_cell() {
     let (report, text) = run_streamed(&dir.join("pc-fuzz-events-cells.jsonl"));
     let stream = parse_event_stream(&text).expect("stream re-parses");
     let events = &stream.events;
-    let opts = small_opts().fuzz;
+    let opts = small_opts();
     let expected_cells = 8 * opts.file_systems.len() * opts.modes.len();
     let cells = of_kind(events, "cell");
     assert_eq!(
@@ -122,9 +121,9 @@ fn stream_carries_one_cell_event_per_campaign_cell() {
     assert_eq!(stream.published, Some(events.len() as u64));
 }
 
-/// One injected transient panic: the retry shows in the last snapshot's
-/// running totals and in the dashboard's robustness tiles, and nowhere
-/// in the canonical projection (retries depend on timing).
+/// One injected panic: the quarantine shows in the last snapshot's
+/// running totals and in the dashboard's robustness tiles, and there is
+/// no retry anywhere — the cell is quarantined on its first panic.
 #[test]
 fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
     let _guard = TEST_LOCK.lock().unwrap();
@@ -139,24 +138,21 @@ fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
     let clean_html = render_dashboard(&clean, None, None).unwrap();
     assert!(!clean_html.contains("campaign-robustness"));
 
-    std::env::set_var(pc_rt::env::CAMPAIGN_POISON, format!("{victim}:panic-once"));
-    let (_, retried) = run_streamed(&dir.join("pc-fuzz-events-retried.jsonl"));
+    std::env::set_var(pc_rt::env::CAMPAIGN_POISON, &victim);
+    let (report, poisoned) = run_streamed(&dir.join("pc-fuzz-events-poisoned.jsonl"));
     std::env::remove_var(pc_rt::env::CAMPAIGN_POISON);
+    assert!(report.contains(&format!("quarantined: panicked: injected poison: {victim}")));
 
-    let events = parse_event_stream(&retried).unwrap().events;
+    let events = parse_event_stream(&poisoned).unwrap().events;
     let last = of_kind(&events, "snapshot")
         .pop()
         .expect("a closing snapshot");
     let detail = last.get("detail").and_then(Json::as_str).unwrap();
-    assert!(
-        detail.ends_with("resumed=0 retries=1 quarantined=0"),
-        "{detail}"
-    );
-    let html = render_dashboard(&retried, None, None).unwrap();
-    assert!(html.contains("data-metric=\"retries\"><div class=\"tile-value\">1<"));
-    assert!(html.contains("data-metric=\"quarantined\"><div class=\"tile-value\">0<"));
-    assert_eq!(
-        canonical_event_lines(&clean).unwrap(),
-        canonical_event_lines(&retried).unwrap()
-    );
+    assert!(detail.ends_with("resumed=0 quarantined=1"), "{detail}");
+    let html = render_dashboard(&poisoned, None, None).unwrap();
+    assert!(html.contains("data-metric=\"quarantined\"><div class=\"tile-value\">1<"));
+    assert!(html.contains("data-metric=\"resumed-cells\"><div class=\"tile-value\">0<"));
+    assert!(!html.contains("retries"));
+    // The quarantined cell publishes no `cell` event; the others do.
+    assert_eq!(of_kind(&events, "cell").len(), 7);
 }

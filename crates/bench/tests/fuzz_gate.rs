@@ -16,13 +16,13 @@
 //! diffs `PC_THREADS=1` against the default pool); this test keeps the
 //! gate active under a plain `cargo test` too.
 
-use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
+use pc_bench::campaign::{run_campaign, FuzzOptions};
 
 const EXPECTED: &str = include_str!("expected_fuzz_pr_tier.txt");
 
 #[test]
 fn pr_tier_finding_set_is_pinned() {
-    let report = run_campaign(&CampaignOptions::new(FuzzOptions::pr_tier(), None))
+    let report = run_campaign(&FuzzOptions::pr_tier())
         .expect("sweep runs")
         .corpus
         .canonical_report();
@@ -43,9 +43,8 @@ fn sampled_runs_are_byte_identical() {
         sample: Some(60),
         ..FuzzOptions::pr_tier()
     };
-    let opts = CampaignOptions::new(fuzz, None);
-    let a = run_campaign(&opts).expect("run a");
-    let b = run_campaign(&opts).expect("run b");
+    let a = run_campaign(&fuzz).expect("run a");
+    let b = run_campaign(&fuzz).expect("run b");
     assert_eq!(
         a.corpus.canonical_report(),
         b.corpus.canonical_report(),

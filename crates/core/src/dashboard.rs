@@ -201,14 +201,13 @@ pub fn render_dashboard(
 }
 
 /// Campaign robustness tiles — cells recovered from the durable log,
-/// watchdog retries, quarantined cells — from the totals the sweep
-/// driver writes into its snapshots. Rendered only when one of them is
-/// nonzero: an uneventful sweep omits the section entirely.
+/// quarantined cells — from the totals the sweep driver writes into its
+/// snapshots. Rendered only when one of them is nonzero: an uneventful
+/// sweep omits the section entirely.
 fn render_campaign_robustness(b: &mut String, snapshot_detail: &str) {
     let total = |key| detail_field(snapshot_detail, key).unwrap_or(0);
-    let (resumed, retries, quarantined) =
-        (total("resumed"), total("retries"), total("quarantined"));
-    if resumed + retries + quarantined == 0 {
+    let (resumed, quarantined) = (total("resumed"), total("quarantined"));
+    if resumed + quarantined == 0 {
         return;
     }
     b.push_str("<section data-metric=\"campaign-robustness\">\n<h2>Campaign robustness</h2>\n");
@@ -221,7 +220,6 @@ fn render_campaign_robustness(b: &mut String, snapshot_detail: &str) {
                 "cells resumed from log",
                 resumed.to_string(),
             ),
-            ("retries", "watchdog retries", retries.to_string()),
             ("quarantined", "quarantined cells", quarantined.to_string()),
         ],
     );
@@ -746,7 +744,7 @@ mod tests {
             "{\"seq\":100,\"ts_ns\":9000,\"kind\":\"finding\",\"name\":\"BeeGFS/writeback\",\"value\":1,\"detail\":\"sig [Pfs]\",\"trace_id\":7}\n",
         );
         s.push_str(
-            "{\"seq\":102,\"ts_ns\":9200,\"kind\":\"snapshot\",\"name\":\"campaign\",\"value\":6,\"detail\":\"cells=6 saturation_pct=66 resumed=0 retries=0 quarantined=0\",\"trace_id\":0}\n",
+            "{\"seq\":102,\"ts_ns\":9200,\"kind\":\"snapshot\",\"name\":\"campaign\",\"value\":6,\"detail\":\"cells=6 saturation_pct=66 resumed=0 quarantined=0\",\"trace_id\":0}\n",
         );
         s
     }
@@ -801,13 +799,11 @@ mod tests {
         assert!(!html.contains("campaign-robustness"));
         // The last snapshot's totals are the tiles (not a sum over
         // snapshots: each one carries the running total).
-        let s = stream().replace(
-            "resumed=0 retries=0 quarantined=0",
-            "resumed=4 retries=3 quarantined=1",
-        ) + "{\"seq\":103,\"ts_ns\":9300,\"kind\":\"snapshot\",\"name\":\"campaign\",\"value\":6,\"detail\":\"cells=6 saturation_pct=66 resumed=4 retries=5 quarantined=1\",\"trace_id\":0}\n";
+        let s = stream().replace("resumed=0 quarantined=0", "resumed=4 quarantined=1")
+            + "{\"seq\":103,\"ts_ns\":9300,\"kind\":\"snapshot\",\"name\":\"campaign\",\"value\":6,\"detail\":\"cells=6 saturation_pct=66 resumed=5 quarantined=2\",\"trace_id\":0}\n";
         let html = render_dashboard(&s, None, None).unwrap();
         assert!(html.contains("data-metric=\"campaign-robustness\""));
-        for (metric, value) in [("resumed-cells", 4), ("retries", 5), ("quarantined", 1)] {
+        for (metric, value) in [("resumed-cells", 5), ("quarantined", 2)] {
             assert!(
                 html.contains(&format!(
                     "data-metric=\"{metric}\"><div class=\"tile-value\">{value}<"

@@ -12,7 +12,7 @@ pub const THREADS: &str = "PC_THREADS";
 pub const TRACE: &str = "PC_TRACE";
 /// Log threshold.
 pub const LOG: &str = "PC_LOG";
-/// Sweep progress meter on stderr.
+/// Sweep throughput/ETA line on stderr.
 pub const PROGRESS: &str = "PC_PROGRESS";
 /// Property-test run seed.
 pub const PROPTEST_SEED: &str = "PC_PROPTEST_SEED";
@@ -20,7 +20,7 @@ pub const PROPTEST_SEED: &str = "PC_PROPTEST_SEED";
 pub const PROPTEST_CASES: &str = "PC_PROPTEST_CASES";
 /// Durable-log crash injection.
 pub const DURABLE_CRASH: &str = "PC_DURABLE_CRASH";
-/// Campaign cell poisoning.
+/// Sweep cell poisoning.
 pub const CAMPAIGN_POISON: &str = "PC_CAMPAIGN_POISON";
 
 /// Every variable the workspace reads, with its one-line meaning.
@@ -34,10 +34,7 @@ pub const VARS: [(&str, &str); 8] = [
         LOG,
         "log threshold: off|error|warn|info|debug (default error)",
     ),
-    (
-        PROGRESS,
-        "1 prints sweep throughput/ETA and stall warnings to stderr",
-    ),
+    (PROGRESS, "1 prints sweep throughput/ETA lines to stderr"),
     (
         PROPTEST_SEED,
         "replay a property-test run from its printed seed",
@@ -49,7 +46,7 @@ pub const VARS: [(&str, &str); 8] = [
     ),
     (
         CAMPAIGN_POISON,
-        "test hook: <label>:panic|panic-once|hang poisons matching sweep cells",
+        "test hook: sweep cells whose label contains it panic",
     ),
 ];
 

@@ -47,11 +47,12 @@
 #      sequential vs parallel, and `selftest scale` measures, in one
 #      process, the batched engine at >= 2x the per-state loop and
 #      sub-linear per-check growth from 64 to 256 servers.
-#  12. Crash-safe campaign — `selftest durable` fuzzes the record log's
-#      torn-tail recovery; a `paracrash campaign` killed by an injected
-#      crash (`PC_DURABLE_CRASH`: a torn record; resumed sequentially)
-#      and by a real SIGKILL (resumed on the pool) `--resume`s to the
-#      uninterrupted run's report, and never clobbers state without it.
+#  12. Crash-safe sweep — `selftest durable` fuzzes the record log's
+#      torn-tail recovery; a `paracrash fuzz --state-dir` killed by an
+#      injected crash (`PC_DURABLE_CRASH`: a torn record; resumed
+#      sequentially) and by a real SIGKILL mid-sweep (resumed on the pool)
+#      `--resume`s to the uninterrupted run's report, and never clobbers
+#      state without it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -233,41 +234,40 @@ seq_eq_par --fs BeeGFS --program ARVR --config "$tmp/scale.conf"
 # at 16 servers, per-check cost at 256 vs 64 servers.
 target/release/paracrash selftest scale
 
-echo "== gate 12: crash-safe resumable campaign =="
+echo "== gate 12: crash-safe resumable sweep =="
 # Torn-tail recovery fuzz on the durable record log itself.
 target/release/paracrash selftest durable
-# Reference: one uninterrupted small campaign.
-camp=(campaign --sample 25 --fs BeeGFS)
+# Reference: one uninterrupted small sweep with a state dir.
+camp=(fuzz --sample 25 --fs BeeGFS)
 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ref" \
     > "$tmp/camp-ref.txt" 2> /dev/null
 # Existing state without --resume must refuse with exit 2, not clobber.
-if target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ref" \
-    > /dev/null 2>&1; then
-    echo "FAIL: campaign clobbered existing state without --resume"
-    exit 1
-fi
+target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ref" > /dev/null 2>&1 &&
+    { echo "FAIL: the sweep clobbered existing state without --resume"; exit 1; }
 # Injected kill mid-append with a torn partial record (exit mode looks
 # like SIGKILL: rc 137), then resume; the report must be byte-identical.
 # Resumed sequentially: the log replay + the re-checked tail must also
 # be thread-count invariant (the reference ran on the pool).
 PC_DURABLE_CRASH=at=7,tear=5 target/release/paracrash "${camp[@]}" \
     --state-dir "$tmp/camp-torn" > /dev/null 2>&1 && {
-    echo "FAIL: injected crash did not kill the campaign"; exit 1; }
+    echo "FAIL: injected crash did not kill the sweep"; exit 1; }
 PC_THREADS=1 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-torn" \
     --resume > "$tmp/camp-torn.txt" 2> /dev/null
 diff "$tmp/camp-ref.txt" "$tmp/camp-torn.txt"
-# A real SIGKILL mid-sweep (no injection). If the campaign wins the
-# race and finishes, resume degrades to a pure replay — still diffed.
-target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-kill" \
-    > /dev/null 2>&1 & camp_pid=$!
-sleep 0.4
+# A real SIGKILL mid-sweep (no injection) on the pinned PR tier, once its
+# log holds the meta record and a cell: resume replays some, re-checks the rest.
+log="$tmp/camp-kill/corpus.log"
+target/release/paracrash fuzz --state-dir "$tmp/camp-kill" > /dev/null 2>&1 & camp_pid=$!
+while kill -0 "$camp_pid" 2> /dev/null && [ "$(stat -c %s "$log" 2> /dev/null || echo 0)" -lt 1024 ]; do sleep 0.01; done
 kill -9 "$camp_pid" 2> /dev/null || true
 wait "$camp_pid" 2> /dev/null || true
-target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-kill" --resume \
-    > "$tmp/camp-kill.txt" 2> /dev/null
-diff "$tmp/camp-ref.txt" "$tmp/camp-kill.txt"
-# Satellite: --events-out under a campaign creates missing parent dirs
-# and the stream re-parses (campaign.* totals ride its snapshots).
+PC_LOG=info target/release/paracrash fuzz --state-dir "$tmp/camp-kill" --resume \
+    > "$tmp/camp-kill.txt" 2> "$tmp/camp-kill.err"
+diff crates/bench/tests/expected_fuzz_pr_tier.txt "$tmp/camp-kill.txt"
+grep -qE ' [1-9][0-9]*/426 cells this run \([1-9][0-9]* resumed' "$tmp/camp-kill.err" ||
+    { echo "FAIL: the SIGKILL did not land mid-sweep"; cat "$tmp/camp-kill.err"; exit 1; }
+# --events-out under a resumable sweep creates missing parent dirs and
+# the stream re-parses (campaign.* totals ride its snapshots).
 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ev" \
     --events-out "$tmp/nested/dirs/camp-events.jsonl" > /dev/null 2>&1
 target/release/paracrash selftest events "$tmp/nested/dirs/camp-events.jsonl"

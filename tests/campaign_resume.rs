@@ -13,7 +13,7 @@
 //! `PC_THREADS=1` vs the parallel pool, so the in-process shortcut here
 //! is cross-checked end to end.
 
-use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
+use pc_bench::campaign::{run_campaign, FuzzOptions};
 use pc_rt::durable::{arm_crash, disarm_crash, points_seen, reset_points, CrashMode, CrashSpec};
 use pc_rt::prop_assert;
 use pc_rt::proptest::{run, Config};
@@ -34,13 +34,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// A small but non-trivial sweep: 8 cells, so 10 durability points.
-fn opts(dir: &Path) -> CampaignOptions {
-    let fuzz = FuzzOptions {
+fn opts(dir: &Path) -> FuzzOptions {
+    FuzzOptions {
         sample: Some(8),
         file_systems: vec![FsKind::BeeGfs],
+        state_dir: dir.to_str().map(str::to_string),
         ..FuzzOptions::pr_tier()
-    };
-    CampaignOptions::new(fuzz, dir.to_str())
+    }
 }
 
 /// Run the sweep in `dir` with a crash armed at point `at`, then resume
@@ -58,7 +58,7 @@ fn kill_and_resume(dir: &Path, at: u64, tear: usize) -> Result<String, String> {
         crashed.is_err(),
         "crash at point {at} must interrupt the campaign"
     );
-    let resumed = run_campaign(&CampaignOptions {
+    let resumed = run_campaign(&FuzzOptions {
         resume: true,
         ..opts(dir)
     })

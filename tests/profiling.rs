@@ -11,7 +11,7 @@
 //! * profiling is strictly presentation-plane: `canonical_report()` is
 //!   byte-identical with it off, on, and on across `PC_THREADS` widths.
 
-use pc_bench::campaign::{run_campaign, CampaignOptions, FuzzOptions};
+use pc_bench::campaign::{run_campaign, FuzzOptions};
 use pc_rt::obs::{prof, TelemetrySnapshot};
 use std::sync::Mutex;
 use workloads::FsKind;
@@ -19,13 +19,12 @@ use workloads::FsKind;
 /// All tests toggle process-global profiling/telemetry state.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn tiny_opts() -> CampaignOptions {
-    let fuzz = FuzzOptions {
+fn tiny_opts() -> FuzzOptions {
+    FuzzOptions {
         sample: Some(6),
         file_systems: vec![FsKind::BeeGfs],
         ..FuzzOptions::pr_tier()
-    };
-    CampaignOptions::new(fuzz, None)
+    }
 }
 
 /// Run `f` with `PC_THREADS` set to `threads`, restoring it after.
