@@ -42,11 +42,13 @@
 //! Live observability: `--events-out FILE` attaches the
 //! `pc_rt::obs::stream` JSON-lines sink — structured events (cells,
 //! findings, periodic campaign snapshots) stream to `FILE` while the run
-//! is still going, flushed per cell, and a panic stamps a marker so a
-//! wedged run stays diagnosable.
+//! is still going, each line in the file once emitted, so a killed run
+//! leaves a readable crash dump.
 //! `PC_PROGRESS=1` adds a throughput/ETA meter on stderr. Afterwards,
-//! the `report` subcommand folds the artifacts into one self-contained
-//! HTML dashboard (inline SVG, no scripts, no network):
+//! the `report` subcommand reads each artifact back with its writer's
+//! reader — a file that reader rejects fails the command with exit 1 —
+//! and folds them into one self-contained HTML dashboard (inline SVG, no
+//! scripts, no network):
 //!
 //! ```sh
 //! paracrash fuzz --bound 2 --events-out events.jsonl --telemetry-out trace.json
@@ -72,12 +74,11 @@
 //! `--profile-out`) mean the same on a single check and on a sweep.
 
 use paracrash::dashboard::render_dashboard;
-use paracrash::telemetry::chrome_trace;
+use paracrash::telemetry::{chrome_trace, read_trace};
 use paracrash::CheckConfig;
 use pc_bench::campaign::{parse_modes, run_campaign, FuzzOptions};
 use pc_bench::{render_bug, run_program_swept, sanitize, write_bundle};
-use pc_rt::json::Json;
-use pc_rt::obs::prof;
+use pc_rt::obs::{prof, stream};
 use simnet::FaultConfig;
 use workloads::{FsKind, Params, Program};
 
@@ -141,7 +142,7 @@ fn parse_obs_flag(obs: &mut ObsOpts, a: &str, value: &mut dyn FnMut(&str) -> Str
     match a {
         "--events-out" => {
             let path = prepare_out(OutTarget::File, a, value(a));
-            pc_rt::obs::stream::set_sink(&path)
+            stream::set_sink(&path)
                 .unwrap_or_else(|e| die(format_args!("cannot open {path}: {e}")));
         }
         "--profile-out" => {
@@ -160,7 +161,7 @@ fn parse_obs_flag(obs: &mut ObsOpts, a: &str, value: &mut dyn FnMut(&str) -> Str
 /// End of run: close the event stream, write the `.folded` profile and
 /// the `--telemetry-out` snapshot.
 fn finish_obs(obs: &ObsOpts) {
-    pc_rt::obs::stream::close();
+    stream::close();
     if obs.profile_out.is_none() && obs.telemetry_out.is_none() {
         return;
     }
@@ -209,17 +210,17 @@ fn usage() -> ! {
          byte-identical final report. Either way a cell whose check\n\
          panics is quarantined, not fatal.\n\n\
          `selftest obs|faults|explain` asserts the plane's disabled-overhead\n\
-         budget (<3%); the other forms validate an artifact:\n\
-         `telemetry <file>`, `explain <dir> [<min-bundles>]`, `events <file>`\n\
-         | `events --canonical-diff <a> <b>` | `events --html <report>`,\n\
-         `prof <file.folded>`, `durable [<seed>] [<cases>]`. `selftest scale`\n\
-         takes no argument: it times the batched engine against the per-state\n\
-         loop and the 64- against the 256-server check, in process.\n\n\
+         budget (<3%); `explain <dir> [<min-bundles>]` validates explain\n\
+         bundles, `events --canonical-diff <a> <b>` compares two streams'\n\
+         deterministic content, `durable [<seed>] [<cases>]` fuzzes the\n\
+         record log's recovery. `selftest scale` takes no argument: it times\n\
+         the batched engine against the per-state loop and the 64- against\n\
+         the 256-server check, in process.\n\n\
          `--events-out` streams events (cells, findings, sweep\n\
-         snapshots) as JSON lines while the run is live; `report` renders\n\
+         snapshots) as JSON lines while the run is live; `report` validates\n\
          them (plus an optional --telemetry-out file and a `--profile`\n\
-         .folded file as an SVG flame view) into one self-contained HTML\n\
-         dashboard.\n\n\
+         .folded file, drawn as an SVG flame view) and renders one\n\
+         self-contained HTML dashboard.\n\n\
          `--profile-out` writes the exact self time of every span stack as\n\
          a flamegraph-compatible .folded file on exit (weights in ns).\n\n\
          `--faults` takes a comma-separated spec (seed=N,drop=R,dup=R,delay=R,\n\
@@ -340,9 +341,22 @@ fn run_sweep(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// The `report` subcommand: fold a run's artifacts — the `--events-out`
-/// stream, an optional `--telemetry-out` snapshot, an optional
-/// `--profile-out` profile — into one self-contained HTML dashboard.
+/// Read the artifact at `path` with its format's reader. A file the
+/// reader rejects is a failed run (exit 1, one line naming the file), not
+/// a usage error.
+fn read_artifact<T>(path: &str, read: impl Fn(&str) -> Result<T, String>) -> T {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(format_args!("cannot read {path}: {e}")));
+    read(&text).unwrap_or_else(|e| {
+        pc_rt::pc_error!("{path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// The `report` subcommand: read back a run's artifacts — the
+/// `--events-out` stream, an optional `--telemetry-out` trace, an
+/// optional `--profile-out` profile — each strictly, by the module that
+/// writes it, and fold them into one self-contained HTML dashboard.
 fn run_report(args: &[String]) -> ! {
     let mut events_path: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
@@ -371,22 +385,10 @@ fn run_report(args: &[String]) -> ! {
         pc_rt::pc_error!("report needs --events <file>");
         usage();
     };
-    let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(format_args!("cannot read {path}: {e}")))
-    };
-    let events_text = read(&events_path);
-    let telemetry = telemetry_path.as_deref().map(|p| {
-        Json::parse(&read(p)).unwrap_or_else(|e| die(format_args!("bad telemetry {p}: {e}")))
-    });
-    let profile_text = profile_path.as_deref().map(read);
-    // An artifact that is not what this tool writes is a failed run
-    // (exit 1), not a usage error.
-    let html = render_dashboard(&events_text, telemetry.as_ref(), profile_text.as_deref())
-        .unwrap_or_else(|e| {
-            pc_rt::pc_error!("bad report input ({events_path}): {e}");
-            std::process::exit(1);
-        });
+    let events = read_artifact(&events_path, stream::read_stream).events;
+    let trace = telemetry_path.map(|p| read_artifact(&p, read_trace));
+    let profile = profile_path.map(|p| read_artifact(&p, prof::parse_folded));
+    let html = render_dashboard(&events, trace.as_ref(), profile.as_deref());
     std::fs::write(&out_path, &html)
         .unwrap_or_else(|e| die(format_args!("cannot write {out_path}: {e}")));
     println!(

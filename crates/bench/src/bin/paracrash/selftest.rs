@@ -3,31 +3,27 @@
 //!
 //! ```sh
 //! paracrash selftest obs|faults|explain  # the plane's disabled-overhead budget
-//! paracrash selftest telemetry trace.json        # --telemetry-out file
 //! paracrash selftest explain reports/ [MIN]      # --explain-out bundles
-//! paracrash selftest events events.jsonl         # --events-out stream
 //! paracrash selftest events --canonical-diff a.jsonl b.jsonl
-//! paracrash selftest events --html report.html   # dashboard lint
-//! paracrash selftest prof run.folded             # --profile-out profile
 //! paracrash selftest scale                      # engine ratios, measured live
 //! paracrash selftest durable [SEED] [CASES]      # torn-tail recovery fuzz
 //! ```
 //!
 //! `obs`, `faults` and `explain` assert a disabled-overhead budget
-//! ([`super::overhead`]); `telemetry`, `events`, `prof` and `explain
-//! DIR` validate an artifact. `scale` and `durable` read no artifact:
-//! they measure and fuzz live.
-//! Every validator exits 0 when the artifact is valid and 1 with a
-//! one-line diagnostic otherwise; a malformed command line exits 2.
+//! ([`super::overhead`]); `explain DIR` validates a bundle directory and
+//! `events --canonical-diff` compares two streams' deterministic content
+//! (the stream, trace and profile files themselves are validated by
+//! `paracrash report`, which reads each with its writer's reader).
+//! `scale` and `durable` read no artifact: they measure and fuzz live.
+//! Every check exits 0 when it holds and 1 with a one-line diagnostic
+//! otherwise; a malformed command line exits 2.
 
 use super::figures::fig11_params;
 use super::overhead::{self, Fixture};
-use paracrash::telemetry::{canonical_event_lines, parse_event_stream, trace_spans};
 use paracrash::{check_stack, prepare_states};
 use pc_rt::durable::{RecordLog, MAGIC, RECORD_HEADER};
 use pc_rt::json::Json;
-use pc_rt::obs::prof;
-use pc_rt::obs::stream::SCHEMA_VERSION;
+use pc_rt::obs::stream::read_stream;
 use pc_rt::rng::Rng;
 use pfs::{recover_and_mount, PfsView};
 use std::fmt::Display;
@@ -36,7 +32,7 @@ use std::time::Instant;
 use workloads::{Params, Program};
 
 /// The planes, as `usage()` and the unknown-plane error print them.
-pub const PLANES: &str = "obs|faults|explain|telemetry|events|prof|durable|scale";
+pub const PLANES: &str = "obs|faults|explain|events|durable|scale";
 
 /// The verdict of every selftest. Deliberately `eprintln!`, not
 /// `pc_error!`: it is this tool's user-facing output and must print
@@ -84,166 +80,29 @@ fn require(obj: &Json, keys: &[&str], what: impl Display) {
     }
 }
 
-// --- telemetry: `--telemetry-out` files -------------------------------------
-
-/// A Chrome trace-event file is checked for the `schema_version` this
-/// tool understands (an unknown or missing one fails, so downstream
-/// consumers can trust that a passing file matches the documented
-/// shape), the Perfetto-required event fields, a nondecreasing `ts`
-/// order, and the `otherData` members `paracrash report` reads.
-fn check_telemetry(path: &str) {
-    let doc = read_json(path);
-    if let Err(e) = trace_spans(&doc) {
-        fail(format_args!("{path}: {e}"));
-    }
-    let events = arr(&doc, "traceEvents", path);
-    if events.is_empty() {
-        fail("traceEvents is empty — no spans were recorded");
-    }
-    let mut prev_ts = 0u64;
-    for (idx, ev) in events.iter().enumerate() {
-        let what = format!("traceEvents[{idx}]");
-        if ev
-            .get("name")
-            .and_then(Json::as_str)
-            .is_none_or(str::is_empty)
-        {
-            fail(format_args!("{what} has no name"));
-        }
-        if ev.get("ph").and_then(Json::as_str) != Some("X") {
-            fail(format_args!("{what} is not a complete (ph=X) event"));
-        }
-        for key in ["pid", "tid", "dur"] {
-            int(ev, key, &what);
-        }
-        int(ev.get("args").unwrap_or(&Json::Null), "dur_ns", &what);
-        let ts = int(ev, "ts", &what);
-        if ts < prev_ts {
-            fail(format_args!(
-                "{what} ts {ts} goes backwards (prev {prev_ts})"
-            ));
-        }
-        prev_ts = ts;
-    }
-    let other = doc.get("otherData").unwrap_or(&Json::Null);
-    require(
-        other,
-        &[
-            "counters",
-            "gauges",
-            "histograms",
-            "dropped_spans",
-            "ops",
-            "alloc",
-        ],
-        format_args!("{path}: otherData"),
-    );
-    println!(
-        "selftest telemetry: OK — {path}: chrome trace, {} events, ts monotonic",
-        events.len()
-    );
-}
-
-// --- events: `--events-out` streams and rendered dashboards -----------------
-
-fn check_events(path: &str) {
-    let stream =
-        parse_event_stream(&read(path)).unwrap_or_else(|e| fail(format_args!("{path}: {e}")));
-    let events = stream.events;
-    if events.is_empty() {
-        fail(format_args!("{path}: stream carries no events"));
-    }
-    // Nothing buffers, so a closed stream holds every event it counted.
-    if stream.published.is_some_and(|n| n != events.len() as u64) {
-        fail(format_args!(
-            "{path}: trailer counts {:?} events, the file holds {}",
-            stream.published,
-            events.len()
-        ));
-    }
-    let cells = events
-        .iter()
-        .filter(|e| e.get("kind").and_then(Json::as_str) == Some("cell"))
-        .count();
-    println!(
-        "selftest events: OK — {path}: {} events ({cells} cells), schema v{SCHEMA_VERSION}, \
-         seq monotonic",
-        events.len(),
-    );
-}
+// --- events: the determinism contract of `--events-out` streams -----------
 
 /// Compare the deterministic projection
-/// (`paracrash::telemetry::canonical_event_lines`) of two streams — the
+/// (`pc_rt::obs::stream::Stream::canonical_lines`) of two streams — the
 /// check the determinism contract rests on: a sequential and a parallel
 /// run of the same sweep must project identically even though their
 /// timestamps and sequence numbers differ.
 fn check_canonical_diff(a_path: &str, b_path: &str) {
     let project = |path: &str| {
-        canonical_event_lines(&read(path)).unwrap_or_else(|e| fail(format_args!("{path}: {e}")))
+        let stream = read_stream(&read(path)).unwrap_or_else(|e| fail(format_args!("{path}: {e}")));
+        stream.canonical_lines()
     };
     let (a, b) = (project(a_path), project(b_path));
-    if a.len() != b.len() {
+    if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+        let at = |lines: &[String]| lines.get(i).cloned().unwrap_or("(no such line)".into());
+        let (la, lb) = (at(&a), at(&b));
         fail(format_args!(
-            "canonical projections differ in length: {a_path} has {} lines, {b_path} has {}",
-            a.len(),
-            b.len()
+            "canonical projections diverge at line {i}:\n  {a_path}: {la}\n  {b_path}: {lb}"
         ));
-    }
-    for (i, (la, lb)) in a.iter().zip(&b).enumerate() {
-        if la != lb {
-            fail(format_args!(
-                "canonical projections diverge at line {i}:\n  {a_path}: {la}\n  {b_path}: {lb}"
-            ));
-        }
     }
     println!(
         "selftest events: OK — canonical projections equal ({} lines): {a_path} == {b_path}",
         a.len()
-    );
-}
-
-/// Every metric element the dashboard documents; a rendered report must
-/// carry all of them.
-const REQUIRED_METRICS: &[&str] = &[
-    "cells",
-    "findings",
-    "behaviors",
-    "saturation",
-    "throughput",
-    "coverage-curve",
-    "stage-breakdown",
-    "heatmap",
-];
-
-/// Lint a rendered dashboard: inline SVG present and non-empty, every
-/// documented metric element present (a "green" report cannot silently
-/// drop a panel), no scripts or external fetches.
-fn check_html(path: &str) {
-    let html = read(path);
-    let Some(svg_at) = html.find("<svg") else {
-        fail(format_args!("{path}: no inline <svg> element"));
-    };
-    let svg_end = html[svg_at..]
-        .find("</svg>")
-        .unwrap_or_else(|| fail(format_args!("{path}: unterminated <svg> element")));
-    let svg_body = &html[svg_at..svg_at + svg_end];
-    if !svg_body.contains("<polyline") && !svg_body.contains("<rect") {
-        fail(format_args!("{path}: first <svg> draws no marks"));
-    }
-    for metric in REQUIRED_METRICS {
-        if !html.contains(&format!("data-metric=\"{metric}\"")) {
-            fail(format_args!("{path}: missing data-metric=\"{metric}\""));
-        }
-    }
-    if html.contains("<script") {
-        fail(format_args!("{path}: dashboard must not contain scripts"));
-    }
-    if html.contains("http://") || html.contains("https://") {
-        fail(format_args!("{path}: dashboard must be self-contained"));
-    }
-    println!(
-        "selftest events: OK — {path}: dashboard carries all {} metric panels, inline SVG",
-        REQUIRED_METRICS.len()
     );
 }
 
@@ -394,44 +253,6 @@ fn check_explain(dir: &str, min_bundles: usize) {
     println!(
         "selftest explain: OK — {dir}: {} bundles, JSON re-parsed, DOT lint clean",
         stems.len()
-    );
-}
-
-// --- prof: `.folded` profiles -----------------------------------------------
-
-/// Re-parse an emitted profile with the parser the dashboard flame view
-/// uses and assert the canonical shape: at least one stack, every
-/// weight positive, lines unique and sorted (the deterministic render
-/// order CI can diff).
-fn check_folded(path: &str) {
-    let text = read(path);
-    let rows = prof::parse_folded(&text)
-        .unwrap_or_else(|e| fail(format_args!("bad .folded profile {path}: {e}")));
-    if rows.is_empty() {
-        fail(format_args!("{path}: profile has no stacks"));
-    }
-    let mut total = 0u64;
-    for (stack, count) in &rows {
-        if *count == 0 {
-            fail(format_args!(
-                "{path}: stack {} has count 0",
-                stack.join(";")
-            ));
-        }
-        total += count;
-    }
-    let lines: Vec<&str> = text.lines().collect();
-    let mut sorted = lines.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted != lines {
-        fail(format_args!(
-            "{path}: stacks are not unique and sorted (non-canonical render)"
-        ));
-    }
-    println!(
-        "selftest prof: OK — {path}: {} stacks, {total} ns self time, canonical order",
-        rows.len()
     );
 }
 
@@ -659,13 +480,9 @@ pub fn run(args: &[String]) -> ! {
     let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
     match (plane.as_str(), rest.as_slice()) {
         (plane, []) if overhead::has_budget(plane) => overhead::disabled_overhead(plane),
-        ("telemetry", [file]) => check_telemetry(file),
         ("explain", [dir]) => check_explain(dir, 15),
         ("explain", [dir, min]) => check_explain(dir, number("min-bundles", min)),
-        ("events", ["--html", file]) => check_html(file),
         ("events", ["--canonical-diff", a, b]) => check_canonical_diff(a, b),
-        ("events", [file]) if !file.starts_with('-') => check_events(file),
-        ("prof", [file]) if !file.starts_with('-') => check_folded(file),
         ("scale", []) => check_scale(),
         ("durable", []) => check_durable(0xD15C, 64),
         ("durable", [seed]) => check_durable(number("seed", seed), 64),

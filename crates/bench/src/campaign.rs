@@ -23,9 +23,9 @@
 //! throughput/ETA line, and — when the event stream is on — the driver
 //! publishes a `cell` event per completed cell, a `finding` event per
 //! novel finding, and a `snapshot` event with the Good–Turing
-//! saturation estimate every [`SNAPSHOT_EVERY`] cells, flushing the
-//! flight recorder to the sink after every cell so a killed sweep
-//! leaves a readable stream behind.
+//! saturation estimate every [`SNAPSHOT_EVERY`] cells; each line is in
+//! the file once emitted, so a killed sweep leaves a readable stream
+//! behind.
 //!
 //! **A cell is one call** (every run): one `catch_unwind` around the
 //! check, on the sweep thread. The exploration is deterministic — the
@@ -89,7 +89,7 @@ use workloads::{FsKind, Params};
 
 use crate::sanitize;
 
-/// Emit a `snapshot` delta event (and flush) every this many cells.
+/// Emit a `snapshot` delta event every this many cells.
 pub const SNAPSHOT_EVERY: usize = 32;
 
 /// Minimum time between two `PC_PROGRESS` lines.
@@ -693,27 +693,22 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<CampaignReport, String> {
         if let Some(meter) = &mut meter {
             meter.tick(done, total_cells, report.cells_run, &corpus);
         }
-        if stream::enabled() {
-            if done % SNAPSHOT_EVERY == 0 || done == total_cells {
-                stream::emit(
-                    stream::EventKind::Snapshot,
-                    "campaign",
-                    done as u64,
-                    &format!(
-                        "cells={done}/{total_cells} behaviors={} findings={} \
-                         rep_states={} saturation_pct={:.0} resumed={} quarantined={}",
-                        corpus.behavior_count(),
-                        corpus.finding_count(),
-                        corpus.rep_state_count(),
-                        corpus.saturation() * 100.0,
-                        report.resumed_cells,
-                        report.quarantined,
-                    ),
-                );
-            }
-            // Per-cell flush: a killed or wedged sweep still leaves
-            // everything up to its last finished cell.
-            stream::flush();
+        if stream::enabled() && (done % SNAPSHOT_EVERY == 0 || done == total_cells) {
+            stream::emit(
+                stream::EventKind::Snapshot,
+                "campaign",
+                done as u64,
+                &format!(
+                    "cells={done}/{total_cells} behaviors={} findings={} \
+                     rep_states={} saturation_pct={:.0} resumed={} quarantined={}",
+                    corpus.behavior_count(),
+                    corpus.finding_count(),
+                    corpus.rep_state_count(),
+                    corpus.saturation() * 100.0,
+                    report.resumed_cells,
+                    report.quarantined,
+                ),
+            );
         }
     }
     if pc_rt::obs::summary_enabled() {

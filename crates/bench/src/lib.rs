@@ -64,7 +64,6 @@ pub fn run_cell(
                 outcome.stats.states_checked
             ),
         );
-        pc_rt::obs::stream::flush();
     }
     pc_rt::obs::set_trace_id(0);
     MatrixCell {

@@ -1,6 +1,7 @@
 //! The folded subcommands, driven through the one binary: exit codes
 //! and the verdicts `scripts/verify.sh` greps for.
 
+use pc_rt::json::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -28,7 +29,7 @@ fn selftest_durable_passes_and_unknown_planes_are_usage_errors() {
     assert_eq!(bad.status.code(), Some(2));
     let err = String::from_utf8_lossy(&bad.stderr);
     assert!(
-        err.contains("obs|faults|explain|telemetry|events|prof|durable|scale"),
+        err.contains("obs|faults|explain|events|durable|scale"),
         "plane list missing from: {err}"
     );
 }
@@ -44,8 +45,9 @@ fn table3_reproduces_all_fifteen() {
 
 /// The legacy perf path and the run-history ledger are gone, not
 /// ignored: their subcommands and flags, the file argument of `selftest
-/// scale` and the bare spellings of the folded overhead budgets are
-/// usage errors, and the usage text no longer offers them.
+/// scale`, the bare spellings of the folded overhead budgets and the
+/// artifact validators `report` replaced are usage errors, and the usage
+/// text no longer offers them.
 #[test]
 fn removed_bench_surfaces_are_usage_errors() {
     for args in [
@@ -64,6 +66,10 @@ fn removed_bench_surfaces_are_usage_errors() {
         &["selftest", "telemetry"],
         &["selftest", "stream"],
         &["selftest", "prof"],
+        &["selftest", "telemetry", "trace.json"],
+        &["selftest", "events", "events.jsonl"],
+        &["selftest", "events", "--html", "report.html"],
+        &["selftest", "prof", "run.folded"],
     ] {
         let out = paracrash(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -143,9 +149,19 @@ fn fig9_matches_the_committed_traces() {
     );
 }
 
-/// Each file validator accepts the artifact the tool writes and rejects
-/// the same artifact cut in half with exit 1 (a verdict, not a usage
-/// error or a panic); so does `report` with a foreign `--telemetry`.
+/// Member `key` of JSON object `obj`, for editing.
+fn member<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(fields) = obj else {
+        panic!("no object holds {key}")
+    };
+    &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+}
+
+/// `report` is the validator of the three files a run writes: it renders
+/// what the tool writes, and turns away with exit 1 and one line naming
+/// the file each of them cut in half, and each made inconsistent in a way
+/// the writer never is. `selftest explain` does the same for a bundle
+/// directory, and `report` for a `--telemetry` file of another shape.
 #[test]
 fn file_validators_reject_truncated_artifacts() {
     let dir = scratch("artifacts");
@@ -177,34 +193,73 @@ fn file_validators_reject_truncated_artifacts() {
     ]);
     assert_eq!(cell.status.code(), Some(1), "{cell:?}");
 
-    // Cut near the middle, but never at a line boundary: a file that
-    // ends after a whole line is a shorter valid artifact, not a torn one.
-    let halve = |from: &str, to: &str| {
-        let bytes = std::fs::read(from).unwrap();
-        let mut cut = bytes.len() / 2;
-        while bytes[cut] == b'\n' || bytes[cut - 1] == b'\n' {
+    let good = [
+        path("events.jsonl"),
+        path("telemetry.json"),
+        path("run.folded"),
+    ];
+    let report = |files: &[String]| {
+        let out = path("report.html");
+        let args = ["--events", "--telemetry", "--profile"].iter().zip(files);
+        let mut args: Vec<&str> = args
+            .flat_map(|(flag, file)| [*flag, file.as_str()])
+            .collect();
+        args.extend(["--out", &out]);
+        paracrash(&[&["report"][..], &args].concat())
+    };
+    let ok = report(&good);
+    assert!(ok.status.success(), "{ok:?}");
+    let html = std::fs::read_to_string(path("report.html")).unwrap();
+    for metric in ["stage-breakdown", "flame-table", "alloc-table"] {
+        assert!(
+            html.contains(&format!("data-metric=\"{metric}\"")),
+            "{metric}"
+        );
+    }
+
+    // Cut near the middle, right after a letter: inside a JSON string or
+    // a stack's frame, never where a shorter file would still be whole.
+    let halve = |text: &str| {
+        let mut cut = text.len() / 2;
+        while !text.as_bytes()[cut - 1].is_ascii_alphabetic() {
             cut -= 1;
         }
-        std::fs::write(to, &bytes[..cut]).unwrap();
+        text[..cut].to_string()
     };
-    let cases = [
-        ("telemetry", path("telemetry.json")),
-        ("events", path("events.jsonl")),
-        ("prof", path("run.folded")),
+    let text = good.clone().map(|p| std::fs::read_to_string(p).unwrap());
+    // The trailer claims more events than the stream holds.
+    let (body, _) = text[0].trim_end().rsplit_once('\n').unwrap();
+    let miscounted = format!("{body}\n{{\"schema_version\":2,\"published\":9999}}\n");
+    // The spans reversed, the first three of them begin (`B`) events.
+    let mut doc = Json::parse(&text[1]).unwrap();
+    let Json::Arr(spans) = member(&mut doc, "traceEvents") else {
+        panic!("traceEvents is an array")
+    };
+    spans.reverse();
+    for span in spans.iter_mut().take(3) {
+        *member(span, "ph") = Json::Str("B".into());
+    }
+    // The stacks unsorted, the last of them weightless.
+    let mut stacks: Vec<String> = text[2].lines().rev().map(String::from).collect();
+    let last = stacks.pop().unwrap();
+    stacks.push(format!("{} 0", last.rsplit_once(' ').unwrap().0));
+    let bad = [
+        (0, halve(&text[0])),
+        (1, halve(&text[1])),
+        (2, halve(&text[2])),
+        (0, miscounted),
+        (1, doc.pretty()),
+        (2, stacks.join("\n") + "\n"),
     ];
-    for (plane, good) in &cases {
-        let run = |file: &str| paracrash(&["selftest", plane, file]);
-        let ok = run(good);
-        assert!(ok.status.success(), "selftest {plane} {good}: {ok:?}");
-        let cut = path("cut");
-        halve(good, &cut);
-        let bad = run(&cut);
-        assert_eq!(
-            bad.status.code(),
-            Some(1),
-            "selftest {plane} {cut}: {bad:?}"
-        );
-        assert!(String::from_utf8_lossy(&bad.stderr).contains("selftest: FAIL"));
+    for (slot, content) in bad {
+        let mut files = good.clone();
+        files[slot] = path(&format!("bad-{slot}"));
+        std::fs::write(&files[slot], &content).unwrap();
+        let out = report(&files);
+        assert_eq!(out.status.code(), Some(1), "{}: {out:?}", files[slot]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains(&files[slot]), "{err}");
     }
 
     // explain validates a directory: truncate one bundle's JSON in place.
@@ -216,37 +271,16 @@ fn file_validators_reject_truncated_artifacts() {
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|e| e == "json"))
         .expect("a bundle was written");
-    halve(bundle.to_str().unwrap(), bundle.to_str().unwrap());
+    let bundle_text = std::fs::read_to_string(&bundle).unwrap();
+    std::fs::write(&bundle, halve(&bundle_text)).unwrap();
     let bad = paracrash(&["selftest", "explain", &explain, "1"]);
     assert_eq!(bad.status.code(), Some(1), "{bad:?}");
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("selftest: FAIL"));
 
-    // `report` renders the three artifacts, and turns away a
-    // `--telemetry` file that is not a trace-event file with exit 1
+    // A `--telemetry` file that is not a trace-event file is turned away
     // instead of rendering empty stage and allocation panels.
-    let report = |telemetry: &str| {
-        paracrash(&[
-            "report",
-            "--events",
-            &path("events.jsonl"),
-            "--telemetry",
-            telemetry,
-            "--profile",
-            &path("run.folded"),
-            "--out",
-            &path("report.html"),
-        ])
-    };
-    let ok = report(&path("telemetry.json"));
-    assert!(ok.status.success(), "{ok:?}");
-    let html = std::fs::read_to_string(path("report.html")).unwrap();
-    for metric in ["stage-breakdown", "flame-table", "alloc-table"] {
-        assert!(
-            html.contains(&format!("data-metric=\"{metric}\"")),
-            "{metric}"
-        );
-    }
     std::fs::write(path("plain.json"), "{\"schema_version\":2,\"spans\":[]}\n").unwrap();
-    let bad = report(&path("plain.json"));
+    let bad = report(&[good[0].clone(), path("plain.json"), good[2].clone()]);
     assert_eq!(bad.status.code(), Some(1), "{bad:?}");
     let err = String::from_utf8_lossy(&bad.stderr);
     assert!(err.contains("no traceEvents"), "{err}");

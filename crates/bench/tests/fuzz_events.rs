@@ -8,10 +8,8 @@
 //! serialize on a lock and restore the disabled default.
 
 use paracrash::dashboard::render_dashboard;
-use paracrash::telemetry::{canonical_event_lines, parse_event_stream};
 use pc_bench::campaign::{run_campaign, FuzzOptions, SNAPSHOT_EVERY};
-use pc_rt::json::Json;
-use pc_rt::obs::stream;
+use pc_rt::obs::stream::{self, read_stream, Event, EventKind};
 use std::sync::Mutex;
 use workloads::FsKind;
 
@@ -63,8 +61,12 @@ fn streamed_campaign_reports_identically_and_projects_deterministically() {
 
     // The raw streams differ (timestamps, seqs); the canonical
     // projection must not.
-    let canon_a = canonical_event_lines(&stream_a).expect("stream a projects");
-    let canon_b = canonical_event_lines(&stream_b).expect("stream b projects");
+    let canon_a = read_stream(&stream_a)
+        .expect("stream a reads")
+        .canonical_lines();
+    let canon_b = read_stream(&stream_b)
+        .expect("stream b reads")
+        .canonical_lines();
     assert!(!canon_a.is_empty(), "campaign produced finding/cell events");
     assert_eq!(
         canon_a, canon_b,
@@ -72,10 +74,9 @@ fn streamed_campaign_reports_identically_and_projects_deterministically() {
     );
 }
 
-/// The events of `kind` in a parsed stream.
-fn of_kind<'a>(events: &'a [Json], kind: &str) -> Vec<&'a Json> {
-    let is_kind = |e: &&Json| e.get("kind").and_then(Json::as_str) == Some(kind);
-    events.iter().filter(is_kind).collect()
+/// The events of `kind` in a stream.
+fn of_kind(events: &[Event], kind: EventKind) -> Vec<&Event> {
+    events.iter().filter(|e| e.kind == kind).collect()
 }
 
 #[test]
@@ -83,11 +84,11 @@ fn stream_carries_one_cell_event_per_campaign_cell() {
     let _guard = TEST_LOCK.lock().unwrap();
     let dir = std::env::temp_dir();
     let (report, text) = run_streamed(&dir.join("pc-fuzz-events-cells.jsonl"));
-    let stream = parse_event_stream(&text).expect("stream re-parses");
+    let stream = read_stream(&text).expect("stream reads back");
     let events = &stream.events;
     let opts = small_opts();
     let expected_cells = 8 * opts.file_systems.len() * opts.modes.len();
-    let cells = of_kind(events, "cell");
+    let cells = of_kind(events, EventKind::Cell);
     assert_eq!(
         cells.len(),
         expected_cells,
@@ -95,10 +96,7 @@ fn stream_carries_one_cell_event_per_campaign_cell() {
     );
     // Every cell event carries a nonzero causal trace id, and ids are
     // distinct across cells (one flow per check).
-    let mut ids: Vec<u64> = cells
-        .iter()
-        .map(|e| e.get("trace_id").and_then(Json::as_int).unwrap())
-        .collect();
+    let mut ids: Vec<u64> = cells.iter().map(|e| e.trace_id).collect();
     assert!(ids.iter().all(|&id| id > 0), "cells must be trace-tagged");
     ids.sort_unstable();
     ids.dedup();
@@ -110,9 +108,13 @@ fn stream_carries_one_cell_event_per_campaign_cell() {
         let (_, rest) = l.split_once("findings=")?;
         rest.split_whitespace().next()?.parse::<usize>().ok()
     });
-    assert_eq!(Some(of_kind(events, "finding").len()), findings, "{report}");
+    assert_eq!(
+        Some(of_kind(events, EventKind::Finding).len()),
+        findings,
+        "{report}"
+    );
     let snapshots = expected_cells.div_ceil(SNAPSHOT_EVERY);
-    assert_eq!(of_kind(events, "snapshot").len(), snapshots);
+    assert_eq!(of_kind(events, EventKind::Snapshot).len(), snapshots);
     assert_eq!(
         events.len(),
         expected_cells + findings.unwrap() + snapshots,
@@ -129,13 +131,9 @@ fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
     let _guard = TEST_LOCK.lock().unwrap();
     let dir = std::env::temp_dir();
     let (_, clean) = run_streamed(&dir.join("pc-fuzz-events-clean.jsonl"));
-    let events = parse_event_stream(&clean).unwrap().events;
-    let victim = of_kind(&events, "cell")[0]
-        .get("name")
-        .and_then(Json::as_str)
-        .unwrap()
-        .to_string();
-    let clean_html = render_dashboard(&clean, None, None).unwrap();
+    let events = read_stream(&clean).unwrap().events;
+    let victim = of_kind(&events, EventKind::Cell)[0].name.clone();
+    let clean_html = render_dashboard(&events, None, None);
     assert!(!clean_html.contains("campaign-robustness"));
 
     std::env::set_var(pc_rt::env::CAMPAIGN_POISON, &victim);
@@ -143,16 +141,23 @@ fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
     std::env::remove_var(pc_rt::env::CAMPAIGN_POISON);
     assert!(report.contains(&format!("quarantined: panicked: injected poison: {victim}")));
 
-    let events = parse_event_stream(&poisoned).unwrap().events;
-    let last = of_kind(&events, "snapshot")
+    // The caught panic wrote no line of its own: the stream closed with
+    // every event counted.
+    let stream = read_stream(&poisoned).unwrap();
+    let events = stream.events;
+    assert_eq!(stream.published, Some(events.len() as u64));
+    let last = of_kind(&events, EventKind::Snapshot)
         .pop()
         .expect("a closing snapshot");
-    let detail = last.get("detail").and_then(Json::as_str).unwrap();
-    assert!(detail.ends_with("resumed=0 quarantined=1"), "{detail}");
-    let html = render_dashboard(&poisoned, None, None).unwrap();
+    assert!(
+        last.detail.ends_with("resumed=0 quarantined=1"),
+        "{}",
+        last.detail
+    );
+    let html = render_dashboard(&events, None, None);
     assert!(html.contains("data-metric=\"quarantined\"><div class=\"tile-value\">1<"));
     assert!(html.contains("data-metric=\"resumed-cells\"><div class=\"tile-value\">0<"));
     assert!(!html.contains("retries"));
     // The quarantined cell publishes no `cell` event; the others do.
-    assert_eq!(of_kind(&events, "cell").len(), 7);
+    assert_eq!(of_kind(&events, EventKind::Cell).len(), 7);
 }

@@ -1,13 +1,14 @@
 //! `paracrash report` — a self-contained HTML dashboard for a campaign.
 //!
 //! The renderer is the read side of the observability plane: it takes
-//! the artifacts a run leaves behind — a `--events-out` JSON-lines
-//! stream, an optional `--telemetry-out` snapshot, an optional
-//! `--profile-out` profile — parses them with the vendored
-//! `pc_rt::json` reader (zero dependencies, like everything else in the
-//! workspace), and emits **one** HTML file with inline CSS and inline
-//! SVG: no scripts, no external fonts, no network. Open it from disk,
-//! attach it to a bug report, archive it next to the corpus.
+//! what a run leaves behind — the events of a `--events-out` stream, an
+//! optional `--telemetry-out` trace, an optional `--profile-out` profile,
+//! each already read by the module that writes it
+//! (`pc_rt::obs::stream::read_stream`, [`crate::telemetry::read_trace`],
+//! `pc_rt::obs::prof::parse_folded`) — and emits **one** HTML file with
+//! inline CSS and inline SVG: no scripts, no external fonts, no network.
+//! Open it from disk, attach it to a bug report, archive it next to the
+//! corpus.
 //!
 //! Sections, in reading order:
 //!
@@ -18,29 +19,29 @@
 //!   picture both Pathfinder-style dedup and B3-style bounded fuzzing
 //!   steer by), with a plain-table fallback view;
 //! * **stage-time breakdown** — total wall time per telemetry span
-//!   name, from the `--telemetry` snapshot (the stream carries no
-//!   spans; without a snapshot the section says so);
+//!   name, from the `--telemetry` trace (the stream carries no spans;
+//!   without a trace the section says so);
 //! * **finding heatmap** — findings per file system × journal mode, a
 //!   table shaded on a single-hue sequential ramp;
 //! * **flame view** — a no-script SVG icicle of a `--profile-out`
 //!   `.folded` profile (exact self time by span stack) over its sorted
 //!   stack table;
 //! * **allocation attribution** — per-span alloc count / bytes / peak
-//!   tiles and table from the counting allocator, when the telemetry
-//!   snapshot's `otherData` carries an `alloc` object.
+//!   tiles and table from the counting allocator, when the trace
+//!   recorded any allocation.
 //!
-//! Every metric element carries a `data-metric` attribute;
-//! `selftest events --html` lints the rendered file for the full set
-//! plus a non-empty SVG, so a dashboard that silently lost a section
-//! fails CI.
+//! Every metric element carries a `data-metric` attribute; the
+//! observability verify gate requires the full set in a rendered sweep
+//! report, so a dashboard that silently lost a section fails CI.
 
-use pc_rt::json::Json;
+use crate::telemetry::Trace;
+use pc_rt::obs::prof::fmt_bytes;
+use pc_rt::obs::stream::{Event, EventKind};
 use pc_rt::obs::{fmt_ns, span_totals, SpanTotal};
 
-use crate::telemetry::{parse_event_stream, trace_other, trace_spans};
-
-/// One parsed `cell` event: the campaign's per-cell fold state.
-struct CellPoint {
+/// One `cell` event: the campaign's per-cell fold state.
+struct CellPoint<'a> {
+    name: &'a str,
     behaviors: u64,
     findings: u64,
     wall_ns: u64,
@@ -82,78 +83,66 @@ fn render_tiles(b: &mut String, tag: &str, tiles: &[(&str, &str, String)]) {
     b.push_str(&format!("</{tag}>\n"));
 }
 
-/// Render the dashboard. `events_text` is the raw `--events-out`
-/// JSON-lines stream (validated here; a bad stream is an error, not an
-/// empty chart). `telemetry` is a parsed `--telemetry-out` trace-event
-/// file, if one exists (one without `traceEvents` is an error too, not
-/// an empty panel). `profile` is the text of a `--profile-out` `.folded`
-/// file for the flame view (a malformed profile is an error, matching
-/// the stream).
+/// Render the dashboard of a run: the `events` of its stream, its
+/// telemetry `trace` if there is one (stage bars, allocation panel), and
+/// its `profile` rows if there are (flame view).
 pub fn render_dashboard(
-    events_text: &str,
-    telemetry: Option<&Json>,
-    profile: Option<&str>,
-) -> Result<String, String> {
-    let stream = parse_event_stream(events_text)?;
-    let events = &stream.events;
-
-    // -- Aggregate the stream -------------------------------------------------
-    let mut cells: Vec<(String, CellPoint)> = Vec::new();
-    let mut heat: Vec<(String, String, u64)> = Vec::new(); // fs, journal, findings
-    let mut first_ts = u64::MAX;
-    let mut last_ts = 0u64;
+    events: &[Event],
+    trace: Option<&Trace>,
+    profile: Option<&[(Vec<String>, u64)]>,
+) -> String {
+    let mut cells: Vec<CellPoint> = Vec::new();
+    let mut heat: Vec<(&str, &str, u64)> = Vec::new(); // fs, journal, findings
     for e in events {
-        let kind = e.get("kind").and_then(Json::as_str).unwrap_or("");
-        let name = e.get("name").and_then(Json::as_str).unwrap_or("");
-        let detail = e.get("detail").and_then(Json::as_str).unwrap_or("");
-        let value = e.get("value").and_then(Json::as_int).unwrap_or(0);
-        let ts = e.get("ts_ns").and_then(Json::as_int).unwrap_or(0);
-        first_ts = first_ts.min(ts);
-        last_ts = last_ts.max(ts);
-        match kind {
-            "cell" => cells.push((
-                name.to_string(),
-                CellPoint {
-                    behaviors: detail_field(detail, "behaviors").unwrap_or(0),
-                    findings: detail_field(detail, "findings").unwrap_or(0),
-                    wall_ns: value,
-                },
-            )),
-            "finding" => {
-                let (fs, journal) = name.split_once('/').unwrap_or((name, "?"));
-                match heat.iter_mut().find(|(f, j, _)| f == fs && j == journal) {
+        match e.kind {
+            EventKind::Cell => cells.push(CellPoint {
+                name: &e.name,
+                behaviors: detail_field(&e.detail, "behaviors").unwrap_or(0),
+                findings: detail_field(&e.detail, "findings").unwrap_or(0),
+                wall_ns: e.value,
+            }),
+            EventKind::Finding => {
+                let (fs, journal) = e.name.split_once('/').unwrap_or((&e.name, "?"));
+                match heat.iter_mut().find(|(f, j, _)| *f == fs && *j == journal) {
                     Some((_, _, n)) => *n += 1,
-                    None => heat.push((fs.to_string(), journal.to_string(), 1)),
+                    None => heat.push((fs, journal, 1)),
                 }
             }
-            _ => {}
+            EventKind::Snapshot => {}
         }
     }
+    // A `cell` event is stamped when its cell ends, `value` ns after the
+    // cell began: the run's wall time starts with its first cell, which
+    // may have begun before the telemetry epoch its stamps count from.
+    let began = |e: &Event| match e.kind {
+        EventKind::Cell => i128::from(e.ts_ns) - i128::from(e.value),
+        _ => i128::from(e.ts_ns),
+    };
+    let start = events.iter().map(began).min();
+    let end = events.iter().map(|e| i128::from(e.ts_ns)).max();
+    let wall_ns = end
+        .zip(start)
+        .map_or(0, |(end, start)| (end - start) as u64);
 
     // Stage times come from the exit snapshot: it holds every span.
-    let mut stages = match telemetry {
-        Some(doc) => span_totals(trace_spans(doc).map_err(|e| format!("telemetry: {e}"))?),
-        None => Vec::new(),
-    };
+    let mut stages = trace.map_or(Vec::new(), |t| {
+        span_totals(
+            t.spans
+                .iter()
+                .map(|(name, dur_ns)| (name.as_str(), *dur_ns)),
+        )
+    });
     stages.truncate(12);
-    let dropped_spans = telemetry
-        .and_then(|doc| trace_other(doc, "dropped_spans"))
-        .and_then(Json::as_int)
-        .unwrap_or(0);
 
     let n_cells = cells.len();
-    let behaviors = cells.last().map_or(0, |(_, c)| c.behaviors);
-    let findings = cells.last().map_or(0, |(_, c)| c.findings);
+    let behaviors = cells.last().map_or(0, |c| c.behaviors);
+    let findings = cells.last().map_or(0, |c| c.findings);
     // The driver's last snapshot carries what only it knows: Good–Turing
     // saturation over the whole corpus and the robustness totals.
-    let last_snapshot = events
-        .iter()
-        .rev()
-        .find(|e| e.get("kind").and_then(Json::as_str) == Some("snapshot"))
-        .and_then(|e| e.get("detail").and_then(Json::as_str))
-        .unwrap_or("");
+    let last_snapshot = (events.iter().rev())
+        .find(|e| e.kind == EventKind::Snapshot)
+        .map_or("", |e| e.detail.as_str());
     let saturation = detail_field(last_snapshot, "saturation_pct");
-    let wall_ns = last_ts.saturating_sub(if first_ts == u64::MAX { 0 } else { first_ts });
     let throughput = if wall_ns > 0 && n_cells > 0 {
         n_cells as f64 / (wall_ns as f64 / 1e9)
     } else {
@@ -189,15 +178,17 @@ pub fn render_dashboard(
 
     render_campaign_robustness(&mut b, last_snapshot);
     render_coverage_curve(&mut b, &cells);
-    render_stage_breakdown(&mut b, &stages, dropped_spans);
+    render_stage_breakdown(&mut b, &stages, trace.map_or(0, |t| t.dropped_spans));
     render_heatmap(&mut b, &heat);
-    if let Some(folded) = profile {
-        render_flame(&mut b, folded)?;
+    if let Some(rows) = profile {
+        render_flame(&mut b, rows);
     }
-    render_alloc(&mut b, telemetry);
+    if let Some(trace) = trace.filter(|t| t.alloc_total.count > 0) {
+        render_alloc(&mut b, trace);
+    }
 
     b.push_str("</main>\n</body>\n</html>\n");
-    Ok(b)
+    b
 }
 
 /// Campaign robustness tiles — cells recovered from the durable log,
@@ -228,7 +219,7 @@ fn render_campaign_robustness(b: &mut String, snapshot_detail: &str) {
 
 /// Coverage curve: behavior classes (series 1) and findings (series 2)
 /// against cells checked, plus the table fallback view.
-fn render_coverage_curve(b: &mut String, cells: &[(String, CellPoint)]) {
+fn render_coverage_curve(b: &mut String, cells: &[CellPoint]) {
     b.push_str("<section data-metric=\"coverage-curve\">\n<h2>Coverage curve</h2>\n");
     if cells.is_empty() {
         b.push_str("<p class=\"sub\">no cell events in the stream</p>\n</section>\n");
@@ -242,7 +233,7 @@ fn render_coverage_curve(b: &mut String, cells: &[(String, CellPoint)]) {
     let n = cells.len();
     let ymax = cells
         .iter()
-        .map(|(_, c)| c.behaviors.max(c.findings))
+        .map(|c| c.behaviors.max(c.findings))
         .max()
         .unwrap_or(1)
         .max(1);
@@ -252,7 +243,7 @@ fn render_coverage_curve(b: &mut String, cells: &[(String, CellPoint)]) {
         cells
             .iter()
             .enumerate()
-            .map(|(i, (_, c))| format!("{:.1},{:.1}", x(i), y(f(c))))
+            .map(|(i, c)| format!("{:.1},{:.1}", x(i), y(f(c))))
             .collect::<Vec<_>>()
             .join(" ")
     };
@@ -295,7 +286,7 @@ fn render_coverage_curve(b: &mut String, cells: &[(String, CellPoint)]) {
         poly(&|c| c.findings)
     ));
     // Direct labels at the line ends (identity never rides color alone).
-    let last = &cells[n - 1].1;
+    let last = &cells[n - 1];
     b.push_str(&format!(
         "<text class=\"lbl s1t\" x=\"{:.1}\" y=\"{:.1}\">behaviors {}</text>\n",
         x(n - 1) - 4.0,
@@ -320,14 +311,14 @@ fn render_coverage_curve(b: &mut String, cells: &[(String, CellPoint)]) {
         <tr><th>#</th><th>cell</th><th>behaviors</th><th>findings</th><th>wall</th></tr>\n",
     );
     let step = (n / 200).max(1);
-    for (i, (name, c)) in cells.iter().enumerate() {
+    for (i, c) in cells.iter().enumerate() {
         if i % step != 0 && i != n - 1 {
             continue;
         }
         b.push_str(&format!(
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
             i + 1,
-            html_escape(name),
+            html_escape(c.name),
             c.behaviors,
             c.findings,
             fmt_ns(c.wall_ns as f64),
@@ -386,7 +377,7 @@ fn render_stage_breakdown(b: &mut String, stages: &[SpanTotal<&str>], dropped_sp
 }
 
 /// Finding heatmap: file system × journal mode, shaded table.
-fn render_heatmap(b: &mut String, heat: &[(String, String, u64)]) {
+fn render_heatmap(b: &mut String, heat: &[(&str, &str, u64)]) {
     b.push_str(
         "<section data-metric=\"heatmap\">\n<h2>Findings by file system × journal mode</h2>\n",
     );
@@ -394,10 +385,10 @@ fn render_heatmap(b: &mut String, heat: &[(String, String, u64)]) {
         b.push_str("<p class=\"sub\">no findings in this run</p>\n</section>\n");
         return;
     }
-    let mut fss: Vec<&str> = heat.iter().map(|(f, ..)| f.as_str()).collect();
+    let mut fss: Vec<&str> = heat.iter().map(|&(f, ..)| f).collect();
     fss.sort();
     fss.dedup();
-    let mut modes: Vec<&str> = heat.iter().map(|(_, j, _)| j.as_str()).collect();
+    let mut modes: Vec<&str> = heat.iter().map(|&(_, j, _)| j).collect();
     modes.sort();
     modes.dedup();
     let max = heat.iter().map(|&(.., n)| n).max().unwrap_or(1).max(1);
@@ -468,15 +459,15 @@ impl FlameNode {
     }
 }
 
-/// Flame view of a `--profile-out` `.folded` profile: a no-script SVG
-/// icicle (root at the top, children sorted by name so the layout is
-/// deterministic) over the sorted stack table, the copy-pasteable form.
-fn render_flame(b: &mut String, folded: &str) -> Result<(), String> {
-    let rows = pc_rt::obs::prof::parse_folded(folded)?;
+/// Flame view of the rows of a `--profile-out` `.folded` profile: a
+/// no-script SVG icicle (root at the top, children sorted by name so the
+/// layout is deterministic) over the sorted stack table, the
+/// copy-pasteable form.
+fn render_flame(b: &mut String, rows: &[(Vec<String>, u64)]) {
     b.push_str("<section data-metric=\"flame\">\n<h2>Span-stack profile (self time)</h2>\n");
     if rows.is_empty() {
         b.push_str("<p class=\"sub\">no stacks in the profile</p>\n</section>\n");
-        return Ok(());
+        return;
     }
     let total: u64 = rows.iter().map(|(_, c)| c).sum();
     let mut root = FlameNode {
@@ -484,7 +475,7 @@ fn render_flame(b: &mut String, folded: &str) -> Result<(), String> {
         count: total,
         children: Vec::new(),
     };
-    for (frames, count) in &rows {
+    for (frames, count) in rows {
         let mut node = &mut root;
         for f in frames {
             node = node.child(f);
@@ -548,70 +539,41 @@ fn render_flame(b: &mut String, folded: &str) -> Result<(), String> {
         ));
     }
     b.push_str("</table></details>\n</section>\n");
-    Ok(())
 }
 
-/// Allocation attribution from the telemetry file's `otherData.alloc`:
-/// total tiles plus a per-span table, bytes-descending. Omitted
-/// entirely (like campaign robustness) when the snapshot is absent or
-/// accounting never recorded anything.
-fn render_alloc(b: &mut String, telemetry: Option<&Json>) {
-    let Some(alloc) = telemetry.and_then(|doc| trace_other(doc, "alloc")) else {
-        return;
-    };
-    let stat = |j: &Json, k: &str| j.get(k).and_then(Json::as_int).unwrap_or(0);
-    let Some(total) = alloc.get("total") else {
-        return;
-    };
-    if stat(total, "count") == 0 {
-        return;
-    }
-    let fmt_b = |v: u64| pc_rt::obs::prof::fmt_bytes(v as f64);
+/// Allocation attribution from the trace: total tiles plus a per-span
+/// table, bytes-descending. The caller omits it (like campaign
+/// robustness) when accounting never recorded anything.
+fn render_alloc(b: &mut String, trace: &Trace) {
+    let total = &trace.alloc_total;
+    let fmt_b = |v: u64| fmt_bytes(v as f64);
     b.push_str("<section data-metric=\"alloc\">\n<h2>Allocation attribution</h2>\n");
     render_tiles(
         b,
         "div",
         &[
-            (
-                "alloc-count",
-                "allocations",
-                stat(total, "count").to_string(),
-            ),
-            (
-                "alloc-bytes",
-                "bytes allocated",
-                fmt_b(stat(total, "bytes")),
-            ),
-            (
-                "alloc-peak",
-                "peak live bytes",
-                fmt_b(stat(total, "peak_bytes")),
-            ),
+            ("alloc-count", "allocations", total.count.to_string()),
+            ("alloc-bytes", "bytes allocated", fmt_b(total.bytes)),
+            ("alloc-peak", "peak live bytes", fmt_b(total.peak_bytes)),
         ],
     );
-    if let Some(Json::Obj(spans)) = alloc.get("spans") {
-        if !spans.is_empty() {
-            let mut rows: Vec<(&String, &Json)> = spans.iter().map(|(k, v)| (k, v)).collect();
-            rows.sort_by(|a, b| {
-                stat(b.1, "bytes")
-                    .cmp(&stat(a.1, "bytes"))
-                    .then(a.0.cmp(b.0))
-            });
-            b.push_str(
-                "<table data-metric=\"alloc-table\">\
-                 <tr><th>span</th><th>count</th><th>bytes</th><th>peak</th></tr>\n",
-            );
-            for (name, s) in rows.iter().take(16) {
-                b.push_str(&format!(
-                    "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-                    html_escape(name),
-                    stat(s, "count"),
-                    fmt_b(stat(s, "bytes")),
-                    fmt_b(stat(s, "peak_bytes")),
-                ));
-            }
-            b.push_str("</table>\n");
+    if !trace.allocs.is_empty() {
+        let mut rows: Vec<_> = trace.allocs.iter().collect();
+        rows.sort_by(|a, b| b.1.bytes.cmp(&a.1.bytes).then(a.0.cmp(&b.0)));
+        b.push_str(
+            "<table data-metric=\"alloc-table\">\
+             <tr><th>span</th><th>count</th><th>bytes</th><th>peak</th></tr>\n",
+        );
+        for (name, s) in rows.iter().take(16) {
+            b.push_str(&format!(
+                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
+                html_escape(name),
+                s.count,
+                fmt_b(s.bytes),
+                fmt_b(s.peak_bytes),
+            ));
         }
+        b.push_str("</table>\n");
     }
     b.push_str("</section>\n");
 }
@@ -726,175 +688,193 @@ summary { color: var(--text-secondary); cursor: pointer; }
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{chrome_trace, read_trace};
+    use pc_rt::obs::prof::{parse_folded, render_folded};
+    use pc_rt::obs::{AllocStat, SpanRec, TelemetrySnapshot};
+    use EventKind::{Cell, Finding, Snapshot};
 
-    fn stream() -> String {
-        let mut s = String::from("{\"schema_version\":2,\"stream\":\"paracrash-events\"}\n");
-        for i in 0..6u64 {
-            s.push_str(&format!(
-                "{{\"seq\":{},\"ts_ns\":{},\"kind\":\"cell\",\"name\":\"wl{}@OrangeFS/ordered\",\"value\":1500,\"detail\":\"behaviors={} findings={} buggy=0\",\"trace_id\":{}}}\n",
-                i * 3,
-                1000 + i * 500,
-                i,
-                i + 1,
-                i / 2,
-                i + 1,
-            ));
+    fn event(seq: u64, ts_ns: u64, kind: EventKind, name: &str, value: u64, detail: &str) -> Event {
+        let (name, detail) = (name.to_string(), detail.to_string());
+        let trace_id = seq;
+        Event {
+            seq,
+            ts_ns,
+            kind,
+            name,
+            value,
+            detail,
+            trace_id,
         }
-        s.push_str(
-            "{\"seq\":100,\"ts_ns\":9000,\"kind\":\"finding\",\"name\":\"BeeGFS/writeback\",\"value\":1,\"detail\":\"sig [Pfs]\",\"trace_id\":7}\n",
-        );
-        s.push_str(
-            "{\"seq\":102,\"ts_ns\":9200,\"kind\":\"snapshot\",\"name\":\"campaign\",\"value\":6,\"detail\":\"cells=6 saturation_pct=66 resumed=0 quarantined=0\",\"trace_id\":0}\n",
-        );
-        s
     }
 
-    /// A `--telemetry-out` file holding `spans` (`(name, dur_ns)`) and
-    /// the given `otherData` members.
-    fn telemetry(spans: &[(&str, u64)], other: &str) -> Json {
-        let events: Vec<String> = spans
-            .iter()
-            .map(|(name, dur_ns)| {
-                format!("{{\"name\":\"{name}\",\"args\":{{\"dur_ns\":{dur_ns}}}}}")
-            })
-            .collect();
-        Json::parse(&format!(
-            "{{\"schema_version\":2,\"traceEvents\":[{}],\"otherData\":{{{other}}}}}",
-            events.join(",")
-        ))
-        .unwrap()
+    /// Six cells, a finding, and the closing campaign snapshot.
+    fn events() -> Vec<Event> {
+        let cell = |i: u64| {
+            let detail = format!("behaviors={} findings={} buggy=0", i + 1, i / 2);
+            let name = format!("wl{i}@OrangeFS/ordered");
+            event(i * 3, 1000 + i * 500, Cell, &name, 1500, &detail)
+        };
+        let mut events: Vec<Event> = (0..6).map(cell).collect();
+        events.push(event(100, 9000, Finding, "BeeGFS/writeback", 1, "sig"));
+        let totals = "cells=6 saturation_pct=66 resumed=0 quarantined=0";
+        events.push(event(102, 9200, Snapshot, "campaign", 6, totals));
+        events
+    }
+
+    /// A run's registry: two `check_stack` spans, one span's allocations,
+    /// three self-time stacks.
+    fn snapshot() -> TelemetrySnapshot {
+        let span = |dur_ns| SpanRec {
+            name: "check_stack",
+            cat: "check",
+            tid: 1,
+            depth: 0,
+            start_ns: 0,
+            dur_ns,
+            trace_id: 0,
+        };
+        let (count, bytes, peak_bytes) = (12, 4096, 2048);
+        let stat = AllocStat {
+            count,
+            bytes,
+            peak_bytes,
+        };
+        TelemetrySnapshot {
+            spans: vec![span(5000), span(1000)],
+            allocs: vec![("check.enumerate".into(), stat)],
+            alloc_total: stat,
+            self_times: vec![
+                (vec!["cli.run", "snapshot.materialize"], 6000),
+                (vec!["cli.run", "recover/BeeGFS"], 3000),
+                (vec!["cli.run"], 1000),
+            ],
+            ..Default::default()
+        }
+    }
+
+    /// What `report` reads from the trace and the profile a run with
+    /// this registry writes.
+    fn files(snap: &TelemetrySnapshot) -> (Trace, Vec<(Vec<String>, u64)>) {
+        let trace = read_trace(&chrome_trace(snap).pretty()).unwrap();
+        (trace, parse_folded(&render_folded(snap)).unwrap())
+    }
+
+    /// `html` carries each whitespace-separated `data-metric` of `metrics`.
+    fn has_metrics(html: &str, metrics: &str) -> bool {
+        (metrics.split_whitespace()).all(|m| html.contains(&format!("data-metric=\"{m}\"")))
     }
 
     #[test]
-    fn dashboard_renders_all_sections() {
-        let html = render_dashboard(&stream(), None, None).unwrap();
-        for metric in [
-            "cells",
-            "findings",
-            "behaviors",
-            "saturation",
-            "throughput",
-            "coverage-curve",
-            "stage-breakdown",
-            "heatmap",
-        ] {
-            assert!(
-                html.contains(&format!("data-metric=\"{metric}\"")),
-                "missing {metric}"
-            );
-        }
-        assert!(html.contains("<svg"));
-        assert!(html.contains("polyline"));
-        assert!(html.contains("66%"));
-        assert!(html.contains("BeeGFS"));
+    fn dashboard_renders_all_sections_and_escapes_names() {
+        let mut evs = events();
+        evs[0].name = "a<b>&\"c@OrangeFS/ordered".into();
+        let html = render_dashboard(&evs, None, None);
+        let metrics = "cells findings behaviors saturation throughput heatmap";
+        assert!(
+            has_metrics(&html, metrics) && has_metrics(&html, "coverage-curve stage-breakdown")
+        );
+        assert!(html.contains("<svg") && html.contains("polyline"));
+        assert!(html.contains("66%") && html.contains("BeeGFS"));
+        assert!(html.contains("a&lt;b&gt;&amp;&quot;c@") && !html.contains("a<b>&\"c@"));
         // Self-contained: no scripts, no external references.
         assert!(!html.contains("<script"));
         assert!(!html.contains("http://") && !html.contains("https://"));
     }
 
+    /// A cell event is stamped when its cell ends: the wall time starts
+    /// `value` earlier — before the telemetry epoch, when the cell's own
+    /// first span started the clock — so a one-cell sweep is not the
+    /// 9.12 µs between its finding and its cell event.
+    #[test]
+    fn wall_time_and_throughput_count_the_first_cell() {
+        let one = [
+            event(0, 1_000_000, Finding, "BeeGFS/data", 1, "sig [Pfs]"),
+            event(1, 1_009_120, Cell, "wl@BeeGFS/data", 1_540_000, ""),
+        ];
+        let html = render_dashboard(&one, None, None);
+        assert!(html.contains("2 events · wall 1.54 ms"), "{html}");
+        assert!(html.contains("<div class=\"tile-value\">649.4</div>"));
+        // Six 1.5 µs cells, the first begun at 500 ns before the epoch.
+        let html = render_dashboard(&events(), None, None);
+        assert!(html.contains("8 events · wall 9.70 µs"), "{html}");
+    }
+
     #[test]
     fn robustness_totals_of_the_last_snapshot_render_their_own_tiles() {
         // An uneventful sweep: no campaign section at all.
-        let html = render_dashboard(&stream(), None, None).unwrap();
+        let html = render_dashboard(&events(), None, None);
         assert!(!html.contains("campaign-robustness"));
         // The last snapshot's totals are the tiles (not a sum over
         // snapshots: each one carries the running total).
-        let s = stream().replace("resumed=0 quarantined=0", "resumed=4 quarantined=1")
-            + "{\"seq\":103,\"ts_ns\":9300,\"kind\":\"snapshot\",\"name\":\"campaign\",\"value\":6,\"detail\":\"cells=6 saturation_pct=66 resumed=5 quarantined=2\",\"trace_id\":0}\n";
-        let html = render_dashboard(&s, None, None).unwrap();
-        assert!(html.contains("data-metric=\"campaign-robustness\""));
+        let mut evs = events();
+        evs.last_mut().unwrap().detail = "cells=6 resumed=4 quarantined=1".into();
+        evs.push(event(
+            103,
+            9300,
+            Snapshot,
+            "c",
+            6,
+            "resumed=5 quarantined=2",
+        ));
+        let html = render_dashboard(&evs, None, None);
+        assert!(has_metrics(&html, "campaign-robustness"));
         for (metric, value) in [("resumed-cells", 5), ("quarantined", 2)] {
-            assert!(
-                html.contains(&format!(
-                    "data-metric=\"{metric}\"><div class=\"tile-value\">{value}<"
-                )),
-                "{metric}"
-            );
+            let tile = format!("data-metric=\"{metric}\"><div class=\"tile-value\">{value}<");
+            assert!(html.contains(&tile), "{metric}");
         }
     }
 
     #[test]
-    fn dashboard_rejects_bad_stream_and_escapes_names() {
-        assert!(render_dashboard("{\"schema_version\":9}\n", None, None).is_err());
-        let s = stream().replace("wl0@", "a<b>&\\\"c@");
-        let html = render_dashboard(&s, None, None).unwrap();
-        assert!(html.contains("a&lt;b&gt;&amp;&quot;c@"));
-        assert!(!html.contains("a<b>&\"c@"));
-    }
-
-    #[test]
-    fn stage_bars_come_from_the_telemetry_file_or_say_there_is_none() {
-        let html = render_dashboard(&stream(), None, None).unwrap();
+    fn stage_bars_come_from_the_trace_or_say_there_is_none() {
+        let html = render_dashboard(&events(), None, None);
         assert!(html.contains("no span data"), "{html}");
-        let doc = telemetry(&[("check_stack", 5000), ("check_stack", 1000)], "");
-        let html = render_dashboard(&stream(), Some(&doc), None).unwrap();
+        let (trace, _) = files(&snapshot());
+        let html = render_dashboard(&events(), Some(&trace), None);
         assert!(html.contains("check_stack") && html.contains("2 calls"));
         assert!(!html.contains("no span data") && !html.contains("incomplete"));
         // Spans the registry counted but could not store are named.
-        let doc = telemetry(&[("check_stack", 5000)], "\"dropped_spans\":83");
-        let html = render_dashboard(&stream(), Some(&doc), None).unwrap();
+        let mut snap = snapshot();
+        snap.dropped_spans = 83;
+        let (trace, _) = files(&snap);
+        let html = render_dashboard(&events(), Some(&trace), None);
         assert!(html.contains("incomplete: 83 spans"), "{html}");
-        // Not a file this tool wrote: an error, not an empty panel.
-        for foreign in [
-            "{\"schema_version\":2,\"spans\":[]}",
-            "{\"schema_version\":1,\"traceEvents\":[]}",
-        ] {
-            let doc = Json::parse(foreign).unwrap();
-            let err = render_dashboard(&stream(), Some(&doc), None).unwrap_err();
-            assert!(err.starts_with("telemetry: "), "{err}");
-        }
     }
 
     #[test]
     fn flame_view_renders_self_time() {
         // Nested stacks: icicle SVG plus the table, weights in ns.
-        let folded =
-            "cli.run;snapshot.materialize 6000\ncli.run;recover/BeeGFS 3000\ncli.run 1000\n";
-        let html = render_dashboard(&stream(), None, Some(folded)).unwrap();
-        assert!(html.contains("data-metric=\"flame\""));
+        let (_, rows) = files(&snapshot());
+        let html = render_dashboard(&events(), None, Some(&rows));
+        assert!(has_metrics(&html, "flame flame-table"));
         assert!(html.contains("class=\"flame flame-d0\""), "{html}");
         assert!(html.contains("class=\"flame flame-d1\""));
-        assert!(html.contains("data-metric=\"flame-table\""));
         assert!(html.contains("snapshot.materialize"));
-        assert!(
-            html.contains("cli.run: 10.00 µs (100.0%)"),
-            "root weight sums children"
-        );
-        // Empty and absent profiles degrade gracefully; garbage errors.
-        let html = render_dashboard(&stream(), None, Some("")).unwrap();
+        let root = "cli.run: 10.00 µs (100.0%)";
+        assert!(html.contains(root), "root weight sums children");
+        // An empty profile says so; no profile, no section.
+        let html = render_dashboard(&events(), None, Some(&[]));
         assert!(html.contains("no stacks in the profile"));
-        let html = render_dashboard(&stream(), None, None).unwrap();
-        assert!(!html.contains("data-metric=\"flame\""));
-        assert!(render_dashboard(&stream(), None, Some("bad profile")).is_err());
+        let html = render_dashboard(&events(), None, None);
+        assert!(!has_metrics(&html, "flame"));
     }
 
     #[test]
-    fn alloc_tiles_render_from_snapshot_and_respect_dark_mode() {
-        let doc = telemetry(
-            &[],
-            "\"alloc\":{\"total\":{\"count\":52,\"bytes\":13096,\"peak_bytes\":7048},\"spans\":{\"check.enumerate\":{\"count\":12,\"bytes\":4096,\"peak_bytes\":2048}}}",
-        );
-        let html = render_dashboard(&stream(), Some(&doc), None).unwrap();
-        assert!(html.contains("data-metric=\"alloc\""));
-        for metric in ["alloc-count", "alloc-bytes", "alloc-peak", "alloc-table"] {
-            assert!(
-                html.contains(&format!("data-metric=\"{metric}\"")),
-                "{metric}"
-            );
-        }
+    fn alloc_tiles_render_from_the_trace_and_respect_dark_mode() {
+        let (trace, _) = files(&snapshot());
+        let html = render_dashboard(&events(), Some(&trace), None);
+        assert!(has_metrics(
+            &html,
+            "alloc alloc-count alloc-bytes alloc-peak alloc-table"
+        ));
         assert!(html.contains("check.enumerate"));
-        // No alloc object, or an empty one: no section.
-        let html = render_dashboard(&stream(), Some(&telemetry(&[], "")), None).unwrap();
-        assert!(!html.contains("data-metric=\"alloc\""));
-        let zero = telemetry(
-            &[],
-            "\"alloc\":{\"total\":{\"count\":0,\"bytes\":0,\"peak_bytes\":0},\"spans\":{}}",
-        );
-        let html = render_dashboard(&stream(), Some(&zero), None).unwrap();
-        assert!(!html.contains("data-metric=\"alloc\""));
+        // Accounting never recorded anything: no section.
+        let mut snap = snapshot();
+        (snap.allocs, snap.alloc_total) = (Vec::new(), AllocStat::default());
+        let (trace, _) = files(&snap);
+        let html = render_dashboard(&events(), Some(&trace), None);
+        assert!(!has_metrics(&html, "alloc"));
         // Dark-mode styling: the flame palette is defined in both the
         // light block and the dark block, like the heat ramp.
-        let html = render_dashboard(&stream(), None, None).unwrap();
         assert_eq!(html.matches("--flame-1:").count(), 2, "light + dark");
         assert_eq!(html.matches("--flame-4:").count(), 2);
         assert_eq!(html.matches("prefers-color-scheme: dark").count(), 1);

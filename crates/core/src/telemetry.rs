@@ -1,53 +1,44 @@
-//! Telemetry serialization: a `pc_rt::obs` snapshot as machine-readable
-//! JSON, and the read side of the `--events-out` stream.
+//! The `--telemetry-out` file: a `pc_rt::obs` snapshot as Chrome
+//! trace-event JSON ([`chrome_trace`]), and the one reader of such a file
+//! ([`read_trace`]).
 //!
-//! * [`chrome_trace`] — what `--telemetry-out` writes: the Chrome
-//!   trace-event format (the JSON Array Format with `traceEvents`),
-//!   loadable in Perfetto / `chrome://tracing` for a flamegraph-style
-//!   timeline of a full bug-finding run. Every span becomes a complete
-//!   (`"ph": "X"`) event with its exact nanoseconds under `args`;
-//!   counters, gauges, histogram summaries and allocation attribution
-//!   ride along under `otherData`. It serializes with the vendored
-//!   writer and round-trips through [`Json::parse`] — the `selftest
-//!   telemetry` gate in `scripts/verify.sh` relies on that — and carries
-//!   a top-level `schema_version`
-//!   ([`pc_rt::obs::stream::SCHEMA_VERSION`], shared with the events
-//!   stream); `selftest telemetry` and `paracrash report` reject any
-//!   other version instead of silently re-parsing an incompatible dump.
-//! * [`trace_spans`] / [`trace_other`] — the two accessors every reader
-//!   of such a file goes through.
-//! * [`parse_event_stream`] validates a `--events-out` JSON-lines
-//!   stream; [`canonical_event_lines`] projects it onto its
-//!   deterministic fields (kind/name/detail of `finding` and `cell`
-//!   events, sorted) so sequential and parallel campaign runs can be
-//!   diffed byte-for-byte.
+//! The format is the JSON Array Format with `traceEvents`, loadable in
+//! Perfetto / `chrome://tracing` for a flamegraph-style timeline of a full
+//! bug-finding run. Every span becomes a complete (`"ph": "X"`) event
+//! with its exact nanoseconds under `args`; counters, gauges and
+//! allocation attribution ride along under `otherData`. The file carries
+//! a top-level `schema_version` ([`SCHEMA_VERSION`], shared with the
+//! event stream), and [`read_trace`] rejects any other version instead of
+//! silently re-parsing an incompatible dump.
 
 use pc_rt::json::Json;
-use pc_rt::obs::stream::SCHEMA_VERSION;
-use pc_rt::obs::TelemetrySnapshot;
+use pc_rt::obs::stream::{check_version, SCHEMA_VERSION};
+use pc_rt::obs::{AllocStat, TelemetrySnapshot};
+
+const ALLOC_KEYS: [&str; 3] = ["count", "bytes", "peak_bytes"];
+
+fn alloc_stat_json(s: &AllocStat) -> Json {
+    let values = [s.count, s.bytes, s.peak_bytes];
+    Json::Obj(
+        ALLOC_KEYS
+            .iter()
+            .zip(values)
+            .map(|(k, v)| (k.to_string(), Json::Int(v)))
+            .collect(),
+    )
+}
 
 /// The `otherData.alloc` object: whole-process totals plus
 /// per-span attribution from the counting allocator (empty when
 /// accounting never ran).
 fn alloc_json(snap: &TelemetrySnapshot) -> Json {
-    let stat = |s: &pc_rt::obs::AllocStat| {
-        Json::Obj(vec![
-            ("count".into(), Json::Int(s.count)),
-            ("bytes".into(), Json::Int(s.bytes)),
-            ("peak_bytes".into(), Json::Int(s.peak_bytes)),
-        ])
-    };
+    let spans = snap
+        .allocs
+        .iter()
+        .map(|(k, s)| (k.clone(), alloc_stat_json(s)));
     Json::Obj(vec![
-        ("total".into(), stat(&snap.alloc_total)),
-        (
-            "spans".into(),
-            Json::Obj(
-                snap.allocs
-                    .iter()
-                    .map(|(k, s)| (k.clone(), stat(s)))
-                    .collect(),
-            ),
-        ),
+        ("total".into(), alloc_stat_json(&snap.alloc_total)),
+        ("spans".into(), Json::Obj(spans.collect())),
     ])
 }
 
@@ -99,142 +90,12 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> Json {
             Json::Obj(vec![
                 ("counters".into(), named_ints(&snap.counters)),
                 ("gauges".into(), named_ints(&snap.gauges)),
-                ("histograms".into(), hists(snap)),
                 ("dropped_spans".into(), Json::Int(snap.dropped_spans)),
                 ("ops".into(), Json::Int(snap.ops)),
                 ("alloc".into(), alloc_json(snap)),
             ]),
         ),
     ])
-}
-
-/// The spans of a parsed `--telemetry-out` file as `(name, dur_ns)`
-/// pairs. A document without `traceEvents`, or with a `schema_version`
-/// other than [`SCHEMA_VERSION`], is an error: it is not a file this
-/// tool wrote.
-pub fn trace_spans(doc: &Json) -> Result<impl Iterator<Item = (&str, u64)>, String> {
-    check_version(doc)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("no traceEvents array (not a --telemetry-out file)")?;
-    Ok(events.iter().map(|e| {
-        let dur_ns = e.get("args").and_then(|a| a.get("dur_ns"));
-        (
-            e.get("name").and_then(Json::as_str).unwrap_or(""),
-            dur_ns.and_then(Json::as_int).unwrap_or(0),
-        )
-    }))
-}
-
-/// The one version gate of both artifacts: `doc` (a telemetry file, a
-/// stream header) must carry this tool's [`SCHEMA_VERSION`].
-fn check_version(doc: &Json) -> Result<(), String> {
-    match doc.get("schema_version").and_then(Json::as_int) {
-        Some(v) if v == SCHEMA_VERSION => Ok(()),
-        Some(v) => Err(format!(
-            "unknown schema_version {v} (expected {SCHEMA_VERSION})"
-        )),
-        None => Err("missing schema_version".into()),
-    }
-}
-
-/// Field `key` of a parsed `--telemetry-out` file's `otherData`.
-pub fn trace_other<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    doc.get("otherData").and_then(|o| o.get(key))
-}
-
-/// A validated `--events-out` stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventStream {
-    /// The event objects, in stream order.
-    pub events: Vec<Json>,
-    /// The event count from the trailer [`pc_rt::obs::stream::close`]
-    /// writes. `None` for a stream that was never closed (a crash dump).
-    pub published: Option<u64>,
-}
-
-/// Parse and validate a `--events-out` JSON-lines stream.
-///
-/// The first line must be the stream header carrying a known
-/// `schema_version`; event lines must have the full field set with a
-/// strictly increasing `seq` and a known `kind`; meta lines (the
-/// trailer, the panic marker) are allowed after the header.
-pub fn parse_event_stream(text: &str) -> Result<EventStream, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines.next().ok_or("empty event stream")?;
-    let header = Json::parse(header).map_err(|e| format!("header: {e}"))?;
-    check_version(&header).map_err(|e| format!("header: {e}"))?;
-    let mut events = Vec::new();
-    let mut published = None;
-    let mut last_seq: Option<u64> = None;
-    for (i, line) in lines.enumerate() {
-        let obj = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
-        if obj.get("schema_version").is_some() && obj.get("kind").is_none() {
-            // Meta line: the trailer, or the panic marker (no total).
-            published = obj.get("published").and_then(Json::as_int).or(published);
-            continue;
-        }
-        let seq = obj
-            .get("seq")
-            .and_then(Json::as_int)
-            .ok_or_else(|| format!("line {}: missing seq", i + 2))?;
-        if let Some(prev) = last_seq {
-            if seq <= prev {
-                return Err(format!("line {}: seq {seq} not above {prev}", i + 2));
-            }
-        }
-        last_seq = Some(seq);
-        let kind = obj
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing kind", i + 2))?;
-        if pc_rt::obs::stream::EventKind::parse(kind).is_none() {
-            return Err(format!("line {}: unknown kind {kind:?}", i + 2));
-        }
-        for key in ["ts_ns", "value", "trace_id"] {
-            if obj.get(key).and_then(Json::as_int).is_none() {
-                return Err(format!("line {}: missing {key}", i + 2));
-            }
-        }
-        for key in ["name", "detail"] {
-            if obj.get(key).and_then(Json::as_str).is_none() {
-                return Err(format!("line {}: missing {key}", i + 2));
-            }
-        }
-        events.push(obj);
-    }
-    Ok(EventStream { events, published })
-}
-
-/// Project an event stream onto its deterministic content for seq ≡ par
-/// comparison: keep `finding` and `cell` events (whose name/detail are
-/// pure functions of the campaign's deterministic fold), drop the
-/// wall-clock noise (timestamps, durations, sequence numbers) and the
-/// periodic snapshots, and sort. Two campaign runs of the same
-/// matrix — sequential or parallel, any `PC_THREADS` — must produce
-/// identical projections; the observability verify gate diffs them.
-pub fn canonical_event_lines(text: &str) -> Result<Vec<String>, String> {
-    let mut out: Vec<String> = parse_event_stream(text)?
-        .events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.get("kind").and_then(Json::as_str),
-                Some("finding") | Some("cell")
-            )
-        })
-        .map(|e| {
-            format!(
-                "{} {} :: {}",
-                e.get("kind").and_then(Json::as_str).unwrap_or(""),
-                e.get("name").and_then(Json::as_str).unwrap_or(""),
-                e.get("detail").and_then(Json::as_str).unwrap_or(""),
-            )
-        })
-        .collect();
-    out.sort();
-    Ok(out)
 }
 
 fn named_ints(pairs: &[(String, u64)]) -> Json {
@@ -246,230 +107,222 @@ fn named_ints(pairs: &[(String, u64)]) -> Json {
     )
 }
 
-fn hists(snap: &TelemetrySnapshot) -> Json {
-    Json::Obj(
-        snap.hists
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::Int(h.count)),
-                        ("sum_ns".into(), Json::Int(h.sum_ns)),
-                        ("min_ns".into(), Json::Int(h.min_ns)),
-                        ("max_ns".into(), Json::Int(h.max_ns)),
-                        ("mean_ns".into(), Json::Int(h.mean_ns)),
-                        ("p50_ns".into(), Json::Int(h.p50_ns)),
-                        ("p95_ns".into(), Json::Int(h.p95_ns)),
-                        ("p99_ns".into(), Json::Int(h.p99_ns)),
-                        ("p999_ns".into(), Json::Int(h.p999_ns)),
-                    ]),
-                )
-            })
-            .collect(),
-    )
+/// A `--telemetry-out` file as [`read_trace`] returns it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Trace {
+    /// Every span as `(name, exact duration in ns)`, in start order.
+    pub spans: Vec<(String, u64)>,
+    /// Counter values, in file order.
+    pub counters: Vec<(String, u64)>,
+    /// Telemetry operations the registry recorded.
+    pub ops: u64,
+    /// Spans the registry counted past its storage cap: their time is
+    /// missing from `spans`.
+    pub dropped_spans: u64,
+    /// Per-span allocation attribution, in file order.
+    pub allocs: Vec<(String, AllocStat)>,
+    /// Process-wide allocation totals.
+    pub alloc_total: AllocStat,
+}
+
+/// The members of object `j`, each read by `read`; `None` when `j` is
+/// not an object or `read` turns a member away.
+fn read_members<T>(j: &Json, read: impl Fn(&Json) -> Option<T>) -> Option<Vec<(String, T)>> {
+    let Json::Obj(fields) = j else {
+        return None;
+    };
+    (fields.iter())
+        .map(|(k, v)| Some((k.clone(), read(v)?)))
+        .collect()
+}
+
+fn alloc_stat(j: &Json) -> Option<AllocStat> {
+    let [count, bytes, peak_bytes] = ALLOC_KEYS.map(|k| j.get(k).and_then(Json::as_int));
+    Some(AllocStat {
+        count: count?,
+        bytes: bytes?,
+        peak_bytes: peak_bytes?,
+    })
+}
+
+/// Read a `--telemetry-out` file back, strictly: this tool's
+/// [`SCHEMA_VERSION`]; a non-empty `traceEvents` array of named complete
+/// (`ph: "X"`) events with integer `pid`, `tid`, `dur`, `args.dur_ns` and
+/// a nondecreasing `ts`; and the `otherData` members the writer puts
+/// there (members it does not know are ignored). A file without
+/// `traceEvents` is not one this tool wrote.
+pub fn read_trace(text: &str) -> Result<Trace, String> {
+    let doc = Json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    check_version(&doc)?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("no traceEvents array (not a --telemetry-out file)")?;
+    if events.is_empty() {
+        return Err("traceEvents is empty: no spans were recorded".into());
+    }
+    let mut spans = Vec::with_capacity(events.len());
+    let mut prev_ts = 0;
+    for (i, ev) in events.iter().enumerate() {
+        let fail = |e: &str| Err(format!("traceEvents[{i}] {e}"));
+        let int = |key: &str| ev.get(key).and_then(Json::as_int);
+        let name = ev.get("name").and_then(Json::as_str);
+        let Some(name) = name.filter(|n| !n.is_empty()) else {
+            return fail("has no name");
+        };
+        if ev.get("ph").and_then(Json::as_str) != Some("X") {
+            return fail("is not a complete (ph=X) event");
+        }
+        let fields = ["pid", "tid", "dur", "ts"].map(|k| (k, int(k)));
+        if let Some((key, _)) = fields.iter().find(|(_, v)| v.is_none()) {
+            return fail(&format!("has no {key}"));
+        }
+        let dur_ns = ev.get("args").and_then(|a| a.get("dur_ns"));
+        let Some(dur_ns) = dur_ns.and_then(Json::as_int) else {
+            return fail("has no args.dur_ns");
+        };
+        let ts = fields[3].1.expect("`ts` is checked above");
+        if ts < prev_ts {
+            return fail(&format!("ts {ts} goes backwards (prev {prev_ts})"));
+        }
+        prev_ts = ts;
+        spans.push((name.to_string(), dur_ns));
+    }
+    let other = doc.get("otherData").ok_or("no otherData")?;
+    let member = |key: &str| other.get(key).ok_or(format!("otherData: missing {key}"));
+    let bad = |key: &str| format!("otherData.{key} is not what this tool writes");
+    let int = |key: &str| member(key)?.as_int().ok_or_else(|| bad(key));
+    let ints = |key: &str| read_members(member(key)?, Json::as_int).ok_or_else(|| bad(key));
+    ints("gauges")?;
+    let alloc = member("alloc")?;
+    let total = alloc.get("total").and_then(alloc_stat);
+    let allocs = alloc.get("spans").and_then(|s| read_members(s, alloc_stat));
+    let (Some(alloc_total), Some(allocs)) = (total, allocs) else {
+        return Err(bad("alloc"));
+    };
+    Ok(Trace {
+        spans,
+        counters: ints("counters")?,
+        ops: int("ops")?,
+        dropped_spans: int("dropped_spans")?,
+        allocs,
+        alloc_total,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_rt::obs::{HistSummary, SpanRec};
+    use pc_rt::obs::SpanRec;
 
     fn sample_snapshot() -> TelemetrySnapshot {
+        let span = |name, depth, start_ns, dur_ns| SpanRec {
+            name,
+            cat: "check",
+            tid: 1,
+            depth,
+            start_ns,
+            dur_ns,
+            trace_id: 0,
+        };
+        let stat = |count, bytes, peak_bytes| AllocStat {
+            count,
+            bytes,
+            peak_bytes,
+        };
         TelemetrySnapshot {
             spans: vec![
-                SpanRec {
-                    name: "check_stack",
-                    cat: "check",
-                    tid: 1,
-                    depth: 0,
-                    start_ns: 500,
-                    dur_ns: 9_000,
-                    trace_id: 0,
-                },
-                SpanRec {
-                    name: "check.enumerate",
-                    cat: "check",
-                    tid: 1,
-                    depth: 1,
-                    start_ns: 1_000,
-                    dur_ns: 2_000,
-                    trace_id: 0,
-                },
+                span("check_stack", 0, 500, 9_000),
+                span("check.enumerate", 1, 1_000, 2_000),
             ],
             counters: vec![("cache.pfs.hits".into(), 12)],
             gauges: vec![("pool.workers".into(), 4)],
-            hists: vec![(
-                "pool.task_ns".into(),
-                HistSummary {
-                    count: 3,
-                    sum_ns: 600,
-                    min_ns: 100,
-                    max_ns: 300,
-                    mean_ns: 200,
-                    p50_ns: 255,
-                    p95_ns: 300,
-                    p99_ns: 300,
-                    p999_ns: 300,
-                },
-            )],
-            dropped_spans: 0,
+            dropped_spans: 3,
             self_times: Vec::new(),
             ops: 7,
-            allocs: vec![
-                (
-                    "(untracked)".into(),
-                    pc_rt::obs::AllocStat {
-                        count: 40,
-                        bytes: 9_000,
-                        peak_bytes: 5_000,
-                    },
-                ),
-                (
-                    "check.enumerate".into(),
-                    pc_rt::obs::AllocStat {
-                        count: 12,
-                        bytes: 4_096,
-                        peak_bytes: 2_048,
-                    },
-                ),
-            ],
-            alloc_total: pc_rt::obs::AllocStat {
-                count: 52,
-                bytes: 13_096,
-                peak_bytes: 7_048,
-            },
+            allocs: vec![("check.enumerate".into(), stat(12, 4_096, 2_048))],
+            alloc_total: stat(52, 13_096, 7_048),
         }
     }
 
     #[test]
-    fn chrome_trace_shape() {
-        let j = chrome_trace(&sample_snapshot());
-        let parsed = Json::parse(&j.pretty()).unwrap();
+    fn chrome_trace_shape_and_read_back() {
+        let snap = sample_snapshot();
+        let text = chrome_trace(&snap).pretty();
+        let parsed = Json::parse(&text).unwrap();
+        let version = parsed.get("schema_version").and_then(Json::as_int);
+        assert_eq!(version, Some(SCHEMA_VERSION));
         let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
-        assert_eq!(events.len(), 2);
-        for e in events {
-            assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
-            assert_eq!(e.get("pid").and_then(Json::as_int), Some(1));
-            assert!(e.get("ts").and_then(Json::as_int).is_some());
-            assert!(e.get("dur").and_then(Json::as_int).is_some());
+        let fields =
+            |i: usize| ["pid", "ts", "dur"].map(|k| events[i].get(k).and_then(Json::as_int));
+        // Untraced spans land in pid 1; ts is microseconds; sub-microsecond
+        // durations round *up*, so no span renders as zero-width.
+        assert_eq!(fields(0), [Some(1), Some(0), Some(9)]);
+        assert_eq!(fields(1), [Some(1), Some(1), Some(2)]);
+        // What the reader returns is what the snapshot held, the exact
+        // nanoseconds included.
+        let spans = vec![
+            ("check_stack".into(), 9_000),
+            ("check.enumerate".into(), 2_000),
+        ];
+        let (counters, allocs) = (snap.counters, snap.allocs);
+        let (ops, dropped_spans, alloc_total) = (7, 3, snap.alloc_total);
+        let held = Trace {
+            spans,
+            counters,
+            ops,
+            dropped_spans,
+            allocs,
+            alloc_total,
+        };
+        assert_eq!(read_trace(&text).unwrap(), held);
+    }
+
+    #[test]
+    fn the_reader_rejects_what_the_writer_never_writes() {
+        let text = chrome_trace(&sample_snapshot()).pretty();
+        let edit = |from: &str, to: &str| text.replacen(from, to, 1);
+        let backwards = text.replace("\"ts\": 1,", "\"ts\": 0,");
+        let backwards = backwards.replacen("\"ts\": 0,", "\"ts\": 5,", 1);
+        for (bad, why) in [
+            (text[..text.len() / 2].into(), "not JSON"),
+            ("{\"schema_version\":1}".into(), "unknown schema_version 1"),
+            ("{\"schema_version\":2}".into(), "no traceEvents"),
+            (
+                edit("\"spans\": {", "\"spans\": 7, \"x\": {"),
+                "otherData.alloc",
+            ),
+            (
+                edit("\"ph\": \"X\"", "\"ph\": \"B\""),
+                "traceEvents[0] is not a complete",
+            ),
+            (backwards, "traceEvents[1] ts 0 goes backwards (prev 5)"),
+            (edit("\"tid\": 1,", ""), "traceEvents[0] has no tid"),
+            (
+                edit("\"dur_ns\": 9000,", ""),
+                "traceEvents[0] has no args.dur_ns",
+            ),
+            (
+                edit("\"check_stack\"", "\"\""),
+                "traceEvents[0] has no name",
+            ),
+            (edit("\"ops\": 7", "\"ops\": \"7\""), "otherData.ops is not"),
+            (edit("\"gauges\"", "\"gauge\""), "otherData: missing gauges"),
+            (
+                edit("\"peak_bytes\": 2048", "\"peak\": 2048"),
+                "otherData.alloc is not",
+            ),
+        ] {
+            let err = read_trace(&bad).unwrap_err();
+            assert!(err.starts_with(why), "{err} (wanted {why})");
         }
-        // ts is microseconds and monotonic.
-        assert_eq!(events[0].get("ts").and_then(Json::as_int), Some(0));
-        assert_eq!(events[1].get("ts").and_then(Json::as_int), Some(1));
-        // Sub-microsecond durations round *up*, so no span renders as
-        // zero-width.
-        assert_eq!(events[0].get("dur").and_then(Json::as_int), Some(9));
-        assert_eq!(events[1].get("dur").and_then(Json::as_int), Some(2));
-        assert_eq!(
-            trace_other(&parsed, "counters")
-                .and_then(|c| c.get("cache.pfs.hits"))
-                .and_then(Json::as_int),
-            Some(12)
-        );
-        assert_eq!(trace_other(&parsed, "ops").and_then(Json::as_int), Some(7));
-        let alloc = trace_other(&parsed, "alloc").unwrap();
-        assert_eq!(
-            alloc
-                .get("spans")
-                .and_then(|s| s.get("check.enumerate"))
-                .and_then(|s| s.get("peak_bytes"))
-                .and_then(Json::as_int),
-            Some(2_048)
-        );
-        // The exact nanoseconds survive the microsecond rounding.
-        let spans: Vec<_> = trace_spans(&parsed).unwrap().collect();
-        assert_eq!(spans, [("check_stack", 9_000), ("check.enumerate", 2_000)]);
-    }
-
-    #[test]
-    fn trace_carries_schema_version_and_p999_and_readers_reject_others() {
-        let j = chrome_trace(&sample_snapshot());
-        assert_eq!(
-            j.get("schema_version").and_then(Json::as_int),
-            Some(SCHEMA_VERSION)
-        );
-        assert_eq!(
-            trace_other(&j, "histograms")
-                .and_then(|h| h.get("pool.task_ns"))
-                .and_then(|h| h.get("p999_ns"))
-                .and_then(Json::as_int),
-            Some(300)
-        );
-        let v1_plain = Json::parse("{\"schema_version\":1,\"spans\":[]}").unwrap();
-        let err = trace_spans(&v1_plain).err().unwrap();
-        assert!(err.contains("schema_version 1"), "{err}");
-        let no_events = Json::parse("{\"schema_version\":2,\"spans\":[]}").unwrap();
-        let err = trace_spans(&no_events).err().unwrap();
-        assert!(err.contains("traceEvents"), "{err}");
-    }
-
-    const STREAM_HEADER: &str = "{\"schema_version\":2,\"stream\":\"paracrash-events\"}";
-
-    fn event_line(seq: u64, kind: &str, name: &str, detail: &str) -> String {
-        format!(
-            "{{\"seq\":{seq},\"ts_ns\":{},\"kind\":\"{kind}\",\"name\":\"{name}\",\"value\":7,\"detail\":\"{detail}\",\"trace_id\":3}}",
-            seq * 100,
-        )
-    }
-
-    #[test]
-    fn event_stream_parses_and_rejects_bad_versions() {
-        let good = format!(
-            "{STREAM_HEADER}\n{}\n{}\n{{\"schema_version\":2,\"published\":2}}\n",
-            event_line(0, "cell", "wl@OrangeFS/ordered", "findings=0"),
-            event_line(5, "finding", "BeeGFS/writeback", "sig [Pfs]"),
-        );
-        let stream = parse_event_stream(&good).unwrap();
-        assert_eq!(stream.events.len(), 2);
-        assert_eq!(stream.published, Some(2));
-        // A crash dump ends in a panic marker, not a trailer.
-        let dump = good.replace("\"published\":2", "\"meta\":\"panic\",\"flushed\":2");
-        assert_eq!(parse_event_stream(&dump).unwrap().published, None);
-
-        // A v1 stream is turned away at the header, before its
-        // `span_close` lines could read as "unknown kind".
-        let v1 = good.replace(
-            "\"schema_version\":2,\"stream\"",
-            "\"schema_version\":1,\"stream\"",
-        );
-        let err = parse_event_stream(&v1).unwrap_err();
-        assert!(err.contains("schema_version 1"), "{err}");
-
-        let no_version = "{\"stream\":\"paracrash-events\"}\n";
-        assert!(parse_event_stream(no_version).is_err());
-
-        let bad_seq = format!(
-            "{STREAM_HEADER}\n{}\n{}\n",
-            event_line(5, "cell", "a", ""),
-            event_line(5, "cell", "b", ""),
-        );
-        assert!(parse_event_stream(&bad_seq).unwrap_err().contains("seq"));
-
-        let bad_kind = format!("{STREAM_HEADER}\n{}\n", event_line(0, "counter", "a", ""));
-        assert!(parse_event_stream(&bad_kind).unwrap_err().contains("kind"));
-    }
-
-    #[test]
-    fn canonical_projection_is_order_and_noise_invariant() {
-        let a = format!(
-            "{STREAM_HEADER}\n{}\n{}\n{}\n",
-            event_line(0, "snapshot", "campaign", "cells=1/2"),
-            event_line(1, "cell", "wl@OrangeFS/ordered", "findings=0"),
-            event_line(2, "finding", "BeeGFS/writeback", "sig [Pfs]"),
-        );
-        // Same deterministic content: different seqs, timestamps,
-        // ordering, and snapshot cadence.
-        let b = format!(
-            "{STREAM_HEADER}\n{}\n{}\n{}\n",
-            event_line(10, "finding", "BeeGFS/writeback", "sig [Pfs]"),
-            event_line(90, "snapshot", "campaign", "cells=2/2"),
-            event_line(800, "cell", "wl@OrangeFS/ordered", "findings=0"),
-        );
-        assert_eq!(
-            canonical_event_lines(&a).unwrap(),
-            canonical_event_lines(&b).unwrap()
-        );
-        assert_eq!(canonical_event_lines(&a).unwrap().len(), 2);
+        let empty = "{\"schema_version\":2,\"traceEvents\":[]}";
+        assert!(read_trace(empty)
+            .unwrap_err()
+            .starts_with("traceEvents is empty"));
+        // A member this reader does not know is ignored: a file written
+        // when `otherData` still held histograms reads the same.
+        let older = edit("\"ops\": 7", "\"histograms\": {},\n    \"ops\": 7");
+        assert_eq!(read_trace(&older).unwrap(), read_trace(&text).unwrap());
     }
 }

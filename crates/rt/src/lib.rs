@@ -25,8 +25,8 @@
 //!   CRC-checked record log with torn-tail recovery, and the
 //!   `PC_DURABLE_CRASH` self-crash-testing hook)
 //!   backing the resumable campaign engine.
-//! * [`obs`] — structured telemetry (spans, counters, gauges,
-//!   histograms, a leveled logger) for the checker pipeline itself
+//! * [`obs`] — structured telemetry (spans, counters, gauges, a
+//!   leveled logger) for the checker pipeline itself
 //!   (replaces `tracing`), with the [`obs::stream`] event stream and
 //!   the [`obs::prof`] self-profiling plane (an exact per-stack
 //!   self-time fold with `.folded` export, and a counting

@@ -7,9 +7,8 @@
 //! * **spans** — [`span`] returns a guard that records a named interval
 //!   with monotonic start/duration, the recording thread, and its nesting
 //!   depth (a thread-local stack tracks parents);
-//! * **counters / gauges / histograms** — [`count`] accumulates,
-//!   [`gauge_max`] keeps a high-water mark, [`observe_ns`] feeds a
-//!   log₂-bucketed latency histogram with approximate quantiles;
+//! * **counters / gauges** — [`count`] accumulates, [`gauge_max`]
+//!   keeps a high-water mark;
 //! * **a per-run registry** — everything lands in one process-global
 //!   `Registry`; [`mark`] + [`render_summary`] slice out a window (one
 //!   `check_stack` call) for the human-readable `PC_TRACE=summary` table,
@@ -22,8 +21,8 @@
 //!   the default threshold is `error`, so everything below stays silent;
 //! * **a streaming plane** — [`stream`] writes the drivers' events
 //!   (findings, cell completions, campaign snapshots) to a JSON-lines
-//!   sink (`--events-out`) as they happen, with a panic-hook marker, for
-//!   watching a campaign live instead of waiting for the exit snapshot;
+//!   sink (`--events-out`) as they happen, for watching a campaign live
+//!   instead of waiting for the exit snapshot;
 //! * **a self-time profile** — every closing span files `dur − Σ direct
 //!   children` under its open-span path, so the registry holds an exact
 //!   per-stack fold ([`TelemetrySnapshot::self_times`]) that
@@ -210,7 +209,7 @@ macro_rules! pc_debug {
 
 /// The plane bits of the enable mask.
 mod plane {
-    /// Spans, counters, gauges and histograms land in the registry.
+    /// Spans, counters and gauges land in the registry.
     pub const REGISTRY: u8 = 1 << 0;
     /// `PC_TRACE=summary`: print a table per check.
     pub const SUMMARY: u8 = 1 << 1;
@@ -359,98 +358,6 @@ pub struct SpanRec {
     pub trace_id: u64,
 }
 
-const HIST_BUCKETS: usize = 48;
-
-/// Log₂-bucketed histogram of nanosecond observations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hist {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Smallest observation.
-    pub min: u64,
-    /// Largest observation.
-    pub max: u64,
-    buckets: [u64; HIST_BUCKETS],
-}
-
-impl Default for Hist {
-    fn default() -> Hist {
-        Hist {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: [0; HIST_BUCKETS],
-        }
-    }
-}
-
-impl Hist {
-    fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        let b = (64 - v.max(1).leading_zeros() - 1) as usize;
-        self.buckets[b.min(HIST_BUCKETS - 1)] += 1;
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
-    }
-
-    /// Approximate quantile (bucket upper bound); exact for `q = 1.0`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        if q >= 1.0 {
-            return self.max;
-        }
-        let target = ((self.count as f64) * q).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                // Upper bound of bucket i, clamped to the observed max.
-                return (1u64 << (i + 1)).saturating_sub(1).min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
-/// Flattened histogram statistics for snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum, nanoseconds.
-    pub sum_ns: u64,
-    /// Smallest observation.
-    pub min_ns: u64,
-    /// Largest observation.
-    pub max_ns: u64,
-    /// Mean.
-    pub mean_ns: u64,
-    /// Approximate median.
-    pub p50_ns: u64,
-    /// Approximate 95th percentile.
-    pub p95_ns: u64,
-    /// Approximate 99th percentile.
-    pub p99_ns: u64,
-    /// Approximate 99.9th percentile — the tail number the extreme-scale
-    /// work watches (one straggler verdict stalls a whole scope run).
-    pub p999_ns: u64,
-}
-
 /// The process-global event store.
 struct Registry {
     spans: Vec<SpanRec>,
@@ -462,7 +369,6 @@ struct Registry {
     self_ns: BTreeMap<Vec<&'static str>, u64>,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Hist>,
     /// Total telemetry operations recorded while enabled — the event
     /// count the overhead bench multiplies by the per-call disabled cost.
     ops: u64,
@@ -476,7 +382,6 @@ impl Registry {
             self_ns: BTreeMap::new(),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
             ops: 0,
         }
     }
@@ -623,7 +528,7 @@ impl Drop for Span {
 }
 
 // ---------------------------------------------------------------------------
-// Counters / gauges / histograms
+// Counters / gauges
 // ---------------------------------------------------------------------------
 
 /// Add `delta` to a named counter.
@@ -649,17 +554,6 @@ pub fn gauge_max(name: &'static str, value: u64) {
     *g = (*g).max(value);
 }
 
-/// Record one nanosecond observation into a named histogram.
-#[inline]
-pub fn observe_ns(name: &'static str, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = lock(&REGISTRY);
-    reg.ops += 1;
-    reg.hists.entry(name).or_default().record(ns);
-}
-
 // ---------------------------------------------------------------------------
 // Snapshot / reset
 // ---------------------------------------------------------------------------
@@ -674,8 +568,6 @@ pub struct TelemetrySnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauge values, sorted by name.
     pub gauges: Vec<(String, u64)>,
-    /// Histogram summaries, sorted by name.
-    pub hists: Vec<(String, HistSummary)>,
     /// Spans lost to the memory backstop.
     pub dropped_spans: u64,
     /// Self time in nanoseconds per open-span path (outermost first),
@@ -684,8 +576,8 @@ pub struct TelemetrySnapshot {
     /// depth-0 spans. Unaffected by `dropped_spans`.
     pub self_times: Vec<(Vec<&'static str>, u64)>,
     /// Telemetry operations recorded while enabled (spans + counter /
-    /// gauge / histogram updates) — the instrumentation-site count the
-    /// overhead bench scales by.
+    /// gauge updates) — the instrumentation-site count the overhead bench
+    /// scales by.
     pub ops: u64,
     /// Per-span allocation attribution (spans that allocated while
     /// accounting was on, plus `"(untracked)"`), sorted by name.
@@ -712,26 +604,6 @@ pub fn snapshot() -> TelemetrySnapshot {
             .iter()
             .map(|(k, v)| (k.to_string(), *v))
             .collect(),
-        hists: reg
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.to_string(),
-                    HistSummary {
-                        count: h.count,
-                        sum_ns: h.sum,
-                        min_ns: if h.count == 0 { 0 } else { h.min },
-                        max_ns: h.max,
-                        mean_ns: h.mean(),
-                        p50_ns: h.quantile(0.5),
-                        p95_ns: h.quantile(0.95),
-                        p99_ns: h.quantile(0.99),
-                        p999_ns: h.quantile(0.999),
-                    },
-                )
-            })
-            .collect(),
         dropped_spans: reg.dropped_spans,
         self_times: reg.self_ns.iter().map(|(k, v)| (k.clone(), *v)).collect(),
         ops: reg.ops,
@@ -749,7 +621,6 @@ pub fn reset() {
         reg.self_ns.clear();
         reg.counters.clear();
         reg.gauges.clear();
-        reg.hists.clear();
         reg.ops = 0;
     }
     prof::reset();
@@ -807,7 +678,7 @@ pub struct SpanTotal<N> {
 
 /// Fold `(name, duration)` pairs by name, largest total first
 /// (first-seen order among equals) — the one aggregation behind the
-/// summary table and both stage-time sources of the dashboard.
+/// summary table and the dashboard's stage-time panel.
 pub fn span_totals<N: PartialEq>(spans: impl IntoIterator<Item = (N, u64)>) -> Vec<SpanTotal<N>> {
     let mut agg: Vec<SpanTotal<N>> = Vec::new();
     for (name, dur_ns) in spans {
@@ -831,7 +702,7 @@ pub fn span_totals<N: PartialEq>(spans: impl IntoIterator<Item = (N, u64)>) -> V
 
 /// Render the human-readable summary table of everything recorded since
 /// `mark`: per-span-name call counts and timings, counter deltas, gauges,
-/// histograms, plus derived lines — a hit rate for every `X.hits` /
+/// plus derived lines — a hit rate for every `X.hits` /
 /// `X.misses` counter pair, the verdict stage's join wait, and pool
 /// utilization when the pool gauges are present.
 pub fn render_summary(mark: &Mark, title: &str) -> String {
@@ -893,28 +764,6 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
             let _ = writeln!(out, "  {:<34} {:>8}", name, v);
         }
     }
-    if !reg.hists.is_empty() {
-        let _ = writeln!(
-            out,
-            "  {:<34} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "histogram (run total)", "count", "mean", "p50", "p95", "p99", "p99.9", "max"
-        );
-        for (name, h) in reg.hists.iter() {
-            let _ = writeln!(
-                out,
-                "  {:<34} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                name,
-                h.count,
-                fmt_ns(h.mean() as f64),
-                fmt_ns(h.quantile(0.5) as f64),
-                fmt_ns(h.quantile(0.95) as f64),
-                fmt_ns(h.quantile(0.99) as f64),
-                fmt_ns(h.quantile(0.999) as f64),
-                fmt_ns(h.max as f64),
-            );
-        }
-    }
-
     // Allocation attribution (whole run, not windowed: the table is a
     // set of process-global atomics, cleared only by `reset`).
     let (allocs, alloc_total) = prof::alloc_snapshot();
@@ -1096,13 +945,11 @@ mod tests {
             let _s = span("obs.test.disabled");
             count("obs.test.disabled.ctr", 5);
             gauge_max("obs.test.disabled.gauge", 5);
-            observe_ns("obs.test.disabled.hist", 5);
         }
         let snap = snapshot();
         assert!(snap.spans.is_empty());
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
-        assert!(snap.hists.is_empty());
         assert_eq!(snap.ops, 0);
     }
 
@@ -1380,30 +1227,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_hists_accumulate() {
+    fn counters_and_gauges_accumulate() {
         with_telemetry(|| {
             count("obs.test.ctr", 2);
             count("obs.test.ctr", 3);
             gauge_max("obs.test.gauge", 7);
             gauge_max("obs.test.gauge", 4);
-            for v in [100, 200, 400, 100_000] {
-                observe_ns("obs.test.hist", v);
-            }
             let snap = snapshot();
             assert_eq!(snap.counters, vec![("obs.test.ctr".to_string(), 5)]);
             assert_eq!(snap.gauges, vec![("obs.test.gauge".to_string(), 7)]);
-            let (_, h) = &snap.hists[0];
-            assert_eq!(h.count, 4);
-            assert_eq!(h.min_ns, 100);
-            assert_eq!(h.max_ns, 100_000);
-            assert_eq!(h.mean_ns, (100 + 200 + 400 + 100_000) / 4);
-            assert!(h.p50_ns >= 100 && h.p50_ns <= 511, "p50 = {}", h.p50_ns);
-            assert!(h.p95_ns <= 100_000);
-            // The 99th percentile sits in the top bucket: above the
-            // median and clamped to the observed max.
-            assert!(h.p99_ns >= h.p50_ns && h.p99_ns <= h.max_ns);
-            assert_eq!(h.p99_ns, 100_000);
-            assert!(snap.ops >= 6);
+            assert!(snap.ops >= 4);
         });
     }
 

@@ -212,10 +212,8 @@ impl<'env> Sched<'env> {
         if self.telemetry {
             let t = Instant::now();
             job();
-            let ns = t.elapsed().as_nanos() as u64;
             crate::obs::count("pool.tasks_executed", 1);
-            crate::obs::count("pool.busy_ns", ns);
-            crate::obs::observe_ns("pool.task_ns", ns);
+            crate::obs::count("pool.busy_ns", t.elapsed().as_nanos() as u64);
         } else {
             job();
         }

@@ -14,9 +14,9 @@
 //! * **`.folded` profiles** — [`render_folded`] writes the registry's
 //!   exact per-stack self times ([`super::TelemetrySnapshot::self_times`])
 //!   as inferno-compatible text (`--profile-out`); [`parse_folded`] reads
-//!   it back for `selftest prof` and the dashboard's flame view. Nothing
-//!   is sampled: the weights are nanoseconds and sum to the run's
-//!   depth-0 span time.
+//!   it back, as strictly as it was written, for `paracrash report`'s
+//!   flame view. Nothing is sampled: the weights are nanoseconds and sum
+//!   to the run's depth-0 span time.
 //!
 //! # Overhead contract
 //!
@@ -117,42 +117,50 @@ pub(crate) fn set_current(id: u32) {
 
 /// Render a snapshot's per-stack self times as inferno-compatible
 /// `.folded` text: one `outer;mid;leaf NANOSECONDS` line per distinct
-/// stack, sorted lexicographically, trailing newline (empty string when
-/// no span closed). A stack that took no measurable time draws nothing
-/// and is left out.
+/// stack, sorted by stack text, trailing newline (empty string when no
+/// span closed). A stack that took no measurable time draws nothing and
+/// is left out.
 pub fn render_folded(snap: &super::TelemetrySnapshot) -> String {
-    let mut lines: Vec<String> = snap
-        .self_times
-        .iter()
+    let mut rows: Vec<(String, u64)> = (snap.self_times.iter())
         .filter(|(_, ns)| *ns > 0)
-        .map(|(stack, ns)| format!("{} {ns}", stack.join(";")))
+        .map(|(stack, ns)| (stack.join(";"), *ns))
         .collect();
-    lines.sort();
-    let mut out = lines.join("\n");
-    if !out.is_empty() {
-        out.push('\n');
-    }
-    out
+    rows.sort();
+    rows.iter()
+        .map(|(stack, ns)| format!("{stack} {ns}\n"))
+        .collect()
 }
 
-/// Parse `.folded` text back into `(stack frames, count)` rows — the
-/// re-parse lint behind `selftest prof FILE` and the dashboard flame view.
+/// Read `.folded` text back into `(stack frames, nanoseconds)` rows, as
+/// strictly as [`render_folded`] writes it: every line a stack of
+/// non-empty frames and a positive weight, each stack above the one
+/// before (sorted, no stack twice).
 pub fn parse_folded(text: &str) -> Result<Vec<(Vec<String>, u64)>, String> {
     let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+    let mut prev: Option<&str> = None;
+    for (n, line) in (1..).zip(text.lines()) {
         let line = line.trim_end();
         if line.is_empty() {
             continue;
         }
         let Some((stack, count)) = line.rsplit_once(' ') else {
-            return Err(format!("folded line {}: no count field", i + 1));
+            return Err(format!("folded line {n}: no count field"));
         };
         let count: u64 = count
             .parse()
-            .map_err(|_| format!("folded line {}: bad count {count:?}", i + 1))?;
+            .map_err(|_| format!("folded line {n}: bad count {count:?}"))?;
+        if count == 0 {
+            return Err(format!("folded line {n}: stack {stack} has weight 0"));
+        }
+        if prev.is_some_and(|p| stack <= p) {
+            return Err(format!(
+                "folded line {n}: stack {stack} is not above the one before (unsorted or repeated)"
+            ));
+        }
+        prev = Some(stack);
         let frames: Vec<String> = stack.split(';').map(str::to_string).collect();
         if frames.iter().any(|f| f.is_empty()) {
-            return Err(format!("folded line {}: empty frame", i + 1));
+            return Err(format!("folded line {n}: empty frame"));
         }
         rows.push((frames, count));
     }
@@ -395,9 +403,18 @@ mod tests {
         assert_eq!(rows[1].0.len(), 3);
         assert_eq!(rows[1].1, 5);
         assert_eq!(render_folded(&Default::default()), "");
-        assert!(parse_folded("no-count-line\n").is_err());
-        assert!(parse_folded("a;b notanumber\n").is_err());
-        assert!(parse_folded(";; 3\n").is_err());
+        assert_eq!(parse_folded("").unwrap(), []);
+        for (bad, why) in [
+            ("no-count-line\n", "no count field"),
+            ("a;b notanumber\n", "bad count"),
+            (";; 3\n", "empty frame"),
+            ("a 1\na;b 0\n", "line 2: stack a;b has weight 0"),
+            ("a;b 1\na 2\n", "line 2: stack a is not above"),
+            ("a 1\na 2\n", "line 2: stack a is not above"),
+        ] {
+            let err = parse_folded(bad).unwrap_err();
+            assert!(err.contains(why), "{bad:?}: {err}");
+        }
     }
 
     #[test]

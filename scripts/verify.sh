@@ -10,22 +10,21 @@
 #      cold, empty ~/.cargo/registry is sufficient.
 #   3. Hygiene — `cargo fmt --check`, a warning-free build, no PFS model
 #      re-defining `ModelBase` plumbing or `fork`, no HDF5 signature outside
-#      `format.rs`, no `BENCH_*.json` or `PC_BENCH`-prefixed second ledger.
+#      `format.rs`, no artifact wire key read outside the module that
+#      writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed second ledger.
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` decide identically in debug and in release, at
 #      PC_THREADS=1 and with the pool (with them the golden walk and the
 #      pfs fork in release, GPFS/H5-resize through the CLI); the property
 #      suite again in release, more cases; `benchmark/run.sh --smoke`
 #      builds `benchmark/` (no other gate does) and reproduces its pins.
-#   5. Observability — one PR-tier fuzz run with all three sinks
-#      attached (--events-out, --telemetry-out, --profile-out) still
-#      prints the pinned report, on the pool and at PC_THREADS=1; the
-#      three files pass their `selftest` validators, the stream holds no
-#      span or counter line and projects identically sequential vs
-#      parallel (`--canonical-diff`), the profile names the engine's stages
-#      down to `rpc.message` and `h5.parse`, `paracrash report` renders a
-#      dashboard that passes the HTML lint, and the planes' *disabled*
-#      sites cost a checked cell under 3% (`selftest obs`).
+#   5. Observability — a PR-tier fuzz run with all three sinks attached
+#      prints the pinned report, on the pool and at PC_THREADS=1, and
+#      `paracrash report` reads back and renders each set; the stream has
+#      no span/counter line and projects seq ≡ par (`--canonical-diff`);
+#      the profile names the stages down to `rpc.message` and `h5.parse`;
+#      the dashboard has every panel and no script or link; the planes'
+#      *disabled* sites cost a checked cell under 3% (`selftest obs`).
 #   6. Fault plane — the seeded chaos suite passes sequentially (gate 2:
 #      on the pool), one chaos seed gives bit-identical CLI reports across
 #      thread counts, a zero-fault full matrix reproduces exactly the
@@ -47,12 +46,11 @@
 #      sequential vs parallel, and `selftest scale` measures, in one
 #      process, the batched engine at >= 2x the per-state loop and
 #      sub-linear per-check growth from 64 to 256 servers.
-#  12. Crash-safe sweep — `selftest durable` fuzzes the record log's
-#      torn-tail recovery; a `paracrash fuzz --state-dir` killed by an
-#      injected crash (`PC_DURABLE_CRASH`: a torn record; resumed
-#      sequentially) and by a real SIGKILL mid-sweep (resumed on the pool)
-#      `--resume`s to the uninterrupted run's report, and never clobbers
-#      state without it.
+#  12. Crash-safe sweep — `selftest durable` fuzzes the log's torn-tail
+#      recovery; a `fuzz --state-dir` killed by an injected torn crash
+#      (`PC_DURABLE_CRASH`; its stream renders as a crash dump; resumed
+#      sequentially) and by a real SIGKILL (resumed on the pool) `--resume`s
+#      to the uninterrupted run's report, never clobbering state without it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -113,6 +111,8 @@ grep -nE 'fn (emit|net|parent_of|name_of|seal_baseline|baseline|live|install_fau
     crates/pfs/src/{beegfs,orangefs,glusterfs,gpfs,lustre,ext4}.rs && { echo "FAIL: model redefines base plumbing"; exit 1; } || true
 # The HDF5 layout has one reader: its signatures appear in format.rs only.
 grep -rnE 'b"(OHDR|TREE|HEAP|SNOD|DTRE)"' crates | grep -v '^crates/h5sim/src/format.rs:' && { echo "FAIL: a second reader of the HDF5 layout"; exit 1; } || true
+# So has each artifact: its wire keys are looked up by its writer's module only.
+grep -rnE '\.get\("(traceEvents|otherData|ts_ns|published)"\)' crates/*/src | grep -vE '^crates/(core/src/telemetry|rt/src/stream)\.rs:' && { echo "FAIL: a second reader of an artifact"; exit 1; } || true
 # benchmark/ is the one perf ledger ([_]: this line must not match itself).
 { ls BENCH_*.json 2> /dev/null || grep -rn 'PC_BENCH[_]' crates scripts README.md; } && { echo "FAIL: second perf ledger"; exit 1; } || true
 
@@ -138,33 +138,29 @@ benchmark/run.sh --smoke > /dev/null
 
 echo "== gate 5: observability — telemetry + event stream + profile from one sweep =="
 # The planes observe the fold, never perturb it: stdout is still the
-# pinned report. The nested path exercises --profile-out's parent creation.
+# pinned report. Every path is nested, exercising each flag's parent
+# creation; `report` exits 1 on any file its reader rejects.
 obs="$tmp/obs"
-target/release/paracrash fuzz \
-    --events-out "$obs/events-par.jsonl" --telemetry-out "$obs/telemetry.json" \
-    --profile-out "$obs/prof/fuzz.folded" > "$obs-par.txt" 2> /dev/null
-diff "$obs-par.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
-PC_THREADS=1 target/release/paracrash fuzz \
-    --events-out "$obs/events-seq.jsonl" --profile-out "$obs/seq.folded" \
-    --telemetry-out "$obs/telemetry-seq.json" > "$obs-seq.txt" 2> /dev/null
-diff "$obs-seq.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
-target/release/paracrash selftest telemetry "$obs/telemetry.json"
-target/release/paracrash selftest telemetry "$obs/telemetry-seq.json"
-target/release/paracrash selftest events "$obs/events-par.jsonl"
+for set in par seq; do
+    d="$obs/$set" pool=-uPC_THREADS; [ "$set" = seq ] && pool=PC_THREADS=1
+    env "$pool" target/release/paracrash fuzz --events-out "$d/events.jsonl" \
+        --telemetry-out "$d/telemetry.json" --profile-out "$d/fuzz.folded" > "$obs-$set.txt" 2> /dev/null
+    diff "$obs-$set.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
+    target/release/paracrash report --events "$d/events.jsonl" --telemetry "$d/telemetry.json" \
+        --profile "$d/fuzz.folded" --out "$d/report.html"
+done
 # ~1.2 events per cell, not the registry's spans and counters again.
-[ "$(wc -l < "$obs/events-par.jsonl")" -lt 1000 ] || { echo "FAIL: event stream over 1000 lines"; exit 1; }
-[ "$(grep -c '"kind":"span_\|"kind":"counter"' "$obs/events-par.jsonl")" -eq 0 ] || { echo "FAIL: span/counter events in the stream"; exit 1; }
+[ "$(wc -l < "$obs/par/events.jsonl")" -lt 1000 ] || { echo "FAIL: event stream over 1000 lines"; exit 1; }
+[ "$(grep -c '"kind":"span_\|"kind":"counter"' "$obs/par/events.jsonl")" -eq 0 ] || { echo "FAIL: span/counter events in the stream"; exit 1; }
 # Raw streams differ (timestamps); the canonical projection must not.
 target/release/paracrash selftest events --canonical-diff \
-    "$obs/events-par.jsonl" "$obs/events-seq.jsonl"
-target/release/paracrash selftest prof "$obs/prof/fuzz.folded"
-printf '%s\n' snapshot.materialize recover/ check.enumerate rpc.message h5.parse | require_in "$obs/prof/fuzz.folded"
-# The dashboard of that sweep, from its own stream, snapshot and profile.
-target/release/paracrash report --events "$obs/events-par.jsonl" \
-    --telemetry "$obs/telemetry.json" --profile "$obs/prof/fuzz.folded" \
-    --out "$obs/report.html"
-target/release/paracrash selftest events --html "$obs/report.html"
-printf 'data-metric="%s"\n' flame flame-table alloc-table | require_in "$obs/report.html"
+    "$obs/par/events.jsonl" "$obs/seq/events.jsonl"
+printf '%s\n' snapshot.materialize recover/ check.enumerate rpc.message h5.parse | require_in "$obs/par/fuzz.folded"
+# Every panel the dashboard documents, and nothing that runs or fetches.
+printf 'data-metric="%s"\n' cells findings behaviors saturation throughput coverage-curve coverage-table \
+    stage-breakdown heatmap flame flame-table alloc alloc-count alloc-bytes alloc-peak alloc-table |
+    require_in "$obs/par/report.html"
+grep -qE '<script|https?://' "$obs/par/report.html" && { echo "FAIL: the dashboard is not self-contained"; exit 1; } || true
 target/release/paracrash selftest obs
 
 echo "== gate 6: fault-plane determinism + zero-fault fidelity =="
@@ -244,13 +240,13 @@ target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ref" \
 # Existing state without --resume must refuse with exit 2, not clobber.
 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ref" > /dev/null 2>&1 &&
     { echo "FAIL: the sweep clobbered existing state without --resume"; exit 1; }
-# Injected kill mid-append with a torn partial record (exit mode looks
-# like SIGKILL: rc 137), then resume; the report must be byte-identical.
-# Resumed sequentially: the log replay + the re-checked tail must also
-# be thread-count invariant (the reference ran on the pool).
-PC_DURABLE_CRASH=at=7,tear=5 target/release/paracrash "${camp[@]}" \
-    --state-dir "$tmp/camp-torn" > /dev/null 2>&1 && {
+# Injected kill mid-append, a torn record left (rc 137, like SIGKILL), then
+# a sequential resume: byte-identical to the reference, which ran on the pool.
+PC_DURABLE_CRASH=at=7,tear=5 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-torn" \
+    --events-out "$tmp/camp-torn.jsonl" > /dev/null 2>&1 && {
     echo "FAIL: injected crash did not kill the sweep"; exit 1; }
+# Every line it emitted is in the stream; with no trailer, it is a crash dump.
+target/release/paracrash report --events "$tmp/camp-torn.jsonl" --out "$tmp/camp-torn.html"
 PC_THREADS=1 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-torn" \
     --resume > "$tmp/camp-torn.txt" 2> /dev/null
 diff "$tmp/camp-ref.txt" "$tmp/camp-torn.txt"
@@ -266,10 +262,9 @@ PC_LOG=info target/release/paracrash fuzz --state-dir "$tmp/camp-kill" --resume 
 diff crates/bench/tests/expected_fuzz_pr_tier.txt "$tmp/camp-kill.txt"
 grep -qE ' [1-9][0-9]*/426 cells this run \([1-9][0-9]* resumed' "$tmp/camp-kill.err" ||
     { echo "FAIL: the SIGKILL did not land mid-sweep"; cat "$tmp/camp-kill.err"; exit 1; }
-# --events-out under a resumable sweep creates missing parent dirs and
-# the stream re-parses (campaign.* totals ride its snapshots).
+# --events-out creates missing parent dirs; campaign.* totals ride the stream.
 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ev" \
     --events-out "$tmp/nested/dirs/camp-events.jsonl" > /dev/null 2>&1
-target/release/paracrash selftest events "$tmp/nested/dirs/camp-events.jsonl"
+target/release/paracrash report --events "$tmp/nested/dirs/camp-events.jsonl" --out "$tmp/camp-ev.html"
 
 echo "verify: OK"

@@ -3,9 +3,8 @@
 //! aggregation across pool widths, the Chrome-trace serialization
 //! round-trip, and cache-stats surfacing in `ExploreStats`.
 
-use paracrash::telemetry::{chrome_trace, trace_other, trace_spans};
+use paracrash::telemetry::{chrome_trace, read_trace};
 use paracrash::{check_stack, CheckConfig};
-use pc_rt::json::Json;
 use std::sync::Mutex;
 use workloads::{FsKind, Params, Program};
 
@@ -88,13 +87,11 @@ fn disabled_telemetry_records_nothing() {
         let _s = pc_rt::obs::span("ghost");
         pc_rt::obs::count("ghost.ctr", 7);
         pc_rt::obs::gauge_max("ghost.gauge", 7);
-        pc_rt::obs::observe_ns("ghost.hist", 7);
     }
     let snap = pc_rt::obs::snapshot();
     assert!(snap.spans.is_empty());
     assert!(snap.counters.is_empty());
     assert!(snap.gauges.is_empty());
-    assert!(snap.hists.is_empty());
     assert_eq!(snap.ops, 0);
 }
 
@@ -108,35 +105,16 @@ fn chrome_trace_round_trips_with_monotonic_ts() {
         }
         pc_rt::obs::count("events", 3);
     });
-    let doc = chrome_trace(&snap);
-    let text = doc.pretty();
-    let parsed = Json::parse(&text).expect("chrome trace must re-parse");
-    let events = parsed
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents array");
-    assert_eq!(events.len(), snap.spans.len());
-    let mut prev_ts = 0;
-    for ev in events {
-        assert_eq!(ev.get("ph").and_then(Json::as_str), Some("X"));
-        assert_eq!(ev.get("pid").and_then(Json::as_int), Some(1));
-        assert!(ev.get("name").and_then(Json::as_str).is_some());
-        let ts = ev.get("ts").and_then(Json::as_int).unwrap();
-        assert!(ts >= prev_ts, "ts must be nondecreasing");
-        prev_ts = ts;
-    }
-    assert_eq!(
-        trace_other(&parsed, "counters")
-            .and_then(|c| c.get("events"))
-            .and_then(Json::as_int),
-        Some(3)
-    );
-    let ops = trace_other(&parsed, "ops").and_then(Json::as_int);
-    assert_eq!(ops, Some(snap.ops));
+    // The reader holds the file to the format: complete (`ph: "X"`)
+    // events with a nondecreasing `ts`, the `otherData` members.
+    let trace = read_trace(&chrome_trace(&snap).pretty()).expect("the trace reads back");
+    assert!(trace.counters.contains(&("events".to_string(), 3)));
+    assert_eq!(trace.ops, snap.ops);
     // What `paracrash report` reads back is what the registry held.
-    let read: Vec<(&str, u64)> = trace_spans(&parsed).expect("a trace file").collect();
-    let held: Vec<(&str, u64)> = snap.spans.iter().map(|s| (s.name, s.dur_ns)).collect();
-    assert_eq!(read, held);
+    let held: Vec<(String, u64)> = (snap.spans.iter())
+        .map(|s| (s.name.to_string(), s.dur_ns))
+        .collect();
+    assert_eq!(trace.spans, held);
 }
 
 #[test]
