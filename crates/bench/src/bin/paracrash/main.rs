@@ -192,7 +192,7 @@ fn usage() -> ! {
         "usage: paracrash --fs <BeeGFS|OrangeFS|GlusterFS|GPFS|Lustre|ext4|all>\n\
          \x20                --program <ARVR|CR|RC|WAL|H5-create|...|all>\n\
          \x20                [--config <file>] [--dump-trace <file>] [--paper]\n\
-         \x20                [--faults <spec>|chaos] [--fail-fast]\n\
+         \x20                [--faults <spec>|chaos]\n\
          \x20                [--telemetry-out <file>] [--explain-out <dir>]\n\
          \x20                [--events-out <file>] [--profile-out <file>]\n\
          \x20      paracrash fuzz [--bound <n>] [--seed <n>] [--sample <n>]\n\
@@ -209,7 +209,7 @@ fn usage() -> ! {
          and `--resume` replays the log to continue a killed run with a\n\
          byte-identical final report. Either way a cell whose check\n\
          panics is quarantined, not fatal.\n\n\
-         `selftest obs|faults|explain` asserts the plane's disabled-overhead\n\
+         `selftest obs|faults` asserts the plane's disabled-overhead\n\
          budget (<3%); `explain <dir> [<min-bundles>]` validates explain\n\
          bundles, `events --canonical-diff <a> <b>` compares two streams'\n\
          deterministic content, `durable [<seed>] [<cases>]` fuzzes the\n\
@@ -226,10 +226,11 @@ fn usage() -> ! {
          `--faults` takes a comma-separated spec (seed=N,drop=R,dup=R,delay=R,\n\
          retries=N,partition=S[:H],torn=BOOL) or the word `chaos`.\n\n\
          Environment:\n{}\n\
-         The configuration file uses `key = value` lines:\n{}",
+         The configuration file uses `key = value` lines; a cluster key it\n\
+         omits keeps the profile's value (quick, or Table 2 with --paper):\n{}",
         selftest::PLANES,
         env_table,
-        CheckConfig::paper_default().render()
+        Params::quick().render_config(&CheckConfig::paper_default())
     );
     std::process::exit(2);
 }
@@ -417,7 +418,6 @@ fn main() {
     let mut dump_trace = None;
     let mut paper = false;
     let mut faults_arg: Option<String> = None;
-    let mut fail_fast = false;
     let mut explain_out: Option<String> = None;
     let mut obs = ObsOpts::default();
     let mut it = args.iter();
@@ -437,7 +437,6 @@ fn main() {
             "--dump-trace" => dump_trace = Some(value("--dump-trace")),
             "--paper" => paper = true,
             "--faults" => faults_arg = Some(value("--faults")),
-            "--fail-fast" => fail_fast = true,
             "--explain-out" => explain_out = Some(value("--explain-out")),
             "--help" | "-h" => usage(),
             other => {
@@ -453,14 +452,21 @@ fn main() {
     // lands under it, so the emitted timeline covers the full run.
     let cli_span = pc_rt::obs::span_cat("cli.run", "cli");
 
-    let mut cfg = CheckConfig::paper_default();
-    if let Some(path) = config_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| die(format_args!("cannot read {path}: {e}")));
-        cfg = CheckConfig::parse(&text)
-            .unwrap_or_else(|e| die(format_args!("bad configuration {path}: {e}")));
-    }
-    cfg.fail_fast = fail_fast;
+    let profile = if paper {
+        Params::paper()
+    } else {
+        Params::quick()
+    };
+    let (mut params, mut cfg) = match config_path {
+        Some(path) => {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| die(format_args!("cannot read {path}: {e}")));
+            profile
+                .configure(&text)
+                .unwrap_or_else(|e| die(format_args!("bad configuration {path}: {e}")))
+        }
+        None => (profile, CheckConfig::paper_default()),
+    };
     if let Some(dir) = &explain_out {
         cfg.explain = true;
         std::fs::create_dir_all(dir)
@@ -469,17 +475,6 @@ fn main() {
     if let Some(spec) = &faults_arg {
         cfg.faults = FaultConfig::parse_spec(spec)
             .unwrap_or_else(|e| die(format_args!("bad --faults spec: {e}")));
-    }
-    let mut params = if paper {
-        Params::paper()
-    } else {
-        Params::quick()
-    };
-    params = params
-        .with_servers(cfg.servers.0, cfg.servers.1)
-        .with_clients(cfg.clients);
-    if paper {
-        params = params.with_stripe(cfg.stripe_size);
     }
     if cfg.faults.enabled() {
         params = params.with_faults(cfg.faults.clone());

@@ -1,11 +1,11 @@
-//! `paracrash selftest <obs|faults|explain>` with no artifact argument:
-//! assert the plane's *disabled* overhead budget.
+//! `paracrash selftest <obs|faults>`: assert the plane's *disabled*
+//! overhead budget.
 //!
 //! Every plane is off by default and its disabled path is one cheap
-//! check per site (a relaxed atomic load, an inactive-plane branch, a
-//! map insert per unique bug). There is no plane-free build to diff
-//! against, so the bound is computed instead of measured directly, the
-//! same four steps for every plane:
+//! check per site (a relaxed atomic load, an inactive-plane branch).
+//! There is no plane-free build to diff against, so the bound is
+//! computed instead of measured directly, the same four steps for every
+//! plane:
 //!
 //! 1. measure the per-site cost `c` of the disabled path (`probe`);
 //! 2. measure the median wall time `t_off` of the plane's reference
@@ -19,12 +19,10 @@
 //! Exits 0 when the bound holds, 1 with a diagnostic when it does not.
 
 use paracrash::{
-    check_stack, crash_states, CheckConfig, CrashState, Inconsistency, PersistAnalysis, Stack,
-    StackFactory,
+    check_stack, crash_states, CheckConfig, CrashState, PersistAnalysis, Stack, StackFactory,
 };
 use pc_rt::obs::{prof, stream};
 use simnet::{FaultPlane, RpcNet};
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 use tracer::{CausalityGraph, Payload, Process, Recorder};
@@ -59,18 +57,6 @@ impl Fixture {
             states,
         }
     }
-
-    /// The unique bugs of the reference check, explain off.
-    fn bugs(&self) -> Vec<Inconsistency> {
-        assert!(!self.cfg.explain, "explain must default off");
-        let outcome = check_stack(&self.stack, &self.factory, &self.cfg);
-        assert!(!outcome.bugs.is_empty(), "verify workload must report bugs");
-        assert!(
-            outcome.explanations.is_empty(),
-            "no bundles may be built when explain is off"
-        );
-        outcome.bugs
-    }
 }
 
 /// One row of the per-plane table.
@@ -95,11 +81,6 @@ fn traced_run(fx: &Fixture) {
     black_box(Program::Arvr.run(FsKind::BeeGfs, &fx.params).rec.len());
 }
 
-/// The full check of the already-traced run.
-fn check(fx: &Fixture) {
-    black_box(check_stack(&fx.stack, &fx.factory, &fx.cfg).bugs.len());
-}
-
 /// One full cell, the unit the sweep driver instruments.
 fn cell(fx: &Fixture) {
     let stack = Program::Arvr.run(FsKind::BeeGfs, &fx.params);
@@ -108,7 +89,7 @@ fn cell(fx: &Fixture) {
 
 // --- the table --------------------------------------------------------------
 
-const PLANES: [Plane; 3] = [
+const PLANES: [Plane; 2] = [
     Plane {
         name: "obs",
         unit: "span/counter ops + allocations",
@@ -194,29 +175,6 @@ const PLANES: [Plane; 3] = [
                 .filter(|e| matches!(e.payload, Payload::Send { .. }));
             sends.count() as u64
         },
-    },
-    Plane {
-        name: "explain",
-        unit: "unique bugs",
-        workload_name: "check",
-        // With `explain = false` the checker pays only the witness
-        // bookkeeping the explain pass later reads: one `(signature,
-        // layer) -> state index` map insert per unique bug.
-        probe: |fx| {
-            const REPS: usize = 20_000;
-            let bugs = fx.bugs();
-            let t = Instant::now();
-            for i in 0..REPS {
-                let mut witness_state: BTreeMap<_, usize> = BTreeMap::new();
-                for (idx, bug) in bugs.iter().enumerate() {
-                    witness_state.insert((bug.signature.clone(), bug.layer), black_box(i + idx));
-                }
-                black_box(&witness_state);
-            }
-            t.elapsed().as_nanos() as f64 / (REPS * bugs.len()) as f64
-        },
-        workload: check,
-        sites: |fx, _| fx.bugs().len() as u64,
     },
 ];
 

@@ -2,14 +2,14 @@
 //! gate helpers `scripts/verify.sh` drives.
 //!
 //! ```sh
-//! paracrash selftest obs|faults|explain  # the plane's disabled-overhead budget
+//! paracrash selftest obs|faults                 # the plane's disabled-overhead budget
 //! paracrash selftest explain reports/ [MIN]      # --explain-out bundles
 //! paracrash selftest events --canonical-diff a.jsonl b.jsonl
 //! paracrash selftest scale                      # engine ratios, measured live
 //! paracrash selftest durable [SEED] [CASES]      # torn-tail recovery fuzz
 //! ```
 //!
-//! `obs`, `faults` and `explain` assert a disabled-overhead budget
+//! `obs` and `faults` assert a disabled-overhead budget
 //! ([`super::overhead`]); `explain DIR` validates a bundle directory and
 //! `events --canonical-diff` compares two streams' deterministic content
 //! (the stream, trace and profile files themselves are validated by
@@ -304,7 +304,7 @@ fn check_scale() {
         for &rep in &plan.rep {
             if views[rep].is_none() {
                 let mut st = plan.prepared[rep].fork();
-                let (_, view) = recover_and_mount(stack.pfs.as_ref(), &mut st);
+                let view = recover_and_mount(stack.pfs.as_ref(), &mut st);
                 views[rep] = Some(view);
             }
             digest ^= views[rep].as_ref().expect("recovered above").digest();
@@ -316,7 +316,7 @@ fn check_scale() {
         for state in &states {
             let mut st = stack.pfs.baseline().deep_clone();
             st.apply_events(&stack.rec, state.persisted.iter());
-            let (_, view) = recover_and_mount(stack.pfs.as_ref(), &mut st);
+            let view = recover_and_mount(stack.pfs.as_ref(), &mut st);
             digest ^= view.digest();
         }
         digest

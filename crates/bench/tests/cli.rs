@@ -45,9 +45,10 @@ fn table3_reproduces_all_fifteen() {
 
 /// The legacy perf path and the run-history ledger are gone, not
 /// ignored: their subcommands and flags, the file argument of `selftest
-/// scale`, the bare spellings of the folded overhead budgets and the
-/// artifact validators `report` replaced are usage errors, and the usage
-/// text no longer offers them.
+/// scale`, the bare spellings of the folded overhead budgets (`explain`'s
+/// among them), the artifact validators `report` replaced and
+/// `--fail-fast` are usage errors, and the usage text no longer offers
+/// them.
 #[test]
 fn removed_bench_surfaces_are_usage_errors() {
     for args in [
@@ -70,6 +71,8 @@ fn removed_bench_surfaces_are_usage_errors() {
         &["selftest", "events", "events.jsonl"],
         &["selftest", "events", "--html", "report.html"],
         &["selftest", "prof", "run.folded"],
+        &["selftest", "explain"],
+        &["--fs", "ext4", "--program", "ARVR", "--fail-fast"],
     ] {
         let out = paracrash(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -85,9 +88,38 @@ fn removed_bench_surfaces_are_usage_errors() {
     assert!(!text.contains("checkpoint"), "{text}");
     assert!(!text.contains("campaign-state"), "{text}");
     assert!(!text.contains("--cell-timeout") && !text.contains("--max-retries"));
+    assert!(!text.contains("--fail-fast"), "{text}");
     for (name, _) in pc_rt::env::VARS {
         assert!(text.contains(name), "{name} missing from: {text}");
     }
+}
+
+/// A `--config` file's cluster keys override the profile, with `--paper`
+/// or without; a key the file omits keeps the profile's value.
+#[test]
+fn config_file_cluster_keys_override_the_profile() {
+    let dir = scratch("config");
+    let conf = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    // The cell's first line counts its crash states.
+    let header = |args: &[&str]| {
+        let cell = ["--fs", "BeeGFS", "--program", "ARVR"];
+        let out = paracrash(&[&cell[..], args].concat());
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        text.lines().next().unwrap_or_default().to_string()
+    };
+    let (quick, paper) = (header(&[]), header(&["--paper"]));
+    let striped = conf("striped.conf", "stripe_size = 16\n");
+    let k = conf("k.conf", "k = 1\n");
+    assert!(quick.contains("(91 crash states"), "{quick}");
+    assert!(header(&["--config", &striped]).contains("(151 crash states"));
+    assert!(header(&["--paper", "--config", &striped]).contains("(151 crash states"));
+    assert_eq!(header(&["--config", &k]), quick);
+    assert_eq!(header(&["--paper", "--config", &k]), paper);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A value flag at the end of the line is a usage error naming the flag,

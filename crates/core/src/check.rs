@@ -314,7 +314,7 @@ impl Recovered {
     /// Run the recovery tool on a fork of `image` and mount the result.
     fn of(pfs: &dyn pfs::Pfs, image: &ServerStates) -> Recovered {
         pc_rt::obs::count("recover.executed", 1);
-        Recovered::mounted(recover_and_mount(pfs, &mut image.fork()).1)
+        Recovered::mounted(recover_and_mount(pfs, &mut image.fork()))
     }
 
     fn mounted(view: PfsView) -> Recovered {
@@ -638,9 +638,10 @@ fn verdict_of(
             state.victims.iter().copied(),
             &mut torn_rng(a.cfg, i),
         );
-        Arc::new(Recovered::mounted(
-            recover_and_mount(stack.pfs.as_ref(), &mut st).1,
-        ))
+        Arc::new(Recovered::mounted(recover_and_mount(
+            stack.pfs.as_ref(),
+            &mut st,
+        )))
     } else {
         a.memo
             .of_image(stack.pfs.as_ref(), &m.plan.prepared[m.plan.rep[i]])
@@ -741,9 +742,6 @@ fn prune_and_classify(a: &Analysis, e: &Enumerated, v: &Verdicts) -> Classified 
             Ok(verdict) => *verdict,
             Err(msg) => {
                 diagnose(&mut c, format!("crash state {idx}: {msg}"));
-                if a.cfg.fail_fast {
-                    break;
-                }
                 continue;
             }
         };
@@ -766,9 +764,6 @@ fn prune_and_classify(a: &Analysis, e: &Enumerated, v: &Verdicts) -> Classified 
                 &mut c,
                 format!("crash state {idx}: classification failed: {msg}"),
             );
-        }
-        if a.cfg.fail_fast {
-            break;
         }
     }
     c
@@ -1041,7 +1036,7 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
                     let victims = state.victims.iter().copied();
                     st.apply_torn_victims(rec, victims, &mut torn_rng(cfg, i));
                 }
-                let view = recover_and_mount(stack.pfs.as_ref(), &mut st).1;
+                let view = recover_and_mount(stack.pfs.as_ref(), &mut st);
                 layer_verdict(&a, &Recovered::mounted(view), legal)
             }),
             Err(e) => Err(format!("legal-state replay failed: {e}")),
@@ -1363,7 +1358,7 @@ mod tests {
         ) -> pfs::PfsResult<()> {
             self.inner.handle(rec, client, call, cev)
         }
-        fn recover(&self, states: &mut ServerStates) -> pfs::RecoveryReport {
+        fn recover(&self, states: &mut ServerStates) {
             self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             if self.poisoned {
                 panic!("poisoned recover");
@@ -1422,7 +1417,7 @@ mod tests {
             });
             assert_eq!(runs.load(Relaxed), distinct.len(), "{threads} threads");
             for (image, recovered) in m.plan.prepared.iter().zip(&views) {
-                let alone = recover_and_mount(stack.pfs.as_ref(), &mut image.fork()).1;
+                let alone = recover_and_mount(stack.pfs.as_ref(), &mut image.fork());
                 assert!(recovered.view == alone);
             }
         }

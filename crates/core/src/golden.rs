@@ -485,7 +485,7 @@ mod tests {
             }
             self.inner.handle(rec, client, call, cev)
         }
-        fn recover(&self, states: &mut pfs::ServerStates) -> pfs::RecoveryReport {
+        fn recover(&self, states: &mut pfs::ServerStates) {
             self.inner.recover(states)
         }
         fn client_view(&self, states: &pfs::ServerStates) -> PfsView {

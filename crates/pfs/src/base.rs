@@ -24,7 +24,7 @@ use crate::placement::Placement;
 use crate::store::{ServerStates, Store};
 use simfs::{BlockOp, FsOp, JournalMode};
 use simnet::{ClusterTopology, FaultConfig, FaultPlane, RpcNet};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
 use tracer::{EventId, Layer, Payload, Process, Recorder};
 
@@ -252,6 +252,27 @@ impl ModelBase {
         };
         *len = end.max(*len);
         self.emit_fs(rec, server, op, recv)
+    }
+
+    /// The storage-side sweep of every fsck that has one: on each storage
+    /// server, unlink each entry of `dir` whose owner — the object id
+    /// before the first `.` of its `<id>.<stripe>` name — is not in `live`.
+    /// A name no live id can match (OrangeFS's `stranded-<handle>.<n>`) is
+    /// always collected.
+    pub fn collect_orphans(&self, states: &mut ServerStates, dir: &str, live: &HashSet<String>) {
+        for s in self.topo.storage_servers() {
+            let Ok(names) = states.server(s).as_fs().readdir(dir) else {
+                continue;
+            };
+            for name in names {
+                if !live.contains(name.split('.').next().unwrap_or("")) {
+                    let _ = states
+                        .server_mut(s)
+                        .as_fs_mut()
+                        .unlink(&format!("{dir}/{name}"));
+                }
+            }
+        }
     }
 }
 

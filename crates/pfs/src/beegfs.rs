@@ -32,11 +32,11 @@ use crate::call::PfsCall;
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
 use crate::store::ServerStates;
-use crate::view::{PfsView, RecoveryReport};
+use crate::view::PfsView;
 use crate::Pfs;
-use simfs::{FsOp, FsState, JournalMode};
+use simfs::{FsOp, FsState, Ino, JournalMode};
 use simnet::ClusterTopology;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use tracer::{EventId, Process, Recorder};
 
 /// Runtime info for a directory.
@@ -589,117 +589,61 @@ impl Pfs for BeeGfs {
         }
     }
 
-    fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
+    fn recover(&self, states: &mut ServerStates) {
         let _span = pc_rt::obs::span_cat("recover/BeeGFS", "pfs");
-        let mut report = RecoveryReport::clean("beegfs-fsck");
-        // Pass 1: dentries pointing at idfiles with no attributes, or
-        // directories with no dentries object → report; drop directory
-        // dentries whose object is missing.
         let metas = self.base.topo.metadata_servers();
+        // Pass 1: a directory dentry whose dentries object is missing on
+        // its owner gets an empty one.
         for &m in &metas {
             let fs = states.server(m).as_fs().fork();
-            let Ok(dirkeys) = fs.readdir("/dentries") else {
-                continue;
-            };
-            for key in dirkeys {
+            for key in fs.readdir("/dentries").unwrap_or_default() {
                 let dent_dir = format!("/dentries/{key}");
-                let Ok(names) = fs.readdir(&dent_dir) else {
-                    continue;
-                };
-                for name in names {
+                for name in fs.readdir(&dent_dir).unwrap_or_default() {
                     let dentry = format!("{dent_dir}/{name}");
-                    if let Ok(spec) = fs.getxattr(&dentry, "user.dirkey") {
-                        let (ckey, cowner) = parse_dirkey(spec);
-                        let cmeta = self.base.meta_server(cowner);
-                        if !states
-                            .server(cmeta)
-                            .as_fs()
-                            .is_dir(&format!("/dentries/{ckey}"))
-                        {
-                            report.finding(format!(
-                                "dentry {name}: directory object {ckey} missing on meta#{cowner}"
-                            ));
-                            // Repair: recreate an empty dentries object.
-                            let _ = states
-                                .server_mut(cmeta)
-                                .as_fs_mut()
-                                .mkdir_all(&format!("/dentries/{ckey}"));
-                            report.repair(format!("recreated empty directory object {ckey}"));
-                        }
-                    } else if fs.getxattr(&dentry, "user.info").is_err() {
-                        report.finding(format!("dentry {name}: idfile has no attributes"));
-                        report.unrecovered_damage = true;
+                    let Ok(spec) = fs.getxattr(&dentry, "user.dirkey") else {
+                        continue;
+                    };
+                    let (ckey, cowner) = parse_dirkey(spec);
+                    let cmeta = self.base.meta_server(cowner);
+                    let object = format!("/dentries/{ckey}");
+                    if !states.server(cmeta).as_fs().is_dir(&object) {
+                        let _ = states.server_mut(cmeta).as_fs_mut().mkdir_all(&object);
                     }
                 }
             }
         }
-        // Pass 2: idfiles no dentry links to (the create's `link` never
-        // persisted, or every dentry was removed) are orphans —
-        // disposed, together with their chunks.
+        // Pass 2: an idfile no dentry of its own server links to (the
+        // create's `link` never persisted, or every dentry was removed) is
+        // an orphan and is disposed.
         for &m in &metas {
             let fs = states.server(m).as_fs().fork();
-            let Ok(ids) = fs.readdir("/idfiles") else {
-                continue;
-            };
-            for id in ids {
+            let mut linked: HashSet<Ino> = HashSet::new();
+            for key in fs.readdir("/dentries").unwrap_or_default() {
+                let dent_dir = format!("/dentries/{key}");
+                for name in fs.readdir(&dent_dir).unwrap_or_default() {
+                    linked.extend(fs.resolve(&format!("{dent_dir}/{name}")));
+                }
+            }
+            for id in fs.readdir("/idfiles").unwrap_or_default() {
                 let idf = format!("/idfiles/{id}");
-                let Ok(id_ino) = fs.resolve(&idf) else {
-                    continue;
-                };
-                let mut linked = false;
-                'outer: for &m2 in &metas {
-                    let fs2 = states.server(m2).as_fs();
-                    if let Ok(dirs) = fs2.readdir("/dentries") {
-                        for key in dirs {
-                            if let Ok(names) = fs2.readdir(&format!("/dentries/{key}")) {
-                                for name in names {
-                                    if m2 == m
-                                        && fs2.resolve(&format!("/dentries/{key}/{name}")).ok()
-                                            == Some(id_ino)
-                                    {
-                                        linked = true;
-                                        break 'outer;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if !linked {
-                    report.finding(format!("orphan idfile {id} on meta#{m}"));
+                if fs.resolve(&idf).is_ok_and(|ino| !linked.contains(&ino)) {
                     let _ = states.server_mut(m).as_fs_mut().unlink(&idf);
-                    report.repair(format!("disposed orphan idfile {id}"));
                 }
             }
         }
-        // Pass 3: chunks on storage servers with no referencing idfile →
-        // garbage-collect; referenced-but-missing chunks → data loss the
-        // tool cannot repair (§2.3: "cannot be resolved by beegfs-fsck").
-        let mut live_ids: Vec<String> = Vec::new();
-        for &m in &metas {
-            let fs = states.server(m).as_fs();
-            if let Ok(ids) = fs.readdir("/idfiles") {
-                live_ids.extend(ids);
-            }
-        }
-        for &s in &self.base.topo.storage_servers() {
-            let fs = states.server(s).as_fs().fork();
-            let Ok(chunks) = fs.readdir("/chunks") else {
-                continue;
-            };
-            for chunk in chunks {
-                let id = chunk.split('.').next().unwrap_or("").to_string();
-                if !live_ids.contains(&id) {
-                    report.finding(format!("orphan chunk {chunk} on storage#{s}"));
-                    let _ = states
-                        .server_mut(s)
-                        .as_fs_mut()
-                        .unlink(&format!("/chunks/{chunk}"));
-                    report.repair(format!("removed orphan chunk {chunk}"));
-                }
-            }
-        }
-        report
+        // Pass 3: chunks no idfile owns are collected. Referenced but
+        // missing chunks are data loss the tool cannot repair (§2.3:
+        // "cannot be resolved by beegfs-fsck").
+        let live: HashSet<String> = (metas.iter())
+            .flat_map(|&m| {
+                states
+                    .server(m)
+                    .as_fs()
+                    .readdir("/idfiles")
+                    .unwrap_or_default()
+            })
+            .collect();
+        self.base.collect_orphans(states, "/chunks", &live);
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
@@ -772,7 +716,7 @@ mod tests {
             .collect();
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, dropped);
-        let (_, view) = recover_and_mount(&fs, &mut states);
+        let view = recover_and_mount(&fs, &mut states);
         // The file exists but its content is neither old nor new.
         let got = view.read("/file");
         assert!(
@@ -806,7 +750,7 @@ mod tests {
             .collect();
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, keep);
-        let (_, view) = recover_and_mount(&fs, &mut states);
+        let view = recover_and_mount(&fs, &mut states);
         // tmp holds the new data; file lost its content (chunk gone).
         assert_eq!(view.read("/tmp"), Some(&b"new"[..]));
         assert!(view.exists("/file"));
@@ -867,6 +811,24 @@ mod tests {
         assert!(!s0.is_empty() && !s1.is_empty());
     }
 
+    /// Every storage server's `/chunks` listing.
+    fn chunks(fs: &BeeGfs, states: &ServerStates) -> Vec<Vec<String>> {
+        let storage = fs.base.topo.storage_servers().into_iter();
+        storage
+            .map(|s| states.server(s).as_fs().readdir("/chunks").unwrap())
+            .collect()
+    }
+
+    /// The lowermost events of `rec` except those whose op `drop` selects.
+    fn without(rec: &Recorder, drop: fn(&FsOp) -> bool) -> Vec<EventId> {
+        let dropped =
+            |id: EventId| matches!(&rec.event(id).payload, Payload::Fs { op, .. } if drop(op));
+        rec.lowermost_events()
+            .into_iter()
+            .filter(|&id| !dropped(id))
+            .collect()
+    }
+
     #[test]
     fn fsck_collects_orphan_chunks() {
         let (fs, rec) = arvr_setup();
@@ -885,10 +847,71 @@ mod tests {
             .collect();
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, keep);
-        let report = fs.recover(&mut states);
-        assert!(report.findings.iter().any(|f| f.contains("orphan chunk")));
-        // After repair the view equals the baseline view.
-        assert_eq!(fs.client_view(&states), fs.client_view(fs.baseline()));
+        assert_ne!(chunks(&fs, &states), chunks(&fs, fs.baseline()));
+        fs.recover(&mut states);
+        assert_eq!(chunks(&fs, &states), chunks(&fs, fs.baseline()));
+    }
+
+    #[test]
+    fn fsck_recreates_a_missing_directory_object() {
+        // /A's dentry lands on the root's server, its dentries object on
+        // the other one; only the object is lost.
+        let placement = Placement::new().pin_dir("/", 0).pin_dir("/A", 1);
+        let topo = ClusterTopology::paper_dedicated_default();
+        let mut fs = BeeGfs::new(topo, placement, 128 * 1024);
+        let mut rec = Recorder::new();
+        drive(&mut fs, &mut rec, &[mkdir("/A")]);
+        let object =
+            |op: &FsOp| matches!(op, FsOp::Mkdir { path } if path.starts_with("/dentries/"));
+        let mut states = fs.baseline().clone();
+        states.apply_events(&rec, without(&rec, object));
+        let owner = fs.base.meta_server(1);
+        let key = &fs.dirs["/A"].key;
+        let has_object =
+            |st: &ServerStates| st.server(owner).as_fs().is_dir(&format!("/dentries/{key}"));
+        assert!(!has_object(&states));
+        fs.recover(&mut states);
+        assert!(has_object(&states));
+    }
+
+    #[test]
+    fn fsck_disposes_an_orphan_idfile_and_collects_its_chunk() {
+        // Three metadata servers: /A on the second, /B on the third.
+        let placement = Placement::new()
+            .pin_dir("/", 0)
+            .pin_dir("/A", 1)
+            .pin_dir("/B", 2);
+        let mut fs = BeeGfs::new(ClusterTopology::dedicated(3, 2, 1), placement, 128 * 1024);
+        let preamble = [
+            mkdir("/A"),
+            mkdir("/B"),
+            creat("/A/keep"),
+            pwrite("/A/keep", 0, b"k"),
+        ];
+        drive(&mut fs, &mut Recorder::new(), &preamble);
+        fs.seal_baseline();
+        let mut rec = Recorder::new();
+        drive(
+            &mut fs,
+            &mut rec,
+            &[creat("/B/lost"), pwrite("/B/lost", 0, b"x")],
+        );
+        // Everything persists but the dentry's link: /B/lost's idfile and
+        // chunk have no name.
+        let mut states = fs.baseline().clone();
+        states.apply_events(&rec, without(&rec, |op| matches!(op, FsOp::Link { .. })));
+        let idfiles = |st: &ServerStates, idx: usize| {
+            let meta = fs.base.meta_server(idx);
+            st.server(meta).as_fs().readdir("/idfiles").unwrap()
+        };
+        let lost = &fs.files["/B/lost"].id;
+        assert_eq!(idfiles(&states, 2), [lost.as_str()]);
+        assert!(chunks(&fs, &states).concat().contains(&format!("{lost}.0")));
+        fs.recover(&mut states);
+        assert!(idfiles(&states, 2).is_empty());
+        assert_eq!(idfiles(&states, 1), [fs.files["/A/keep"].id.as_str()]);
+        assert_eq!(chunks(&fs, &states), chunks(&fs, fs.baseline()));
+        assert_eq!(fs.client_view(&states).read("/A/keep"), Some(&b"k"[..]));
     }
 
     #[test]

@@ -12,9 +12,9 @@ use crate::call::PfsCall;
 use crate::error::PfsResult;
 use crate::placement::Placement;
 use crate::store::ServerStates;
-use crate::view::{PfsView, RecoveryReport};
+use crate::view::PfsView;
 use crate::Pfs;
-use simfs::{FsOp, Fsck, JournalMode};
+use simfs::{FsOp, JournalMode};
 use simnet::ClusterTopology;
 use tracer::{EventId, Process, Recorder};
 
@@ -81,13 +81,11 @@ impl Pfs for Ext4Direct {
         Ok(())
     }
 
-    fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
+    fn recover(&self, _states: &mut ServerStates) {
+        // e2fsck has nothing to repair: the simulated local FS applies
+        // every operation whole, so its structure is always sound (the
+        // property tests hold it to `simfs::Fsck`).
         let _span = pc_rt::obs::span_cat("recover/ext4", "pfs");
-        let mut report = RecoveryReport::clean("e2fsck");
-        for issue in Fsck::check(states.server(0).as_fs()) {
-            report.finding(issue.to_string());
-        }
-        report
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
@@ -146,6 +144,5 @@ mod tests {
         let view = fs.client_view(fs.live());
         assert!(view.has_dir("/A"));
         assert!(view.exists("/A/f"));
-        assert!(fs.recover(&mut fs.live().clone()).is_clean());
     }
 }

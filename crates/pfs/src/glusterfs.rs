@@ -32,7 +32,7 @@ use crate::call::PfsCall;
 use crate::error::PfsResult;
 use crate::placement::Placement;
 use crate::store::ServerStates;
-use crate::view::{PfsView, RecoveryReport};
+use crate::view::PfsView;
 use crate::Pfs;
 use simfs::{FsOp, JournalMode};
 use simnet::ClusterTopology;
@@ -413,9 +413,8 @@ impl Pfs for GlusterFs {
         Ok(())
     }
 
-    fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
+    fn recover(&self, states: &mut ServerStates) {
         let _span = pc_rt::obs::span_cat("recover/GlusterFS", "pfs");
-        let mut report = RecoveryReport::clean("glusterfs-heal");
         // Duplicate entries for one path across bricks → keep the highest
         // generation (self-heal), drop the rest.
         let mut by_path: BTreeMap<String, Vec<(u32, u64)>> = BTreeMap::new();
@@ -423,22 +422,14 @@ impl Pfs for GlusterFs {
             by_path.entry(vpath).or_default().push((brick, gen));
         }
         for (vpath, mut holders) in by_path {
-            if holders.len() > 1 {
-                holders.sort_by_key(|&(_, gen)| std::cmp::Reverse(gen));
-                report.finding(format!(
-                    "split-brain entry {vpath} on {} bricks",
-                    holders.len()
-                ));
-                for &(brick, _) in &holders[1..] {
-                    let _ = states
-                        .server_mut(brick)
-                        .as_fs_mut()
-                        .unlink(&data_path(&vpath));
-                    report.repair(format!("dropped stale {vpath} replica on brick#{brick}"));
-                }
+            holders.sort_by_key(|&(_, gen)| std::cmp::Reverse(gen));
+            for &(brick, _) in holders.iter().skip(1) {
+                let _ = states
+                    .server_mut(brick)
+                    .as_fs_mut()
+                    .unlink(&data_path(&vpath));
             }
         }
-        report
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
@@ -521,7 +512,7 @@ mod tests {
             let mut states = fs.baseline().clone();
             states.apply_events(&rec, low[..k].iter().copied());
             let mut s2 = states.clone();
-            let _ = fs.recover(&mut s2);
+            fs.recover(&mut s2);
             let view = fs.client_view(&s2);
             let file = view.read("/file");
             assert!(
@@ -564,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn heal_resolves_split_brain_by_generation() {
+    fn fsck_heals_split_brain_by_generation() {
         // A renamed file colliding with a stale old entry on another
         // brick must resolve to the newer generation.
         let placement = Placement::new().pin_file("/a", 0).pin_file("/b", 1);
@@ -591,8 +582,10 @@ mod tests {
             .collect();
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, keep);
-        let report = fs.recover(&mut states);
-        assert!(report.findings.iter().any(|f| f.contains("split-brain")));
+        let stale = |st: &ServerStates| st.server(1).as_fs().exists("/data/b");
+        assert!(stale(&states));
+        fs.recover(&mut states);
+        assert!(!stale(&states) && states.server(0).as_fs().exists("/data/b"));
         let view = fs.client_view(&states);
         assert_eq!(view.read("/b"), Some(&b"NEW"[..]));
         assert!(!view.exists("/a"));

@@ -29,7 +29,7 @@ use crate::call::PfsCall;
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
 use crate::store::ServerStates;
-use crate::view::{PfsView, RecoveryReport};
+use crate::view::PfsView;
 use crate::Pfs;
 use pc_rt::hash::{fnv1a_fold, FNV_OFFSET_BASIS, LONG_PRIME};
 use simfs::{BlockOp, StructTag};
@@ -591,30 +591,18 @@ impl Pfs for Gpfs {
         }
     }
 
-    fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
-        // mmfsck in "accept all fixes" mode: dangling directory entries
-        // (missing or deleted inode) are removed; orphan inodes are
-        // freed. Data lost by those fixes stays lost (Table 3 bug 3's
-        // consequence).
+    fn recover(&self, states: &mut ServerStates) {
+        // mmfsck in "accept all fixes" mode: directory entries whose inode
+        // is missing or deleted are removed. Data lost by those fixes
+        // stays lost (Table 3 bug 3's consequence).
         let _span = pc_rt::obs::span_cat("recover/GPFS", "pfs");
-        let mut report = RecoveryReport::clean("mmfsck");
         let blocks = Self::collect(states);
         for (dir, entries) in &blocks.dirs {
             let mut fixed = entries.clone();
-            for (name, record) in entries {
-                let Some(id) = record.strip_prefix("F:") else {
-                    continue;
-                };
-                let why = match blocks.inodes.get(id) {
-                    None => "block missing",
-                    Some(p) if p == "deleted" => "marked deleted",
-                    _ => continue,
-                };
-                report.finding(format!("entry {dir}/{name}: inode {id} {why}"));
-                fixed.remove(name);
-                report.repair(format!("removed entry {dir}/{name}"));
-                report.unrecovered_damage = true;
-            }
+            fixed.retain(|_, record| match record.strip_prefix("F:") {
+                Some(id) => blocks.inodes.get(id).is_some_and(|p| p != "deleted"),
+                None => true,
+            });
             if &fixed != entries {
                 // Write the repaired directory block back.
                 states
@@ -623,7 +611,6 @@ impl Pfs for Gpfs {
                     .apply(&dirent_block(dir, &fixed, None));
             }
         }
-        report
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
@@ -698,12 +685,12 @@ mod tests {
         let (fs, mut states) = arvr_without(
             |op| matches!(op, BlockOp::Write { payload, .. } if payload == b"deleted"),
         );
-        let (_, view) = recover_and_mount(&fs, &mut states);
+        let view = recover_and_mount(&fs, &mut states);
         assert_eq!(view.read("/file"), Some(&b"new"[..]));
     }
 
     #[test]
-    fn partial_group_inode_delete_without_dirent_is_data_loss() {
+    fn fsck_drops_the_entry_of_a_deleted_inode_bug3_data_loss() {
         // Persist the "deleted" inode mark but not the dirent update:
         // foo's entry still names the old inode, which is deleted —
         // mmfsck removes the entry, the file is gone (bug 3, "data loss
@@ -713,8 +700,9 @@ mod tests {
                 // only drop the rename-group dirent write
                 && op.atomic_group() >= Some(2)
         });
-        let (report, view) = recover_and_mount(&fs, &mut states);
-        assert!(report.unrecovered_damage);
+        assert!(Gpfs::collect(&states).dirs["root"].contains_key("file"));
+        let view = recover_and_mount(&fs, &mut states);
+        assert!(!Gpfs::collect(&states).dirs["root"].contains_key("file"));
         assert!(!view.exists("/file"), "{view}");
     }
 

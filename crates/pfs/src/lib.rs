@@ -43,7 +43,8 @@
 //! 1. `name` — the paper's name for the file system;
 //! 2. `handle` — each [`PfsCall`] as `base.request`, `base.emit_*`,
 //!    `base.reply` in the order the real system issues them;
-//! 3. `recover` — the fsck tool over crashed [`ServerStates`];
+//! 3. `recover` — the fsck tool: repairs crashed [`ServerStates`] in
+//!    place (storage-side orphans through `base.collect_orphans`);
 //! 4. `client_view` — mount: the file tree from persistent state only;
 //! 5. `restart_cost_secs` — the Figure 10/11 cost-model constant.
 
@@ -66,7 +67,7 @@ pub use call::{CallTrace, ClientTrace, PfsCall};
 pub use error::{PfsError, PfsResult};
 pub use placement::Placement;
 pub use store::{ServerStates, Store};
-pub use view::{PfsView, RecoveryReport};
+pub use view::PfsView;
 
 use simnet::{ClusterTopology, FaultConfig};
 use tracer::{EventId, Layer, Payload, Process, Recorder};
@@ -110,9 +111,10 @@ pub trait Pfs: Fork + Send + Sync {
     ) -> PfsResult<()>;
 
     /// Run the PFS's recovery tool (`beegfs-fsck`, `pvfs2-fsck`, `mmfsck`,
-    /// …) over crashed server states, mutating them in place. Returns
-    /// what the tool did.
-    fn recover(&self, states: &mut ServerStates) -> RecoveryReport;
+    /// …) over crashed server states, repairing them in place. The
+    /// checker judges only the view mounted afterwards (Figure 6), so the
+    /// tool's findings are not an output.
+    fn recover(&self, states: &mut ServerStates);
 
     /// Mount: derive the client-visible file tree purely from persistent
     /// server states (never from live bookkeeping — a crash destroys
@@ -199,12 +201,10 @@ impl Clone for Box<dyn Pfs> {
 
 /// Convenience: run the recovery tool and return the recovered view in
 /// one step, as the checking workflow of Figure 6 does.
-pub fn recover_and_mount(pfs: &dyn Pfs, states: &mut ServerStates) -> (RecoveryReport, PfsView) {
-    let report = pfs.recover(states);
-    let mount = pc_rt::obs::span_cat("pfs.mount", "pfs");
-    let view = pfs.client_view(states);
-    drop(mount);
-    (report, view)
+pub fn recover_and_mount(pfs: &dyn Pfs, states: &mut ServerStates) -> PfsView {
+    pfs.recover(states);
+    let _mount = pc_rt::obs::span_cat("pfs.mount", "pfs");
+    pfs.client_view(states)
 }
 
 #[cfg(test)]

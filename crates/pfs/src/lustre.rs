@@ -29,11 +29,11 @@ use crate::call::PfsCall;
 use crate::error::PfsResult;
 use crate::placement::Placement;
 use crate::store::ServerStates;
-use crate::view::{PfsView, RecoveryReport};
+use crate::view::PfsView;
 use crate::Pfs;
 use simfs::{FsOp, JournalMode};
 use simnet::ClusterTopology;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use tracer::{EventId, Process, Recorder};
 
 #[derive(Debug, Clone)]
@@ -317,43 +317,22 @@ impl Pfs for Lustre {
         Ok(())
     }
 
-    fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
-        // lfsck: garbage-collect orphan objects; report missing objects.
+    fn recover(&self, states: &mut ServerStates) {
+        // lfsck: objects no MDT entry names are destroyed.
         let _span = pc_rt::obs::span_cat("recover/Lustre", "pfs");
-        let mut report = RecoveryReport::clean("lfsck");
         let mdt_fs = states.server(self.mdt()).as_fs();
-        let mut live_objs: Vec<String> = Vec::new();
-        for p in mdt_fs.walk() {
-            if !mdt_fs.is_dir(&p) {
-                if let Ok(raw) = mdt_fs.read(&p) {
-                    let entry = String::from_utf8_lossy(raw);
-                    live_objs.extend(
-                        entry
-                            .split(';')
-                            .filter_map(|part| part.strip_prefix("obj="))
-                            .map(str::to_string),
-                    );
-                }
+        let mut live = HashSet::new();
+        for path in mdt_fs.walk() {
+            // Directories do not read.
+            if let Ok(raw) = mdt_fs.read(&path) {
+                let entry = String::from_utf8_lossy(raw);
+                let objs = entry
+                    .split(';')
+                    .filter_map(|part| part.strip_prefix("obj="));
+                live.extend(objs.map(str::to_string));
             }
         }
-        for s in self.base.topo.storage_servers() {
-            let fs = states.server(s).as_fs().fork();
-            let Ok(objs) = fs.readdir("/objects") else {
-                continue;
-            };
-            for name in objs {
-                let obj = name.split('.').next().unwrap_or("").to_string();
-                if !live_objs.contains(&obj) {
-                    report.finding(format!("orphan object {name} on OST#{s}"));
-                    let _ = states
-                        .server_mut(s)
-                        .as_fs_mut()
-                        .unlink(&format!("/objects/{name}"));
-                    report.repair(format!("destroyed orphan object {name}"));
-                }
-            }
-        }
-        report
+        self.base.collect_orphans(states, "/objects", &live);
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
@@ -498,8 +477,14 @@ mod tests {
             .collect();
         let mut states = fs.baseline().clone();
         states.apply_events(&rec2, keep);
-        let report = fs.recover(&mut states);
-        assert!(report.findings.iter().any(|f| f.contains("orphan object")));
+        let objects = |st: &ServerStates| -> Vec<String> {
+            let osts = fs.base.topo.storage_servers().into_iter();
+            osts.flat_map(|s| st.server(s).as_fs().readdir("/objects").unwrap())
+                .collect()
+        };
+        assert!(!objects(&states).is_empty());
+        fs.recover(&mut states);
+        assert!(objects(&states).is_empty());
         assert!(!fs.client_view(&states).exists("/f"));
     }
 }

@@ -35,11 +35,11 @@ use crate::call::PfsCall;
 use crate::error::PfsResult;
 use crate::placement::Placement;
 use crate::store::ServerStates;
-use crate::view::{PfsView, RecoveryReport};
+use crate::view::PfsView;
 use crate::Pfs;
 use simfs::{FsOp, FsState, JournalMode};
 use simnet::ClusterTopology;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use tracer::{EventId, Process, Recorder};
 
 #[derive(Debug, Clone)]
@@ -417,9 +417,20 @@ impl OrangeFs {
         out
     }
 
+    /// `handle → attrs` over every metadata server. Attributes live on
+    /// the server that created the handle — not necessarily the owner of
+    /// the directory naming it — so lookups resolve against the union.
+    fn attrs(&self, states: &ServerStates) -> BTreeMap<String, String> {
+        let metas = self.base.topo.metadata_servers().into_iter();
+        metas
+            .flat_map(|m| Self::parse_attrs(states.server(m).as_fs()))
+            .collect()
+    }
+
     fn walk_dir(
         &self,
         states: &ServerStates,
+        attrs: &BTreeMap<String, String>,
         key: &str,
         owner: usize,
         vpath: &str,
@@ -427,13 +438,6 @@ impl OrangeFs {
     ) {
         let fs = states.server(self.base.meta_server(owner)).as_fs();
         let keyval = Self::parse_keyval(fs);
-        // Attributes live on the metadata server that created the handle
-        // — not necessarily the directory's owner — so resolve against
-        // the union of all attrs databases.
-        let mut attrs = BTreeMap::new();
-        for m in self.base.topo.metadata_servers() {
-            attrs.extend(Self::parse_attrs(states.server(m).as_fs()));
-        }
         let Some(entries) = keyval.get(key) else {
             return;
         };
@@ -444,7 +448,8 @@ impl OrangeFs {
                 ["D", spec] => {
                     let (ckey, cowner) = spec.split_once(':').unwrap_or(("?", "0"));
                     view.add_dir(child.clone());
-                    self.walk_dir(states, ckey, cowner.parse().unwrap_or(0), &child, view);
+                    let cowner = cowner.parse().unwrap_or(0);
+                    self.walk_dir(states, attrs, ckey, cowner, &child, view);
                 }
                 ["F", handle] => {
                     let Some(a) = attrs.get(*handle) else {
@@ -506,58 +511,19 @@ impl Pfs for OrangeFs {
         }
     }
 
-    fn recover(&self, states: &mut ServerStates) -> RecoveryReport {
-        // pvfs2-fsck: collects stranded bstreams and reports dangling
-        // dentries; it cannot repair mis-ordered DB records (§6.3.1).
+    fn recover(&self, states: &mut ServerStates) {
+        // pvfs2-fsck: collects stranded and unowned bstreams; it cannot
+        // repair mis-ordered DB records (§6.3.1).
         let _span = pc_rt::obs::span_cat("recover/OrangeFS", "pfs");
-        let mut report = RecoveryReport::clean("pvfs2-fsck");
-        let mut live_handles: Vec<String> = Vec::new();
-        for m in self.base.topo.metadata_servers() {
-            let fs = states.server(m).as_fs();
-            live_handles.extend(Self::parse_attrs(fs).keys().cloned());
-            for (dirkey, entries) in Self::parse_keyval(fs) {
-                for (name, record) in entries {
-                    if let Some(handle) = record.strip_prefix("F ") {
-                        if !Self::parse_attrs(fs).contains_key(handle) {
-                            report.finding(format!(
-                                "dangling dentry {dirkey}/{name} -> handle {handle} without attributes"
-                            ));
-                            report.unrecovered_damage = true;
-                        }
-                    }
-                }
-            }
-        }
-        for s in self.base.topo.storage_servers() {
-            let fs = states.server(s).as_fs().fork();
-            let Ok(names) = fs.readdir("/bstreams") else {
-                continue;
-            };
-            for name in names {
-                let handle = name
-                    .strip_prefix("stranded-")
-                    .unwrap_or(&name)
-                    .split('.')
-                    .next()
-                    .unwrap_or("")
-                    .to_string();
-                if name.starts_with("stranded-") || !live_handles.contains(&handle) {
-                    report.finding(format!("orphan bstream {name} on storage#{s}"));
-                    let _ = states
-                        .server_mut(s)
-                        .as_fs_mut()
-                        .unlink(&format!("/bstreams/{name}"));
-                    report.repair(format!("collected {name}"));
-                }
-            }
-        }
-        report
+        let live: HashSet<String> = self.attrs(states).into_keys().collect();
+        self.base.collect_orphans(states, "/bstreams", &live);
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
         let mut view = PfsView::new();
         let root_owner = self.base.placement.dir_index("/", self.base.n_meta());
-        self.walk_dir(states, "root", root_owner, "/", &mut view);
+        let attrs = self.attrs(states);
+        self.walk_dir(states, &attrs, "root", root_owner, "/", &mut view);
         view
     }
 
@@ -648,7 +614,7 @@ mod tests {
         assert!(view.exists("/A/foo") && view.exists("/B/foo"), "{view}");
         // And pvfs2-fsck does not repair it.
         let mut s2 = states.clone();
-        let _ = fs.recover(&mut s2);
+        fs.recover(&mut s2);
         let v2 = fs.client_view(&s2);
         assert!(v2.exists("/A/foo") && v2.exists("/B/foo"));
     }
@@ -672,8 +638,15 @@ mod tests {
             .collect();
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, keep);
-        let report = fs.recover(&mut states);
-        assert!(report.findings.iter().any(|f| f.contains("orphan bstream")));
+        let bstreams = |st: &ServerStates| -> Vec<String> {
+            let storage = fs.base.topo.storage_servers().into_iter();
+            storage
+                .flat_map(|s| st.server(s).as_fs().readdir("/bstreams").unwrap())
+                .collect()
+        };
+        assert!(bstreams(&states).iter().any(|b| b.starts_with("stranded-")));
+        fs.recover(&mut states);
+        assert!(bstreams(&states).is_empty());
         assert_eq!(fs.client_view(&states), PfsView::new());
     }
 }

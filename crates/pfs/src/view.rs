@@ -1,5 +1,4 @@
-//! The client-visible file tree of a (possibly recovered) PFS, and
-//! recovery reports.
+//! The client-visible file tree of a (possibly recovered) PFS.
 //!
 //! ParaCrash's golden-master comparison happens at this level: a recovered
 //! crash state is *consistent* iff its client-visible tree matches the
@@ -145,45 +144,6 @@ impl fmt::Display for PfsView {
     }
 }
 
-/// What the PFS's recovery tool did with a crash state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Tool name (`beegfs-fsck`, `mmfsck`, …).
-    pub tool: String,
-    /// Issues found, in tool-output style.
-    pub findings: Vec<String>,
-    /// Repairs applied.
-    pub repairs: Vec<String>,
-    /// `true` if the tool declared the file system unrecoverable /
-    /// left known damage behind.
-    pub unrecovered_damage: bool,
-}
-
-impl RecoveryReport {
-    /// A clean run of `tool` (nothing to fix).
-    pub fn clean(tool: impl Into<String>) -> Self {
-        RecoveryReport {
-            tool: tool.into(),
-            ..Default::default()
-        }
-    }
-
-    /// Record a finding.
-    pub fn finding(&mut self, msg: impl Into<String>) {
-        self.findings.push(msg.into());
-    }
-
-    /// Record a repair.
-    pub fn repair(&mut self, msg: impl Into<String>) {
-        self.repairs.push(msg.into());
-    }
-
-    /// `true` if the tool found nothing.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && !self.unrecovered_damage
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,14 +184,5 @@ mod tests {
         assert!(d.iter().any(|s| s.contains("/x") && s.contains("differs")));
         assert!(d.iter().any(|s| s.contains("/y")));
         assert!(d.iter().any(|s| s.contains("/d")));
-    }
-
-    #[test]
-    fn recovery_report_flags() {
-        let mut r = RecoveryReport::clean("beegfs-fsck");
-        assert!(r.is_clean());
-        r.finding("dangling dentry");
-        r.repair("dropped dentry");
-        assert!(!r.is_clean());
     }
 }

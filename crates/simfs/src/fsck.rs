@@ -1,14 +1,13 @@
 //! Structural consistency checking for [`FsState`] — the local analogue of
-//! `e2fsck`.
+//! `e2fsck`, kept as the property tests' invariant oracle.
 //!
 //! ParaCrash runs the storage system's own checker first (§4.4.3): it is
 //! cheap and catches *structural* corruption, but says nothing about which
 //! pre-crash operations survived. Our simulated local FS cannot corrupt its
-//! own structures (operations are transactional), so the interesting
-//! checkers live in the `pfs` and `h5sim` crates; this module provides the
-//! shared machinery: issue reporting and generic invariant checks that PFS
-//! checkers build on (dangling references recorded in xattrs, marker files,
-//! etc.), plus a self-check used in property tests.
+//! own structures (operations are transactional), so no recovery tool
+//! calls this module — the PFS checkers live in `pfs` and `h5sim`. The
+//! property tests call it instead, to show that every replay schedule
+//! leaves the inode table sound.
 
 use crate::state::{FsState, Inode};
 use std::collections::BTreeSet;
@@ -53,7 +52,6 @@ impl Fsck {
     /// exists so property tests can assert them after arbitrary replay
     /// schedules, the same way the paper trusts but verifies ext4.
     pub fn check(fs: &FsState) -> Vec<FsckIssue> {
-        let _span = pc_rt::obs::span_cat("simfs.fsck", "simfs");
         let mut issues = Vec::new();
         // Reachability sweep.
         let mut reachable: BTreeSet<u64> = BTreeSet::new();
@@ -100,7 +98,6 @@ impl Fsck {
                 });
             }
         }
-        pc_rt::obs::count("simfs.fsck_issues", issues.len() as u64);
         issues
     }
 

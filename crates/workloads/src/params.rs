@@ -1,6 +1,8 @@
 //! Run parameters: the paper's system configuration and sensitivity
-//! knobs (§6.1, §6.2).
+//! knobs (§6.1, §6.2), and the configuration file (§5) that sets the
+//! cluster shape here and the checker's models in a [`CheckConfig`].
 
+use paracrash::{CheckConfig, ExploreMode, Model};
 use pfs::Placement;
 use simnet::FaultConfig;
 
@@ -143,6 +145,61 @@ impl Params {
     pub fn ranks(&self) -> Vec<u32> {
         (0..self.clients.max(1)).collect()
     }
+
+    /// Read a configuration file: `key = value` lines, `#` comments.
+    /// The cluster keys `stripe_size`, `meta_servers`, `storage_servers`
+    /// and `clients` override this profile's values (an omitted key keeps
+    /// the profile's); `pfs_model`, `h5_model`, `k`, `mode` and
+    /// `h5clear_increase_eof` configure the checker, starting from
+    /// [`CheckConfig::paper_default`]. Any other key is rejected: the
+    /// fault plane and `explain` are per-run choices, not configuration.
+    pub fn configure(mut self, text: &str) -> Result<(Params, CheckConfig), String> {
+        let mut cfg = CheckConfig::paper_default();
+        for (lineno, line) in text.lines().enumerate() {
+            let line = line.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            let (key, value) = line
+                .split_once('=')
+                .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
+            let (key, value) = (key.trim(), value.trim());
+            let bad = |what: &str| format!("line {}: bad {what}: {value}", lineno + 1);
+            match key {
+                "pfs_model" => cfg.pfs_model = Model::parse(value).ok_or_else(|| bad("model"))?,
+                "h5_model" => cfg.h5_model = Model::parse(value).ok_or_else(|| bad("model"))?,
+                "k" => cfg.k = value.parse().map_err(|_| bad("k"))?,
+                "mode" => cfg.mode = ExploreMode::parse(value).ok_or_else(|| bad("mode"))?,
+                "h5clear_increase_eof" => {
+                    cfg.clear_opts.increase_eof = value.parse().map_err(|_| bad("bool"))?
+                }
+                "stripe_size" => self.stripe = value.parse().map_err(|_| bad("size"))?,
+                "meta_servers" => self.meta = value.parse().map_err(|_| bad("count"))?,
+                "storage_servers" => self.storage = value.parse().map_err(|_| bad("count"))?,
+                "clients" => self.clients = value.parse().map_err(|_| bad("count"))?,
+                other => return Err(format!("line {}: unknown key {other}", lineno + 1)),
+            }
+        }
+        Ok((self, cfg))
+    }
+
+    /// This profile and `cfg` in the configuration-file format.
+    pub fn render_config(&self, cfg: &CheckConfig) -> String {
+        format!(
+            "pfs_model = {}\nh5_model = {}\nk = {}\nmode = {}\n\
+             h5clear_increase_eof = {}\nstripe_size = {}\n\
+             meta_servers = {}\nstorage_servers = {}\nclients = {}\n",
+            cfg.pfs_model.as_str(),
+            cfg.h5_model.as_str(),
+            cfg.k,
+            cfg.mode.as_str(),
+            cfg.clear_opts.increase_eof,
+            self.stripe,
+            self.meta,
+            self.storage,
+            self.clients,
+        )
+    }
 }
 
 impl Default for Params {
@@ -179,5 +236,53 @@ mod tests {
         assert_eq!(p.dims, 48);
         assert_eq!(p.ranks(), vec![0, 1, 2, 3]);
         assert_eq!((p.meta, p.storage), (4, 4));
+    }
+
+    #[test]
+    fn configure_roundtrips_the_rendered_file() {
+        let (cfg, p) = (
+            CheckConfig::paper_default(),
+            Params::paper().with_servers(8, 3),
+        );
+        let (q, parsed) = Params::quick().configure(&p.render_config(&cfg)).unwrap();
+        assert_eq!(
+            (q.stripe, q.meta, q.storage, q.clients),
+            (p.stripe, 8, 3, 2)
+        );
+        assert_eq!((parsed.pfs_model, parsed.mode), (cfg.pfs_model, cfg.mode));
+    }
+
+    #[test]
+    fn configure_overrides_only_what_the_file_sets() {
+        let text = "# test config\npfs_model = commit\nk = 2\nmode = brute-force\n\
+                    h5clear_increase_eof = true\nstripe_size = 512\n";
+        let (p, cfg) = Params::quick().configure(text).unwrap();
+        assert_eq!(cfg.pfs_model, Model::Commit);
+        assert_eq!(cfg.k, 2);
+        assert_eq!(cfg.mode, ExploreMode::BruteForce);
+        assert!(cfg.clear_opts.increase_eof);
+        assert_eq!(p.stripe, 512);
+        let quick = Params::quick();
+        assert_eq!(
+            (p.meta, p.storage, p.clients, p.dims),
+            (2, 2, 2, quick.dims)
+        );
+        let (p, _) = Params::paper().configure("clients = 5").unwrap();
+        assert_eq!((p.stripe, p.clients), (128 * 1024, 5));
+    }
+
+    #[test]
+    fn configure_rejects_garbage() {
+        let configure = |text: &str| Params::quick().configure(text).map(|_| ());
+        assert!(configure("pfs_model = wat").is_err());
+        assert!(configure("unknown_key = 1").is_err());
+        // The golden tables are sized by the check itself: no cap to set.
+        let err = configure("replay_cache_cap = 16").unwrap_err();
+        assert!(err.contains("unknown key replay_cache_cap"), "{err}");
+        // Per-run choices are flags, not configuration.
+        for key in ["faults = seed=7", "explain = true"] {
+            assert!(configure(key).is_err(), "{key}");
+        }
+        assert!(configure("no equals sign").is_err());
     }
 }

@@ -9,13 +9,15 @@
 #      (root suite plus every crate's unit tests), fully offline, so a
 #      cold, empty ~/.cargo/registry is sufficient.
 #   3. Hygiene — `cargo fmt --check`, a warning-free build, no PFS model
-#      re-defining `ModelBase` plumbing or `fork`, no HDF5 signature outside
+#      re-defining `ModelBase` plumbing or `fork` or hand-rolling the
+#      storage-side orphan sweep, no HDF5 signature outside
 #      `format.rs`, no artifact wire key read outside the module that
 #      writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed second ledger.
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` decide identically in debug and in release, at
-#      PC_THREADS=1 and with the pool (with them the golden walk and the
-#      pfs fork in release, GPFS/H5-resize through the CLI); the property
+#      PC_THREADS=1 and with the pool (with them the golden walk, the
+#      pfs fork and the fsck repairs in release, GPFS/H5-resize through the
+#      CLI); the property
 #      suite again in release, more cases; `benchmark/run.sh --smoke`
 #      builds `benchmark/` (no other gate does) and reproduces its pins.
 #   5. Observability — a PR-tier fuzz run with all three sinks attached
@@ -32,7 +34,7 @@
 #      under 3% (`selftest faults`).
 #   7. Provenance — a full-matrix `--explain-out` run emits one bundle
 #      per Table 3 bug, each re-parsed and linted (`selftest explain
-#      DIR`); the *disabled* engine costs a check under 3%.
+#      DIR`).
 #   8. Fuzz crash gate — the PR-tier sweep (`paracrash fuzz`, exhaustive
 #      bound 2) is byte-identical across thread counts AND matches
 #      crates/bench/tests/expected_fuzz_pr_tier.txt; triage bundles
@@ -109,6 +111,10 @@ RUSTFLAGS="-D warnings" cargo build --offline --workspace
 # nor a hand-written fork (`Clone` is the fork: pfs::Fork's blanket impl).
 grep -nE 'fn (emit|net|parent_of|name_of|seal_baseline|baseline|live|install_faults|fork)\b' \
     crates/pfs/src/{beegfs,orangefs,glusterfs,gpfs,lustre,ext4}.rs && { echo "FAIL: model redefines base plumbing"; exit 1; } || true
+# One storage-side orphan sweep: `ModelBase::collect_orphans`.
+orphan_gc='unlink\(&format!\("[^"]*/\{[a-z]+\}"\)'
+grep -nE "$orphan_gc" crates/pfs/src/*.rs | grep -v '^crates/pfs/src/base.rs:' && { echo "FAIL: a hand-rolled orphan sweep"; exit 1; } || true
+grep -qE "$orphan_gc" crates/pfs/src/base.rs || { echo "FAIL: the orphan-sweep fence matches nothing"; exit 1; }
 # The HDF5 layout has one reader: its signatures appear in format.rs only.
 grep -rnE 'b"(OHDR|TREE|HEAP|SNOD|DTRE)"' crates | grep -v '^crates/h5sim/src/format.rs:' && { echo "FAIL: a second reader of the HDF5 layout"; exit 1; } || true
 # So has each artifact: its wire keys are looked up by its writer's module only.
@@ -119,11 +125,12 @@ grep -rnE '\.get\("(traceEvents|otherData|ts_ns|published)"\)' crates/*/src | gr
 echo "== gate 4: check_stack vs check_reference, sequential and parallel; wide property sweep; benchmark smoke =="
 # Sequentially, then on the default pool (`-u`: unset). Again as the code
 # ships (a release build races the verdict tasks for a memo slot the way a
-# debug build does not), with the golden walk's tests and the models' fork.
+# debug build does not), with the golden walk's tests, the models' fork and
+# their fsck repairs.
 for pool in PC_THREADS=1 -uPC_THREADS; do
     env "$pool" cargo test -q --offline --test differential
     env "$pool" cargo test -q --offline --release --test differential
-    env "$pool" cargo test -q --offline --release -p paracrash -p pfs -- golden fork
+    env "$pool" cargo test -q --offline --release -p paracrash -p pfs -- golden fork fsck
 done
 PC_PROPTEST_CASES=2048 cargo test -q --offline --release --test properties
 # The cell whose images collapse most, through the CLI: who fills a memo
@@ -178,11 +185,10 @@ if [ "$(grep -c REPRODUCED "$tmp/table3.txt")" -ne 15 ] || grep -q missing "$tmp
 fi
 target/release/paracrash selftest faults
 
-echo "== gate 7: explain bundles + disabled-overhead budget =="
+echo "== gate 7: explain bundles =="
 # Full matrix: multi-cell runs always exit 0; bugs land as bundles.
 target/release/paracrash --fs all --program all --explain-out "$tmp/explain" > /dev/null
 target/release/paracrash selftest explain "$tmp/explain" 15
-target/release/paracrash selftest explain
 
 echo "== gate 8: fuzz crash gate (PR tier; PC_FUZZ_NIGHTLY=1 widens) =="
 # Exhaustive bound-2 sweep: thread-count invariant and pinned.

@@ -3,7 +3,7 @@
 //! a diagnostic entry while the rest of the run completes.
 
 use paracrash_suite::paracrash::{check_stack, CheckConfig};
-use pfs::{ModelBase, Pfs, PfsCall, PfsResult, PfsView, RecoveryReport, ServerStates};
+use pfs::{ModelBase, Pfs, PfsCall, PfsResult, PfsView, ServerStates};
 use tracer::{EventId, Process, Recorder};
 use workloads::{FsKind, Params, Program};
 
@@ -31,7 +31,7 @@ impl Pfs for PoisonedRecover {
     ) -> PfsResult<()> {
         self.0.handle(rec, client, call, cev)
     }
-    fn recover(&self, _states: &mut ServerStates) -> RecoveryReport {
+    fn recover(&self, _states: &mut ServerStates) {
         panic!("poisoned recover");
     }
     fn client_view(&self, states: &ServerStates) -> PfsView {

@@ -203,10 +203,7 @@ fn torn_states_recover_past_the_memo() {
 #[test]
 fn sixty_four_server_cell_matches_the_reference() {
     let params = Params::quick().with_servers(32, 32);
-    let cfg = CheckConfig {
-        servers: (32, 32),
-        ..CheckConfig::paper_default()
-    };
+    let cfg = CheckConfig::paper_default();
     differ_program(Program::Arvr, FsKind::BeeGfs, &params, &cfg);
 }
 

@@ -698,7 +698,7 @@ fn digest_is_a_sound_recovery_key(name: &str, fs: workloads::FsKind) {
                     .collect()
             };
             let recovered = |image: &pfs::ServerStates| {
-                pfs::recover_and_mount(stack.pfs.as_ref(), &mut image.fork()).1
+                pfs::recover_and_mount(stack.pfs.as_ref(), &mut image.fork())
             };
 
             // One subsequence, trace order against server-by-server.

@@ -203,7 +203,7 @@ fn replay_is_lossless_everywhere() {
                 );
                 let mut live = stack.pfs.live().clone();
                 let before = stack.pfs.client_view(&live);
-                let _ = stack.pfs.recover(&mut live);
+                stack.pfs.recover(&mut live);
                 prop_assert_eq!(before, stack.pfs.client_view(&live));
             }
             Ok(())

@@ -63,7 +63,7 @@ fn recovery_of_uncrashed_state_is_lossless() {
             let stack = program.run(fs, &params);
             let mut states = stack.pfs.live().clone();
             let before = stack.pfs.client_view(&states);
-            let (_, after) = recover_and_mount(stack.pfs.as_ref(), &mut states);
+            let after = recover_and_mount(stack.pfs.as_ref(), &mut states);
             assert_eq!(before, after, "{} on {}", program.name(), fs.name());
         }
     }
