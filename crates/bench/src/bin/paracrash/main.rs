@@ -44,7 +44,7 @@
 //! findings, periodic campaign snapshots) stream to `FILE` while the run
 //! is still going, each line in the file once emitted, so a killed run
 //! leaves a readable crash dump.
-//! `PC_PROGRESS=1` adds a throughput/ETA meter on stderr. Afterwards,
+//! `PC_LOG=info` adds a throughput/ETA meter on stderr. Afterwards,
 //! the `report` subcommand reads each artifact back with its writer's
 //! reader — a file that reader rejects fails the command with exit 1 —
 //! and folds them into one self-contained HTML dashboard (inline SVG, no
@@ -212,8 +212,7 @@ fn usage() -> ! {
          `selftest obs|faults` asserts the plane's disabled-overhead\n\
          budget (<3%); `explain <dir> [<min-bundles>]` validates explain\n\
          bundles, `events --canonical-diff <a> <b>` compares two streams'\n\
-         deterministic content, `durable [<seed>] [<cases>]` fuzzes the\n\
-         record log's recovery. `selftest scale` takes no argument: it times\n\
+         deterministic content. `selftest scale` takes no argument: it times\n\
          the batched engine against the per-state loop and the 64- against\n\
          the 256-server check, in process.\n\n\
          `--events-out` streams events (cells, findings, sweep\n\

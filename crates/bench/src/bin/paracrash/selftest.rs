@@ -6,7 +6,6 @@
 //! paracrash selftest explain reports/ [MIN]      # --explain-out bundles
 //! paracrash selftest events --canonical-diff a.jsonl b.jsonl
 //! paracrash selftest scale                      # engine ratios, measured live
-//! paracrash selftest durable [SEED] [CASES]      # torn-tail recovery fuzz
 //! ```
 //!
 //! `obs` and `faults` assert a disabled-overhead budget
@@ -14,17 +13,15 @@
 //! `events --canonical-diff` compares two streams' deterministic content
 //! (the stream, trace and profile files themselves are validated by
 //! `paracrash report`, which reads each with its writer's reader).
-//! `scale` and `durable` read no artifact: they measure and fuzz live.
+//! `scale` reads no artifact: it measures live.
 //! Every check exits 0 when it holds and 1 with a one-line diagnostic
 //! otherwise; a malformed command line exits 2.
 
 use super::figures::fig11_params;
 use super::overhead::{self, Fixture};
 use paracrash::{check_stack, prepare_states};
-use pc_rt::durable::{RecordLog, MAGIC, RECORD_HEADER};
 use pc_rt::json::Json;
 use pc_rt::obs::stream::read_stream;
-use pc_rt::rng::Rng;
 use pfs::{recover_and_mount, PfsView};
 use std::fmt::Display;
 use std::hint::black_box;
@@ -32,7 +29,7 @@ use std::time::Instant;
 use workloads::{Params, Program};
 
 /// The planes, as `usage()` and the unknown-plane error print them.
-pub const PLANES: &str = "obs|faults|explain|events|durable|scale";
+pub const PLANES: &str = "obs|faults|explain|events|scale";
 
 /// The verdict of every selftest. Deliberately `eprintln!`, not
 /// `pc_error!`: it is this tool's user-facing output and must print
@@ -357,114 +354,6 @@ fn check_scale() {
     );
 }
 
-// --- durable: seeded fuzz of the record log's torn-tail recovery ------------
-
-/// One case: write a fresh record log with random records, maul the
-/// file the way a crash can — truncate at an arbitrary byte, or corrupt
-/// a byte somewhere after the header — and assert the recovery
-/// contract: reopening recovers **exactly** the committed prefix (every
-/// record wholly before the damage, byte-for-byte, nothing at or after
-/// it), and the reopened log is appendable, a further reopen seeing the
-/// recovered prefix plus the new record.
-fn durable_case(seed: u64, case: u64) {
-    let mut rng = Rng::new(seed ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-    let dir = std::env::temp_dir().join(format!("pc-durable-check-{}-{case}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| fail(format_args!("mkdir {dir:?}: {e}")));
-    let path = dir.join("fuzz.log");
-
-    // Write 1..=12 random records and remember each record's payload
-    // and the file offset one past its on-disk end.
-    let (mut log, initial) =
-        RecordLog::open(&path).unwrap_or_else(|e| fail(format_args!("open: {e}")));
-    if !initial.is_empty() {
-        fail("fresh log reported records");
-    }
-    let n = 1 + rng.gen_range(0u64..12) as usize;
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    let mut ends: Vec<u64> = Vec::new();
-    let mut offset = MAGIC.len() as u64;
-    for _ in 0..n {
-        let len = rng.gen_range(0u64..200) as usize;
-        let payload: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
-        log.append(&payload)
-            .unwrap_or_else(|e| fail(format_args!("append: {e}")));
-        offset += (RECORD_HEADER + len) as u64;
-        payloads.push(payload);
-        ends.push(offset);
-    }
-    drop(log);
-    let file_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    if file_len != offset {
-        fail(format_args!("file is {file_len} bytes, expected {offset}"));
-    }
-
-    // Maul the file: truncate anywhere, or flip one byte after the
-    // header (the header itself is covered by the refuse-foreign-file
-    // contract, not torn-tail recovery).
-    let truncate = rng.next_u32() % 2 == 0;
-    let damage_at = if truncate {
-        let at = rng.gen_range(MAGIC.len() as u64..=file_len);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .unwrap_or_else(|e| fail(format_args!("reopen for truncate: {e}")));
-        f.set_len(at)
-            .unwrap_or_else(|e| fail(format_args!("truncate: {e}")));
-        at
-    } else {
-        let at = rng.gen_range(MAGIC.len() as u64..file_len);
-        let mut bytes = std::fs::read(&path).unwrap_or_else(|e| fail(format_args!("read: {e}")));
-        bytes[at as usize] ^= 1 << (rng.next_u32() % 8);
-        std::fs::write(&path, &bytes).unwrap_or_else(|e| fail(format_args!("write: {e}")));
-        at
-    };
-    // Oracle: exactly the records wholly before the damage survive —
-    // for both damage modes. A truncation at a record boundary keeps
-    // that record; a byte flip at a boundary damages the *next* one
-    // (the flipped byte is the next record's first header byte).
-    let survivors = ends.iter().filter(|&&e| e <= damage_at).count();
-
-    let (mut log, recovered) =
-        RecordLog::open(&path).unwrap_or_else(|e| fail(format_args!("reopen after damage: {e}")));
-    if recovered.len() != survivors {
-        fail(format_args!(
-            "case {case}: recovered {} records, expected {survivors} \
-             ({n} written, {} at {damage_at} of {file_len})",
-            recovered.len(),
-            if truncate { "truncated" } else { "bit flipped" },
-        ));
-    }
-    for (i, (got, want)) in recovered.iter().zip(&payloads).enumerate() {
-        if got != want {
-            fail(format_args!(
-                "case {case}: record {i} corrupted after recovery"
-            ));
-        }
-    }
-
-    // The recovered log must stay appendable, and the append must land
-    // cleanly after the recovered prefix.
-    log.append(b"post-recovery")
-        .unwrap_or_else(|e| fail(format_args!("append after recovery: {e}")));
-    drop(log);
-    let (_, after) =
-        RecordLog::open(&path).unwrap_or_else(|e| fail(format_args!("final open: {e}")));
-    if after.len() != survivors + 1 || after.last().map(Vec::as_slice) != Some(b"post-recovery") {
-        fail(format_args!(
-            "case {case}: post-recovery append not readable"
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn check_durable(seed: u64, cases: u64) {
-    for case in 0..cases {
-        durable_case(seed, case);
-    }
-    println!("selftest durable: OK — {cases} torn-tail recovery cases (seed {seed:#x})");
-}
-
 // --- dispatch ---------------------------------------------------------------
 
 fn number<T: std::str::FromStr>(what: &str, s: &str) -> T {
@@ -484,9 +373,6 @@ pub fn run(args: &[String]) -> ! {
         ("explain", [dir, min]) => check_explain(dir, number("min-bundles", min)),
         ("events", ["--canonical-diff", a, b]) => check_canonical_diff(a, b),
         ("scale", []) => check_scale(),
-        ("durable", []) => check_durable(0xD15C, 64),
-        ("durable", [seed]) => check_durable(number("seed", seed), 64),
-        ("durable", [seed, cases]) => check_durable(number("seed", seed), number("cases", cases)),
         _ => bad_usage(format_args!(
             "no selftest matches `{plane} {}`",
             rest.join(" ")

@@ -19,7 +19,7 @@
 //! file with the exact workload label and re-run command line.
 //!
 //! Live observability rides along without touching the fold: each cell
-//! gets a fresh causal trace id, `PC_PROGRESS=1` prints a rate-limited
+//! gets a fresh causal trace id, `PC_LOG=info` adds a rate-limited
 //! throughput/ETA line, and — when the event stream is on — the driver
 //! publishes a `cell` event per completed cell, a `finding` event per
 //! novel finding, and a `snapshot` event with the Good–Turing
@@ -65,10 +65,11 @@
 //! events, which the stream's canonical projection keeps — which must
 //! stay byte-identical between a clean run and a crash-and-resume run.
 //!
-//! Self-crash-testing: arm `PC_DURABLE_CRASH=at=N[,tear=K][,mode=..]`
-//! (see [`pc_rt::durable`]) to kill the sweep at its N-th durability
-//! point — mid-append or torn — then resume with `--resume`.
-//! `PC_CAMPAIGN_POISON=<label-substr>` panics the matching cells.
+//! Self-crash-testing goes through [`pc_rt::inject`]: a test that arms
+//! `durable:` kills the sweep at a durability point of its log, torn or
+//! not (see [`pc_rt::durable`]), and one that arms a cell's label
+//! (`<workload>@<fs>/<journal>`) panics that cell inside its
+//! `catch_unwind`.
 
 use paracrash::fuzz::FindingKey;
 use paracrash::{
@@ -76,10 +77,9 @@ use paracrash::{
     LayerVerdict, Model,
 };
 use pc_rt::durable::RecordLog;
-use pc_rt::env::CAMPAIGN_POISON;
 use pc_rt::json::Json;
-use pc_rt::obs::stream;
-use pc_rt::pc_warn;
+use pc_rt::obs::{stream, Level};
+use pc_rt::{pc_info, pc_warn};
 use simfs::JournalMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -92,7 +92,7 @@ use crate::sanitize;
 /// Emit a `snapshot` delta event every this many cells.
 pub const SNAPSHOT_EVERY: usize = 32;
 
-/// Minimum time between two `PC_PROGRESS` lines.
+/// Minimum time between two progress lines.
 const PROGRESS_EVERY: Duration = Duration::from_millis(500);
 
 /// Short journaling-mode label used in reports, bundle names and the
@@ -193,18 +193,7 @@ pub struct CampaignReport {
     pub bundles: usize,
 }
 
-/// Test hook: `PC_CAMPAIGN_POISON=<label-substring>` panics matching
-/// cells. Runs inside the cell's `catch_unwind`, before the check; read
-/// per cell, so a test can set it at run time.
-fn poison_hook(label: &str) {
-    if let Some(substr) = pc_rt::env::get(CAMPAIGN_POISON) {
-        if !substr.is_empty() && label.contains(&substr) {
-            panic!("injected poison: {label}");
-        }
-    }
-}
-
-/// The `PC_PROGRESS=1` meter: one throughput/ETA line on stderr at most
+/// The progress meter at `PC_LOG=info`: one throughput/ETA line at most
 /// every [`PROGRESS_EVERY`], and always after the last cell.
 struct Meter {
     started: Instant,
@@ -218,7 +207,7 @@ impl Meter {
         }
         self.last_print = Instant::now();
         let rate = run as f64 / self.started.elapsed().as_secs_f64().max(1e-9);
-        eprintln!("{}", progress_line(done, total, rate, corpus));
+        pc_info!("{}", progress_line(done, total, rate, corpus));
     }
 }
 
@@ -231,7 +220,7 @@ fn progress_line(done: usize, total: usize, rate: f64, corpus: &FuzzCorpus) -> S
         0.0
     };
     format!(
-        "[fuzz] {done}/{total} cells ({}%) | {rate:.1} cells/s | eta {eta:.0}s | \
+        "fuzz: {done}/{total} cells ({}%) | {rate:.1} cells/s | eta {eta:.0}s | \
          behaviors {} | findings {} | saturation {:.0}%",
         (100 * done).checked_div(total).unwrap_or(100),
         corpus.behavior_count(),
@@ -618,7 +607,7 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<CampaignReport, String> {
     } else {
         Params::quick()
     };
-    let mut meter = pc_rt::env::truthy(pc_rt::env::PROGRESS).then(|| Meter {
+    let mut meter = pc_rt::obs::log_enabled(Level::Info).then(|| Meter {
         started: Instant::now(),
         last_print: Instant::now(),
     });
@@ -634,7 +623,7 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<CampaignReport, String> {
         pc_rt::obs::set_trace_id(pc_rt::obs::next_trace_id());
         let started = Instant::now();
         let checked = catch_unwind(AssertUnwindSafe(|| {
-            poison_hook(&cell_label);
+            pc_rt::inject::point(&cell_label, |_| {});
             let stack = w.run(fs, &params);
             check_stack(&stack, &fs.factory(&params), &opts.cfg)
         }))
@@ -787,13 +776,13 @@ fn triage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_rt::durable::{arm_crash, disarm_crash, reset_points, CrashMode, CrashSpec};
+    use pc_rt::inject;
     use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex, MutexGuard};
 
-    /// Crash-injection and poison state are process-global; serialize
-    /// the campaign tests.
+    /// The armed injection target is process-global; serialize the
+    /// campaign tests.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn lock_tests() -> MutexGuard<'static, ()> {
@@ -853,7 +842,6 @@ mod tests {
     #[test]
     fn state_dir_adds_only_durability_and_refuses_clobber() {
         let _g = lock_tests();
-        disarm_crash();
         let dir = scratch_dir("basic");
         let opts = tiny_opts(&dir);
         let report = run_campaign(&opts).unwrap();
@@ -910,22 +898,16 @@ mod tests {
     #[test]
     fn crash_mid_sweep_resumes_byte_identically() {
         let _g = lock_tests();
-        disarm_crash();
         let ref_dir = scratch_dir("crash-ref");
         let reference = run_campaign(&tiny_opts(&ref_dir)).unwrap();
-        // Crash at the 4th durability point: meta append + cells, so
-        // mid-sweep with some cells committed.
+        // Crash at the 4th durability point (header, meta record, cells),
+        // so mid-sweep with some cells committed, leaving a 9-byte tear.
         let dir = scratch_dir("crash-resume");
-        reset_points();
-        arm_crash(CrashSpec {
-            at: 4,
-            tear: Some(9),
-            mode: CrashMode::Panic,
-        });
+        inject::arm("durable:", 4, 9);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_campaign(&tiny_opts(&dir))
         }));
-        disarm_crash();
+        inject::disarm();
         assert!(crashed.is_err(), "armed crash must fire mid-campaign");
         let resumed = run_campaign(&FuzzOptions {
             resume: true,
@@ -946,7 +928,6 @@ mod tests {
     #[test]
     fn resume_with_different_sweep_is_rejected() {
         let _g = lock_tests();
-        disarm_crash();
         let dir = scratch_dir("meta");
         run_campaign(&tiny_opts(&dir)).unwrap();
         let mut other = tiny_opts(&dir);
@@ -970,16 +951,19 @@ mod tests {
     #[test]
     fn panicking_cell_is_quarantined_at_once() {
         let _g = lock_tests();
-        disarm_crash();
-        let victim = generated::sample(2, 42, 5)[0].label();
+        let cell = format!("{}@BeeGFS/data", generated::sample(2, 42, 5)[0].label());
         let dir = scratch_dir("poison");
-        std::env::set_var(CAMPAIGN_POISON, &victim);
-        let stateless = run_campaign(&stateless_opts());
-        let durable = run_campaign(&tiny_opts(&dir));
-        std::env::remove_var(CAMPAIGN_POISON);
+        let poisoned = |opts: &FuzzOptions| {
+            inject::arm(&cell, 1, 0);
+            let run = run_campaign(opts);
+            inject::disarm();
+            run
+        };
+        let stateless = poisoned(&stateless_opts());
+        let durable = poisoned(&tiny_opts(&dir));
         // One panic, one quarantine, and the sweep goes on — with and
         // without a state dir.
-        let ledger = format!("quarantined: panicked: injected poison: {victim}@BeeGFS/data");
+        let ledger = format!("quarantined: panicked: injected crash at {cell} (hit 1)");
         for run in [stateless.unwrap(), durable.unwrap()] {
             assert_eq!((run.quarantined, run.cells_run), (1, 5));
             assert_eq!(run.corpus.cells, 4, "the other cells were checked");

@@ -20,18 +20,35 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 #[test]
-fn selftest_durable_passes_and_unknown_planes_are_usage_errors() {
-    let ok = paracrash(&["selftest", "durable"]);
-    assert!(ok.status.success(), "{ok:?}");
-    assert!(String::from_utf8_lossy(&ok.stdout).contains("64 torn-tail recovery cases"));
-
+fn unknown_selftest_planes_are_usage_errors_that_list_the_planes() {
     let bad = paracrash(&["selftest", "nonsense"]);
     assert_eq!(bad.status.code(), Some(2));
     let err = String::from_utf8_lossy(&bad.stderr);
     assert!(
-        err.contains("obs|faults|explain|events|durable|scale"),
+        err.contains("obs|faults|explain|events|scale"),
         "plane list missing from: {err}"
     );
+}
+
+/// The sweep's progress meter is the logger's `info` level: a line per
+/// half second and one after the last cell at `PC_LOG=info`, none at the
+/// default level.
+#[test]
+fn pc_log_info_turns_the_sweep_progress_meter_on() {
+    let sweep = |level: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_paracrash"));
+        cmd.args(["fuzz", "--sample", "3", "--fs", "BeeGFS"]);
+        if let Some(level) = level {
+            cmd.env("PC_LOG", level);
+        }
+        let out = cmd.output().expect("paracrash runs");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stderr).to_string()
+    };
+    let info = sweep(Some("info"));
+    assert!(info.contains("[info] fuzz: 3/3 cells (100%) | "), "{info}");
+    let quiet = sweep(None);
+    assert!(!quiet.contains("[info]"), "{quiet}");
 }
 
 #[test]
@@ -46,9 +63,10 @@ fn table3_reproduces_all_fifteen() {
 /// The legacy perf path and the run-history ledger are gone, not
 /// ignored: their subcommands and flags, the file argument of `selftest
 /// scale`, the bare spellings of the folded overhead budgets (`explain`'s
-/// among them), the artifact validators `report` replaced and
-/// `--fail-fast` are usage errors, and the usage text no longer offers
-/// them.
+/// among them), the artifact validators `report` replaced, `selftest
+/// durable` (a property test of `pc_rt::durable` now) and `--fail-fast`
+/// are usage errors, and the usage text no longer offers them, nor the
+/// test hooks and the progress switch that were variables.
 #[test]
 fn removed_bench_surfaces_are_usage_errors() {
     for args in [
@@ -72,6 +90,8 @@ fn removed_bench_surfaces_are_usage_errors() {
         &["selftest", "events", "--html", "report.html"],
         &["selftest", "prof", "run.folded"],
         &["selftest", "explain"],
+        &["selftest", "durable"],
+        &["selftest", "durable", "7", "64"],
         &["--fs", "ext4", "--program", "ARVR", "--fail-fast"],
     ] {
         let out = paracrash(args);
@@ -89,9 +109,22 @@ fn removed_bench_surfaces_are_usage_errors() {
     assert!(!text.contains("campaign-state"), "{text}");
     assert!(!text.contains("--cell-timeout") && !text.contains("--max-retries"));
     assert!(!text.contains("--fail-fast"), "{text}");
-    for (name, _) in pc_rt::env::VARS {
-        assert!(text.contains(name), "{name} missing from: {text}");
-    }
+    assert!(!text.contains("durable"), "{text}");
+    // Five settings, and no test hook or progress switch among them.
+    let mut named: Vec<&str> = text
+        .split(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+        .filter(|word| word.starts_with("PC_"))
+        .collect();
+    named.sort_unstable();
+    named.dedup();
+    let expected = [
+        "PC_LOG",
+        "PC_PROPTEST_CASES",
+        "PC_PROPTEST_SEED",
+        "PC_THREADS",
+        "PC_TRACE",
+    ];
+    assert_eq!(named, expected, "{text}");
 }
 
 /// A `--config` file's cluster keys override the profile, with `--paper`

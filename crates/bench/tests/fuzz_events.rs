@@ -4,8 +4,9 @@
 //! and nothing else.
 //!
 //! These live in `pc-bench` (not the root test package) because they
-//! drive [`run_campaign`]; the stream is process-global, so the tests
-//! serialize on a lock and restore the disabled default.
+//! drive [`run_campaign`]; the stream and the armed injection target are
+//! process-global, so the tests serialize on a lock and restore the
+//! disabled default.
 
 use paracrash::dashboard::render_dashboard;
 use pc_bench::campaign::{run_campaign, FuzzOptions, SNAPSHOT_EVERY};
@@ -136,10 +137,12 @@ fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
     let clean_html = render_dashboard(&events, None, None);
     assert!(!clean_html.contains("campaign-robustness"));
 
-    std::env::set_var(pc_rt::env::CAMPAIGN_POISON, &victim);
+    pc_rt::inject::arm(&victim, 1, 0);
     let (report, poisoned) = run_streamed(&dir.join("pc-fuzz-events-poisoned.jsonl"));
-    std::env::remove_var(pc_rt::env::CAMPAIGN_POISON);
-    assert!(report.contains(&format!("quarantined: panicked: injected poison: {victim}")));
+    pc_rt::inject::disarm();
+    assert!(report.contains(&format!(
+        "quarantined: panicked: injected crash at {victim}"
+    )));
 
     // The caught panic wrote no line of its own: the stream closed with
     // every event counted.

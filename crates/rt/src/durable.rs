@@ -11,33 +11,18 @@
 //! recovery a crash mid-append requires. The log is the whole durable
 //! state of a campaign: a resume is a replay of it.
 //!
-//! # Self-crash-testing (`PC_DURABLE_CRASH`)
-//!
-//! The log threads every write through *durability points* — the
-//! instants where a real power cut would bite. The `PC_DURABLE_CRASH`
-//! environment variable (or [`arm_crash`] programmatically) injects a
-//! crash at the N-th point of the process:
-//!
-//! ```text
-//! PC_DURABLE_CRASH=at=N[,tear=K][,mode=exit|panic]
-//! ```
-//!
-//! * `at=N` — fire at the N-th durability point (1-based).
-//! * `tear=K` — before crashing, write only the first `K` bytes of the
-//!   pending buffer (a short write / torn record). Omitted: write nothing.
-//! * `mode=exit` (default) — `std::process::exit(137)`, mimicking
-//!   SIGKILL for end-to-end kill-resume gates; `mode=panic` unwinds so
-//!   in-process tests can catch the "crash" and resume in the same
-//!   process.
-//!
-//! [`points_seen`] / [`reset_points`] let a harness count the durability
-//! points of an uninterrupted run and then replay it with a crash armed
-//! at every single one.
+//! Every write goes through a *durability point* — an instant where a
+//! real power cut would bite: the header write (`durable:header`) and
+//! each record append (`durable:append`). They are [`crate::inject`]
+//! points whose argument is a tear length: a test that arms
+//! `durable:` at hit N gets the first `arg` bytes of the N-th write
+//! written and synced — a torn record — and then the crash.
 
+use crate::inject;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// 16-byte file header identifying a `pc-durable` record log, version 1.
 pub const MAGIC: [u8; 16] = *b"pc-durable-log1\n";
@@ -82,146 +67,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-// ---------------------------------------------------------------------------
-// Crash injection.
-// ---------------------------------------------------------------------------
-
-/// How an injected crash takes the process down.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashMode {
-    /// `std::process::exit(137)` — indistinguishable from SIGKILL to a
-    /// parent shell; the mode end-to-end gates use.
-    Exit,
-    /// `panic!` — unwinds, so an in-process test can `catch_unwind` the
-    /// "crash", then reopen the log and prove recovery, all in one
-    /// process.
-    Panic,
-}
-
-/// A parsed `PC_DURABLE_CRASH` spec.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrashSpec {
-    /// Fire at this durability point (1-based).
-    pub at: u64,
-    /// Short-write this many bytes of the pending buffer before
-    /// crashing; `None` writes nothing.
-    pub tear: Option<usize>,
-    /// Exit or panic.
-    pub mode: CrashMode,
-}
-
-impl CrashSpec {
-    /// Parse `at=N[,tear=K][,mode=exit|panic]`. Returns `None` on any
-    /// malformed field (a misspelt injection spec must not silently run
-    /// the campaign un-injected — callers should treat `None` on a
-    /// non-empty string as a usage error).
-    pub fn parse(spec: &str) -> Option<CrashSpec> {
-        let mut at = None;
-        let mut tear = None;
-        let mut mode = CrashMode::Exit;
-        for field in spec.split(',') {
-            let (key, value) = field.split_once('=')?;
-            match key.trim() {
-                "at" => at = Some(value.trim().parse::<u64>().ok()?),
-                "tear" => tear = Some(value.trim().parse::<usize>().ok()?),
-                "mode" => {
-                    mode = match value.trim() {
-                        "exit" => CrashMode::Exit,
-                        "panic" => CrashMode::Panic,
-                        _ => return None,
-                    }
-                }
-                _ => return None,
-            }
-        }
-        let at = at?;
-        if at == 0 {
-            return None;
-        }
-        Some(CrashSpec { at, tear, mode })
-    }
-}
-
-struct CrashState {
-    armed: Option<CrashSpec>,
-    seen: u64,
-}
-
-fn crash_state() -> &'static Mutex<CrashState> {
-    static STATE: OnceLock<Mutex<CrashState>> = OnceLock::new();
-    STATE.get_or_init(|| {
-        let armed = crate::env::get(crate::env::DURABLE_CRASH)
-            .filter(|s| !s.is_empty())
-            .and_then(|s| CrashSpec::parse(&s));
-        Mutex::new(CrashState { armed, seen: 0 })
-    })
-}
-
-fn lock_state() -> std::sync::MutexGuard<'static, CrashState> {
-    // A panic-mode injection never panics while holding the lock, but
-    // recover from poisoning anyway: the state stays meaningful.
-    crate::lock(crash_state())
-}
-
-/// Arm a crash programmatically (overrides any `PC_DURABLE_CRASH` env
-/// spec). Pair with [`reset_points`] so `at` counts from now.
-pub fn arm_crash(spec: CrashSpec) {
-    lock_state().armed = Some(spec);
-}
-
-/// Disarm crash injection for the rest of the process.
-pub fn disarm_crash() {
-    lock_state().armed = None;
-}
-
-/// Durability points seen so far in this process (monotonic, counted
-/// whether or not a crash is armed).
-pub fn points_seen() -> u64 {
-    lock_state().seen
-}
-
-/// Reset the durability-point counter to zero (test harnesses only).
-pub fn reset_points() {
-    lock_state().seen = 0;
-}
-
-/// Note one durability point; returns the injection to perform now, if
-/// this is the armed point.
-fn fire_check() -> Option<CrashSpec> {
-    let mut state = lock_state();
-    state.seen += 1;
-    match state.armed {
-        Some(spec) if state.seen == spec.at => Some(spec),
-        _ => None,
-    }
-}
-
-fn crash_now(spec: CrashSpec, what: &str) -> ! {
-    match spec.mode {
-        CrashMode::Exit => {
-            eprintln!(
-                "pc-durable: injected crash at durability point {} ({what})",
-                spec.at
-            );
-            std::process::exit(137);
-        }
-        CrashMode::Panic => panic!(
-            "pc-durable: injected crash at durability point {} ({what})",
-            spec.at
-        ),
-    }
-}
-
-/// Write `bytes` to `file` through a durability point: an armed crash
-/// here leaves at most a torn prefix of `bytes` behind (synced, so the
-/// tear is what a reopen actually observes).
-fn write_with_tear_point(file: &mut File, bytes: &[u8], what: &str) -> io::Result<()> {
-    if let Some(spec) = fire_check() {
-        let keep = spec.tear.unwrap_or(0).min(bytes.len());
+/// Write `bytes` to `file` through the durability point `label`: a crash
+/// armed here leaves a torn prefix of `bytes` behind, synced, so the
+/// tear is what a reopen observes.
+fn write_with_tear_point(file: &mut File, bytes: &[u8], label: &str) -> io::Result<()> {
+    inject::point(label, |tear| {
+        let keep = (bytes.len() as u64).min(tear) as usize;
         let _ = file.write_all(&bytes[..keep]);
         let _ = file.sync_data();
-        crash_now(spec, what);
-    }
+    });
     file.write_all(bytes)?;
     file.sync_data()
 }
@@ -293,7 +147,7 @@ impl RecordLog {
             }
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
-            write_with_tear_point(&mut file, &MAGIC, "log header write")?;
+            write_with_tear_point(&mut file, &MAGIC, "durable:header")?;
             fsync_parent(path)?;
             let log = RecordLog {
                 file,
@@ -341,7 +195,7 @@ impl RecordLog {
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         framed.extend_from_slice(&crc32(payload).to_le_bytes());
         framed.extend_from_slice(payload);
-        write_with_tear_point(&mut self.file, &framed, "record append")
+        write_with_tear_point(&mut self.file, &framed, "durable:append")
     }
 
     /// The path this log lives at.
@@ -360,14 +214,15 @@ fn not_a_log(path: &Path) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proptest::{run, Config};
+    use crate::{prop_assert, prop_assert_eq};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Crash-injection state is process-global; serialize the tests
-    /// that touch it (and give each test its own scratch dir).
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
+    /// Every write here passes a durability point, and the armed
+    /// injection target is process-global: serialize the tests (and
+    /// give each its own scratch dir).
     fn lock_tests() -> std::sync::MutexGuard<'static, ()> {
-        crate::lock(&TEST_LOCK)
+        crate::lock(&inject::TEST_LOCK)
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -389,33 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn spec_parsing() {
-        assert_eq!(
-            CrashSpec::parse("at=3"),
-            Some(CrashSpec {
-                at: 3,
-                tear: None,
-                mode: CrashMode::Exit
-            })
-        );
-        assert_eq!(
-            CrashSpec::parse("at=7,tear=5,mode=panic"),
-            Some(CrashSpec {
-                at: 7,
-                tear: Some(5),
-                mode: CrashMode::Panic
-            })
-        );
-        assert!(CrashSpec::parse("at=0").is_none());
-        assert!(CrashSpec::parse("tear=5").is_none());
-        assert!(CrashSpec::parse("at=1,mode=sigkill").is_none());
-        assert!(CrashSpec::parse("").is_none());
-    }
-
-    #[test]
     fn log_roundtrips_and_reopens() {
         let _g = lock_tests();
-        disarm_crash();
         let dir = scratch_dir("roundtrip");
         let path = dir.join("corpus.log");
         {
@@ -436,63 +266,90 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn torn_tail_is_truncated_and_appendable() {
-        let _g = lock_tests();
-        disarm_crash();
-        let dir = scratch_dir("torn");
-        let path = dir.join("corpus.log");
-        {
-            let (mut log, _) = RecordLog::open(&path).unwrap();
-            log.append(b"keep me").unwrap();
-        }
-        // Simulate a crash mid-append: a record header promising more
-        // payload than exists.
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&100u32.to_le_bytes()).unwrap();
-            f.write_all(&0u32.to_le_bytes()).unwrap();
-            f.write_all(b"short").unwrap();
-        }
-        let before = fs::metadata(&path).unwrap().len();
-        let (mut log, records) = RecordLog::open(&path).unwrap();
-        assert_eq!(records, vec![b"keep me".to_vec()]);
-        assert!(fs::metadata(&path).unwrap().len() < before);
-        log.append(b"after recovery").unwrap();
-        let (_, records) = RecordLog::open(&path).unwrap();
-        assert_eq!(
-            records,
-            vec![b"keep me".to_vec(), b"after recovery".to_vec()]
-        );
-        fs::remove_dir_all(&dir).unwrap();
+    /// What a crash leaves of the file: a cut at a byte offset, or one
+    /// bit flipped in one byte past the header.
+    #[derive(Debug)]
+    enum Maul {
+        Truncate(u64),
+        Flip(u64, u8),
     }
 
+    /// Recovery is exactly the longest committed prefix. After a cut
+    /// anywhere or a flipped bit anywhere past the header, a reopen
+    /// returns every record wholly before the damage, byte for byte, and
+    /// nothing at or after it, truncates the file to them, and the log
+    /// then stays appendable.
     #[test]
-    fn corrupt_record_cuts_the_tail_from_there() {
+    fn recovery_keeps_exactly_the_records_before_the_damage() {
         let _g = lock_tests();
-        disarm_crash();
-        let dir = scratch_dir("corrupt");
-        let path = dir.join("corpus.log");
-        {
-            let (mut log, _) = RecordLog::open(&path).unwrap();
-            log.append(b"first").unwrap();
-            log.append(b"second").unwrap();
-            log.append(b"third").unwrap();
-        }
-        // Flip one payload byte of the second record.
-        let mut bytes = fs::read(&path).unwrap();
-        let second_payload = MAGIC.len() + RECORD_HEADER + 5 + RECORD_HEADER;
-        bytes[second_payload] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        let (_, records) = RecordLog::open(&path).unwrap();
-        assert_eq!(records, vec![b"first".to_vec()]);
-        fs::remove_dir_all(&dir).unwrap();
+        run(
+            "recovery_keeps_exactly_the_records_before_the_damage",
+            &Config::with_cases(64).max_size(200),
+            |rng, size| {
+                let records = 1 + rng.gen_range(0..=size.min(11) as u64);
+                let payloads: Vec<Vec<u8>> = (0..records)
+                    .map(|_| {
+                        let len = rng.gen_range(0..=size as u64);
+                        (0..len).map(|_| rng.next_u32() as u8).collect()
+                    })
+                    .collect();
+                let lo = MAGIC.len() as u64;
+                let end = payloads
+                    .iter()
+                    .fold(lo, |end, p| end + (RECORD_HEADER + p.len()) as u64);
+                let maul = if rng.next_u32() % 2 == 0 {
+                    Maul::Truncate(rng.gen_range(lo..=end))
+                } else {
+                    Maul::Flip(rng.gen_range(lo..end), rng.gen_range(0..8u64) as u8)
+                };
+                (payloads, maul)
+            },
+            |(payloads, maul)| {
+                let dir = scratch_dir("recovery");
+                let path = dir.join("corpus.log");
+                let (mut log, _) = RecordLog::open(&path).unwrap();
+                // ends[i]: the length of the file holding the first i records.
+                let mut ends = vec![MAGIC.len() as u64];
+                for payload in payloads {
+                    log.append(payload).unwrap();
+                    ends.push(ends[ends.len() - 1] + (RECORD_HEADER + payload.len()) as u64);
+                }
+                drop(log);
+                let damage_at = match *maul {
+                    Maul::Truncate(at) => {
+                        let file = OpenOptions::new().write(true).open(&path).unwrap();
+                        file.set_len(at).unwrap();
+                        at
+                    }
+                    Maul::Flip(at, bit) => {
+                        let mut bytes = fs::read(&path).unwrap();
+                        bytes[at as usize] ^= 1 << bit;
+                        fs::write(&path, &bytes).unwrap();
+                        at
+                    }
+                };
+                // A cut at a record boundary keeps that record; a flip
+                // there damages the next one (its first header byte).
+                let survivors = ends[1..].iter().filter(|&&e| e <= damage_at).count();
+                let (mut log, recovered) = RecordLog::open(&path).unwrap();
+                prop_assert_eq!(recovered.as_slice(), &payloads[..survivors]);
+                prop_assert_eq!(fs::metadata(&path).unwrap().len(), ends[survivors]);
+                log.append(b"post-recovery").unwrap();
+                drop(log);
+                let (_, after) = RecordLog::open(&path).unwrap();
+                fs::remove_dir_all(&dir).unwrap();
+                prop_assert!(
+                    after.len() == survivors + 1 && after[survivors] == b"post-recovery",
+                    "the append after recovery is not read back"
+                );
+                Ok(())
+            },
+        );
     }
 
     #[test]
     fn refuses_a_foreign_file() {
         let _g = lock_tests();
-        disarm_crash();
         let dir = scratch_dir("foreign");
         let path = dir.join("notalog.bin");
         fs::write(&path, b"definitely not a record log header").unwrap();
@@ -513,19 +370,14 @@ mod tests {
         }
         // Reopen is not a durability point; the next two appends are.
         // Crash on the second with a 6-byte tear (header torn mid-way).
-        reset_points();
-        arm_crash(CrashSpec {
-            at: 2,
-            tear: Some(6),
-            mode: CrashMode::Panic,
-        });
+        inject::arm("durable:", 2, 6);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let (mut log, _) = RecordLog::open(&path).unwrap();
             log.append(b"three").unwrap();
             log.append(b"four").unwrap();
             unreachable!("the armed crash must fire before this");
         }));
-        disarm_crash();
+        inject::disarm();
         assert!(crashed.is_err(), "armed crash must unwind");
         let (_, records) = RecordLog::open(&path).unwrap();
         assert_eq!(
@@ -537,18 +389,17 @@ mod tests {
     }
 
     #[test]
-    fn points_are_counted_while_disarmed() {
+    fn an_unreached_target_counts_the_durability_points() {
         let _g = lock_tests();
-        disarm_crash();
         let dir = scratch_dir("points");
         let path = dir.join("corpus.log");
-        reset_points();
+        inject::arm("durable:", u64::MAX, 0);
         let (mut log, _) = RecordLog::open(&path).unwrap(); // header write: 1 point
         log.append(b"a").unwrap(); // 2
         log.append(b"b").unwrap(); // 3
         drop(log);
         RecordLog::open(&path).unwrap(); // a reopen is not a point
-        assert_eq!(points_seen(), 3);
+        assert_eq!(inject::disarm(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,10 +1,12 @@
 //! `env` — every `PC_*` environment variable, named and read in one place.
 //!
 //! [`VARS`] is the table `paracrash --help` prints and verify gate 10
-//! holds README.md to; [`get`] and [`truthy`] are the only
-//! `std::env::var` calls in the workspace. Reads stay lazy — each caller
-//! asks when it needs the value — so a test that sets a variable at run
-//! time is seen.
+//! holds README.md to; [`get`] is the only `std::env::var` call in the
+//! workspace. Reads stay lazy — each caller asks when it needs the
+//! value. Every variable is a setting of a run: a test hook is a
+//! [`crate::inject`] point a test arms in-process, never a variable,
+//! and verify gate 3 fails on a `set_var` under `crates/` (a `setenv`
+//! racing another test thread's `getenv`).
 
 /// Worker threads of a default pool.
 pub const THREADS: &str = "PC_THREADS";
@@ -12,19 +14,13 @@ pub const THREADS: &str = "PC_THREADS";
 pub const TRACE: &str = "PC_TRACE";
 /// Log threshold.
 pub const LOG: &str = "PC_LOG";
-/// Sweep throughput/ETA line on stderr.
-pub const PROGRESS: &str = "PC_PROGRESS";
 /// Property-test run seed.
 pub const PROPTEST_SEED: &str = "PC_PROPTEST_SEED";
 /// Property-test case count.
 pub const PROPTEST_CASES: &str = "PC_PROPTEST_CASES";
-/// Durable-log crash injection.
-pub const DURABLE_CRASH: &str = "PC_DURABLE_CRASH";
-/// Sweep cell poisoning.
-pub const CAMPAIGN_POISON: &str = "PC_CAMPAIGN_POISON";
 
 /// Every variable the workspace reads, with its one-line meaning.
-pub const VARS: [(&str, &str); 8] = [
+pub const VARS: [(&str, &str); 5] = [
     (THREADS, "worker threads (default: available parallelism)"),
     (
         TRACE,
@@ -32,22 +28,13 @@ pub const VARS: [(&str, &str); 8] = [
     ),
     (
         LOG,
-        "log threshold: off|error|warn|info|debug (default error)",
+        "log threshold: off|error|warn|info|debug (default error; info adds sweep progress)",
     ),
-    (PROGRESS, "1 prints sweep throughput/ETA lines to stderr"),
     (
         PROPTEST_SEED,
         "replay a property-test run from its printed seed",
     ),
     (PROPTEST_CASES, "cases per property (default per test)"),
-    (
-        DURABLE_CRASH,
-        "test hook: at=N[,tear=B][,mode=panic] kills at durable-write point N",
-    ),
-    (
-        CAMPAIGN_POISON,
-        "test hook: sweep cells whose label contains it panic",
-    ),
 ];
 
 /// The value of `name` (one of [`VARS`]), if set to valid Unicode.
@@ -66,11 +53,6 @@ pub fn is_truthy(value: &str) -> bool {
         value.trim().to_ascii_lowercase().as_str(),
         "" | "0" | "off" | "false"
     )
-}
-
-/// `true` when `name` is set to a truthy value ([`is_truthy`]).
-pub fn truthy(name: &str) -> bool {
-    get(name).is_some_and(|v| is_truthy(&v))
 }
 
 #[cfg(test)]

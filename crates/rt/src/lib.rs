@@ -22,9 +22,11 @@
 //!   shrinking-by-halving and failure-seed reporting (replaces the
 //!   `proptest` crate for the suite's property tests).
 //! * [`durable`] — crash-safe on-disk primitives (an append-only
-//!   CRC-checked record log with torn-tail recovery, and the
-//!   `PC_DURABLE_CRASH` self-crash-testing hook)
-//!   backing the resumable campaign engine.
+//!   CRC-checked record log with torn-tail recovery) backing the
+//!   resumable campaign engine.
+//! * [`inject`] — labelled injection points: a test arms a label
+//!   prefix and a hit number, and the process crashes there (the
+//!   durable log's durability points, the sweep's cells).
 //! * [`obs`] — structured telemetry (spans, counters, gauges, a
 //!   leveled logger) for the checker pipeline itself
 //!   (replaces `tracing`), with the [`obs::stream`] event stream and
@@ -62,6 +64,7 @@
 pub mod durable;
 pub mod env;
 pub mod hash;
+pub mod inject;
 pub mod intern;
 pub mod json;
 pub mod obs;

@@ -12,7 +12,8 @@
 #      re-defining `ModelBase` plumbing or `fork` or hand-rolling the
 #      storage-side orphan sweep, no HDF5 signature outside
 #      `format.rs`, no artifact wire key read outside the module that
-#      writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed second ledger.
+#      writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed second ledger,
+#      no test under `crates/` setting its own process's environment.
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` decide identically in debug and in release, at
 #      PC_THREADS=1 and with the pool (with them the golden walk, the
@@ -35,11 +36,10 @@
 #   7. Provenance — a full-matrix `--explain-out` run emits one bundle
 #      per Table 3 bug, each re-parsed and linted (`selftest explain
 #      DIR`).
-#   8. Fuzz crash gate — the PR-tier sweep (`paracrash fuzz`, exhaustive
-#      bound 2) is byte-identical across thread counts AND matches
-#      crates/bench/tests/expected_fuzz_pr_tier.txt; triage bundles
-#      materialize. PC_FUZZ_NIGHTLY=1 adds the bound-3 all-FS all-mode
-#      sampled sweep, run twice and diffed.
+#   8. Fuzz triage — a sampled sweep with `--findings-out` writes its
+#      `.repro` bundles (gate 5 holds the PR tier to its pin on the pool
+#      and at PC_THREADS=1). PC_FUZZ_NIGHTLY=1 adds the bound-3 all-FS
+#      all-mode sampled sweep, run twice and diffed.
 #   9. Rustdoc — `cargo doc --no-deps` builds with -D warnings.
 #  10. Flag drift — every `--flag` and every `PC_*` variable printed by
 #      `paracrash --help` (the latter from the `pc_rt::env` table every
@@ -48,11 +48,11 @@
 #      sequential vs parallel, and `selftest scale` measures, in one
 #      process, the batched engine at >= 2x the per-state loop and
 #      sub-linear per-check growth from 64 to 256 servers.
-#  12. Crash-safe sweep — `selftest durable` fuzzes the log's torn-tail
-#      recovery; a `fuzz --state-dir` killed by an injected torn crash
-#      (`PC_DURABLE_CRASH`; its stream renders as a crash dump; resumed
-#      sequentially) and by a real SIGKILL (resumed on the pool) `--resume`s
-#      to the uninterrupted run's report, never clobbering state without it.
+#  12. Crash-safe sweep — a PR-tier `fuzz --state-dir` killed by a real
+#      SIGKILL leaves a stream `report` renders as a crash dump, refuses
+#      to rerun without `--resume`, and resumes sequentially to the pin.
+#      (`tests/campaign_resume.rs`, in gate 2, kills at every durability
+#      point with torn tails.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -121,6 +121,9 @@ grep -rnE 'b"(OHDR|TREE|HEAP|SNOD|DTRE)"' crates | grep -v '^crates/h5sim/src/fo
 grep -rnE '\.get\("(traceEvents|otherData|ts_ns|published)"\)' crates/*/src | grep -vE '^crates/(core/src/telemetry|rt/src/stream)\.rs:' && { echo "FAIL: a second reader of an artifact"; exit 1; } || true
 # benchmark/ is the one perf ledger ([_]: this line must not match itself).
 { ls BENCH_*.json 2> /dev/null || grep -rn 'PC_BENCH[_]' crates scripts README.md; } && { echo "FAIL: second perf ledger"; exit 1; } || true
+# A test hook is a pc_rt::inject point, not a variable: a setenv in one
+# test thread races every other thread's getenv (PC_THREADS in each pool).
+grep -rnE 'env::(set|remove)_var' crates && { echo "FAIL: a test sets its own environment"; exit 1; } || true
 
 echo "== gate 4: check_stack vs check_reference, sequential and parallel; wide property sweep; benchmark smoke =="
 # Sequentially, then on the default pool (`-u`: unset). Again as the code
@@ -190,16 +193,7 @@ echo "== gate 7: explain bundles =="
 target/release/paracrash --fs all --program all --explain-out "$tmp/explain" > /dev/null
 target/release/paracrash selftest explain "$tmp/explain" 15
 
-echo "== gate 8: fuzz crash gate (PR tier; PC_FUZZ_NIGHTLY=1 widens) =="
-# Exhaustive bound-2 sweep: thread-count invariant and pinned.
-target/release/paracrash fuzz > "$tmp/fuzz-par.txt" 2> /dev/null
-PC_THREADS=1 target/release/paracrash fuzz > "$tmp/fuzz-seq.txt" 2> /dev/null
-diff "$tmp/fuzz-par.txt" "$tmp/fuzz-seq.txt"
-if ! diff "$tmp/fuzz-par.txt" crates/bench/tests/expected_fuzz_pr_tier.txt; then
-    echo "FAIL: PR-tier fuzz findings drifted from the pinned corpus."
-    echo "If intended: target/release/paracrash fuzz 2>/dev/null > crates/bench/tests/expected_fuzz_pr_tier.txt"
-    exit 1
-fi
+echo "== gate 8: fuzz triage (PC_FUZZ_NIGHTLY=1 adds the nightly tier) =="
 # Triage smoke: a sampled run with --findings-out must produce bundles.
 target/release/paracrash fuzz --sample 25 --fs BeeGFS \
     --findings-out "$tmp/fuzz-findings" > /dev/null 2>&1
@@ -237,40 +231,23 @@ seq_eq_par --fs BeeGFS --program ARVR --config "$tmp/scale.conf"
 target/release/paracrash selftest scale
 
 echo "== gate 12: crash-safe resumable sweep =="
-# Torn-tail recovery fuzz on the durable record log itself.
-target/release/paracrash selftest durable
-# Reference: one uninterrupted small sweep with a state dir.
-camp=(fuzz --sample 25 --fs BeeGFS)
-target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ref" \
-    > "$tmp/camp-ref.txt" 2> /dev/null
-# Existing state without --resume must refuse with exit 2, not clobber.
-target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ref" > /dev/null 2>&1 &&
-    { echo "FAIL: the sweep clobbered existing state without --resume"; exit 1; }
-# Injected kill mid-append, a torn record left (rc 137, like SIGKILL), then
-# a sequential resume: byte-identical to the reference, which ran on the pool.
-PC_DURABLE_CRASH=at=7,tear=5 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-torn" \
-    --events-out "$tmp/camp-torn.jsonl" > /dev/null 2>&1 && {
-    echo "FAIL: injected crash did not kill the sweep"; exit 1; }
-# Every line it emitted is in the stream; with no trailer, it is a crash dump.
-target/release/paracrash report --events "$tmp/camp-torn.jsonl" --out "$tmp/camp-torn.html"
-PC_THREADS=1 target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-torn" \
-    --resume > "$tmp/camp-torn.txt" 2> /dev/null
-diff "$tmp/camp-ref.txt" "$tmp/camp-torn.txt"
-# A real SIGKILL mid-sweep (no injection) on the pinned PR tier, once its
-# log holds the meta record and a cell: resume replays some, re-checks the rest.
-log="$tmp/camp-kill/corpus.log"
-target/release/paracrash fuzz --state-dir "$tmp/camp-kill" > /dev/null 2>&1 & camp_pid=$!
+# A real SIGKILL of the pinned PR tier once its log holds the meta record
+# and a cell. --events-out creates its missing parent dirs; the stream the
+# kill leaves has no trailer, and `report` renders it as a crash dump.
+camp=(fuzz --state-dir "$tmp/camp-kill") log="$tmp/camp-kill/corpus.log"
+target/release/paracrash "${camp[@]}" --events-out "$tmp/nested/dirs/kill.jsonl" > /dev/null 2>&1 & camp_pid=$!
 while kill -0 "$camp_pid" 2> /dev/null && [ "$(stat -c %s "$log" 2> /dev/null || echo 0)" -lt 1024 ]; do sleep 0.01; done
 kill -9 "$camp_pid" 2> /dev/null || true
 wait "$camp_pid" 2> /dev/null || true
-PC_LOG=info target/release/paracrash fuzz --state-dir "$tmp/camp-kill" --resume \
+target/release/paracrash report --events "$tmp/nested/dirs/kill.jsonl" --out "$tmp/kill.html"
+# Existing state without --resume is refused (exit 2), not clobbered.
+rc=0; target/release/paracrash "${camp[@]}" > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: rerun without --resume exited $rc, not 2"; exit 1; }
+# A sequential resume replays some cells, re-checks the rest, prints the pin.
+PC_THREADS=1 PC_LOG=info target/release/paracrash "${camp[@]}" --resume \
     > "$tmp/camp-kill.txt" 2> "$tmp/camp-kill.err"
 diff crates/bench/tests/expected_fuzz_pr_tier.txt "$tmp/camp-kill.txt"
 grep -qE ' [1-9][0-9]*/426 cells this run \([1-9][0-9]* resumed' "$tmp/camp-kill.err" ||
     { echo "FAIL: the SIGKILL did not land mid-sweep"; cat "$tmp/camp-kill.err"; exit 1; }
-# --events-out creates missing parent dirs; campaign.* totals ride the stream.
-target/release/paracrash "${camp[@]}" --state-dir "$tmp/camp-ev" \
-    --events-out "$tmp/nested/dirs/camp-events.jsonl" > /dev/null 2>&1
-target/release/paracrash report --events "$tmp/nested/dirs/camp-events.jsonl" --out "$tmp/camp-ev.html"
 
 echo "verify: OK"

@@ -4,17 +4,16 @@
 //! produce a `canonical_report()` byte-identical to an uninterrupted
 //! run, from the record log alone.
 //!
-//! The kill is injected through `pc_rt::durable`'s `PC_DURABLE_CRASH`
-//! machinery in panic mode (so one process can die and "restart"
-//! hundreds of times), at every durability point of the sweep with a
-//! property-tested random tear length. `scripts/verify.sh` gate 12
-//! repeats the experiment across process boundaries — exit-mode
-//! injection (rc 137) and a real mid-sweep SIGKILL — and across
-//! `PC_THREADS=1` vs the parallel pool, so the in-process shortcut here
-//! is cross-checked end to end.
+//! The kill is a `pc_rt::inject` crash armed at the log's `durable:`
+//! points, so one process can die and "restart" hundreds of times; the
+//! torn prefix is written and synced before the panic, so the bytes on
+//! disk are those a killed process leaves. Every durability point of the
+//! sweep is killed, with property-tested random tear lengths.
+//! `scripts/verify.sh` gate 12 adds a real mid-sweep SIGKILL across
+//! process boundaries and resumes it at `PC_THREADS=1`.
 
 use pc_bench::campaign::{run_campaign, FuzzOptions};
-use pc_rt::durable::{arm_crash, disarm_crash, points_seen, reset_points, CrashMode, CrashSpec};
+use pc_rt::inject;
 use pc_rt::prop_assert;
 use pc_rt::proptest::{run, Config};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,15 +44,10 @@ fn opts(dir: &Path) -> FuzzOptions {
 
 /// Run the sweep in `dir` with a crash armed at point `at`, then resume
 /// it; the resumed canonical report.
-fn kill_and_resume(dir: &Path, at: u64, tear: usize) -> Result<String, String> {
-    reset_points();
-    arm_crash(CrashSpec {
-        at,
-        tear: Some(tear),
-        mode: CrashMode::Panic,
-    });
+fn kill_and_resume(dir: &Path, at: u64, tear: u64) -> Result<String, String> {
+    inject::arm("durable:", at, tear);
     let crashed = catch_unwind(AssertUnwindSafe(|| run_campaign(&opts(dir))));
-    disarm_crash();
+    inject::disarm();
     prop_assert!(
         crashed.is_err(),
         "crash at point {at} must interrupt the campaign"
@@ -66,12 +60,12 @@ fn kill_and_resume(dir: &Path, at: u64, tear: usize) -> Result<String, String> {
     Ok(resumed.corpus.canonical_report())
 }
 
-/// One `#[test]` because the crash-injection state is process-global.
+/// One `#[test]` because the armed injection target is process-global.
 #[test]
 fn killed_campaign_resumes_byte_identically() {
-    disarm_crash();
     let ref_dir = scratch_dir("reference");
-    reset_points();
+    // A target the run never reaches counts its durability points.
+    inject::arm("durable:", u64::MAX, 0);
     let reference = run_campaign(&opts(&ref_dir))
         .expect("uninterrupted campaign")
         .corpus
@@ -81,18 +75,14 @@ fn killed_campaign_resumes_byte_identically() {
     // one append per cell. The sweep stays at 8 cells, so the schedule
     // is exactly these ten and every one of them is killed, each case
     // with its own random tears.
-    let total_points = points_seen();
+    let total_points = inject::disarm();
     assert_eq!(total_points, 10, "header + meta record + 8 cell appends");
     std::fs::remove_dir_all(&ref_dir).unwrap();
 
     run(
         "killed_campaign_resumes_byte_identically",
         &Config::with_cases(2),
-        |rng, _size| -> Vec<usize> {
-            (0..total_points)
-                .map(|_| rng.gen_range(0u64..64) as usize)
-                .collect()
-        },
+        |rng, _size| -> Vec<u64> { (0..total_points).map(|_| rng.gen_range(0u64..64)).collect() },
         |tears| {
             for (at, &tear) in (1..=total_points).zip(tears) {
                 let dir = scratch_dir("kill");

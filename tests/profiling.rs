@@ -10,6 +10,12 @@
 //!   pool, and name every span of the run;
 //! * profiling is strictly presentation-plane: `canonical_report()` is
 //!   byte-identical with it off, on, and on across `PC_THREADS` widths.
+//!
+//! The width switch sets `PC_THREADS` in this process, under `LOCK`,
+//! because a check opens its own pool and reads the width there. It is
+//! the one `env::set_var` left in the tests, and outside `crates/` (where
+//! verify gate 3 forbids it); it goes when a check can take a pool from
+//! its caller.
 
 use pc_bench::campaign::{run_campaign, FuzzOptions};
 use pc_rt::obs::{prof, TelemetrySnapshot};
