@@ -10,7 +10,7 @@
 //! ```sh
 //! paracrash --fs BeeGFS --program ARVR [--config paracrash.conf] [--paper]
 //! paracrash --fs all --program all          # the full evaluation matrix
-//! paracrash --fs GPFS --program WAL --dump-trace wal.trace
+//! paracrash --fs GPFS --program WAL --dump-trace wal.txt  # Figure 9 listing
 //! paracrash --fs BeeGFS --program ARVR --telemetry-out trace.json  # Perfetto-loadable
 //! paracrash --fs BeeGFS --program ARVR --explain-out reports/
 //! ```
@@ -507,10 +507,9 @@ fn main() {
     };
 
     if let Some(path) = &dump_trace {
-        // Trace-only mode companion: record the first (program, fs) cell
-        // and write its trace, one combined file, to `path`.
+        // The first (program, fs) cell's trace, as the Figure 9 listing.
         let stack = programs[0].run(systems[0], &params);
-        write_out(path, tracer::save_trace(&stack.rec));
+        write_out(path, stack.rec.render());
         println!(
             "trace of {} on {} written to {path} ({} events)",
             programs[0].name(),

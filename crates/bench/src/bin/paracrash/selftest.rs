@@ -19,7 +19,7 @@
 
 use super::figures::fig11_params;
 use super::overhead::{self, Fixture};
-use paracrash::{check_stack, prepare_states};
+use paracrash::{check_stack, prepare_states, BugExplanation};
 use pc_rt::json::Json;
 use pc_rt::obs::stream::read_stream;
 use pfs::{recover_and_mount, PfsView};
@@ -104,39 +104,6 @@ fn check_canonical_diff(a_path: &str, b_path: &str) {
 }
 
 // --- explain: `--explain-out` bundle directories ----------------------------
-
-/// `eN` with a purely numeric suffix — the node-id shape `to_dot` emits.
-fn is_node_id(s: &str) -> bool {
-    s.strip_prefix('e')
-        .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
-}
-
-/// Structural lint of one `.dot` file: balanced braces, and every edge
-/// endpoint (`eN -> eM`) is declared as a node (`eN [...]`).
-fn lint_dot(name: &str, dot: &str) {
-    if dot.matches('{').count() != dot.matches('}').count() {
-        fail(format_args!("{name}: unbalanced braces"));
-    }
-    if !dot.trim_start().starts_with("digraph") {
-        fail(format_args!("{name}: not a digraph"));
-    }
-    for line in dot.lines() {
-        let Some((from, rest)) = line.trim().split_once(" -> ") else {
-            continue;
-        };
-        if !is_node_id(from) {
-            continue; // the graph label carries the signature's "->"
-        }
-        let to = rest.split([' ', ';']).next().unwrap_or("");
-        for id in [from, to] {
-            if !is_node_id(id) || !dot.contains(&format!("{id} [")) {
-                fail(format_args!(
-                    "{name}: edge endpoint {id} not declared as a node"
-                ));
-            }
-        }
-    }
-}
 
 /// Shape check of one `.json` bundle: the documented keys, every
 /// `violated_edges`/`edges` endpoint a declared `nodes` entry, and
@@ -242,7 +209,9 @@ fn check_explain(dir: &str, min_bundles: usize) {
     for stem in &stems {
         let sibling = |ext: &str| format!("{dir}/{stem}.{ext}");
         check_bundle_json(&format!("{stem}.json"), &read_json(&sibling("json")));
-        lint_dot(&format!("{stem}.dot"), &read(&sibling("dot")));
+        if let Err(e) = BugExplanation::lint_dot(&read(&sibling("dot"))) {
+            fail(format_args!("{stem}.dot: {e}"));
+        }
         if !read(&sibling("md")).starts_with("# Bug: ") {
             fail(format_args!("{stem}.md does not open with the bug heading"));
         }

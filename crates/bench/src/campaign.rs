@@ -255,6 +255,14 @@ fn get_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
         .ok_or_else(|| format!("campaign record: missing array {key}"))
 }
 
+fn get_all<T>(j: &Json, key: &str, item: fn(&Json) -> Option<T>) -> Result<Vec<T>, String> {
+    get_arr(j, key)?
+        .iter()
+        .map(item)
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("campaign record: bad item in {key}"))
+}
+
 fn str_arr(items: &[String]) -> Json {
     Json::Arr(items.iter().cloned().map(Json::Str).collect())
 }
@@ -349,7 +357,6 @@ fn cell_record(idx: usize, workload: &str, fs: &str, journal: &str, o: &CheckOut
                     "violated_model".into(),
                     Json::Str(b.violated_model.as_str().into()),
                 ),
-                ("witness".into(), str_arr(&b.witness)),
                 ("occurrences".into(), Json::Int(b.occurrences as u64)),
             ])
         })
@@ -401,44 +408,22 @@ fn outcome_from_record(rec: &Json) -> Result<CheckOutcome, String> {
         let model_str = get_str(b, "violated_model")?;
         let violated_model = Model::parse(&model_str)
             .ok_or_else(|| format!("campaign record: unknown model {model_str}"))?;
-        let to_strings = |key: &str| -> Result<Vec<String>, String> {
-            get_arr(b, key)?
-                .iter()
-                .map(|s| {
-                    Ok(s.as_str()
-                        .ok_or_else(|| format!("campaign record: non-string in {key}"))?
-                        .to_string())
-                })
-                .collect()
-        };
         bugs.push(Inconsistency {
             signature: BugSignature {
                 kind,
-                members: to_strings("members")?,
+                members: get_all(b, "members", |s| s.as_str().map(str::to_string))?,
             },
             layer,
             violated_model,
-            witness: to_strings("witness")?,
+            witness: Vec::new(),
             occurrences: get_int(b, "occurrences")? as usize,
         });
-    }
-    let mut diagnostics = Vec::new();
-    for d in get_arr(rec, "diagnostics")? {
-        diagnostics.push(
-            d.as_str()
-                .ok_or("campaign record: non-string diagnostic")?
-                .to_string(),
-        );
-    }
-    let mut rep_digests = Vec::new();
-    for d in get_arr(rec, "rep_digests")? {
-        rep_digests.push(d.as_int().ok_or("campaign record: non-int rep digest")?);
     }
     Ok(CheckOutcome {
         bugs,
         raw_inconsistent_states: get_int(rec, "raw_inconsistent")? as usize,
-        diagnostics,
-        rep_digests,
+        diagnostics: get_all(rec, "diagnostics", |s| s.as_str().map(str::to_string))?,
+        rep_digests: get_all(rec, "rep_digests", Json::as_int)?,
         ..Default::default()
     })
 }
@@ -979,6 +964,39 @@ mod tests {
         assert_eq!((resumed.resumed_cells, resumed.cells_run), (5, 0));
         assert!(resumed.corpus.canonical_report().contains(&ledger));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log written before the campaign stopped recording bug witnesses
+    /// carries a `witness` key in each bug; nothing reads it, so such a
+    /// log folds to the same corpus as one without the key.
+    #[test]
+    fn a_logged_bug_witness_folds_unchanged() {
+        let outcome = CheckOutcome {
+            bugs: vec![Inconsistency {
+                signature: BugSignature {
+                    kind: BugKind::Reordering,
+                    members: vec!["a@x".into(), "b@y".into()],
+                },
+                layer: LayerVerdict::PfsBug,
+                violated_model: Model::Causal,
+                witness: vec!["creat(/f)@server#0".into()],
+                occurrences: 3,
+            }],
+            raw_inconsistent_states: 3,
+            ..Default::default()
+        };
+        let current = cell_record(0, "w", "BeeGFS", "data", &outcome).pretty();
+        assert!(!current.contains("witness"), "{current}");
+        let legacy = current.replace("\"occurrences\"", "\"witness\": [\"w\"], \"occurrences\"");
+        let opts = stateless_opts();
+        let fold = |cell: &str| {
+            let log = [meta_record(&opts).pretty().into_bytes(), cell.into()];
+            let (corpus, cursor) = recover(&opts, &log).unwrap();
+            (corpus.canonical_report(), corpus.finding_count(), cursor)
+        };
+        let folded = fold(&current);
+        assert_eq!((folded.1, folded.2), (1, 1));
+        assert_eq!(fold(&legacy), folded);
     }
 
     #[test]

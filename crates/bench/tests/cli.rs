@@ -186,20 +186,43 @@ fn pr_tier_fuzz_writes_no_warning() {
 /// long before that, and an allocator that ran the bootstrap — which
 /// itself allocates — would recurse. The run completes, and the
 /// bootstrap it did run switched on the registry, the summary tables and
-/// allocation accounting.
+/// allocation accounting. The summary runs no explain pass of its own:
+/// only `--explain-out` adds explain rows and `pinpoint:` lines.
 #[test]
 fn allocating_before_the_first_telemetry_check_is_safe_under_pc_trace() {
-    let out = Command::new(env!("CARGO_BIN_EXE_paracrash"))
-        .args(["--fs", "ext4", "--program", "ARVR"])
-        .env("PC_TRACE", "summary")
-        .output()
-        .expect("paracrash runs");
-    assert!(out.status.success(), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
+    let summary = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_paracrash"))
+            .args(args)
+            .env("PC_TRACE", "summary")
+            .output()
+            .expect("paracrash runs");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), err)
+    };
+    let (code, err) = summary(&["--fs", "ext4", "--program", "ARVR"]);
+    assert_eq!(code, Some(0), "{err}");
     assert!(err.contains("telemetry summary"), "{err}");
     assert!(err.contains("check_stack"), "{err}");
     assert!(err.contains("alloc total"), "{err}");
+
+    // BeeGFS/ARVR finds two bugs, so the cell exits 1.
+    let cell = ["--fs", "BeeGFS", "--program", "ARVR"];
+    let (code, err) = summary(&cell);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("alloc total"), "{err}");
+    for absent in ["check.explain", "explain.", "pinpoint:"] {
+        assert!(!err.contains(absent), "{absent}: {err}");
+    }
+    let dir = scratch("pinpoint");
+    let explained = [&cell[..], &["--explain-out", dir.to_str().unwrap()]].concat();
+    let (code, err) = summary(&explained);
+    assert_eq!(code, Some(1), "{err}");
+    assert_eq!(err.matches("\n  pinpoint: ").count(), 2, "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The committed Figure 9.
+const FIG9: &str = include_str!("../../../results/fig9.txt");
 
 /// The committed Figure 9 traces are what the models emit today, line
 /// for line (RPC labels, server ids, LBAs, event order).
@@ -207,11 +230,24 @@ fn allocating_before_the_first_telemetry_check_is_safe_under_pc_trace() {
 fn fig9_matches_the_committed_traces() {
     let out = paracrash(&["fig9"]);
     assert!(out.status.success(), "{out:?}");
-    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/fig9.txt");
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        std::fs::read_to_string(committed).unwrap()
-    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), FIG9);
+}
+
+/// `--dump-trace` writes the Figure 9 listing of its cell: for
+/// BeeGFS/ARVR, exactly that section of the committed figure.
+#[test]
+fn dump_trace_writes_the_fig9_listing() {
+    let dir = scratch("dump-trace");
+    let file = dir.join("arvr.txt");
+    let path = file.to_str().unwrap();
+    let out = paracrash(&["--fs", "BeeGFS", "--program", "ARVR", "--dump-trace", path]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let (_, rest) = FIG9
+        .split_once("(beegfs) ARVR trace on BeeGFS\n\n")
+        .expect("Figure 9 shows the BeeGFS trace");
+    let listing = &rest[..=rest.find("\n\n").expect("a blank line ends the listing")];
+    assert_eq!(std::fs::read_to_string(&file).unwrap(), listing);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Member `key` of JSON object `obj`, for editing.

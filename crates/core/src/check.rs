@@ -79,7 +79,7 @@ pub struct CheckOutcome {
     /// completes; these states are excluded from the verdict counts.
     pub diagnostics: Vec<String>,
     /// Provenance bundles, one per bug, in signature order — filled
-    /// only when `cfg.explain` (or `PC_TRACE=summary`) is set.
+    /// only when `cfg.explain` is set.
     /// Presentation-plane output: never part of
     /// [`CheckOutcome::canonical_report`], so explain on/off runs stay
     /// byte-identical there.
@@ -885,7 +885,7 @@ fn cost(a: &Analysis, e: &Enumerated, c: &Classified) -> (f64, usize) {
 /// off.
 fn explain(a: &Analysis, e: &Enumerated, v: &Verdicts, c: &Classified) -> Vec<BugExplanation> {
     let mut explanations = Vec::new();
-    if !(a.cfg.explain || pc_rt::obs::summary_enabled()) || c.bugs.is_empty() {
+    if !a.cfg.explain || c.bugs.is_empty() {
         return explanations;
     }
     let _stage = pc_rt::obs::span_cat("check.explain", "check");

@@ -620,8 +620,8 @@ impl BugExplanation {
             .unwrap_or_else(|| format!("e{e}"))
     }
 
-    /// One-line summary for `PC_TRACE=summary`: minimal-witness size,
-    /// the violated edge, and the diff size.
+    /// One-line summary that `PC_TRACE=summary` prints for an explained
+    /// run: minimal-witness size, the violated edge, and the diff size.
     pub fn pinpoint(&self) -> String {
         let cause = match self.violated_edges.first() {
             Some(e) => format!("violated {} -> {}", self.sig_of(e.from), self.sig_of(e.to)),
@@ -677,6 +677,37 @@ impl BugExplanation {
         }
         let _ = writeln!(out, "}}");
         out
+    }
+
+    /// Structural lint of a [`Self::to_dot`] graph, naming the first flaw:
+    /// a `digraph` with balanced braces whose every edge endpoint
+    /// (`eN -> eM`) is declared as a node (`eN [...]`).
+    pub fn lint_dot(dot: &str) -> Result<(), String> {
+        let is_node_id = |s: &str| {
+            s.strip_prefix('e')
+                .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+        };
+        if !dot.trim_start().starts_with("digraph") {
+            return Err("not a digraph".into());
+        }
+        if dot.matches('{').count() != dot.matches('}').count() {
+            return Err("unbalanced braces".into());
+        }
+        for line in dot.lines() {
+            let Some((from, rest)) = line.trim().split_once(" -> ") else {
+                continue;
+            };
+            if !is_node_id(from) {
+                continue; // a label carrying "->": the signature, a rename
+            }
+            let to = rest.split([' ', ';']).next().unwrap_or("");
+            for id in [from, to] {
+                if !is_node_id(id) || !dot.contains(&format!("{id} [")) {
+                    return Err(format!("edge endpoint {id} not declared as a node"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// JSON rendering (via `pc_rt::json`) of the full bundle — the
@@ -953,10 +984,10 @@ mod tests {
     #[test]
     fn dot_is_balanced_and_declares_nodes() {
         let dot = sample().to_dot();
-        assert_eq!(dot.matches('{').count(), dot.matches('}').count(), "{dot}");
-        assert!(dot.contains("e4 ["));
-        assert!(dot.contains("e9 ["));
+        assert_eq!(BugExplanation::lint_dot(&dot), Ok(()), "{dot}");
         assert!(dot.contains("e4 -> e9"));
+        assert!(BugExplanation::lint_dot(&dot.replace("e9 [", "x9 [")).is_err());
+        assert!(BugExplanation::lint_dot(&dot.replace('}', "")).is_err());
         assert!(dot.contains("color=red"));
         assert!(dot.contains("fillcolor=\"#f4cccc\"")); // minimal
         assert!(dot.contains("peripheries=2")); // frontier

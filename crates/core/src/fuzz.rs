@@ -123,8 +123,6 @@ pub struct FuzzFinding {
     pub layer: LayerVerdict,
     /// Weakest violated crash-consistency model, as a string.
     pub violated_model: String,
-    /// Witness operations of the representative crash state.
-    pub witness: Vec<String>,
     /// Crash states exposing this cause in the representative cell.
     pub occurrences: usize,
     /// How many *other* generated workloads re-exposed the same key
@@ -280,7 +278,6 @@ impl FuzzCorpus {
                             signature: bug.signature.to_string(),
                             layer: bug.layer,
                             violated_model: bug.violated_model.as_str().to_string(),
-                            witness: bug.witness.clone(),
                             occurrences: bug.occurrences,
                             duplicates: 0,
                         },

@@ -86,7 +86,7 @@ impl fmt::Display for Process {
 /// Fields are the traced call arguments (name/args), the executing
 /// server and operation, or the communication peer and message.
 #[allow(missing_docs)]
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Payload {
     /// Upper-layer function call (I/O library, MPI-IO, PFS client API).
     Call { name: String, args: Vec<String> },
@@ -124,7 +124,7 @@ impl Payload {
 }
 
 /// One trace entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Event {
     /// Position in the recorder — also the global chronological timestamp
     /// (the simulation is deterministic and single-threaded).
@@ -285,7 +285,8 @@ impl Recorder {
             .collect()
     }
 
-    /// Render the whole trace (for the Figure 9–style harnesses).
+    /// Render the whole trace, one `#id [layer] proc call <object>` line
+    /// per event: the Figure 9 listing and what `--dump-trace` writes.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.events {

@@ -15,11 +15,13 @@
 //! edges). [`CausalityGraph`] then answers `happens_before` queries — the
 //! partial order that drives crash-state generation (Algorithm 1) and the
 //! persistence analysis (Algorithm 2).
+//!
+//! Nothing reads a trace back, so a trace has one text form:
+//! [`Recorder::render`], the Figure 9 listing (`paracrash fig9`,
+//! `paracrash --dump-trace FILE`).
 
 pub mod event;
 pub mod graph;
-pub mod persist;
 
 pub use event::{Event, EventId, Layer, Payload, Process, Recorder};
 pub use graph::{BitSet, CausalityGraph};
-pub use persist::{load as load_trace, save as save_trace};

@@ -5,7 +5,7 @@
 //! output, and well-formed DOT/JSON exports. Shrinking must be
 //! deterministic: two runs produce byte-identical bundles.
 
-use paracrash::{CheckConfig, CheckOutcome, EdgeKind, LayerVerdict};
+use paracrash::{BugExplanation, CheckConfig, CheckOutcome, EdgeKind, LayerVerdict};
 use paracrash_suite::check_with;
 use workloads::{FsKind, Params, Program};
 
@@ -15,35 +15,6 @@ fn check_explained(program: Program, fs: FsKind) -> CheckOutcome {
         ..CheckConfig::paper_default()
     };
     check_with(program, fs, &Params::quick(), &cfg)
-}
-
-/// Structural DOT lint: balanced braces, and every edge endpoint is a
-/// declared node.
-fn lint_dot(dot: &str) {
-    assert_eq!(
-        dot.matches('{').count(),
-        dot.matches('}').count(),
-        "unbalanced braces:\n{dot}"
-    );
-    let is_node_id = |s: &str| {
-        s.strip_prefix('e')
-            .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
-    };
-    for line in dot.lines() {
-        let line = line.trim();
-        if let Some((from, rest)) = line.split_once(" -> ") {
-            if !is_node_id(from) {
-                continue; // graph label, not an edge line
-            }
-            let to = rest.split([' ', ';']).next().unwrap();
-            for id in [from, to] {
-                assert!(
-                    is_node_id(id) && dot.contains(&format!("{id} [")),
-                    "edge endpoint {id} not declared as a node:\n{dot}"
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -96,7 +67,7 @@ fn bug1_reordering_gets_a_strictly_smaller_witness() {
         e.diff
     );
     assert!(e.diff.servers_skipped > 0, "COW digests skip clean servers");
-    lint_dot(&e.to_dot());
+    assert_eq!(BugExplanation::lint_dot(&e.to_dot()), Ok(()));
     pc_rt::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
 }
 
@@ -137,7 +108,7 @@ fn bug12_multi_structure_atomicity_is_explained() {
     let pin = e.pinpoint();
     assert!(pin.contains("violated"), "{pin}");
     assert!(!e.nodes.is_empty());
-    lint_dot(&e.to_dot());
+    assert_eq!(BugExplanation::lint_dot(&e.to_dot()), Ok(()));
     pc_rt::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
 }
 
@@ -162,7 +133,7 @@ fn bug3_partially_persisted_journal_group_is_explained() {
         e.diff
     );
     for e in &outcome.explanations {
-        lint_dot(&e.to_dot());
+        assert_eq!(BugExplanation::lint_dot(&e.to_dot()), Ok(()));
         pc_rt::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
     }
 }
