@@ -79,7 +79,6 @@ use paracrash::CheckConfig;
 use pc_bench::campaign::{parse_modes, run_campaign, FuzzOptions};
 use pc_bench::{render_bug, run_program_swept, sanitize, write_bundle};
 use pc_rt::obs::{prof, stream};
-use simnet::FaultConfig;
 use workloads::{FsKind, Params, Program};
 
 mod figures;
@@ -192,7 +191,7 @@ fn usage() -> ! {
         "usage: paracrash --fs <BeeGFS|OrangeFS|GlusterFS|GPFS|Lustre|ext4|all>\n\
          \x20                --program <ARVR|CR|RC|WAL|H5-create|...|all>\n\
          \x20                [--config <file>] [--dump-trace <file>] [--paper]\n\
-         \x20                [--faults <spec>|chaos]\n\
+         \x20                [--faults <torn=0|1,seed=N>|chaos]\n\
          \x20                [--telemetry-out <file>] [--explain-out <dir>]\n\
          \x20                [--events-out <file>] [--profile-out <file>]\n\
          \x20      paracrash fuzz [--bound <n>] [--seed <n>] [--sample <n>]\n\
@@ -209,7 +208,7 @@ fn usage() -> ! {
          and `--resume` replays the log to continue a killed run with a\n\
          byte-identical final report. Either way a cell whose check\n\
          panics is quarantined, not fatal.\n\n\
-         `selftest obs|faults` asserts the plane's disabled-overhead\n\
+         `selftest obs` asserts the observability plane's disabled-overhead\n\
          budget (<3%); `explain <dir> [<min-bundles>]` validates explain\n\
          bundles, `events --canonical-diff <a> <b>` compares two streams'\n\
          deterministic content. `selftest scale` takes no argument: it times\n\
@@ -222,8 +221,8 @@ fn usage() -> ! {
          self-contained HTML dashboard.\n\n\
          `--profile-out` writes the exact self time of every span stack as\n\
          a flamegraph-compatible .folded file on exit (weights in ns).\n\n\
-         `--faults` takes a comma-separated spec (seed=N,drop=R,dup=R,delay=R,\n\
-         retries=N,partition=S[:H],torn=BOOL) or the word `chaos`.\n\n\
+         `--faults` tears crash victims' multi-block writes: `torn=0|1` and\n\
+         `seed=N`, comma-separated, or `chaos` (= torn=1, seed 0).\n\n\
          Environment:\n{}\n\
          The configuration file uses `key = value` lines; a cluster key it\n\
          omits keeps the profile's value (quick, or Table 2 with --paper):\n{}",
@@ -232,6 +231,28 @@ fn usage() -> ! {
         Params::quick().render_config(&CheckConfig::paper_default())
     );
     std::process::exit(2);
+}
+
+/// The `--faults` spec: `torn=0|1` and `seed=N`, comma-separated, or
+/// `chaos` (torn writes, seed 0). Torn writes are the one fault that can
+/// change a verdict; returns the torn seed (`None` = off).
+fn parse_faults(spec: &str) -> Option<u64> {
+    if spec.trim().eq_ignore_ascii_case("chaos") {
+        return Some(0);
+    }
+    let (mut torn, mut seed) = (false, 0);
+    for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let (key, value) = part.split_once('=').unwrap_or((part, ""));
+        let bad = || -> ! { die(format_args!("bad --faults element: {part}")) };
+        match (key.trim(), value.trim()) {
+            ("torn", "1") => torn = true,
+            ("torn", "0") => torn = false,
+            ("torn", _) => bad(),
+            ("seed", n) => seed = n.parse().unwrap_or_else(|_| bad()),
+            (key, _) => die(format_args!("unknown --faults key: {key}")),
+        }
+    }
+    torn.then_some(seed)
 }
 
 /// Parse one `fuzz` flag into `opts`; returns `false` when `a` is not
@@ -416,7 +437,7 @@ fn main() {
     let mut config_path = None;
     let mut dump_trace = None;
     let mut paper = false;
-    let mut faults_arg: Option<String> = None;
+    let mut torn_seed = None;
     let mut explain_out: Option<String> = None;
     let mut obs = ObsOpts::default();
     let mut it = args.iter();
@@ -433,10 +454,10 @@ fn main() {
             "--fs" => fs_arg = Some(value("--fs")),
             "--program" => program_arg = Some(value("--program")),
             "--config" => config_path = Some(value("--config")),
-            "--dump-trace" => dump_trace = Some(value("--dump-trace")),
+            "--dump-trace" => dump_trace = Some(prepare_out(OutTarget::File, a, value(a))),
             "--paper" => paper = true,
-            "--faults" => faults_arg = Some(value("--faults")),
-            "--explain-out" => explain_out = Some(value("--explain-out")),
+            "--faults" => torn_seed = parse_faults(&value(a)),
+            "--explain-out" => explain_out = Some(prepare_out(OutTarget::Dir, a, value(a))),
             "--help" | "-h" => usage(),
             other => {
                 pc_rt::pc_error!("unknown argument: {other}");
@@ -456,7 +477,7 @@ fn main() {
     } else {
         Params::quick()
     };
-    let (mut params, mut cfg) = match config_path {
+    let (params, mut cfg) = match config_path {
         Some(path) => {
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| die(format_args!("cannot read {path}: {e}")));
@@ -466,18 +487,8 @@ fn main() {
         }
         None => (profile, CheckConfig::paper_default()),
     };
-    if let Some(dir) = &explain_out {
-        cfg.explain = true;
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(format_args!("cannot create {dir}: {e}")));
-    }
-    if let Some(spec) = &faults_arg {
-        cfg.faults = FaultConfig::parse_spec(spec)
-            .unwrap_or_else(|e| die(format_args!("bad --faults spec: {e}")));
-    }
-    if cfg.faults.enabled() {
-        params = params.with_faults(cfg.faults.clone());
-    }
+    cfg.explain = explain_out.is_some();
+    cfg.torn_seed = torn_seed;
 
     let systems: Vec<FsKind> = if fs_arg.eq_ignore_ascii_case("all") {
         FsKind::all().to_vec()

@@ -2,13 +2,13 @@
 //! gate helpers `scripts/verify.sh` drives.
 //!
 //! ```sh
-//! paracrash selftest obs|faults                 # the plane's disabled-overhead budget
+//! paracrash selftest obs                        # the obs plane's disabled-overhead budget
 //! paracrash selftest explain reports/ [MIN]      # --explain-out bundles
 //! paracrash selftest events --canonical-diff a.jsonl b.jsonl
 //! paracrash selftest scale                      # engine ratios, measured live
 //! ```
 //!
-//! `obs` and `faults` assert a disabled-overhead budget
+//! `obs` asserts the observability plane's disabled-overhead budget
 //! ([`super::overhead`]); `explain DIR` validates a bundle directory and
 //! `events --canonical-diff` compares two streams' deterministic content
 //! (the stream, trace and profile files themselves are validated by
@@ -29,7 +29,7 @@ use std::time::Instant;
 use workloads::{Params, Program};
 
 /// The planes, as `usage()` and the unknown-plane error print them.
-pub const PLANES: &str = "obs|faults|explain|events|scale";
+pub const PLANES: &str = "obs|explain|events|scale";
 
 /// The verdict of every selftest. Deliberately `eprintln!`, not
 /// `pc_error!`: it is this tool's user-facing output and must print
@@ -337,7 +337,7 @@ pub fn run(args: &[String]) -> ! {
     };
     let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
     match (plane.as_str(), rest.as_slice()) {
-        (plane, []) if overhead::has_budget(plane) => overhead::disabled_overhead(plane),
+        ("obs", []) => overhead::disabled_obs(),
         ("explain", [dir]) => check_explain(dir, 15),
         ("explain", [dir, min]) => check_explain(dir, number("min-bundles", min)),
         ("events", ["--canonical-diff", a, b]) => check_canonical_diff(a, b),

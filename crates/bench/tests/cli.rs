@@ -25,7 +25,7 @@ fn unknown_selftest_planes_are_usage_errors_that_list_the_planes() {
     assert_eq!(bad.status.code(), Some(2));
     let err = String::from_utf8_lossy(&bad.stderr);
     assert!(
-        err.contains("obs|faults|explain|events|scale"),
+        err.contains("obs|explain|events|scale"),
         "plane list missing from: {err}"
     );
 }
@@ -64,8 +64,9 @@ fn table3_reproduces_all_fifteen() {
 /// ignored: their subcommands and flags, the file argument of `selftest
 /// scale`, the bare spellings of the folded overhead budgets (`explain`'s
 /// among them), the artifact validators `report` replaced, `selftest
-/// durable` (a property test of `pc_rt::durable` now) and `--fail-fast`
-/// are usage errors, and the usage text no longer offers them, nor the
+/// durable` (a property test of `pc_rt::durable` now), `selftest faults`
+/// (there is no delivery-fault plane to budget) and `--fail-fast` are
+/// usage errors, and the usage text no longer offers them, nor the
 /// test hooks and the progress switch that were variables.
 #[test]
 fn removed_bench_surfaces_are_usage_errors() {
@@ -92,6 +93,7 @@ fn removed_bench_surfaces_are_usage_errors() {
         &["selftest", "explain"],
         &["selftest", "durable"],
         &["selftest", "durable", "7", "64"],
+        &["selftest", "faults"],
         &["--fs", "ext4", "--program", "ARVR", "--fail-fast"],
     ] {
         let out = paracrash(args);
@@ -110,6 +112,10 @@ fn removed_bench_surfaces_are_usage_errors() {
     assert!(!text.contains("--cell-timeout") && !text.contains("--max-retries"));
     assert!(!text.contains("--fail-fast"), "{text}");
     assert!(!text.contains("durable"), "{text}");
+    assert!(
+        !text.contains("obs|faults") && !text.contains("drop="),
+        "{text}"
+    );
     // Five settings, and no test hook or progress switch among them.
     let mut named: Vec<&str> = text
         .split(|c: char| !(c.is_ascii_uppercase() || c == '_'))
@@ -165,6 +171,41 @@ fn a_missing_flag_value_is_a_usage_error() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("{flag} needs a value")), "{err}");
     }
+}
+
+/// `--faults` is torn writes only: each delivery-fault key is a usage
+/// error naming the key, and `chaos` is `torn=1` (seed 0) — on GPFS/ARVR,
+/// where a torn block write exposes one more bug than the clean run.
+#[test]
+fn faults_is_torn_writes_only() {
+    let cell = |faults: &[&str]| {
+        let out = paracrash(&[&["--fs", "GPFS", "--program", "ARVR"][..], faults].concat());
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+    for key in ["drop", "dup", "delay", "retries", "partition"] {
+        let out = paracrash(&[
+            "--fs",
+            "ext4",
+            "--program",
+            "ARVR",
+            "--faults",
+            &format!("{key}=1"),
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{key}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown --faults key: {key}")),
+            "{err}"
+        );
+    }
+    let torn = cell(&["--faults", "torn=1"]);
+    assert_eq!(cell(&["--faults", "chaos"]), torn);
+    assert_eq!(cell(&["--faults", "seed=0,torn=1"]), torn);
+    assert_ne!(cell(&[]), torn);
+    assert_eq!(cell(&["--faults", "seed=5,torn=0"]), cell(&[]));
 }
 
 /// The PR-tier sweep is quiet at `PC_LOG=warn`: nothing it logs there is
@@ -234,11 +275,12 @@ fn fig9_matches_the_committed_traces() {
 }
 
 /// `--dump-trace` writes the Figure 9 listing of its cell: for
-/// BeeGFS/ARVR, exactly that section of the committed figure.
+/// BeeGFS/ARVR, exactly that section of the committed figure. Like every
+/// other output path, it creates its missing parent directories.
 #[test]
 fn dump_trace_writes_the_fig9_listing() {
     let dir = scratch("dump-trace");
-    let file = dir.join("arvr.txt");
+    let file = dir.join("nested/x/arvr.txt");
     let path = file.to_str().unwrap();
     let out = paracrash(&["--fs", "BeeGFS", "--program", "ARVR", "--dump-trace", path]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");

@@ -155,9 +155,9 @@ impl CheckOutcome {
     /// Deterministic rendering of everything the checker *decided* —
     /// bugs, state counts, diagnostics — excluding wall-clock timing
     /// and cache traffic. Two runs with the same trace and the same
-    /// fault seed must produce byte-identical canonical reports, on any
-    /// `PC_THREADS` setting: this is the string the chaos suite
-    /// compares.
+    /// torn seed must produce byte-identical canonical reports, on any
+    /// `PC_THREADS` setting: this is the string the determinism tests
+    /// compare.
     pub fn canonical_report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -572,14 +572,12 @@ fn materialize(a: &Analysis, e: &Enumerated) -> Materialized {
     Materialized { plan, rep_digests }
 }
 
-/// Torn-write widening draws from an RNG seeded by (fault seed, state
+/// Torn-write widening draws from an RNG seeded by (torn seed, state
 /// index) so the same crash state tears the same way on every run,
-/// thread count and checker.
-fn torn_rng(cfg: &CheckConfig, state_index: usize) -> pc_rt::rng::Rng {
+/// thread count and checker. `seed` is [`CheckConfig::torn_seed`].
+fn torn_rng(seed: u64, state_index: usize) -> pc_rt::rng::Rng {
     pc_rt::rng::Rng::new(
-        cfg.faults
-            .seed
-            .wrapping_add((state_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        seed.wrapping_add((state_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
     )
 }
 
@@ -631,12 +629,12 @@ fn verdict_of(
     legal: &LegalStates,
 ) -> Verdict {
     let (stack, state) = (a.stack, &e.states[i]);
-    let recovered = if a.cfg.faults.torn_writes && !state.victims.is_empty() {
+    let recovered = if let Some(seed) = a.cfg.torn_seed.filter(|_| !state.victims.is_empty()) {
         let mut st = m.plan.prepared[i].fork();
         st.apply_torn_victims(
             &stack.rec,
             state.victims.iter().copied(),
-            &mut torn_rng(a.cfg, i),
+            &mut torn_rng(seed, i),
         );
         Arc::new(Recovered::mounted(recover_and_mount(
             stack.pfs.as_ref(),
@@ -1032,9 +1030,9 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
             .of(0, h5.first().map(|_| 0));
         let verdict = match &legal {
             Ok(legal) => caught(|| {
-                if cfg.faults.torn_writes {
+                if let Some(seed) = cfg.torn_seed {
                     let victims = state.victims.iter().copied();
-                    st.apply_torn_victims(rec, victims, &mut torn_rng(cfg, i));
+                    st.apply_torn_victims(rec, victims, &mut torn_rng(seed, i));
                 }
                 let view = recover_and_mount(stack.pfs.as_ref(), &mut st);
                 layer_verdict(&a, &Recovered::mounted(view), legal)
@@ -1446,7 +1444,7 @@ mod tests {
         use std::sync::atomic::Ordering::Relaxed;
         let factory = beegfs_factory();
         let mut cfg = CheckConfig::paper_default();
-        cfg.faults.torn_writes = true;
+        cfg.torn_seed = Some(0);
         let (stack, runs) = instrumented_arvr(false);
         let a = analyze(&stack, &cfg, RecoveryMemo::new());
         let e = enumerate(&a);

@@ -12,7 +12,6 @@
 use crate::explore::ExploreMode;
 use crate::model::Model;
 use h5sim::ClearOpts;
-use simnet::FaultConfig;
 
 /// Everything a check run needs besides the traced stack itself.
 #[derive(Debug, Clone)]
@@ -31,10 +30,10 @@ pub struct CheckConfig {
     /// `h5clear` options used before declaring an H5 state inconsistent
     /// (the sensitivity knob of Table 3 bug 13).
     pub clear_opts: ClearOpts,
-    /// Seeded fault plane for the run: RPC delivery faults during the
-    /// traced workload plus torn-write widening of crash states. The
-    /// default injects nothing and leaves every code path untouched.
-    pub faults: FaultConfig,
+    /// Torn-write widening of crash states: `Some(seed)` tears each
+    /// crash victim's multi-block write at a point drawn from `seed`
+    /// and the state index; `None` (the default) tears nothing.
+    pub torn_seed: Option<u64>,
     /// Build a provenance bundle ([`crate::explain::BugExplanation`])
     /// for every reproduced bug: minimal witness, causal-graph export,
     /// state diff. Off by default — the explain pass re-runs recovery
@@ -67,7 +66,7 @@ impl CheckConfig {
             k: 1,
             mode: ExploreMode::Optimized,
             clear_opts: ClearOpts::default(),
-            faults: FaultConfig::disabled(),
+            torn_seed: None,
             explain: false,
             collect_rep_digests: false,
         }
@@ -84,6 +83,6 @@ mod tests {
         assert_eq!(cfg.k, 1);
         assert_eq!(cfg.pfs_model, Model::Causal);
         assert_eq!(cfg.mode, ExploreMode::Optimized);
-        assert!(!cfg.faults.enabled() && !cfg.explain);
+        assert!(cfg.torn_seed.is_none() && !cfg.explain);
     }
 }

@@ -36,7 +36,7 @@
 //! because enumeration is RNG-free, sampling draws from a fixed-seed
 //! [`pc_rt::rng::Rng`], and the per-cell verdicts come from
 //! [`check_stack`](crate::check_stack), whose `canonical_report` is
-//! already `PC_THREADS`-invariant (chaos-suite pinned).
+//! already `PC_THREADS`-invariant.
 
 use crate::check::{CheckOutcome, LayerVerdict};
 use pc_rt::hash::fnv1a;

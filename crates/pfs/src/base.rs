@@ -23,7 +23,7 @@ use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
 use crate::store::{ServerStates, Store};
 use simfs::{BlockOp, FsOp, JournalMode};
-use simnet::{ClusterTopology, FaultConfig, FaultPlane, RpcNet};
+use simnet::{ClusterTopology, RpcNet};
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
 use tracer::{EventId, Layer, Payload, Process, Recorder};
@@ -44,7 +44,6 @@ pub struct ModelBase {
     pub journal: Option<JournalMode>,
     live: ServerStates,
     baseline: ServerStates,
-    faults: FaultPlane,
 }
 
 impl ModelBase {
@@ -79,7 +78,6 @@ impl ModelBase {
             journal,
             baseline: live.fork(),
             live,
-            faults: FaultPlane::disabled(),
         }
     }
 
@@ -103,11 +101,6 @@ impl ModelBase {
     /// The live (fully-executed) server states.
     pub fn live(&self) -> &ServerStates {
         &self.live
-    }
-
-    /// Arm the RPC fault plane every round trip is routed through.
-    pub fn install_faults(&mut self, cfg: FaultConfig) {
-        self.faults = FaultPlane::new(cfg);
     }
 
     /// Id of the `idx`-th metadata server.
@@ -173,53 +166,45 @@ impl ModelBase {
     /// call `cev`; returns the server-side receive event the server's
     /// work hangs off.
     pub fn request(
-        &mut self,
+        &self,
         rec: &mut Recorder,
         client: Process,
         server: u32,
         msg: &str,
         cev: EventId,
     ) -> EventId {
-        self.message(rec, client, Process::Server(server), msg, Some(cev))
+        RpcNet::new(rec)
+            .request(client, Process::Server(server), msg, Some(cev))
             .1
     }
 
     /// Reply leg: sent once the server-side event `after` is done.
     /// Returns the server's send event.
     pub fn reply(
-        &mut self,
+        &self,
         rec: &mut Recorder,
         server: u32,
         client: Process,
         msg: &str,
         after: EventId,
     ) -> EventId {
-        self.message(rec, Process::Server(server), client, msg, Some(after))
+        RpcNet::new(rec)
+            .reply(Process::Server(server), client, msg, Some(after))
             .0
     }
 
     /// One-way server → server message; returns the receive event.
     pub fn notify(
-        &mut self,
+        &self,
         rec: &mut Recorder,
         from: u32,
         to: u32,
         msg: &str,
         parent: Option<EventId>,
     ) -> EventId {
-        self.message(rec, Process::Server(from), Process::Server(to), msg, parent)
+        RpcNet::new(rec)
+            .message(Process::Server(from), Process::Server(to), msg, parent)
             .1
-    }
-
-    fn message(
-        &mut self,
-        rec: &mut Recorder,
-        from: Process,
-        to: Process,
-        msg: &str,
-        parent: Option<EventId>,
-    ) -> (EventId, EventId) {
-        RpcNet::faulty(rec, &mut self.faults).message(from, to, msg, parent)
     }
 
     /// One stripe segment landing in its chunk file on `server`: `creat`

@@ -30,10 +30,10 @@
 //! (module [`base`]): the per-server stores and their `live → sealed →
 //! forked` lifecycle, `emit_fs` / `emit_block` (apply to the live store,
 //! record the lowermost event), the `request` / `reply` / `notify` RPC
-//! legs through the fault plane, and the path / striping / attribute
-//! helpers. The [`Pfs`] trait provides `dispatch`, `topology`,
-//! `stripe_size`, `install_faults`, `seal_baseline`, `baseline` and
-//! `live` over it, and [`Fork`] provides `fork` for every `Clone` model.
+//! legs, and the path / striping / attribute helpers. The [`Pfs`] trait
+//! provides `dispatch`, `topology`, `stripe_size`, `seal_baseline`,
+//! `baseline` and `live` over it, and [`Fork`] provides `fork` for every
+//! `Clone` model.
 //!
 //! To add a model, embed a `ModelBase` (format the servers through
 //! `base.mkfs(..)`, end the constructor with `base.seal()`), derive
@@ -69,7 +69,7 @@ pub use placement::Placement;
 pub use store::{ServerStates, Store};
 pub use view::PfsView;
 
-use simnet::{ClusterTopology, FaultConfig};
+use simnet::ClusterTopology;
 use tracer::{EventId, Layer, Payload, Process, Recorder};
 
 /// A parallel file system model: a [`ModelBase`] plus the five things
@@ -152,12 +152,6 @@ pub trait Pfs: Fork + Send + Sync {
         let cev = rec.record(Layer::PfsClient, client, payload, parent);
         self.handle(rec, client, call, cev)?;
         Ok(cev)
-    }
-
-    /// Arm the RPC fault plane (inert for models with no network, e.g.
-    /// the ext4 baseline).
-    fn install_faults(&mut self, cfg: FaultConfig) {
-        self.base_mut().install_faults(cfg)
     }
 
     /// Snapshot the current live state as the pre-test baseline.

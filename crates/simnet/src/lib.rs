@@ -16,11 +16,9 @@
 //! ordered by program logic, never by wall-clock time.
 
 pub mod clock;
-pub mod fault;
 pub mod rpc;
 pub mod topology;
 
 pub use clock::{assign_clocks, VectorClock};
-pub use fault::{Fate, FaultConfig, FaultPlane};
 pub use rpc::RpcNet;
 pub use topology::{ClusterTopology, ServerRole, ServerSpec};

@@ -5,15 +5,7 @@
 //! sender→receiver causality edge — exactly the information ParaCrash
 //! extracts from strace'd socket calls to "order the client events with
 //! respect to the server events" (§4.2).
-//!
-//! A net can carry a [`FaultPlane`]: each message then draws a
-//! [`Fate`], and drops/duplicates/delays surface as *real trace events*
-//! (lost sends, annotated retries, duplicate deliveries) while delivery
-//! stays eventual and exactly-once-effective — see the
-//! [`fault`](crate::fault) module for why that keeps live state
-//! bit-identical to a fault-free run.
 
-use crate::fault::{Fate, FaultPlane};
 use tracer::{EventId, Layer, Payload, Process, Recorder};
 
 /// Synchronous RPC recorder over a shared [`Recorder`].
@@ -22,7 +14,6 @@ use tracer::{EventId, Layer, Payload, Process, Recorder};
 /// matters for crash consistency is only the causal edge, not timing.
 pub struct RpcNet<'r> {
     rec: &'r mut Recorder,
-    plane: Option<&'r mut FaultPlane>,
 }
 
 fn layer_of(p: Process) -> Layer {
@@ -32,27 +23,10 @@ fn layer_of(p: Process) -> Layer {
     }
 }
 
-fn server_id(p: Process) -> Option<u32> {
-    match p {
-        Process::Server(s) => Some(s),
-        Process::Client(_) => None,
-    }
-}
-
 impl<'r> RpcNet<'r> {
-    /// Wrap a recorder (fault-free delivery).
+    /// Wrap a recorder.
     pub fn new(rec: &'r mut Recorder) -> Self {
-        RpcNet { rec, plane: None }
-    }
-
-    /// Wrap a recorder plus a fault plane: every message's fate is drawn
-    /// from the plane. An inactive plane behaves exactly like
-    /// [`RpcNet::new`].
-    pub fn faulty(rec: &'r mut Recorder, plane: &'r mut FaultPlane) -> Self {
-        RpcNet {
-            rec,
-            plane: Some(plane),
-        }
+        RpcNet { rec }
     }
 
     /// Access the underlying recorder.
@@ -63,11 +37,7 @@ impl<'r> RpcNet<'r> {
     /// Record a one-way message `from → to`; returns `(send_id, recv_id)`.
     ///
     /// `parent` is the upper-layer call on the sending side that issued
-    /// the message (caller–callee edge). Under an active fault plane the
-    /// message may be preceded by lost sends (`[lost]` + a `[retry n]`
-    /// resend), duplicated (`[dup]` extra delivery) or delayed
-    /// (`[delayed]` annotation); the returned `recv_id` is always the
-    /// delivery that carries the causal edge server work hangs off.
+    /// the message (caller–callee edge).
     pub fn message(
         &mut self,
         from: Process,
@@ -75,67 +45,12 @@ impl<'r> RpcNet<'r> {
         msg: &str,
         parent: Option<EventId>,
     ) -> (EventId, EventId) {
-        let fate = match self.plane.as_mut() {
-            Some(plane) => plane.fate(server_id(from), server_id(to)),
-            None => Fate::Deliver,
-        };
         // The rpc span ties each delivery to the ambient causal trace
         // id, so a Chrome-trace export groups the RPC flow under the
         // workload cell that caused it (one pid lane per check).
         let _rpc_span = pc_rt::obs::span_cat("rpc.message", "rpc");
         pc_rt::obs::count("rpc.messages", 1);
-        pc_rt::pc_debug!("rpc {from:?} -> {to:?}: {msg} ({fate:?})");
-        match fate {
-            Fate::Deliver => self.record_pair(from, to, msg, parent),
-            Fate::Drop { attempts } => {
-                // The transport loses `attempts` sends; each shows up in
-                // the trace (no matching recv — the paper's strace would
-                // show the timed-out sendto), then the retry succeeds.
-                for a in 1..=attempts {
-                    pc_rt::obs::count("rpc.dropped", 1);
-                    pc_rt::obs::count("rpc.retries", 1);
-                    self.rec.record(
-                        layer_of(from),
-                        from,
-                        Payload::Send {
-                            to,
-                            msg: format!("{msg} [lost {a}]"),
-                        },
-                        parent,
-                    );
-                }
-                self.record_pair(from, to, &format!("{msg} [retry {attempts}]"), parent)
-            }
-            Fate::Duplicate => {
-                let (send, recv) = self.record_pair(from, to, msg, parent);
-                // The duplicate delivery: received again, deduplicated
-                // by the server (no second execution of the work).
-                pc_rt::obs::count("rpc.duplicates", 1);
-                self.rec.record(
-                    layer_of(to),
-                    to,
-                    Payload::Recv {
-                        from,
-                        msg: format!("{msg} [dup]"),
-                    },
-                    Some(send),
-                );
-                (send, recv)
-            }
-            Fate::Delay => {
-                pc_rt::obs::count("rpc.delayed", 1);
-                self.record_pair(from, to, &format!("{msg} [delayed]"), parent)
-            }
-        }
-    }
-
-    fn record_pair(
-        &mut self,
-        from: Process,
-        to: Process,
-        msg: &str,
-        parent: Option<EventId>,
-    ) -> (EventId, EventId) {
+        pc_rt::pc_debug!("rpc {from:?} -> {to:?}: {msg}");
         let send = self.rec.record(
             layer_of(from),
             from,
@@ -192,7 +107,6 @@ impl<'r> RpcNet<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultConfig;
     use tracer::CausalityGraph;
 
     #[test]
@@ -301,76 +215,5 @@ mod tests {
         );
         let g = CausalityGraph::build(&rec);
         assert!(g.concurrent(a, b));
-    }
-
-    #[test]
-    fn inactive_plane_records_the_same_trace_as_no_plane() {
-        let mut clean = Recorder::new();
-        RpcNet::new(&mut clean).message(Process::Client(0), Process::Server(0), "PING", None);
-        let mut plane = FaultPlane::disabled();
-        let mut faulted = Recorder::new();
-        RpcNet::faulty(&mut faulted, &mut plane).message(
-            Process::Client(0),
-            Process::Server(0),
-            "PING",
-            None,
-        );
-        assert_eq!(clean.len(), faulted.len());
-    }
-
-    #[test]
-    fn dropped_message_leaves_lost_sends_then_a_delivered_retry() {
-        let cfg = FaultConfig {
-            drop_rate: 1.0,
-            max_retries: 2,
-            ..FaultConfig::disabled()
-        };
-        let mut plane = FaultPlane::new(cfg);
-        let mut rec = Recorder::new();
-        let (send, recv) = RpcNet::faulty(&mut rec, &mut plane).message(
-            Process::Client(0),
-            Process::Server(0),
-            "CREAT",
-            None,
-        );
-        // Lost sends precede the successful retry pair.
-        assert!(rec.len() > 2, "lost sends must appear in the trace");
-        let send_ev = rec.event(send);
-        match &send_ev.payload {
-            Payload::Send { msg, .. } => assert!(msg.contains("[retry"), "got {msg}"),
-            other => panic!("expected a send, got {other:?}"),
-        }
-        // The returned recv still carries the causal edge.
-        assert_eq!(rec.event(recv).parent, Some(send));
-        let lost = rec
-            .events()
-            .iter()
-            .filter(|e| matches!(&e.payload, Payload::Send { msg, .. } if msg.contains("[lost")))
-            .count();
-        assert!(lost >= 1);
-    }
-
-    #[test]
-    fn duplicate_message_adds_a_deduplicated_second_delivery() {
-        let cfg = FaultConfig {
-            dup_rate: 1.0,
-            ..FaultConfig::disabled()
-        };
-        let mut plane = FaultPlane::new(cfg);
-        let mut rec = Recorder::new();
-        let (send, recv) = RpcNet::faulty(&mut rec, &mut plane).message(
-            Process::Client(0),
-            Process::Server(0),
-            "CREAT",
-            None,
-        );
-        assert_eq!(rec.len(), 3, "send + recv + duplicate recv");
-        assert_eq!(rec.event(recv).parent, Some(send));
-        let dups = rec
-            .events()
-            .iter()
-            .filter(|e| matches!(&e.payload, Payload::Recv { msg, .. } if msg.contains("[dup]")))
-            .count();
-        assert_eq!(dups, 1);
     }
 }

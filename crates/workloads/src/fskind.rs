@@ -79,13 +79,11 @@ impl FsKind {
         }
     }
 
-    /// Build a fresh formatted instance for the given parameters. When
-    /// [`Params::faults`] is set the instance's RPC fault plane is armed
-    /// (the ext4 control has no network and ignores it).
+    /// Build a fresh formatted instance for the given parameters.
     pub fn build(&self, params: &Params) -> Box<dyn Pfs> {
         let placement = params.placement.clone();
         let journal = params.journal.unwrap_or(simfs::JournalMode::Data);
-        let mut pfs: Box<dyn Pfs> = match self {
+        match self {
             FsKind::BeeGfs => Box::new(BeeGfs::with_journal(
                 ClusterTopology::dedicated(params.meta, params.storage, params.clients),
                 placement,
@@ -118,21 +116,14 @@ impl FsKind {
                 journal,
             )),
             FsKind::Ext4 => Box::new(Ext4Direct::new(journal)),
-        };
-        if let Some(faults) = &params.faults {
-            pfs.install_faults(faults.clone());
         }
-        pfs
     }
 
     /// A factory building identical fresh instances (for golden-state
-    /// replay). Replays run fault-free: delivery faults are
-    /// state-invariant, so the legal states of a faulty trace are the
-    /// legal states of its clean replay.
+    /// replay).
     pub fn factory(&self, params: &Params) -> StackFactory {
         let kind = *self;
-        let mut params = params.clone();
-        params.faults = None;
+        let params = params.clone();
         Box::new(move || kind.build(&params))
     }
 

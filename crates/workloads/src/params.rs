@@ -4,7 +4,6 @@
 
 use paracrash::{CheckConfig, ExploreMode, Model};
 use pfs::Placement;
-use simnet::FaultConfig;
 
 /// Everything that parameterizes one test-program run.
 #[derive(Debug, Clone)]
@@ -32,10 +31,6 @@ pub struct Params {
     pub h5_seg: u64,
     /// Placement pins expressing the file-distribution sensitivity.
     pub placement: Placement,
-    /// Seeded RPC fault plane armed on the *traced* instance (replay
-    /// instances stay fault-free so golden states don't move). `None`
-    /// leaves every pre-existing code path untouched.
-    pub faults: Option<FaultConfig>,
     /// Local-FS journaling mode of the servers' backing stores. `None`
     /// keeps each model's paper deployment (data journaling); the
     /// fuzzer's journaling-mode sweep sets it explicitly. GPFS journals
@@ -56,7 +51,6 @@ impl Params {
             wal_pages: 2,
             h5_seg: 64 * 1024,
             placement: Placement::new(),
-            faults: None,
             journal: None,
         }
     }
@@ -76,7 +70,6 @@ impl Params {
             wal_pages: 2,
             h5_seg: 1024,
             placement: Placement::new(),
-            faults: None,
             journal: None,
         }
     }
@@ -123,12 +116,6 @@ impl Params {
         self
     }
 
-    /// Arm the RPC fault plane on the traced instance.
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
     /// Override the servers' local-FS journaling mode.
     pub fn with_journal(mut self, journal: simfs::JournalMode) -> Self {
         self.journal = Some(journal);
@@ -151,8 +138,8 @@ impl Params {
     /// and `clients` override this profile's values (an omitted key keeps
     /// the profile's); `pfs_model`, `h5_model`, `k`, `mode` and
     /// `h5clear_increase_eof` configure the checker, starting from
-    /// [`CheckConfig::paper_default`]. Any other key is rejected: the
-    /// fault plane and `explain` are per-run choices, not configuration.
+    /// [`CheckConfig::paper_default`]. Any other key is rejected: torn
+    /// writes and `explain` are per-run choices, not configuration.
     pub fn configure(mut self, text: &str) -> Result<(Params, CheckConfig), String> {
         let mut cfg = CheckConfig::paper_default();
         for (lineno, line) in text.lines().enumerate() {

@@ -14,7 +14,6 @@
 //! parallel, so the guarantee is also checked against the thread pool.
 
 use paracrash::{check_reference, check_stack, CheckConfig, CheckOutcome, ExploreMode};
-use paracrash_suite::simnet::FaultConfig;
 use pc_rt::proptest::{gen_vec, run, Config};
 use pc_rt::rng::Rng;
 use pc_rt::{prop_assert, prop_assert_eq};
@@ -137,15 +136,14 @@ fn batched_verdicts_match_per_state_oracle() {
     }
 }
 
-/// Chaos faults: delivery noise plus torn writes, driving both the
-/// shared-recovery path (victim-free states) and the per-state torn
-/// fallback (states with live victims) of `check_stack` in one run.
+/// Chaos faults (torn writes), driving both the shared-recovery path
+/// (victim-free states) and the per-state torn fallback (states with
+/// live victims) of `check_stack` in one run.
 #[test]
 fn torn_and_chaos_cells_match_the_reference() {
-    let faults = FaultConfig::chaos(0x5CA1EB47);
-    let params = Params::quick().with_faults(faults.clone());
+    let params = Params::quick();
     let cfg = CheckConfig {
-        faults,
+        torn_seed: Some(0x5CA1EB47),
         ..CheckConfig::paper_default()
     };
     for fs in PFS_MODELS {
@@ -181,14 +179,9 @@ fn digest_shared_recoveries_match_per_request_recoveries() {
 /// decides differently.
 #[test]
 fn torn_states_recover_past_the_memo() {
-    let faults = FaultConfig {
-        seed: 0x70_12_4D,
-        torn_writes: true,
-        ..FaultConfig::disabled()
-    };
-    let params = Params::quick().with_faults(faults.clone());
+    let params = Params::quick();
     let cfg = CheckConfig {
-        faults,
+        torn_seed: Some(0x70_12_4D),
         ..CheckConfig::paper_default()
     };
     for fs in [FsKind::BeeGfs, FsKind::Gpfs] {

@@ -2,8 +2,7 @@
 //! multi-byte data write whose transaction was cut by a crash, and
 //! whether the surviving state still passes the structural checker.
 
-use paracrash_suite::{check_with, signatures, simfs};
-use paracrash_suite::{paracrash::CheckConfig, simnet::FaultConfig};
+use paracrash_suite::{check_with, paracrash::CheckConfig, signatures, simfs};
 use simfs::{torn_write, FsOp, FsState, Fsck, JournalMode};
 use workloads::{FsKind, Params, Program};
 
@@ -97,10 +96,30 @@ fn torn_faults_on_data_journaled_ext4_stay_clean() {
         &Params::quick(),
         &CheckConfig::paper_default(),
     );
-    let fc = FaultConfig::chaos(0x7042);
-    let params = Params::quick().with_faults(fc.clone());
-    let mut cfg = CheckConfig::paper_default();
-    cfg.faults = fc;
-    let torn = check_with(Program::Arvr, FsKind::Ext4, &params, &cfg);
+    let torn = check_with(
+        Program::Arvr,
+        FsKind::Ext4,
+        &Params::quick(),
+        &torn_cfg(0x7042),
+    );
     assert_eq!(signatures(&clean), signatures(&torn));
+}
+
+/// The paper's checker with torn-write widening drawn from `seed`.
+fn torn_cfg(seed: u64) -> CheckConfig {
+    CheckConfig {
+        torn_seed: Some(seed),
+        ..CheckConfig::paper_default()
+    }
+}
+
+#[test]
+fn same_seed_produces_bit_identical_reports() {
+    let cfg = torn_cfg(0xC0FF_EE00);
+    let check = || check_with(Program::Arvr, FsKind::BeeGfs, &Params::quick(), &cfg);
+    assert_eq!(
+        check().canonical_report(),
+        check().canonical_report(),
+        "identical torn seed must reproduce the report byte for byte"
+    );
 }

@@ -10,18 +10,16 @@
 //! `tests/expected_trace_identity.txt`.
 //!
 //! Cells: the Table 3 matrix (every program × file system × placement
-//! variant at `Params::quick()`), one armed fault-plane seed per
-//! networked file system, the non-default journaling modes, a POSIX
-//! script that issues every `PfsCall` variant on a 3 + 3 cluster with
-//! 16-byte stripes (clean and under chaos), and the whole bound-2
-//! generated corpus folded into one line per file system.
+//! variant at `Params::quick()`), the non-default journaling modes, a
+//! POSIX script that issues every `PfsCall` variant on a 3 + 3 cluster
+//! with 16-byte stripes, and the whole bound-2 generated corpus folded
+//! into one line per file system.
 //!
 //! Regenerate (only for an *intended* model change) with
 //! `cargo test --test trace_identity -- --ignored bless`.
 
 use paracrash_suite::paracrash::Stack;
 use paracrash_suite::simfs::JournalMode;
-use paracrash_suite::simnet::FaultConfig;
 use pc_rt::hash::{fnv1a_extend, FNV_OFFSET_BASIS};
 use pfs::PfsCall;
 use std::fmt::Write;
@@ -139,16 +137,6 @@ fn actual() -> String {
         }
     }
 
-    // One armed fault plane per networked file system.
-    for (i, fs) in FsKind::parallel().into_iter().enumerate() {
-        let seed = 0xC0FF_EE00 + i as u64;
-        let params = quick.clone().with_faults(FaultConfig::chaos(seed));
-        for program in [Program::Arvr, Program::H5Create] {
-            let label = format!("{} {} chaos={seed:#x}", program.name(), fs.name());
-            cell(&mut out, &label, &program.run(fs, &params));
-        }
-    }
-
     // Non-default journaling modes (GPFS journals at the block layer).
     for journal in [
         JournalMode::Ordered,
@@ -170,14 +158,6 @@ fn actual() -> String {
     for fs in FsKind::all() {
         let label = format!("every-call {} 3+3 stripe=16", fs.name());
         cell(&mut out, &label, &every_call(fs, &wide));
-        if fs != FsKind::Ext4 {
-            let faulty = wide.clone().with_faults(FaultConfig::chaos(7));
-            cell(
-                &mut out,
-                &format!("{label} chaos=0x7"),
-                &every_call(fs, &faulty),
-            );
-        }
     }
 
     // The bound-2 generated corpus, folded per file system.
