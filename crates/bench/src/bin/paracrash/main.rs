@@ -23,7 +23,7 @@
 //! `--explain-out DIR` turns on the provenance engine and writes one
 //! self-contained bundle per bug into `DIR`: a Markdown report, a
 //! Graphviz `.dot` causal graph, and a machine-readable `.json`
-//! (minimal witness, violated ordering edges, vector clocks, state
+//! (minimal witness, violated ordering edges, causal graph, state
 //! diff).
 //!
 //! The `fuzz` subcommand switches from the paper's eleven programs to

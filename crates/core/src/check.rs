@@ -97,17 +97,20 @@ impl CheckOutcome {
     /// Union `other`'s findings into this outcome, as the paper reports
     /// a program tested under several placements or dimensions: bugs by
     /// `(signature, layer)` with occurrences summed, explain bundles by
-    /// the same key (the first variant to expose a cause is its
-    /// witness), diagnostics, and the per-state finding counts.
+    /// the same key and likewise summed (the first variant to expose a
+    /// cause is its witness), diagnostics, and the per-state finding
+    /// counts.
     pub fn absorb_findings(&mut self, other: CheckOutcome) {
         self.raw_inconsistent_states += other.raw_inconsistent_states;
         self.h5_bad_pfs_ok_states += other.h5_bad_pfs_ok_states;
         self.stats.states_diagnostic += other.stats.states_diagnostic;
         self.diagnostics.extend(other.diagnostics);
         for expl in other.explanations {
-            let known = |e: &BugExplanation| e.signature == expl.signature && e.layer == expl.layer;
-            if !self.explanations.iter().any(known) {
-                self.explanations.push(expl);
+            let known =
+                |e: &&mut BugExplanation| e.signature == expl.signature && e.layer == expl.layer;
+            match self.explanations.iter_mut().find(known) {
+                Some(existing) => existing.occurrences += expl.occurrences,
+                None => self.explanations.push(expl),
             }
         }
         for bug in other.bugs {

@@ -18,8 +18,7 @@
 //!    their common persisted prefix (COW forks, not replays).
 //! 2. **Causal graph** — the happens-before graph over the witness
 //!    state's update universe, transitively reduced for readability,
-//!    with per-node vector clocks ([`simnet::assign_clocks`]), edges
-//!    tagged happens-before vs persists-before
+//!    edges tagged happens-before vs persists-before
 //!    ([`crate::persist::PersistAnalysis`]), violated ordering edges and
 //!    the crash frontier highlighted. Exported as DOT and JSON.
 //! 3. **State diff** — the crashed state against the closest legal
@@ -42,10 +41,10 @@ use crate::stack::Stack;
 use pc_rt::json::Json;
 use pfs::{PfsView, ServerStates};
 use simfs::FsState;
-use simnet::{ClusterTopology, VectorClock};
+use simnet::ClusterTopology;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use tracer::{BitSet, CausalityGraph, EventId, Process, Recorder};
+use tracer::{BitSet, CausalityGraph, EventId};
 
 /// One operation of a minimal witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,8 +55,6 @@ pub struct ExplainOp {
     pub label: String,
     /// Aggregation signature via [`crate::report::op_sig`].
     pub sig: String,
-    /// Vector-clock components of the event.
-    pub clock: Vec<u64>,
 }
 
 /// Edge kind in the exported causal graph.
@@ -94,8 +91,6 @@ pub struct GraphNode {
     pub label: String,
     /// Aggregation signature.
     pub sig: String,
-    /// Vector-clock components.
-    pub clock: Vec<u64>,
     /// Persisted in the minimal witness state.
     pub persisted: bool,
     /// Member of the minimal witness (dropped, and necessary).
@@ -234,7 +229,6 @@ pub(crate) fn explain_bug(
     pc_rt::obs::count("explain.probes", shrink.probes as u64);
     pc_rt::obs::count("explain.minimal_ops", minimal.len() as u64);
 
-    let clocks = trace_clocks(rec);
     let node_ids: Vec<EventId> = universe.iter().collect();
     let frontier: Vec<EventId> = node_ids
         .iter()
@@ -253,7 +247,6 @@ pub(crate) fn explain_bug(
         &persisted_min,
         &minimal,
         &frontier,
-        &clocks,
         &violated,
     );
     let diff = state_diff(ctx, &universe, &persisted_min);
@@ -263,7 +256,6 @@ pub(crate) fn explain_bug(
             event: e,
             label: op_detail(rec, ctx.topo, e),
             sig: ctx.sigs.get(e).to_string(),
-            clock: clocks[e].components().to_vec(),
         })
         .collect();
     BugExplanation {
@@ -437,30 +429,6 @@ fn violated_edges(
     out
 }
 
-/// Vector clocks for every trace event: each event merges the clocks of
-/// its causal predecessors (program order, caller links, message edges).
-/// The same adapter the cross-check test drives.
-fn trace_clocks(rec: &Recorder) -> Vec<VectorClock> {
-    let mut procs: Vec<Process> = rec.events().iter().map(|e| e.proc).collect();
-    procs.sort();
-    procs.dedup();
-    let pidx = |p: Process| procs.iter().position(|&q| q == p).unwrap();
-    let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); rec.len()];
-    for &(from, to) in rec.extra_edges() {
-        incoming[to].push(from);
-    }
-    let events: Vec<(usize, Vec<usize>)> = rec
-        .events()
-        .iter()
-        .map(|e| {
-            let mut preds: Vec<usize> = e.parent.into_iter().collect();
-            preds.extend(&incoming[e.id]);
-            (pidx(e.proc), preds)
-        })
-        .collect();
-    simnet::assign_clocks(procs.len(), &events)
-}
-
 /// Nodes + transitively-reduced happens-before edges over the witness
 /// universe, with the violated edges overlaid.
 fn build_graph(
@@ -469,7 +437,6 @@ fn build_graph(
     persisted: &BitSet,
     minimal: &[EventId],
     frontier: &[EventId],
-    clocks: &[VectorClock],
     violated: &[GraphEdge],
 ) -> (Vec<GraphNode>, Vec<GraphEdge>) {
     let rec = &ctx.stack.rec;
@@ -479,7 +446,6 @@ fn build_graph(
             event: e,
             label: op_detail(rec, ctx.topo, e),
             sig: ctx.sigs.get(e).to_string(),
-            clock: clocks[e].components().to_vec(),
             persisted: persisted.contains(e),
             minimal: minimal.contains(&e),
             frontier: frontier.contains(&e),
@@ -649,13 +615,7 @@ impl BugExplanation {
         let _ = writeln!(out, "  label=\"{}\";", dot_escape(&self.signature));
         let _ = writeln!(out, "  node [shape=box, fontname=\"Helvetica\"];");
         for n in &self.nodes {
-            let clock = n
-                .clock
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(" ");
-            let label = format!("e{}\\n{}\\n[{clock}]", n.event, dot_escape(&n.label));
+            let label = format!("e{}\\n{}", n.event, dot_escape(&n.label));
             let style = if n.minimal {
                 ", style=\"filled,bold\", fillcolor=\"#f4cccc\""
             } else if n.frontier {
@@ -718,10 +678,6 @@ impl BugExplanation {
                 ("event".into(), Json::Int(o.event as u64)),
                 ("label".into(), Json::Str(o.label.clone())),
                 ("sig".into(), Json::Str(o.sig.clone())),
-                (
-                    "clock".into(),
-                    Json::Arr(o.clock.iter().map(|&c| Json::Int(c)).collect()),
-                ),
             ])
         };
         let edge_json = |e: &GraphEdge| {
@@ -736,10 +692,6 @@ impl BugExplanation {
                 ("event".into(), Json::Int(n.event as u64)),
                 ("label".into(), Json::Str(n.label.clone())),
                 ("sig".into(), Json::Str(n.sig.clone())),
-                (
-                    "clock".into(),
-                    Json::Arr(n.clock.iter().map(|&c| Json::Int(c)).collect()),
-                ),
                 ("persisted".into(), Json::Bool(n.persisted)),
                 ("minimal".into(), Json::Bool(n.minimal)),
                 ("frontier".into(), Json::Bool(n.frontier)),
@@ -842,16 +794,10 @@ impl BugExplanation {
             },
         );
         let _ = writeln!(out, "## Minimal witness\n");
-        let _ = writeln!(out, "| event | operation | vector clock |");
-        let _ = writeln!(out, "|---|---|---|");
+        let _ = writeln!(out, "| event | operation |");
+        let _ = writeln!(out, "|---|---|");
         for o in &self.minimal_witness {
-            let clock = o
-                .clock
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(" ");
-            let _ = writeln!(out, "| e{} | `{}` | [{clock}] |", o.event, o.label);
+            let _ = writeln!(out, "| e{} | `{}` |", o.event, o.label);
         }
         let _ = writeln!(out, "\n## Violated ordering\n");
         if self.violated_edges.is_empty() {
@@ -930,7 +876,6 @@ mod tests {
                 event: 4,
                 label: "append(/chunks/f0.0)@storage#2".into(),
                 sig: "append(file chunk)@storage".into(),
-                clock: vec![1, 0, 2],
             }],
             violated_edges: vec![GraphEdge {
                 from: 4,
@@ -943,7 +888,6 @@ mod tests {
                     event: 4,
                     label: "append(/chunks/f0.0)@storage#2".into(),
                     sig: "append(file chunk)@storage".into(),
-                    clock: vec![1, 0, 2],
                     persisted: false,
                     minimal: true,
                     frontier: false,
@@ -952,7 +896,6 @@ mod tests {
                     event: 9,
                     label: "rename(/dentries/root/tmp -> /dentries/root/file)@metadata#0".into(),
                     sig: "rename(d_entry)@metadata".into(),
-                    clock: vec![2, 1, 2],
                     persisted: true,
                     minimal: false,
                     frontier: true,

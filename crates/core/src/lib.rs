@@ -25,9 +25,9 @@
 //!    pattern pruning, semantic object-map pruning, incremental state
 //!    reconstruction with a greedy TSP visiting order, [`explore`]);
 //! 6. optionally builds a provenance bundle per reproduced bug — a
-//!    delta-debugged minimal witness, a causal-graph export with vector
-//!    clocks and violated persists-before edges, and a tree-structured
-//!    state diff ([`explain`]);
+//!    delta-debugged minimal witness, a causal-graph export with its
+//!    violated persists-before edges, and a tree-structured state diff
+//!    ([`explain`]);
 //! 7. optionally *generates* workloads instead of replaying the paper's
 //!    eleven: B3-style bounded black-box enumeration with a seeded
 //!    sampling mode and a deduplicating findings corpus ([`fuzz`]) —

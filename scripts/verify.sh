@@ -34,8 +34,8 @@
 #      a fault-free full matrix reproduces exactly the fifteen Table 3
 #      bugs.
 #   7. Provenance — a full-matrix `--explain-out` run emits one bundle
-#      per Table 3 bug, each re-parsed and linted (`selftest explain
-#      DIR`).
+#      per Table 3 bug, byte-identical on the pool and at PC_THREADS=1,
+#      each re-parsed and linted (`selftest explain DIR`).
 #   8. Fuzz triage — a sampled sweep with `--findings-out` writes its
 #      `.repro` bundles (gate 5 holds the PR tier to its pin on the pool
 #      and at PC_THREADS=1). PC_FUZZ_NIGHTLY=1 adds the bound-3 all-FS
@@ -185,8 +185,11 @@ if [ "$(grep -c REPRODUCED "$tmp/table3.txt")" -ne 15 ] || grep -q missing "$tmp
 fi
 
 echo "== gate 7: explain bundles =="
-# Full matrix: multi-cell runs always exit 0; bugs land as bundles.
+# Full matrix: multi-cell runs always exit 0; bugs land as bundles, and
+# ddmin's probe schedule must not leak into them.
 target/release/paracrash --fs all --program all --explain-out "$tmp/explain" > /dev/null
+PC_THREADS=1 target/release/paracrash --fs all --program all --explain-out "$tmp/explain-seq" > /dev/null
+diff -r "$tmp/explain" "$tmp/explain-seq"
 target/release/paracrash selftest explain "$tmp/explain" 15
 
 echo "== gate 8: fuzz triage (PC_FUZZ_NIGHTLY=1 adds the nightly tier) =="

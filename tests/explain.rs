@@ -93,6 +93,22 @@ fn bug1_witness_lines_are_in_trace_order() {
     );
 }
 
+/// A bundle merged over placement variants counts the same crash states
+/// as the bug it explains (WAL runs under two placements).
+#[test]
+fn bundle_occurrences_sum_over_placements() {
+    let outcome = check_explained(Program::Wal, FsKind::BeeGfs);
+    assert!(!outcome.explanations.is_empty());
+    for e in &outcome.explanations {
+        let bug = outcome
+            .bugs
+            .iter()
+            .find(|b| b.signature.to_string() == e.signature && b.layer == e.layer)
+            .expect("every bundle explains a reported bug");
+        assert_eq!(e.occurrences, bug.occurrences, "{}", e.signature);
+    }
+}
+
 #[test]
 fn bug12_multi_structure_atomicity_is_explained() {
     let outcome = check_explained(Program::H5Rename, FsKind::BeeGfs);

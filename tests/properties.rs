@@ -299,6 +299,79 @@ fn graph_hb_is_a_partial_order() {
     );
 }
 
+/// Happens-before from its definition, sharing nothing with the graph's
+/// id-ordered closure rows: `reach[a][b]` iff a depth-first search from
+/// `a` over program order, caller links and extra edges reaches `b`.
+fn hb_reference(rec: &Recorder) -> Vec<Vec<bool>> {
+    let mut succ: Vec<Vec<EventId>> = vec![Vec::new(); rec.len()];
+    for (_, ids) in rec.per_process() {
+        ids.windows(2).for_each(|w| succ[w[0]].push(w[1]));
+    }
+    let callers = rec.events().iter().filter_map(|e| Some((e.parent?, e.id)));
+    for (a, b) in callers.chain(rec.extra_edges().iter().copied()) {
+        succ[a].push(b);
+    }
+    let dfs = |a: EventId| {
+        let (mut seen, mut stack) = (vec![false; rec.len()], succ[a].clone());
+        while let Some(e) = stack.pop() {
+            if !std::mem::replace(&mut seen[e], true) {
+                stack.extend(&succ[e]);
+            }
+        }
+        seen
+    };
+    (0..rec.len()).map(dfs).collect()
+}
+
+/// `happens_before` and `concurrent` equal [`hb_reference`] on every pair
+/// of events; `Ok` carries the number of concurrent pairs.
+fn hb_matches_reference(rec: &Recorder) -> Result<usize, String> {
+    let (g, reach) = (CausalityGraph::build(rec), hb_reference(rec));
+    let mut concurrent = 0;
+    for (a, row) in reach.iter().enumerate() {
+        for (b, &hb) in row.iter().enumerate() {
+            let independent = a != b && !hb && !reach[b][a];
+            prop_assert_eq!((a, b, g.happens_before(a, b)), (a, b, hb));
+            prop_assert_eq!((a, b, g.concurrent(a, b)), (a, b, independent));
+            concurrent += usize::from(independent);
+        }
+    }
+    Ok(concurrent / 2)
+}
+
+/// The graph's happens-before is reachability, on random traces whose
+/// rows span several words.
+#[test]
+fn graph_hb_matches_the_reachability_reference() {
+    run(
+        "graph_hb_matches_the_reachability_reference",
+        &Config::with_cases(64),
+        |rng, size| arb_wide_trace(rng, size, 40),
+        |(rec, _)| hb_matches_reference(rec).map(drop),
+    );
+}
+
+/// … and on real program traces; the collective create really produces
+/// concurrent pairs.
+#[test]
+fn graph_hb_matches_the_reference_on_program_traces() {
+    use workloads::{FsKind, Params, Program};
+    for (program, fs) in [
+        (Program::Arvr, FsKind::BeeGfs),
+        (Program::Wal, FsKind::GlusterFs),
+        (Program::H5ParallelCreate, FsKind::Lustre),
+        (Program::Cr, FsKind::Gpfs),
+        (Program::H5ParallelCreate, FsKind::BeeGfs),
+    ] {
+        let cell = format!("{} on {}", program.name(), fs.name());
+        let stack = program.run(fs, &Params::quick());
+        let concurrent = hb_matches_reference(&stack.rec).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        if program == Program::H5ParallelCreate {
+            assert!(concurrent > 0, "{cell}: no concurrent pair");
+        }
+    }
+}
+
 /// Crash states never violate the persists-before relation: if
 /// `a persists_before b` and `b` persisted, `a` persisted.
 #[test]
