@@ -394,7 +394,7 @@ fn run_report(args: &[String]) -> ! {
             "--events" => events_path = Some(value("--events")),
             "--telemetry" => telemetry_path = Some(value("--telemetry")),
             "--profile" => profile_path = Some(value("--profile")),
-            "--out" => out_path = value("--out"),
+            "--out" => out_path = prepare_out(OutTarget::File, a, value(a)),
             "--help" | "-h" => usage(),
             other => {
                 pc_rt::pc_error!("unknown report argument: {other}");
@@ -410,12 +410,9 @@ fn run_report(args: &[String]) -> ! {
     let trace = telemetry_path.map(|p| read_artifact(&p, read_trace));
     let profile = profile_path.map(|p| read_artifact(&p, prof::parse_folded));
     let html = render_dashboard(&events, trace.as_ref(), profile.as_deref());
-    std::fs::write(&out_path, &html)
-        .unwrap_or_else(|e| die(format_args!("cannot write {out_path}: {e}")));
-    println!(
-        "dashboard written to {out_path} ({} bytes from {events_path})",
-        html.len()
-    );
+    let bytes = html.len();
+    write_out(&out_path, html);
+    println!("dashboard written to {out_path} ({bytes} bytes from {events_path})");
     std::process::exit(0);
 }
 

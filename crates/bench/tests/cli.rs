@@ -292,6 +292,24 @@ fn dump_trace_writes_the_fig9_listing() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `report --out` goes through the launch-time output check every other
+/// output path takes: a target whose parent directories are missing gets
+/// them, and the dashboard renders there.
+#[test]
+fn report_out_creates_missing_parent_directories() {
+    let dir = scratch("nested-out");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let events = path("events.jsonl");
+    let sweep = paracrash(&["fuzz", "--sample", "1", "--events-out", &events]);
+    assert!(sweep.status.success(), "{sweep:?}");
+    let out = path("nested/dir/r.html");
+    let report = paracrash(&["report", "--events", &events, "--out", &out]);
+    assert!(report.status.success(), "{report:?}");
+    let html = std::fs::read_to_string(&out).unwrap();
+    assert!(html.contains("data-metric="), "{html}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Member `key` of JSON object `obj`, for editing.
 fn member<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
     let Json::Obj(fields) = obj else {

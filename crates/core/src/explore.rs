@@ -204,14 +204,70 @@ pub fn server_distance(a: &[u64], b: &[u64]) -> usize {
     a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
 
+/// Dense per-server fingerprints, each kept as the `(server,
+/// fingerprint)` pairs — in server order — where it differs from a
+/// reference state: per server, the fingerprint most states share. Two
+/// states then differ on a server exactly where one of them lists it with
+/// a fingerprint the other does not, whatever the reference. The lists
+/// share one buffer: state `i`'s is `pairs[starts[i]..starts[i + 1]]`.
+fn sparse_fingerprints(dense: &[Vec<u64>]) -> (Vec<(u32, u64)>, Vec<usize>) {
+    let n_servers = dense.first().map_or(0, Vec::len);
+    let mut column = Vec::with_capacity(dense.len());
+    let reference: Vec<u64> = (0..n_servers)
+        .map(|s| {
+            column.clear();
+            column.extend(dense.iter().map(|fp| fp[s]));
+            column.sort_unstable();
+            (column.chunk_by(|a, b| a == b))
+                .max_by_key(|run| run.len())
+                .map_or(0, |run| run[0])
+        })
+        .collect();
+    let (mut pairs, mut starts) = (Vec::new(), vec![0]);
+    for fp in dense {
+        let differing = (fp.iter().zip(&reference).enumerate())
+            .filter(|(_, (fp, reference))| fp != reference)
+            .map(|(s, (&fp, _))| (s as u32, fp));
+        pairs.extend(differing);
+        starts.push(pairs.len());
+    }
+    (pairs, starts)
+}
+
+/// [`server_distance`] of two states in the form [`sparse_fingerprints`]
+/// gives them, by one merge of the two sorted lists: a server either
+/// state lists differs between them once, unless both list the same
+/// fingerprint.
+fn sparse_distance(a: &[(u32, u64)], b: &[(u32, u64)]) -> usize {
+    let (mut i, mut j, mut overlap) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                overlap += 1 + usize::from(a[i].1 == b[j].1);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    a.len() + b.len() - overlap
+}
+
 /// Greedy nearest-neighbour TSP over crash states (the paper uses a
 /// greedy suboptimal solver): returns a visiting order minimizing (in
-/// the greedy sense) the total number of server rebuilds.
+/// the greedy sense) the total number of server rebuilds. From each
+/// state it moves to the nearest unvisited one, the lowest index among
+/// equals. Each state is kept as the servers whose fingerprint differs
+/// from the most common one, so a step costs the servers the states
+/// differ on, not the cluster's size.
 pub fn tsp_order(fingerprints: &[Vec<u64>]) -> Vec<usize> {
     let n = fingerprints.len();
     if n == 0 {
         return Vec::new();
     }
+    let (pairs, starts) = sparse_fingerprints(fingerprints);
+    let list = |i: usize| &pairs[starts[i]..starts[i + 1]];
     let mut order = Vec::with_capacity(n);
     let mut visited = vec![false; n];
     let mut cur = 0usize;
@@ -221,12 +277,18 @@ pub fn tsp_order(fingerprints: &[Vec<u64>]) -> Vec<usize> {
         let mut best = usize::MAX;
         let mut best_d = usize::MAX;
         for (j, v) in visited.iter().enumerate() {
-            if !v {
-                let d = server_distance(&fingerprints[cur], &fingerprints[j]);
-                if d < best_d {
-                    best_d = d;
-                    best = j;
-                }
+            // Two states differ on at least as many servers as their
+            // lists differ in length: such a `j` cannot be nearer.
+            if *v || list(cur).len().abs_diff(list(j).len()) >= best_d {
+                continue;
+            }
+            let d = sparse_distance(list(cur), list(j));
+            if d < best_d {
+                best_d = d;
+                best = j;
+            }
+            if best_d == 0 {
+                break;
             }
         }
         visited[best] = true;
@@ -344,6 +406,50 @@ mod tests {
         let trace_order: Vec<usize> = (0..fps.len()).collect();
         let tsp = tsp_order(&fps);
         assert!(total(&tsp) <= total(&trace_order));
+    }
+
+    /// The sparse distance is the dense one, and the sparse greedy tour
+    /// is the dense greedy tour, on states that share most servers.
+    #[test]
+    fn sparse_tsp_matches_the_dense_greedy_order() {
+        fn dense_order(fps: &[Vec<u64>]) -> Vec<usize> {
+            let mut order = vec![0];
+            let mut visited = vec![false; fps.len()];
+            visited[0] = true;
+            for _ in 1..fps.len() {
+                let cur = *order.last().unwrap();
+                let (mut best, mut best_d) = (usize::MAX, usize::MAX);
+                for j in (0..fps.len()).filter(|&j| !visited[j]) {
+                    let d = server_distance(&fps[cur], &fps[j]);
+                    if d < best_d {
+                        (best, best_d) = (j, d);
+                    }
+                }
+                visited[best] = true;
+                order.push(best);
+            }
+            order
+        }
+        let mut rng = pc_rt::rng::Rng::new(11);
+        for case in 0..200 {
+            let (n, servers) = (1 + case % 40, 1 + case % 17);
+            // Most servers agree with most states: fingerprint 0.
+            let fps: Vec<Vec<u64>> = (0..n)
+                .map(|_| {
+                    (0..servers)
+                        .map(|_| rng.gen_range(0..8u64).saturating_sub(4))
+                        .collect()
+                })
+                .collect();
+            let (pairs, starts) = sparse_fingerprints(&fps);
+            let list = |i: usize| &pairs[starts[i]..starts[i + 1]];
+            for (i, a) in fps.iter().enumerate() {
+                for (j, b) in fps.iter().enumerate() {
+                    assert_eq!(sparse_distance(list(i), list(j)), server_distance(a, b));
+                }
+            }
+            assert_eq!(tsp_order(&fps), dense_order(&fps), "case {case}");
+        }
     }
 
     #[test]

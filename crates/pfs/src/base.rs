@@ -18,14 +18,22 @@
 //! preamble once on a factory-built instance and forks the *model* —
 //! this base, stores shared copy-on-write, plus the model's own
 //! bookkeeping — wherever two preserved sets diverge.
+//!
+//! Recovery costs what the crash touched. [`ModelBase::recover`] runs a
+//! model's fsck under a [`Scope`]: the servers whose store is no longer
+//! the sealed baseline's ([`ServerStates::dirty_mask`]), and an index of
+//! the baseline — built once per [`seal`](ModelBase::seal), on the first
+//! recovery — that stands in for the clean ones.
 
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
 use crate::store::{ServerStates, Store};
 use simfs::{BlockOp, FsOp, JournalMode};
 use simnet::{ClusterTopology, RpcNet};
+use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 use tracer::{EventId, Layer, Payload, Process, Recorder};
 
 /// The state and plumbing embedded in every PFS model. `Clone` is the
@@ -44,6 +52,68 @@ pub struct ModelBase {
     pub journal: Option<JournalMode>,
     live: ServerStates,
     baseline: ServerStates,
+    /// What recovery knows of `baseline`, built on the first recovery.
+    /// Forks share it (they share the baseline); `seal` starts a new one.
+    index: Arc<OnceLock<RecoveryIndex>>,
+}
+
+/// What recovery knows of a sealed baseline. It carries the snapshot it
+/// describes, so an index that outlived its baseline could cost speed
+/// (no image shares a store with it) but never correctness.
+struct RecoveryIndex {
+    snapshot: ServerStates,
+    /// Whether recovering the baseline leaves it as it is, worked out
+    /// the first time a pass asks to skip a clean server (see
+    /// [`Scope::clean`]).
+    fixpoint: OnceLock<bool>,
+    /// The baseline entries of the storage-side object directory, by
+    /// owner id: `(storage server, name)` of each.
+    chunks: BTreeMap<String, Vec<(u32, String)>>,
+    /// The model's own part (see [`ModelBase::recover`]).
+    model: Box<dyn Any + Send + Sync>,
+}
+
+/// The servers one recovery visits. A clean server — one the crash did
+/// not touch — is byte-for-byte the baseline's: the orphan sweep answers
+/// for it from the baseline index, and a model's pass may skip it where
+/// [`Scope::clean`] allows. Every server is dirty in the scope the
+/// fixpoint test runs under — the full fsck.
+pub struct Scope<'a, X> {
+    dirty: Vec<bool>,
+    /// The storage-side object directory the orphan sweep collects in.
+    dir: &'a str,
+    index: Option<(&'a RecoveryIndex, &'a X)>,
+    /// Whether recovering the baseline leaves it as it is (run once per
+    /// index, on the first ask).
+    fixpoint: &'a dyn Fn() -> bool,
+}
+
+impl<'a, X> Scope<'a, X> {
+    /// Every one of `n` servers dirty: the full algorithm.
+    fn all(n: usize, dir: &'a str) -> Self {
+        Scope {
+            dirty: vec![true; n],
+            dir,
+            index: None,
+            fixpoint: &|| false,
+        }
+    }
+
+    /// Whether the crash touched `server`: its store no longer shares
+    /// the baseline's root. A pass that would skip a server asks
+    /// [`clean`](Self::clean) instead.
+    pub fn is_dirty(&self, server: u32) -> bool {
+        self.dirty[server as usize]
+    }
+
+    /// The model's baseline index, if `server` is clean and may be
+    /// skipped: only if recovering the baseline leaves it as it is, or a
+    /// pass that skipped the server could miss a repair the baseline
+    /// itself needs.
+    pub fn clean(&self, server: u32) -> Option<&'a X> {
+        let (_, model) = self.index?;
+        (!self.is_dirty(server) && (self.fixpoint)()).then_some(model)
+    }
 }
 
 impl ModelBase {
@@ -78,6 +148,7 @@ impl ModelBase {
             journal,
             baseline: live.fork(),
             live,
+            index: Arc::default(),
         }
     }
 
@@ -91,6 +162,7 @@ impl ModelBase {
     /// materialized on (the paper's pre-test LVM snapshot, §4.3).
     pub fn seal(&mut self) {
         self.baseline = self.live.fork();
+        self.index = Arc::default();
     }
 
     /// The sealed baseline snapshot.
@@ -239,18 +311,97 @@ impl ModelBase {
         self.emit_fs(rec, server, op, recv)
     }
 
-    /// The storage-side sweep of every fsck that has one: on each storage
-    /// server, unlink each entry of `dir` whose owner — the object id
-    /// before the first `.` of its `<id>.<stripe>` name — is not in `live`.
-    /// A name no live id can match (OrangeFS's `stranded-<handle>.<n>`) is
-    /// always collected.
-    pub fn collect_orphans(&self, states: &mut ServerStates, dir: &str, live: &HashSet<String>) {
+    /// Run a model's fsck over crashed `states`, visiting what the crash
+    /// touched. `fsck` repairs `states` in place under the [`Scope`] it
+    /// is given and must treat a dirty server exactly as the full
+    /// algorithm does; a server [`Scope::clean`] hands the model's index
+    /// for it may skip wherever that index (`index`, built from the
+    /// baseline once) says the full algorithm would change nothing. `dir`
+    /// is the storage-side object directory
+    /// [`collect_orphans`](Self::collect_orphans) sweeps.
+    ///
+    /// The index is built on the first call after a [`seal`](Self::seal):
+    /// the baseline's `dir` entries by owner and the model's part. Whether
+    /// `fsck` with every server dirty leaves the baseline as it is, is
+    /// worked out once, when a pass first asks to skip a clean server.
+    pub fn recover<X: Send + Sync + 'static>(
+        &self,
+        states: &mut ServerStates,
+        dir: &str,
+        index: impl FnOnce(&ServerStates) -> X,
+        fsck: impl Fn(&mut ServerStates, &Scope<X>),
+    ) {
+        let built = self.index.get_or_init(|| {
+            let snapshot = self.baseline.fork();
+            RecoveryIndex {
+                fixpoint: OnceLock::new(),
+                chunks: self.chunk_index(&snapshot, dir),
+                model: Box::new(index(&snapshot)),
+                snapshot,
+            }
+        });
+        let fixpoint = || {
+            *built.fixpoint.get_or_init(|| {
+                let mut image = built.snapshot.fork();
+                fsck(&mut image, &Scope::all(built.snapshot.len(), dir));
+                image == built.snapshot
+            })
+        };
+        let model = (built.model.downcast_ref::<X>())
+            .expect("invariant: a base's index holds its own model's part");
+        let scope = Scope {
+            dirty: states.dirty_mask(&built.snapshot),
+            dir,
+            index: Some((built, model)),
+            fixpoint: &fixpoint,
+        };
+        let dirty = scope.dirty.iter().filter(|&&d| d).count();
+        pc_rt::obs::count("pfs.dirty_servers", dirty as u64);
+        fsck(states, &scope);
+    }
+
+    /// The entries of `dir` on each storage server of `snapshot`, by
+    /// owner id.
+    fn chunk_index(
+        &self,
+        snapshot: &ServerStates,
+        dir: &str,
+    ) -> BTreeMap<String, Vec<(u32, String)>> {
+        let mut chunks: BTreeMap<String, Vec<(u32, String)>> = BTreeMap::new();
         for s in self.topo.storage_servers() {
+            for name in snapshot.server(s).as_fs().readdir(dir).unwrap_or_default() {
+                let owner = owner_of(&name).to_string();
+                chunks.entry(owner).or_default().push((s, name));
+            }
+        }
+        chunks
+    }
+
+    /// The storage-side sweep of every fsck that has one: on each storage
+    /// server, unlink each entry of the scope's directory whose owner —
+    /// the object id before the first `.` of its `<id>.<stripe>` name — is
+    /// not in `live`. A name no live id can match (OrangeFS's
+    /// `stranded-<handle>.<n>`) is always collected. A dirty server is
+    /// swept in full; on a clean one — the baseline's entries, nothing
+    /// more — only the indexed entries of the owners `live` lacks go.
+    pub fn collect_orphans<X>(
+        &self,
+        states: &mut ServerStates,
+        live: &HashSet<String>,
+        scope: &Scope<X>,
+    ) {
+        let dir = scope.dir;
+        for s in self
+            .topo
+            .storage_servers()
+            .into_iter()
+            .filter(|&s| scope.is_dirty(s))
+        {
             let Ok(names) = states.server(s).as_fs().readdir(dir) else {
                 continue;
             };
             for name in names {
-                if !live.contains(name.split('.').next().unwrap_or("")) {
+                if !live.contains(owner_of(&name)) {
                     let _ = states
                         .server_mut(s)
                         .as_fs_mut()
@@ -258,7 +409,33 @@ impl ModelBase {
                 }
             }
         }
+        let Some((index, _)) = scope.index else {
+            return;
+        };
+        for (owner, entries) in &index.chunks {
+            if live.contains(owner) {
+                continue;
+            }
+            for (s, name) in entries.iter().filter(|(s, _)| !scope.is_dirty(*s)) {
+                let _ = states
+                    .server_mut(*s)
+                    .as_fs_mut()
+                    .unlink(&format!("{dir}/{name}"));
+            }
+        }
     }
+
+    /// Whether recovering the sealed baseline leaves it as it is; `None`
+    /// until a pass first asks to skip a clean server.
+    #[cfg(test)]
+    pub(crate) fn baseline_is_fixpoint(&self) -> Option<bool> {
+        self.index.get()?.fixpoint.get().copied()
+    }
+}
+
+/// The owner id of a `<id>.<stripe>` object name.
+fn owner_of(name: &str) -> &str {
+    name.split('.').next().unwrap_or("")
 }
 
 /// Parent directory of a mount-relative path (`/` for top-level names).

@@ -26,7 +26,7 @@
 
 use crate::base::{
     attr, attr_num, child_path, lookup, lookup_mut, name_of, parent_of, read_striped, rekey,
-    stripe_segments, ModelBase,
+    stripe_segments, ModelBase, Scope,
 };
 use crate::call::PfsCall;
 use crate::error::{PfsError, PfsResult};
@@ -38,6 +38,15 @@ use simfs::{FsOp, FsState, Ino, JournalMode};
 use simnet::ClusterTopology;
 use std::collections::{BTreeMap, HashSet};
 use tracer::{EventId, Process, Recorder};
+
+/// What BeeGFS's fsck indexes of the sealed baseline, per metadata
+/// server (in topology order).
+struct MetaIndex {
+    /// Its directory dentries ([`BeeGfs::dir_refs`]).
+    dir_refs: Vec<Vec<(u32, String)>>,
+    /// Its idfile names.
+    idfiles: Vec<Vec<String>>,
+}
 
 /// Runtime info for a directory.
 #[derive(Debug, Clone)]
@@ -549,6 +558,84 @@ impl BeeGfs {
         });
         view.add_file(vpath, content);
     }
+
+    /// The directory dentries of one metadata server's store, in scan
+    /// order: `(owner server, dentries object)` of each directory they
+    /// name.
+    fn dir_refs(&self, fs: &FsState) -> Vec<(u32, String)> {
+        let mut refs = Vec::new();
+        for key in fs.readdir("/dentries").unwrap_or_default() {
+            let dent_dir = format!("/dentries/{key}");
+            for name in fs.readdir(&dent_dir).unwrap_or_default() {
+                if let Ok(spec) = fs.getxattr(&format!("{dent_dir}/{name}"), "user.dirkey") {
+                    let (ckey, cowner) = parse_dirkey(spec);
+                    refs.push((self.base.meta_server(cowner), format!("/dentries/{ckey}")));
+                }
+            }
+        }
+        refs
+    }
+
+    /// `beegfs-fsck` over the servers `scope` marks dirty. A metadata
+    /// server [`Scope::clean`] lets it skip (the baseline's, and the
+    /// baseline a recovery fixpoint) needs no pass of its own: its
+    /// dentries only matter where they name an object on a dirty server,
+    /// and its idfiles are the indexed ones.
+    fn fsck(&self, states: &mut ServerStates, scope: &Scope<MetaIndex>) {
+        let metas = self.base.topo.metadata_servers();
+        // Pass 1: a directory dentry whose dentries object is missing on
+        // its owner gets an empty one.
+        for (i, &m) in metas.iter().enumerate() {
+            let refs = match scope.clean(m) {
+                Some(index) => (index.dir_refs[i].iter())
+                    .filter(|(owner, _)| scope.is_dirty(*owner))
+                    .cloned()
+                    .collect(),
+                None => self.dir_refs(states.server(m).as_fs()),
+            };
+            for (owner, object) in refs {
+                if !states.server(owner).as_fs().is_dir(&object) {
+                    let _ = states.server_mut(owner).as_fs_mut().mkdir_all(&object);
+                }
+            }
+        }
+        // Pass 2: an idfile no dentry of its own server links to (the
+        // create's `link` never persisted, or every dentry was removed) is
+        // an orphan and is disposed.
+        for &m in metas.iter().filter(|&&m| scope.clean(m).is_none()) {
+            let fs = states.server(m).as_fs().fork();
+            let mut linked: HashSet<Ino> = HashSet::new();
+            for key in fs.readdir("/dentries").unwrap_or_default() {
+                let dent_dir = format!("/dentries/{key}");
+                for name in fs.readdir(&dent_dir).unwrap_or_default() {
+                    linked.extend(fs.resolve(&format!("{dent_dir}/{name}")));
+                }
+            }
+            for id in fs.readdir("/idfiles").unwrap_or_default() {
+                let idf = format!("/idfiles/{id}");
+                if fs.resolve(&idf).is_ok_and(|ino| !linked.contains(&ino)) {
+                    let _ = states.server_mut(m).as_fs_mut().unlink(&idf);
+                }
+            }
+        }
+        // Pass 3: chunks no idfile owns are collected. Referenced but
+        // missing chunks are data loss the tool cannot repair (§2.3:
+        // "cannot be resolved by beegfs-fsck").
+        let mut live: HashSet<String> = HashSet::new();
+        for (i, &m) in metas.iter().enumerate() {
+            match scope.clean(m) {
+                Some(index) => live.extend(index.idfiles[i].iter().cloned()),
+                None => live.extend(
+                    states
+                        .server(m)
+                        .as_fs()
+                        .readdir("/idfiles")
+                        .unwrap_or_default(),
+                ),
+            }
+        }
+        self.base.collect_orphans(states, &live, scope);
+    }
 }
 
 impl Pfs for BeeGfs {
@@ -591,59 +678,20 @@ impl Pfs for BeeGfs {
 
     fn recover(&self, states: &mut ServerStates) {
         let _span = pc_rt::obs::span_cat("recover/BeeGFS", "pfs");
-        let metas = self.base.topo.metadata_servers();
-        // Pass 1: a directory dentry whose dentries object is missing on
-        // its owner gets an empty one.
-        for &m in &metas {
-            let fs = states.server(m).as_fs().fork();
-            for key in fs.readdir("/dentries").unwrap_or_default() {
-                let dent_dir = format!("/dentries/{key}");
-                for name in fs.readdir(&dent_dir).unwrap_or_default() {
-                    let dentry = format!("{dent_dir}/{name}");
-                    let Ok(spec) = fs.getxattr(&dentry, "user.dirkey") else {
-                        continue;
-                    };
-                    let (ckey, cowner) = parse_dirkey(spec);
-                    let cmeta = self.base.meta_server(cowner);
-                    let object = format!("/dentries/{ckey}");
-                    if !states.server(cmeta).as_fs().is_dir(&object) {
-                        let _ = states.server_mut(cmeta).as_fs_mut().mkdir_all(&object);
-                    }
-                }
+        let index = |baseline: &ServerStates| {
+            let metas = self.base.topo.metadata_servers();
+            let fs = |m: u32| baseline.server(m).as_fs();
+            MetaIndex {
+                dir_refs: metas.iter().map(|&m| self.dir_refs(fs(m))).collect(),
+                idfiles: (metas.iter())
+                    .map(|&m| fs(m).readdir("/idfiles").unwrap_or_default())
+                    .collect(),
             }
-        }
-        // Pass 2: an idfile no dentry of its own server links to (the
-        // create's `link` never persisted, or every dentry was removed) is
-        // an orphan and is disposed.
-        for &m in &metas {
-            let fs = states.server(m).as_fs().fork();
-            let mut linked: HashSet<Ino> = HashSet::new();
-            for key in fs.readdir("/dentries").unwrap_or_default() {
-                let dent_dir = format!("/dentries/{key}");
-                for name in fs.readdir(&dent_dir).unwrap_or_default() {
-                    linked.extend(fs.resolve(&format!("{dent_dir}/{name}")));
-                }
-            }
-            for id in fs.readdir("/idfiles").unwrap_or_default() {
-                let idf = format!("/idfiles/{id}");
-                if fs.resolve(&idf).is_ok_and(|ino| !linked.contains(&ino)) {
-                    let _ = states.server_mut(m).as_fs_mut().unlink(&idf);
-                }
-            }
-        }
-        // Pass 3: chunks no idfile owns are collected. Referenced but
-        // missing chunks are data loss the tool cannot repair (§2.3:
-        // "cannot be resolved by beegfs-fsck").
-        let live: HashSet<String> = (metas.iter())
-            .flat_map(|&m| {
-                states
-                    .server(m)
-                    .as_fs()
-                    .readdir("/idfiles")
-                    .unwrap_or_default()
-            })
-            .collect();
-        self.base.collect_orphans(states, "/chunks", &live);
+        };
+        self.base
+            .recover(states, "/chunks", index, |states, scope| {
+                self.fsck(states, scope)
+            });
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {
@@ -852,6 +900,51 @@ mod tests {
         assert_eq!(chunks(&fs, &states), chunks(&fs, fs.baseline()));
     }
 
+    /// A baseline sealed with orphans (planted by `mkfs`: an idfile no
+    /// dentry links, on every metadata server, and its chunk) is not a
+    /// recovery fixpoint, so no pass skips a server the crash left clean:
+    /// recovering a crash image forked from it leaves the same stores as
+    /// recovering a deep copy, where no server is clean, orphans disposed
+    /// of on the clean servers too. An untouched baseline is a fixpoint.
+    #[test]
+    fn a_baseline_recovery_changes_is_recovered_in_full() {
+        let (fs, _) = arvr_setup();
+        fs.recover(&mut fs.baseline().fork());
+        assert_eq!(fs.base.baseline_is_fixpoint(), Some(true));
+
+        let mut fs = BeeGfs::paper_default();
+        let preamble = [creat("/file"), pwrite("/file", 0, b"old"), close("/file")];
+        drive(&mut fs, &mut Recorder::new(), &preamble);
+        let metas = fs.base.topo.metadata_servers();
+        for &m in &metas {
+            fs.base.mkfs(m).as_fs_mut().creat("/idfiles/ghost").unwrap();
+        }
+        let storage = fs.base.storage_server(1);
+        let store = fs.base.mkfs(storage).as_fs_mut();
+        store.creat("/chunks/ghost.0").unwrap();
+        fs.seal_baseline();
+        let mut rec = Recorder::new();
+        let test = [
+            creat("/tmp"),
+            pwrite("/tmp", 0, b"new"),
+            rename("/tmp", "/file"),
+        ];
+        drive(&mut fs, &mut rec, &test);
+        let mut image = fs.baseline().fork();
+        image.apply_events(&rec, without(&rec, |op| matches!(op, FsOp::Unlink { .. })));
+        let dirty = image.dirty_mask(fs.baseline());
+        assert!(metas.iter().any(|&m| !dirty[m as usize]));
+        let (mut fork, mut whole) = (image.fork(), image.deep_clone());
+        fs.recover(&mut fork);
+        assert_eq!(fs.base.baseline_is_fixpoint(), Some(false));
+        fs.recover(&mut whole);
+        assert_eq!(fork, whole);
+        for m in metas {
+            assert!(!fork.server(m).as_fs().exists("/idfiles/ghost"));
+        }
+        assert!(!chunks(&fs, &fork).concat().contains(&"ghost.0".to_string()));
+    }
+
     #[test]
     fn fsck_recreates_a_missing_directory_object() {
         // /A's dentry lands on the root's server, its dentries object on
@@ -872,6 +965,31 @@ mod tests {
         assert!(!has_object(&states));
         fs.recover(&mut states);
         assert!(has_object(&states));
+    }
+
+    /// No traced op removes a directory object, but recovery must not
+    /// lean on that: an image that lost a baseline directory's object on
+    /// its owner, while the dentry naming it sits on a server the crash
+    /// left clean, gets the object back — as in the full algorithm.
+    #[test]
+    fn fsck_recreates_an_object_a_clean_server_names() {
+        let placement = Placement::new().pin_dir("/", 0).pin_dir("/A", 1);
+        let topo = ClusterTopology::paper_dedicated_default();
+        let mut fs = BeeGfs::new(topo, placement, 128 * 1024);
+        drive(&mut fs, &mut Recorder::new(), &[mkdir("/A")]);
+        fs.seal_baseline();
+        let (owner, object) = (
+            fs.base.meta_server(1),
+            format!("/dentries/{}", fs.dirs["/A"].key),
+        );
+        let mut image = fs.baseline().fork();
+        image.server_mut(owner).as_fs_mut().rmdir(&object).unwrap();
+        assert_eq!(image.dirty_mask(fs.baseline()), [false, true, false, false]);
+        let (mut fork, mut whole) = (image.fork(), image.deep_clone());
+        fs.recover(&mut fork);
+        fs.recover(&mut whole);
+        assert!(fork.server(owner).as_fs().is_dir(&object));
+        assert_eq!(fork, whole);
     }
 
     #[test]

@@ -44,7 +44,21 @@
 //! 2. `handle` — each [`PfsCall`] as `base.request`, `base.emit_*`,
 //!    `base.reply` in the order the real system issues them;
 //! 3. `recover` — the fsck tool: repairs crashed [`ServerStates`] in
-//!    place (storage-side orphans through `base.collect_orphans`);
+//!    place (storage-side orphans through `base.collect_orphans`).
+//!    Recovery costs what the crash touched: every image the checker
+//!    recovers is a copy-on-write fork of the baseline, and a server
+//!    whose store still shares its root with the baseline's is *clean*
+//!    ([`ServerStates::dirty_mask`]: one pointer compare per server).
+//!    [`ModelBase::recover`] runs the model's passes under a
+//!    [`base::Scope`] that marks the dirty servers and carries an index
+//!    of the baseline, built once per seal on the first recovery. A pass
+//!    treats a dirty server exactly as the full algorithm does and
+//!    answers for a clean one from the index, and skips one only if
+//!    recovering the baseline leaves it as it is. An all-dirty scope — a
+//!    `deep_clone`d image — is the full algorithm, and there is no
+//!    second one. BeeGFS (passes 1–3), OrangeFS and Lustre (their orphan
+//!    sweep) use the index; GPFS (a global dirent/inode scan), GlusterFS
+//!    (cross-brick self-heal) and ext4 (one server) keep the full path;
 //! 4. `client_view` — mount: the file tree from persistent state only;
 //! 5. `restart_cost_secs` — the Figure 10/11 cost-model constant.
 

@@ -320,19 +320,26 @@ impl Pfs for Lustre {
     fn recover(&self, states: &mut ServerStates) {
         // lfsck: objects no MDT entry names are destroyed.
         let _span = pc_rt::obs::span_cat("recover/Lustre", "pfs");
-        let mdt_fs = states.server(self.mdt()).as_fs();
-        let mut live = HashSet::new();
-        for path in mdt_fs.walk() {
-            // Directories do not read.
-            if let Ok(raw) = mdt_fs.read(&path) {
-                let entry = String::from_utf8_lossy(raw);
-                let objs = entry
-                    .split(';')
-                    .filter_map(|part| part.strip_prefix("obj="));
-                live.extend(objs.map(str::to_string));
-            }
-        }
-        self.base.collect_orphans(states, "/objects", &live);
+        self.base.recover(
+            states,
+            "/objects",
+            |_| (),
+            |states, scope| {
+                let mdt_fs = states.server(self.mdt()).as_fs();
+                let mut live = HashSet::new();
+                for path in mdt_fs.walk() {
+                    // Directories do not read.
+                    if let Ok(raw) = mdt_fs.read(&path) {
+                        let entry = String::from_utf8_lossy(raw);
+                        let objs = entry
+                            .split(';')
+                            .filter_map(|part| part.strip_prefix("obj="));
+                        live.extend(objs.map(str::to_string));
+                    }
+                }
+                self.base.collect_orphans(states, &live, scope);
+            },
+        );
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {

@@ -515,8 +515,15 @@ impl Pfs for OrangeFs {
         // pvfs2-fsck: collects stranded and unowned bstreams; it cannot
         // repair mis-ordered DB records (§6.3.1).
         let _span = pc_rt::obs::span_cat("recover/OrangeFS", "pfs");
-        let live: HashSet<String> = self.attrs(states).into_keys().collect();
-        self.base.collect_orphans(states, "/bstreams", &live);
+        self.base.recover(
+            states,
+            "/bstreams",
+            |_| (),
+            |states, scope| {
+                let live: HashSet<String> = self.attrs(states).into_keys().collect();
+                self.base.collect_orphans(states, &live, scope);
+            },
+        );
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {

@@ -130,6 +130,17 @@ impl Store {
         }
     }
 
+    /// Whether this store still *is* the copy-on-write snapshot `other`:
+    /// O(1), and conservative — a store mutated back to `other`'s content
+    /// is not.
+    pub(crate) fn same_root(&self, other: &Store) -> bool {
+        match (self, other) {
+            (Store::Fs { state: a, .. }, Store::Fs { state: b, .. }) => a.same_root(b),
+            (Store::Block(a), Store::Block(b)) => a.same_root(b),
+            _ => false,
+        }
+    }
+
     /// Structurally independent copy (the reference checker's
     /// clone-everything cost model).
     pub fn deep_clone(&self) -> Store {
@@ -269,12 +280,26 @@ impl ServerStates {
         applied
     }
 
-    /// Digest over all servers, for crash-state dedup and for the
-    /// "distance" metric of the TSP visiting order (§5.3: the distance
-    /// between two crash states is the number of servers whose state
-    /// differs).
+    /// One [`Store::digest`] per server, in server order: the provenance
+    /// engine names the servers on which a crashed image and the fully
+    /// persisted one differ by comparing these.
     pub fn per_server_digests(&self) -> Vec<u64> {
         self.stores.iter().map(|s| s.digest()).collect()
+    }
+
+    /// The servers recovery must visit: `true` for each store that is no
+    /// longer the one `snapshot` holds — no longer shares its root
+    /// ([`FsState::same_root`], [`BlockDev::same_root`]) — so an image
+    /// forked from `snapshot` is dirty exactly where it was written.
+    /// O(servers) pointer compares; every server is dirty if the two
+    /// differ in size.
+    pub fn dirty_mask(&self, snapshot: &ServerStates) -> Vec<bool> {
+        if self.len() != snapshot.len() {
+            return vec![true; self.len()];
+        }
+        (self.stores.iter().zip(&snapshot.stores))
+            .map(|(store, snap)| !store.same_root(snap))
+            .collect()
     }
 
     /// O(1) copy-on-write snapshot of the whole cluster: the simulation

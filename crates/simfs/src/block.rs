@@ -220,6 +220,12 @@ impl BlockDev {
         self.clone()
     }
 
+    /// Whether `self` still *is* the copy-on-write snapshot `other` (see
+    /// [`crate::FsState::same_root`]): the same block-map root. O(1).
+    pub fn same_root(&self, other: &BlockDev) -> bool {
+        Arc::ptr_eq(&self.blocks, &other.blocks)
+    }
+
     /// A structurally independent copy sharing no blocks with `self`
     /// (the reference checker's clone-everything cost model).
     pub fn deep_clone(&self) -> BlockDev {
@@ -326,7 +332,9 @@ mod tests {
         let d0 = a.digest();
         let fork = a.fork();
         assert_eq!(fork.digest(), d0);
+        assert!(fork.same_root(&a) && !a.deep_clone().same_root(&a));
         a.apply(&BlockOp::write(1, StructTag::LogFile, vec![2]));
+        assert!(!fork.same_root(&a));
         assert_ne!(a.digest(), d0);
         assert_eq!(fork.digest(), d0);
         assert_eq!(fork.read(1), Some(&[1u8][..]));

@@ -139,6 +139,15 @@ impl FsState {
         self.clone()
     }
 
+    /// Whether `self` still *is* the copy-on-write snapshot `other`: the
+    /// same inode-table root and inode counter, so neither side has
+    /// mutated since one forked the other. O(1), no hashing. Conservative:
+    /// a state mutated back to `other`'s content, or a
+    /// [`deep_clone`](Self::deep_clone) of it, shares no root.
+    pub fn same_root(&self, other: &FsState) -> bool {
+        Arc::ptr_eq(&self.inodes, &other.inodes) && self.next_ino == other.next_ino
+    }
+
     /// A structurally independent copy sharing no nodes with `self`. Only
     /// the reference checker (`paracrash::check_reference`) and tests
     /// that need true isolation use this — it reproduces the historical
@@ -976,6 +985,12 @@ mod tests {
         assert_eq!(fork, deep);
         assert!(fork.same_tree(&deep));
         assert_eq!(fork.digest(), deep.digest());
+        // Only the fork is the snapshot itself; a mutation ends that,
+        // even one that restores the old content.
+        assert!(fork.same_root(&fs) && !deep.same_root(&fs));
+        let mut back = fs.fork();
+        back.setxattr("/a/f", "user.k", b"v").unwrap();
+        assert!(back == fs && !back.same_root(&fs));
     }
 
     #[test]

@@ -44,10 +44,12 @@
 #  10. Flag drift — every `--flag` and every `PC_*` variable printed by
 #      `paracrash --help` (the latter from the `pc_rt::env` table every
 #      read goes through) is in README.md, which names no other `PC_*`.
-#  11. Extreme scale — a 64-server cell reports byte-identically
-#      sequential vs parallel, and `selftest scale` measures, in one
-#      process, the batched engine at >= 2x the per-state loop and
-#      sub-linear per-check growth from 64 to 256 servers.
+#  11. Extreme scale — a 64-server ARVR cell and the 256-server
+#      H5-create cell (stripe 256, the benchmark's scale_256) report
+#      byte-identically sequential vs parallel, and `selftest scale`
+#      measures, in one process, the batched engine at >= 2x the
+#      per-state loop and sub-linear per-check growth from 64 to 256
+#      servers.
 #  12. Crash-safe sweep — a PR-tier `fuzz --state-dir` killed by a real
 #      SIGKILL leaves a stream `report` renders as a crash dump, refuses
 #      to rerun without `--resume`, and resumes sequentially to the pin.
@@ -225,6 +227,14 @@ meta_servers = 32
 storage_servers = 32
 EOF
 seq_eq_par --fs BeeGFS --program ARVR --config "$tmp/scale.conf"
+# The 256-server scale_256 cell: its verdict tasks share recovery-memo
+# slots and the lazily built baseline index of the dirty-server fsck.
+cat > "$tmp/scale256.conf" <<'EOF'
+meta_servers = 128
+storage_servers = 128
+stripe_size = 256
+EOF
+seq_eq_par --fs BeeGFS --program H5-create --config "$tmp/scale256.conf"
 # Same-process ratios, no committed number: batched vs per-state engine
 # at 16 servers, per-check cost at 256 vs 64 servers.
 target/release/paracrash selftest scale

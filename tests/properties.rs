@@ -710,6 +710,55 @@ fn same_image(a: &pfs::ServerStates, b: &pfs::ServerStates) -> bool {
         })
 }
 
+/// The stacks the recovery properties draw their images from: ARVR, WAL
+/// and H5-create traced on `fs` with `params`.
+fn image_stacks(fs: workloads::FsKind, params: &workloads::Params) -> Vec<paracrash::Stack> {
+    use workloads::Program;
+    [Program::Arvr, Program::Wal, Program::H5Create]
+        .iter()
+        .map(|p| p.run(fs, params))
+        .collect()
+}
+
+/// The storage ops (`FsOp`s and `BlockOp`s) of a traced run, in trace
+/// order.
+fn storage_ops(stack: &paracrash::Stack) -> Vec<EventId> {
+    (stack.rec.events().iter())
+        .filter(|e| matches!(e.payload, Payload::Fs { .. } | Payload::Block { .. }))
+        .map(|e| e.id)
+        .collect()
+}
+
+/// A random crash image of one of `stacks`: its index, and per storage
+/// op whether it persisted (seven in eight do).
+fn arb_image(rng: &mut Rng, stacks: &[paracrash::Stack]) -> (usize, Vec<bool>) {
+    let which = rng.gen_range(0..stacks.len() as u64) as usize;
+    let n = storage_ops(&stacks[which]).len();
+    let keep = (0..n).map(|_| !rng.next_u32().is_multiple_of(8)).collect();
+    (which, keep)
+}
+
+/// The ops of `stack` that `keep` marks.
+fn kept(stack: &paracrash::Stack, keep: &[bool]) -> Vec<EventId> {
+    (storage_ops(stack).into_iter().zip(keep))
+        .filter_map(|(id, &k)| k.then_some(id))
+        .collect()
+}
+
+/// `order`'s storage ops applied, in that order, to a fork of the sealed
+/// baseline of `stack`.
+fn image_of(stack: &paracrash::Stack, order: &[EventId]) -> pfs::ServerStates {
+    let mut image = stack.pfs.baseline().fork();
+    for &id in order {
+        match &stack.rec.event(id).payload {
+            Payload::Fs { server, op } => image.server_mut(*server).apply_fs(op),
+            Payload::Block { server, op } => image.server_mut(*server).apply_block(op),
+            _ => unreachable!("storage ops only"),
+        }
+    }
+    image
+}
+
 /// The soundness of the recovery memo's key on `fs`: images are random
 /// subsequences of the storage ops (`FsOp`s or `BlockOp`s) real
 /// programs emit, applied to the sealed baseline in different
@@ -724,61 +773,35 @@ fn same_image(a: &pfs::ServerStates, b: &pfs::ServerStates) -> bool {
 ///   the stores feeds recovery.
 fn digest_is_a_sound_recovery_key(name: &str, fs: workloads::FsKind) {
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-    use workloads::{Params, Program};
-    let params = Params::quick();
-    let stacks: Vec<paracrash::Stack> = [Program::Arvr, Program::Wal, Program::H5Create]
-        .iter()
-        .map(|p| p.run(fs, &params))
-        .collect();
-    let storage_ops = |stack: &paracrash::Stack| -> Vec<EventId> {
-        (stack.rec.events().iter())
-            .filter(|e| matches!(e.payload, Payload::Fs { .. } | Payload::Block { .. }))
-            .map(|e| e.id)
-            .collect()
-    };
+    let stacks = image_stacks(fs, &workloads::Params::quick());
     let (equal_pairs, distinct_pairs) = (AtomicUsize::new(0), AtomicUsize::new(0));
     run(
         name,
         &Config::with_cases(192),
         |rng, size| {
-            let which = rng.gen_range(0..stacks.len() as u64) as usize;
-            let n = storage_ops(&stacks[which]).len();
-            let keep: Vec<bool> = (0..n).map(|_| rng.next_u32() % 8 != 0).collect();
+            let (which, keep) = arb_image(rng, &stacks);
+            let n = keep.len();
             let flips = gen_vec(rng, size.min(3), |r| r.gen_range(0..n as u64) as usize);
             (which, keep, flips)
         },
         |(which, keep, flips)| {
             let stack = &stacks[*which];
-            let ops = storage_ops(stack);
             let server_of = |id: EventId| match stack.rec.event(id).payload {
                 Payload::Fs { server, .. } | Payload::Block { server, .. } => server,
                 _ => unreachable!("storage ops only"),
-            };
-            let apply = |order: &[EventId]| {
-                let mut image = stack.pfs.baseline().fork();
-                for &id in order {
-                    match &stack.rec.event(id).payload {
-                        Payload::Fs { server, op } => image.server_mut(*server).apply_fs(op),
-                        Payload::Block { server, op } => image.server_mut(*server).apply_block(op),
-                        _ => unreachable!("storage ops only"),
-                    }
-                }
-                image
-            };
-            let kept = |keep: &[bool]| -> Vec<EventId> {
-                (ops.iter().zip(keep))
-                    .filter_map(|(&id, &k)| k.then_some(id))
-                    .collect()
             };
             let recovered = |image: &pfs::ServerStates| {
                 pfs::recover_and_mount(stack.pfs.as_ref(), &mut image.fork())
             };
 
             // One subsequence, trace order against server-by-server.
-            let in_trace_order = kept(keep);
+            let in_trace_order = kept(stack, keep);
             let mut by_server = in_trace_order.clone();
             by_server.sort_by_key(|&id| (server_of(id), id));
-            let (a, a2) = (apply(&in_trace_order), apply(&by_server));
+            let (a, a2) = (
+                image_of(stack, &in_trace_order),
+                image_of(stack, &by_server),
+            );
             prop_assert!(a == a2, "interleaving changed the stores");
             prop_assert_eq!(a.digest(), a2.digest());
 
@@ -788,7 +811,7 @@ fn digest_is_a_sound_recovery_key(name: &str, fs: workloads::FsKind) {
             for &f in flips {
                 keep_b[f] = !keep_b[f];
             }
-            let b = apply(&kept(&keep_b));
+            let b = image_of(stack, &kept(stack, &keep_b));
             let same = same_image(&a, &b);
             prop_assert_eq!(a.digest() == b.digest(), same);
             if same {
@@ -811,6 +834,58 @@ fn digest_is_a_sound_recovery_key(name: &str, fs: workloads::FsKind) {
         "no two subsequences coincided"
     );
     assert!(distinct_pairs.load(Relaxed) > 0);
+}
+
+/// Recovery visits only what the crash touched, and that is the whole
+/// fsck: on BeeGFS, OrangeFS and Lustre, at 2 + 2 and 32 + 32 servers,
+/// recovering an image forked from the baseline (clean servers share
+/// their store with it) and recovering a deep copy of it (every server
+/// dirty: the full algorithm) leave the same stores and mount the same
+/// view. Some cases must repair a server the crash left clean — a chunk
+/// whose owner the crash unlinked, a directory object a dirty server's
+/// dentry names — or the clean-server half of recovery went untested.
+#[test]
+fn recovering_a_fork_equals_recovering_the_whole_image() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use workloads::FsKind;
+    for fs in [FsKind::BeeGfs, FsKind::OrangeFs, FsKind::Lustre] {
+        let repaired_clean = AtomicUsize::new(0);
+        for servers in [2, 32] {
+            let params = workloads::Params::quick().with_servers(servers, servers);
+            let stacks = image_stacks(fs, &params);
+            let name =
+                format!("recovering_a_fork_equals_recovering_the_whole_image/{fs:?}/{servers}");
+            run(
+                &name,
+                &Config::with_cases(128),
+                |rng, _| arb_image(rng, &stacks),
+                |(which, keep)| {
+                    let stack = &stacks[*which];
+                    let (pfs, baseline) = (stack.pfs.as_ref(), stack.pfs.baseline());
+                    let image = image_of(stack, &kept(stack, keep));
+                    let dirty = image.dirty_mask(baseline);
+                    let (mut fork, mut whole) = (image.fork(), image.deep_clone());
+                    pfs.recover(&mut fork);
+                    pfs.recover(&mut whole);
+                    prop_assert!(same_image(&fork, &whole), "recovered stores differ");
+                    prop_assert!(pfs.client_view(&fork) == pfs.client_view(&whole));
+                    let after = fork.dirty_mask(baseline);
+                    if after
+                        .iter()
+                        .zip(&dirty)
+                        .any(|(&now, &before)| now && !before)
+                    {
+                        repaired_clean.fetch_add(1, Relaxed);
+                    }
+                    Ok(())
+                },
+            );
+        }
+        assert!(
+            repaired_clean.load(Relaxed) > 0,
+            "{fs:?}: no case repaired a clean server"
+        );
+    }
 }
 
 #[test]
