@@ -21,10 +21,9 @@
 //! per-check stage table to stderr.
 //!
 //! `--explain-out DIR` turns on the provenance engine and writes one
-//! self-contained bundle per bug into `DIR`: a Markdown report, a
-//! Graphviz `.dot` causal graph, and a machine-readable `.json`
-//! (minimal witness, violated ordering edges, causal graph, state
-//! diff).
+//! self-contained bundle per bug into `DIR`: a Markdown report (minimal
+//! witness, violated ordering edges, state diff) and a Graphviz `.dot`
+//! causal graph.
 //!
 //! The `fuzz` subcommand switches from the paper's eleven programs to
 //! the bounded black-box generator:
@@ -66,19 +65,18 @@
 //! paracrash selftest <plane> [args]          # the verify gates' helpers
 //! ```
 //!
-//! Self-profiling: `--profile-out FILE` switches span collection on and
-//! writes the registry's exact self time per span stack as an
-//! inferno-compatible `.folded` file on exit (weights are nanoseconds);
-//! `report --profile FILE` renders it as a no-script SVG flame view. The
-//! three observability flags (`--telemetry-out`, `--events-out`,
-//! `--profile-out`) mean the same on a single check and on a sweep.
+//! Self-profiling: the `--telemetry-out` file also holds the registry's
+//! exact self time per span stack (`otherData.stacks`, in nanoseconds),
+//! which `report` draws as a no-script SVG flame view. The two
+//! observability flags (`--telemetry-out`, `--events-out`) mean the same
+//! on a single check and on a sweep.
 
 use paracrash::dashboard::render_dashboard;
 use paracrash::telemetry::{chrome_trace, read_trace};
 use paracrash::CheckConfig;
 use pc_bench::campaign::{parse_modes, run_campaign, FuzzOptions};
 use pc_bench::{render_bug, run_program_swept, sanitize, write_bundle};
-use pc_rt::obs::{prof, stream};
+use pc_rt::obs::stream;
 use workloads::{FsKind, Params, Program};
 
 mod figures;
@@ -122,64 +120,46 @@ fn write_out(path: &str, text: String) {
     });
 }
 
-/// The observability outputs that are written when the run ends (the
-/// stream sink is process-global and starts at once).
-#[derive(Default)]
-struct ObsOpts {
-    /// `--telemetry-out`: write the registry snapshot here.
-    telemetry_out: Option<String>,
-    /// `--profile-out`: write the `.folded` profile here.
-    profile_out: Option<String>,
-}
-
-/// Parse one observability flag — the same three on a single check and
-/// on a sweep; returns `false` when `a` is not one of them. Every path
-/// goes through [`prepare_out`], so an unwritable target fails at launch
-/// with exit 2 instead of hours in; `--events-out` attaches the stream
-/// sink immediately.
-fn parse_obs_flag(obs: &mut ObsOpts, a: &str, value: &mut dyn FnMut(&str) -> String) -> bool {
+/// Parse one observability flag — the same two on a single check and on
+/// a sweep; returns `false` when `a` is not one of them. Every path goes
+/// through [`prepare_out`], so an unwritable target fails at launch with
+/// exit 2 instead of hours in; `--events-out` attaches the stream sink
+/// immediately, `--telemetry-out` names the file [`finish_obs`] writes.
+fn parse_obs_flag(
+    telemetry_out: &mut Option<String>,
+    a: &str,
+    value: &mut dyn FnMut(&str) -> String,
+) -> bool {
     match a {
         "--events-out" => {
             let path = prepare_out(OutTarget::File, a, value(a));
             stream::set_sink(&path)
                 .unwrap_or_else(|e| die(format_args!("cannot open {path}: {e}")));
         }
-        "--profile-out" => {
-            pc_rt::obs::set_enabled(true);
-            obs.profile_out = Some(prepare_out(OutTarget::File, a, value(a)));
-        }
         "--telemetry-out" => {
             pc_rt::obs::set_enabled(true);
-            obs.telemetry_out = Some(prepare_out(OutTarget::File, a, value(a)));
+            *telemetry_out = Some(prepare_out(OutTarget::File, a, value(a)));
         }
         _ => return false,
     }
     true
 }
 
-/// End of run: close the event stream, write the `.folded` profile and
-/// the `--telemetry-out` snapshot.
-fn finish_obs(obs: &ObsOpts) {
+/// End of run: close the event stream and write the `--telemetry-out`
+/// snapshot.
+fn finish_obs(telemetry_out: Option<&str>) {
     stream::close();
-    if obs.profile_out.is_none() && obs.telemetry_out.is_none() {
+    let Some(path) = telemetry_out else {
         return;
-    }
+    };
     let snap = pc_rt::obs::snapshot();
-    if let Some(path) = &obs.profile_out {
-        write_out(path, prof::render_folded(&snap));
-        pc_rt::pc_info!(
-            "profile written to {path} ({} stacks)",
-            snap.self_times.len()
-        );
-    }
-    if let Some(path) = &obs.telemetry_out {
-        write_out(path, chrome_trace(&snap).pretty() + "\n");
-        pc_rt::pc_info!(
-            "telemetry written to {path}: {} spans, {} counters",
-            snap.spans.len(),
-            snap.counters.len()
-        );
-    }
+    write_out(path, chrome_trace(&snap).pretty() + "\n");
+    pc_rt::pc_info!(
+        "telemetry written to {path}: {} spans, {} counters, {} stacks",
+        snap.spans.len(),
+        snap.counters.len(),
+        snap.self_times.len()
+    );
 }
 
 fn usage() -> ! {
@@ -191,16 +171,14 @@ fn usage() -> ! {
         "usage: paracrash --fs <BeeGFS|OrangeFS|GlusterFS|GPFS|Lustre|ext4|all>\n\
          \x20                --program <ARVR|CR|RC|WAL|H5-create|...|all>\n\
          \x20                [--config <file>] [--dump-trace <file>] [--paper]\n\
-         \x20                [--faults <torn=0|1,seed=N>|chaos]\n\
-         \x20                [--telemetry-out <file>] [--explain-out <dir>]\n\
-         \x20                [--events-out <file>] [--profile-out <file>]\n\
+         \x20                [--faults <torn=0|1,seed=N>|chaos] [--explain-out <dir>]\n\
+         \x20                [--telemetry-out <file>] [--events-out <file>]\n\
          \x20      paracrash fuzz [--bound <n>] [--seed <n>] [--sample <n>]\n\
          \x20                [--fs <list|all>] [--modes <data,ordered,writeback,none|all>]\n\
          \x20                [--findings-out <dir>] [--paper]\n\
          \x20                [--telemetry-out <file>] [--events-out <file>]\n\
-         \x20                [--profile-out <file>] [--state-dir <dir>] [--resume]\n\
-         \x20      paracrash report --events <file> [--telemetry <file>]\n\
-         \x20                [--profile <file>] [--out <file>]\n\
+         \x20                [--state-dir <dir>] [--resume]\n\
+         \x20      paracrash report --events <file> [--telemetry <file>] [--out <file>]\n\
          \x20      paracrash table3|fig8|fig9|fig10|fig11 [--paper]\n\
          \x20      paracrash selftest <{}> [args]\n\n\
          With `--state-dir` a `fuzz` sweep is crash-safe and resumable:\n\
@@ -216,11 +194,9 @@ fn usage() -> ! {
          the 256-server check, in process.\n\n\
          `--events-out` streams events (cells, findings, sweep\n\
          snapshots) as JSON lines while the run is live; `report` validates\n\
-         them (plus an optional --telemetry-out file and a `--profile`\n\
-         .folded file, drawn as an SVG flame view) and renders one\n\
+         them (plus an optional --telemetry-out file, whose self time per\n\
+         span stack it draws as an SVG flame view) and renders one\n\
          self-contained HTML dashboard.\n\n\
-         `--profile-out` writes the exact self time of every span stack as\n\
-         a flamegraph-compatible .folded file on exit (weights in ns).\n\n\
          `--faults` tears crash victims' multi-block writes: `torn=0|1` and\n\
          `seed=N`, comma-separated, or `chaos` (= torn=1, seed 0).\n\n\
          Environment:\n{}\n\
@@ -321,7 +297,7 @@ fn parse_fuzz_flag(opts: &mut FuzzOptions, a: &str, value: &mut dyn FnMut(&str) 
 /// a resumed run diffs clean against an uninterrupted one).
 fn run_sweep(args: &[String]) -> ! {
     let mut opts = FuzzOptions::pr_tier();
-    let mut obs = ObsOpts::default();
+    let mut telemetry_out = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |what: &str| {
@@ -329,7 +305,9 @@ fn run_sweep(args: &[String]) -> ! {
                 .cloned()
                 .unwrap_or_else(|| die(format_args!("{what} needs a value")))
         };
-        if parse_fuzz_flag(&mut opts, a, &mut value) || parse_obs_flag(&mut obs, a, &mut value) {
+        if parse_fuzz_flag(&mut opts, a, &mut value)
+            || parse_obs_flag(&mut telemetry_out, a, &mut value)
+        {
             continue;
         }
         match a.as_str() {
@@ -343,7 +321,7 @@ fn run_sweep(args: &[String]) -> ! {
     let start = std::time::Instant::now();
     let report = run_campaign(&opts).unwrap_or_else(|e| die(format_args!("{e}")));
     let secs = start.elapsed().as_secs_f64();
-    finish_obs(&obs);
+    finish_obs(telemetry_out.as_deref());
     print!("{}", report.corpus.canonical_report());
     pc_rt::pc_info!(
         "fuzz: {} workloads, {}/{} cells this run ({} resumed, {} quarantined) \
@@ -375,13 +353,12 @@ fn read_artifact<T>(path: &str, read: impl Fn(&str) -> Result<T, String>) -> T {
 }
 
 /// The `report` subcommand: read back a run's artifacts — the
-/// `--events-out` stream, an optional `--telemetry-out` trace, an
-/// optional `--profile-out` profile — each strictly, by the module that
-/// writes it, and fold them into one self-contained HTML dashboard.
+/// `--events-out` stream and an optional `--telemetry-out` trace — each
+/// strictly, by the module that writes it, and fold them into one
+/// self-contained HTML dashboard.
 fn run_report(args: &[String]) -> ! {
     let mut events_path: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
-    let mut profile_path: Option<String> = None;
     let mut out_path = "paracrash-report.html".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -393,7 +370,6 @@ fn run_report(args: &[String]) -> ! {
         match a.as_str() {
             "--events" => events_path = Some(value("--events")),
             "--telemetry" => telemetry_path = Some(value("--telemetry")),
-            "--profile" => profile_path = Some(value("--profile")),
             "--out" => out_path = prepare_out(OutTarget::File, a, value(a)),
             "--help" | "-h" => usage(),
             other => {
@@ -408,8 +384,7 @@ fn run_report(args: &[String]) -> ! {
     };
     let events = read_artifact(&events_path, stream::read_stream).events;
     let trace = telemetry_path.map(|p| read_artifact(&p, read_trace));
-    let profile = profile_path.map(|p| read_artifact(&p, prof::parse_folded));
-    let html = render_dashboard(&events, trace.as_ref(), profile.as_deref());
+    let html = render_dashboard(&events, trace.as_ref());
     let bytes = html.len();
     write_out(&out_path, html);
     println!("dashboard written to {out_path} ({bytes} bytes from {events_path})");
@@ -436,7 +411,7 @@ fn main() {
     let mut paper = false;
     let mut torn_seed = None;
     let mut explain_out: Option<String> = None;
-    let mut obs = ObsOpts::default();
+    let mut telemetry_out = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |what: &str| {
@@ -444,7 +419,7 @@ fn main() {
                 .cloned()
                 .unwrap_or_else(|| die(format_args!("{what} needs a value")))
         };
-        if parse_obs_flag(&mut obs, a, &mut value) {
+        if parse_obs_flag(&mut telemetry_out, a, &mut value) {
             continue;
         }
         match a.as_str() {
@@ -573,10 +548,10 @@ fn main() {
     }
     println!("\n{total_bugs} unique crash-consistency bug(s) reported.");
     if let Some(dir) = &explain_out {
-        println!("{total_bundles} explain bundle(s) written to {dir}/ (.md + .dot + .json each).");
+        println!("{total_bundles} explain bundle(s) written to {dir}/ (.md + .dot each).");
     }
     drop(cli_span);
-    finish_obs(&obs);
+    finish_obs(telemetry_out.as_deref());
     let exit = i32::from(
         programs.len() == 1
             && systems.len() == 1

@@ -11,7 +11,7 @@
 //! `obs` asserts the observability plane's disabled-overhead budget
 //! ([`super::overhead`]); `explain DIR` validates a bundle directory and
 //! `events --canonical-diff` compares two streams' deterministic content
-//! (the stream, trace and profile files themselves are validated by
+//! (the stream and trace files themselves are validated by
 //! `paracrash report`, which reads each with its writer's reader).
 //! `scale` reads no artifact: it measures live.
 //! Every check exits 0 when it holds and 1 with a one-line diagnostic
@@ -20,7 +20,6 @@
 use super::figures::fig11_params;
 use super::overhead::{self, Fixture};
 use paracrash::{check_stack, prepare_states, BugExplanation};
-use pc_rt::json::Json;
 use pc_rt::obs::stream::read_stream;
 use pfs::{recover_and_mount, PfsView};
 use std::fmt::Display;
@@ -44,37 +43,10 @@ fn bad_usage(msg: impl Display) -> ! {
     std::process::exit(2);
 }
 
-// --- shared readers and JSON accessors --------------------------------------
+// --- shared reader -----------------------------------------------------------
 
 fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| fail(format_args!("cannot read {path}: {e}")))
-}
-
-fn read_json(path: &str) -> Json {
-    Json::parse(&read(path)).unwrap_or_else(|e| fail(format_args!("{path} is not JSON: {e}")))
-}
-
-/// Integer field `key` of `obj`; `what` names `obj` in the diagnostic.
-fn int(obj: &Json, key: &str, what: impl Display) -> u64 {
-    obj.get(key)
-        .and_then(Json::as_int)
-        .unwrap_or_else(|| fail(format_args!("{what} has no {key}")))
-}
-
-/// Array field `key` of `obj`.
-fn arr<'a>(obj: &'a Json, key: &str, what: impl Display) -> &'a [Json] {
-    obj.get(key)
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| fail(format_args!("{what}: {key} is not an array")))
-}
-
-/// Fail unless `obj` carries every one of `keys`.
-fn require(obj: &Json, keys: &[&str], what: impl Display) {
-    for key in keys {
-        if obj.get(key).is_none() {
-            fail(format_args!("{what}: missing {key}"));
-        }
-    }
 }
 
 // --- events: the determinism contract of `--events-out` streams -----------
@@ -105,78 +77,14 @@ fn check_canonical_diff(a_path: &str, b_path: &str) {
 
 // --- explain: `--explain-out` bundle directories ----------------------------
 
-/// Shape check of one `.json` bundle: the documented keys, every
-/// `violated_edges`/`edges` endpoint a declared `nodes` entry, and
-/// every `minimal_witness` op among the nodes flagged `minimal`.
-fn check_bundle_json(name: &str, doc: &Json) {
-    require(
-        doc,
-        &[
-            "signature",
-            "layer",
-            "violated_model",
-            "occurrences",
-            "state_index",
-            "minimal_witness",
-            "violated_edges",
-            "frontier",
-            "nodes",
-            "edges",
-            "diff",
-            "shrink",
-        ],
-        name,
-    );
-    let nodes = arr(doc, "nodes", name);
-    let declared: Vec<u64> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| int(n, "event", format_args!("{name}: nodes[{i}]")))
-        .collect();
-    for section in ["edges", "violated_edges"] {
-        for (i, edge) in arr(doc, section, name).iter().enumerate() {
-            for end in ["from", "to"] {
-                let ev = int(edge, end, format_args!("{name}: {section}[{i}]"));
-                if !declared.contains(&ev) {
-                    fail(format_args!(
-                        "{name}: {section}[{i}].{end} = {ev} is not a declared node"
-                    ));
-                }
-            }
-        }
-    }
-    let minimal: Vec<u64> = nodes
-        .iter()
-        .filter(|n| matches!(n.get("minimal"), Some(Json::Bool(true))))
-        .filter_map(|n| n.get("event").and_then(Json::as_int))
-        .collect();
-    for (i, op) in arr(doc, "minimal_witness", name).iter().enumerate() {
-        let ev = int(op, "event", format_args!("{name}: minimal_witness[{i}]"));
-        if !minimal.contains(&ev) {
-            fail(format_args!(
-                "{name}: minimal_witness[{i}] (event {ev}) not flagged minimal in nodes"
-            ));
-        }
-    }
-    let shrink = doc.get("shrink").expect("required above");
-    let orig = shrink.get("original_ops").and_then(Json::as_int);
-    let min = shrink.get("minimal_ops").and_then(Json::as_int);
-    if min > orig {
-        fail(format_args!(
-            "{name}: minimal_ops {min:?} > original_ops {orig:?}"
-        ));
-    }
-}
-
-/// Per bundle stem: the `.md`, `.dot` and `.json` siblings all exist
-/// (equal counts), the `.json` re-parses and has the documented shape,
-/// the `.dot` is structurally sound. `min_bundles` guards against a
-/// silently empty run.
+/// Per bundle stem: the `.md` and `.dot` siblings both exist (equal
+/// counts), the `.dot` is structurally sound and the `.md` opens with
+/// the bug heading. `min_bundles` guards against a silently empty run.
 fn check_explain(dir: &str, min_bundles: usize) {
     let mut stems: Vec<String> = Vec::new();
     let entries =
         std::fs::read_dir(dir).unwrap_or_else(|e| fail(format_args!("cannot read {dir}: {e}")));
-    let (mut md, mut dot) = (0usize, 0usize);
+    let mut md = 0usize;
     for entry in entries {
         let path = entry
             .unwrap_or_else(|e| fail(format_args!("{dir}: {e}")))
@@ -189,26 +97,24 @@ fn check_explain(dir: &str, min_bundles: usize) {
         };
         match ext {
             "md" => md += 1,
-            "dot" => dot += 1,
-            "json" => stems.push(stem.to_string()),
+            "dot" => stems.push(stem.to_string()),
             _ => {}
         }
     }
-    let json = stems.len();
-    if md != dot || dot != json {
+    let dot = stems.len();
+    if md != dot {
         fail(format_args!(
-            "bundle siblings out of step: {md} .md, {dot} .dot, {json} .json"
+            "bundle siblings out of step: {md} .md, {dot} .dot"
         ));
     }
-    if json < min_bundles {
+    if dot < min_bundles {
         fail(format_args!(
-            "only {json} bundles found, expected >= {min_bundles}"
+            "only {dot} bundles found, expected >= {min_bundles}"
         ));
     }
     stems.sort_unstable();
     for stem in &stems {
         let sibling = |ext: &str| format!("{dir}/{stem}.{ext}");
-        check_bundle_json(&format!("{stem}.json"), &read_json(&sibling("json")));
         if let Err(e) = BugExplanation::lint_dot(&read(&sibling("dot"))) {
             fail(format_args!("{stem}.dot: {e}"));
         }
@@ -217,7 +123,7 @@ fn check_explain(dir: &str, min_bundles: usize) {
         }
     }
     println!(
-        "selftest explain: OK — {dir}: {} bundles, JSON re-parsed, DOT lint clean",
+        "selftest explain: OK — {dir}: {} bundles, DOT lint clean",
         stems.len()
     );
 }

@@ -14,9 +14,8 @@
 //! contributed. Only those cells are re-run with the explain engine
 //! enabled (the provenance pass costs real time on buggy cells), and
 //! each novel finding gets a self-contained bundle under
-//! `findings_out`: Markdown report, Graphviz causal graph, JSON
-//! (minimal witness + violated edges + state diff), plus a `.repro`
-//! file with the exact workload label and re-run command line.
+//! `findings_out`: Markdown report and Graphviz causal graph, plus a
+//! `.repro` file with the exact workload label and re-run command line.
 //!
 //! Live observability rides along without touching the fold: each cell
 //! gets a fresh causal trace id, `PC_LOG=info` adds a rate-limited

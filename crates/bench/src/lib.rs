@@ -129,8 +129,8 @@ pub fn run_program_swept(
         .expect("at least one dims variant")
 }
 
-/// Write one explain bundle — `<dir>/<stem>.md`, `.dot` and `.json` —
-/// for a finding of `context` ("program on file system").
+/// Write one explain bundle — `<dir>/<stem>.md` and `.dot` — for a
+/// finding of `context` ("program on file system").
 pub fn write_bundle(
     dir: &str,
     stem: &str,
@@ -140,7 +140,6 @@ pub fn write_bundle(
     for (ext, text) in [
         ("md", explanation.to_markdown(context)),
         ("dot", explanation.to_dot()),
-        ("json", explanation.to_json().pretty() + "\n"),
     ] {
         let path = format!("{dir}/{stem}.{ext}");
         std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;

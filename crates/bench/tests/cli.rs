@@ -65,7 +65,8 @@ fn table3_reproduces_all_fifteen() {
 /// scale`, the bare spellings of the folded overhead budgets (`explain`'s
 /// among them), the artifact validators `report` replaced, `selftest
 /// durable` (a property test of `pc_rt::durable` now), `selftest faults`
-/// (there is no delivery-fault plane to budget) and `--fail-fast` are
+/// (there is no delivery-fault plane to budget), `--fail-fast` and the
+/// profile file's flags (the telemetry file holds the stacks) are
 /// usage errors, and the usage text no longer offers them, nor the
 /// test hooks and the progress switch that were variables.
 #[test]
@@ -95,6 +96,9 @@ fn removed_bench_surfaces_are_usage_errors() {
         &["selftest", "durable", "7", "64"],
         &["selftest", "faults"],
         &["--fs", "ext4", "--program", "ARVR", "--fail-fast"],
+        &["--fs", "ext4", "--program", "ARVR", "--profile-out", "p"],
+        &["fuzz", "--profile-out", "p"],
+        &["report", "--events", "e", "--profile", "p"],
     ] {
         let out = paracrash(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -318,7 +322,7 @@ fn member<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
     &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
 }
 
-/// `report` is the validator of the three files a run writes: it renders
+/// `report` is the validator of the two files a run writes: it renders
 /// what the tool writes, and turns away with exit 1 and one line naming
 /// the file each of them cut in half, and each made inconsistent in a way
 /// the writer never is. `selftest explain` does the same for a bundle
@@ -347,21 +351,15 @@ fn file_validators_reject_truncated_artifacts() {
         "ARVR",
         "--telemetry-out",
         &path("telemetry.json"),
-        "--profile-out",
-        &path("run.folded"),
         "--explain-out",
         &path("explain"),
     ]);
     assert_eq!(cell.status.code(), Some(1), "{cell:?}");
 
-    let good = [
-        path("events.jsonl"),
-        path("telemetry.json"),
-        path("run.folded"),
-    ];
+    let good = [path("events.jsonl"), path("telemetry.json")];
     let report = |files: &[String]| {
         let out = path("report.html");
-        let args = ["--events", "--telemetry", "--profile"].iter().zip(files);
+        let args = ["--events", "--telemetry"].iter().zip(files);
         let mut args: Vec<&str> = args
             .flat_map(|(flag, file)| [*flag, file.as_str()])
             .collect();
@@ -378,8 +376,8 @@ fn file_validators_reject_truncated_artifacts() {
         );
     }
 
-    // Cut near the middle, right after a letter: inside a JSON string or
-    // a stack's frame, never where a shorter file would still be whole.
+    // Cut near the middle, right after a letter: inside a JSON string,
+    // never where a shorter file would still be whole.
     let halve = |text: &str| {
         let mut cut = text.len() / 2;
         while !text.as_bytes()[cut - 1].is_ascii_alphabetic() {
@@ -400,17 +398,24 @@ fn file_validators_reject_truncated_artifacts() {
     for span in spans.iter_mut().take(3) {
         *member(span, "ph") = Json::Str("B".into());
     }
-    // The stacks unsorted, the last of them weightless.
-    let mut stacks: Vec<String> = text[2].lines().rev().map(String::from).collect();
-    let last = stacks.pop().unwrap();
-    stacks.push(format!("{} 0", last.rsplit_once(' ').unwrap().0));
+    // The self-time stacks with an empty frame, a weightless stack, or
+    // out of order.
+    let stacks = |edit: fn(&mut [(String, Json)])| {
+        let mut doc = Json::parse(&text[1]).unwrap();
+        let Json::Obj(stacks) = member(member(&mut doc, "otherData"), "stacks") else {
+            panic!("otherData.stacks is an object")
+        };
+        edit(stacks);
+        doc.pretty()
+    };
     let bad = [
         (0, halve(&text[0])),
         (1, halve(&text[1])),
-        (2, halve(&text[2])),
         (0, miscounted),
         (1, doc.pretty()),
-        (2, stacks.join("\n") + "\n"),
+        (1, stacks(|s| s[0].0.push(';'))),
+        (1, stacks(|s| s[0].1 = Json::Int(0))),
+        (1, stacks(|s| s.reverse())),
     ];
     for (slot, content) in bad {
         let mut files = good.clone();
@@ -423,14 +428,14 @@ fn file_validators_reject_truncated_artifacts() {
         assert!(err.contains(&files[slot]), "{err}");
     }
 
-    // explain validates a directory: truncate one bundle's JSON in place.
+    // explain validates a directory: truncate one bundle's graph in place.
     let explain = path("explain");
     let ok = paracrash(&["selftest", "explain", &explain, "1"]);
     assert!(ok.status.success(), "{ok:?}");
     let bundle = std::fs::read_dir(&explain)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "json"))
+        .find(|p| p.extension().is_some_and(|e| e == "dot"))
         .expect("a bundle was written");
     let bundle_text = std::fs::read_to_string(&bundle).unwrap();
     std::fs::write(&bundle, halve(&bundle_text)).unwrap();
@@ -441,7 +446,7 @@ fn file_validators_reject_truncated_artifacts() {
     // A `--telemetry` file that is not a trace-event file is turned away
     // instead of rendering empty stage and allocation panels.
     std::fs::write(path("plain.json"), "{\"schema_version\":2,\"spans\":[]}\n").unwrap();
-    let bad = report(&[good[0].clone(), path("plain.json"), good[2].clone()]);
+    let bad = report(&[good[0].clone(), path("plain.json")]);
     assert_eq!(bad.status.code(), Some(1), "{bad:?}");
     let err = String::from_utf8_lossy(&bad.stderr);
     assert!(err.contains("no traceEvents"), "{err}");

@@ -134,7 +134,7 @@ fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
     let (_, clean) = run_streamed(&dir.join("pc-fuzz-events-clean.jsonl"));
     let events = read_stream(&clean).unwrap().events;
     let victim = of_kind(&events, EventKind::Cell)[0].name.clone();
-    let clean_html = render_dashboard(&events, None, None);
+    let clean_html = render_dashboard(&events, None);
     assert!(!clean_html.contains("campaign-robustness"));
 
     pc_rt::inject::arm(&victim, 1, 0);
@@ -157,7 +157,7 @@ fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
         "{}",
         last.detail
     );
-    let html = render_dashboard(&events, None, None);
+    let html = render_dashboard(&events, None);
     assert!(html.contains("data-metric=\"quarantined\"><div class=\"tile-value\">1<"));
     assert!(html.contains("data-metric=\"resumed-cells\"><div class=\"tile-value\">0<"));
     assert!(!html.contains("retries"));

@@ -1,11 +1,10 @@
 //! `paracrash report` — a self-contained HTML dashboard for a campaign.
 //!
 //! The renderer is the read side of the observability plane: it takes
-//! what a run leaves behind — the events of a `--events-out` stream, an
-//! optional `--telemetry-out` trace, an optional `--profile-out` profile,
-//! each already read by the module that writes it
-//! (`pc_rt::obs::stream::read_stream`, [`crate::telemetry::read_trace`],
-//! `pc_rt::obs::prof::parse_folded`) — and emits **one** HTML file with
+//! what a run leaves behind — the events of a `--events-out` stream and
+//! an optional `--telemetry-out` trace, each already read by the module
+//! that writes it (`pc_rt::obs::stream::read_stream`,
+//! [`crate::telemetry::read_trace`]) — and emits **one** HTML file with
 //! inline CSS and inline SVG: no scripts, no external fonts, no network.
 //! Open it from disk, attach it to a bug report, archive it next to the
 //! corpus.
@@ -23,9 +22,8 @@
 //!   without a trace the section says so);
 //! * **finding heatmap** — findings per file system × journal mode, a
 //!   table shaded on a single-hue sequential ramp;
-//! * **flame view** — a no-script SVG icicle of a `--profile-out`
-//!   `.folded` profile (exact self time by span stack) over its sorted
-//!   stack table;
+//! * **flame view** — a no-script SVG icicle of the trace's exact self
+//!   time by span stack over its sorted stack table;
 //! * **allocation attribution** — per-span alloc count / bytes / peak
 //!   tiles and table from the counting allocator, when the trace
 //!   recorded any allocation.
@@ -83,14 +81,10 @@ fn render_tiles(b: &mut String, tag: &str, tiles: &[(&str, &str, String)]) {
     b.push_str(&format!("</{tag}>\n"));
 }
 
-/// Render the dashboard of a run: the `events` of its stream, its
-/// telemetry `trace` if there is one (stage bars, allocation panel), and
-/// its `profile` rows if there are (flame view).
-pub fn render_dashboard(
-    events: &[Event],
-    trace: Option<&Trace>,
-    profile: Option<&[(Vec<String>, u64)]>,
-) -> String {
+/// Render the dashboard of a run: the `events` of its stream and its
+/// telemetry `trace` if there is one (stage bars, flame view, allocation
+/// panel).
+pub fn render_dashboard(events: &[Event], trace: Option<&Trace>) -> String {
     let mut cells: Vec<CellPoint> = Vec::new();
     let mut heat: Vec<(&str, &str, u64)> = Vec::new(); // fs, journal, findings
     for e in events {
@@ -180,11 +174,11 @@ pub fn render_dashboard(
     render_coverage_curve(&mut b, &cells);
     render_stage_breakdown(&mut b, &stages, trace.map_or(0, |t| t.dropped_spans));
     render_heatmap(&mut b, &heat);
-    if let Some(rows) = profile {
-        render_flame(&mut b, rows);
-    }
-    if let Some(trace) = trace.filter(|t| t.alloc_total.count > 0) {
-        render_alloc(&mut b, trace);
+    if let Some(trace) = trace {
+        render_flame(&mut b, &trace.stacks);
+        if trace.alloc_total.count > 0 {
+            render_alloc(&mut b, trace);
+        }
     }
 
     b.push_str("</main>\n</body>\n</html>\n");
@@ -420,7 +414,7 @@ fn render_heatmap(b: &mut String, heat: &[(&str, &str, u64)]) {
     b.push_str("</table>\n</section>\n");
 }
 
-/// One node of the flame tree built from folded stacks: inclusive
+/// One node of the flame tree built from the trace's stacks: inclusive
 /// nanoseconds, children keyed (and sorted) by frame name.
 struct FlameNode {
     name: String,
@@ -459,14 +453,14 @@ impl FlameNode {
     }
 }
 
-/// Flame view of the rows of a `--profile-out` `.folded` profile: a
+/// Flame view of the trace's self time per span stack: a
 /// no-script SVG icicle (root at the top, children sorted by name so the
 /// layout is deterministic) over the sorted stack table, the
 /// copy-pasteable form.
 fn render_flame(b: &mut String, rows: &[(Vec<String>, u64)]) {
     b.push_str("<section data-metric=\"flame\">\n<h2>Span-stack profile (self time)</h2>\n");
     if rows.is_empty() {
-        b.push_str("<p class=\"sub\">no stacks in the profile</p>\n</section>\n");
+        b.push_str("<p class=\"sub\">no stacks in the trace</p>\n</section>\n");
         return;
     }
     let total: u64 = rows.iter().map(|(_, c)| c).sum();
@@ -689,7 +683,6 @@ summary { color: var(--text-secondary); cursor: pointer; }
 mod tests {
     use super::*;
     use crate::telemetry::{chrome_trace, read_trace};
-    use pc_rt::obs::prof::{parse_folded, render_folded};
     use pc_rt::obs::{AllocStat, SpanRec, TelemetrySnapshot};
     use EventKind::{Cell, Finding, Snapshot};
 
@@ -752,11 +745,10 @@ mod tests {
         }
     }
 
-    /// What `report` reads from the trace and the profile a run with
-    /// this registry writes.
-    fn files(snap: &TelemetrySnapshot) -> (Trace, Vec<(Vec<String>, u64)>) {
-        let trace = read_trace(&chrome_trace(snap).pretty()).unwrap();
-        (trace, parse_folded(&render_folded(snap)).unwrap())
+    /// What `report` reads from the trace a run with this registry
+    /// writes.
+    fn files(snap: &TelemetrySnapshot) -> Trace {
+        read_trace(&chrome_trace(snap).pretty()).unwrap()
     }
 
     /// `html` carries each whitespace-separated `data-metric` of `metrics`.
@@ -768,7 +760,7 @@ mod tests {
     fn dashboard_renders_all_sections_and_escapes_names() {
         let mut evs = events();
         evs[0].name = "a<b>&\"c@OrangeFS/ordered".into();
-        let html = render_dashboard(&evs, None, None);
+        let html = render_dashboard(&evs, None);
         let metrics = "cells findings behaviors saturation throughput heatmap";
         assert!(
             has_metrics(&html, metrics) && has_metrics(&html, "coverage-curve stage-breakdown")
@@ -791,18 +783,18 @@ mod tests {
             event(0, 1_000_000, Finding, "BeeGFS/data", 1, "sig [Pfs]"),
             event(1, 1_009_120, Cell, "wl@BeeGFS/data", 1_540_000, ""),
         ];
-        let html = render_dashboard(&one, None, None);
+        let html = render_dashboard(&one, None);
         assert!(html.contains("2 events · wall 1.54 ms"), "{html}");
         assert!(html.contains("<div class=\"tile-value\">649.4</div>"));
         // Six 1.5 µs cells, the first begun at 500 ns before the epoch.
-        let html = render_dashboard(&events(), None, None);
+        let html = render_dashboard(&events(), None);
         assert!(html.contains("8 events · wall 9.70 µs"), "{html}");
     }
 
     #[test]
     fn robustness_totals_of_the_last_snapshot_render_their_own_tiles() {
         // An uneventful sweep: no campaign section at all.
-        let html = render_dashboard(&events(), None, None);
+        let html = render_dashboard(&events(), None);
         assert!(!html.contains("campaign-robustness"));
         // The last snapshot's totals are the tiles (not a sum over
         // snapshots: each one carries the running total).
@@ -816,7 +808,7 @@ mod tests {
             6,
             "resumed=5 quarantined=2",
         ));
-        let html = render_dashboard(&evs, None, None);
+        let html = render_dashboard(&evs, None);
         assert!(has_metrics(&html, "campaign-robustness"));
         for (metric, value) in [("resumed-cells", 5), ("quarantined", 2)] {
             let tile = format!("data-metric=\"{metric}\"><div class=\"tile-value\">{value}<");
@@ -826,42 +818,44 @@ mod tests {
 
     #[test]
     fn stage_bars_come_from_the_trace_or_say_there_is_none() {
-        let html = render_dashboard(&events(), None, None);
+        let html = render_dashboard(&events(), None);
         assert!(html.contains("no span data"), "{html}");
-        let (trace, _) = files(&snapshot());
-        let html = render_dashboard(&events(), Some(&trace), None);
+        let trace = files(&snapshot());
+        let html = render_dashboard(&events(), Some(&trace));
         assert!(html.contains("check_stack") && html.contains("2 calls"));
         assert!(!html.contains("no span data") && !html.contains("incomplete"));
         // Spans the registry counted but could not store are named.
         let mut snap = snapshot();
         snap.dropped_spans = 83;
-        let (trace, _) = files(&snap);
-        let html = render_dashboard(&events(), Some(&trace), None);
+        let trace = files(&snap);
+        let html = render_dashboard(&events(), Some(&trace));
         assert!(html.contains("incomplete: 83 spans"), "{html}");
     }
 
     #[test]
     fn flame_view_renders_self_time() {
         // Nested stacks: icicle SVG plus the table, weights in ns.
-        let (_, rows) = files(&snapshot());
-        let html = render_dashboard(&events(), None, Some(&rows));
+        let trace = files(&snapshot());
+        let html = render_dashboard(&events(), Some(&trace));
         assert!(has_metrics(&html, "flame flame-table"));
         assert!(html.contains("class=\"flame flame-d0\""), "{html}");
         assert!(html.contains("class=\"flame flame-d1\""));
         assert!(html.contains("snapshot.materialize"));
         let root = "cli.run: 10.00 µs (100.0%)";
         assert!(html.contains(root), "root weight sums children");
-        // An empty profile says so; no profile, no section.
-        let html = render_dashboard(&events(), None, Some(&[]));
-        assert!(html.contains("no stacks in the profile"));
-        let html = render_dashboard(&events(), None, None);
+        // A trace without stacks says so; no trace, no section.
+        let mut snap = snapshot();
+        snap.self_times.clear();
+        let html = render_dashboard(&events(), Some(&files(&snap)));
+        assert!(html.contains("no stacks in the trace"));
+        let html = render_dashboard(&events(), None);
         assert!(!has_metrics(&html, "flame"));
     }
 
     #[test]
     fn alloc_tiles_render_from_the_trace_and_respect_dark_mode() {
-        let (trace, _) = files(&snapshot());
-        let html = render_dashboard(&events(), Some(&trace), None);
+        let trace = files(&snapshot());
+        let html = render_dashboard(&events(), Some(&trace));
         assert!(has_metrics(
             &html,
             "alloc alloc-count alloc-bytes alloc-peak alloc-table"
@@ -870,8 +864,8 @@ mod tests {
         // Accounting never recorded anything: no section.
         let mut snap = snapshot();
         (snap.allocs, snap.alloc_total) = (Vec::new(), AllocStat::default());
-        let (trace, _) = files(&snap);
-        let html = render_dashboard(&events(), Some(&trace), None);
+        let trace = files(&snap);
+        let html = render_dashboard(&events(), Some(&trace));
         assert!(!has_metrics(&html, "alloc"));
         // Dark-mode styling: the flame palette is defined in both the
         // light block and the dark block, like the heat ramp.

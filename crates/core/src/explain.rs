@@ -20,7 +20,7 @@
 //!    state's update universe, transitively reduced for readability,
 //!    edges tagged happens-before vs persists-before
 //!    ([`crate::persist::PersistAnalysis`]), violated ordering edges and
-//!    the crash frontier highlighted. Exported as DOT and JSON.
+//!    the crash frontier highlighted. Exported as DOT.
 //! 3. **State diff** — the crashed state against the closest legal
 //!    golden view (client level) and against the no-crash end state
 //!    (server level), skipping servers whose COW digests already match.
@@ -38,7 +38,6 @@ use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
 use crate::snapshot::prepare_states;
 use crate::stack::Stack;
-use pc_rt::json::Json;
 use pfs::{PfsView, ServerStates};
 use simfs::FsState;
 use simnet::ClusterTopology;
@@ -68,17 +67,6 @@ pub enum EdgeKind {
     /// the root cause of a reordering bug — or, for atomicity bugs, a
     /// torn atomic-group membership edge.
     Violated,
-}
-
-impl EdgeKind {
-    /// Stable spelling for JSON export.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EdgeKind::HappensBefore => "happens-before",
-            EdgeKind::PersistsBefore => "persists-before",
-            EdgeKind::Violated => "violated",
-        }
-    }
 }
 
 /// A node of the exported causal graph: one lowermost update of the
@@ -122,10 +110,6 @@ pub struct ShrinkStats {
     pub original_ops: usize,
     /// Dropped ops in the minimal witness.
     pub minimal_ops: usize,
-    /// Snapshot forks performed for probe materialization.
-    pub forks: usize,
-    /// Storage events replayed (shared prefixes replay once).
-    pub ops_replayed: usize,
     /// `false` if the untorn re-probe of the original witness did not
     /// fail (e.g. the bug needed torn-write widening): the witness is
     /// then reported unshrunk.
@@ -290,8 +274,6 @@ fn shrink_witness(
         rounds: 0,
         original_ops: d0.len(),
         minimal_ops: d0.len(),
-        forks: 0,
-        ops_replayed: 0,
         reproduced: false,
     };
     // Dropping a set of ops drops their persistence-dependency closures
@@ -317,11 +299,7 @@ fn shrink_witness(
                 }
             })
             .collect();
-        let plan = prepare_states(rec, baseline, &synth);
-        stats.forks += plan.stats.forks;
-        stats.ops_replayed += plan.stats.ops_replayed;
-        plan.prepared
-            .iter()
+        (prepare_states(rec, baseline, &synth).prepared.iter())
             .map(|image| (ctx.fails)(&(ctx.recover)(image)))
             .collect()
     };
@@ -670,104 +648,8 @@ impl BugExplanation {
         Ok(())
     }
 
-    /// JSON rendering (via `pc_rt::json`) of the full bundle — the
-    /// machine-readable counterpart of the Markdown report.
-    pub fn to_json(&self) -> Json {
-        let op_json = |o: &ExplainOp| {
-            Json::Obj(vec![
-                ("event".into(), Json::Int(o.event as u64)),
-                ("label".into(), Json::Str(o.label.clone())),
-                ("sig".into(), Json::Str(o.sig.clone())),
-            ])
-        };
-        let edge_json = |e: &GraphEdge| {
-            Json::Obj(vec![
-                ("from".into(), Json::Int(e.from as u64)),
-                ("to".into(), Json::Int(e.to as u64)),
-                ("kind".into(), Json::Str(e.kind.as_str().into())),
-            ])
-        };
-        let node_json = |n: &GraphNode| {
-            Json::Obj(vec![
-                ("event".into(), Json::Int(n.event as u64)),
-                ("label".into(), Json::Str(n.label.clone())),
-                ("sig".into(), Json::Str(n.sig.clone())),
-                ("persisted".into(), Json::Bool(n.persisted)),
-                ("minimal".into(), Json::Bool(n.minimal)),
-                ("frontier".into(), Json::Bool(n.frontier)),
-            ])
-        };
-        let strings = |v: &[String]| Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect());
-        Json::Obj(vec![
-            ("signature".into(), Json::Str(self.signature.clone())),
-            ("layer".into(), Json::Str(format!("{:?}", self.layer))),
-            (
-                "violated_model".into(),
-                Json::Str(self.violated_model.as_str().into()),
-            ),
-            ("occurrences".into(), Json::Int(self.occurrences as u64)),
-            ("state_index".into(), Json::Int(self.state_index as u64)),
-            (
-                "minimal_witness".into(),
-                Json::Arr(self.minimal_witness.iter().map(op_json).collect()),
-            ),
-            (
-                "violated_edges".into(),
-                Json::Arr(self.violated_edges.iter().map(edge_json).collect()),
-            ),
-            (
-                "frontier".into(),
-                Json::Arr(self.frontier.iter().map(|&e| Json::Int(e as u64)).collect()),
-            ),
-            (
-                "nodes".into(),
-                Json::Arr(self.nodes.iter().map(node_json).collect()),
-            ),
-            (
-                "edges".into(),
-                Json::Arr(self.edges.iter().map(edge_json).collect()),
-            ),
-            (
-                "diff".into(),
-                Json::Obj(vec![
-                    ("nearest_legal".into(), strings(&self.diff.nearest_legal)),
-                    (
-                        "servers_total".into(),
-                        Json::Int(self.diff.servers_total as u64),
-                    ),
-                    (
-                        "servers_skipped".into(),
-                        Json::Int(self.diff.servers_skipped as u64),
-                    ),
-                    ("tree".into(), strings(&self.diff.tree)),
-                ]),
-            ),
-            (
-                "shrink".into(),
-                Json::Obj(vec![
-                    ("probes".into(), Json::Int(self.shrink.probes as u64)),
-                    ("rounds".into(), Json::Int(self.shrink.rounds as u64)),
-                    (
-                        "original_ops".into(),
-                        Json::Int(self.shrink.original_ops as u64),
-                    ),
-                    (
-                        "minimal_ops".into(),
-                        Json::Int(self.shrink.minimal_ops as u64),
-                    ),
-                    ("forks".into(), Json::Int(self.shrink.forks as u64)),
-                    (
-                        "ops_replayed".into(),
-                        Json::Int(self.shrink.ops_replayed as u64),
-                    ),
-                    ("reproduced".into(), Json::Bool(self.shrink.reproduced)),
-                ]),
-            ),
-        ])
-    }
-
     /// Self-contained Markdown report. `context` names the run (e.g.
-    /// `"ARVR on BeeGFS"`); the `.dot`/`.json` siblings carry the graph.
+    /// `"ARVR on BeeGFS"`); the `.dot` sibling carries the graph.
     pub fn to_markdown(&self, context: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# Bug: `{}`\n", self.signature);
@@ -851,8 +733,8 @@ impl BugExplanation {
         let _ = writeln!(
             out,
             "{} nodes, {} edges ({} violated) — see the adjacent `.dot` \
-             (Graphviz) and `.json` files; red edges are ordering \
-             requirements the crash state broke.",
+             (Graphviz) file; red edges are ordering requirements the \
+             crash state broke.",
             self.nodes.len(),
             self.edges.len(),
             self.violated_edges.len(),
@@ -917,8 +799,6 @@ mod tests {
                 rounds: 2,
                 original_ops: 3,
                 minimal_ops: 1,
-                forks: 6,
-                ops_replayed: 12,
                 reproduced: true,
             },
         }
@@ -939,31 +819,6 @@ mod tests {
     #[test]
     fn dot_escapes_quotes() {
         assert_eq!(dot_escape(r#"a "b" \c"#), r#"a \"b\" \\c"#);
-    }
-
-    #[test]
-    fn json_round_trips_through_parser() {
-        let e = sample();
-        let text = e.to_json().pretty();
-        let parsed = Json::parse(&text).expect("self-produced JSON parses");
-        assert_eq!(
-            parsed.get("signature").and_then(Json::as_str),
-            Some(e.signature.as_str())
-        );
-        assert_eq!(
-            parsed
-                .get("shrink")
-                .and_then(|s| s.get("minimal_ops"))
-                .and_then(Json::as_int),
-            Some(1)
-        );
-        assert_eq!(
-            parsed
-                .get("nodes")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len),
-            Some(2)
-        );
     }
 
     #[test]

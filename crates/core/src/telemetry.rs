@@ -5,8 +5,9 @@
 //! The format is the JSON Array Format with `traceEvents`, loadable in
 //! Perfetto / `chrome://tracing` for a flamegraph-style timeline of a full
 //! bug-finding run. Every span becomes a complete (`"ph": "X"`) event
-//! with its exact nanoseconds under `args`; counters, gauges and
-//! allocation attribution ride along under `otherData`. The file carries
+//! with its exact nanoseconds under `args`; counters, gauges, allocation
+//! attribution and the exact self time per span stack (the dashboard's
+//! flame view) ride along under `otherData`. The file carries
 //! a top-level `schema_version` ([`SCHEMA_VERSION`], shared with the
 //! event stream), and [`read_trace`] rejects any other version instead of
 //! silently re-parsing an incompatible dump.
@@ -40,6 +41,18 @@ fn alloc_json(snap: &TelemetrySnapshot) -> Json {
         ("total".into(), alloc_stat_json(&snap.alloc_total)),
         ("spans".into(), Json::Obj(spans.collect())),
     ])
+}
+
+/// The `otherData.stacks` object: the self time in ns of each span
+/// stack, keyed `outer;…;leaf` and sorted as strings. A stack that took
+/// no measurable time is left out.
+fn stacks_json(snap: &TelemetrySnapshot) -> Json {
+    let mut rows: Vec<(String, Json)> = (snap.self_times.iter())
+        .filter(|(_, ns)| *ns > 0)
+        .map(|(stack, ns)| (stack.join(";"), Json::Int(*ns)))
+        .collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    Json::Obj(rows)
 }
 
 /// Serialize a snapshot in Chrome trace-event format. Spans arrive
@@ -93,6 +106,7 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> Json {
                 ("dropped_spans".into(), Json::Int(snap.dropped_spans)),
                 ("ops".into(), Json::Int(snap.ops)),
                 ("alloc".into(), alloc_json(snap)),
+                ("stacks".into(), stacks_json(snap)),
             ]),
         ),
     ])
@@ -123,6 +137,9 @@ pub struct Trace {
     pub allocs: Vec<(String, AllocStat)>,
     /// Process-wide allocation totals.
     pub alloc_total: AllocStat,
+    /// Self time in ns per span stack (frames outermost first), sorted
+    /// by the `;`-joined stack.
+    pub stacks: Vec<(Vec<String>, u64)>,
 }
 
 /// The members of object `j`, each read by `read`; `None` when `j` is
@@ -145,11 +162,31 @@ fn alloc_stat(j: &Json) -> Option<AllocStat> {
     })
 }
 
+/// The `otherData.stacks` rows, held to what [`stacks_json`] writes: no
+/// empty frame, every weight positive, each stack above the one before.
+fn read_stacks(rows: Vec<(String, u64)>) -> Result<Vec<(Vec<String>, u64)>, String> {
+    for (i, (stack, ns)) in rows.iter().enumerate() {
+        let fail = |e: &str| Err(format!("otherData.stacks: stack {stack:?} {e}"));
+        if stack.split(';').any(str::is_empty) {
+            return fail("has an empty frame");
+        }
+        if *ns == 0 {
+            return fail("has weight 0");
+        }
+        if i > 0 && rows[i - 1].0 >= *stack {
+            return fail("is not above the one before (unsorted or repeated)");
+        }
+    }
+    let frames = |stack: String| stack.split(';').map(String::from).collect();
+    Ok(rows.into_iter().map(|(k, ns)| (frames(k), ns)).collect())
+}
+
 /// Read a `--telemetry-out` file back, strictly: this tool's
 /// [`SCHEMA_VERSION`]; a non-empty `traceEvents` array of named complete
 /// (`ph: "X"`) events with integer `pid`, `tid`, `dur`, `args.dur_ns` and
 /// a nondecreasing `ts`; and the `otherData` members the writer puts
-/// there (members it does not know are ignored). A file without
+/// there, `stacks` as strictly as it writes them (members it does not
+/// know are ignored). A file without
 /// `traceEvents` is not one this tool wrote.
 pub fn read_trace(text: &str) -> Result<Trace, String> {
     let doc = Json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
@@ -207,6 +244,7 @@ pub fn read_trace(text: &str) -> Result<Trace, String> {
         dropped_spans: int("dropped_spans")?,
         allocs,
         alloc_total,
+        stacks: read_stacks(ints("stacks")?)?,
     })
 }
 
@@ -238,7 +276,14 @@ mod tests {
             counters: vec![("cache.pfs.hits".into(), 12)],
             gauges: vec![("pool.workers".into(), 4)],
             dropped_spans: 3,
-            self_times: Vec::new(),
+            // Sorted by path, not as the file's keys are; one stack took
+            // no measurable time.
+            self_times: vec![
+                (vec!["check_stack"], 7_000),
+                (vec!["check_stack", "check.enumerate"], 2_000),
+                (vec!["check_stack", "check.idle"], 0),
+                (vec!["check_stack.tail"], 500),
+            ],
             ops: 7,
             allocs: vec![("check.enumerate".into(), stat(12, 4_096, 2_048))],
             alloc_total: stat(52, 13_096, 7_048),
@@ -260,13 +305,20 @@ mod tests {
         assert_eq!(fields(0), [Some(1), Some(0), Some(9)]);
         assert_eq!(fields(1), [Some(1), Some(1), Some(2)]);
         // What the reader returns is what the snapshot held, the exact
-        // nanoseconds included.
+        // nanoseconds included; its stacks re-sorted as strings, the
+        // weightless one dropped.
         let spans = vec![
             ("check_stack".into(), 9_000),
             ("check.enumerate".into(), 2_000),
         ];
         let (counters, allocs) = (snap.counters, snap.allocs);
         let (ops, dropped_spans, alloc_total) = (7, 3, snap.alloc_total);
+        let stack = |frames: &[&str], ns| (frames.iter().map(|f| f.to_string()).collect(), ns);
+        let stacks = vec![
+            stack(&["check_stack"], 7_000),
+            stack(&["check_stack.tail"], 500),
+            stack(&["check_stack", "check.enumerate"], 2_000),
+        ];
         let held = Trace {
             spans,
             counters,
@@ -274,6 +326,7 @@ mod tests {
             dropped_spans,
             allocs,
             alloc_total,
+            stacks,
         };
         assert_eq!(read_trace(&text).unwrap(), held);
     }
@@ -311,6 +364,27 @@ mod tests {
             (
                 edit("\"peak_bytes\": 2048", "\"peak\": 2048"),
                 "otherData.alloc is not",
+            ),
+            (edit("\"stacks\"", "\"stack\""), "otherData: missing stacks"),
+            (
+                edit("tail\": 500", "tail\": \"500\""),
+                "otherData.stacks is not",
+            ),
+            (
+                edit("\"check_stack;check.enumerate\"", "\"check_stack;\""),
+                "otherData.stacks: stack \"check_stack;\" has an empty frame",
+            ),
+            (
+                edit("tail\": 500", "tail\": 0"),
+                "otherData.stacks: stack \"check_stack.tail\" has weight 0",
+            ),
+            (
+                edit("\"check_stack;check.enumerate\"", "\"check\""),
+                "otherData.stacks: stack \"check\" is not above",
+            ),
+            (
+                edit("\"check_stack.tail\"", "\"check_stack\""),
+                "otherData.stacks: stack \"check_stack\" is not above",
             ),
         ] {
             let err = read_trace(&bad).unwrap_err();

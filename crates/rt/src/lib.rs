@@ -31,11 +31,10 @@
 //!   leveled logger) for the checker pipeline itself
 //!   (replaces `tracing`), with the [`obs::stream`] event stream and
 //!   the [`obs::prof`] self-profiling plane (an exact per-stack
-//!   self-time fold with `.folded` export, and a counting
-//!   `#[global_allocator]` attributing alloc count/bytes/peak to the
-//!   innermost open span; replaces `pprof` + `dhat`) behind it. All off
-//!   by default behind one enable mask: every disabled check is one
-//!   relaxed atomic load.
+//!   self-time fold and a counting `#[global_allocator]` attributing
+//!   alloc count/bytes/peak to the innermost open span; replaces
+//!   `pprof` + `dhat`) behind it. All off by default behind one enable mask:
+//!   every disabled check is one relaxed atomic load.
 //! * [`mod@env`] — the table of every `PC_*` variable and the only
 //!   `std::env::var` calls in the workspace.
 //!

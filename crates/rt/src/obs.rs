@@ -25,9 +25,9 @@
 //!   instead of waiting for the exit snapshot;
 //! * **a self-time profile** — every closing span files `dur − Σ direct
 //!   children` under its open-span path, so the registry holds an exact
-//!   per-stack fold ([`TelemetrySnapshot::self_times`]) that
-//!   [`prof::render_folded`] writes as a `.folded` profile; [`prof`]
-//!   also attributes allocations to the innermost open span;
+//!   per-stack fold ([`TelemetrySnapshot::self_times`]) that the
+//!   telemetry file carries as its flame data; [`prof`] attributes
+//!   allocations to the innermost open span;
 //! * **causal trace ids** — [`set_trace_id`] / [`current_trace_id`]
 //!   carry one ambient workload-cell id that every span and stream
 //!   event records, so Chrome-trace export can group one cross-layer
@@ -52,7 +52,7 @@
 //! * `PC_LOG` — the log threshold.
 //!
 //! Programmatic switches are one `fetch_or` / `fetch_and` each:
-//! [`set_enabled`] (`--telemetry-out`, `--profile-out`),
+//! [`set_enabled`] (`--telemetry-out`),
 //! [`stream::set_sink`] (`--events-out`). Turning the registry on turns
 //! allocation accounting on with it. When enabled, events funnel through
 //! one `Mutex<Registry>`; the instrumented operations (crash-state

@@ -1,22 +1,16 @@
-//! `obs::prof` — the self-profiling plane: span-attributed allocation
-//! accounting and the `.folded` profile format.
+//! `obs::prof` — the self-profiling plane's allocation accounting.
 //!
 //! The paper's thesis is cross-layer *pinpointing*; this module applies
-//! the same discipline to the checker's own performance, on `std` alone
-//! (the workspace is hermetic — no registry deps):
-//!
-//! * **Allocation accounting** — [`CountingAlloc`] wraps the system
-//!   allocator (installed as the workspace `#[global_allocator]` here)
-//!   and attributes allocation count / bytes / peak to the innermost
-//!   open span, surfaced in `PC_TRACE=summary`, telemetry JSON, and the
-//!   dashboard. This is what turns "arena-allocate `tracer::Record`"
-//!   from a hunch into a measured number.
-//! * **`.folded` profiles** — [`render_folded`] writes the registry's
-//!   exact per-stack self times ([`super::TelemetrySnapshot::self_times`])
-//!   as inferno-compatible text (`--profile-out`); [`parse_folded`] reads
-//!   it back, as strictly as it was written, for `paracrash report`'s
-//!   flame view. Nothing is sampled: the weights are nanoseconds and sum
-//!   to the run's depth-0 span time.
+//! the same discipline to the checker's own memory, on `std` alone (the
+//! workspace is hermetic — no registry deps): [`CountingAlloc`] wraps the
+//! system allocator (installed as the workspace `#[global_allocator]`
+//! here) and attributes allocation count / bytes / peak to the innermost
+//! open span, surfaced in `PC_TRACE=summary`, telemetry JSON, and the
+//! dashboard. This is what turns "arena-allocate `tracer::Record`" from a
+//! hunch into a measured number. The plane's other half, exact self time
+//! per span stack, is the registry's own fold
+//! ([`super::TelemetrySnapshot::self_times`]), which the telemetry file
+//! carries as `otherData.stacks`.
 //!
 //! # Overhead contract
 //!
@@ -109,62 +103,6 @@ pub(crate) fn enter(name: &'static str) -> u32 {
 /// The innermost open span of this thread is now `id` (0 = none).
 pub(crate) fn set_current(id: u32) {
     let _ = CUR_SPAN.try_with(|c| c.set(id));
-}
-
-// ---------------------------------------------------------------------------
-// `.folded` profiles
-// ---------------------------------------------------------------------------
-
-/// Render a snapshot's per-stack self times as inferno-compatible
-/// `.folded` text: one `outer;mid;leaf NANOSECONDS` line per distinct
-/// stack, sorted by stack text, trailing newline (empty string when no
-/// span closed). A stack that took no measurable time draws nothing and
-/// is left out.
-pub fn render_folded(snap: &super::TelemetrySnapshot) -> String {
-    let mut rows: Vec<(String, u64)> = (snap.self_times.iter())
-        .filter(|(_, ns)| *ns > 0)
-        .map(|(stack, ns)| (stack.join(";"), *ns))
-        .collect();
-    rows.sort();
-    rows.iter()
-        .map(|(stack, ns)| format!("{stack} {ns}\n"))
-        .collect()
-}
-
-/// Read `.folded` text back into `(stack frames, nanoseconds)` rows, as
-/// strictly as [`render_folded`] writes it: every line a stack of
-/// non-empty frames and a positive weight, each stack above the one
-/// before (sorted, no stack twice).
-pub fn parse_folded(text: &str) -> Result<Vec<(Vec<String>, u64)>, String> {
-    let mut rows = Vec::new();
-    let mut prev: Option<&str> = None;
-    for (n, line) in (1..).zip(text.lines()) {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        let Some((stack, count)) = line.rsplit_once(' ') else {
-            return Err(format!("folded line {n}: no count field"));
-        };
-        let count: u64 = count
-            .parse()
-            .map_err(|_| format!("folded line {n}: bad count {count:?}"))?;
-        if count == 0 {
-            return Err(format!("folded line {n}: stack {stack} has weight 0"));
-        }
-        if prev.is_some_and(|p| stack <= p) {
-            return Err(format!(
-                "folded line {n}: stack {stack} is not above the one before (unsorted or repeated)"
-            ));
-        }
-        prev = Some(stack);
-        let frames: Vec<String> = stack.split(';').map(str::to_string).collect();
-        if frames.iter().any(|f| f.is_empty()) {
-            return Err(format!("folded line {n}: empty frame"));
-        }
-        rows.push((frames, count));
-    }
-    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -380,41 +318,6 @@ mod tests {
         let names = lock(&NAMES);
         assert_eq!(names.list[a as usize], "prof.test.intern.a");
         assert_eq!(names.list[0], UNTRACKED);
-    }
-
-    #[test]
-    fn folded_render_parse_round_trip() {
-        let snap = crate::obs::TelemetrySnapshot {
-            self_times: vec![
-                (vec!["prof.test.root"], 0),
-                (vec!["prof.test.root", "prof.test.mid"], 2),
-                (vec!["prof.test.root", "prof.test.mid", "prof.test.leaf"], 5),
-            ],
-            ..Default::default()
-        };
-        let folded = render_folded(&snap);
-        // Lexicographically sorted; the weightless stack is left out.
-        assert_eq!(
-            folded,
-            "prof.test.root;prof.test.mid 2\nprof.test.root;prof.test.mid;prof.test.leaf 5\n"
-        );
-        let rows = parse_folded(&folded).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].0.len(), 3);
-        assert_eq!(rows[1].1, 5);
-        assert_eq!(render_folded(&Default::default()), "");
-        assert_eq!(parse_folded("").unwrap(), []);
-        for (bad, why) in [
-            ("no-count-line\n", "no count field"),
-            ("a;b notanumber\n", "bad count"),
-            (";; 3\n", "empty frame"),
-            ("a 1\na;b 0\n", "line 2: stack a;b has weight 0"),
-            ("a;b 1\na 2\n", "line 2: stack a is not above"),
-            ("a 1\na 2\n", "line 2: stack a is not above"),
-        ] {
-            let err = parse_folded(bad).unwrap_err();
-            assert!(err.contains(why), "{bad:?}: {err}");
-        }
     }
 
     #[test]

@@ -21,11 +21,11 @@
 #      CLI); the property
 #      suite again in release, more cases; `benchmark/run.sh --smoke`
 #      builds `benchmark/` (no other gate does) and reproduces its pins.
-#   5. Observability — a PR-tier fuzz run with all three sinks attached
+#   5. Observability — a PR-tier fuzz run with both sinks attached
 #      prints the pinned report, on the pool and at PC_THREADS=1, and
 #      `paracrash report` reads back and renders each set; the stream has
 #      no span/counter line and projects seq ≡ par (`--canonical-diff`);
-#      the profile names the stages down to `rpc.message` and `h5.parse`;
+#      the trace's `stacks` name the stages down to `rpc.message`, `h5.parse`;
 #      the dashboard has every panel and no script or link; the planes'
 #      *disabled* sites cost a checked cell under 3% (`selftest obs`).
 #   6. Torn writes — one torn-write seed gives bit-identical CLI reports
@@ -33,9 +33,9 @@
 #      so this is the run whose schedule could leak into a verdict), and
 #      a fault-free full matrix reproduces exactly the fifteen Table 3
 #      bugs.
-#   7. Provenance — a full-matrix `--explain-out` run emits one bundle
-#      per Table 3 bug, byte-identical on the pool and at PC_THREADS=1,
-#      each re-parsed and linted (`selftest explain DIR`).
+#   7. Provenance — a full-matrix `--explain-out` run emits one `.md` +
+#      `.dot` bundle per bug, byte-identical on the pool and at
+#      PC_THREADS=1, each graph linted (`selftest explain DIR`).
 #   8. Fuzz triage — a sampled sweep with `--findings-out` writes its
 #      `.repro` bundles (gate 5 holds the PR tier to its pin on the pool
 #      and at PC_THREADS=1). PC_FUZZ_NIGHTLY=1 adds the bound-3 all-FS
@@ -148,7 +148,7 @@ seq_eq_par --fs GPFS --program H5-resize
 # that breaks one of its pins, fails here and not in the perf pipeline.
 benchmark/run.sh --smoke > /dev/null
 
-echo "== gate 5: observability — telemetry + event stream + profile from one sweep =="
+echo "== gate 5: observability — telemetry + event stream from one sweep =="
 # The planes observe the fold, never perturb it: stdout is still the
 # pinned report. Every path is nested, exercising each flag's parent
 # creation; `report` exits 1 on any file its reader rejects.
@@ -156,10 +156,9 @@ obs="$tmp/obs"
 for set in par seq; do
     d="$obs/$set" pool=-uPC_THREADS; [ "$set" = seq ] && pool=PC_THREADS=1
     env "$pool" target/release/paracrash fuzz --events-out "$d/events.jsonl" \
-        --telemetry-out "$d/telemetry.json" --profile-out "$d/fuzz.folded" > "$obs-$set.txt" 2> /dev/null
+        --telemetry-out "$d/telemetry.json" > "$obs-$set.txt" 2> /dev/null
     diff "$obs-$set.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
-    target/release/paracrash report --events "$d/events.jsonl" --telemetry "$d/telemetry.json" \
-        --profile "$d/fuzz.folded" --out "$d/report.html"
+    target/release/paracrash report --events "$d/events.jsonl" --telemetry "$d/telemetry.json" --out "$d/report.html"
 done
 # ~1.2 events per cell, not the registry's spans and counters again.
 [ "$(wc -l < "$obs/par/events.jsonl")" -lt 1000 ] || { echo "FAIL: event stream over 1000 lines"; exit 1; }
@@ -167,7 +166,8 @@ done
 # Raw streams differ (timestamps); the canonical projection must not.
 target/release/paracrash selftest events --canonical-diff \
     "$obs/par/events.jsonl" "$obs/seq/events.jsonl"
-printf '%s\n' snapshot.materialize recover/ check.enumerate rpc.message h5.parse | require_in "$obs/par/fuzz.folded"
+sed -n '/"stacks": {/,/}/p' "$obs/par/telemetry.json" > "$obs/stacks.txt"
+printf '%s\n' snapshot.materialize recover/ check.enumerate rpc.message h5.parse | require_in "$obs/stacks.txt"
 # Every panel the dashboard documents, and nothing that runs or fetches.
 printf 'data-metric="%s"\n' cells findings behaviors saturation throughput coverage-curve coverage-table \
     stage-breakdown heatmap flame flame-table alloc alloc-count alloc-bytes alloc-peak alloc-table |
@@ -187,8 +187,8 @@ if [ "$(grep -c REPRODUCED "$tmp/table3.txt")" -ne 15 ] || grep -q missing "$tmp
 fi
 
 echo "== gate 7: explain bundles =="
-# Full matrix: multi-cell runs always exit 0; bugs land as bundles, and
-# ddmin's probe schedule must not leak into them.
+# Full matrix: multi-cell runs always exit 0; bugs land as bundles (192
+# files), and ddmin's probe schedule must not leak into them.
 target/release/paracrash --fs all --program all --explain-out "$tmp/explain" > /dev/null
 PC_THREADS=1 target/release/paracrash --fs all --program all --explain-out "$tmp/explain-seq" > /dev/null
 diff -r "$tmp/explain" "$tmp/explain-seq"

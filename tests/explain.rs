@@ -2,8 +2,9 @@
 //! one Table 3 bug per class — cross-server reordering (bug 1),
 //! multi-structure atomicity (bug 12), partially-persisted journal
 //! group (bug 3) — each must get a minimal witness, violated-edge
-//! output, and well-formed DOT/JSON exports. Shrinking must be
-//! deterministic: two runs produce byte-identical bundles.
+//! output, a well-formed causal graph and a lint-clean DOT export.
+//! Shrinking must be deterministic: two runs produce byte-identical
+//! bundles.
 
 use paracrash::{BugExplanation, CheckConfig, CheckOutcome, EdgeKind, LayerVerdict};
 use paracrash_suite::check_with;
@@ -15,6 +16,34 @@ fn check_explained(program: Program, fs: FsKind) -> CheckOutcome {
         ..CheckConfig::paper_default()
     };
     check_with(program, fs, &Params::quick(), &cfg)
+}
+
+/// What every bundle holds: each endpoint of `edges` and
+/// `violated_edges` is a node, each minimal-witness event a node flagged
+/// `minimal`, and the witness no larger than the dropped set it was
+/// shrunk from.
+fn assert_well_formed(outcome: &CheckOutcome) {
+    for e in &outcome.explanations {
+        let node = |event| e.nodes.iter().find(|n| n.event == event);
+        for edge in e.edges.iter().chain(&e.violated_edges) {
+            for end in [edge.from, edge.to] {
+                assert!(node(end).is_some(), "{}: e{end} is no node", e.signature);
+            }
+        }
+        for op in &e.minimal_witness {
+            let minimal = node(op.event).is_some_and(|n| n.minimal);
+            assert!(
+                minimal,
+                "{}: e{} not flagged minimal",
+                e.signature, op.event
+            );
+        }
+        assert!(
+            e.shrink.minimal_ops <= e.shrink.original_ops,
+            "{:?}",
+            e.shrink
+        );
+    }
 }
 
 #[test]
@@ -68,7 +97,7 @@ fn bug1_reordering_gets_a_strictly_smaller_witness() {
     );
     assert!(e.diff.servers_skipped > 0, "COW digests skip clean servers");
     assert_eq!(BugExplanation::lint_dot(&e.to_dot()), Ok(()));
-    pc_rt::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
+    assert_well_formed(&outcome);
 }
 
 #[test]
@@ -107,6 +136,7 @@ fn bundle_occurrences_sum_over_placements() {
             .expect("every bundle explains a reported bug");
         assert_eq!(e.occurrences, bug.occurrences, "{}", e.signature);
     }
+    assert_well_formed(&outcome);
 }
 
 #[test]
@@ -125,7 +155,7 @@ fn bug12_multi_structure_atomicity_is_explained() {
     assert!(pin.contains("violated"), "{pin}");
     assert!(!e.nodes.is_empty());
     assert_eq!(BugExplanation::lint_dot(&e.to_dot()), Ok(()));
-    pc_rt::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
+    assert_well_formed(&outcome);
 }
 
 #[test]
@@ -150,8 +180,8 @@ fn bug3_partially_persisted_journal_group_is_explained() {
     );
     for e in &outcome.explanations {
         assert_eq!(BugExplanation::lint_dot(&e.to_dot()), Ok(()));
-        pc_rt::json::Json::parse(&e.to_json().pretty()).expect("bundle JSON parses");
     }
+    assert_well_formed(&outcome);
 }
 
 #[test]
@@ -160,13 +190,11 @@ fn shrinking_is_deterministic() {
     let b = check_explained(Program::Arvr, FsKind::BeeGfs);
     assert_eq!(a.explanations.len(), b.explanations.len());
     for (ea, eb) in a.explanations.iter().zip(&b.explanations) {
-        assert_eq!(
-            ea.to_json().pretty(),
-            eb.to_json().pretty(),
-            "bundle for {} differs between runs",
-            ea.signature
-        );
-        assert_eq!(ea.to_dot(), eb.to_dot());
+        let what = format!("bundle for {} differs between runs", ea.signature);
+        assert_eq!(format!("{ea:?}"), format!("{eb:?}"), "{what}");
+        let context = "ARVR on BeeGFS";
+        assert_eq!(ea.to_markdown(context), eb.to_markdown(context), "{what}");
+        assert_eq!(ea.to_dot(), eb.to_dot(), "{what}");
     }
     // Explain output must not perturb the canonical verdict either.
     let plain = check_with(

@@ -3,8 +3,9 @@
 //!
 //! * the disabled path records nothing — no spans, no self time, no
 //!   allocation attribution — so an unprofiled run is untouched;
-//! * the `.folded` file renders deterministically (same stacks → same
-//!   bytes), which is what lets CI diff emitted profiles;
+//! * the telemetry file's `otherData.stacks` renders deterministically
+//!   (same stacks → same bytes), which is what lets CI diff emitted
+//!   profiles;
 //! * the profile is an exact partition of a real traced sweep: self
 //!   times sum to the depth-0 span durations, sequentially and on the
 //!   pool, and name every span of the run;
@@ -17,8 +18,9 @@
 //! verify gate 3 forbids it); it goes when a check can take a pool from
 //! its caller.
 
+use paracrash::telemetry::{chrome_trace, read_trace};
 use pc_bench::campaign::{run_campaign, FuzzOptions};
-use pc_rt::obs::{prof, TelemetrySnapshot};
+use pc_rt::obs::{prof, SpanRec, TelemetrySnapshot};
 use std::sync::Mutex;
 use workloads::FsKind;
 
@@ -56,15 +58,25 @@ fn disabled_planes_record_nothing() {
     let big = vec![0u8; 1 << 20];
     std::hint::black_box(&big);
     let snap = pc_rt::obs::snapshot();
-    assert!(snap.spans.is_empty() && snap.self_times.is_empty());
+    assert!(snap.spans.is_empty());
     assert!(snap.allocs.is_empty(), "alloc attribution while off");
     assert_eq!(snap.alloc_total.count, 0);
-    assert_eq!(prof::render_folded(&snap), "", "folded output while off");
+    assert!(snap.self_times.is_empty(), "self time while off");
 }
 
 #[test]
 fn folded_render_is_deterministic() {
+    let span = SpanRec {
+        name: "suite.root",
+        cat: "suite",
+        tid: 1,
+        depth: 0,
+        start_ns: 0,
+        dur_ns: 6,
+        trace_id: 0,
+    };
     let snap = TelemetrySnapshot {
+        spans: vec![span],
         self_times: vec![
             (vec!["suite.root"], 1),
             (vec!["suite.root", "suite.leaf"], 5),
@@ -72,19 +84,29 @@ fn folded_render_is_deterministic() {
         ],
         ..Default::default()
     };
-    let first = prof::render_folded(&snap);
-    // Sorted as rendered lines, not as the table's paths.
+    let stacks = || {
+        let trace = chrome_trace(&snap);
+        trace
+            .get("otherData")
+            .and_then(|o| o.get("stacks"))
+            .unwrap()
+            .pretty()
+    };
+    let first = stacks();
+    // Sorted as joined keys, not as the table's paths.
     assert_eq!(
         first,
-        "suite.root 1\nsuite.root.b 2\nsuite.root;suite.leaf 5\n"
+        "{\n  \"suite.root\": 1,\n  \"suite.root.b\": 2,\n  \"suite.root;suite.leaf\": 5\n}"
     );
-    assert_eq!(prof::render_folded(&snap), first, "re-render changed bytes");
-    assert_eq!(prof::parse_folded(&first).unwrap().len(), 3);
+    assert_eq!(stacks(), first, "re-render changed bytes");
+    let trace = read_trace(&chrome_trace(&snap).pretty()).unwrap();
+    assert_eq!(trace.stacks.len(), 3);
 }
 
 /// Σ self time = Σ root durations on a real traced sweep, sequentially
 /// and on the pool (where each worker's outermost span is its own
-/// root), and the rendered profile names every span name of the run.
+/// root), and the telemetry file's stacks name every span name of the
+/// run.
 #[test]
 fn folded_profile_partitions_a_real_check() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -108,10 +130,10 @@ fn folded_profile_partitions_a_real_check() {
         // roots its own stack on a pool worker.
         let pooled = roots.iter().any(|r| r.name.starts_with("recover/"));
         assert_eq!(pooled, threads == "4", "PC_THREADS={threads}");
-        let rows = prof::parse_folded(&prof::render_folded(&snap)).unwrap();
+        let rows = read_trace(&chrome_trace(&snap).pretty()).unwrap().stacks;
         for s in &snap.spans {
             let named = |(stack, _): &(Vec<String>, u64)| stack.iter().any(|f| f == s.name);
-            assert!(rows.iter().any(named), "{} not in profile", s.name);
+            assert!(rows.iter().any(named), "{} not in the stacks", s.name);
         }
     }
 }
