@@ -3,12 +3,10 @@
 //! [`FuzzCorpus`], with automatic triage of novel findings — crash-safe
 //! and resumable when given a state dir.
 //!
-//! Cells run **sequentially** on purpose: `check_stack` already
-//! parallelizes internally over crash states, and its
-//! `canonical_report` is `PC_THREADS`-invariant — so running the cell
-//! loop in-order makes the whole sweep's report byte-identical whatever
-//! the thread count, which is exactly the determinism contract the CI
-//! crash gate diffs (`paracrash::fuzz` module docs).
+//! Cells run **sequentially**, and so does each `check_stack`, so the
+//! whole sweep's report is byte-identical whatever the thread count,
+//! which is exactly the determinism contract the CI crash gate diffs
+//! (`paracrash::fuzz` module docs).
 //!
 //! Triage: [`FuzzCorpus::record_cell`] returns the keys a cell *newly*
 //! contributed. Only those cells are re-run with the explain engine
@@ -602,7 +600,7 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<CampaignReport, String> {
         let journal = mode_label(mode);
         let cell_label = format!("{label}@{}/{journal}", fs.name());
         // Fresh causal trace id: every span this cell opens — replay,
-        // checker stages, simnet RPC on pool workers — tags it, giving
+        // checker stages, simnet RPC — tags it, giving
         // Chrome-trace one flow per check.
         pc_rt::obs::set_trace_id(pc_rt::obs::next_trace_id());
         let started = Instant::now();

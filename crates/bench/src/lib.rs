@@ -43,9 +43,8 @@ pub fn run_cell(
     cfg: &CheckConfig,
 ) -> MatrixCell {
     // One causal trace id per cell: every span this check opens — trace
-    // generation, checker stages, simnet RPC deliveries on pool worker
-    // threads — tags this id, so Chrome-trace export renders the cell
-    // as one cross-layer flow.
+    // generation, checker stages, simnet RPC deliveries — tags this id,
+    // so Chrome-trace export renders the cell as one cross-layer flow.
     pc_rt::obs::set_trace_id(pc_rt::obs::next_trace_id());
     let started = std::time::Instant::now();
     let trace_span = pc_rt::obs::span_cat("trace.generate", "trace");

@@ -28,10 +28,11 @@ use crate::report::{op_detail, OpSigs};
 use crate::snapshot::{prepare_states, SnapshotPlan};
 use crate::stack::{Stack, StackFactory};
 use h5sim::{check as h5check, check_lenient, h5clear, H5Logical};
-use pc_rt::lock;
 use pfs::{recover_and_mount, PfsView, ServerStates};
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 use tracer::{BitSet, CausalityGraph, EventId, Layer, Recorder};
 
@@ -158,9 +159,8 @@ impl CheckOutcome {
     /// Deterministic rendering of everything the checker *decided* —
     /// bugs, state counts, diagnostics — excluding wall-clock timing
     /// and cache traffic. Two runs with the same trace and the same
-    /// torn seed must produce byte-identical canonical reports, on any
-    /// `PC_THREADS` setting: this is the string the determinism tests
-    /// compare.
+    /// torn seed must produce byte-identical canonical reports: this is
+    /// the string the determinism tests compare.
     pub fn canonical_report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -268,11 +268,11 @@ type Bugs = BTreeMap<(BugSignature, LayerVerdict), (Inconsistency, usize)>;
 // Golden states — what a recovered view is compared against — come from
 // `golden::legal_lists`: in `check_stack` one walk per layer over the
 // preserved sets of every candidate set `enumerate` interned, run by
-// `legal_and_verdicts` before it spawns a verdict task; in
+// `legal_and_verdicts` before its first verdict; in
 // `check_reference` one full replay per preserved set per state.
 //
-// Three stages turn on-disk images into recovered views: the verdict
-// tasks (one image per prefix-tree representative), the classifier's
+// Three stages turn on-disk images into recovered views: the verdicts
+// (one image per prefix-tree representative), the classifier's
 // flip oracle in prune_and_classify (hypothetical persisted sets) and
 // explain's ddmin probes. All three ask the analysis' `RecoveryMemo`,
 // so within one check an image is recovered once, whoever asks first.
@@ -301,7 +301,7 @@ struct Analysis<'a> {
 /// on first use, then shared by every verdict taken on this view.
 pub(crate) struct Recovered {
     pub(crate) view: PfsView,
-    h5: OnceLock<H5Parse>,
+    h5: OnceCell<H5Parse>,
 }
 
 /// What [`h5_verdict`] reads of the library file of one view.
@@ -323,15 +323,13 @@ impl Recovered {
     fn mounted(view: PfsView) -> Recovered {
         Recovered {
             view,
-            h5: OnceLock::new(),
+            h5: OnceCell::new(),
         }
     }
 }
 
-type Slot = Arc<OnceLock<Arc<Recovered>>>;
-
 /// The per-check recovery memo: `persisted set → pre-recovery digest →
-/// Arc<Recovered>`.
+/// Rc<Recovered>`.
 ///
 /// Level 2 is the key that matters. Recovery and mounting read nothing
 /// but the server stores, `ServerStates::digest()` hashes the stores'
@@ -342,24 +340,24 @@ type Slot = Arc<OnceLock<Arc<Recovered>>>;
 /// already rest on. Level 1 only spares a repeated classifier probe the
 /// fork + `apply_events` + digest it takes to reach level 2.
 ///
-/// A slot is handed out under the map lock and filled outside it, so a
-/// digest is recovered once on any `PC_THREADS`; a panicking recovery
-/// tool leaves the slot empty and every state that asks for it gets the
-/// panic, as if it had recovered on its own. Bounded by states + probes
-/// per check. States that torn-write widening makes unique never come
-/// here, and `check_reference` runs with [`RecoveryMemo::never`]: it is
-/// this memo's oracle, so it recovers every request afresh.
-struct RecoveryMemo(Option<Mutex<MemoMaps>>);
+/// A view enters the maps only once its recovery returned, so a
+/// panicking recovery tool stores nothing and every state that asks for
+/// that digest gets the panic, as if it had recovered on its own.
+/// Bounded by states + probes per check. States that torn-write
+/// widening makes unique never come here, and `check_reference` runs
+/// with [`RecoveryMemo::never`]: it is this memo's oracle, so it
+/// recovers every request afresh.
+struct RecoveryMemo(Option<RefCell<MemoMaps>>);
 
 #[derive(Default)]
 struct MemoMaps {
-    by_set: HashMap<BitSet, Slot>,
-    by_digest: HashMap<u64, Slot>,
+    by_set: HashMap<BitSet, Rc<Recovered>>,
+    by_digest: HashMap<u64, Rc<Recovered>>,
 }
 
 impl RecoveryMemo {
     fn new() -> RecoveryMemo {
-        RecoveryMemo(Some(Mutex::default()))
+        RecoveryMemo(Some(RefCell::default()))
     }
 
     /// The memo that stores nothing.
@@ -368,15 +366,14 @@ impl RecoveryMemo {
     }
 
     /// The recovered view of a materialized pre-recovery `image`.
-    fn of_image(&self, pfs: &dyn pfs::Pfs, image: &ServerStates) -> Arc<Recovered> {
+    fn of_image(&self, pfs: &dyn pfs::Pfs, image: &ServerStates) -> Rc<Recovered> {
         self.fill(pfs, image, None)
     }
 
     /// The recovered view of the baseline with `persisted` applied.
-    fn of_set(&self, stack: &Stack, persisted: &BitSet) -> Arc<Recovered> {
+    fn of_set(&self, stack: &Stack, persisted: &BitSet) -> Rc<Recovered> {
         if let Some(maps) = &self.0 {
-            let slot = lock(maps).by_set.get(persisted).cloned();
-            if let Some(recovered) = slot.as_ref().and_then(|slot| slot.get()) {
+            if let Some(recovered) = maps.borrow().by_set.get(persisted) {
                 pc_rt::obs::count("recover.shared_set", 1);
                 return recovered.clone();
             }
@@ -391,28 +388,31 @@ impl RecoveryMemo {
         pfs: &dyn pfs::Pfs,
         image: &ServerStates,
         set: Option<&BitSet>,
-    ) -> Arc<Recovered> {
+    ) -> Rc<Recovered> {
         let Some(maps) = &self.0 else {
-            return Arc::new(Recovered::of(pfs, image));
+            return Rc::new(Recovered::of(pfs, image));
         };
         let digest = image.digest();
-        let slot = {
-            let mut maps = lock(maps);
-            let slot = maps.by_digest.entry(digest).or_default().clone();
-            if let Some(set) = set {
-                maps.by_set.insert(set.clone(), slot.clone());
+        let known = maps.borrow().by_digest.get(&digest).cloned();
+        let recovered = match known {
+            Some(recovered) => {
+                pc_rt::obs::count("recover.shared_digest", 1);
+                recovered
             }
-            slot
+            None => {
+                let recovered = Rc::new(Recovered::of(pfs, image));
+                maps.borrow_mut()
+                    .by_digest
+                    .insert(digest, recovered.clone());
+                recovered
+            }
         };
-        let mut executed = false;
-        let recovered = slot.get_or_init(|| {
-            executed = true;
-            Arc::new(Recovered::of(pfs, image))
-        });
-        if !executed {
-            pc_rt::obs::count("recover.shared_digest", 1);
+        if let Some(set) = set {
+            maps.borrow_mut()
+                .by_set
+                .insert(set.clone(), recovered.clone());
         }
-        recovered.clone()
+        recovered
     }
 }
 
@@ -616,7 +616,7 @@ fn layer_verdict(a: &Analysis, recovered: &Recovered, legal: &LegalStates) -> Ve
     })
 }
 
-/// Stage 4's per-state task: recover and mount crash state `i`, then
+/// Stage 4's per-state verdict: recover and mount crash state `i`, then
 /// judge it. Crash states whose storage-event sequences land on the
 /// same prefix-tree terminal have *identical* prepared snapshots, so the
 /// memo is asked for the representative's image (one digest per
@@ -639,7 +639,7 @@ fn verdict_of(
             state.victims.iter().copied(),
             &mut torn_rng(seed, i),
         );
-        Arc::new(Recovered::mounted(recover_and_mount(
+        Rc::new(Recovered::mounted(recover_and_mount(
             stack.pfs.as_ref(),
             &mut st,
         )))
@@ -650,13 +650,11 @@ fn verdict_of(
     layer_verdict(a, &recovered, legal)
 }
 
-/// Stage 4. The golden walks run first, on the producer: they leave one
-/// legal list per distinct candidate set (`Enumerated` interned them, so
-/// a list is an index away). The producer then walks the checking order
-/// and spawns each state's verdict task with its own handles to the two
-/// lists it names. Results are joined by state index, so the output is
-/// byte-identical on every `PC_THREADS` setting (1 = spawn runs inline:
-/// the deterministic sequential path).
+/// Stage 4. The golden walks run first: they leave one legal list per
+/// distinct candidate set (`Enumerated` interned them, so a list is an
+/// index away). Then each state in checking order takes its verdict
+/// against the two lists it names, one state after another as in
+/// Algorithm 1; a panic poisons only its own state.
 fn legal_and_verdicts(
     a: &Analysis,
     factory: &StackFactory,
@@ -665,41 +663,21 @@ fn legal_and_verdicts(
 ) -> Verdicts {
     let n = e.states.len();
     let mut walk = golden::WalkStats::default();
-    let mut legal: Vec<Option<Result<LegalStates, String>>> = vec![None; n];
     let stage_verdicts = pc_rt::obs::span_cat("check.verdicts", "check");
-    let verdicts = pc_rt::pool::scope(|scope| {
-        // Producer time and join wait partition the verdict stage (the
-        // span opens here so that spans close innermost first).
-        let stage_legal = pc_rt::obs::span_cat("check.legal_states", "check");
-        let sets = (&e.pfs_sets[..], &e.h5_sets[..]);
-        let lists = golden::legal_lists(a.stack, a.cfg, &a.graph, factory, sets, Some(&mut walk));
-        let mut handles = Vec::with_capacity(n);
-        for &idx in &e.order {
-            let (pfs_id, h5_id) = e.sets_of[idx];
-            let got = lists.of(pfs_id, h5_id);
-            legal[idx] = Some(got.clone());
-            handles.push((
-                idx,
-                scope.spawn(move || match got {
-                    Ok(legal) => verdict_of(a, e, m, idx, &legal),
-                    // Funnel replay failures through the same caught path.
-                    Err(e) => panic!("legal-state replay failed: {e}"),
-                }),
-            ));
-        }
-        drop(stage_legal);
-        let mut out: Vec<Option<Result<Verdict, String>>> = (0..n).map(|_| None).collect();
-        // The producer is done; what is left of the stage is waiting
-        // for the verdict tasks still queued or running.
-        let join_wait = pc_rt::obs::span_cat("check.join_wait", "check");
-        for (idx, handle) in handles {
-            out[idx] = Some(handle.join());
-        }
-        drop(join_wait);
-        out.into_iter()
-            .map(|r| r.expect("order is a permutation of all states"))
-            .collect()
-    });
+    let stage_legal = pc_rt::obs::span_cat("check.legal_states", "check");
+    let sets = (&e.pfs_sets[..], &e.h5_sets[..]);
+    let lists = golden::legal_lists(a.stack, a.cfg, &a.graph, factory, sets, Some(&mut walk));
+    drop(stage_legal);
+    let legal: Vec<Result<LegalStates, String>> = (e.sets_of.iter())
+        .map(|&(pfs_id, h5_id)| lists.of(pfs_id, h5_id))
+        .collect();
+    let mut verdicts: Vec<Result<Verdict, String>> = vec![Ok(None); n];
+    for &idx in &e.order {
+        verdicts[idx] = match &legal[idx] {
+            Ok(legal) => caught(|| verdict_of(a, e, m, idx, legal)),
+            Err(msg) => Err(format!("legal-state replay failed: {msg}")),
+        };
+    }
     drop(stage_verdicts);
     // `enumerate` interned the candidate sets from the states, so each
     // list is named by at least one: a miss the first time, a hit for
@@ -710,10 +688,7 @@ fn legal_and_verdicts(
     };
     let h5_lookups = e.sets_of.iter().filter(|(_, h5)| h5.is_some()).count();
     Verdicts {
-        legal: legal
-            .into_iter()
-            .map(|l| l.expect("order is a permutation of all states"))
-            .collect(),
+        legal,
         verdicts,
         pfs_cache: table(&e.pfs_sets, n),
         h5_cache: table(&e.h5_sets, h5_lookups),
@@ -1003,7 +978,7 @@ fn publish(
 /// [`check_stack`], but each crash state becomes a recovered view the
 /// obvious way — deep-clone the baseline, apply the persisted events,
 /// tear the victims, recover, mount — one state at a time, with no
-/// prefix tree, no shared views, no replay table and no thread pool.
+/// prefix tree, no shared views and no replay table.
 /// `tests/differential.rs` holds `check_stack` to it: everything a
 /// checker *decides* (the canonical report, `rep_digests`, state counts,
 /// the cost model) must match byte for byte; cache traffic, wall time
@@ -1386,15 +1361,14 @@ mod tests {
         (stack, runs)
     }
 
-    fn memo_slots(a: &Analysis) -> Vec<Slot> {
+    /// The digests the memo holds a recovered view for.
+    fn memo_digests(a: &Analysis) -> BTreeSet<u64> {
         let maps = a.memo.0.as_ref().expect("check_stack's memo stores");
-        assert!(!maps.is_poisoned());
-        lock(maps).by_digest.values().cloned().collect()
+        maps.borrow().by_digest.keys().copied().collect()
     }
 
     /// Every distinct pre-recovery digest is recovered exactly once,
-    /// however many states and probes share it and however many threads
-    /// ask for it at the same moment.
+    /// however many states and probes share it.
     #[test]
     fn each_distinct_digest_is_recovered_exactly_once() {
         use std::sync::atomic::Ordering::Relaxed;
@@ -1402,25 +1376,21 @@ mod tests {
         let cfg = CheckConfig::paper_default();
         let (stack, runs) = instrumented_arvr(false);
 
-        // The memo alone, every state asking at once.
-        for threads in [1, 4] {
-            let a = analyze(&stack, &cfg, RecoveryMemo::new());
-            let e = enumerate(&a);
-            let m = materialize(&a, &e);
-            let distinct: BTreeSet<u64> = m.plan.prepared.iter().map(|s| s.digest()).collect();
-            assert!(distinct.len() < e.states.len(), "the fixture shares images");
-            runs.store(0, Relaxed);
-            let views: Vec<Arc<Recovered>> = pc_rt::pool::Pool::with_threads(threads).scope(|sc| {
-                let handles: Vec<_> = (m.plan.prepared.iter())
-                    .map(|image| sc.spawn(|| a.memo.of_image(stack.pfs.as_ref(), image)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            assert_eq!(runs.load(Relaxed), distinct.len(), "{threads} threads");
-            for (image, recovered) in m.plan.prepared.iter().zip(&views) {
-                let alone = recover_and_mount(stack.pfs.as_ref(), &mut image.fork());
-                assert!(recovered.view == alone);
-            }
+        // The memo alone, asked for every state's image.
+        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let e = enumerate(&a);
+        let m = materialize(&a, &e);
+        let distinct: BTreeSet<u64> = m.plan.prepared.iter().map(|s| s.digest()).collect();
+        assert!(distinct.len() < e.states.len(), "the fixture shares images");
+        runs.store(0, Relaxed);
+        let views: Vec<Rc<Recovered>> = (m.plan.prepared.iter())
+            .map(|image| a.memo.of_image(stack.pfs.as_ref(), image))
+            .collect();
+        assert_eq!(runs.load(Relaxed), distinct.len());
+        assert_eq!(memo_digests(&a), distinct);
+        for (image, recovered) in m.plan.prepared.iter().zip(&views) {
+            let alone = recover_and_mount(stack.pfs.as_ref(), &mut image.fork());
+            assert!(recovered.view == alone);
         }
 
         // The whole pipeline: crash states, then classifier probes.
@@ -1433,10 +1403,9 @@ mod tests {
         assert_eq!(runs.load(Relaxed), distinct.len());
         let c = prune_and_classify(&a, &e, &v);
         assert!(!c.bugs.is_empty(), "the classifier probed");
-        let slots = memo_slots(&a);
-        assert!(slots.iter().all(|slot| slot.get().is_some()));
-        assert_eq!(runs.load(Relaxed), slots.len());
-        assert!(slots.len() >= distinct.len());
+        let filled = memo_digests(&a);
+        assert_eq!(runs.load(Relaxed), filled.len());
+        assert!(filled.is_superset(&distinct));
     }
 
     /// Torn-write widening happens after materialization, so the digest
@@ -1460,14 +1429,12 @@ mod tests {
         assert!(torn > 0 && !untorn.is_empty());
         legal_and_verdicts(&a, &factory, &e, &m);
         assert_eq!(runs.load(Relaxed), torn + untorn.len());
-        let maps = lock(a.memo.0.as_ref().unwrap());
-        let filled: BTreeSet<u64> = maps.by_digest.keys().copied().collect();
-        assert_eq!(filled, untorn);
+        assert_eq!(memo_digests(&a), untorn);
     }
 
     /// A panicking recovery tool poisons exactly the states that ask
     /// for it — one diagnostic per crash state, in checking order, as
-    /// when every state recovered on its own — and no lock.
+    /// when every state recovered on its own — and not the memo.
     #[test]
     fn poisoned_recover_poisons_states_not_the_memo() {
         let factory = beegfs_factory();
@@ -1485,12 +1452,13 @@ mod tests {
             .map(|idx| format!("crash state {idx}: poisoned recover"))
             .collect();
         assert_eq!(c.diagnostics, expected);
-        // Each state tried for itself; the slots stayed empty.
+        // Each state tried for itself; the memo stayed empty.
         assert_eq!(
             runs.load(std::sync::atomic::Ordering::Relaxed),
             e.states.len()
         );
-        assert!(memo_slots(&a).iter().all(|slot| slot.get().is_none()));
+        assert!(memo_digests(&a).is_empty());
+        assert!(a.memo.0.as_ref().unwrap().borrow().by_set.is_empty());
         let outcome = check_stack(&stack, &factory, &cfg);
         assert_eq!(outcome.diagnostics, expected);
     }

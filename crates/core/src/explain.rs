@@ -183,7 +183,7 @@ pub(crate) struct ExplainCtx<'a> {
     /// Recover and mount a materialized pre-recovery image through the
     /// check's recovery memo: an image some crash state or classifier
     /// probe already recovered is not recovered again.
-    pub recover: &'a dyn Fn(&ServerStates) -> std::sync::Arc<Recovered>,
+    pub recover: &'a dyn Fn(&ServerStates) -> std::rc::Rc<Recovered>,
     /// The same consistency oracle the classifier probes with, inverted:
     /// `true` if a recovered view fails the golden-master comparison at
     /// the layer the run checks top-down.

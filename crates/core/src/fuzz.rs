@@ -35,8 +35,7 @@
 //! identical corpus and findings, sequential ≡ parallel. This holds
 //! because enumeration is RNG-free, sampling draws from a fixed-seed
 //! [`pc_rt::rng::Rng`], and the per-cell verdicts come from
-//! [`check_stack`](crate::check_stack), whose `canonical_report` is
-//! already `PC_THREADS`-invariant.
+//! [`check_stack`](crate::check_stack), which runs on one thread.
 
 use crate::check::{CheckOutcome, LayerVerdict};
 use pc_rt::hash::fnv1a;

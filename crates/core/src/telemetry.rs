@@ -64,7 +64,7 @@ fn stacks_json(snap: &TelemetrySnapshot) -> Json {
 /// The `pid` field carries the span's causal trace id plus one (0 is
 /// not a valid pid; untraced spans land in pid 1), so Perfetto groups
 /// each workload cell's cross-layer flow — workload replay, checker
-/// stages, `simnet` RPC deliveries on pool workers — as one process
+/// stages, `simnet` RPC deliveries — as one process
 /// lane per check.
 pub fn chrome_trace(snap: &TelemetrySnapshot) -> Json {
     let events = snap

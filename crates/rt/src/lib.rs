@@ -9,8 +9,8 @@
 //! pulled from crates.io:
 //!
 //! * [`pool`] — a scoped worker pool: a task scheduler
-//!   (`Pool::scope`) for pipelined stages (replaces `rayon` on the
-//!   crash-state verdict fan-out of Algorithm 1's exploration loop). Thread count comes from the
+//!   (`Pool::scope`) for pipelined stages (replaces `rayon`; a check
+//!   itself runs on one thread). Thread count comes from the
 //!   `PC_THREADS` environment variable, defaulting to the machine's
 //!   available parallelism.
 //! * [`intern`] — process-global symbol interning (`Sym`, a 4-byte id)

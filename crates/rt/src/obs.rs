@@ -48,7 +48,7 @@
 //!
 //! * `PC_TRACE=1` (or any other truthy value) — collect telemetry;
 //! * `PC_TRACE=summary` — collect *and* print a per-check summary table
-//!   (stage timings, counters, cache hit rates, pool utilization);
+//!   (stage timings, counters, cache hit rates, shared oracle work);
 //! * `PC_LOG` — the log threshold.
 //!
 //! Programmatic switches are one `fetch_or` / `fetch_and` each:
@@ -305,14 +305,13 @@ pub fn summary_enabled() -> bool {
 
 /// The ambient trace id every span and stream event records. Process
 /// global rather than thread local: a campaign checks one workload cell
-/// at a time, and the pool's verdict workers must inherit the cell's id
-/// without per-task plumbing. 0 = "no cell" (single-check CLI runs).
+/// at a time. 0 = "no cell" (single-check CLI runs).
 static TRACE_ID: AtomicU64 = AtomicU64::new(0);
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Set the ambient causal trace id (0 clears it). Campaign drivers call
 /// this once per workload cell so every span — down to `simnet` RPC
-/// deliveries on pool worker threads — tags the cell that caused it.
+/// deliveries — tags the cell that caused it.
 pub fn set_trace_id(id: u64) {
     TRACE_ID.store(id, Ordering::Relaxed);
 }
@@ -703,8 +702,8 @@ pub fn span_totals<N: PartialEq>(spans: impl IntoIterator<Item = (N, u64)>) -> V
 /// Render the human-readable summary table of everything recorded since
 /// `mark`: per-span-name call counts and timings, counter deltas, gauges,
 /// plus derived lines — a hit rate for every `X.hits` /
-/// `X.misses` counter pair, the verdict stage's join wait, and pool
-/// utilization when the pool gauges are present.
+/// `X.misses` counter pair, and oracle work executed against work a
+/// shared answer saved.
 pub fn render_summary(mark: &Mark, title: &str) -> String {
     use std::fmt::Write as _;
     let reg = lock(&REGISTRY);
@@ -853,67 +852,6 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
         }
     }
 
-    // Derived: how much of the verdict scope its producer spent blocked
-    // in `join` after it had spawned the last task — time in which only
-    // the workers (`PC_THREADS − 1` of them) made progress.
-    let span_total = |name: &str| -> u64 {
-        agg.iter()
-            .find(|t| t.name == name)
-            .map_or(0, |t| t.total_ns)
-    };
-    let (join_wait, verdicts) = (span_total("check.join_wait"), span_total("check.verdicts"));
-    if join_wait > 0 && verdicts > 0 {
-        let _ = writeln!(
-            out,
-            "  {:<34} {:>7.1}%  (producer blocked {} of the {} verdict stage)",
-            "verdict join wait",
-            100.0 * join_wait as f64 / verdicts as f64,
-            fmt_ns(join_wait as f64),
-            fmt_ns(verdicts as f64),
-        );
-    }
-
-    // Derived: pool utilization = busy time / (span wall × workers).
-    // Under `PC_THREADS=1` the pool takes the inline reference path —
-    // work runs on the caller with no worker threads to divide by,
-    // so utilization is meaningless there, not 0%.
-    let workers = reg.gauges.get("pool.workers").copied().unwrap_or(0);
-    if let Some(busy) = get("pool.busy_ns") {
-        let wall = span_total("pool.scope");
-        if workers > 1 && wall > 0 {
-            let _ = writeln!(
-                out,
-                "  {:<34} {:>7.1}%  (busy {} over {workers} workers × {})",
-                "pool utilization",
-                100.0 * busy as f64 / (wall as f64 * workers as f64),
-                fmt_ns(busy as f64),
-                fmt_ns(wall as f64),
-            );
-        } else if workers <= 1 {
-            let _ = writeln!(
-                out,
-                "  {:<34} {:>8}  (inline reference path, busy {})",
-                "pool utilization",
-                "n/a",
-                fmt_ns(busy as f64),
-            );
-        }
-    }
-
-    // Derived: scheduler traffic, when `Pool::scope` ran with workers.
-    // The inline path queues nothing, so there is no peak to report
-    // under `PC_THREADS=1` — skip the row entirely.
-    if workers > 1 {
-        if let Some(scopes) = get("pool.scope_calls") {
-            let queued = get("pool.tasks_queued").unwrap_or(0);
-            let peak = reg.gauges.get("pool.max_queue_depth").copied().unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "  {:<34} {queued:>8}  (over {scopes} scope runs, peak queue {peak})",
-                "pool tasks",
-            );
-        }
-    }
     out
 }
 
@@ -1106,8 +1044,8 @@ mod tests {
     }
 
     /// The spans and self-time stacks of `snap` whose (outermost) name
-    /// starts with `prefix`: the pool's own tests run beside these and
-    /// record a scope span whenever they find telemetry on.
+    /// starts with `prefix`, so that what a test running beside these
+    /// records does not count.
     fn named<'a>(
         snap: &'a TelemetrySnapshot,
         prefix: &str,
@@ -1282,20 +1220,6 @@ mod tests {
             // Nothing recovered in the window: no line.
             let text = render_summary(&mark(), "unit");
             assert!(!text.contains("recoveries"), "{text}");
-        });
-    }
-
-    #[test]
-    fn summary_derives_the_verdict_join_wait() {
-        with_telemetry(|| {
-            let m = mark();
-            {
-                let _verdicts = span("check.verdicts");
-                let _wait = span("check.join_wait");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            let text = render_summary(&m, "unit");
-            assert!(text.contains("verdict join wait"), "{text}");
         });
     }
 

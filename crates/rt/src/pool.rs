@@ -1,9 +1,12 @@
 //! Scoped worker pool: a task scheduler ([`Pool::scope`]) on borrowed
 //! data, built on [`std::thread::scope`].
 //!
-//! This is the fan-out engine for Algorithm 1's exploration loop: the
-//! checker builds its legal-state tables, then spawns one verdict task
-//! per crash state, each returning a [`TaskHandle`]. Workers share one
+//! A check runs on one thread, so the checker spawns no tasks. The
+//! pool's callers are `pc-benchmark` (its spawn probe calls [`scope`],
+//! its `--threads` sets [`THREADS_ENV`], its ledger reads
+//! [`default_threads`]) and the `catch_unwind` sites that render a
+//! payload with [`panic_message`]. Its next caller is a sweep that keeps
+//! `PC_THREADS` cells in flight (ROADMAP item 1(c)). Workers share one
 //! locked queue and take a task as soon as it is spawned, while the
 //! caller is still spawning the rest.
 //!
@@ -38,7 +41,6 @@
 use crate::lock;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Instant;
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = crate::env::THREADS;
@@ -102,19 +104,10 @@ impl Pool {
     /// from [`TaskHandle::join`], never aborting sibling tasks.
     pub fn scope<'env, R>(&self, body: impl FnOnce(&TaskScope<'_, 'env>) -> R) -> R {
         let workers = self.threads.max(1).saturating_sub(1).min(MAX_SCOPE_WORKERS);
-        let t_on = crate::obs::enabled();
-        // The scope span is the wall-time denominator the summary's
-        // pool-utilization line divides busy time by.
-        let _span = t_on.then(|| crate::obs::span_cat("pool.scope", "pool"));
-        if t_on {
-            crate::obs::count("pool.scope_calls", 1);
-            crate::obs::gauge_max("pool.workers", self.threads.max(1) as u64);
-        }
         let sched = Sched {
             queue: Mutex::new((VecDeque::new(), false)),
             wake: Condvar::new(),
             inline: workers == 0,
-            telemetry: t_on,
         };
         if workers == 0 {
             let scope = TaskScope { sched: &sched };
@@ -149,12 +142,10 @@ type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 /// queue empty cannot miss the push that follows.
 ///
 /// Jobs are pushed at the back and popped at the back — newest first.
-/// `check_stack` joins its handles in spawn order, each on its own
-/// condvar: when the oldest task runs first the producer is woken once
-/// per task (join 0 returns, join 1 blocks, …); when it runs last the
-/// producer sleeps through the drain and every later join finds its
-/// result ready. Measured on the 2-core box, `fuzz_pr_tier` `pass_ms`:
-/// 553–586 oldest-first vs 461–487 newest-first (+19 % on medians). A
+/// A caller that joins its handles in spawn order, each on its own
+/// condvar, is then woken once at the end of the drain instead of once
+/// per task (join 0 returns, join 1 blocks, …): 19 % of a PR-tier
+/// sweep's `pass_ms`, measured on a 2-core box with verdict tasks. A
 /// `join` that runs queued tasks itself would make the order free to
 /// choose.
 struct Sched<'env> {
@@ -162,21 +153,12 @@ struct Sched<'env> {
     wake: Condvar,
     /// No workers (`PC_THREADS=1`): `spawn` runs the task itself.
     inline: bool,
-    telemetry: bool,
 }
 
 impl<'env> Sched<'env> {
     fn push(&self, job: Job<'env>) {
-        let depth = {
-            let mut queue = lock(&self.queue);
-            queue.0.push_back(job);
-            queue.0.len()
-        };
+        lock(&self.queue).0.push_back(job);
         self.wake.notify_one();
-        if self.telemetry {
-            crate::obs::count("pool.tasks_queued", 1);
-            crate::obs::gauge_max("pool.max_queue_depth", depth as u64);
-        }
     }
 
     /// Mark the producer done and wake everyone so idle workers can
@@ -191,7 +173,7 @@ impl<'env> Sched<'env> {
         loop {
             if let Some(job) = queue.0.pop_back() {
                 drop(queue);
-                self.run(job);
+                job();
                 queue = lock(&self.queue);
             } else if queue.1 {
                 return;
@@ -203,19 +185,6 @@ impl<'env> Sched<'env> {
                     .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-        }
-    }
-
-    /// Run one task, with the counters that keep task totals identical
-    /// across `PC_THREADS` widths (the inline path runs through here too).
-    fn run(&self, job: impl FnOnce()) {
-        if self.telemetry {
-            let t = Instant::now();
-            job();
-            crate::obs::count("pool.tasks_executed", 1);
-            crate::obs::count("pool.busy_ns", t.elapsed().as_nanos() as u64);
-        } else {
-            job();
         }
     }
 }
@@ -282,10 +251,7 @@ impl<'env> TaskScope<'_, 'env> {
             result_cell.fill(out);
         };
         if self.sched.inline {
-            if self.sched.telemetry {
-                crate::obs::count("pool.tasks_queued", 1);
-            }
-            self.sched.run(run);
+            run();
         } else {
             self.sched.push(Box::new(run));
         }
@@ -441,11 +407,9 @@ mod tests {
         assert!(lock(&ids).len() > 1, "only one worker ran tasks");
     }
 
-    /// The queue is popped newest-first, on purpose: `check.rs` joins its
-    /// handles in spawn order, so under the other order the producer is
-    /// woken once per task (+19 % `fuzz_pr_tier` `pass_ms` measured with
-    /// an oldest-first queue). A caller-helps `join` (ROADMAP 1(a)) is
-    /// what would make the order free to choose.
+    /// The queue is popped newest-first, on purpose: a caller that joins
+    /// its handles in spawn order would otherwise be woken once per task
+    /// (see [`Sched`]).
     #[test]
     fn one_worker_runs_the_newest_queued_task_first() {
         use std::sync::mpsc::channel;

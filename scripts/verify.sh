@@ -16,29 +16,31 @@
 #      no test under `crates/` setting its own process's environment.
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` decide identically in debug and in release, at
-#      PC_THREADS=1 and with the pool (with them the golden walk, the
+#      both widths — PC_THREADS=1 and the default now run the same
+#      sequential check, and gates 4–8 pair the widths to guard cells run
+#      side by side (ROADMAP item 1(c)); with them the golden walk, the
 #      pfs fork and the fsck repairs in release, GPFS/H5-resize through the
-#      CLI); the property
+#      CLI; the property
 #      suite again in release, more cases; `benchmark/run.sh --smoke`
 #      builds `benchmark/` (no other gate does) and reproduces its pins.
 #   5. Observability — a PR-tier fuzz run with both sinks attached
-#      prints the pinned report, on the pool and at PC_THREADS=1, and
+#      prints the pinned report at both widths, and
 #      `paracrash report` reads back and renders each set; the stream has
 #      no span/counter line and projects seq ≡ par (`--canonical-diff`);
 #      the trace's `stacks` name the stages down to `rpc.message`, `h5.parse`;
 #      the dashboard has every panel and no script or link; the planes'
 #      *disabled* sites cost a checked cell under 3% (`selftest obs`).
 #   6. Torn writes — one torn-write seed gives bit-identical CLI reports
-#      across thread counts (torn states recover past the recovery memo,
-#      so this is the run whose schedule could leak into a verdict), and
+#      at both widths (torn states recover past the recovery memo, so a
+#      schedule that reached a verdict would show here first), and
 #      a fault-free full matrix reproduces exactly the fifteen Table 3
 #      bugs.
 #   7. Provenance — a full-matrix `--explain-out` run emits one `.md` +
-#      `.dot` bundle per bug, byte-identical on the pool and at
-#      PC_THREADS=1, each graph linted (`selftest explain DIR`).
+#      `.dot` bundle per bug, byte-identical at both widths, each graph
+#      linted (`selftest explain DIR`).
 #   8. Fuzz triage — a sampled sweep with `--findings-out` writes its
-#      `.repro` bundles (gate 5 holds the PR tier to its pin on the pool
-#      and at PC_THREADS=1). PC_FUZZ_NIGHTLY=1 adds the bound-3 all-FS
+#      `.repro` bundles (gate 5 holds the PR tier to its pin at both
+#      widths). PC_FUZZ_NIGHTLY=1 adds the bound-3 all-FS
 #      all-mode sampled sweep, run twice and diffed.
 #   9. Rustdoc — `cargo doc --no-deps` builds with -D warnings.
 #  10. Flag drift — every `--flag` and every `PC_*` variable printed by
@@ -128,18 +130,16 @@ grep -rnE '\.get\("(traceEvents|otherData|ts_ns|published)"\)' crates/*/src | gr
 grep -rnE 'env::(set|remove)_var' crates && { echo "FAIL: a test sets its own environment"; exit 1; } || true
 
 echo "== gate 4: check_stack vs check_reference, sequential and parallel; wide property sweep; benchmark smoke =="
-# Sequentially, then on the default pool (`-u`: unset). Again as the code
-# ships (a release build races the verdict tasks for a memo slot the way a
-# debug build does not), with the golden walk's tests, the models' fork and
-# their fsck repairs.
+# At PC_THREADS=1, then at the default width (`-u`: unset). Again as the
+# code ships, with the golden walk's tests, the models' fork and their
+# fsck repairs.
 for pool in PC_THREADS=1 -uPC_THREADS; do
     env "$pool" cargo test -q --offline --test differential
     env "$pool" cargo test -q --offline --release --test differential
     env "$pool" cargo test -q --offline --release -p paracrash -p pfs -- golden fork fsck
 done
 PC_PROPTEST_CASES=2048 cargo test -q --offline --release --test properties
-# The cell whose images collapse most, through the CLI: who fills a memo
-# slot first depends on the schedule, what the checker decides must not.
+# The cell whose images collapse most, through the CLI, at both widths.
 cargo build --release --offline -p pc-bench
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -188,7 +188,7 @@ fi
 
 echo "== gate 7: explain bundles =="
 # Full matrix: multi-cell runs always exit 0; bugs land as bundles (192
-# files), and ddmin's probe schedule must not leak into them.
+# files), identical at both widths.
 target/release/paracrash --fs all --program all --explain-out "$tmp/explain" > /dev/null
 PC_THREADS=1 target/release/paracrash --fs all --program all --explain-out "$tmp/explain-seq" > /dev/null
 diff -r "$tmp/explain" "$tmp/explain-seq"
@@ -227,8 +227,8 @@ meta_servers = 32
 storage_servers = 32
 EOF
 seq_eq_par --fs BeeGFS --program ARVR --config "$tmp/scale.conf"
-# The 256-server scale_256 cell: its verdict tasks share recovery-memo
-# slots and the lazily built baseline index of the dirty-server fsck.
+# The 256-server scale_256 cell: its verdicts share recovery-memo
+# entries and the lazily built baseline index of the dirty-server fsck.
 cat > "$tmp/scale256.conf" <<'EOF'
 meta_servers = 128
 storage_servers = 128

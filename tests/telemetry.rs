@@ -1,7 +1,7 @@
 //! Integration tests for the `pc_rt::obs` telemetry layer as wired
-//! through the checker pipeline: span nesting, deterministic counter
-//! aggregation across pool widths, the Chrome-trace serialization
-//! round-trip, and cache-stats surfacing in `ExploreStats`.
+//! through the checker pipeline: span nesting, the Chrome-trace
+//! serialization round-trip, a check that stays on one thread, and
+//! cache-stats surfacing in `ExploreStats`.
 
 use paracrash::telemetry::{chrome_trace, read_trace};
 use paracrash::{check_stack, CheckConfig};
@@ -48,34 +48,6 @@ fn spans_nest_with_increasing_depth() {
     // The inner span starts no earlier and ends no later than the outer.
     assert!(inner.start_ns >= outer.start_ns);
     assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
-}
-
-#[test]
-fn pool_counters_are_deterministic_across_widths() {
-    let _guard = TEST_LOCK.lock().unwrap();
-    const TASKS: usize = 100;
-    let run = |threads: usize| {
-        let ((), snap) = with_telemetry(|| {
-            let out: Vec<u64> = pc_rt::pool::Pool::with_threads(threads).scope(|sc| {
-                let handles: Vec<_> = (0..TASKS).map(|i| sc.spawn(move || i as u64 * 3)).collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            assert_eq!(out.len(), TASKS);
-        });
-        snap
-    };
-    let seq = run(1);
-    let par = run(4);
-    for snap in [&seq, &par] {
-        assert_eq!(counter(snap, "pool.tasks_queued"), TASKS as u64);
-        assert_eq!(counter(snap, "pool.tasks_executed"), TASKS as u64);
-        assert_eq!(counter(snap, "pool.scope_calls"), 1);
-    }
-    // Totals must agree bit-for-bit regardless of worker count.
-    assert_eq!(
-        counter(&seq, "pool.tasks_executed"),
-        counter(&par, "pool.tasks_executed")
-    );
 }
 
 #[test]
@@ -149,7 +121,6 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
         "check.materialize",
         "check.legal_states",
         "check.verdicts",
-        "check.join_wait",
         "snapshot.materialize",
         "pfs.mount",
         "recover/BeeGFS",
@@ -173,24 +144,43 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
     let line = summary.lines().find(|l| l.contains("recoveries "));
     let line = line.unwrap_or_else(|| panic!("no recoveries line in:\n{summary}"));
     assert!(line.contains(&format!("{executed}  executed ({shared} more")));
-    // Producer time and join wait partition the verdict stage.
+    // The golden walks nest inside the verdict stage.
     let span = |name: &str| snap.spans.iter().find(|s| s.name == name).unwrap();
-    let (legal, wait, verdicts) = (
-        span("check.legal_states"),
-        span("check.join_wait"),
-        span("check.verdicts"),
-    );
+    let (legal, verdicts) = (span("check.legal_states"), span("check.verdicts"));
+    assert_eq!(legal.depth, verdicts.depth + 1);
     assert!(verdicts.start_ns <= legal.start_ns);
-    assert!(legal.start_ns + legal.dur_ns <= wait.start_ns);
-    assert!(wait.start_ns + wait.dur_ns <= verdicts.start_ns + verdicts.dur_ns);
+    assert!(legal.start_ns + legal.dur_ns <= verdicts.start_ns + verdicts.dur_ns);
     // Stage spans nest under the check_stack root.
-    let root = snap.spans.iter().find(|s| s.name == "check_stack").unwrap();
+    let root = span("check_stack");
     let enumerate = snap
         .spans
         .iter()
         .find(|s| s.name == "check.enumerate")
         .unwrap();
     assert!(enumerate.depth > root.depth);
+}
+
+/// A check runs on one thread, whatever `PC_THREADS` says: it opens no
+/// pool scope, bumps no `pool.*` counter or gauge, and records every
+/// span on the thread that opened `check_stack`.
+#[test]
+fn a_check_runs_on_one_thread() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let params = Params::quick();
+    let stack = Program::H5Create.run(FsKind::BeeGfs, &params);
+    let factory = FsKind::BeeGfs.factory(&params);
+    let ((), snap) = with_telemetry(|| {
+        check_stack(&stack, &factory, &CheckConfig::paper_default());
+    });
+    assert!(snap.spans.iter().all(|s| s.name != "pool.scope"));
+    let pooled: Vec<&str> = (snap.counters.iter().chain(&snap.gauges))
+        .map(|(name, _)| name.as_str())
+        .filter(|name| name.starts_with("pool."))
+        .collect();
+    assert!(pooled.is_empty(), "pool counters {pooled:?}");
+    let root = snap.spans.iter().find(|s| s.name == "check_stack").unwrap();
+    assert!(snap.spans.iter().all(|s| s.tid == root.tid));
+    assert!(snap.spans.iter().any(|s| s.name == "check.verdicts"));
 }
 
 /// H5-resize at the split dims is one 80-call chain under the resize:
