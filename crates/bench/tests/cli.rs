@@ -388,7 +388,7 @@ fn file_validators_reject_truncated_artifacts() {
     let text = good.clone().map(|p| std::fs::read_to_string(p).unwrap());
     // The trailer claims more events than the stream holds.
     let (body, _) = text[0].trim_end().rsplit_once('\n').unwrap();
-    let miscounted = format!("{body}\n{{\"schema_version\":2,\"published\":9999}}\n");
+    let miscounted = format!("{body}\n{{\"schema_version\":3,\"published\":9999}}\n");
     // The spans reversed, the first three of them begin (`B`) events.
     let mut doc = Json::parse(&text[1]).unwrap();
     let Json::Arr(spans) = member(&mut doc, "traceEvents") else {
@@ -445,7 +445,7 @@ fn file_validators_reject_truncated_artifacts() {
 
     // A `--telemetry` file that is not a trace-event file is turned away
     // instead of rendering empty stage and allocation panels.
-    std::fs::write(path("plain.json"), "{\"schema_version\":2,\"spans\":[]}\n").unwrap();
+    std::fs::write(path("plain.json"), "{\"schema_version\":3,\"spans\":[]}\n").unwrap();
     let bad = report(&[good[0].clone(), path("plain.json")]);
     assert_eq!(bad.status.code(), Some(1), "{bad:?}");
     let err = String::from_utf8_lossy(&bad.stderr);

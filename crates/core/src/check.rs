@@ -258,24 +258,25 @@ type Bugs = BTreeMap<(BugSignature, LayerVerdict), (Inconsistency, usize)>;
 // The checker is a chain of stages; each takes the outputs of the stages
 // before it, so the order lives in the signatures:
 //
-//   analyze → enumerate → materialize → legal_and_verdicts
-//           → prune_and_classify → cost → explain
+//   analyze → enumerate → materialize → legal_states
+//           → prune_and_judge → cost → explain
 //
 // `check_stack` is that chain. `check_reference` shares every stage
-// except materialize / legal_and_verdicts — how a crash state becomes a
-// recovered view — which it replaces with the obvious per-state loop.
+// but materialize and legal_states: it hands `prune_and_judge` its own
+// legal lists and verdict — the obvious per-state replays, and a
+// deep-cloned image recovered afresh.
 //
 // Golden states — what a recovered view is compared against — come from
 // `golden::legal_lists`: in `check_stack` one walk per layer over the
 // preserved sets of every candidate set `enumerate` interned, run by
-// `legal_and_verdicts` before its first verdict; in
-// `check_reference` one full replay per preserved set per state.
+// `legal_states` before the first verdict; in `check_reference` one
+// full replay per preserved set per checked state.
 //
-// Three stages turn on-disk images into recovered views: the verdicts
-// (one image per prefix-tree representative), the classifier's
-// flip oracle in prune_and_classify (hypothetical persisted sets) and
-// explain's ddmin probes. All three ask the analysis' `RecoveryMemo`,
-// so within one check an image is recovered once, whoever asks first.
+// Three places turn on-disk images into recovered views: the verdicts
+// (one image per prefix-tree representative), the classifier's flip
+// oracle (hypothetical persisted sets) and explain's ddmin probes. All
+// three ask the analysis' `RecoveryMemo`, so within one check an image
+// is recovered once, whoever asks first.
 
 /// Stage 1 output: everything derived from the traced run alone.
 struct Analysis<'a> {
@@ -456,13 +457,12 @@ struct Materialized {
     rep_digests: Vec<u64>,
 }
 
-/// Stage 4 output, by state index. A panicking model or recovery tool
-/// poisons only its own crash state (`Err(message)`), which stage 5
-/// turns into a diagnostic entry instead of aborting the run.
-#[derive(Default)]
-struct Verdicts {
-    legal: Vec<Result<LegalStates, String>>,
-    verdicts: Vec<Result<Verdict, String>>,
+/// Stage 4 output: one legal list per distinct candidate set, so crash
+/// state `i` is judged against `lists.of(e.sets_of[i])`. A panicking
+/// golden replay is stored as its message, which stage 5 turns into a
+/// diagnostic of each state that names the set.
+struct Legal {
+    lists: golden::Golden,
     /// Legal-list table traffic per layer (how the stage ran, not what
     /// it found).
     pfs_cache: CacheStats,
@@ -616,7 +616,7 @@ fn layer_verdict(a: &Analysis, recovered: &Recovered, legal: &LegalStates) -> Ve
     })
 }
 
-/// Stage 4's per-state verdict: recover and mount crash state `i`, then
+/// `check_stack`'s verdict: recover and mount crash state `i`, then
 /// judge it. Crash states whose storage-event sequences land on the
 /// same prefix-tree terminal have *identical* prepared snapshots, so the
 /// memo is asked for the representative's image (one digest per
@@ -650,35 +650,13 @@ fn verdict_of(
     layer_verdict(a, &recovered, legal)
 }
 
-/// Stage 4. The golden walks run first: they leave one legal list per
-/// distinct candidate set (`Enumerated` interned them, so a list is an
-/// index away). Then each state in checking order takes its verdict
-/// against the two lists it names, one state after another as in
-/// Algorithm 1; a panic poisons only its own state.
-fn legal_and_verdicts(
-    a: &Analysis,
-    factory: &StackFactory,
-    e: &Enumerated,
-    m: &Materialized,
-) -> Verdicts {
-    let n = e.states.len();
+/// Stage 4, the golden walks: one legal list per distinct candidate set
+/// (`Enumerated` interned them, so a state's lists are an index away).
+fn legal_states(a: &Analysis, factory: &StackFactory, e: &Enumerated) -> Legal {
+    let _stage = pc_rt::obs::span_cat("check.legal_states", "check");
     let mut walk = golden::WalkStats::default();
-    let stage_verdicts = pc_rt::obs::span_cat("check.verdicts", "check");
-    let stage_legal = pc_rt::obs::span_cat("check.legal_states", "check");
     let sets = (&e.pfs_sets[..], &e.h5_sets[..]);
     let lists = golden::legal_lists(a.stack, a.cfg, &a.graph, factory, sets, Some(&mut walk));
-    drop(stage_legal);
-    let legal: Vec<Result<LegalStates, String>> = (e.sets_of.iter())
-        .map(|&(pfs_id, h5_id)| lists.of(pfs_id, h5_id))
-        .collect();
-    let mut verdicts: Vec<Result<Verdict, String>> = vec![Ok(None); n];
-    for &idx in &e.order {
-        verdicts[idx] = match &legal[idx] {
-            Ok(legal) => caught(|| verdict_of(a, e, m, idx, legal)),
-            Err(msg) => Err(format!("legal-state replay failed: {msg}")),
-        };
-    }
-    drop(stage_verdicts);
     // `enumerate` interned the candidate sets from the states, so each
     // list is named by at least one: a miss the first time, a hit for
     // every other state that looks it up.
@@ -687,21 +665,28 @@ fn legal_and_verdicts(
         misses: sets.len(),
     };
     let h5_lookups = e.sets_of.iter().filter(|(_, h5)| h5.is_some()).count();
-    Verdicts {
-        legal,
-        verdicts,
-        pfs_cache: table(&e.pfs_sets, n),
+    Legal {
+        lists,
+        pfs_cache: table(&e.pfs_sets, e.states.len()),
         h5_cache: table(&e.h5_sets, h5_lookups),
         replays: (walk.executed, walk.shared),
         walked: (walk.dispatched, walk.forks),
     }
 }
 
-/// Stage 5: walk the checking order; skip states the §5.3 pruner has
-/// learned are redundant, turn poisoned states into diagnostics, and
-/// aggregate or classify the inconsistent ones.
-fn prune_and_classify(a: &Analysis, e: &Enumerated, v: &Verdicts) -> Classified {
-    let _stage = pc_rt::obs::span_cat("check.prune", "check");
+/// Stage 5, Algorithm 1's loop. Walk the checking order, one state after
+/// another; skip a state the §5.3 pruner has learned is redundant before
+/// anything is recovered for it; judge every other one against
+/// `legal_of` with `verdict`; aggregate or classify the inconsistent
+/// ones. A panicking model, replay or recovery tool poisons only its
+/// own state, as a diagnostic.
+fn prune_and_judge(
+    a: &Analysis,
+    e: &Enumerated,
+    legal_of: impl Fn(usize) -> Result<LegalStates, String>,
+    verdict: impl Fn(usize, &LegalStates) -> Verdict,
+) -> Classified {
+    let _stage = pc_rt::obs::span_cat("check.judge", "check");
     let mut c = Classified::default();
     let mut pruner = Pruner::new();
     fn diagnose(c: &mut Classified, line: String) {
@@ -714,8 +699,12 @@ fn prune_and_classify(a: &Analysis, e: &Enumerated, v: &Verdicts) -> Classified 
             continue;
         }
         c.checked.push(idx);
-        let verdict = match &v.verdicts[idx] {
-            Ok(verdict) => *verdict,
+        let judged = match legal_of(idx) {
+            Ok(legal) => caught(|| verdict(idx, &legal)).map(|v| (v, legal)),
+            Err(msg) => Err(format!("legal-state replay failed: {msg}")),
+        };
+        let (verdict, legal) = match judged {
+            Ok(judged) => judged,
             Err(msg) => {
                 diagnose(&mut c, format!("crash state {idx}: {msg}"));
                 continue;
@@ -728,13 +717,10 @@ fn prune_and_classify(a: &Analysis, e: &Enumerated, v: &Verdicts) -> Classified 
         if inconsistency.0 == LayerVerdict::IoLibBug {
             c.h5_bad_pfs_ok += 1;
         }
-        let Ok(legal) = &v.legal[idx] else {
-            unreachable!("verdict computed implies legal states exist")
-        };
         // The classifier's flip oracle re-runs recovery on probe
         // states; a panic there poisons only this state.
         if let Err(msg) = caught(|| {
-            aggregate_or_classify(a, e, idx, inconsistency, legal, &mut c.bugs, &mut pruner)
+            aggregate_or_classify(a, e, idx, inconsistency, &legal, &mut c.bugs, &mut pruner)
         }) {
             diagnose(
                 &mut c,
@@ -859,14 +845,14 @@ fn cost(a: &Analysis, e: &Enumerated, c: &Classified) -> (f64, usize) {
 /// Presentation-plane: a panic inside it is a warning, never a
 /// diagnostic, so `canonical_report()` is identical with explain on or
 /// off.
-fn explain(a: &Analysis, e: &Enumerated, v: &Verdicts, c: &Classified) -> Vec<BugExplanation> {
+fn explain(a: &Analysis, e: &Enumerated, l: &Legal, c: &Classified) -> Vec<BugExplanation> {
     let mut explanations = Vec::new();
     if !a.cfg.explain || c.bugs.is_empty() {
         return explanations;
     }
     let _stage = pc_rt::obs::span_cat("check.explain", "check");
     for ((sig, _), (bug, widx)) in &c.bugs {
-        let Ok(legal) = &v.legal[*widx] else {
+        let Ok(legal) = l.lists.of(e.sets_of[*widx]) else {
             continue;
         };
         let ctx = crate::explain::ExplainCtx {
@@ -877,7 +863,7 @@ fn explain(a: &Analysis, e: &Enumerated, v: &Verdicts, c: &Classified) -> Vec<Bu
             sigs: &a.sigs,
             legal_views: &legal.0,
             recover: &|image| a.memo.of_image(a.stack.pfs.as_ref(), image),
-            fails: &|recovered| violated_model(a, recovered, legal).is_some(),
+            fails: &|recovered| violated_model(a, recovered, &legal).is_some(),
         };
         match caught(|| crate::explain::explain_bug(&ctx, bug, &e.states[*widx], *widx)) {
             Ok(e) => explanations.push(e),
@@ -888,11 +874,12 @@ fn explain(a: &Analysis, e: &Enumerated, v: &Verdicts, c: &Classified) -> Vec<Bu
     explanations
 }
 
-/// Assemble what the stages decided into the public outcome.
+/// Assemble what the stages decided into the public outcome; how they
+/// ran (cache traffic, wall time) and the explanations stay at their
+/// defaults.
 fn outcome(
     a: &Analysis,
     e: &Enumerated,
-    v: &Verdicts,
     c: Classified,
     (sim_seconds, server_rebuilds): (f64, usize),
     rep_digests: Vec<u64>,
@@ -909,10 +896,7 @@ fn outcome(
             states_diagnostic: c.diagnostics.len(),
             server_rebuilds,
             sim_seconds,
-            wall_seconds: 0.0,
-            legal_replays: v.pfs_cache.misses + v.h5_cache.misses,
-            pfs_cache: v.pfs_cache,
-            h5_cache: v.h5_cache,
+            ..ExploreStats::default()
         },
         diagnostics: c.diagnostics,
         explanations: Vec::new(),
@@ -929,22 +913,29 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
     let a = analyze(stack, cfg, RecoveryMemo::new());
     let e = enumerate(&a);
     let m = materialize(&a, &e);
-    let v = legal_and_verdicts(&a, factory, &e, &m);
-    let c = prune_and_classify(&a, &e, &v);
+    let l = legal_states(&a, factory, &e);
+    let c = prune_and_judge(
+        &a,
+        &e,
+        |i| l.lists.of(e.sets_of[i]),
+        |i, legal| verdict_of(&a, &e, &m, i, legal),
+    );
     let cost = cost(&a, &e, &c);
-    let explanations = explain(&a, &e, &v, &c);
+    let explanations = explain(&a, &e, &l, &c);
 
-    let mut out = outcome(&a, &e, &v, c, cost, m.rep_digests);
+    let mut out = outcome(&a, &e, c, cost, m.rep_digests);
     out.explanations = explanations;
+    out.stats.legal_replays = l.pfs_cache.misses + l.h5_cache.misses;
+    (out.stats.pfs_cache, out.stats.h5_cache) = (l.pfs_cache, l.h5_cache);
     out.stats.wall_seconds = started.elapsed().as_secs_f64();
-    publish(&out, &v, a.pa.closures_taken(), check_span, &tl_mark);
+    publish(&out, &l, a.pa.closures_taken(), check_span, &tl_mark);
     out
 }
 
 /// Counters and the `PC_TRACE=summary` table for one finished check.
 fn publish(
     out: &CheckOutcome,
-    v: &Verdicts,
+    l: &Legal,
     closures: u64,
     check_span: pc_rt::obs::Span,
     tl_mark: &pc_rt::obs::Mark,
@@ -954,10 +945,10 @@ fn publish(
     pc_rt::obs::count("cache.pfs.misses", stats.pfs_cache.misses as u64);
     pc_rt::obs::count("cache.h5.hits", stats.h5_cache.hits as u64);
     pc_rt::obs::count("cache.h5.misses", stats.h5_cache.misses as u64);
-    pc_rt::obs::count("replay.executed", v.replays.0 as u64);
-    pc_rt::obs::count("replay.shared", v.replays.1 as u64);
-    pc_rt::obs::count("replay.dispatched", v.walked.0 as u64);
-    pc_rt::obs::count("replay.forks", v.walked.1 as u64);
+    pc_rt::obs::count("replay.executed", l.replays.0 as u64);
+    pc_rt::obs::count("replay.shared", l.replays.1 as u64);
+    pc_rt::obs::count("replay.dispatched", l.walked.0 as u64);
+    pc_rt::obs::count("replay.forks", l.walked.1 as u64);
     pc_rt::obs::count("persist.closures", closures);
     pc_rt::obs::count("check.states_checked", stats.states_checked as u64);
     pc_rt::obs::count("check.states_pruned", stats.states_pruned as u64);
@@ -974,11 +965,11 @@ fn publish(
 }
 
 /// The reference checker: the same analysis, enumeration, legal-state
-/// sets, Figure 6 verdict, classification and cost model as
-/// [`check_stack`], but each crash state becomes a recovered view the
-/// obvious way — deep-clone the baseline, apply the persisted events,
-/// tear the victims, recover, mount — one state at a time, with no
-/// prefix tree, no shared views and no replay table.
+/// sets, Figure 6 verdict, prune/classify loop and cost model as
+/// [`check_stack`], but each checked crash state becomes a recovered
+/// view the obvious way — deep-clone the baseline, apply the persisted
+/// events, tear the victims, recover, mount — with its legal lists
+/// replayed afresh: no prefix tree, no shared views and no replay table.
 /// `tests/differential.rs` holds `check_stack` to it: everything a
 /// checker *decides* (the canonical report, `rep_digests`, state counts,
 /// the cost model) must match byte for byte; cache traffic, wall time
@@ -989,40 +980,38 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
     let a = analyze(stack, cfg, RecoveryMemo::never());
     let e = enumerate(&a);
     let rec = &stack.rec;
-    let mut v = Verdicts::default();
+    let image = |i: usize| {
+        let mut st = stack.pfs.baseline().deep_clone();
+        st.apply_events(rec, e.states[i].persisted.iter());
+        st
+    };
     // Every state's pre-recovery digest: the same set as one digest per
     // distinct storage-event sequence.
     let mut rep_digests = BTreeSet::new();
-    for (i, state) in e.states.iter().enumerate() {
-        let mut st = stack.pfs.baseline().deep_clone();
-        st.apply_events(rec, state.persisted.iter());
-        if cfg.collect_rep_digests {
-            rep_digests.insert(st.digest());
-        }
-        // No table: every preserved set of every state is replayed
-        // afresh.
+    if cfg.collect_rep_digests {
+        rep_digests.extend((0..e.states.len()).map(|i| image(i).digest()));
+    }
+    // No table: every preserved set of a checked state is replayed
+    // afresh.
+    let legal_of = |i: usize| {
         let (pfs, h5) = e.sets_of[i];
         let pfs = std::slice::from_ref(&e.pfs_sets[pfs]);
         let h5 = h5.map_or(&[][..], |h5| std::slice::from_ref(&e.h5_sets[h5]));
-        let legal = golden::legal_lists(stack, cfg, &a.graph, factory, (pfs, h5), None)
-            .of(0, h5.first().map(|_| 0));
-        let verdict = match &legal {
-            Ok(legal) => caught(|| {
-                if let Some(seed) = cfg.torn_seed {
-                    let victims = state.victims.iter().copied();
-                    st.apply_torn_victims(rec, victims, &mut torn_rng(seed, i));
-                }
-                let view = recover_and_mount(stack.pfs.as_ref(), &mut st);
-                layer_verdict(&a, &Recovered::mounted(view), legal)
-            }),
-            Err(e) => Err(format!("legal-state replay failed: {e}")),
-        };
-        v.legal.push(legal);
-        v.verdicts.push(verdict);
-    }
-    let c = prune_and_classify(&a, &e, &v);
+        golden::legal_lists(stack, cfg, &a.graph, factory, (pfs, h5), None)
+            .of((0, h5.first().map(|_| 0)))
+    };
+    let verdict = |i: usize, legal: &LegalStates| {
+        let mut st = image(i);
+        if let Some(seed) = cfg.torn_seed {
+            let victims = e.states[i].victims.iter().copied();
+            st.apply_torn_victims(rec, victims, &mut torn_rng(seed, i));
+        }
+        let view = recover_and_mount(stack.pfs.as_ref(), &mut st);
+        layer_verdict(&a, &Recovered::mounted(view), legal)
+    };
+    let c = prune_and_judge(&a, &e, legal_of, verdict);
     let cost = cost(&a, &e, &c);
-    outcome(&a, &e, &v, c, cost, rep_digests.into_iter().collect())
+    outcome(&a, &e, c, cost, rep_digests.into_iter().collect())
 }
 
 /// Dataset keys the test program modifies.
@@ -1242,10 +1231,9 @@ mod tests {
             }
             let a = analyze(&stack, &cfg, RecoveryMemo::new());
             let e = enumerate(&a);
-            let m = materialize(&a, &e);
-            let v = legal_and_verdicts(&a, &factory, &e, &m);
-            assert_eq!(v.pfs_cache.misses, n + 1, "candidate sets, n = {n}");
-            let (executed, shared) = v.replays;
+            let l = legal_states(&a, &factory, &e);
+            assert_eq!(l.pfs_cache.misses, n + 1, "candidate sets, n = {n}");
+            let (executed, shared) = l.replays;
             assert_eq!(executed, n + 1, "replays executed, n = {n}");
             assert_eq!(
                 executed + shared,
@@ -1263,9 +1251,8 @@ mod tests {
         let cfg = CheckConfig::paper_default();
         let a = analyze(&stack, &cfg, RecoveryMemo::new());
         let e = enumerate(&a);
-        let m = materialize(&a, &e);
-        let v = legal_and_verdicts(&a, &factory, &e, &m);
-        let legal = |i: usize| v.legal[i].as_ref().expect("replays succeed");
+        let l = legal_states(&a, &factory, &e);
+        let legal = |i: usize| l.lists.of(e.sets_of[i]).expect("replays succeed");
         let (mut pfs_pairs, mut h5_pairs) = (0, 0);
         for i in 0..e.states.len() {
             for j in 0..i {
@@ -1367,8 +1354,39 @@ mod tests {
         maps.borrow().by_digest.keys().copied().collect()
     }
 
+    /// Stages 4 and 5 as `check_stack` runs them.
+    fn judged(
+        a: &Analysis,
+        factory: &StackFactory,
+        e: &Enumerated,
+        m: &Materialized,
+    ) -> Classified {
+        let l = legal_states(a, factory, e);
+        prune_and_judge(
+            a,
+            e,
+            |i| l.lists.of(e.sets_of[i]),
+            |i, legal| verdict_of(a, e, m, i, legal),
+        )
+    }
+
+    /// The distinct images the memo is asked for on behalf of `states`:
+    /// their representatives', bar the torn states'.
+    fn rep_images(
+        a: &Analysis,
+        e: &Enumerated,
+        m: &Materialized,
+        states: &[usize],
+    ) -> BTreeSet<u64> {
+        let torn = |i: usize| a.cfg.torn_seed.is_some() && !e.states[i].victims.is_empty();
+        (states.iter().filter(|&&i| !torn(i)))
+            .map(|&i| m.plan.prepared[m.plan.rep[i]].digest())
+            .collect()
+    }
+
     /// Every distinct pre-recovery digest is recovered exactly once,
-    /// however many states and probes share it.
+    /// however many checked states and probes share it, and a pruned
+    /// state asks for none.
     #[test]
     fn each_distinct_digest_is_recovered_exactly_once() {
         use std::sync::atomic::Ordering::Relaxed;
@@ -1393,19 +1411,18 @@ mod tests {
             assert!(recovered.view == alone);
         }
 
-        // The whole pipeline: crash states, then classifier probes.
+        // The whole loop: checked states and classifier probes, but
+        // never a pruned state.
         let a = analyze(&stack, &cfg, RecoveryMemo::new());
         let e = enumerate(&a);
         let m = materialize(&a, &e);
         runs.store(0, Relaxed);
-        let v = legal_and_verdicts(&a, &factory, &e, &m);
-        let distinct: BTreeSet<u64> = m.plan.prepared.iter().map(|s| s.digest()).collect();
-        assert_eq!(runs.load(Relaxed), distinct.len());
-        let c = prune_and_classify(&a, &e, &v);
+        let c = judged(&a, &factory, &e, &m);
         assert!(!c.bugs.is_empty(), "the classifier probed");
+        assert!(c.pruned > 0, "the fixture prunes");
         let filled = memo_digests(&a);
         assert_eq!(runs.load(Relaxed), filled.len());
-        assert!(filled.is_superset(&distinct));
+        assert!(filled.is_superset(&rep_images(&a, &e, &m, &c.checked)));
     }
 
     /// Torn-write widening happens after materialization, so the digest
@@ -1421,15 +1438,17 @@ mod tests {
         let a = analyze(&stack, &cfg, RecoveryMemo::new());
         let e = enumerate(&a);
         let m = materialize(&a, &e);
-        let torn = e.states.iter().filter(|s| !s.victims.is_empty()).count();
-        let untorn: BTreeSet<u64> = (e.states.iter().zip(&m.plan.prepared))
-            .filter(|(state, _)| state.victims.is_empty())
-            .map(|(_, image)| image.digest())
-            .collect();
-        assert!(torn > 0 && !untorn.is_empty());
-        legal_and_verdicts(&a, &factory, &e, &m);
-        assert_eq!(runs.load(Relaxed), torn + untorn.len());
-        assert_eq!(memo_digests(&a), untorn);
+        let c = judged(&a, &factory, &e, &m);
+        let torn = (c.checked.iter())
+            .filter(|&&i| !e.states[i].victims.is_empty())
+            .count();
+        let untorn = rep_images(&a, &e, &m, &c.checked);
+        assert!(torn > 0 && !untorn.is_empty() && c.pruned > 0);
+        // Every recovery is a torn state's own or the one fill of a
+        // memo entry, which the untorn checked states all found.
+        let filled = memo_digests(&a);
+        assert_eq!(runs.load(Relaxed), torn + filled.len());
+        assert!(filled.is_superset(&untorn));
     }
 
     /// A panicking recovery tool poisons exactly the states that ask
@@ -1445,14 +1464,16 @@ mod tests {
         let a = analyze(&stack, &cfg, RecoveryMemo::new());
         let e = enumerate(&a);
         let m = materialize(&a, &e);
-        let v = legal_and_verdicts(&a, &factory, &e, &m);
-        let c = prune_and_classify(&a, &e, &v);
+        let c = judged(&a, &factory, &e, &m);
         std::panic::set_hook(prev);
+        // No verdict, so nothing learned and nothing pruned: every state
+        // is checked.
+        assert_eq!(c.checked, e.order);
         let expected: Vec<String> = (e.order.iter())
             .map(|idx| format!("crash state {idx}: poisoned recover"))
             .collect();
         assert_eq!(c.diagnostics, expected);
-        // Each state tried for itself; the memo stayed empty.
+        // Each checked state tried for itself; the memo stayed empty.
         assert_eq!(
             runs.load(std::sync::atomic::Ordering::Relaxed),
             e.states.len()
@@ -1596,9 +1617,9 @@ mod tests {
             let a = analyze(&stack, &cfg, RecoveryMemo::new());
             let e = enumerate(&a);
             let m = materialize(&a, &e);
-            let v = legal_and_verdicts(&a, &factory, &e, &m);
-            for (i, legal) in v.legal.iter().enumerate() {
-                let legal = legal.as_ref().expect("replays succeed");
+            let l = legal_states(&a, &factory, &e);
+            for i in 0..e.states.len() {
+                let legal = l.lists.of(e.sets_of[i]).expect("replays succeed");
                 let shared = a.memo.of_image(stack.pfs.as_ref(), &m.plan.prepared[i]);
                 let got = h5_verdict(&a, path, &shared, &legal.1);
                 let want = h5_verdict_reference(
@@ -1610,7 +1631,8 @@ mod tests {
                     &a.modified_keys,
                 );
                 assert_eq!(got, want, "state {i} under {}", h5_model.as_str());
-                assert_eq!(v.verdicts[i].as_ref().unwrap().map(|(_, m)| m), want);
+                let verdict = verdict_of(&a, &e, &m, i, &legal);
+                assert_eq!(verdict.map(|(_, m)| m), want);
                 seen.insert((h5_model.as_str(), want.map(|m| m.as_str())));
             }
         }

@@ -84,7 +84,7 @@ pub(crate) struct Golden {
 impl Golden {
     /// What a crash state with candidate sets `(pfs, h5)` is judged
     /// against (`h5` is `None` for programs that do not use the library).
-    pub(crate) fn of(&self, pfs: usize, h5: Option<usize>) -> Result<LegalStates, String> {
+    pub(crate) fn of(&self, (pfs, h5): (usize, Option<usize>)) -> Result<LegalStates, String> {
         let views = self.views[pfs].clone()?;
         let logicals = h5.map_or_else(|| Ok(Arc::default()), |h5| self.logicals[h5].clone())?;
         Ok((views, logicals))
@@ -447,7 +447,7 @@ mod tests {
             // The table the walk fills is the oracle's, list by list.
             let replayed = lists(None);
             for k in 0..=n {
-                let (walked, replayed) = (walked.of(k, None), replayed.of(k, None));
+                let (walked, replayed) = (walked.of((k, None)), replayed.of((k, None)));
                 assert_eq!(walked.as_ref().unwrap().0.len(), k + 1);
                 assert_eq!(walked, replayed, "n = {n}, prefix {k}");
             }

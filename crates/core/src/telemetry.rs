@@ -5,7 +5,7 @@
 //! The format is the JSON Array Format with `traceEvents`, loadable in
 //! Perfetto / `chrome://tracing` for a flamegraph-style timeline of a full
 //! bug-finding run. Every span becomes a complete (`"ph": "X"`) event
-//! with its exact nanoseconds under `args`; counters, gauges, allocation
+//! with its exact nanoseconds under `args`; counters, allocation
 //! attribution and the exact self time per span stack (the dashboard's
 //! flame view) ride along under `otherData`. The file carries
 //! a top-level `schema_version` ([`SCHEMA_VERSION`], shared with the
@@ -102,7 +102,6 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> Json {
             "otherData".into(),
             Json::Obj(vec![
                 ("counters".into(), named_ints(&snap.counters)),
-                ("gauges".into(), named_ints(&snap.gauges)),
                 ("dropped_spans".into(), Json::Int(snap.dropped_spans)),
                 ("ops".into(), Json::Int(snap.ops)),
                 ("alloc".into(), alloc_json(snap)),
@@ -230,7 +229,6 @@ pub fn read_trace(text: &str) -> Result<Trace, String> {
     let bad = |key: &str| format!("otherData.{key} is not what this tool writes");
     let int = |key: &str| member(key)?.as_int().ok_or_else(|| bad(key));
     let ints = |key: &str| read_members(member(key)?, Json::as_int).ok_or_else(|| bad(key));
-    ints("gauges")?;
     let alloc = member("alloc")?;
     let total = alloc.get("total").and_then(alloc_stat);
     let allocs = alloc.get("spans").and_then(|s| read_members(s, alloc_stat));
@@ -274,7 +272,6 @@ mod tests {
                 span("check.enumerate", 1, 1_000, 2_000),
             ],
             counters: vec![("cache.pfs.hits".into(), 12)],
-            gauges: vec![("pool.workers".into(), 4)],
             dropped_spans: 3,
             // Sorted by path, not as the file's keys are; one stack took
             // no measurable time.
@@ -340,7 +337,7 @@ mod tests {
         for (bad, why) in [
             (text[..text.len() / 2].into(), "not JSON"),
             ("{\"schema_version\":1}".into(), "unknown schema_version 1"),
-            ("{\"schema_version\":2}".into(), "no traceEvents"),
+            ("{\"schema_version\":3}".into(), "no traceEvents"),
             (
                 edit("\"spans\": {", "\"spans\": 7, \"x\": {"),
                 "otherData.alloc",
@@ -360,7 +357,6 @@ mod tests {
                 "traceEvents[0] has no name",
             ),
             (edit("\"ops\": 7", "\"ops\": \"7\""), "otherData.ops is not"),
-            (edit("\"gauges\"", "\"gauge\""), "otherData: missing gauges"),
             (
                 edit("\"peak_bytes\": 2048", "\"peak\": 2048"),
                 "otherData.alloc is not",
@@ -390,7 +386,7 @@ mod tests {
             let err = read_trace(&bad).unwrap_err();
             assert!(err.starts_with(why), "{err} (wanted {why})");
         }
-        let empty = "{\"schema_version\":2,\"traceEvents\":[]}";
+        let empty = "{\"schema_version\":3,\"traceEvents\":[]}";
         assert!(read_trace(empty)
             .unwrap_err()
             .starts_with("traceEvents is empty"));

@@ -8,7 +8,8 @@
 //! and verify gate 3 fails on a `set_var` under `crates/` (a `setenv`
 //! racing another test thread's `getenv`).
 
-/// Worker threads of a default pool.
+/// Width of a default `pool`, which only the wall-clock ledger uses
+/// today (`benchmark/`).
 pub const THREADS: &str = "PC_THREADS";
 /// Telemetry collection (`summary` also prints per-check tables).
 pub const TRACE: &str = "PC_TRACE";
@@ -21,7 +22,10 @@ pub const PROPTEST_CASES: &str = "PC_PROPTEST_CASES";
 
 /// Every variable the workspace reads, with its one-line meaning.
 pub const VARS: [(&str, &str); 5] = [
-    (THREADS, "worker threads (default: available parallelism)"),
+    (
+        THREADS,
+        "width of pc_rt::pool, which only the wall-clock ledger uses today (default: available parallelism)",
+    ),
     (
         TRACE,
         "1 collects telemetry; summary also prints a table per check",

@@ -27,7 +27,7 @@
 //! * [`inject`] — labelled injection points: a test arms a label
 //!   prefix and a hit number, and the process crashes there (the
 //!   durable log's durability points, the sweep's cells).
-//! * [`obs`] — structured telemetry (spans, counters, gauges, a
+//! * [`obs`] — structured telemetry (spans, counters, a
 //!   leveled logger) for the checker pipeline itself
 //!   (replaces `tracing`), with the [`obs::stream`] event stream and
 //!   the [`obs::prof`] self-profiling plane (an exact per-stack

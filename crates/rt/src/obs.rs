@@ -7,8 +7,7 @@
 //! * **spans** — [`span`] returns a guard that records a named interval
 //!   with monotonic start/duration, the recording thread, and its nesting
 //!   depth (a thread-local stack tracks parents);
-//! * **counters / gauges** — [`count`] accumulates, [`gauge_max`]
-//!   keeps a high-water mark;
+//! * **counters** — [`count`] accumulates;
 //! * **a per-run registry** — everything lands in one process-global
 //!   `Registry`; [`mark`] + [`render_summary`] slice out a window (one
 //!   `check_stack` call) for the human-readable `PC_TRACE=summary` table,
@@ -209,7 +208,7 @@ macro_rules! pc_debug {
 
 /// The plane bits of the enable mask.
 mod plane {
-    /// Spans, counters and gauges land in the registry.
+    /// Spans and counters land in the registry.
     pub const REGISTRY: u8 = 1 << 0;
     /// `PC_TRACE=summary`: print a table per check.
     pub const SUMMARY: u8 = 1 << 1;
@@ -367,7 +366,6 @@ struct Registry {
     /// so it keeps folding past [`SPAN_CAP`].
     self_ns: BTreeMap<Vec<&'static str>, u64>,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
     /// Total telemetry operations recorded while enabled — the event
     /// count the overhead bench multiplies by the per-call disabled cost.
     ops: u64,
@@ -380,7 +378,6 @@ impl Registry {
             dropped_spans: 0,
             self_ns: BTreeMap::new(),
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             ops: 0,
         }
     }
@@ -527,7 +524,7 @@ impl Drop for Span {
 }
 
 // ---------------------------------------------------------------------------
-// Counters / gauges
+// Counters
 // ---------------------------------------------------------------------------
 
 /// Add `delta` to a named counter.
@@ -539,18 +536,6 @@ pub fn count(name: &'static str, delta: u64) {
     let mut reg = lock(&REGISTRY);
     reg.ops += 1;
     *reg.counters.entry(name).or_insert(0) += delta;
-}
-
-/// Raise a named high-water-mark gauge to at least `value`.
-#[inline]
-pub fn gauge_max(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = lock(&REGISTRY);
-    reg.ops += 1;
-    let g = reg.gauges.entry(name).or_insert(0);
-    *g = (*g).max(value);
 }
 
 // ---------------------------------------------------------------------------
@@ -565,8 +550,6 @@ pub struct TelemetrySnapshot {
     pub spans: Vec<SpanRec>,
     /// Counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values, sorted by name.
-    pub gauges: Vec<(String, u64)>,
     /// Spans lost to the memory backstop.
     pub dropped_spans: u64,
     /// Self time in nanoseconds per open-span path (outermost first),
@@ -574,8 +557,8 @@ pub struct TelemetrySnapshot {
     /// children's, so the values sum to the summed duration of the
     /// depth-0 spans. Unaffected by `dropped_spans`.
     pub self_times: Vec<(Vec<&'static str>, u64)>,
-    /// Telemetry operations recorded while enabled (spans + counter /
-    /// gauge updates) — the instrumentation-site count the overhead bench
+    /// Telemetry operations recorded while enabled (spans + counter
+    /// updates) — the instrumentation-site count the overhead bench
     /// scales by.
     pub ops: u64,
     /// Per-span allocation attribution (spans that allocated while
@@ -598,11 +581,6 @@ pub fn snapshot() -> TelemetrySnapshot {
             .iter()
             .map(|(k, v)| (k.to_string(), *v))
             .collect(),
-        gauges: reg
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.to_string(), *v))
-            .collect(),
         dropped_spans: reg.dropped_spans,
         self_times: reg.self_ns.iter().map(|(k, v)| (k.clone(), *v)).collect(),
         ops: reg.ops,
@@ -619,7 +597,6 @@ pub fn reset() {
         reg.dropped_spans = 0;
         reg.self_ns.clear();
         reg.counters.clear();
-        reg.gauges.clear();
         reg.ops = 0;
     }
     prof::reset();
@@ -700,7 +677,7 @@ pub fn span_totals<N: PartialEq>(spans: impl IntoIterator<Item = (N, u64)>) -> V
 }
 
 /// Render the human-readable summary table of everything recorded since
-/// `mark`: per-span-name call counts and timings, counter deltas, gauges,
+/// `mark`: per-span-name call counts and timings, counter deltas,
 /// plus derived lines — a hit rate for every `X.hits` /
 /// `X.misses` counter pair, and oracle work executed against work a
 /// shared answer saved.
@@ -754,12 +731,6 @@ pub fn render_summary(mark: &Mark, title: &str) -> String {
     if !delta.is_empty() {
         let _ = writeln!(out, "  {:<34} {:>8}", "counter", "value");
         for (name, v) in &delta {
-            let _ = writeln!(out, "  {:<34} {:>8}", name, v);
-        }
-    }
-    if !reg.gauges.is_empty() {
-        let _ = writeln!(out, "  {:<34} {:>8}", "gauge (run max)", "value");
-        for (name, v) in reg.gauges.iter() {
             let _ = writeln!(out, "  {:<34} {:>8}", name, v);
         }
     }
@@ -882,12 +853,10 @@ mod tests {
         {
             let _s = span("obs.test.disabled");
             count("obs.test.disabled.ctr", 5);
-            gauge_max("obs.test.disabled.gauge", 5);
         }
         let snap = snapshot();
         assert!(snap.spans.is_empty());
         assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
         assert_eq!(snap.ops, 0);
     }
 
@@ -1165,16 +1134,13 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_accumulate() {
+    fn counters_accumulate() {
         with_telemetry(|| {
             count("obs.test.ctr", 2);
             count("obs.test.ctr", 3);
-            gauge_max("obs.test.gauge", 7);
-            gauge_max("obs.test.gauge", 4);
             let snap = snapshot();
             assert_eq!(snap.counters, vec![("obs.test.ctr".to_string(), 5)]);
-            assert_eq!(snap.gauges, vec![("obs.test.gauge".to_string(), 7)]);
-            assert!(snap.ops >= 4);
+            assert!(snap.ops >= 2);
         });
     }
 

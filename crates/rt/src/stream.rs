@@ -55,8 +55,9 @@ use std::sync::Mutex;
 
 /// Version stamp written into the stream header (and into the telemetry
 /// JSON exporter); readers reject files with any other value. 2: the
-/// stream lost its span and counter kinds, telemetry its plain dialect.
-pub const SCHEMA_VERSION: u64 = 2;
+/// stream lost its span and counter kinds, telemetry its plain dialect;
+/// 3: telemetry lost `otherData.gauges`.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// The one version gate of both artifacts: `doc` (a telemetry file, a
 /// stream header) must carry this tool's [`SCHEMA_VERSION`].
@@ -422,7 +423,7 @@ mod tests {
         for (bad, why) in [
             // A v1 stream is turned away at the header, before its
             // `span_close` lines could read as "unknown kind".
-            (edit(":2,", ":1,"), "header: unknown schema_version 1"),
+            (edit(":3,", ":1,"), "header: unknown schema_version 1"),
             ("{}".into(), "header: missing schema_version"),
             (String::new(), "empty event stream"),
             (unsorted, "line 3: seq 0 not above 5"),

@@ -15,12 +15,11 @@
 #      writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed second ledger,
 #      no test under `crates/` setting its own process's environment.
 #   4. Differential — `check_stack` and the straight-line
-#      `check_reference` decide identically in debug and in release, at
-#      both widths — PC_THREADS=1 and the default now run the same
-#      sequential check, and gates 4–8 pair the widths to guard cells run
-#      side by side (ROADMAP item 1(c)); with them the golden walk, the
-#      pfs fork and the fsck repairs in release, GPFS/H5-resize through the
-#      CLI; the property
+#      `check_reference` decide identically in debug and in release (a
+#      check reads no PC_THREADS, so once); with them the golden walk,
+#      the pfs fork and the fsck repairs in release; GPFS/H5-resize
+#      through the CLI at both widths — gates 4–8 pair the widths to
+#      guard cells run side by side (ROADMAP item 1(c)); the property
 #      suite again in release, more cases; `benchmark/run.sh --smoke`
 #      builds `benchmark/` (no other gate does) and reproduces its pins.
 #   5. Observability — a PR-tier fuzz run with both sinks attached
@@ -129,15 +128,12 @@ grep -rnE '\.get\("(traceEvents|otherData|ts_ns|published)"\)' crates/*/src | gr
 # test thread races every other thread's getenv (PC_THREADS in each pool).
 grep -rnE 'env::(set|remove)_var' crates && { echo "FAIL: a test sets its own environment"; exit 1; } || true
 
-echo "== gate 4: check_stack vs check_reference, sequential and parallel; wide property sweep; benchmark smoke =="
-# At PC_THREADS=1, then at the default width (`-u`: unset). Again as the
-# code ships, with the golden walk's tests, the models' fork and their
-# fsck repairs.
-for pool in PC_THREADS=1 -uPC_THREADS; do
-    env "$pool" cargo test -q --offline --test differential
-    env "$pool" cargo test -q --offline --release --test differential
-    env "$pool" cargo test -q --offline --release -p paracrash -p pfs -- golden fork fsck
-done
+echo "== gate 4: check_stack vs check_reference; wide property sweep; benchmark smoke =="
+# In debug, then as the code ships, with the golden walk's tests, the
+# models' fork and their fsck repairs.
+cargo test -q --offline --test differential
+cargo test -q --offline --release --test differential
+cargo test -q --offline --release -p paracrash -p pfs -- golden fork fsck
 PC_PROPTEST_CASES=2048 cargo test -q --offline --release --test properties
 # The cell whose images collapse most, through the CLI, at both widths.
 cargo build --release --offline -p pc-bench

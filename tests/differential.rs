@@ -3,15 +3,14 @@
 //! The two checkers share analysis, enumeration, legal-state sets, the
 //! Figure 6 verdict, classification and the cost model; they differ
 //! only in *how* a crash state becomes a recovered view. `check_stack`
-//! forks every state off a shared prefix tree, recovers once per
-//! subtree representative and fans verdicts out over the thread pool;
-//! `check_reference` deep-clones the baseline, replays the state's full
-//! persisted prefix, tears its victims, recovers and mounts — one state
-//! at a time. Never in *what* they materialize: everything a checker
-//! decides must match byte for byte, on the same traced run.
+//! forks every state off a shared prefix tree and recovers once per
+//! subtree representative; `check_reference` deep-clones the baseline,
+//! replays the state's full persisted prefix, tears its victims,
+//! recovers and mounts. Both judge one state at a time in the same
+//! prune/classify loop. Never in *what* they materialize: everything a
+//! checker decides must match byte for byte, on the same traced run.
 //!
-//! `scripts/verify.sh` runs this suite once with `PC_THREADS=1` and once
-//! parallel, so the guarantee is also checked against the thread pool.
+//! A check runs on one thread, so `PC_THREADS` changes nothing here.
 
 use paracrash::{check_reference, check_stack, CheckConfig, CheckOutcome, ExploreMode};
 use pc_rt::proptest::{gen_vec, run, Config};

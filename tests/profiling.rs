@@ -12,11 +12,11 @@
 //! * profiling is strictly presentation-plane: `canonical_report()` is
 //!   byte-identical with it off, on, and on across `PC_THREADS` widths.
 //!
-//! The width switch sets `PC_THREADS` in this process, under `LOCK`,
-//! because a check opens its own pool and reads the width there. It is
-//! the one `env::set_var` left in the tests, and outside `crates/` (where
-//! verify gate 3 forbids it); it goes when a check can take a pool from
-//! its caller.
+//! The width switch sets `PC_THREADS` in this process, under `LOCK`. A
+//! check runs on one thread and reads no width; the switch holds the
+//! sweep to the same profile at both, for when a sweep runs its cells on
+//! the pool. It is the one `env::set_var` left in the tests, and outside
+//! `crates/` (where verify gate 3 forbids it).
 
 use paracrash::telemetry::{chrome_trace, read_trace};
 use pc_bench::campaign::{run_campaign, FuzzOptions};

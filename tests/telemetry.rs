@@ -58,12 +58,10 @@ fn disabled_telemetry_records_nothing() {
     {
         let _s = pc_rt::obs::span("ghost");
         pc_rt::obs::count("ghost.ctr", 7);
-        pc_rt::obs::gauge_max("ghost.gauge", 7);
     }
     let snap = pc_rt::obs::snapshot();
     assert!(snap.spans.is_empty());
     assert!(snap.counters.is_empty());
-    assert!(snap.gauges.is_empty());
     assert_eq!(snap.ops, 0);
 }
 
@@ -120,7 +118,7 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
         "check.candidates",
         "check.materialize",
         "check.legal_states",
-        "check.verdicts",
+        "check.judge",
         "snapshot.materialize",
         "pfs.mount",
         "recover/BeeGFS",
@@ -129,27 +127,28 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
     }
     // One closure per (cut, victim candidate), at least one victim.
     assert!(counter(&snap, "persist.closures") > 0);
-    // The recovery memo: every recovery tool run filled a slot, every
-    // crash state and classifier probe asked it once, and some were
-    // answered by a view another had recovered.
+    // The recovery memo: every recovery tool run filled an entry, every
+    // checked crash state and classifier probe asked it once, some were
+    // answered by a view another had recovered, and a pruned state never
+    // asked.
     let executed = counter(&snap, "recover.executed");
     let shared = counter(&snap, "recover.shared_set") + counter(&snap, "recover.shared_digest");
     let tool_runs = names.iter().filter(|n| **n == "recover/BeeGFS").count();
     assert_eq!(executed, tool_runs as u64);
     assert!(shared > 0);
+    assert!(outcome.stats.states_pruned > 0, "the cell prunes");
     assert_eq!(
         executed + shared,
-        outcome.stats.states_total as u64 + counter(&snap, "classify.probes"),
+        outcome.stats.states_checked as u64 + counter(&snap, "classify.probes"),
     );
     let line = summary.lines().find(|l| l.contains("recoveries "));
     let line = line.unwrap_or_else(|| panic!("no recoveries line in:\n{summary}"));
     assert!(line.contains(&format!("{executed}  executed ({shared} more")));
-    // The golden walks nest inside the verdict stage.
+    // The golden walks end before the per-state loop starts.
     let span = |name: &str| snap.spans.iter().find(|s| s.name == name).unwrap();
-    let (legal, verdicts) = (span("check.legal_states"), span("check.verdicts"));
-    assert_eq!(legal.depth, verdicts.depth + 1);
-    assert!(verdicts.start_ns <= legal.start_ns);
-    assert!(legal.start_ns + legal.dur_ns <= verdicts.start_ns + verdicts.dur_ns);
+    let (legal, judge) = (span("check.legal_states"), span("check.judge"));
+    assert_eq!(legal.depth, judge.depth);
+    assert!(legal.start_ns + legal.dur_ns <= judge.start_ns);
     // Stage spans nest under the check_stack root.
     let root = span("check_stack");
     let enumerate = snap
@@ -161,8 +160,8 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
 }
 
 /// A check runs on one thread, whatever `PC_THREADS` says: it opens no
-/// pool scope, bumps no `pool.*` counter or gauge, and records every
-/// span on the thread that opened `check_stack`.
+/// pool scope, bumps no `pool.*` counter, and records every span on the
+/// thread that opened `check_stack`.
 #[test]
 fn a_check_runs_on_one_thread() {
     let _guard = TEST_LOCK.lock().unwrap();
@@ -173,14 +172,14 @@ fn a_check_runs_on_one_thread() {
         check_stack(&stack, &factory, &CheckConfig::paper_default());
     });
     assert!(snap.spans.iter().all(|s| s.name != "pool.scope"));
-    let pooled: Vec<&str> = (snap.counters.iter().chain(&snap.gauges))
+    let pooled: Vec<&str> = (snap.counters.iter())
         .map(|(name, _)| name.as_str())
         .filter(|name| name.starts_with("pool."))
         .collect();
     assert!(pooled.is_empty(), "pool counters {pooled:?}");
     let root = snap.spans.iter().find(|s| s.name == "check_stack").unwrap();
     assert!(snap.spans.iter().all(|s| s.tid == root.tid));
-    assert!(snap.spans.iter().any(|s| s.name == "check.verdicts"));
+    assert!(snap.spans.iter().any(|s| s.name == "check.judge"));
 }
 
 /// H5-resize at the split dims is one 80-call chain under the resize:
