@@ -171,7 +171,7 @@ fn usage() -> ! {
         "usage: paracrash --fs <BeeGFS|OrangeFS|GlusterFS|GPFS|Lustre|ext4|all>\n\
          \x20                --program <ARVR|CR|RC|WAL|H5-create|...|all>\n\
          \x20                [--config <file>] [--dump-trace <file>] [--paper]\n\
-         \x20                [--faults <torn=0|1,seed=N>|chaos] [--explain-out <dir>]\n\
+         \x20                [--torn-seed <n>] [--explain-out <dir>]\n\
          \x20                [--telemetry-out <file>] [--events-out <file>]\n\
          \x20      paracrash fuzz [--bound <n>] [--seed <n>] [--sample <n>]\n\
          \x20                [--fs <list|all>] [--modes <data,ordered,writeback,none|all>]\n\
@@ -197,8 +197,8 @@ fn usage() -> ! {
          them (plus an optional --telemetry-out file, whose self time per\n\
          span stack it draws as an SVG flame view) and renders one\n\
          self-contained HTML dashboard.\n\n\
-         `--faults` tears crash victims' multi-block writes: `torn=0|1` and\n\
-         `seed=N`, comma-separated, or `chaos` (= torn=1, seed 0).\n\n\
+         `--torn-seed` tears crash victims' multi-block writes at points\n\
+         drawn from the seed.\n\n\
          Environment:\n{}\n\
          The configuration file uses `key = value` lines; a cluster key it\n\
          omits keeps the profile's value (quick, or Table 2 with --paper):\n{}",
@@ -207,28 +207,6 @@ fn usage() -> ! {
         Params::quick().render_config(&CheckConfig::paper_default())
     );
     std::process::exit(2);
-}
-
-/// The `--faults` spec: `torn=0|1` and `seed=N`, comma-separated, or
-/// `chaos` (torn writes, seed 0). Torn writes are the one fault that can
-/// change a verdict; returns the torn seed (`None` = off).
-fn parse_faults(spec: &str) -> Option<u64> {
-    if spec.trim().eq_ignore_ascii_case("chaos") {
-        return Some(0);
-    }
-    let (mut torn, mut seed) = (false, 0);
-    for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        let (key, value) = part.split_once('=').unwrap_or((part, ""));
-        let bad = || -> ! { die(format_args!("bad --faults element: {part}")) };
-        match (key.trim(), value.trim()) {
-            ("torn", "1") => torn = true,
-            ("torn", "0") => torn = false,
-            ("torn", _) => bad(),
-            ("seed", n) => seed = n.parse().unwrap_or_else(|_| bad()),
-            (key, _) => die(format_args!("unknown --faults key: {key}")),
-        }
-    }
-    torn.then_some(seed)
 }
 
 /// Parse one `fuzz` flag into `opts`; returns `false` when `a` is not
@@ -428,7 +406,12 @@ fn main() {
             "--config" => config_path = Some(value("--config")),
             "--dump-trace" => dump_trace = Some(prepare_out(OutTarget::File, a, value(a))),
             "--paper" => paper = true,
-            "--faults" => torn_seed = parse_faults(&value(a)),
+            "--torn-seed" => {
+                torn_seed = Some(
+                    (value(a).parse())
+                        .unwrap_or_else(|_| die(format_args!("--torn-seed must be a number"))),
+                )
+            }
             "--explain-out" => explain_out = Some(prepare_out(OutTarget::Dir, a, value(a))),
             "--help" | "-h" => usage(),
             other => {

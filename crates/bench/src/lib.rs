@@ -9,7 +9,7 @@
 //!
 //! * Table 3 — the union of unique bugs over the full matrix;
 //! * Figure 8 — inconsistent-state counts per cell;
-//! * Figure 10 — exploration time per cell under the three modes;
+//! * Figure 10 — exploration time per cell, priced three ways by two modes;
 //! * Figure 11 — exploration time as the server count grows.
 //!
 //! Wall-clock performance is measured by the standalone `benchmark/`

@@ -99,6 +99,7 @@ fn removed_bench_surfaces_are_usage_errors() {
         &["--fs", "ext4", "--program", "ARVR", "--profile-out", "p"],
         &["fuzz", "--profile-out", "p"],
         &["report", "--events", "e", "--profile", "p"],
+        &["--fs", "ext4", "--program", "ARVR", "--faults", "chaos"],
     ] {
         let out = paracrash(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -169,7 +170,7 @@ fn config_file_cluster_keys_override_the_profile() {
 /// not a run that silently drops the flag.
 #[test]
 fn a_missing_flag_value_is_a_usage_error() {
-    for flag in ["--explain-out", "--faults"] {
+    for flag in ["--explain-out", "--torn-seed"] {
         let out = paracrash(&["--fs", "BeeGFS", "--program", "ARVR", flag]);
         assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -177,39 +178,23 @@ fn a_missing_flag_value_is_a_usage_error() {
     }
 }
 
-/// `--faults` is torn writes only: each delivery-fault key is a usage
-/// error naming the key, and `chaos` is `torn=1` (seed 0) — on GPFS/ARVR,
-/// where a torn block write exposes one more bug than the clean run.
+/// Torn writes are the one fault, set by one integer: `--torn-seed 0`
+/// on GPFS/ARVR, where a torn block write exposes one more bug than the
+/// clean run, and a seed that is not a number is a usage error naming
+/// the flag.
 #[test]
 fn faults_is_torn_writes_only() {
-    let cell = |faults: &[&str]| {
-        let out = paracrash(&[&["--fs", "GPFS", "--program", "ARVR"][..], faults].concat());
-        (
-            out.status.code(),
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-        )
-    };
-    for key in ["drop", "dup", "delay", "retries", "partition"] {
-        let out = paracrash(&[
-            "--fs",
-            "ext4",
-            "--program",
-            "ARVR",
-            "--faults",
-            &format!("{key}=1"),
-        ]);
-        assert_eq!(out.status.code(), Some(2), "{key}: {out:?}");
+    let cell =
+        |args: &[&str]| paracrash(&[&["--fs", "GPFS", "--program", "ARVR"][..], args].concat());
+    let (clean, torn) = (cell(&[]), cell(&["--torn-seed", "0"]));
+    assert_eq!(torn.status.code(), Some(1), "{torn:?}");
+    assert_ne!(torn.stdout, clean.stdout);
+    for seed in ["seven", "-1", "torn=1"] {
+        let out = cell(&["--torn-seed", seed]);
+        assert_eq!(out.status.code(), Some(2), "{seed}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains(&format!("unknown --faults key: {key}")),
-            "{err}"
-        );
+        assert!(err.contains("--torn-seed must be a number"), "{err}");
     }
-    let torn = cell(&["--faults", "torn=1"]);
-    assert_eq!(cell(&["--faults", "chaos"]), torn);
-    assert_eq!(cell(&["--faults", "seed=0,torn=1"]), torn);
-    assert_ne!(cell(&[]), torn);
-    assert_eq!(cell(&["--faults", "seed=5,torn=0"]), cell(&[]));
 }
 
 /// The PR-tier sweep is quiet at `PC_LOG=warn`: nothing it logs there is
@@ -270,12 +255,20 @@ fn allocating_before_the_first_telemetry_check_is_safe_under_pc_trace() {
 const FIG9: &str = include_str!("../../../results/fig9.txt");
 
 /// The committed Figure 9 traces are what the models emit today, line
-/// for line (RPC labels, server ids, LBAs, event order).
+/// for line (RPC labels, server ids, LBAs, event order), and so are the
+/// committed quick-profile Figures 10 and 11, to the last cost-model
+/// digit.
 #[test]
 fn fig9_matches_the_committed_traces() {
-    let out = paracrash(&["fig9"]);
-    assert!(out.status.success(), "{out:?}");
-    assert_eq!(String::from_utf8_lossy(&out.stdout), FIG9);
+    for (figure, committed) in [
+        ("fig9", FIG9),
+        ("fig10", include_str!("../../../results/fig10_quick.txt")),
+        ("fig11", include_str!("../../../results/fig11_quick.txt")),
+    ] {
+        let out = paracrash(&[figure]);
+        assert!(out.status.success(), "{figure}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), committed, "{figure}");
+    }
 }
 
 /// `--dump-trace` writes the Figure 9 listing of its cell: for

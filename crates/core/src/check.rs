@@ -130,7 +130,7 @@ impl CheckOutcome {
         acc.states_total += stats.states_total;
         acc.states_checked += stats.states_checked;
         acc.states_pruned += stats.states_pruned;
-        acc.server_rebuilds += stats.server_rebuilds;
+        acc.restart_seconds += stats.restart_seconds;
         acc.sim_seconds += stats.sim_seconds;
         acc.wall_seconds += stats.wall_seconds;
         acc.legal_replays += stats.legal_replays;
@@ -513,7 +513,7 @@ fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig, memo: RecoveryMemo) -> An
 
 fn enumerate(a: &Analysis) -> Enumerated {
     let rec = &a.stack.rec;
-    // Semantic victim pruning (§5.3) only in the pruning modes, only for
+    // Semantic victim pruning (§5.3) only in the optimized mode, only for
     // I/O-library programs (whose events carry the library's object
     // labels: `is_data_chunk`).
     let semantic = a.cfg.mode.prunes() && a.stack.h5_path.is_some();
@@ -804,40 +804,33 @@ fn h5_candidates(a: &Analysis, cut: &BitSet) -> Option<Vec<EventId>> {
     ))
 }
 
-/// Stage 6: reconstruction cost over the mode's visiting order — the
-/// optimized mode rebuilds incrementally along a greedy-TSP route, the
-/// others restart per state. Returns `(sim_seconds, server_rebuilds)`.
-fn cost(a: &Analysis, e: &Enumerated, c: &Classified) -> (f64, usize) {
+/// Stage 6: what reconstructing the checked states costs, priced both
+/// ways in one pass. Returns `(sim_seconds, restart_seconds)`:
+/// `restart_seconds` restarts the cluster for each state in checking
+/// order; `sim_seconds` is the mode's own price — the same under brute
+/// force, and when the mode prunes, one restart followed by incremental
+/// rebuilds along a greedy-TSP route.
+fn cost(a: &Analysis, e: &Enumerated, c: &Classified) -> (f64, f64) {
     let _stage = pc_rt::obs::span_cat("check.cost_model", "check");
-    let n_servers = a.topo.server_count();
-    let fingerprints: Vec<Vec<u64>> = e
-        .states
-        .iter()
-        .map(|s| server_fingerprints(&a.pa, n_servers, s))
-        .collect();
     let model = CostModel::for_restart(a.stack.pfs.restart_cost_secs());
-    let incremental = a.cfg.mode.incremental();
-    let visit: Vec<usize> = if incremental {
-        let checked_fps: Vec<Vec<u64>> =
-            c.checked.iter().map(|&i| fingerprints[i].clone()).collect();
-        tsp_order(&checked_fps)
-            .into_iter()
-            .map(|j| c.checked[j])
-            .collect()
-    } else {
-        c.checked.clone()
-    };
-    let (mut sim_seconds, mut server_rebuilds) = (0.0, 0);
-    let mut prev_fp: Option<&[u64]> = None;
-    for &idx in &visit {
-        let persisted = e.states[idx].persisted.count();
-        let (secs, rebuilds) =
-            model.state_cost(incremental, prev_fp, &fingerprints[idx], persisted);
-        sim_seconds += secs;
-        server_rebuilds += rebuilds;
-        prev_fp = Some(&fingerprints[idx]);
+    let ops = |idx: usize| e.states[idx].persisted.count();
+    let restart_seconds = (c.checked.iter()).fold(0.0, |t, &idx| t + model.restart_cost(ops(idx)));
+    if !a.cfg.mode.prunes() {
+        return (restart_seconds, restart_seconds);
     }
-    (sim_seconds, server_rebuilds)
+    let n_servers = a.topo.server_count();
+    let fingerprints: Vec<Vec<u64>> = (c.checked.iter())
+        .map(|&idx| server_fingerprints(&a.pa, n_servers, &e.states[idx]))
+        .collect();
+    let route = tsp_order(&fingerprints).into_iter().enumerate();
+    let sim_seconds = route.fold(0.0, |t, (step, (j, changed))| {
+        let ops = ops(c.checked[j]);
+        t + match step {
+            0 => model.restart_cost(ops),
+            _ => model.rebuild_cost(changed, n_servers as usize, ops),
+        }
+    });
+    (sim_seconds, restart_seconds)
 }
 
 /// Stage 7, the provenance pass: one explain bundle per aggregated bug,
@@ -881,7 +874,7 @@ fn outcome(
     a: &Analysis,
     e: &Enumerated,
     c: Classified,
-    (sim_seconds, server_rebuilds): (f64, usize),
+    (sim_seconds, restart_seconds): (f64, f64),
     rep_digests: Vec<u64>,
 ) -> CheckOutcome {
     CheckOutcome {
@@ -894,7 +887,7 @@ fn outcome(
             states_checked: c.checked.len(),
             states_pruned: c.pruned,
             states_diagnostic: c.diagnostics.len(),
-            server_rebuilds,
+            restart_seconds,
             sim_seconds,
             ..ExploreStats::default()
         },
@@ -1661,14 +1654,6 @@ mod tests {
                 ..CheckConfig::paper_default()
             },
         );
-        let pruned = check_stack(
-            &stack,
-            &factory,
-            &CheckConfig {
-                mode: ExploreMode::Pruning,
-                ..CheckConfig::paper_default()
-            },
-        );
         let optimized = check_stack(
             &stack,
             &factory,
@@ -1681,9 +1666,8 @@ mod tests {
             o.bugs.iter().map(|b| b.signature.to_string()).collect()
         };
         // §5.3 / §6.4: pruning does not reduce the bugs discovered.
-        assert_eq!(sigs(&brute), sigs(&pruned));
         assert_eq!(sigs(&brute), sigs(&optimized));
-        assert!(pruned.stats.states_checked < brute.stats.states_checked);
+        assert!(optimized.stats.states_checked < brute.stats.states_checked);
         assert!(optimized.stats.sim_seconds < brute.stats.sim_seconds);
     }
 }

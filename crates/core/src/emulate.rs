@@ -34,7 +34,7 @@ impl CrashState {
     }
 }
 
-/// Victim-selection filter used by the pruning modes (§5.3). Returns
+/// Victim-selection filter used by the optimized mode (§5.3). Returns
 /// `false` to skip a victim candidate.
 pub type VictimFilter<'f> = dyn Fn(EventId) -> bool + 'f;
 

@@ -1,20 +1,23 @@
 //! Exploration strategies and optimizations (§5.3).
 //!
-//! ParaCrash supports three crash-state exploration modes:
+//! ParaCrash supports two crash-state exploration modes:
 //!
 //! * **brute force** — Algorithms 1 + 2 verbatim: every crash state is
 //!   reconstructed from scratch (restart the PFS, replay every
 //!   operation);
-//! * **pruning** — skip crash states that exhibit an already-confirmed
+//! * **optimized** — skip crash states that exhibit an already-confirmed
 //!   failure pattern (same reordered pair / same partially-persisted
-//!   atomic group), and skip victim candidates that only touch I/O
-//!   library *data chunks* (the semantic pruning, read off the object
-//!   labels the library records);
-//! * **optimized** — pruning plus *incremental state reconstruction*:
-//!   instead of restarting every server for every state, only servers
-//!   whose state differs from the previously-visited state are rebuilt,
-//!   and the visiting order is chosen by a greedy TSP over the
-//!   "number of differing servers" distance.
+//!   atomic group), skip victim candidates that only touch I/O library
+//!   *data chunks* (the semantic pruning, read off the object labels
+//!   the library records), and reconstruct *incrementally*: instead of
+//!   restarting every server for every state, only servers whose state
+//!   differs from the previously-visited state are rebuilt, and the
+//!   visiting order is chosen by a greedy TSP over the "number of
+//!   differing servers" distance.
+//!
+//! The paper's third column, pruning with a restart per state, makes the
+//! optimized mode's decisions and differs only in price, so one
+//! optimized check prices its states both ways.
 //!
 //! The module also carries the **cost model** that converts exploration
 //! work into simulated seconds. Absolute numbers on the authors' testbed
@@ -36,9 +39,8 @@ use tracer::{EventId, Recorder};
 pub enum ExploreMode {
     /// Algorithms 1+2 with full per-state reconstruction.
     BruteForce,
-    /// Known-pattern and semantic pruning.
-    Pruning,
-    /// Pruning + incremental reconstruction + TSP visiting order.
+    /// Known-pattern and semantic pruning, incremental reconstruction
+    /// along a TSP visiting order.
     #[default]
     Optimized,
 }
@@ -49,16 +51,10 @@ impl ExploreMode {
         !matches!(self, ExploreMode::BruteForce)
     }
 
-    /// `true` if this mode reconstructs states incrementally.
-    pub fn incremental(&self) -> bool {
-        matches!(self, ExploreMode::Optimized)
-    }
-
     /// Configuration-file spelling.
     pub fn as_str(&self) -> &'static str {
         match self {
             ExploreMode::BruteForce => "brute-force",
-            ExploreMode::Pruning => "pruning",
             ExploreMode::Optimized => "optimized",
         }
     }
@@ -66,8 +62,7 @@ impl ExploreMode {
     /// Parse a configuration-file spelling.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "brute-force" | "bruteforce" => Some(ExploreMode::BruteForce),
-            "pruning" => Some(ExploreMode::Pruning),
+            "brute-force" => Some(ExploreMode::BruteForce),
             "optimized" => Some(ExploreMode::Optimized),
             _ => None,
         }
@@ -86,9 +81,13 @@ pub struct ExploreStats {
     pub states_pruned: usize,
     /// States whose check itself failed and became a diagnostic entry.
     pub states_diagnostic: usize,
-    /// Server (re)constructions charged by the cost model.
-    pub server_rebuilds: usize,
-    /// Simulated exploration time (cost model).
+    /// Simulated exploration time of the checked states with one full
+    /// restart each, in checking order (cost model): the brute-force
+    /// price, and Figure 10's pruning column in the optimized mode.
+    pub restart_seconds: f64,
+    /// Simulated exploration time (cost model) at the mode's own price:
+    /// `restart_seconds` under brute force, the incremental TSP route in
+    /// the optimized mode.
     pub sim_seconds: f64,
     /// Real wall-clock time of the exploration.
     pub wall_seconds: f64,
@@ -199,11 +198,6 @@ pub fn server_fingerprints(pa: &PersistAnalysis, n_servers: u32, state: &CrashSt
     fingerprints
 }
 
-/// Number of servers whose persisted-update set differs.
-pub fn server_distance(a: &[u64], b: &[u64]) -> usize {
-    a.iter().zip(b).filter(|(x, y)| x != y).count()
-}
-
 /// Dense per-server fingerprints, each kept as the `(server,
 /// fingerprint)` pairs — in server order — where it differs from a
 /// reference state: per server, the fingerprint most states share. Two
@@ -234,10 +228,10 @@ fn sparse_fingerprints(dense: &[Vec<u64>]) -> (Vec<(u32, u64)>, Vec<usize>) {
     (pairs, starts)
 }
 
-/// [`server_distance`] of two states in the form [`sparse_fingerprints`]
-/// gives them, by one merge of the two sorted lists: a server either
-/// state lists differs between them once, unless both list the same
-/// fingerprint.
+/// Number of servers whose persisted-update set differs between two
+/// states in the form [`sparse_fingerprints`] gives them, by one merge
+/// of the two sorted lists: a server either state lists differs between
+/// them once, unless both list the same fingerprint.
 fn sparse_distance(a: &[(u32, u64)], b: &[(u32, u64)]) -> usize {
     let (mut i, mut j, mut overlap) = (0, 0, 0);
     while i < a.len() && j < b.len() {
@@ -256,12 +250,13 @@ fn sparse_distance(a: &[(u32, u64)], b: &[(u32, u64)]) -> usize {
 
 /// Greedy nearest-neighbour TSP over crash states (the paper uses a
 /// greedy suboptimal solver): returns a visiting order minimizing (in
-/// the greedy sense) the total number of server rebuilds. From each
-/// state it moves to the nearest unvisited one, the lowest index among
-/// equals. Each state is kept as the servers whose fingerprint differs
-/// from the most common one, so a step costs the servers the states
-/// differ on, not the cluster's size.
-pub fn tsp_order(fingerprints: &[Vec<u64>]) -> Vec<usize> {
+/// the greedy sense) the total number of server rebuilds, each state
+/// with the number of servers it differs on from the state visited
+/// before it (0 for the first). From each state it moves to the nearest
+/// unvisited one, the lowest index among equals. Each state is kept as
+/// the servers whose fingerprint differs from the most common one, so a
+/// step costs the servers the states differ on, not the cluster's size.
+pub fn tsp_order(fingerprints: &[Vec<u64>]) -> Vec<(usize, usize)> {
     let n = fingerprints.len();
     if n == 0 {
         return Vec::new();
@@ -272,7 +267,7 @@ pub fn tsp_order(fingerprints: &[Vec<u64>]) -> Vec<usize> {
     let mut visited = vec![false; n];
     let mut cur = 0usize;
     visited[0] = true;
-    order.push(0);
+    order.push((0, 0));
     for _ in 1..n {
         let mut best = usize::MAX;
         let mut best_d = usize::MAX;
@@ -292,7 +287,7 @@ pub fn tsp_order(fingerprints: &[Vec<u64>]) -> Vec<usize> {
             }
         }
         visited[best] = true;
-        order.push(best);
+        order.push((best, best_d));
         cur = best;
     }
     order
@@ -302,7 +297,7 @@ pub fn tsp_order(fingerprints: &[Vec<u64>]) -> Vec<usize> {
 /// state.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
-    /// Full PFS restart cost (per state in non-incremental modes).
+    /// Full PFS restart cost (per state without incremental rebuilds).
     pub restart_secs: f64,
     /// Per-operation replay cost.
     pub op_replay_secs: f64,
@@ -326,32 +321,20 @@ impl CostModel {
         }
     }
 
-    /// Cost of visiting a state: full reconstruction, or incremental
-    /// from the previous state's fingerprints.
-    pub fn state_cost(
-        &self,
-        incremental: bool,
-        prev: Option<&[u64]>,
-        cur: &[u64],
-        ops_applied: usize,
-    ) -> (f64, usize) {
-        match prev {
-            Some(prev) if incremental => {
-                let changed = server_distance(prev, cur).max(1);
-                (
-                    self.server_rebuild_secs * changed as f64
-                        + self.op_replay_secs
-                            * (ops_applied as f64 / cur.len() as f64)
-                            * changed as f64
-                        + self.check_secs,
-                    changed,
-                )
-            }
-            _ => (
-                self.restart_secs + self.op_replay_secs * ops_applied as f64 + self.check_secs,
-                cur.len(),
-            ),
-        }
+    /// Cost of reconstructing a state from scratch: restart the PFS and
+    /// replay its `ops` persisted operations.
+    pub fn restart_cost(&self, ops: usize) -> f64 {
+        self.restart_secs + self.op_replay_secs * ops as f64 + self.check_secs
+    }
+
+    /// Cost of reaching a state from the one visited before it by
+    /// rebuilding the `changed` of its `servers` that differ (at least
+    /// one), each replaying its share of the `ops` persisted operations.
+    pub fn rebuild_cost(&self, changed: usize, servers: usize, ops: usize) -> f64 {
+        let changed = changed.max(1) as f64;
+        self.server_rebuild_secs * changed
+            + self.op_replay_secs * (ops as f64 / servers as f64) * changed
+            + self.check_secs
     }
 }
 
@@ -359,17 +342,17 @@ impl CostModel {
 mod tests {
     use super::*;
 
+    /// The dense reference of [`sparse_distance`]: the number of servers
+    /// whose persisted-update set differs.
+    fn server_distance(a: &[u64], b: &[u64]) -> usize {
+        a.iter().zip(b).filter(|(x, y)| x != y).count()
+    }
+
     #[test]
     fn mode_properties() {
         assert!(!ExploreMode::BruteForce.prunes());
-        assert!(ExploreMode::Pruning.prunes());
-        assert!(!ExploreMode::Pruning.incremental());
-        assert!(ExploreMode::Optimized.incremental());
-        for m in [
-            ExploreMode::BruteForce,
-            ExploreMode::Pruning,
-            ExploreMode::Optimized,
-        ] {
+        assert!(ExploreMode::Optimized.prunes());
+        for m in [ExploreMode::BruteForce, ExploreMode::Optimized] {
             assert_eq!(ExploreMode::parse(m.as_str()), Some(m));
         }
     }
@@ -378,12 +361,11 @@ mod tests {
     fn tsp_visits_every_state_once() {
         let fps = vec![vec![1, 1, 1], vec![2, 1, 1], vec![2, 2, 1], vec![9, 9, 9]];
         let order = tsp_order(&fps);
-        let mut sorted = order.clone();
+        let mut sorted: Vec<usize> = order.iter().map(|&(i, _)| i).collect();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
         // Greedy from 0 goes to the 1-distance neighbour first.
-        assert_eq!(order[1], 1);
-        assert_eq!(order[2], 2);
+        assert_eq!(order[..3], [(0, 0), (1, 1), (2, 1)]);
     }
 
     #[test]
@@ -404,20 +386,21 @@ mod tests {
                 .sum()
         };
         let trace_order: Vec<usize> = (0..fps.len()).collect();
-        let tsp = tsp_order(&fps);
+        let tsp: Vec<usize> = tsp_order(&fps).into_iter().map(|(i, _)| i).collect();
         assert!(total(&tsp) <= total(&trace_order));
     }
 
     /// The sparse distance is the dense one, and the sparse greedy tour
-    /// is the dense greedy tour, on states that share most servers.
+    /// is the dense greedy tour, step distances included, on states that
+    /// share most servers.
     #[test]
     fn sparse_tsp_matches_the_dense_greedy_order() {
-        fn dense_order(fps: &[Vec<u64>]) -> Vec<usize> {
-            let mut order = vec![0];
+        fn dense_order(fps: &[Vec<u64>]) -> Vec<(usize, usize)> {
+            let mut order = vec![(0, 0)];
             let mut visited = vec![false; fps.len()];
             visited[0] = true;
             for _ in 1..fps.len() {
-                let cur = *order.last().unwrap();
+                let (cur, _) = *order.last().unwrap();
                 let (mut best, mut best_d) = (usize::MAX, usize::MAX);
                 for j in (0..fps.len()).filter(|&j| !visited[j]) {
                     let d = server_distance(&fps[cur], &fps[j]);
@@ -426,7 +409,7 @@ mod tests {
                     }
                 }
                 visited[best] = true;
-                order.push(best);
+                order.push((best, best_d));
             }
             order
         }
@@ -455,15 +438,11 @@ mod tests {
     #[test]
     fn cost_model_incremental_is_cheaper() {
         let cm = CostModel::for_restart(7.8);
-        let prev = vec![1u64, 2, 3, 4];
-        let cur = vec![1u64, 2, 9, 4];
-        let (full, _) = cm.state_cost(false, Some(&prev), &cur, 20);
-        let (incr, changed) = cm.state_cost(true, Some(&prev), &cur, 20);
-        assert!(incr < full / 2.0);
-        assert_eq!(changed, 1);
-        // First state always pays the full price.
-        let (first, _) = cm.state_cost(true, None, &cur, 20);
-        assert!(first >= cm.restart_secs);
+        let full = cm.restart_cost(20);
+        assert!(full >= cm.restart_secs);
+        assert!(cm.rebuild_cost(1, 4, 20) < full / 2.0);
+        // Rebuilding no server still pays for one.
+        assert_eq!(cm.rebuild_cost(0, 4, 20), cm.rebuild_cost(1, 4, 20));
     }
 
     #[test]

@@ -144,8 +144,9 @@ type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 /// Jobs are pushed at the back and popped at the back — newest first.
 /// A caller that joins its handles in spawn order, each on its own
 /// condvar, is then woken once at the end of the drain instead of once
-/// per task (join 0 returns, join 1 blocks, …): 19 % of a PR-tier
-/// sweep's `pass_ms`, measured on a 2-core box with verdict tasks. A
+/// per task (join 0 returns, join 1 blocks, …). The benchmark's spawn
+/// probe, the pool's one caller, joins that way, and its
+/// `rt.pool.spawn_ns_per_task` row is measured under this order. A
 /// `join` that runs queued tasks itself would make the order free to
 /// choose.
 struct Sched<'env> {

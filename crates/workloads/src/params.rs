@@ -267,9 +267,14 @@ mod tests {
         let err = configure("replay_cache_cap = 16").unwrap_err();
         assert!(err.contains("unknown key replay_cache_cap"), "{err}");
         // Per-run choices are flags, not configuration.
-        for key in ["faults = seed=7", "explain = true"] {
+        for key in ["faults = seed=7", "torn_seed = 7", "explain = true"] {
             assert!(configure(key).is_err(), "{key}");
         }
         assert!(configure("no equals sign").is_err());
+        // Two modes, one spelling each: pruning alone is not a mode.
+        for mode in ["pruning", "bruteforce"] {
+            let err = configure(&format!("mode = {mode}")).unwrap_err();
+            assert!(err.contains(&format!("bad mode: {mode}")), "{err}");
+        }
     }
 }

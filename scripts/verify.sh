@@ -173,7 +173,7 @@ target/release/paracrash selftest obs
 
 echo "== gate 6: torn-write determinism + zero-fault fidelity =="
 # Same torn seed => bit-identical CLI report, regardless of thread count.
-seq_eq_par --fs BeeGFS --program ARVR --faults seed=7,torn=1
+seq_eq_par --fs BeeGFS --program ARVR --torn-seed 7
 # Zero-fault runs must still find exactly the paper's fifteen bugs.
 target/release/paracrash table3 > "$tmp/table3.txt"
 if [ "$(grep -c REPRODUCED "$tmp/table3.txt")" -ne 15 ] || grep -q missing "$tmp/table3.txt"; then

@@ -33,13 +33,13 @@ const PFS_MODELS: [FsKind; 5] = [
 /// deliberately excluded — they describe how a checker ran.
 fn observable(outcome: &CheckOutcome) -> String {
     format!(
-        "{}total={} checked={} pruned={} diagnostic={} rebuilds={} sim={} reps={:?}",
+        "{}total={} checked={} pruned={} diagnostic={} restart={} sim={} reps={:?}",
         outcome.canonical_report(),
         outcome.stats.states_total,
         outcome.stats.states_checked,
         outcome.stats.states_pruned,
         outcome.stats.states_diagnostic,
-        outcome.stats.server_rebuilds,
+        outcome.stats.restart_seconds,
         outcome.stats.sim_seconds,
         outcome.rep_digests,
     )
