@@ -368,7 +368,7 @@ impl ModelBase {
         dir: &str,
     ) -> BTreeMap<String, Vec<(u32, String)>> {
         let mut chunks: BTreeMap<String, Vec<(u32, String)>> = BTreeMap::new();
-        for s in self.topo.storage_servers() {
+        for &s in self.topo.storage_servers() {
             for name in snapshot.server(s).as_fs().readdir(dir).unwrap_or_default() {
                 let owner = owner_of(&name).to_string();
                 chunks.entry(owner).or_default().push((s, name));
@@ -391,12 +391,7 @@ impl ModelBase {
         scope: &Scope<X>,
     ) {
         let dir = scope.dir;
-        for s in self
-            .topo
-            .storage_servers()
-            .into_iter()
-            .filter(|&s| scope.is_dirty(s))
-        {
+        for &s in (self.topo.storage_servers().iter()).filter(|&&s| scope.is_dirty(s)) {
             let Ok(names) = states.server(s).as_fs().readdir(dir) else {
                 continue;
             };

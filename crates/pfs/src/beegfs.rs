@@ -116,13 +116,13 @@ impl BeeGfs {
         journal: JournalMode,
     ) -> Self {
         let mut base = ModelBase::fs(topo, placement, stripe, journal);
-        for m in base.topo.metadata_servers() {
+        for m in base.topo.metadata_servers().to_vec() {
             let fs = base.mkfs(m).as_fs_mut();
             fs.mkdir_all("/dentries").unwrap();
             fs.mkdir_all("/idfiles").unwrap();
             fs.mkdir_all("/inodes").unwrap();
         }
-        for s in base.topo.storage_servers() {
+        for s in base.topo.storage_servers().to_vec() {
             base.mkfs(s).as_fs_mut().mkdir_all("/chunks").unwrap();
         }
         let owner = base.placement.dir_index("/", base.n_meta());
@@ -861,9 +861,9 @@ mod tests {
 
     /// Every storage server's `/chunks` listing.
     fn chunks(fs: &BeeGfs, states: &ServerStates) -> Vec<Vec<String>> {
-        let storage = fs.base.topo.storage_servers().into_iter();
+        let storage = fs.base.topo.storage_servers().iter();
         storage
-            .map(|s| states.server(s).as_fs().readdir("/chunks").unwrap())
+            .map(|&s| states.server(s).as_fs().readdir("/chunks").unwrap())
             .collect()
     }
 
@@ -915,7 +915,7 @@ mod tests {
         let mut fs = BeeGfs::paper_default();
         let preamble = [creat("/file"), pwrite("/file", 0, b"old"), close("/file")];
         drive(&mut fs, &mut Recorder::new(), &preamble);
-        let metas = fs.base.topo.metadata_servers();
+        let metas = fs.base.topo.metadata_servers().to_vec();
         for &m in &metas {
             fs.base.mkfs(m).as_fs_mut().creat("/idfiles/ghost").unwrap();
         }

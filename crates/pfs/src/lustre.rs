@@ -85,10 +85,10 @@ impl Lustre {
         journal: JournalMode,
     ) -> Self {
         let mut base = ModelBase::fs(topo, placement, stripe, journal);
-        for m in base.topo.metadata_servers() {
+        for m in base.topo.metadata_servers().to_vec() {
             base.mkfs(m).as_fs_mut().mkdir_all("/mdt").unwrap();
         }
-        for s in base.topo.storage_servers() {
+        for s in base.topo.storage_servers().to_vec() {
             base.mkfs(s).as_fs_mut().mkdir_all("/objects").unwrap();
         }
         base.seal();
@@ -485,8 +485,8 @@ mod tests {
         let mut states = fs.baseline().clone();
         states.apply_events(&rec2, keep);
         let objects = |st: &ServerStates| -> Vec<String> {
-            let osts = fs.base.topo.storage_servers().into_iter();
-            osts.flat_map(|s| st.server(s).as_fs().readdir("/objects").unwrap())
+            let osts = fs.base.topo.storage_servers().iter();
+            osts.flat_map(|&s| st.server(s).as_fs().readdir("/objects").unwrap())
                 .collect()
         };
         assert!(!objects(&states).is_empty());

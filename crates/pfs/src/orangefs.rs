@@ -85,13 +85,13 @@ impl OrangeFs {
         journal: JournalMode,
     ) -> Self {
         let mut base = ModelBase::fs(topo, placement, stripe, journal);
-        for m in base.topo.metadata_servers() {
+        for m in base.topo.metadata_servers().to_vec() {
             let fs = base.mkfs(m).as_fs_mut();
             fs.mkdir_all("/db").unwrap();
             fs.creat("/db/keyval.db").unwrap();
             fs.creat("/db/attrs.db").unwrap();
         }
-        for s in base.topo.storage_servers() {
+        for s in base.topo.storage_servers().to_vec() {
             base.mkfs(s).as_fs_mut().mkdir_all("/bstreams").unwrap();
         }
         base.seal();
@@ -421,9 +421,9 @@ impl OrangeFs {
     /// the server that created the handle — not necessarily the owner of
     /// the directory naming it — so lookups resolve against the union.
     fn attrs(&self, states: &ServerStates) -> BTreeMap<String, String> {
-        let metas = self.base.topo.metadata_servers().into_iter();
+        let metas = self.base.topo.metadata_servers().iter();
         metas
-            .flat_map(|m| Self::parse_attrs(states.server(m).as_fs()))
+            .flat_map(|&m| Self::parse_attrs(states.server(m).as_fs()))
             .collect()
     }
 
@@ -646,9 +646,9 @@ mod tests {
         let mut states = fs.baseline().clone();
         states.apply_events(&rec, keep);
         let bstreams = |st: &ServerStates| -> Vec<String> {
-            let storage = fs.base.topo.storage_servers().into_iter();
+            let storage = fs.base.topo.storage_servers().iter();
             storage
-                .flat_map(|s| st.server(s).as_fs().readdir("/bstreams").unwrap())
+                .flat_map(|&s| st.server(s).as_fs().readdir("/bstreams").unwrap())
                 .collect()
         };
         assert!(bstreams(&states).iter().any(|b| b.starts_with("stranded-")));

@@ -27,11 +27,14 @@ pub struct ServerSpec {
     pub role: ServerRole,
 }
 
-/// The full cluster shape for one test run.
+/// The full cluster shape for one test run. The role lists are worked
+/// out once, at construction: placement reads them once per stripe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterTopology {
     servers: Vec<ServerSpec>,
     clients: u32,
+    metadata: Vec<u32>,
+    storage: Vec<u32>,
 }
 
 impl ClusterTopology {
@@ -51,18 +54,29 @@ impl ClusterTopology {
                 role: ServerRole::Storage,
             });
         }
-        ClusterTopology { servers, clients }
+        Self::of(servers, clients)
     }
 
     /// Build a topology of combined servers (GlusterFS / GPFS shape).
     pub fn combined(servers: u32, clients: u32) -> Self {
+        let servers = (0..servers)
+            .map(|id| ServerSpec {
+                id,
+                role: ServerRole::Combined,
+            })
+            .collect();
+        Self::of(servers, clients)
+    }
+
+    /// `servers` (dense: `servers[i].id == i`) and their role lists.
+    fn of(servers: Vec<ServerSpec>, clients: u32) -> Self {
+        let ids = |holds: fn(ServerRole) -> bool| {
+            (servers.iter().filter(|s| holds(s.role)).map(|s| s.id)).collect()
+        };
         ClusterTopology {
-            servers: (0..servers)
-                .map(|id| ServerSpec {
-                    id,
-                    role: ServerRole::Combined,
-                })
-                .collect(),
+            metadata: ids(|r| matches!(r, ServerRole::Metadata | ServerRole::Combined)),
+            storage: ids(|r| matches!(r, ServerRole::Storage | ServerRole::Combined)),
+            servers,
             clients,
         }
     }
@@ -87,27 +101,19 @@ impl ClusterTopology {
         self.servers.len() as u32
     }
 
-    /// Ids of servers that can hold metadata.
-    pub fn metadata_servers(&self) -> Vec<u32> {
-        self.servers
-            .iter()
-            .filter(|s| matches!(s.role, ServerRole::Metadata | ServerRole::Combined))
-            .map(|s| s.id)
-            .collect()
+    /// Ids of servers that can hold metadata, ascending.
+    pub fn metadata_servers(&self) -> &[u32] {
+        &self.metadata
     }
 
-    /// Ids of servers that can hold data.
-    pub fn storage_servers(&self) -> Vec<u32> {
-        self.servers
-            .iter()
-            .filter(|s| matches!(s.role, ServerRole::Storage | ServerRole::Combined))
-            .map(|s| s.id)
-            .collect()
+    /// Ids of servers that can hold data, ascending.
+    pub fn storage_servers(&self) -> &[u32] {
+        &self.storage
     }
 
     /// Role of a server id.
     pub fn role(&self, id: u32) -> Option<ServerRole> {
-        self.servers.iter().find(|s| s.id == id).map(|s| s.role)
+        self.servers.get(id as usize).map(|s| s.role)
     }
 }
 
@@ -131,6 +137,31 @@ mod tests {
         let t = ClusterTopology::combined(2, 1);
         assert_eq!(t.metadata_servers(), vec![0, 1]);
         assert_eq!(t.storage_servers(), vec![0, 1]);
+    }
+
+    /// The role lists are the role filter over `servers()`, and `role`
+    /// reads a server's entry by its id.
+    #[test]
+    fn role_lists_are_the_role_filter() {
+        let filter = |t: &ClusterTopology, holds: fn(ServerRole) -> bool| -> Vec<u32> {
+            (t.servers().iter().filter(|s| holds(s.role)).map(|s| s.id)).collect()
+        };
+        for t in [
+            ClusterTopology::dedicated(2, 2, 2),
+            ClusterTopology::dedicated(128, 128, 2),
+            ClusterTopology::combined(2, 2),
+            ClusterTopology::combined(256, 2),
+        ] {
+            let meta = filter(&t, |r| r != ServerRole::Storage);
+            let storage = filter(&t, |r| r != ServerRole::Metadata);
+            assert_eq!(t.metadata_servers(), meta);
+            assert_eq!(t.storage_servers(), storage);
+            for (i, spec) in t.servers().iter().enumerate() {
+                assert_eq!(spec.id, i as u32);
+                assert_eq!(t.role(spec.id), Some(spec.role));
+            }
+            assert_eq!(t.role(t.server_count()), None);
+        }
     }
 
     #[test]
