@@ -22,7 +22,7 @@
 //!
 //! Total replay work is the edge count of the prefix tree instead of the
 //! sum of sequence lengths, the fork count is linear in the tree size,
-//! and every fork is an O(1) [`ServerStates::fork`]
+//! and every fork is an O(written) [`ServerStates::fork`]
 //! (the COW snapshots introduced in `simfs`). Because each state still
 //! ends up with *its exact persisted sequence applied in the exact same
 //! order*, the materialized states — and therefore all verdicts, bug
@@ -48,7 +48,7 @@ pub struct SnapshotStats {
 }
 
 /// Pre-materialized pre-crash states, one COW fork per crash state, in
-/// crash-state order. Workers fork their entry again (O(1)) before
+/// crash-state order. Workers fork their entry again (O(written)) before
 /// running recovery, so the plan itself stays immutable and shareable.
 #[derive(Debug)]
 pub struct SnapshotPlan {

@@ -9,7 +9,7 @@
 //! ```text
 //! fs()/block() → mkfs() → seal()          constructor (untraced format)
 //! emit_fs()/emit_block()                   dispatch mutates `live` only
-//! seal()                                   end of preamble: baseline = live.fork()
+//! seal()                                   end of preamble: baseline = live.sealed()
 //! baseline().fork() + apply_events → recover → client_view   (crash states)
 //! clone() = Pfs::fork → dispatch → client_view(live)         (golden walk)
 //! ```
@@ -159,8 +159,11 @@ impl ModelBase {
     }
 
     /// Snapshot the live state as the baseline crash states are
-    /// materialized on (the paper's pre-test LVM snapshot, §4.3).
+    /// materialized on (the paper's pre-test LVM snapshot, §4.3). The
+    /// live stores become a fresh sealed base, so the baseline and every
+    /// image forked from it carry only the servers they write.
     pub fn seal(&mut self) {
+        self.live = self.live.sealed();
         self.baseline = self.live.fork();
         self.index = Arc::default();
     }

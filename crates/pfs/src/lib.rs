@@ -48,7 +48,7 @@
 //!    Recovery costs what the crash touched: every image the checker
 //!    recovers is a copy-on-write fork of the baseline, and a server
 //!    whose store still shares its root with the baseline's is *clean*
-//!    ([`ServerStates::dirty_mask`]: one pointer compare per server).
+//!    ([`ServerStates::dirty_mask`]: a pointer compare per written server).
 //!    [`ModelBase::recover`] runs the model's passes under a
 //!    [`base::Scope`] that marks the dirty servers and carries an index
 //!    of the baseline, built once per seal on the first recovery. A pass
@@ -188,7 +188,7 @@ pub trait Pfs: Fork + Send + Sync {
 /// for a test double that wraps a `Box<dyn Pfs>` and derives `Clone`.
 pub trait Fork {
     /// An independent instance in the same state: the stores are shared
-    /// copy-on-write (O(servers), no bytes copied), the bookkeeping is
+    /// copy-on-write (O(servers written since the seal)), the bookkeeping is
     /// cloned. Dispatching on either side never shows on the other —
     /// the golden walk replays a preamble once and forks where preserved
     /// sets diverge.

@@ -2,6 +2,7 @@
 
 use pc_rt::hash::{fnv1a_extend, FNV_OFFSET_BASIS};
 use simfs::{BlockDev, BlockOp, FsOp, FsState, JournalMode};
+use std::sync::{Arc, OnceLock};
 use tracer::{EventId, Payload, Recorder};
 
 /// The persistent store of one server: a local file system (user-level
@@ -155,50 +156,107 @@ impl Store {
 }
 
 /// The persistent state of the whole cluster: one store per server,
-/// indexed by server id.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// indexed by server id. It is an overlay: a sealed [`Base`] that every
+/// fork shares, plus the stores written since, sorted by server id. A
+/// fork, the dirty mask of an image against its baseline and equality
+/// between two images of one base cost the servers written, not the
+/// server count.
+#[derive(Debug)]
 pub struct ServerStates {
+    base: Arc<Base>,
+    written: Vec<(u32, Store)>,
+}
+
+/// The sealed stores of a [`ServerStates`], one per server: never
+/// written, shared by every fork. Made only by [`ServerStates::sealed`],
+/// the `all_*` constructors and [`ServerStates::deep_clone`].
+#[derive(Debug)]
+struct Base {
     stores: Vec<Store>,
+    /// [`Store::digest`] of each store, worked out on first use.
+    digests: OnceLock<Vec<u64>>,
 }
 
 impl ServerStates {
+    /// `stores` as a fresh base with nothing written.
+    fn over(stores: Vec<Store>) -> Self {
+        let digests = OnceLock::new();
+        ServerStates {
+            base: Arc::new(Base { stores, digests }),
+            written: Vec::new(),
+        }
+    }
+
     /// `n` local-FS servers, all with the same journaling mode.
     pub fn all_fs(n: u32, journal: JournalMode) -> Self {
-        ServerStates {
-            stores: (0..n).map(|_| Store::fs(journal)).collect(),
-        }
+        Self::over((0..n).map(|_| Store::fs(journal)).collect())
     }
 
     /// `n` block-device servers.
     pub fn all_block(n: u32) -> Self {
-        ServerStates {
-            stores: (0..n).map(|_| Store::block()).collect(),
-        }
+        Self::over((0..n).map(|_| Store::block()).collect())
+    }
+
+    /// The same state with every store in a fresh base and nothing
+    /// written: O(servers) once, so that each fork of the result — and
+    /// each image materialized on one — costs only what it writes.
+    pub fn sealed(&self) -> ServerStates {
+        Self::over(self.iter().map(|(_, store)| store.fork()).collect())
+    }
+
+    /// Where server `id` sits in `written`, or where it would go.
+    fn slot(&self, id: u32) -> Result<usize, usize> {
+        self.written
+            .binary_search_by_key(&id, |&(server, _)| server)
     }
 
     /// Store of server `id`.
     pub fn server(&self, id: u32) -> &Store {
-        &self.stores[id as usize]
+        match self.slot(id) {
+            Ok(i) => &self.written[i].1,
+            Err(_) => &self.base.stores[id as usize],
+        }
     }
 
-    /// Mutable store of server `id`.
+    /// Mutable store of server `id`: the first call for a server forks
+    /// its base store into the written ones.
     pub fn server_mut(&mut self, id: u32) -> &mut Store {
-        &mut self.stores[id as usize]
+        let i = self.slot(id).unwrap_or_else(|i| {
+            let store = self.base.stores[id as usize].fork();
+            pc_rt::obs::count("pfs.stores_forked", 1);
+            self.written.insert(i, (id, store));
+            i
+        });
+        &mut self.written[i].1
     }
 
     /// Number of servers.
     pub fn len(&self) -> usize {
-        self.stores.len()
+        self.base.stores.len()
     }
 
     /// `true` if no servers.
     pub fn is_empty(&self) -> bool {
-        self.stores.is_empty()
+        self.base.stores.is_empty()
     }
 
     /// Iterate over `(server_id, store)`.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Store)> {
-        self.stores.iter().enumerate().map(|(i, s)| (i as u32, s))
+        (0..self.len() as u32).map(|id| (id, self.server(id)))
+    }
+
+    /// [`Store::digest`] of each server in server order: the base's
+    /// cached words with the written stores' swapped in.
+    fn store_digests(&self) -> impl Iterator<Item = u64> + '_ {
+        let base = (self.base.digests)
+            .get_or_init(|| self.base.stores.iter().map(Store::digest).collect());
+        let mut written = self.written.iter().peekable();
+        base.iter().enumerate().map(move |(id, &digest)| {
+            match written.next_if(|&&(server, _)| server as usize == id) {
+                Some((_, store)) => store.digest(),
+                None => digest,
+            }
+        })
     }
 
     /// Canonical digest of the whole cluster state: FNV-1a over the
@@ -206,8 +264,8 @@ impl ServerStates {
     /// hash equal whatever engine materialized them — the key the
     /// campaign's representative-state corpus dedups on.
     pub fn digest(&self) -> u64 {
-        self.stores.iter().fold(FNV_OFFSET_BASIS, |h, store| {
-            fnv1a_extend(h, &store.digest().to_le_bytes())
+        (self.store_digests()).fold(FNV_OFFSET_BASIS, |h, digest| {
+            fnv1a_extend(h, &digest.to_le_bytes())
         })
     }
 
@@ -284,41 +342,78 @@ impl ServerStates {
     /// engine names the servers on which a crashed image and the fully
     /// persisted one differ by comparing these.
     pub fn per_server_digests(&self) -> Vec<u64> {
-        self.stores.iter().map(|s| s.digest()).collect()
+        self.store_digests().collect()
     }
 
     /// The servers recovery must visit: `true` for each store that is no
     /// longer the one `snapshot` holds — no longer shares its root
     /// ([`FsState::same_root`], [`BlockDev::same_root`]) — so an image
-    /// forked from `snapshot` is dirty exactly where it was written.
-    /// O(servers) pointer compares; every server is dirty if the two
-    /// differ in size.
+    /// forked from `snapshot` is dirty exactly where it was written. Two
+    /// states of one base differ only where either was written, so only
+    /// those servers are compared; states of two bases compare every
+    /// server, and every server is dirty if the two differ in size.
     pub fn dirty_mask(&self, snapshot: &ServerStates) -> Vec<bool> {
-        if self.len() != snapshot.len() {
-            return vec![true; self.len()];
+        let n = self.len();
+        if n != snapshot.len() {
+            return vec![true; n];
         }
-        (self.stores.iter().zip(&snapshot.stores))
-            .map(|(store, snap)| !store.same_root(snap))
-            .collect()
+        let moved = |id: u32| !self.server(id).same_root(snapshot.server(id));
+        if !Arc::ptr_eq(&self.base, &snapshot.base) {
+            return (0..n as u32).map(moved).collect();
+        }
+        let mut dirty = vec![false; n];
+        for &(id, _) in self.written.iter().chain(&snapshot.written) {
+            dirty[id as usize] = moved(id);
+        }
+        dirty
     }
 
-    /// O(1) copy-on-write snapshot of the whole cluster: the simulation
+    /// Copy-on-write snapshot of the whole cluster: the simulation
     /// analogue of taking per-server LVM snapshots before crash emulation
-    /// (§4.3), minus the copying.
+    /// (§4.3), minus the copying. Shares the base and forks the written
+    /// stores, so it costs O(written).
     pub fn fork(&self) -> ServerStates {
+        pc_rt::obs::count("pfs.stores_forked", self.written.len() as u64);
         ServerStates {
-            stores: self.stores.iter().map(Store::fork).collect(),
+            base: Arc::clone(&self.base),
+            written: (self.written.iter())
+                .map(|(id, store)| (*id, store.fork()))
+                .collect(),
         }
     }
 
-    /// Structurally independent copy of every server (the reference
-    /// checker's clone-everything cost model).
+    /// Structurally independent copy of every server, flattened into a
+    /// fresh base (the reference checker's clone-everything cost model:
+    /// it shares no store with any other state, so it is dirty
+    /// everywhere against one).
     pub fn deep_clone(&self) -> ServerStates {
-        ServerStates {
-            stores: self.stores.iter().map(Store::deep_clone).collect(),
-        }
+        Self::over(self.iter().map(|(_, store)| store.deep_clone()).collect())
     }
 }
+
+/// The fork: a model's `Clone` forks its stores.
+impl Clone for ServerStates {
+    fn clone(&self) -> Self {
+        self.fork()
+    }
+}
+
+/// Equal when every server's store is; two states of one base compare
+/// only the servers either has written.
+impl PartialEq for ServerStates {
+    fn eq(&self, other: &Self) -> bool {
+        if self.len() != other.len() {
+            return false;
+        }
+        if Arc::ptr_eq(&self.base, &other.base) {
+            let mut written = self.written.iter().chain(&other.written);
+            return written.all(|&(id, _)| self.server(id) == other.server(id));
+        }
+        self.iter().zip(other.iter()).all(|((_, a), (_, b))| a == b)
+    }
+}
+
+impl Eq for ServerStates {}
 
 #[cfg(test)]
 mod tests {

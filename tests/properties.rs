@@ -837,7 +837,8 @@ fn digest_is_a_sound_recovery_key(name: &str, fs: workloads::FsKind) {
 }
 
 /// Recovery visits only what the crash touched, and that is the whole
-/// fsck: on BeeGFS, OrangeFS and Lustre, at 2 + 2 and 32 + 32 servers,
+/// fsck: on BeeGFS, OrangeFS and Lustre, at 2 + 2 and 32 + 32 servers
+/// (and BeeGFS at 128 + 128),
 /// recovering an image forked from the baseline (clean servers share
 /// their store with it) and recovering a deep copy of it (every server
 /// dirty: the full algorithm) leave the same stores and mount the same
@@ -850,7 +851,12 @@ fn recovering_a_fork_equals_recovering_the_whole_image() {
     use workloads::FsKind;
     for fs in [FsKind::BeeGfs, FsKind::OrangeFs, FsKind::Lustre] {
         let repaired_clean = AtomicUsize::new(0);
-        for servers in [2, 32] {
+        let large: &[u32] = if fs == FsKind::BeeGfs {
+            &[32, 128]
+        } else {
+            &[32]
+        };
+        for &servers in [2].iter().chain(large) {
             let params = workloads::Params::quick().with_servers(servers, servers);
             let stacks = image_stacks(fs, &params);
             let name =
@@ -884,6 +890,178 @@ fn recovering_a_fork_equals_recovering_the_whole_image() {
         assert!(
             repaired_clean.load(Relaxed) > 0,
             "{fs:?}: no case repaired a clean server"
+        );
+    }
+}
+
+/// One step of [`overlay_equals_the_dense_model`]. Image indices wrap
+/// around the images made so far.
+#[derive(Debug)]
+enum OverlayStep {
+    /// Op `op` on file `file` of `server`, through `server_mut`.
+    Write {
+        image: usize,
+        server: u32,
+        op: u8,
+        file: u8,
+    },
+    /// The recorded events `mask` selects, through `apply_events`.
+    Events { image: usize, mask: u64 },
+    /// A new image: a fork of `image`.
+    Fork { image: usize },
+    /// `image` becomes its `sealed()` self and the baseline a fork of it,
+    /// as `ModelBase::seal` does.
+    Seal { image: usize },
+}
+
+fn overlay_op(op: u8, file: u8) -> FsOp {
+    let path = format!("/f{file}");
+    match op % 4 {
+        0 => FsOp::Creat { path },
+        1 => FsOp::Append {
+            path,
+            data: vec![file],
+        },
+        2 => FsOp::Unlink { path },
+        _ => FsOp::SetXattr {
+            path,
+            key: "user.k".into(),
+            value: vec![op],
+        },
+    }
+}
+
+/// Whether two stores are still one copy-on-write snapshot.
+fn same_root(a: &pfs::Store, b: &pfs::Store) -> bool {
+    use pfs::Store;
+    match (a, b) {
+        (Store::Fs { state: x, .. }, Store::Fs { state: y, .. }) => x.same_root(y),
+        (Store::Block(x), Store::Block(y)) => x.same_root(y),
+        _ => false,
+    }
+}
+
+/// `ServerStates` — a sealed base plus the stores written since — is
+/// the dense one-store-per-server vector it replaced: random writes
+/// through `server_mut` and `apply_events`, forks and `sealed()` calls,
+/// mirrored on a `Vec<Store>` per image, at 4 and 256 servers. Server by
+/// server the stores are equal; `digest()` is the dense FNV fold of the
+/// store digests; `per_server_digests()` is the dense list;
+/// `dirty_mask` against the baseline and against every other image is
+/// the dense `same_root` compare; and two images are `==` exactly when
+/// their dense mirrors are.
+#[test]
+fn overlay_equals_the_dense_model() {
+    use pc_rt::hash::{fnv1a_extend, FNV_OFFSET_BASIS};
+    use pfs::{ServerStates, Store};
+    for servers in [4u32, 256] {
+        run(
+            &format!("overlay_equals_the_dense_model/{servers}"),
+            &Config::with_cases(64),
+            |rng, size| {
+                let events = gen_vec(rng, 12, |r| {
+                    (r.gen_range(0..servers as u64) as u32, r.next_u32() as u8)
+                });
+                let steps = gen_vec(rng, size.min(24), |r| {
+                    let image = r.gen_index(8);
+                    match r.gen_index(8) {
+                        0..=3 => OverlayStep::Write {
+                            image,
+                            server: r.gen_range(0..servers as u64) as u32,
+                            op: r.next_u32() as u8,
+                            file: r.gen_index(3) as u8,
+                        },
+                        4 => OverlayStep::Events {
+                            image,
+                            mask: r.next_u64(),
+                        },
+                        5 | 6 => OverlayStep::Fork { image },
+                        _ => OverlayStep::Seal { image },
+                    }
+                });
+                (events, steps)
+            },
+            |(events, steps)| {
+                let mut rec = Recorder::new();
+                let ids: Vec<EventId> = (events.iter())
+                    .map(|&(server, op)| {
+                        let op = overlay_op(op, op % 3);
+                        let payload = Payload::Fs { server, op };
+                        rec.record(Layer::LocalFs, Process::Server(server), payload, None)
+                    })
+                    .collect();
+                let dense_fork = |stores: &[Store]| stores.iter().map(Store::fork).collect();
+                let mut baseline = ServerStates::all_fs(servers, JournalMode::Data);
+                let mut dense_baseline: Vec<Store> =
+                    (0..servers).map(|_| Store::fs(JournalMode::Data)).collect();
+                let mut images = vec![baseline.fork()];
+                let mut dense: Vec<Vec<Store>> = vec![dense_fork(&dense_baseline)];
+                for step in steps {
+                    match *step {
+                        OverlayStep::Write {
+                            image,
+                            server,
+                            op,
+                            file,
+                        } => {
+                            let (i, op) = (image % images.len(), overlay_op(op, file));
+                            images[i].server_mut(server).apply_fs(&op);
+                            dense[i][server as usize].apply_fs(&op);
+                        }
+                        OverlayStep::Events { image, mask } => {
+                            let i = image % images.len();
+                            let set = (ids.iter().enumerate())
+                                .filter(|&(bit, _)| mask >> bit & 1 == 1)
+                                .map(|(_, &id)| id);
+                            images[i].apply_events(&rec, set.clone());
+                            for id in set {
+                                let Payload::Fs { server, op } = &rec.event(id).payload else {
+                                    unreachable!("file-system events only")
+                                };
+                                dense[i][*server as usize].apply_fs(op);
+                            }
+                        }
+                        OverlayStep::Fork { image } => {
+                            let i = image % images.len();
+                            images.push(images[i].fork());
+                            dense.push(dense_fork(&dense[i]));
+                        }
+                        OverlayStep::Seal { image } => {
+                            let i = image % images.len();
+                            images[i] = images[i].sealed();
+                            dense[i] = dense_fork(&dense[i]);
+                            baseline = images[i].fork();
+                            dense_baseline = dense_fork(&dense[i]);
+                        }
+                    }
+                }
+                images.push(baseline.fork());
+                dense.push(dense_fork(&dense_baseline));
+                for (i, (image, stores)) in images.iter().zip(&dense).enumerate() {
+                    prop_assert_eq!(image.len(), stores.len());
+                    for (s, store) in stores.iter().enumerate() {
+                        prop_assert!(image.server(s as u32) == store, "image {i} server {s}");
+                    }
+                    let digests: Vec<u64> = stores.iter().map(Store::digest).collect();
+                    let fold = (digests.iter())
+                        .fold(FNV_OFFSET_BASIS, |h, d| fnv1a_extend(h, &d.to_le_bytes()));
+                    prop_assert_eq!(image.digest(), fold);
+                    prop_assert_eq!(image.per_server_digests(), digests);
+                    let dirty: Vec<bool> = (stores.iter().zip(&dense_baseline))
+                        .map(|(store, base)| !same_root(store, base))
+                        .collect();
+                    prop_assert_eq!(image.dirty_mask(&baseline), dirty);
+                    for (j, other) in images.iter().enumerate() {
+                        let equal = *stores == dense[j];
+                        prop_assert!((image == other) == equal, "images {i}, {j}: {equal}");
+                        let dirty: Vec<bool> = (stores.iter().zip(&dense[j]))
+                            .map(|(store, theirs)| !same_root(store, theirs))
+                            .collect();
+                        prop_assert!(image.dirty_mask(other) == dirty, "images {i}, {j}");
+                    }
+                }
+                Ok(())
+            },
         );
     }
 }
