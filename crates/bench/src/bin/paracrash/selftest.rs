@@ -160,9 +160,10 @@ fn min_secs_pair<A, B>(
 ///   — turns crash states into mounted views at least 2× as fast as the
 ///   per-state `deep_clone → apply_events → recover_and_mount` loop
 ///   (what `paracrash::check_reference` does per state);
-/// * `check_stack` on a traced `H5-create`/BeeGFS run grows
-///   sub-linearly: the cost per checked state at 256 servers is less
-///   than 4× the cost at 64, the factor the cluster grew by.
+/// * `check_stack` on a traced `H5-create`/BeeGFS run costs what the
+///   crash wrote, not the cluster size: the cost per checked state at
+///   256 servers is less than 1.5× the cost at 64, though the cluster
+///   grew 4×.
 ///
 /// Both 16-server loops fold every state's view digest through
 /// `black_box`, so neither can skip verdict work.
@@ -214,10 +215,11 @@ fn check_scale() {
         |fx: &Fixture, secs: f64| secs * 1e9 / check(fx).stats.states_checked.max(1) as f64;
     let (pc64, pc256) = (per_check(&c64, secs64), per_check(&c256, secs256));
     let growth = pc256 / pc64;
-    if growth >= 4.0 {
+    if growth >= 1.5 {
         fail(format_args!(
             "per-check cost grows {growth:.2}x from 64 to 256 servers \
-             ({pc64:.0} -> {pc256:.0} ns; need < 4x, the growth of the cluster)"
+             ({pc64:.0} -> {pc256:.0} ns; need < 1.5x: a check costs what the crash \
+             wrote, not the server count)"
         ));
     }
     println!(

@@ -49,8 +49,8 @@
 #      H5-create cell (stripe 256, the benchmark's scale_256) report
 #      byte-identically sequential vs parallel, and `selftest scale`
 #      measures, in one process, the batched engine at >= 2x the
-#      per-state loop and sub-linear per-check growth from 64 to 256
-#      servers.
+#      per-state loop and per-check growth under 1.5x from 64 to 256
+#      servers (a check costs what the crash wrote).
 #  12. Crash-safe sweep — a PR-tier `fuzz --state-dir` killed by a real
 #      SIGKILL leaves a stream `report` renders as a crash dump, refuses
 #      to rerun without `--resume`, and resumes sequentially to the pin.
