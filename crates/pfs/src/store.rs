@@ -134,7 +134,7 @@ impl Store {
     /// Whether this store still *is* the copy-on-write snapshot `other`:
     /// O(1), and conservative — a store mutated back to `other`'s content
     /// is not.
-    pub(crate) fn same_root(&self, other: &Store) -> bool {
+    pub fn same_root(&self, other: &Store) -> bool {
         match (self, other) {
             (Store::Fs { state: a, .. }, Store::Fs { state: b, .. }) => a.same_root(b),
             (Store::Block(a), Store::Block(b)) => a.same_root(b),
@@ -156,7 +156,7 @@ impl Store {
 }
 
 /// The persistent state of the whole cluster: one store per server,
-/// indexed by server id. It is an overlay: a sealed [`Base`] that every
+/// indexed by server id. It is an overlay: a sealed base that every
 /// fork shares, plus the stores written since, sorted by server id. A
 /// fork, the dirty mask of an image against its baseline and equality
 /// between two images of one base cost the servers written, not the

@@ -931,16 +931,6 @@ fn overlay_op(op: u8, file: u8) -> FsOp {
     }
 }
 
-/// Whether two stores are still one copy-on-write snapshot.
-fn same_root(a: &pfs::Store, b: &pfs::Store) -> bool {
-    use pfs::Store;
-    match (a, b) {
-        (Store::Fs { state: x, .. }, Store::Fs { state: y, .. }) => x.same_root(y),
-        (Store::Block(x), Store::Block(y)) => x.same_root(y),
-        _ => false,
-    }
-}
-
 /// `ServerStates` — a sealed base plus the stores written since — is
 /// the dense one-store-per-server vector it replaced: random writes
 /// through `server_mut` and `apply_events`, forks and `sealed()` calls,
@@ -1048,14 +1038,14 @@ fn overlay_equals_the_dense_model() {
                     prop_assert_eq!(image.digest(), fold);
                     prop_assert_eq!(image.per_server_digests(), digests);
                     let dirty: Vec<bool> = (stores.iter().zip(&dense_baseline))
-                        .map(|(store, base)| !same_root(store, base))
+                        .map(|(store, base)| !store.same_root(base))
                         .collect();
                     prop_assert_eq!(image.dirty_mask(&baseline), dirty);
                     for (j, other) in images.iter().enumerate() {
                         let equal = *stores == dense[j];
                         prop_assert!((image == other) == equal, "images {i}, {j}: {equal}");
                         let dirty: Vec<bool> = (stores.iter().zip(&dense[j]))
-                            .map(|(store, theirs)| !same_root(store, theirs))
+                            .map(|(store, theirs)| !store.same_root(theirs))
                             .collect();
                         prop_assert!(image.dirty_mask(other) == dirty, "images {i}, {j}");
                     }
