@@ -851,12 +851,12 @@ fn recovering_a_fork_equals_recovering_the_whole_image() {
     use workloads::FsKind;
     for fs in [FsKind::BeeGfs, FsKind::OrangeFs, FsKind::Lustre] {
         let repaired_clean = AtomicUsize::new(0);
-        let large: &[u32] = if fs == FsKind::BeeGfs {
-            &[32, 128]
+        let sizes: &[u32] = if fs == FsKind::BeeGfs {
+            &[2, 32, 128]
         } else {
-            &[32]
+            &[2, 32]
         };
-        for &servers in [2].iter().chain(large) {
+        for &servers in sizes {
             let params = workloads::Params::quick().with_servers(servers, servers);
             let stacks = image_stacks(fs, &params);
             let name =
