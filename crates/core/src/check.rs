@@ -897,7 +897,9 @@ fn outcome(
     }
 }
 
-/// Run the full ParaCrash check for one traced program.
+/// Run the full ParaCrash check for one traced program. `factory`
+/// builds the instance the library-layer golden walk replays its
+/// preamble on; the PFS-layer walk forks the one `stack` sealed.
 pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> CheckOutcome {
     let started = Instant::now();
     let check_span = pc_rt::obs::span_cat("check_stack", "check");

@@ -9,16 +9,21 @@
 //! * **`check_stack`: one walk per layer.** The preserved sets of every
 //!   interned candidate set are computed once; their sorted union is a
 //!   trie keyed by call event id (sets are subsequences of one program
-//!   order). The base — `factory()` plus the preamble, fault-free, never
-//!   the traced `stack.pfs` — is built once per check, every trie edge
-//!   is dispatched once into a throw-away `Recorder`, and the instance
-//!   is forked ([`pfs::Pfs::fork`](pfs::Fork::fork): copy-on-write
-//!   stores) only where the trie branches, the last child taking the
-//!   instance itself. `executable()`'s namespace mirror travels down the
-//!   walk with the instance. An edge that fails marks its whole subtree
-//!   "no legal state"; an edge that panics marks it with the caught
-//!   message — what a full replay of each set under it would have hit at
-//!   the same call. One `check.legal_replay` span per layer walk.
+//!   order). Every trie edge is dispatched once into a throw-away
+//!   `Recorder`, and the instance is forked
+//!   ([`pfs::Pfs::fork`](pfs::Fork::fork): copy-on-write stores) only
+//!   where the trie branches, the last child taking the instance itself.
+//!   The PFS walk starts from a fork of the instance the traced stack
+//!   sealed after its preamble ([`Stack::sealed`]), the paper's pre-test
+//!   snapshot: it dispatches no preamble and builds no instance, and only
+//!   mirrors the preamble into `executable()`'s namespace. The library
+//!   walk starts from `factory()` and dispatches the library preamble,
+//!   whose replay state the traced stack does not keep. The namespace
+//!   mirror travels down the walk with the instance. An edge that fails
+//!   marks its whole subtree "no legal state"; an edge that panics marks
+//!   it with the caught message — what a full replay of each set under it
+//!   would have hit at the same call. One `check.legal_replay` span per
+//!   layer walk.
 //! * **`check_reference`: no table.** Every preserved set goes through
 //!   [`replay_pfs`] / [`replay_h5`] — a fresh instance and the whole
 //!   preamble per set. It is the oracle `tests/differential.rs` holds the
@@ -65,7 +70,8 @@ pub(crate) struct WalkStats {
     pub executed: usize,
     /// Preserved-set lookups a set already in the table answered.
     pub shared: usize,
-    /// Calls dispatched, preambles included.
+    /// Calls dispatched: trie edges, and the library preamble (the PFS
+    /// walk starts past its preamble).
     pub dispatched: usize,
     /// Instances forked at trie branches.
     pub forks: usize,
@@ -110,8 +116,7 @@ pub(crate) fn legal_lists(
             (cfg.pfs_model).preserved_sets(graph, candidates, &committed)
         },
         |set| replay_pfs(factory, &stack.pre_calls, &stack.calls.subset(set)),
-        || PfsGolden::new(factory),
-        &stack.pre_calls,
+        |_| PfsGolden::sealed(stack).map(Node::new),
         &stack.calls,
         walk.as_deref_mut(),
     );
@@ -132,11 +137,13 @@ pub(crate) fn legal_lists(
             let (ranks, pre, spec) = (&stack.h5_ranks, &stack.pre_h5, stack.h5_spec);
             replay_h5(factory, path, ranks, pre, &subset, spec)
         },
-        || H5Golden {
-            pfs: factory(),
-            replay: H5Replay::new(path, &stack.h5_ranks, stack.h5_spec),
+        |dispatched| {
+            let fresh = H5Golden {
+                pfs: factory(),
+                replay: H5Replay::new(path, &stack.h5_ranks, stack.h5_spec),
+            };
+            Node::new(fresh).after(&stack.pre_h5, dispatched)
         },
-        &stack.pre_h5,
         &stack.h5,
         walk,
     );
@@ -144,14 +151,13 @@ pub(crate) fn legal_lists(
 }
 
 /// One layer of [`legal_lists`]: `preserved` enumerates a candidate
-/// set's preserved sets, `oracle` replays one set in full, `fresh`
-/// builds the empty instance a walk starts from.
+/// set's preserved sets, `oracle` replays one set in full, `base` builds
+/// the post-preamble replay a walk starts from (see [`walk_sets`]).
 fn layer_lists<R: Replay>(
     candidate_sets: &[Vec<EventId>],
     preserved: impl Fn(&[EventId]) -> Vec<Vec<EventId>>,
     oracle: impl Fn(&[EventId]) -> Option<R::State>,
-    fresh: impl FnOnce() -> R,
-    pre: &[(R::Who, R::Op)],
+    base: impl FnOnce(&mut usize) -> Option<Node<R>>,
     calls: &CallTrace<R::Who, R::Op>,
     walk: Option<&mut WalkStats>,
 ) -> Lists<R::State> {
@@ -166,7 +172,7 @@ fn layer_lists<R: Replay>(
         sets.dedup();
         stats.executed += sets.len();
         stats.shared += lookups().count() - sets.len();
-        walk_sets(fresh, pre, calls, sets, stats)
+        walk_sets(base, calls, sets, stats)
     });
     let replayed = |set: &[EventId]| -> Replayed<R::State> {
         match &table {
@@ -237,11 +243,16 @@ struct PfsGolden {
 }
 
 impl PfsGolden {
-    fn new(factory: &StackFactory) -> PfsGolden {
-        PfsGolden {
-            pfs: factory(),
-            ns: Namespace::new(),
-        }
+    /// Past the preamble: a fork of the instance `stack` sealed, with the
+    /// preamble mirrored into the namespace. `None` when the mirror
+    /// rejects the preamble, as `executable()` would every set.
+    fn sealed(stack: &Stack) -> Option<PfsGolden> {
+        let mut ns = Namespace::new();
+        let admitted = stack.pre_calls.iter().all(|(_, call)| ns.admits(call));
+        admitted.then(|| PfsGolden {
+            pfs: stack.sealed.fork(),
+            ns,
+        })
     }
 }
 
@@ -308,6 +319,23 @@ struct Node<R> {
     poison: Option<String>,
 }
 
+impl<R: Replay> Node<R> {
+    fn new(replay: R) -> Self {
+        Node {
+            replay,
+            poison: None,
+        }
+    }
+
+    /// The node with `pre` dispatched onto it; `None` when nothing after
+    /// that preamble is legal.
+    fn after(mut self, pre: &[(R::Who, R::Op)], dispatched: &mut usize) -> Option<Self> {
+        (pre.iter())
+            .all(|(who, op)| step(dispatched, &mut self, *who, op))
+            .then_some(self)
+    }
+}
+
 /// Dispatch one edge on `node`; `false` when nothing below it is legal.
 fn step<R: Replay>(dispatched: &mut usize, node: &mut Node<R>, who: R::Who, op: &R::Op) -> bool {
     if !node.replay.admits(op) {
@@ -324,11 +352,11 @@ fn step<R: Replay>(dispatched: &mut usize, node: &mut Node<R>, who: R::Who, op: 
 }
 
 /// One layer's golden walk: what each of `sets` (sorted, distinct; each
-/// a subsequence of `calls`) denotes, replayed from the base `fresh()` +
-/// `pre` down the sets' prefix tree.
+/// a subsequence of `calls`) denotes, replayed down the sets' prefix tree
+/// from `base`, the replay past the preamble (`None`: no legal state
+/// follows it). `base` counts the calls it dispatches into its argument.
 fn walk_sets<'a, R: Replay>(
-    fresh: impl FnOnce() -> R,
-    pre: &[(R::Who, R::Op)],
+    base: impl FnOnce(&mut usize) -> Option<Node<R>>,
     calls: &CallTrace<R::Who, R::Op>,
     sets: Vec<&'a [EventId]>,
     stats: &mut WalkStats,
@@ -338,15 +366,8 @@ fn walk_sets<'a, R: Replay>(
     let mut out: Vec<Replayed<R::State>> = sets.iter().map(|_| Ok(None)).collect();
     if !sets.is_empty() {
         let _walk = pc_rt::obs::span_cat("check.legal_replay", "check");
-        let mut base = Node {
-            replay: fresh(),
-            poison: None,
-        };
         let dispatched = &mut stats.dispatched;
-        if pre
-            .iter()
-            .all(|(who, op)| step(dispatched, &mut base, *who, op))
-        {
+        if let Some(base) = base(dispatched) {
             stats.forks += descend(
                 &sets,
                 base,
@@ -377,17 +398,13 @@ fn walk_sets<'a, R: Replay>(
 /// event ids of `stack.calls`) denotes. `tests/properties.rs` holds it
 /// to [`replay_pfs`] set by set.
 #[doc(hidden)]
-pub fn walk_pfs(
-    stack: &Stack,
-    factory: &StackFactory,
-    sets: &[Vec<EventId>],
-) -> Vec<Result<Option<PfsView>, String>> {
+pub fn walk_pfs(stack: &Stack, sets: &[Vec<EventId>]) -> Vec<Result<Option<PfsView>, String>> {
     let mut sorted: Vec<&[EventId]> = sets.iter().map(Vec::as_slice).collect();
     sorted.sort_unstable();
     sorted.dedup();
     let mut stats = WalkStats::default();
-    let fresh = || PfsGolden::new(factory);
-    let table = walk_sets(fresh, &stack.pre_calls, &stack.calls, sorted, &mut stats);
+    let base = |_: &mut usize| PfsGolden::sealed(stack).map(Node::new);
+    let table = walk_sets(base, &stack.calls, sorted, &mut stats);
     let view = |replayed: &Replayed<PfsView>| {
         let replayed = replayed.as_ref().map_err(String::clone)?;
         Ok(replayed.as_ref().map(|(_, view)| PfsView::clone(view)))
@@ -417,9 +434,9 @@ mod tests {
     }
 
     /// A sequential program's preserved sets are the prefixes of its
-    /// calls — a trie of `n` edges and no branch: the walk dispatches the
-    /// preamble and each call once, where `n + 1` full replays dispatch
-    /// `(n + 1) · preamble + n(n + 1) / 2`.
+    /// calls — a trie of `n` edges and no branch: the walk forks the
+    /// sealed instance and dispatches each call once and no preamble,
+    /// where `n + 1` full replays dispatch `(n + 1) · preamble + n(n + 1) / 2`.
     #[test]
     fn golden_walk_dispatches_each_edge_of_a_sequential_trace_once() {
         let (factory, cfg) = (ext4_factory(), CheckConfig::paper_default());
@@ -441,7 +458,7 @@ mod tests {
             };
             let mut stats = WalkStats::default();
             let walked = lists(Some(&mut stats));
-            assert_eq!((stats.dispatched, stats.forks), (2 + n, 0), "n = {n}");
+            assert_eq!((stats.dispatched, stats.forks), (n, 0), "n = {n}");
             assert_eq!(stats.executed, n + 1, "n = {n}");
             assert_eq!(stats.executed + stats.shared, (n + 1) * (n + 2) / 2);
             // The table the walk fills is the oracle's, list by list.
@@ -569,7 +586,7 @@ mod tests {
                 caught(|| replay_pfs(&factory, &stack.pre_calls, &stack.calls.subset(set)))
             };
             (
-                walk_pfs(&stack, &factory, &sets),
+                walk_pfs(&stack, &sets),
                 sets.iter().map(replay).collect::<Vec<_>>(),
             )
         });

@@ -8,6 +8,11 @@
 //! do exactly that, one subset on one fresh [`StackFactory`] instance —
 //! the oracle. `check_stack` gets the same states from one walk over all
 //! subsets of a check (`golden`).
+//!
+//! [`Stack::seal_preamble`] keeps a fork of the instance it sealed: the
+//! paper's pre-test snapshot (§4.3), taken once. The PFS-layer walk
+//! starts from a fork of it instead of building a fresh instance and
+//! dispatching the preamble again.
 
 use h5sim::{H5Call, H5Trace};
 use pfs::{ClientTrace, Pfs, PfsCall, PfsView};
@@ -40,12 +45,17 @@ pub struct Stack {
     /// Library configuration used by the traced run (replays must
     /// match).
     pub h5_spec: h5sim::H5Spec,
+    /// `pfs` as [`seal_preamble`](Self::seal_preamble) left it (as built,
+    /// before it is called): what a fresh instance plus `pre_calls`
+    /// would be, without either.
+    pub(crate) sealed: Box<dyn Pfs>,
 }
 
 impl Stack {
     /// Wrap a freshly-built PFS.
     pub fn new(pfs: Box<dyn Pfs>) -> Stack {
         Stack {
+            sealed: pfs.fork(),
             pfs,
             rec: Recorder::new(),
             pre_calls: Vec::new(),
@@ -70,10 +80,12 @@ impl Stack {
         self.calls.push(ev, Process::Client(client), call);
     }
 
-    /// End the preamble: snapshot the baseline, archive the preamble
-    /// calls, and start the test-phase trace.
+    /// End the preamble: snapshot the baseline, keep a fork of the
+    /// sealed instance, archive the preamble calls, and start the
+    /// test-phase trace.
     pub fn seal_preamble(&mut self) {
         self.pfs.seal_baseline();
+        self.sealed = self.pfs.fork();
         self.pre_calls = std::mem::take(&mut self.calls)
             .entries()
             .iter()
@@ -85,6 +97,14 @@ impl Stack {
             .map(|(_, r, c)| (*r, c.clone()))
             .collect();
         self.rec = Recorder::new();
+    }
+
+    /// The instance the PFS-layer golden walk forks: `pfs` right after
+    /// the preamble was sealed. `tests/properties.rs` holds it to a fresh
+    /// instance with `pre_calls` dispatched.
+    #[doc(hidden)]
+    pub fn sealed(&self) -> &dyn Pfs {
+        self.sealed.as_ref()
     }
 
     /// The journaling mode of a server's local FS (block servers: none).

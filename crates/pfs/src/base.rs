@@ -14,31 +14,38 @@
 //! clone() = Pfs::fork → dispatch → client_view(live)         (golden walk)
 //! ```
 //!
-//! The last line is how the checker gets legal states: it replays a
-//! preamble once on a factory-built instance and forks the *model* —
-//! this base, stores shared copy-on-write, plus the model's own
-//! bookkeeping — wherever two preserved sets diverge.
+//! The last line is how the checker gets legal states: it forks the
+//! *model* — this base, stores shared copy-on-write, plus the model's
+//! own bookkeeping — as the traced stack sealed it after its preamble,
+//! and again wherever two preserved sets diverge.
 //!
 //! Recovery costs what the crash touched. [`ModelBase::recover`] runs a
 //! model's fsck under a [`Scope`]: the servers whose store is no longer
 //! the sealed baseline's ([`ServerStates::dirty_mask`]), and an index of
 //! the baseline — built once per [`seal`](ModelBase::seal), on the first
 //! recovery — that stands in for the clean ones.
+//!
+//! So does a mount's data. [`ModelBase::read_striped`] takes a stripe on
+//! a server whose store still shares its root with the baseline's from a
+//! table of the baseline's chunks, built once per seal on the first
+//! striped read, and reads only the written servers' stripes by path.
 
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
 use crate::store::{ServerStates, Store};
-use simfs::{BlockOp, FsOp, JournalMode};
+use simfs::state::Inode;
+use simfs::{BlockOp, FsOp, FsState, Ino, JournalMode};
 use simnet::{ClusterTopology, RpcNet};
 use std::any::Any;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use tracer::{EventId, Layer, Payload, Process, Recorder};
 
 /// The state and plumbing embedded in every PFS model. `Clone` is the
 /// fork: both store sets are copy-on-write, so a clone shares every
-/// node with its origin until one side dispatches.
+/// node with its origin until one side dispatches, and the baseline's
+/// recovery index and chunk table with it.
 #[derive(Clone)]
 pub struct ModelBase {
     /// The cluster shape this instance runs on.
@@ -55,6 +62,21 @@ pub struct ModelBase {
     /// What recovery knows of `baseline`, built on the first recovery.
     /// Forks share it (they share the baseline); `seal` starts a new one.
     index: Arc<OnceLock<RecoveryIndex>>,
+    /// What a mount knows of `baseline`, built on the first striped
+    /// read; shared and reset like `index`.
+    chunks: Arc<OnceLock<ChunkTable>>,
+}
+
+/// The baseline's chunk files, for mounts. Like [`RecoveryIndex`] it
+/// carries the snapshot it describes, and it is asked only for a server
+/// whose store still shares its root with the snapshot's.
+struct ChunkTable {
+    snapshot: ServerStates,
+    /// The object directory the table lists.
+    dir: String,
+    /// The regular file `<object>.<stripe>` of `dir` on each server, as
+    /// `object → (stripe, server) → inode`.
+    files: HashMap<String, BTreeMap<(u64, u32), Ino>>,
 }
 
 /// What recovery knows of a sealed baseline. It carries the snapshot it
@@ -149,6 +171,7 @@ impl ModelBase {
             baseline: live.fork(),
             live,
             index: Arc::default(),
+            chunks: Arc::default(),
         }
     }
 
@@ -156,6 +179,27 @@ impl ModelBase {
     /// of a constructor only; follow it with [`seal`](Self::seal).
     pub fn mkfs(&mut self, server: u32) -> &mut Store {
         self.live.server_mut(server)
+    }
+
+    /// [`mkfs`](Self::mkfs) every local-FS server of `servers` with
+    /// `format`, which runs once per distinct store: a server whose store
+    /// equals the first one's before its format gets a fork of the
+    /// formatted result, so a role costs one format however many servers
+    /// hold it.
+    pub fn mkfs_all(&mut self, servers: &[u32], format: impl Fn(&mut FsState)) {
+        // The first store formatted, before and after.
+        let mut alike: Option<(Store, Store)> = None;
+        for &server in servers {
+            let store = self.mkfs(server);
+            match &alike {
+                Some((blank, formatted)) if store == blank => *store = formatted.fork(),
+                _ => {
+                    let blank = store.fork();
+                    format(store.as_fs_mut());
+                    alike.get_or_insert_with(|| (blank, store.fork()));
+                }
+            }
+        }
     }
 
     /// Snapshot the live state as the baseline crash states are
@@ -166,6 +210,7 @@ impl ModelBase {
         self.live = self.live.sealed();
         self.baseline = self.live.fork();
         self.index = Arc::default();
+        self.chunks = Arc::default();
     }
 
     /// The sealed baseline snapshot.
@@ -423,11 +468,101 @@ impl ModelBase {
         }
     }
 
+    /// A striped file's content: chunk `<dir>/<object>.<stripe>` on server
+    /// `server_of(stripe)` for stripe 0, 1, …, concatenated until the
+    /// first gap — or `head` as stripe 0 and the chunks from stripe 1, for
+    /// a model that keeps stripe 0 elsewhere. A never-written file reads
+    /// as empty, a file whose chunks were lost reads short: what the
+    /// application would see.
+    ///
+    /// A stripe on a server whose store still shares its root with the
+    /// baseline's comes from the baseline's chunk table (built on the
+    /// first call after a [`seal`](Self::seal), for one `dir`); only the
+    /// other stripes resolve their path in `states`.
+    pub fn read_striped<'s>(
+        &self,
+        states: &'s ServerStates,
+        head: Option<&'s [u8]>,
+        (dir, object): (&str, &str),
+        server_of: impl Fn(u64) -> u32,
+    ) -> Vec<u8> {
+        let table = self.chunks.get_or_init(|| self.chunk_table(dir));
+        debug_assert_eq!(table.dir, dir, "one object directory per model");
+        let baseline = table.files.get(object);
+        // Gather the chunks first: `concat` then sizes the content buffer
+        // once instead of doubling it across every stripe of the file.
+        let mut chunks: Vec<&[u8]> = head.into_iter().collect();
+        let mut from_baseline = 0;
+        for stripe in chunks.len() as u64.. {
+            let server = server_of(stripe);
+            let store = states.server(server);
+            let clean = (server as usize) < table.snapshot.len()
+                && store.same_root(table.snapshot.server(server));
+            let chunk = if clean {
+                // The store *is* the snapshot's: its inodes are the table's.
+                let ino = baseline.and_then(|files| files.get(&(stripe, server)));
+                ino.and_then(|&ino| file_data(store.as_fs(), ino))
+            } else {
+                store.as_fs().read(&format!("{dir}/{object}.{stripe}")).ok()
+            };
+            let Some(chunk) = chunk else {
+                break;
+            };
+            from_baseline += clean as u64;
+            chunks.push(chunk);
+        }
+        pc_rt::obs::count("pfs.stripes_from_baseline", from_baseline);
+        chunks.concat()
+    }
+
+    /// The regular files of `dir` on each server of the baseline, by
+    /// `<object>.<stripe>` name.
+    fn chunk_table(&self, dir: &str) -> ChunkTable {
+        let snapshot = self.baseline.fork();
+        let mut files: HashMap<String, BTreeMap<(u64, u32), Ino>> = HashMap::new();
+        for (server, store) in snapshot.iter() {
+            let Some(fs) = store.try_as_fs() else {
+                continue;
+            };
+            let entries = fs.resolve(dir).ok().and_then(|ino| fs.inode(ino));
+            let Some(Inode::Dir { entries, .. }) = entries else {
+                continue;
+            };
+            for (name, &ino) in entries {
+                let Some((object, stripe)) = name.as_str().rsplit_once('.') else {
+                    continue;
+                };
+                // Only the name `<object>.<stripe>` spells: no `01`, no `+1`.
+                let stripe = stripe
+                    .parse::<u64>()
+                    .ok()
+                    .filter(|s| s.to_string() == stripe);
+                if let Some(stripe) = stripe.filter(|_| file_data(fs, ino).is_some()) {
+                    let chunks = files.entry(object.to_string()).or_default();
+                    chunks.insert((stripe, server), ino);
+                }
+            }
+        }
+        ChunkTable {
+            snapshot,
+            dir: dir.to_string(),
+            files,
+        }
+    }
+
     /// Whether recovering the sealed baseline leaves it as it is; `None`
     /// until a pass first asks to skip a clean server.
     #[cfg(test)]
     pub(crate) fn baseline_is_fixpoint(&self) -> Option<bool> {
         self.index.get()?.fixpoint.get().copied()
+    }
+}
+
+/// The content of `ino` if it is a regular file of `fs`.
+fn file_data(fs: &FsState, ino: Ino) -> Option<&[u8]> {
+    match fs.inode(ino)? {
+        Inode::File { data, .. } => Some(data),
+        Inode::Dir { .. } => None,
     }
 }
 
@@ -546,24 +681,6 @@ pub fn stripe_segments(
             data: start..start + seg_len as usize,
         })
     })
-}
-
-/// A striped file's content: the chunk `chunk_of(stripe)` names — a
-/// `(server id, local path)` pair — for stripe 0, 1, …, concatenated
-/// until the first gap. A never-written file reads as empty, a file
-/// whose chunks were lost reads short: what the application would see.
-pub fn read_striped(states: &ServerStates, chunk_of: impl Fn(u64) -> (u32, String)) -> Vec<u8> {
-    // Gather the chunks first: `concat` then sizes the content buffer
-    // once instead of doubling it across every stripe of the file.
-    let mut chunks: Vec<&[u8]> = Vec::new();
-    for stripe in 0.. {
-        let (server, path) = chunk_of(stripe);
-        match states.server(server).as_fs().read(&path) {
-            Ok(data) => chunks.push(data),
-            Err(_) => break,
-        }
-    }
-    chunks.concat()
 }
 
 #[cfg(test)]

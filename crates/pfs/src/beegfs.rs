@@ -25,8 +25,8 @@
 //! ```
 
 use crate::base::{
-    attr, attr_num, child_path, lookup, lookup_mut, name_of, parent_of, read_striped, rekey,
-    stripe_segments, ModelBase, Scope,
+    attr, attr_num, child_path, lookup, lookup_mut, name_of, parent_of, rekey, stripe_segments,
+    ModelBase, Scope,
 };
 use crate::call::PfsCall;
 use crate::error::{PfsError, PfsResult};
@@ -115,16 +115,15 @@ impl BeeGfs {
         stripe: u64,
         journal: JournalMode,
     ) -> Self {
-        let mut base = ModelBase::fs(topo, placement, stripe, journal);
-        for m in base.topo.metadata_servers().to_vec() {
-            let fs = base.mkfs(m).as_fs_mut();
+        let mut base = ModelBase::fs(topo.clone(), placement, stripe, journal);
+        base.mkfs_all(topo.metadata_servers(), |fs| {
             fs.mkdir_all("/dentries").unwrap();
             fs.mkdir_all("/idfiles").unwrap();
             fs.mkdir_all("/inodes").unwrap();
-        }
-        for s in base.topo.storage_servers().to_vec() {
-            base.mkfs(s).as_fs_mut().mkdir_all("/chunks").unwrap();
-        }
+        });
+        base.mkfs_all(topo.storage_servers(), |fs| {
+            fs.mkdir_all("/chunks").unwrap();
+        });
         let owner = base.placement.dir_index("/", base.n_meta());
         let fs = base.mkfs(base.meta_server(owner)).as_fs_mut();
         fs.mkdir_all("/dentries/root").unwrap();
@@ -552,9 +551,8 @@ impl BeeGfs {
         let id = attr(&info, "id").unwrap_or("");
         let first: usize = attr_num(&info, "first");
         // The stripe count is implied by the chunk files themselves.
-        let content = read_striped(states, |stripe| {
-            let storage = self.base.stripe_server(first, stripe);
-            (storage, chunk_path(id, stripe))
+        let content = (self.base).read_striped(states, None, ("/chunks", id), |stripe| {
+            self.base.stripe_server(first, stripe)
         });
         view.add_file(vpath, content);
     }

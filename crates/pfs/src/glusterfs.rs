@@ -25,8 +25,7 @@
 //! [`Placement`] pins.
 
 use crate::base::{
-    attr, attr_num, lookup, lookup_mut, parent_of, read_striped, rekey, stripe_segments,
-    stripe_target, ModelBase,
+    attr, attr_num, lookup, lookup_mut, parent_of, rekey, stripe_segments, stripe_target, ModelBase,
 };
 use crate::call::PfsCall;
 use crate::error::PfsResult;
@@ -123,11 +122,11 @@ impl GlusterFs {
         journal: JournalMode,
     ) -> Self {
         let mut base = ModelBase::fs(topo, placement, stripe, journal);
-        for brick in 0..base.topo.server_count() {
-            let fs = base.mkfs(brick).as_fs_mut();
+        let bricks: Vec<u32> = (0..base.topo.server_count()).collect();
+        base.mkfs_all(&bricks, |fs| {
             fs.mkdir_all("/data").unwrap();
             fs.mkdir_all("/chunks").unwrap();
-        }
+        });
         base.seal();
         GlusterFs {
             base,
@@ -459,10 +458,13 @@ impl Pfs for GlusterFs {
         }
         let n = self.n_bricks();
         for (vpath, (gfid, first, _)) in best {
-            let content = read_striped(states, |stripe| {
-                let brick = stripe_target(first, stripe, n) as u32;
-                (brick, stripe_path(&vpath, &gfid, stripe))
-            });
+            // Stripe 0 is the data file itself; the rest are chunks.
+            let brick = |stripe| stripe_target(first, stripe, n) as u32;
+            let head = states.server(brick(0)).as_fs().read(&data_path(&vpath));
+            let content = match head {
+                Ok(head) => (self.base).read_striped(states, Some(head), ("/chunks", &gfid), brick),
+                Err(_) => Vec::new(),
+            };
             view.add_file(vpath, content);
         }
         view

@@ -40,14 +40,14 @@ use tracer::{EventId, Process, Recorder};
 /// A directory's entry map: name → record (`F:<id>` / `D:<dirid>`).
 type DirEntries = BTreeMap<String, String>;
 
-/// Parsed block structures.
-struct Blocks {
+/// Parsed block structures of one set of server states.
+struct Blocks<'s> {
     /// Directory entries by directory identity.
     dirs: BTreeMap<String, DirEntries>,
     /// Inode payloads by id.
     inodes: BTreeMap<String, String>,
-    /// Content bytes by `<id>.<stripe>`.
-    contents: BTreeMap<String, Vec<u8>>,
+    /// Content bytes by `<id>.<stripe>`, borrowed from the blocks.
+    contents: BTreeMap<String, &'s [u8]>,
 }
 
 #[derive(Debug, Clone)]
@@ -496,7 +496,7 @@ impl Gpfs {
     }
 
     /// Collect all blocks by tag across servers.
-    fn collect(states: &ServerStates) -> Blocks {
+    fn collect(states: &ServerStates) -> Blocks<'_> {
         let mut blocks = Blocks {
             dirs: BTreeMap::new(),
             inodes: BTreeMap::new(),
@@ -513,7 +513,7 @@ impl Gpfs {
                         blocks.inodes.insert(i.clone(), payload);
                     }
                     StructTag::FileContent(c) => {
-                        blocks.contents.insert(c.clone(), data.to_vec());
+                        blocks.contents.insert(c.clone(), data);
                     }
                     _ => {}
                 }
@@ -537,15 +537,11 @@ impl Gpfs {
                     continue;
                 }
                 // Content = the content blocks, in stripe order, until
-                // the first gap.
-                let mut buf = Vec::new();
-                for stripe in 0.. {
-                    match blocks.contents.get(&format!("{id}.{stripe}")) {
-                        Some(d) => buf.extend_from_slice(d),
-                        None => break,
-                    }
-                }
-                view.add_file(child, buf);
+                // the first gap, copied once into a buffer of their size.
+                let content = (0..)
+                    .map_while(|stripe| blocks.contents.get(&format!("{id}.{stripe}")).copied())
+                    .collect::<Vec<&[u8]>>();
+                view.add_file(child, content.concat());
             }
         }
     }
@@ -597,19 +593,23 @@ impl Pfs for Gpfs {
         // stays lost (Table 3 bug 3's consequence).
         let _span = pc_rt::obs::span_cat("recover/GPFS", "pfs");
         let blocks = Self::collect(states);
-        for (dir, entries) in &blocks.dirs {
+        let mut repaired = Vec::new();
+        for (dir, entries) in blocks.dirs {
             let mut fixed = entries.clone();
             fixed.retain(|_, record| match record.strip_prefix("F:") {
                 Some(id) => blocks.inodes.get(id).is_some_and(|p| p != "deleted"),
                 None => true,
             });
-            if &fixed != entries {
-                // Write the repaired directory block back.
-                states
-                    .server_mut(self.dir_server(dir))
-                    .as_block_mut()
-                    .apply(&dirent_block(dir, &fixed, None));
+            if fixed != entries {
+                repaired.push((dir, fixed));
             }
+        }
+        // Write the repaired directory blocks back.
+        for (dir, fixed) in repaired {
+            states
+                .server_mut(self.dir_server(&dir))
+                .as_block_mut()
+                .apply(&dirent_block(&dir, &fixed, None));
         }
     }
 

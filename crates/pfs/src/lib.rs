@@ -10,7 +10,8 @@
 //! into the shared trace `Recorder` with caller–callee and RPC causality
 //! edges, and knows how to *recover* (its `fsck` tool) and *mount* (derive
 //! the client-visible file tree) from any combination of per-server
-//! persistent states.
+//! persistent states — rereading only the servers a crash image wrote
+//! where the model's layout allows (see `client_view` below).
 //!
 //! Each model captures the persistence-relevant behaviour that determines
 //! which Table 3 bugs it exposes:
@@ -36,7 +37,8 @@
 //! `Clone` model.
 //!
 //! To add a model, embed a `ModelBase` (format the servers through
-//! `base.mkfs(..)`, end the constructor with `base.seal()`), derive
+//! `base.mkfs(..)`, or a role's worth at once through `base.mkfs_all(..)`,
+//! end the constructor with `base.seal()`), derive
 //! `Clone`, return the base from `base` / `base_mut`, and write five
 //! methods:
 //!
@@ -59,7 +61,13 @@
 //!    second one. BeeGFS (passes 1–3), OrangeFS and Lustre (their orphan
 //!    sweep) use the index; GPFS (a global dirent/inode scan), GlusterFS
 //!    (cross-brick self-heal) and ext4 (one server) keep the full path;
-//! 4. `client_view` — mount: the file tree from persistent state only;
+//! 4. `client_view` — mount: the file tree from persistent state only.
+//!    A striped file's data goes through [`ModelBase::read_striped`]: a
+//!    stripe on a clean server comes from a table of the baseline's
+//!    chunks, built once per seal, and only a written server's stripe is
+//!    read by path. BeeGFS, OrangeFS, GlusterFS and Lustre read through
+//!    it; GPFS (one scan of every device's blocks) and ext4 (one server,
+//!    no stripes) decline;
 //! 5. `restart_cost_secs` — the Figure 10/11 cost-model constant.
 
 pub mod base;
@@ -217,7 +225,7 @@ pub fn recover_and_mount(pfs: &dyn Pfs, states: &mut ServerStates) -> PfsView {
 
 #[cfg(test)]
 mod tests {
-    use super::base::testkit::{close, creat, drive, pwrite, rename};
+    use super::base::testkit::{close, creat, drive, pwrite, rename, unlink};
     use super::*;
 
     fn models() -> Vec<Box<dyn Pfs>> {
@@ -266,6 +274,58 @@ mod tests {
                 );
                 assert_eq!(origin.client_view(origin.live()), view, "{name} @ {n}");
                 drive(origin.as_mut(), &mut Recorder::new(), &calls[n..=n]);
+            }
+        }
+    }
+
+    /// A mount takes a clean server's stripes from the baseline's chunk
+    /// table and reads only the written servers' by path: after every
+    /// call of a test phase that rewrites, extends, replaces and deletes
+    /// files striped over four servers, the live stores mount to the view
+    /// a freshly formatted instance — whose table lists no chunk — mounts
+    /// from their deep copy (every server written: every stripe by path).
+    #[test]
+    fn mount_of_a_fork_equals_mount_of_a_deep_copy() {
+        let topo = || ClusterTopology::dedicated(2, 4, 2);
+        let striping = |stripe| -> Vec<Box<dyn Pfs>> {
+            vec![
+                Box::new(beegfs::BeeGfs::new(topo(), Placement::new(), stripe)),
+                Box::new(orangefs::OrangeFs::new(topo(), Placement::new(), stripe)),
+                Box::new(lustre::Lustre::new(topo(), Placement::new(), stripe)),
+                Box::new(glusterfs::GlusterFs::new(
+                    ClusterTopology::combined(4, 2),
+                    Placement::new(),
+                    stripe,
+                )),
+            ]
+        };
+        let preamble = [
+            creat("/a"),
+            pwrite("/a", 0, b"0123456789abcdefghij"),
+            creat("/c"),
+            pwrite("/c", 0, b"cccccccc"),
+        ];
+        let test = [
+            pwrite("/a", 5, b"WXYZ"),
+            pwrite("/a", 20, b"klmnopqr"),
+            creat("/b"),
+            pwrite("/b", 0, b"bbbbbbbbbbbb"),
+            rename("/b", "/c"),
+            unlink("/a"),
+        ];
+        for (mut fs, formatted) in striping(4).into_iter().zip(striping(4)) {
+            drive(fs.as_mut(), &mut Recorder::new(), &preamble);
+            fs.seal_baseline();
+            for call in &test {
+                drive(
+                    fs.as_mut(),
+                    &mut Recorder::new(),
+                    std::slice::from_ref(call),
+                );
+                let (live, name) = (fs.live(), fs.name());
+                let view = fs.client_view(live);
+                let whole = formatted.client_view(&live.deep_clone());
+                assert_eq!(view, whole, "{name} after {call:?}");
             }
         }
     }

@@ -24,7 +24,7 @@
 //! OST (storage servers):      /objects/<id>.<stripe>
 //! ```
 
-use crate::base::{attr, attr_num, lookup, lookup_mut, read_striped, stripe_segments, ModelBase};
+use crate::base::{attr, attr_num, lookup, lookup_mut, stripe_segments, ModelBase};
 use crate::call::PfsCall;
 use crate::error::PfsResult;
 use crate::placement::Placement;
@@ -84,13 +84,13 @@ impl Lustre {
         stripe: u64,
         journal: JournalMode,
     ) -> Self {
-        let mut base = ModelBase::fs(topo, placement, stripe, journal);
-        for m in base.topo.metadata_servers().to_vec() {
-            base.mkfs(m).as_fs_mut().mkdir_all("/mdt").unwrap();
-        }
-        for s in base.topo.storage_servers().to_vec() {
-            base.mkfs(s).as_fs_mut().mkdir_all("/objects").unwrap();
-        }
+        let mut base = ModelBase::fs(topo.clone(), placement, stripe, journal);
+        base.mkfs_all(topo.metadata_servers(), |fs| {
+            fs.mkdir_all("/mdt").unwrap();
+        });
+        base.mkfs_all(topo.storage_servers(), |fs| {
+            fs.mkdir_all("/objects").unwrap();
+        });
         base.seal();
         Lustre {
             base,
@@ -365,11 +365,8 @@ impl Pfs for Lustre {
                 continue;
             }
             let first: usize = attr_num(&entry, "first");
-            let content = read_striped(states, |stripe| {
-                (
-                    self.base.stripe_server(first, stripe),
-                    obj_path(obj, stripe),
-                )
+            let content = (self.base).read_striped(states, None, ("/objects", obj), |stripe| {
+                self.base.stripe_server(first, stripe)
             });
             view.add_file(vpath, content);
         }

@@ -28,8 +28,7 @@
 //! `A <handle> size=<n>;first=<idx>` / `R <handle>` in `attrs.db`.
 
 use crate::base::{
-    attr_num, child_path, lookup, lookup_mut, name_of, parent_of, read_striped, rekey,
-    stripe_segments, ModelBase,
+    attr_num, child_path, lookup, lookup_mut, name_of, parent_of, rekey, stripe_segments, ModelBase,
 };
 use crate::call::PfsCall;
 use crate::error::PfsResult;
@@ -39,6 +38,7 @@ use crate::view::PfsView;
 use crate::Pfs;
 use simfs::{FsOp, FsState, JournalMode};
 use simnet::ClusterTopology;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
 use tracer::{EventId, Process, Recorder};
 
@@ -65,6 +65,17 @@ pub struct OrangeFs {
     next_id: u64,
 }
 
+/// A keyval.db replayed: `dirkey → name → record`.
+type Keyval = BTreeMap<String, BTreeMap<String, String>>;
+
+/// What one mount reads of the metadata servers: the union of their
+/// attributes, and each one's keyval.db, parsed on the walk's first visit.
+struct Mount<'s> {
+    states: &'s ServerStates,
+    attrs: BTreeMap<String, String>,
+    keyvals: Vec<OnceCell<Keyval>>,
+}
+
 fn bstream_path(handle: &str, stripe: u64) -> String {
     format!("/bstreams/{handle}.{stripe}")
 }
@@ -84,16 +95,15 @@ impl OrangeFs {
         stripe: u64,
         journal: JournalMode,
     ) -> Self {
-        let mut base = ModelBase::fs(topo, placement, stripe, journal);
-        for m in base.topo.metadata_servers().to_vec() {
-            let fs = base.mkfs(m).as_fs_mut();
+        let mut base = ModelBase::fs(topo.clone(), placement, stripe, journal);
+        base.mkfs_all(topo.metadata_servers(), |fs| {
             fs.mkdir_all("/db").unwrap();
             fs.creat("/db/keyval.db").unwrap();
             fs.creat("/db/attrs.db").unwrap();
-        }
-        for s in base.topo.storage_servers().to_vec() {
-            base.mkfs(s).as_fs_mut().mkdir_all("/bstreams").unwrap();
-        }
+        });
+        base.mkfs_all(topo.storage_servers(), |fs| {
+            fs.mkdir_all("/bstreams").unwrap();
+        });
         base.seal();
         let owner = base.placement.dir_index("/", base.n_meta());
         let key = "root".to_string();
@@ -366,8 +376,8 @@ impl OrangeFs {
     }
 
     /// Replay a keyval.db file into `dirkey → name → record` maps.
-    fn parse_keyval(fs: &FsState) -> BTreeMap<String, BTreeMap<String, String>> {
-        let mut out: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
+    fn parse_keyval(fs: &FsState) -> Keyval {
+        let mut out = Keyval::new();
         let Ok(raw) = fs.read("/db/keyval.db") else {
             return out;
         };
@@ -427,17 +437,9 @@ impl OrangeFs {
             .collect()
     }
 
-    fn walk_dir(
-        &self,
-        states: &ServerStates,
-        attrs: &BTreeMap<String, String>,
-        key: &str,
-        owner: usize,
-        vpath: &str,
-        view: &mut PfsView,
-    ) {
-        let fs = states.server(self.base.meta_server(owner)).as_fs();
-        let keyval = Self::parse_keyval(fs);
+    fn walk_dir(&self, mount: &Mount, key: &str, owner: usize, vpath: &str, view: &mut PfsView) {
+        let fs = mount.states.server(self.base.meta_server(owner)).as_fs();
+        let keyval = mount.keyvals[owner].get_or_init(|| Self::parse_keyval(fs));
         let Some(entries) = keyval.get(key) else {
             return;
         };
@@ -449,19 +451,19 @@ impl OrangeFs {
                     let (ckey, cowner) = spec.split_once(':').unwrap_or(("?", "0"));
                     view.add_dir(child.clone());
                     let cowner = cowner.parse().unwrap_or(0);
-                    self.walk_dir(states, attrs, ckey, cowner, &child, view);
+                    self.walk_dir(mount, ckey, cowner, &child, view);
                 }
                 ["F", handle] => {
-                    let Some(a) = attrs.get(*handle) else {
+                    let Some(a) = mount.attrs.get(*handle) else {
                         // A dentry whose handle has no attributes yet is
                         // an in-flight create: lookups fail, the file is
                         // simply not visible.
                         continue;
                     };
                     let first: usize = attr_num(a, "first");
-                    let content = read_striped(states, |stripe| {
-                        let storage = self.base.stripe_server(first, stripe);
-                        (storage, bstream_path(handle, stripe))
+                    let object = ("/bstreams", *handle);
+                    let content = (self.base).read_striped(mount.states, None, object, |stripe| {
+                        self.base.stripe_server(first, stripe)
                     });
                     view.add_file(child, content);
                 }
@@ -529,8 +531,12 @@ impl Pfs for OrangeFs {
     fn client_view(&self, states: &ServerStates) -> PfsView {
         let mut view = PfsView::new();
         let root_owner = self.base.placement.dir_index("/", self.base.n_meta());
-        let attrs = self.attrs(states);
-        self.walk_dir(states, &attrs, "root", root_owner, "/", &mut view);
+        let mount = Mount {
+            states,
+            attrs: self.attrs(states),
+            keyvals: vec![OnceCell::new(); self.base.n_meta()],
+        };
+        self.walk_dir(&mount, "root", root_owner, "/", &mut view);
         view
     }
 

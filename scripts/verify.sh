@@ -130,10 +130,10 @@ grep -rnE 'env::(set|remove)_var' crates && { echo "FAIL: a test sets its own en
 
 echo "== gate 4: check_stack vs check_reference; wide property sweep; benchmark smoke =="
 # In debug, then as the code ships, with the golden walk's tests, the
-# models' fork and their fsck repairs.
+# models' fork, their fsck repairs and their patched mounts.
 cargo test -q --offline --test differential
 cargo test -q --offline --release --test differential
-cargo test -q --offline --release -p paracrash -p pfs -- golden fork fsck
+cargo test -q --offline --release -p paracrash -p pfs -- golden fork fsck mount
 PC_PROPTEST_CASES=2048 cargo test -q --offline --release --test properties
 # The cell whose images collapse most, through the CLI, at both widths.
 cargo build --release --offline -p pc-bench

@@ -118,3 +118,31 @@ fn causality_graphs_have_chained_client_flows() {
     let last = *low.last().unwrap();
     assert!(g.happens_before(first, last));
 }
+
+/// The instance a stack sealed after its preamble — what the PFS-layer
+/// golden walk forks instead of building one — is a fresh instance with
+/// the preamble dispatched: server by server the same stores, the same
+/// mounted view, and the traced stack's baseline.
+#[test]
+fn sealed_instance_equals_a_fresh_instance_plus_the_preamble() {
+    let params = Params::quick();
+    for program in Program::paper_eleven() {
+        for fs in FsKind::all() {
+            let stack = program.run(fs, &params);
+            let mut fresh = fs.factory(&params)();
+            let rec = &mut tracer::Recorder::new();
+            for (client, call) in &stack.pre_calls {
+                fresh.dispatch(rec, *client, call, None).unwrap();
+            }
+            let (sealed, name) = (
+                stack.sealed(),
+                format!("{} on {}", program.name(), fs.name()),
+            );
+            let digests = sealed.live().per_server_digests();
+            assert_eq!(digests, fresh.live().per_server_digests(), "{name}");
+            assert_eq!(digests, stack.pfs.baseline().per_server_digests(), "{name}");
+            let view = sealed.client_view(sealed.live());
+            assert_eq!(view, fresh.client_view(fresh.live()), "{name}");
+        }
+    }
+}

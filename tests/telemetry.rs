@@ -185,9 +185,10 @@ fn a_check_runs_on_one_thread() {
 /// H5-resize at the split dims is one 80-call chain under the resize:
 /// its 81 PFS-layer preserved sets are the chain's prefixes (the 2
 /// library-layer ones: with and without the resize), so the two golden
-/// walks dispatch each layer's preamble once and one call per trie
-/// edge, fork nothing, and open one `check.legal_replay` span each —
-/// where 83 full replays dispatched 10 206 calls.
+/// walks dispatch one call per trie edge and the library preamble once
+/// (the PFS walk starts from the sealed instance), fork nothing, and open
+/// one `check.legal_replay` span each — where 83 full replays dispatched
+/// 10 206 calls.
 #[test]
 fn golden_walk_counters_are_edge_counts() {
     let _guard = TEST_LOCK.lock().unwrap();
@@ -202,9 +203,10 @@ fn golden_walk_counters_are_edge_counts() {
         pc_rt::obs::render_summary(&mark, "test")
     });
     assert_eq!(counter(&snap, "replay.executed"), 81 + 2);
-    let preambles = (stack.pre_calls.len() + stack.pre_h5.len()) as u64;
+    // The PFS walk forks the instance the stack sealed: only the library
+    // preamble is dispatched again.
     let dispatched = counter(&snap, "replay.dispatched");
-    assert_eq!(dispatched, preambles + 80 + 1);
+    assert_eq!(dispatched, stack.pre_h5.len() as u64 + 80 + 1);
     assert_eq!(counter(&snap, "replay.forks"), 0);
     let walks = (snap.spans.iter())
         .filter(|s| s.name == "check.legal_replay")
