@@ -27,8 +27,8 @@ use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
 use crate::snapshot::{prepare_states, SnapshotPlan};
 use crate::stack::{Stack, StackFactory};
-use h5sim::{check as h5check, check_lenient, h5clear, H5Logical};
-use pfs::{recover_and_mount, PfsView, ServerStates};
+use h5sim::{check as h5check, check_lenient, Cleared, H5Logical};
+use pfs::{recover_and_mount, Content, PfsView, ServerStates};
 use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
@@ -391,7 +391,9 @@ impl RecoveryMemo {
         set: Option<&BitSet>,
     ) -> Rc<Recovered> {
         let Some(maps) = &self.0 else {
-            return Rc::new(Recovered::of(pfs, image));
+            // The reference's memo: every view the copying way.
+            let view = Recovered::of(pfs, image).view.flat();
+            return Rc::new(Recovered::mounted(view));
         };
         let digest = image.digest();
         let known = maps.borrow().by_digest.get(&digest).cloned();
@@ -504,7 +506,7 @@ fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig, memo: RecoveryMemo) -> An
         h5_ops: stack.h5.event_ids(),
         baseline_h5: stack.h5_path.as_ref().and_then(|p| {
             let view = stack.pfs.client_view(stack.pfs.baseline());
-            view.read(p).and_then(|b| h5check(b).ok())
+            view.content(p).and_then(|c| h5check(c).ok())
         }),
         modified_keys: modified_dataset_keys(stack),
         memo,
@@ -963,8 +965,9 @@ fn publish(
 /// sets, Figure 6 verdict, prune/classify loop and cost model as
 /// [`check_stack`], but each checked crash state becomes a recovered
 /// view the obvious way — deep-clone the baseline, apply the persisted
-/// events, tear the victims, recover, mount — with its legal lists
-/// replayed afresh: no prefix tree, no shared views and no replay table.
+/// events, tear the victims, recover, mount, copy each file's bytes into
+/// one buffer ([`PfsView::flat`]) — with its legal lists replayed
+/// afresh: no prefix tree, no shared views and no replay table.
 /// `tests/differential.rs` holds `check_stack` to it: everything a
 /// checker *decides* (the canonical report, `rep_digests`, state counts,
 /// the cost model) must match byte for byte; cache traffic, wall time
@@ -1001,7 +1004,8 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
             let victims = e.states[i].victims.iter().copied();
             st.apply_torn_victims(rec, victims, &mut torn_rng(seed, i));
         }
-        let view = recover_and_mount(stack.pfs.as_ref(), &mut st);
+        // The copying mount's view: the borrowed one's oracle.
+        let view = recover_and_mount(stack.pfs.as_ref(), &mut st).flat();
         layer_verdict(&a, &Recovered::mounted(view), legal)
     };
     let c = prune_and_judge(&a, &e, legal_of, verdict);
@@ -1048,11 +1052,11 @@ fn h5_verdict(
     recovered: &Recovered,
     legal: &[Arc<H5Logical>],
 ) -> Option<Model> {
-    let Some(bytes) = recovered.view.read(path) else {
+    let Some(content) = recovered.view.content(path) else {
         // The file itself is gone or unreadable through the PFS.
         return Some(Model::Baseline);
     };
-    let parse = recovered.h5.get_or_init(|| h5_parse(a, bytes));
+    let parse = recovered.h5.get_or_init(|| h5_parse(a, content));
     // A state that parses cleanly and matches a causal golden state is
     // consistent under every model (most crash states are legal).
     if parse.strict.as_ref().is_some_and(|l| is_legal(legal, l)) {
@@ -1067,22 +1071,25 @@ fn h5_verdict(
     }
 }
 
-/// Walk the image once; only if that walk met an error let `h5clear` try
-/// to repair a copy (§4.4.3) and walk that instead. Both answers come
-/// off the one report: the strict state is the report of a walk that
-/// met no error, and under the baseline model every dataset that was
-/// closed before the crash (i.e. not modified by the test program) must
-/// still be readable and intact.
-fn h5_parse(a: &Analysis, bytes: &[u8]) -> H5Parse {
+/// Walk the file's content in place once; only if that walk met an
+/// error let `h5clear` try to repair it (§4.4.3) and walk the repair —
+/// its superblock patch laid over the same content, not a copy. Both
+/// answers come off the one report: the strict state is the report of a
+/// walk that met no error, and under the baseline model every dataset
+/// that was closed before the crash (i.e. not modified by the test
+/// program) must still be readable and intact.
+fn h5_parse(a: &Analysis, content: &Content) -> H5Parse {
     let _span = pc_rt::obs::span_cat("h5.parse", "check");
     pc_rt::obs::count("h5.view_parses", 1);
-    let walk = |image: &[u8]| {
-        pc_rt::obs::count("h5.walks", 1);
-        check_lenient(image)
-    };
-    let mut report = walk(bytes);
+    pc_rt::obs::count("h5.walks", 1);
+    let mut report = check_lenient(content);
     if !report.is_clean() {
-        report = walk(&h5clear(bytes, a.cfg.clear_opts));
+        // `h5clear` leaves an unreadable superblock as it is: a second
+        // walk would only repeat the first.
+        if let Some(cleared) = Cleared::new(content, a.cfg.clear_opts) {
+            pc_rt::obs::count("h5.walks", 1);
+            report = check_lenient(&cleared);
+        }
     }
     let violates_baseline = report.open_error.is_some()
         || a.baseline_h5.as_ref().is_some_and(|base| {
@@ -1101,6 +1108,7 @@ fn h5_parse(a: &Analysis, bytes: &[u8]) -> H5Parse {
 mod tests {
     use super::*;
     use crate::explore::ExploreMode;
+    use h5sim::h5clear;
     use pfs::beegfs::BeeGfs;
     use pfs::ext4::Ext4Direct;
     use pfs::PfsCall;

@@ -26,6 +26,7 @@
 //! *address overflow* (bug 13), *wrong B-tree signature* (bug 14),
 //! *cannot open the file* (bug 15).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -154,21 +155,93 @@ impl H5Logical {
     }
 }
 
-/// `len` bytes at `at`, if the image holds them.
-fn bytes_at(b: &[u8], at: u64, len: u64) -> Option<&[u8]> {
-    b.get(usize::try_from(at).ok()?..usize::try_from(at.checked_add(len)?).ok()?)
+/// A file image the reader walks: one slice, or a file's content as a
+/// PFS view holds it — the stores' own byte runs, in file order.
+pub trait Image {
+    /// Length in bytes.
+    fn len(&self) -> u64;
+
+    /// The bytes from `at` to the end of the run that holds it; empty at
+    /// or past the end of the image.
+    fn run_at(&self, at: u64) -> &[u8];
+
+    /// `true` for an empty image.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
-fn rd_u8(b: &[u8], at: u64) -> Option<u8> {
-    Some(bytes_at(b, at, 1)?[0])
+impl Image for [u8] {
+    fn len(&self) -> u64 {
+        <[u8]>::len(self) as u64
+    }
+
+    fn run_at(&self, at: u64) -> &[u8] {
+        usize::try_from(at)
+            .ok()
+            .and_then(|at| self.get(at..))
+            .unwrap_or(&[])
+    }
 }
 
-fn rd_u16(b: &[u8], at: u64) -> Option<u16> {
-    Some(u16::from_le_bytes(bytes_at(b, at, 2)?.try_into().ok()?))
+impl Image for Vec<u8> {
+    fn len(&self) -> u64 {
+        self.as_slice().len() as u64
+    }
+
+    fn run_at(&self, at: u64) -> &[u8] {
+        self.as_slice().run_at(at)
+    }
 }
 
-fn rd_u64(b: &[u8], at: u64) -> Option<u64> {
-    Some(u64::from_le_bytes(bytes_at(b, at, 8)?.try_into().ok()?))
+impl Image for pfs::Content {
+    fn len(&self) -> u64 {
+        pfs::Content::len(self)
+    }
+
+    fn run_at(&self, at: u64) -> &[u8] {
+        pfs::Content::run_at(self, at)
+    }
+}
+
+/// `len` bytes at `at`, if the image holds them: borrowed from the run
+/// that holds them, copied only when they straddle two runs.
+fn bytes_at<S: Image + ?Sized>(b: &S, at: u64, len: u64) -> Option<Cow<'_, [u8]>> {
+    let end = at.checked_add(len)?;
+    let n = usize::try_from(len).ok()?;
+    if end > b.len() {
+        return None;
+    }
+    let run = b.run_at(at);
+    if run.len() >= n {
+        return Some(Cow::Borrowed(&run[..n]));
+    }
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let run = b.run_at(at + out.len() as u64);
+        out.extend_from_slice(&run[..run.len().min(n - out.len())]);
+    }
+    Some(Cow::Owned(out))
+}
+
+/// The `N` bytes at `at`, if the image holds them.
+pub(crate) fn rd<const N: usize, S: Image + ?Sized>(b: &S, at: u64) -> Option<[u8; N]> {
+    match b.run_at(at).first_chunk::<N>() {
+        Some(bytes) => Some(*bytes),
+        None => bytes_at(b, at, N as u64)?.as_ref().try_into().ok(),
+    }
+}
+
+fn rd_u8<S: Image + ?Sized>(b: &S, at: u64) -> Option<u8> {
+    Some(rd::<1, S>(b, at)?[0])
+}
+
+fn rd_u16<S: Image + ?Sized>(b: &S, at: u64) -> Option<u16> {
+    rd(b, at).map(u16::from_le_bytes)
+}
+
+fn rd_u64<S: Image + ?Sized>(b: &S, at: u64) -> Option<u64> {
+    rd(b, at).map(u64::from_le_bytes)
 }
 
 fn truncated(what: &'static str, addr: u64) -> H5Error {
@@ -183,8 +256,8 @@ fn bad_signature(what: &'static str, addr: u64, found: &[u8; 4]) -> H5Error {
     }
 }
 
-fn expect_sig(
-    b: &[u8],
+fn expect_sig<S: Image + ?Sized>(
+    b: &S,
     at: u64,
     magic: &[u8; 4],
     what: &'static str,
@@ -197,18 +270,17 @@ fn expect_sig(
             eof,
         });
     }
-    let found = bytes_at(b, at, 4).and_then(|sig| sig.try_into().ok());
-    let found: &[u8; 4] = found.ok_or(truncated(what, at))?;
-    if found != magic {
-        return Err(bad_signature(what, at, found));
+    let found: [u8; 4] = rd(b, at).ok_or(truncated(what, at))?;
+    if &found != magic {
+        return Err(bad_signature(what, at, &found));
     }
     Ok(())
 }
 
 /// The entry count of the `magic` node `what` at `addr` (a `u16` at
 /// `addr + at`), which holds at most `cap` entries.
-fn entry_count(
-    b: &[u8],
+fn entry_count<S: Image + ?Sized>(
+    b: &S,
     (addr, at, cap): (u64, u64, usize),
     magic: &[u8; 4],
     (what, over): (&'static str, &'static str),
@@ -221,13 +293,18 @@ fn entry_count(
 }
 
 /// The two `u64`s of the 16-byte node entry at `ea`.
-fn entry(b: &[u8], ea: u64, what: &'static str) -> Result<(u64, u64), H5Error> {
+fn entry<S: Image + ?Sized>(b: &S, ea: u64, what: &'static str) -> Result<(u64, u64), H5Error> {
     let entry = rd_u64(b, ea).zip(rd_u64(b, ea + 8));
     entry.ok_or(truncated(what, ea))
 }
 
 /// Read a heap-resident name: `len:u16` + bytes at `heap_addr + off`.
-fn heap_name(b: &[u8], heap_addr: u64, off: u64, group: &str) -> Result<String, H5Error> {
+fn heap_name<S: Image + ?Sized>(
+    b: &S,
+    heap_addr: u64,
+    off: u64,
+    group: &str,
+) -> Result<String, H5Error> {
     let err = || H5Error::BadHeapName {
         group: group.to_string(),
         offset: off,
@@ -241,7 +318,7 @@ fn heap_name(b: &[u8], heap_addr: u64, off: u64, group: &str) -> Result<String, 
         return Err(err());
     }
     let raw = bytes_at(b, at + 2, len).ok_or_else(err)?;
-    let s = std::str::from_utf8(raw).map_err(|_| err())?;
+    let s = std::str::from_utf8(&raw).map_err(|_| err())?;
     if s.chars().any(|c| c.is_control()) {
         return Err(err());
     }
@@ -250,21 +327,27 @@ fn heap_name(b: &[u8], heap_addr: u64, off: u64, group: &str) -> Result<String, 
 
 /// The data segments of one dataset, in file order, over the image that
 /// holds them.
-pub(crate) struct Segments<'a> {
-    image: &'a [u8],
+pub(crate) struct Segments<'a, S: ?Sized> {
+    image: &'a S,
     parts: &'a [(u64, u64)],
 }
 
-impl Segments<'_> {
+impl<S: Image + ?Sized> Segments<'_, S> {
     /// Content digest. Hashes the byte *stream*, not the slices:
     /// `Hasher::write` calls concatenate (no length prefixes, unlike
     /// `Hash for [u8]`), so two files storing the same data in different
-    /// segment layouts digest equally.
+    /// segment layouts — or image runs — digest equally.
     fn digest(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for &(a, l) in self.parts {
-            h.write(&self.image[a as usize..(a + l) as usize]);
+        for &(mut at, len) in self.parts {
+            let end = at + len;
+            while at < end {
+                let run = self.image.run_at(at);
+                let run = &run[..run.len().min((end - at) as usize)];
+                h.write(run);
+                at += run.len() as u64;
+            }
         }
         h.finish()
     }
@@ -272,7 +355,7 @@ impl Segments<'_> {
 
 /// What [`walk`] reports of an image, in walk order. A fold implements
 /// the callbacks it reads; the walk never asks it anything.
-pub(crate) trait Visitor {
+pub(crate) trait Visitor<S: ?Sized> {
     /// A validated structure of `len` bytes at `addr`, named `"{what}
     /// {owner}"` by `h5inspect`; `is_data` for dataset data.
     fn structure(&mut self, _what: &str, _owner: &str, _addr: u64, _len: u64, _is_data: bool) {}
@@ -281,13 +364,13 @@ pub(crate) trait Visitor {
     /// A symbol-table entry `name` of `group` (`key` is their
     /// [`dataset_key`]) that is not a group the walk descends into:
     /// `(rows, cols, data)` of a readable dataset, else why it is none.
-    fn dataset(&mut self, _group: &str, _name: &str, _key: String, _found: Found<'_>) {}
+    fn dataset(&mut self, _group: &str, _name: &str, _key: String, _found: Found<'_, S>) {}
     /// Part of `group`'s namespace is unreachable.
     fn group_error(&mut self, _group: &str, _e: H5Error) {}
 }
 
 /// What the walk found behind a dataset's symbol-table entry.
-pub(crate) type Found<'a> = Result<(u64, u64, Segments<'a>), H5Error>;
+pub(crate) type Found<'a, S> = Result<(u64, u64, Segments<'a, S>), H5Error>;
 
 /// The one reader of the layout: superblock → root group → groups →
 /// datasets → segments, every signature, count and address checked
@@ -298,12 +381,16 @@ pub(crate) type Found<'a> = Result<(u64, u64, Segments<'a>), H5Error>;
 /// unreadable (the baseline model's granularity: "if a … dataset was
 /// closed before the crash, all updates to that dataset … were
 /// preserved"). Returns the first error met, as `h5check` words it.
-pub(crate) fn walk<V: Visitor>(bytes: &[u8], v: &mut V) -> Result<(), H5Error> {
+pub(crate) fn walk<S, V>(bytes: &S, v: &mut V) -> Result<(), H5Error>
+where
+    S: Image + ?Sized,
+    V: Visitor<S>,
+{
     let cannot_open = |reason: String| Err(H5Error::CannotOpen { reason });
-    if bytes.len() < sizes::SUPERBLOCK as usize {
+    if bytes.len() < sizes::SUPERBLOCK {
         return cannot_open("file shorter than superblock".into());
     }
-    if &bytes[0..4] != b"H5SB" {
+    if rd(bytes, 0) != Some(*b"H5SB") {
         return cannot_open("superblock signature not found".into());
     }
     let (Some(root_oh), Some(eof)) = (rd_u64(bytes, 8), rd_u64(bytes, 16)) else {
@@ -336,14 +423,14 @@ pub(crate) fn walk<V: Visitor>(bytes: &[u8], v: &mut V) -> Result<(), H5Error> {
     }
 }
 
-struct Walk<'a, V> {
-    b: &'a [u8],
+struct Walk<'a, S: ?Sized, V> {
+    b: &'a S,
     eof: u64,
     v: &'a mut V,
     first: Option<H5Error>,
 }
 
-impl<V: Visitor> Walk<'_, V> {
+impl<S: Image + ?Sized, V: Visitor<S>> Walk<'_, S, V> {
     fn note(&mut self, e: &H5Error) {
         if self.first.is_none() {
             self.first = Some(e.clone());
@@ -515,7 +602,7 @@ impl<V: Visitor> Walk<'_, V> {
                     eof,
                 });
             }
-            if bytes_at(b, a, l).is_none() {
+            if a.checked_add(l).is_none_or(|end| end > b.len()) {
                 return Err(truncated("data segment", a));
             }
             self.v.structure("data chunks of", key, a, l, true);
@@ -527,7 +614,7 @@ impl<V: Visitor> Walk<'_, V> {
 
 /// `h5check`: validate a file image and extract its logical state — the
 /// first error of the walk, else everything it reported.
-pub fn check(bytes: &[u8]) -> Result<H5Logical, H5Error> {
+pub fn check<S: Image + ?Sized>(bytes: &S) -> Result<H5Logical, H5Error> {
     let mut report = LenientReport::default();
     walk(bytes, &mut report)?;
     Ok(report.into_logical().expect("no error met, none reported"))
@@ -567,12 +654,12 @@ impl LenientReport {
     }
 }
 
-impl Visitor for LenientReport {
+impl<S: Image + ?Sized> Visitor<S> for LenientReport {
     fn group(&mut self, name: &str) {
         self.groups.entry(name.to_string()).or_default();
     }
 
-    fn dataset(&mut self, group: &str, name: &str, key: String, found: Found<'_>) {
+    fn dataset(&mut self, group: &str, name: &str, key: String, found: Found<'_, S>) {
         let names = self.groups.entry(group.to_string()).or_default();
         names.insert(name.to_string());
         let found = found.map(|(rows, cols, data)| (rows, cols, data.digest()));
@@ -586,7 +673,7 @@ impl Visitor for LenientReport {
 
 /// Lenient `h5check`: collect per-dataset outcomes instead of failing
 /// on the first corruption.
-pub fn check_lenient(bytes: &[u8]) -> LenientReport {
+pub fn check_lenient<S: Image + ?Sized>(bytes: &S) -> LenientReport {
     let mut out = LenientReport::default();
     if let Err(e) = walk(bytes, &mut out) {
         // No superblock, or a broken root group: the file cannot be

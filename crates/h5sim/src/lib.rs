@@ -15,9 +15,11 @@
 //!   collective (parallel) variants, each flushing its structures in the
 //!   order real HDF5 1.8 does — including the orders that are bugs;
 //! * [`mod@format`] — the byte format, plus `check` (≈ `h5check`): parse and
-//!   validate a file image into an [`format::H5Logical`] state;
+//!   validate a file image — one slice, or a PFS view's shared chunks read
+//!   in place ([`format::Image`]) — into an [`format::H5Logical`] state;
 //! * [`tools`] — `h5clear` (superblock repair, with the option knob of
-//!   Table 3 bug 13), `h5inspect` (object → byte-range map, §5.2; the
+//!   Table 3 bug 13; [`Cleared`] lays its patch over an image instead of
+//!   copying it), `h5inspect` (object → byte-range map, §5.2; the
 //!   semantic pruning of §5.3 reads the same object names off the event
 //!   labels [`file::H5File`] records), and `h5replay` (replay a
 //!   preserved set of H5 calls on a fresh stack, §5.1);
@@ -41,8 +43,9 @@ pub mod tools;
 
 pub use call::{H5Call, H5Trace};
 pub use file::{H5File, H5Spec};
-pub use format::{check, check_lenient, H5Error, H5Logical, LenientReport};
+pub use format::{check, check_lenient, H5Error, H5Logical, Image, LenientReport};
 pub use netcdf::{nc_check, NcError, NcFile};
 pub use tools::{
-    h5clear, h5inspect, h5replay, h5replay_with, ClearOpts, H5Replay, ObjectRange, ReplayError,
+    h5clear, h5inspect, h5replay, h5replay_with, ClearOpts, Cleared, H5Replay, ObjectRange,
+    ReplayError,
 };

@@ -14,7 +14,7 @@
 
 use crate::call::{H5Call, H5Trace};
 use crate::file::{H5File, H5Spec};
-use crate::format::{self, check, H5Error, H5Logical};
+use crate::format::{self, check, H5Error, H5Logical, Image};
 use mpiio::MpiIo;
 use pfs::{ClientTrace, Pfs};
 use std::collections::BTreeSet;
@@ -28,18 +28,56 @@ pub struct ClearOpts {
     pub increase_eof: bool,
 }
 
+const SUPERBLOCK: usize = format::sizes::SUPERBLOCK as usize;
+
+/// An image as `h5clear` repairs it, without a copy: the repaired
+/// superblock laid over the unchanged rest.
+pub struct Cleared<'a, S: ?Sized> {
+    superblock: [u8; SUPERBLOCK],
+    rest: &'a S,
+}
+
+impl<'a, S: Image + ?Sized> Cleared<'a, S> {
+    /// The superblock patch, computed once: the status flags cleared and,
+    /// with `increase_eof`, the EOF set to the image's size. `None` if the
+    /// superblock is unreadable, which `h5clear` leaves as it is.
+    pub fn new(image: &'a S, opts: ClearOpts) -> Option<Self> {
+        let mut superblock: [u8; SUPERBLOCK] = format::rd(image, 0)?;
+        if &superblock[0..4] != b"H5SB" {
+            return None;
+        }
+        superblock[5] = 0; // status flags
+        if opts.increase_eof {
+            superblock[16..24].copy_from_slice(&image.len().to_le_bytes());
+        }
+        Some(Cleared {
+            superblock,
+            rest: image,
+        })
+    }
+}
+
+impl<S: Image + ?Sized> Image for Cleared<'_, S> {
+    fn len(&self) -> u64 {
+        self.rest.len()
+    }
+
+    fn run_at(&self, at: u64) -> &[u8] {
+        if at < SUPERBLOCK as u64 {
+            &self.superblock[at as usize..]
+        } else {
+            self.rest.run_at(at)
+        }
+    }
+}
+
 /// `h5clear`: clear the superblock status flags (and optionally repair
-/// the EOF). Returns the repaired image; returns the input unchanged if
-/// the superblock is unreadable.
+/// the EOF). Returns the repaired image — [`Cleared`]'s patch applied to
+/// a copy; returns the input unchanged if the superblock is unreadable.
 pub fn h5clear(bytes: &[u8], opts: ClearOpts) -> Vec<u8> {
     let mut out = bytes.to_vec();
-    if out.len() < format::sizes::SUPERBLOCK as usize || &out[0..4] != b"H5SB" {
-        return out;
-    }
-    out[5] = 0; // status flags
-    if opts.increase_eof {
-        let eof = out.len() as u64;
-        out[16..24].copy_from_slice(&eof.to_le_bytes());
+    if let Some(cleared) = Cleared::new(bytes, opts) {
+        out[..SUPERBLOCK].copy_from_slice(&cleared.superblock);
     }
     out
 }
@@ -72,7 +110,7 @@ pub fn h5inspect(bytes: &[u8]) -> Result<Vec<ObjectRange>, H5Error> {
     Ok(out)
 }
 
-impl format::Visitor for Vec<ObjectRange> {
+impl<S: ?Sized> format::Visitor<S> for Vec<ObjectRange> {
     fn structure(&mut self, what: &str, owner: &str, addr: u64, len: u64, is_data: bool) {
         let name = format!("{what} {owner}");
         self.push(ObjectRange {
@@ -259,8 +297,8 @@ impl H5Replay {
     /// live stores, read the file, `h5check` it.
     pub fn finish(&self, pfs: &dyn Pfs) -> Result<H5Logical, ReplayError> {
         let view = pfs.client_view(pfs.live());
-        let bytes = view.read(&self.path).ok_or(ReplayError::NoFile)?;
-        check(bytes).map_err(ReplayError::Check)
+        let content = view.content(&self.path).ok_or(ReplayError::NoFile)?;
+        check(content).map_err(ReplayError::Check)
     }
 }
 
@@ -432,6 +470,33 @@ mod tests {
         assert!(check(&unfixed).is_err());
         let fixed = h5clear(&broken, ClearOpts { increase_eof: true });
         assert!(check(&fixed).is_ok());
+    }
+
+    /// A striped file's content is walked in its runs, and `h5clear`'s
+    /// patch laid over runs of 7 bytes — every structure straddling two —
+    /// reads like the patched copy.
+    #[test]
+    fn chunked_content_reads_like_its_joined_bytes() {
+        let topo = simnet::ClusterTopology::paper_dedicated_default();
+        let mut pfs = pfs::beegfs::BeeGfs::new(topo, pfs::Placement::new(), 1024);
+        let _ = h5replay(&mut pfs, "/f.h5", &[0], &preamble()).unwrap();
+        let view = pfs.client_view(pfs.live());
+        let content = view.content("/f.h5").unwrap();
+        assert!(content.runs().count() > 2, "not striped");
+        assert_eq!(check(content), check(content.joined()));
+        let mut broken = content.joined().to_vec();
+        broken[16..24].copy_from_slice(&200u64.to_le_bytes());
+        let mut runs = pfs::Content::default();
+        for run in broken.chunks(7) {
+            runs.push(std::sync::Arc::new(run.to_vec()));
+        }
+        assert_eq!(check(&runs), check(&broken));
+        for opts in [ClearOpts::default(), ClearOpts { increase_eof: true }] {
+            let patched = Cleared::new(&runs, opts).unwrap();
+            assert_eq!(check(&patched), check(&h5clear(&broken, opts)));
+        }
+        // A superblock h5clear cannot read has no patch.
+        assert!(Cleared::new(&broken[..50], ClearOpts::default()).is_none());
     }
 
     #[test]

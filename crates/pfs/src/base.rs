@@ -29,10 +29,13 @@
 //! a server whose store still shares its root with the baseline's from a
 //! table of the baseline's chunks, built once per seal on the first
 //! striped read, and reads only the written servers' stripes by path.
+//! Either way the stripe is the store's inode itself, shared into the
+//! view's [`Content`], not a copy of its bytes.
 
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
 use crate::store::{ServerStates, Store};
+use crate::view::Content;
 use simfs::state::Inode;
 use simfs::{BlockOp, FsOp, FsState, Ino, JournalMode};
 use simnet::{ClusterTopology, RpcNet};
@@ -469,50 +472,56 @@ impl ModelBase {
     }
 
     /// A striped file's content: chunk `<dir>/<object>.<stripe>` on server
-    /// `server_of(stripe)` for stripe 0, 1, …, concatenated until the
-    /// first gap — or `head` as stripe 0 and the chunks from stripe 1, for
-    /// a model that keeps stripe 0 elsewhere. A never-written file reads
-    /// as empty, a file whose chunks were lost reads short: what the
-    /// application would see.
+    /// `server_of(stripe)` for stripe 0, 1, …, in order until the first
+    /// gap — or `head` as stripe 0 and the chunks from stripe 1, for a
+    /// model that keeps stripe 0 elsewhere. A never-written file reads as
+    /// empty, a file whose chunks were lost reads short: what the
+    /// application would see. Each chunk is the store's inode itself,
+    /// shared, not a copy of its bytes.
     ///
     /// A stripe on a server whose store still shares its root with the
     /// baseline's comes from the baseline's chunk table (built on the
     /// first call after a [`seal`](Self::seal), for one `dir`); only the
-    /// other stripes resolve their path in `states`.
-    pub fn read_striped<'s>(
+    /// other stripes resolve their path in `states`. The table lists one
+    /// object directory: a read of any other resolves every stripe.
+    pub fn read_striped(
         &self,
-        states: &'s ServerStates,
-        head: Option<&'s [u8]>,
+        states: &ServerStates,
+        head: Option<&Arc<Inode>>,
         (dir, object): (&str, &str),
         server_of: impl Fn(u64) -> u32,
-    ) -> Vec<u8> {
+    ) -> Content {
         let table = self.chunks.get_or_init(|| self.chunk_table(dir));
-        debug_assert_eq!(table.dir, dir, "one object directory per model");
-        let baseline = table.files.get(object);
-        // Gather the chunks first: `concat` then sizes the content buffer
-        // once instead of doubling it across every stripe of the file.
-        let mut chunks: Vec<&[u8]> = head.into_iter().collect();
+        let table = (table.dir == dir).then_some(table);
+        let baseline = table.and_then(|table| table.files.get(object));
+        let mut content = Content::default();
+        if let Some(head) = head {
+            content.push(head.clone());
+        }
         let mut from_baseline = 0;
-        for stripe in chunks.len() as u64.. {
+        for stripe in u64::from(head.is_some()).. {
             let server = server_of(stripe);
             let store = states.server(server);
-            let clean = (server as usize) < table.snapshot.len()
-                && store.same_root(table.snapshot.server(server));
+            let clean = table.is_some_and(|table| {
+                (server as usize) < table.snapshot.len()
+                    && store.same_root(table.snapshot.server(server))
+            });
             let chunk = if clean {
                 // The store *is* the snapshot's: its inodes are the table's.
                 let ino = baseline.and_then(|files| files.get(&(stripe, server)));
-                ino.and_then(|&ino| file_data(store.as_fs(), ino))
+                ino.and_then(|&ino| file_inode(store.as_fs(), ino))
             } else {
-                store.as_fs().read(&format!("{dir}/{object}.{stripe}")).ok()
+                let path = format!("{dir}/{object}.{stripe}");
+                store.as_fs().read_shared(&path).ok()
             };
             let Some(chunk) = chunk else {
                 break;
             };
             from_baseline += clean as u64;
-            chunks.push(chunk);
+            content.push(chunk.clone());
         }
         pc_rt::obs::count("pfs.stripes_from_baseline", from_baseline);
-        chunks.concat()
+        content
     }
 
     /// The regular files of `dir` on each server of the baseline, by
@@ -537,7 +546,7 @@ impl ModelBase {
                     .parse::<u64>()
                     .ok()
                     .filter(|s| s.to_string() == stripe);
-                if let Some(stripe) = stripe.filter(|_| file_data(fs, ino).is_some()) {
+                if let Some(stripe) = stripe.filter(|_| file_inode(fs, ino).is_some()) {
                     let chunks = files.entry(object.to_string()).or_default();
                     chunks.insert((stripe, server), ino);
                 }
@@ -558,12 +567,9 @@ impl ModelBase {
     }
 }
 
-/// The content of `ino` if it is a regular file of `fs`.
-fn file_data(fs: &FsState, ino: Ino) -> Option<&[u8]> {
-    match fs.inode(ino)? {
-        Inode::File { data, .. } => Some(data),
-        Inode::Dir { .. } => None,
-    }
+/// The inode `ino`, shared, if it is a regular file of `fs`.
+fn file_inode(fs: &FsState, ino: Ino) -> Option<&Arc<Inode>> {
+    fs.inode_shared(ino).filter(|inode| !inode.is_dir())
 }
 
 /// The owner id of a `<id>.<stripe>` object name.
@@ -746,6 +752,33 @@ mod tests {
 
     fn segs(first: usize, offset: u64, len: usize, stripe: u64, n: usize) -> Vec<Segment> {
         stripe_segments(first, offset, len, stripe, n).collect()
+    }
+
+    /// The chunk table lists the first object directory read after a
+    /// seal; a read of another finds its own chunks, by path, in a
+    /// release build too.
+    #[test]
+    fn a_second_object_directory_reads_its_own_chunks() {
+        let topo = ClusterTopology::combined(2, 1);
+        let mut base = ModelBase::fs(topo, Placement::new(), 4, JournalMode::Data);
+        for (dir, data) in [("/a", b"aaaa"), ("/b", b"bbbb")] {
+            for server in 0..2 {
+                let fs = base.mkfs(server).as_fs_mut();
+                fs.mkdir_all(dir).unwrap();
+                fs.creat(&format!("{dir}/x.{server}")).unwrap();
+                fs.pwrite(&format!("{dir}/x.{server}"), 0, data).unwrap();
+            }
+        }
+        base.seal();
+        let states = base.baseline();
+        let read = |dir| {
+            base.read_striped(states, None, (dir, "x"), |s| (s % 2) as u32)
+                .joined()
+                .to_vec()
+        };
+        assert_eq!(read("/a"), b"aaaaaaaa");
+        assert_eq!(read("/b"), b"bbbbbbbb");
+        assert_eq!(read("/a"), b"aaaaaaaa");
     }
 
     #[test]

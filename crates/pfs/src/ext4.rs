@@ -94,8 +94,8 @@ impl Pfs for Ext4Direct {
         for path in fs.walk() {
             if fs.is_dir(&path) {
                 view.add_dir(path);
-            } else if let Ok(data) = fs.read(&path) {
-                view.add_file(path, data.to_vec());
+            } else if let Ok(file) = fs.read_shared(&path) {
+                view.add_file(path, file.clone());
             }
         }
         view

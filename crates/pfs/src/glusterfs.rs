@@ -31,7 +31,7 @@ use crate::call::PfsCall;
 use crate::error::PfsResult;
 use crate::placement::Placement;
 use crate::store::ServerStates;
-use crate::view::PfsView;
+use crate::view::{Content, PfsView};
 use crate::Pfs;
 use simfs::{FsOp, JournalMode};
 use simnet::ClusterTopology;
@@ -460,10 +460,13 @@ impl Pfs for GlusterFs {
         for (vpath, (gfid, first, _)) in best {
             // Stripe 0 is the data file itself; the rest are chunks.
             let brick = |stripe| stripe_target(first, stripe, n) as u32;
-            let head = states.server(brick(0)).as_fs().read(&data_path(&vpath));
+            let head = states
+                .server(brick(0))
+                .as_fs()
+                .read_shared(&data_path(&vpath));
             let content = match head {
                 Ok(head) => (self.base).read_striped(states, Some(head), ("/chunks", &gfid), brick),
-                Err(_) => Vec::new(),
+                Err(_) => Content::default(),
             };
             view.add_file(vpath, content);
         }

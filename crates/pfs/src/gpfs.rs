@@ -29,12 +29,13 @@ use crate::call::PfsCall;
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
 use crate::store::ServerStates;
-use crate::view::PfsView;
+use crate::view::{Content, PfsView};
 use crate::Pfs;
 use pc_rt::hash::{fnv1a_fold, FNV_OFFSET_BASIS, LONG_PRIME};
-use simfs::{BlockOp, StructTag};
+use simfs::{Block, BlockOp, StructTag};
 use simnet::ClusterTopology;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use tracer::{EventId, Process, Recorder};
 
 /// A directory's entry map: name → record (`F:<id>` / `D:<dirid>`).
@@ -46,8 +47,8 @@ struct Blocks<'s> {
     dirs: BTreeMap<String, DirEntries>,
     /// Inode payloads by id.
     inodes: BTreeMap<String, String>,
-    /// Content bytes by `<id>.<stripe>`, borrowed from the blocks.
-    contents: BTreeMap<String, &'s [u8]>,
+    /// Content blocks by `<id>.<stripe>`, as the devices share them.
+    contents: BTreeMap<String, &'s Arc<Block>>,
 }
 
 #[derive(Debug, Clone)]
@@ -503,7 +504,8 @@ impl Gpfs {
             contents: BTreeMap::new(),
         };
         for (_, store) in states.iter() {
-            for (_, tag, data) in store.as_block().iter() {
+            for (_, block) in store.as_block().iter_shared() {
+                let (tag, data) = &**block;
                 match tag {
                     StructTag::DirEntry(d) => {
                         blocks.dirs.insert(d.clone(), parse_dir(data));
@@ -513,7 +515,7 @@ impl Gpfs {
                         blocks.inodes.insert(i.clone(), payload);
                     }
                     StructTag::FileContent(c) => {
-                        blocks.contents.insert(c.clone(), data);
+                        blocks.contents.insert(c.clone(), block);
                     }
                     _ => {}
                 }
@@ -537,11 +539,15 @@ impl Gpfs {
                     continue;
                 }
                 // Content = the content blocks, in stripe order, until
-                // the first gap, copied once into a buffer of their size.
-                let content = (0..)
-                    .map_while(|stripe| blocks.contents.get(&format!("{id}.{stripe}")).copied())
-                    .collect::<Vec<&[u8]>>();
-                view.add_file(child, content.concat());
+                // the first gap, each shared with its device.
+                let mut content = Content::default();
+                for stripe in 0.. {
+                    let Some(&block) = blocks.contents.get(&format!("{id}.{stripe}")) else {
+                        break;
+                    };
+                    content.push(block.clone());
+                }
+                view.add_file(child, content);
             }
         }
     }

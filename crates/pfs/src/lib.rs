@@ -62,12 +62,13 @@
 //!    sweep) use the index; GPFS (a global dirent/inode scan), GlusterFS
 //!    (cross-brick self-heal) and ext4 (one server) keep the full path;
 //! 4. `client_view` — mount: the file tree from persistent state only.
-//!    A striped file's data goes through [`ModelBase::read_striped`]: a
-//!    stripe on a clean server comes from a table of the baseline's
-//!    chunks, built once per seal, and only a written server's stripe is
-//!    read by path. BeeGFS, OrangeFS, GlusterFS and Lustre read through
-//!    it; GPFS (one scan of every device's blocks) and ext4 (one server,
-//!    no stripes) decline;
+//!    A file's data is a [`Content`]: the stores' own inodes or blocks,
+//!    shared, never copied. A striped file's goes through
+//!    [`ModelBase::read_striped`]: a stripe on a clean server comes from
+//!    a table of the baseline's chunks, built once per seal, and only a
+//!    written server's stripe is read by path. BeeGFS, OrangeFS,
+//!    GlusterFS and Lustre read through it; GPFS takes its content
+//!    blocks from one scan of every device, ext4 its one file inode;
 //! 5. `restart_cost_secs` — the Figure 10/11 cost-model constant.
 
 pub mod base;
@@ -89,7 +90,7 @@ pub use call::{CallTrace, ClientTrace, PfsCall};
 pub use error::{PfsError, PfsResult};
 pub use placement::Placement;
 pub use store::{ServerStates, Store};
-pub use view::PfsView;
+pub use view::{Content, PfsView};
 
 use simnet::ClusterTopology;
 use tracer::{EventId, Layer, Payload, Process, Recorder};

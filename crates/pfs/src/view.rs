@@ -6,10 +6,179 @@
 //! (§4.4.3). The view deliberately abstracts away server placement, chunk
 //! names and internal metadata — those are implementation details the
 //! crash-consistency contract does not cover.
+//!
+//! A file's bytes are not copied out of the stores. Its [`Content`] is
+//! the list of the stores' own byte runs — chunk-file inodes, content
+//! blocks — each held by its `Arc`, so a mount costs a refcount bump per
+//! stripe and a view of a clean stripe shares it with the baseline and
+//! with every other view. Equality and the digest read the bytes, never
+//! the chunking.
 
 use pc_rt::intern::Sym;
+use simfs::state::Inode;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
+
+/// Bytes a server store owns behind an `Arc`: what one chunk of a
+/// [`Content`] reads in place.
+pub trait Bytes: Send + Sync {
+    /// The bytes.
+    fn bytes(&self) -> &[u8];
+}
+
+/// A regular file's data; a directory holds none.
+impl Bytes for Inode {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Inode::File { data, .. } => data,
+            Inode::Dir { .. } => &[],
+        }
+    }
+}
+
+/// A block's payload.
+impl Bytes for simfs::Block {
+    fn bytes(&self) -> &[u8] {
+        &self.1
+    }
+}
+
+/// Bytes a view owns itself.
+impl Bytes for Vec<u8> {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+/// A file's content as a view holds it: shared byte runs in file order.
+///
+/// Two contents are `==` and digest equally when their bytes are equal,
+/// however the runs split them; a pair of runs that is one `Arc` at one
+/// offset is skipped without reading it.
+#[derive(Clone, Default)]
+pub struct Content {
+    /// Non-empty runs, each with the file offset where it ends.
+    runs: Vec<(Arc<dyn Bytes>, u64)>,
+    /// The bytes joined, for [`joined`](Self::joined) on a content of
+    /// more than one run: built on first use, ignored by `==`.
+    joined: OnceLock<Box<[u8]>>,
+}
+
+impl Content {
+    /// Append a run; an empty one adds nothing.
+    pub fn push(&mut self, run: Arc<dyn Bytes>) {
+        let len = run.bytes().len() as u64;
+        if len > 0 {
+            self.runs.push((run, self.len() + len));
+        }
+    }
+
+    /// Length in bytes.
+    pub fn len(&self) -> u64 {
+        self.runs.last().map_or(0, |run| run.1)
+    }
+
+    /// `true` for an empty file.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The runs, in file order.
+    pub fn runs(&self) -> impl Iterator<Item = &[u8]> {
+        self.runs.iter().map(|(run, _)| run.bytes())
+    }
+
+    /// The bytes from `at` to the end of the run that holds it; empty at
+    /// or past the end of the file.
+    pub fn run_at(&self, at: u64) -> &[u8] {
+        let i = self.runs.partition_point(|run| run.1 <= at);
+        let Some((run, end)) = self.runs.get(i) else {
+            return &[];
+        };
+        let bytes = run.bytes();
+        &bytes[(at + bytes.len() as u64 - end) as usize..]
+    }
+
+    /// The whole content as one slice: the run itself when there is at
+    /// most one, else a copy joined once and kept.
+    pub fn joined(&self) -> &[u8] {
+        match self.runs.as_slice() {
+            [] => &[],
+            [(run, _)] => run.bytes(),
+            _ => self
+                .joined
+                .get_or_init(|| self.runs().collect::<Vec<_>>().concat().into()),
+        }
+    }
+}
+
+/// A content of one run.
+impl<B: Bytes + 'static> From<Arc<B>> for Content {
+    fn from(run: Arc<B>) -> Content {
+        let mut content = Content::default();
+        content.push(run);
+        content
+    }
+}
+
+impl From<Vec<u8>> for Content {
+    fn from(data: Vec<u8>) -> Content {
+        Arc::new(data).into()
+    }
+}
+
+impl PartialEq for Content {
+    fn eq(&self, other: &Content) -> bool {
+        if self.len() != other.len() {
+            return false;
+        }
+        let (mut a, mut b) = (self.runs(), other.runs());
+        let (mut x, mut y): (&[u8], &[u8]) = (&[], &[]);
+        loop {
+            if x.is_empty() {
+                let Some(next) = a.next() else {
+                    return true;
+                };
+                x = next;
+            }
+            if y.is_empty() {
+                y = b.next().expect("equal lengths");
+            }
+            // One `Arc` at one offset: the same bytes, unread.
+            let n = if std::ptr::eq(x, y) {
+                x.len()
+            } else {
+                let n = x.len().min(y.len());
+                if x[..n] != y[..n] {
+                    return false;
+                }
+                n
+            };
+            (x, y) = (&x[n..], &y[n..]);
+        }
+    }
+}
+
+impl Eq for Content {}
+
+/// Hashes as the joined bytes' `[u8]` does: the length, then the bytes
+/// streamed run by run (`Hasher::write` calls concatenate).
+impl Hash for Content {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_usize(self.len() as usize);
+        for run in self.runs() {
+            h.write(run);
+        }
+    }
+}
+
+impl fmt::Debug for Content {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.joined(), f)
+    }
+}
 
 /// A logical file tree as seen through the PFS mount point.
 ///
@@ -25,7 +194,7 @@ use std::fmt;
 pub struct PfsView {
     /// Regular files: mount-relative path → content. A file that exists
     /// but whose data is unreadable (lost chunk) maps to `None`.
-    files: BTreeMap<Sym, Option<Vec<u8>>>,
+    files: BTreeMap<Sym, Option<Content>>,
     /// Directories (mount-relative paths, `/` excluded).
     dirs: BTreeSet<Sym>,
 }
@@ -37,7 +206,7 @@ impl PfsView {
     }
 
     /// Add a readable file.
-    pub fn add_file(&mut self, path: impl AsRef<str>, data: impl Into<Vec<u8>>) {
+    pub fn add_file(&mut self, path: impl AsRef<str>, data: impl Into<Content>) {
         self.files
             .insert(Sym::new(path.as_ref()), Some(data.into()));
     }
@@ -53,8 +222,28 @@ impl PfsView {
     }
 
     /// Content of a file, if present and readable.
+    pub fn content(&self, path: &str) -> Option<&Content> {
+        self.files.get(&Sym::new(path))?.as_ref()
+    }
+
+    /// Content of a file as one slice, if present and readable (see
+    /// [`Content::joined`]).
     pub fn read(&self, path: &str) -> Option<&[u8]> {
-        self.files.get(&Sym::new(path)).and_then(|d| d.as_deref())
+        self.content(path).map(Content::joined)
+    }
+
+    /// The same tree with each file's bytes joined into one run the view
+    /// owns: the view a copying mount would give, which `==` and
+    /// [`digest`](Self::digest) cannot tell from this one.
+    pub fn flat(&self) -> PfsView {
+        let files = self.files.iter().map(|(path, content)| {
+            let flat = content.as_ref().map(|c| Content::from(c.joined().to_vec()));
+            (*path, flat)
+        });
+        PfsView {
+            files: files.collect(),
+            dirs: self.dirs.clone(),
+        }
     }
 
     /// `true` if a file or directory exists at `path`.
@@ -70,11 +259,11 @@ impl PfsView {
 
     /// Files in lexicographic path order: `(path, content)` where
     /// `None` content marks a damaged file.
-    pub fn files_sorted(&self) -> Vec<(&'static str, Option<&[u8]>)> {
-        let mut out: Vec<(&'static str, Option<&[u8]>)> = self
+    pub fn files_sorted(&self) -> Vec<(&'static str, Option<&Content>)> {
+        let mut out: Vec<(&'static str, Option<&Content>)> = self
             .files
             .iter()
-            .map(|(p, d)| (p.as_str(), d.as_deref()))
+            .map(|(p, d)| (p.as_str(), d.as_ref()))
             .collect();
         out.sort_unstable_by_key(|(p, _)| *p);
         out
@@ -89,11 +278,11 @@ impl PfsView {
 
     /// Canonical digest (for dedup of recovered states). Hashes the
     /// resolved, sorted tree so the value is independent of interning
-    /// order (and therefore stable across thread schedules).
+    /// order (and therefore stable across thread schedules), and a
+    /// file's bytes as one stream, so it is independent of their runs.
     pub fn digest(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        let files: BTreeMap<&str, &Option<Vec<u8>>> =
+        let files: BTreeMap<&str, &Option<Content>> =
             self.files.iter().map(|(p, d)| (p.as_str(), d)).collect();
         let dirs: BTreeSet<&str> = self.dirs.iter().map(|d| d.as_str()).collect();
         files.hash(&mut h);
@@ -107,7 +296,7 @@ impl PfsView {
         for (p, d) in self.files_sorted() {
             match other.files.get(&Sym::new(p)) {
                 None => out.push(format!("file {p} missing in other")),
-                Some(od) if od.as_deref() != d => out.push(format!("file {p} content differs")),
+                Some(od) if od.as_ref() != d => out.push(format!("file {p} content differs")),
                 _ => {}
             }
         }
@@ -147,6 +336,126 @@ impl fmt::Display for PfsView {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `bytes` in runs that end at each of `cuts`.
+    fn chunked(bytes: &[u8], cuts: &[usize]) -> Content {
+        let mut content = Content::default();
+        let mut from = 0;
+        for &to in cuts.iter().chain([&bytes.len()]) {
+            content.push(Arc::new(bytes[from..to].to_vec()));
+            from = to;
+        }
+        content
+    }
+
+    /// The digest of the view a copying mount built: every file one
+    /// owned `Vec<u8>`.
+    fn copied_digest(files: &[(&str, Option<&[u8]>)], dirs: &[&str]) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let files: BTreeMap<&str, Option<Vec<u8>>> = files
+            .iter()
+            .map(|(p, d)| (*p, d.map(<[u8]>::to_vec)))
+            .collect();
+        let dirs: BTreeSet<&str> = dirs.iter().copied().collect();
+        files.hash(&mut h);
+        dirs.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn chunk_boundaries_change_neither_equality_nor_digest() {
+        let bytes: Vec<u8> = (0..=255).cycle().take(700).collect();
+        let splits: [&[usize]; 5] = [&[], &[1], &[7, 8, 300], &[256, 512], &[0, 699, 700]];
+        let views: Vec<PfsView> = (splits.iter())
+            .map(|cuts| {
+                let mut v = PfsView::new();
+                v.add_dir("/d");
+                v.add_file("/d/f", chunked(&bytes, cuts));
+                v.add_file("/e", Vec::new());
+                v
+            })
+            .collect();
+        let copied = copied_digest(&[("/d/f", Some(&bytes)), ("/e", Some(&[]))], &["/d"]);
+        for a in &views {
+            assert_eq!(a.digest(), copied);
+            assert_eq!(a.read("/d/f"), Some(&bytes[..]));
+            assert_eq!(a, &a.flat());
+            for b in &views {
+                assert_eq!(a, b);
+                assert!(a.diff(b).is_empty());
+            }
+        }
+        // One byte changed in any run, or one byte fewer, is another file.
+        for at in [0, 7, 255, 256, 699] {
+            let mut other = bytes.clone();
+            other[at] ^= 1;
+            for cuts in splits {
+                assert_ne!(chunked(&bytes, cuts), chunked(&other, &[256]));
+            }
+        }
+        assert_ne!(chunked(&bytes, &[7]), chunked(&bytes[..699], &[7]));
+    }
+
+    #[test]
+    fn a_shared_chunk_compares_unread_and_seeks_by_offset() {
+        let run: Arc<dyn Bytes> = Arc::new(b"abcdef".to_vec());
+        let mut a = Content::default();
+        let mut b = Content::default();
+        for c in [&mut a, &mut b] {
+            c.push(run.clone());
+            c.push(Arc::new(b"gh".to_vec()));
+        }
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 8);
+        assert_eq!(a.run_at(0), b"abcdef");
+        assert_eq!(a.run_at(4), b"ef");
+        assert_eq!(a.run_at(6), b"gh");
+        assert_eq!(a.run_at(8), b"");
+        assert_eq!(a.joined(), b"abcdefgh");
+    }
+
+    #[test]
+    fn chunked_views_keep_damaged_empty_and_absent_files_distinct() {
+        let mut empty = PfsView::new();
+        empty.add_file("/f", chunked(&[], &[]));
+        let mut damaged = PfsView::new();
+        damaged.add_damaged_file("/f");
+        let absent = PfsView::new();
+        let views = [&empty, &damaged, &absent];
+        for (i, a) in views.iter().enumerate() {
+            for (j, b) in views.iter().enumerate() {
+                assert_eq!(a == b, i == j);
+                assert_eq!(a.digest() == b.digest(), i == j);
+            }
+        }
+        assert_eq!(empty.digest(), copied_digest(&[("/f", Some(&[]))], &[]));
+        assert_eq!(damaged.digest(), copied_digest(&[("/f", None)], &[]));
+        assert_eq!(empty.read("/f"), Some(&[][..]));
+        assert_eq!(damaged.read("/f"), None);
+    }
+
+    #[test]
+    fn diff_and_display_read_bytes_not_chunks() {
+        let mut a = PfsView::new();
+        a.add_dir("/d");
+        a.add_file("/d/x", chunked(b"hello world", &[3, 5]));
+        a.add_damaged_file("/y");
+        let mut b = PfsView::new();
+        b.add_file("/d/x", b"hello World".to_vec());
+        b.add_file("/z", b"!".to_vec());
+        assert_eq!(a.to_string(), "/d/\n/d/x (11 bytes)\n/y (UNREADABLE)\n");
+        assert_eq!(a.to_string(), a.flat().to_string());
+        assert_eq!(
+            a.diff(&b),
+            [
+                "file /d/x content differs",
+                "file /y missing in other",
+                "file /z only in other",
+                "dir /d present in only one view",
+            ]
+        );
+        assert_eq!(a.diff(&b), a.flat().diff(&b.flat()));
+    }
 
     #[test]
     fn view_roundtrip_and_digest() {

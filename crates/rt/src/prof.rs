@@ -243,15 +243,13 @@ static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
 
 /// Pins glibc's mmap threshold at its 128 KiB default, once, before the
 /// first allocation that could be mapped. Left dynamic, glibc raises the
-/// threshold to the size of every mapped block freed. A check mounts each
-/// crash state into a view that copies ≈ 157 KB of file bytes, so after
-/// the first frees those views land on the main heap instead. Checks run
-/// one after another on the main thread, and they fragment that heap
-/// from check to check: peak RSS on the H5-resize split-dims sweep grows
-/// by a quarter with an unchanged live set (EXPERIMENTS.md, "A sequential
-/// check and the allocator"). With the threshold pinned, each view is its
-/// own mapping and goes back to the kernel when freed. A constant, not a
-/// knob.
+/// threshold to the size of every mapped block freed, so later blocks of
+/// that size land on the main heap instead. Checks run one after another
+/// on the main thread, and they fragment that heap from check to check.
+/// With the threshold pinned, a large block is its own mapping and goes
+/// back to the kernel when freed; without the pin no workload's peak RSS
+/// falls, and `scale_256`'s rises by 0.7 % (EXPERIMENTS.md, "A sequential
+/// check and the allocator"). A constant, not a knob.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 #[inline]
 fn pin_mmap_threshold(size: usize) {

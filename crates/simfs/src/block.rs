@@ -182,6 +182,9 @@ impl fmt::Display for BlockOp {
     }
 }
 
+/// One written block: the structure it holds and its payload.
+pub type Block = (StructTag, Vec<u8>);
+
 /// An addressable block device, snapshot-able like [`crate::FsState`].
 ///
 /// Like `FsState`, the block table is persistent (copy-on-write):
@@ -189,7 +192,7 @@ impl fmt::Display for BlockOp {
 /// between forks until overwritten, and the digest is memoized.
 #[derive(Clone, Default)]
 pub struct BlockDev {
-    blocks: Arc<BTreeMap<u64, Arc<(StructTag, Vec<u8>)>>>,
+    blocks: Arc<BTreeMap<u64, Arc<Block>>>,
     digest_memo: Arc<OnceLock<u64>>,
 }
 
@@ -261,6 +264,12 @@ impl BlockDev {
     /// All written blocks in LBA order.
     pub fn iter(&self) -> impl Iterator<Item = (&u64, &StructTag, &[u8])> {
         self.blocks.iter().map(|(l, b)| (l, &b.0, b.1.as_slice()))
+    }
+
+    /// All written blocks in LBA order, shared: a reader that keeps a
+    /// block's `Arc` holds its payload without copying it.
+    pub fn iter_shared(&self) -> impl Iterator<Item = (&u64, &Arc<Block>)> {
+        self.blocks.iter()
     }
 
     /// Number of written blocks.

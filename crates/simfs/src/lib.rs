@@ -33,7 +33,7 @@ pub mod journal;
 pub mod ops;
 pub mod state;
 
-pub use block::{BlockDev, BlockOp, StructTag};
+pub use block::{Block, BlockDev, BlockOp, StructTag};
 pub use error::{FsError, FsResult};
 pub use fsck::{Fsck, FsckIssue};
 pub use journal::{torn_write, CommitRecord, JournalMode};

@@ -80,6 +80,16 @@ impl Inode {
     }
 }
 
+/// Zero-extend `data` to `len` bytes, allocating exactly that: a file's
+/// buffer outlives its store in every mounted view that shares the inode
+/// (`pfs::Content`), and spare capacity would stay held with it.
+fn grow_exact(data: &mut Vec<u8>, len: usize) {
+    if data.len() < len {
+        data.reserve_exact(len - data.len());
+        data.resize(len, 0);
+    }
+}
+
 /// A snapshot-able, comparable local file system.
 ///
 /// Cloning an `FsState` is the simulation analogue of taking an LVM/ext4
@@ -336,6 +346,26 @@ impl FsState {
         self.inodes.get(&ino).map(|a| &**a)
     }
 
+    /// The inode `ino` as this state shares it: a reader that keeps the
+    /// `Arc` holds the node's bytes without copying them, and a later
+    /// write to the node unshares it instead of changing them.
+    pub fn inode_shared(&self, ino: Ino) -> Option<&Arc<Inode>> {
+        self.inodes.get(&ino)
+    }
+
+    /// The regular file at `path`, shared (see [`inode_shared`](Self::inode_shared)).
+    pub fn read_shared(&self, path: &str) -> FsResult<&Arc<Inode>> {
+        let ino = self.resolve(path)?;
+        let node = self
+            .inodes
+            .get(&ino)
+            .expect("invariant: resolved ino exists");
+        match &**node {
+            Inode::File { .. } => Ok(node),
+            Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
+        }
+    }
+
     /// Root inode number.
     pub fn root(&self) -> Ino {
         ROOT_INO
@@ -438,9 +468,7 @@ impl FsState {
             Inode::File { data, .. } => {
                 let off = offset as usize;
                 let end = off + buf.len();
-                if data.len() < end {
-                    data.resize(end, 0);
-                }
+                grow_exact(data, end);
                 data[off..end].copy_from_slice(buf);
                 Ok(())
             }
@@ -453,6 +481,7 @@ impl FsState {
         let ino = self.resolve(path)?;
         match self.inode_mut(ino) {
             Inode::File { data, .. } => {
+                data.reserve_exact(buf.len());
                 data.extend_from_slice(buf);
                 Ok(())
             }
@@ -465,7 +494,8 @@ impl FsState {
         let ino = self.resolve(path)?;
         match self.inode_mut(ino) {
             Inode::File { data, .. } => {
-                data.resize(size as usize, 0);
+                grow_exact(data, size as usize);
+                data.truncate(size as usize);
                 Ok(())
             }
             Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),

@@ -130,10 +130,12 @@ grep -rnE 'env::(set|remove)_var' crates && { echo "FAIL: a test sets its own en
 
 echo "== gate 4: check_stack vs check_reference; wide property sweep; benchmark smoke =="
 # In debug, then as the code ships, with the golden walk's tests, the
-# models' fork, their fsck repairs and their patched mounts.
+# models' fork, their fsck repairs and their patched mounts, and the
+# borrowed views and the HDF5 reader over their chunks.
 cargo test -q --offline --test differential
 cargo test -q --offline --release --test differential
-cargo test -q --offline --release -p paracrash -p pfs -- golden fork fsck mount
+cargo test -q --offline --release -p paracrash -p pfs -p h5sim -- golden fork fsck mount chunk borrowed
+cargo test -q --offline --release --test h5_format_fuzz -- chunked
 PC_PROPTEST_CASES=2048 cargo test -q --offline --release --test properties
 # The cell whose images collapse most, through the CLI, at both widths.
 cargo build --release --offline -p pc-bench

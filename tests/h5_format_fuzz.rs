@@ -5,11 +5,13 @@
 
 use h5sim::format::{encode, sizes, superblock, H5Error};
 use h5sim::{check, check_lenient, h5clear, h5inspect, h5replay_with};
-use h5sim::{ClearOpts, H5Call, H5Spec, ObjectRange};
+use h5sim::{ClearOpts, Cleared, H5Call, H5Spec, ObjectRange};
 use pc_rt::prop_assert;
 use pc_rt::prop_assert_eq;
 use pc_rt::proptest::{gen_vec, run, Config};
 use pc_rt::rng::Rng;
+use pfs::Content;
+use std::sync::Arc;
 use workloads::FsKind;
 use workloads::Params;
 
@@ -251,6 +253,53 @@ fn object_maps_never_overlap() {
             folds_agree(&bytes)?;
             for image in mutations(&bytes, &map) {
                 folds_agree(&image)?;
+            }
+            Ok(())
+        },
+    );
+}
+
+/// `image` as a PFS view holds a file: runs of `size` bytes, each its
+/// own shared buffer.
+fn chunked(image: &[u8], size: usize) -> Content {
+    let mut content = Content::default();
+    for run in image.chunks(size) {
+        content.push(Arc::new(run.to_vec()));
+    }
+    content
+}
+
+/// The reader walks a view's runs in place: on every image
+/// [`object_maps_never_overlap`] draws — a clean file and each way of
+/// breaking it — the per-dataset report over the file in runs of 1, 7,
+/// 256 and 2048 bytes is the report over its joined bytes, and so is the
+/// report over `h5clear`'s patch laid on the runs against the report
+/// over its patched copy. Runs of 1 and 7 bytes make every structure
+/// straddle a boundary.
+#[test]
+fn chunked_content_parses_like_the_joined_bytes() {
+    run(
+        "chunked_content_parses_like_the_joined_bytes",
+        &Config::with_cases(8),
+        arb_ops,
+        |ops| {
+            let params = Params::quick();
+            let mut pfs = FsKind::Ext4.build(&params);
+            h5replay_with(pfs.as_mut(), "/fuzz.h5", &[0], &lower(ops), spec()).expect("replays");
+            let view = pfs.client_view(pfs.live());
+            let bytes = view.read("/fuzz.h5").expect("file exists").to_vec();
+            let map = h5inspect(&bytes).expect("clean file inspects");
+            let opts = ClearOpts { increase_eof: true };
+            for image in std::iter::once(bytes.clone()).chain(mutations(&bytes, &map)) {
+                let flat = format!("{:?}", check_lenient(&image));
+                let cleared = format!("{:?}", check_lenient(&h5clear(&image, opts)));
+                for size in [1, 7, 256, 2048] {
+                    let content = chunked(&image, size);
+                    prop_assert_eq!(&format!("{:?}", check_lenient(&content)), &flat);
+                    let patched = Cleared::new(&content, opts).map(|c| check_lenient(&c));
+                    let patched = patched.unwrap_or_else(|| check_lenient(&content));
+                    prop_assert_eq!(&format!("{patched:?}"), &cleared);
+                }
             }
             Ok(())
         },

@@ -909,6 +909,82 @@ fn recovering_a_fork_equals_recovering_the_whole_image() {
     }
 }
 
+/// A mount borrows the stores' bytes, and nothing a checker decides can
+/// tell: on all six models — the four striping ones at 2 + 2 servers and
+/// at 128 + 128 with `scale_256`'s 256-byte stripe, so a file is many
+/// shared runs — the recovered view of a random image equals its
+/// [`flat`](pfs::PfsView::flat) copy (each file one owned buffer, the
+/// copying mount) and digests alike, and for a nearby image both `==`
+/// and digest equality answer as they do between the flat copies.
+#[test]
+fn a_borrowed_view_equals_its_flat_copy() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use workloads::FsKind;
+    let (equal_pairs, distinct_pairs) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let quick = workloads::Params::quick();
+    let striped = |servers, stripe| {
+        quick
+            .clone()
+            .with_servers(servers, servers)
+            .with_stripe(stripe)
+    };
+    let mut configs = vec![(FsKind::Gpfs, quick.clone()), (FsKind::Ext4, quick.clone())];
+    for fs in [
+        FsKind::BeeGfs,
+        FsKind::OrangeFs,
+        FsKind::Lustre,
+        FsKind::GlusterFs,
+    ] {
+        configs.push((fs, striped(2, quick.stripe)));
+        configs.push((fs, striped(128, 256)));
+    }
+    for (fs, params) in configs {
+        let stacks = image_stacks(fs, &params);
+        let name = format!(
+            "a_borrowed_view_equals_its_flat_copy/{fs:?}/{}",
+            params.storage
+        );
+        run(
+            &name,
+            &Config::with_cases(64),
+            |rng, size| {
+                let (which, keep) = arb_image(rng, &stacks);
+                let n = keep.len();
+                let flips = gen_vec(rng, size.min(3), |r| r.gen_range(0..n as u64) as usize);
+                (which, keep, flips)
+            },
+            |(which, keep, flips)| {
+                let stack = &stacks[*which];
+                let view = |keep: &[bool]| {
+                    let mut image = image_of(stack, &kept(stack, keep));
+                    pfs::recover_and_mount(stack.pfs.as_ref(), &mut image)
+                };
+                let mut keep_b = keep.clone();
+                for &f in flips {
+                    keep_b[f] = !keep_b[f];
+                }
+                let (a, b) = (view(keep), view(&keep_b));
+                let (flat_a, flat_b) = (a.flat(), b.flat());
+                prop_assert!(a == flat_a, "a view differs from its flat copy");
+                prop_assert_eq!(a.digest(), flat_a.digest());
+                prop_assert_eq!(a == b, flat_a == flat_b);
+                prop_assert_eq!(a.digest() == b.digest(), flat_a.digest() == flat_b.digest());
+                prop_assert_eq!(a.to_string(), flat_a.to_string());
+                let tally = if a == b {
+                    &equal_pairs
+                } else {
+                    &distinct_pairs
+                };
+                tally.fetch_add(1, Relaxed);
+                Ok(())
+            },
+        );
+    }
+    // Both sides of the equivalence were exercised.
+    assert!(equal_pairs.load(Relaxed) > 0, "no two views coincided");
+    assert!(distinct_pairs.load(Relaxed) > 0);
+}
+
 /// One step of [`overlay_equals_the_dense_model`]. Image indices wrap
 /// around the images made so far.
 #[derive(Debug)]
