@@ -19,18 +19,18 @@
 //! own bookkeeping — as the traced stack sealed it after its preamble,
 //! and again wherever two preserved sets diverge.
 //!
-//! Recovery costs what the crash touched. [`ModelBase::recover`] runs a
-//! model's fsck under a [`Scope`]: the servers whose store is no longer
-//! the sealed baseline's ([`ServerStates::dirty_mask`]), and an index of
-//! the baseline — built once per [`seal`](ModelBase::seal), on the first
-//! recovery — that stands in for the clean ones.
-//!
-//! So does a mount's data. [`ModelBase::read_striped`] takes a stripe on
-//! a server whose store still shares its root with the baseline's from a
-//! table of the baseline's chunks, built once per seal on the first
-//! striped read, and reads only the written servers' stripes by path.
-//! Either way the stripe is the store's inode itself, shared into the
-//! view's [`Content`], not a copy of its bytes.
+//! Recovery costs what the crash touched, and so does a mount's data.
+//! A striping model names its object directory once, in its constructor
+//! ([`ModelBase::mkfs_objects`]); from that name the base spells each
+//! `<dir>/<object>.<stripe>` chunk path and keeps one baseline index of
+//! the directory, built on first use after each
+//! [`seal`](ModelBase::seal) and shared by forks. [`ModelBase::recover`]
+//! runs a model's fsck under a [`Scope`]: the servers whose store is no
+//! longer the sealed baseline's ([`ServerStates::dirty_mask`]), with the
+//! index standing in for the clean ones. [`ModelBase::read_striped`]
+//! takes a stripe on a clean server from the same index and reads only
+//! the written servers' stripes by path, each the store's inode itself,
+//! shared into the view's [`Content`], not a copy of its bytes.
 
 use crate::error::{PfsError, PfsResult};
 use crate::placement::Placement;
@@ -40,15 +40,15 @@ use simfs::state::Inode;
 use simfs::{BlockOp, FsOp, FsState, Ino, JournalMode};
 use simnet::{ClusterTopology, RpcNet};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use tracer::{EventId, Layer, Payload, Process, Recorder};
 
 /// The state and plumbing embedded in every PFS model. `Clone` is the
 /// fork: both store sets are copy-on-write, so a clone shares every
-/// node with its origin until one side dispatches, and the baseline's
-/// recovery index and chunk table with it.
+/// node with its origin until one side dispatches, and the baseline
+/// index with it.
 #[derive(Clone)]
 pub struct ModelBase {
     /// The cluster shape this instance runs on.
@@ -60,42 +60,33 @@ pub struct ModelBase {
     /// Journaling mode of the servers' local file systems (`None` for
     /// block-device servers).
     pub journal: Option<JournalMode>,
+    /// The object directory of a striping model (see
+    /// [`mkfs_objects`](Self::mkfs_objects)).
+    objects: Option<&'static str>,
     live: ServerStates,
     baseline: ServerStates,
-    /// What recovery knows of `baseline`, built on the first recovery.
+    /// What recovery and mounts know of `baseline`, built on first use.
     /// Forks share it (they share the baseline); `seal` starts a new one.
-    index: Arc<OnceLock<RecoveryIndex>>,
-    /// What a mount knows of `baseline`, built on the first striped
-    /// read; shared and reset like `index`.
-    chunks: Arc<OnceLock<ChunkTable>>,
+    index: Arc<OnceLock<BaselineIndex>>,
 }
 
-/// The baseline's chunk files, for mounts. Like [`RecoveryIndex`] it
-/// carries the snapshot it describes, and it is asked only for a server
-/// whose store still shares its root with the snapshot's.
-struct ChunkTable {
+/// What the base knows of a sealed baseline. It carries the snapshot it
+/// describes, and is asked only for a server whose store still shares
+/// its root with the snapshot's, so an index that outlived its baseline
+/// could cost speed (no image shares a store with it) but never
+/// correctness.
+pub(crate) struct BaselineIndex {
     snapshot: ServerStates,
-    /// The object directory the table lists.
-    dir: String,
-    /// The regular file `<object>.<stripe>` of `dir` on each server, as
-    /// `object → (stripe, server) → inode`.
-    files: HashMap<String, BTreeMap<(u64, u32), Ino>>,
-}
-
-/// What recovery knows of a sealed baseline. It carries the snapshot it
-/// describes, so an index that outlived its baseline could cost speed
-/// (no image shares a store with it) but never correctness.
-struct RecoveryIndex {
-    snapshot: ServerStates,
+    /// The `<object>.<stripe>` regular files of the object directory on
+    /// every server that holds it, `object → (stripe, server) → inode`.
+    chunks: BTreeMap<String, BTreeMap<(u64, u32), Ino>>,
+    /// The model's own part (see [`ModelBase::recover`]), built on the
+    /// first recovery.
+    model: OnceLock<Box<dyn Any + Send + Sync>>,
     /// Whether recovering the baseline leaves it as it is, worked out
     /// the first time a pass asks to skip a clean server (see
     /// [`Scope::clean`]).
     fixpoint: OnceLock<bool>,
-    /// The baseline entries of the storage-side object directory, by
-    /// owner id: `(storage server, name)` of each.
-    chunks: BTreeMap<String, Vec<(u32, String)>>,
-    /// The model's own part (see [`ModelBase::recover`]).
-    model: Box<dyn Any + Send + Sync>,
 }
 
 /// The servers one recovery visits. A clean server — one the crash did
@@ -105,9 +96,7 @@ struct RecoveryIndex {
 /// fixpoint test runs under — the full fsck.
 pub struct Scope<'a, X> {
     dirty: Vec<bool>,
-    /// The storage-side object directory the orphan sweep collects in.
-    dir: &'a str,
-    index: Option<(&'a RecoveryIndex, &'a X)>,
+    index: Option<(&'a BaselineIndex, &'a X)>,
     /// Whether recovering the baseline leaves it as it is (run once per
     /// index, on the first ask).
     fixpoint: &'a dyn Fn() -> bool,
@@ -115,10 +104,9 @@ pub struct Scope<'a, X> {
 
 impl<'a, X> Scope<'a, X> {
     /// Every one of `n` servers dirty: the full algorithm.
-    fn all(n: usize, dir: &'a str) -> Self {
+    fn all(n: usize) -> Self {
         Scope {
             dirty: vec![true; n],
-            dir,
             index: None,
             fixpoint: &|| false,
         }
@@ -171,10 +159,10 @@ impl ModelBase {
             placement,
             stripe,
             journal,
+            objects: None,
             baseline: live.fork(),
             live,
             index: Arc::default(),
-            chunks: Arc::default(),
         }
     }
 
@@ -205,6 +193,30 @@ impl ModelBase {
         }
     }
 
+    /// Name `dir` the object directory — where a striping model keeps
+    /// its `<object>.<stripe>` chunk files — and make it on `servers`
+    /// (through [`mkfs_all`](Self::mkfs_all)). A model calls this once,
+    /// in its constructor; every chunk path, the orphan sweep and the
+    /// baseline index follow from the name.
+    pub fn mkfs_objects(&mut self, dir: &'static str, servers: &[u32]) {
+        self.objects = Some(dir);
+        self.mkfs_all(servers, |fs| {
+            fs.mkdir_all(dir)
+                .expect("invariant: a blank store takes a directory")
+        });
+    }
+
+    /// The object directory the model named.
+    fn objects(&self) -> &'static str {
+        (self.objects).expect("invariant: a striping model names its object directory")
+    }
+
+    /// The chunk file of `stripe` of `object`: `<dir>/<object>.<stripe>`,
+    /// the one spelling of a chunk name. An object id holds no `.`.
+    pub fn chunk_path(&self, object: &str, stripe: u64) -> String {
+        format!("{}/{object}.{stripe}", self.objects())
+    }
+
     /// Snapshot the live state as the baseline crash states are
     /// materialized on (the paper's pre-test LVM snapshot, §4.3). The
     /// live stores become a fresh sealed base, so the baseline and every
@@ -213,7 +225,6 @@ impl ModelBase {
         self.live = self.live.sealed();
         self.baseline = self.live.fork();
         self.index = Arc::default();
-        self.chunks = Arc::default();
     }
 
     /// The sealed baseline snapshot.
@@ -367,42 +378,33 @@ impl ModelBase {
     /// is given and must treat a dirty server exactly as the full
     /// algorithm does; a server [`Scope::clean`] hands the model's index
     /// for it may skip wherever that index (`index`, built from the
-    /// baseline once) says the full algorithm would change nothing. `dir`
-    /// is the storage-side object directory
-    /// [`collect_orphans`](Self::collect_orphans) sweeps.
+    /// baseline once) says the full algorithm would change nothing.
     ///
-    /// The index is built on the first call after a [`seal`](Self::seal):
-    /// the baseline's `dir` entries by owner and the model's part. Whether
-    /// `fsck` with every server dirty leaves the baseline as it is, is
-    /// worked out once, when a pass first asks to skip a clean server.
+    /// The baseline index ([`ModelBase::mkfs_objects`]'s directory, by
+    /// owner, for [`collect_orphans`](Self::collect_orphans)) is the one
+    /// mounts read; the model's part joins it on the first recovery
+    /// after a [`seal`](Self::seal). Whether `fsck` with every server
+    /// dirty leaves the baseline as it is, is worked out once, when a
+    /// pass first asks to skip a clean server.
     pub fn recover<X: Send + Sync + 'static>(
         &self,
         states: &mut ServerStates,
-        dir: &str,
         index: impl FnOnce(&ServerStates) -> X,
         fsck: impl Fn(&mut ServerStates, &Scope<X>),
     ) {
-        let built = self.index.get_or_init(|| {
-            let snapshot = self.baseline.fork();
-            RecoveryIndex {
-                fixpoint: OnceLock::new(),
-                chunks: self.chunk_index(&snapshot, dir),
-                model: Box::new(index(&snapshot)),
-                snapshot,
-            }
-        });
+        let built = self.baseline_index();
+        let model = built.model.get_or_init(|| Box::new(index(&built.snapshot)));
+        let model = (model.downcast_ref::<X>())
+            .expect("invariant: a base's index holds its own model's part");
         let fixpoint = || {
             *built.fixpoint.get_or_init(|| {
                 let mut image = built.snapshot.fork();
-                fsck(&mut image, &Scope::all(built.snapshot.len(), dir));
+                fsck(&mut image, &Scope::all(built.snapshot.len()));
                 image == built.snapshot
             })
         };
-        let model = (built.model.downcast_ref::<X>())
-            .expect("invariant: a base's index holds its own model's part");
         let scope = Scope {
             dirty: states.dirty_mask(&built.snapshot),
-            dir,
             index: Some((built, model)),
             fixpoint: &fixpoint,
         };
@@ -411,43 +413,26 @@ impl ModelBase {
         fsck(states, &scope);
     }
 
-    /// The entries of `dir` on each storage server of `snapshot`, by
-    /// owner id.
-    fn chunk_index(
-        &self,
-        snapshot: &ServerStates,
-        dir: &str,
-    ) -> BTreeMap<String, Vec<(u32, String)>> {
-        let mut chunks: BTreeMap<String, Vec<(u32, String)>> = BTreeMap::new();
-        for &s in self.topo.storage_servers() {
-            for name in snapshot.server(s).as_fs().readdir(dir).unwrap_or_default() {
-                let owner = owner_of(&name).to_string();
-                chunks.entry(owner).or_default().push((s, name));
-            }
-        }
-        chunks
-    }
-
     /// The storage-side sweep of every fsck that has one: on each storage
-    /// server, unlink each entry of the scope's directory whose owner —
-    /// the object id before the first `.` of its `<id>.<stripe>` name — is
-    /// not in `live`. A name no live id can match (OrangeFS's
-    /// `stranded-<handle>.<n>`) is always collected. A dirty server is
-    /// swept in full; on a clean one — the baseline's entries, nothing
-    /// more — only the indexed entries of the owners `live` lacks go.
+    /// server, unlink each entry of the object directory whose owner —
+    /// the name before its first `.` — is not in `live`. A name no live
+    /// id can match (OrangeFS's `stranded-<handle>.<n>`) is always
+    /// collected. A dirty server is swept in full; on a clean one — the
+    /// baseline's chunks, nothing more — only the indexed chunks of the
+    /// owners `live` lacks go.
     pub fn collect_orphans<X>(
         &self,
         states: &mut ServerStates,
         live: &HashSet<String>,
         scope: &Scope<X>,
     ) {
-        let dir = scope.dir;
+        let dir = self.objects();
         for &s in (self.topo.storage_servers().iter()).filter(|&&s| scope.is_dirty(s)) {
             let Ok(names) = states.server(s).as_fs().readdir(dir) else {
                 continue;
             };
             for name in names {
-                if !live.contains(owner_of(&name)) {
+                if !live.contains(chunk_of(&name).0) {
                     let _ = states
                         .server_mut(s)
                         .as_fs_mut()
@@ -458,42 +443,37 @@ impl ModelBase {
         let Some((index, _)) = scope.index else {
             return;
         };
-        for (owner, entries) in &index.chunks {
-            if live.contains(owner) {
-                continue;
-            }
-            for (s, name) in entries.iter().filter(|(s, _)| !scope.is_dirty(*s)) {
-                let _ = states
-                    .server_mut(*s)
-                    .as_fs_mut()
-                    .unlink(&format!("{dir}/{name}"));
+        let storage = self.topo.storage_servers();
+        for (owner, stripes) in index.chunks.iter().filter(|(o, _)| !live.contains(*o)) {
+            for &(stripe, s) in stripes.keys() {
+                if !scope.is_dirty(s) && storage.binary_search(&s).is_ok() {
+                    let path = self.chunk_path(owner, stripe);
+                    let _ = states.server_mut(s).as_fs_mut().unlink(&path);
+                }
             }
         }
     }
 
-    /// A striped file's content: chunk `<dir>/<object>.<stripe>` on server
-    /// `server_of(stripe)` for stripe 0, 1, …, in order until the first
-    /// gap — or `head` as stripe 0 and the chunks from stripe 1, for a
-    /// model that keeps stripe 0 elsewhere. A never-written file reads as
-    /// empty, a file whose chunks were lost reads short: what the
-    /// application would see. Each chunk is the store's inode itself,
-    /// shared, not a copy of its bytes.
+    /// A striped file's content: chunk [`chunk_path`](Self::chunk_path)
+    /// `(object, stripe)` on server `server_of(stripe)` for stripe 0, 1,
+    /// …, in order until the first gap — or `head` as stripe 0 and the
+    /// chunks from stripe 1, for a model that keeps stripe 0 elsewhere. A
+    /// never-written file reads as empty, a file whose chunks were lost
+    /// reads short: what the application would see. Each chunk is the
+    /// store's inode itself, shared, not a copy of its bytes.
     ///
     /// A stripe on a server whose store still shares its root with the
-    /// baseline's comes from the baseline's chunk table (built on the
-    /// first call after a [`seal`](Self::seal), for one `dir`); only the
-    /// other stripes resolve their path in `states`. The table lists one
-    /// object directory: a read of any other resolves every stripe.
+    /// baseline's comes from the baseline index, keyed by `(stripe,
+    /// server)`; only the other stripes resolve their path in `states`.
     pub fn read_striped(
         &self,
         states: &ServerStates,
         head: Option<&Arc<Inode>>,
-        (dir, object): (&str, &str),
+        object: &str,
         server_of: impl Fn(u64) -> u32,
     ) -> Content {
-        let table = self.chunks.get_or_init(|| self.chunk_table(dir));
-        let table = (table.dir == dir).then_some(table);
-        let baseline = table.and_then(|table| table.files.get(object));
+        let index = self.baseline_index();
+        let baseline = index.chunks.get(object);
         let mut content = Content::default();
         if let Some(head) = head {
             content.push(head.clone());
@@ -502,16 +482,14 @@ impl ModelBase {
         for stripe in u64::from(head.is_some()).. {
             let server = server_of(stripe);
             let store = states.server(server);
-            let clean = table.is_some_and(|table| {
-                (server as usize) < table.snapshot.len()
-                    && store.same_root(table.snapshot.server(server))
-            });
+            let clean = (server as usize) < index.snapshot.len()
+                && store.same_root(index.snapshot.server(server));
             let chunk = if clean {
-                // The store *is* the snapshot's: its inodes are the table's.
-                let ino = baseline.and_then(|files| files.get(&(stripe, server)));
+                // The store *is* the snapshot's: its inodes are the index's.
+                let ino = baseline.and_then(|stripes| stripes.get(&(stripe, server)));
                 ino.and_then(|&ino| file_inode(store.as_fs(), ino))
             } else {
-                let path = format!("{dir}/{object}.{stripe}");
+                let path = self.chunk_path(object, stripe);
                 store.as_fs().read_shared(&path).ok()
             };
             let Some(chunk) = chunk else {
@@ -524,39 +502,39 @@ impl ModelBase {
         content
     }
 
-    /// The regular files of `dir` on each server of the baseline, by
-    /// `<object>.<stripe>` name.
-    fn chunk_table(&self, dir: &str) -> ChunkTable {
-        let snapshot = self.baseline.fork();
-        let mut files: HashMap<String, BTreeMap<(u64, u32), Ino>> = HashMap::new();
-        for (server, store) in snapshot.iter() {
-            let Some(fs) = store.try_as_fs() else {
-                continue;
-            };
-            let entries = fs.resolve(dir).ok().and_then(|ino| fs.inode(ino));
-            let Some(Inode::Dir { entries, .. }) = entries else {
-                continue;
-            };
-            for (name, &ino) in entries {
-                let Some((object, stripe)) = name.as_str().rsplit_once('.') else {
+    /// The baseline index, built on the first call after a seal: one
+    /// scan of the object directory on each server of a fork of the
+    /// baseline.
+    fn baseline_index(&self) -> &BaselineIndex {
+        self.index.get_or_init(|| {
+            let snapshot = self.baseline.fork();
+            let dir = self.objects();
+            let mut chunks: BTreeMap<String, BTreeMap<(u64, u32), Ino>> = BTreeMap::new();
+            for (server, store) in snapshot.iter() {
+                let Some(fs) = store.try_as_fs() else {
                     continue;
                 };
-                // Only the name `<object>.<stripe>` spells: no `01`, no `+1`.
-                let stripe = stripe
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|s| s.to_string() == stripe);
-                if let Some(stripe) = stripe.filter(|_| file_inode(fs, ino).is_some()) {
-                    let chunks = files.entry(object.to_string()).or_default();
-                    chunks.insert((stripe, server), ino);
+                let entries = fs.resolve(dir).ok().and_then(|ino| fs.inode(ino));
+                let Some(Inode::Dir { entries, .. }) = entries else {
+                    continue;
+                };
+                for (name, &ino) in entries
+                    .iter()
+                    .filter(|(_, &ino)| file_inode(fs, ino).is_some())
+                {
+                    if let (owner, Some(stripe)) = chunk_of(name.as_str()) {
+                        let stripes = chunks.entry(owner.to_string()).or_default();
+                        stripes.insert((stripe, server), ino);
+                    }
                 }
             }
-        }
-        ChunkTable {
-            snapshot,
-            dir: dir.to_string(),
-            files,
-        }
+            BaselineIndex {
+                snapshot,
+                chunks,
+                model: OnceLock::new(),
+                fixpoint: OnceLock::new(),
+            }
+        })
     }
 
     /// Whether recovering the sealed baseline leaves it as it is; `None`
@@ -565,6 +543,12 @@ impl ModelBase {
     pub(crate) fn baseline_is_fixpoint(&self) -> Option<bool> {
         self.index.get()?.fixpoint.get().copied()
     }
+
+    /// The baseline index, if one was built since the last seal.
+    #[cfg(test)]
+    pub(crate) fn built_index(&self) -> Option<&BaselineIndex> {
+        self.index.get()
+    }
 }
 
 /// The inode `ino`, shared, if it is a regular file of `fs`.
@@ -572,9 +556,14 @@ fn file_inode(fs: &FsState, ino: Ino) -> Option<&Arc<Inode>> {
     fs.inode_shared(ino).filter(|inode| !inode.is_dir())
 }
 
-/// The owner id of a `<id>.<stripe>` object name.
-fn owner_of(name: &str) -> &str {
-    name.split('.').next().unwrap_or("")
+/// The owner id and stripe of a chunk name, the one parse of what
+/// [`ModelBase::chunk_path`] spells: the owner is the name before its
+/// first `.` (all of it if none), the stripe the rest if it is the
+/// canonical decimal of a `u64` (no `01`, no `+1`).
+fn chunk_of(name: &str) -> (&str, Option<u64>) {
+    let (owner, stripe) = name.split_once('.').unwrap_or((name, ""));
+    let parsed = stripe.parse::<u64>().ok();
+    (owner, parsed.filter(|s| s.to_string() == stripe))
 }
 
 /// Parent directory of a mount-relative path (`/` for top-level names).
@@ -754,31 +743,53 @@ mod tests {
         stripe_segments(first, offset, len, stripe, n).collect()
     }
 
-    /// The chunk table lists the first object directory read after a
-    /// seal; a read of another finds its own chunks, by path, in a
-    /// release build too.
+    /// One baseline index per seal: a recovery builds it and a later
+    /// mount of a clean stripe reads that same index; a fork shares it;
+    /// a seal starts a new one, which a mount builds and a recovery reads.
     #[test]
-    fn a_second_object_directory_reads_its_own_chunks() {
-        let topo = ClusterTopology::combined(2, 1);
+    fn one_baseline_index_per_seal_serves_fsck_and_mount() {
+        let topo = ClusterTopology::dedicated(1, 2, 1);
         let mut base = ModelBase::fs(topo, Placement::new(), 4, JournalMode::Data);
-        for (dir, data) in [("/a", b"aaaa"), ("/b", b"bbbb")] {
-            for server in 0..2 {
-                let fs = base.mkfs(server).as_fs_mut();
-                fs.mkdir_all(dir).unwrap();
-                fs.creat(&format!("{dir}/x.{server}")).unwrap();
-                fs.pwrite(&format!("{dir}/x.{server}"), 0, data).unwrap();
-            }
+        base.mkfs_objects("/objects", &[1, 2]);
+        for server in [1, 2] {
+            let path = base.chunk_path("x", u64::from(server - 1));
+            let fs = base.mkfs(server).as_fs_mut();
+            fs.creat(&path).unwrap();
+            fs.pwrite(&path, 0, b"abcd").unwrap();
         }
         base.seal();
-        let states = base.baseline();
-        let read = |dir| {
-            base.read_striped(states, None, (dir, "x"), |s| (s % 2) as u32)
-                .joined()
-                .to_vec()
+        let mount = |base: &ModelBase, states: &ServerStates| {
+            let content = base.read_striped(states, None, "x", |s| s as u32 % 2 + 1);
+            content.joined().to_vec()
         };
-        assert_eq!(read("/a"), b"aaaaaaaa");
-        assert_eq!(read("/b"), b"bbbbbbbb");
-        assert_eq!(read("/a"), b"aaaaaaaa");
+        let sweep = |base: &ModelBase, live: &[&str]| {
+            let live: HashSet<String> = live.iter().map(|o| o.to_string()).collect();
+            let mut image = base.baseline().fork();
+            base.recover(
+                &mut image,
+                |_| (),
+                |states, scope| base.collect_orphans(states, &live, scope),
+            );
+            image
+        };
+        assert!(base.built_index().is_none());
+        let image = sweep(&base, &["x"]);
+        let built: *const _ = base.built_index().expect("a recovery builds the index");
+        let fork = base.clone();
+        assert!(Arc::ptr_eq(&fork.index, &base.index));
+        assert_eq!(mount(&fork, &image), b"abcdabcd");
+        assert!(std::ptr::eq(fork.built_index().unwrap(), built));
+        // A dead owner's clean chunks are swept off the same index.
+        assert_eq!(mount(&fork, &sweep(&fork, &[])), b"");
+
+        let mut resealed = fork.clone();
+        resealed.seal();
+        assert!(resealed.built_index().is_none());
+        assert!(!Arc::ptr_eq(&resealed.index, &base.index));
+        assert_eq!(mount(&resealed, resealed.baseline()), b"abcdabcd");
+        let built: *const _ = resealed.built_index().expect("a mount builds the index");
+        sweep(&resealed, &["x"]);
+        assert!(std::ptr::eq(resealed.built_index().unwrap(), built));
     }
 
     #[test]

@@ -88,10 +88,6 @@ fn inode_path(dirkey: &str) -> String {
     format!("/inodes/{dirkey}")
 }
 
-fn chunk_path(id: &str, stripe: u64) -> String {
-    format!("/chunks/{id}.{stripe}")
-}
-
 /// A `user.dirkey` xattr: `<key>:<owner index>`.
 fn parse_dirkey(raw: &[u8]) -> (String, usize) {
     let spec = String::from_utf8_lossy(raw);
@@ -121,9 +117,7 @@ impl BeeGfs {
             fs.mkdir_all("/idfiles").unwrap();
             fs.mkdir_all("/inodes").unwrap();
         });
-        base.mkfs_all(topo.storage_servers(), |fs| {
-            fs.mkdir_all("/chunks").unwrap();
-        });
+        base.mkfs_objects("/chunks", topo.storage_servers());
         let owner = base.placement.dir_index("/", base.n_meta());
         let fs = base.mkfs(base.meta_server(owner)).as_fs_mut();
         fs.mkdir_all("/dentries/root").unwrap();
@@ -270,7 +264,7 @@ impl BeeGfs {
             let storage = base.storage_server(seg.target);
             let msg = format!("WRITE {path} stripe {}", seg.stripe);
             let recv = base.request(rec, client, storage, &msg, cev);
-            let chunk = chunk_path(&f.id, seg.stripe);
+            let chunk = base.chunk_path(&f.id, seg.stripe);
             let w = base.write_chunk(rec, storage, chunk, &mut f.chunks, &seg, data, recv);
             // Ack to the client: the write call returns before the next
             // client operation runs.
@@ -423,7 +417,7 @@ impl BeeGfs {
             let storage = self.base.stripe_server(info.first, stripe);
             let msg = format!("UNLINK-CHUNK {}.{stripe}", info.id);
             let recv = self.base.notify(rec, meta, storage, &msg, parent);
-            let path = chunk_path(&info.id, stripe);
+            let path = self.base.chunk_path(&info.id, stripe);
             self.base.emit_fs(rec, storage, FsOp::Unlink { path }, recv);
         }
     }
@@ -491,7 +485,7 @@ impl BeeGfs {
             let storage = self.base.stripe_server(info.first, stripe);
             let msg = format!("FSYNC {path} stripe {stripe}");
             let recv = self.base.request(rec, client, storage, &msg, cev);
-            let path = chunk_path(&info.id, stripe);
+            let path = self.base.chunk_path(&info.id, stripe);
             let w = self.base.emit_fs(rec, storage, FsOp::Fsync { path }, recv);
             self.base.reply(rec, storage, client, "OK", w);
         }
@@ -551,7 +545,7 @@ impl BeeGfs {
         let id = attr(&info, "id").unwrap_or("");
         let first: usize = attr_num(&info, "first");
         // The stripe count is implied by the chunk files themselves.
-        let content = (self.base).read_striped(states, None, ("/chunks", id), |stripe| {
+        let content = (self.base).read_striped(states, None, id, |stripe| {
             self.base.stripe_server(first, stripe)
         });
         view.add_file(vpath, content);
@@ -686,10 +680,7 @@ impl Pfs for BeeGfs {
                     .collect(),
             }
         };
-        self.base
-            .recover(states, "/chunks", index, |states, scope| {
-                self.fsck(states, scope)
-            });
+        (self.base).recover(states, index, |states, scope| self.fsck(states, scope));
     }
 
     fn client_view(&self, states: &ServerStates) -> PfsView {

@@ -62,17 +62,13 @@ fn data_path(path: &str) -> String {
     format!("/data{path}")
 }
 
-fn chunk_path(gfid: &str, stripe: u64) -> String {
-    format!("/chunks/{gfid}.{stripe}")
-}
-
 /// Where stripe `stripe` of the file at `path` lives on its brick:
 /// stripe 0 is the entry itself, the others are chunk files.
-fn stripe_path(path: &str, gfid: &str, stripe: u64) -> String {
+fn stripe_path(base: &ModelBase, path: &str, gfid: &str, stripe: u64) -> String {
     if stripe == 0 {
         data_path(path)
     } else {
-        chunk_path(gfid, stripe)
+        base.chunk_path(gfid, stripe)
     }
 }
 
@@ -123,10 +119,8 @@ impl GlusterFs {
     ) -> Self {
         let mut base = ModelBase::fs(topo, placement, stripe, journal);
         let bricks: Vec<u32> = (0..base.topo.server_count()).collect();
-        base.mkfs_all(&bricks, |fs| {
-            fs.mkdir_all("/data").unwrap();
-            fs.mkdir_all("/chunks").unwrap();
-        });
+        base.mkfs_all(&bricks, |fs| fs.mkdir_all("/data").unwrap());
+        base.mkfs_objects("/chunks", &bricks);
         base.seal();
         GlusterFs {
             base,
@@ -197,7 +191,7 @@ impl GlusterFs {
         self.base.emit_fs(rec, brick, meta, e);
         let link = FsOp::Link {
             src: dp,
-            dst: chunk_path(&gfid, 0),
+            dst: self.base.chunk_path(&gfid, 0),
         };
         let w = self.base.emit_fs(rec, brick, link, recv);
         self.base.reply(rec, brick, client, "OK", w);
@@ -229,7 +223,7 @@ impl GlusterFs {
             let brick = seg.target as u32;
             let msg = format!("WRITE {path} stripe {}", seg.stripe);
             let recv = base.request(rec, client, brick, &msg, cev);
-            let target = stripe_path(path, &f.gfid, seg.stripe);
+            let target = stripe_path(base, path, &f.gfid, seg.stripe);
             let w = base.write_chunk(rec, brick, target, &mut f.chunks, &seg, data, recv);
             base.reply(rec, brick, client, "OK", w);
         }
@@ -254,7 +248,7 @@ impl GlusterFs {
         let n = self.n_bricks();
         for &stripe in info.chunks.keys() {
             let brick = stripe_target(info.primary, stripe, n) as u32;
-            let path = chunk_path(&info.gfid, stripe);
+            let path = self.base.chunk_path(&info.gfid, stripe);
             self.base.emit_fs(rec, brick, FsOp::Unlink { path }, parent);
         }
     }
@@ -354,7 +348,7 @@ impl GlusterFs {
             let brick = stripe_target(info.primary, stripe, n) as u32;
             let msg = format!("FSYNC {path} stripe {stripe}");
             let recv = self.base.request(rec, client, brick, &msg, cev);
-            let target = stripe_path(path, &info.gfid, stripe);
+            let target = stripe_path(&self.base, path, &info.gfid, stripe);
             let op = FsOp::Fsync { path: target };
             let w = self.base.emit_fs(rec, brick, op, recv);
             self.base.reply(rec, brick, client, "OK", w);
@@ -465,7 +459,7 @@ impl Pfs for GlusterFs {
                 .as_fs()
                 .read_shared(&data_path(&vpath));
             let content = match head {
-                Ok(head) => (self.base).read_striped(states, Some(head), ("/chunks", &gfid), brick),
+                Ok(head) => (self.base).read_striped(states, Some(head), &gfid, brick),
                 Err(_) => Content::default(),
             };
             view.add_file(vpath, content);

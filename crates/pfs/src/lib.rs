@@ -37,10 +37,12 @@
 //! `Clone` model.
 //!
 //! To add a model, embed a `ModelBase` (format the servers through
-//! `base.mkfs(..)`, or a role's worth at once through `base.mkfs_all(..)`,
-//! end the constructor with `base.seal()`), derive
-//! `Clone`, return the base from `base` / `base_mut`, and write five
-//! methods:
+//! `base.mkfs(..)`, or a role's worth at once through `base.mkfs_all(..)`;
+//! a striping model names its object directory there, once, through
+//! `base.mkfs_objects(dir, servers)` and spells every chunk file
+//! `base.chunk_path(object, stripe)`; end the constructor with
+//! `base.seal()`), derive `Clone`, return the base from `base` /
+//! `base_mut`, and write five methods:
 //!
 //! 1. `name` — the paper's name for the file system;
 //! 2. `handle` — each [`PfsCall`] as `base.request`, `base.emit_*`,
@@ -52,8 +54,8 @@
 //!    whose store still shares its root with the baseline's is *clean*
 //!    ([`ServerStates::dirty_mask`]: a pointer compare per written server).
 //!    [`ModelBase::recover`] runs the model's passes under a
-//!    [`base::Scope`] that marks the dirty servers and carries an index
-//!    of the baseline, built once per seal on the first recovery. A pass
+//!    [`base::Scope`] that marks the dirty servers and carries the
+//!    baseline index, built once per seal on first use. A pass
 //!    treats a dirty server exactly as the full algorithm does and
 //!    answers for a clean one from the index, and skips one only if
 //!    recovering the baseline leaves it as it is. An all-dirty scope — a
@@ -65,10 +67,10 @@
 //!    A file's data is a [`Content`]: the stores' own inodes or blocks,
 //!    shared, never copied. A striped file's goes through
 //!    [`ModelBase::read_striped`]: a stripe on a clean server comes from
-//!    a table of the baseline's chunks, built once per seal, and only a
-//!    written server's stripe is read by path. BeeGFS, OrangeFS,
-//!    GlusterFS and Lustre read through it; GPFS takes its content
-//!    blocks from one scan of every device, ext4 its one file inode;
+//!    the same baseline index, and only a written server's stripe is read
+//!    by path. BeeGFS, OrangeFS, GlusterFS and Lustre read through it;
+//!    GPFS takes its content blocks from one scan of every device, ext4
+//!    its one file inode;
 //! 5. `restart_cost_secs` — the Figure 10/11 cost-model constant.
 
 pub mod base;
@@ -106,8 +108,9 @@ use tracer::{EventId, Layer, Payload, Process, Recorder};
 /// states come from the other direction: subsets of the recorded
 /// *calls* dispatched onto forks of a whole instance.
 ///
-/// Models are `Send + Sync`: crash-state checking reads them from many
-/// threads (the stores are only mutated during dispatch). They are also
+/// Models are `Send + Sync`, but a check runs on one thread: no two
+/// threads read one model (its stores are only mutated during
+/// dispatch). They are also
 /// [`Fork`]: a model is its base plus a few `BTreeMap`s of runtime
 /// bookkeeping, all `Clone`, and that is all `fork` needs.
 pub trait Pfs: Fork + Send + Sync {

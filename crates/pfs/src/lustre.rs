@@ -65,10 +65,6 @@ fn mdt_path(path: &str) -> String {
     format!("/mdt{path}")
 }
 
-fn obj_path(obj: &str, stripe: u64) -> String {
-    format!("/objects/{obj}.{stripe}")
-}
-
 impl Lustre {
     /// A formatted Lustre instance.
     pub fn new(topo: ClusterTopology, placement: Placement, stripe: u64) -> Self {
@@ -88,9 +84,7 @@ impl Lustre {
         base.mkfs_all(topo.metadata_servers(), |fs| {
             fs.mkdir_all("/mdt").unwrap();
         });
-        base.mkfs_all(topo.storage_servers(), |fs| {
-            fs.mkdir_all("/objects").unwrap();
-        });
+        base.mkfs_objects("/objects", topo.storage_servers());
         base.seal();
         Lustre {
             base,
@@ -125,7 +119,7 @@ impl Lustre {
                 let ost = self.base.stripe_server(info.first, stripe);
                 let msg = format!("OST-COMMIT {path} stripe {stripe}");
                 let recv = self.base.request(rec, client, ost, &msg, cev);
-                let path = obj_path(&info.obj, stripe);
+                let path = self.base.chunk_path(&info.obj, stripe);
                 let w = self.base.emit_fs(rec, ost, FsOp::Fsync { path }, recv);
                 self.base.reply(rec, ost, client, "COMMITTED", w);
             }
@@ -171,7 +165,7 @@ impl Lustre {
             let ost = self.base.stripe_server(info.first, stripe);
             let msg = format!("OST-DESTROY {}.{stripe}", info.obj);
             let recv = self.base.notify(rec, mdt, ost, &msg, Some(reply));
-            let path = obj_path(&info.obj, stripe);
+            let path = self.base.chunk_path(&info.obj, stripe);
             self.base.emit_fs(rec, ost, FsOp::Unlink { path }, recv);
         }
     }
@@ -215,7 +209,7 @@ impl Lustre {
             let ost = base.storage_server(seg.target);
             let msg = format!("OST-WRITE {path} stripe {}", seg.stripe);
             let recv = base.request(rec, client, ost, &msg, cev);
-            let target = obj_path(&f.obj, seg.stripe);
+            let target = base.chunk_path(&f.obj, seg.stripe);
             let w = base.write_chunk(rec, ost, target, &mut f.chunks, &seg, data, recv);
             base.reply(rec, ost, client, "OK", w);
         }
@@ -322,7 +316,6 @@ impl Pfs for Lustre {
         let _span = pc_rt::obs::span_cat("recover/Lustre", "pfs");
         self.base.recover(
             states,
-            "/objects",
             |_| (),
             |states, scope| {
                 let mdt_fs = states.server(self.mdt()).as_fs();
@@ -365,7 +358,7 @@ impl Pfs for Lustre {
                 continue;
             }
             let first: usize = attr_num(&entry, "first");
-            let content = (self.base).read_striped(states, None, ("/objects", obj), |stripe| {
+            let content = (self.base).read_striped(states, None, obj, |stripe| {
                 self.base.stripe_server(first, stripe)
             });
             view.add_file(vpath, content);

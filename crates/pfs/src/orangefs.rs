@@ -76,10 +76,6 @@ struct Mount<'s> {
     keyvals: Vec<OnceCell<Keyval>>,
 }
 
-fn bstream_path(handle: &str, stripe: u64) -> String {
-    format!("/bstreams/{handle}.{stripe}")
-}
-
 impl OrangeFs {
     /// A formatted OrangeFS instance.
     pub fn new(topo: ClusterTopology, placement: Placement, stripe: u64) -> Self {
@@ -101,9 +97,7 @@ impl OrangeFs {
             fs.creat("/db/keyval.db").unwrap();
             fs.creat("/db/attrs.db").unwrap();
         });
-        base.mkfs_all(topo.storage_servers(), |fs| {
-            fs.mkdir_all("/bstreams").unwrap();
-        });
+        base.mkfs_objects("/bstreams", topo.storage_servers());
         base.seal();
         let owner = base.placement.dir_index("/", base.n_meta());
         let key = "root".to_string();
@@ -213,7 +207,7 @@ impl OrangeFs {
             // bstream writes are NOT followed by fdatasync: only the
             // metadata side of OrangeFS is durable-by-construction
             // (this asymmetry is Table 3 bug 1).
-            let bs = bstream_path(&f.handle, seg.stripe);
+            let bs = base.chunk_path(&f.handle, seg.stripe);
             let w = base.write_chunk(rec, storage, bs, &mut f.chunks, &seg, data, recv);
             base.reply(rec, storage, client, "OK", w);
         }
@@ -309,9 +303,9 @@ impl OrangeFs {
             let storage = self.base.stripe_server(info.first, stripe);
             let msg = format!("REMOVE-BSTREAM {}.{stripe}", info.handle);
             let recv = self.base.notify(rec, meta, storage, &msg, None);
-            let stranded = format!("/bstreams/stranded-{}.{stripe}", info.handle);
+            let stranded = (self.base).chunk_path(&format!("stranded-{}", info.handle), stripe);
             let rename = FsOp::Rename {
-                src: bstream_path(&info.handle, stripe),
+                src: self.base.chunk_path(&info.handle, stripe),
                 dst: stranded.clone(),
             };
             let r = self.base.emit_fs(rec, storage, rename, recv);
@@ -368,7 +362,7 @@ impl OrangeFs {
             let storage = self.base.stripe_server(info.first, stripe);
             let msg = format!("FLUSH {path} stripe {stripe}");
             let recv = self.base.request(rec, client, storage, &msg, cev);
-            let path = bstream_path(&info.handle, stripe);
+            let path = self.base.chunk_path(&info.handle, stripe);
             let op = FsOp::Fdatasync { path };
             let w = self.base.emit_fs(rec, storage, op, recv);
             self.base.reply(rec, storage, client, "OK", w);
@@ -461,8 +455,7 @@ impl OrangeFs {
                         continue;
                     };
                     let first: usize = attr_num(a, "first");
-                    let object = ("/bstreams", *handle);
-                    let content = (self.base).read_striped(mount.states, None, object, |stripe| {
+                    let content = (self.base).read_striped(mount.states, None, handle, |stripe| {
                         self.base.stripe_server(first, stripe)
                     });
                     view.add_file(child, content);
@@ -519,7 +512,6 @@ impl Pfs for OrangeFs {
         let _span = pc_rt::obs::span_cat("recover/OrangeFS", "pfs");
         self.base.recover(
             states,
-            "/bstreams",
             |_| (),
             |states, scope| {
                 let live: HashSet<String> = self.attrs(states).into_keys().collect();

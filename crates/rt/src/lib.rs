@@ -9,10 +9,11 @@
 //! pulled from crates.io:
 //!
 //! * [`pool`] — a scoped worker pool: a task scheduler
-//!   (`Pool::scope`) for pipelined stages (replaces `rayon`; a check
-//!   itself runs on one thread). Thread count comes from the
-//!   `PC_THREADS` environment variable, defaulting to the machine's
-//!   available parallelism.
+//!   (`Pool::scope`, replaces `rayon`). A check runs on one thread; the
+//!   pool's callers are `benchmark/` and the `catch_unwind` sites that
+//!   render a payload with [`pool::panic_message`]. Thread count comes
+//!   from the `PC_THREADS` environment variable, defaulting to the
+//!   machine's available parallelism.
 //! * [`intern`] — process-global symbol interning (`Sym`, a 4-byte id)
 //!   for the path components and structure labels the simulation layers
 //!   key their maps by.

@@ -5,8 +5,8 @@
 //! pool's callers are `pc-benchmark` (its spawn probe calls [`scope`],
 //! its `--threads` sets [`THREADS_ENV`], its ledger reads
 //! [`default_threads`]) and the `catch_unwind` sites that render a
-//! payload with [`panic_message`]. Its next caller is a sweep that keeps
-//! `PC_THREADS` cells in flight (ROADMAP item 1(c)). Workers share one
+//! payload with [`panic_message`]. A sweep that keeps `PC_THREADS` cells
+//! in flight would be its next caller (ROADMAP item 4). Workers share one
 //! locked queue and take a task as soon as it is spawned, while the
 //! caller is still spawning the rest.
 //!

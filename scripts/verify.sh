@@ -9,18 +9,20 @@
 #      (root suite plus every crate's unit tests), fully offline, so a
 #      cold, empty ~/.cargo/registry is sufficient.
 #   3. Hygiene — `cargo fmt --check`, a warning-free build, no PFS model
-#      re-defining `ModelBase` plumbing or `fork` or hand-rolling the
-#      storage-side orphan sweep, no HDF5 signature outside
-#      `format.rs`, no artifact wire key read outside the module that
-#      writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed second ledger,
-#      no test under `crates/` setting its own process's environment.
+#      re-defining `ModelBase` plumbing or `fork`, hand-rolling the
+#      storage-side orphan sweep or spelling its own chunk path, no HDF5
+#      signature outside `format.rs`, no artifact wire key read outside
+#      the module that writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed
+#      second ledger, no test under `crates/` setting its own process's
+#      environment.
 #   4. Differential — `check_stack` and the straight-line
 #      `check_reference` decide identically in debug and in release (a
 #      check reads no PC_THREADS, so once); with them the golden walk,
 #      the pfs fork and the fsck repairs in release; GPFS/H5-resize
-#      through the CLI at both widths — gates 4–8 pair the widths to
-#      guard cells run side by side (ROADMAP item 1(c)); the property
-#      suite again in release, more cases; `benchmark/run.sh --smoke`
+#      through the CLI at both widths — a check runs on one thread, so
+#      gates 4–8 pair the widths to show none leaks into a report, and to
+#      guard a sweep that runs cells side by side (ROADMAP item 4); the
+#      property suite again in release, more cases; `benchmark/run.sh --smoke`
 #      builds `benchmark/` (no other gate does) and reproduces its pins.
 #   5. Observability — a PR-tier fuzz run with both sinks attached
 #      prints the pinned report at both widths, and
@@ -118,6 +120,10 @@ grep -nE 'fn (emit|net|parent_of|name_of|seal_baseline|baseline|live|fork)\b' \
 orphan_gc='unlink\(&format!\("[^"]*/\{[a-z]+\}"\)'
 grep -nE "$orphan_gc" crates/pfs/src/*.rs | grep -v '^crates/pfs/src/base.rs:' && { echo "FAIL: a hand-rolled orphan sweep"; exit 1; } || true
 grep -qE "$orphan_gc" crates/pfs/src/base.rs || { echo "FAIL: the orphan-sweep fence matches nothing"; exit 1; }
+# One chunk-path spelling: `ModelBase::chunk_path`, under the object
+# directory a model names once, in its constructor (`mkfs_objects`).
+grep -nE 'format!\("/(chunks|bstreams|objects)/' crates/pfs/src/*.rs && { echo "FAIL: a model spells its own chunk path"; exit 1; } || true
+grep -qE 'format!\("\{\}/\{object\}\.\{stripe\}"' crates/pfs/src/base.rs || { echo "FAIL: the chunk-path fence matches nothing"; exit 1; }
 # The HDF5 layout has one reader: its signatures appear in format.rs only.
 grep -rnE 'b"(OHDR|TREE|HEAP|SNOD|DTRE)"' crates | grep -v '^crates/h5sim/src/format.rs:' && { echo "FAIL: a second reader of the HDF5 layout"; exit 1; } || true
 # So has each artifact: its wire keys are looked up by its writer's module only.
