@@ -12,8 +12,11 @@ use tracer::CausalityGraph;
 use workloads::ground_truth::BugLayer;
 use workloads::{table3 as ground_truth, FsKind, Params, Program};
 
+/// A figure subcommand: its name and what it prints.
+type Figure = (&'static str, fn(Params));
+
 /// The figure subcommands, by name.
-pub const FIGURES: [(&str, fn(Params)); 5] = [
+pub const FIGURES: [Figure; 5] = [
     ("table3", table3),
     ("fig8", fig8),
     ("fig9", fig9),

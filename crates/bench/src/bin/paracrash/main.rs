@@ -35,7 +35,7 @@
 //! ```
 //!
 //! Its stdout is exactly the corpus's canonical report (byte-stable
-//! across `PC_THREADS` — the CI crash gate diffs it); progress and
+//! from run to run — the CI crash gate diffs it); progress and
 //! timing go to stderr.
 //!
 //! Live observability: `--events-out FILE` attaches the

@@ -708,6 +708,9 @@ fn triage(
     let stack = w.run(fs, params);
     let factory = fs.factory(params);
     let outcome = check_stack(&stack, &factory, &explain_cfg);
+    let rendered: Vec<String> = (outcome.explanations.iter())
+        .map(|e| e.signature.to_string())
+        .collect();
     let mut written = 0usize;
     for (i, key) in novel.iter().enumerate() {
         let (_, journal, signature, layer) = key;
@@ -718,11 +721,9 @@ fn triage(
             sanitize(&format!("{}-{:02}", w.label(), i + 1)),
         );
         let context = format!("{} on {} ({journal})", w.label(), fs.name());
-        if let Some(e) = outcome
-            .explanations
-            .iter()
-            .find(|e| e.signature.to_string() == *signature && e.layer == *layer)
-        {
+        let found = (outcome.explanations.iter().zip(&rendered))
+            .find(|(e, rendered)| *rendered == signature && e.layer == *layer);
+        if let Some((e, _)) = found {
             crate::write_bundle(dir, &stem, e, &context)?;
         }
         let sample_arg = match opts.sample {

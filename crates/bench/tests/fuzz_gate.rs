@@ -3,8 +3,8 @@
 //! `expected_fuzz_pr_tier.txt` is the canonical report of the PR-tier
 //! sweep ([`FuzzOptions::pr_tier`]): exhaustive bound-2 corpus on
 //! BeeGFS + OrangeFS under data journaling. The report is byte-stable
-//! by contract (RNG-free enumeration, `PC_THREADS`-invariant checking,
-//! sequential cell order), so any drift here is a *behavior change* in
+//! by contract (RNG-free enumeration, one-thread checking, sequential
+//! cell order), so any drift here is a *behavior change* in
 //! the stack — intended changes must regenerate the file:
 //!
 //! ```sh
@@ -13,8 +13,8 @@
 //! ```
 //!
 //! `scripts/verify.sh` re-checks the same pin through the CLI (and
-//! diffs `PC_THREADS=1` against the default pool); this test keeps the
-//! gate active under a plain `cargo test` too.
+//! diffs two runs' event streams); this test keeps the gate active
+//! under a plain `cargo test` too.
 
 use pc_bench::campaign::{run_campaign, FuzzOptions};
 
@@ -37,8 +37,8 @@ fn pr_tier_finding_set_is_pinned() {
 #[test]
 fn sampled_runs_are_byte_identical() {
     // Determinism on the sampling path (the exhaustive path is already
-    // pinned above; verify.sh additionally diffs PC_THREADS=1 vs the
-    // default pool through the CLI).
+    // pinned above; verify.sh additionally diffs two CLI runs, each
+    // process seeding its hash maps differently).
     let fuzz = FuzzOptions {
         sample: Some(60),
         ..FuzzOptions::pr_tier()

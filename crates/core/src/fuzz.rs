@@ -290,8 +290,8 @@ impl FuzzCorpus {
 
     /// Byte-stable rendering of everything the campaign decided:
     /// finding lines in key order, behavior/cell tallies, diagnostics.
-    /// Two runs over the same corpus must produce identical bytes on
-    /// any `PC_THREADS` — this is the string the crash gate diffs and
+    /// Two runs over the same corpus must produce identical bytes —
+    /// this is the string the crash gate diffs and
     /// the pinned-corpus regression test compares.
     pub fn canonical_report(&self) -> String {
         let mut out = String::new();

@@ -8,8 +8,8 @@
 //! and verify gate 3 fails on a `set_var` under `crates/` (a `setenv`
 //! racing another test thread's `getenv`).
 
-/// Width of a default `pool`, which only the wall-clock ledger uses
-/// today (`benchmark/`).
+/// A width the wall-clock ledger (`benchmark/`) records; no check or
+/// sweep reads it.
 pub const THREADS: &str = "PC_THREADS";
 /// Telemetry collection (`summary` also prints per-check tables).
 pub const TRACE: &str = "PC_TRACE";
@@ -24,7 +24,7 @@ pub const PROPTEST_CASES: &str = "PC_PROPTEST_CASES";
 pub const VARS: [(&str, &str); 5] = [
     (
         THREADS,
-        "width of pc_rt::pool, which only the wall-clock ledger uses today (default: available parallelism)",
+        "width the wall-clock ledger records; no check or sweep reads it (default: available parallelism)",
     ),
     (
         TRACE,

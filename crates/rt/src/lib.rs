@@ -8,12 +8,10 @@
 //! alone, the four pieces of infrastructure the framework previously
 //! pulled from crates.io:
 //!
-//! * [`pool`] — a scoped worker pool: a task scheduler
-//!   (`Pool::scope`, replaces `rayon`). A check runs on one thread; the
-//!   pool's callers are `benchmark/` and the `catch_unwind` sites that
-//!   render a payload with [`pool::panic_message`]. Thread count comes
-//!   from the `PC_THREADS` environment variable, defaulting to the
-//!   machine's available parallelism.
+//! * [`pool`] — an inline task scope: [`pool::scope`] runs each spawned
+//!   task at once under `catch_unwind`. A check and a sweep run on one
+//!   thread; the callers are `benchmark/` and the `catch_unwind` sites
+//!   that render a payload with [`pool::panic_message`].
 //! * [`intern`] — process-global symbol interning (`Sym`, a 4-byte id)
 //!   for the path components and structure labels the simulation layers
 //!   key their maps by.
@@ -40,11 +38,10 @@
 //!   `std::env::var` calls in the workspace.
 //!
 //! Owning the runtime is not only an offline-build workaround: the
-//! exploration hot path (thousands of independent crash-state
-//! reconstructions per trace) is exactly the loop later performance work
-//! wants to schedule deliberately — batching states that share server
-//! fingerprints, choosing which queued task runs next — which a black-box
-//! `rayon` would not let us do.
+//! exploration hot path (thousands of crash-state reconstructions per
+//! trace) is one deterministic loop, and its gains come from sharing
+//! work between states — the prefix tree, the recovery memo, sealed
+//! bases — which a black-box scheduler would not let us order.
 //!
 //! # Example
 //!
@@ -56,7 +53,7 @@
 //! let mut b = Rng::new(42);
 //! assert_eq!(a.next_u64(), b.next_u64());
 //!
-//! // Scoped tasks join by handle, whatever order workers finish in.
+//! // A task's result, or its panic message, comes back by handle.
 //! let square = pool::scope(|sc| sc.spawn(|| 4u64 * 4).join());
 //! assert_eq!(square, Ok(16));
 //! ```

@@ -16,8 +16,7 @@
 //!
 //! Accounting is **off by default**, one bit of the [`super`] plane mask
 //! ([`alloc_tracking_enabled`]): the disabled path in the allocator is a
-//! single relaxed atomic load (plus the size test of the mmap-threshold
-//! pin, below), held under the 3% budget by
+//! single relaxed atomic load, held under the 3% budget by
 //! `paracrash selftest obs`. The allocator tests its bit on the raw
 //! mask and never runs the environment bootstrap (which allocates).
 //!
@@ -196,11 +195,9 @@ fn tracking() -> bool {
 pub struct CountingAlloc;
 
 // SAFETY: all four methods delegate directly to `System`, which upholds
-// the `GlobalAlloc` contract; the accounting side only touches atomics,
-// and `pin_mmap_threshold` allocates nothing.
+// the `GlobalAlloc` contract; the accounting side only touches atomics.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        pin_mmap_threshold(layout.size());
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() && tracking() {
             record_alloc(layout.size());
@@ -209,7 +206,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        pin_mmap_threshold(layout.size());
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() && tracking() {
             record_alloc(layout.size());
@@ -225,7 +221,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        pin_mmap_threshold(new_size);
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() && tracking() {
             record_dealloc(layout.size());
@@ -240,39 +235,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// wrapper (which is pure pass-through until accounting is enabled).
 #[global_allocator]
 static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
-
-/// Pins glibc's mmap threshold at its 128 KiB default, once, before the
-/// first allocation that could be mapped. Left dynamic, glibc raises the
-/// threshold to the size of every mapped block freed, so later blocks of
-/// that size land on the main heap instead. Checks run one after another
-/// on the main thread, and they fragment that heap from check to check.
-/// With the threshold pinned, a large block is its own mapping and goes
-/// back to the kernel when freed; without the pin no workload's peak RSS
-/// falls, and `scale_256`'s rises by 0.7 % (EXPERIMENTS.md, "A sequential
-/// check and the allocator"). A constant, not a knob.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-#[inline]
-fn pin_mmap_threshold(size: usize) {
-    use std::ffi::c_int;
-    use std::sync::atomic::AtomicBool;
-    /// glibc's default: a request at least this large gets its own mapping.
-    const THRESHOLD: usize = 128 * 1024;
-    const M_MMAP_THRESHOLD: c_int = -3;
-    static PINNED: AtomicBool = AtomicBool::new(false);
-    extern "C" {
-        fn mallopt(param: c_int, value: c_int) -> c_int;
-    }
-    if size >= THRESHOLD && !PINNED.swap(true, Ordering::Relaxed) {
-        // SAFETY: `mallopt` sets a malloc tunable under glibc's own
-        // arena lock and allocates nothing; this thread holds no malloc
-        // lock here, since the call comes before the allocation.
-        unsafe { mallopt(M_MMAP_THRESHOLD, THRESHOLD as c_int) };
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-#[inline]
-fn pin_mmap_threshold(_size: usize) {}
 
 /// Export the attribution table: per-span rows (only spans that
 /// allocated; slot 0 is `"(untracked)"`), sorted by span name, plus the

@@ -338,13 +338,12 @@ pub fn read_stream(text: &str) -> Result<Stream, String> {
 }
 
 impl Stream {
-    /// The stream's deterministic content, for seq ≡ par comparison:
+    /// The stream's deterministic content, for run-to-run comparison:
     /// `finding` and `cell` events (whose name and detail are pure
     /// functions of the campaign's deterministic fold) as `kind name ::
     /// detail`, sorted — no timestamps, durations, sequence numbers or
-    /// periodic snapshots. Two campaign runs of the same matrix —
-    /// sequential or parallel, any `PC_THREADS` — must project
-    /// identically; the observability verify gate diffs them.
+    /// periodic snapshots. Two campaign runs of the same matrix must
+    /// project identically; the observability verify gate diffs them.
     pub fn canonical_lines(&self) -> Vec<String> {
         let mut out: Vec<String> = (self.events.iter())
             .filter(|e| e.kind != EventKind::Snapshot)

@@ -526,7 +526,7 @@ fn run_mpi_gen(ops: &[MpiGenOp], fs: FsKind, params: &Params) -> Stack {
     {
         let mut mpi = MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
         mpi.file_open(&ranks, path, true, None);
-        mpi.file_write_at(ranks[0], path, 0, &vec![b'i'; INIT_LEN], None);
+        mpi.file_write_at(ranks[0], path, 0, &[b'i'; INIT_LEN], None);
         mpi.file_close(&ranks, path, None);
     }
     stack.seal_preamble();
@@ -561,7 +561,7 @@ fn run_mpi_gen(ops: &[MpiGenOp], fs: FsKind, params: &Params) -> Stack {
 
 /// All valid POSIX sequences of length 1..=`bound`, in canonical order.
 pub fn posix_sequences(bound: usize) -> Vec<GeneratedWorkload> {
-    bounded_sequences(&posix_vocabulary(), bound, |seq| posix_valid(seq))
+    bounded_sequences(&posix_vocabulary(), bound, posix_valid)
         .into_iter()
         .map(GeneratedWorkload::Posix)
         .collect()
@@ -571,7 +571,7 @@ pub fn posix_sequences(bound: usize) -> Vec<GeneratedWorkload> {
 /// shorter than the POSIX bound — see module docs).
 pub fn h5_sequences(bound: usize) -> Vec<GeneratedWorkload> {
     let b = bound.saturating_sub(1).max(1);
-    bounded_sequences(&h5_vocabulary(), b, |seq| h5_valid(seq))
+    bounded_sequences(&h5_vocabulary(), b, h5_valid)
         .into_iter()
         .map(GeneratedWorkload::H5)
         .collect()
@@ -580,7 +580,7 @@ pub fn h5_sequences(bound: usize) -> Vec<GeneratedWorkload> {
 /// All valid MPI-IO sequences of length 1..=`max(1, bound-1)`.
 pub fn mpi_sequences(bound: usize) -> Vec<GeneratedWorkload> {
     let b = bound.saturating_sub(1).max(1);
-    bounded_sequences(&mpi_vocabulary(), b, |seq| mpi_valid(seq))
+    bounded_sequences(&mpi_vocabulary(), b, mpi_valid)
         .into_iter()
         .map(GeneratedWorkload::Mpi)
         .collect()

@@ -10,7 +10,7 @@
 //! disk are those a killed process leaves. Every durability point of the
 //! sweep is killed, with property-tested random tear lengths.
 //! `scripts/verify.sh` gate 12 adds a real mid-sweep SIGKILL across
-//! process boundaries and resumes it at `PC_THREADS=1`.
+//! process boundaries and resumes it in a new process.
 
 use pc_bench::campaign::{run_campaign, FuzzOptions};
 use pc_rt::inject;

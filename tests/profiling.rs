@@ -7,16 +7,10 @@
 //!   (same stacks → same bytes), which is what lets CI diff emitted
 //!   profiles;
 //! * the profile is an exact partition of a real traced sweep: self
-//!   times sum to the depth-0 span durations, sequentially and on the
-//!   pool, and name every span of the run;
+//!   times sum to the depth-0 span durations and name every span of the
+//!   run;
 //! * profiling is strictly presentation-plane: `canonical_report()` is
-//!   byte-identical with it off, on, and on across `PC_THREADS` widths.
-//!
-//! The width switch sets `PC_THREADS` in this process, under `LOCK`. A
-//! check runs on one thread and reads no width; the switch holds the
-//! sweep to the same profile at both, for when a sweep runs its cells on
-//! the pool. It is the one `env::set_var` left in the tests, and outside
-//! `crates/` (where verify gate 3 forbids it).
+//!   byte-identical with it off and on.
 
 use paracrash::telemetry::{chrome_trace, read_trace};
 use pc_bench::campaign::{run_campaign, FuzzOptions};
@@ -33,18 +27,6 @@ fn tiny_opts() -> FuzzOptions {
         file_systems: vec![FsKind::BeeGfs],
         ..FuzzOptions::pr_tier()
     }
-}
-
-/// Run `f` with `PC_THREADS` set to `threads`, restoring it after.
-fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
-    let saved = std::env::var("PC_THREADS").ok();
-    std::env::set_var("PC_THREADS", threads);
-    let out = f();
-    match saved {
-        Some(v) => std::env::set_var("PC_THREADS", v),
-        None => std::env::remove_var("PC_THREADS"),
-    }
-    out
 }
 
 #[test]
@@ -103,59 +85,52 @@ fn folded_render_is_deterministic() {
     assert_eq!(trace.stacks.len(), 3);
 }
 
-/// Σ self time = Σ root durations on a real traced sweep at two
-/// `PC_THREADS` widths, and the telemetry file's stacks name every span
-/// name of the run.
+/// Σ self time = Σ root durations on a real traced sweep, and the
+/// telemetry file's stacks name every span name of the run.
 #[test]
 fn folded_profile_partitions_a_real_check() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for threads in ["1", "4"] {
-        pc_rt::obs::reset();
-        pc_rt::obs::set_enabled(true);
-        with_threads(threads, || run_campaign(&tiny_opts()).unwrap());
-        let snap = pc_rt::obs::snapshot();
-        pc_rt::obs::set_enabled(false);
-        pc_rt::obs::reset();
+    pc_rt::obs::reset();
+    pc_rt::obs::set_enabled(true);
+    run_campaign(&tiny_opts()).unwrap();
+    let snap = pc_rt::obs::snapshot();
+    pc_rt::obs::set_enabled(false);
+    pc_rt::obs::reset();
 
-        assert_eq!(snap.dropped_spans, 0);
-        let roots: Vec<_> = snap.spans.iter().filter(|s| s.depth == 0).collect();
-        let folded: u64 = snap.self_times.iter().map(|(_, ns)| ns).sum();
-        let root_ns: u64 = roots.iter().map(|s| s.dur_ns).sum();
-        assert_eq!(folded, root_ns, "PC_THREADS={threads}");
-        for (stack, _) in &snap.self_times {
-            assert!(roots.iter().any(|r| r.name == stack[0]), "{stack:?}");
-        }
-        // A check runs on one thread at any width: no pool scope, and a
-        // recovery nests under `check_stack` instead of rooting a stack.
-        assert!(snap.spans.iter().all(|s| s.name != "pool.scope"));
-        let pooled = roots.iter().any(|r| r.name.starts_with("recover/"));
-        assert!(!pooled, "PC_THREADS={threads}");
-        let rows = read_trace(&chrome_trace(&snap).pretty()).unwrap().stacks;
-        for s in &snap.spans {
-            let named = |(stack, _): &(Vec<String>, u64)| stack.iter().any(|f| f == s.name);
-            assert!(rows.iter().any(named), "{} not in the stacks", s.name);
-        }
+    assert_eq!(snap.dropped_spans, 0);
+    let roots: Vec<_> = snap.spans.iter().filter(|s| s.depth == 0).collect();
+    let folded: u64 = snap.self_times.iter().map(|(_, ns)| ns).sum();
+    let root_ns: u64 = roots.iter().map(|s| s.dur_ns).sum();
+    assert_eq!(folded, root_ns);
+    for (stack, _) in &snap.self_times {
+        assert!(roots.iter().any(|r| r.name == stack[0]), "{stack:?}");
+    }
+    // A check runs on one thread: no pool scope, and a recovery nests
+    // under `check_stack` instead of rooting a stack.
+    assert!(snap.spans.iter().all(|s| s.name != "pool.scope"));
+    assert!(!roots.iter().any(|r| r.name.starts_with("recover/")));
+    let rows = read_trace(&chrome_trace(&snap).pretty()).unwrap().stacks;
+    for s in &snap.spans {
+        let named = |(stack, _): &(Vec<String>, u64)| stack.iter().any(|f| f == s.name);
+        assert!(rows.iter().any(named), "{} not in the stacks", s.name);
     }
 }
 
 #[test]
-fn canonical_report_is_identical_with_profiling_on_off_and_across_threads() {
+fn canonical_report_is_identical_with_profiling_on_and_off() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let opts = tiny_opts();
     let report = || run_campaign(&opts).unwrap().corpus.canonical_report();
 
     pc_rt::obs::set_enabled(false);
     pc_rt::obs::reset();
-    let plain = with_threads("1", report);
+    let plain = report();
 
-    // Profiled (span collection + allocation accounting on),
-    // single-threaded, then on the parallel pool.
+    // Profiled: span collection + allocation accounting on.
     pc_rt::obs::set_enabled(true);
-    let profiled_seq = with_threads("1", report);
-    let profiled_par = with_threads("4", report);
+    let profiled = report();
     pc_rt::obs::set_enabled(false);
     pc_rt::obs::reset();
 
-    assert_eq!(plain, profiled_seq, "profiling changed the report");
-    assert_eq!(plain, profiled_par, "profiling+threads changed the report");
+    assert_eq!(plain, profiled, "profiling changed the report");
 }

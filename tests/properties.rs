@@ -844,7 +844,7 @@ fn digest_is_a_sound_recovery_key(name: &str, fs: workloads::FsKind) {
 /// their store with it) and a deep copy of it (every server dirty: the
 /// full algorithm) mount the same view, and recovered leave the same
 /// stores and mount the same view. The deep copies mount on a freshly
-/// formatted instance, whose baseline chunk table lists none of the
+/// formatted instance, whose baseline index lists none of the
 /// images' chunks: every stripe by path. On the three models whose fsck
 /// indexes the baseline, some cases must repair a server the crash left
 /// clean — a chunk whose owner the crash unlinked, a directory object a

@@ -159,7 +159,7 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
     assert!(enumerate.depth > root.depth);
 }
 
-/// A check runs on one thread, whatever `PC_THREADS` says: it opens no
+/// A check runs on one thread and reads no `PC_THREADS`: it opens no
 /// pool scope, bumps no `pool.*` counter, and records every span on the
 /// thread that opened `check_stack`.
 #[test]
