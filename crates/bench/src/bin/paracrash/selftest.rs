@@ -53,9 +53,8 @@ fn read(path: &str) -> String {
 
 /// Compare the deterministic projection
 /// (`pc_rt::obs::stream::Stream::canonical_lines`) of two streams — the
-/// check the determinism contract rests on: a sequential and a parallel
-/// run of the same sweep must project identically even though their
-/// timestamps and sequence numbers differ.
+/// check the determinism contract rests on: two runs of the same sweep
+/// must project identically even though their timestamps differ.
 fn check_canonical_diff(a_path: &str, b_path: &str) {
     let project = |path: &str| {
         let stream = read_stream(&read(path)).unwrap_or_else(|e| fail(format_args!("{path}: {e}")));

@@ -3,10 +3,10 @@
 //! [`FuzzCorpus`], with automatic triage of novel findings — crash-safe
 //! and resumable when given a state dir.
 //!
-//! Cells run **sequentially**, and so does each `check_stack`, so the
-//! whole sweep's report is byte-identical whatever the thread count,
-//! which is exactly the determinism contract the CI crash gate diffs
-//! (`paracrash::fuzz` module docs).
+//! Cells run one after another on the sweep thread, each `check_stack`
+//! inside its cell, so the whole sweep's report is byte-identical from
+//! run to run, which is exactly the determinism contract the CI crash
+//! gate diffs (`paracrash::fuzz` module docs).
 //!
 //! Triage: [`FuzzCorpus::record_cell`] returns the keys a cell *newly*
 //! contributed. Only those cells are re-run with the explain engine

@@ -125,8 +125,8 @@ fn stream_carries_one_cell_event_per_campaign_cell() {
 }
 
 /// One injected panic: the quarantine shows in the last snapshot's
-/// running totals and in the dashboard's robustness tiles, and there is
-/// no retry anywhere — the cell is quarantined on its first panic.
+/// running totals, and there is no retry anywhere — not in the report,
+/// not on the dashboard — the cell is quarantined on its first panic.
 #[test]
 fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
     let _guard = TEST_LOCK.lock().unwrap();
@@ -158,8 +158,6 @@ fn robustness_totals_ride_the_snapshot_into_the_dashboard() {
         last.detail
     );
     let html = render_dashboard(&events, None);
-    assert!(html.contains("data-metric=\"quarantined\"><div class=\"tile-value\">1<"));
-    assert!(html.contains("data-metric=\"resumed-cells\"><div class=\"tile-value\">0<"));
     assert!(!html.contains("retries"));
     // The quarantined cell publishes no `cell` event; the others do.
     assert_eq!(of_kind(&events, EventKind::Cell).len(), 7);

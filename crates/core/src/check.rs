@@ -578,8 +578,8 @@ fn materialize(a: &Analysis, e: &Enumerated) -> Materialized {
 }
 
 /// Torn-write widening draws from an RNG seeded by (torn seed, state
-/// index) so the same crash state tears the same way on every run,
-/// thread count and checker. `seed` is [`CheckConfig::torn_seed`].
+/// index) so the same crash state tears the same way on every run and
+/// in both checkers. `seed` is [`CheckConfig::torn_seed`].
 fn torn_rng(seed: u64, state_index: usize) -> pc_rt::rng::Rng {
     pc_rt::rng::Rng::new(
         seed.wrapping_add((state_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),

@@ -11,38 +11,31 @@
 //!
 //! Sections, in reading order:
 //!
-//! * **stat tiles** — cells checked, distinct findings, behavior
-//!   classes, coverage saturation, throughput;
 //! * **coverage curve** — behavior classes and findings discovered as a
 //!   function of cells checked (the "is discovery still growing?"
 //!   picture both Pathfinder-style dedup and B3-style bounded fuzzing
-//!   steer by), with a plain-table fallback view;
-//! * **stage-time breakdown** — total wall time per telemetry span
-//!   name, from the `--telemetry` trace (the stream carries no spans;
-//!   without a trace the section says so);
+//!   steer by), its line ends labelled with the final counts;
 //! * **finding heatmap** — findings per file system × journal mode, a
 //!   table shaded on a single-hue sequential ramp;
 //! * **flame view** — a no-script SVG icicle of the trace's exact self
-//!   time by span stack over its sorted stack table;
-//! * **allocation attribution** — per-span alloc count / bytes / peak
-//!   tiles and table from the counting allocator, when the trace
-//!   recorded any allocation.
+//!   time by span stack, when the run's `--telemetry-out` file is given.
 //!
-//! Every metric element carries a `data-metric` attribute; the
-//! observability verify gate requires the full set in a rendered sweep
-//! report, so a dashboard that silently lost a section fails CI.
+//! A number a run already prints as text — `fuzz` stdout, the
+//! `PC_TRACE=summary` table, the `PC_LOG=info` progress line, a stream
+//! event — gets no panel here (EXPERIMENTS.md, "Watching a campaign
+//! live", lists where each one is). Every panel carries a `data-metric`
+//! attribute; the observability verify gate requires exactly this set in
+//! a rendered sweep report, so a dashboard that lost or grew a section
+//! fails CI.
 
 use crate::telemetry::Trace;
-use pc_rt::obs::prof::fmt_bytes;
+use pc_rt::obs::fmt_ns;
 use pc_rt::obs::stream::{Event, EventKind};
-use pc_rt::obs::{fmt_ns, span_totals, SpanTotal};
 
-/// One `cell` event: the campaign's per-cell fold state.
-struct CellPoint<'a> {
-    name: &'a str,
+/// One `cell` event: the campaign's running totals after it.
+struct CellPoint {
     behaviors: u64,
     findings: u64,
-    wall_ns: u64,
 }
 
 /// Pull `key=value` out of an event detail string.
@@ -69,31 +62,16 @@ fn html_escape(s: &str) -> String {
     out
 }
 
-/// One row of stat tiles in a `tag` element: `(data-metric, label,
-/// value)` each.
-fn render_tiles(b: &mut String, tag: &str, tiles: &[(&str, &str, String)]) {
-    b.push_str(&format!("<{tag} class=\"tiles\">\n"));
-    for (metric, label, value) in tiles {
-        b.push_str(&format!(
-            "<div class=\"tile\" data-metric=\"{metric}\"><div class=\"tile-value\">{value}</div><div class=\"tile-label\">{label}</div></div>\n",
-        ));
-    }
-    b.push_str(&format!("</{tag}>\n"));
-}
-
 /// Render the dashboard of a run: the `events` of its stream and its
-/// telemetry `trace` if there is one (stage bars, flame view, allocation
-/// panel).
+/// telemetry `trace` if there is one (the flame view).
 pub fn render_dashboard(events: &[Event], trace: Option<&Trace>) -> String {
     let mut cells: Vec<CellPoint> = Vec::new();
     let mut heat: Vec<(&str, &str, u64)> = Vec::new(); // fs, journal, findings
     for e in events {
         match e.kind {
             EventKind::Cell => cells.push(CellPoint {
-                name: &e.name,
                 behaviors: detail_field(&e.detail, "behaviors").unwrap_or(0),
                 findings: detail_field(&e.detail, "findings").unwrap_or(0),
-                wall_ns: e.value,
             }),
             EventKind::Finding => {
                 let (fs, journal) = e.name.split_once('/').unwrap_or((&e.name, "?"));
@@ -118,31 +96,6 @@ pub fn render_dashboard(events: &[Event], trace: Option<&Trace>) -> String {
         .zip(start)
         .map_or(0, |(end, start)| (end - start) as u64);
 
-    // Stage times come from the exit snapshot: it holds every span.
-    let mut stages = trace.map_or(Vec::new(), |t| {
-        span_totals(
-            t.spans
-                .iter()
-                .map(|(name, dur_ns)| (name.as_str(), *dur_ns)),
-        )
-    });
-    stages.truncate(12);
-
-    let n_cells = cells.len();
-    let behaviors = cells.last().map_or(0, |c| c.behaviors);
-    let findings = cells.last().map_or(0, |c| c.findings);
-    // The driver's last snapshot carries what only it knows: Good–Turing
-    // saturation over the whole corpus and the robustness totals.
-    let last_snapshot = (events.iter().rev())
-        .find(|e| e.kind == EventKind::Snapshot)
-        .map_or("", |e| e.detail.as_str());
-    let saturation = detail_field(last_snapshot, "saturation_pct");
-    let throughput = if wall_ns > 0 && n_cells > 0 {
-        n_cells as f64 / (wall_ns as f64 / 1e9)
-    } else {
-        0.0
-    };
-
     // -- Assemble the page ----------------------------------------------------
     let mut b = String::with_capacity(32 * 1024);
     b.push_str(HEAD);
@@ -154,65 +107,18 @@ pub fn render_dashboard(events: &[Event], trace: Option<&Trace>) -> String {
         fmt_ns(wall_ns as f64),
     ));
 
-    render_tiles(
-        &mut b,
-        "section",
-        &[
-            ("cells", "cells checked", n_cells.to_string()),
-            ("findings", "distinct findings", findings.to_string()),
-            ("behaviors", "behavior classes", behaviors.to_string()),
-            (
-                "saturation",
-                "coverage saturation",
-                saturation.map_or("–".to_string(), |s| format!("{s}%")),
-            ),
-            ("throughput", "cells / s", format!("{throughput:.1}")),
-        ],
-    );
-
-    render_campaign_robustness(&mut b, last_snapshot);
     render_coverage_curve(&mut b, &cells);
-    render_stage_breakdown(&mut b, &stages, trace.map_or(0, |t| t.dropped_spans));
     render_heatmap(&mut b, &heat);
     if let Some(trace) = trace {
         render_flame(&mut b, &trace.stacks);
-        if trace.alloc_total.count > 0 {
-            render_alloc(&mut b, trace);
-        }
     }
 
     b.push_str("</main>\n</body>\n</html>\n");
     b
 }
 
-/// Campaign robustness tiles — cells recovered from the durable log,
-/// quarantined cells — from the totals the sweep driver writes into its
-/// snapshots. Rendered only when one of them is nonzero: an uneventful
-/// sweep omits the section entirely.
-fn render_campaign_robustness(b: &mut String, snapshot_detail: &str) {
-    let total = |key| detail_field(snapshot_detail, key).unwrap_or(0);
-    let (resumed, quarantined) = (total("resumed"), total("quarantined"));
-    if resumed + quarantined == 0 {
-        return;
-    }
-    b.push_str("<section data-metric=\"campaign-robustness\">\n<h2>Campaign robustness</h2>\n");
-    render_tiles(
-        b,
-        "div",
-        &[
-            (
-                "resumed-cells",
-                "cells resumed from log",
-                resumed.to_string(),
-            ),
-            ("quarantined", "quarantined cells", quarantined.to_string()),
-        ],
-    );
-    b.push_str("</section>\n");
-}
-
 /// Coverage curve: behavior classes (series 1) and findings (series 2)
-/// against cells checked, plus the table fallback view.
+/// against cells checked.
 fn render_coverage_curve(b: &mut String, cells: &[CellPoint]) {
     b.push_str("<section data-metric=\"coverage-curve\">\n<h2>Coverage curve</h2>\n");
     if cells.is_empty() {
@@ -296,78 +202,8 @@ fn render_coverage_curve(b: &mut String, cells: &[CellPoint]) {
     b.push_str("</svg>\n");
     b.push_str(
         "<p class=\"legend\"><span class=\"swatch sw1\"></span>behavior classes\
-         <span class=\"swatch sw2\"></span>findings</p>\n",
+         <span class=\"swatch sw2\"></span>findings</p>\n</section>\n",
     );
-
-    // Table fallback: every cell row, capped sensibly for huge runs.
-    b.push_str(
-        "<details><summary>table view</summary><table data-metric=\"coverage-table\">\
-        <tr><th>#</th><th>cell</th><th>behaviors</th><th>findings</th><th>wall</th></tr>\n",
-    );
-    let step = (n / 200).max(1);
-    for (i, c) in cells.iter().enumerate() {
-        if i % step != 0 && i != n - 1 {
-            continue;
-        }
-        b.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-            i + 1,
-            html_escape(c.name),
-            c.behaviors,
-            c.findings,
-            fmt_ns(c.wall_ns as f64),
-        ));
-    }
-    b.push_str("</table></details>\n</section>\n");
-}
-
-/// Stage-time breakdown: horizontal bars, one per span name.
-/// `dropped_spans` is how many spans the registry counted past its
-/// storage cap: their time is missing from the bars.
-fn render_stage_breakdown(b: &mut String, stages: &[SpanTotal<&str>], dropped_spans: u64) {
-    b.push_str("<section data-metric=\"stage-breakdown\">\n<h2>Stage time</h2>\n");
-    if dropped_spans > 0 {
-        b.push_str(&format!(
-            "<p class=\"sub\">incomplete: {dropped_spans} spans past the registry's cap were not stored</p>\n"
-        ));
-    }
-    if stages.is_empty() {
-        b.push_str("<p class=\"sub\">no span data (pass the run's --telemetry-out file as --telemetry)</p>\n</section>\n");
-        return;
-    }
-    const W: f64 = 640.0;
-    const ROW: f64 = 24.0;
-    const ML: f64 = 190.0;
-    let h = ROW * stages.len() as f64 + 8.0;
-    let max = stages.iter().map(|t| t.total_ns).max().unwrap_or(1).max(1);
-    b.push_str(&format!(
-        "<svg viewBox=\"0 0 {W} {h:.0}\" role=\"img\" aria-label=\"total wall time per stage\">\n"
-    ));
-    for (i, stage) in stages.iter().enumerate() {
-        let (name, total, calls) = (stage.name, stage.total_ns, stage.calls);
-        let yy = 4.0 + ROW * i as f64;
-        let ww = (W - ML - 110.0) * (total as f64 / max as f64);
-        b.push_str(&format!(
-            "<text class=\"lbl\" x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"end\">{}</text>\n",
-            ML - 8.0,
-            yy + 15.0,
-            html_escape(name)
-        ));
-        b.push_str(&format!(
-            "<rect class=\"bar\" x=\"{ML}\" y=\"{yy:.1}\" width=\"{:.1}\" height=\"16\" rx=\"4\"><title>{} over {} calls</title></rect>\n",
-            ww.max(1.5),
-            fmt_ns(total as f64),
-            calls
-        ));
-        b.push_str(&format!(
-            "<text class=\"lbl\" x=\"{:.1}\" y=\"{:.1}\">{} · {} calls</text>\n",
-            ML + ww.max(1.5) + 8.0,
-            yy + 15.0,
-            fmt_ns(total as f64),
-            calls
-        ));
-    }
-    b.push_str("</svg>\n</section>\n");
 }
 
 /// Finding heatmap: file system × journal mode, shaded table.
@@ -455,8 +291,8 @@ impl FlameNode {
 
 /// Flame view of the trace's self time per span stack: a
 /// no-script SVG icicle (root at the top, children sorted by name so the
-/// layout is deterministic) over the sorted stack table, the
-/// copy-pasteable form.
+/// layout is deterministic); the copy-pasteable form is the trace's own
+/// `otherData.stacks`.
 fn render_flame(b: &mut String, rows: &[(Vec<String>, u64)]) {
     b.push_str("<section data-metric=\"flame\">\n<h2>Span-stack profile (self time)</h2>\n");
     if rows.is_empty() {
@@ -516,60 +352,7 @@ fn render_flame(b: &mut String, rows: &[(Vec<String>, u64)]) {
         emit(b, c, cx, cw, 0, total);
         cx += cw;
     }
-    b.push_str("</svg>\n");
-
-    let mut sorted: Vec<&(Vec<String>, u64)> = rows.iter().collect();
-    sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    b.push_str(
-        "<details><summary>stack table</summary><table data-metric=\"flame-table\">\
-         <tr><th>stack</th><th>self time</th><th>share</th></tr>\n",
-    );
-    for (frames, count) in sorted.iter().take(40) {
-        b.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{:.1}%</td></tr>\n",
-            html_escape(&frames.join(";")),
-            fmt_ns(*count as f64),
-            100.0 * *count as f64 / total.max(1) as f64,
-        ));
-    }
-    b.push_str("</table></details>\n</section>\n");
-}
-
-/// Allocation attribution from the trace: total tiles plus a per-span
-/// table, bytes-descending. The caller omits it (like campaign
-/// robustness) when accounting never recorded anything.
-fn render_alloc(b: &mut String, trace: &Trace) {
-    let total = &trace.alloc_total;
-    let fmt_b = |v: u64| fmt_bytes(v as f64);
-    b.push_str("<section data-metric=\"alloc\">\n<h2>Allocation attribution</h2>\n");
-    render_tiles(
-        b,
-        "div",
-        &[
-            ("alloc-count", "allocations", total.count.to_string()),
-            ("alloc-bytes", "bytes allocated", fmt_b(total.bytes)),
-            ("alloc-peak", "peak live bytes", fmt_b(total.peak_bytes)),
-        ],
-    );
-    if !trace.allocs.is_empty() {
-        let mut rows: Vec<_> = trace.allocs.iter().collect();
-        rows.sort_by(|a, b| b.1.bytes.cmp(&a.1.bytes).then(a.0.cmp(&b.0)));
-        b.push_str(
-            "<table data-metric=\"alloc-table\">\
-             <tr><th>span</th><th>count</th><th>bytes</th><th>peak</th></tr>\n",
-        );
-        for (name, s) in rows.iter().take(16) {
-            b.push_str(&format!(
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-                html_escape(name),
-                s.count,
-                fmt_b(s.bytes),
-                fmt_b(s.peak_bytes),
-            ));
-        }
-        b.push_str("</table>\n");
-    }
-    b.push_str("</section>\n");
+    b.push_str("</svg>\n</section>\n");
 }
 
 /// Document head: inline CSS only. Light/dark palettes are the
@@ -628,16 +411,9 @@ body { margin: 0; background: var(--page); }
 }
 h1 { font-size: 22px; margin: 0 0 2px; }
 h2 { font-size: 15px; margin: 28px 0 8px; }
-h3 { font-size: 13px; margin: 14px 0 6px; color: var(--text-secondary); }
 .sub { color: var(--text-secondary); font-size: 12px; margin: 0 0 12px; }
 section { background: var(--surface-1); border: 1px solid var(--grid);
   border-radius: 8px; padding: 12px 14px; margin: 12px 0; }
-.tiles { display: flex; flex-wrap: wrap; gap: 8px; background: none;
-  border: none; padding: 0; }
-.tile { background: var(--surface-1); border: 1px solid var(--grid);
-  border-radius: 8px; padding: 10px 14px; flex: 1 1 110px; }
-.tile-value { font-size: 24px; }
-.tile-label { font-size: 11px; color: var(--text-secondary); }
 svg { width: 100%; height: auto; display: block; }
 svg .axis { stroke: var(--baseline); stroke-width: 1; }
 svg .grid { stroke: var(--grid); stroke-width: 1; }
@@ -647,7 +423,6 @@ svg .s1 { fill: none; stroke: var(--series-1); stroke-width: 2; }
 svg .s2 { fill: none; stroke: var(--series-2); stroke-width: 2; }
 svg .s1t { fill: var(--text-secondary); text-anchor: end; }
 svg .s2t { fill: var(--text-secondary); text-anchor: end; }
-svg .bar { fill: var(--series-1); }
 svg .flame { stroke: var(--surface-1); stroke-width: 0.5; }
 svg .flame-d0 { fill: var(--flame-1); }
 svg .flame-d1 { fill: var(--flame-2); }
@@ -664,9 +439,7 @@ table { border-collapse: collapse; font-size: 12px;
   font-variant-numeric: tabular-nums; }
 th, td { border: 1px solid var(--grid); padding: 4px 8px; text-align: right; }
 th { color: var(--text-secondary); font-weight: 500; }
-td:first-child, th:first-child { text-align: left; }
-details { margin-top: 8px; font-size: 12px; }
-summary { color: var(--text-secondary); cursor: pointer; }
+th:first-child { text-align: left; }
 .heat td { text-align: center; min-width: 48px; }
 .heat-0 { color: var(--muted); }
 .heat-1 { background: var(--heat-1); }
@@ -683,7 +456,7 @@ summary { color: var(--text-secondary); cursor: pointer; }
 mod tests {
     use super::*;
     use crate::telemetry::{chrome_trace, read_trace};
-    use pc_rt::obs::{AllocStat, SpanRec, TelemetrySnapshot};
+    use pc_rt::obs::{SpanRec, TelemetrySnapshot};
     use EventKind::{Cell, Finding, Snapshot};
 
     fn event(seq: u64, ts_ns: u64, kind: EventKind, name: &str, value: u64, detail: &str) -> Event {
@@ -714,28 +487,19 @@ mod tests {
         events
     }
 
-    /// A run's registry: two `check_stack` spans, one span's allocations,
-    /// three self-time stacks.
+    /// A run's registry: one `check_stack` span, three self-time stacks.
     fn snapshot() -> TelemetrySnapshot {
-        let span = |dur_ns| SpanRec {
+        let span = SpanRec {
             name: "check_stack",
             cat: "check",
             tid: 1,
             depth: 0,
             start_ns: 0,
-            dur_ns,
+            dur_ns: 5000,
             trace_id: 0,
         };
-        let (count, bytes, peak_bytes) = (12, 4096, 2048);
-        let stat = AllocStat {
-            count,
-            bytes,
-            peak_bytes,
-        };
         TelemetrySnapshot {
-            spans: vec![span(5000), span(1000)],
-            allocs: vec![("check.enumerate".into(), stat)],
-            alloc_total: stat,
+            spans: vec![span],
             self_times: vec![
                 (vec!["cli.run", "snapshot.materialize"], 6000),
                 (vec!["cli.run", "recover/BeeGFS"], 3000),
@@ -751,23 +515,28 @@ mod tests {
         read_trace(&chrome_trace(snap).pretty()).unwrap()
     }
 
-    /// `html` carries each whitespace-separated `data-metric` of `metrics`.
-    fn has_metrics(html: &str, metrics: &str) -> bool {
-        (metrics.split_whitespace()).all(|m| html.contains(&format!("data-metric=\"{m}\"")))
+    /// The sorted, de-duplicated `data-metric` names of `html`.
+    fn metrics(html: &str) -> Vec<&str> {
+        let mut names: Vec<&str> = (html.split("data-metric=\"").skip(1))
+            .map(|rest| rest.split('"').next().unwrap())
+            .collect();
+        names.sort();
+        names.dedup();
+        names
     }
 
     #[test]
     fn dashboard_renders_all_sections_and_escapes_names() {
         let mut evs = events();
-        evs[0].name = "a<b>&\"c@OrangeFS/ordered".into();
-        let html = render_dashboard(&evs, None);
-        let metrics = "cells findings behaviors saturation throughput heatmap";
-        assert!(
-            has_metrics(&html, metrics) && has_metrics(&html, "coverage-curve stage-breakdown")
-        );
+        evs[6].name = "a<b>&\"c/writeback".into();
+        let html = render_dashboard(&evs, Some(&files(&snapshot())));
+        // Exactly the panels that draw what no text output prints.
+        assert_eq!(metrics(&html), ["coverage-curve", "flame", "heatmap"]);
         assert!(html.contains("<svg") && html.contains("polyline"));
-        assert!(html.contains("66%") && html.contains("BeeGFS"));
-        assert!(html.contains("a&lt;b&gt;&amp;&quot;c@") && !html.contains("a<b>&\"c@"));
+        // The curve's line ends carry the final counts.
+        assert!(html.contains(">behaviors 6<") && html.contains(">findings 2<"));
+        assert!(html.contains("cells → 6"));
+        assert!(html.contains("a&lt;b&gt;&amp;&quot;c") && !html.contains("a<b>&\"c"));
         // Self-contained: no scripts, no external references.
         assert!(!html.contains("<script"));
         assert!(!html.contains("http://") && !html.contains("https://"));
@@ -778,99 +547,39 @@ mod tests {
     /// first span started the clock — so a one-cell sweep is not the
     /// 9.12 µs between its finding and its cell event.
     #[test]
-    fn wall_time_and_throughput_count_the_first_cell() {
+    fn wall_time_counts_the_first_cell() {
         let one = [
             event(0, 1_000_000, Finding, "BeeGFS/data", 1, "sig [Pfs]"),
             event(1, 1_009_120, Cell, "wl@BeeGFS/data", 1_540_000, ""),
         ];
         let html = render_dashboard(&one, None);
         assert!(html.contains("2 events · wall 1.54 ms"), "{html}");
-        assert!(html.contains("<div class=\"tile-value\">649.4</div>"));
         // Six 1.5 µs cells, the first begun at 500 ns before the epoch.
         let html = render_dashboard(&events(), None);
         assert!(html.contains("8 events · wall 9.70 µs"), "{html}");
     }
 
     #[test]
-    fn robustness_totals_of_the_last_snapshot_render_their_own_tiles() {
-        // An uneventful sweep: no campaign section at all.
-        let html = render_dashboard(&events(), None);
-        assert!(!html.contains("campaign-robustness"));
-        // The last snapshot's totals are the tiles (not a sum over
-        // snapshots: each one carries the running total).
-        let mut evs = events();
-        evs.last_mut().unwrap().detail = "cells=6 resumed=4 quarantined=1".into();
-        evs.push(event(
-            103,
-            9300,
-            Snapshot,
-            "c",
-            6,
-            "resumed=5 quarantined=2",
-        ));
-        let html = render_dashboard(&evs, None);
-        assert!(has_metrics(&html, "campaign-robustness"));
-        for (metric, value) in [("resumed-cells", 5), ("quarantined", 2)] {
-            let tile = format!("data-metric=\"{metric}\"><div class=\"tile-value\">{value}<");
-            assert!(html.contains(&tile), "{metric}");
-        }
-    }
-
-    #[test]
-    fn stage_bars_come_from_the_trace_or_say_there_is_none() {
-        let html = render_dashboard(&events(), None);
-        assert!(html.contains("no span data"), "{html}");
-        let trace = files(&snapshot());
-        let html = render_dashboard(&events(), Some(&trace));
-        assert!(html.contains("check_stack") && html.contains("2 calls"));
-        assert!(!html.contains("no span data") && !html.contains("incomplete"));
-        // Spans the registry counted but could not store are named.
-        let mut snap = snapshot();
-        snap.dropped_spans = 83;
-        let trace = files(&snap);
-        let html = render_dashboard(&events(), Some(&trace));
-        assert!(html.contains("incomplete: 83 spans"), "{html}");
-    }
-
-    #[test]
     fn flame_view_renders_self_time() {
-        // Nested stacks: icicle SVG plus the table, weights in ns.
+        // Nested stacks: an icicle SVG, weights in ns.
         let trace = files(&snapshot());
         let html = render_dashboard(&events(), Some(&trace));
-        assert!(has_metrics(&html, "flame flame-table"));
         assert!(html.contains("class=\"flame flame-d0\""), "{html}");
         assert!(html.contains("class=\"flame flame-d1\""));
         assert!(html.contains("snapshot.materialize"));
         let root = "cli.run: 10.00 µs (100.0%)";
         assert!(html.contains(root), "root weight sums children");
+        // Dark-mode styling: the flame palette is defined in both the
+        // light block and the dark block, like the heat ramp.
+        assert_eq!(html.matches("--flame-1:").count(), 2, "light + dark");
+        assert_eq!(html.matches("--flame-4:").count(), 2);
+        assert_eq!(html.matches("prefers-color-scheme: dark").count(), 1);
         // A trace without stacks says so; no trace, no section.
         let mut snap = snapshot();
         snap.self_times.clear();
         let html = render_dashboard(&events(), Some(&files(&snap)));
         assert!(html.contains("no stacks in the trace"));
         let html = render_dashboard(&events(), None);
-        assert!(!has_metrics(&html, "flame"));
-    }
-
-    #[test]
-    fn alloc_tiles_render_from_the_trace_and_respect_dark_mode() {
-        let trace = files(&snapshot());
-        let html = render_dashboard(&events(), Some(&trace));
-        assert!(has_metrics(
-            &html,
-            "alloc alloc-count alloc-bytes alloc-peak alloc-table"
-        ));
-        assert!(html.contains("check.enumerate"));
-        // Accounting never recorded anything: no section.
-        let mut snap = snapshot();
-        (snap.allocs, snap.alloc_total) = (Vec::new(), AllocStat::default());
-        let trace = files(&snap);
-        let html = render_dashboard(&events(), Some(&trace));
-        assert!(!has_metrics(&html, "alloc"));
-        // Dark-mode styling: the flame palette is defined in both the
-        // light block and the dark block, like the heat ramp.
-        assert_eq!(html.matches("--flame-1:").count(), 2, "light + dark");
-        assert_eq!(html.matches("--flame-4:").count(), 2);
-        assert_eq!(html.matches("prefers-color-scheme: dark").count(), 1);
+        assert_eq!(metrics(&html), ["coverage-curve", "heatmap"]);
     }
 }

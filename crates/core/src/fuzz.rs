@@ -28,14 +28,15 @@
 //!   by **canonical signature key** (the Pathfinder observation:
 //!   many workloads collapse into few crash-state equivalence classes),
 //!   and [`FuzzCorpus::canonical_report`] renders the whole campaign as
-//!   a byte-stable string — the artifact the CI crash gate diffs across
-//!   thread counts and pins across PRs.
+//!   a byte-stable string — the artifact the CI crash gate diffs between
+//!   two runs and pins in `crates/bench/tests/expected_fuzz_pr_tier.txt`.
 //!
 //! Determinism contract: same vocabulary, bound and seed ⇒ byte-
-//! identical corpus and findings, sequential ≡ parallel. This holds
-//! because enumeration is RNG-free, sampling draws from a fixed-seed
-//! [`pc_rt::rng::Rng`], and the per-cell verdicts come from
-//! [`check_stack`](crate::check_stack), which runs on one thread.
+//! identical corpus and findings in every process, whatever seed its
+//! hash maps drew. This holds because enumeration is RNG-free, sampling
+//! draws from a fixed-seed [`pc_rt::rng::Rng`], and the per-cell
+//! verdicts come from [`check_stack`](crate::check_stack), which runs
+//! on one thread.
 
 use crate::check::{CheckOutcome, LayerVerdict};
 use pc_rt::hash::fnv1a;

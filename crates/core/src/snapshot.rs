@@ -48,8 +48,9 @@ pub struct SnapshotStats {
 }
 
 /// Pre-materialized pre-crash states, one COW fork per crash state, in
-/// crash-state order. Workers fork their entry again (O(written)) before
-/// running recovery, so the plan itself stays immutable and shareable.
+/// crash-state order. Recovery runs on a fresh fork of an entry
+/// (O(written)), so the plan itself stays immutable and every verdict of
+/// the check reads the same one.
 #[derive(Debug)]
 pub struct SnapshotPlan {
     /// `prepared[i]` is crash state `i` materialized (persisted events

@@ -641,22 +641,21 @@ pub fn fmt_ns(ns: f64) -> String {
 
 /// What [`span_totals`] knows about one span name.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanTotal<N> {
+struct SpanTotal {
     /// The span name.
-    pub name: N,
+    name: &'static str,
     /// How many spans carried it.
-    pub calls: u64,
+    calls: u64,
     /// Their summed duration.
-    pub total_ns: u64,
+    total_ns: u64,
     /// The longest of them.
-    pub max_ns: u64,
+    max_ns: u64,
 }
 
 /// Fold `(name, duration)` pairs by name, largest total first
-/// (first-seen order among equals) — the one aggregation behind the
-/// summary table and the dashboard's stage-time panel.
-pub fn span_totals<N: PartialEq>(spans: impl IntoIterator<Item = (N, u64)>) -> Vec<SpanTotal<N>> {
-    let mut agg: Vec<SpanTotal<N>> = Vec::new();
+/// (first-seen order among equals): the rows of the summary table.
+fn span_totals(spans: impl IntoIterator<Item = (&'static str, u64)>) -> Vec<SpanTotal> {
+    let mut agg: Vec<SpanTotal> = Vec::new();
     for (name, dur_ns) in spans {
         match agg.iter_mut().find(|t| t.name == name) {
             Some(t) => {

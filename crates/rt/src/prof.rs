@@ -273,7 +273,7 @@ pub fn alloc_snapshot() -> (Vec<(String, AllocStat)>, AllocStat) {
 }
 
 /// Human-readable byte count (`1.50 MB`, `320 B`).
-pub fn fmt_bytes(b: f64) -> String {
+pub(crate) fn fmt_bytes(b: f64) -> String {
     if b >= 1e9 {
         format!("{:.2} GB", b / 1e9)
     } else if b >= 1e6 {

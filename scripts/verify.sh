@@ -29,7 +29,8 @@
 #      `paracrash report` reads back and renders each set; the stream has
 #      no span/counter line and the two project alike (`--canonical-diff`);
 #      the trace's `stacks` name the stages down to `rpc.message`, `h5.parse`;
-#      the dashboard has every panel and no script or link; the planes'
+#      the dashboard has exactly its three panels (coverage curve,
+#      heatmap, flame) and no script or link; the planes'
 #      *disabled* sites cost a checked cell under 3% (`selftest obs`).
 #   6. Torn writes — one torn-write seed gives bit-identical CLI reports
 #      in two runs (torn states recover past the recovery memo, so an
@@ -174,10 +175,11 @@ target/release/paracrash selftest events --canonical-diff \
     "$obs/a/events.jsonl" "$obs/b/events.jsonl"
 sed -n '/"stacks": {/,/}/p' "$obs/a/telemetry.json" > "$obs/stacks.txt"
 printf '%s\n' snapshot.materialize recover/ check.enumerate rpc.message h5.parse | require_in "$obs/stacks.txt"
-# Every panel the dashboard documents, and nothing that runs or fetches.
-printf 'data-metric="%s"\n' cells findings behaviors saturation throughput coverage-curve coverage-table \
-    stage-breakdown heatmap flame flame-table alloc alloc-count alloc-bytes alloc-peak alloc-table |
-    require_in "$obs/a/report.html"
+# Exactly the panels no text output carries (EXPERIMENTS.md names each
+# number's text home): a lost panel fails, and so does an extra one.
+# And nothing that runs or fetches.
+panels=$({ grep -o 'data-metric="[^"]*"' "$obs/a/report.html" || true; } | cut -d'"' -f2 | sort -u | paste -sd' ')
+[ "$panels" = "coverage-curve flame heatmap" ] || { echo "FAIL: dashboard panels '$panels', want 'coverage-curve flame heatmap'"; exit 1; }
 grep -qE '<script|https?://' "$obs/a/report.html" && { echo "FAIL: the dashboard is not self-contained"; exit 1; } || true
 target/release/paracrash selftest obs
 

@@ -9,8 +9,8 @@
 //!
 //! Also pins the determinism contract of the id assignment itself:
 //! dense first-intern order, reproducible across tables, and stable
-//! under concurrent interning (`scripts/verify.sh` runs the repo tests
-//! both sequential and parallel, exercising this from both ends).
+//! under concurrent interning (the global table is shared by every
+//! thread of a process; the last test hammers it from four).
 
 use pc_rt::intern::{Sym, SymTable};
 use pc_rt::proptest::{gen_vec, run, Config};
