@@ -300,8 +300,9 @@ fn fig11(base: Params) {
     );
 }
 
-/// Run the figure subcommand `name` with `args` (only `--paper`).
-pub fn run(figure: fn(Params), name: &str, args: &[String]) -> ! {
+/// Run the figure subcommand `name` with `args` (only `--paper`); a
+/// `PC_TRACE` run (`traced`) ends with its summary table.
+pub fn run(figure: fn(Params), name: &str, args: &[String], traced: bool) -> ! {
     let mut paper = false;
     for a in args {
         match a.as_str() {
@@ -319,5 +320,6 @@ pub fn run(figure: fn(Params), name: &str, args: &[String]) -> ! {
     } else {
         Params::quick()
     });
+    crate::finish_obs(None, traced);
     std::process::exit(0);
 }

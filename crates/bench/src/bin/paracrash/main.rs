@@ -17,13 +17,15 @@
 //!
 //! `--telemetry-out` enables the `pc_rt::obs` layer for the run and
 //! writes the collected spans/counters to the given path on exit in
-//! Chrome trace-event format. `PC_TRACE=summary` additionally prints a
-//! per-check stage table to stderr.
+//! Chrome trace-event format. `PC_TRACE=1` (or `summary`) collects the
+//! same snapshot and prints it as one stage table to stderr at the end
+//! of any subcommand that runs checks.
 //!
 //! `--explain-out DIR` turns on the provenance engine and writes one
 //! self-contained bundle per bug into `DIR`: a Markdown report (minimal
 //! witness, violated ordering edges, state diff) and a Graphviz `.dot`
-//! causal graph.
+//! causal graph, and `PC_LOG=info` logs each bug's `pinpoint:` line
+//! beside its bundle.
 //!
 //! The `fuzz` subcommand switches from the paper's eleven programs to
 //! the bounded black-box generator:
@@ -72,7 +74,7 @@
 //! on a single check and on a sweep.
 
 use paracrash::dashboard::render_dashboard;
-use paracrash::telemetry::{chrome_trace, read_trace};
+use paracrash::telemetry::{chrome_trace, read_trace, render_summary};
 use paracrash::CheckConfig;
 use pc_bench::campaign::{parse_modes, run_campaign, FuzzOptions};
 use pc_bench::{render_bug, run_program_swept, sanitize, write_bundle};
@@ -145,14 +147,21 @@ fn parse_obs_flag(
     true
 }
 
-/// End of run: close the event stream and write the `--telemetry-out`
-/// snapshot.
-fn finish_obs(telemetry_out: Option<&str>) {
+/// End of run: close the event stream, take the registry's one snapshot
+/// and render it — as the `--telemetry-out` file, and, when `PC_TRACE`
+/// turned telemetry on (`traced`), as the run's summary table on stderr.
+fn finish_obs(telemetry_out: Option<&str>, traced: bool) {
     stream::close();
+    if telemetry_out.is_none() && !traced {
+        return;
+    }
+    let snap = pc_rt::obs::snapshot();
+    if traced {
+        eprintln!("{}", render_summary(&snap));
+    }
     let Some(path) = telemetry_out else {
         return;
     };
-    let snap = pc_rt::obs::snapshot();
     write_out(path, chrome_trace(&snap).pretty() + "\n");
     pc_rt::pc_info!(
         "telemetry written to {path}: {} spans, {} counters, {} stacks",
@@ -273,7 +282,7 @@ fn parse_fuzz_flag(opts: &mut FuzzOptions, a: &str, value: &mut dyn FnMut(&str) 
 /// state dir. Stdout carries exactly the canonical report so CI can
 /// diff runs (resume accounting goes to stderr with everything else, so
 /// a resumed run diffs clean against an uninterrupted one).
-fn run_sweep(args: &[String]) -> ! {
+fn run_sweep(args: &[String], traced: bool) -> ! {
     let mut opts = FuzzOptions::pr_tier();
     let mut telemetry_out = None;
     let mut it = args.iter();
@@ -299,7 +308,7 @@ fn run_sweep(args: &[String]) -> ! {
     let start = std::time::Instant::now();
     let report = run_campaign(&opts).unwrap_or_else(|e| die(format_args!("{e}")));
     let secs = start.elapsed().as_secs_f64();
-    finish_obs(telemetry_out.as_deref());
+    finish_obs(telemetry_out.as_deref(), traced);
     print!("{}", report.corpus.canonical_report());
     pc_rt::pc_info!(
         "fuzz: {} workloads, {}/{} cells this run ({} resumed, {} quarantined) \
@@ -361,8 +370,8 @@ fn run_report(args: &[String]) -> ! {
         usage();
     };
     let events = read_artifact(&events_path, stream::read_stream).events;
-    let trace = telemetry_path.map(|p| read_artifact(&p, read_trace));
-    let html = render_dashboard(&events, trace.as_ref());
+    let stacks = telemetry_path.map(|p| read_artifact(&p, read_trace));
+    let html = render_dashboard(&events, stacks.as_deref());
     let bytes = html.len();
     write_out(&out_path, html);
     println!("dashboard written to {out_path} ({bytes} bytes from {events_path})");
@@ -371,15 +380,18 @@ fn run_report(args: &[String]) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // The first touch of the plane mask reads `PC_TRACE`; only a flag
+    // parsed below turns the registry on after it.
+    let traced = pc_rt::obs::enabled();
     if let Some((sub, rest)) = args.split_first() {
         match sub.as_str() {
-            "fuzz" => run_sweep(rest),
+            "fuzz" => run_sweep(rest, traced),
             "report" => run_report(rest),
             "selftest" => selftest::run(rest),
             _ => {}
         }
         if let Some((name, figure)) = figures::FIGURES.iter().find(|(name, _)| name == sub) {
-            figures::run(*figure, name, rest);
+            figures::run(*figure, name, rest, traced);
         }
     }
     let mut fs_arg = None;
@@ -524,6 +536,7 @@ fn main() {
                         pc_rt::pc_error!("{e}");
                         std::process::exit(1);
                     });
+                    pc_rt::pc_info!("pinpoint: {} ({dir}/{stem}.md)", e.pinpoint());
                     total_bundles += 1;
                 }
             }
@@ -534,7 +547,7 @@ fn main() {
         println!("{total_bundles} explain bundle(s) written to {dir}/ (.md + .dot each).");
     }
     drop(cli_span);
-    finish_obs(telemetry_out.as_deref());
+    finish_obs(telemetry_out.as_deref(), traced);
     let exit = i32::from(
         programs.len() == 1
             && systems.len() == 1

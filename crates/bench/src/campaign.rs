@@ -55,9 +55,10 @@
 //!   426-cell PR tier).
 //!
 //! Robustness counters (`campaign.resumed_cells`, `campaign.quarantined`)
-//! flow through [`pc_rt::obs::count`] into the telemetry registry, and
-//! their running totals ride the periodic `snapshot` event (`resumed=
-//! quarantined=`) into the `paracrash report` dashboard; they are
+//! are counted once, at the end of a sweep, through [`pc_rt::obs::count`]
+//! into the telemetry registry (rows of the run's `PC_TRACE` table), and
+//! their running totals ride the event stream's periodic `snapshot`
+//! event (`resumed= quarantined=`); they are
 //! deliberately *not* part of the canonical report — nor of the `cell`
 //! events, which the stream's canonical projection keeps — which must
 //! stay byte-identical between a clean run and a crash-and-resume run.
@@ -571,10 +572,6 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<CampaignReport, String> {
             "campaign log holds {start_cursor} cells but the sweep only has {total_cells}"
         ));
     }
-    if start_cursor > 0 {
-        pc_rt::obs::count("campaign.resumed_cells", start_cursor as u64);
-    }
-
     let mut report = CampaignReport {
         corpus: FuzzCorpus::new(), // placeholder, swapped in at the end
         workloads: workloads.len(),
@@ -643,7 +640,6 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<CampaignReport, String> {
             }
             Err(reason) => {
                 report.quarantined += 1;
-                pc_rt::obs::count("campaign.quarantined", 1);
                 pc_warn!("campaign: quarantined {cell_label}: {reason}");
                 fold_quarantine(&mut corpus, &label, fs.name(), journal, reason);
             }
@@ -682,12 +678,8 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<CampaignReport, String> {
             );
         }
     }
-    if pc_rt::obs::summary_enabled() {
-        eprintln!(
-            "campaign: campaign.resumed_cells = {}  campaign.quarantined = {}",
-            report.resumed_cells, report.quarantined,
-        );
-    }
+    pc_rt::obs::count("campaign.resumed_cells", report.resumed_cells as u64);
+    pc_rt::obs::count("campaign.quarantined", report.quarantined as u64);
     report.corpus = corpus;
     Ok(report)
 }

@@ -215,21 +215,23 @@ fn pr_tier_fuzz_writes_no_warning() {
 /// counting allocator: the process allocates (its arguments, at least)
 /// long before that, and an allocator that ran the bootstrap — which
 /// itself allocates — would recurse. The run completes, and the
-/// bootstrap it did run switched on the registry, the summary tables and
-/// allocation accounting. The summary runs no explain pass of its own:
-/// only `--explain-out` adds explain rows and `pinpoint:` lines.
+/// bootstrap it did run switched on the registry and allocation
+/// accounting. The table runs no explain pass of its own: only
+/// `--explain-out` adds explain rows, and `PC_LOG=info` logs one
+/// `pinpoint:` line beside each bundle it writes.
 #[test]
 fn allocating_before_the_first_telemetry_check_is_safe_under_pc_trace() {
-    let summary = |args: &[&str]| {
+    let summary = |args: &[&str], log: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_paracrash"))
             .args(args)
             .env("PC_TRACE", "summary")
+            .env("PC_LOG", log)
             .output()
             .expect("paracrash runs");
         let err = String::from_utf8_lossy(&out.stderr).into_owned();
         (out.status.code(), err)
     };
-    let (code, err) = summary(&["--fs", "ext4", "--program", "ARVR"]);
+    let (code, err) = summary(&["--fs", "ext4", "--program", "ARVR"], "error");
     assert_eq!(code, Some(0), "{err}");
     assert!(err.contains("telemetry summary"), "{err}");
     assert!(err.contains("check_stack"), "{err}");
@@ -237,7 +239,7 @@ fn allocating_before_the_first_telemetry_check_is_safe_under_pc_trace() {
 
     // BeeGFS/ARVR finds two bugs, so the cell exits 1.
     let cell = ["--fs", "BeeGFS", "--program", "ARVR"];
-    let (code, err) = summary(&cell);
+    let (code, err) = summary(&cell, "info");
     assert_eq!(code, Some(1), "{err}");
     assert!(err.contains("alloc total"), "{err}");
     for absent in ["check.explain", "explain.", "pinpoint:"] {
@@ -245,10 +247,45 @@ fn allocating_before_the_first_telemetry_check_is_safe_under_pc_trace() {
     }
     let dir = scratch("pinpoint");
     let explained = [&cell[..], &["--explain-out", dir.to_str().unwrap()]].concat();
-    let (code, err) = summary(&explained);
+    let (code, err) = summary(&explained, "info");
     assert_eq!(code, Some(1), "{err}");
-    assert_eq!(err.matches("\n  pinpoint: ").count(), 2, "{err}");
+    assert_eq!(err.matches("[info] pinpoint: ").count(), 2, "{err}");
+    let (_, quiet) = summary(&explained, "error");
+    assert!(!quiet.contains("pinpoint:"), "{quiet}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `PC_TRACE` run prints one table, at exit, of the whole run: a
+/// matrix of six checks has one header, one `check_stack` row counting
+/// all six, and the rows no single check covers (`cli.run`, each cell's
+/// `trace.generate`). `1` and `summary` mean the same; unset, nothing.
+#[test]
+fn a_traced_run_prints_one_summary_of_the_whole_run() {
+    let run = |trace: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_paracrash"));
+        cmd.args(["--fs", "all", "--program", "ARVR"]);
+        if let Some(trace) = trace {
+            cmd.env("PC_TRACE", trace);
+        }
+        let out = cmd.output().expect("paracrash runs");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    for trace in ["summary", "1"] {
+        let err = run(Some(trace));
+        assert_eq!(err.matches("── telemetry summary").count(), 1, "{err}");
+        let row = |name: &str| {
+            let found = err
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name));
+            let found = found.unwrap_or_else(|| panic!("no {name} row in:\n{err}"));
+            found.split_whitespace().nth(1).unwrap().to_string()
+        };
+        assert_eq!(row("check_stack"), "6", "{err}");
+        assert_eq!(row("cli.run"), "1", "{err}");
+        assert_eq!(row("trace.generate"), "6", "{err}");
+    }
+    assert_eq!(run(None), "");
 }
 
 /// The committed Figure 9.

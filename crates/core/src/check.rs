@@ -904,8 +904,7 @@ fn outcome(
 /// preamble on; the PFS-layer walk forks the one `stack` sealed.
 pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> CheckOutcome {
     let started = Instant::now();
-    let check_span = pc_rt::obs::span_cat("check_stack", "check");
-    let tl_mark = pc_rt::obs::mark();
+    let _check_span = pc_rt::obs::span_cat("check_stack", "check");
 
     let a = analyze(stack, cfg, RecoveryMemo::new());
     let e = enumerate(&a);
@@ -925,18 +924,12 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
     out.stats.legal_replays = l.pfs_cache.misses + l.h5_cache.misses;
     (out.stats.pfs_cache, out.stats.h5_cache) = (l.pfs_cache, l.h5_cache);
     out.stats.wall_seconds = started.elapsed().as_secs_f64();
-    publish(&out, &l, a.pa.closures_taken(), check_span, &tl_mark);
+    publish(&out, &l, a.pa.closures_taken());
     out
 }
 
-/// Counters and the `PC_TRACE=summary` table for one finished check.
-fn publish(
-    out: &CheckOutcome,
-    l: &Legal,
-    closures: u64,
-    check_span: pc_rt::obs::Span,
-    tl_mark: &pc_rt::obs::Mark,
-) {
+/// The counters of one finished check.
+fn publish(out: &CheckOutcome, l: &Legal, closures: u64) {
     let stats = &out.stats;
     pc_rt::obs::count("cache.pfs.hits", stats.pfs_cache.hits as u64);
     pc_rt::obs::count("cache.pfs.misses", stats.pfs_cache.misses as u64);
@@ -949,16 +942,6 @@ fn publish(
     pc_rt::obs::count("persist.closures", closures);
     pc_rt::obs::count("check.states_checked", stats.states_checked as u64);
     pc_rt::obs::count("check.states_pruned", stats.states_pruned as u64);
-    drop(check_span);
-    if pc_rt::obs::summary_enabled() {
-        eprintln!(
-            "{}",
-            pc_rt::obs::render_summary(tl_mark, &format!("check_stack/{}", out.pfs_name))
-        );
-        for e in &out.explanations {
-            eprintln!("  pinpoint: {}", e.pinpoint());
-        }
-    }
 }
 
 /// The reference checker: the same analysis, enumeration, legal-state

@@ -21,15 +21,14 @@
 //!   time by span stack, when the run's `--telemetry-out` file is given.
 //!
 //! A number a run already prints as text — `fuzz` stdout, the
-//! `PC_TRACE=summary` table, the `PC_LOG=info` progress line, a stream
+//! table a `PC_TRACE` run prints, the `PC_LOG=info` progress line, a stream
 //! event — gets no panel here (EXPERIMENTS.md, "Watching a campaign
 //! live", lists where each one is). Every panel carries a `data-metric`
 //! attribute; the observability verify gate requires exactly this set in
 //! a rendered sweep report, so a dashboard that lost or grew a section
 //! fails CI.
 
-use crate::telemetry::Trace;
-use pc_rt::obs::fmt_ns;
+use crate::telemetry::fmt_ns;
 use pc_rt::obs::stream::{Event, EventKind};
 
 /// One `cell` event: the campaign's running totals after it.
@@ -63,8 +62,8 @@ fn html_escape(s: &str) -> String {
 }
 
 /// Render the dashboard of a run: the `events` of its stream and its
-/// telemetry `trace` if there is one (the flame view).
-pub fn render_dashboard(events: &[Event], trace: Option<&Trace>) -> String {
+/// telemetry trace's `stacks` if there is one (the flame view).
+pub fn render_dashboard(events: &[Event], stacks: Option<&[(Vec<String>, u64)]>) -> String {
     let mut cells: Vec<CellPoint> = Vec::new();
     let mut heat: Vec<(&str, &str, u64)> = Vec::new(); // fs, journal, findings
     for e in events {
@@ -109,8 +108,8 @@ pub fn render_dashboard(events: &[Event], trace: Option<&Trace>) -> String {
 
     render_coverage_curve(&mut b, &cells);
     render_heatmap(&mut b, &heat);
-    if let Some(trace) = trace {
-        render_flame(&mut b, &trace.stacks);
+    if let Some(stacks) = stacks {
+        render_flame(&mut b, stacks);
     }
 
     b.push_str("</main>\n</body>\n</html>\n");
@@ -511,7 +510,7 @@ mod tests {
 
     /// What `report` reads from the trace a run with this registry
     /// writes.
-    fn files(snap: &TelemetrySnapshot) -> Trace {
+    fn files(snap: &TelemetrySnapshot) -> Vec<(Vec<String>, u64)> {
         read_trace(&chrome_trace(snap).pretty()).unwrap()
     }
 
@@ -529,7 +528,7 @@ mod tests {
     fn dashboard_renders_all_sections_and_escapes_names() {
         let mut evs = events();
         evs[6].name = "a<b>&\"c/writeback".into();
-        let html = render_dashboard(&evs, Some(&files(&snapshot())));
+        let html = render_dashboard(&evs, Some(&*files(&snapshot())));
         // Exactly the panels that draw what no text output prints.
         assert_eq!(metrics(&html), ["coverage-curve", "flame", "heatmap"]);
         assert!(html.contains("<svg") && html.contains("polyline"));
@@ -563,7 +562,7 @@ mod tests {
     fn flame_view_renders_self_time() {
         // Nested stacks: an icicle SVG, weights in ns.
         let trace = files(&snapshot());
-        let html = render_dashboard(&events(), Some(&trace));
+        let html = render_dashboard(&events(), Some(&trace[..]));
         assert!(html.contains("class=\"flame flame-d0\""), "{html}");
         assert!(html.contains("class=\"flame flame-d1\""));
         assert!(html.contains("snapshot.materialize"));
@@ -577,7 +576,7 @@ mod tests {
         // A trace without stacks says so; no trace, no section.
         let mut snap = snapshot();
         snap.self_times.clear();
-        let html = render_dashboard(&events(), Some(&files(&snap)));
+        let html = render_dashboard(&events(), Some(&*files(&snap)));
         assert!(html.contains("no stacks in the trace"));
         let html = render_dashboard(&events(), None);
         assert_eq!(metrics(&html), ["coverage-curve", "heatmap"]);

@@ -564,8 +564,9 @@ impl BugExplanation {
             .unwrap_or_else(|| format!("e{e}"))
     }
 
-    /// One-line summary that `PC_TRACE=summary` prints for an explained
-    /// run: minimal-witness size, the violated edge, and the diff size.
+    /// One-line summary an `--explain-out` run logs at `PC_LOG=info`
+    /// beside each bundle: minimal-witness size, the violated edge, and
+    /// the diff size.
     pub fn pinpoint(&self) -> String {
         let cause = match self.violated_edges.first() {
             Some(e) => format!("violated {} -> {}", self.sig_of(e.from), self.sig_of(e.to)),

@@ -11,7 +11,7 @@
 /// A width the wall-clock ledger (`benchmark/`) records; no check or
 /// sweep reads it.
 pub const THREADS: &str = "PC_THREADS";
-/// Telemetry collection (`summary` also prints per-check tables).
+/// Telemetry collection, and the run's one table at exit.
 pub const TRACE: &str = "PC_TRACE";
 /// Log threshold.
 pub const LOG: &str = "PC_LOG";
@@ -28,7 +28,7 @@ pub const VARS: [(&str, &str); 5] = [
     ),
     (
         TRACE,
-        "1 collects telemetry; summary also prints a table per check",
+        "1 or summary: collect telemetry and print the run's table to stderr at exit",
     ),
     (
         LOG,

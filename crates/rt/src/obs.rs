@@ -9,11 +9,11 @@
 //!   depth (a thread-local stack tracks parents);
 //! * **counters** — [`count`] accumulates;
 //! * **a per-run registry** — everything lands in one process-global
-//!   `Registry`; [`mark`] + [`render_summary`] slice out a window (one
-//!   `check_stack` call) for the human-readable `PC_TRACE=summary` table,
-//!   [`snapshot`] exports the whole run for the machine-readable writers
-//!   (`paracrash::telemetry` serializes it as Chrome trace-event JSON
-//!   loadable in Perfetto);
+//!   `Registry`; [`snapshot`] exports the whole run, and
+//!   `paracrash::telemetry` renders that one snapshot twice: as Chrome
+//!   trace-event JSON loadable in Perfetto (`--telemetry-out`) and as
+//!   the human-readable table a `PC_TRACE` run prints at exit. This
+//!   module only records;
 //! * **a leveled logger** — the [`crate::pc_error!`], [`crate::pc_warn!`],
 //!   [`crate::pc_info!`] and [`crate::pc_debug!`] macros replace the
 //!   scattered `eprintln!`s. `PC_LOG=warn|info|debug` raises verbosity;
@@ -35,9 +35,9 @@
 //! # Planes and the mask
 //!
 //! Everything here is **off by default** behind one `AtomicU8` of plane
-//! bits — registry, summary tables, stream, allocation accounting —
-//! that [`enabled`], [`summary_enabled`], [`stream::enabled`] and
-//! [`prof::alloc_tracking_enabled`] are bit tests of. Every entry point
+//! bits — registry, stream, allocation accounting — that [`enabled`],
+//! [`stream::enabled`] and [`prof::alloc_tracking_enabled`] are bit
+//! tests of. Every entry point
 //! starts with one relaxed load of it and returns immediately when its
 //! plane is off — no allocation, no lock, no clock read;
 //! `paracrash selftest obs` (pc-bench) measures that early return and
@@ -45,9 +45,8 @@
 //! load finds an `UNINIT` bit and runs the one bootstrap, which reads
 //! the environment:
 //!
-//! * `PC_TRACE=1` (or any other truthy value) — collect telemetry;
-//! * `PC_TRACE=summary` — collect *and* print a per-check summary table
-//!   (stage timings, counters, cache hit rates, shared oracle work);
+//! * `PC_TRACE=1` (`summary`, or any other truthy value) — collect
+//!   telemetry (the `paracrash` binary prints the run's table at exit);
 //! * `PC_LOG` — the log threshold.
 //!
 //! Programmatic switches are one `fetch_or` / `fetch_and` each:
@@ -64,14 +63,13 @@
 //! use pc_rt::obs;
 //!
 //! obs::set_enabled(true);
-//! let mark = obs::mark();
 //! {
 //!     let _stage = obs::span("example.stage");
 //!     obs::count("example.items", 3);
 //! }
-//! let summary = obs::render_summary(&mark, "example");
-//! assert!(summary.contains("example.stage"));
-//! assert!(summary.contains("example.items"));
+//! let snap = obs::snapshot();
+//! assert!(snap.spans.iter().any(|s| s.name == "example.stage"));
+//! assert!(snap.counters.contains(&("example.items".to_string(), 3)));
 //! obs::set_enabled(false);
 //! ```
 
@@ -210,8 +208,6 @@ macro_rules! pc_debug {
 mod plane {
     /// Spans and counters land in the registry.
     pub const REGISTRY: u8 = 1 << 0;
-    /// `PC_TRACE=summary`: print a table per check.
-    pub const SUMMARY: u8 = 1 << 1;
     /// `stream::emit` writes to the sink.
     pub const STREAM: u8 = 1 << 2;
     /// The counting allocator attributes to the innermost open span.
@@ -236,13 +232,12 @@ fn planes() -> u8 {
     }
 }
 
-/// Plane bits a `PC_TRACE` value asks for. The registry brings
-/// allocation accounting with it, so `PC_TRACE=summary` shows bytes per
-/// stage.
+/// Plane bits a `PC_TRACE` value asks for: any truthy value (`summary`
+/// included) turns the registry on, and the registry brings allocation
+/// accounting with it, so the run's table shows bytes per stage.
 fn trace_planes(value: Option<&str>) -> u8 {
-    match value.map(|v| v.trim().to_ascii_lowercase()) {
-        Some(v) if v == "summary" => plane::REGISTRY | plane::ALLOC | plane::SUMMARY,
-        Some(v) if env::is_truthy(&v) => plane::REGISTRY | plane::ALLOC,
+    match value {
+        Some(v) if env::is_truthy(v) => plane::REGISTRY | plane::ALLOC,
         _ => 0,
     }
 }
@@ -290,12 +285,6 @@ pub fn enabled() -> bool {
 /// span-attributed alloc counters (still lock-free in the allocator).
 pub fn set_enabled(on: bool) {
     set_planes(plane::REGISTRY | plane::ALLOC, on);
-}
-
-/// `true` when `PC_TRACE=summary` asked for per-check summary tables.
-pub fn summary_enabled() -> bool {
-    let both = plane::REGISTRY | plane::SUMMARY;
-    planes() & both == both
 }
 
 // ---------------------------------------------------------------------------
@@ -602,229 +591,6 @@ pub fn reset() {
     prof::reset();
 }
 
-// ---------------------------------------------------------------------------
-// Summary windows
-// ---------------------------------------------------------------------------
-
-/// A watermark into the registry taken at the start of a unit of work
-/// (one `check_stack` call); [`render_summary`] reports the delta.
-#[derive(Debug, Clone, Default)]
-pub struct Mark {
-    span_idx: usize,
-    counters: BTreeMap<&'static str, u64>,
-}
-
-/// Take a watermark for a later [`render_summary`].
-pub fn mark() -> Mark {
-    if !enabled() {
-        return Mark::default();
-    }
-    let reg = lock(&REGISTRY);
-    Mark {
-        span_idx: reg.spans.len(),
-        counters: reg.counters.clone(),
-    }
-}
-
-/// Format nanoseconds human-readably (`412 ns`, `3.10 µs`, `2.40 ms`, …).
-pub fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.0} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3} s", ns / 1_000_000_000.0)
-    }
-}
-
-/// What [`span_totals`] knows about one span name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SpanTotal {
-    /// The span name.
-    name: &'static str,
-    /// How many spans carried it.
-    calls: u64,
-    /// Their summed duration.
-    total_ns: u64,
-    /// The longest of them.
-    max_ns: u64,
-}
-
-/// Fold `(name, duration)` pairs by name, largest total first
-/// (first-seen order among equals): the rows of the summary table.
-fn span_totals(spans: impl IntoIterator<Item = (&'static str, u64)>) -> Vec<SpanTotal> {
-    let mut agg: Vec<SpanTotal> = Vec::new();
-    for (name, dur_ns) in spans {
-        match agg.iter_mut().find(|t| t.name == name) {
-            Some(t) => {
-                t.calls += 1;
-                t.total_ns += dur_ns;
-                t.max_ns = t.max_ns.max(dur_ns);
-            }
-            None => agg.push(SpanTotal {
-                name,
-                calls: 1,
-                total_ns: dur_ns,
-                max_ns: dur_ns,
-            }),
-        }
-    }
-    agg.sort_by_key(|t| std::cmp::Reverse(t.total_ns));
-    agg
-}
-
-/// Render the human-readable summary table of everything recorded since
-/// `mark`: per-span-name call counts and timings, counter deltas,
-/// plus derived lines — a hit rate for every `X.hits` /
-/// `X.misses` counter pair, and oracle work executed against work a
-/// shared answer saved.
-pub fn render_summary(mark: &Mark, title: &str) -> String {
-    use std::fmt::Write as _;
-    let reg = lock(&REGISTRY);
-    let mut out = String::new();
-    let _ = writeln!(out, "── telemetry summary: {title} ──");
-
-    let agg = span_totals(
-        reg.spans
-            .iter()
-            .skip(mark.span_idx.min(reg.spans.len()))
-            .map(|s| (s.name, s.dur_ns)),
-    );
-    if !agg.is_empty() {
-        let _ = writeln!(
-            out,
-            "  {:<34} {:>8} {:>12} {:>12} {:>12}",
-            "span", "calls", "total", "mean", "max"
-        );
-        for t in &agg {
-            let _ = writeln!(
-                out,
-                "  {:<34} {:>8} {:>12} {:>12} {:>12}",
-                t.name,
-                t.calls,
-                fmt_ns(t.total_ns as f64),
-                fmt_ns(t.total_ns as f64 / t.calls as f64),
-                fmt_ns(t.max_ns as f64),
-            );
-        }
-    }
-    if reg.dropped_spans > 0 {
-        let _ = writeln!(
-            out,
-            "  span table incomplete: {} spans past the {SPAN_CAP}-span cap were not stored",
-            reg.dropped_spans,
-        );
-    }
-
-    // Counter deltas since the mark.
-    let delta: Vec<(&'static str, u64)> = reg
-        .counters
-        .iter()
-        .filter_map(|(k, v)| {
-            let d = v - mark.counters.get(k).copied().unwrap_or(0);
-            (d > 0).then_some((*k, d))
-        })
-        .collect();
-    if !delta.is_empty() {
-        let _ = writeln!(out, "  {:<34} {:>8}", "counter", "value");
-        for (name, v) in &delta {
-            let _ = writeln!(out, "  {:<34} {:>8}", name, v);
-        }
-    }
-    // Allocation attribution (whole run, not windowed: the table is a
-    // set of process-global atomics, cleared only by `reset`).
-    let (allocs, alloc_total) = prof::alloc_snapshot();
-    if alloc_total.count > 0 {
-        let _ = writeln!(
-            out,
-            "  {:<34} {:>10} {:>12} {:>12}",
-            "alloc by span (run total)", "count", "bytes", "peak"
-        );
-        for (name, a) in &allocs {
-            let _ = writeln!(
-                out,
-                "  {:<34} {:>10} {:>12} {:>12}",
-                name,
-                a.count,
-                prof::fmt_bytes(a.bytes as f64),
-                prof::fmt_bytes(a.peak_bytes as f64),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  {:<34} {:>10} {:>12} {:>12}",
-            "alloc total",
-            alloc_total.count,
-            prof::fmt_bytes(alloc_total.bytes as f64),
-            prof::fmt_bytes(alloc_total.peak_bytes as f64),
-        );
-    }
-
-    // Derived: hit rates for every `X.hits` / `X.misses` counter pair.
-    let get = |name: &str| delta.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
-    let prefixes: Vec<String> = delta
-        .iter()
-        .filter_map(|(k, _)| k.strip_suffix(".hits").map(str::to_string))
-        .collect();
-    for p in prefixes {
-        let hits = get(&format!("{p}.hits")).unwrap_or(0);
-        let misses = get(&format!("{p}.misses")).unwrap_or(0);
-        if hits + misses > 0 {
-            let _ = writeln!(
-                out,
-                "  {:<34} {:>7.1}%  ({hits} hits / {misses} misses)",
-                format!("{p} hit rate"),
-                100.0 * hits as f64 / (hits + misses) as f64,
-            );
-        }
-    }
-
-    // Derived: oracle work executed against work a shared answer saved —
-    // golden replays per distinct preserved set (and what the walks that
-    // produced them dispatched), classifier probes per distinct persisted
-    // set, recoveries per distinct pre-recovery image (crash states,
-    // classifier probes and explain probes together).
-    let walked = format!(
-        " ({} calls dispatched, {} forks)",
-        get("replay.dispatched").unwrap_or(0),
-        get("replay.forks").unwrap_or(0),
-    );
-    for (label, executed, shared, cost) in [
-        (
-            "golden replays",
-            "replay.executed",
-            &["replay.shared"][..],
-            walked.as_str(),
-        ),
-        (
-            "classifier probes",
-            "classify.probes",
-            &["classify.probes_shared"],
-            "",
-        ),
-        (
-            "recoveries",
-            "recover.executed",
-            &["recover.shared_set", "recover.shared_digest"],
-            "",
-        ),
-    ] {
-        let executed = get(executed).unwrap_or(0);
-        let shared: u64 = shared.iter().filter_map(|name| get(name)).sum();
-        if executed + shared > 0 {
-            let _ = writeln!(
-                out,
-                "  {:<34} {executed:>8}  executed ({shared} more answered by a shared result){cost}",
-                label,
-            );
-        }
-    }
-
-    out
-}
-
 /// Serialize telemetry/profiling tests across modules: the registry,
 /// the profiling planes, and the allocator table are all process-global.
 #[cfg(test)]
@@ -872,12 +638,7 @@ mod tests {
     fn every_entry_point_runs_the_same_bootstrap() {
         let _guard = lock(&TEST_LOCK);
         let from_env = trace_planes(env::get(env::TRACE).as_deref());
-        let touches: [fn() -> bool; 4] = [
-            enabled,
-            summary_enabled,
-            stream::enabled,
-            prof::alloc_tracking_enabled,
-        ];
+        let touches: [fn() -> bool; 3] = [enabled, stream::enabled, prof::alloc_tracking_enabled];
         for touch in touches {
             assert_eq!(first_touch(0, touch), from_env);
             // A bit set before the first touch survives the bootstrap.
@@ -892,11 +653,13 @@ mod tests {
         for off in ["", "0", "off", "False"] {
             assert_eq!(trace_planes(Some(off)), 0, "{off:?}");
         }
-        assert_eq!(trace_planes(Some("1")), plane::REGISTRY | plane::ALLOC);
-        assert_eq!(
-            trace_planes(Some(" Summary ")),
-            plane::REGISTRY | plane::ALLOC | plane::SUMMARY
-        );
+        for on in ["1", " Summary "] {
+            assert_eq!(
+                trace_planes(Some(on)),
+                plane::REGISTRY | plane::ALLOC,
+                "{on:?}"
+            );
+        }
     }
 
     #[test]
@@ -959,26 +722,6 @@ mod tests {
                 .any(|(n, _)| n == "obs.test.after_poison"));
             REGISTRY.clear_poison();
         });
-    }
-
-    #[test]
-    fn span_totals_fold_by_name_largest_first() {
-        let totals = span_totals([("a", 5), ("b", 30), ("a", 7), ("c", 12), ("d", 12)]);
-        let row = |name, calls, total_ns, max_ns| SpanTotal {
-            name,
-            calls,
-            total_ns,
-            max_ns,
-        };
-        assert_eq!(
-            totals,
-            vec![
-                row("b", 1, 30, 30),
-                row("a", 2, 12, 7),
-                row("c", 1, 12, 12),
-                row("d", 1, 12, 12)
-            ]
-        );
     }
 
     #[test]
@@ -1095,14 +838,12 @@ mod tests {
     #[test]
     fn the_span_cap_is_reported_and_does_not_truncate_self_times() {
         with_telemetry(|| {
-            assert!(!render_summary(&mark(), "unit").contains("incomplete"));
             for _ in 0..SPAN_CAP {
                 let _s = span("obs.test.cap");
             }
             let full = snapshot();
             assert_eq!(full.spans.len(), SPAN_CAP);
             // Past the cap spans are counted, not stored …
-            let m = mark();
             {
                 let _late = span("obs.test.cap.late");
                 let _s = span("obs.test.cap");
@@ -1110,9 +851,6 @@ mod tests {
             let snap = snapshot();
             assert_eq!(snap.spans.len(), SPAN_CAP);
             assert!(snap.dropped_spans >= full.dropped_spans + 2);
-            // … which the summary says instead of printing an empty table …
-            let text = render_summary(&m, "unit");
-            assert!(text.contains("span table incomplete: "), "{text}");
             // … and the self-time table keeps folding, new stacks included.
             let ((stored, before), (_, after)) =
                 (named(&full, "obs.test.cap"), named(&snap, "obs.test.cap"));
@@ -1144,51 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_windows_on_marks_and_derives_hit_rates() {
-        with_telemetry(|| {
-            count("obs.test.cache.hits", 9);
-            let m = mark();
-            {
-                let _s = span("obs.test.stage");
-            }
-            count("obs.test.cache.hits", 3);
-            count("obs.test.cache.misses", 1);
-            let text = render_summary(&m, "unit");
-            assert!(text.contains("obs.test.stage"));
-            // Only the delta since the mark: 3 hits, not 12.
-            assert!(text.contains("obs.test.cache hit rate"), "{text}");
-            assert!(text.contains("75.0%"), "{text}");
-            assert!(text.contains("(3 hits / 1 misses)"), "{text}");
-        });
-    }
-
-    #[test]
-    fn summary_derives_recoveries_executed_and_shared() {
-        with_telemetry(|| {
-            count("recover.executed", 100);
-            let m = mark();
-            count("recover.executed", 5);
-            count("recover.shared_set", 2);
-            count("recover.shared_digest", 4);
-            count("replay.executed", 3);
-            count("replay.dispatched", 17);
-            let text = render_summary(&m, "unit");
-            let line = text.lines().find(|l| l.contains("recoveries")).unwrap();
-            assert!(line.trim_start().starts_with("recoveries  "), "{line}");
-            assert!(line.contains(" 5  executed"), "{line}");
-            assert!(line.ends_with("(6 more answered by a shared result)"));
-            let line = text.lines().find(|l| l.contains("golden replays")).unwrap();
-            assert!(
-                line.ends_with("result) (17 calls dispatched, 0 forks)"),
-                "{line}"
-            );
-            // Nothing recovered in the window: no line.
-            let text = render_summary(&mark(), "unit");
-            assert!(!text.contains("recoveries"), "{text}");
-        });
-    }
-
-    #[test]
     fn snapshot_spans_sorted_by_start() {
         with_telemetry(|| {
             for _ in 0..50 {
@@ -1215,13 +908,5 @@ mod tests {
         set_log_level(None);
         assert!(!log_enabled(Level::Error));
         set_log_level(Some(Level::Error));
-    }
-
-    #[test]
-    fn fmt_ns_units() {
-        assert_eq!(fmt_ns(412.0), "412 ns");
-        assert_eq!(fmt_ns(3_100.0), "3.10 µs");
-        assert_eq!(fmt_ns(2_400_000.0), "2.40 ms");
-        assert_eq!(fmt_ns(2_000_000_000.0), "2.000 s");
     }
 }

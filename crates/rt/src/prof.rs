@@ -5,8 +5,8 @@
 //! workspace is hermetic — no registry deps): [`CountingAlloc`] wraps the
 //! system allocator (installed as the workspace `#[global_allocator]`
 //! here) and attributes allocation count / bytes / peak to the innermost
-//! open span, surfaced in `PC_TRACE=summary`, telemetry JSON, and the
-//! dashboard. This is what turns "arena-allocate `tracer::Record`" from a
+//! open span, surfaced in the table a `PC_TRACE` run prints and in the
+//! telemetry JSON. This is what turns "arena-allocate `tracer::Record`" from a
 //! hunch into a measured number. The plane's other half, exact self time
 //! per span stack, is the registry's own fold
 //! ([`super::TelemetrySnapshot::self_times`]), which the telemetry file
@@ -42,7 +42,7 @@ pub fn alloc_tracking_enabled() -> bool {
 
 /// Turn span-attributed allocation accounting on or off. Rides
 /// [`super::set_enabled`]: enabling telemetry enables accounting, so
-/// `PC_TRACE=summary` and `--telemetry-out` get alloc columns for free.
+/// a `PC_TRACE` run and `--telemetry-out` get alloc columns for free.
 pub fn set_alloc_tracking(on: bool) {
     super::set_planes(plane::ALLOC, on);
 }
@@ -272,19 +272,6 @@ pub fn alloc_snapshot() -> (Vec<(String, AllocStat)>, AllocStat) {
     (rows, total)
 }
 
-/// Human-readable byte count (`1.50 MB`, `320 B`).
-pub(crate) fn fmt_bytes(b: f64) -> String {
-    if b >= 1e9 {
-        format!("{:.2} GB", b / 1e9)
-    } else if b >= 1e6 {
-        format!("{:.2} MB", b / 1e6)
-    } else if b >= 1e3 {
-        format!("{:.1} kB", b / 1e3)
-    } else {
-        format!("{b:.0} B")
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Reset
 // ---------------------------------------------------------------------------
@@ -361,13 +348,5 @@ mod tests {
         let (rows, total) = alloc_snapshot();
         assert!(rows.is_empty(), "rows = {rows:?}");
         assert_eq!(total, AllocStat::default());
-    }
-
-    #[test]
-    fn fmt_bytes_scales() {
-        assert_eq!(fmt_bytes(320.0), "320 B");
-        assert_eq!(fmt_bytes(1_500.0), "1.5 kB");
-        assert_eq!(fmt_bytes(2_500_000.0), "2.50 MB");
-        assert_eq!(fmt_bytes(3_000_000_000.0), "3.00 GB");
     }
 }

@@ -26,7 +26,10 @@
 #      builds `benchmark/` (no other gate does) and reproduces its pins.
 #   5. Observability — a PR-tier fuzz run with both sinks attached
 #      prints the pinned report in each of two runs, and
-#      `paracrash report` reads back and renders each set; the stream has
+#      `paracrash report` reads back and renders each set; the second
+#      run, under PC_TRACE=summary, prints one table for the whole sweep
+#      (one header, a `check_stack` row of 426 calls), not one per check;
+#      the stream has
 #      no span/counter line and the two project alike (`--canonical-diff`);
 #      the trace's `stacks` name the stages down to `rpc.message`, `h5.parse`;
 #      the dashboard has exactly its three panels (coverage curve,
@@ -157,16 +160,22 @@ benchmark/run.sh --smoke > /dev/null
 
 echo "== gate 5: observability — telemetry + event stream from one sweep =="
 # The planes observe the fold, never perturb it: stdout is still the
-# pinned report. Every path is nested, exercising each flag's parent
-# creation; `report` exits 1 on any file its reader rejects.
+# pinned report, also with PC_TRACE=summary on the second run. Every
+# path is nested, exercising each flag's parent creation; `report`
+# exits 1 on any file its reader rejects.
 obs="$tmp/obs"
 for set in a b; do
     d="$obs/$set"
-    target/release/paracrash fuzz --events-out "$d/events.jsonl" \
-        --telemetry-out "$d/telemetry.json" > "$obs-$set.txt" 2> /dev/null
+    trace=$([ "$set" = b ] && echo summary || true)
+    PC_TRACE=$trace target/release/paracrash fuzz --events-out "$d/events.jsonl" \
+        --telemetry-out "$d/telemetry.json" > "$obs-$set.txt" 2> "$obs-$set.err"
     diff "$obs-$set.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
     target/release/paracrash report --events "$d/events.jsonl" --telemetry "$d/telemetry.json" --out "$d/report.html"
 done
+# One summary of the whole sweep, printed at exit: one header, and a
+# `check_stack` row counting all 426 checks.
+[ "$(grep -c '── telemetry summary' "$obs-b.err")" -eq 1 ] || { echo "FAIL: PC_TRACE=summary fuzz printed $(grep -c '── telemetry summary' "$obs-b.err") summary tables, want 1"; exit 1; }
+grep -qE '^  check_stack +426 ' "$obs-b.err" || { echo "FAIL: the summary's check_stack row does not count the sweep's 426 checks"; exit 1; }
 # ~1.2 events per cell, not the registry's spans and counters again.
 [ "$(wc -l < "$obs/a/events.jsonl")" -lt 1000 ] || { echo "FAIL: event stream over 1000 lines"; exit 1; }
 [ "$(grep -c '"kind":"span_\|"kind":"counter"' "$obs/a/events.jsonl")" -eq 0 ] || { echo "FAIL: span/counter events in the stream"; exit 1; }

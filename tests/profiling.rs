@@ -81,8 +81,8 @@ fn folded_render_is_deterministic() {
         "{\n  \"suite.root\": 1,\n  \"suite.root.b\": 2,\n  \"suite.root;suite.leaf\": 5\n}"
     );
     assert_eq!(stacks(), first, "re-render changed bytes");
-    let trace = read_trace(&chrome_trace(&snap).pretty()).unwrap();
-    assert_eq!(trace.stacks.len(), 3);
+    let stacks = read_trace(&chrome_trace(&snap).pretty()).unwrap();
+    assert_eq!(stacks.len(), 3);
 }
 
 /// Σ self time = Σ root durations on a real traced sweep, and the
@@ -109,7 +109,7 @@ fn folded_profile_partitions_a_real_check() {
     // under `check_stack` instead of rooting a stack.
     assert!(snap.spans.iter().all(|s| s.name != "pool.scope"));
     assert!(!roots.iter().any(|r| r.name.starts_with("recover/")));
-    let rows = read_trace(&chrome_trace(&snap).pretty()).unwrap().stacks;
+    let rows = read_trace(&chrome_trace(&snap).pretty()).unwrap();
     for s in &snap.spans {
         let named = |(stack, _): &(Vec<String>, u64)| stack.iter().any(|f| f == s.name);
         assert!(rows.iter().any(named), "{} not in the stacks", s.name);

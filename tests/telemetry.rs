@@ -3,8 +3,9 @@
 //! serialization round-trip, a check that stays on one thread, and
 //! cache-stats surfacing in `ExploreStats`.
 
-use paracrash::telemetry::{chrome_trace, read_trace};
+use paracrash::telemetry::{chrome_trace, read_trace, render_summary};
 use paracrash::{check_stack, CheckConfig};
+use pc_rt::json::Json;
 use std::sync::Mutex;
 use workloads::{FsKind, Params, Program};
 
@@ -77,14 +78,27 @@ fn chrome_trace_round_trips_with_monotonic_ts() {
     });
     // The reader holds the file to the format: complete (`ph: "X"`)
     // events with a nondecreasing `ts`, the `otherData` members.
-    let trace = read_trace(&chrome_trace(&snap).pretty()).expect("the trace reads back");
-    assert!(trace.counters.contains(&("events".to_string(), 3)));
-    assert_eq!(trace.ops, snap.ops);
-    // What `paracrash report` reads back is what the registry held.
-    let held: Vec<(String, u64)> = (snap.spans.iter())
-        .map(|s| (s.name.to_string(), s.dur_ns))
+    let text = chrome_trace(&snap).pretty();
+    read_trace(&text).expect("the trace reads back");
+    // The file holds what the registry held: every span's exact
+    // nanoseconds, the counters and the operation count.
+    let file = Json::parse(&text).unwrap();
+    let events = file.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let written: Vec<(&str, u64)> = (events.iter())
+        .map(|e| {
+            let dur_ns = e.get("args").and_then(|a| a.get("dur_ns")?.as_int());
+            (
+                e.get("name").and_then(Json::as_str).unwrap(),
+                dur_ns.unwrap(),
+            )
+        })
         .collect();
-    assert_eq!(trace.spans, held);
+    let held: Vec<(&str, u64)> = snap.spans.iter().map(|s| (s.name, s.dur_ns)).collect();
+    assert_eq!(written, held);
+    let other = file.get("otherData").unwrap();
+    let events = other.get("counters").and_then(|c| c.get("events"));
+    assert_eq!(events.and_then(Json::as_int), Some(3));
+    assert_eq!(other.get("ops").and_then(Json::as_int), Some(snap.ops));
 }
 
 #[test]
@@ -94,11 +108,8 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
     let stack = Program::Arvr.run(FsKind::BeeGfs, &params);
     let factory = FsKind::BeeGfs.factory(&params);
     let cfg = CheckConfig::paper_default();
-    let ((outcome, summary), snap) = with_telemetry(|| {
-        let mark = pc_rt::obs::mark();
-        let outcome = check_stack(&stack, &factory, &cfg);
-        (outcome, pc_rt::obs::render_summary(&mark, "test"))
-    });
+    let (outcome, snap) = with_telemetry(|| check_stack(&stack, &factory, &cfg));
+    let summary = render_summary(&snap);
 
     // Satellite #2: the cache asymmetry fix — hits AND misses surface.
     // Every crash state looks up one list per layer the program uses.
@@ -197,11 +208,10 @@ fn golden_walk_counters_are_edge_counts() {
     let stack = Program::H5Resize.run(FsKind::Ext4, &params);
     let factory = FsKind::Ext4.factory(&params);
     let cfg = CheckConfig::paper_default();
-    let (summary, snap) = with_telemetry(|| {
-        let mark = pc_rt::obs::mark();
+    let ((), snap) = with_telemetry(|| {
         check_stack(&stack, &factory, &cfg);
-        pc_rt::obs::render_summary(&mark, "test")
     });
+    let summary = render_summary(&snap);
     assert_eq!(counter(&snap, "replay.executed"), 81 + 2);
     // The PFS walk forks the instance the stack sealed: only the library
     // preamble is dispatched again.
