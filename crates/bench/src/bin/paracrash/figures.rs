@@ -6,7 +6,7 @@
 use paracrash::model::Model;
 use paracrash::stack::replay_pfs;
 use paracrash::{CheckConfig, CheckOutcome, ExploreMode, LayerVerdict};
-use pc_bench::{render_bug, run_program, run_program_swept};
+use pc_bench::{generate, render_bug, run_program, run_program_swept};
 use std::collections::BTreeSet;
 use tracer::CausalityGraph;
 use workloads::ground_truth::BugLayer;
@@ -154,7 +154,7 @@ fn fig9(params: Params) {
     // (a) Legal PFS states under causal consistency.
     println!("(a) legal PFS states of ARVR under causal crash consistency\n");
     let fs = FsKind::BeeGfs;
-    let stack = Program::Arvr.run(fs, &params);
+    let stack = generate(|| Program::Arvr.run(fs, &params));
     let factory = fs.factory(&params);
     let graph = CausalityGraph::build(&stack.rec);
     let ops = stack.calls.event_ids();
@@ -184,7 +184,7 @@ fn fig9(params: Params) {
             fs.name().to_lowercase(),
             fs.name()
         );
-        let stack = Program::Arvr.run(fs, &params);
+        let stack = generate(|| Program::Arvr.run(fs, &params));
         print!("{}", stack.rec.render());
     }
 }

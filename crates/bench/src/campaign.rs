@@ -603,7 +603,7 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<CampaignReport, String> {
         let started = Instant::now();
         let checked = catch_unwind(AssertUnwindSafe(|| {
             pc_rt::inject::point(&cell_label, |_| {});
-            let stack = w.run(fs, &params);
+            let stack = crate::generate(|| w.run(fs, &params));
             check_stack(&stack, &fs.factory(&params), &opts.cfg)
         }))
         .map_err(|p| format!("panicked: {}", pc_rt::pool::panic_message(p.as_ref())));

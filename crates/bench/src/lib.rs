@@ -34,6 +34,13 @@ pub struct MatrixCell {
     pub outcome: CheckOutcome,
 }
 
+/// Run `trace` — a program traced on the simulated stack — under the
+/// `trace.generate` span, which its time and allocations are charged to.
+pub fn generate<T>(trace: impl FnOnce() -> T) -> T {
+    let _span = pc_rt::obs::span_cat("trace.generate", "trace");
+    trace()
+}
+
 /// Run one `(program, fs)` cell under one placement.
 pub fn run_cell(
     program: Program,
@@ -47,9 +54,7 @@ pub fn run_cell(
     // so Chrome-trace export renders the cell as one cross-layer flow.
     pc_rt::obs::set_trace_id(pc_rt::obs::next_trace_id());
     let started = std::time::Instant::now();
-    let trace_span = pc_rt::obs::span_cat("trace.generate", "trace");
-    let stack = program.run(fs, params);
-    drop(trace_span);
+    let stack = generate(|| program.run(fs, params));
     let factory = fs.factory(params);
     let outcome = check_stack(&stack, &factory, cfg);
     if pc_rt::obs::stream::enabled() {

@@ -14,7 +14,7 @@
 //! 3. Classify (Table 1), aggregate duplicates (§5.2), optionally learn
 //!    the pattern for pruning (§5.3).
 
-use crate::classify::{classify, BugSignature};
+use crate::classify::{classify, extended_universe, BugSignature};
 use crate::config::CheckConfig;
 use crate::emulate::{crash_states, CrashState};
 use crate::explain::BugExplanation;
@@ -25,7 +25,7 @@ use crate::golden::{self, caught, LegalStates};
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
-use crate::snapshot::{prepare_states, SnapshotPlan};
+use crate::snapshot::{prepare_states, ProbeImages, SnapshotPlan};
 use crate::stack::{Stack, StackFactory};
 use h5sim::{check as h5check, check_lenient, Cleared, H5Logical};
 use pfs::{recover_and_mount, Content, PfsView, ServerStates};
@@ -371,16 +371,24 @@ impl RecoveryMemo {
         self.fill(pfs, image, None)
     }
 
-    /// The recovered view of the baseline with `persisted` applied.
-    fn of_set(&self, stack: &Stack, persisted: &BitSet) -> Rc<Recovered> {
-        if let Some(maps) = &self.0 {
-            if let Some(recovered) = maps.borrow().by_set.get(persisted) {
-                pc_rt::obs::count("recover.shared_set", 1);
-                return recovered.clone();
+    /// The recovered view of the baseline with the probe `persisted`
+    /// applied: built by `images` on a miss, and by a baseline fork with
+    /// the whole set applied in the reference.
+    fn of_set(&self, stack: &Stack, persisted: &BitSet, images: &mut ProbeImages) -> Rc<Recovered> {
+        let image = match &self.0 {
+            None => {
+                let mut image = stack.pfs.baseline().fork();
+                image.apply_events(&stack.rec, persisted.iter());
+                image
             }
-        }
-        let mut image = stack.pfs.baseline().fork();
-        image.apply_events(&stack.rec, persisted.iter());
+            Some(maps) => {
+                if let Some(recovered) = maps.borrow().by_set.get(persisted) {
+                    pc_rt::obs::count("recover.shared_set", 1);
+                    return recovered.clone();
+                }
+                images.image(persisted)
+            }
+        };
         self.fill(stack.pfs.as_ref(), &image, Some(persisted))
     }
 
@@ -753,12 +761,15 @@ fn aggregate_or_classify(
         bug.occurrences += 1;
         return;
     }
-    let mut oracle = |persisted: &BitSet| -> bool {
-        violated_model(a, &a.memo.of_set(stack, persisted), legal).is_none()
-    };
     let signature = {
         let _s = pc_rt::obs::span_cat("check.classify", "check");
-        classify(rec, sigs, pa, state, &mut oracle)
+        let universe = extended_universe(rec, pa, state);
+        let mut images = ProbeImages::new(rec, stack.pfs.baseline(), &universe);
+        let mut oracle = |persisted: &BitSet| -> bool {
+            let recovered = a.memo.of_set(stack, persisted, &mut images);
+            violated_model(a, &recovered, legal).is_none()
+        };
+        classify(rec, sigs, pa, state, &universe, &mut oracle)
     };
     pruner.learn(&signature);
     bugs.entry((signature.clone(), layer))

@@ -86,11 +86,7 @@ fn call_of(rec: &Recorder, e: EventId) -> Option<EventId> {
 /// not-yet-issued operation. Shared by [`classify`] and the provenance
 /// engine (`crate::explain`), which must shrink witnesses over exactly
 /// the universe the classifier probed.
-pub(crate) fn extended_universe(
-    rec: &Recorder,
-    pa: &PersistAnalysis,
-    state: &CrashState,
-) -> BitSet {
+pub fn extended_universe(rec: &Recorder, pa: &PersistAnalysis, state: &CrashState) -> BitSet {
     let mut universe = BitSet::new(state.cut.capacity());
     let in_cut_calls: BTreeSet<EventId> = pa
         .updates()
@@ -107,7 +103,8 @@ pub(crate) fn extended_universe(
     universe
 }
 
-/// Classify one inconsistent crash state.
+/// Classify one inconsistent crash state, probing subsets of its
+/// `universe` ([`extended_universe`]).
 ///
 /// `oracle` evaluates a hypothetical persisted set through the full
 /// recover-and-compare pipeline; it is the expensive part, so
@@ -119,9 +116,9 @@ pub fn classify(
     sigs: &OpSigs,
     pa: &PersistAnalysis,
     state: &CrashState,
+    universe: &BitSet,
     oracle: &mut dyn FnMut(&BitSet) -> bool,
 ) -> BugSignature {
-    let universe = extended_universe(rec, pa, state);
     let mut probed: HashMap<BitSet, bool> = HashMap::new();
     let mut consistent = |p: &BitSet| -> bool {
         if let Some(&ok) = probed.get(p) {
@@ -142,7 +139,7 @@ pub fn classify(
         for &v in victims {
             let closure = closures
                 .entry(v)
-                .or_insert_with(|| pa.depends_on(v, &universe));
+                .or_insert_with(|| pa.depends_on(v, universe));
             p.subtract(closure);
         }
         p
@@ -173,7 +170,7 @@ pub fn classify(
     };
     // The complete execution of every involved call must be consistent
     // for the pairwise analysis to be meaningful.
-    if consistent(&universe) {
+    if consistent(universe) {
         // Scan A from the causally-latest unpersisted op backwards (the
         // op closest to the damage) and B from the latest persisted op
         // backwards: the tightest pair gives the canonical signature.
@@ -378,7 +375,8 @@ mod tests {
         let mut oracle = |p: &BitSet| !(p.contains(b) && !p.contains(a));
         let state = state_for(&rec, &pa, &[b]);
         let sigs = OpSigs::build(&rec, &topo, pa.updates());
-        let sig = classify(&rec, &sigs, &pa, &state, &mut oracle);
+        let universe = extended_universe(&rec, &pa, &state);
+        let sig = classify(&rec, &sigs, &pa, &state, &universe, &mut oracle);
         assert_eq!(sig.kind, BugKind::Reordering);
         assert_eq!(sig.members[0], "append(file chunk)@storage");
         assert_eq!(sig.members[1], "rename(d_entry)@metadata");
@@ -398,7 +396,8 @@ mod tests {
         let mut oracle = |p: &BitSet| p.contains(a) == p.contains(b);
         let state = state_for(&rec, &pa, &[b]);
         let sigs = OpSigs::build(&rec, &topo, pa.updates());
-        let sig = classify(&rec, &sigs, &pa, &state, &mut oracle);
+        let universe = extended_universe(&rec, &pa, &state);
+        let sig = classify(&rec, &sigs, &pa, &state, &universe, &mut oracle);
         assert_eq!(sig.kind, BugKind::Atomicity);
         assert_eq!(sig.members.len(), 2);
         assert!(sig.to_string().starts_with('['));
@@ -460,7 +459,8 @@ mod tests {
         #[allow(clippy::nonminimal_bool)] // "not (first without second)" reads as intended
         let mut oracle = |p: &BitSet| !(p.contains(first) && !p.contains(second));
         let sigs = OpSigs::build(&rec, &topo, pa.updates());
-        let sig = classify(&rec, &sigs, &pa, &state, &mut oracle);
+        let universe = extended_universe(&rec, &pa, &state);
+        let sig = classify(&rec, &sigs, &pa, &state, &universe, &mut oracle);
         assert_eq!(sig.kind, BugKind::Reordering);
         assert_eq!(sig.members[0], "write(symbol table node)");
         assert_eq!(sig.members[1], "write(local heap)");
@@ -624,11 +624,17 @@ mod tests {
                 "atomicity",
                 Box::new(move |p| p.contains(a0) == p.contains(b0)),
             ),
-            ("no pair", Box::new(move |p| *p == universe)),
+            (
+                "no pair",
+                Box::new({
+                    let universe = universe.clone();
+                    move |p| *p == universe
+                }),
+            ),
         ];
         for (name, pure) in &oracles {
             let mut probes: Vec<BitSet> = Vec::new();
-            let sig = classify(&rec, &sigs, &pa, &state, &mut |p| {
+            let sig = classify(&rec, &sigs, &pa, &state, &universe, &mut |p| {
                 probes.push(p.clone());
                 pure(p)
             });

@@ -32,8 +32,8 @@
 //! `tests/differential.rs` holds `check_stack` to.
 
 use crate::emulate::CrashState;
-use pfs::ServerStates;
-use tracer::{EventId, Payload, Recorder};
+use pfs::{ServerStates, Store};
+use tracer::{BitSet, EventId, Payload, Recorder};
 
 /// Accounting of one prefix-sharing materialization pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,14 +85,6 @@ fn storage_seq(rec: &Recorder, state: &CrashState) -> Vec<EventId> {
         .collect();
     ids.sort_unstable();
     ids
-}
-
-fn apply_one(states: &mut ServerStates, rec: &Recorder, id: EventId) {
-    match &rec.event(id).payload {
-        Payload::Fs { server, op } => states.server_mut(*server).apply_fs(op),
-        Payload::Block { server, op } => states.server_mut(*server).apply_block(op),
-        _ => {}
-    }
 }
 
 /// Depth-first descent of the prefix tree of `seqs` — sorted, so the
@@ -170,7 +162,7 @@ pub fn prepare_states(
         baseline.fork(),
         ServerStates::fork,
         |image, id| {
-            apply_one(image, rec, id);
+            pfs::apply_event(rec, id, |server| image.server_mut(server));
             stats.ops_replayed += 1;
             true
         },
@@ -195,6 +187,118 @@ pub fn prepare_states(
             .collect(),
         rep,
         stats,
+    }
+}
+
+/// The images of the classifier's probes — subsets of one extended
+/// universe (`classify::extended_universe`) — built server by server.
+///
+/// A probe drops one or two updates anywhere in the universe, so a
+/// single prefix tree over the probe sets still replays the suffix
+/// after each first drop. A store, though, sees only its own server's
+/// events, in ascending order, whatever the other servers hold. So each
+/// server keeps its universe events and checkpoints along them: a probe
+/// forks the nearest checkpoint at or before its first missing event on
+/// that server, applies the gap (keeping a checkpoint at its end) and
+/// then its own remaining events there. A server the probe leaves
+/// whole reuses one store, digest memo included, and a server it has no
+/// event on stays the baseline's. Each store thus receives exactly the
+/// probe's events on its server, in order: content, root sharing and
+/// digest equal those of a baseline fork with the whole set applied,
+/// which `check_reference` still builds.
+pub struct ProbeImages<'a> {
+    rec: &'a Recorder,
+    baseline: &'a ServerStates,
+    universe: &'a BitSet,
+    /// One per server with a universe event, in server order.
+    servers: Vec<ServerLine>,
+}
+
+/// One server's universe events and checkpoints along them.
+struct ServerLine {
+    server: u32,
+    /// The universe's storage events on this server, ascending.
+    events: Vec<EventId>,
+    /// `(k, store)`: the baseline's store with `events[..k]` applied,
+    /// sorted by `k`; `(0, baseline store)` first.
+    checkpoints: Vec<(usize, Store)>,
+}
+
+impl<'a> ProbeImages<'a> {
+    /// Split `universe`'s storage events by server, each server's line
+    /// seeded with its `baseline` store.
+    pub fn new(rec: &'a Recorder, baseline: &'a ServerStates, universe: &'a BitSet) -> Self {
+        let mut events: Vec<(u32, EventId)> = (universe.iter())
+            .filter_map(|id| match rec.event(id).payload {
+                Payload::Fs { server, .. } | Payload::Block { server, .. } => Some((server, id)),
+                _ => None,
+            })
+            .collect();
+        events.sort_unstable();
+        let mut servers: Vec<ServerLine> = Vec::new();
+        for (server, id) in events {
+            match servers.last_mut() {
+                Some(line) if line.server == server => line.events.push(id),
+                _ => servers.push(ServerLine {
+                    server,
+                    events: vec![id],
+                    checkpoints: vec![(0, baseline.server(server).fork())],
+                }),
+            }
+        }
+        ProbeImages {
+            rec,
+            baseline,
+            universe,
+            servers,
+        }
+    }
+
+    /// The pre-recovery image of `probe`, a subset of the universe.
+    pub fn image(&mut self, probe: &BitSet) -> ServerStates {
+        let (image, applied) = self.build(probe);
+        pc_rt::obs::count("pfs.events_applied", applied as u64);
+        image
+    }
+
+    /// [`Self::image`] and the storage events applied to build it.
+    fn build(&mut self, probe: &BitSet) -> (ServerStates, usize) {
+        debug_assert!(
+            probe.is_subset(self.universe),
+            "a probe outside its universe"
+        );
+        let rec = self.rec;
+        let mut image = self.baseline.fork();
+        let mut applied = 0;
+        for line in &mut self.servers {
+            let events = &line.events;
+            let k = (events.iter())
+                .position(|&id| !probe.contains(id))
+                .unwrap_or(events.len());
+            let mut rest = events[k..]
+                .iter()
+                .filter(|&&id| probe.contains(id))
+                .peekable();
+            if k == 0 && rest.peek().is_none() {
+                continue;
+            }
+            let at = line.checkpoints.partition_point(|&(pos, _)| pos <= k) - 1;
+            let (from, checkpoint) = &line.checkpoints[at];
+            let mut store = checkpoint.fork();
+            if *from < k {
+                for &id in &events[*from..k] {
+                    pfs::apply_event(rec, id, |_| &mut store);
+                }
+                applied += k - from;
+                line.checkpoints.insert(at + 1, (k, store.fork()));
+            }
+            for &id in rest {
+                pfs::apply_event(rec, id, |_| &mut store);
+                applied += 1;
+            }
+            *image.server_mut(line.server) = store;
+        }
+        (image, applied)
     }
 }
 
@@ -257,6 +361,38 @@ mod tests {
         }
         // State 4 duplicates state 0's sequence; everyone else is unique.
         assert_eq!(plan.rep, vec![0, 1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn a_probe_with_a_known_first_gap_applies_no_prefix() {
+        let (mut rec, e) = fixture(4);
+        let other = rec.record(
+            Layer::LocalFs,
+            Process::Server(1),
+            Payload::Fs {
+                server: 1,
+                op: creat("/g"),
+            },
+            None,
+        );
+        let baseline = ServerStates::all_fs(2, JournalMode::Data);
+        let set = |ids: &[EventId]| BitSet::from_iter(rec.len(), ids.iter().copied());
+        let universe = set(&[e[0], e[1], e[2], e[3], other]);
+        let mut images = ProbeImages::new(&rec, &baseline, &universe);
+        // Both probes first miss e[2] on server 0: the first applies
+        // e[0], e[1] up to the gap and e[3] past it, the second only
+        // what it holds past the gap. Server 1 is whole in the first
+        // and empty in the second.
+        let probes = [set(&[e[0], e[1], e[3], other]), set(&[e[0], e[1]])];
+        let applied = probes.each_ref().map(|probe| {
+            let (image, applied) = images.build(probe);
+            let mut whole = baseline.fork();
+            whole.apply_events(&rec, probe.iter());
+            assert_eq!(image, whole);
+            assert_eq!(image.dirty_mask(&baseline), whole.dirty_mask(&baseline));
+            applied
+        });
+        assert_eq!(applied, [4, 0]);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub use base::ModelBase;
 pub use call::{CallTrace, ClientTrace, PfsCall};
 pub use error::{PfsError, PfsResult};
 pub use placement::Placement;
-pub use store::{ServerStates, Store};
+pub use store::{apply_event, ServerStates, Store};
 pub use view::{Content, PfsView};
 
 use simnet::ClusterTopology;

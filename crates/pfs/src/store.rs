@@ -155,6 +155,17 @@ impl Store {
     }
 }
 
+/// Apply storage event `id` — a `Payload::Fs` or `Payload::Block` — to
+/// the store `store_of` returns for the server it addresses; any other
+/// event is a no-op.
+pub fn apply_event<'a>(rec: &Recorder, id: EventId, store_of: impl FnOnce(u32) -> &'a mut Store) {
+    match &rec.event(id).payload {
+        Payload::Fs { server, op } => store_of(*server).apply_fs(op),
+        Payload::Block { server, op } => store_of(*server).apply_block(op),
+        _ => {}
+    }
+}
+
 /// The persistent state of the whole cluster: one store per server,
 /// indexed by server id. It is an overlay: a sealed base that every
 /// fork shares, plus the stores written since, sorted by server id. A
@@ -276,11 +287,7 @@ impl ServerStates {
         ids.sort_unstable();
         pc_rt::obs::count("pfs.events_applied", ids.len() as u64);
         for id in ids {
-            match &rec.event(id).payload {
-                Payload::Fs { server, op } => self.server_mut(*server).apply_fs(op),
-                Payload::Block { server, op } => self.server_mut(*server).apply_block(op),
-                _ => {}
-            }
+            apply_event(rec, id, |server| self.server_mut(server));
         }
     }
 

@@ -28,7 +28,8 @@
 #      prints the pinned report in each of two runs, and
 #      `paracrash report` reads back and renders each set; the second
 #      run, under PC_TRACE=summary, prints one table for the whole sweep
-#      (one header, a `check_stack` row of 426 calls), not one per check;
+#      (one header, a `check_stack` row of 426 calls), not one per check,
+#      and charges under 1 % of its allocated bytes to `(untracked)`;
 #      the stream has
 #      no span/counter line and the two project alike (`--canonical-diff`);
 #      the trace's `stacks` name the stages down to `rpc.message`, `h5.parse`;
@@ -176,6 +177,13 @@ done
 # `check_stack` row counting all 426 checks.
 [ "$(grep -c '── telemetry summary' "$obs-b.err")" -eq 1 ] || { echo "FAIL: PC_TRACE=summary fuzz printed $(grep -c '── telemetry summary' "$obs-b.err") summary tables, want 1"; exit 1; }
 grep -qE '^  check_stack +426 ' "$obs-b.err" || { echo "FAIL: the summary's check_stack row does not count the sweep's 426 checks"; exit 1; }
+# Every byte has a span: what the sweep allocates outside any span is
+# under 1 % of its allocations.
+read -r untracked total < <(awk '/"alloc": \{/ { a = 1 } a && /"total": \{/ { k = "total" }
+    a && /"\(untracked\)": \{/ { k = "untracked" }
+    a && k && /"bytes":/ { gsub(/[^0-9]/, ""); v[k] = $0; k = "" }
+    END { print v["untracked"] + 0, v["total"] + 0 }' "$obs/b/telemetry.json")
+[ "$total" -gt 0 ] && [ $((untracked * 100)) -lt "$total" ] || { echo "FAIL: $untracked of the sweep's $total allocated bytes are (untracked), want under 1 %"; exit 1; }
 # ~1.2 events per cell, not the registry's spans and counters again.
 [ "$(wc -l < "$obs/a/events.jsonl")" -lt 1000 ] || { echo "FAIL: event stream over 1000 lines"; exit 1; }
 [ "$(grep -c '"kind":"span_\|"kind":"counter"' "$obs/a/events.jsonl")" -eq 0 ] || { echo "FAIL: span/counter events in the stream"; exit 1; }

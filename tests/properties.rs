@@ -1163,6 +1163,79 @@ fn digest_is_a_sound_recovery_key_on_gpfs() {
     );
 }
 
+/// A classifier probe's image built server by server from checkpoints
+/// (`snapshot::ProbeImages`) is the image of a baseline fork with the
+/// whole probe applied (`check_reference`'s): on GPFS and BeeGFS, for a
+/// universe of a random 7-in-8 subsequence of a real program's storage
+/// ops spanning at least two servers, and probes asked of one builder in
+/// random order — the universe itself, the universe less one op, less a
+/// victim's `depends_on` closure, and arbitrary subsets — `digest()`,
+/// `per_server_digests()` and `dirty_mask` against the baseline agree.
+#[test]
+fn probe_images_equal_whole_set_replays() {
+    use paracrash::snapshot::ProbeImages;
+    use workloads::FsKind;
+    for fs in [FsKind::Gpfs, FsKind::BeeGfs] {
+        let stacks = image_stacks(fs, &workloads::Params::quick());
+        let analyses: Vec<PersistAnalysis> = (stacks.iter())
+            .map(|stack| {
+                let graph = CausalityGraph::build(&stack.rec);
+                PersistAnalysis::build(&stack.rec, &graph, |s| stack.journal_of(s))
+            })
+            .collect();
+        run(
+            &format!("probe_images_equal_whole_set_replays/{fs:?}"),
+            &Config::with_cases(96),
+            |rng, size| {
+                let (which, keep) = arb_image(rng, &stacks);
+                let mut probes = gen_vec(rng, 3 + size.min(13), |r| {
+                    (1 + r.gen_index(3) as u8, r.next_u64())
+                });
+                probes.push((0, 0));
+                rng.shuffle(&mut probes);
+                (which, keep, probes)
+            },
+            |(which, keep, probes)| {
+                let (stack, pa) = (&stacks[*which], &analyses[*which]);
+                let baseline = stack.pfs.baseline();
+                let ops = kept(stack, keep);
+                let servers: std::collections::BTreeSet<u32> = (ops.iter())
+                    .map(|&id| match stack.rec.event(id).payload {
+                        Payload::Fs { server, .. } | Payload::Block { server, .. } => server,
+                        _ => unreachable!("storage ops only"),
+                    })
+                    .collect();
+                prop_assume!(servers.len() >= 2);
+                let universe = BitSet::from_iter(stack.rec.len(), ops.iter().copied());
+                let mut images = ProbeImages::new(&stack.rec, baseline, &universe);
+                for &(kind, pick) in probes {
+                    let victim = ops[pick as usize % ops.len()];
+                    let mut probe = universe.clone();
+                    match kind {
+                        0 => {}
+                        1 => probe.remove(victim),
+                        2 => probe.subtract(&pa.depends_on(victim, &universe)),
+                        _ => {
+                            let mut bits = Rng::new(pick);
+                            probe = BitSet::from_iter(
+                                stack.rec.len(),
+                                ops.iter().copied().filter(|_| bits.gen_bool(0.75)),
+                            );
+                        }
+                    }
+                    let image = images.image(&probe);
+                    let mut whole = baseline.fork();
+                    whole.apply_events(&stack.rec, probe.iter());
+                    prop_assert_eq!(image.digest(), whole.digest());
+                    prop_assert_eq!(image.per_server_digests(), whole.per_server_digests());
+                    prop_assert_eq!(image.dirty_mask(baseline), whole.dirty_mask(baseline));
+                }
+                Ok(())
+            },
+        );
+    }
+}
+
 /// The golden walk is `replay_pfs`, set by set: for a random bound-3
 /// POSIX workload on a random file system and a random family of
 /// subsequences of its calls — duplicates and non-executable ones (a
