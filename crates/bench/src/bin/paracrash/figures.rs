@@ -156,6 +156,7 @@ fn fig9(params: Params) {
     let fs = FsKind::BeeGfs;
     let stack = generate(|| Program::Arvr.run(fs, &params));
     let factory = fs.factory(&params);
+    let legal_replay = pc_rt::obs::span_cat("check.legal_replay", "check");
     let graph = CausalityGraph::build(&stack.rec);
     let ops = stack.calls.event_ids();
     let mut seen = BTreeSet::new();
@@ -171,6 +172,7 @@ fn fig9(params: Params) {
             }
         }
     }
+    drop(legal_replay);
 
     // (b)–(d) traces per PFS.
     for fs in [

@@ -78,7 +78,7 @@ use pc_rt::durable::RecordLog;
 use pc_rt::json::Json;
 use pc_rt::obs::{stream, Level};
 use pc_rt::{pc_info, pc_warn};
-use simfs::JournalMode;
+use simfs::{BlockOp, FsOp, JournalMode, StructTag};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -296,7 +296,37 @@ fn meta_record(opts: &FuzzOptions) -> Json {
             ),
         ),
         ("paper".into(), Json::Bool(opts.paper)),
+        ("store_digest".into(), Json::Int(sample_store_digest())),
     ])
+}
+
+/// The digest of one fixed two-server image, a file store and a block
+/// store, built here: the logged `rep_digests` are digests of this
+/// function, so a log written by a build that digests stores otherwise
+/// is a different sweep — its states would count apart from the new ones.
+fn sample_store_digest() -> u64 {
+    let mut fs = pfs::Store::fs(JournalMode::Data);
+    for op in [
+        FsOp::Mkdir { path: "/d".into() },
+        FsOp::Creat {
+            path: "/d/f".into(),
+        },
+        FsOp::Append {
+            path: "/d/f".into(),
+            data: b"paracrash".to_vec(),
+        },
+        FsOp::SetXattr {
+            path: "/d".into(),
+            key: "user.k".into(),
+            value: vec![1],
+        },
+    ] {
+        fs.apply_fs(&op);
+    }
+    let mut block = pfs::Store::block();
+    block.apply_block(&BlockOp::write(7, StructTag::LogFile, b"log".to_vec()));
+    let (fs, block) = (fs.digest(), block.digest());
+    pc_rt::hash::fnv1a_extend(pc_rt::hash::fnv1a(&fs.to_le_bytes()), &block.to_le_bytes())
 }
 
 /// Reject resuming with different sweep parameters: the cursor is an
@@ -308,7 +338,8 @@ fn check_meta(meta: &Json, opts: &FuzzOptions) -> Result<(), String> {
         return Err(format!(
             "campaign state was written by a different sweep \
              (logged {} vs requested {}); remove the state dir or rerun \
-             with the original --bound/--seed/--sample/--fs/--modes/--paper",
+             with the original --bound/--seed/--sample/--fs/--modes/--paper \
+             on a build with the same store digests",
             compact(meta),
             compact(&expected),
         ));
@@ -921,6 +952,24 @@ mod tests {
         let err = run_campaign(&paper).unwrap_err();
         assert!(err.contains("\"paper\": true"), "got: {err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log whose `rep_digests` another store-digest function wrote is
+    /// a different sweep, whatever its other parameters.
+    #[test]
+    fn resume_under_another_store_digest_is_rejected() {
+        let opts = stateless_opts();
+        let mut meta = meta_record(&opts);
+        assert_eq!(check_meta(&meta, &opts), Ok(()));
+        let Json::Obj(fields) = &mut meta else {
+            unreachable!("the meta record is an object")
+        };
+        let digest = fields.iter_mut().find(|(key, _)| key == "store_digest");
+        let (_, value) = digest.expect("the meta record carries the digest");
+        assert_eq!(*value, Json::Int(sample_store_digest()));
+        *value = Json::Int(sample_store_digest() ^ 1);
+        let err = check_meta(&meta, &opts).unwrap_err();
+        assert!(err.contains("different sweep"), "got: {err}");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
 use crate::snapshot::{prepare_states, ProbeImages, SnapshotPlan};
 use crate::stack::{Stack, StackFactory};
-use h5sim::{check as h5check, check_lenient, Cleared, H5Logical};
+use h5sim::{check_lenient_with, check_with, Cleared, DigestMemo, H5Logical};
 use pfs::{recover_and_mount, Content, PfsView, ServerStates};
 use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -348,7 +348,19 @@ impl Recovered {
 /// widening makes unique never come here, and `check_reference` runs
 /// with [`RecoveryMemo::never`]: it is this memo's oracle, so it
 /// recovers every request afresh.
-struct RecoveryMemo(Option<RefCell<MemoMaps>>);
+///
+/// Beside the views it keeps the check's [`DigestMemo`], which every
+/// library parse of the check — recovered views, the baseline, the
+/// library-layer golden walk — takes its dataset digests through, so a
+/// dataset whose chunks another parse already hashed costs a lookup;
+/// `check_reference` hashes every dataset afresh.
+struct RecoveryMemo(Option<Memos>);
+
+#[derive(Default)]
+struct Memos {
+    maps: RefCell<MemoMaps>,
+    datasets: DigestMemo,
+}
 
 #[derive(Default)]
 struct MemoMaps {
@@ -358,12 +370,17 @@ struct MemoMaps {
 
 impl RecoveryMemo {
     fn new() -> RecoveryMemo {
-        RecoveryMemo(Some(RefCell::default()))
+        RecoveryMemo(Some(Memos::default()))
     }
 
     /// The memo that stores nothing.
     fn never() -> RecoveryMemo {
         RecoveryMemo(None)
+    }
+
+    /// The dataset-digest memo, `None` in the reference.
+    fn datasets(&self) -> Option<&DigestMemo> {
+        self.0.as_ref().map(|memos| &memos.datasets)
     }
 
     /// The recovered view of a materialized pre-recovery `image`.
@@ -381,8 +398,8 @@ impl RecoveryMemo {
                 image.apply_events(&stack.rec, persisted.iter());
                 image
             }
-            Some(maps) => {
-                if let Some(recovered) = maps.borrow().by_set.get(persisted) {
+            Some(memos) => {
+                if let Some(recovered) = memos.maps.borrow().by_set.get(persisted) {
                     pc_rt::obs::count("recover.shared_set", 1);
                     return recovered.clone();
                 }
@@ -398,7 +415,7 @@ impl RecoveryMemo {
         image: &ServerStates,
         set: Option<&BitSet>,
     ) -> Rc<Recovered> {
-        let Some(maps) = &self.0 else {
+        let Some(Memos { maps, .. }) = &self.0 else {
             // The reference's memo: every view the copying way.
             let view = Recovered::of(pfs, image).view.flat();
             return Rc::new(Recovered::mounted(view));
@@ -514,7 +531,8 @@ fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig, memo: RecoveryMemo) -> An
         h5_ops: stack.h5.event_ids(),
         baseline_h5: stack.h5_path.as_ref().and_then(|p| {
             let view = stack.pfs.client_view(stack.pfs.baseline());
-            view.content(p).and_then(|c| h5check(c).ok())
+            view.content(p)
+                .and_then(|c| check_with(c, memo.datasets()).ok())
         }),
         modified_keys: modified_dataset_keys(stack),
         memo,
@@ -666,7 +684,15 @@ fn legal_states(a: &Analysis, factory: &StackFactory, e: &Enumerated) -> Legal {
     let _stage = pc_rt::obs::span_cat("check.legal_states", "check");
     let mut walk = golden::WalkStats::default();
     let sets = (&e.pfs_sets[..], &e.h5_sets[..]);
-    let lists = golden::legal_lists(a.stack, a.cfg, &a.graph, factory, sets, Some(&mut walk));
+    let lists = golden::legal_lists(
+        a.stack,
+        a.cfg,
+        &a.graph,
+        factory,
+        sets,
+        Some(&mut walk),
+        a.memo.datasets(),
+    );
     // `enumerate` interned the candidate sets from the states, so each
     // list is named by at least one: a miss the first time, a hit for
     // every other state that looks it up.
@@ -989,7 +1015,7 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
         let (pfs, h5) = e.sets_of[i];
         let pfs = std::slice::from_ref(&e.pfs_sets[pfs]);
         let h5 = h5.map_or(&[][..], |h5| std::slice::from_ref(&e.h5_sets[h5]));
-        golden::legal_lists(stack, cfg, &a.graph, factory, (pfs, h5), None)
+        golden::legal_lists(stack, cfg, &a.graph, factory, (pfs, h5), None, None)
             .of((0, h5.first().map(|_| 0)))
     };
     let verdict = |i: usize, legal: &LegalStates| {
@@ -1076,13 +1102,14 @@ fn h5_parse(a: &Analysis, content: &Content) -> H5Parse {
     let _span = pc_rt::obs::span_cat("h5.parse", "check");
     pc_rt::obs::count("h5.view_parses", 1);
     pc_rt::obs::count("h5.walks", 1);
-    let mut report = check_lenient(content);
+    let memo = a.memo.datasets();
+    let mut report = check_lenient_with(content, memo);
     if !report.is_clean() {
         // `h5clear` leaves an unreadable superblock as it is: a second
         // walk would only repeat the first.
         if let Some(cleared) = Cleared::new(content, a.cfg.clear_opts) {
             pc_rt::obs::count("h5.walks", 1);
-            report = check_lenient(&cleared);
+            report = check_lenient_with(&cleared, memo);
         }
     }
     let violates_baseline = report.open_error.is_some()
@@ -1102,7 +1129,7 @@ fn h5_parse(a: &Analysis, content: &Content) -> H5Parse {
 mod tests {
     use super::*;
     use crate::explore::ExploreMode;
-    use h5sim::h5clear;
+    use h5sim::{check as h5check, check_lenient, h5clear};
     use pfs::beegfs::BeeGfs;
     use pfs::ext4::Ext4Direct;
     use pfs::PfsCall;
@@ -1347,8 +1374,8 @@ mod tests {
 
     /// The digests the memo holds a recovered view for.
     fn memo_digests(a: &Analysis) -> BTreeSet<u64> {
-        let maps = a.memo.0.as_ref().expect("check_stack's memo stores");
-        maps.borrow().by_digest.keys().copied().collect()
+        let memos = a.memo.0.as_ref().expect("check_stack's memo stores");
+        memos.maps.borrow().by_digest.keys().copied().collect()
     }
 
     /// Stages 4 and 5 as `check_stack` runs them.
@@ -1476,7 +1503,7 @@ mod tests {
             e.states.len()
         );
         assert!(memo_digests(&a).is_empty());
-        assert!(a.memo.0.as_ref().unwrap().borrow().by_set.is_empty());
+        assert!(a.memo.0.as_ref().unwrap().maps.borrow().by_set.is_empty());
         let outcome = check_stack(&stack, &factory, &cfg);
         assert_eq!(outcome.diagnostics, expected);
     }

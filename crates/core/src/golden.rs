@@ -36,7 +36,7 @@ use crate::config::CheckConfig;
 use crate::model::Model;
 use crate::snapshot::descend;
 use crate::stack::{replay_h5, replay_pfs, Namespace, Stack, StackFactory};
-use h5sim::{H5Call, H5Logical, H5Replay};
+use h5sim::{DigestMemo, H5Call, H5Logical, H5Replay};
 use pfs::{CallTrace, Pfs, PfsCall, PfsView};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -99,8 +99,9 @@ impl Golden {
 
 /// The legal lists of both layers for the given candidate sets. With
 /// `walk`, one golden walk per layer fills a table the lists are
-/// assembled from; without, every preserved set of every candidate set
-/// is replayed afresh on a `factory()` instance.
+/// assembled from, the library walk taking its dataset digests through
+/// `datasets`; without, every preserved set of every candidate set is
+/// replayed afresh on a `factory()` instance.
 pub(crate) fn legal_lists(
     stack: &Stack,
     cfg: &CheckConfig,
@@ -108,6 +109,7 @@ pub(crate) fn legal_lists(
     factory: &StackFactory,
     (pfs_sets, h5_sets): (&[Vec<EventId>], &[Vec<EventId>]),
     mut walk: Option<&mut WalkStats>,
+    datasets: Option<&DigestMemo>,
 ) -> Golden {
     let views = layer_lists(
         pfs_sets,
@@ -141,6 +143,7 @@ pub(crate) fn legal_lists(
             let fresh = H5Golden {
                 pfs: factory(),
                 replay: H5Replay::new(path, &stack.h5_ranks, stack.h5_spec),
+                datasets,
             };
             Node::new(fresh).after(&stack.pre_h5, dispatched)
         },
@@ -284,12 +287,13 @@ impl Replay for PfsGolden {
 }
 
 /// [`replay_h5`], resumable.
-struct H5Golden {
+struct H5Golden<'m> {
     pfs: Box<dyn Pfs>,
     replay: H5Replay,
+    datasets: Option<&'m DigestMemo>,
 }
 
-impl Replay for H5Golden {
+impl Replay for H5Golden<'_> {
     type Who = u32;
     type Op = H5Call;
     type State = H5Logical;
@@ -297,6 +301,7 @@ impl Replay for H5Golden {
         H5Golden {
             pfs: self.pfs.fork(),
             replay: self.replay.clone(),
+            datasets: self.datasets,
         }
     }
     fn apply(&mut self, rank: u32, call: &H5Call) -> bool {
@@ -305,7 +310,7 @@ impl Replay for H5Golden {
     fn state(&self) -> Option<H5Logical> {
         // A legal state is by definition a clean execution: one that
         // fails `h5check` is none.
-        self.replay.finish(self.pfs.as_ref()).ok()
+        self.replay.finish(self.pfs.as_ref(), self.datasets).ok()
     }
     fn digest(logical: &H5Logical) -> u64 {
         logical.digest()
@@ -454,7 +459,7 @@ mod tests {
             let prefixes: Vec<Vec<EventId>> = (0..=n).map(|k| ids[..k].to_vec()).collect();
             let lists = |walk: Option<&mut WalkStats>| {
                 let sets = (&prefixes[..], &[][..]);
-                legal_lists(&stack, &cfg, &graph, &factory, sets, walk)
+                legal_lists(&stack, &cfg, &graph, &factory, sets, walk, None)
             };
             let mut stats = WalkStats::default();
             let walked = lists(Some(&mut stats));

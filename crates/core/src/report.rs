@@ -66,8 +66,8 @@ pub fn op_sig(rec: &Recorder, topo: &ClusterTopology, e: EventId) -> String {
                 return format!("write({})", normalize_object(&obj));
             }
             match op {
-                BlockOp::Write { tag, .. } => {
-                    let kind = pfs::label::block_structure(tag);
+                BlockOp::Write { block, .. } => {
+                    let kind = pfs::label::block_structure(&block.0);
                     format!("write({kind})@{}", role_name(topo, *server))
                 }
                 BlockOp::SyncCache => format!("scsi_sync@{}", role_name(topo, *server)),

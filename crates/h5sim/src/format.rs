@@ -26,9 +26,12 @@
 //! *address overflow* (bug 13), *wrong B-tree signature* (bug 14),
 //! *cannot open the file* (bug 15).
 
+use pfs::view::Bytes;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::{Arc, Weak};
 
 /// Fixed structure sizes (bytes).
 pub mod sizes {
@@ -165,6 +168,14 @@ pub trait Image {
     /// or past the end of the image.
     fn run_at(&self, at: u64) -> &[u8];
 
+    /// The shared chunk whose bytes from the returned offset on are what
+    /// [`run_at`](Self::run_at) reads at `at`, if the image reads them
+    /// from one: a [`DigestMemo`] keys a dataset by these names. `None`
+    /// for an image that owns its bytes.
+    fn chunk_at(&self, _at: u64) -> Option<(&Arc<dyn Bytes>, u64)> {
+        None
+    }
+
     /// `true` for an empty image.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -201,6 +212,10 @@ impl Image for pfs::Content {
 
     fn run_at(&self, at: u64) -> &[u8] {
         pfs::Content::run_at(self, at)
+    }
+
+    fn chunk_at(&self, at: u64) -> Option<(&Arc<dyn Bytes>, u64)> {
+        pfs::Content::chunk_at(self, at)
     }
 }
 
@@ -333,14 +348,32 @@ pub(crate) struct Segments<'a, S: ?Sized> {
 }
 
 impl<S: Image + ?Sized> Segments<'_, S> {
-    /// Content digest. Hashes the byte *stream*, not the slices:
-    /// `Hasher::write` calls concatenate (no length prefixes, unlike
-    /// `Hash for [u8]`), so two files storing the same data in different
-    /// segment layouts — or image runs — digest equally.
-    fn digest(&self) -> u64 {
+    /// Content digest: the stream digest, looked up in `memo` when the
+    /// image names the chunks every byte of it lies in.
+    fn digest(&self, memo: Option<&DigestMemo>) -> u64 {
+        let Some(memo) = memo else {
+            return self.stream_digest();
+        };
+        let mut key = Vec::new();
+        let named = self.each_run(|chunk, off, len| key.push((address(chunk), off, len)));
+        if named.is_none() {
+            return self.stream_digest();
+        }
+        memo.get_or(key, || {
+            self.each_run(|chunk, _, _| memo.pin(chunk));
+            self.stream_digest()
+        })
+    }
+
+    /// Hashes the byte *stream*, not the slices: `Hasher::write` calls
+    /// concatenate (no length prefixes, unlike `Hash for [u8]`), so two
+    /// files storing the same data in different segment layouts — or
+    /// image runs — digest equally.
+    fn stream_digest(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for &(mut at, len) in self.parts {
+            pc_rt::obs::count("digest.bytes", len);
             let end = at + len;
             while at < end {
                 let run = self.image.run_at(at);
@@ -350,6 +383,79 @@ impl<S: Image + ?Sized> Segments<'_, S> {
             }
         }
         h.finish()
+    }
+
+    /// Calls `f(chunk, offset, length)` for each run of a shared chunk
+    /// the dataset's bytes lie in, in stream order; `None` as soon as the
+    /// image does not name the chunk of some byte.
+    fn each_run(&self, mut f: impl FnMut(&Arc<dyn Bytes>, u64, u64)) -> Option<()> {
+        for &(mut at, len) in self.parts {
+            let end = at + len;
+            while at < end {
+                let (chunk, off) = self.image.chunk_at(at)?;
+                let n = (chunk.bytes().len() as u64 - off).min(end - at);
+                f(chunk, off, n);
+                at += n;
+            }
+        }
+        Some(())
+    }
+}
+
+/// A chunk's name in a [`DigestMemo`] key: its allocation's address.
+fn address(chunk: &Arc<dyn Bytes>) -> usize {
+    Arc::as_ptr(chunk) as *const u8 as usize
+}
+
+/// `(chunk address, offset, length)`: one run of a dataset's byte stream.
+type Piece = (usize, u64, u64);
+
+/// The dataset digests of one check, keyed by where their bytes lie.
+///
+/// A dataset whose every byte the image reads from a shared chunk
+/// ([`Image::chunk_at`]) is keyed by its run list, `(chunk address,
+/// offset, length)` per run, and stream-hashed only the first time that
+/// list is seen; every later lookup returns what that hash returned. The
+/// memo keeps a `Weak` of each chunk it names, so no address it holds
+/// can name other bytes: the allocation outlives the memo, and a store
+/// writing a chunk the memo names moves the chunk to a new `Arc`
+/// (`Arc::make_mut` under a `Weak`) instead of changing it in place. A
+/// changed chunk is a new key; an unchanged one is shared by every view
+/// and golden state that mounts it. It pins no bytes: a chunk no store
+/// holds any more is freed.
+#[derive(Default)]
+pub struct DigestMemo {
+    digests: RefCell<HashMap<Vec<Piece>, u64>>,
+    chunks: RefCell<HashMap<usize, Weak<dyn Bytes>>>,
+}
+
+impl DigestMemo {
+    /// Run lists memoised so far.
+    pub fn len(&self) -> usize {
+        self.digests.borrow().len()
+    }
+
+    /// `true` before the first dataset digest.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The digest memoised for `key`, else `hash()`'s, memoised. `hash`
+    /// pins every chunk `key` names.
+    fn get_or(&self, key: Vec<Piece>, hash: impl FnOnce() -> u64) -> u64 {
+        if let Some(&digest) = self.digests.borrow().get(&key) {
+            return digest;
+        }
+        let digest = hash();
+        self.digests.borrow_mut().insert(key, digest);
+        digest
+    }
+
+    /// Hold a `Weak` of `chunk`, so its address names it while the memo
+    /// lives.
+    fn pin(&self, chunk: &Arc<dyn Bytes>) {
+        let mut chunks = self.chunks.borrow_mut();
+        (chunks.entry(address(chunk))).or_insert_with(|| Arc::downgrade(chunk));
     }
 }
 
@@ -615,9 +721,17 @@ impl<S: Image + ?Sized, V: Visitor<S>> Walk<'_, S, V> {
 /// `h5check`: validate a file image and extract its logical state — the
 /// first error of the walk, else everything it reported.
 pub fn check<S: Image + ?Sized>(bytes: &S) -> Result<H5Logical, H5Error> {
-    let mut report = LenientReport::default();
-    walk(bytes, &mut report)?;
-    Ok(report.into_logical().expect("no error met, none reported"))
+    check_with(bytes, None)
+}
+
+/// [`check`], taking each dataset's digest through `memo`.
+pub fn check_with<S: Image + ?Sized>(
+    bytes: &S,
+    memo: Option<&DigestMemo>,
+) -> Result<H5Logical, H5Error> {
+    let mut fold = Lenient::new(memo);
+    walk(bytes, &mut fold)?;
+    Ok((fold.report.into_logical()).expect("no error met, none reported"))
 }
 
 /// Per-dataset results of the walk: what it reported, errors included.
@@ -654,28 +768,54 @@ impl LenientReport {
     }
 }
 
-impl<S: Image + ?Sized> Visitor<S> for LenientReport {
+/// The fold behind [`check`] and [`check_lenient`]: a [`LenientReport`]
+/// with each dataset's digest taken through `memo`, if there is one.
+struct Lenient<'m> {
+    report: LenientReport,
+    memo: Option<&'m DigestMemo>,
+}
+
+impl<'m> Lenient<'m> {
+    fn new(memo: Option<&'m DigestMemo>) -> Self {
+        Lenient {
+            report: LenientReport::default(),
+            memo,
+        }
+    }
+}
+
+impl<S: Image + ?Sized> Visitor<S> for Lenient<'_> {
     fn group(&mut self, name: &str) {
-        self.groups.entry(name.to_string()).or_default();
+        self.report.groups.entry(name.to_string()).or_default();
     }
 
     fn dataset(&mut self, group: &str, name: &str, key: String, found: Found<'_, S>) {
-        let names = self.groups.entry(group.to_string()).or_default();
+        let names = self.report.groups.entry(group.to_string()).or_default();
         names.insert(name.to_string());
-        let found = found.map(|(rows, cols, data)| (rows, cols, data.digest()));
-        self.datasets.insert(key, found);
+        let found = found.map(|(rows, cols, data)| (rows, cols, data.digest(self.memo)));
+        self.report.datasets.insert(key, found);
     }
 
     fn group_error(&mut self, group: &str, e: H5Error) {
-        self.group_errors.push((group.to_string(), e));
+        self.report.group_errors.push((group.to_string(), e));
     }
 }
 
 /// Lenient `h5check`: collect per-dataset outcomes instead of failing
 /// on the first corruption.
 pub fn check_lenient<S: Image + ?Sized>(bytes: &S) -> LenientReport {
-    let mut out = LenientReport::default();
-    if let Err(e) = walk(bytes, &mut out) {
+    check_lenient_with(bytes, None)
+}
+
+/// [`check_lenient`], taking each dataset's digest through `memo`.
+pub fn check_lenient_with<S: Image + ?Sized>(
+    bytes: &S,
+    memo: Option<&DigestMemo>,
+) -> LenientReport {
+    let mut fold = Lenient::new(memo);
+    let walked = walk(bytes, &mut fold);
+    let mut out = fold.report;
+    if let Err(e) = walked {
         // No superblock, or a broken root group: the file cannot be
         // opened at all.
         if out.groups.is_empty() {

@@ -14,10 +14,12 @@
 
 use crate::call::{H5Call, H5Trace};
 use crate::file::{H5File, H5Spec};
-use crate::format::{self, check, H5Error, H5Logical, Image};
+use crate::format::{self, check_with, DigestMemo, H5Error, H5Logical, Image};
 use mpiio::MpiIo;
+use pfs::view::Bytes;
 use pfs::{ClientTrace, Pfs};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use tracer::Recorder;
 
 /// `h5clear` options.
@@ -68,6 +70,14 @@ impl<S: Image + ?Sized> Image for Cleared<'_, S> {
         } else {
             self.rest.run_at(at)
         }
+    }
+
+    /// The image's own chunks, at or past the patch: what it reads there
+    /// is theirs, unchanged.
+    fn chunk_at(&self, at: u64) -> Option<(&Arc<dyn Bytes>, u64)> {
+        (at >= SUPERBLOCK as u64)
+            .then(|| self.rest.chunk_at(at))
+            .flatten()
     }
 }
 
@@ -162,7 +172,7 @@ pub fn h5replay_with<'a>(
     for (rank, call) in calls {
         replay.step(pfs, *rank, call)?;
     }
-    replay.finish(pfs)
+    replay.finish(pfs, None)
 }
 
 /// `h5replay`, resumable: the library-side state of a replay in
@@ -294,17 +304,23 @@ impl H5Replay {
     }
 
     /// The logical state of the file as `pfs` holds it now: mount the
-    /// live stores, read the file, `h5check` it.
-    pub fn finish(&self, pfs: &dyn Pfs) -> Result<H5Logical, ReplayError> {
+    /// live stores, read the file, `h5check` it, its dataset digests
+    /// taken through `memo` when there is one.
+    pub fn finish(
+        &self,
+        pfs: &dyn Pfs,
+        memo: Option<&DigestMemo>,
+    ) -> Result<H5Logical, ReplayError> {
         let view = pfs.client_view(pfs.live());
         let content = view.content(&self.path).ok_or(ReplayError::NoFile)?;
-        check(content).map_err(ReplayError::Check)
+        check_with(content, memo).map_err(ReplayError::Check)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::check;
     use pfs::ext4::Ext4Direct;
 
     fn preamble() -> Vec<(u32, H5Call)> {
@@ -432,14 +448,16 @@ mod tests {
                 let mut fresh = Ext4Direct::paper_default();
                 let looped = h5replay(&mut fresh, "/f.h5", &[0, 1], &calls[..=n]);
                 match stepped {
-                    Ok(()) => assert_eq!(replay.finish(pfs.as_ref()), looped, "{calls:?} @ {n}"),
+                    Ok(()) => {
+                        assert_eq!(replay.finish(pfs.as_ref(), None), looped, "{calls:?} @ {n}")
+                    }
                     Err(e) => assert_eq!(Err(e), looped, "{calls:?} @ {n}"),
                 }
                 // The origin of the fork saw nothing of the step.
                 let mut fresh = Ext4Direct::paper_default();
                 let before = h5replay(&mut fresh, "/f.h5", &[0, 1], &calls[..n]);
                 assert_eq!(
-                    stopped.finish(stopped_pfs.as_ref()),
+                    stopped.finish(stopped_pfs.as_ref(), None),
                     before,
                     "{calls:?} @ {n}"
                 );

@@ -107,12 +107,12 @@ fn parse_dir(raw: &[u8]) -> DirEntries {
 /// The (whole) entry block of the directory `dirid`.
 fn dirent_block(dirid: &str, entries: &DirEntries, group: Option<u32>) -> BlockOp {
     let tag = StructTag::DirEntry(dirid.to_string());
-    BlockOp::Write {
-        lba: lba(&format!("dir:{dirid}")),
+    BlockOp::write_in_group(
+        lba(&format!("dir:{dirid}")),
         tag,
-        payload: serialize_dir(entries),
-        atomic_group: group,
-    }
+        serialize_dir(entries),
+        group,
+    )
 }
 
 impl Gpfs {
@@ -251,12 +251,12 @@ impl Gpfs {
         group: Option<u32>,
         recv: EventId,
     ) -> EventId {
-        let op = BlockOp::Write {
-            lba: lba(&format!("inode:{id}")),
-            tag: StructTag::Inode(id.to_string()),
-            payload: payload.as_bytes().to_vec(),
-            atomic_group: group,
-        };
+        let op = BlockOp::write_in_group(
+            lba(&format!("inode:{id}")),
+            StructTag::Inode(id.to_string()),
+            payload.as_bytes(),
+            group,
+        );
         self.base.emit_block(rec, self.id_server(id), op, recv)
     }
 
@@ -688,9 +688,7 @@ mod tests {
         // on the old inode: foo points at tmp's inode; the old inode
         // leaks (Table 3 bug 3, "metadata loss if inode entry not
         // deleted").
-        let (fs, mut states) = arvr_without(
-            |op| matches!(op, BlockOp::Write { payload, .. } if payload == b"deleted"),
-        );
+        let (fs, mut states) = arvr_without(|op| op.payload() == b"deleted");
         let view = recover_and_mount(&fs, &mut states);
         assert_eq!(view.read("/file"), Some(&b"new"[..]));
     }

@@ -32,7 +32,7 @@ pub trait Bytes: Send + Sync {
 impl Bytes for Inode {
     fn bytes(&self) -> &[u8] {
         match self {
-            Inode::File { data, .. } => data,
+            Inode::File { data, .. } => &data[..],
             Inode::Dir { .. } => &[],
         }
     }
@@ -41,7 +41,7 @@ impl Bytes for Inode {
 /// A block's payload.
 impl Bytes for simfs::Block {
     fn bytes(&self) -> &[u8] {
-        &self.1
+        &self.1[..]
     }
 }
 
@@ -93,12 +93,18 @@ impl Content {
     /// The bytes from `at` to the end of the run that holds it; empty at
     /// or past the end of the file.
     pub fn run_at(&self, at: u64) -> &[u8] {
+        self.chunk_at(at)
+            .map_or(&[], |(run, off)| &run.bytes()[off as usize..])
+    }
+
+    /// The shared run that holds byte `at`, and `at`'s offset in it;
+    /// `None` at or past the end of the file. The run is a store's own
+    /// `Arc`, so while a reader holds it (or a `Weak` of it) its address
+    /// names these bytes and no others.
+    pub fn chunk_at(&self, at: u64) -> Option<(&Arc<dyn Bytes>, u64)> {
         let i = self.runs.partition_point(|run| run.1 <= at);
-        let Some((run, end)) = self.runs.get(i) else {
-            return &[];
-        };
-        let bytes = run.bytes();
-        &bytes[(at + bytes.len() as u64 - end) as usize..]
+        let (run, end) = self.runs.get(i)?;
+        Some((run, at + run.bytes().len() as u64 - end))
     }
 
     /// The whole content as one slice: the run itself when there is at

@@ -26,7 +26,9 @@
 //!
 //! The string-keyed digest/comparison algorithms that interning replaced
 //! are kept as directly callable reference functions next to their fast
-//! paths (`simfs::FsState::{digest_reference, same_tree_reference}`);
+//! paths (`simfs::FsState::{digest_reference, same_tree_reference}`; the
+//! digest hashes each file's payload digest computed from its bytes,
+//! where the fast path reads the one cached with them);
 //! `tests/intern_equivalence.rs` asserts the two agree on the same state.
 //!
 //! # Example

@@ -15,6 +15,7 @@
 //! makes, and ParaCrash checks whether a crash can break it (Table 3
 //! bug 3).
 
+use crate::data::Data;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -76,8 +77,10 @@ pub enum BlockOp {
     /// optionally, the atomic journal group it belongs to.
     Write {
         lba: u64,
-        payload: Vec<u8>,
-        tag: StructTag,
+        /// The structure tag and payload, as a device holds a written
+        /// block: every device that applies the write shares this `Arc`,
+        /// and with it the payload's cached digest.
+        block: Arc<Block>,
         /// Writes sharing a group id are intended by the FS journal to be
         /// all-or-nothing.
         atomic_group: Option<u32>,
@@ -91,26 +94,21 @@ pub enum BlockOp {
 impl BlockOp {
     /// Convenience constructor for a tagged write.
     pub fn write(lba: u64, tag: StructTag, payload: impl Into<Vec<u8>>) -> Self {
-        BlockOp::Write {
-            lba,
-            payload: payload.into(),
-            tag,
-            atomic_group: None,
-        }
+        Self::write_in_group(lba, tag, payload, None)
     }
 
-    /// Convenience constructor for a tagged write inside an atomic group.
+    /// Convenience constructor for a tagged write inside an atomic group
+    /// (or in none).
     pub fn write_in_group(
         lba: u64,
         tag: StructTag,
         payload: impl Into<Vec<u8>>,
-        group: u32,
+        group: impl Into<Option<u32>>,
     ) -> Self {
         BlockOp::Write {
             lba,
-            payload: payload.into(),
-            tag,
-            atomic_group: Some(group),
+            block: Arc::new((tag, Data::from(payload.into()))),
+            atomic_group: group.into(),
         }
     }
 
@@ -127,8 +125,16 @@ impl BlockOp {
     /// The structure tag, if this is a write.
     pub fn tag(&self) -> Option<&StructTag> {
         match self {
-            BlockOp::Write { tag, .. } => Some(tag),
+            BlockOp::Write { block, .. } => Some(&block.0),
             BlockOp::SyncCache => None,
+        }
+    }
+
+    /// The payload (empty for barriers).
+    pub fn payload(&self) -> &[u8] {
+        match self {
+            BlockOp::Write { block, .. } => &block.1,
+            BlockOp::SyncCache => &[],
         }
     }
 
@@ -142,10 +148,7 @@ impl BlockOp {
 
     /// Payload size in bytes (0 for barriers).
     pub fn payload_len(&self) -> usize {
-        match self {
-            BlockOp::Write { payload, .. } => payload.len(),
-            BlockOp::SyncCache => 0,
-        }
+        self.payload().len()
     }
 
     /// Torn version of this command: the write the disk actually
@@ -156,17 +159,12 @@ impl BlockOp {
         match self {
             BlockOp::Write {
                 lba,
-                payload,
-                tag,
+                block,
                 atomic_group,
-            } if payload.len() >= 2 => {
-                let keep = keep.clamp(1, payload.len() - 1);
-                Some(BlockOp::Write {
-                    lba: *lba,
-                    payload: payload[..keep].to_vec(),
-                    tag: tag.clone(),
-                    atomic_group: *atomic_group,
-                })
+            } if block.1.len() >= 2 => {
+                let keep = keep.clamp(1, block.1.len() - 1);
+                let (tag, payload) = (block.0.clone(), block.1[..keep].to_vec());
+                Some(BlockOp::write_in_group(*lba, tag, payload, *atomic_group))
             }
             _ => None,
         }
@@ -176,14 +174,16 @@ impl BlockOp {
 impl fmt::Display for BlockOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BlockOp::Write { lba, tag, .. } => write!(f, "scsi_write(LBA: {lba}, {tag})"),
+            BlockOp::Write { lba, block, .. } => write!(f, "scsi_write(LBA: {lba}, {})", block.0),
             BlockOp::SyncCache => write!(f, "scsi_synchronize_cache()"),
         }
     }
 }
 
-/// One written block: the structure it holds and its payload.
-pub type Block = (StructTag, Vec<u8>);
+/// One written block: the structure it holds and its payload, whose
+/// digest is cached with it. A write replaces the block's `Arc`, so a
+/// block never changes once written.
+pub type Block = (StructTag, Data);
 
 /// An addressable block device, snapshot-able like [`crate::FsState`].
 ///
@@ -243,27 +243,25 @@ impl BlockDev {
         }
     }
 
-    /// Apply one command. `SyncCache` is a no-op at the state level.
+    /// Apply one command: a write shares its block's `Arc`. `SyncCache`
+    /// is a no-op at the state level.
     pub fn apply(&mut self, op: &BlockOp) {
-        if let BlockOp::Write {
-            lba, payload, tag, ..
-        } = op
-        {
+        if let BlockOp::Write { lba, block, .. } = op {
             if self.digest_memo.get().is_some() || Arc::strong_count(&self.digest_memo) > 1 {
                 self.digest_memo = Arc::new(OnceLock::new());
             }
-            Arc::make_mut(&mut self.blocks).insert(*lba, Arc::new((tag.clone(), payload.clone())));
+            Arc::make_mut(&mut self.blocks).insert(*lba, block.clone());
         }
     }
 
     /// Read the content last written to `lba`, if any.
     pub fn read(&self, lba: u64) -> Option<&[u8]> {
-        self.blocks.get(&lba).map(|b| b.1.as_slice())
+        self.blocks.get(&lba).map(|b| &b.1[..])
     }
 
     /// All written blocks in LBA order.
     pub fn iter(&self) -> impl Iterator<Item = (&u64, &StructTag, &[u8])> {
-        self.blocks.iter().map(|(l, b)| (l, &b.0, b.1.as_slice()))
+        self.blocks.iter().map(|(l, b)| (l, &b.0, &b.1[..]))
     }
 
     /// All written blocks in LBA order, shared: a reader that keeps a
@@ -283,11 +281,18 @@ impl BlockDev {
     }
 
     /// Canonical digest for crash-state dedup (memoized like
-    /// [`crate::FsState::digest`]).
+    /// [`crate::FsState::digest`]): `(lba, tag, payload digest)` of each
+    /// block in LBA order, the payload digest cached in the block, so a
+    /// fork re-hashes only the blocks written since.
     pub fn digest(&self) -> u64 {
         *self.digest_memo.get_or_init(|| {
             let mut h = std::collections::hash_map::DefaultHasher::new();
-            self.blocks.hash(&mut h);
+            self.blocks.len().hash(&mut h);
+            for (lba, block) in self.blocks.iter() {
+                lba.hash(&mut h);
+                block.0.hash(&mut h);
+                block.1.digest().hash(&mut h);
+            }
             h.finish()
         })
     }
@@ -348,6 +353,23 @@ mod tests {
         assert_eq!(fork.digest(), d0);
         assert_eq!(fork.read(1), Some(&[1u8][..]));
         assert_eq!(a.deep_clone(), a);
+    }
+
+    #[test]
+    fn overwriting_a_digested_block_in_a_fork_moves_only_the_forks_digest() {
+        let mut base = BlockDev::new();
+        base.apply(&BlockOp::write(1, StructTag::LogFile, vec![1; 64]));
+        base.apply(&BlockOp::write(2, StructTag::AllocMap, vec![2; 64]));
+        let d0 = base.digest();
+        let mut fork = base.fork();
+        fork.apply(&BlockOp::write(2, StructTag::AllocMap, vec![3; 64]));
+        assert_ne!(fork.digest(), d0);
+        assert_eq!(base.digest(), d0);
+        assert_eq!(base.read(2), Some(&[2u8; 64][..]));
+        // Writing the old payload back restores the old digest.
+        fork.apply(&BlockOp::write(2, StructTag::AllocMap, vec![2; 64]));
+        assert_eq!(fork.digest(), d0);
+        assert_eq!(fork.deep_clone().digest(), d0);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! replaying operation subsets on snapshots of the initial state.
 
 pub mod block;
+pub mod data;
 pub mod error;
 pub mod fsck;
 pub mod journal;
@@ -34,6 +35,7 @@ pub mod ops;
 pub mod state;
 
 pub use block::{Block, BlockDev, BlockOp, StructTag};
+pub use data::{payload_digest, Data};
 pub use error::{FsError, FsResult};
 pub use fsck::{Fsck, FsckIssue};
 pub use journal::{torn_write, CommitRecord, JournalMode};

@@ -6,6 +6,7 @@
 //! deterministic: two states produced by replaying the same operations are
 //! structurally equal, which is what the golden-master comparison relies on.
 
+use crate::data::{payload_digest, Data};
 use crate::error::{FsError, FsResult};
 use crate::ops::FsOp;
 use pc_rt::intern::Sym;
@@ -32,8 +33,8 @@ const ROOT_INO: Ino = 1;
 pub enum Inode {
     /// Regular file: raw content plus extended attributes.
     File {
-        /// File content.
-        data: Vec<u8>,
+        /// File content, with its digest cached.
+        data: Data,
         /// Extended attributes.
         xattrs: BTreeMap<Sym, Vec<u8>>,
     },
@@ -49,7 +50,7 @@ pub enum Inode {
 impl Inode {
     fn empty_file() -> Self {
         Inode::File {
-            data: Vec::new(),
+            data: Data::default(),
             xattrs: BTreeMap::new(),
         }
     }
@@ -83,8 +84,9 @@ impl Inode {
 /// Zero-extend `data` to `len` bytes, allocating exactly that: a file's
 /// buffer outlives its store in every mounted view that shares the inode
 /// (`pfs::Content`), and spare capacity would stay held with it.
-fn grow_exact(data: &mut Vec<u8>, len: usize) {
+fn grow_exact(data: &mut Data, len: usize) {
     if data.len() < len {
+        let data = data.bytes_mut();
         data.reserve_exact(len - data.len());
         data.resize(len, 0);
     }
@@ -416,7 +418,7 @@ impl FsState {
                 let ino = *e.get();
                 match self.inode_mut(ino) {
                     Inode::File { data, .. } => {
-                        data.clear();
+                        data.bytes_mut().clear();
                         Ok(())
                     }
                     Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
@@ -469,7 +471,7 @@ impl FsState {
                 let off = offset as usize;
                 let end = off + buf.len();
                 grow_exact(data, end);
-                data[off..end].copy_from_slice(buf);
+                data.bytes_mut()[off..end].copy_from_slice(buf);
                 Ok(())
             }
             Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
@@ -481,6 +483,7 @@ impl FsState {
         let ino = self.resolve(path)?;
         match self.inode_mut(ino) {
             Inode::File { data, .. } => {
+                let data = data.bytes_mut();
                 data.reserve_exact(buf.len());
                 data.extend_from_slice(buf);
                 Ok(())
@@ -495,7 +498,7 @@ impl FsState {
         match self.inode_mut(ino) {
             Inode::File { data, .. } => {
                 grow_exact(data, size as usize);
-                data.truncate(size as usize);
+                data.bytes_mut().truncate(size as usize);
                 Ok(())
             }
             Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
@@ -618,10 +621,12 @@ impl FsState {
     /// structural comparison. Memoized: repeated digests of an unmutated
     /// state (and of its unmutated forks) are O(1).
     ///
-    /// One DFS collects the tree; [`Self::digest_reference`] is the
-    /// historical string-keyed algorithm and hashes the same
-    /// resolved-string stream, so digest-derived orderings (state
-    /// dedup, cost-model fingerprints) are the same under either.
+    /// One DFS collects the tree and hashes each file's cached
+    /// [`Data::digest`] in place of its bytes, so a fork re-hashes only
+    /// the files written since; [`Self::digest_reference`] is the
+    /// string-keyed algorithm and hashes the same resolved-string stream,
+    /// so digest-derived orderings (state dedup, cost-model fingerprints)
+    /// are the same under either.
     pub fn digest(&self) -> u64 {
         *self.digest_memo.get_or_init(|| self.compute_digest())
     }
@@ -634,11 +639,13 @@ impl FsState {
         view.hash(h);
     }
 
-    fn hash_node<H: Hasher>(&self, node: &Inode, h: &mut H) {
+    /// `(kind, payload digest, xattrs)` of a node; `payload` gives a
+    /// file's [`payload_digest`], cached or not.
+    fn hash_node<H: Hasher>(node: &Inode, payload: fn(&Data) -> u64, h: &mut H) {
         match node {
             Inode::File { data, xattrs } => {
                 0u8.hash(h);
-                data.hash(h);
+                payload(data).hash(h);
                 Self::hash_xattrs(xattrs, h);
             }
             Inode::Dir { xattrs, .. } => {
@@ -661,7 +668,7 @@ impl FsState {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for (path, node) in nodes {
             path.hash(&mut h);
-            self.hash_node(node, &mut h);
+            Self::hash_node(node, Data::digest, &mut h);
         }
         h.finish()
     }
@@ -679,17 +686,18 @@ impl FsState {
         }
     }
 
-    /// The historical string-keyed digest: walk the sorted path list,
-    /// re-resolve each path, hash. Kept verbatim as the reference
-    /// `tests/intern_equivalence.rs` compares [`Self::digest`] against;
-    /// unmemoized.
+    /// The string-keyed digest: walk the sorted path list, re-resolve
+    /// each path, hash, with each file's [`payload_digest`] computed from
+    /// its bytes — never the cached one. The reference
+    /// `tests/intern_equivalence.rs` and `tests/properties.rs` compare
+    /// [`Self::digest`] against; unmemoized.
     #[doc(hidden)]
     pub fn digest_reference(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for path in self.walk() {
             path.hash(&mut h);
             if let Ok(ino) = self.resolve(&path) {
-                self.hash_node(self.inode_ref(ino), &mut h);
+                Self::hash_node(self.inode_ref(ino), |data| payload_digest(data), &mut h);
             }
         }
         h.finish()

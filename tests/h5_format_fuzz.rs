@@ -4,7 +4,8 @@
 //! (Hosted on the vendored `pc-rt` property harness.)
 
 use h5sim::format::{encode, sizes, superblock, H5Error};
-use h5sim::{check, check_lenient, h5clear, h5inspect, h5replay_with};
+use h5sim::DigestMemo;
+use h5sim::{check, check_lenient, check_lenient_with, h5clear, h5inspect, h5replay_with};
 use h5sim::{ClearOpts, Cleared, H5Call, H5Spec, ObjectRange};
 use pc_rt::prop_assert;
 use pc_rt::prop_assert_eq;
@@ -301,6 +302,98 @@ fn chunked_content_parses_like_the_joined_bytes() {
                     prop_assert_eq!(&format!("{patched:?}"), &cleared);
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// A [`DigestMemo`] returns what the stream hash returns. Each case
+/// replays a random file and cuts it into random runs (`a`); `b` is `a`
+/// with random data bytes changed, the runs holding a changed byte new
+/// buffers and the rest `a`'s own; `c` is `a`'s runs copied into fresh
+/// buffers. One memo reads `a`, `b`, `c` and `a` again, each plainly and
+/// under `h5clear`'s patch, and every report equals the memo-less one:
+/// no lookup returns the digest of a run that changed. `a`'s second
+/// reading hashes nothing new, `b` adds entries only if a byte changed,
+/// and `c`'s fresh buffers are new keys.
+#[test]
+fn memoised_dataset_digests_equal_the_stream_digests() {
+    run(
+        "memoised_dataset_digests_equal_the_stream_digests",
+        &Config::with_cases(32),
+        |rng, size| {
+            let ops = arb_ops(rng, size);
+            let cuts = gen_vec(rng, 48, |r| 1 + r.gen_index(700));
+            let changes = gen_vec(rng, 4, |r| r.next_u64());
+            (ops, cuts, changes)
+        },
+        |(ops, cuts, changes)| {
+            let params = Params::quick();
+            let mut pfs = FsKind::Ext4.build(&params);
+            h5replay_with(pfs.as_mut(), "/fuzz.h5", &[0], &lower(ops), spec()).expect("replays");
+            let view = pfs.client_view(pfs.live());
+            let bytes = view.read("/fuzz.h5").expect("file exists").to_vec();
+            let map = h5inspect(&bytes).expect("clean file inspects");
+            let data: Vec<&ObjectRange> = map.iter().filter(|o| o.is_data && o.len > 0).collect();
+            let mut changed = bytes.clone();
+            for (&r, obj) in changes.iter().zip(data.iter().cycle()) {
+                let at = (obj.addr + (r % obj.len)) as usize;
+                changed[at] = changed[at].wrapping_add(1);
+            }
+            let (mut runs, mut at) = (Vec::new(), 0);
+            while at < bytes.len() {
+                let cut = cuts.get(runs.len() % cuts.len().max(1)).unwrap_or(&4096);
+                runs.push(at..(at + cut).min(bytes.len()));
+                at = runs.last().expect("pushed").end;
+            }
+            let a: Vec<Arc<Vec<u8>>> = (runs.iter())
+                .map(|run| Arc::new(bytes[run.clone()].to_vec()))
+                .collect();
+            let b: Vec<Arc<Vec<u8>>> = (runs.iter().zip(&a))
+                .map(
+                    |(run, own)| match changed[run.clone()] == bytes[run.clone()] {
+                        true => own.clone(),
+                        false => Arc::new(changed[run.clone()].to_vec()),
+                    },
+                )
+                .collect();
+            let c: Vec<Arc<Vec<u8>>> = a.iter().map(|run| Arc::new(run.to_vec())).collect();
+            let content = |runs: &[Arc<Vec<u8>>]| {
+                let mut content = Content::default();
+                for run in runs {
+                    content.push(run.clone());
+                }
+                content
+            };
+            let (memo, opts) = (DigestMemo::default(), ClearOpts { increase_eof: true });
+            let read = |runs: &[Arc<Vec<u8>>]| -> Result<usize, String> {
+                let image = content(runs);
+                let plain = format!("{:?}", check_lenient(&image));
+                prop_assert_eq!(
+                    format!("{:?}", check_lenient_with(&image, Some(&memo))),
+                    plain
+                );
+                if let Some(cleared) = Cleared::new(&image, opts) {
+                    let plain = format!("{:?}", check_lenient(&cleared));
+                    let memoised = check_lenient_with(&cleared, Some(&memo));
+                    prop_assert_eq!(format!("{memoised:?}"), plain);
+                }
+                Ok(memo.len())
+            };
+            let first = read(&a)?;
+            prop_assert_eq!(first == 0, data.is_empty());
+            let after_b = read(&b)?;
+            prop_assert!(after_b >= first);
+            prop_assert!(
+                changed != bytes || after_b == first,
+                "b shares every run of a"
+            );
+            let after_c = read(&c)?;
+            prop_assert!(
+                data.is_empty() || after_c > after_b,
+                "fresh runs are new keys"
+            );
+            prop_assert_eq!(read(&a)?, after_c);
             Ok(())
         },
     );

@@ -1007,13 +1007,22 @@ enum OverlayStep {
 
 fn overlay_op(op: u8, file: u8) -> FsOp {
     let path = format!("/f{file}");
-    match op % 4 {
+    match op % 6 {
         0 => FsOp::Creat { path },
         1 => FsOp::Append {
             path,
             data: vec![file],
         },
         2 => FsOp::Unlink { path },
+        3 => FsOp::Pwrite {
+            path,
+            offset: u64::from(op % 5),
+            data: vec![op; 1 + usize::from(op % 3)],
+        },
+        4 => FsOp::Truncate {
+            path,
+            size: u64::from(op % 4),
+        },
         _ => FsOp::SetXattr {
             path,
             key: "user.k".into(),
@@ -1025,9 +1034,11 @@ fn overlay_op(op: u8, file: u8) -> FsOp {
 /// `ServerStates` — a sealed base plus the stores written since — is
 /// the dense one-store-per-server vector it replaced: random writes
 /// through `server_mut` and `apply_events`, forks and `sealed()` calls,
-/// mirrored on a `Vec<Store>` per image, at 4 and 256 servers. Server by
-/// server the stores are equal; `digest()` is the dense FNV fold of the
-/// store digests; `per_server_digests()` is the dense list;
+/// mirrored on a `Vec<Store>` per image, at 4 and 256 servers. After
+/// every step each image's `digest()` is the FNV fold of its stores'
+/// uncached `digest_reference()`, so no cached file digest outlives a
+/// write. Server by server the stores are equal; `digest()` is the
+/// dense FNV fold of the store digests; `per_server_digests()` is the dense list;
 /// `dirty_mask` against the baseline and against every other image is
 /// the dense `same_root` compare; and two images are `==` exactly when
 /// their dense mirrors are.
@@ -1077,6 +1088,12 @@ fn overlay_equals_the_dense_model() {
                     (0..servers).map(|_| Store::fs(JournalMode::Data)).collect();
                 let mut images = vec![baseline.fork()];
                 let mut dense: Vec<Vec<Store>> = vec![dense_fork(&dense_baseline)];
+                let uncached = |image: &ServerStates| {
+                    (image.iter()).fold(FNV_OFFSET_BASIS, |h, (_, store)| {
+                        let digest = store.as_fs().digest_reference();
+                        fnv1a_extend(h, &digest.to_le_bytes())
+                    })
+                };
                 for step in steps {
                     match *step {
                         OverlayStep::Write {
@@ -1114,6 +1131,9 @@ fn overlay_equals_the_dense_model() {
                             baseline = images[i].fork();
                             dense_baseline = dense_fork(&dense[i]);
                         }
+                    }
+                    for (i, image) in images.iter().chain([&baseline]).enumerate() {
+                        prop_assert!(image.digest() == uncached(image), "image {i}: {step:?}");
                     }
                 }
                 images.push(baseline.fork());

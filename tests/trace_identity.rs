@@ -15,7 +15,8 @@
 //! with 16-byte stripes, and the whole bound-2 generated corpus folded
 //! into one line per file system.
 //!
-//! Regenerate (only for an *intended* model change) with
+//! Regenerate (only for an *intended* model change, or a new store
+//! digest function, which moves the live/baseline words alone) with
 //! `cargo test --test trace_identity -- --ignored bless`.
 
 use paracrash_suite::paracrash::Stack;
