@@ -42,8 +42,8 @@
 #      a fault-free full matrix reproduces exactly the fifteen Table 3
 #      bugs.
 #   7. Provenance — a full-matrix `--explain-out` run emits one `.md` +
-#      `.dot` bundle per bug, byte-identical in two runs, each graph
-#      linted (`selftest explain DIR`).
+#      `.dot` bundle per bug, byte-identical in two runs and to the
+#      pinned checksums, each graph linted (`selftest explain DIR`).
 #   8. Fuzz triage — a sampled sweep with `--findings-out` writes its
 #      `.repro` bundles (gate 5 holds the PR tier to its pin in two
 #      runs). PC_FUZZ_NIGHTLY=1 adds the bound-3 all-FS
@@ -213,10 +213,13 @@ fi
 
 echo "== gate 7: explain bundles =="
 # Full matrix: multi-cell runs always exit 0; bugs land as bundles (192
-# files), identical in two runs.
+# files), identical in two runs and to the pin (one `cksum` line per
+# file, regenerated with `LC_ALL=C && cksum -- *` in a run's directory
+# only for an intended bundle change).
 target/release/paracrash --fs all --program all --explain-out "$tmp/explain" > /dev/null
 target/release/paracrash --fs all --program all --explain-out "$tmp/explain-b" > /dev/null
 diff -r "$tmp/explain" "$tmp/explain-b"
+(cd "$tmp/explain" && LC_ALL=C && cksum -- *) | diff - crates/bench/tests/expected_explain_bundles.txt
 target/release/paracrash selftest explain "$tmp/explain" 15
 
 echo "== gate 8: fuzz triage (PC_FUZZ_NIGHTLY=1 adds the nightly tier) =="
