@@ -187,6 +187,7 @@ fn fig9(params: Params) {
             fs.name()
         );
         let stack = generate(|| Program::Arvr.run(fs, &params));
+        let _render = pc_rt::obs::span_cat("trace.render", "trace");
         print!("{}", stack.rec.render());
     }
 }

@@ -272,11 +272,11 @@ type Bugs = BTreeMap<(BugSignature, LayerVerdict), (Inconsistency, usize)>;
 // `legal_states` before the first verdict; in `check_reference` one
 // full replay per preserved set per checked state.
 //
-// Three places turn on-disk images into recovered views: the verdicts
-// (one image per prefix-tree representative), the classifier's flip
-// oracle (hypothetical persisted sets) and explain's ddmin probes. All
-// three ask the analysis' `RecoveryMemo`, so within one check an image
-// is recovered once, whoever asks first.
+// Two builders make on-disk images: the prefix tree one per
+// representative crash state, `ProbeImages` one per hypothetical
+// persisted set (the classifier's flip oracle, explain's ddmin and state
+// diff). Both ask the analysis' `RecoveryMemo`, so within one check an
+// image is recovered once, whoever asks first.
 
 /// Stage 1 output: everything derived from the traced run alone.
 struct Analysis<'a> {
@@ -894,7 +894,7 @@ fn explain(a: &Analysis, e: &Enumerated, l: &Legal, c: &Classified) -> Vec<BugEx
             topo: &a.topo,
             sigs: &a.sigs,
             legal_views: &legal.0,
-            recover: &|image| a.memo.of_image(a.stack.pfs.as_ref(), image),
+            probe: &|persisted, images| a.memo.of_set(a.stack, persisted, images),
             fails: &|recovered| violated_model(a, recovered, &legal).is_some(),
         };
         match caught(|| crate::explain::explain_bug(&ctx, bug, &e.states[*widx], *widx)) {
@@ -1129,7 +1129,7 @@ fn h5_parse(a: &Analysis, content: &Content) -> H5Parse {
 mod tests {
     use super::*;
     use crate::explore::ExploreMode;
-    use h5sim::{check as h5check, check_lenient, h5clear};
+    use h5sim::{check as h5check, check_lenient_with, h5clear};
     use pfs::beegfs::BeeGfs;
     use pfs::ext4::Ext4Direct;
     use pfs::PfsCall;
@@ -1579,12 +1579,12 @@ mod tests {
         let violates_baseline = {
             let cleared = h5clear(bytes, cfg.clear_opts);
             let lenient = {
-                let first = check_lenient(bytes);
+                let first = check_lenient_with(bytes, None);
                 if first.open_error.is_some()
                     || first.datasets.values().any(|d| d.is_err())
                     || !first.group_errors.is_empty()
                 {
-                    check_lenient(&cleared)
+                    check_lenient_with(&cleared, None)
                 } else {
                     first
                 }

@@ -12,10 +12,10 @@
 //! 1. **Minimal witness** — delta-debugging (ddmin) over the witness
 //!    state's dropped-op set, re-running the golden-master comparison on
 //!    each probe, until no single op can be removed while the state
-//!    still fails. Probe states are materialized in per-round batches
-//!    through the prefix-sharing snapshot engine
-//!    ([`crate::snapshot::prepare_states`]), so sibling probes share
-//!    their common persisted prefix (COW forks, not replays).
+//!    still fails. Every probe is a subset of the witness state's
+//!    extended universe, built by the classifier's per-server
+//!    [`ProbeImages`] and recovered through the check's set-keyed memo,
+//!    so a set the classifier already probed costs a lookup.
 //! 2. **Causal graph** — the happens-before graph over the witness
 //!    state's update universe, transitively reduced for readability,
 //!    edges tagged happens-before vs persists-before
@@ -36,9 +36,9 @@ use crate::emulate::CrashState;
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
-use crate::snapshot::prepare_states;
+use crate::snapshot::ProbeImages;
 use crate::stack::Stack;
-use pfs::{PfsView, ServerStates};
+use pfs::PfsView;
 use simfs::FsState;
 use simnet::ClusterTopology;
 use std::collections::BTreeSet;
@@ -180,10 +180,11 @@ pub(crate) struct ExplainCtx<'a> {
     pub topo: &'a ClusterTopology,
     pub sigs: &'a OpSigs,
     pub legal_views: &'a [std::sync::Arc<PfsView>],
-    /// Recover and mount a materialized pre-recovery image through the
-    /// check's recovery memo: an image some crash state or classifier
-    /// probe already recovered is not recovered again.
-    pub recover: &'a dyn Fn(&ServerStates) -> std::rc::Rc<Recovered>,
+    /// The recovered view of the baseline with a persisted subset of the
+    /// probe universe applied, asked of the check's recovery memo the way
+    /// the classifier asks it: a set already probed is not built again,
+    /// an image already recovered is not recovered again.
+    pub probe: &'a dyn Fn(&BitSet, &mut ProbeImages) -> std::rc::Rc<Recovered>,
     /// The same consistency oracle the classifier probes with, inverted:
     /// `true` if a recovered view fails the golden-master comparison at
     /// the layer the run checks top-down.
@@ -200,6 +201,7 @@ pub(crate) fn explain_bug(
     let _span = pc_rt::obs::span_cat("explain.bug", "check");
     let rec = &ctx.stack.rec;
     let universe = extended_universe(rec, ctx.pa, state);
+    let mut images = ProbeImages::new(rec, ctx.stack.pfs.baseline(), &universe);
     // The original dropped set: every update of the probe universe the
     // witness state did not persist (victim closures + truncated calls).
     let d0: Vec<EventId> = ctx
@@ -209,7 +211,7 @@ pub(crate) fn explain_bug(
         .copied()
         .filter(|&u| universe.contains(u) && !state.persisted.contains(u))
         .collect();
-    let (minimal, persisted_min, shrink) = shrink_witness(ctx, &universe, &d0);
+    let (minimal, persisted_min, shrink) = shrink_witness(ctx, &mut images, &universe, &d0);
     pc_rt::obs::count("explain.probes", shrink.probes as u64);
     pc_rt::obs::count("explain.minimal_ops", minimal.len() as u64);
 
@@ -233,7 +235,7 @@ pub(crate) fn explain_bug(
         &frontier,
         &violated,
     );
-    let diff = state_diff(ctx, &universe, &persisted_min);
+    let diff = state_diff(ctx, &mut images, &universe, &persisted_min);
     let minimal_witness: Vec<ExplainOp> = minimal
         .iter()
         .map(|&e| ExplainOp {
@@ -260,15 +262,14 @@ pub(crate) fn explain_bug(
 
 /// ddmin (Zeller's delta debugging) over the dropped-op set: find a
 /// 1-minimal subset whose loss still fails the golden comparison. Each
-/// round's candidate sets are materialized as one batch so the
-/// prefix-sharing engine can fork their common persisted prefix.
+/// round probes every candidate, so the probe count is the same whichever
+/// candidate fails first.
 fn shrink_witness(
     ctx: &ExplainCtx,
+    images: &mut ProbeImages,
     universe: &BitSet,
     d0: &[EventId],
 ) -> (Vec<EventId>, BitSet, ShrinkStats) {
-    let rec = &ctx.stack.rec;
-    let baseline = ctx.stack.pfs.baseline();
     let mut stats = ShrinkStats {
         probes: 0,
         rounds: 0,
@@ -286,21 +287,10 @@ fn shrink_witness(
         }
         p
     };
-    let probe_batch = |cands: &[Vec<EventId>], stats: &mut ShrinkStats| -> Vec<bool> {
+    let mut probe_batch = |cands: &[Vec<EventId>], stats: &mut ShrinkStats| -> Vec<bool> {
         stats.probes += cands.len();
-        let synth: Vec<CrashState> = cands
-            .iter()
-            .map(|c| {
-                let persisted = persisted_for(c);
-                CrashState {
-                    cut: persisted.clone(),
-                    victims: Vec::new(),
-                    persisted,
-                }
-            })
-            .collect();
-        (prepare_states(rec, baseline, &synth).prepared.iter())
-            .map(|image| (ctx.fails)(&(ctx.recover)(image)))
+        (cands.iter())
+            .map(|c| (ctx.fails)(&(ctx.probe)(&persisted_for(c), images)))
             .collect()
     };
     if d0.is_empty() {
@@ -470,13 +460,14 @@ const DIFF_CAP: usize = 64;
 /// Diff the minimal witness state against (a) the nearest legal golden
 /// view after recovery and (b) the no-crash end state before recovery,
 /// skipping servers whose COW digests already match.
-fn state_diff(ctx: &ExplainCtx, universe: &BitSet, persisted_min: &BitSet) -> StateDiff {
-    let rec = &ctx.stack.rec;
-    let baseline = ctx.stack.pfs.baseline();
-    let mut crashed = baseline.fork();
-    crashed.apply_events(rec, persisted_min.iter());
-    let mut full = baseline.fork();
-    full.apply_events(rec, universe.iter());
+fn state_diff(
+    ctx: &ExplainCtx,
+    images: &mut ProbeImages,
+    universe: &BitSet,
+    persisted_min: &BitSet,
+) -> StateDiff {
+    let crashed = images.image(persisted_min);
+    let full = images.image(universe);
     let cd = crashed.per_server_digests();
     let fd = full.per_server_digests();
     let mut tree: Vec<String> = Vec::new();
@@ -500,7 +491,7 @@ fn state_diff(ctx: &ExplainCtx, universe: &BitSet, persisted_min: &BitSet) -> St
         tree.truncate(DIFF_CAP);
         tree.push(format!("... ({extra} more entries)"));
     }
-    let recovered = (ctx.recover)(&crashed);
+    let recovered = (ctx.probe)(persisted_min, images);
     let nearest_legal = ctx
         .legal_views
         .iter()

@@ -131,8 +131,8 @@ pub(crate) fn descend<K: Copy + PartialEq, N>(
 }
 
 /// Materialize every crash state as a COW fork off the shared prefix
-/// tree. See the module docs for the algorithm and the equivalence
-/// argument.
+/// tree; a probe's image comes from [`ProbeImages`]. See the module docs
+/// for the algorithm and the equivalence argument.
 pub fn prepare_states(
     rec: &Recorder,
     baseline: &ServerStates,
@@ -190,8 +190,9 @@ pub fn prepare_states(
     }
 }
 
-/// The images of the classifier's probes — subsets of one extended
-/// universe (`classify::extended_universe`) — built server by server.
+/// The images of probes — subsets of one extended universe
+/// (`classify::extended_universe`): the classifier's, and explain's
+/// ddmin rounds and state diff — built server by server.
 ///
 /// A probe drops one or two updates anywhere in the universe, so a
 /// single prefix tree over the probe sets still replays the suffix
@@ -256,6 +257,7 @@ impl<'a> ProbeImages<'a> {
 
     /// The pre-recovery image of `probe`, a subset of the universe.
     pub fn image(&mut self, probe: &BitSet) -> ServerStates {
+        let _span = pc_rt::obs::span_cat("snapshot.probe", "snapshot");
         let (image, applied) = self.build(probe);
         pc_rt::obs::count("pfs.events_applied", applied as u64);
         image

@@ -768,7 +768,7 @@ impl LenientReport {
     }
 }
 
-/// The fold behind [`check`] and [`check_lenient`]: a [`LenientReport`]
+/// The fold behind [`check`] and [`check_lenient_with`]: a [`LenientReport`]
 /// with each dataset's digest taken through `memo`, if there is one.
 struct Lenient<'m> {
     report: LenientReport,
@@ -802,12 +802,8 @@ impl<S: Image + ?Sized> Visitor<S> for Lenient<'_> {
 }
 
 /// Lenient `h5check`: collect per-dataset outcomes instead of failing
-/// on the first corruption.
-pub fn check_lenient<S: Image + ?Sized>(bytes: &S) -> LenientReport {
-    check_lenient_with(bytes, None)
-}
-
-/// [`check_lenient`], taking each dataset's digest through `memo`.
+/// on the first corruption, taking each dataset's digest through `memo`
+/// if there is one.
 pub fn check_lenient_with<S: Image + ?Sized>(
     bytes: &S,
     memo: Option<&DigestMemo>,
@@ -1037,7 +1033,7 @@ mod tests {
             *b = 0;
         }
         assert!(check(&broken).is_err());
-        let lenient = check_lenient(&broken);
+        let lenient = check_lenient_with(&broken, None);
         assert!(lenient.open_error.is_none());
         assert!(matches!(lenient.datasets.get("/d1"), Some(Err(_))));
     }

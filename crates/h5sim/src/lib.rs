@@ -44,11 +44,9 @@ pub mod tools;
 pub use call::{H5Call, H5Trace};
 pub use file::{H5File, H5Spec};
 pub use format::{
-    check, check_lenient, check_lenient_with, check_with, DigestMemo, H5Error, H5Logical, Image,
-    LenientReport,
+    check, check_lenient_with, check_with, DigestMemo, H5Error, H5Logical, Image, LenientReport,
 };
 pub use netcdf::{nc_check, NcError, NcFile};
 pub use tools::{
-    h5clear, h5inspect, h5replay, h5replay_with, ClearOpts, Cleared, H5Replay, ObjectRange,
-    ReplayError,
+    h5clear, h5inspect, h5replay_with, ClearOpts, Cleared, H5Replay, ObjectRange, ReplayError,
 };

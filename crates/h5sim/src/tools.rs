@@ -147,18 +147,8 @@ pub enum ReplayError {
 /// and return the resulting logical state. Used to materialize legal
 /// golden states from preserved sets; sequences that are not executable
 /// (e.g. a resize whose create was dropped) are rejected — they denote
-/// no legal state.
-pub fn h5replay(
-    pfs: &mut dyn Pfs,
-    path: &str,
-    ranks: &[u32],
-    calls: &[(u32, H5Call)],
-) -> Result<H5Logical, ReplayError> {
-    h5replay_with(pfs, path, ranks, calls, H5Spec::default())
-}
-
-/// [`h5replay`] with an explicit library configuration — the replay must
-/// use the same allocation geometry as the traced run. `calls` is any
+/// no legal state. `spec` must be the traced run's library
+/// configuration (the same allocation geometry), and `calls` is any
 /// borrowed sequence (a slice, or a preamble chained to a preserved
 /// subset), so callers never copy calls to concatenate them.
 pub fn h5replay_with<'a>(
@@ -343,7 +333,8 @@ mod tests {
     #[test]
     fn replay_produces_logical_state() {
         let mut pfs = Ext4Direct::paper_default();
-        let logical = h5replay(&mut pfs, "/f.h5", &[0, 1], &preamble()).unwrap();
+        let logical =
+            h5replay_with(&mut pfs, "/f.h5", &[0, 1], &preamble(), H5Spec::default()).unwrap();
         assert!(logical.has_dataset("g1", "d1"));
         assert!(logical.groups.contains_key("g2"));
     }
@@ -419,7 +410,7 @@ mod tests {
             let mut pfs = Ext4Direct::paper_default();
             assert!(
                 matches!(
-                    h5replay(&mut pfs, "/f.h5", &[0, 1], &calls),
+                    h5replay_with(&mut pfs, "/f.h5", &[0, 1], &calls, H5Spec::default()),
                     Err(ReplayError::Invalid(_))
                 ),
                 "{calls:?}"
@@ -446,7 +437,13 @@ mod tests {
                 let (stopped, stopped_pfs) = (replay.clone(), pfs.fork());
                 let stepped = replay.step(pfs.as_mut(), *rank, call);
                 let mut fresh = Ext4Direct::paper_default();
-                let looped = h5replay(&mut fresh, "/f.h5", &[0, 1], &calls[..=n]);
+                let looped = h5replay_with(
+                    &mut fresh,
+                    "/f.h5",
+                    &[0, 1],
+                    &calls[..=n],
+                    H5Spec::default(),
+                );
                 match stepped {
                     Ok(()) => {
                         assert_eq!(replay.finish(pfs.as_ref(), None), looped, "{calls:?} @ {n}")
@@ -455,7 +452,8 @@ mod tests {
                 }
                 // The origin of the fork saw nothing of the step.
                 let mut fresh = Ext4Direct::paper_default();
-                let before = h5replay(&mut fresh, "/f.h5", &[0, 1], &calls[..n]);
+                let before =
+                    h5replay_with(&mut fresh, "/f.h5", &[0, 1], &calls[..n], H5Spec::default());
                 assert_eq!(
                     stopped.finish(stopped_pfs.as_ref(), None),
                     before,
@@ -469,8 +467,8 @@ mod tests {
     fn replays_deterministic_digest() {
         let mut a = Ext4Direct::paper_default();
         let mut b = Ext4Direct::paper_default();
-        let la = h5replay(&mut a, "/f.h5", &[0], &preamble()).unwrap();
-        let lb = h5replay(&mut b, "/f.h5", &[0], &preamble()).unwrap();
+        let la = h5replay_with(&mut a, "/f.h5", &[0], &preamble(), H5Spec::default()).unwrap();
+        let lb = h5replay_with(&mut b, "/f.h5", &[0], &preamble(), H5Spec::default()).unwrap();
         assert_eq!(la, lb);
         assert_eq!(la.digest(), lb.digest());
     }
@@ -478,7 +476,7 @@ mod tests {
     #[test]
     fn h5clear_repairs_eof() {
         let mut pfs = Ext4Direct::paper_default();
-        let _ = h5replay(&mut pfs, "/f.h5", &[0], &preamble()).unwrap();
+        let _ = h5replay_with(&mut pfs, "/f.h5", &[0], &preamble(), H5Spec::default()).unwrap();
         let bytes = pfs.client_view(pfs.live()).read("/f.h5").unwrap().to_vec();
         // Break the EOF (superblock behind the B-tree — bug 13's shape).
         let mut broken = bytes.clone();
@@ -497,7 +495,7 @@ mod tests {
     fn chunked_content_reads_like_its_joined_bytes() {
         let topo = simnet::ClusterTopology::paper_dedicated_default();
         let mut pfs = pfs::beegfs::BeeGfs::new(topo, pfs::Placement::new(), 1024);
-        let _ = h5replay(&mut pfs, "/f.h5", &[0], &preamble()).unwrap();
+        let _ = h5replay_with(&mut pfs, "/f.h5", &[0], &preamble(), H5Spec::default()).unwrap();
         let view = pfs.client_view(pfs.live());
         let content = view.content("/f.h5").unwrap();
         assert!(content.runs().count() > 2, "not striped");
@@ -520,7 +518,7 @@ mod tests {
     #[test]
     fn h5inspect_maps_every_structure() {
         let mut pfs = Ext4Direct::paper_default();
-        let _ = h5replay(&mut pfs, "/f.h5", &[0], &preamble()).unwrap();
+        let _ = h5replay_with(&mut pfs, "/f.h5", &[0], &preamble(), H5Spec::default()).unwrap();
         let bytes = pfs.client_view(pfs.live()).read("/f.h5").unwrap().to_vec();
         let map = h5inspect(&bytes).unwrap();
         assert!(map.iter().any(|o| o.name == "superblock"));

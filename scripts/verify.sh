@@ -12,7 +12,8 @@
 #      `cargo clippy --all-targets -D warnings`, no PFS model
 #      re-defining `ModelBase` plumbing or `fork`, hand-rolling the
 #      storage-side orphan sweep or spelling its own chunk path, no HDF5
-#      signature outside `format.rs`, no artifact wire key read outside
+#      signature outside `format.rs`, no image built by explain but
+#      through `ProbeImages`, no artifact wire key read outside
 #      the module that writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed
 #      second ledger, no test under `crates/` setting its own process's
 #      environment.
@@ -133,6 +134,10 @@ grep -nE 'format!\("/(chunks|bstreams|objects)/' crates/pfs/src/*.rs && { echo "
 grep -qE 'format!\("\{\}/\{object\}\.\{stripe\}"' crates/pfs/src/base.rs || { echo "FAIL: the chunk-path fence matches nothing"; exit 1; }
 # The HDF5 layout has one reader: its signatures appear in format.rs only.
 grep -rnE 'b"(OHDR|TREE|HEAP|SNOD|DTRE)"' crates | grep -v '^crates/h5sim/src/format.rs:' && { echo "FAIL: a second reader of the HDF5 layout"; exit 1; } || true
+# One probe path: explain's ddmin and state diff build their images with
+# the classifier's `snapshot::ProbeImages`, never a replay of their own.
+grep -nE 'prepare_states|apply_events|deep_clone' crates/core/src/explain.rs && { echo "FAIL: explain builds its own images"; exit 1; } || true
+grep -q 'ProbeImages' crates/core/src/explain.rs || { echo "FAIL: the explain probe-path fence matches nothing"; exit 1; }
 # So has each artifact: its wire keys are looked up by its writer's module only.
 grep -rnE '\.get\("(traceEvents|otherData|ts_ns|published)"\)' crates/*/src | grep -vE '^crates/(core/src/telemetry|rt/src/stream)\.rs:' && { echo "FAIL: a second reader of an artifact"; exit 1; } || true
 # benchmark/ is the one perf ledger ([_]: this line must not match itself).
@@ -191,7 +196,7 @@ read -r untracked total < <(awk '/"alloc": \{/ { a = 1 } a && /"total": \{/ { k 
 target/release/paracrash selftest events --canonical-diff \
     "$obs/a/events.jsonl" "$obs/b/events.jsonl"
 sed -n '/"stacks": {/,/}/p' "$obs/a/telemetry.json" > "$obs/stacks.txt"
-printf '%s\n' snapshot.materialize recover/ check.enumerate rpc.message h5.parse | require_in "$obs/stacks.txt"
+printf '%s\n' snapshot.materialize snapshot.probe recover/ check.enumerate rpc.message h5.parse | require_in "$obs/stacks.txt"
 # Exactly the panels no text output carries (EXPERIMENTS.md names each
 # number's text home): a lost panel fails, and so does an extra one.
 # And nothing that runs or fetches.

@@ -5,7 +5,7 @@
 
 use h5sim::format::{encode, sizes, superblock, H5Error};
 use h5sim::DigestMemo;
-use h5sim::{check, check_lenient, check_lenient_with, h5clear, h5inspect, h5replay_with};
+use h5sim::{check, check_lenient_with, h5clear, h5inspect, h5replay_with};
 use h5sim::{ClearOpts, Cleared, H5Call, H5Spec, ObjectRange};
 use pc_rt::prop_assert;
 use pc_rt::prop_assert_eq;
@@ -187,7 +187,7 @@ fn random_sequences_produce_valid_files() {
 /// walk: they accept the same images, and an accepted image reads the
 /// same through the first two.
 fn folds_agree(image: &[u8]) -> Result<(), String> {
-    let (strict, lenient) = (check(image), check_lenient(image));
+    let (strict, lenient) = (check(image), check_lenient_with(image, None));
     let clean = lenient.open_error.is_none()
         && lenient.group_errors.is_empty()
         && lenient.datasets.values().all(|found| found.is_ok());
@@ -292,13 +292,14 @@ fn chunked_content_parses_like_the_joined_bytes() {
             let map = h5inspect(&bytes).expect("clean file inspects");
             let opts = ClearOpts { increase_eof: true };
             for image in std::iter::once(bytes.clone()).chain(mutations(&bytes, &map)) {
-                let flat = format!("{:?}", check_lenient(&image));
-                let cleared = format!("{:?}", check_lenient(&h5clear(&image, opts)));
+                let flat = format!("{:?}", check_lenient_with(&image, None));
+                let cleared = format!("{:?}", check_lenient_with(&h5clear(&image, opts), None));
                 for size in [1, 7, 256, 2048] {
                     let content = chunked(&image, size);
-                    prop_assert_eq!(&format!("{:?}", check_lenient(&content)), &flat);
-                    let patched = Cleared::new(&content, opts).map(|c| check_lenient(&c));
-                    let patched = patched.unwrap_or_else(|| check_lenient(&content));
+                    prop_assert_eq!(&format!("{:?}", check_lenient_with(&content, None)), &flat);
+                    let patched =
+                        Cleared::new(&content, opts).map(|c| check_lenient_with(&c, None));
+                    let patched = patched.unwrap_or_else(|| check_lenient_with(&content, None));
                     prop_assert_eq!(&format!("{patched:?}"), &cleared);
                 }
             }
@@ -368,13 +369,13 @@ fn memoised_dataset_digests_equal_the_stream_digests() {
             let (memo, opts) = (DigestMemo::default(), ClearOpts { increase_eof: true });
             let read = |runs: &[Arc<Vec<u8>>]| -> Result<usize, String> {
                 let image = content(runs);
-                let plain = format!("{:?}", check_lenient(&image));
+                let plain = format!("{:?}", check_lenient_with(&image, None));
                 prop_assert_eq!(
                     format!("{:?}", check_lenient_with(&image, Some(&memo))),
                     plain
                 );
                 if let Some(cleared) = Cleared::new(&image, opts) {
-                    let plain = format!("{:?}", check_lenient(&cleared));
+                    let plain = format!("{:?}", check_lenient_with(&cleared, None));
                     let memoised = check_lenient_with(&cleared, Some(&memo));
                     prop_assert_eq!(format!("{memoised:?}"), plain);
                 }
@@ -458,7 +459,7 @@ fn unreadable_entries_are_errors_of_every_fold() {
         let cut = &image[..cut as usize];
         let expected = |e: &H5Error| matches!(e, H5Error::Truncated { what: w, .. } if *w == what);
         assert!(check(cut).is_err_and(|e| expected(&e)), "{what}");
-        let lenient = check_lenient(cut);
+        let lenient = check_lenient_with(cut, None);
         assert!(lenient.open_error.is_none(), "{what}");
         assert!(
             (lenient.group_errors.iter()).any(|(group, e)| group == "/" && expected(e)),

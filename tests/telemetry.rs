@@ -131,6 +131,7 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
         "check.legal_states",
         "check.judge",
         "snapshot.materialize",
+        "snapshot.probe",
         "pfs.mount",
         "recover/BeeGFS",
     ] {
