@@ -154,11 +154,12 @@ fn min_secs_pair<A, B>(
 /// measurements taken in this process (no absolute threshold, so a slow
 /// or loaded box moves both sides alike):
 ///
-/// * on the 16-server ARVR/BeeGFS cell the batched engine — one shared
-///   prefix tree of COW forks, one recovery per subtree representative
-///   — turns crash states into mounted views at least 2× as fast as the
-///   per-state `deep_clone → apply_events → recover_and_mount` loop
-///   (what `paracrash::check_reference` does per state);
+/// * on the 16-server ARVR/BeeGFS cell the batched engine — every
+///   image built from one seeded `ProbeImages`, one recovery per
+///   representative — turns crash states into mounted views at least
+///   2× as fast as the per-state `deep_clone → apply_events →
+///   recover_and_mount` loop (what `paracrash::check_reference` does
+///   per state);
 /// * `check_stack` on a traced `H5-create`/BeeGFS run costs what the
 ///   crash wrote, not the cluster size: the cost per checked state at
 ///   256 servers is less than 1.5× the cost at 64, though the cluster

@@ -25,7 +25,7 @@ use crate::golden::{self, caught, LegalStates};
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
-use crate::snapshot::{prepare_states, ProbeImages, SnapshotPlan};
+use crate::snapshot::ProbeImages;
 use crate::stack::{Stack, StackFactory};
 use h5sim::{check_lenient_with, check_with, Cleared, DigestMemo, H5Logical};
 use pfs::{recover_and_mount, Content, PfsView, ServerStates};
@@ -272,11 +272,11 @@ type Bugs = BTreeMap<(BugSignature, LayerVerdict), (Inconsistency, usize)>;
 // `legal_states` before the first verdict; in `check_reference` one
 // full replay per preserved set per checked state.
 //
-// Two builders make on-disk images: the prefix tree one per
-// representative crash state, `ProbeImages` one per hypothetical
-// persisted set (the classifier's flip oracle, explain's ddmin and state
-// diff). Both ask the analysis' `RecoveryMemo`, so within one check an
-// image is recovered once, whoever asks first.
+// One builder makes every on-disk image of a check: the `ProbeImages`
+// the analysis' `RecoveryMemo` owns, seeded by `materialize`. A crash
+// state, a classifier probe and an explain probe are all persisted sets
+// asked of that memo, so within one check an image is built from the
+// nearest checkpoint and recovered once, whoever asks first.
 
 /// Stage 1 output: everything derived from the traced run alone.
 struct Analysis<'a> {
@@ -294,7 +294,7 @@ struct Analysis<'a> {
     /// unmodified-dataset rule.
     baseline_h5: Option<H5Logical>,
     modified_keys: BTreeSet<String>,
-    memo: RecoveryMemo,
+    memo: RecoveryMemo<'a>,
 }
 
 /// One crash state after the PFS's recovery tool and a remount, plus
@@ -315,10 +315,10 @@ struct H5Parse {
 }
 
 impl Recovered {
-    /// Run the recovery tool on a fork of `image` and mount the result.
-    fn of(pfs: &dyn pfs::Pfs, image: &ServerStates) -> Recovered {
+    /// Run the recovery tool on `image` and mount the result.
+    fn of(pfs: &dyn pfs::Pfs, mut image: ServerStates) -> Recovered {
         pc_rt::obs::count("recover.executed", 1);
-        Recovered::mounted(recover_and_mount(pfs, &mut image.fork()))
+        Recovered::mounted(recover_and_mount(pfs, &mut image))
     }
 
     fn mounted(view: PfsView) -> Recovered {
@@ -330,34 +330,36 @@ impl Recovered {
 }
 
 /// The per-check recovery memo: `persisted set → pre-recovery digest →
-/// Rc<Recovered>`.
+/// Rc<Recovered>`, over the check's one image builder.
 ///
-/// Level 2 is the key that matters. Recovery and mounting read nothing
-/// but the server stores, `ServerStates::digest()` hashes the stores'
-/// whole logical content (every path, byte and xattr; memoised per COW
-/// store), so two images with one digest recover to one view however
-/// they were produced — by the prefix tree, by a classifier probe or by
-/// a ddmin round. It is the identity `rep_digests` and `distinct_replays`
-/// already rest on. Level 1 only spares a repeated classifier probe the
-/// fork + `apply_events` + digest it takes to reach level 2.
+/// Every image of a check is a persisted set: a crash state's, a
+/// classifier probe's or a ddmin round's. A miss at level 1 builds the
+/// set's image with the check's [`ProbeImages`], which `materialize`
+/// seeded with every crash state. Level 2 is the key that matters.
+/// Recovery and mounting read nothing but the server stores, and
+/// `ServerStates::digest()` hashes the stores' whole logical content
+/// (every path, byte and xattr; memoised per COW store), so two sets
+/// with one image digest recover to one view. It is the identity
+/// `rep_digests` and `distinct_replays` already rest on.
 ///
 /// A view enters the maps only once its recovery returned, so a
 /// panicking recovery tool stores nothing and every state that asks for
 /// that digest gets the panic, as if it had recovered on its own.
-/// Bounded by states + probes per check. States that torn-write
-/// widening makes unique never come here, and `check_reference` runs
-/// with [`RecoveryMemo::never`]: it is this memo's oracle, so it
-/// recovers every request afresh.
+/// Bounded by states + probes per check. A state that torn-write
+/// widening makes unique takes its image here and is torn and recovered
+/// outside, and `check_reference` runs with [`RecoveryMemo::never`]: it
+/// is this memo's oracle, so it builds every image as a baseline fork
+/// with the whole set applied and recovers every request afresh.
 ///
 /// Beside the views it keeps the check's [`DigestMemo`], which every
 /// library parse of the check — recovered views, the baseline, the
 /// library-layer golden walk — takes its dataset digests through, so a
 /// dataset whose chunks another parse already hashed costs a lookup;
 /// `check_reference` hashes every dataset afresh.
-struct RecoveryMemo(Option<Memos>);
+struct RecoveryMemo<'a>(Option<Memos<'a>>);
 
-#[derive(Default)]
-struct Memos {
+struct Memos<'a> {
+    images: RefCell<ProbeImages<'a>>,
     maps: RefCell<MemoMaps>,
     datasets: DigestMemo,
 }
@@ -368,13 +370,18 @@ struct MemoMaps {
     by_digest: HashMap<u64, Rc<Recovered>>,
 }
 
-impl RecoveryMemo {
-    fn new() -> RecoveryMemo {
-        RecoveryMemo(Some(Memos::default()))
+impl<'a> RecoveryMemo<'a> {
+    /// The memo of a check of `stack`, its builder not yet seeded.
+    fn new(stack: &'a Stack) -> Self {
+        RecoveryMemo(Some(Memos {
+            images: RefCell::new(ProbeImages::new(&stack.rec, stack.pfs.baseline())),
+            maps: RefCell::default(),
+            datasets: DigestMemo::default(),
+        }))
     }
 
     /// The memo that stores nothing.
-    fn never() -> RecoveryMemo {
+    fn never() -> Self {
         RecoveryMemo(None)
     }
 
@@ -383,43 +390,38 @@ impl RecoveryMemo {
         self.0.as_ref().map(|memos| &memos.datasets)
     }
 
-    /// The recovered view of a materialized pre-recovery `image`.
-    fn of_image(&self, pfs: &dyn pfs::Pfs, image: &ServerStates) -> Rc<Recovered> {
-        self.fill(pfs, image, None)
+    /// Leave a checkpoint at each of `sets`' first gaps ([`ProbeImages::seed`]).
+    fn seed<'s>(&self, sets: impl Iterator<Item = &'s BitSet> + Clone) {
+        if let Some(memos) = &self.0 {
+            memos.images.borrow_mut().seed(sets);
+        }
     }
 
-    /// The recovered view of the baseline with the probe `persisted`
-    /// applied: built by `images` on a miss, and by a baseline fork with
-    /// the whole set applied in the reference.
-    fn of_set(&self, stack: &Stack, persisted: &BitSet, images: &mut ProbeImages) -> Rc<Recovered> {
-        let image = match &self.0 {
+    /// The pre-recovery image of the baseline with `persisted` applied.
+    fn image(&self, stack: &Stack, persisted: &BitSet) -> ServerStates {
+        match &self.0 {
+            Some(memos) => memos.images.borrow_mut().image(persisted),
             None => {
                 let mut image = stack.pfs.baseline().fork();
                 image.apply_events(&stack.rec, persisted.iter());
                 image
             }
-            Some(memos) => {
-                if let Some(recovered) = memos.maps.borrow().by_set.get(persisted) {
-                    pc_rt::obs::count("recover.shared_set", 1);
-                    return recovered.clone();
-                }
-                images.image(persisted)
-            }
-        };
-        self.fill(stack.pfs.as_ref(), &image, Some(persisted))
+        }
     }
 
-    fn fill(
-        &self,
-        pfs: &dyn pfs::Pfs,
-        image: &ServerStates,
-        set: Option<&BitSet>,
-    ) -> Rc<Recovered> {
+    /// The recovered view of the baseline with `persisted` applied.
+    fn of_set(&self, stack: &Stack, persisted: &BitSet) -> Rc<Recovered> {
+        let pfs = stack.pfs.as_ref();
         let Some(Memos { maps, .. }) = &self.0 else {
             // The reference's memo: every view the copying way.
-            let view = Recovered::of(pfs, image).view.flat();
+            let view = Recovered::of(pfs, self.image(stack, persisted)).view.flat();
             return Rc::new(Recovered::mounted(view));
         };
+        if let Some(recovered) = maps.borrow().by_set.get(persisted) {
+            pc_rt::obs::count("recover.shared_set", 1);
+            return recovered.clone();
+        }
+        let image = self.image(stack, persisted);
         let digest = image.digest();
         let known = maps.borrow().by_digest.get(&digest).cloned();
         let recovered = match known {
@@ -435,11 +437,9 @@ impl RecoveryMemo {
                 recovered
             }
         };
-        if let Some(set) = set {
-            maps.borrow_mut()
-                .by_set
-                .insert(set.clone(), recovered.clone());
-        }
+        maps.borrow_mut()
+            .by_set
+            .insert(persisted.clone(), recovered.clone());
         recovered
     }
 }
@@ -477,13 +477,6 @@ struct Enumerated {
     order: Vec<usize>,
 }
 
-/// Stage 3 output: every crash state as a COW fork off the shared
-/// prefix tree, plus the representative-state identities.
-struct Materialized {
-    plan: SnapshotPlan,
-    rep_digests: Vec<u64>,
-}
-
 /// Stage 4 output: one legal list per distinct candidate set, so crash
 /// state `i` is judged against `lists.of(e.sets_of[i])`. A panicking
 /// golden replay is stored as its message, which stage 5 turns into a
@@ -513,7 +506,7 @@ struct Classified {
     diagnostics: Vec<String>,
 }
 
-fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig, memo: RecoveryMemo) -> Analysis<'a> {
+fn analyze<'a>(stack: &'a Stack, cfg: &'a CheckConfig, memo: RecoveryMemo<'a>) -> Analysis<'a> {
     let stage = pc_rt::obs::span_cat("check.analyze", "check");
     let graph = CausalityGraph::build(&stack.rec);
     let pa = PersistAnalysis::build(&stack.rec, &graph, |s| stack.journal_of(s));
@@ -581,26 +574,25 @@ fn enumerate(a: &Analysis) -> Enumerated {
     }
 }
 
-fn materialize(a: &Analysis, e: &Enumerated) -> Materialized {
+/// Stage 3: seed the check's image builder with every crash state, and
+/// return the representative-state identities for the campaign corpus
+/// (filled only when the config asks): the distinct digests of the
+/// states' pre-recovery, pre-widening images.
+fn materialize(a: &Analysis, e: &Enumerated) -> Vec<u64> {
     let stage = pc_rt::obs::span_cat("check.materialize", "check");
-    let plan = prepare_states(&a.stack.rec, a.stack.pfs.baseline(), &e.states);
+    a.memo.seed(e.states.iter().map(|s| &s.persisted));
     drop(stage);
-    // Representative-state identities for the campaign corpus: one
-    // digest per distinct storage-event sequence, of the materialized
-    // (pre-recovery, pre-widening) snapshot — read straight off the
-    // prefix tree's terminals (`rep[i] == i`).
     let mut rep_digests = Vec::new();
     if a.cfg.collect_rep_digests {
         let _stage = pc_rt::obs::span_cat("check.rep_digests", "check");
-        rep_digests = (0..e.states.len())
-            .filter(|&i| plan.rep[i] == i)
-            .map(|i| plan.prepared[i].digest())
+        rep_digests = (e.states.iter())
+            .map(|s| a.memo.image(a.stack, &s.persisted).digest())
             .collect();
         rep_digests.sort_unstable();
         rep_digests.dedup();
         pc_rt::obs::count("check.rep_digests", rep_digests.len() as u64);
     }
-    Materialized { plan, rep_digests }
+    rep_digests
 }
 
 /// Torn-write widening draws from an RNG seeded by (torn seed, state
@@ -645,23 +637,16 @@ fn layer_verdict(a: &Analysis, recovered: &Recovered, legal: &LegalStates) -> Ve
 }
 
 /// `check_stack`'s verdict: recover and mount crash state `i`, then
-/// judge it. Crash states whose storage-event sequences land on the
-/// same prefix-tree terminal have *identical* prepared snapshots, so the
-/// memo is asked for the representative's image (one digest per
-/// representative, not per state). Only a state whose on-disk image
-/// fault widening can make unique (torn writes with live victims)
-/// recovers on its own, past the memo. Recovery is deterministic on the
-/// store state, so both paths produce bit-identical views.
-fn verdict_of(
-    a: &Analysis,
-    e: &Enumerated,
-    m: &Materialized,
-    i: usize,
-    legal: &LegalStates,
-) -> Verdict {
+/// judge it. Its persisted set is asked of the memo, so states with one
+/// image share one recovery. Only a state whose on-disk image fault
+/// widening can make unique (torn writes with live victims) takes its
+/// image from the memo and is torn and recovered on its own. Recovery is
+/// deterministic on the store state, so both paths produce bit-identical
+/// views.
+fn verdict_of(a: &Analysis, e: &Enumerated, i: usize, legal: &LegalStates) -> Verdict {
     let (stack, state) = (a.stack, &e.states[i]);
     let recovered = if let Some(seed) = a.cfg.torn_seed.filter(|_| !state.victims.is_empty()) {
-        let mut st = m.plan.prepared[i].fork();
+        let mut st = a.memo.image(stack, &state.persisted);
         st.apply_torn_victims(
             &stack.rec,
             state.victims.iter().copied(),
@@ -672,8 +657,7 @@ fn verdict_of(
             &mut st,
         )))
     } else {
-        a.memo
-            .of_image(stack.pfs.as_ref(), &m.plan.prepared[m.plan.rep[i]])
+        a.memo.of_set(stack, &state.persisted)
     };
     layer_verdict(a, &recovered, legal)
 }
@@ -790,9 +774,8 @@ fn aggregate_or_classify(
     let signature = {
         let _s = pc_rt::obs::span_cat("check.classify", "check");
         let universe = extended_universe(rec, pa, state);
-        let mut images = ProbeImages::new(rec, stack.pfs.baseline(), &universe);
         let mut oracle = |persisted: &BitSet| -> bool {
-            let recovered = a.memo.of_set(stack, persisted, &mut images);
+            let recovered = a.memo.of_set(stack, persisted);
             violated_model(a, &recovered, legal).is_none()
         };
         classify(rec, sigs, pa, state, &universe, &mut oracle)
@@ -894,7 +877,8 @@ fn explain(a: &Analysis, e: &Enumerated, l: &Legal, c: &Classified) -> Vec<BugEx
             topo: &a.topo,
             sigs: &a.sigs,
             legal_views: &legal.0,
-            probe: &|persisted, images| a.memo.of_set(a.stack, persisted, images),
+            probe: &|persisted| a.memo.of_set(a.stack, persisted),
+            image: &|persisted| a.memo.image(a.stack, persisted),
             fails: &|recovered| violated_model(a, recovered, &legal).is_some(),
         };
         match caught(|| crate::explain::explain_bug(&ctx, bug, &e.states[*widx], *widx)) {
@@ -943,20 +927,20 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
     let started = Instant::now();
     let _check_span = pc_rt::obs::span_cat("check_stack", "check");
 
-    let a = analyze(stack, cfg, RecoveryMemo::new());
+    let a = analyze(stack, cfg, RecoveryMemo::new(stack));
     let e = enumerate(&a);
-    let m = materialize(&a, &e);
+    let rep_digests = materialize(&a, &e);
     let l = legal_states(&a, factory, &e);
     let c = prune_and_judge(
         &a,
         &e,
         |i| l.lists.of(e.sets_of[i]),
-        |i, legal| verdict_of(&a, &e, &m, i, legal),
+        |i, legal| verdict_of(&a, &e, i, legal),
     );
     let cost = cost(&a, &e, &c);
     let explanations = explain(&a, &e, &l, &c);
 
-    let mut out = outcome(&a, &e, c, cost, m.rep_digests);
+    let mut out = outcome(&a, &e, c, cost, rep_digests);
     out.explanations = explanations;
     out.stats.legal_replays = l.pfs_cache.misses + l.h5_cache.misses;
     (out.stats.pfs_cache, out.stats.h5_cache) = (l.pfs_cache, l.h5_cache);
@@ -987,7 +971,7 @@ fn publish(out: &CheckOutcome, l: &Legal, closures: u64) {
 /// view the obvious way — deep-clone the baseline, apply the persisted
 /// events, tear the victims, recover, mount, copy each file's bytes into
 /// one buffer ([`PfsView::flat`]) — with its legal lists replayed
-/// afresh: no prefix tree, no shared views and no replay table.
+/// afresh: no checkpoints, no shared views and no replay table.
 /// `tests/differential.rs` holds `check_stack` to it: everything a
 /// checker *decides* (the canonical report, `rep_digests`, state counts,
 /// the cost model) must match byte for byte; cache traffic, wall time
@@ -1253,7 +1237,7 @@ mod tests {
                 let path = format!("/f{i}");
                 stack.posix(0, PfsCall::Creat { path });
             }
-            let a = analyze(&stack, &cfg, RecoveryMemo::new());
+            let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
             let e = enumerate(&a);
             let l = legal_states(&a, &factory, &e);
             assert_eq!(l.pfs_cache.misses, n + 1, "candidate sets, n = {n}");
@@ -1273,7 +1257,7 @@ mod tests {
     fn states_of_one_candidate_set_share_one_list() {
         let (stack, factory) = run_h5(false);
         let cfg = CheckConfig::paper_default();
-        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
         let e = enumerate(&a);
         let l = legal_states(&a, &factory, &e);
         let legal = |i: usize| l.lists.of(e.sets_of[i]).expect("replays succeed");
@@ -1378,33 +1362,24 @@ mod tests {
         memos.maps.borrow().by_digest.keys().copied().collect()
     }
 
-    /// Stages 4 and 5 as `check_stack` runs them.
-    fn judged(
-        a: &Analysis,
-        factory: &StackFactory,
-        e: &Enumerated,
-        m: &Materialized,
-    ) -> Classified {
+    /// Stages 3 to 5 as `check_stack` runs them.
+    fn judged(a: &Analysis, factory: &StackFactory, e: &Enumerated) -> Classified {
+        materialize(a, e);
         let l = legal_states(a, factory, e);
         prune_and_judge(
             a,
             e,
             |i| l.lists.of(e.sets_of[i]),
-            |i, legal| verdict_of(a, e, m, i, legal),
+            |i, legal| verdict_of(a, e, i, legal),
         )
     }
 
-    /// The distinct images the memo is asked for on behalf of `states`:
-    /// their representatives', bar the torn states'.
-    fn rep_images(
-        a: &Analysis,
-        e: &Enumerated,
-        m: &Materialized,
-        states: &[usize],
-    ) -> BTreeSet<u64> {
+    /// The distinct images the memo is asked for on behalf of `states`,
+    /// bar the torn states'.
+    fn untorn_images(a: &Analysis, e: &Enumerated, states: &[usize]) -> BTreeSet<u64> {
         let torn = |i: usize| a.cfg.torn_seed.is_some() && !e.states[i].victims.is_empty();
         (states.iter().filter(|&&i| !torn(i)))
-            .map(|&i| m.plan.prepared[m.plan.rep[i]].digest())
+            .map(|&i| a.memo.image(a.stack, &e.states[i].persisted).digest())
             .collect()
     }
 
@@ -1419,39 +1394,42 @@ mod tests {
         let (stack, runs) = instrumented_arvr(false);
 
         // The memo alone, asked for every state's image.
-        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
         let e = enumerate(&a);
-        let m = materialize(&a, &e);
-        let distinct: BTreeSet<u64> = m.plan.prepared.iter().map(|s| s.digest()).collect();
+        materialize(&a, &e);
+        let images: Vec<ServerStates> = (e.states.iter())
+            .map(|state| a.memo.image(&stack, &state.persisted))
+            .collect();
+        let distinct: BTreeSet<u64> = images.iter().map(|s| s.digest()).collect();
         assert!(distinct.len() < e.states.len(), "the fixture shares images");
         runs.store(0, Relaxed);
-        let views: Vec<Rc<Recovered>> = (m.plan.prepared.iter())
-            .map(|image| a.memo.of_image(stack.pfs.as_ref(), image))
+        let views: Vec<Rc<Recovered>> = (e.states.iter())
+            .map(|state| a.memo.of_set(&stack, &state.persisted))
             .collect();
         assert_eq!(runs.load(Relaxed), distinct.len());
         assert_eq!(memo_digests(&a), distinct);
-        for (image, recovered) in m.plan.prepared.iter().zip(&views) {
+        for (image, recovered) in images.iter().zip(&views) {
             let alone = recover_and_mount(stack.pfs.as_ref(), &mut image.fork());
             assert!(recovered.view == alone);
         }
 
         // The whole loop: checked states and classifier probes, but
         // never a pruned state.
-        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
         let e = enumerate(&a);
-        let m = materialize(&a, &e);
         runs.store(0, Relaxed);
-        let c = judged(&a, &factory, &e, &m);
+        let c = judged(&a, &factory, &e);
         assert!(!c.bugs.is_empty(), "the classifier probed");
         assert!(c.pruned > 0, "the fixture prunes");
         let filled = memo_digests(&a);
         assert_eq!(runs.load(Relaxed), filled.len());
-        assert!(filled.is_superset(&rep_images(&a, &e, &m, &c.checked)));
+        assert!(filled.is_superset(&untorn_images(&a, &e, &c.checked)));
     }
 
-    /// Torn-write widening happens after materialization, so the digest
-    /// of a prepared image says nothing about a state with live victims:
-    /// each recovers on its own and neither reads nor fills the memo.
+    /// Torn-write widening happens after the image is built, so the
+    /// digest of a state's image says nothing about a state with live
+    /// victims: each recovers on its own and neither reads nor fills the
+    /// memo's views.
     #[test]
     fn torn_states_never_touch_the_memo() {
         use std::sync::atomic::Ordering::Relaxed;
@@ -1459,14 +1437,13 @@ mod tests {
         let mut cfg = CheckConfig::paper_default();
         cfg.torn_seed = Some(0);
         let (stack, runs) = instrumented_arvr(false);
-        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
         let e = enumerate(&a);
-        let m = materialize(&a, &e);
-        let c = judged(&a, &factory, &e, &m);
+        let c = judged(&a, &factory, &e);
         let torn = (c.checked.iter())
             .filter(|&&i| !e.states[i].victims.is_empty())
             .count();
-        let untorn = rep_images(&a, &e, &m, &c.checked);
+        let untorn = untorn_images(&a, &e, &c.checked);
         assert!(torn > 0 && !untorn.is_empty() && c.pruned > 0);
         // Every recovery is a torn state's own or the one fill of a
         // memo entry, which the untorn checked states all found.
@@ -1485,10 +1462,9 @@ mod tests {
         let (stack, runs) = instrumented_arvr(true);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let a = analyze(&stack, &cfg, RecoveryMemo::new());
+        let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
         let e = enumerate(&a);
-        let m = materialize(&a, &e);
-        let c = judged(&a, &factory, &e, &m);
+        let c = judged(&a, &factory, &e);
         std::panic::set_hook(prev);
         // No verdict, so nothing learned and nothing pruned: every state
         // is checked.
@@ -1638,13 +1614,13 @@ mod tests {
                 h5_model,
                 ..CheckConfig::paper_default()
             };
-            let a = analyze(&stack, &cfg, RecoveryMemo::new());
+            let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
             let e = enumerate(&a);
-            let m = materialize(&a, &e);
+            materialize(&a, &e);
             let l = legal_states(&a, &factory, &e);
             for i in 0..e.states.len() {
                 let legal = l.lists.of(e.sets_of[i]).expect("replays succeed");
-                let shared = a.memo.of_image(stack.pfs.as_ref(), &m.plan.prepared[i]);
+                let shared = a.memo.of_set(&stack, &e.states[i].persisted);
                 let got = h5_verdict(&a, path, &shared, &legal.1);
                 let want = h5_verdict_reference(
                     &cfg,
@@ -1655,7 +1631,7 @@ mod tests {
                     &a.modified_keys,
                 );
                 assert_eq!(got, want, "state {i} under {}", h5_model.as_str());
-                let verdict = verdict_of(&a, &e, &m, i, &legal);
+                let verdict = verdict_of(&a, &e, i, &legal);
                 assert_eq!(verdict.map(|(_, m)| m), want);
                 seen.insert((h5_model.as_str(), want.map(|m| m.as_str())));
             }

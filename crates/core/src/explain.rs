@@ -12,10 +12,9 @@
 //! 1. **Minimal witness** — delta-debugging (ddmin) over the witness
 //!    state's dropped-op set, re-running the golden-master comparison on
 //!    each probe, until no single op can be removed while the state
-//!    still fails. Every probe is a subset of the witness state's
-//!    extended universe, built by the classifier's per-server
-//!    [`ProbeImages`] and recovered through the check's set-keyed memo,
-//!    so a set the classifier already probed costs a lookup.
+//!    still fails. Every probe is a persisted set asked of the check's
+//!    recovery memo, the way the classifier asks it, so a set already
+//!    probed costs a lookup.
 //! 2. **Causal graph** — the happens-before graph over the witness
 //!    state's update universe, transitively reduced for readability,
 //!    edges tagged happens-before vs persists-before
@@ -36,9 +35,8 @@ use crate::emulate::CrashState;
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
-use crate::snapshot::ProbeImages;
 use crate::stack::Stack;
-use pfs::PfsView;
+use pfs::{PfsView, ServerStates};
 use simfs::FsState;
 use simnet::ClusterTopology;
 use std::collections::BTreeSet;
@@ -180,11 +178,14 @@ pub(crate) struct ExplainCtx<'a> {
     pub topo: &'a ClusterTopology,
     pub sigs: &'a OpSigs,
     pub legal_views: &'a [std::sync::Arc<PfsView>],
-    /// The recovered view of the baseline with a persisted subset of the
-    /// probe universe applied, asked of the check's recovery memo the way
-    /// the classifier asks it: a set already probed is not built again,
-    /// an image already recovered is not recovered again.
-    pub probe: &'a dyn Fn(&BitSet, &mut ProbeImages) -> std::rc::Rc<Recovered>,
+    /// The recovered view of the baseline with a persisted set applied,
+    /// asked of the check's recovery memo the way the classifier asks
+    /// it: a set already probed is not built again, an image already
+    /// recovered is not recovered again.
+    pub probe: &'a dyn Fn(&BitSet) -> std::rc::Rc<Recovered>,
+    /// The pre-recovery image of the baseline with a persisted set
+    /// applied, from the check's one image builder.
+    pub image: &'a dyn Fn(&BitSet) -> ServerStates,
     /// The same consistency oracle the classifier probes with, inverted:
     /// `true` if a recovered view fails the golden-master comparison at
     /// the layer the run checks top-down.
@@ -201,7 +202,6 @@ pub(crate) fn explain_bug(
     let _span = pc_rt::obs::span_cat("explain.bug", "check");
     let rec = &ctx.stack.rec;
     let universe = extended_universe(rec, ctx.pa, state);
-    let mut images = ProbeImages::new(rec, ctx.stack.pfs.baseline(), &universe);
     // The original dropped set: every update of the probe universe the
     // witness state did not persist (victim closures + truncated calls).
     let d0: Vec<EventId> = ctx
@@ -211,7 +211,7 @@ pub(crate) fn explain_bug(
         .copied()
         .filter(|&u| universe.contains(u) && !state.persisted.contains(u))
         .collect();
-    let (minimal, persisted_min, shrink) = shrink_witness(ctx, &mut images, &universe, &d0);
+    let (minimal, persisted_min, shrink) = shrink_witness(ctx, &universe, &d0);
     pc_rt::obs::count("explain.probes", shrink.probes as u64);
     pc_rt::obs::count("explain.minimal_ops", minimal.len() as u64);
 
@@ -235,7 +235,7 @@ pub(crate) fn explain_bug(
         &frontier,
         &violated,
     );
-    let diff = state_diff(ctx, &mut images, &universe, &persisted_min);
+    let diff = state_diff(ctx, &universe, &persisted_min);
     let minimal_witness: Vec<ExplainOp> = minimal
         .iter()
         .map(|&e| ExplainOp {
@@ -266,7 +266,6 @@ pub(crate) fn explain_bug(
 /// candidate fails first.
 fn shrink_witness(
     ctx: &ExplainCtx,
-    images: &mut ProbeImages,
     universe: &BitSet,
     d0: &[EventId],
 ) -> (Vec<EventId>, BitSet, ShrinkStats) {
@@ -287,10 +286,10 @@ fn shrink_witness(
         }
         p
     };
-    let mut probe_batch = |cands: &[Vec<EventId>], stats: &mut ShrinkStats| -> Vec<bool> {
+    let probe_batch = |cands: &[Vec<EventId>], stats: &mut ShrinkStats| -> Vec<bool> {
         stats.probes += cands.len();
         (cands.iter())
-            .map(|c| (ctx.fails)(&(ctx.probe)(&persisted_for(c), images)))
+            .map(|c| (ctx.fails)(&(ctx.probe)(&persisted_for(c))))
             .collect()
     };
     if d0.is_empty() {
@@ -460,14 +459,9 @@ const DIFF_CAP: usize = 64;
 /// Diff the minimal witness state against (a) the nearest legal golden
 /// view after recovery and (b) the no-crash end state before recovery,
 /// skipping servers whose COW digests already match.
-fn state_diff(
-    ctx: &ExplainCtx,
-    images: &mut ProbeImages,
-    universe: &BitSet,
-    persisted_min: &BitSet,
-) -> StateDiff {
-    let crashed = images.image(persisted_min);
-    let full = images.image(universe);
+fn state_diff(ctx: &ExplainCtx, universe: &BitSet, persisted_min: &BitSet) -> StateDiff {
+    let crashed = (ctx.image)(persisted_min);
+    let full = (ctx.image)(universe);
     let cd = crashed.per_server_digests();
     let fd = full.per_server_digests();
     let mut tree: Vec<String> = Vec::new();
@@ -491,7 +485,7 @@ fn state_diff(
         tree.truncate(DIFF_CAP);
         tree.push(format!("... ({extra} more entries)"));
     }
-    let recovered = (ctx.probe)(persisted_min, images);
+    let recovered = (ctx.probe)(persisted_min);
     let nearest_legal = ctx
         .legal_views
         .iter()

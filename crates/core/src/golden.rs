@@ -34,7 +34,6 @@
 
 use crate::config::CheckConfig;
 use crate::model::Model;
-use crate::snapshot::descend;
 use crate::stack::{replay_h5, replay_pfs, Namespace, Stack, StackFactory};
 use h5sim::{DigestMemo, H5Call, H5Logical, H5Replay};
 use pfs::{CallTrace, Pfs, PfsCall, PfsView};
@@ -354,6 +353,49 @@ fn step<R: Replay>(dispatched: &mut usize, node: &mut Node<R>, who: R::Who, op: 
         }
     }
     true
+}
+
+/// Depth-first descent of the prefix tree of `seqs` — sorted, so the
+/// sequences below a tree node are one contiguous range led by those
+/// that end at it. One instance is threaded down each chain from
+/// `root`: `step` applies an edge's key to it (`false` = nothing below
+/// this edge is wanted), `leaf` sees it once per sequence that ends at
+/// the node (by index into `seqs`), and it is `fork`ed only where the
+/// tree branches, the last child taking the instance itself. Returns the
+/// forks taken.
+fn descend<K: Copy + PartialEq, N>(
+    seqs: &[&[K]],
+    root: N,
+    fork: impl Fn(&N) -> N,
+    mut step: impl FnMut(&mut N, K) -> bool,
+    mut leaf: impl FnMut(&N, usize),
+) -> usize {
+    let mut forks = 0;
+    // `(node, depth, lo, hi)`: `seqs[lo..hi]` share their first `depth`
+    // keys and `node` has stepped through them.
+    let mut stack = vec![(root, 0, 0, seqs.len())];
+    while let Some((node, depth, mut lo, hi)) = stack.pop() {
+        while lo < hi && seqs[lo].len() == depth {
+            leaf(&node, lo);
+            lo += 1;
+        }
+        let mut node = Some(node);
+        while lo < hi {
+            let key = seqs[lo][depth];
+            let end = lo + seqs[lo..hi].partition_point(|seq| seq[depth] == key);
+            let mut child = if end == hi {
+                node.take().expect("taken by the last child only")
+            } else {
+                forks += 1;
+                fork(node.as_ref().expect("taken by the last child only"))
+            };
+            if step(&mut child, key) {
+                stack.push((child, depth + 1, lo, end));
+            }
+            lo = end;
+        }
+    }
+    forks
 }
 
 /// One layer's golden walk: what each of `sets` (sorted, distinct; each

@@ -1,235 +1,154 @@
-//! Prefix-sharing crash-state materialization (the replay engine).
+//! Crash-state and probe materialization (the replay engine).
 //!
-//! Materializing a crash state means applying its persisted storage
-//! events, in trace order, to the sealed baseline snapshot. Done naively
-//! that costs O(states × trace length) — every state replays its full
-//! prefix onto a fresh copy of every server — which is exactly the
-//! redundancy the paper's incremental testing (§5.4) targets: sibling
-//! crash states differ by a handful of operations.
+//! Materializing a persisted set means applying its storage events, in
+//! trace order, to the sealed baseline snapshot. Done naively that costs
+//! O(sets × trace length), every set replaying its whole prefix onto a
+//! fresh copy of every server. That is the redundancy the paper's
+//! incremental reconstruction (§5.3) targets: two sets differ on a few
+//! servers, and only those need rebuilding.
 //!
-//! This engine exploits the redundancy *exactly*, not heuristically:
+//! A store sees only its own server's events, in ascending order,
+//! whatever the other servers hold. So [`ProbeImages`] keeps one line
+//! per server, the server's storage events in the trace, with
+//! checkpoints along it. A set forks the nearest checkpoint at or before
+//! its first missing event on that server, applies the gap (keeping a
+//! checkpoint at its end) and then its own remaining events there. A
+//! server the set holds whole reuses one store, digest memo included,
+//! and a server it has no event on stays the baseline's.
 //!
-//! 1. every state's persisted set is projected to its storage-event
-//!    sequence (ascending event ids — the order replay applies them);
-//! 2. the sequences are sorted, which lays their prefix tree out as
-//!    nested contiguous ranges: states sharing a replay prefix share
-//!    the tree path that encodes it;
-//! 3. a DFS over the tree (`descend`, which the golden walks of
-//!    `core::golden` share) threads one working snapshot down each
-//!    chain, applying each event once per tree *edge* and forking only
-//!    at branch nodes and at terminals (where a crash state's
-//!    materialized snapshot is handed out).
+//! Each store thus receives exactly the set's events on its server, in
+//! order: content, root sharing and digest equal those of a baseline
+//! fork with the whole set applied, which `paracrash::check_reference`
+//! still builds and `tests/differential.rs` holds `check_stack` to.
 //!
-//! Total replay work is the edge count of the prefix tree instead of the
-//! sum of sequence lengths, the fork count is linear in the tree size,
-//! and every fork is an O(written) [`ServerStates::fork`]
-//! (the COW snapshots introduced in `simfs`). Because each state still
-//! ends up with *its exact persisted sequence applied in the exact same
-//! order*, the materialized states — and therefore all verdicts, bug
-//! reports, state counts and simulated costs — are bit-identical to the
-//! naive engine's. The naive engine lives on in
-//! `paracrash::check_reference`, the differential oracle
-//! `tests/differential.rs` holds `check_stack` to.
+//! A check owns one builder. Its `materialize` stage [seeds](ProbeImages::seed)
+//! it with every crash state, one ascending pass per line, so the
+//! states' images (judged in decreasing cut size) and the classifier's
+//! and explain's probes all start from a checkpoint at their first gap.
 
 use crate::emulate::CrashState;
 use pfs::{ServerStates, Store};
+use std::collections::HashMap;
 use tracer::{BitSet, EventId, Payload, Recorder};
 
-/// Accounting of one prefix-sharing materialization pass.
+/// Accounting of one [`prepare_states`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// COW forks taken (one per terminal plus branch-node fan-out).
+    /// Images forked off the baseline, one per crash state.
     pub forks: usize,
-    /// Storage events actually applied — the prefix-tree edge count,
-    /// versus the sum of sequence lengths a naive engine replays.
+    /// Storage events actually applied, seeding included.
     pub ops_replayed: usize,
-    /// Sum of sequence lengths (what the naive engine would replay).
+    /// Sum of the states' storage-event counts (what replaying each
+    /// state on its own applies).
     pub naive_ops: usize,
 }
 
-/// Pre-materialized pre-crash states, one COW fork per crash state, in
-/// crash-state order. Recovery runs on a fresh fork of an entry
-/// (O(written)), so the plan itself stays immutable and every verdict of
-/// the check reads the same one.
+/// Pre-materialized pre-crash states, in crash-state order.
 #[derive(Debug)]
 pub struct SnapshotPlan {
     /// `prepared[i]` is crash state `i` materialized (persisted events
     /// applied, recovery not yet run).
     pub prepared: Vec<ServerStates>,
-    /// Subtree representative: the first crash state (in input order)
-    /// whose storage-event sequence lands on the same prefix-tree
-    /// terminal as state `i` (`rep[i] == i` when the sequence is
+    /// Representative: the first crash state (in input order) with the
+    /// same storage events as state `i` (`rep[i] == i` when they are
     /// unique). States with equal representatives have *identical*
-    /// `prepared` snapshots, so the checker batches recovery per
-    /// representative — unless fault widening makes a state's on-disk
-    /// image unique again.
+    /// `prepared` snapshots, so recovery can be batched per
+    /// representative.
     pub rep: Vec<usize>,
-    /// Sharing accounting.
+    /// Replay accounting.
     pub stats: SnapshotStats,
 }
 
-/// Storage-level event ids of a persisted set, ascending — the order
-/// `ServerStates::apply_events` applies them. Non-storage events are
-/// no-ops for materialization and are dropped so they cannot break
-/// prefix sharing between states that differ only in upper-layer events.
-fn storage_seq(rec: &Recorder, state: &CrashState) -> Vec<EventId> {
-    let mut ids: Vec<EventId> = state
-        .persisted
-        .iter()
-        .filter(|&id| {
-            matches!(
-                rec.event(id).payload,
-                Payload::Fs { .. } | Payload::Block { .. }
-            )
-        })
-        .collect();
-    ids.sort_unstable();
-    ids
-}
-
-/// Depth-first descent of the prefix tree of `seqs` — sorted, so the
-/// sequences below a tree node are one contiguous range led by those
-/// that end at it. One instance is threaded down each chain from
-/// `root`: `step` applies an edge's key to it (`false` = nothing below
-/// this edge is wanted), `leaf` sees it once per sequence that ends at
-/// the node (by index into `seqs`), and it is `fork`ed only where the
-/// tree branches, the last child taking the instance itself. Returns the
-/// forks taken.
-pub(crate) fn descend<K: Copy + PartialEq, N>(
-    seqs: &[&[K]],
-    root: N,
-    fork: impl Fn(&N) -> N,
-    mut step: impl FnMut(&mut N, K) -> bool,
-    mut leaf: impl FnMut(&N, usize),
-) -> usize {
-    let mut forks = 0;
-    // `(node, depth, lo, hi)`: `seqs[lo..hi]` share their first `depth`
-    // keys and `node` has stepped through them.
-    let mut stack = vec![(root, 0, 0, seqs.len())];
-    while let Some((node, depth, mut lo, hi)) = stack.pop() {
-        while lo < hi && seqs[lo].len() == depth {
-            leaf(&node, lo);
-            lo += 1;
-        }
-        let mut node = Some(node);
-        while lo < hi {
-            let key = seqs[lo][depth];
-            let end = lo + seqs[lo..hi].partition_point(|seq| seq[depth] == key);
-            let mut child = if end == hi {
-                node.take().expect("taken by the last child only")
-            } else {
-                forks += 1;
-                fork(node.as_ref().expect("taken by the last child only"))
-            };
-            if step(&mut child, key) {
-                stack.push((child, depth + 1, lo, end));
-            }
-            lo = end;
-        }
-    }
-    forks
-}
-
-/// Materialize every crash state as a COW fork off the shared prefix
-/// tree; a probe's image comes from [`ProbeImages`]. See the module docs
-/// for the algorithm and the equivalence argument.
+/// Materialize every crash state with one seeded [`ProbeImages`]: the
+/// engine `check_stack` builds its images with, without the recovery
+/// memo.
 pub fn prepare_states(
     rec: &Recorder,
     baseline: &ServerStates,
     states: &[CrashState],
 ) -> SnapshotPlan {
-    let _span = pc_rt::obs::span_cat("snapshot.materialize", "snapshot");
-    let mut stats = SnapshotStats::default();
-    let seqs: Vec<Vec<EventId>> = states.iter().map(|s| storage_seq(rec, s)).collect();
-    stats.naive_ops = seqs.iter().map(Vec::len).sum();
-    // Equal sequences end on one tree node, in input order.
-    let mut order: Vec<usize> = (0..states.len()).collect();
-    order.sort_by_key(|&idx| &seqs[idx]);
-    let sorted: Vec<&[EventId]> = order.iter().map(|&idx| seqs[idx].as_slice()).collect();
-    // States whose sequence an earlier state has share that state's
-    // fully-materialized snapshot; `rep` records the earlier state so the
-    // checker can batch per-snapshot work (the count is telemetry only —
-    // not part of the equivalence-checked [`SnapshotStats`]).
-    let mut states_shared = 0u64;
-    let mut rep: Vec<usize> = (0..states.len()).collect();
-    let mut prepared: Vec<Option<ServerStates>> = states.iter().map(|_| None).collect();
-    // An op is applied once per tree edge; forks are the working copy,
-    // one per terminal and one per extra child of a branch node — linear
-    // in the tree size — so pure chains (the common case) never copy
-    // anything.
-    let branch_forks = descend(
-        &sorted,
-        baseline.fork(),
-        ServerStates::fork,
-        |image, id| {
-            pfs::apply_event(rec, id, |server| image.server_mut(server));
-            stats.ops_replayed += 1;
-            true
-        },
-        |image, at| {
-            prepared[order[at]] = Some(image.fork());
-            if at > 0 && sorted[at - 1] == sorted[at] {
-                states_shared += 1;
-                rep[order[at]] = rep[order[at - 1]];
-            }
-        },
-    );
-    stats.forks = 1 + states.len() + branch_forks;
-    pc_rt::obs::count("snapshot.states", states.len() as u64);
-    pc_rt::obs::count("snapshot.states_shared", states_shared);
-    pc_rt::obs::count("snapshot.forks", stats.forks as u64);
-    pc_rt::obs::count("snapshot.ops_replayed", stats.ops_replayed as u64);
-    pc_rt::obs::count("snapshot.naive_ops", stats.naive_ops as u64);
+    let mut images = ProbeImages::new(rec, baseline);
+    let mut stats = SnapshotStats {
+        forks: states.len(),
+        ops_replayed: images.seed(states.iter().map(|s| &s.persisted)),
+        naive_ops: 0,
+    };
+    let lines = images.servers.iter().flat_map(|line| &line.events);
+    let storage = BitSet::from_iter(rec.len(), lines.copied());
+    let mut first: HashMap<BitSet, usize> = HashMap::new();
+    let (mut prepared, mut rep) = (Vec::new(), Vec::new());
+    for (i, state) in states.iter().enumerate() {
+        let mut key = state.persisted.clone();
+        key.intersect_with(&storage);
+        stats.naive_ops += key.count();
+        rep.push(*first.entry(key).or_insert(i));
+        let (image, applied) = images.build(&state.persisted);
+        stats.ops_replayed += applied;
+        prepared.push(image);
+    }
     SnapshotPlan {
-        prepared: prepared
-            .into_iter()
-            .map(|s| s.expect("every state visited"))
-            .collect(),
+        prepared,
         rep,
         stats,
     }
 }
 
-/// The images of probes — subsets of one extended universe
-/// (`classify::extended_universe`): the classifier's, and explain's
-/// ddmin rounds and state diff — built server by server.
-///
-/// A probe drops one or two updates anywhere in the universe, so a
-/// single prefix tree over the probe sets still replays the suffix
-/// after each first drop. A store, though, sees only its own server's
-/// events, in ascending order, whatever the other servers hold. So each
-/// server keeps its universe events and checkpoints along them: a probe
-/// forks the nearest checkpoint at or before its first missing event on
-/// that server, applies the gap (keeping a checkpoint at its end) and
-/// then its own remaining events there. A server the probe leaves
-/// whole reuses one store, digest memo included, and a server it has no
-/// event on stays the baseline's. Each store thus receives exactly the
-/// probe's events on its server, in order: content, root sharing and
-/// digest equal those of a baseline fork with the whole set applied,
-/// which `check_reference` still builds.
+/// The images of persisted sets, built server by server from
+/// checkpoints: crash states, the classifier's probes, and explain's
+/// ddmin rounds and state diff. See the module docs.
 pub struct ProbeImages<'a> {
     rec: &'a Recorder,
     baseline: &'a ServerStates,
-    universe: &'a BitSet,
-    /// One per server with a universe event, in server order.
+    /// One per server with a storage event, in server order.
     servers: Vec<ServerLine>,
 }
 
-/// One server's universe events and checkpoints along them.
+/// One server's storage events and checkpoints along them.
 struct ServerLine {
     server: u32,
-    /// The universe's storage events on this server, ascending.
+    /// The trace's storage events on this server, ascending.
     events: Vec<EventId>,
     /// `(k, store)`: the baseline's store with `events[..k]` applied,
     /// sorted by `k`; `(0, baseline store)` first.
     checkpoints: Vec<(usize, Store)>,
 }
 
+impl ServerLine {
+    /// The first of this line's events `set` lacks (the line's length
+    /// when it has them all).
+    fn first_gap(&self, set: &BitSet) -> usize {
+        (self.events.iter())
+            .position(|&id| !set.contains(id))
+            .unwrap_or(self.events.len())
+    }
+}
+
+/// A fork of the checkpoint at `k` on the line of `events`, made from
+/// the nearest one before it if there is none yet, and the events that
+/// took.
+fn checkpoint(
+    rec: &Recorder,
+    events: &[EventId],
+    checkpoints: &mut Vec<(usize, Store)>,
+    k: usize,
+) -> (Store, usize) {
+    let at = checkpoints.partition_point(|&(pos, _)| pos <= k) - 1;
+    let (from, checkpoint) = &checkpoints[at];
+    let (from, mut store) = (*from, checkpoint.fork());
+    if from < k {
+        for &id in &events[from..k] {
+            pfs::apply_event(rec, id, |_| &mut store);
+        }
+        checkpoints.insert(at + 1, (k, store.fork()));
+    }
+    (store, k - from)
+}
+
 impl<'a> ProbeImages<'a> {
-    /// Split `universe`'s storage events by server, each server's line
-    /// seeded with its `baseline` store.
-    pub fn new(rec: &'a Recorder, baseline: &'a ServerStates, universe: &'a BitSet) -> Self {
-        let mut events: Vec<(u32, EventId)> = (universe.iter())
+    /// Split the trace's storage events by server, each server's line
+    /// starting at its `baseline` store.
+    pub fn new(rec: &'a Recorder, baseline: &'a ServerStates) -> Self {
+        let mut events: Vec<(u32, EventId)> = (0..rec.len())
             .filter_map(|id| match rec.event(id).payload {
                 Payload::Fs { server, .. } | Payload::Block { server, .. } => Some((server, id)),
                 _ => None,
@@ -250,56 +169,57 @@ impl<'a> ProbeImages<'a> {
         ProbeImages {
             rec,
             baseline,
-            universe,
             servers,
         }
     }
 
-    /// The pre-recovery image of `probe`, a subset of the universe.
-    pub fn image(&mut self, probe: &BitSet) -> ServerStates {
-        let _span = pc_rt::obs::span_cat("snapshot.probe", "snapshot");
-        let (image, applied) = self.build(probe);
+    /// Leave a checkpoint at every first gap of `sets` on every line,
+    /// in one ascending pass per line, so that a later image of one of
+    /// them applies only its own events past the gap. Returns the
+    /// storage events applied.
+    pub fn seed<'s>(&mut self, sets: impl Iterator<Item = &'s BitSet> + Clone) -> usize {
+        let _span = pc_rt::obs::span_cat("snapshot.materialize", "snapshot");
+        let mut applied = 0;
+        for line in &mut self.servers {
+            let mut gaps: Vec<usize> = sets.clone().map(|set| line.first_gap(set)).collect();
+            gaps.sort_unstable();
+            gaps.dedup();
+            for k in gaps {
+                applied += checkpoint(self.rec, &line.events, &mut line.checkpoints, k).1;
+            }
+        }
         pc_rt::obs::count("pfs.events_applied", applied as u64);
-        image
+        applied
+    }
+
+    /// The pre-recovery image of the baseline with `set` applied.
+    pub fn image(&mut self, set: &BitSet) -> ServerStates {
+        let _span = pc_rt::obs::span_cat("snapshot.probe", "snapshot");
+        self.build(set).0
     }
 
     /// [`Self::image`] and the storage events applied to build it.
-    fn build(&mut self, probe: &BitSet) -> (ServerStates, usize) {
-        debug_assert!(
-            probe.is_subset(self.universe),
-            "a probe outside its universe"
-        );
+    fn build(&mut self, set: &BitSet) -> (ServerStates, usize) {
         let rec = self.rec;
         let mut image = self.baseline.fork();
         let mut applied = 0;
         for line in &mut self.servers {
-            let events = &line.events;
-            let k = (events.iter())
-                .position(|&id| !probe.contains(id))
-                .unwrap_or(events.len());
-            let mut rest = events[k..]
-                .iter()
-                .filter(|&&id| probe.contains(id))
+            let k = line.first_gap(set);
+            let mut rest = (line.events[k..].iter())
+                .filter(|&&id| set.contains(id))
                 .peekable();
             if k == 0 && rest.peek().is_none() {
                 continue;
             }
-            let at = line.checkpoints.partition_point(|&(pos, _)| pos <= k) - 1;
-            let (from, checkpoint) = &line.checkpoints[at];
-            let mut store = checkpoint.fork();
-            if *from < k {
-                for &id in &events[*from..k] {
-                    pfs::apply_event(rec, id, |_| &mut store);
-                }
-                applied += k - from;
-                line.checkpoints.insert(at + 1, (k, store.fork()));
-            }
+            let (mut store, gap) = checkpoint(rec, &line.events, &mut line.checkpoints, k);
+            applied += gap;
             for &id in rest {
                 pfs::apply_event(rec, id, |_| &mut store);
                 applied += 1;
             }
             *image.server_mut(line.server) = store;
         }
+        pc_rt::obs::count("pfs.events_applied", applied as u64);
         (image, applied)
     }
 }
@@ -379,8 +299,7 @@ mod tests {
         );
         let baseline = ServerStates::all_fs(2, JournalMode::Data);
         let set = |ids: &[EventId]| BitSet::from_iter(rec.len(), ids.iter().copied());
-        let universe = set(&[e[0], e[1], e[2], e[3], other]);
-        let mut images = ProbeImages::new(&rec, &baseline, &universe);
+        let mut images = ProbeImages::new(&rec, &baseline);
         // Both probes first miss e[2] on server 0: the first applies
         // e[0], e[1] up to the gap and e[3] past it, the second only
         // what it holds past the gap. Server 1 is whole in the first
@@ -398,19 +317,33 @@ mod tests {
     }
 
     #[test]
-    fn sharing_replays_only_the_prefix_tree() {
+    fn a_seeded_line_replays_each_gap_once() {
         let (rec, e) = fixture(4);
         let baseline = ServerStates::all_fs(1, JournalMode::Data);
-        // Sequences 012, 013, 02: tree nodes = 0,1,2,3,2' = 5 events,
-        // naive = 3 + 3 + 2 = 8.
-        let subsets = [
+        // Decreasing cut size, the order states are judged in: first
+        // gaps at 3, 2 and 1.
+        let sets = [
             vec![e[0], e[1], e[2]],
             vec![e[0], e[1], e[3]],
             vec![e[0], e[2]],
-        ];
-        let states: Vec<CrashState> = subsets.iter().map(|s| state_of(&rec, s)).collect();
-        let plan = prepare_states(&rec, &baseline, &states);
-        assert_eq!(plan.stats.naive_ops, 8);
-        assert_eq!(plan.stats.ops_replayed, 5);
+        ]
+        .map(|ids| BitSet::from_iter(rec.len(), ids));
+        let mut images = ProbeImages::new(&rec, &baseline);
+        let seeded = images.seed(sets.iter());
+        assert!(seeded <= e.len(), "one pass along the line: {seeded}");
+        // Each build starts at its gap's checkpoint and applies only
+        // what it holds past it.
+        for set in &sets {
+            let k = e
+                .iter()
+                .position(|&id| !set.contains(id))
+                .unwrap_or(e.len());
+            let past_gap = e[k..].iter().filter(|&&id| set.contains(id)).count();
+            let (image, applied) = images.build(set);
+            assert_eq!(applied, past_gap);
+            let mut whole = baseline.fork();
+            whole.apply_events(&rec, set.iter());
+            assert_eq!(image, whole);
+        }
     }
 }

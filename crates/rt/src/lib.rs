@@ -40,7 +40,7 @@
 //! Owning the runtime is not only an offline-build workaround: the
 //! exploration hot path (thousands of crash-state reconstructions per
 //! trace) is one deterministic loop, and its gains come from sharing
-//! work between states — the prefix tree, the recovery memo, sealed
+//! work between states — image checkpoints, the recovery memo, sealed
 //! bases — which a black-box scheduler would not let us order.
 //!
 //! # Example

@@ -12,8 +12,8 @@
 #      `cargo clippy --all-targets -D warnings`, no PFS model
 #      re-defining `ModelBase` plumbing or `fork`, hand-rolling the
 #      storage-side orphan sweep or spelling its own chunk path, no HDF5
-#      signature outside `format.rs`, no image built by explain but
-#      through `ProbeImages`, no artifact wire key read outside
+#      signature outside `format.rs`, one image builder per check (the
+#      recovery memo's `ProbeImages`), no artifact wire key read outside
 #      the module that writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed
 #      second ledger, no test under `crates/` setting its own process's
 #      environment.
@@ -134,10 +134,12 @@ grep -nE 'format!\("/(chunks|bstreams|objects)/' crates/pfs/src/*.rs && { echo "
 grep -qE 'format!\("\{\}/\{object\}\.\{stripe\}"' crates/pfs/src/base.rs || { echo "FAIL: the chunk-path fence matches nothing"; exit 1; }
 # The HDF5 layout has one reader: its signatures appear in format.rs only.
 grep -rnE 'b"(OHDR|TREE|HEAP|SNOD|DTRE)"' crates | grep -v '^crates/h5sim/src/format.rs:' && { echo "FAIL: a second reader of the HDF5 layout"; exit 1; } || true
-# One probe path: explain's ddmin and state diff build their images with
-# the classifier's `snapshot::ProbeImages`, never a replay of their own.
-grep -nE 'prepare_states|apply_events|deep_clone' crates/core/src/explain.rs && { echo "FAIL: explain builds its own images"; exit 1; } || true
-grep -q 'ProbeImages' crates/core/src/explain.rs || { echo "FAIL: the explain probe-path fence matches nothing"; exit 1; }
+# One image builder per check: `RecoveryMemo::new` makes the check's
+# `snapshot::ProbeImages`, and every image of the check (crash states,
+# classifier and explain probes) is a persisted set asked of that memo.
+grep -rn 'ProbeImages::new' crates/core/src | grep -vE '^crates/core/src/(check|snapshot)\.rs:' && { echo "FAIL: a second image builder"; exit 1; } || true
+grep -nE 'ProbeImages|prepare_states|apply_events|deep_clone' crates/core/src/{explain,classify}.rs && { echo "FAIL: a probe builds its own image"; exit 1; } || true
+[ "$(grep -c 'ProbeImages::new' crates/core/src/check.rs)" = 1 ] || { echo "FAIL: check.rs makes other than one image builder"; exit 1; }
 # So has each artifact: its wire keys are looked up by its writer's module only.
 grep -rnE '\.get\("(traceEvents|otherData|ts_ns|published)"\)' crates/*/src | grep -vE '^crates/(core/src/telemetry|rt/src/stream)\.rs:' && { echo "FAIL: a second reader of an artifact"; exit 1; } || true
 # benchmark/ is the one perf ledger ([_]: this line must not match itself).
