@@ -30,7 +30,7 @@ use crate::stack::{Stack, StackFactory};
 use h5sim::{check_lenient_with, check_with, Cleared, DigestMemo, H5Logical};
 use pfs::{recover_and_mount, Content, PfsView, ServerStates};
 use std::cell::{OnceCell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -582,17 +582,28 @@ fn materialize(a: &Analysis, e: &Enumerated) -> Vec<u64> {
     let stage = pc_rt::obs::span_cat("check.materialize", "check");
     a.memo.seed(e.states.iter().map(|s| &s.persisted));
     drop(stage);
-    let mut rep_digests = Vec::new();
-    if a.cfg.collect_rep_digests {
-        let _stage = pc_rt::obs::span_cat("check.rep_digests", "check");
-        rep_digests = (e.states.iter())
-            .map(|s| a.memo.image(a.stack, &s.persisted).digest())
-            .collect();
-        rep_digests.sort_unstable();
-        rep_digests.dedup();
-        pc_rt::obs::count("check.rep_digests", rep_digests.len() as u64);
+    if !a.cfg.collect_rep_digests {
+        return Vec::new();
     }
+    let _stage = pc_rt::obs::span_cat("check.rep_digests", "check");
+    let sets = e.states.iter().map(|s| &s.persisted);
+    let rep_digests = distinct_digests(sets, |set| a.memo.image(a.stack, set).digest());
+    pc_rt::obs::count("check.rep_digests", rep_digests.len() as u64);
     rep_digests
+}
+
+/// The sorted distinct values of `digest` over `sets`, asked once per
+/// distinct set, in first-seen order (so the images built are a function
+/// of the sets' order).
+fn distinct_digests<'s>(
+    sets: impl Iterator<Item = &'s BitSet>,
+    digest: impl FnMut(&BitSet) -> u64,
+) -> Vec<u64> {
+    let mut seen = HashSet::new();
+    let mut digests: Vec<u64> = sets.filter(|set| seen.insert(*set)).map(digest).collect();
+    digests.sort_unstable();
+    digests.dedup();
+    digests
 }
 
 /// Torn-write widening draws from an RNG seeded by (torn seed, state
@@ -664,19 +675,12 @@ fn verdict_of(a: &Analysis, e: &Enumerated, i: usize, legal: &LegalStates) -> Ve
 
 /// Stage 4, the golden walks: one legal list per distinct candidate set
 /// (`Enumerated` interned them, so a state's lists are an index away).
-fn legal_states(a: &Analysis, factory: &StackFactory, e: &Enumerated) -> Legal {
+fn legal_states(a: &Analysis, e: &Enumerated) -> Legal {
     let _stage = pc_rt::obs::span_cat("check.legal_states", "check");
     let mut walk = golden::WalkStats::default();
     let sets = (&e.pfs_sets[..], &e.h5_sets[..]);
-    let lists = golden::legal_lists(
-        a.stack,
-        a.cfg,
-        &a.graph,
-        factory,
-        sets,
-        Some(&mut walk),
-        a.memo.datasets(),
-    );
+    let regime = golden::Regime::Walk(&mut walk);
+    let lists = golden::legal_lists(a.stack, a.cfg, &a.graph, sets, regime, a.memo.datasets());
     // `enumerate` interned the candidate sets from the states, so each
     // list is named by at least one: a miss the first time, a hit for
     // every other state that looks it up.
@@ -920,17 +924,17 @@ fn outcome(
     }
 }
 
-/// Run the full ParaCrash check for one traced program. `factory`
-/// builds the instance the library-layer golden walk replays its
-/// preamble on; the PFS-layer walk forks the one `stack` sealed.
-pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> CheckOutcome {
+/// Run the full ParaCrash check for one traced program. The walks never
+/// call `factory`: both start from the pre-test snapshot `stack` sealed.
+/// It stays so that callers hand both checkers the same arguments.
+pub fn check_stack(stack: &Stack, _factory: &StackFactory, cfg: &CheckConfig) -> CheckOutcome {
     let started = Instant::now();
     let _check_span = pc_rt::obs::span_cat("check_stack", "check");
 
     let a = analyze(stack, cfg, RecoveryMemo::new(stack));
     let e = enumerate(&a);
     let rep_digests = materialize(&a, &e);
-    let l = legal_states(&a, factory, &e);
+    let l = legal_states(&a, &e);
     let c = prune_and_judge(
         &a,
         &e,
@@ -999,7 +1003,8 @@ pub fn check_reference(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig)
         let (pfs, h5) = e.sets_of[i];
         let pfs = std::slice::from_ref(&e.pfs_sets[pfs]);
         let h5 = h5.map_or(&[][..], |h5| std::slice::from_ref(&e.h5_sets[h5]));
-        golden::legal_lists(stack, cfg, &a.graph, factory, (pfs, h5), None, None)
+        let regime = golden::Regime::Replay(factory);
+        golden::legal_lists(stack, cfg, &a.graph, (pfs, h5), regime, None)
             .of((0, h5.first().map(|_| 0)))
     };
     let verdict = |i: usize, legal: &LegalStates| {
@@ -1239,7 +1244,7 @@ mod tests {
             }
             let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
             let e = enumerate(&a);
-            let l = legal_states(&a, &factory, &e);
+            let l = legal_states(&a, &e);
             assert_eq!(l.pfs_cache.misses, n + 1, "candidate sets, n = {n}");
             let (executed, shared) = l.replays;
             assert_eq!(executed, n + 1, "replays executed, n = {n}");
@@ -1255,11 +1260,11 @@ mod tests {
     /// list, not equal copies: the table holds one per distinct set.
     #[test]
     fn states_of_one_candidate_set_share_one_list() {
-        let (stack, factory) = run_h5(false);
+        let (stack, _) = run_h5(false);
         let cfg = CheckConfig::paper_default();
         let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
         let e = enumerate(&a);
-        let l = legal_states(&a, &factory, &e);
+        let l = legal_states(&a, &e);
         let legal = |i: usize| l.lists.of(e.sets_of[i]).expect("replays succeed");
         let (mut pfs_pairs, mut h5_pairs) = (0, 0);
         for i in 0..e.states.len() {
@@ -1363,9 +1368,9 @@ mod tests {
     }
 
     /// Stages 3 to 5 as `check_stack` runs them.
-    fn judged(a: &Analysis, factory: &StackFactory, e: &Enumerated) -> Classified {
+    fn judged(a: &Analysis, e: &Enumerated) -> Classified {
         materialize(a, e);
-        let l = legal_states(a, factory, e);
+        let l = legal_states(a, e);
         prune_and_judge(
             a,
             e,
@@ -1389,7 +1394,6 @@ mod tests {
     #[test]
     fn each_distinct_digest_is_recovered_exactly_once() {
         use std::sync::atomic::Ordering::Relaxed;
-        let factory = beegfs_factory();
         let cfg = CheckConfig::paper_default();
         let (stack, runs) = instrumented_arvr(false);
 
@@ -1418,7 +1422,7 @@ mod tests {
         let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
         let e = enumerate(&a);
         runs.store(0, Relaxed);
-        let c = judged(&a, &factory, &e);
+        let c = judged(&a, &e);
         assert!(!c.bugs.is_empty(), "the classifier probed");
         assert!(c.pruned > 0, "the fixture prunes");
         let filled = memo_digests(&a);
@@ -1433,13 +1437,12 @@ mod tests {
     #[test]
     fn torn_states_never_touch_the_memo() {
         use std::sync::atomic::Ordering::Relaxed;
-        let factory = beegfs_factory();
         let mut cfg = CheckConfig::paper_default();
         cfg.torn_seed = Some(0);
         let (stack, runs) = instrumented_arvr(false);
         let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
         let e = enumerate(&a);
-        let c = judged(&a, &factory, &e);
+        let c = judged(&a, &e);
         let torn = (c.checked.iter())
             .filter(|&&i| !e.states[i].victims.is_empty())
             .count();
@@ -1464,7 +1467,7 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
         let e = enumerate(&a);
-        let c = judged(&a, &factory, &e);
+        let c = judged(&a, &e);
         std::panic::set_hook(prev);
         // No verdict, so nothing learned and nothing pruned: every state
         // is checked.
@@ -1487,7 +1490,7 @@ mod tests {
     /// H5-create (or H5-delete) on a striped 2+2 BeeGFS, the quick
     /// profile's shape.
     fn run_h5(delete: bool) -> (Stack, StackFactory) {
-        use h5sim::{H5File, H5Spec};
+        use h5sim::{H5Call, H5Spec};
         let factory: StackFactory = Box::new(|| {
             Box::new(BeeGfs::new(
                 simnet::ClusterTopology::dedicated(2, 2, 2),
@@ -1496,30 +1499,66 @@ mod tests {
             ))
         });
         let mut stack = Stack::new(factory());
-        let (ranks, spec) = (vec![0, 1], H5Spec { elem: 8, seg: 1024 });
+        let ranks = vec![0, 1];
         stack.h5_path = Some("/file.h5".into());
         stack.h5_ranks = ranks.clone();
-        stack.h5_spec = spec;
-        let mut file = {
-            let mut mpi = mpiio::MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
-            let mut f = H5File::create(&mut mpi, &mut stack.h5, &ranks, "/file.h5", spec);
-            f.create_group(&mut mpi, &mut stack.h5, 0, "g1");
-            f.create_group(&mut mpi, &mut stack.h5, 0, "g2");
-            for name in ["d1", "d2"] {
-                f.create_dataset(&mut mpi, &mut stack.h5, 0, "g1", name, 24, 24);
-            }
-            f.close(&mut mpi, &mut stack.h5, &ranks);
-            f
+        stack.h5_spec = H5Spec { elem: 8, seg: 1024 };
+        let (g1, g2) = (String::from("g1"), String::from("g2"));
+        let dataset = |name: &str| H5Call::CreateDataset {
+            group: g1.clone(),
+            name: name.into(),
+            rows: 24,
+            cols: 24,
         };
+        for call in [
+            H5Call::CreateFile,
+            H5Call::CreateGroup { group: g1.clone() },
+            H5Call::CreateGroup { group: g2 },
+            dataset("d1"),
+            dataset("d2"),
+            H5Call::CloseFile,
+        ] {
+            stack.h5(0, call);
+        }
         stack.seal_preamble();
         let mut mpi = mpiio::MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
-        file.open(&mut mpi, &ranks);
-        if delete {
-            file.delete_dataset(&mut mpi, &mut stack.h5, 0, "g1", "d2");
+        mpi.file_open(&ranks, "/file.h5", false, None);
+        let test = if delete {
+            let (group, name) = (g1.clone(), "d2".into());
+            H5Call::DeleteDataset { group, name }
         } else {
-            file.create_dataset(&mut mpi, &mut stack.h5, 0, "g1", "d3", 24, 24);
-        }
+            dataset("d3")
+        };
+        stack.h5(0, test);
         (stack, factory)
+    }
+
+    /// `rep_digests` builds one image per distinct persisted set, in the
+    /// order the states first name it, and collects the digests one
+    /// image per state would.
+    #[test]
+    fn rep_digests_build_each_distinct_set_once() {
+        let (stack, _) = run_h5(false);
+        let cfg = CheckConfig {
+            collect_rep_digests: true,
+            ..CheckConfig::paper_default()
+        };
+        let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
+        let e = enumerate(&a);
+        let sets: Vec<&BitSet> = e.states.iter().map(|s| &s.persisted).collect();
+        let first_seen = (0..sets.len()).filter(|&i| !sets[..i].contains(&sets[i]));
+        let first_seen: Vec<&BitSet> = first_seen.map(|i| sets[i]).collect();
+        assert!(first_seen.len() < sets.len(), "the fixture repeats sets");
+        let digest = |set: &BitSet| a.memo.image(&stack, set).digest();
+        let mut asked = Vec::new();
+        let digests = distinct_digests(sets.iter().copied(), |set| {
+            asked.push(set.clone());
+            digest(set)
+        });
+        assert!(asked.iter().eq(first_seen.iter().copied()));
+        let every: BTreeSet<u64> = sets.iter().map(|set| digest(set)).collect();
+        assert!(digests.iter().eq(&every));
+        assert_eq!(materialize(&a, &e), digests);
     }
 
     /// The single-function verdict [`h5_verdict`] was split from, re-parsing
@@ -1608,7 +1647,7 @@ mod tests {
             (true, Model::Causal),
             (true, Model::Baseline),
         ] {
-            let (stack, factory) = run_h5(delete);
+            let (stack, _) = run_h5(delete);
             let path = stack.h5_path.as_deref().unwrap();
             let cfg = CheckConfig {
                 h5_model,
@@ -1617,7 +1656,7 @@ mod tests {
             let a = analyze(&stack, &cfg, RecoveryMemo::new(&stack));
             let e = enumerate(&a);
             materialize(&a, &e);
-            let l = legal_states(&a, &factory, &e);
+            let l = legal_states(&a, &e);
             for i in 0..e.states.len() {
                 let legal = l.lists.of(e.sets_of[i]).expect("replays succeed");
                 let shared = a.memo.of_set(&stack, &e.states[i].persisted);

@@ -13,17 +13,17 @@
 //!   `Recorder`, and the instance is forked
 //!   ([`pfs::Pfs::fork`](pfs::Fork::fork): copy-on-write stores) only
 //!   where the trie branches, the last child taking the instance itself.
-//!   The PFS walk starts from a fork of the instance the traced stack
-//!   sealed after its preamble ([`Stack::sealed`]), the paper's pre-test
-//!   snapshot: it dispatches no preamble and builds no instance, and only
-//!   mirrors the preamble into `executable()`'s namespace. The library
-//!   walk starts from `factory()` and dispatches the library preamble,
-//!   whose replay state the traced stack does not keep. The namespace
-//!   mirror travels down the walk with the instance. An edge that fails
-//!   marks its whole subtree "no legal state"; an edge that panics marks
-//!   it with the caught message — what a full replay of each set under it
-//!   would have hit at the same call. One `check.legal_replay` span per
-//!   layer walk.
+//!   Both walks start from the paper's pre-test snapshot, which the
+//!   traced stack sealed after its preamble: the PFS walk from a fork of
+//!   that instance ([`Stack::sealed`]), the library walk from another
+//!   fork and the library replay sealed next to it ([`Stack::sealed_h5`]).
+//!   Neither builds an instance or dispatches a preamble call; the PFS
+//!   walk only mirrors its preamble into `executable()`'s namespace. The
+//!   namespace mirror travels down the walk with the instance. An edge
+//!   that fails marks its whole subtree "no legal state"; an edge that
+//!   panics marks it with the caught message — what a full replay of each
+//!   set under it would have hit at the same call. One
+//!   `check.legal_replay` span per layer walk.
 //! * **`check_reference`: no table.** Every preserved set goes through
 //!   [`replay_pfs`] / [`replay_h5`] — a fresh instance and the whole
 //!   preamble per set. It is the oracle `tests/differential.rs` holds the
@@ -69,8 +69,8 @@ pub(crate) struct WalkStats {
     pub executed: usize,
     /// Preserved-set lookups a set already in the table answered.
     pub shared: usize,
-    /// Calls dispatched: trie edges, and the library preamble (the PFS
-    /// walk starts past its preamble).
+    /// Calls dispatched: trie edges (both walks start past the
+    /// preamble).
     pub dispatched: usize,
     /// Instances forked at trie branches.
     pub forks: usize,
@@ -96,18 +96,24 @@ impl Golden {
     }
 }
 
-/// The legal lists of both layers for the given candidate sets. With
-/// `walk`, one golden walk per layer fills a table the lists are
-/// assembled from, the library walk taking its dataset digests through
-/// `datasets`; without, every preserved set of every candidate set is
-/// replayed afresh on a `factory()` instance.
+/// How [`legal_lists`] gets the state a preserved set denotes.
+pub(crate) enum Regime<'a> {
+    /// One golden walk per layer from the sealed pre-test snapshot,
+    /// counted into the stats.
+    Walk(&'a mut WalkStats),
+    /// Every preserved set replayed afresh on an instance the factory
+    /// builds.
+    Replay(&'a StackFactory),
+}
+
+/// The legal lists of both layers for the given candidate sets, the
+/// library states taking their dataset digests through `datasets`.
 pub(crate) fn legal_lists(
     stack: &Stack,
     cfg: &CheckConfig,
     graph: &CausalityGraph,
-    factory: &StackFactory,
     (pfs_sets, h5_sets): (&[Vec<EventId>], &[Vec<EventId>]),
-    mut walk: Option<&mut WalkStats>,
+    mut regime: Regime,
     datasets: Option<&DigestMemo>,
 ) -> Golden {
     let views = layer_lists(
@@ -116,10 +122,10 @@ pub(crate) fn legal_lists(
             let committed = pfs_committed(graph, stack, candidates);
             (cfg.pfs_model).preserved_sets(graph, candidates, &committed)
         },
-        |set| replay_pfs(factory, &stack.pre_calls, &stack.calls.subset(set)),
-        |_| PfsGolden::sealed(stack).map(Node::new),
+        &mut regime,
+        || PfsGolden::sealed(stack),
+        |factory, set| replay_pfs(factory, &stack.pre_calls, &stack.calls.subset(set)),
         &stack.calls,
-        walk.as_deref_mut(),
     );
     // The baseline model's golden comparison is dataset-granular rather
     // than whole-state, but its legal *full* states still come from the
@@ -129,63 +135,64 @@ pub(crate) fn legal_lists(
         Model::Baseline => Model::Causal,
         model => model,
     };
-    let path = stack.h5_path.as_deref().unwrap_or_default();
     let logicals = layer_lists(
         h5_sets,
         |candidates| enum_model.preserved_sets(graph, candidates, &[]),
-        |set| {
-            let subset = stack.h5.subset(set);
-            let (ranks, pre, spec) = (&stack.h5_ranks, &stack.pre_h5, stack.h5_spec);
-            replay_h5(factory, path, ranks, pre, &subset, spec)
-        },
-        |dispatched| {
-            let fresh = H5Golden {
-                pfs: factory(),
-                replay: H5Replay::new(path, &stack.h5_ranks, stack.h5_spec),
+        &mut regime,
+        || {
+            Some(H5Golden {
+                pfs: stack.sealed.fork(),
+                replay: stack.sealed_h5(),
                 datasets,
-            };
-            Node::new(fresh).after(&stack.pre_h5, dispatched)
+            })
+        },
+        |factory, set| {
+            let path = stack.h5_path.as_deref().unwrap_or_default();
+            let (ranks, pre, spec) = (&stack.h5_ranks, &stack.pre_h5, stack.h5_spec);
+            replay_h5(factory, path, ranks, pre, &stack.h5.subset(set), spec)
         },
         &stack.h5,
-        walk,
     );
     Golden { views, logicals }
 }
 
 /// One layer of [`legal_lists`]: `preserved` enumerates a candidate
-/// set's preserved sets, `oracle` replays one set in full, `base` builds
-/// the post-preamble replay a walk starts from (see [`walk_sets`]).
+/// set's preserved sets; each distinct one is walked down from `base`,
+/// the replay past the preamble (see [`walk_sets`]), or replayed in full
+/// by `oracle`.
 fn layer_lists<R: Replay>(
     candidate_sets: &[Vec<EventId>],
     preserved: impl Fn(&[EventId]) -> Vec<Vec<EventId>>,
-    oracle: impl Fn(&[EventId]) -> Option<R::State>,
-    base: impl FnOnce(&mut usize) -> Option<Node<R>>,
+    regime: &mut Regime,
+    base: impl FnOnce() -> Option<R>,
+    oracle: impl Fn(&StackFactory, &[EventId]) -> Option<R::State>,
     calls: &CallTrace<R::Who, R::Op>,
-    walk: Option<&mut WalkStats>,
 ) -> Lists<R::State> {
     let preserved: Vec<Result<Vec<Vec<EventId>>, String>> = candidate_sets
         .iter()
         .map(|candidates| caught(|| preserved(candidates)))
         .collect();
     let lookups = || preserved.iter().flatten().flatten();
-    let table = walk.map(|stats| {
-        let mut sets: Vec<&[EventId]> = lookups().map(Vec::as_slice).collect();
-        sets.sort_unstable();
-        sets.dedup();
-        stats.executed += sets.len();
-        stats.shared += lookups().count() - sets.len();
-        walk_sets(base, calls, sets, stats)
-    });
-    let replayed = |set: &[EventId]| -> Replayed<R::State> {
-        match &table {
-            Some(table) => table[set].clone(),
-            None => caught(|| oracle(set).map(|state| (R::digest(&state), Arc::new(state)))),
+    let mut sets: Vec<&[EventId]> = lookups().map(Vec::as_slice).collect();
+    sets.sort_unstable();
+    sets.dedup();
+    let table = match regime {
+        Regime::Walk(stats) => {
+            stats.executed += sets.len();
+            stats.shared += lookups().count() - sets.len();
+            walk_sets(base, calls, sets, stats)
         }
+        Regime::Replay(factory) => (sets.into_iter())
+            .map(|set| {
+                let state = caught(|| oracle(factory, set));
+                (set, state.map(|s| s.map(|s| (R::digest(&s), Arc::new(s)))))
+            })
+            .collect(),
     };
     let list = |sets: &Result<Vec<Vec<EventId>>, String>| {
         let (mut seen, mut list) = (BTreeSet::new(), Vec::new());
         for set in sets.as_ref().map_err(String::clone)? {
-            if let Some((digest, state)) = replayed(set)? {
+            if let Some((digest, state)) = table[set.as_slice()].clone()? {
                 if seen.insert(digest) {
                     list.push(state);
                 }
@@ -323,23 +330,6 @@ struct Node<R> {
     poison: Option<String>,
 }
 
-impl<R: Replay> Node<R> {
-    fn new(replay: R) -> Self {
-        Node {
-            replay,
-            poison: None,
-        }
-    }
-
-    /// The node with `pre` dispatched onto it; `None` when nothing after
-    /// that preamble is legal.
-    fn after(mut self, pre: &[(R::Who, R::Op)], dispatched: &mut usize) -> Option<Self> {
-        (pre.iter())
-            .all(|(who, op)| step(dispatched, &mut self, *who, op))
-            .then_some(self)
-    }
-}
-
 /// Dispatch one edge on `node`; `false` when nothing below it is legal.
 fn step<R: Replay>(dispatched: &mut usize, node: &mut Node<R>, who: R::Who, op: &R::Op) -> bool {
     if !node.replay.admits(op) {
@@ -401,9 +391,9 @@ fn descend<K: Copy + PartialEq, N>(
 /// One layer's golden walk: what each of `sets` (sorted, distinct; each
 /// a subsequence of `calls`) denotes, replayed down the sets' prefix tree
 /// from `base`, the replay past the preamble (`None`: no legal state
-/// follows it). `base` counts the calls it dispatches into its argument.
+/// follows it).
 fn walk_sets<'a, R: Replay>(
-    base: impl FnOnce(&mut usize) -> Option<Node<R>>,
+    base: impl FnOnce() -> Option<R>,
     calls: &CallTrace<R::Who, R::Op>,
     sets: Vec<&'a [EventId]>,
     stats: &mut WalkStats,
@@ -414,7 +404,11 @@ fn walk_sets<'a, R: Replay>(
     if !sets.is_empty() {
         let _walk = pc_rt::obs::span_cat("check.legal_replay", "check");
         let dispatched = &mut stats.dispatched;
-        if let Some(base) = base(dispatched) {
+        if let Some(base) = base() {
+            let base = Node {
+                replay: base,
+                poison: None,
+            };
             stats.forks += descend(
                 &sets,
                 base,
@@ -450,8 +444,12 @@ pub fn walk_pfs(stack: &Stack, sets: &[Vec<EventId>]) -> Vec<Result<Option<PfsVi
     sorted.sort_unstable();
     sorted.dedup();
     let mut stats = WalkStats::default();
-    let base = |_: &mut usize| PfsGolden::sealed(stack).map(Node::new);
-    let table = walk_sets(base, &stack.calls, sorted, &mut stats);
+    let table = walk_sets(
+        || PfsGolden::sealed(stack),
+        &stack.calls,
+        sorted,
+        &mut stats,
+    );
     let view = |replayed: &Replayed<PfsView>| {
         let replayed = replayed.as_ref().map_err(String::clone)?;
         Ok(replayed.as_ref().map(|(_, view)| PfsView::clone(view)))
@@ -476,19 +474,16 @@ mod tests {
         PfsCall::Close { path: path.into() }
     }
 
-    fn ext4_factory() -> StackFactory {
-        Box::new(|| Box::new(Ext4Direct::paper_default()))
-    }
-
     /// A sequential program's preserved sets are the prefixes of its
     /// calls — a trie of `n` edges and no branch: the walk forks the
     /// sealed instance and dispatches each call once and no preamble,
     /// where `n + 1` full replays dispatch `(n + 1) · preamble + n(n + 1) / 2`.
     #[test]
     fn golden_walk_dispatches_each_edge_of_a_sequential_trace_once() {
-        let (factory, cfg) = (ext4_factory(), CheckConfig::paper_default());
+        let factory: StackFactory = Box::new(|| Box::new(Ext4Direct::paper_default()));
+        let cfg = CheckConfig::paper_default();
         for n in [4, 8, 16] {
-            let mut stack = Stack::new(factory());
+            let mut stack = Stack::new(Box::new(Ext4Direct::paper_default()));
             for call in [creat("/old"), close("/old")] {
                 stack.posix(0, call);
             }
@@ -499,17 +494,17 @@ mod tests {
             let graph = CausalityGraph::build(&stack.rec);
             let ids = stack.calls.event_ids();
             let prefixes: Vec<Vec<EventId>> = (0..=n).map(|k| ids[..k].to_vec()).collect();
-            let lists = |walk: Option<&mut WalkStats>| {
+            let lists = |regime| {
                 let sets = (&prefixes[..], &[][..]);
-                legal_lists(&stack, &cfg, &graph, &factory, sets, walk, None)
+                legal_lists(&stack, &cfg, &graph, sets, regime, None)
             };
+            let replayed = lists(Regime::Replay(&factory));
             let mut stats = WalkStats::default();
-            let walked = lists(Some(&mut stats));
+            let walked = lists(Regime::Walk(&mut stats));
             assert_eq!((stats.dispatched, stats.forks), (n, 0), "n = {n}");
             assert_eq!(stats.executed, n + 1, "n = {n}");
             assert_eq!(stats.executed + stats.shared, (n + 1) * (n + 2) / 2);
             // The table the walk fills is the oracle's, list by list.
-            let replayed = lists(None);
             for k in 0..=n {
                 let (walked, replayed) = (walked.of((k, None)), replayed.of((k, None)));
                 assert_eq!(walked.as_ref().unwrap().0.len(), k + 1);
@@ -566,15 +561,13 @@ mod tests {
         calls: Vec<PfsCall>,
     ) -> (Stack, StackFactory) {
         let armed = Arc::new(AtomicBool::new(false));
-        let flag = armed.clone();
-        let factory: StackFactory = Box::new(move || {
-            Box::new(Faulty {
-                inner: Box::new(pfs::beegfs::BeeGfs::paper_default()),
-                fault,
-                armed: flag.clone(),
-            })
-        });
-        let mut stack = Stack::new(factory());
+        let double = Faulty {
+            inner: Box::new(pfs::beegfs::BeeGfs::paper_default()),
+            fault,
+            armed: armed.clone(),
+        };
+        let mut stack = Stack::new(Box::new(double.clone()));
+        let factory: StackFactory = Box::new(move || Box::new(double.clone()));
         stack.seal_preamble();
         for call in calls {
             stack.posix(0, call);

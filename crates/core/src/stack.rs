@@ -9,12 +9,17 @@
 //! the oracle. `check_stack` gets the same states from one walk over all
 //! subsets of a check (`golden`).
 //!
-//! [`Stack::seal_preamble`] keeps a fork of the instance it sealed: the
-//! paper's pre-test snapshot (§4.3), taken once. The PFS-layer walk
-//! starts from a fork of it instead of building a fresh instance and
-//! dispatching the preamble again.
+//! A program issues its calls through the stack: [`Stack::posix`] at the
+//! PFS layer, [`Stack::h5`] at the I/O-library layer, the latter by
+//! stepping the stack's own [`H5Replay`] — the stepper every golden
+//! replay of a library call runs too. [`Stack::seal_preamble`] keeps a
+//! fork of the instance it sealed and a clone of that replay: the
+//! paper's pre-test snapshot (§4.3), taken once. Both golden walks start
+//! from a fork of it; neither builds an instance or dispatches a
+//! preamble call.
 
-use h5sim::{H5Call, H5Trace};
+use h5sim::{H5Call, H5Replay, H5Trace};
+use mpiio::MpiIo;
 use pfs::{ClientTrace, Pfs, PfsCall, PfsView};
 use std::collections::BTreeSet;
 use tracer::{Process, Recorder};
@@ -47,8 +52,13 @@ pub struct Stack {
     pub h5_spec: h5sim::H5Spec,
     /// `pfs` as [`seal_preamble`](Self::seal_preamble) left it (as built,
     /// before it is called): what a fresh instance plus `pre_calls`
-    /// would be, without either.
+    /// would be, without either. Both golden walks fork it.
     pub(crate) sealed: Box<dyn Pfs>,
+    /// The library replay [`h5`](Self::h5) steps, from its first call.
+    replay: Option<H5Replay>,
+    /// `replay` as `seal_preamble` left it: with `sealed`, what a fresh
+    /// instance plus `pre_h5` replayed would be.
+    sealed_h5: Option<H5Replay>,
 }
 
 impl Stack {
@@ -65,6 +75,8 @@ impl Stack {
             h5_path: None,
             h5_ranks: vec![0],
             h5_spec: h5sim::H5Spec::default(),
+            replay: None,
+            sealed_h5: None,
         }
     }
 
@@ -80,12 +92,29 @@ impl Stack {
         self.calls.push(ev, Process::Client(client), call);
     }
 
+    /// Issue one I/O-library call from `rank` on the file at `h5_path`
+    /// (ranks `h5_ranks`, library `h5_spec`): the stack's replay steps it
+    /// through MPI-IO on `pfs`, traced like any other call.
+    pub fn h5(&mut self, rank: u32, call: H5Call) {
+        let path = self
+            .h5_path
+            .as_deref()
+            .expect("a library program sets h5_path");
+        let replay =
+            (self.replay).get_or_insert_with(|| H5Replay::new(path, &self.h5_ranks, self.h5_spec));
+        // As in `posix`: an invalid call means the workload is malformed.
+        let mpi = &mut MpiIo::new(self.pfs.as_mut(), &mut self.rec, &mut self.calls);
+        (replay.step_with(mpi, &mut self.h5, rank, &call))
+            .unwrap_or_else(|e| panic!("h5 call {}: {e:?}", call.name()));
+    }
+
     /// End the preamble: snapshot the baseline, keep a fork of the
-    /// sealed instance, archive the preamble calls, and start the
-    /// test-phase trace.
+    /// sealed instance and a clone of the library replay, archive the
+    /// preamble calls, and start the test-phase trace.
     pub fn seal_preamble(&mut self) {
         self.pfs.seal_baseline();
         self.sealed = self.pfs.fork();
+        self.sealed_h5 = self.replay.clone();
         self.pre_calls = std::mem::take(&mut self.calls)
             .entries()
             .iter()
@@ -99,12 +128,31 @@ impl Stack {
         self.rec = Recorder::new();
     }
 
-    /// The instance the PFS-layer golden walk forks: `pfs` right after
-    /// the preamble was sealed. `tests/properties.rs` holds it to a fresh
+    /// The instance both golden walks fork: `pfs` right after the
+    /// preamble was sealed. `tests/stack_e2e.rs` holds it to a fresh
     /// instance with `pre_calls` dispatched.
     #[doc(hidden)]
     pub fn sealed(&self) -> &dyn Pfs {
         self.sealed.as_ref()
+    }
+
+    /// The library replay the library-layer golden walk continues on a
+    /// fork of [`sealed`](Self::sealed): the traced run's as the preamble
+    /// left it, or a fresh one when the preamble made no library call.
+    /// `tests/stack_e2e.rs` holds the pair to `pre_h5` replayed afresh.
+    #[doc(hidden)]
+    pub fn sealed_h5(&self) -> H5Replay {
+        match &self.sealed_h5 {
+            Some(replay) => replay.clone(),
+            None => {
+                assert!(
+                    self.pre_h5.is_empty(),
+                    "a library preamble seals its replay"
+                );
+                let path = self.h5_path.as_deref().unwrap_or_default();
+                H5Replay::new(path, &self.h5_ranks, self.h5_spec)
+            }
+        }
     }
 
     /// The journaling mode of a server's local FS (block servers: none).

@@ -226,11 +226,6 @@ impl H5File {
         f
     }
 
-    /// Reopen an existing file (no writes).
-    pub fn open(&self, mpi: &mut MpiIo, ranks: &[u32]) {
-        mpi.file_open(ranks, &self.path, false, None);
-    }
-
     /// Close the file. Collective.
     pub fn close(&mut self, mpi: &mut MpiIo, h5t: &mut H5Trace, ranks: &[u32]) {
         let call = H5Call::CloseFile;
@@ -753,11 +748,6 @@ impl H5File {
         let ev = Self::iolib_event(mpi, ranks[0], &call);
         h5t.push(ev, ranks[0], call);
         self.resize_impl(mpi, ranks, ev, group, name, rows, cols);
-    }
-
-    /// Current end-of-file (allocation high-water mark).
-    pub fn eof(&self) -> u64 {
-        self.eof
     }
 }
 

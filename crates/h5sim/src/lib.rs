@@ -21,10 +21,13 @@
 //!   Table 3 bug 13; [`Cleared`] lays its patch over an image instead of
 //!   copying it), `h5inspect` (object → byte-range map, §5.2; the
 //!   semantic pruning of §5.3 reads the same object names off the event
-//!   labels [`file::H5File`] records), and `h5replay` (replay a
-//!   preserved set of H5 calls on a fresh stack, §5.1);
-//! * [`netcdf`] — a NetCDF-style wrapper (variables over datasets) in
-//!   HDF5 format, as in the paper's NetCDF 4.7 setup;
+//!   labels [`file::H5File`] records), and `h5replay` ([`H5Replay`]:
+//!   the one stepper of library calls, which the traced run drives and
+//!   every golden replay of a preserved set continues, §5.1);
+//! * NetCDF 4.7 (Table 2: "HDF5 format") is no separate API: its
+//!   variables are datasets of the root group `/`, and its
+//!   `nc_rename_var` is a rename within one group, which [`H5Replay`]
+//!   rewrites in place;
 //! * [`call::H5Call`] — the I/O-library-level operation vocabulary whose
 //!   preserved subsets define legal golden states at this layer.
 //!
@@ -32,13 +35,12 @@
 //! by the fuzzer's generated HDF5 call sequences
 //! (`workloads::generated`, DESIGN.md §11): bounded
 //! create/delete/rename/resize programs — serial and collective —
-//! enumerated exhaustively and replayed through the same [`H5File`]
-//! API the fixed programs use.
+//! enumerated exhaustively and issued as the same [`H5Call`]s the
+//! fixed programs issue.
 
 pub mod call;
 pub mod file;
 pub mod format;
-pub mod netcdf;
 pub mod tools;
 
 pub use call::{H5Call, H5Trace};
@@ -46,7 +48,6 @@ pub use file::{H5File, H5Spec};
 pub use format::{
     check, check_lenient_with, check_with, DigestMemo, H5Error, H5Logical, Image, LenientReport,
 };
-pub use netcdf::{nc_check, NcError, NcFile};
 pub use tools::{
     h5clear, h5inspect, h5replay_with, ClearOpts, Cleared, H5Replay, ObjectRange, ReplayError,
 };

@@ -169,8 +169,16 @@ pub fn h5replay_with<'a>(
 /// progress — the open [`H5File`] and the names that exist — kept apart
 /// from the PFS it runs on, so a caller that forks the PFS clones this
 /// next to it and continues either copy ([`h5replay_with`] is the loop
-/// over one). Every call is traced into throw-away recorders: a golden
-/// state needs no causality graph.
+/// over one). [`step_with`](Self::step_with) traces a call into the
+/// caller's recorders (the traced run steps its own replay so);
+/// [`step`](Self::step) into throw-away ones, since a golden state
+/// needs no causality graph.
+///
+/// A `RenameDataset` within one group rewrites the name in place
+/// ([`H5File::rename_dataset_in_place`], NetCDF's `nc_rename_var`); one
+/// between groups moves the link ([`H5File::rename_dataset`], `H5Lmove`).
+/// NetCDF's other rule needs nothing here: its variables are datasets
+/// of the root group `/`.
 #[derive(Debug, Clone)]
 pub struct H5Replay {
     path: String,
@@ -199,7 +207,22 @@ impl H5Replay {
     /// state, and neither does any continuation of it.
     pub fn step(&mut self, pfs: &mut dyn Pfs, rank: u32, call: &H5Call) -> Result<(), ReplayError> {
         let (mut rec, mut ct, mut h5t) = (Recorder::new(), ClientTrace::new(), H5Trace::new());
-        let (mpi, h5t) = (&mut MpiIo::new(pfs, &mut rec, &mut ct), &mut h5t);
+        self.step_with(
+            &mut MpiIo::new(pfs, &mut rec, &mut ct),
+            &mut h5t,
+            rank,
+            call,
+        )
+    }
+
+    /// [`step`](Self::step) through `mpi`, tracing the call into `h5t`.
+    pub fn step_with(
+        &mut self,
+        mpi: &mut MpiIo,
+        h5t: &mut H5Trace,
+        rank: u32,
+        call: &H5Call,
+    ) -> Result<(), ReplayError> {
         let (ranks, groups, datasets) = (&self.ranks, &mut self.groups, &mut self.datasets);
         let invalid = |what: String| Err(ReplayError::Invalid(what));
         if let H5Call::CreateFile = call {
@@ -286,7 +309,11 @@ impl H5Replay {
                 if !datasets.remove(&src) || !groups.contains(dst_group) || !datasets.insert(dst) {
                     return invalid(format!("rename of missing {src_group}/{src_name}"));
                 }
-                f.rename_dataset(mpi, h5t, rank, src_group, src_name, dst_group, dst_name);
+                if src_group == dst_group {
+                    f.rename_dataset_in_place(mpi, h5t, rank, src_group, src_name, dst_name);
+                } else {
+                    f.rename_dataset(mpi, h5t, rank, src_group, src_name, dst_group, dst_name);
+                }
             }
             H5Call::CloseFile => f.close(mpi, h5t, ranks),
         }
@@ -461,6 +488,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A rename within one group is NetCDF's in-place one: stepping it
+    /// writes the bytes `rename_dataset_in_place` writes, which a move
+    /// of the link would not.
+    #[test]
+    fn a_same_group_rename_steps_in_place() {
+        let (g1, d1, dx) = (String::from("g1"), String::from("d1"), String::from("dx"));
+        let mut calls = preamble();
+        calls.push((
+            0,
+            H5Call::RenameDataset {
+                src_group: g1.clone(),
+                src_name: d1.clone(),
+                dst_group: g1.clone(),
+                dst_name: dx.clone(),
+            },
+        ));
+        let mut stepped = Ext4Direct::paper_default();
+        h5replay_with(&mut stepped, "/f.h5", &[0], &calls, H5Spec::default()).unwrap();
+        let library = |in_place: bool| {
+            let mut pfs = Ext4Direct::paper_default();
+            let (mut rec, mut ct, h5t) = (Recorder::new(), ClientTrace::new(), &mut H5Trace::new());
+            let mpi = &mut MpiIo::new(&mut pfs, &mut rec, &mut ct);
+            let mut f = H5File::create(mpi, h5t, &[0], "/f.h5", H5Spec::default());
+            f.create_group(mpi, h5t, 0, &g1);
+            f.create_group(mpi, h5t, 0, "g2");
+            f.create_dataset(mpi, h5t, 0, &g1, &d1, 20, 20);
+            if in_place {
+                f.rename_dataset_in_place(mpi, h5t, 0, &g1, &d1, &dx);
+            } else {
+                f.rename_dataset(mpi, h5t, 0, &g1, &d1, &g1, &dx);
+            }
+            pfs.client_view(pfs.live()).read("/f.h5").unwrap().to_vec()
+        };
+        let stepped = stepped
+            .client_view(stepped.live())
+            .read("/f.h5")
+            .unwrap()
+            .to_vec();
+        assert_eq!(stepped, library(true));
+        assert_ne!(stepped, library(false));
     }
 
     #[test]

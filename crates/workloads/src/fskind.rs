@@ -119,8 +119,8 @@ impl FsKind {
         }
     }
 
-    /// A factory building identical fresh instances (for golden-state
-    /// replay).
+    /// A factory building identical fresh instances (for the reference
+    /// checker's golden-state replays).
     pub fn factory(&self, params: &Params) -> StackFactory {
         let kind = *self;
         let params = params.clone();

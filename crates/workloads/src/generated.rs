@@ -30,7 +30,7 @@
 
 use crate::fskind::FsKind;
 use crate::params::Params;
-use h5sim::{H5File, H5Spec};
+use crate::programs::Program;
 use mpiio::MpiIo;
 use paracrash::fuzz::{bounded_sequences, sample_indices};
 use paracrash::Stack;
@@ -241,6 +241,18 @@ impl H5GenOp {
             H5GenOp::ResizeParallel => "h5resize-par(g1/d2)",
         }
     }
+
+    /// The fixed HDF5 program whose test call this op is.
+    fn program(self) -> Program {
+        match self {
+            H5GenOp::Create => Program::H5Create,
+            H5GenOp::Delete => Program::H5Delete,
+            H5GenOp::Rename => Program::H5Rename,
+            H5GenOp::Resize => Program::H5Resize,
+            H5GenOp::CreateParallel => Program::H5ParallelCreate,
+            H5GenOp::ResizeParallel => Program::H5ParallelResize,
+        }
+    }
 }
 
 /// The bounded HDF5 vocabulary.
@@ -433,88 +445,11 @@ fn run_posix(ops: &[GenOp], fs: FsKind, params: &Params) -> Stack {
 }
 
 fn run_h5_gen(ops: &[H5GenOp], fs: FsKind, params: &Params) -> Stack {
-    let mut stack = Stack::new(fs.build(params));
-    stack.h5_path = Some("/file.h5".into());
-    stack.h5_ranks = params.ranks();
-    stack.h5_spec = H5Spec {
-        elem: 8,
-        seg: params.h5_seg,
-    };
-    let ranks = params.ranks();
-    let dims = params.dims;
-
-    // The common initial state of every H5 program: two groups, two
-    // datasets in g1.
-    let mut file = {
-        let mut mpi = MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
-        let mut f = H5File::create(&mut mpi, &mut stack.h5, &ranks, "/file.h5", stack.h5_spec);
-        f.create_group(&mut mpi, &mut stack.h5, ranks[0], "g1");
-        f.create_group(&mut mpi, &mut stack.h5, ranks[0], "g2");
-        for i in 1..=2u32 {
-            f.create_dataset(
-                &mut mpi,
-                &mut stack.h5,
-                ranks[0],
-                "g1",
-                &format!("d{i}"),
-                dims,
-                dims,
-            );
-        }
-        f.close(&mut mpi, &mut stack.h5, &ranks);
-        f
-    };
-    stack.seal_preamble();
-
-    {
-        let mut mpi = MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
-        file.open(&mut mpi, &ranks);
-        for op in ops {
-            match op {
-                H5GenOp::Create => {
-                    file.create_dataset(&mut mpi, &mut stack.h5, ranks[0], "g1", "d3", dims, dims);
-                }
-                H5GenOp::Delete => {
-                    file.delete_dataset(&mut mpi, &mut stack.h5, ranks[0], "g1", "d2");
-                }
-                H5GenOp::Rename => {
-                    file.rename_dataset(&mut mpi, &mut stack.h5, ranks[0], "g1", "d2", "g2", "d2");
-                }
-                H5GenOp::Resize => {
-                    file.resize_dataset(
-                        &mut mpi,
-                        &mut stack.h5,
-                        ranks[0],
-                        "g1",
-                        "d2",
-                        dims * 2,
-                        dims * 2,
-                    );
-                }
-                H5GenOp::CreateParallel => {
-                    file.create_dataset_parallel(
-                        &mut mpi,
-                        &mut stack.h5,
-                        &ranks,
-                        "g1",
-                        "d3",
-                        dims,
-                        dims,
-                    );
-                }
-                H5GenOp::ResizeParallel => {
-                    file.resize_dataset_parallel(
-                        &mut mpi,
-                        &mut stack.h5,
-                        &ranks,
-                        "g1",
-                        "d2",
-                        dims * 2,
-                        dims * 2,
-                    );
-                }
-            }
-        }
+    // The common initial state of every H5 program: two datasets in g1.
+    let mut stack = crate::programs::h5_stack(fs, params, 2);
+    for op in ops {
+        let call = op.program().h5_call(params, 2);
+        stack.h5(stack.h5_ranks[0], call);
     }
     stack
 }

@@ -2,7 +2,7 @@
 
 use crate::fskind::FsKind;
 use crate::params::Params;
-use h5sim::{H5File, H5Spec, NcFile};
+use h5sim::{H5Call, H5Spec};
 use mpiio::MpiIo;
 use paracrash::Stack;
 use pfs::{PfsCall, Placement};
@@ -114,20 +114,129 @@ impl Program {
 
     /// Execute the program (preamble + traced test phase) on `fs`.
     pub fn run(&self, fs: FsKind, params: &Params) -> Stack {
+        let mut stack = match self {
+            Program::Arvr => return run_arvr(fs, params),
+            Program::Cr => return run_cr(fs, params),
+            Program::Rc => return run_rc(fs, params),
+            Program::Wal => return run_wal(fs, params),
+            // NetCDF variables are root-group datasets.
+            Program::CdfCreate | Program::CdfRename => {
+                let v1 = dataset("/", "v1", params.dims);
+                let calls = vec![H5Call::CreateFile, v1, H5Call::CloseFile];
+                library_stack(fs, params, "/data.nc", H5Spec::default(), calls)
+            }
+            _ => h5_stack(fs, params, params.datasets_per_group),
+        };
+        let call = self.h5_call(params, params.datasets_per_group);
+        stack.h5(stack.h5_ranks[0], call);
+        stack
+    }
+
+    /// The one library call of a library program's test phase, issued
+    /// from the first rank. An HDF5 program whose preamble left `n`
+    /// datasets in g1 creates `d{n+1}` or works on `d{n}`.
+    pub(crate) fn h5_call(&self, params: &Params, n: u32) -> H5Call {
+        let (g1, dims, nranks) = (String::from("g1"), params.dims, params.ranks().len() as u32);
+        let last = format!("d{n}");
         match self {
-            Program::Arvr => run_arvr(fs, params),
-            Program::Cr => run_cr(fs, params),
-            Program::Rc => run_rc(fs, params),
-            Program::Wal => run_wal(fs, params),
-            Program::H5Create
-            | Program::H5Delete
-            | Program::H5Rename
-            | Program::H5Resize
-            | Program::H5ParallelCreate
-            | Program::H5ParallelResize => run_h5(*self, fs, params),
-            Program::CdfCreate | Program::CdfRename => run_cdf(*self, fs, params),
+            Program::H5Create => dataset(&g1, &format!("d{}", n + 1), dims),
+            Program::H5Delete => H5Call::DeleteDataset {
+                group: g1,
+                name: last,
+            },
+            Program::H5Rename => H5Call::RenameDataset {
+                src_group: g1,
+                src_name: last.clone(),
+                dst_group: "g2".into(),
+                dst_name: last,
+            },
+            // Resize the last dataset: its chunk B-tree sits beyond the
+            // preceding data, so it can land on a different server than
+            // the superblock (the cross-server hazard of Table 3 bug 13 —
+            // the first dataset's B-tree shares the superblock's stripe
+            // and is journal-ordered with it).
+            Program::H5Resize => H5Call::ResizeDataset {
+                group: g1,
+                name: last,
+                rows: dims * 2,
+                cols: dims * 2,
+            },
+            Program::H5ParallelCreate => H5Call::CreateDatasetParallel {
+                group: g1,
+                name: format!("d{}", n + 1),
+                rows: dims,
+                cols: dims,
+                nranks,
+            },
+            Program::H5ParallelResize => H5Call::ResizeDatasetParallel {
+                group: g1,
+                name: last,
+                rows: dims * 2,
+                cols: dims * 2,
+                nranks,
+            },
+            Program::CdfCreate => dataset("/", "v2", dims),
+            // A rename within one group: NetCDF's in-place one.
+            Program::CdfRename => H5Call::RenameDataset {
+                src_group: "/".into(),
+                src_name: "v1".into(),
+                dst_group: "/".into(),
+                dst_name: "v1x".into(),
+            },
+            _ => unreachable!("{} makes no library call", self.name()),
         }
     }
+}
+
+/// `H5Dcreate` of a `dims` × `dims` dataset.
+fn dataset(group: &str, name: &str, dims: u64) -> H5Call {
+    H5Call::CreateDataset {
+        group: group.into(),
+        name: name.into(),
+        rows: dims,
+        cols: dims,
+    }
+}
+
+/// A stack whose preamble issues `calls` from the first rank on the
+/// library file at `path` (ranks `params.ranks()`, configuration
+/// `spec`), sealed, with the file reopened for the test phase: a library
+/// program's crash window is before its close.
+fn library_stack(
+    fs: FsKind,
+    params: &Params,
+    path: &str,
+    spec: H5Spec,
+    calls: Vec<H5Call>,
+) -> Stack {
+    let mut stack = Stack::new(fs.build(params));
+    stack.h5_path = Some(path.into());
+    stack.h5_ranks = params.ranks();
+    stack.h5_spec = spec;
+    for call in calls {
+        stack.h5(stack.h5_ranks[0], call);
+    }
+    stack.seal_preamble();
+    let mut mpi = MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
+    mpi.file_open(&stack.h5_ranks, path, false, None);
+    stack
+}
+
+/// The common initial state of every HDF5 program (§6.2: "a common
+/// initial state in which a file stores two groups and two datasets"):
+/// groups g1 and g2, datasets `d1` to `d{n}` in g1.
+pub(crate) fn h5_stack(fs: FsKind, params: &Params, n: u32) -> Stack {
+    let group = |group: &str| H5Call::CreateGroup {
+        group: group.into(),
+    };
+    let mut calls = vec![H5Call::CreateFile, group("g1"), group("g2")];
+    calls.extend((1..=n).map(|i| dataset("g1", &format!("d{i}"), params.dims)));
+    calls.push(H5Call::CloseFile);
+    let spec = H5Spec {
+        elem: 8,
+        seg: params.h5_seg,
+    };
+    library_stack(fs, params, "/file.h5", spec, calls)
 }
 
 fn run_arvr(fs: FsKind, params: &Params) -> Stack {
@@ -293,153 +402,6 @@ fn run_wal(fs: FsKind, params: &Params) -> Stack {
     stack
 }
 
-/// Build the common HDF5 initial state (§6.2: "a common initial state in
-/// which a file stores two groups and two datasets"), then run the test
-/// op with the file still open.
-fn run_h5(program: Program, fs: FsKind, params: &Params) -> Stack {
-    let mut stack = Stack::new(fs.build(params));
-    stack.h5_path = Some("/file.h5".into());
-    stack.h5_ranks = params.ranks();
-    stack.h5_spec = H5Spec {
-        elem: 8,
-        seg: params.h5_seg,
-    };
-    let ranks = params.ranks();
-    let dims = params.dims;
-
-    // Preamble.
-    let mut file = {
-        let mut mpi = MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
-        let mut f = H5File::create(&mut mpi, &mut stack.h5, &ranks, "/file.h5", stack.h5_spec);
-        f.create_group(&mut mpi, &mut stack.h5, ranks[0], "g1");
-        f.create_group(&mut mpi, &mut stack.h5, ranks[0], "g2");
-        for i in 1..=params.datasets_per_group {
-            f.create_dataset(
-                &mut mpi,
-                &mut stack.h5,
-                ranks[0],
-                "g1",
-                &format!("d{i}"),
-                dims,
-                dims,
-            );
-        }
-        f.close(&mut mpi, &mut stack.h5, &ranks);
-        f
-    };
-    stack.seal_preamble();
-
-    // Test phase: reopen and run the single operation; the crash window
-    // is before the close.
-    {
-        let mut mpi = MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
-        file.open(&mut mpi, &ranks);
-        let new_name = format!("d{}", params.datasets_per_group + 1);
-        match program {
-            Program::H5Create => {
-                file.create_dataset(
-                    &mut mpi,
-                    &mut stack.h5,
-                    ranks[0],
-                    "g1",
-                    &new_name,
-                    dims,
-                    dims,
-                );
-            }
-            Program::H5Delete => {
-                let victim = format!("d{}", params.datasets_per_group);
-                file.delete_dataset(&mut mpi, &mut stack.h5, ranks[0], "g1", &victim);
-            }
-            Program::H5Rename => {
-                let victim = format!("d{}", params.datasets_per_group);
-                file.rename_dataset(
-                    &mut mpi,
-                    &mut stack.h5,
-                    ranks[0],
-                    "g1",
-                    &victim,
-                    "g2",
-                    &victim,
-                );
-            }
-            Program::H5Resize => {
-                // Resize the last dataset: its chunk B-tree sits beyond
-                // the preceding data, so it can land on a different
-                // server than the superblock (the cross-server hazard of
-                // Table 3 bug 13 — the first dataset's B-tree shares the
-                // superblock's stripe and is journal-ordered with it).
-                let target = format!("d{}", params.datasets_per_group);
-                file.resize_dataset(
-                    &mut mpi,
-                    &mut stack.h5,
-                    ranks[0],
-                    "g1",
-                    &target,
-                    dims * 2,
-                    dims * 2,
-                );
-            }
-            Program::H5ParallelCreate => {
-                file.create_dataset_parallel(
-                    &mut mpi,
-                    &mut stack.h5,
-                    &ranks,
-                    "g1",
-                    &new_name,
-                    dims,
-                    dims,
-                );
-            }
-            Program::H5ParallelResize => {
-                let target = format!("d{}", params.datasets_per_group);
-                file.resize_dataset_parallel(
-                    &mut mpi,
-                    &mut stack.h5,
-                    &ranks,
-                    "g1",
-                    &target,
-                    dims * 2,
-                    dims * 2,
-                );
-            }
-            _ => unreachable!("run_h5 only handles HDF5 programs"),
-        }
-    }
-    stack
-}
-
-fn run_cdf(program: Program, fs: FsKind, params: &Params) -> Stack {
-    let mut stack = Stack::new(fs.build(params));
-    stack.h5_path = Some("/data.nc".into());
-    stack.h5_ranks = params.ranks();
-    let ranks = params.ranks();
-    let dims = params.dims;
-
-    let mut nc = {
-        let mut mpi = MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
-        let mut nc = NcFile::create(&mut mpi, &mut stack.h5, &ranks, "/data.nc");
-        nc.create_variable(&mut mpi, &mut stack.h5, ranks[0], "v1", dims, dims);
-        nc.close(&mut mpi, &mut stack.h5, &ranks);
-        nc
-    };
-    stack.seal_preamble();
-    {
-        let mut mpi = MpiIo::new(stack.pfs.as_mut(), &mut stack.rec, &mut stack.calls);
-        nc.h5().open(&mut mpi, &ranks);
-        match program {
-            Program::CdfCreate => {
-                nc.create_variable(&mut mpi, &mut stack.h5, ranks[0], "v2", dims, dims);
-            }
-            Program::CdfRename => {
-                nc.rename_variable(&mut mpi, &mut stack.h5, ranks[0], "v1", "v1x");
-            }
-            _ => unreachable!("run_cdf only handles NetCDF programs"),
-        }
-    }
-    stack
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,12 +487,12 @@ mod tests {
         let params = Params::quick();
         let stack = Program::CdfCreate.run(FsKind::OrangeFs, &params);
         let view = stack.pfs.client_view(stack.pfs.live());
-        let logical = h5sim::nc_check(view.read("/data.nc").unwrap()).unwrap();
+        let logical = h5sim::check(view.read("/data.nc").unwrap()).unwrap();
         assert!(logical.has_dataset("/", "v2"));
 
         let stack = Program::CdfRename.run(FsKind::OrangeFs, &params);
         let view = stack.pfs.client_view(stack.pfs.live());
-        let logical = h5sim::nc_check(view.read("/data.nc").unwrap()).unwrap();
+        let logical = h5sim::check(view.read("/data.nc").unwrap()).unwrap();
         assert!(logical.has_dataset("/", "v1x"));
     }
 

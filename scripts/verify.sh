@@ -13,7 +13,8 @@
 #      re-defining `ModelBase` plumbing or `fork`, hand-rolling the
 #      storage-side orphan sweep or spelling its own chunk path, no HDF5
 #      signature outside `format.rs`, one image builder per check (the
-#      recovery memo's `ProbeImages`), no artifact wire key read outside
+#      recovery memo's `ProbeImages`), one library stepper (workloads
+#      call `Stack::h5`, golden walks build no instance), no artifact wire key read outside
 #      the module that writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed
 #      second ledger, no test under `crates/` setting its own process's
 #      environment.
@@ -140,6 +141,11 @@ grep -rnE 'b"(OHDR|TREE|HEAP|SNOD|DTRE)"' crates | grep -v '^crates/h5sim/src/fo
 grep -rn 'ProbeImages::new' crates/core/src | grep -vE '^crates/core/src/(check|snapshot)\.rs:' && { echo "FAIL: a second image builder"; exit 1; } || true
 grep -nE 'ProbeImages|prepare_states|apply_events|deep_clone' crates/core/src/{explain,classify}.rs && { echo "FAIL: a probe builds its own image"; exit 1; } || true
 [ "$(grep -c 'ProbeImages::new' crates/core/src/check.rs)" = 1 ] || { echo "FAIL: check.rs makes other than one image builder"; exit 1; }
+# One library stepper: workloads issue H5Calls through `Stack::h5`, and
+# the golden walks fork the sealed pre-test snapshot, never a factory's.
+grep -q 'pub fn h5(' crates/core/src/stack.rs || { echo "FAIL: the library-stepper fence matches nothing"; exit 1; }
+grep -rnE '(H5File|NcFile)::' crates/workloads/src && { echo "FAIL: a workload drives the library by hand"; exit 1; } || true
+grep -n 'factory()' crates/core/src/golden.rs && { echo "FAIL: a golden walk builds its own instance"; exit 1; } || true
 # So has each artifact: its wire keys are looked up by its writer's module only.
 grep -rnE '\.get\("(traceEvents|otherData|ts_ns|published)"\)' crates/*/src | grep -vE '^crates/(core/src/telemetry|rt/src/stream)\.rs:' && { echo "FAIL: a second reader of an artifact"; exit 1; } || true
 # benchmark/ is the one perf ledger ([_]: this line must not match itself).

@@ -2,7 +2,7 @@
 //! every file system, the full replay of the recorded trace reproduces
 //! the live state, and recovery of the no-crash state is clean.
 
-use paracrash::stack::replay_pfs;
+use paracrash::stack::{replay_h5, replay_pfs};
 use pfs::recover_and_mount;
 use tracer::CausalityGraph;
 use workloads::{FsKind, Params, Program};
@@ -119,14 +119,19 @@ fn causality_graphs_have_chained_client_flows() {
     assert!(g.happens_before(first, last));
 }
 
-/// The instance a stack sealed after its preamble — what the PFS-layer
-/// golden walk forks instead of building one — is a fresh instance with
-/// the preamble dispatched: server by server the same stores, the same
-/// mounted view, and the traced stack's baseline.
+/// The instance a stack sealed after its preamble — what both golden
+/// walks fork instead of building one — is a fresh instance with the
+/// preamble dispatched: server by server the same stores, the same
+/// mounted view, and the traced stack's baseline. With the library
+/// replay sealed next to it, it is the library preamble replayed afresh:
+/// the same logical state, and the same after any one test-phase call.
 #[test]
 fn sealed_instance_equals_a_fresh_instance_plus_the_preamble() {
     let params = Params::quick();
-    for program in Program::paper_eleven() {
+    for program in Program::paper_eleven()
+        .into_iter()
+        .chain([Program::CdfRename])
+    {
         for fs in FsKind::all() {
             let stack = program.run(fs, &params);
             let mut fresh = fs.factory(&params)();
@@ -143,6 +148,22 @@ fn sealed_instance_equals_a_fresh_instance_plus_the_preamble() {
             assert_eq!(digests, stack.pfs.baseline().per_server_digests(), "{name}");
             let view = sealed.client_view(sealed.live());
             assert_eq!(view, fresh.client_view(fresh.live()), "{name}");
+            let Some(path) = stack.h5_path.as_deref() else {
+                continue;
+            };
+            let factory = fs.factory(&params);
+            let (ranks, pre, spec) = (&stack.h5_ranks, &stack.pre_h5, stack.h5_spec);
+            let replayed = |subset: &[_]| replay_h5(&factory, path, ranks, pre, subset, spec);
+            let state = stack.sealed_h5().finish(sealed, None).ok();
+            assert!(state.is_some(), "{name}");
+            assert_eq!(state, replayed(&[]), "{name}");
+            for (_, rank, call) in stack.h5.entries() {
+                let (mut pfs, mut replay) = (sealed.fork(), stack.sealed_h5());
+                replay.step(pfs.as_mut(), *rank, call).unwrap();
+                let state = replay.finish(pfs.as_ref(), None).ok();
+                let subset = [(*rank, call.clone())];
+                assert_eq!(state, replayed(&subset), "{name}: {}", call.name());
+            }
         }
     }
 }

@@ -197,9 +197,9 @@ fn a_check_runs_on_one_thread() {
 /// H5-resize at the split dims is one 80-call chain under the resize:
 /// its 81 PFS-layer preserved sets are the chain's prefixes (the 2
 /// library-layer ones: with and without the resize), so the two golden
-/// walks dispatch one call per trie edge and the library preamble once
-/// (the PFS walk starts from the sealed instance), fork nothing, and open
-/// one `check.legal_replay` span each — where 83 full replays dispatched
+/// walks dispatch one call per trie edge and no preamble (both start
+/// from the sealed pre-test snapshot), fork nothing, and open one
+/// `check.legal_replay` span each — where 83 full replays dispatched
 /// 10 206 calls.
 #[test]
 fn golden_walk_counters_are_edge_counts() {
@@ -214,10 +214,10 @@ fn golden_walk_counters_are_edge_counts() {
     });
     let summary = render_summary(&snap);
     assert_eq!(counter(&snap, "replay.executed"), 81 + 2);
-    // The PFS walk forks the instance the stack sealed: only the library
-    // preamble is dispatched again.
+    // Both walks fork what the stack sealed: no preamble call is
+    // dispatched again.
     let dispatched = counter(&snap, "replay.dispatched");
-    assert_eq!(dispatched, stack.pre_h5.len() as u64 + 80 + 1);
+    assert_eq!(dispatched, 80 + 1);
     assert_eq!(counter(&snap, "replay.forks"), 0);
     let walks = (snap.spans.iter())
         .filter(|s| s.name == "check.legal_replay")
