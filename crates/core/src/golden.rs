@@ -198,6 +198,7 @@ fn layer_lists<R: Replay>(
                 }
             }
         }
+        pc_rt::obs::count("golden.legal_states", list.len() as u64);
         Ok(Arc::new(list))
     };
     preserved.iter().map(list).collect()
