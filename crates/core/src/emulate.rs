@@ -61,7 +61,11 @@ pub fn crash_states(
 ) -> Vec<CrashState> {
     assert!(k <= 3, "victim counts beyond 3 are not supported");
     let n = rec.len();
-    let cuts = graph.consistent_cuts(&rec.lowermost_events());
+    let lowermost = rec.lowermost_events();
+    let mut cuts = Vec::new();
+    graph.consistent_cuts(&lowermost, &[], |cut| {
+        cuts.push(BitSet::from_iter(n, cut.iter().map(|i| lowermost[i])));
+    });
     let update_set = BitSet::from_iter(n, pa.updates().iter().copied());
     let mut out: Vec<CrashState> = Vec::new();
     // Cuts are distinct, so two states can only coincide within one cut:

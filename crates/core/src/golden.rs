@@ -168,10 +168,12 @@ fn layer_lists<R: Replay>(
     oracle: impl Fn(&StackFactory, &[EventId]) -> Option<R::State>,
     calls: &CallTrace<R::Who, R::Op>,
 ) -> Lists<R::State> {
+    let stage = pc_rt::obs::span_cat("check.preserved_sets", "check");
     let preserved: Vec<Result<Vec<Vec<EventId>>, String>> = candidate_sets
         .iter()
         .map(|candidates| caught(|| preserved(candidates)))
         .collect();
+    drop(stage);
     let lookups = || preserved.iter().flatten().flatten();
     let mut sets: Vec<&[EventId]> = lookups().map(Vec::as_slice).collect();
     sets.sort_unstable();
@@ -282,6 +284,7 @@ impl Replay for PfsGolden {
     fn apply(&mut self, client: Process, call: &PfsCall) -> bool {
         // A model may reject what the mirror admits (its own namespace
         // bookkeeping is stricter); that denotes no legal state either.
+        let _step = pc_rt::obs::span_cat("pfs.dispatch", "pfs");
         let rec = &mut Recorder::new();
         self.pfs.dispatch(rec, client, call, None).is_ok()
     }
@@ -312,6 +315,7 @@ impl Replay for H5Golden<'_> {
         }
     }
     fn apply(&mut self, rank: u32, call: &H5Call) -> bool {
+        let _step = pc_rt::obs::span_cat("h5.step", "h5");
         self.replay.step(self.pfs.as_mut(), rank, call).is_ok()
     }
     fn state(&self) -> Option<H5Logical> {
@@ -413,9 +417,12 @@ fn walk_sets<'a, R: Replay>(
             stats.forks += descend(
                 &sets,
                 base,
-                |node| Node {
-                    replay: node.replay.fork(),
-                    poison: node.poison.clone(),
+                |node| {
+                    let _step = pc_rt::obs::span_cat("golden.fork", "check");
+                    Node {
+                        replay: node.replay.fork(),
+                        poison: node.poison.clone(),
+                    }
                 },
                 |node, id| {
                     let (who, op) = calls.get(id).expect("preserved sets name traced calls");
@@ -425,7 +432,10 @@ fn walk_sets<'a, R: Replay>(
                     out[at] = match &node.poison {
                         Some(message) => Err(message.clone()),
                         None => caught(|| {
+                            let step = pc_rt::obs::span_cat("golden.state", "check");
                             let state = node.replay.state()?;
+                            drop(step);
+                            let _step = pc_rt::obs::span_cat("golden.digest", "check");
                             Some((R::digest(&state), Arc::new(state)))
                         }),
                     }

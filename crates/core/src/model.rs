@@ -68,12 +68,13 @@ impl Model {
     ) -> Vec<Vec<EventId>> {
         match self {
             Model::Strict => vec![ops.to_vec()],
-            Model::Causal => graph
-                .consistent_cuts(ops)
-                .into_iter()
-                .filter(|cut| required.iter().all(|&r| cut.contains(r)))
-                .map(|cut| ops.iter().copied().filter(|&o| cut.contains(o)).collect())
-                .collect(),
+            Model::Causal => {
+                let mut sets = Vec::new();
+                graph.consistent_cuts(ops, required, |cut| {
+                    sets.push(cut.iter().map(|i| ops[i]).collect());
+                });
+                sets
+            }
             Model::Commit | Model::Baseline => {
                 let free: Vec<EventId> = ops
                     .iter()

@@ -11,10 +11,12 @@
 //! the list of the stores' own byte runs — chunk-file inodes, content
 //! blocks — each held by its `Arc`, so a mount costs a refcount bump per
 //! stripe and a view of a clean stripe shares it with the baseline and
-//! with every other view. Equality and the digest read the bytes, never
-//! the chunking.
+//! with every other view. Equality reads the bytes, never the chunking;
+//! the digest folds each run's cached digest, so it reads only runs
+//! hashed nowhere before.
 
 use pc_rt::intern::Sym;
+use simfs::payload_digest;
 use simfs::state::Inode;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -26,9 +28,12 @@ use std::sync::{Arc, OnceLock};
 pub trait Bytes: Send + Sync {
     /// The bytes.
     fn bytes(&self) -> &[u8];
+    /// [`payload_digest`] of the bytes.
+    fn digest(&self) -> u64;
 }
 
-/// A regular file's data; a directory holds none.
+/// A regular file's data, its digest the one the store caches; a
+/// directory holds none.
 impl Bytes for Inode {
     fn bytes(&self) -> &[u8] {
         match self {
@@ -36,27 +41,39 @@ impl Bytes for Inode {
             Inode::Dir { .. } => &[],
         }
     }
+    fn digest(&self) -> u64 {
+        match self {
+            Inode::File { data, .. } => data.digest(),
+            Inode::Dir { .. } => payload_digest(&[]),
+        }
+    }
 }
 
-/// A block's payload.
+/// A block's payload, its digest the one the device caches.
 impl Bytes for simfs::Block {
     fn bytes(&self) -> &[u8] {
         &self.1[..]
     }
+    fn digest(&self) -> u64 {
+        self.1.digest()
+    }
 }
 
-/// Bytes a view owns itself.
+/// Bytes a view owns itself, hashed on every ask.
 impl Bytes for Vec<u8> {
     fn bytes(&self) -> &[u8] {
         self
+    }
+    fn digest(&self) -> u64 {
+        payload_digest(self)
     }
 }
 
 /// A file's content as a view holds it: shared byte runs in file order.
 ///
-/// Two contents are `==` and digest equally when their bytes are equal,
-/// however the runs split them; a pair of runs that is one `Arc` at one
-/// offset is skipped without reading it.
+/// Two contents are `==` when their bytes are equal, however the runs
+/// split them; a pair of runs that is one `Arc` at one offset is skipped
+/// without reading it.
 #[derive(Clone, Default)]
 pub struct Content {
     /// Non-empty runs, each with the file offset where it ends.
@@ -169,17 +186,6 @@ impl PartialEq for Content {
 
 impl Eq for Content {}
 
-/// Hashes as the joined bytes' `[u8]` does: the length, then the bytes
-/// streamed run by run (`Hasher::write` calls concatenate).
-impl Hash for Content {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        h.write_usize(self.len() as usize);
-        for run in self.runs() {
-            h.write(run);
-        }
-    }
-}
-
 impl fmt::Debug for Content {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.joined(), f)
@@ -282,17 +288,27 @@ impl PfsView {
         out
     }
 
-    /// Canonical digest (for dedup of recovered states). Hashes the
+    /// Canonical digest (for dedup of legal states). Hashes the
     /// resolved, sorted tree so the value is independent of interning
-    /// order (and therefore stable across thread schedules), and a
-    /// file's bytes as one stream, so it is independent of their runs.
+    /// order (and therefore stable across thread schedules), and per
+    /// file its length and each run's [`Bytes::digest`]: a run a store
+    /// already hashed is not read again.
+    ///
+    /// The value depends on where the runs split a file's bytes, so two
+    /// `==` views may digest apart (a dedup then fails to merge them);
+    /// views that digest alike are `==` up to a hash collision.
     pub fn digest(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        let files: BTreeMap<&str, &Option<Content>> =
-            self.files.iter().map(|(p, d)| (p.as_str(), d)).collect();
-        let dirs: BTreeSet<&str> = self.dirs.iter().map(|d| d.as_str()).collect();
-        files.hash(&mut h);
-        dirs.hash(&mut h);
+        let files = self.files_sorted();
+        h.write_usize(files.len());
+        for (path, content) in files {
+            path.hash(&mut h);
+            content.map(|c| (c.len(), c.runs.len())).hash(&mut h);
+            for (run, _) in content.iter().flat_map(|c| &c.runs) {
+                h.write_u64(run.digest());
+            }
+        }
+        self.dirs_sorted().hash(&mut h);
         h.finish()
     }
 
@@ -354,22 +370,27 @@ mod tests {
         content
     }
 
-    /// The digest of the view a copying mount built: every file one
-    /// owned `Vec<u8>`.
+    /// The digest of the view a copying mount built: every non-empty
+    /// file one owned run, folded as its `payload_digest`.
     fn copied_digest(files: &[(&str, Option<&[u8]>)], dirs: &[&str]) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        let files: BTreeMap<&str, Option<Vec<u8>>> = files
-            .iter()
-            .map(|(p, d)| (*p, d.map(<[u8]>::to_vec)))
-            .collect();
+        let files: BTreeMap<&str, Option<&[u8]>> = files.iter().copied().collect();
+        h.write_usize(files.len());
+        for (path, bytes) in files {
+            path.hash(&mut h);
+            let runs = bytes.map(|b| (b.len() as u64, usize::from(!b.is_empty())));
+            runs.hash(&mut h);
+            if let Some(bytes) = bytes.filter(|b| !b.is_empty()) {
+                h.write_u64(payload_digest(bytes));
+            }
+        }
         let dirs: BTreeSet<&str> = dirs.iter().copied().collect();
-        files.hash(&mut h);
         dirs.hash(&mut h);
         h.finish()
     }
 
     #[test]
-    fn chunk_boundaries_change_neither_equality_nor_digest() {
+    fn chunk_boundaries_keep_equality_and_the_digest_follows_them() {
         let bytes: Vec<u8> = (0..=255).cycle().take(700).collect();
         let splits: [&[usize]; 5] = [&[], &[1], &[7, 8, 300], &[256, 512], &[0, 699, 700]];
         let views: Vec<PfsView> = (splits.iter())
@@ -381,9 +402,18 @@ mod tests {
                 v
             })
             .collect();
+        // The digest follows the runs: one run digests as a copying
+        // mount's view, a flat copy of any split too, and a split built
+        // again digests as before.
         let copied = copied_digest(&[("/d/f", Some(&bytes)), ("/e", Some(&[]))], &["/d"]);
-        for a in &views {
-            assert_eq!(a.digest(), copied);
+        assert_eq!(views[0].digest(), copied);
+        for (a, cuts) in views.iter().zip(splits) {
+            assert_eq!(a.flat().digest(), copied);
+            let mut again = PfsView::new();
+            again.add_dir("/d");
+            again.add_file("/d/f", chunked(&bytes, cuts));
+            again.add_file("/e", Vec::new());
+            assert_eq!(a.digest(), again.digest());
             assert_eq!(a.read("/d/f"), Some(&bytes[..]));
             assert_eq!(a, &a.flat());
             for b in &views {

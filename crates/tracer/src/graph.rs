@@ -97,6 +97,15 @@ impl BitSet {
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
+    /// `true` if every element of `self` is in `other`.
+    pub fn is_subset(&self, other: &BitSet) -> bool {
+        debug_assert_eq!(self.len, other.len);
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(a, b)| a & !b == 0)
+    }
+
     /// `true` if `self` and `other` share an element.
     pub fn intersects(&self, other: &BitSet) -> bool {
         !self.is_disjoint(other)
@@ -241,48 +250,65 @@ impl CausalityGraph {
     }
 
     /// Enumerate every consistent cut (order ideal) of the partial order
-    /// restricted to `universe`, as bitsets over event ids. This is step 2
-    /// of Algorithm 1 ("all consistent cuts of the causality graph").
+    /// restricted to `universe` that holds all of `required`: step 2 of
+    /// Algorithm 1 ("all consistent cuts of the causality graph"), and
+    /// the causal model's preserved sets. `visit` sees each cut as a
+    /// mask over positions in `universe` (bit `i` = `universe[i]`), in
+    /// depth-first order over the positions, a position's include branch
+    /// before its exclude branch.
     ///
-    /// Enumeration is by recursive extension in topological (id) order
-    /// with memoized antichain frontiers; traces in this reproduction are
-    /// small enough that the ideal lattice stays tractable, exactly as in
-    /// the paper (hundreds to thousands of states).
-    pub fn consistent_cuts(&self, universe: &[EventId]) -> Vec<BitSet> {
-        let mut cuts = Vec::new();
-        let mut current = BitSet::new(self.n);
-        self.extend_cut(universe, 0, &mut current, &mut cuts);
-        cuts
-    }
-
-    fn extend_cut(
+    /// Each position's earlier predecessors in `universe` are one mask,
+    /// taken once, so a node's test is a word-wise subset check and a cut
+    /// costs its `|universe|` bits. A `required` event has no exclude
+    /// branch; one outside `universe` admits no cut.
+    pub fn consistent_cuts(
         &self,
         universe: &[EventId],
-        idx: usize,
-        current: &mut BitSet,
-        out: &mut Vec<BitSet>,
+        required: &[EventId],
+        mut visit: impl FnMut(&BitSet),
     ) {
-        if idx == universe.len() {
-            out.push(current.clone());
+        if !required.iter().all(|r| universe.contains(r)) {
             return;
         }
-        let e = universe[idx];
-        // Option 1: exclude `e` — then every later event that causally
-        // depends on `e` must also be excluded.
-        // Option 2: include `e` — only legal if all its predecessors in
-        // the universe are included (they are, because we scan in id order
-        // and edges go forward).
-        let preds_ok = universe[..idx]
-            .iter()
-            .all(|&p| !self.happens_before(p, e) || current.contains(p));
-        if preds_ok {
-            current.insert(e);
-            self.extend_cut(universe, idx + 1, current, out);
-            current.remove(e);
+        let m = universe.len();
+        let must = BitSet::from_iter(m, (0..m).filter(|&i| required.contains(&universe[i])));
+        let preds: Vec<BitSet> = (0..m)
+            .map(|i| {
+                let before = |&j: &usize| self.happens_before(universe[j], universe[i]);
+                BitSet::from_iter(m, (0..i).filter(before))
+            })
+            .collect();
+        let mut current = BitSet::new(m);
+        // The branch taken at each position so far: `true` = included.
+        let mut path: Vec<bool> = Vec::with_capacity(m);
+        loop {
+            let i = path.len();
+            if i == m {
+                visit(&current);
+            } else if preds[i].is_subset(&current) {
+                current.insert(i);
+                path.push(true);
+                continue;
+            } else if !must.contains(i) {
+                path.push(false);
+                continue;
+            }
+            // Back up to the deepest include whose exclude branch is open.
+            loop {
+                match path.pop() {
+                    None => return,
+                    Some(false) => {}
+                    Some(true) => {
+                        let j = path.len();
+                        current.remove(j);
+                        if !must.contains(j) {
+                            path.push(false);
+                            break;
+                        }
+                    }
+                }
+            }
         }
-        // Excluding is always allowed, but downstream events blocked by
-        // `e` will be pruned by their own `preds_ok` check.
-        self.extend_cut(universe, idx + 1, current, out);
     }
 }
 
@@ -362,7 +388,7 @@ mod tests {
         let (r, ids) = figure5();
         let g = CausalityGraph::build(&r);
         let universe: Vec<_> = ids.to_vec();
-        let cuts = g.consistent_cuts(&universe);
+        let cuts = cuts_of(&g, &universe, &[]);
         // Every cut must be consistent; the empty and full cuts exist.
         assert!(cuts.iter().all(|c| g.is_consistent_cut(c, &universe)));
         assert!(cuts.iter().any(|c| c.count() == 0));
@@ -383,6 +409,24 @@ mod tests {
             }
         }
         assert_eq!(cuts.len(), brute);
+        // A required event keeps the cuts that hold it, in their order;
+        // one outside the universe keeps none.
+        let with_rcv: Vec<BitSet> = cuts
+            .iter()
+            .filter(|c| c.contains(ids[3]))
+            .cloned()
+            .collect();
+        assert_eq!(cuts_of(&g, &universe, &[ids[3]]), with_rcv);
+        assert!(cuts_of(&g, &universe[..3], &[ids[3]]).is_empty());
+    }
+
+    /// The cuts of `universe` holding `required`, as sets of event ids.
+    fn cuts_of(g: &CausalityGraph, universe: &[EventId], required: &[EventId]) -> Vec<BitSet> {
+        let mut cuts = Vec::new();
+        g.consistent_cuts(universe, required, |mask| {
+            cuts.push(BitSet::from_iter(g.len(), mask.iter().map(|i| universe[i])));
+        });
+        cuts
     }
 
     #[test]
@@ -428,6 +472,7 @@ mod tests {
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), [63, 64, 199]);
+        assert!(i.is_subset(&a) && i.is_subset(&b) && !a.is_subset(&b));
         // From element 70 on: word 1 upwards, word 0 untouched.
         let mut d = BitSet::new(200);
         d.union_with_intersection_from(&a, &b, 70);
@@ -440,6 +485,6 @@ mod tests {
     fn empty_graph() {
         let g = CausalityGraph::build(&Recorder::new());
         assert!(g.is_empty());
-        assert_eq!(g.consistent_cuts(&[]).len(), 1);
+        assert_eq!(cuts_of(&g, &[], &[]).len(), 1);
     }
 }

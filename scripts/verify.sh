@@ -14,7 +14,8 @@
 #      storage-side orphan sweep or spelling its own chunk path, no HDF5
 #      signature outside `format.rs`, one image builder per check (the
 #      recovery memo's `ProbeImages`), one library stepper (workloads
-#      call `Stack::h5`, golden walks build no instance), no artifact wire key read outside
+#      call `Stack::h5`, golden walks build no instance), one cut
+#      enumerator (`consistent_cuts`, in `graph.rs`), no artifact wire key read outside
 #      the module that writes it, no `BENCH_*.json` or `PC_BENCH`-prefixed
 #      second ledger, no test under `crates/` setting its own process's
 #      environment.
@@ -34,7 +35,8 @@
 #      and charges under 1 % of its allocated bytes to `(untracked)`;
 #      the stream has
 #      no span/counter line and the two project alike (`--canonical-diff`);
-#      the trace's `stacks` name the stages down to `rpc.message`, `h5.parse`;
+#      the trace's `stacks` name the stages down to `rpc.message`, `h5.parse`
+#      and the golden walk's steps;
 #      the dashboard has exactly its three panels (coverage curve,
 #      heatmap, flame) and no script or link; the planes'
 #      *disabled* sites cost a checked cell under 3% (`selftest obs`).
@@ -146,6 +148,12 @@ grep -nE 'ProbeImages|prepare_states|apply_events|deep_clone' crates/core/src/{e
 grep -q 'pub fn h5(' crates/core/src/stack.rs || { echo "FAIL: the library-stepper fence matches nothing"; exit 1; }
 grep -rnE '(H5File|NcFile)::' crates/workloads/src && { echo "FAIL: a workload drives the library by hand"; exit 1; } || true
 grep -n 'factory()' crates/core/src/golden.rs && { echo "FAIL: a golden walk builds its own instance"; exit 1; } || true
+# One cut enumerator: `CausalityGraph::consistent_cuts`, on universe-local
+# masks. A second one (the old recursion's `extend_cut`) forks the order
+# every legal list and report is built in.
+cut_fn='fn (extend_cut|consistent_cuts)\b'
+grep -rnE "$cut_fn" crates | grep -v '^crates/tracer/src/graph.rs:' && { echo "FAIL: a second cut enumerator"; exit 1; } || true
+[ "$(grep -cE "$cut_fn" crates/tracer/src/graph.rs)" = 1 ] || { echo "FAIL: graph.rs defines other than one cut enumerator"; exit 1; }
 # So has each artifact: its wire keys are looked up by its writer's module only.
 grep -rnE '\.get\("(traceEvents|otherData|ts_ns|published)"\)' crates/*/src | grep -vE '^crates/(core/src/telemetry|rt/src/stream)\.rs:' && { echo "FAIL: a second reader of an artifact"; exit 1; } || true
 # benchmark/ is the one perf ledger ([_]: this line must not match itself).
@@ -204,7 +212,8 @@ read -r untracked total < <(awk '/"alloc": \{/ { a = 1 } a && /"total": \{/ { k 
 target/release/paracrash selftest events --canonical-diff \
     "$obs/a/events.jsonl" "$obs/b/events.jsonl"
 sed -n '/"stacks": {/,/}/p' "$obs/a/telemetry.json" > "$obs/stacks.txt"
-printf '%s\n' snapshot.materialize snapshot.probe recover/ check.enumerate rpc.message h5.parse | require_in "$obs/stacks.txt"
+printf '%s\n' snapshot.materialize snapshot.probe recover/ check.enumerate rpc.message h5.parse \
+    check.preserved_sets pfs.dispatch h5.step golden.state golden.digest golden.fork | require_in "$obs/stacks.txt"
 # Exactly the panels no text output carries (EXPERIMENTS.md names each
 # number's text home): a lost panel fails, and so does an extra one.
 # And nothing that runs or fetches.

@@ -129,6 +129,11 @@ fn check_stack_surfaces_cache_stats_and_stage_spans() {
         "check.candidates",
         "check.materialize",
         "check.legal_states",
+        "check.preserved_sets",
+        "check.legal_replay",
+        "pfs.dispatch",
+        "golden.state",
+        "golden.digest",
         "check.judge",
         "snapshot.materialize",
         "snapshot.probe",
@@ -219,14 +224,40 @@ fn golden_walk_counters_are_edge_counts() {
     let dispatched = counter(&snap, "replay.dispatched");
     assert_eq!(dispatched, 80 + 1);
     assert_eq!(counter(&snap, "replay.forks"), 0);
-    let walks = (snap.spans.iter())
-        .filter(|s| s.name == "check.legal_replay")
-        .count();
-    assert_eq!(walks, 2);
+    let spans = |name: &str| snap.spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(spans("check.legal_replay"), 2);
+    // One walk step span per call dispatched, per layer.
+    assert_eq!(
+        spans("pfs.dispatch") + spans("h5.step"),
+        dispatched as usize
+    );
+    assert_eq!(spans("h5.step"), 1);
+    assert_eq!(spans("golden.fork"), 0);
     let line = summary.lines().find(|l| l.contains("golden replays "));
     let line = line.unwrap_or_else(|| panic!("no golden replays line in:\n{summary}"));
     assert!(line.contains(" 83  executed ("), "{line}");
     assert!(line.ends_with(&format!("({dispatched} calls dispatched, 0 forks)")));
+}
+
+/// A view's digest folds its runs' digests, which the stores cache: a
+/// second digest of an unchanged view, or of another view over the same
+/// stores, streams no byte (`digest.bytes`), and equal views over the
+/// same stores digest alike.
+#[test]
+fn a_second_view_digest_streams_no_bytes() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let stack = Program::Arvr.run(FsKind::BeeGfs, &Params::quick());
+    let view = || stack.pfs.client_view(stack.pfs.live());
+    let (first, second) = (view(), view());
+    let (digest, snap) = with_telemetry(|| first.digest());
+    assert!(
+        counter(&snap, "digest.bytes") > 0,
+        "the first digest hashes the runs"
+    );
+    let (again, snap) = with_telemetry(|| (first.digest(), second.digest()));
+    assert_eq!(counter(&snap, "digest.bytes"), 0);
+    assert_eq!(again, (digest, digest));
+    assert!(first == second);
 }
 
 /// The parse budget of a recovered view (DESIGN.md §7): its library file
