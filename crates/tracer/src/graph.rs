@@ -278,33 +278,31 @@ impl CausalityGraph {
                 BitSet::from_iter(m, (0..i).filter(before))
             })
             .collect();
+        // The branches taken at positions `..i`: included iff in `current`.
         let mut current = BitSet::new(m);
-        // The branch taken at each position so far: `true` = included.
-        let mut path: Vec<bool> = Vec::with_capacity(m);
+        let mut i = 0;
         loop {
-            let i = path.len();
             if i == m {
                 visit(&current);
             } else if preds[i].is_subset(&current) {
                 current.insert(i);
-                path.push(true);
+                i += 1;
                 continue;
             } else if !must.contains(i) {
-                path.push(false);
+                i += 1;
                 continue;
             }
             // Back up to the deepest include whose exclude branch is open.
             loop {
-                match path.pop() {
-                    None => return,
-                    Some(false) => {}
-                    Some(true) => {
-                        let j = path.len();
-                        current.remove(j);
-                        if !must.contains(j) {
-                            path.push(false);
-                            break;
-                        }
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                if current.contains(i) {
+                    current.remove(i);
+                    if !must.contains(i) {
+                        i += 1;
+                        break;
                     }
                 }
             }
