@@ -37,7 +37,7 @@ use crate::persist::PersistAnalysis;
 use crate::report::{op_detail, OpSigs};
 use crate::stack::Stack;
 use pfs::{PfsView, ServerStates};
-use simfs::FsState;
+use simfs::{FsState, Pages};
 use simnet::ClusterTopology;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -516,13 +516,13 @@ fn fs_tree_diff(server: u32, crashed: &FsState, full: &FsState) -> Vec<String> {
                 }
                 continue;
             }
-            let ca = crashed.read(p).ok();
-            let cb = full.read(p).ok();
+            let ca = crashed.read_shared(p).ok();
+            let cb = full.read_shared(p).ok();
             if ca != cb {
                 out.push(format!(
                     "server {server}: {p}: content differs ({} vs {} bytes)",
-                    ca.map_or(0, <[u8]>::len),
-                    cb.map_or(0, <[u8]>::len),
+                    ca.map_or(0, Pages::len),
+                    cb.map_or(0, Pages::len),
                 ));
             }
         } else if ina {

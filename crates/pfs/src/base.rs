@@ -29,7 +29,7 @@
 //! longer the sealed baseline's ([`ServerStates::dirty_mask`]), with the
 //! index standing in for the clean ones. [`ModelBase::read_striped`]
 //! takes a stripe on a clean server from the same index and reads only
-//! the written servers' stripes by path, each the store's inode itself,
+//! the written servers' stripes by path, each the store's own pages,
 //! shared into the view's [`Content`], not a copy of its bytes.
 
 use crate::error::{PfsError, PfsResult};
@@ -37,7 +37,7 @@ use crate::placement::Placement;
 use crate::store::{ServerStates, Store};
 use crate::view::Content;
 use simfs::state::Inode;
-use simfs::{BlockOp, FsOp, FsState, Ino, JournalMode};
+use simfs::{BlockOp, FsOp, FsState, Ino, JournalMode, Pages};
 use simnet::{ClusterTopology, RpcNet};
 use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
@@ -459,8 +459,8 @@ impl ModelBase {
     /// …, in order until the first gap — or `head` as stripe 0 and the
     /// chunks from stripe 1, for a model that keeps stripe 0 elsewhere. A
     /// never-written file reads as empty, a file whose chunks were lost
-    /// reads short: what the application would see. Each chunk is the
-    /// store's inode itself, shared, not a copy of its bytes.
+    /// reads short: what the application would see. Each chunk comes as the
+    /// store's own pages, shared, not copies of their bytes.
     ///
     /// A stripe on a server whose store still shares its root with the
     /// baseline's comes from the baseline index, keyed by `(stripe,
@@ -468,7 +468,7 @@ impl ModelBase {
     pub fn read_striped(
         &self,
         states: &ServerStates,
-        head: Option<&Arc<Inode>>,
+        head: Option<&Pages>,
         object: &str,
         server_of: impl Fn(u64) -> u32,
     ) -> Content {
@@ -476,7 +476,7 @@ impl ModelBase {
         let baseline = index.chunks.get(object);
         let mut content = Content::default();
         if let Some(head) = head {
-            content.push(head.clone());
+            content.push_file(head);
         }
         let mut from_baseline = 0;
         for stripe in u64::from(head.is_some()).. {
@@ -487,7 +487,7 @@ impl ModelBase {
             let chunk = if clean {
                 // The store *is* the snapshot's: its inodes are the index's.
                 let ino = baseline.and_then(|stripes| stripes.get(&(stripe, server)));
-                ino.and_then(|&ino| file_inode(store.as_fs(), ino))
+                ino.and_then(|&ino| file_pages(store.as_fs(), ino))
             } else {
                 let path = self.chunk_path(object, stripe);
                 store.as_fs().read_shared(&path).ok()
@@ -496,7 +496,7 @@ impl ModelBase {
                 break;
             };
             from_baseline += clean as u64;
-            content.push(chunk.clone());
+            content.push_file(chunk);
         }
         pc_rt::obs::count("pfs.stripes_from_baseline", from_baseline);
         content
@@ -520,7 +520,7 @@ impl ModelBase {
                 };
                 for (name, &ino) in entries
                     .iter()
-                    .filter(|(_, &ino)| file_inode(fs, ino).is_some())
+                    .filter(|(_, &ino)| file_pages(fs, ino).is_some())
                 {
                     if let (owner, Some(stripe)) = chunk_of(name.as_str()) {
                         let stripes = chunks.entry(owner.to_string()).or_default();
@@ -551,9 +551,12 @@ impl ModelBase {
     }
 }
 
-/// The inode `ino`, shared, if it is a regular file of `fs`.
-fn file_inode(fs: &FsState, ino: Ino) -> Option<&Arc<Inode>> {
-    fs.inode_shared(ino).filter(|inode| !inode.is_dir())
+/// The pages of `ino`, if it is a regular file of `fs`.
+fn file_pages(fs: &FsState, ino: Ino) -> Option<&Pages> {
+    match fs.inode(ino)? {
+        Inode::File { data, .. } => Some(data),
+        Inode::Dir { .. } => None,
+    }
 }
 
 /// The owner id and stripe of a chunk name, the one parse of what

@@ -12,7 +12,7 @@ use crate::call::PfsCall;
 use crate::error::PfsResult;
 use crate::placement::Placement;
 use crate::store::ServerStates;
-use crate::view::PfsView;
+use crate::view::{Content, PfsView};
 use crate::Pfs;
 use simfs::{FsOp, JournalMode};
 use simnet::ClusterTopology;
@@ -95,7 +95,9 @@ impl Pfs for Ext4Direct {
             if fs.is_dir(&path) {
                 view.add_dir(path);
             } else if let Ok(file) = fs.read_shared(&path) {
-                view.add_file(path, file.clone());
+                let mut content = Content::default();
+                content.push_file(file);
+                view.add_file(path, content);
             }
         }
         view

@@ -64,13 +64,13 @@
 //!    sweep) use the index; GPFS (a global dirent/inode scan), GlusterFS
 //!    (cross-brick self-heal) and ext4 (one server) keep the full path;
 //! 4. `client_view` — mount: the file tree from persistent state only.
-//!    A file's data is a [`Content`]: the stores' own inodes or blocks,
+//!    A file's data is a [`Content`]: the stores' own pages or blocks,
 //!    shared, never copied. A striped file's goes through
 //!    [`ModelBase::read_striped`]: a stripe on a clean server comes from
 //!    the same baseline index, and only a written server's stripe is read
 //!    by path. BeeGFS, OrangeFS, GlusterFS and Lustre read through it;
 //!    GPFS takes its content blocks from one scan of every device, ext4
-//!    its one file inode;
+//!    its one file's pages;
 //! 5. `restart_cost_secs` — the Figure 10/11 cost-model constant.
 
 pub mod base;

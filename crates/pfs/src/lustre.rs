@@ -323,7 +323,7 @@ impl Pfs for Lustre {
                 for path in mdt_fs.walk() {
                     // Directories do not read.
                     if let Ok(raw) = mdt_fs.read(&path) {
-                        let entry = String::from_utf8_lossy(raw);
+                        let entry = String::from_utf8_lossy(&raw);
                         let objs = entry
                             .split(';')
                             .filter_map(|part| part.strip_prefix("obj="));
@@ -350,7 +350,7 @@ impl Pfs for Lustre {
                 view.add_damaged_file(vpath);
                 continue;
             };
-            let entry = String::from_utf8_lossy(raw);
+            let entry = String::from_utf8_lossy(&raw);
             let obj = attr(&entry, "obj").unwrap_or("");
             if obj.is_empty() {
                 // Entry created but never assigned an object: an

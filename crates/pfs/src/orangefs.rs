@@ -375,7 +375,7 @@ impl OrangeFs {
         let Ok(raw) = fs.read("/db/keyval.db") else {
             return out;
         };
-        for line in String::from_utf8_lossy(raw).lines() {
+        for line in String::from_utf8_lossy(&raw).lines() {
             let parts: Vec<&str> = line.split_whitespace().collect();
             match parts.as_slice() {
                 ["I", dirkey, name, rest @ ..] => {
@@ -406,7 +406,7 @@ impl OrangeFs {
         let Ok(raw) = fs.read("/db/attrs.db") else {
             return out;
         };
-        for line in String::from_utf8_lossy(raw).lines() {
+        for line in String::from_utf8_lossy(&raw).lines() {
             let parts: Vec<&str> = line.splitn(3, ' ').collect();
             match parts.as_slice() {
                 ["A", handle, attrs] => {

@@ -464,7 +464,7 @@ mod tests {
         );
         let mut full = ServerStates::all_fs(2, JournalMode::Data);
         full.apply_events(&rec, [write, creat]); // out of order on purpose
-        assert_eq!(full.server(0).as_fs().read("/f").unwrap(), b"x");
+        assert_eq!(&full.server(0).as_fs().read("/f").unwrap()[..], b"x");
 
         let mut partial = ServerStates::all_fs(2, JournalMode::Data);
         partial.apply_events(&rec, [write]); // creat dropped -> append skipped

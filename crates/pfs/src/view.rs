@@ -8,16 +8,16 @@
 //! crash-consistency contract does not cover.
 //!
 //! A file's bytes are not copied out of the stores. Its [`Content`] is
-//! the list of the stores' own byte runs — chunk-file inodes, content
-//! blocks — each held by its `Arc`, so a mount costs a refcount bump per
-//! stripe and a view of a clean stripe shares it with the baseline and
-//! with every other view. Equality reads the bytes, never the chunking;
-//! the digest folds each run's cached digest, so it reads only runs
-//! hashed nowhere before.
+//! the list of the stores' own byte runs — the pages of chunk files,
+//! content blocks — each held by its `Arc`, so a mount costs a refcount
+//! bump per page and a view shares every page its crash did not write
+//! with the baseline and with every other view. Equality reads the
+//! bytes, never the chunking, and skips a page both views share; the
+//! digest folds each run's cached digest, so it reads only pages hashed
+//! nowhere before.
 
 use pc_rt::intern::Sym;
-use simfs::payload_digest;
-use simfs::state::Inode;
+use simfs::{payload_digest, Data, Pages};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -32,20 +32,13 @@ pub trait Bytes: Send + Sync {
     fn digest(&self) -> u64;
 }
 
-/// A regular file's data, its digest the one the store caches; a
-/// directory holds none.
-impl Bytes for Inode {
+/// One page of a regular file, its digest the one the store caches.
+impl Bytes for Data {
     fn bytes(&self) -> &[u8] {
-        match self {
-            Inode::File { data, .. } => &data[..],
-            Inode::Dir { .. } => &[],
-        }
+        self
     }
     fn digest(&self) -> u64 {
-        match self {
-            Inode::File { data, .. } => data.digest(),
-            Inode::Dir { .. } => payload_digest(&[]),
-        }
+        Data::digest(self)
     }
 }
 
@@ -89,6 +82,13 @@ impl Content {
         let len = run.bytes().len() as u64;
         if len > 0 {
             self.runs.push((run, self.len() + len));
+        }
+    }
+
+    /// Append a file's pages, each one run.
+    pub fn push_file(&mut self, file: &Pages) {
+        for page in file.pages() {
+            self.push(page.clone());
         }
     }
 

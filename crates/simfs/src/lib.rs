@@ -35,7 +35,7 @@ pub mod ops;
 pub mod state;
 
 pub use block::{Block, BlockDev, BlockOp, StructTag};
-pub use data::{payload_digest, Data};
+pub use data::{payload_digest, Data, Pages, PAGE};
 pub use error::{FsError, FsResult};
 pub use fsck::{Fsck, FsckIssue};
 pub use journal::{torn_write, CommitRecord, JournalMode};

@@ -6,10 +6,11 @@
 //! deterministic: two states produced by replaying the same operations are
 //! structurally equal, which is what the golden-master comparison relies on.
 
-use crate::data::{payload_digest, Data};
+use crate::data::{payload_digest, Pages};
 use crate::error::{FsError, FsResult};
 use crate::ops::FsOp;
 use pc_rt::intern::Sym;
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,12 +30,12 @@ const ROOT_INO: Ino = 1;
 /// order, an implementation detail — every observable consumer
 /// ([`FsState::walk`], [`FsState::readdir`], fsck, digests) sorts by
 /// the resolved string at the boundary.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Inode {
     /// Regular file: raw content plus extended attributes.
     File {
-        /// File content, with its digest cached.
-        data: Data,
+        /// File content, in shared pages, with its digest cached.
+        data: Pages,
         /// Extended attributes.
         xattrs: BTreeMap<Sym, Vec<u8>>,
     },
@@ -50,7 +51,7 @@ pub enum Inode {
 impl Inode {
     fn empty_file() -> Self {
         Inode::File {
-            data: Data::default(),
+            data: Pages::default(),
             xattrs: BTreeMap::new(),
         }
     }
@@ -81,24 +82,14 @@ impl Inode {
     }
 }
 
-/// Zero-extend `data` to `len` bytes, allocating exactly that: a file's
-/// buffer outlives its store in every mounted view that shares the inode
-/// (`pfs::Content`), and spare capacity would stay held with it.
-fn grow_exact(data: &mut Data, len: usize) {
-    if data.len() < len {
-        let data = data.bytes_mut();
-        data.reserve_exact(len - data.len());
-        data.resize(len, 0);
-    }
-}
-
 /// A snapshot-able, comparable local file system.
 ///
 /// Cloning an `FsState` is the simulation analogue of taking an LVM/ext4
 /// snapshot of a storage server before crash emulation (§4.3). The inode
 /// table is a persistent (copy-on-write) structure: `clone`/[`FsState::fork`]
 /// are O(1) Arc bumps, and mutation unshares only the touched nodes via
-/// `Arc::make_mut`, so memory grows with divergence rather than state size.
+/// `Arc::make_mut` — a written file only the [`Pages`] its write touched —
+/// so memory grows with divergence rather than state size.
 #[derive(Clone)]
 pub struct FsState {
     inodes: Arc<BTreeMap<Ino, Arc<Inode>>>,
@@ -160,10 +151,10 @@ impl FsState {
         Arc::ptr_eq(&self.inodes, &other.inodes) && self.next_ino == other.next_ino
     }
 
-    /// A structurally independent copy sharing no nodes with `self`. Only
-    /// the reference checker (`paracrash::check_reference`) and tests
-    /// that need true isolation use this — it reproduces the historical
-    /// clone-everything cost model.
+    /// A structurally independent copy sharing no inode with `self` (file
+    /// pages, never written in place, stay shared). Only the reference
+    /// checker (`paracrash::check_reference`) and tests that need true
+    /// isolation use this.
     pub fn deep_clone(&self) -> FsState {
         FsState {
             inodes: Arc::new(
@@ -286,13 +277,10 @@ impl FsState {
             .unwrap_or(false)
     }
 
-    /// Read full file contents.
-    pub fn read(&self, path: &str) -> FsResult<&[u8]> {
-        let ino = self.resolve(path)?;
-        match self.inode_ref(ino) {
-            Inode::File { data, .. } => Ok(data),
-            Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
-        }
+    /// Read full file contents: borrowed from a file of at most one
+    /// page, joined from a longer one (see [`Pages::read`]).
+    pub fn read(&self, path: &str) -> FsResult<Cow<'_, [u8]>> {
+        self.read_shared(path).map(Pages::read)
     }
 
     /// Read an extended attribute.
@@ -348,22 +336,12 @@ impl FsState {
         self.inodes.get(&ino).map(|a| &**a)
     }
 
-    /// The inode `ino` as this state shares it: a reader that keeps the
-    /// `Arc` holds the node's bytes without copying them, and a later
-    /// write to the node unshares it instead of changing them.
-    pub fn inode_shared(&self, ino: Ino) -> Option<&Arc<Inode>> {
-        self.inodes.get(&ino)
-    }
-
-    /// The regular file at `path`, shared (see [`inode_shared`](Self::inode_shared)).
-    pub fn read_shared(&self, path: &str) -> FsResult<&Arc<Inode>> {
-        let ino = self.resolve(path)?;
-        let node = self
-            .inodes
-            .get(&ino)
-            .expect("invariant: resolved ino exists");
-        match &**node {
-            Inode::File { .. } => Ok(node),
+    /// The pages of the regular file at `path`: a reader that keeps a
+    /// page's `Arc` holds its bytes without copying them, and a later
+    /// write to the file unshares the page instead of changing it.
+    pub fn read_shared(&self, path: &str) -> FsResult<&Pages> {
+        match self.inode_ref(self.resolve(path)?) {
+            Inode::File { data, .. } => Ok(data),
             Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
         }
     }
@@ -418,7 +396,7 @@ impl FsState {
                 let ino = *e.get();
                 match self.inode_mut(ino) {
                     Inode::File { data, .. } => {
-                        data.bytes_mut().clear();
+                        data.set_len(0);
                         Ok(())
                     }
                     Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
@@ -468,10 +446,7 @@ impl FsState {
         let ino = self.resolve(path)?;
         match self.inode_mut(ino) {
             Inode::File { data, .. } => {
-                let off = offset as usize;
-                let end = off + buf.len();
-                grow_exact(data, end);
-                data.bytes_mut()[off..end].copy_from_slice(buf);
+                data.write(offset as usize, buf);
                 Ok(())
             }
             Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
@@ -483,9 +458,7 @@ impl FsState {
         let ino = self.resolve(path)?;
         match self.inode_mut(ino) {
             Inode::File { data, .. } => {
-                let data = data.bytes_mut();
-                data.reserve_exact(buf.len());
-                data.extend_from_slice(buf);
+                data.write(data.len(), buf);
                 Ok(())
             }
             Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
@@ -497,8 +470,7 @@ impl FsState {
         let ino = self.resolve(path)?;
         match self.inode_mut(ino) {
             Inode::File { data, .. } => {
-                grow_exact(data, size as usize);
-                data.bytes_mut().truncate(size as usize);
+                data.set_len(size as usize);
                 Ok(())
             }
             Inode::Dir { .. } => Err(FsError::IsADirectory(path.to_string())),
@@ -622,7 +594,7 @@ impl FsState {
     /// state (and of its unmutated forks) are O(1).
     ///
     /// One DFS collects the tree and hashes each file's cached
-    /// [`Data::digest`] in place of its bytes, so a fork re-hashes only
+    /// [`Pages::digest`] in place of its bytes, so a fork re-hashes only
     /// the files written since; [`Self::digest_reference`] is the
     /// string-keyed algorithm and hashes the same resolved-string stream,
     /// so digest-derived orderings (state dedup, cost-model fingerprints)
@@ -641,7 +613,7 @@ impl FsState {
 
     /// `(kind, payload digest, xattrs)` of a node; `payload` gives a
     /// file's [`payload_digest`], cached or not.
-    fn hash_node<H: Hasher>(node: &Inode, payload: fn(&Data) -> u64, h: &mut H) {
+    fn hash_node<H: Hasher>(node: &Inode, payload: fn(&Pages) -> u64, h: &mut H) {
         match node {
             Inode::File { data, xattrs } => {
                 0u8.hash(h);
@@ -668,7 +640,7 @@ impl FsState {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for (path, node) in nodes {
             path.hash(&mut h);
-            Self::hash_node(node, Data::digest, &mut h);
+            Self::hash_node(node, Pages::digest, &mut h);
         }
         h.finish()
     }
@@ -697,7 +669,11 @@ impl FsState {
         for path in self.walk() {
             path.hash(&mut h);
             if let Ok(ino) = self.resolve(&path) {
-                Self::hash_node(self.inode_ref(ino), |data| payload_digest(data), &mut h);
+                Self::hash_node(
+                    self.inode_ref(ino),
+                    |data| payload_digest(&data.read()),
+                    &mut h,
+                );
             }
         }
         h.finish()
@@ -815,16 +791,16 @@ mod tests {
         let mut fs = FsState::new();
         fs.creat("/foo").unwrap();
         fs.pwrite("/foo", 0, b"hello").unwrap();
-        assert_eq!(fs.read("/foo").unwrap(), b"hello");
+        assert_eq!(&fs.read("/foo").unwrap()[..], b"hello");
         fs.pwrite("/foo", 3, b"XYZ").unwrap();
-        assert_eq!(fs.read("/foo").unwrap(), b"helXYZ");
+        assert_eq!(&fs.read("/foo").unwrap()[..], b"helXYZ");
     }
 
     #[test]
     fn pwrite_zero_fills_holes() {
         let mut fs = fs_with(&["/f"]);
         fs.pwrite("/f", 4, b"ab").unwrap();
-        assert_eq!(fs.read("/f").unwrap(), &[0, 0, 0, 0, b'a', b'b']);
+        assert_eq!(&fs.read("/f").unwrap()[..], &[0, 0, 0, 0, b'a', b'b']);
     }
 
     #[test]
@@ -832,7 +808,7 @@ mod tests {
         let mut fs = fs_with(&["/f"]);
         fs.append("/f", b"aa").unwrap();
         fs.append("/f", b"bb").unwrap();
-        assert_eq!(fs.read("/f").unwrap(), b"aabb");
+        assert_eq!(&fs.read("/f").unwrap()[..], b"aabb");
     }
 
     #[test]
@@ -840,7 +816,7 @@ mod tests {
         let mut fs = fs_with(&["/f"]);
         fs.append("/f", b"data").unwrap();
         fs.creat("/f").unwrap();
-        assert_eq!(fs.read("/f").unwrap(), b"");
+        assert_eq!(&fs.read("/f").unwrap()[..], b"");
     }
 
     #[test]
@@ -851,7 +827,7 @@ mod tests {
         let inodes_before = fs.inode_count();
         fs.rename("/tmp", "/file").unwrap();
         assert!(!fs.exists("/tmp"));
-        assert_eq!(fs.read("/file").unwrap(), b"new");
+        assert_eq!(&fs.read("/file").unwrap()[..], b"new");
         assert_eq!(fs.inode_count(), inodes_before - 1);
     }
 
@@ -873,10 +849,10 @@ mod tests {
         fs.mkdir("/dentries").unwrap();
         fs.link("/idfile", "/dentries/foo").unwrap();
         fs.pwrite("/idfile", 0, b"id").unwrap();
-        assert_eq!(fs.read("/dentries/foo").unwrap(), b"id");
+        assert_eq!(&fs.read("/dentries/foo").unwrap()[..], b"id");
         fs.unlink("/idfile").unwrap();
         // Still alive through the second link.
-        assert_eq!(fs.read("/dentries/foo").unwrap(), b"id");
+        assert_eq!(&fs.read("/dentries/foo").unwrap()[..], b"id");
         let n = fs.inode_count();
         fs.unlink("/dentries/foo").unwrap();
         assert_eq!(fs.inode_count(), n - 1);
@@ -975,7 +951,7 @@ mod tests {
         for op in &script {
             fs.apply(op).unwrap();
         }
-        assert_eq!(fs.read("/d/f").unwrap(), b"abcd");
+        assert_eq!(&fs.read("/d/f").unwrap()[..], b"abcd");
         assert!(!fs.exists("/d/h"));
     }
 
@@ -998,7 +974,7 @@ mod tests {
         let mut fs = fs_with(&["/f"]);
         let snap = fs.clone();
         fs.pwrite("/f", 0, b"mutated").unwrap();
-        assert_eq!(snap.read("/f").unwrap(), b"");
+        assert_eq!(&snap.read("/f").unwrap()[..], b"");
         assert!(!snap.same_tree(&fs));
     }
 
@@ -1009,9 +985,9 @@ mod tests {
         let mut fork = fs.fork();
         fork.pwrite("/f", 0, b"FORK").unwrap();
         fs.pwrite("/g", 0, b"ORIG").unwrap();
-        assert_eq!(fs.read("/f").unwrap(), b"base");
-        assert_eq!(fork.read("/f").unwrap(), b"FORK");
-        assert_eq!(fork.read("/g").unwrap(), b"");
+        assert_eq!(&fs.read("/f").unwrap()[..], b"base");
+        assert_eq!(&fork.read("/f").unwrap()[..], b"FORK");
+        assert_eq!(&fork.read("/g").unwrap()[..], b"");
     }
 
     #[test]
@@ -1061,7 +1037,7 @@ mod tests {
         assert_ne!(fs.digest(), d0);
         // The fork still sees the original content and digest.
         assert_eq!(fork.digest(), d0);
-        assert_eq!(fork.read("/f").unwrap(), b"x");
+        assert_eq!(&fork.read("/f").unwrap()[..], b"x");
         // Reverting the mutation restores the original digest.
         fs.pwrite("/f", 0, b"x").unwrap();
         assert_eq!(fs.digest(), d0);

@@ -222,7 +222,7 @@ panels=$({ grep -o 'data-metric="[^"]*"' "$obs/a/report.html" || true; } | cut -
 grep -qE '<script|https?://' "$obs/a/report.html" && { echo "FAIL: the dashboard is not self-contained"; exit 1; } || true
 target/release/paracrash selftest obs
 
-echo "== gate 6: torn-write determinism + zero-fault fidelity =="
+echo "== gate 6: torn-write determinism + zero-fault fidelity + paper ext4 peak =="
 # Same torn seed => bit-identical CLI report, run after run.
 run_twice --fs BeeGFS --program ARVR --torn-seed 7
 # Zero-fault runs must still find exactly the paper's fifteen bugs.
@@ -232,6 +232,12 @@ if [ "$(grep -c REPRODUCED "$tmp/table3.txt")" -ne 15 ] || grep -q missing "$tmp
     grep -E "REPRODUCED|missing" "$tmp/table3.txt"
     exit 1
 fi
+# A write copies the pages it touched, not the file: the paper ext4
+# matrix, whose H5 file every legal view shares, peaks under 200 MB
+# (1.16 GB when each write copied the whole file).
+PC_TRACE=summary target/release/paracrash --paper --fs ext4 --program all > /dev/null 2> "$tmp/ext4-paper.err"
+peak=$(awk '$1 == "alloc" && $2 == "total" { print $NF == "GB" ? $(NF-1) * 1000 : $NF == "MB" ? $(NF-1) : 0 }' "$tmp/ext4-paper.err")
+awk -v p="$peak" 'BEGIN { exit !(p != "" && p < 200) }' || { echo "FAIL: paper ext4 alloc peak ${peak:-missing} MB, want under 200"; exit 1; }
 
 echo "== gate 7: explain bundles =="
 # Full matrix: multi-cell runs always exit 0; bugs land as bundles (192

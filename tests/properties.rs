@@ -7,6 +7,7 @@ use pc_rt::proptest::{gen_vec, run, Config};
 use pc_rt::rng::Rng;
 use pc_rt::{prop_assert, prop_assert_eq, prop_assume};
 use simfs::{BlockOp, FsOp, JournalMode};
+use std::collections::BTreeMap;
 use tracer::{BitSet, CausalityGraph, EventId, Layer, Payload, Process, Recorder};
 
 /// A randomly generated trace: up to ~11 lowermost ops spread over
@@ -1144,12 +1145,14 @@ fn a_borrowed_view_equals_its_flat_copy() {
 /// around the images made so far.
 #[derive(Debug)]
 enum OverlayStep {
-    /// Op `op` on file `file` of `server`, through `server_mut`.
+    /// Op `op` on file `file` of `server`, through `server_mut`, its
+    /// offset, length or size drawn from `at`.
     Write {
         image: usize,
         server: u32,
         op: u8,
         file: u8,
+        at: u32,
     },
     /// The recorded events `mask` selects, through `apply_events`.
     Events { image: usize, mask: u64 },
@@ -1160,23 +1163,29 @@ enum OverlayStep {
     Seal { image: usize },
 }
 
-fn overlay_op(op: u8, file: u8) -> FsOp {
+fn overlay_op(op: u8, file: u8, at: u32) -> FsOp {
     let path = format!("/f{file}");
+    // A few bytes either side of 0, one page or two: offsets, lengths
+    // and sizes that end, start and straddle page boundaries.
+    let near = |x: u32| {
+        let edge = [0, simfs::PAGE, 2 * simfs::PAGE][x as usize % 3];
+        (edge + (x as usize / 3 % 8)).saturating_sub(4)
+    };
     match op % 6 {
         0 => FsOp::Creat { path },
         1 => FsOp::Append {
             path,
-            data: vec![file],
+            data: vec![file; 1 + near(at)],
         },
         2 => FsOp::Unlink { path },
         3 => FsOp::Pwrite {
             path,
-            offset: u64::from(op % 5),
-            data: vec![op; 1 + usize::from(op % 3)],
+            offset: near(at) as u64,
+            data: vec![op; 1 + near(at >> 8)],
         },
         4 => FsOp::Truncate {
             path,
-            size: u64::from(op % 4),
+            size: near(at) as u64,
         },
         _ => FsOp::SetXattr {
             path,
@@ -1186,13 +1195,44 @@ fn overlay_op(op: u8, file: u8) -> FsOp {
     }
 }
 
+/// `ops` on a file map, as a file system of plain `Vec<u8>` files
+/// applies them: the bytes model a paged file must read as.
+fn mirror_ops<'o>(files: &mut BTreeMap<String, Vec<u8>>, ops: impl IntoIterator<Item = &'o FsOp>) {
+    for op in ops {
+        match op {
+            FsOp::Creat { path } => files.entry(path.clone()).or_default().clear(),
+            FsOp::Unlink { path } => drop(files.remove(path)),
+            FsOp::Append { path, data } => {
+                if let Some(bytes) = files.get_mut(path) {
+                    bytes.extend_from_slice(data);
+                }
+            }
+            FsOp::Pwrite { path, offset, data } => {
+                if let Some(bytes) = files.get_mut(path) {
+                    let (from, to) = (*offset as usize, *offset as usize + data.len());
+                    bytes.resize(bytes.len().max(to), 0);
+                    bytes[from..to].copy_from_slice(data);
+                }
+            }
+            FsOp::Truncate { path, size } => {
+                if let Some(bytes) = files.get_mut(path) {
+                    bytes.resize(*size as usize, 0);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// `ServerStates` — a sealed base plus the stores written since — is
 /// the dense one-store-per-server vector it replaced: random writes
 /// through `server_mut` and `apply_events`, forks and `sealed()` calls,
 /// mirrored on a `Vec<Store>` per image, at 4 and 256 servers. After
 /// every step each image's `digest()` is the FNV fold of its stores'
 /// uncached `digest_reference()`, so no cached file digest outlives a
-/// write. Server by server the stores are equal; `digest()` is the
+/// write. Offsets, lengths and sizes straddle one and two pages, and
+/// every file reads as its `Vec<u8>` mirror, its digest the mirror's
+/// `payload_digest`. Server by server the stores are equal; `digest()` is the
 /// dense FNV fold of the store digests; `per_server_digests()` is the dense list;
 /// `dirty_mask` against the baseline and against every other image is
 /// the dense `same_root` compare; and two images are `==` exactly when
@@ -1207,7 +1247,8 @@ fn overlay_equals_the_dense_model() {
             &Config::with_cases(64),
             |rng, size| {
                 let events = gen_vec(rng, 12, |r| {
-                    (r.gen_range(0..servers as u64) as u32, r.next_u32() as u8)
+                    let server = r.gen_range(0..servers as u64) as u32;
+                    (server, r.next_u32() as u8, r.next_u32())
                 });
                 let steps = gen_vec(rng, size.min(24), |r| {
                     let image = r.gen_index(8);
@@ -1217,6 +1258,7 @@ fn overlay_equals_the_dense_model() {
                             server: r.gen_range(0..servers as u64) as u32,
                             op: r.next_u32() as u8,
                             file: r.gen_index(3) as u8,
+                            at: r.next_u32(),
                         },
                         4 => OverlayStep::Events {
                             image,
@@ -1231,8 +1273,8 @@ fn overlay_equals_the_dense_model() {
             |(events, steps)| {
                 let mut rec = Recorder::new();
                 let ids: Vec<EventId> = (events.iter())
-                    .map(|&(server, op)| {
-                        let op = overlay_op(op, op % 3);
+                    .map(|&(server, op, at)| {
+                        let op = overlay_op(op, op % 3, at);
                         let payload = Payload::Fs { server, op };
                         rec.record(Layer::LocalFs, Process::Server(server), payload, None)
                     })
@@ -1243,6 +1285,21 @@ fn overlay_equals_the_dense_model() {
                     (0..servers).map(|_| Store::fs(JournalMode::Data)).collect();
                 let mut images = vec![baseline.fork()];
                 let mut dense: Vec<Vec<Store>> = vec![dense_fork(&dense_baseline)];
+                let mut bytes_baseline = vec![BTreeMap::new(); servers as usize];
+                let mut bytes: Vec<Vec<BTreeMap<String, Vec<u8>>>> = vec![bytes_baseline.clone()];
+                // Every file of a store reads as its mirror in `files`.
+                let reads_as = |fs: &simfs::FsState, files: &BTreeMap<String, Vec<u8>>| {
+                    (0..3).all(|file| {
+                        let path = format!("/f{file}");
+                        match (fs.read_shared(&path).ok(), files.get(&path)) {
+                            (Some(pages), Some(bytes)) => {
+                                *fs.read(&path).unwrap() == bytes[..]
+                                    && pages.digest() == simfs::payload_digest(bytes)
+                            }
+                            (pages, bytes) => pages.is_none() && bytes.is_none(),
+                        }
+                    })
+                };
                 let uncached = |image: &ServerStates| {
                     (image.iter()).fold(FNV_OFFSET_BASIS, |h, (_, store)| {
                         let digest = store.as_fs().digest_reference();
@@ -1256,10 +1313,14 @@ fn overlay_equals_the_dense_model() {
                             server,
                             op,
                             file,
+                            at,
                         } => {
-                            let (i, op) = (image % images.len(), overlay_op(op, file));
+                            let (i, op) = (image % images.len(), overlay_op(op, file, at));
                             images[i].server_mut(server).apply_fs(&op);
                             dense[i][server as usize].apply_fs(&op);
+                            mirror_ops(&mut bytes[i][server as usize], [&op]);
+                            let fs = images[i].server(server).as_fs();
+                            prop_assert!(reads_as(fs, &bytes[i][server as usize]), "{op:?}");
                         }
                         OverlayStep::Events { image, mask } => {
                             let i = image % images.len();
@@ -1272,12 +1333,14 @@ fn overlay_equals_the_dense_model() {
                                     unreachable!("file-system events only")
                                 };
                                 dense[i][*server as usize].apply_fs(op);
+                                mirror_ops(&mut bytes[i][*server as usize], [op]);
                             }
                         }
                         OverlayStep::Fork { image } => {
                             let i = image % images.len();
                             images.push(images[i].fork());
                             dense.push(dense_fork(&dense[i]));
+                            bytes.push(bytes[i].clone());
                         }
                         OverlayStep::Seal { image } => {
                             let i = image % images.len();
@@ -1285,6 +1348,7 @@ fn overlay_equals_the_dense_model() {
                             dense[i] = dense_fork(&dense[i]);
                             baseline = images[i].fork();
                             dense_baseline = dense_fork(&dense[i]);
+                            bytes_baseline = bytes[i].clone();
                         }
                     }
                     for (i, image) in images.iter().chain([&baseline]).enumerate() {
@@ -1293,7 +1357,12 @@ fn overlay_equals_the_dense_model() {
                 }
                 images.push(baseline.fork());
                 dense.push(dense_fork(&dense_baseline));
+                bytes.push(bytes_baseline);
                 for (i, (image, stores)) in images.iter().zip(&dense).enumerate() {
+                    for (s, store) in image.iter() {
+                        let files = &bytes[i][s as usize];
+                        prop_assert!(reads_as(store.as_fs(), files), "image {i} server {s}");
+                    }
                     prop_assert_eq!(image.len(), stores.len());
                     for (s, store) in stores.iter().enumerate() {
                         prop_assert!(image.server(s as u32) == store, "image {i} server {s}");

@@ -260,6 +260,41 @@ fn a_second_view_digest_streams_no_bytes() {
     assert!(first == second);
 }
 
+/// A one-byte write to a fork of an N-page file unshares one page: the
+/// fork shares the other N − 1 with its base, and a view of it, mounted
+/// after the base's was digested, digests only the new page.
+#[test]
+fn a_one_byte_write_to_a_fork_digests_one_page() {
+    use pfs::{Content, PfsView};
+    use simfs::{FsState, PAGE};
+    let _guard = TEST_LOCK.lock().unwrap();
+    let pages = 5;
+    let mut base = FsState::new();
+    base.creat("/f").unwrap();
+    base.pwrite("/f", 0, &vec![7; pages * PAGE - 3]).unwrap();
+    let view = |fs: &FsState| {
+        let mut content = Content::default();
+        content.push_file(fs.read_shared("/f").unwrap());
+        let mut view = PfsView::new();
+        view.add_file("/f", content);
+        view
+    };
+    let before = view(&base).digest();
+    let mut fork = base.fork();
+    fork.pwrite("/f", 2 * PAGE as u64 + 1, b"x").unwrap();
+    let (a, b) = (
+        base.read_shared("/f").unwrap(),
+        fork.read_shared("/f").unwrap(),
+    );
+    let shared = (a.pages().iter().zip(b.pages()))
+        .filter(|(a, b)| std::sync::Arc::ptr_eq(a, b))
+        .count();
+    assert_eq!(shared, pages - 1);
+    let (after, snap) = with_telemetry(|| view(&fork).digest());
+    assert_eq!(counter(&snap, "digest.bytes"), PAGE as u64);
+    assert_ne!(after, before);
+}
+
 /// The parse budget of a recovered view (DESIGN.md §7): its library file
 /// is walked once, and once more — through `h5clear` — only if that walk
 /// met an error; every parse is one `h5.parse` span. A cell without an

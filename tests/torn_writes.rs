@@ -36,7 +36,7 @@ fn data_journaling_discards_the_whole_torn_write() {
     // recovery rolls the write back entirely: the file stays empty.
     let (fs, torn) = tear_and_fsck(JournalMode::Data, 3);
     assert_eq!(torn, None);
-    assert_eq!(fs.read("/f").unwrap(), b"");
+    assert_eq!(&fs.read("/f").unwrap()[..], b"");
 }
 
 #[test]
@@ -49,7 +49,7 @@ fn ordered_writeback_and_none_persist_the_prefix() {
         let (fs, torn) = tear_and_fsck(mode, 3);
         assert!(torn.is_some(), "{mode:?} must keep the surviving prefix");
         assert_eq!(
-            fs.read("/f").unwrap(),
+            &fs.read("/f").unwrap()[..],
             b"ABC",
             "{mode:?}: exactly the first `keep` bytes persist"
         );
